@@ -1076,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[obs])
     _add_query_args(p)
     p.add_argument("--verbose", action="store_true",
-                   help="show all binding-mode plans")
+                   help="every binding mode's plan and generated function")
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("stats", help="summarize or convert a trace file",

@@ -90,6 +90,11 @@ class CompiledQuery:
     head_predicates: Set[str]
 
     @property
+    def compiled_rules(self) -> int:
+        """Generated (rule, mode) functions held so far (result stats)."""
+        return sum(len(crule.compiled) for crule in self.rules)
+
+    @property
     def online_eligible(self) -> bool:
         """Forward queries evaluate online alongside the analytic."""
         return self.direction in (DIRECTION_LOCAL, DIRECTION_FORWARD)

@@ -1,8 +1,9 @@
 """PQL evaluation core.
 
-Interprets the plans produced by :mod:`repro.pql.analysis` as left-deep
-nested-loop joins with binding propagation. The same core drives all three
-of the paper's evaluation methods — online, layered offline and naive
+Runs the plans produced by :mod:`repro.pql.analysis` — left-deep
+nested-loop joins with binding propagation, compiled once per (rule, mode)
+into a Python function by :mod:`repro.pql.codegen`. The same core drives all
+three of the paper's evaluation methods — online, layered offline and naive
 offline — which differ only in
 
 * the *database view* they evaluate against (what "the partition at vertex
@@ -18,17 +19,17 @@ online runtime can ship deltas using per-neighbor watermarks).
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
 from repro.pql.ast import Aggregate, BinOp, Const, FuncCall, Param, Term, Var
+from repro.pql.codegen import compile_rule
 from repro.pql.index import MIN_INDEX_ROWS, RowIndex
 from repro.pql.plan import (
     ANY,
     BIND,
     CHECK_TERM,
     CHECK_VAR,
-    CallStep,
     CompareStep,
     CompiledRule,
     RulePlan,
@@ -104,7 +105,7 @@ def _compare(op: str, left: Any, right: Any) -> bool:
 class _Partition:
     """One relation's tuples at one vertex: a set plus insertion order."""
 
-    __slots__ = ("rows", "order", "groups", "by_time", "index")
+    __slots__ = ("rows", "order", "groups", "by_time", "index", "windowed")
 
     def __init__(self) -> None:
         self.rows: Set[Row] = set()
@@ -115,6 +116,7 @@ class _Partition:
         self.by_time: Optional[Dict[Any, List[Row]]] = None
         # Lazily-built hash indexes over `order` (see repro.pql.index).
         self.index: Optional[RowIndex] = None
+        self.windowed = False  # window pruning has dropped rows
 
     def add(self, row: Row) -> bool:
         if row in self.rows:
@@ -156,8 +158,9 @@ class _Partition:
         if removed:
             self.order = [row for row in self.order if row in self.rows]
             # The index folds `order` incrementally and cannot unsee the
-            # dropped suffix; rebuild lazily from the compacted log.
+            # dropped rows.
             self.index = None
+            self.windowed = True
         return removed
 
     def probe(
@@ -167,9 +170,11 @@ class _Partition:
 
         Aggregate partitions are unindexable: ``set_group`` discards
         replaced rows from ``rows`` but leaves them in ``order``, so an
-        index over the log would resurrect them.
+        index over the log would resurrect them. Neither are window-pruned
+        ones: the next prune would discard the index, and every scan of a
+        pruned relation is time-bound, so it falls back to a ``by_time`` slice.
         """
-        if self.groups is not None:
+        if self.groups is not None or self.windowed:
             return None
         index = self.index
         if index is None:
@@ -313,14 +318,34 @@ class Database:
 
     # -- writes ------------------------------------------------------------
     def add(self, relation: str, row: Row) -> bool:
-        return self.derived.add(relation, row[0], row)
+        return bool(self.add_rows(relation, (row,)))
+
+    def add_rows(self, relation: str, rows: Iterable[Row],
+                 fresh: Optional[List[Row]] = None) -> int:
+        """Insert derived rows in order, resolving the partition once per
+        run of same-vertex rows; returns how many were new (``fresh``, when
+        given, collects them)."""
+        new = 0
+        vertex = present = order = None
+        for row in rows:
+            if present is None or row[0] != vertex:
+                vertex = row[0]
+                part = self.derived._ensure(relation, vertex)
+                present, order = part.rows, part.order
+            if row not in present:  # _Partition.add, inlined for the hot path
+                present.add(row)
+                order.append(row)
+                new += 1
+                if fresh is not None:
+                    fresh.append(row)
+        return new
 
     def set_group(self, relation: str, vertex: Any, key: Row, row: Row) -> bool:
         return self.derived.set_group(relation, vertex, key, row)
 
 
 # ---------------------------------------------------------------------------
-# join execution
+# single-step primitives (only the vectorized per-row fallback uses them)
 # ---------------------------------------------------------------------------
 def _candidate_rows(step: ScanStep, env: Env, db: Database,
                     functions: FunctionRegistry,
@@ -437,57 +462,6 @@ def _passes(filters: Sequence[Any], env: Env,
     return True
 
 
-def _join(steps: Sequence[Any], index: int, env: Env, db: Database,
-          functions: FunctionRegistry) -> Iterator[Env]:
-    """Depth-first enumeration of all satisfying valuations."""
-    if index == len(steps):
-        yield env
-        return
-    step = steps[index]
-    if isinstance(step, ScanStep):
-        checks = _term_checks(step, env, functions)
-        if step.negated:
-            for row in _candidate_rows(step, env, db, functions, checks):
-                if _match(step, row, env, checks) is not None:
-                    return  # an anti-join witness exists: fail this branch
-            yield from _join(steps, index + 1, env, db, functions)
-        elif step.exists:
-            # semi-join: the scan's bindings are projected away, so the
-            # first row passing the absorbed filters settles the branch
-            for row in _candidate_rows(step, env, db, functions, checks):
-                extended = _match(step, row, env, checks)
-                if extended is not None and _passes(
-                    step.post_filters, extended, functions
-                ):
-                    yield from _join(steps, index + 1, env, db, functions)
-                    return
-        else:
-            for row in _candidate_rows(step, env, db, functions, checks):
-                extended = _match(step, row, env, checks)
-                if extended is not None:
-                    yield from _join(steps, index + 1, extended, db, functions)
-    elif isinstance(step, CompareStep):
-        if step.bind_var is not None:
-            expr = step.right if step.bind_from_left else step.left
-            value = eval_term(expr, env, functions)
-            extended = dict(env)
-            extended[step.bind_var] = value
-            yield from _join(steps, index + 1, extended, db, functions)
-        else:
-            left = eval_term(step.left, env, functions)
-            right = eval_term(step.right, env, functions)
-            if _compare(step.op, left, right):
-                yield from _join(steps, index + 1, env, db, functions)
-    elif isinstance(step, CallStep):
-        fn = functions.get(step.func)
-        args = [eval_term(a, env, functions) for a in step.args]
-        result = bool(fn(*args))
-        if result != step.negated:
-            yield from _join(steps, index + 1, env, db, functions)
-    else:  # pragma: no cover - plan construction guarantees step types
-        raise PQLError(f"unknown plan step {step!r}")
-
-
 def _select_plan(crule: CompiledRule, mode: str) -> RulePlan:
     if mode == MODE_ANCHORED and crule.anchored_plan is not None:
         return crule.anchored_plan
@@ -496,18 +470,13 @@ def _select_plan(crule: CompiledRule, mode: str) -> RulePlan:
     return crule.free_plan
 
 
-def _initial_env(crule: CompiledRule, mode: str, site: Any,
-                 anchor_time: Optional[int]) -> Optional[Env]:
-    env: Env = {}
-    if mode in (MODE_ANCHORED, MODE_LOCATED):
-        if site is None:
-            raise PQLError("located evaluation requires a site")
-        env[crule.loc_var] = site
-    if mode == MODE_ANCHORED and crule.time_var is not None:
-        if anchor_time is None:
-            raise PQLError("anchored evaluation requires an anchor time")
-        env[crule.time_var] = anchor_time
-    return env
+def compiled_fn(crule: CompiledRule, mode: str) -> Callable[..., List[Any]]:
+    """The generated function for ``crule`` under ``mode`` (memoized)."""
+    fn = crule.compiled.get(mode)
+    if fn is None:
+        plan = _select_plan(crule, mode)
+        fn = crule.compiled[mode] = compile_rule(crule, plan)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -520,36 +489,39 @@ def evaluate_rule(
     functions: FunctionRegistry,
     site: Any = None,
     anchor_time: Optional[int] = None,
+    fn: Optional[Callable[..., List[Any]]] = None,
 ) -> int:
-    """Evaluate one rule at one site; returns the number of new facts."""
-    plan = _select_plan(crule, mode)
-    env = _initial_env(crule, mode, site, anchor_time)
+    """Evaluate one rule at one site; returns the number of new facts.
+    ``fn``: the rule's generated function for ``mode``, if already resolved."""
+    if mode != MODE_FREE and site is None:
+        raise PQLError("located evaluation requires a site")
+    if mode == MODE_ANCHORED and anchor_time is None and crule.time_var is not None:
+        raise PQLError("anchored evaluation requires an anchor time")
+    if fn is None:
+        fn = compiled_fn(crule, mode)
+    ctx = db.vector_ctx
     if crule.is_aggregate:
         # Aggregate heads always stay on the row path; count the bypass so
         # `rules_fallback` means "invocations the kernels did not run".
-        agg_ctx = db.vector_ctx
-        if agg_ctx is not None and mode != MODE_FREE:
-            agg_ctx.rules_fallback += 1
-        return _evaluate_aggregate(crule, plan, env, db, functions)
-    head_args = crule.head_args
-    pred = crule.head_predicate
-    # Materialize before inserting: a recursive rule may scan the very
-    # relation it derives into (evaluation is snapshot-per-step; the
-    # enclosing fixpoint loop picks up the new facts next round).
+        if ctx is not None and mode != MODE_FREE:
+            ctx.rules_fallback += 1
+        return _evaluate_aggregate(crule, fn(db, functions, site, anchor_time), db)
+    # The solutions are materialized before any is inserted: a recursive
+    # rule may scan the very relation it derives into (evaluation is
+    # snapshot-per-step; the enclosing fixpoint loop picks up the new facts
+    # next round).
     try:
-        ctx = db.vector_ctx
         rows = None
         if ctx is not None and mode != MODE_FREE:
-            # Batch kernels compute the same solution set as `_join`
-            # (dedup happens at `db.add`); None means the plan could not
-            # vectorize and the row path below runs instead.
-            rows = ctx.evaluate(crule, plan, env, db, functions)
+            # Batch kernels compute the same solution set as the generated
+            # function (dedup happens on insert); None means the plan could
+            # not vectorize and the row path below runs instead.
+            rows = ctx.evaluate(
+                crule, _select_plan(crule, mode), site, anchor_time, db,
+                functions,
+            )
         if rows is None:
-            rows = [
-                tuple(eval_term(arg, solution, functions)
-                      for arg in head_args)
-                for solution in _join(plan.steps, 0, env, db, functions)
-            ]
+            rows = fn(db, functions, site, anchor_time)
     except PQLError:
         raise
     except Exception as exc:
@@ -557,25 +529,18 @@ def evaluate_rule(
             f"error evaluating rule at site {site!r}: {crule.rule} "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    new = 0
-    for row in rows:
-        if db.add(pred, row):
-            new += 1
-    return new
-
-
-_AGG_INIT: Dict[str, Any] = {"count": 0, "sum": 0, "min": None, "max": None, "avg": None}
+    return db.add_rows(crule.head_predicate, rows)
 
 
 def _evaluate_aggregate(
     crule: CompiledRule,
-    plan: RulePlan,
-    env: Env,
+    solutions: List[Tuple[Row, Row]],
     db: Database,
-    functions: FunctionRegistry,
 ) -> int:
-    """Aggregate rule: collect distinct witnesses, group, reduce, replace.
+    """Aggregate rule: group, reduce, replace.
 
+    ``solutions`` holds one ``(group key, aggregated values)`` pair per
+    distinct witness, in enumeration order (the generated function dedups).
     Aggregates use replacement semantics per group (recomputed from the
     current database on every evaluation); stratification guarantees the
     aggregated relations are complete when this runs within one evaluation
@@ -585,28 +550,15 @@ def _evaluate_aggregate(
     agg_positions = [
         i for i, a in enumerate(head_args) if isinstance(a, Aggregate)
     ]
-    group_positions = [
-        i for i, a in enumerate(head_args) if not isinstance(a, Aggregate)
-    ]
-    body_vars = crule.body_vars
-    seen: Set[Row] = set()
     # group key -> per-aggregate accumulators [(count, sum, min, max), ...]
     groups: Dict[Row, List[List[Any]]] = {}
-    for solution in _join(plan.steps, 0, env, db, functions):
-        witness = tuple(solution.get(v) for v in body_vars)
-        if witness in seen:
-            continue
-        seen.add(witness)
-        key = tuple(
-            eval_term(head_args[i], solution, functions) for i in group_positions
-        )
+    for key, values in solutions:
         accs = groups.get(key)
         if accs is None:
             accs = [[0, 0, None, None] for _ in agg_positions]
             groups[key] = accs
-        for acc, pos in zip(accs, agg_positions):
+        for acc, pos, value in zip(accs, agg_positions, values):
             agg: Aggregate = head_args[pos]  # type: ignore[assignment]
-            value = eval_term(agg.term, solution, functions)
             acc[0] += 1
             if agg.func in ("sum", "avg"):
                 acc[1] += value
@@ -643,13 +595,15 @@ def _evaluate_aggregate(
 # ---------------------------------------------------------------------------
 # stratum driver
 # ---------------------------------------------------------------------------
-PreparedStrata = List[Tuple[List[CompiledRule], bool]]
+PreparedRule = Tuple[CompiledRule, Callable[..., List[Any]]]
+PreparedStrata = List[Tuple[List[PreparedRule], bool]]
 
 
 def prepare_strata(
-    strata: Sequence[Sequence[CompiledRule]],
+    strata: Sequence[Sequence[CompiledRule]], mode: str,
 ) -> PreparedStrata:
-    """Precompute, per stratum, whether fixpoint iteration is needed.
+    """Resolve each rule's generated function for ``mode`` and precompute,
+    per stratum, whether fixpoint iteration is needed.
 
     Two cases avoid the repeat-until-stable loop entirely:
 
@@ -674,14 +628,13 @@ def prepare_strata(
                 if rel in heads:
                     deps[crule.head_predicate].add(rel)
         order = _topological(deps)
-        if order is None:
-            prepared.append((list(stratum), True))
-        else:
+        ordered = list(stratum)
+        if order is not None:
             rank = {pred: i for i, pred in enumerate(order)}
-            ordered = sorted(
-                stratum, key=lambda c: (rank[c.head_predicate], c.index)
-            )
-            prepared.append((ordered, False))
+            ordered.sort(key=lambda c: (rank[c.head_predicate], c.index))
+        prepared.append(
+            ([(c, compiled_fn(c, mode)) for c in ordered], order is None)
+        )
     return prepared
 
 
@@ -716,6 +669,7 @@ def run_prepared(
     budget: Optional[Any] = None,
 ) -> int:
     """Evaluate prepared strata in order, each to fixpoint over ``sites``.
+    ``mode`` is the one the strata were prepared for.
 
     ``stratum_seconds`` is the observability hook: a dict that accumulates
     wall time per stratum number (the offline drivers pass one when
@@ -737,17 +691,17 @@ def run_prepared(
             started = time.perf_counter()
         while True:
             new = 0
-            for crule in stratum:
+            for crule, fn in stratum:
                 if budget is None:
                     for site in sites:
                         new += evaluate_rule(
-                            crule, mode, db, functions, site, anchor_time
+                            crule, mode, db, functions, site, anchor_time, fn
                         )
                 else:
                     for site in sites:
                         budget.tick()
                         new += evaluate_rule(
-                            crule, mode, db, functions, site, anchor_time
+                            crule, mode, db, functions, site, anchor_time, fn
                         )
             total += new
             if budget is not None:
@@ -755,7 +709,7 @@ def run_prepared(
             if new == 0 or not recursive:
                 break
         if timing:
-            key = stratum[0].stratum
+            key = stratum[0][0].stratum
             stratum_seconds[key] = (
                 stratum_seconds.get(key, 0.0)
                 + time.perf_counter() - started
@@ -779,6 +733,7 @@ def run_strata(
     for free-mode (centralized) evaluation.
     """
     return run_prepared(
-        prepare_strata(strata), mode, db, functions, list(sites), anchor_time,
+        prepare_strata(strata, mode), mode, db, functions, list(sites),
+        anchor_time,
         stratum_seconds, budget,
     )

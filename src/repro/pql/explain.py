@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.pql.analysis import CompiledQuery, relation_windows
+from repro.pql.eval import MODE_ANCHORED, MODE_FREE, MODE_LOCATED, compiled_fn
 from repro.pql.plan import (
     BIND,
     CHECK_TERM,
@@ -68,11 +69,14 @@ def _describe_step(step: Any, indent: str) -> List[str]:
     return [f"{indent}{step!r}"]
 
 
-def _describe_plan(plan: RulePlan, label: str) -> List[str]:
+def _describe_plan(plan: RulePlan, label: str, code: Any = None) -> List[str]:
     lines = [f"    {label} plan (prebound: "
              f"{', '.join(plan.prebound) or 'none'}):"]
     for step in plan.steps:
         lines.extend(_describe_step(step, "      "))
+    if code is not None:  # the function the evaluator runs for this plan
+        lines.append("      generated:")
+        lines.extend("        " + ln for ln in code.source.splitlines())
     return lines
 
 
@@ -93,12 +97,14 @@ def explain_rule(crule: CompiledRule, verbose: bool = False) -> str:
             f"    remote tables: {', '.join(crule.remote_relations)}"
         )
     if crule.is_static:
-        lines.extend(_describe_plan(crule.free_plan, "setup"))
+        plans = [("setup", crule.free_plan, MODE_FREE)]
     else:
-        lines.extend(_describe_plan(crule.anchored_plan, "anchored"))
-        if verbose:
-            lines.extend(_describe_plan(crule.located_plan, "located"))
-            lines.extend(_describe_plan(crule.free_plan, "free"))
+        plans = [("anchored", crule.anchored_plan, MODE_ANCHORED),
+                 ("located", crule.located_plan, MODE_LOCATED),
+                 ("free", crule.free_plan, MODE_FREE)]
+    for label, plan, mode in plans if verbose else plans[:1]:
+        code = compiled_fn(crule, mode) if verbose else None
+        lines.extend(_describe_plan(plan, label, code))
     return "\n".join(lines)
 
 

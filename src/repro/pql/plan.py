@@ -16,8 +16,8 @@ evaluated differently per mode:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.pql.ast import Rule, Term
 
@@ -138,6 +138,15 @@ class CompiledRule:
     free_plan: RulePlan
     # Names of all body variables, for aggregate witness deduplication.
     body_vars: Tuple[str, ...]
+    # Binding mode -> generated function (repro.pql.codegen), filled on
+    # first use: racing first uses assign equivalent functions, so no lock.
+    # Never pickled (worker re-init blobs); rebuilt lazily after unpickling.
+    compiled: Dict[str, Callable[..., Any]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {**self.__dict__, "compiled": {}}
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"[{self.direction}{'/static' if self.is_static else ''}] {self.rule}"

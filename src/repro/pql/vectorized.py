@@ -306,7 +306,7 @@ class _ScanOp:
       codes for string lanes) and probe it per input row;
     * **row fallback** — everything else (derived relations, virtual
       graph relations, non-columnar stores): the row engine's own
-      candidate/match helpers per input row, byte-identical to `_join`.
+      candidate/match helpers per input row, byte-identical to it.
     """
 
     __slots__ = (
@@ -681,7 +681,7 @@ class _ScanOp:
     def _run_rows(self, state: _State,
                   ctx: "VectorContext") -> Optional[_State]:
         """Join through the row engine's candidate/match helpers, one
-        input row at a time — byte-identical to `_join` on one scan."""
+        input row at a time — byte-identical to the row path on one scan."""
         step = self.step
         functions = self.functions
         db = ctx.db
@@ -863,13 +863,13 @@ class _Program:
         self.head_fns = [f for f, _ in head_parts]
         self.head_scalar = all(s for _, s in head_parts)
 
-    def run(self, env: Dict[str, Any],
+    def run(self, scalars: Dict[str, Any],
             ctx: "VectorContext") -> List[Row]:
         """All head rows of the rule's solutions. Duplicates are allowed —
         the caller's set insert deduplicates, exactly like the row path —
         which is also why a constant head over a non-empty batch may emit
         a single row."""
-        state: Optional[_State] = _State(dict(env))
+        state: Optional[_State] = _State(scalars)
         for op in self.ops:
             state = op.run(state, ctx)
             if state is None or state.n == 0:
@@ -963,7 +963,8 @@ class VectorContext:
         self,
         crule: CompiledRule,
         plan: RulePlan,
-        env: Dict[str, Any],
+        site: Any,
+        anchor_time: Optional[int],
         db: Any,
         functions: FunctionRegistry,
     ) -> Optional[List[Row]]:
@@ -982,7 +983,10 @@ class VectorContext:
             return None
         self.rules_vectorized += 1
         self.db = db
-        return program.run(env, self)
+        scalars = {crule.loc_var: site}
+        if crule.time_var in plan.prebound:
+            scalars[crule.time_var] = anchor_time
+        return program.run(scalars, self)
 
     def stats(self) -> Dict[str, Any]:
         """Counters for the drivers' result stats."""

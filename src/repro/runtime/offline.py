@@ -80,11 +80,13 @@ def _attach_vector_ctx(
 
 def _evaluator_stats(
     ctx: Optional[VectorContext], use_index: bool, vectorize: bool,
+    compiled: CompiledQuery,
 ) -> Dict[str, Any]:
     """The evaluator-choice block shared by all offline drivers (and
     surfaced verbatim by the CLI, benchmarks, and the query server)."""
     out: Dict[str, Any] = {
         "vectorize": vectorize,
+        "compiled_rules": compiled.compiled_rules,
         "evaluator": (
             "vectorized" if ctx is not None and ctx.used
             else ("indexed" if use_index else "scan")
@@ -217,7 +219,7 @@ def run_layered(
         "index_probes": db.index_probes,
         "index_scans": db.index_scans,
     }
-    stats.update(_evaluator_stats(ctx, use_index, vectorize))
+    stats.update(_evaluator_stats(ctx, use_index, vectorize, compiled))
     return QueryResult(
         derived=db.derived,
         mode="layered",
@@ -306,7 +308,7 @@ def run_naive(
         "index_probes": db.index_probes,
         "index_scans": db.index_scans,
     }
-    stats.update(_evaluator_stats(ctx, use_index, vectorize))
+    stats.update(_evaluator_stats(ctx, use_index, vectorize, compiled))
     return QueryResult(
         derived=db.derived,
         mode="naive",
@@ -452,7 +454,7 @@ def run_layered_from_spill(
     }
     # Rebuilt in-memory stores serve no column batches; the evaluator
     # choice is still reported so callers see why nothing vectorized.
-    stats.update(_evaluator_stats(None, use_index, vectorize))
+    stats.update(_evaluator_stats(None, use_index, vectorize, compiled))
     return QueryResult(
         derived=db.derived,
         mode="layered",
@@ -559,5 +561,6 @@ def run_reference(
             "use_index": use_index,
             "index_probes": db.index_probes,
             "index_scans": db.index_scans,
+            "compiled_rules": compiled.compiled_rules,
         },
     )

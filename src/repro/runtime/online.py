@@ -149,13 +149,16 @@ class _PersistingOnlineDatabase(OnlineDatabase):
         self.persist = persist if store is not None else set()
         self._pending: Dict[str, List[Tuple[Any, ...]]] = {}
 
-    def add(self, relation: str, row: Tuple[Any, ...]) -> bool:
-        new = super().add(relation, row)
-        if new and relation in self.persist:
-            bucket = self._pending.get(relation)
-            if bucket is None:
-                bucket = self._pending[relation] = []
-            bucket.append(row)
+    def add_rows(self, relation: str, rows: Any,
+                 fresh: Optional[List[Tuple[Any, ...]]] = None) -> int:
+        if fresh is not None or relation not in self.persist:
+            return super().add_rows(relation, rows, fresh)
+        # A bucket appears with its first fresh row: the store's relation
+        # order (and so its sealed bytes) follows bucket order.
+        bucket = self._pending.get(relation, [])
+        new = super().add_rows(relation, rows, bucket)
+        if new:
+            self._pending[relation] = bucket
         return new
 
     def disable_persistence(self) -> None:
@@ -246,7 +249,7 @@ class OnlineQueryProgram(VertexProgram):
         self._need_stream_send = "send" in stream
         self._need_stream_receive = "receive" in stream
         self._remote_rels = sorted(compiled.remote_relations)
-        self._prepared = prepare_strata(compiled.strata)
+        self._prepared = prepare_strata(compiled.strata, MODE_ANCHORED)
         # Window pruning: transient relations whose history is provably
         # bounded get pruned per superstep, keeping online memory flat.
         # Pruning is disabled entirely when capturing (the store persists
@@ -297,6 +300,11 @@ class OnlineQueryProgram(VertexProgram):
         # counts folded in from worker shards at merge time.
         self._parallel_base: Dict[str, Any] = {}
         self._merged_transient_rows = 0
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Generated functions do not pickle (warm-pool re-init ships this
+        # wrapper as a blob); `compute` re-resolves them on first use.
+        return {**self.__dict__, "_prepared": None}
 
     # -- delegation to the analytic --------------------------------------
     def initial_value(self, vertex_id: Any, graph: Any) -> Any:
@@ -414,6 +422,8 @@ class OnlineQueryProgram(VertexProgram):
             if self._need_edge_value:
                 add_local("edge_value", x, (x, target, freeze(value), s), s)
 
+        if self._prepared is None:  # unpickled into a warm worker
+            self._prepared = prepare_strata(self.compiled.strata, MODE_ANCHORED)
         if traced:
             eval_start = time.perf_counter()
         self.derivations += run_prepared(
@@ -558,17 +568,15 @@ class OnlineQueryProgram(VertexProgram):
     def merge_parallel_states(self, states: Sequence[Any]) -> None:
         """Fold worker shard states (in worker-id order) into this copy.
 
-        Replaying derived rows through ``db.add`` persists fresh head
+        Replaying derived rows through ``db.add_rows`` persists fresh head
         tuples into the capture store exactly once: rows already present
         (the static setup every worker inherited) dedupe to no-ops.
         """
         for state in states:
             if state is None:
                 continue
-            add = self.db.add
             for rel, rows in state["derived"]:
-                for row in rows:
-                    add(rel, row)
+                self.db.add_rows(rel, rows)
             counters = state["counters"]
             self.derivations += counters["derivations"]
             self.shipped_tuples += counters["shipped_tuples"]
@@ -700,6 +708,7 @@ def run_online(
             "index_probes": wrapper.db.index_probes,
             "index_scans": wrapper.db.index_scans,
             "sealed_layers": wrapper.sealed_layers,
+            "compiled_rules": compiled.compiled_rules,
         },
     )
     if engine_config.ledger_dir:

@@ -98,3 +98,72 @@ class TestCapture:
         off_s = ariadne_s.apt(epsilon=0.01, mode="layered", store=store_s)
         off_p = ariadne_p.apt(epsilon=0.01, mode="layered", store=store_p)
         _query_equal(off_p, off_s)
+
+
+def _udf_diff(d1, d2, eps):
+    """Module-level (so the wrapper pickles) stand-in for apt's udf_diff."""
+    return abs(d1 - d2) < eps
+
+
+class TestWarmPoolReinit:
+    def test_query1_twice_on_one_warm_pool(self, grid):
+        """First run: workers inherit the wrapper (and its generated rule
+        functions) by fork. Second run: the same pool is re-initialized
+        with a pickled wrapper, which must carry no generated function and
+        rebuild them in the worker — rows stay byte-identical to serial."""
+        import pickle
+
+        from repro.core import queries as Q
+        from repro.engine.engine import PregelEngine
+        from repro.parallel.engine import ParallelEngine
+        from repro.pql.udf import FunctionRegistry
+        from repro.runtime.online import (
+            OnlineQueryProgram, _as_program, _compile,
+        )
+
+        functions = FunctionRegistry({"udf_diff": _udf_diff})
+        compiled = _compile(Q.APT_QUERY, functions, {"eps": 0.01})
+
+        def wrapper():
+            program, projector = _as_program(PageRank())
+            wrapped = OnlineQueryProgram(
+                program, compiled, functions, grid,
+                value_projector=projector, eager_seal=False,
+            )
+            wrapped.run_setup()
+            return wrapped
+
+        def rows(wrapped):
+            derived = wrapped.db.derived
+            return {
+                rel: sorted(derived.all_rows(rel))
+                for rel in sorted(derived.relations())
+            }
+
+        config = EngineConfig(use_combiner=False)
+        serial = wrapper()
+        expected = PregelEngine(grid, config=config).run(serial)
+        assert rows(serial)["safe"]  # the query derives something
+
+        assert all(c.compiled for c in compiled.rules)  # memo is warm ...
+        blob = pickle.dumps(wrapper())
+        assert b"pql-codegen" not in blob  # ... and stays out of the blob
+        clone = pickle.loads(blob)
+        assert clone._prepared is None
+        assert all(not c.compiled for c in clone.compiled.rules)
+
+        parallel = EngineConfig(
+            num_workers=2, backend="parallel", use_combiner=False
+        )
+        with ParallelEngine(grid, config=parallel) as engine:
+            first = wrapper()
+            inherited = engine.run(first)
+            pids = [p.pid for p in engine._pool.procs]
+            second = wrapper()
+            shipped = engine.run(second)
+            # same fleet: the second wrapper went over as a CMD_INIT blob
+            assert [p.pid for p in engine._pool.procs] == pids
+        for run, wrapped in ((inherited, first), (shipped, second)):
+            assert run.values == expected.values
+            assert rows(wrapped) == rows(serial)
+            assert wrapped.derivations == serial.derivations

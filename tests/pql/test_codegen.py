@@ -1,0 +1,369 @@
+"""The plan compiler (repro.pql.codegen): one case per construct it lowers,
+plus the rule that generated source never carries user-controlled text."""
+
+import dataclasses
+import io
+import pickle
+import re
+import tokenize
+import traceback
+
+import pytest
+
+from repro.errors import PQLError
+from repro.pql.analysis import compile_query
+from repro.pql.ast import Const, Var
+from repro.pql.eval import (
+    MODE_ANCHORED,
+    MODE_FREE,
+    MODE_LOCATED,
+    Database,
+    compiled_fn,
+    evaluate_rule,
+)
+from repro.pql.parser import parse
+from repro.pql.plan import CHECK_TERM, CompareStep, RulePlan, ScanStep
+from repro.pql.udf import FunctionRegistry
+
+
+class DictDB(Database):
+    """Facts in a dict, scanned linearly: no index, no time slices."""
+
+    def __init__(self, facts):
+        super().__init__()
+        self.facts = facts
+
+    def rows(self, relation, vertex):
+        stored = [r for r in self.facts.get(relation, ()) if r[0] == vertex]
+        return stored + sorted(self.derived.rows(relation, vertex))
+
+    def all_rows(self, relation):
+        return list(self.facts.get(relation, ())) + sorted(
+            self.derived.all_rows(relation)
+        )
+
+
+def rules_of(src, udfs=None, **params):
+    program = parse(src)
+    if params:
+        program = program.bind(**params)
+    funcs = FunctionRegistry(udfs)
+    return compile_query(program, functions=funcs).rules, funcs
+
+
+def derive(src, facts, mode=MODE_LOCATED, site=0, anchor_time=None,
+           udfs=None, **params):
+    """Evaluate the program's rules in order at one site; all derived rows."""
+    rules, funcs = rules_of(src, udfs, **params)
+    db = DictDB(facts)
+    for crule in rules:
+        evaluate_rule(crule, mode, db, funcs, site, anchor_time)
+    return {
+        rel: sorted(db.derived.all_rows(rel)) for rel in db.derived.relations()
+    }
+
+
+class TestLowering:
+    def test_repeated_variable_inside_one_atom(self):
+        facts = {"receive_message": [(0, 5, 5, 1), (0, 5, 6, 1), (0, 7, 7, 2)]}
+        out = derive("echo(X, Y, I) :- receive_message(X, Y, Y, I).", facts)
+        assert out == {"echo": [(0, 5, 1), (0, 7, 2)]}
+
+    def test_check_var_against_earlier_binding(self):
+        facts = {
+            "value": [(0, 1.5, 1), (0, 2.5, 2), (0, 3.5, 3)],
+            "superstep": [(0, 1), (0, 3), (1, 2)],
+        }
+        out = derive("j(X, D, I) :- value(X, D, I), superstep(X, I).", facts)
+        assert out == {"j": [(0, 1.5, 1), (0, 3.5, 3)]}
+
+    def test_check_term_positions_are_hoisted_and_compared(self):
+        facts = {
+            "superstep": [(0, 2)],
+            "value": [(0, 9.0, 1), (0, 8.0, 2), (0, 7.0, 0)],
+        }
+        out = derive(
+            "prev(X, D, I) :- superstep(X, I), value(X, D, I - 1)."
+            "zero(X, D) :- value(X, D, 0).",
+            facts, mode=MODE_ANCHORED, anchor_time=2,
+        )
+        assert out == {"prev": [(0, 9.0, 2)], "zero": [(0, 7.0)]}
+        rules, _ = rules_of("prev(X, D, I) :- superstep(X, I), value(X, D, I - 1).")
+        source = compiled_fn(rules[0], MODE_ANCHORED).source
+        # evaluated once per scan invocation, outside the row loop
+        hoisted = [ln for ln in source.splitlines() if re.search(r"c\d+_2 = ", ln)]
+        assert len(hoisted) == 1
+        assert source.index(hoisted[0]) < source.index("for r2 in")
+
+    def test_check_term_location(self):
+        """A partition selected by an expression (hand-built plan: the
+        planner itself only locates atoms at variables)."""
+        rules, funcs = rules_of("at(X, I) :- superstep(X, I).")
+        crule = rules[0]
+        scan = crule.located_plan.steps[0]
+        moved = dataclasses.replace(
+            scan, arg_ops=((CHECK_TERM, Const(3)),) + scan.arg_ops[1:]
+        )
+        crule = dataclasses.replace(
+            crule, located_plan=RulePlan((moved,), crule.located_plan.prebound),
+            compiled={},
+        )
+        db = DictDB({"superstep": [(0, 1), (3, 4), (3, 5)]})
+        assert evaluate_rule(crule, MODE_LOCATED, db, funcs, site=0) == 2
+        assert sorted(db.derived.all_rows("at")) == [(0, 4), (0, 5)]
+
+    def test_row_of_wrong_arity_is_skipped(self):
+        facts = {"value": [(0, 1.0), (0, 2.0, 1), (0, 3.0, 2, "extra")]}
+        out = derive("v(X, D, I) :- value(X, D, I).", facts)
+        assert out == {"v": [(0, 2.0, 1)]}
+
+    def test_negated_scan(self):
+        facts = {
+            "superstep": [(0, 1), (0, 2), (0, 3)],
+            "receive_message": [(0, 9, 1.0, 2)],
+        }
+        out = derive(
+            "got(X, I) :- receive_message(X, Y, M, I)."
+            "quiet(X, I) :- superstep(X, I), !got(X, I).",
+            facts,
+        )
+        assert out["quiet"] == [(0, 1), (0, 3)]
+
+    def test_exists_bindings_stay_out_of_scope(self):
+        """A semi-join's bindings are local to it: downstream the
+        aggregate witness reads them as None, so two values passing the
+        absorbed filter still count once."""
+        rules, funcs = rules_of(
+            "cnt(X, count(I)) :- superstep(X, I), value(X, D, I), D > 1.0."
+        )
+        crule = rules[0]
+        sup, val, cmp = crule.located_plan.steps
+        assert isinstance(val, ScanStep) and isinstance(cmp, CompareStep)
+        semi = dataclasses.replace(val, exists=True, post_filters=(cmp,))
+        crule = dataclasses.replace(
+            crule, located_plan=RulePlan((sup, semi), ("X",)), compiled={},
+        )
+        source = compiled_fn(crule, MODE_LOCATED).source
+        d_index = crule.body_vars.index("D")
+        witness = re.search(r"w = \((.*)\)", source).group(1).split(", ")
+        assert witness[d_index] == "None"
+        db = DictDB({
+            "superstep": [(0, 1), (0, 2), (0, 3)],
+            "value": [(0, 5.0, 1), (0, 6.0, 1), (0, 0.5, 2), (0, 2.0, 3)],
+        })
+        evaluate_rule(crule, MODE_LOCATED, db, funcs, site=0)
+        assert sorted(db.derived.all_rows("cnt")) == [(0, 2)]
+
+    def test_exists_with_post_filter_from_planner(self):
+        facts = {
+            "superstep": [(0, 1), (0, 2)],
+            "value": [(0, 0.5, 1), (0, 4.0, 1), (0, 0.1, 2)],
+        }
+        rules, _ = rules_of("big(X, I) :- superstep(X, I), value(X, D, I), D > 1.0.")
+        assert any(
+            isinstance(s, ScanStep) and s.exists and s.post_filters
+            for s in rules[0].located_plan.steps
+        )
+        out = derive("big(X, I) :- superstep(X, I), value(X, D, I), D > 1.0.", facts)
+        assert out == {"big": [(0, 1)]}
+
+    def test_equality_binds_a_fresh_variable(self):
+        facts = {"value": [(0, 2.0, 1), (0, 3.0, 2)]}
+        out = derive("dbl(X, E, I) :- value(X, D, I), E = D * 2 + 1.", facts)
+        assert out == {"dbl": [(0, 5.0, 1), (0, 7.0, 2)]}
+
+    def test_mixed_type_ordering_is_false_not_an_error(self):
+        facts = {"value": [(0, 2.0, 1), (0, "text", 2)]}
+        out = derive("lt(X, D, I) :- value(X, D, I), D < 5.", facts)
+        assert out == {"lt": [(0, 2.0, 1)]}
+
+    def test_aggregates_group_and_reduce(self):
+        facts = {"value": [(0, 2.0, 1), (0, 3.0, 2), (0, 3.0, 3)]}
+        out = derive(
+            "stats(X, count(I), sum(D), min(D), max(D), avg(D)) :- value(X, D, I).",
+            facts,
+        )
+        assert out == {"stats": [(0, 3, 8.0, 2.0, 3.0, 8.0 / 3)]}
+
+    def test_free_mode_scans_every_partition(self):
+        facts = {"superstep": [(0, 1), (1, 1), (2, 2)]}
+        out = derive("s(X, I) :- superstep(X, I), I = 1.", facts,
+                     mode=MODE_FREE, site=None)
+        assert out == {"s": [(0, 1), (1, 1)]}
+
+    def test_anchored_binds_site_and_time(self):
+        facts = {"superstep": [(0, 1), (0, 2), (1, 2)]}
+        out = derive("s(X, I) :- superstep(X, I).", facts,
+                     mode=MODE_ANCHORED, site=0, anchor_time=2)
+        assert out == {"s": [(0, 2)]}
+
+    def test_udf_failure_names_rule_and_site(self):
+        def boom(d):
+            raise ValueError("bad payload")
+
+        rules, funcs = rules_of(
+            "p(X, I) :- value(X, D, I), boom(D).", udfs={"boom": boom}
+        )
+        db = DictDB({"value": [(7, 1.0, 1)]})
+        with pytest.raises(PQLError) as err:
+            evaluate_rule(rules[0], MODE_LOCATED, db, funcs, site=7)
+        message = str(err.value)
+        assert "site 7" in message and "boom(D)" in message
+        assert "ValueError: bad payload" in message
+        # the generated frame shows its own source line (linecache)
+        cause = err.value.__cause__
+        rendered = "".join(
+            traceback.format_exception(type(cause), cause, cause.__traceback__)
+        )
+        assert "<pql-codegen " in rendered
+        assert re.search(r"if bool\(F\.get\(K\[\d+\]\)\(v\d+\)\)", rendered)
+
+    def test_memo_is_per_mode_and_not_pickled(self):
+        rules, _ = rules_of("s(X, I) :- superstep(X, I).")
+        crule = rules[0]
+        first = compiled_fn(crule, MODE_ANCHORED)
+        assert compiled_fn(crule, MODE_ANCHORED) is first
+        assert compiled_fn(crule, MODE_LOCATED) is not first
+        clone = pickle.loads(pickle.dumps(crule))
+        assert clone.compiled == {} and len(crule.compiled) == 2
+        assert compiled_fn(clone, MODE_ANCHORED).source == first.source
+
+    def test_concurrent_first_use_is_benign(self):
+        """Plan-cache entries are shared by serve's evaluator threads: a
+        racing first use may generate a function twice, but every caller
+        gets rows from an equivalent one and the memo ends up with one
+        entry per mode."""
+        import sys
+        import threading
+
+        rules, funcs = rules_of("j(X, D, I) :- value(X, D, I), superstep(X, I).")
+        crule = rules[0]
+        facts = {"value": [(0, 1.5, i) for i in range(50)],
+                 "superstep": [(0, i) for i in range(0, 50, 2)]}
+        results, errors = [], []
+        barrier = threading.Barrier(8)
+
+        def worker():
+            try:
+                db = DictDB(facts)
+                barrier.wait(timeout=10)
+                for mode in (MODE_LOCATED, MODE_ANCHORED, MODE_LOCATED):
+                    evaluate_rule(crule, mode, db, funcs, 0, 4)
+                results.append(sorted(db.derived.all_rows("j")))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(th.is_alive() for th in threads)
+        assert len(results) == 8 and all(r == results[0] for r in results)
+        assert len(results[0]) == 25
+        assert sorted(crule.compiled) == sorted([MODE_ANCHORED, MODE_LOCATED])
+
+    def test_too_many_nested_scans_is_a_pql_error(self):
+        body = ", ".join(f"value(X, D{i}, I{i})" for i in range(25))
+        rules, funcs = rules_of(f"deep(X) :- {body}.")
+        with pytest.raises(PQLError, match="nests too deeply"):
+            evaluate_rule(rules[0], MODE_LOCATED, DictDB({}), funcs, site=0)
+
+
+# -- no user-controlled text in generated source ---------------------------
+HOSTILE = [
+    "it's",
+    'say "hi"',
+    "line\nbreak",
+    "__import__('os').system('true')",
+    "'); import os; ('",
+]
+
+_NAMES = {
+    "def", "return", "for", "in", "if", "or", "not", "is", "else", "try",
+    "except", "continue", "break", "None", "True", "False", "TypeError",
+    "len", "bool", "set", "_make", "rule", "K", "F", "db", "site", "t",
+    "out", "seen", "w", "a", "b", "ok", "get", "append", "add", "probe",
+    "rows", "rows_at", "all_rows", "index_enabled", "index_scans",
+    "index_probes",
+}
+_SLOT = re.compile(r"^(v\d+|r\d+|rs\d+|c\d+_\d+)$")
+_OPS = {
+    "(", ")", "[", "]", ",", ":", ".", "=", "==", "!=", "<", "<=", ">",
+    ">=", "+", "-", "*", "/", "+=",
+}
+
+
+def assert_whitelisted(source):
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in _NAMES or _SLOT.match(tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit(), tok
+        elif tok.type == tokenize.OP:
+            assert tok.string in _OPS, tok
+        else:
+            assert tok.type in (
+                tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                tokenize.DEDENT, tokenize.ENDMARKER,
+            ), tok  # in particular: no STRING, no COMMENT
+
+
+class TestNoUserText:
+    SRC = (
+        "tag(X, M, I) :- receive_message(X, Y, M, I), M = $p."
+        "tagged(X, count(I)) :- tag(X, M, I), M != $q."
+        "other(X, I) :- superstep(X, I), !tag(X, $p, I), elem($r, 0) = $p."
+    )
+
+    @pytest.mark.parametrize("text", HOSTILE)
+    def test_constants_and_params_stay_in_the_constants_tuple(self, text):
+        rules, funcs = rules_of(self.SRC, p=text, q=text + "x", r=(text,))
+        for crule in rules:
+            for mode in (MODE_ANCHORED, MODE_LOCATED, MODE_FREE):
+                source = compiled_fn(crule, mode).source
+                assert text not in source
+                assert "import" not in source
+                assert_whitelisted(source)
+        # ... and the constants still do their job
+        db = DictDB({
+            "receive_message": [(0, 1, text, 1), (0, 2, "benign", 1)],
+            "superstep": [(0, 1), (0, 2)],
+        })
+        for crule in rules:
+            evaluate_rule(crule, MODE_LOCATED, db, funcs, site=0)
+        assert sorted(db.derived.all_rows("tag")) == [(0, text, 1)]
+        assert sorted(db.derived.all_rows("tagged")) == [(0, 1)]
+        assert sorted(db.derived.all_rows("other")) == [(0, 2)]
+
+    def test_hand_built_constants(self):
+        """Constants that never went through the lexer (API callers)."""
+        rules, _ = rules_of("s(X, I) :- superstep(X, I).")
+        crule = rules[0]
+        scan = crule.located_plan.steps[0]
+        for text in HOSTILE:
+            hostile = dataclasses.replace(
+                scan, relation=text,
+                arg_ops=scan.arg_ops[:1] + ((CHECK_TERM, Const(text)),),
+            )
+            crule = dataclasses.replace(
+                crule, compiled={},
+                located_plan=RulePlan((hostile,), ("X",)),
+                head_args=(Var("X"), Const(text)),
+            )
+            source = compiled_fn(crule, MODE_LOCATED).source
+            assert text not in source
+            assert_whitelisted(source)
+
+    def test_same_shape_same_source(self):
+        """Constants live in K, so the source (and its linecache entry)
+        depends on the plan's shape only."""
+        a, _ = rules_of("s(X, I) :- superstep(X, I), I > $n.", n=1)
+        b, _ = rules_of("s(X, I) :- superstep(X, I), I > $n.", n=10 ** 9)
+        assert (compiled_fn(a[0], MODE_ANCHORED).source
+                == compiled_fn(b[0], MODE_ANCHORED).source)

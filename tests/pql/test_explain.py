@@ -48,6 +48,17 @@ class TestExplain:
         assert "located plan" not in short
         assert "located plan" in long and "free plan" in long
 
+    def test_verbose_prints_each_plans_generated_function(self):
+        cq = compiled_of(Q.PAGERANK_CHECK_QUERY)
+        assert "generated:" not in explain(cq, verbose=False)
+        long = explain(cq, verbose=True)
+        # one setup rule (free plan) + one rule in all three binding modes
+        assert long.count("generated:") == 4
+        assert long.count("def rule(db, F, site, t):") == 4
+        # the code follows the plan it was generated from
+        assert long.index("anchored plan") < long.index("v1 = t") < long.index(
+            "located plan")
+
     def test_stream_relations_listed(self):
         text = explain(compiled_of(Q.CAPTURE_FULL_QUERY))
         assert "stream relations:" in text

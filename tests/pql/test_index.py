@@ -106,7 +106,7 @@ class TestTupleStorePartitions:
         # would resurrect them, so aggregate partitions always scan
         assert ts.probe("agg", "v", (0,), ("k",)) is None
 
-    def test_prune_invalidates_index(self):
+    def test_pruned_partition_serves_slices_not_an_index(self):
         ts = TupleStore()
         for i in range(DEPTH * 2):
             ts.add_timed("r", "v", (i, i % 4), i)
@@ -114,10 +114,13 @@ class TestTupleStorePartitions:
         assert ts.probe("r", "v", (1,), (3,)) is not None  # index built
         removed = part.prune_older_than(DEPTH)
         assert removed == DEPTH
-        hit = ts.probe("r", "v", (1,), (3,))
-        assert hit is not None  # rebuilt from the compacted log
-        assert set(hit) == {(i, 3) for i in range(DEPTH, DEPTH * 2)
-                            if i % 4 == 3}
+        # A window-pruned partition is no longer indexed: the next prune
+        # would discard a rebuilt index, so the evaluator is sent to the
+        # time slice instead (PR 12; before, the index was rebuilt here).
+        assert ts.probe("r", "v", (1,), (3,)) is None
+        assert part.index is None
+        assert list(ts.rows_at("r", "v", DEPTH + 3)) == [(DEPTH + 3, 3)]
+        assert list(ts.rows_at("r", "v", 0)) == []
 
 
 @pytest.fixture()

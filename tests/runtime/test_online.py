@@ -168,3 +168,30 @@ class TestOnlineMechanics:
                             Q.PAGERANK_CHECK_QUERY)
         assert result.store is None
         assert result.query.mode == "online"
+
+    def test_stats_count_generated_functions(self, graph):
+        # Query 4: one static rule (free mode, at setup) + one rule run
+        # anchored per vertex — one generated function each.
+        result = run_online(graph, PageRank(num_supersteps=5),
+                            Q.PAGERANK_CHECK_QUERY)
+        assert result.query.stats["compiled_rules"] == 2
+
+    def test_windowed_partitions_serve_time_slices(self, graph):
+        """Window-pruned partitions are not re-indexed every superstep:
+        with indexing on, their time-bound scans read the ``by_time``
+        slice (counted as scans), and the rows are those of a run with
+        indexing off. ``index_probes`` / ``index_scans`` are statistics,
+        not results — only their sum (lookups made) is fixed."""
+        from repro.engine.config import EngineConfig
+
+        analytic = PageRank(num_supersteps=8)
+        udfs = Q.apt_udfs(analytic)
+        indexed = run_online(graph, analytic, Q.APT_QUERY, {"eps": 0.01}, udfs)
+        scanned = run_online(graph, analytic, Q.APT_QUERY, {"eps": 0.01}, udfs,
+                             config=EngineConfig(query_index=False))
+        assert indexed.query.as_dict() == scanned.query.as_dict()
+        stats, off = indexed.query.stats, scanned.query.stats
+        assert stats["pruned_rows"] > 0
+        assert off["index_probes"] == 0
+        assert (stats["index_probes"] + stats["index_scans"]
+                == off["index_scans"])
