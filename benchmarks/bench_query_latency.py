@@ -55,16 +55,12 @@ from repro.runtime.online import run_online
 DATASET = "IN-04"
 ALS_FEATURES = 5
 ALS_ROUNDS = 2
-#: The vectorized lane's queries and its CI gate. The gate used to be
-#: "kernels beat the indexed row path 2x", calibrated against the plan
-#: interpreter; since PR 12 the row path runs generated functions and is
-#: itself 2-4x faster (scan 2.7 s -> 0.9 s, indexed 1.3 s -> 0.6 s at smoke
-#: scale), so at smoke scale the lanes are on par (0.9-1.0x) and at full
-#: scale the kernels win ~2x. What CI still has to catch is a kernel
-#: regression: identity, kernels actually ran, and the vector lane not
-#: slower than the row path by more than a quarter.
+#: The vectorized lane's queries and its CI gate: over a sealed columnar
+#: capture, batch-kernel evaluation must beat the indexed row path by at
+#: least this factor on the lineage queries (the full-scale target is
+#: 3x; smoke runs gate at 2x to absorb CI-runner noise).
 VECTOR_QUERIES = ("query9", "query10")
-VECTOR_MIN_SPEEDUP = 0.75
+VECTOR_MIN_SPEEDUP = 2.0
 #: The lineage queries (9, 10) trace through a dedicated longer PageRank
 #: capture: probe narrowing grows with partition depth (rows per vertex ~
 #: supersteps), and the paper's lineage experiments are exactly the

@@ -11,15 +11,15 @@ Generated source never contains user-controlled text (``repro serve``
 compiles PQL sent by HTTP clients): identifiers come from the generator's
 counters, operators from the tables below, and every constant, relation
 name, function name and probe pattern is read from the closed-over tuple
-``K``. Queries that differ only in constants therefore generate the same
-source, which bounds the ``linecache`` entries registered for tracebacks
-by the number of distinct plan shapes.
+``K``. The source is registered in ``linecache`` (tracebacks through a
+generated frame show its lines) for as long as the function is alive.
 """
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import linecache
+import weakref
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
@@ -37,6 +37,10 @@ from repro.pql.plan import (
 
 _ARITHMETIC = {"+": "+", "-": "-", "*": "*", "/": "/"}
 _COMPARISON = {"=": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+#: CPython caps statically nested blocks at 20 per function: after this many
+#: scan loops the rest of the plan continues in a nested closure.
+_SCANS_PER_FUNCTION = 16
+_serial = itertools.count(1)
 
 Scope = Dict[str, str]  # PQL variable name -> generated local name
 
@@ -188,7 +192,14 @@ class _Generator:
         for k in range(k, len(self.steps)):
             step = self.steps[k]
             if isinstance(step, ScanStep):
-                self.scan(step, k, scope, depth, fail)
+                if self.scans and self.scans % _SCANS_PER_FUNCTION == 0:
+                    # a closure over the locals; a failed branch returns
+                    tail = f"g{self.scans}"
+                    self.emit(depth, f"def {tail}():")
+                    self.scan(step, k, scope, depth + 1, "return")
+                    self.emit(depth, f"{tail}()")
+                else:
+                    self.scan(step, k, scope, depth, fail)
                 return
             if isinstance(step, CompareStep) and step.bind_var is not None:
                 expr = step.right if step.bind_from_left else step.left
@@ -241,11 +252,10 @@ def compile_rule(crule: CompiledRule, plan: RulePlan) -> Callable[..., List[Any]
     text (``repro explain --verbose``)."""
     generator = _Generator(crule, plan)
     source = generator.source(plan.prebound)
-    digest = hashlib.sha256(source.encode("ascii")).hexdigest()[:12]
-    filename = f"<pql-codegen {digest}>"
+    filename = f"<pql-codegen {next(_serial)}>"
     try:
         code = compile(source, filename, "exec")
-    except SyntaxError as exc:  # CPython caps statically nested blocks at 20
+    except SyntaxError as exc:  # the tokenizer stops at 100 indent levels
         raise PQLSemanticError(
             f"rule body nests too deeply to compile ({exc.msg}): {crule.rule}"
         ) from None
@@ -253,6 +263,6 @@ def compile_rule(crule: CompiledRule, plan: RulePlan) -> Callable[..., List[Any]
     exec(code, namespace)  # noqa: S102 - the source holds no user text
     fn = namespace["_make"](tuple(generator.consts))
     fn.source = source
-    # Tracebacks through the generated frame show its lines.
     linecache.cache[filename] = len(source), None, source.splitlines(True), filename
+    weakref.finalize(fn, linecache.cache.pop, filename, None)
     return fn

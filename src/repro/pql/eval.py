@@ -320,15 +320,17 @@ class Database:
     def add(self, relation: str, row: Row) -> bool:
         return bool(self.add_rows(relation, (row,)))
 
-    def add_rows(self, relation: str, rows: Iterable[Row],
-                 fresh: Optional[List[Row]] = None) -> int:
-        """Insert derived rows in order, resolving the partition once per
-        run of same-vertex rows; returns how many were new (``fresh``, when
-        given, collects them)."""
+    def add_rows(self, relation: str, rows: Iterable[Row]) -> int:
+        """Insert derived rows in order; returns how many were new."""
+        return self._insert(relation, rows, None)
+
+    def _insert(self, relation: str, rows: Iterable[Row],
+                fresh: Optional[List[Row]]) -> int:
+        """``add_rows``; ``fresh`` (the capture database's) collects new rows."""
         new = 0
         vertex = present = order = None
         for row in rows:
-            if present is None or row[0] != vertex:
+            if present is None or row[0] != vertex:  # once per same-vertex run
                 vertex = row[0]
                 part = self.derived._ensure(relation, vertex)
                 present, order = part.rows, part.order
@@ -489,39 +491,33 @@ def evaluate_rule(
     functions: FunctionRegistry,
     site: Any = None,
     anchor_time: Optional[int] = None,
-    fn: Optional[Callable[..., List[Any]]] = None,
 ) -> int:
-    """Evaluate one rule at one site; returns the number of new facts.
-    ``fn``: the rule's generated function for ``mode``, if already resolved."""
+    """Evaluate one rule at one site; returns the number of new facts."""
     if mode != MODE_FREE and site is None:
         raise PQLError("located evaluation requires a site")
     if mode == MODE_ANCHORED and anchor_time is None and crule.time_var is not None:
         raise PQLError("anchored evaluation requires an anchor time")
-    if fn is None:
-        fn = compiled_fn(crule, mode)
     ctx = db.vector_ctx
     if crule.is_aggregate:
         # Aggregate heads always stay on the row path; count the bypass so
         # `rules_fallback` means "invocations the kernels did not run".
         if ctx is not None and mode != MODE_FREE:
             ctx.rules_fallback += 1
-        return _evaluate_aggregate(crule, fn(db, functions, site, anchor_time), db)
-    # The solutions are materialized before any is inserted: a recursive
-    # rule may scan the very relation it derives into (evaluation is
-    # snapshot-per-step; the enclosing fixpoint loop picks up the new facts
-    # next round).
+        solutions = compiled_fn(crule, mode)(db, functions, site, anchor_time)
+        return _evaluate_aggregate(crule, solutions, db)
+    # Materialize before inserting: a recursive rule may scan the very
+    # relation it derives into (evaluation is snapshot-per-step; the
+    # enclosing fixpoint loop picks up the new facts next round).
     try:
         rows = None
         if ctx is not None and mode != MODE_FREE:
             # Batch kernels compute the same solution set as the generated
             # function (dedup happens on insert); None means the plan could
             # not vectorize and the row path below runs instead.
-            rows = ctx.evaluate(
-                crule, _select_plan(crule, mode), site, anchor_time, db,
-                functions,
-            )
+            plan = _select_plan(crule, mode)
+            rows = ctx.evaluate(crule, plan, site, anchor_time, db, functions)
         if rows is None:
-            rows = fn(db, functions, site, anchor_time)
+            rows = compiled_fn(crule, mode)(db, functions, site, anchor_time)
     except PQLError:
         raise
     except Exception as exc:
@@ -595,15 +591,13 @@ def _evaluate_aggregate(
 # ---------------------------------------------------------------------------
 # stratum driver
 # ---------------------------------------------------------------------------
-PreparedRule = Tuple[CompiledRule, Callable[..., List[Any]]]
-PreparedStrata = List[Tuple[List[PreparedRule], bool]]
+PreparedStrata = List[Tuple[List[CompiledRule], bool]]
 
 
 def prepare_strata(
-    strata: Sequence[Sequence[CompiledRule]], mode: str,
+    strata: Sequence[Sequence[CompiledRule]],
 ) -> PreparedStrata:
-    """Resolve each rule's generated function for ``mode`` and precompute,
-    per stratum, whether fixpoint iteration is needed.
+    """Precompute, per stratum, whether fixpoint iteration is needed.
 
     Two cases avoid the repeat-until-stable loop entirely:
 
@@ -628,13 +622,14 @@ def prepare_strata(
                 if rel in heads:
                     deps[crule.head_predicate].add(rel)
         order = _topological(deps)
-        ordered = list(stratum)
-        if order is not None:
+        if order is None:
+            prepared.append((list(stratum), True))
+        else:
             rank = {pred: i for i, pred in enumerate(order)}
-            ordered.sort(key=lambda c: (rank[c.head_predicate], c.index))
-        prepared.append(
-            ([(c, compiled_fn(c, mode)) for c in ordered], order is None)
-        )
+            ordered = sorted(
+                stratum, key=lambda c: (rank[c.head_predicate], c.index)
+            )
+            prepared.append((ordered, False))
     return prepared
 
 
@@ -669,7 +664,6 @@ def run_prepared(
     budget: Optional[Any] = None,
 ) -> int:
     """Evaluate prepared strata in order, each to fixpoint over ``sites``.
-    ``mode`` is the one the strata were prepared for.
 
     ``stratum_seconds`` is the observability hook: a dict that accumulates
     wall time per stratum number (the offline drivers pass one when
@@ -691,17 +685,17 @@ def run_prepared(
             started = time.perf_counter()
         while True:
             new = 0
-            for crule, fn in stratum:
+            for crule in stratum:
                 if budget is None:
                     for site in sites:
                         new += evaluate_rule(
-                            crule, mode, db, functions, site, anchor_time, fn
+                            crule, mode, db, functions, site, anchor_time
                         )
                 else:
                     for site in sites:
                         budget.tick()
                         new += evaluate_rule(
-                            crule, mode, db, functions, site, anchor_time, fn
+                            crule, mode, db, functions, site, anchor_time
                         )
             total += new
             if budget is not None:
@@ -709,7 +703,7 @@ def run_prepared(
             if new == 0 or not recursive:
                 break
         if timing:
-            key = stratum[0][0].stratum
+            key = stratum[0].stratum
             stratum_seconds[key] = (
                 stratum_seconds.get(key, 0.0)
                 + time.perf_counter() - started
@@ -733,7 +727,6 @@ def run_strata(
     for free-mode (centralized) evaluation.
     """
     return run_prepared(
-        prepare_strata(strata, mode), mode, db, functions, list(sites),
-        anchor_time,
+        prepare_strata(strata), mode, db, functions, list(sites), anchor_time,
         stratum_seconds, budget,
     )

@@ -138,9 +138,8 @@ class CompiledRule:
     free_plan: RulePlan
     # Names of all body variables, for aggregate witness deduplication.
     body_vars: Tuple[str, ...]
-    # Binding mode -> generated function (repro.pql.codegen), filled on
-    # first use: racing first uses assign equivalent functions, so no lock.
-    # Never pickled (worker re-init blobs); rebuilt lazily after unpickling.
+    # Binding mode -> generated function (repro.pql.codegen). Racing first
+    # uses assign equivalent functions (no lock); never pickled, rebuilt lazily.
     compiled: Dict[str, Callable[..., Any]] = field(
         default_factory=dict, repr=False, compare=False
     )

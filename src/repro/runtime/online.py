@@ -41,7 +41,9 @@ from repro.obs.trace import PHASE_CAPTURE, PHASE_QUERY, get_tracer
 from repro.parallel.backend import make_engine
 from repro.pql.analysis import CompiledQuery, compile_query, relation_windows
 from repro.pql.ast import Program
-from repro.pql.eval import MODE_ANCHORED, MODE_FREE, prepare_strata, run_prepared, run_strata
+from repro.pql.eval import (
+    MODE_ANCHORED, MODE_FREE, compiled_fn, prepare_strata, run_prepared, run_strata,
+)
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 from repro.provenance.model import SchemaRegistry, freeze
@@ -149,14 +151,13 @@ class _PersistingOnlineDatabase(OnlineDatabase):
         self.persist = persist if store is not None else set()
         self._pending: Dict[str, List[Tuple[Any, ...]]] = {}
 
-    def add_rows(self, relation: str, rows: Any,
-                 fresh: Optional[List[Tuple[Any, ...]]] = None) -> int:
-        if fresh is not None or relation not in self.persist:
-            return super().add_rows(relation, rows, fresh)
+    def add_rows(self, relation: str, rows: Any) -> int:
+        if relation not in self.persist:
+            return self._insert(relation, rows, None)
         # A bucket appears with its first fresh row: the store's relation
         # order (and so its sealed bytes) follows bucket order.
         bucket = self._pending.get(relation, [])
-        new = super().add_rows(relation, rows, bucket)
+        new = self._insert(relation, rows, bucket)
         if new:
             self._pending[relation] = bucket
         return new
@@ -249,7 +250,12 @@ class OnlineQueryProgram(VertexProgram):
         self._need_stream_send = "send" in stream
         self._need_stream_receive = "receive" in stream
         self._remote_rels = sorted(compiled.remote_relations)
-        self._prepared = prepare_strata(compiled.strata, MODE_ANCHORED)
+        self._prepared = prepare_strata(compiled.strata)
+        # Generated before any fork, so workers inherit the functions and
+        # every backend reports the same `compiled_rules`.
+        for stratum, _ in self._prepared:
+            for crule in stratum:
+                compiled_fn(crule, MODE_ANCHORED)
         # Window pruning: transient relations whose history is provably
         # bounded get pruned per superstep, keeping online memory flat.
         # Pruning is disabled entirely when capturing (the store persists
@@ -300,11 +306,6 @@ class OnlineQueryProgram(VertexProgram):
         # counts folded in from worker shards at merge time.
         self._parallel_base: Dict[str, Any] = {}
         self._merged_transient_rows = 0
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # Generated functions do not pickle (warm-pool re-init ships this
-        # wrapper as a blob); `compute` re-resolves them on first use.
-        return {**self.__dict__, "_prepared": None}
 
     # -- delegation to the analytic --------------------------------------
     def initial_value(self, vertex_id: Any, graph: Any) -> Any:
@@ -422,8 +423,6 @@ class OnlineQueryProgram(VertexProgram):
             if self._need_edge_value:
                 add_local("edge_value", x, (x, target, freeze(value), s), s)
 
-        if self._prepared is None:  # unpickled into a warm worker
-            self._prepared = prepare_strata(self.compiled.strata, MODE_ANCHORED)
         if traced:
             eval_start = time.perf_counter()
         self.derivations += run_prepared(

@@ -149,8 +149,10 @@ class TestWarmPoolReinit:
         blob = pickle.dumps(wrapper())
         assert b"pql-codegen" not in blob  # ... and stays out of the blob
         clone = pickle.loads(blob)
-        assert clone._prepared is None
         assert all(not c.compiled for c in clone.compiled.rules)
+        assert all(
+            not c.compiled for stratum, _ in clone._prepared for c in stratum
+        )
 
         parallel = EngineConfig(
             num_workers=2, backend="parallel", use_combiner=False

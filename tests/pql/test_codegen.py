@@ -2,7 +2,9 @@
 plus the rule that generated source never carries user-controlled text."""
 
 import dataclasses
+import gc
 import io
+import linecache
 import pickle
 import re
 import tokenize
@@ -268,11 +270,46 @@ class TestLowering:
         assert len(results[0]) == 25
         assert sorted(crule.compiled) == sorted([MODE_ANCHORED, MODE_LOCATED])
 
-    def test_too_many_nested_scans_is_a_pql_error(self):
-        body = ", ".join(f"value(X, D{i}, I{i})" for i in range(25))
+    def test_plans_deeper_than_the_block_limit_continue_in_a_closure(self):
+        """CPython allows 20 statically nested blocks per function; the
+        interpreter this replaces had no such limit."""
+        facts = {
+            "value": [(0, float(i), i) for i in range(40)],
+            "superstep": [(0, 3), (0, 5)],
+        }
+        chain = ["value(X, D0, I0)"] + [
+            f"value(X, D{i}, I0 + {i})" for i in range(1, 25)
+        ]
+        src = f"deep(X, I0, D24) :- {', '.join(chain)}."
+        assert derive(src, facts) == {
+            "deep": [(0, i, float(i + 24)) for i in range(16)]
+        }
+        rules, _ = rules_of(src)
+        assert "def g16():" in compiled_fn(rules[0], MODE_LOCATED).source
+        # outer bindings, a negated scan and the aggregate witness all
+        # reach across the function boundary
+        mixed = chain[:16] + ["!superstep(X, I0)", "value(X, E, I0 + 20)"]
+        out = derive(f"deep(X, I0, count(E)) :- {', '.join(mixed)}.", facts)
+        assert out == {
+            "deep": [(0, i, 1) for i in range(20) if i not in (3, 5)]
+        }
+
+    def test_indentation_limit_is_a_pql_error(self):
+        # the tokenizer stops at 100 indent levels (~90 scan atoms)
+        body = ", ".join(f"value(X, D{i}, I{i})" for i in range(120))
         rules, funcs = rules_of(f"deep(X) :- {body}.")
         with pytest.raises(PQLError, match="nests too deeply"):
             evaluate_rule(rules[0], MODE_LOCATED, DictDB({}), funcs, site=0)
+
+    def test_linecache_entry_lives_as_long_as_the_function(self):
+        rules, _ = rules_of("s(X, I) :- superstep(X, I).")
+        filename = compiled_fn(rules[0], MODE_LOCATED).__code__.co_filename
+        assert filename in linecache.cache
+        linecache.checkcache()
+        assert filename in linecache.cache
+        del rules
+        gc.collect()
+        assert filename not in linecache.cache
 
 
 # -- no user-controlled text in generated source ---------------------------
@@ -292,7 +329,7 @@ _NAMES = {
     "rows", "rows_at", "all_rows", "index_enabled", "index_scans",
     "index_probes",
 }
-_SLOT = re.compile(r"^(v\d+|r\d+|rs\d+|c\d+_\d+)$")
+_SLOT = re.compile(r"^(v\d+|r\d+|rs\d+|c\d+_\d+|g\d+)$")
 _OPS = {
     "(", ")", "[", "]", ",", ":", ".", "=", "==", "!=", "<", "<=", ">",
     ">=", "+", "-", "*", "/", "+=",
@@ -361,8 +398,8 @@ class TestNoUserText:
             assert_whitelisted(source)
 
     def test_same_shape_same_source(self):
-        """Constants live in K, so the source (and its linecache entry)
-        depends on the plan's shape only."""
+        """Constants live in K, so the source depends on the plan's shape
+        only."""
         a, _ = rules_of("s(X, I) :- superstep(X, I), I > $n.", n=1)
         b, _ = rules_of("s(X, I) :- superstep(X, I), I > $n.", n=10 ** 9)
         assert (compiled_fn(a[0], MODE_ANCHORED).source

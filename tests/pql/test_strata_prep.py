@@ -2,7 +2,7 @@
 
 from repro.core import queries as Q
 from repro.pql.analysis import compile_query
-from repro.pql.eval import MODE_ANCHORED, _topological, prepare_strata
+from repro.pql.eval import _topological, prepare_strata
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 
@@ -12,9 +12,7 @@ def prepared_of(src, **params):
     if params:
         program = program.bind(**params)
     funcs = FunctionRegistry({"udf_diff": lambda a, b, e: abs(a - b) < e})
-    return prepare_strata(
-        compile_query(program, functions=funcs).strata, MODE_ANCHORED
-    )
+    return prepare_strata(compile_query(program, functions=funcs).strata)
 
 
 class TestTopological:
@@ -47,8 +45,7 @@ class TestPreparedStrata:
         assert all(not recursive for _rules, recursive in prepared)
         # the last stratum is ordered no_execute before safe/unsafe
         last_rules, _ = prepared[-1]
-        # each entry pairs the rule with its generated function
-        names = [c.head_predicate for c, _fn in last_rules]
+        names = [c.head_predicate for c in last_rules]
         assert names.index("no_execute") < names.index("safe")
         assert names.index("no_execute") < names.index("unsafe")
 
