@@ -129,7 +129,6 @@ def _engine_config(args: argparse.Namespace) -> "EngineConfig":
         query_index=not getattr(args, "no_index", False),
         spill_async=not getattr(args, "spill_sync", False),
         spill_compression=getattr(args, "spill_compression", None) or "zlib",
-        spill_format=getattr(args, "spill_format", None) or "columnar",
     )
 
 
@@ -504,23 +503,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     vectorize = not getattr(args, "no_vectorize", False)
     query_text = _query_text(args)
     budget = getattr(args, "memory_budget", None)
-    # The from-spill drivers pick the access path per store format:
-    # columnar captures evaluate out-of-core through the sealed view
-    # (only the columns the plan touches are decoded, and eligible rules
-    # run through the vectorized batch kernels), pickle/legacy captures
-    # rebuild the in-memory store as before.
-    if args.mode == "layered":
-        result = run_layered_from_spill(
-            spill, query_text, graph, params,
-            memory_budget_bytes=budget, use_index=use_index,
-            vectorize=vectorize,
-        )
-    else:
-        result = run_naive_from_spill(
-            spill, query_text, graph, params,
-            memory_budget_bytes=budget, use_index=use_index,
-            vectorize=vectorize,
-        )
+    driver = (run_layered_from_spill if args.mode == "layered"
+              else run_naive_from_spill)
+    result = driver(
+        spill, query_text, graph, params,
+        memory_budget_bytes=budget, use_index=use_index, vectorize=vectorize,
+    )
     json_output = getattr(args, "json_output", False)
     if json_output:
         from repro.pql.serialize import canonical_json, result_to_dict
@@ -626,21 +614,20 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_store_migrate(args: argparse.Namespace) -> int:
-    from repro.provenance.spill import migrate_store, read_manifest
+    # The one importer of the retired-format decoders.
+    from repro.provenance.legacy import migrate_store
 
-    manifest = read_manifest(args.dir)
-    old_run_id = (manifest or {}).get("run_id")
     report = migrate_store(
-        args.dir, to_format=args.format, run_id=args.run_id,
+        args.dir, run_id=args.run_id,
         compression=getattr(args, "spill_compression", None),
     )
     spill = report.pop("spill")
     print(f"migrated {len(report['slabs'])} slab(s) in {args.dir} "
-          f"to {report['to_format']} "
+          f"to columnar "
           f"({report['bytes_before']} -> {report['bytes_after']} bytes)")
     for name in sorted(report["slabs"]):
         slab = report["slabs"][name]
-        print(f"  {name}: {slab['from_format']} -> {slab['to_format']} "
+        print(f"  {name}: {slab['from_format']} -> columnar "
               f"({slab['bytes_before']} -> {slab['bytes_after']} bytes)")
     # The re-stamped manifest names this migration run; the ledger record
     # parent-links it to the original capture so `repro audit verify`
@@ -648,10 +635,9 @@ def cmd_store_migrate(args: argparse.Namespace) -> int:
     _append_run_record(
         args, "migrate",
         default_dir=args.dir,
-        parent_run_id=old_run_id,
+        parent_run_id=report["from_run_id"],
         results={
             "migration": {
-                "to_format": report["to_format"],
                 "compression": report["compression"],
                 "bytes_before": report["bytes_before"],
                 "bytes_after": report["bytes_after"],
@@ -918,12 +904,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                         default="zlib",
                         help="slab codec for sealed provenance layers "
                              "(default: zlib)")
-    parser.add_argument("--spill-format", choices=("columnar", "pickle"),
-                        default="columnar",
-                        help="on-disk layout for sealed provenance layers: "
-                             "columnar ARSC segments (out-of-core queries, "
-                             "mmap reopen) or framed-pickle ARSL slabs "
-                             "(results identical; default: columnar)")
     parser.add_argument("--ledger", metavar="DIR",
                         help="append this run's audit record to the ledger "
                              "in DIR (default: $REPRO_LEDGER; capture/query "
@@ -1006,9 +986,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(byte-identical to the serve API's result field)")
     p.add_argument("--memory-budget", type=int, metavar="BYTES",
                    help="fail if evaluation must hold more than BYTES of "
-                        "slab data at once (columnar stores count decoded "
-                        "column segments per slab; pickle stores whole "
-                        "slabs)")
+                        "decoded slab data at once: per slab for --mode "
+                        "layered (only the columns the plan touches), the "
+                        "whole store for --mode naive")
     p.set_defaults(fn=cmd_query)
 
     p = sub.add_parser(
@@ -1050,13 +1030,11 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p.add_subparsers(dest="store_command", required=True)
     ps = store_sub.add_parser(
         "migrate",
-        help="rewrite a store's slabs into another on-disk format in place",
+        help="rewrite a store sealed by an earlier release (framed- or "
+             "bare-pickle slabs) as columnar ARSC, in place",
         parents=[obs],
     )
     ps.add_argument("dir", help="sealed store directory")
-    ps.add_argument("--format", choices=("columnar", "pickle"),
-                    default="columnar",
-                    help="target slab format (default: columnar)")
     ps.add_argument("--spill-compression", choices=("raw", "zlib"),
                     default=None,
                     help="re-encode with this codec (default: keep the "

@@ -75,16 +75,9 @@ class EngineConfig:
             ``--spill-sync``) to serialize sealing for debugging or A/B
             timing.
         spill_compression: slab codec for sealed layers — ``"zlib"``
-            (default) or ``"raw"`` (uncompressed frames). Rebuilt stores
+            (default) or ``"raw"`` (uncompressed segments). Rebuilt stores
             are identical under both; the CLI switch is
             ``--spill-compression``.
-        spill_format: on-disk layout for sealed layers — ``"columnar"``
-            (default: ARSC per-column typed segments readable through
-            ``mmap`` without loading whole layers, see
-            :mod:`repro.provenance.columnar`) or ``"pickle"`` (the ARSL
-            framed-pickle slabs of earlier releases). Query results are
-            byte-identical under both; only out-of-core behavior and
-            reopen cost differ. The CLI switch is ``--spill-format``.
         ledger_dir: directory of an append-only run ledger
             (``repro.obs.ledger``). When set, library entry points
             (:meth:`Ariadne.baseline`, :func:`run_online`,
@@ -109,7 +102,6 @@ class EngineConfig:
     query_index: bool = True
     spill_async: bool = True
     spill_compression: str = "zlib"
-    spill_format: str = "columnar"
     ledger_dir: Optional[str] = None
 
     def validate(self) -> None:
@@ -137,9 +129,4 @@ class EngineConfig:
             raise EngineError(
                 f"unknown spill compression {self.spill_compression!r} "
                 "(raw | zlib)"
-            )
-        if self.spill_format not in ("columnar", "pickle"):
-            raise EngineError(
-                f"unknown spill format {self.spill_format!r} "
-                "(columnar | pickle)"
             )

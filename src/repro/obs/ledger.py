@@ -357,14 +357,15 @@ def make_record(
 def store_fingerprint(spill: Any) -> Dict[str, Any]:
     """The sealed store's identity as carried in a capture record: the
     per-slab hashes the manifest was stamped with, plus their digest."""
+    from repro.provenance.spill import SLAB_FORMAT
+
     slabs = {name: dict(entry) for name, entry in spill.slab_digests.items()}
     fingerprint = {
         "directory": os.path.abspath(spill.directory),
         "slabs": slabs,
         "manifest_sha256": manifest_digest(slabs),
         "compression": spill.compression,
-        "format": spill.store_format() if hasattr(spill, "store_format")
-        else "pickle",
+        "format": SLAB_FORMAT,
     }
     migrated_from = getattr(spill, "migrated_from", None)
     if migrated_from:

@@ -130,7 +130,7 @@ def encode_columnar_slab(
     optional meta entry under ``meta_key``) as an ARSC blob.
 
     Returns ``(blob, raw_bytes)``; ``raw_bytes`` is the pre-compression
-    payload total, mirroring :func:`repro.provenance.spill._encode_slab`.
+    payload total (the compression-ratio numerator).
     Empty partitions are dropped (the sealers never emit them).
     """
     compress = compression == "zlib"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.provenance.spill import SLAB_FORMAT
 from repro.provenance.store import ProvenanceStore
 
 
@@ -141,36 +142,22 @@ def summarize(store: ProvenanceStore) -> str:
 def summarize_slabs(spill: Any) -> str:
     """Per-slab physical layout of a sealed store directory.
 
-    For columnar (ARSC) slabs this reads footers only: each slab line
-    shows its on-disk size next to the decoded (uncompressed segment)
-    size, and each relation its rows, partitions, and per-column lanes
-    (``i64``/``f64``/``str``/``pkl``). Pickle/legacy slabs report just
-    their format and file size — their layout has no column structure to
-    show.
+    Reads slab footers only: each slab line shows its on-disk size next
+    to the decoded (uncompressed segment) size, and each relation its
+    rows, partitions, and per-column lanes
+    (``i64``/``f64``/``str``/``pkl``).
     """
     lines = [
-        f"sealed store: format={spill.store_format()} "
+        f"sealed store: format={SLAB_FORMAT} "
         f"compression={spill.compression} dir={spill.directory}"
     ]
-    names = sorted(spill.slab_formats)
     # static first, layers in order
-    names.sort(key=lambda n: (not n.startswith("static"), n))
-    for name in names:
-        fmt = spill.slab_formats[name]
-        path = os.path.join(spill.directory, name)
-        if fmt != "columnar":
-            size = os.path.getsize(path)
-            lines.append(f"  {name}: format={fmt} on_disk={size}")
-            continue
-        if name.startswith("static"):
-            key: Any = "static"
-        else:
-            key = int(name.split("-", 1)[1].split(".", 1)[0])
+    for key in ["static", *spill.sealed_layers()]:
         slab = spill.open_columnar_slab(key)
         info = slab.describe()
         lines.append(
-            f"  {name}: format=columnar on_disk={info['on_disk_bytes']} "
-            f"decoded={info['raw_bytes']}"
+            f"  {os.path.basename(slab.path)}: format={SLAB_FORMAT} "
+            f"on_disk={info['on_disk_bytes']} decoded={info['raw_bytes']}"
         )
         for relation in sorted(info["relations"]):
             rel = info["relations"][relation]

@@ -16,31 +16,24 @@ Two mechanisms keep sealing off the capture hot path:
 
 * **Asynchronous writes** (``async_writes=True``, the default): sealing
   enqueues a snapshot of the layer on a bounded queue; a background writer
-  thread pickles, compresses and writes it while the analytic's next
+  thread encodes, compresses and writes it while the analytic's next
   superstep runs. ``flush()`` (called implicitly by every read-side method)
   drains the queue. A writer failure is held and re-raised as a
   :class:`ProvenanceError` at the next seal, flush or close — never
   silently dropped.
-* **Framed compressed slabs**: each slab is a sequence of length-prefixed
-  per-relation chunks (magic ``ARSL``), individually zlib-compressed by
-  default (``compression="zlib"``; ``"raw"`` skips the codec). Readers
-  auto-detect the frame, and slabs written by older versions (one bare
-  pickle per file) still load.
-
-Two slab formats share the file naming and the manifest/digest machinery
-(``format="columnar"`` is the default, ``"pickle"`` keeps the framed ARSL
-pickles):
-
-* **Columnar ARSC slabs** (:mod:`repro.provenance.columnar`): per-relation,
-  per-column typed segments behind an offset-indexed footer. Readers mmap
-  the slab and decode only the columns a query touches
+* **Columnar ARSC slabs** (:mod:`repro.provenance.columnar`), the one slab
+  format: per-relation, per-column typed segments behind an offset-indexed
+  footer, zlib-compressed per segment by default (``compression="zlib"``;
+  ``"raw"`` skips the codec). Readers mmap the slab and decode only the
+  columns a query touches
   (:class:`~repro.provenance.store.SealedStoreView`), which is what makes
   sealed captures larger than RAM queryable. ``load_layer`` /
-  ``load_static`` / :func:`rebuild_store` still fully materialize — they
-  are the compatibility path.
-* Readers dispatch per file on the magic bytes, so mixed stores (e.g. a
-  partially migrated capture) load fine; :func:`migrate_store` rewrites a
-  store in place between formats.
+  ``load_static`` / :func:`rebuild_store` fully materialize instead.
+
+Stores sealed by earlier releases (framed-pickle ARSL slabs, bare-pickle
+slabs) are refused at :meth:`SpillManager.open` with an error naming the
+format; ``repro store migrate <dir>`` (:mod:`repro.provenance.legacy`)
+rewrites them as ARSC.
 """
 
 from __future__ import annotations
@@ -48,15 +41,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import queue
-import struct
 import tempfile
 import threading
 import time
-import zlib
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterator, Optional, Set, Tuple
 
 from repro.errors import ProvenanceError
 from repro.obs.log import get_logger
@@ -68,29 +58,23 @@ from repro.provenance.columnar import (
     is_columnar,
     validate_columnar_file,
 )
-from repro.provenance.store import ProvenanceStore, Row
+from repro.provenance.store import ProvenanceStore, Row, SealedStoreView
 
 logger = get_logger("provenance.spill")
 
-#: Slab frame magic + format version (bare-pickle slabs predate the frame).
-_MAGIC = b"ARSL"
-_FORMAT_VERSION = 1
-
-#: Supported slab codecs. Codes are written into the frame header.
+#: Slab codecs (per ARSC segment).
 SPILL_COMPRESSIONS: Tuple[str, ...] = ("raw", "zlib")
-_COMPRESSION_CODES = {"raw": 0, "zlib": 1}
-_CODE_COMPRESSIONS = {code: name for name, code in _COMPRESSION_CODES.items()}
 
-#: Writable slab formats. ``"columnar"`` seals ARSC slabs
-#: (:mod:`repro.provenance.columnar`); ``"pickle"`` seals framed ARSL
-#: pickles. Readers auto-detect per file, so the setting only matters when
-#: sealing. Bare-pickle slabs from before the frame read as ``"legacy"``.
-SPILL_FORMATS: Tuple[str, ...] = ("columnar", "pickle")
-FORMAT_LEGACY = "legacy"
+#: The one slab format, as stamped into manifests, ledger fingerprints and
+#: query stats.
+SLAB_FORMAT = "columnar"
+
+#: Magic of the retired framed-pickle slabs; recognized only so the open
+#: error can name the format (decoding lives in ``provenance.legacy``).
+ARSL_MAGIC = b"ARSL"
 
 DEFAULT_ASYNC = True
 DEFAULT_COMPRESSION = "zlib"
-DEFAULT_FORMAT = "columnar"
 
 #: Store manifest: per-slab content hashes stamped at seal time, the basis
 #: for ``repro audit verify`` (see ``repro.obs.ledger``).
@@ -106,14 +90,6 @@ _META_KEY = "\x00meta"
 _RATIO_BUCKETS: Tuple[float, ...] = (
     1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0,
 )
-
-_U32 = struct.Struct("<I")
-
-#: zlib level for slab payloads. Pickled provenance rows are mostly
-#: binary ints/floats, where higher levels cost ~4x the CPU for <1% size
-#: — and the writer competes with capture for cores, so speed wins.
-_ZLIB_LEVEL = 1
-
 
 class _SpillMetrics:
     """Resolved metric handles for one registry.
@@ -192,64 +168,6 @@ def _spill_metrics() -> _SpillMetrics:
     return metrics
 
 
-# ---------------------------------------------------------------------------
-# slab frame codec
-# ---------------------------------------------------------------------------
-def _encode_slab(chunks: Dict[str, Any], compression: str) -> Tuple[bytes, int]:
-    """Frame ``chunks`` as length-prefixed (key, payload) pairs.
-
-    Returns ``(blob, raw_bytes)`` where ``raw_bytes`` is the pre-compression
-    payload total (the compression-ratio numerator).
-    """
-    code = _COMPRESSION_CODES[compression]
-    parts: List[bytes] = [
-        _MAGIC, bytes((_FORMAT_VERSION, code)), _U32.pack(len(chunks)),
-    ]
-    raw_total = 0
-    for key, value in chunks.items():
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        raw_total += len(payload)
-        if code:
-            payload = zlib.compress(payload, _ZLIB_LEVEL)
-        key_bytes = key.encode("utf-8")
-        parts.append(_U32.pack(len(key_bytes)))
-        parts.append(key_bytes)
-        parts.append(_U32.pack(len(payload)))
-        parts.append(payload)
-    return b"".join(parts), raw_total
-
-
-def _decode_slab(data: bytes) -> Optional[Dict[str, Any]]:
-    """Decode a framed slab; ``None`` when ``data`` is a legacy bare pickle."""
-    if len(data) < 10 or data[:4] != _MAGIC:
-        return None
-    version, code = data[4], data[5]
-    if version != _FORMAT_VERSION:
-        raise ProvenanceError(f"unsupported slab format version {version}")
-    try:
-        decompress = zlib.decompress if _CODE_COMPRESSIONS[code] == "zlib" \
-            else None
-    except KeyError:
-        raise ProvenanceError(f"unsupported slab compression code {code}") \
-            from None
-    (nchunks,) = _U32.unpack_from(data, 6)
-    chunks: Dict[str, Any] = {}
-    offset = 10
-    for _ in range(nchunks):
-        (key_len,) = _U32.unpack_from(data, offset)
-        offset += 4
-        key = data[offset:offset + key_len].decode("utf-8")
-        offset += key_len
-        (payload_len,) = _U32.unpack_from(data, offset)
-        offset += 4
-        payload = data[offset:offset + payload_len]
-        offset += payload_len
-        if decompress is not None:
-            payload = decompress(payload)
-        chunks[key] = pickle.loads(payload)
-    return chunks
-
-
 class SpillManager:
     """Seals completed provenance layers out of memory into slab files."""
 
@@ -261,17 +179,11 @@ class SpillManager:
         *,
         async_writes: bool = DEFAULT_ASYNC,
         compression: str = DEFAULT_COMPRESSION,
-        format: str = DEFAULT_FORMAT,
     ) -> None:
-        if compression not in _COMPRESSION_CODES:
+        if compression not in SPILL_COMPRESSIONS:
             raise ProvenanceError(
                 f"unknown spill compression {compression!r} "
                 f"({' | '.join(SPILL_COMPRESSIONS)})"
-            )
-        if format not in SPILL_FORMATS:
-            raise ProvenanceError(
-                f"unknown spill format {format!r} "
-                f"({' | '.join(SPILL_FORMATS)})"
             )
         self.store = store
         self._own_dir = directory is None
@@ -280,17 +192,15 @@ class SpillManager:
         self.memory_budget_bytes = memory_budget_bytes
         self.async_writes = async_writes
         self.compression = compression
-        self.format = format
         self._slabs: Dict[int, str] = {}
         self._static_path: Optional[str] = None
         self.bytes_spilled = 0
-        # Per-slab on-disk format (basename -> "columnar"|"pickle"|"legacy")
-        # detected by :meth:`open`; empty for a manager that seals itself
-        # (everything it writes is ``self.format``).
-        self.slab_formats: Dict[str, str] = {}
-        # Open mmap handles for columnar slabs (key: superstep or
-        # "static"), shared by every SealedStoreView over this manager.
+        # Open mmap handles (key: superstep or "static"), shared by every
+        # SealedStoreView over this manager. ``release_epoch`` counts
+        # release_slabs() calls so a view can tell its handles were closed
+        # under it (by another view's close()) and fetch fresh ones.
         self._open_slabs: Dict[Any, ColumnarSlab] = {}
+        self.release_epoch = 0
         # Decoded string dictionaries, keyed per slab *file* (path, mtime,
         # size) so a rewrite under the same key never serves stale entries.
         # Deliberately survives release_slabs(): closing a view and
@@ -299,7 +209,7 @@ class SpillManager:
         # own decoded_bytes, keeping budgets and peak_slab_bytes honest.
         self._dict_caches: Dict[Any, Dict[Any, Any]] = {}
         #: Run id a migration rewrote this store under (manifest bookkeeping
-        #: only; set by :func:`migrate_store`).
+        #: only; set by :func:`repro.provenance.legacy.migrate_store`).
         self.migrated_from: Optional[str] = None
         # Per-slab content hashes (basename -> {"sha256", "bytes"}),
         # computed on the writer thread while the blob is still in memory
@@ -336,42 +246,20 @@ class SpillManager:
         persistent store format). The returned manager can load layers and
         rebuild stores but is not meant for further sealing."""
         manager = cls(ProvenanceStore(), directory=directory)
-        static = os.path.join(directory, "static.slab")
-        if not os.path.exists(static):
-            raise ProvenanceError(
-                f"{directory} does not contain a sealed provenance store"
-            )
-        manager._static_path = static
-        for name in sorted(os.listdir(directory)):
-            if name.startswith("layer-") and name.endswith(".slab"):
-                superstep = int(name[len("layer-"):-len(".slab")])
-                manager._slabs[superstep] = os.path.join(directory, name)
-        # Detect (and structurally validate) every slab up front so a
+        manager._static_path, manager._slabs = slab_paths(directory)
+        # Structurally validate every slab up front so a retired-format,
         # truncated or corrupt file surfaces here as a clear
         # ProvenanceError naming the format and path, not as a raw
         # struct.error/EOFError deep inside the first query.
-        for path in [static, *manager._slabs.values()]:
-            fmt = detect_slab_format(path)
-            manager.slab_formats[os.path.basename(path)] = fmt
+        for path in [manager._static_path, *manager._slabs.values()]:
+            check_slab(path)
         manifest = read_manifest(directory)
         if manifest is not None:
             manager.slab_digests = {
                 str(k): dict(v) for k, v in manifest.get("slabs", {}).items()
             }
             manager.run_id = manifest.get("run_id")
-            if manifest.get("format") in SPILL_FORMATS:
-                manager.format = manifest["format"]
         return manager
-
-    def store_format(self) -> str:
-        """The on-disk format of this store: one of ``SPILL_FORMATS``,
-        ``"legacy"``, or ``"mixed"`` when slabs disagree."""
-        formats = set(self.slab_formats.values())
-        if not formats:
-            return self.format  # self-sealed: everything we wrote
-        if len(formats) == 1:
-            return next(iter(formats))
-        return "mixed"
 
     def slab_path(self, superstep: int) -> str:
         return os.path.join(self.directory, f"layer-{superstep:06d}.slab")
@@ -412,12 +300,9 @@ class SpillManager:
         asynchronous, inline otherwise."""
         key, path, chunks = job
         start = time.perf_counter()
-        if self.format == "columnar":
-            blob, raw = encode_columnar_slab(
-                chunks, self.compression, meta_key=_META_KEY,
-            )
-        else:
-            blob, raw = _encode_slab(chunks, self.compression)
+        blob, raw = encode_columnar_slab(
+            chunks, self.compression, meta_key=_META_KEY,
+        )
         # Hashed here, not at verify time: the blob is already in memory
         # on the writer thread, so the manifest digest is nearly free.
         digest = hashlib.sha256(blob).hexdigest()
@@ -589,7 +474,7 @@ class SpillManager:
             "manifest_version": MANIFEST_VERSION,
             "run_id": self.run_id,
             "compression": self.compression,
-            "format": self.format,
+            "format": SLAB_FORMAT,
             "slabs": {name: self.slab_digests[name]
                       for name in sorted(self.slab_digests)},
         }
@@ -603,49 +488,33 @@ class SpillManager:
     # ------------------------------------------------------------------
     # loading
     # ------------------------------------------------------------------
-    def _read_slab(self, path: str) -> Tuple[Optional[Dict[str, Any]], Any, int]:
-        """Returns ``(chunks, legacy_payload, size)``; exactly one of
-        ``chunks`` / ``legacy_payload`` is set (bare-pickle slabs written
-        before the frame format decode to the latter). This is the
-        full-materialization path; columnar slabs are decoded whole here —
-        lazy access goes through :meth:`open_columnar_slab` instead."""
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if is_columnar(data):
-            with ColumnarSlab(path, data=data) as slab:
-                return slab.to_chunks(_META_KEY), None, len(data)
-        try:
-            chunks = _decode_slab(data)
-        except (struct.error, EOFError, UnicodeDecodeError,
-                zlib.error, pickle.UnpicklingError) as exc:
-            raise ProvenanceError(
-                f"framed (ARSL) slab {path}: corrupt or truncated: {exc}"
-            ) from None
-        if chunks is not None:
-            return chunks, None, len(data)
-        try:
-            return None, pickle.loads(data), len(data)
-        except (pickle.UnpicklingError, EOFError, ValueError,
-                IndexError) as exc:
-            raise ProvenanceError(
-                f"legacy (bare pickle) slab {path}: corrupt or truncated: "
-                f"{exc}"
-            ) from None
+    def _slab_file(self, key: Any) -> str:
+        """Path of one sealed slab (``key`` is a superstep, or
+        ``"static"``)."""
+        path = self._static_path if key == "static" else self._slabs.get(key)
+        if path is None:
+            raise ProvenanceError(f"slab {key!r} was never sealed")
+        return path
 
-    def load_static(self) -> Dict[str, Any]:
+    def _load(self, key: Any) -> Dict[str, Any]:
+        """Fully decode one slab into its sealing-time chunks — the
+        materialize-everything path; lazy access goes through
+        :meth:`open_columnar_slab` instead."""
         with self._read_lock:
             self.flush()
-            path = self._static_path
-            if path is None:
-                raise ProvenanceError("static slab was never sealed")
+            path = self._slab_file(key)
             with get_tracer().span(
-                "spill-load", PHASE_SPILL, layer="static"
+                "spill-load", PHASE_SPILL, layer=key
             ) as span:
-                chunks, legacy, size = self._read_slab(path)
+                with ColumnarSlab(path) as slab:
+                    chunks = slab.to_chunks(_META_KEY)
+                    size = slab.on_disk_bytes
                 span.set(bytes=size)
             _spill_metrics().count_read(size)
-        if chunks is None:
-            return legacy
+        return chunks
+
+    def load_static(self) -> Dict[str, Any]:
+        chunks = self._load("static")
         meta = chunks.pop(_META_KEY)
         return {
             "relations": chunks,
@@ -657,35 +526,18 @@ class SpillManager:
         return iter(sorted(self._slabs))
 
     def load_layer(self, superstep: int) -> Dict[str, Dict[Any, Set[Row]]]:
-        with self._read_lock:
-            self.flush()
-            path = self._slabs.get(superstep)
-            if path is None:
-                raise ProvenanceError(f"layer {superstep} was never sealed")
-            with get_tracer().span(
-                "spill-load", PHASE_SPILL, layer=superstep
-            ) as span:
-                chunks, legacy, size = self._read_slab(path)
-                span.set(bytes=size)
-            _spill_metrics().count_read(size)
-            return chunks if chunks is not None else legacy
+        return self._load(superstep)
 
     def open_columnar_slab(self, key: Any) -> ColumnarSlab:
         """A shared mmap handle for one columnar slab (``key`` is a
         superstep, or ``"static"``). Opening reads only the footer; the
         handle memoizes everything it decodes, so one manager serves any
-        number of :class:`~repro.provenance.store.SealedStoreView` readers.
-        Raises :class:`ProvenanceError` when the slab is not ARSC."""
+        number of :class:`~repro.provenance.store.SealedStoreView` readers."""
         with self._read_lock:
             self.flush()
             slab = self._open_slabs.get(key)
             if slab is None:
-                if key == "static":
-                    path = self._static_path
-                else:
-                    path = self._slabs.get(key)
-                if path is None:
-                    raise ProvenanceError(f"slab {key!r} was never sealed")
+                path = self._slab_file(key)
                 try:
                     st = os.stat(path)
                     cache_key = (path, st.st_mtime_ns, st.st_size)
@@ -700,10 +552,12 @@ class SpillManager:
 
     def release_slabs(self) -> None:
         """Close every cached columnar slab handle (drops their mmaps and
-        memoized decode state)."""
+        memoized decode state). Views still open over this manager notice
+        through :attr:`release_epoch` and re-fetch."""
         for slab in self._open_slabs.values():
             slab.close()
         self._open_slabs.clear()
+        self.release_epoch += 1
 
     def decoded_bytes(self) -> int:
         """Uncompressed bytes decoded so far across open columnar slabs —
@@ -715,10 +569,7 @@ class SpillManager:
         """On-disk bytes of one sealed layer slab."""
         with self._read_lock:
             self.flush()
-        path = self._slabs.get(superstep)
-        if path is None:
-            raise ProvenanceError(f"layer {superstep} was never sealed")
-        return os.path.getsize(path)
+        return os.path.getsize(self._slab_file(superstep))
 
     def total_sealed_bytes(self) -> int:
         """On-disk bytes of every sealed slab (static + layers)."""
@@ -780,158 +631,47 @@ class SpillManager:
         self.close()
 
 
-def detect_slab_format(path: str) -> str:
-    """The on-disk format of one slab file, with a cheap structural check.
+def slab_paths(directory: str) -> Tuple[str, Dict[int, str]]:
+    """``(static slab path, {superstep: layer slab path})`` of a sealed
+    store directory."""
+    static = os.path.join(directory, "static.slab")
+    if not os.path.exists(static):
+        raise ProvenanceError(
+            f"{directory} does not contain a sealed provenance store"
+        )
+    layers: Dict[int, str] = {}
+    for name in sorted(os.listdir(directory)):
+        if name.startswith("layer-") and name.endswith(".slab"):
+            superstep = int(name[len("layer-"):-len(".slab")])
+            layers[superstep] = os.path.join(directory, name)
+    return static, layers
 
-    Reads a few bytes (plus the ARSC trailer for columnar slabs) and
-    raises :class:`ProvenanceError` naming the format and path when the
-    file is empty, truncated, or carries a corrupt footer — the read-side
-    contract :meth:`SpillManager.open` relies on.
-    """
+
+def check_slab(path: str) -> None:
+    """Cheap structural check of one slab file (a few bytes plus the ARSC
+    trailer). Raises :class:`ProvenanceError` naming the format and path
+    when the file is empty, truncated, carries a corrupt footer, or is in
+    a retired format — the read-side contract :meth:`SpillManager.open`
+    relies on."""
     try:
         with open(path, "rb") as fh:
-            prefix = fh.read(8)
+            prefix = fh.read(4)
     except OSError as exc:
         raise ProvenanceError(f"slab {path}: unreadable: {exc}") from None
     if not prefix:
         raise ProvenanceError(f"slab {path}: empty file")
     if is_columnar(prefix):
         validate_columnar_file(path)
-        return "columnar"
-    if prefix[:4] == _MAGIC:
-        _validate_framed_file(path)
-        return "pickle"
-    return FORMAT_LEGACY
-
-
-def _validate_framed_file(path: str) -> None:
-    """Structural check of an ARSL slab without reading any payload.
-
-    Walks the length-prefixed (key, payload) frame with seeks — a few
-    bytes per chunk — and raises :class:`ProvenanceError` when the file
-    is truncated mid-frame or carries trailing garbage. Payload bytes are
-    never read, so this stays cheap enough for :meth:`SpillManager.open`
-    to run on every slab.
-    """
-    def _corrupt(detail: str) -> "ProvenanceError":
-        return ProvenanceError(f"framed (ARSL) slab {path}: {detail}")
-
-    size = os.path.getsize(path)
-    with open(path, "rb") as fh:
-        header = fh.read(10)
-        if len(header) < 10:
-            raise _corrupt("truncated header")
-        if header[4] != _FORMAT_VERSION:
-            raise _corrupt(f"unsupported format version {header[4]}")
-        if header[5] not in _CODE_COMPRESSIONS:
-            raise _corrupt(f"unsupported compression code {header[5]}")
-        (nchunks,) = _U32.unpack_from(header, 6)
-        pos = 10
-        for index in range(nchunks):
-            lengths = fh.read(4)
-            if len(lengths) < 4:
-                raise _corrupt(f"truncated at chunk {index} key length")
-            (key_len,) = _U32.unpack(lengths)
-            pos += 4 + key_len
-            if pos + 4 > size:
-                raise _corrupt(f"truncated at chunk {index} key")
-            fh.seek(pos)
-            (payload_len,) = _U32.unpack(fh.read(4))
-            pos += 4 + payload_len
-            if pos > size:
-                raise _corrupt(f"truncated at chunk {index} payload")
-            fh.seek(pos)
-        if pos != size:
-            raise _corrupt(f"{size - pos} trailing bytes after frame")
-
-
-def migrate_store(
-    directory: str,
-    to_format: str = DEFAULT_FORMAT,
-    *,
-    run_id: Optional[str] = None,
-    compression: Optional[str] = None,
-) -> Dict[str, Any]:
-    """Rewrite a sealed store's slabs in place into ``to_format``.
-
-    Every slab (static + layers) is fully decoded and re-encoded (atomic
-    per-file rename), the manifest is re-stamped with the new digests, the
-    new format, and — when ``run_id`` is given — the migrating run's id
-    with ``migrated_from`` pointing at the original capture's run id. The
-    caller (``repro store migrate``) appends a ledger record parent-linked
-    to the old run so ``repro audit verify`` can resolve the re-stamped
-    manifest; see :mod:`repro.obs.ledger`.
-
-    Returns a report: per-slab formats and sizes before/after, plus the
-    manager (``"spill"``) for fingerprinting.
-    """
-    if to_format not in SPILL_FORMATS:
-        raise ProvenanceError(
-            f"unknown spill format {to_format!r} "
-            f"({' | '.join(SPILL_FORMATS)})"
-        )
-    spill = SpillManager.open(directory)
-    manifest = read_manifest(directory) or {}
-    comp = compression or manifest.get("compression") or DEFAULT_COMPRESSION
-    if comp not in _COMPRESSION_CODES:
-        raise ProvenanceError(f"unknown spill compression {comp!r}")
-    old_run_id = spill.run_id
-    jobs: List[Tuple[Any, str]] = [("static", spill._static_path)]
-    jobs.extend((t, spill._slabs[t]) for t in sorted(spill._slabs))
-    slabs_report: Dict[str, Dict[str, Any]] = {}
-    digests: Dict[str, Dict[str, Any]] = {}
-    for key, path in jobs:
-        name = os.path.basename(path)
-        from_format = spill.slab_formats.get(name, FORMAT_LEGACY)
-        chunks, legacy, size_before = spill._read_slab(path)
-        if chunks is None:
-            # Bare-pickle slabs: a layer file is already chunk-shaped;
-            # the static file is load_static()'s return shape.
-            if key == "static":
-                chunks = dict(legacy["relations"])
-                chunks[_META_KEY] = {
-                    "schemas": legacy["schemas"],
-                    "num_layers": legacy["num_layers"],
-                }
-            else:
-                chunks = legacy
-        if to_format == "columnar":
-            blob, _raw = encode_columnar_slab(chunks, comp, meta_key=_META_KEY)
-        else:
-            blob, _raw = _encode_slab(chunks, comp)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-        digests[name] = {
-            "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob),
-        }
-        spill.slab_formats[name] = to_format
-        slabs_report[name] = {
-            "from_format": from_format, "to_format": to_format,
-            "bytes_before": size_before, "bytes_after": len(blob),
-        }
-    spill.slab_digests = digests
-    spill.compression = comp
-    spill.format = to_format
-    if run_id is not None:
-        spill.migrated_from = old_run_id
-        spill.run_id = run_id
-    spill.write_manifest()
-    logger.info(
-        "migrated %d slab(s) in %s to %s", len(jobs), directory, to_format,
+        return
+    retired = (
+        "framed-pickle (ARSL)" if prefix == ARSL_MAGIC
+        else "legacy bare-pickle"
     )
-    return {
-        "directory": directory,
-        "to_format": to_format,
-        "compression": comp,
-        "from_run_id": old_run_id,
-        "run_id": spill.run_id,
-        "slabs": slabs_report,
-        "bytes_before": sum(s["bytes_before"] for s in slabs_report.values()),
-        "bytes_after": sum(s["bytes_after"] for s in slabs_report.values()),
-        "spill": spill,
-    }
+    raise ProvenanceError(
+        f"slab {path} is in the retired {retired} format; run "
+        f"`repro store migrate {os.path.dirname(path) or '.'}` to rewrite "
+        "the store as columnar (ARSC)"
+    )
 
 
 def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
@@ -953,14 +693,9 @@ def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
 
 def open_store_view(
     spill: SpillManager, memory_budget_bytes: Optional[int] = None,
-) -> Optional["Any"]:
-    """A lazy :class:`~repro.provenance.store.SealedStoreView` over an
-    all-columnar sealed store, or ``None`` when any slab is pickle/legacy
-    (callers fall back to :func:`rebuild_store`)."""
-    from repro.provenance.store import SealedStoreView
-
-    if spill.store_format() != "columnar":
-        return None
+) -> SealedStoreView:
+    """A lazy :class:`~repro.provenance.store.SealedStoreView` over a
+    sealed store."""
     return SealedStoreView(spill, memory_budget_bytes=memory_budget_bytes)
 
 

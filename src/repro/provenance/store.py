@@ -339,6 +339,20 @@ class ProvenanceStore:
                 out[relation] = by_vertex
         return out
 
+    def layer_sites(self, superstep: int) -> Set[Any]:
+        """Vertices carrying at least one fact in one layer."""
+        sites: Set[Any] = set()
+        for by_vertex in self.layer(superstep).values():
+            sites.update(by_vertex)
+        return sites
+
+    def layer_rows(self, superstep: int) -> int:
+        """Row count of one layer."""
+        return sum(
+            len(rows) for by_vertex in self.layer(superstep).values()
+            for rows in by_vertex.values()
+        )
+
     def execution_nodes(self) -> Set[Tuple[Any, int]]:
         """The nodes of the unfolded provenance graph: every
         ``(vertex, superstep)`` pair that carries at least one fact."""
@@ -352,6 +366,16 @@ class ProvenanceStore:
                     for t in part.by_time:
                         nodes.add((vertex, t))
         return nodes
+
+    #: The in-memory store keeps row sets, not typed columns: the batch
+    #: kernels have nothing to read here and evaluation stays on the row
+    #: path (:class:`SealedStoreView` is the store that serves batches).
+    serves_column_batches = False
+
+    def column_batches(
+        self, relation: str, vertex: Any, superstep: Optional[int] = None,
+    ) -> None:
+        return None
 
     @property
     def max_superstep(self) -> int:
@@ -380,6 +404,11 @@ class ProvenanceStore:
             relation: sum(len(p) for p in partitions.values())
             for relation, partitions in self._data.items()
         }
+
+    def stats(self) -> Dict[str, int]:
+        """Planner statistics: plain row counts (the sealed view has
+        per-column distinct counts from slab footers as well)."""
+        return self.counts()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -446,13 +475,14 @@ class ColumnBatch:
 
 
 class SealedStoreView:
-    """Out-of-core read view over a sealed *columnar* store.
+    """Out-of-core read view over a sealed store.
 
-    Duck-types :class:`ProvenanceStore`'s read API (``partition`` /
-    ``partition_at`` / ``probe`` / ``rows`` / ``layer`` / accounting) on
-    top of a :class:`~repro.provenance.spill.SpillManager` whose slabs are
-    ARSC (:mod:`repro.provenance.columnar`), so the offline evaluators and
-    the query server run against sealed captures **without rebuilding a
+    Implements :class:`ProvenanceStore`'s read protocol (``partition`` /
+    ``partition_at`` / ``probe`` / ``rows`` / ``layer`` / ``layer_sites`` /
+    ``column_batches`` / ``stats`` / accounting) on top of a
+    :class:`~repro.provenance.spill.SpillManager`'s ARSC slabs
+    (:mod:`repro.provenance.columnar`), so the offline evaluators and the
+    query server run against sealed captures **without rebuilding a
     store**: opening reads only slab footers, and queries decode exactly
     the columns their plans touch.
 
@@ -465,49 +495,65 @@ class SealedStoreView:
       (vertex) keys are their own tiny segment — site discovery decodes no
       row columns at all.
 
-    ``memory_budget_bytes`` bounds the evaluator's *load unit*, mirroring
-    the layered-from-spill contract: under pickle slabs the unit is one
-    whole slab (its on-disk bytes must fit the budget); under this view
-    the unit is what a slab's lazy reader *actually decodes* — exceeding
-    the budget on any single slab raises :class:`MemoryError`. That is
-    exactly why captures whose layers outgrow the budget stay queryable
-    columnar: a plan that touches few columns decodes few bytes. Probes
-    mirror the in-memory contract — candidates may be any superset of the
-    matching rows (the evaluator re-matches), and ``None`` means "scan
-    instead".
+    ``memory_budget_bytes`` bounds the evaluator's *load unit*: what one
+    slab's lazy reader *actually decodes* — exceeding the budget on any
+    single slab raises :class:`MemoryError`. That is why captures whose
+    layers outgrow the budget stay queryable: a plan that touches few
+    columns decodes few bytes. Probes mirror the in-memory contract —
+    candidates may be any superset of the matching rows (the evaluator
+    re-matches), and ``None`` means "scan instead".
     """
+
+    #: Partitions are served as typed column batches (the vectorized
+    #: evaluator's input) as well as row sets.
+    serves_column_batches = True
 
     def __init__(
         self, spill: Any, memory_budget_bytes: Optional[int] = None,
     ) -> None:
-        static = spill.open_columnar_slab("static")
+        self._spill = spill
+        # Slab handles by key (superstep, or "static"; None: no such
+        # slab). The manager shares them between views and closes them all
+        # on release_slabs(), so they are only valid for ``_epoch``.
+        self._slabs: Dict[Any, Any] = {}
+        self._epoch: int = spill.release_epoch
+        static = self._static
         meta = static.meta
         if meta is None:
             raise ProvenanceError(
                 f"{static.path}: static slab carries no schema meta — "
                 "not a sealed provenance store"
             )
-        self._spill = spill
-        self._static = static
         self.registry = SchemaRegistry()
         self.registry.register_all(meta["schemas"].values())
         self._num_layers: int = meta["num_layers"]
         self._sealed: List[int] = sorted(spill.sealed_layers())
         self.memory_budget_bytes = memory_budget_bytes
-        self._layer_slabs: Dict[int, Any] = {}
         self._relation_names: Optional[List[str]] = None
 
     # -- plumbing -------------------------------------------------------
-    def _slab(self, superstep: Any) -> Optional[Any]:
-        slab = self._layer_slabs.get(superstep)
+    def _slab(self, key: Any) -> Optional[Any]:
+        if self._epoch != self._spill.release_epoch:
+            # Another view over this manager closed and took the shared
+            # handles with it; reading a closed one would look like a
+            # corrupt slab. Start over with fresh handles.
+            self._epoch = self._spill.release_epoch
+            self._slabs.clear()
+        slab = self._slabs.get(key)
         if slab is None:
-            if superstep not in self._layer_slabs:
+            if key not in self._slabs:
                 try:
-                    slab = self._spill.open_columnar_slab(superstep)
+                    slab = self._spill.open_columnar_slab(key)
                 except ProvenanceError:
+                    if key == "static":
+                        raise
                     slab = None
-                self._layer_slabs[superstep] = slab
+                self._slabs[key] = slab
         return slab
+
+    @property
+    def _static(self) -> Any:
+        return self._slab("static")
 
     def _layer_views(self) -> Iterator[Any]:
         for superstep in self._sealed:
@@ -523,21 +569,13 @@ class SealedStoreView:
     def decoded_bytes(self) -> int:
         """Uncompressed segment bytes materialized so far — the honest
         memory cost of everything queries have touched."""
-        total = self._static.decoded_bytes
-        for slab in self._layer_slabs.values():
-            if slab is not None:
-                total += slab.decoded_bytes
-        return total
+        return sum(slab.decoded_bytes for slab in self._all_open())
 
     @property
     def peak_slab_decoded_bytes(self) -> int:
         """The largest per-slab decode so far — the columnar load unit
         (what ``peak_slab_bytes`` reports for out-of-core runs)."""
-        peak = self._static.decoded_bytes
-        for slab in self._layer_slabs.values():
-            if slab is not None and slab.decoded_bytes > peak:
-                peak = slab.decoded_bytes
-        return peak
+        return max(slab.decoded_bytes for slab in self._all_open())
 
     def _note(self) -> None:
         budget = self.memory_budget_bytes
@@ -551,11 +589,9 @@ class SealedStoreView:
                     f"({budget})"
                 )
 
-    def _all_open(self) -> Iterator[Any]:
-        yield self._static
-        for slab in self._layer_slabs.values():
-            if slab is not None:
-                yield slab
+    def _all_open(self) -> List[Any]:
+        self._slab("static")  # always counted; re-fetches after a release
+        return [slab for slab in self._slabs.values() if slab is not None]
 
     def _schema(self, relation: str) -> Optional[RelationSchema]:
         # Mirror the in-memory store: asking about a relation nothing ever
@@ -803,8 +839,9 @@ class SealedStoreView:
         return out
 
     def close(self) -> None:
-        """Release the shared slab handles (drops mmaps and caches)."""
-        self._layer_slabs.clear()
+        """Release the manager's shared slab handles (drops mmaps and
+        caches); other views over the same manager re-fetch theirs."""
+        self._slabs.clear()
         self._spill.release_slabs()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

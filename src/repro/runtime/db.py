@@ -106,16 +106,13 @@ class StoreDatabase(Database):
 
         ``None`` (never ``[]``) for anything a batch enumeration could
         under-report: virtual graph relations, head predicates (their
-        derived overlay lives outside the store), and stores that do not
-        expose batches (in-memory, pickle-slab, legacy formats)."""
+        derived overlay lives outside the store), and the in-memory
+        store, which keeps no typed columns."""
         if _StaticRelations.handles(relation):
             return None
         if relation in self.head_predicates:
             return None
-        getter = getattr(self.store, "column_batches", None)
-        if getter is None:
-            return None
-        return getter(relation, vertex, superstep)
+        return self.store.column_batches(relation, vertex, superstep)
 
     def location_index(self, relation: str) -> int:
         # Stored provenance relations carry the owning vertex at position

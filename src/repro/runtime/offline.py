@@ -1,6 +1,10 @@
 """Offline PQL evaluation over a captured provenance store.
 
-Three drivers share the evaluator core:
+Every driver takes a store that implements the read protocol shared by the
+in-memory :class:`~repro.provenance.store.ProvenanceStore` and the
+out-of-core :class:`~repro.provenance.store.SealedStoreView`; the
+``*_from_spill`` entry points only open a view over a sealed store and hand
+it to the same drivers. Three drivers share the evaluator core:
 
 * :func:`run_layered` — Section 5.1's layered evaluation. Layers are visited
   in the direction dictated by the query class (ascending for forward,
@@ -18,7 +22,7 @@ Three drivers share the evaluator core:
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.errors import PQLCompatibilityError
 from repro.graph.digraph import DiGraph
@@ -42,36 +46,21 @@ from repro.pql.eval import (
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 from repro.pql.vectorized import VectorContext
+from repro.provenance.spill import SLAB_FORMAT, open_store_view
 from repro.provenance.store import ProvenanceStore
 from repro.runtime.db import StoreDatabase
 from repro.runtime.results import QueryResult
 
 
-def _planner_stats(store: Any, use_index: bool) -> Optional[Dict[str, Any]]:
-    """Statistics handed to the planner for scan ordering.
-
-    Sealed columnar stores expose footer statistics (row counts plus
-    per-column distinct counts — richer literal ordering); everything
-    else degrades to plain row counts. ``None`` (indexing off) keeps the
-    stats-free plan shape for the escape-hatch path.
-    """
-    if not use_index:
-        return None
-    stats = getattr(store, "stats", None)
-    if stats is not None:
-        return stats()
-    return store.counts()
-
-
 def _attach_vector_ctx(
-    db: StoreDatabase, store: Any, vectorize: bool,
+    db: StoreDatabase, store: ProvenanceStore, vectorize: bool,
     budget: Optional[QueryBudget] = None,
 ) -> Optional[VectorContext]:
-    """Enable batch-kernel evaluation when the store can serve column
-    batches (sealed columnar views); other formats keep the row path —
+    """Enable batch-kernel evaluation when the store serves column
+    batches (sealed views); the in-memory store keeps the row path —
     attaching a context there would only re-route scans through the
     per-row fallback for no gain."""
-    if not vectorize or not hasattr(store, "column_batches"):
+    if not vectorize or not store.serves_column_batches:
         return None
     ctx = VectorContext(budget=budget)
     db.vector_ctx = ctx
@@ -152,7 +141,7 @@ def run_layered(
     functions = FunctionRegistry(udfs)
     compiled = _compile_offline(
         query, store, functions, params,
-        stats=_planner_stats(store, use_index),
+        stats=store.stats() if use_index else None,
     )
     compiled.require_layered()
     if budget is not None:
@@ -173,27 +162,15 @@ def run_layered(
     if compiled.direction == DIRECTION_BACKWARD:
         order = range(num_layers - 1, -1, -1)
 
-    # Sealed columnar views answer "who was active in layer t" from slab
-    # footers + group keys without materializing a single row column; the
-    # in-memory store materializes the layer dict as before.
-    layer_sites = getattr(store, "layer_sites", None)
-
     peak_layer_rows = 0
     layers_visited = 0
     for layer_index in order:
         if budget is not None:
             budget.note_layer()
-        if layer_sites is not None:
-            sites: Set[Any] = layer_sites(layer_index)
-            layer_rows = store.layer_rows(layer_index)
-        else:
-            layer = store.layer(layer_index)
-            sites = set()
-            layer_rows = 0
-            for by_vertex in layer.values():
-                sites.update(by_vertex)
-                layer_rows += sum(len(rows) for rows in by_vertex.values())
-        peak_layer_rows = max(peak_layer_rows, layer_rows)
+        # Sealed views answer both from slab footers + group keys,
+        # without materializing a single row column.
+        sites = store.layer_sites(layer_index)
+        peak_layer_rows = max(peak_layer_rows, store.layer_rows(layer_index))
         layers_visited += 1
         if not sites:
             continue
@@ -254,7 +231,7 @@ def run_naive(
     functions = FunctionRegistry(udfs)
     compiled = _compile_offline(
         query, store, functions, params,
-        stats=_planner_stats(store, use_index),
+        stats=store.stats() if use_index else None,
     )
     if compiled.uses_stream:
         raise PQLCompatibilityError(
@@ -319,6 +296,26 @@ def run_naive(
     )
 
 
+def _run_from_spill(
+    driver: Callable[..., QueryResult], spill: Any,
+    view_budget_bytes: Optional[int], *args: Any, **kwargs: Any,
+) -> QueryResult:
+    """Open a view over a sealed store, run ``driver`` on it, stamp the
+    read-side accounting into the result stats, release the view."""
+    start = time.perf_counter()
+    view = open_store_view(spill, memory_budget_bytes=view_budget_bytes)
+    try:
+        result = driver(view, *args, **kwargs)
+        result.wall_seconds = time.perf_counter() - start
+        result.stats["from_spill"] = True
+        result.stats["store_format"] = SLAB_FORMAT
+        result.stats["decoded_bytes"] = view.decoded_bytes
+        result.stats["peak_slab_bytes"] = view.peak_slab_decoded_bytes
+        return result
+    finally:
+        view.close()
+
+
 def run_layered_from_spill(
     spill: Any,
     query: Union[str, Program, CompiledQuery],
@@ -329,139 +326,24 @@ def run_layered_from_spill(
     use_index: bool = True,
     vectorize: bool = True,
 ) -> QueryResult:
-    """Layered evaluation streaming sealed layer slabs from disk.
+    """Layered evaluation straight off sealed layer slabs.
 
     This is the realistic offline path the paper measures: provenance was
-    offloaded to storage during capture and each layer is deserialized when
-    its turn comes. The working store accumulates (a vertex's compact tables
-    must stay addressable), but the *load* is incremental and the evaluation
-    visits each layer exactly once.
+    offloaded to storage during capture and each layer is read when its
+    turn comes — no store is rebuilt, and only the columns the plan
+    touches are decoded.
 
-    ``memory_budget_bytes`` bounds the load *unit*: layered evaluation only
-    ever pulls one layer slab through memory at a time, so it succeeds
-    under budgets where naive evaluation (which must materialize every slab
-    at once — see :func:`run_naive_from_spill`) cannot even load. This is
-    Section 5.1's scalability argument made checkable. Columnar stores
-    shrink the unit further — from one slab to the columns the plan
-    actually decodes — so captures whose *layers* outgrow the budget stay
-    queryable as long as no single slab's decoded columns exceed it.
+    ``memory_budget_bytes`` bounds the load *unit*, one slab's decoded
+    column bytes (``stats["peak_slab_bytes"]``): the view raises
+    :class:`MemoryError` inside the evaluator the moment any slab
+    over-decodes. Layered evaluation therefore succeeds under budgets
+    where naive evaluation (which must afford the whole graph — see
+    :func:`run_naive_from_spill`) cannot even start. This is Section
+    5.1's scalability argument made checkable.
     """
-    from repro.provenance.model import SchemaRegistry
-    from repro.provenance.spill import open_store_view
-    from repro.provenance.store import ProvenanceStore
-
-    functions = FunctionRegistry(udfs)
-    start = time.perf_counter()
-    view = open_store_view(spill, memory_budget_bytes=memory_budget_bytes)
-    if view is not None:
-        # Columnar out-of-core path: evaluate directly over the sealed
-        # slabs. No store is rebuilt; the view's budget enforcement fires
-        # inside the evaluator the moment any slab over-decodes.
-        try:
-            result = run_layered(
-                view, query, graph, params, udfs, use_index=use_index,
-                vectorize=vectorize,
-            )
-            result.wall_seconds = time.perf_counter() - start
-            result.stats["from_spill"] = True
-            result.stats["store_format"] = "columnar"
-            result.stats["decoded_bytes"] = view.decoded_bytes
-            result.stats["peak_slab_bytes"] = view.peak_slab_decoded_bytes
-            return result
-        finally:
-            view.close()
-    static = spill.load_static()
-    registry = SchemaRegistry()
-    registry.register_all(static["schemas"].values())
-    store = ProvenanceStore(registry)
-    # add_all delegates to the store's batched ingestion path, so slab
-    # replay amortizes schema checks and size accounting per partition.
-    for relation, by_vertex in static["relations"].items():
-        for rows in by_vertex.values():
-            store.add_all(relation, rows)
-
-    program = parse(query) if isinstance(query, str) else query
-    if isinstance(program, Program) and params:
-        program = program.bind(**params)
-    compiled = (
-        program
-        if isinstance(program, CompiledQuery)
-        else compile_query(
-            program, registry=registry, functions=functions,
-            stats=store.counts() if use_index else None,
-        )
-    )
-    compiled.require_layered()
-
-    tracer = get_tracer()
-    # Cold path: per-stratum timing is always on here (two clock reads per
-    # stratum per layer) so EXPLAIN can show observed costs untraced.
-    stratum_seconds: Dict[int, float] = {}
-    db = StoreDatabase(store, graph, compiled.head_predicates)
-    db.index_enabled = use_index
-    derivations = _run_setup(compiled, db, functions, stratum_seconds)
-
-    num_layers = static["num_layers"]
-    order = range(num_layers)
-    if compiled.direction == DIRECTION_BACKWARD:
-        order = range(num_layers - 1, -1, -1)
-
-    peak_layer_rows = 0
-    peak_slab_bytes = 0
-    for layer_index in order:
-        slab_bytes = spill.layer_size(layer_index)
-        if memory_budget_bytes is not None and slab_bytes > memory_budget_bytes:
-            raise MemoryError(
-                f"layer {layer_index} slab ({slab_bytes} bytes) exceeds the "
-                f"memory budget ({memory_budget_bytes})"
-            )
-        peak_slab_bytes = max(peak_slab_bytes, slab_bytes)
-        layer = spill.load_layer(layer_index)
-        sites: Set[Any] = set()
-        layer_rows = 0
-        for relation, by_vertex in layer.items():
-            for vertex, rows in by_vertex.items():
-                store.add_all(relation, rows)
-                sites.add(vertex)
-                layer_rows += len(rows)
-        peak_layer_rows = max(peak_layer_rows, layer_rows)
-        if not sites:
-            continue
-        with tracer.span(
-            "query-eval", PHASE_QUERY, mode="layered", layer=layer_index,
-            sites=len(sites),
-        ):
-            derivations += run_strata(
-                compiled.strata, MODE_ANCHORED, db, functions,
-                sorted(sites, key=repr), anchor_time=layer_index,
-                stratum_seconds=stratum_seconds,
-            )
-
-    stats = {
-        "direction": compiled.direction,
-        "peak_layer_rows": peak_layer_rows,
-        "peak_slab_bytes": peak_slab_bytes,
-        "from_spill": True,
-        "store_format": (
-            spill.store_format() if hasattr(spill, "store_format")
-            else "pickle"
-        ),
-        "head_predicates": sorted(compiled.head_predicates),
-        "stratum_seconds": stratum_seconds,
-        "use_index": use_index,
-        "index_probes": db.index_probes,
-        "index_scans": db.index_scans,
-    }
-    # Rebuilt in-memory stores serve no column batches; the evaluator
-    # choice is still reported so callers see why nothing vectorized.
-    stats.update(_evaluator_stats(None, use_index, vectorize, compiled))
-    return QueryResult(
-        derived=db.derived,
-        mode="layered",
-        wall_seconds=time.perf_counter() - start,
-        supersteps=num_layers,
-        derivations=derivations,
-        stats=stats,
+    return _run_from_spill(
+        run_layered, spill, memory_budget_bytes, query, graph, params, udfs,
+        use_index=use_index, vectorize=vectorize,
     )
 
 
@@ -475,51 +357,18 @@ def run_naive_from_spill(
     use_index: bool = True,
     vectorize: bool = True,
 ) -> QueryResult:
-    """Naive evaluation with its full-materialization load included.
+    """Naive evaluation over a sealed store.
 
-    The budget check stays format-independent: naive evaluation *is* the
-    materialize-everything mode, so even over a columnar store it must
-    afford every sealed slab up front ("Naive was not able to scale
-    beyond the two smallest datasets"). Only after the check passes does
-    the columnar path evaluate through the sealed view instead of
-    rebuilding an in-memory store.
+    ``memory_budget_bytes`` is :func:`run_naive`'s: naive evaluation *is*
+    the materialize-everything mode, so it must afford the store's whole
+    decoded size up front ("Naive was not able to scale beyond the two
+    smallest datasets") — not the smaller compressed size on disk.
     """
-    from repro.provenance.spill import open_store_view, rebuild_store
-
-    start = time.perf_counter()
-    if memory_budget_bytes is not None:
-        loaded = spill.total_sealed_bytes()
-        if loaded > memory_budget_bytes:
-            raise MemoryError(
-                f"naive evaluation must materialize all sealed slabs "
-                f"({loaded} bytes) but the budget is {memory_budget_bytes}"
-            )
-    view = open_store_view(spill)
-    if view is not None:
-        try:
-            result = run_naive(
-                view, query, graph, params, udfs,
-                memory_budget_bytes=None, use_index=use_index,
-                vectorize=vectorize,
-            )
-            result.stats["store_format"] = "columnar"
-            result.stats["decoded_bytes"] = view.decoded_bytes
-        finally:
-            view.close()
-    else:
-        store = rebuild_store(spill)
-        result = run_naive(
-            store, query, graph, params, udfs,
-            memory_budget_bytes=None, use_index=use_index,
-            vectorize=vectorize,
-        )
-        result.stats["store_format"] = (
-            spill.store_format() if hasattr(spill, "store_format")
-            else "pickle"
-        )
-    result.wall_seconds = time.perf_counter() - start
-    result.stats["from_spill"] = True
-    return result
+    return _run_from_spill(
+        run_naive, spill, None, query, graph, params, udfs,
+        memory_budget_bytes=memory_budget_bytes,
+        use_index=use_index, vectorize=vectorize,
+    )
 
 
 def run_reference(

@@ -666,7 +666,6 @@ def run_online(
             directory=spill_directory,
             async_writes=engine_config.spill_async,
             compression=engine_config.spill_compression,
-            format=engine_config.spill_format,
         )
     wrapper = OnlineQueryProgram(
         program, compiled, functions, graph, store=store,

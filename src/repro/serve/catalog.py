@@ -8,14 +8,15 @@ Admission, identity, and reuse rules:
   rejected with the full problem list (:class:`AdmissionError`).
 
 * **One open handle per store.** The catalog is the single owner of each
-  sealed store's :class:`~repro.provenance.spill.SpillManager` and
-  rebuilt :class:`~repro.provenance.store.ProvenanceStore`. Registering
-  the same directory twice returns the same :class:`CatalogEntry`; the
-  store is opened and rebuilt exactly once. This — plus each entry's
-  ``eval_lock`` — is what makes concurrent queries safe: the lazy
-  :class:`~repro.pql.index.RowIndex` builds that ``probe()`` performs
-  mutate shared partition state, so evaluations against one store are
-  serialized while different stores evaluate fully in parallel.
+  sealed store's :class:`~repro.provenance.spill.SpillManager` and the
+  :class:`~repro.provenance.store.SealedStoreView` over it (an mmap +
+  footer read per slab; columns decode on demand and stay warm across
+  requests). Registering the same directory twice returns the same
+  :class:`CatalogEntry`; the store is opened exactly once. This — plus
+  each entry's ``eval_lock`` — is what makes concurrent queries safe:
+  the lazy decode and probe-map builds that reads perform mutate shared
+  slab-handle state, so evaluations against one store are serialized
+  while different stores evaluate fully in parallel.
 
 * **Prepared-plan cache.** Each entry keeps a small LRU of compiled
   query plans keyed by (query text, bound params, mode, index flag).
@@ -53,25 +54,9 @@ from repro.provenance.spill import (
     SpillManager,
     open_store_view,
     read_manifest,
-    rebuild_store,
 )
-from repro.runtime.offline import _planner_stats
 
 logger = get_logger("serve.catalog")
-
-
-def _open_store(spill: SpillManager) -> Any:
-    """Open a sealed capture for serving.
-
-    Columnar stores come up as a :class:`SealedStoreView` — an mmap +
-    footer read, no unpickling — which is what makes catalog (re)open
-    near-zero-cost; queries then decode columns on demand and the
-    entry's lazily-touched state stays warm across requests exactly like
-    the in-memory row indexes do. Pickle/legacy stores keep the full
-    rebuild.
-    """
-    view = open_store_view(spill)
-    return view if view is not None else rebuild_store(spill)
 
 DEFAULT_PLAN_CACHE_SIZE = 32
 
@@ -98,7 +83,7 @@ def _digest_file(path: str) -> str:
 
 
 class CatalogEntry:
-    """One sealed capture held open: its spill handle, rebuilt store,
+    """One sealed capture held open: its spill handle, store view,
     prepared-plan cache, and the lock serializing evaluation on it."""
 
     def __init__(self, run_id: str, directory: str, spill: SpillManager,
@@ -109,8 +94,8 @@ class CatalogEntry:
         self.spill = spill
         self.store = store
         self.manifest = manifest
-        #: Serializes PQL evaluation against this store. Lazy RowIndex
-        #: construction mutates shared partition state, so two requests
+        #: Serializes PQL evaluation against this store. Lazy column
+        #: decode mutates shared slab-handle state, so two requests
         #: must not evaluate over the same store concurrently; requests
         #: against *different* entries run in parallel.
         self.eval_lock = threading.Lock()
@@ -152,8 +137,7 @@ class CatalogEntry:
         locked. Plans are keyed per evaluator choice so an A/B request
         pair never shares (or evicts) the other path's plan, and
         compilation sees the same planner statistics the offline drivers
-        use — columnar footer stats (row + distinct counts) when the
-        store has them, plain row counts otherwise.
+        use (slab-footer row + distinct counts).
         """
         key = self.plan_key(query_text, params, mode, use_index, vectorize)
         cached = self._plans.get(key)
@@ -166,7 +150,7 @@ class CatalogEntry:
             program = program.bind(**params)
         compiled = compile_query(
             program, registry=self.store.registry, functions=self.functions,
-            stats=_planner_stats(self.store, use_index),
+            stats=self.store.stats() if use_index else None,
         )
         self._plans[key] = compiled
         if len(self._plans) > self._plan_cache_size:
@@ -207,10 +191,9 @@ class CatalogEntry:
                     raise AdmissionError(self.directory, problems)
             spill = SpillManager.open(self.directory)
             old_store = self.store
-            self.store = _open_store(spill)
+            self.store = open_store_view(spill)
             self.spill = spill
-            if hasattr(old_store, "close"):
-                old_store.close()
+            old_store.close()
             self.manifest = read_manifest(self.directory) or {}
             self._plans.clear()
             self._manifest_mtime_ns = mtime_ns
@@ -289,7 +272,7 @@ class RunCatalog:
                 entry = self._by_id[run_id]
                 self._by_path[directory] = entry
                 return entry, False
-            store = _open_store(spill)
+            store = open_store_view(spill)
             entry = CatalogEntry(
                 run_id, directory, spill, store, manifest,
                 plan_cache_size=self._plan_cache_size,

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import pickle
+import struct
+import zlib
+
 import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import chain_graph, web_graph, with_random_weights
+from repro.provenance.spill import SpillManager
 
 
 @pytest.fixture
@@ -37,3 +44,38 @@ def small_web() -> DiGraph:
 @pytest.fixture
 def small_weighted_web(small_web: DiGraph) -> DiGraph:
     return with_random_weights(small_web, seed=11)
+
+
+@pytest.fixture(scope="session")
+def retire_store():
+    """``retire(directory, fmt, names=None)``: rewrite a sealed ARSC
+    store's slabs (all, or the basenames in ``names``) in a retired format
+    the library no longer writes — ``"pickle"`` (ARSL frames) or
+    ``"legacy"`` (one bare pickle per slab) — and re-stamp the manifest."""
+    def retire(directory, fmt, names=None):
+        spill = SpillManager.open(directory)
+        static = spill.load_static()
+        slabs = {spill._static_path: static}
+        slabs.update((spill.slab_path(t), spill.load_layer(t))
+                     for t in spill.sealed_layers())
+        for path, chunks in slabs.items():
+            if names is not None and os.path.basename(path) not in names:
+                continue
+            if fmt == "legacy":
+                blob = pickle.dumps(chunks)
+            else:
+                if chunks is static:
+                    chunks = dict(static["relations"], **{"\x00meta": {
+                        k: static[k] for k in ("schemas", "num_layers")}})
+                blob = b"ARSL\x01\x01" + struct.pack("<I", len(chunks))
+                for key, value in chunks.items():
+                    body = zlib.compress(pickle.dumps(value))
+                    blob += struct.pack("<I", len(key.encode())) + key.encode()
+                    blob += struct.pack("<I", len(body)) + body
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            spill.slab_digests[os.path.basename(path)] = {
+                "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob)}
+        spill.write_manifest()
+
+    return retire

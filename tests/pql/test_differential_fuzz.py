@@ -138,8 +138,7 @@ class TestDifferentialFuzz:
         expected = run_reference(store, src)
         directory = tempfile.mkdtemp(prefix="vecfuzz-")
         try:
-            writer = SpillManager(store, directory=directory,
-                                  format="columnar")
+            writer = SpillManager(store, directory=directory)
             writer.seal_all()
             writer.write_manifest()
             spill = SpillManager.open(directory)

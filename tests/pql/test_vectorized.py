@@ -3,9 +3,9 @@ compatibility, dictionary caching, and budget interaction.
 
 The contract under test: the batch-kernel evaluator is an *optimization*,
 never a semantics change — for every query it must produce byte-identical
-results to the indexed and scan row paths, across all three sealed store
-formats, and it must honor ``QueryBudget`` bounds from *inside* batch
-kernels, not merely between rules.
+results to the indexed and scan row paths, and it must honor
+``QueryBudget`` bounds from *inside* batch kernels, not merely between
+rules.
 """
 
 import os
@@ -36,8 +36,6 @@ from repro.runtime.offline import (
 )
 from repro.runtime.online import run_online
 
-FORMATS = ("columnar", "pickle", "legacy")
-
 
 @pytest.fixture(scope="module")
 def wgraph():
@@ -53,33 +51,17 @@ def full_store(wgraph):
     ).store
 
 
-def _seal(store, directory, fmt, compression="zlib"):
-    spill = SpillManager(
-        store, directory=directory,
-        format="pickle" if fmt == "legacy" else fmt,
-        compression=compression,
-    )
+def _seal(store, directory):
+    spill = SpillManager(store, directory=directory)
     spill.seal_all()
-    spill.write_manifest()
-    if fmt == "legacy":
-        static = spill.load_static()
-        for superstep in list(spill.sealed_layers()):
-            chunks = spill.load_layer(superstep)
-            with open(spill.slab_path(superstep), "wb") as fh:
-                fh.write(pickle.dumps(chunks))
-        with open(spill._static_path, "wb") as fh:
-            fh.write(pickle.dumps(static))
     return spill
 
 
 @pytest.fixture(scope="module")
-def sealed_dirs(full_store, tmp_path_factory):
-    dirs = {}
-    for fmt in FORMATS:
-        directory = str(tmp_path_factory.mktemp(f"vec-{fmt}"))
-        _seal(full_store, directory, fmt)
-        dirs[fmt] = directory
-    return dirs
+def sealed_dir(full_store, tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("vec"))
+    _seal(full_store, directory)
+    return directory
 
 
 @pytest.fixture(scope="module")
@@ -101,55 +83,48 @@ def query_cases(lineage_params):
 
 
 # ---------------------------------------------------------------------------
-# differential matrix: vectorized == indexed == scan, every format
+# differential matrix: vectorized == indexed == scan
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("qname", [
     "query3", "query5", "query8", "query9", "query10",
 ])
-def test_vectorized_matches_row_paths(qname, sealed_dirs, full_store,
+def test_vectorized_matches_row_paths(qname, sealed_dir, full_store,
                                       wgraph, lineage_params):
-    """One digest across {vectorized, indexed, scan} x {all formats}."""
+    """One digest across {vectorized, indexed, scan} x both drivers."""
     case = query_cases(lineage_params)[qname]
     query = Q.NAMED_QUERIES[qname]
     reference = run_reference(
         full_store, query, wgraph, case.get("params"), case.get("udfs"),
     )
-    lanes = [
-        # (fmt, use_index, vectorize) — non-columnar formats accept the
-        # vectorize flag but serve no batches, so they exercise the
-        # row-path-under-vectorize degradation too.
-        ("columnar", True, True),
-        ("columnar", True, False),
-        ("columnar", False, False),
-        ("columnar", False, True),
-        ("pickle", True, True),
-        ("legacy", True, True),
-    ]
+    spill = SpillManager.open(sealed_dir)
     digests = set()
-    for fmt, use_index, vectorize in lanes:
-        spill = SpillManager.open(sealed_dirs[fmt])
-        for driver in (run_layered_from_spill, run_naive_from_spill):
-            result = driver(
-                spill, query, wgraph, case.get("params"), case.get("udfs"),
-                use_index=use_index, vectorize=vectorize,
-            )
-            for relation in reference.relations():
-                assert result.rows(relation) == reference.rows(relation), (
-                    f"{qname} {fmt} {driver.__name__} "
-                    f"use_index={use_index} vectorize={vectorize} {relation}"
+    for use_index in (True, False):
+        for vectorize in (True, False):
+            for driver in (run_layered_from_spill, run_naive_from_spill):
+                result = driver(
+                    spill, query, wgraph, case.get("params"),
+                    case.get("udfs"),
+                    use_index=use_index, vectorize=vectorize,
                 )
-            digests.add(obsledger.digest_query_result(result))
+                for relation in reference.relations():
+                    assert (result.rows(relation)
+                            == reference.rows(relation)), (
+                        f"{qname} {driver.__name__} use_index={use_index} "
+                        f"vectorize={vectorize} {relation}"
+                    )
+                digests.add(obsledger.digest_query_result(result))
     assert len(digests) == 1, (
         f"{qname}: results must be byte-identical across evaluators"
     )
 
 
-def test_evaluator_stats_reported(sealed_dirs, wgraph, lineage_params):
+def test_evaluator_stats_reported(sealed_dir, full_store, wgraph,
+                                  lineage_params):
     """Result stats name the path that actually ran and its kernel work."""
     query = Q.NAMED_QUERIES["query9"]
     params = {"alpha": 0, "sigma": lineage_params["sigma"]}
 
-    spill = SpillManager.open(sealed_dirs["columnar"])
+    spill = SpillManager.open(sealed_dir)
     vec = run_layered_from_spill(spill, query, wgraph, params)
     assert vec.stats["evaluator"] == "vectorized"
     assert vec.stats["vectorize"] is True
@@ -167,21 +142,20 @@ def test_evaluator_stats_reported(sealed_dirs, wgraph, lineage_params):
                                   use_index=False, vectorize=False)
     assert scan.stats["evaluator"] == "scan"
 
-    # Rebuilt in-memory stores serve no column batches: vectorize=True
+    # The in-memory store serves no column batches: vectorize=True
     # degrades to the row path and says so.
-    pickle_spill = SpillManager.open(sealed_dirs["pickle"])
-    row = run_layered_from_spill(pickle_spill, query, wgraph, params)
+    row = run_layered(full_store, query, wgraph, params)
     assert row.stats["evaluator"] == "indexed"
+    assert row.stats["vectorize"] is True
 
 
-def test_aggregate_heads_stay_on_row_path(sealed_dirs, wgraph):
+def test_aggregate_heads_stay_on_row_path(sealed_dir, wgraph):
     """Aggregates never vectorize; the rule is counted as a fallback and
     the answer still matches the reference evaluator."""
     src = "cnt(X, count(I)) :- superstep(X, I)."
-    spill = SpillManager.open(sealed_dirs["columnar"])
+    spill = SpillManager.open(sealed_dir)
     result = run_naive_from_spill(spill, src, wgraph)
-    rebuilt = SpillManager.open(sealed_dirs["pickle"])
-    expected = run_naive_from_spill(rebuilt, src, wgraph, vectorize=False)
+    expected = run_naive_from_spill(spill, src, wgraph, vectorize=False)
     assert result.rows("cnt") == expected.rows("cnt")
     assert result.stats["rules_fallback"] > 0
 
@@ -194,7 +168,7 @@ def test_string_equality_pushdown(tmp_path, wgraph):
             store.add("superstep", (v, s))
             store.add("value", (v, f"tag-{v % 3}", s))
     directory = str(tmp_path / "strstore")
-    _seal(store, directory, "columnar")
+    _seal(store, directory)
     src = 'out(X, D, I) :- value(X, D, I), D = "tag-1".'
     spill = SpillManager.open(directory)
     vec = run_layered_from_spill(spill, src, wgraph)
@@ -207,9 +181,9 @@ def test_string_equality_pushdown(tmp_path, wgraph):
     assert vec.stats["evaluator"] == "vectorized"
 
 
-def test_explain_shows_vectorized_steps(sealed_dirs, lineage_params):
+def test_explain_shows_vectorized_steps(sealed_dir, lineage_params):
     """Plans compiled against a sealed view flag batchable scans."""
-    spill = SpillManager.open(sealed_dirs["columnar"])
+    spill = SpillManager.open(sealed_dir)
     view = open_store_view(spill)
     try:
         program = parse(Q.NAMED_QUERIES["query9"]).bind(
@@ -255,7 +229,7 @@ class TestV1FooterCompat:
     @pytest.fixture()
     def v1_dir(self, full_store, tmp_path):
         directory = str(tmp_path / "v1store")
-        _seal(full_store, directory, "columnar")
+        _seal(full_store, directory)
         for name in os.listdir(directory):
             if name.endswith(".slab"):
                 _downgrade_slab_to_v1(os.path.join(directory, name))
@@ -270,11 +244,11 @@ class TestV1FooterCompat:
         finally:
             view.close()
 
-    def test_v1_queries_match_v2(self, v1_dir, sealed_dirs, wgraph,
+    def test_v1_queries_match_v2(self, v1_dir, sealed_dir, wgraph,
                                  lineage_params):
         query = Q.NAMED_QUERIES["query10"]
         v2 = run_layered_from_spill(
-            SpillManager.open(sealed_dirs["columnar"]), query, wgraph,
+            SpillManager.open(sealed_dir), query, wgraph,
             lineage_params)
         v1 = run_layered_from_spill(
             SpillManager.open(v1_dir), query, wgraph, lineage_params)
@@ -318,7 +292,7 @@ class TestDictCache:
                 store.add("superstep", (v, s))
                 store.add("value", (v, f"tag-{v % 3}", s))
         directory = str(tmp_path / "cached")
-        _seal(store, directory, "columnar")
+        _seal(store, directory)
         spill = SpillManager.open(directory)
         # The head carries D unbound, so late materialization must decode
         # the string dictionary (a constant-bound D would never touch it).
@@ -352,8 +326,8 @@ class _CountingBudget(QueryBudget):
 
 
 class TestBudgetInteraction:
-    def _run(self, sealed_dirs, wgraph, lineage_params, budget):
-        spill = SpillManager.open(sealed_dirs["columnar"])
+    def _run(self, sealed_dir, wgraph, lineage_params, budget):
+        spill = SpillManager.open(sealed_dir)
         view = open_store_view(spill)
         try:
             return run_layered(
@@ -362,22 +336,22 @@ class TestBudgetInteraction:
         finally:
             view.close()
 
-    def test_kernels_tick_the_budget(self, sealed_dirs, wgraph,
+    def test_kernels_tick_the_budget(self, sealed_dir, wgraph,
                                      lineage_params, monkeypatch):
         monkeypatch.setattr(vec_mod, "VECTOR_TICK_STRIDE", 1)
         budget = _CountingBudget()
-        result = self._run(sealed_dirs, wgraph, lineage_params, budget)
+        result = self._run(sealed_dir, wgraph, lineage_params, budget)
         assert result.stats["evaluator"] == "vectorized"
         assert budget.kernel_ticks > result.stats["batched_scans"] > 0
 
-    def test_cancellation_fires_mid_evaluation(self, sealed_dirs, wgraph,
+    def test_cancellation_fires_mid_evaluation(self, sealed_dir, wgraph,
                                                lineage_params):
         budget = QueryBudget()
         budget.cancel()
         with pytest.raises(BudgetExceededError, match="cancelled"):
-            self._run(sealed_dirs, wgraph, lineage_params, budget)
+            self._run(sealed_dir, wgraph, lineage_params, budget)
 
-    def test_timeout_fires_inside_batches(self, sealed_dirs, wgraph,
+    def test_timeout_fires_inside_batches(self, sealed_dir, wgraph,
                                           lineage_params, monkeypatch):
         # Stride-1 ticks in both the kernels and the budget so the tiny
         # deadline is observed on the very first batch row.
@@ -385,17 +359,17 @@ class TestBudgetInteraction:
         monkeypatch.setattr(budget_mod, "TICK_STRIDE", 1)
         budget = QueryBudget(timeout_seconds=1e-9)
         with pytest.raises(BudgetExceededError, match="deadline"):
-            self._run(sealed_dirs, wgraph, lineage_params, budget)
+            self._run(sealed_dir, wgraph, lineage_params, budget)
 
-    def test_row_budget_bounds_vectorized_derivations(self, sealed_dirs,
+    def test_row_budget_bounds_vectorized_derivations(self, sealed_dir,
                                                       wgraph,
                                                       lineage_params):
         with pytest.raises(BudgetExceededError, match="rows"):
-            self._run(sealed_dirs, wgraph, lineage_params,
+            self._run(sealed_dir, wgraph, lineage_params,
                       QueryBudget(max_rows=1))
 
-    def test_depth_budget_still_enforced(self, sealed_dirs, wgraph,
+    def test_depth_budget_still_enforced(self, sealed_dir, wgraph,
                                          lineage_params):
         with pytest.raises(BudgetExceededError, match="layer"):
-            self._run(sealed_dirs, wgraph, lineage_params,
+            self._run(sealed_dir, wgraph, lineage_params,
                       QueryBudget(max_depth=1))

@@ -1,8 +1,7 @@
-"""Spill fast-lane tests: the framed slab codec, the asynchronous writer,
-and failure semantics."""
+"""Spill fast-lane tests: slab codecs, the asynchronous writer, and
+failure semantics."""
 
 import os
-import pickle
 
 import pytest
 
@@ -79,34 +78,6 @@ class TestRoundTripMatrix:
                 _populated_store(), directory=str(tmp_path),
                 compression="brotli",
             )
-
-
-class TestLegacySlabs:
-    def test_bare_pickle_layer_slab_still_loads(self, tmp_path):
-        store = _populated_store()
-        spill = SpillManager(store, directory=str(tmp_path))
-        try:
-            spill.seal_layer(1)
-            layer = spill.load_layer(1)
-            with open(spill.slab_path(1), "wb") as fh:
-                fh.write(pickle.dumps(layer))  # pre-frame format
-            assert spill.load_layer(1) == layer
-        finally:
-            spill.close()
-
-    def test_bare_pickle_static_slab_still_loads(self, tmp_path):
-        store = _populated_store()
-        spill = SpillManager(store, directory=str(tmp_path))
-        try:
-            spill.seal_static()
-            static = spill.load_static()
-            with open(spill._static_path, "wb") as fh:
-                fh.write(pickle.dumps(static))  # pre-frame format
-        finally:
-            again = spill.load_static()
-            assert again["num_layers"] == static["num_layers"]
-            assert again["relations"] == static["relations"]
-            spill.close()
 
 
 class TestWriterFailure:

@@ -1,39 +1,44 @@
-"""Differential matrix across sealed-store formats, out-of-core behavior,
-in-place migration, and corrupt-slab handling.
+"""The sealed store: query identity across drivers and access paths,
+out-of-core behavior, migration of retired formats, and corrupt-slab
+handling.
 
-The contract under test: query results are **byte-identical** across
-columnar (ARSC), framed-pickle (ARSL), and legacy bare-pickle stores,
-indexed and scan — the on-disk layout may only change cost, never
-answers. Queries 2 and 11 are capture-time queries (they read transient
-stream relations and cannot run offline); their cross-format guarantee
-is the chunk-level one asserted by ``test_rebuilt_stores_identical``.
+ARSC (:mod:`repro.provenance.columnar`) is the only slab format the
+library writes or queries. Stores in the two retired formats (framed-pickle
+ARSL, bare pickle) are built here by the test-side ``retire_store`` writer
+(``tests/conftest.py``) and must (a) be refused by name everywhere except
+``repro store migrate`` and (b) migrate to a store indistinguishable from
+a directly sealed one. Queries 2 and 11 are capture-time queries (they read
+transient stream relations and cannot run offline); their guarantee is the
+chunk-level one asserted by ``test_rebuilt_store_identical``.
 """
 
 import os
-import pickle
+import shutil
 
 import pytest
 
 from repro.analytics.sssp import SSSP
+from repro.cli import main
 from repro.core import queries as Q
 from repro.errors import ProvenanceError
 from repro.graph.generators import web_graph, with_random_weights
 from repro.obs import ledger as obsledger
+from repro.provenance.legacy import migrate_store
 from repro.provenance.spill import (
     SpillManager,
-    detect_slab_format,
-    migrate_store,
     open_store_view,
     rebuild_store,
 )
+from repro.provenance.store import ProvenanceStore, SealedStoreView
 from repro.runtime.offline import (
     run_layered_from_spill,
+    run_naive,
     run_naive_from_spill,
     run_reference,
 )
 from repro.runtime.online import run_online
 
-FORMATS = ("columnar", "pickle", "legacy")
+RETIRED = ("pickle", "legacy")
 
 
 @pytest.fixture(scope="module")
@@ -57,38 +62,17 @@ def custom_store(wgraph):
     ).store
 
 
-def _seal(store, directory, fmt, compression="zlib"):
-    """Seal ``store`` into ``directory`` in one of the three formats.
-
-    ``legacy`` stores predate both ARSL framing and manifests: each slab
-    is one bare pickle (a layer file holds its chunk dict, the static
-    file holds ``load_static()``'s shape)."""
-    spill = SpillManager(
-        store, directory=directory,
-        format="pickle" if fmt == "legacy" else fmt,
-        compression=compression,
-    )
+def _seal(store, directory, compression="zlib"):
+    spill = SpillManager(store, directory=directory, compression=compression)
     spill.seal_all()
-    spill.write_manifest()
-    if fmt == "legacy":
-        static = spill.load_static()
-        for superstep in list(spill.sealed_layers()):
-            chunks = spill.load_layer(superstep)
-            with open(spill.slab_path(superstep), "wb") as fh:
-                fh.write(pickle.dumps(chunks))
-        with open(spill._static_path, "wb") as fh:
-            fh.write(pickle.dumps(static))
     return spill
 
 
 @pytest.fixture(scope="module")
-def sealed_dirs(full_store, tmp_path_factory):
-    dirs = {}
-    for fmt in FORMATS:
-        directory = str(tmp_path_factory.mktemp(f"store-{fmt}"))
-        _seal(full_store, directory, fmt)
-        dirs[fmt] = directory
-    return dirs
+def sealed_dir(full_store, tmp_path_factory):
+    directory = str(tmp_path_factory.mktemp("store"))
+    _seal(full_store, directory)
+    return directory
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +82,23 @@ def lineage_params(full_store):
     return {"alpha": alpha, "sigma": sigma}
 
 
+def _query10_digest(directory, wgraph, lineage_params):
+    result = run_layered_from_spill(
+        SpillManager.open(directory), Q.NAMED_QUERIES["query10"],
+        wgraph, lineage_params,
+    )
+    return obsledger.digest_query_result(result)
+
+
+def _store_rows(store):
+    return {
+        relation: sorted(store.rows(relation), key=repr)
+        for relation in sorted(store.relations())
+    }
+
+
 # ---------------------------------------------------------------------------
-# Queries 1-12, indexed and scan, across all three formats
+# Queries 1-12, both from-spill drivers, indexed and scan
 # ---------------------------------------------------------------------------
 def query_cases(lineage_params):
     return {
@@ -121,164 +120,137 @@ def query_cases(lineage_params):
     "query1", "query3", "query4", "query5", "query6", "query7", "query8",
     "query9", "query10",
 ])
-def test_query_matrix(qname, use_index, sealed_dirs, full_store, wgraph,
+def test_query_matrix(qname, use_index, sealed_dir, full_store, wgraph,
                       lineage_params):
     case = query_cases(lineage_params)[qname]
     query = Q.NAMED_QUERIES[qname]
     reference = run_reference(
         full_store, query, wgraph, case.get("params"), case.get("udfs"),
     )
+    spill = SpillManager.open(sealed_dir)
     digests = set()
-    for fmt in FORMATS:
-        spill = SpillManager.open(sealed_dirs[fmt])
-        for driver in (run_layered_from_spill, run_naive_from_spill):
-            result = driver(
-                spill, query, wgraph, case.get("params"), case.get("udfs"),
-                use_index=use_index,
+    for driver in (run_layered_from_spill, run_naive_from_spill):
+        result = driver(
+            spill, query, wgraph, case.get("params"), case.get("udfs"),
+            use_index=use_index,
+        )
+        for relation in reference.relations():
+            assert result.rows(relation) == reference.rows(relation), (
+                f"{qname} {driver.__name__} {relation}"
             )
-            for relation in reference.relations():
-                assert result.rows(relation) == reference.rows(relation), (
-                    f"{qname} {fmt} {driver.__name__} {relation}"
-                )
-            assert result.stats["from_spill"]
-            digests.add(obsledger.digest_query_result(result))
-    assert len(digests) == 1, "results must be byte-identical across formats"
+        assert result.stats["from_spill"]
+        assert result.stats["store_format"] == "columnar"
+        digests.add(obsledger.digest_query_result(result))
+    assert len(digests) == 1, "results must be byte-identical across drivers"
 
 
-def test_query12_custom_store(custom_store, wgraph, lineage_params,
-                              tmp_path_factory):
+def test_query12_custom_store(custom_store, wgraph, lineage_params, tmp_path):
     reference = run_reference(
         custom_store, Q.NAMED_QUERIES["query12"], wgraph, lineage_params,
     )
     assert reference.count("back_trace") >= 1
-    digests = set()
-    for fmt in FORMATS:
-        directory = str(tmp_path_factory.mktemp(f"custom-{fmt}"))
-        spill = _seal(custom_store, directory, fmt)
-        result = run_layered_from_spill(
-            spill, Q.NAMED_QUERIES["query12"], wgraph, lineage_params,
-        )
-        for relation in reference.relations():
-            assert result.rows(relation) == reference.rows(relation)
-        digests.add(obsledger.digest_query_result(result))
-    assert len(digests) == 1
+    spill = _seal(custom_store, str(tmp_path / "custom"))
+    result = run_layered_from_spill(
+        spill, Q.NAMED_QUERIES["query12"], wgraph, lineage_params,
+    )
+    for relation in reference.relations():
+        assert result.rows(relation) == reference.rows(relation)
 
 
-def test_rebuilt_stores_identical(sealed_dirs, full_store):
-    """The capture queries' guarantee: every format rebuilds the exact
-    same store content (same rows, same layers, same relations)."""
-    for fmt in FORMATS:
-        rebuilt = rebuild_store(SpillManager.open(sealed_dirs[fmt]))
-        assert rebuilt.num_layers == full_store.num_layers
-        assert rebuilt.counts() == full_store.counts()
-        for relation in full_store.relations():
-            assert (sorted(rebuilt.rows(relation), key=repr)
-                    == sorted(full_store.rows(relation), key=repr)), (
-                f"{fmt} {relation}")
-
-
-def test_store_format_detection(sealed_dirs):
-    for fmt, directory in sealed_dirs.items():
-        spill = SpillManager.open(directory)
-        assert spill.store_format() == fmt
-        stats_fmt = {detect_slab_format(os.path.join(directory, name))
-                     for name in spill.slab_formats}
-        assert stats_fmt == {fmt}
+def test_rebuilt_store_identical(sealed_dir, full_store):
+    """The capture queries' guarantee: a sealed store rebuilds the exact
+    same content (same rows, same layers, same relations)."""
+    rebuilt = rebuild_store(SpillManager.open(sealed_dir))
+    assert rebuilt.num_layers == full_store.num_layers
+    assert rebuilt.counts() == full_store.counts()
+    assert _store_rows(rebuilt) == _store_rows(full_store)
 
 
 # ---------------------------------------------------------------------------
-# out-of-core: layers larger than the budget stay queryable columnar
+# out-of-core: Section 5.1's scalability argument
 # ---------------------------------------------------------------------------
 class TestOutOfCore:
     @pytest.fixture(scope="class")
-    def raw_dirs(self, full_store, tmp_path_factory):
-        """Raw compression: the pickle load unit (whole slab bytes) and
-        the columnar one (decoded segment bytes) are then measured in the
-        same currency, uncompressed payload."""
-        dirs = {}
-        for fmt in ("columnar", "pickle"):
-            directory = str(tmp_path_factory.mktemp(f"ooc-{fmt}"))
-            _seal(full_store, directory, fmt, compression="raw")
-            dirs[fmt] = directory
-        return dirs
+    def raw_dir(self, full_store, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("ooc"))
+        _seal(full_store, directory, compression="raw")
+        return directory
 
-    def test_query10_answers_where_pickle_cannot_load(
-            self, raw_dirs, full_store, wgraph, lineage_params):
-        """The acceptance criterion: pick a budget *below* the largest
-        pickle slab but above columnar's peak per-slab decode. Columnar
-        answers Query 10 correctly; pickle fails cleanly."""
+    def test_layered_answers_where_naive_cannot_load(
+            self, raw_dir, full_store, wgraph, lineage_params):
+        """Pick a budget above layered's load unit (one slab's decoded
+        columns) but below the whole decoded store: layered answers Query
+        10 correctly, naive fails cleanly before evaluating anything."""
         query = Q.NAMED_QUERIES["query10"]
         reference = run_reference(full_store, query, wgraph, lineage_params)
 
-        columnar = SpillManager.open(raw_dirs["columnar"])
+        spill = SpillManager.open(raw_dir)
         unbudgeted = run_layered_from_spill(
-            columnar, query, wgraph, lineage_params,
+            spill, query, wgraph, lineage_params,
         )
         peak_decoded = unbudgeted.stats["peak_slab_bytes"]
-        assert unbudgeted.stats["store_format"] == "columnar"
         assert unbudgeted.stats["decoded_bytes"] >= peak_decoded > 0
+        view = open_store_view(spill)
+        whole_store = view.total_bytes()
+        view.close()
+        # The substantive claim: the plan never touches receive_message's
+        # columns, so even the hungriest slab decodes a fraction of the
+        # store.
+        assert peak_decoded < whole_store // 2
+        budget = (peak_decoded + whole_store) // 2
 
-        pickle_spill = SpillManager.open(raw_dirs["pickle"])
-        largest_slab = max(
-            pickle_spill.layer_size(t) for t in pickle_spill.sealed_layers()
-        )
-        # The substantive claim: Query 10's columnar load unit is smaller
-        # than any whole-slab load unit, because the plan never touches
-        # receive_message's columns.
-        assert peak_decoded < largest_slab
-        budget = (peak_decoded + largest_slab) // 2
-
-        with pytest.raises(MemoryError, match="memory budget"):
-            run_layered_from_spill(
-                pickle_spill, query, wgraph, lineage_params,
+        with pytest.raises(MemoryError, match="full provenance graph"):
+            run_naive_from_spill(
+                spill, query, wgraph, lineage_params,
                 memory_budget_bytes=budget,
             )
-
         result = run_layered_from_spill(
-            SpillManager.open(raw_dirs["columnar"]), query, wgraph,
-            lineage_params, memory_budget_bytes=budget,
+            spill, query, wgraph, lineage_params, memory_budget_bytes=budget,
         )
         assert result.stats["peak_slab_bytes"] <= budget
         for relation in reference.relations():
             assert result.rows(relation) == reference.rows(relation)
 
-    def test_columnar_budget_too_small_raises(self, raw_dirs, wgraph,
-                                              lineage_params):
-        spill = SpillManager.open(raw_dirs["columnar"])
+    def test_layered_budget_too_small_raises(self, raw_dir, wgraph,
+                                             lineage_params):
+        spill = SpillManager.open(raw_dir)
         with pytest.raises(MemoryError, match="memory budget"):
             run_layered_from_spill(
                 spill, Q.NAMED_QUERIES["query10"], wgraph, lineage_params,
                 memory_budget_bytes=1,
             )
 
-    def test_naive_budget_stays_format_independent(
-            self, raw_dirs, wgraph, lineage_params):
-        """Naive evaluation materializes everything by definition, so its
-        up-front budget check fails even on a columnar store."""
-        spill = SpillManager.open(raw_dirs["columnar"])
-        budget = spill.total_sealed_bytes() - 1
-        with pytest.raises(MemoryError, match="materialize all sealed"):
-            run_naive_from_spill(
-                spill, Q.NAMED_QUERIES["query10"], wgraph, lineage_params,
-                memory_budget_bytes=budget,
-            )
+    def test_naive_budget_checks_decoded_bytes(
+            self, sealed_dir, wgraph, lineage_params):
+        """Regression: the spill driver used to compare the budget with
+        the *compressed on-disk* size and then switch the real check off,
+        so a budget between the two sizes let naive evaluation
+        materialize more than it was allowed. There is one check now —
+        ``run_naive``'s, against the decoded size — whichever way in."""
+        spill = SpillManager.open(sealed_dir)
+        view = open_store_view(spill)
+        on_disk, decoded = spill.total_sealed_bytes(), view.total_bytes()
+        assert on_disk < decoded  # zlib slabs
+        budget = (on_disk + decoded) // 2
+        query = Q.NAMED_QUERIES["query10"]
+        with pytest.raises(MemoryError, match="full provenance graph"):
+            run_naive(view, query, wgraph, lineage_params,
+                      memory_budget_bytes=budget)
+        view.close()
+        with pytest.raises(MemoryError, match="full provenance graph"):
+            run_naive_from_spill(spill, query, wgraph, lineage_params,
+                                 memory_budget_bytes=budget)
+        result = run_naive_from_spill(spill, query, wgraph, lineage_params,
+                                      memory_budget_bytes=decoded)
+        assert result.stats["loaded_bytes"] == decoded
 
 
 # ---------------------------------------------------------------------------
 # sealed view semantics
 # ---------------------------------------------------------------------------
 class TestSealedView:
-    def test_view_only_for_columnar(self, sealed_dirs):
-        assert open_store_view(SpillManager.open(sealed_dirs["pickle"])) \
-            is None
-        assert open_store_view(SpillManager.open(sealed_dirs["legacy"])) \
-            is None
-        view = open_store_view(SpillManager.open(sealed_dirs["columnar"]))
-        assert view is not None
-        view.close()
-
-    def test_view_matches_store(self, sealed_dirs, full_store):
-        view = open_store_view(SpillManager.open(sealed_dirs["columnar"]))
+    def test_view_matches_store(self, sealed_dir, full_store):
+        view = open_store_view(SpillManager.open(sealed_dir))
         try:
             assert view.num_layers == full_store.num_layers
             assert view.counts() == full_store.counts()
@@ -287,82 +259,145 @@ class TestSealedView:
                 for vertex in full_store.vertices(relation):
                     assert (view.partition(relation, vertex)
                             == full_store.partition(relation, vertex))
+            for superstep in range(full_store.num_layers):
+                assert (view.layer_sites(superstep)
+                        == full_store.layer_sites(superstep))
+                assert (view.layer_rows(superstep)
+                        == full_store.layer_rows(superstep))
         finally:
             view.close()
 
-    def test_unknown_relation_is_empty_read(self, sealed_dirs):
-        view = open_store_view(SpillManager.open(sealed_dirs["columnar"]))
+    def test_one_read_protocol(self):
+        """The offline drivers take either store without probing for
+        capabilities: every public read member of the in-memory store
+        exists on the sealed view."""
+        writers = {"add", "add_batch", "add_all"}
+        protocol = {
+            name for name in vars(ProvenanceStore)
+            if not name.startswith("_") and name not in writers
+        }
+        assert protocol <= set(dir(SealedStoreView))
+        assert ProvenanceStore().column_batches("value", 0) is None
+        assert not ProvenanceStore.serves_column_batches
+        assert SealedStoreView.serves_column_batches
+
+    def test_unknown_relation_is_empty_read(self, sealed_dir):
+        view = open_store_view(SpillManager.open(sealed_dir))
         try:
             assert view.partition("never_captured", 0) == frozenset()
             assert view.probe("never_captured", 0, (1,), (0,)) == ()
         finally:
             view.close()
 
+    def test_second_view_survives_anothers_close(self, sealed_dir, full_store,
+                                                 wgraph, lineage_params):
+        """Regression: slab handles are shared per manager and a view's
+        close() releases them all, so a query's ``finally: view.close()``
+        used to leave every other view over the same manager reading
+        closed mmaps ("corrupt segment ... incomplete or truncated
+        stream" on a perfectly healthy slab)."""
+        def query10():
+            return run_layered_from_spill(
+                handle, Q.NAMED_QUERIES["query10"], wgraph, lineage_params)
+
+        handle = SpillManager.open(sealed_dir)
+        first = query10()
+        view = open_store_view(handle)
+        expected = sorted(full_store.rows("superstep"))
+        assert sorted(view.rows("superstep")) == expected
+        query10()
+        assert sorted(view.rows("superstep")) == expected
+        assert view.partition("value", 0) == full_store.partition("value", 0)
+        view.close()
+        # ... and with no other view open, the accounting on a held
+        # manager stays per query: every query starts from cold handles.
+        again = query10()
+        for key in ("decoded_bytes", "peak_slab_bytes"):
+            assert again.stats[key] == first.stats[key] > 0
+
 
 # ---------------------------------------------------------------------------
-# in-place migration
+# retired formats: refused by name, migrated in place
 # ---------------------------------------------------------------------------
-class TestMigration:
-    def _query_digest(self, directory, wgraph, lineage_params):
-        result = run_layered_from_spill(
-            SpillManager.open(directory), Q.NAMED_QUERIES["query10"],
-            wgraph, lineage_params,
-        )
-        return obsledger.digest_query_result(result)
+class TestRetiredFormats:
+    @pytest.fixture()
+    def retired(self, sealed_dir, tmp_path, retire_store):
+        def make(fmt, names=None):
+            directory = str(tmp_path / f"store-{fmt}")
+            shutil.copytree(sealed_dir, directory)
+            retire_store(directory, fmt, names)
+            return directory
+        return make
 
-    @pytest.mark.parametrize("source_fmt", ("pickle", "legacy"))
-    def test_migrate_to_columnar(self, source_fmt, full_store, wgraph,
-                                 lineage_params, tmp_path):
-        directory = str(tmp_path / "store")
-        _seal(full_store, directory, source_fmt)
-        before = self._query_digest(directory, wgraph, lineage_params)
+    @pytest.mark.parametrize("fmt,needle", [
+        ("pickle", r"framed-pickle \(ARSL\)"),
+        ("legacy", "legacy bare-pickle"),
+    ])
+    def test_unmigrated_store_is_refused_by_name(self, fmt, needle, retired,
+                                                 capsys):
+        directory = retired(fmt)
+        pattern = f"{needle}.*repro store migrate {directory}"
+        with pytest.raises(ProvenanceError, match=pattern):
+            SpillManager.open(directory)
+        for argv in (
+            ["query", "--store", directory, "--query", "query5"],
+            ["serve", "--store", directory, "--port", "0"],
+            ["inspect", "--store", directory],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "repro store migrate" in err and "retired" in err
 
-        report = migrate_store(directory, "columnar", run_id="rmigrated01")
+    @pytest.mark.parametrize("fmt", RETIRED)
+    def test_migrate_matches_direct_seal(self, fmt, retired, sealed_dir,
+                                         full_store, wgraph, lineage_params):
+        directory = retired(fmt)
+        report = migrate_store(directory, run_id="rmigrated01")
         report["spill"].release_slabs()
-        assert report["to_format"] == "columnar"
-        assert all(s["to_format"] == "columnar"
-                   for s in report["slabs"].values())
+        assert {s["from_format"] for s in report["slabs"].values()} == {fmt}
 
         spill = SpillManager.open(directory)
-        assert spill.store_format() == "columnar"
         assert spill.run_id == "rmigrated01"
-        assert spill.migrated_from == report["from_run_id"]
-        assert self._query_digest(directory, wgraph, lineage_params) == before
-
-    def test_migrate_restamps_manifest(self, full_store, tmp_path):
-        """`repro audit verify` must pass on the migrated store: the
-        manifest digests are recomputed over the new slab bytes."""
-        directory = str(tmp_path / "store")
-        _seal(full_store, directory, "pickle")
-        problems, _ = obsledger.verify_store(directory)
-        assert problems == []
-        migrate_store(directory, "columnar")["spill"].release_slabs()
+        assert _store_rows(rebuild_store(spill)) == _store_rows(full_store)
+        assert (_query10_digest(directory, wgraph, lineage_params)
+                == _query10_digest(sealed_dir, wgraph, lineage_params))
         problems, _ = obsledger.verify_store(directory)
         assert problems == []
 
-    def test_migrate_round_trip(self, full_store, wgraph, lineage_params,
-                                tmp_path):
-        directory = str(tmp_path / "store")
-        _seal(full_store, directory, "columnar")
-        before = self._query_digest(directory, wgraph, lineage_params)
-        migrate_store(directory, "pickle")["spill"].release_slabs()
-        assert SpillManager.open(directory).store_format() == "pickle"
-        migrate_store(directory, "columnar")["spill"].release_slabs()
-        assert SpillManager.open(directory).store_format() == "columnar"
-        assert self._query_digest(directory, wgraph, lineage_params) == before
+    def test_half_migrated_store_migrates_to_completion(
+            self, retired, sealed_dir, wgraph, lineage_params):
+        directory = retired("pickle", names=("layer-000001.slab",))
+        with pytest.raises(ProvenanceError, match="layer-000001.slab"):
+            SpillManager.open(directory)
+        report = migrate_store(directory)
+        report["spill"].release_slabs()
+        formats = {name: slab["from_format"]
+                   for name, slab in report["slabs"].items()}
+        assert formats.pop("layer-000001.slab") == "pickle"
+        assert set(formats.values()) == {"columnar"}
+        assert (_query10_digest(directory, wgraph, lineage_params)
+                == _query10_digest(sealed_dir, wgraph, lineage_params))
 
-    def test_serve_admission_after_migration(self, full_store, tmp_path):
-        """Digest-verified admission passes on a migrated legacy store,
-        and the catalog serves it through the sealed columnar view."""
-        from repro.provenance.store import SealedStoreView
-        from repro.serve.catalog import RunCatalog
+    def test_cli_migrate_then_audit_verify(self, retired, capsys):
+        """`repro store migrate` appends a ledger record parent-linked to
+        the capture, so `repro audit verify` resolves the re-stamped
+        manifest instead of flagging drift."""
+        directory = retired("legacy")
+        assert main(["store", "migrate", directory]) == 0
+        assert "legacy -> columnar" in capsys.readouterr().out
+        assert main(["audit", "verify", "--store", directory]) == 0
+        assert main(["query", "--store", directory, "--query", "query5"]) == 0
 
-        directory = str(tmp_path / "store")
-        _seal(full_store, directory, "legacy")
-        # legacy slab rewrite drifted from the seal-time manifest; migrate
-        # re-stamps it, after which admission verifies clean
-        migrate_store(directory, "columnar")["spill"].release_slabs()
+    def test_serve_admission_after_migration(self, retired, full_store):
+        """Digest-verified admission refuses the retired store and admits
+        it once migrated."""
+        from repro.serve.catalog import AdmissionError, RunCatalog
+
+        directory = retired("legacy")
         catalog = RunCatalog(verify=True)
+        with pytest.raises(AdmissionError, match="repro store migrate"):
+            catalog.register_path(directory)
+        migrate_store(directory)["spill"].release_slabs()
         entry, created = catalog.register_path(directory)
         assert created
         assert isinstance(entry.store, SealedStoreView)
@@ -373,36 +408,31 @@ class TestMigration:
 # corrupt slabs surface as ProvenanceError at open
 # ---------------------------------------------------------------------------
 class TestCorruptStores:
-    def _sealed(self, full_store, tmp_path, fmt):
+    def _sealed(self, full_store, tmp_path):
         directory = str(tmp_path / "store")
-        _seal(full_store, directory, fmt)
+        _seal(full_store, directory)
         return directory
 
-    @pytest.mark.parametrize("fmt,needle", [
-        ("columnar", "columnar (ARSC)"),
-        ("pickle", "framed (ARSL)"),
-    ])
-    def test_truncated_slab_fails_open(self, full_store, tmp_path, fmt,
-                                       needle):
-        directory = self._sealed(full_store, tmp_path, fmt)
+    def test_truncated_slab_fails_open(self, full_store, tmp_path):
+        directory = self._sealed(full_store, tmp_path)
         victim = os.path.join(directory, "layer-000001.slab")
         data = open(victim, "rb").read()
         with open(victim, "wb") as fh:
             fh.write(data[: max(5, len(data) // 3)])
         with pytest.raises(ProvenanceError) as err:
             SpillManager.open(directory)
-        assert needle in str(err.value) or "truncated" in str(err.value)
+        assert "columnar (ARSC)" in str(err.value)
         assert "layer-000001.slab" in str(err.value)
 
     def test_empty_slab_fails_open(self, full_store, tmp_path):
-        directory = self._sealed(full_store, tmp_path, "columnar")
+        directory = self._sealed(full_store, tmp_path)
         victim = os.path.join(directory, "layer-000000.slab")
         open(victim, "wb").close()
         with pytest.raises(ProvenanceError, match="empty file"):
             SpillManager.open(directory)
 
     def test_corrupt_footer_fails_open(self, full_store, tmp_path):
-        directory = self._sealed(full_store, tmp_path, "columnar")
+        directory = self._sealed(full_store, tmp_path)
         victim = os.path.join(directory, "layer-000002.slab")
         data = open(victim, "rb").read()
         with open(victim, "wb") as fh:

@@ -5,6 +5,7 @@ guarantee: server query results are byte-identical to one-shot CLI
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -118,6 +119,53 @@ class TestRegistration:
                 headers={"Content-Type": "application/x-tar"})
             assert status == 201
             assert doc["run"]["rows"] > 0
+
+    @pytest.mark.parametrize("fmt,names", [
+        ("pickle", None),
+        ("legacy", None),
+        ("legacy", ("layer-000001.slab",)),  # everything else is ARSC
+    ])
+    def test_upload_of_retired_format_refused_unread(
+            self, sssp_store, tmp_path, retire_store, monkeypatch,
+            fmt, names):
+        """An uploader controls slabs *and* manifest, so digests prove
+        nothing: a tar holding pickle-format slabs must be refused before
+        any of its bytes reach ``pickle.loads``."""
+        import pickle
+
+        from repro.serve.catalog import RunCatalog
+
+        staged = str(tmp_path / "staged")
+        shutil.copytree(sssp_store, staged)
+        retire_store(staged, fmt, names)
+        buffer = io.BytesIO()
+        with tarfile.open(fileobj=buffer, mode="w") as tar:
+            for name in sorted(os.listdir(staged)):
+                tar.add(os.path.join(staged, name), arcname=name)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("upload admission unpickled a payload")
+
+        def refusals(srv):
+            _, metrics = srv.request("GET", "/metrics")
+            counted = re.search(
+                r'repro_serve_requests_total\{endpoint="/runs",'
+                r'status="422"\} (\d+)', metrics.decode("utf-8"))
+            return int(counted.group(1)) if counted else 0
+
+        monkeypatch.setattr(pickle, "loads", forbidden)
+        catalog = RunCatalog(data_dir=str(tmp_path / "data"))
+        with ServerThread(catalog=catalog, record_queries=False) as srv:
+            before = refusals(srv)
+            status, doc = srv.request(
+                "POST", "/runs", raw_body=buffer.getvalue(),
+                headers={"Content-Type": "application/x-tar"})
+            assert status == 422
+            assert doc["error"] == "admission_failed"
+            assert "retired" in doc["message"]
+            assert any("repro store migrate" in p for p in doc["problems"])
+            assert len(catalog) == 0
+            assert refusals(srv) == before + 1
 
 
 class TestQueries:
