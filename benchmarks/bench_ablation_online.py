@@ -9,7 +9,11 @@ Three switches, each isolated on the apt query over SSSP:
 * **superstep index** — time-anchored scans read one bucket instead of the
   whole partition; the ablation scans linearly.
 
-Each row reports runtime and the memory/traffic metric the switch targets.
+Each row reports runtime (best of ``REPEATS`` runs — the variants are
+within a few percent of each other, less than one run's noise) and the
+memory/traffic metric the switch targets. With ``prune_history`` on,
+window-0 relations live in per-compute frames and never reach the
+transient store (DESIGN.md §16); "no window pruning" stores and keeps them.
 """
 
 import time
@@ -25,9 +29,18 @@ from repro.pql.udf import FunctionRegistry
 from repro.runtime.online import OnlineQueryProgram
 
 DATASET = "UK-02"
+REPEATS = 3
 
 
 def run_variant(**switches):
+    runs = [_run_once(**switches) for _ in range(REPEATS)]
+    best = min(runs, key=lambda run: run["seconds"])
+    # everything but the clock is deterministic
+    assert all({**run, "seconds": 0} == {**best, "seconds": 0} for run in runs)
+    return best
+
+
+def _run_once(**switches):
     graph = web_graph_for(DATASET, weighted=True)
     analytic = SSSP(source=0)
     functions = FunctionRegistry(Q.apt_udfs(analytic))
@@ -88,6 +101,9 @@ def test_ablation_online(benchmark):
     assert default["shipped"] < no_delta["shipped"]
     # pruning must keep the transient store smaller
     assert default["transient"] < no_prune["transient"]
+    # ... and, since frames replaced the store-then-prune round trip, cost
+    # nothing: before PR 14 "no window pruning" was the faster row
+    assert default["seconds"] < no_prune["seconds"]
     # the superstep index must not change results (timing asserted loosely:
     # the indexed variant never does *more* work)
     assert default["safe"] == no_index["safe"]

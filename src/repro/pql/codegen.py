@@ -119,7 +119,7 @@ class _Generator:
     def scan(self, step: ScanStep, k: int, scope: Scope, depth: int,
              fail: str) -> None:
         self.scans += 1
-        row, rows = f"r{self.scans}", f"rs{self.scans}"
+        row = f"r{self.scans}"
         # Values known before the loop: CHECK_TERMs (evaluated here, once
         # per scan invocation) and CHECK_VARs of earlier bindings.
         known: Dict[int, str] = {}
@@ -146,25 +146,16 @@ class _Generator:
                 binds.append(f"{inner[payload]} = {cell}")
         relation = self.const(step.relation)
         if 0 not in known:  # unlocated: setup / oracle mode only
-            self.emit(depth, f"{rows} = db.all_rows({relation})")
+            rows = f"db.all_rows({relation})"
         else:
-            read = f"db.rows({relation}, {known[0]})"
-            if step.time_bound and step.time_arg is not None:
-                read = (f"db.rows_at({relation}, {known[0]}, "
-                        f"{known[step.time_arg]})")
+            timed = step.time_bound and step.time_arg is not None
+            time = known[step.time_arg] if timed else "None"
+            pattern = key = "None"
             if step.probe:
+                pattern = self.const(step.probe)
                 key = _tuple_of([known[pos] for pos in step.probe])
-                self.emit(depth, f"{rows} = db.probe({relation}, {known[0]}, "
-                                 f"{self.const(step.probe)}, {key}) "
-                                 "if db.index_enabled else None")
-                self.emit(depth, f"if {rows} is None:")
-                self.emit(depth + 1, "db.index_scans += 1")
-                self.emit(depth + 1, f"{rows} = {read}")
-                self.emit(depth, "else:")
-                self.emit(depth + 1, "db.index_probes += 1")
-            else:
-                self.emit(depth, "db.index_scans += 1")
-                self.emit(depth, f"{rows} = {read}")
+            rows = (f"db.candidates({relation}, {known[0]}, {time}, "
+                    f"{pattern}, {key})")
         # Candidates only narrow: every row is still matched in full.
         self.emit(depth, f"for {row} in {rows}:")
         self.emit(depth + 1, f"if {' or '.join(mismatch)}:")

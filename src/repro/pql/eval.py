@@ -139,6 +139,14 @@ class _Partition:
             bucket.append(row)
         return True
 
+    def slice(self, time: Any) -> Iterable[Row]:
+        """The rows of superstep ``time`` when one is given and the
+        partition is time-indexed, else every row (a superset: scans
+        re-check the time attribute)."""
+        if time is not None and self.by_time is not None:
+            return self.by_time.get(time, ())
+        return self.rows
+
     def prune_older_than(self, time: Any) -> int:
         """Drop time-indexed rows with bucket time < ``time``.
 
@@ -229,16 +237,6 @@ class TupleStore:
         part = self.partition(relation, vertex)
         return part.rows if part is not None else set()
 
-    def rows_at(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
-        """Time-sliced read; falls back to the full partition when the
-        partition carries no superstep index."""
-        part = self.partition(relation, vertex)
-        if part is None:
-            return ()
-        if part.by_time is not None:
-            return part.by_time.get(time, ())
-        return part.rows
-
     def probe(
         self, relation: str, vertex: Any, pattern: Tuple[int, ...], key: Row
     ) -> Optional[Iterable[Row]]:
@@ -277,16 +275,18 @@ class TupleStore:
 class Database:
     """Interface the evaluator reads facts from and writes derivations to.
 
-    ``rows`` / ``rows_at`` / ``all_rows`` read; ``add`` / ``set_group``
-    write derived facts. Backends (online, offline, oracle) implement the
-    reads; by default writes go to an internal :class:`TupleStore`.
+    Generated rule functions read located scans through ``candidates`` and
+    unlocated ones through ``all_rows``; ``add`` / ``set_group`` write
+    derived facts. Backends implement ``rows`` (optionally ``rows_at`` and
+    ``probe``) and inherit ``candidates``, or answer it directly (online);
+    by default writes go to an internal :class:`TupleStore`.
     """
 
     def __init__(self) -> None:
         self.derived = TupleStore()
-        # Hash-probe switch and counters (see repro.pql.index): the
-        # evaluator consults `probe` only when `index_enabled` is set and a
-        # scan step carries a binding pattern. The counters feed EXPLAIN
+        # Hash-probe switch and counters (see repro.pql.index):
+        # `candidates` consults `probe` only when `index_enabled` is set and
+        # the scan step carries a binding pattern. The counters feed EXPLAIN
         # and the query benchmarks.
         self.index_enabled = True
         self.index_probes = 0
@@ -315,6 +315,26 @@ class Database:
         scan. A probe may return a *superset* of the matching rows (the
         evaluator re-matches every candidate), never a subset."""
         return None
+
+    def candidates(
+        self, relation: str, vertex: Any, time: Any,
+        pattern: Optional[Tuple[int, ...]], key: Optional[Row],
+    ) -> Iterable[Row]:
+        """The rows a scan of ``vertex``'s partition must match — the one
+        read a located scan step makes. ``pattern`` / ``key`` are the
+        step's binding pattern and its values (hash-probed when the backend
+        can), ``time`` the bound time attribute (``None``: not bound).
+        Candidates only narrow: the scan still matches every row in full,
+        so any superset of the matching rows is a correct answer."""
+        if pattern and self.index_enabled:
+            rows = self.probe(relation, vertex, pattern, key)
+            if rows is not None:
+                self.index_probes += 1
+                return rows
+        self.index_scans += 1
+        if time is not None:
+            return self.rows_at(relation, vertex, time)
+        return self.rows(relation, vertex)
 
     # -- writes ------------------------------------------------------------
     def add(self, relation: str, row: Row) -> bool:
@@ -352,48 +372,32 @@ class Database:
 def _candidate_rows(step: ScanStep, env: Env, db: Database,
                     functions: FunctionRegistry,
                     checks: Dict[int, Any]) -> Iterable[Row]:
-    """Candidate rows for a scan step under ``env``.
-
-    Located scans with a binding pattern hash-probe the database first
-    (``checks`` already holds the pre-evaluated CHECK_TERM values, and
-    every CHECK_VAR position in the pattern is bound in ``env`` by plan
-    construction); a ``None`` probe result — unindexable backend or
-    partition — falls back to the time-sliced or full partition scan.
-    Candidates are narrowing-only: `_match` still validates every row, so
-    both paths produce identical results.
+    """``db.candidates`` for a scan step under ``env`` (``checks`` already
+    holds the pre-evaluated CHECK_TERM values, and every CHECK_VAR position
+    in the probe pattern is bound in ``env`` by plan construction).
 
     The backend behind ``db`` may be an in-memory store (RowIndex maps)
-    or a sealed columnar view, where this same probe call decodes only
-    the key and pattern columns of mmap'd slabs; the evaluator cannot
-    tell the difference because both honor the narrowing-only contract.
+    or a sealed columnar view, where the probe decodes only the key and
+    pattern columns of mmap'd slabs; `_match` still validates every row,
+    so both produce identical results.
     """
-    op, payload = step.arg_ops[0]
+    arg_ops = step.arg_ops
+    op, payload = arg_ops[0]
     if op == CHECK_VAR:
         loc = env[payload]
     elif op == CHECK_TERM:
         loc = eval_term(payload, env, functions)
     else:  # BIND / ANY: unlocated scan (setup / oracle mode only)
         return db.all_rows(step.relation)
-    pattern = step.probe
-    if pattern and db.index_enabled:
-        arg_ops = step.arg_ops
-        key = tuple(
-            checks[pos] if pos in checks else env[arg_ops[pos][1]]
-            for pos in pattern
-        )
-        candidates = db.probe(step.relation, loc, pattern, key)
-        if candidates is not None:
-            db.index_probes += 1
-            return candidates
-    db.index_scans += 1
-    if step.time_bound and step.time_arg is not None:
-        t_op, t_payload = step.arg_ops[step.time_arg]
-        if t_op == CHECK_VAR:
-            t = env[t_payload]
-        else:
-            t = checks[step.time_arg]
-        return db.rows_at(step.relation, loc, t)
-    return db.rows(step.relation, loc)
+
+    def known(pos: int) -> Any:
+        return checks[pos] if pos in checks else env[arg_ops[pos][1]]
+
+    timed = step.time_bound and step.time_arg is not None
+    return db.candidates(
+        step.relation, loc, known(step.time_arg) if timed else None,
+        step.probe, tuple([known(pos) for pos in step.probe]),
+    )
 
 
 def _match(step: ScanStep, row: Row, env: Env,
@@ -525,7 +529,7 @@ def evaluate_rule(
             f"error evaluating rule at site {site!r}: {crule.rule} "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    return db.add_rows(crule.head_predicate, rows)
+    return db.add_rows(crule.head_predicate, rows) if rows else 0
 
 
 def _evaluate_aggregate(

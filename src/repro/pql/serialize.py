@@ -89,7 +89,10 @@ def result_digest(result: Any) -> str:
     pagination cursor's consistency token)."""
     import hashlib
 
-    payload = canonical_json(result_to_dict(result))
+    # Non-finite floats are legal row values (SSSP holds inf for unreached
+    # vertices) and only hashed here, never parsed back; finite-only
+    # results encode to the same bytes either way.
+    payload = canonical_json(result_to_dict(result), allow_nan=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -104,11 +107,11 @@ def flatten_result(result: Any) -> List[Tuple[str, List[Any]]]:
     return flat
 
 
-def canonical_json(obj: Any) -> str:
+def canonical_json(obj: Any, allow_nan: bool = False) -> str:
     """The one JSON encoding both CLI and server emit: sorted keys,
-    minimal separators, no NaN/Infinity leniency."""
+    minimal separators, no NaN/Infinity leniency unless asked for."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+                      allow_nan=allow_nan)
 
 
 # ----------------------------------------------------------------------

@@ -15,11 +15,14 @@ define what "the partition of relation R at vertex v" means per mode:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.digraph import DiGraph
-from repro.pql.eval import Database, Row, TupleStore
+from repro.pql.eval import Database, Row, TupleStore, _Partition
 from repro.provenance.store import ProvenanceStore
+
+
+_STATIC = frozenset(("edge", "vertex"))
 
 
 class _StaticRelations:
@@ -49,7 +52,7 @@ class _StaticRelations:
 
     @staticmethod
     def handles(relation: str) -> bool:
-        return relation in ("edge", "vertex")
+        return relation in _STATIC
 
 
 class StoreDatabase(Database):
@@ -146,83 +149,95 @@ class StoreDatabase(Database):
 class OnlineDatabase(Database):
     """Online view for one wrapper run.
 
-    ``local`` holds auto-captured provenance facts, ``stream`` the transient
-    facts of the superstep being evaluated (cleared per vertex), ``remote``
-    the tables neighbors shipped to each vertex, and ``derived`` (from the
-    base class) the query's IDB facts.
+    ``frame`` holds the facts only the superstep being evaluated reads
+    (``frame_relations``: the stream relations plus every auto-captured
+    relation whose history window is 0) as plain row lists, replaced per
+    vertex and never stored; ``local`` holds the auto-captured facts a later
+    superstep may still read, ``remote`` the tables neighbors shipped to
+    each vertex, and ``derived`` (from the base class) the query's IDB
+    facts.
     """
 
     def __init__(
         self,
         graph: Optional[DiGraph],
         head_predicates: Set[str],
-        stream_relations: Set[str],
+        frame_relations: Set[str],
     ) -> None:
         super().__init__()
         self.local = TupleStore()
-        self.stream = TupleStore()
-        # receiver -> TupleStore whose partitions are keyed by *sender*.
-        self.remote: Dict[Any, TupleStore] = {}
+        # (receiver, relation, sender) -> what sender shipped to receiver.
+        self.remote: Dict[Tuple[Any, str, Any], _Partition] = {}
         self.static = _StaticRelations(graph)
         self.head_predicates = head_predicates
-        self.stream_relations = stream_relations
+        self.frame_relations = frame_relations
+        self.frame: Dict[str, List[Row]] = {}
         self.current_site: Any = None
 
     # -- runtime hooks ------------------------------------------------------
-    def begin_vertex(self, site: Any) -> None:
-        """Reset per-vertex transient state before evaluating at ``site``."""
+    def begin_vertex(self, site: Any) -> Dict[str, List[Row]]:
+        """Evaluate at ``site`` from now on; returns its empty frame."""
         self.current_site = site
-        if self.stream_relations:
-            self.stream = TupleStore()
+        self.frame = frame = {}
+        return frame
 
     def merge_remote(
         self, receiver: Any, sender: Any, relation: str, rows: Iterable[Row]
     ) -> None:
-        inbox = self.remote.get(receiver)
-        if inbox is None:
-            inbox = TupleStore()
-            self.remote[receiver] = inbox
+        """Fold a shipped table into ``receiver``'s inbox (read-only on
+        ``rows``: one table may ride on several envelopes)."""
+        part = self.remote.get((receiver, relation, sender))
+        if part is None:
+            part = self.remote[(receiver, relation, sender)] = _Partition()
+        present, order = part.rows, part.order
         for row in rows:
-            inbox.add(relation, sender, row)
+            if row not in present:
+                present.add(row)
+                order.append(row)
 
     # -- Database interface ----------------------------------------------
-    def rows(self, relation: str, vertex: Any) -> Iterable[Row]:
-        if _StaticRelations.handles(relation):
+    def candidates(
+        self, relation: str, vertex: Any, time: Any,
+        pattern: Optional[Tuple[int, ...]], key: Optional[Row],
+    ) -> Iterable[Row]:
+        """One flat dispatch: the frame list, the site's stored partition,
+        or — for any vertex other than the evaluating one — only what that
+        vertex shipped here (the paper's locality restriction)."""
+        if relation in _STATIC:
+            self.index_scans += 1
             return self.static.rows(relation, vertex)
-        if vertex == self.current_site:
-            if relation in self.stream_relations:
-                return self.stream.rows(relation, vertex)
-            local = self.local.rows(relation, vertex)
+        if vertex != self.current_site:
+            part = self.remote.get((self.current_site, relation, vertex))
+        elif relation in self.frame_relations:
+            self.index_scans += 1
+            rows = self.frame.get(relation, ())
+            if relation in self.head_predicates:  # capture into a core relation
+                return list(rows) + list(self.derived.rows(relation, vertex))
+            return rows
+        else:
+            part = self.local.partition(relation, vertex)
             if relation in self.head_predicates:
-                derived = self.derived.rows(relation, vertex)
-                if local and derived:
-                    return local | derived
-                return derived or local
-            return local
-        # Remote partition: only what `vertex` shipped to the current site.
-        inbox = self.remote.get(self.current_site)
-        if inbox is None:
+                derived = self.derived.partition(relation, vertex)
+                if part is None:
+                    part = derived
+                elif derived is not None:
+                    # Derived partitions are unsliced; the scan re-checks
+                    # the time attribute, so a superset is safe.
+                    self.index_scans += 1
+                    return list(part.slice(time)) + list(derived.rows)
+        if part is None:
+            self.index_scans += 1
             return ()
-        return inbox.rows(relation, vertex)
-
-    def rows_at(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
-        if _StaticRelations.handles(relation):
-            return self.static.rows(relation, vertex)
-        if vertex == self.current_site:
-            if relation in self.stream_relations:
-                return self.stream.rows(relation, vertex)
-            local = self.local.rows_at(relation, vertex, time)
-            if relation in self.head_predicates:
-                # Derived partitions are unsliced; the scan re-checks the
-                # time attribute, so a superset is safe.
-                derived = self.derived.rows(relation, vertex)
-                if derived:
-                    return list(local) + list(derived)
-            return local
-        inbox = self.remote.get(self.current_site)
-        if inbox is None:
-            return ()
-        return inbox.rows(relation, vertex)
+        # A time slice is one superstep of one vertex: nothing left for a
+        # hash to narrow, so only unsliced reads probe.
+        if pattern and self.index_enabled and (
+                time is None or part.by_time is None):
+            rows = part.probe(pattern, key)
+            if rows is not None:
+                self.index_probes += 1
+                return rows
+        self.index_scans += 1
+        return part.slice(time)
 
     def all_rows(self, relation: str) -> Iterator[Row]:
         # Online rules are never evaluated in free mode; only static setup
@@ -233,31 +248,3 @@ class OnlineDatabase(Database):
         yield from self.local.all_rows(relation)
         if relation in self.head_predicates:
             yield from self.derived.all_rows(relation)
-
-    def probe(
-        self, relation: str, vertex: Any, pattern: Tuple[int, ...], key: Row
-    ) -> Optional[Iterable[Row]]:
-        """Hash-probe mirroring :meth:`rows`'s partition dispatch: the
-        transient stream, the local store plus derived overlay, or — for
-        any vertex other than the evaluating one — the piggybacked inbox
-        partition keyed by sender."""
-        if _StaticRelations.handles(relation):
-            return None
-        if vertex == self.current_site:
-            if relation in self.stream_relations:
-                return self.stream.probe(relation, vertex, pattern, key)
-            local = self.local.probe(relation, vertex, pattern, key)
-            if local is None:
-                return None
-            if relation in self.head_predicates:
-                derived = self.derived.probe(relation, vertex, pattern, key)
-                if derived is None:
-                    return None
-                if local and derived:
-                    return list(local) + list(derived)
-                return derived or local
-            return local
-        inbox = self.remote.get(self.current_site)
-        if inbox is None:
-            return ()
-        return inbox.probe(relation, vertex, pattern, key)

@@ -8,12 +8,16 @@ wraps the unmodified analytic. Every superstep, each active vertex:
 2. runs the analytic's ``compute`` through a recording context that buffers
    its outgoing messages and observes value/edge updates;
 3. records the transient provenance facts of this superstep — but only the
-   relations the query actually references (the paper's customized capture);
+   relations the query actually references (the paper's customized capture)
+   — into the compute's *frame*; only the relations a later superstep can
+   still read (or a neighbor is shipped) move on into the tuple store;
 4. evaluates the query's strata to a local fixpoint, anchored at the current
    superstep;
-5. ships, per outgoing message, the delta of every remotely-referenced
-   relation since the last shipment to that target (per-target watermarks),
-   then releases the buffered messages as envelopes.
+5. drops the frame, prunes the stored relations whose window just moved,
+   and releases the buffered messages as envelopes, each carrying the delta
+   of every remotely-referenced relation since the last shipment to its
+   target (one watermark tuple per target; targets at the same watermark
+   share one table).
 
 Theorem 5.4's two guarantees hold by construction: the analytic cannot see
 query state (its context is a proxy; tables ride in envelope fields the
@@ -221,10 +225,30 @@ class OnlineQueryProgram(VertexProgram):
         self.compiled = compiled
         self.functions = functions
         self.value_projector = value_projector or (lambda v: v)
+        # Superstep frames and window pruning. A relation that no rule
+        # reads at any superstep but the anchor one (the stream relations
+        # always; with `prune_history`, every auto-captured relation of
+        # window 0) lives in the per-compute frame and is gone when
+        # `compute` returns; one with a bounded window >= 1 is stored and
+        # pruned per superstep; the rest are stored for the whole run.
+        # Shipped relations are always stored — their watermarks index the
+        # insertion-order log. Persisted heads are unaffected: capture
+        # hands them to the store, not to these transient relations.
+        framed = set(compiled.stream_relations)
+        self._windows: Dict[str, int] = {}
+        if prune_history:
+            for relation, window in relation_windows(compiled).items():
+                if window is None or relation in compiled.remote_relations:
+                    continue
+                if window == 0:
+                    framed.add(relation)
+                else:
+                    self._windows[relation] = window
+        self._stored = sorted(compiled.auto_capture - framed)
         self.db = _PersistingOnlineDatabase(
             graph,
             compiled.head_predicates,
-            compiled.stream_relations,
+            framed,
             store=store,
             persist=set(compiled.head_predicates),
         )
@@ -249,41 +273,31 @@ class OnlineQueryProgram(VertexProgram):
         self._need_stream_value = "vertex_value" in stream
         self._need_stream_send = "send" in stream
         self._need_stream_receive = "receive" in stream
-        self._remote_rels = sorted(compiled.remote_relations)
         self._prepared = prepare_strata(compiled.strata)
         # Generated before any fork, so workers inherit the functions and
         # every backend reports the same `compiled_rules`.
         for stratum, _ in self._prepared:
             for crule in stratum:
                 compiled_fn(crule, MODE_ANCHORED)
-        # Window pruning: transient relations whose history is provably
-        # bounded get pruned per superstep, keeping online memory flat.
-        # Pruning is disabled entirely when capturing (the store persists
-        # heads, but auto-captured EDBs must survive for re-derivation) —
-        # actually heads are persisted eagerly, so pruning stays safe; it
-        # is disabled only for relations shipped to neighbors.
-        self._windows: Dict[str, int] = {}
-        if prune_history:
-            for relation, window in relation_windows(compiled).items():
-                if window is None or relation in compiled.remote_relations:
-                    continue
-                self._windows[relation] = window
         self.pruned_rows = 0
         # Ablation switches: ship full tables instead of per-target deltas
         # (measures the value of watermark shipping) and disable the
-        # per-superstep partition index (measures the value of rows_at).
+        # per-superstep partition index (measures the value of time slices).
         self.ship_full_tables = ship_full_tables
         self.timed_index = timed_index
-        if timed_index:
-            self._add_local = self.db.local.add_timed
-        else:
-            local_add = self.db.local.add
-            self._add_local = lambda rel, vertex, row, _t: local_add(rel, vertex, row)
+        # Delta piggybacking: the shipped relations with the store each
+        # one's partition lives in, and per (vertex, target) the partition
+        # lengths already shipped (vertex -> target -> tuple aligned with
+        # `_shipped`).
+        self._shipped = [
+            (rel, self.db.derived if rel in compiled.head_predicates
+             else self.db.local)
+            for rel in sorted(compiled.remote_relations)
+        ]
+        self._watermarks: Dict[Any, Dict[Any, Tuple[int, ...]]] = {}
         self._recorder = RecordingContext()
         self.shipped_tuples = 0
         self._last_active: Dict[Any, int] = {}
-        # vertex -> target -> relation -> shipped watermark
-        self._watermarks: Dict[Any, Dict[Any, Dict[str, int]]] = {}
         self.derivations = 0
         self.query_seconds = 0.0
         # Window pruning effectiveness: a hit is a (relation, vertex)
@@ -374,24 +388,24 @@ class OnlineQueryProgram(VertexProgram):
         x = ctx.vertex_id
         s = ctx.superstep
         db = self.db
-        db.begin_vertex(x)
+        frame = db.begin_vertex(x)
         traced = self._traced
         if traced and s != self._trace_superstep:
             self._flush_phase_spans()
             self._trace_superstep = s
 
-        add_local = self._add_local
-        payloads: List[Any] = []
+        payloads = [env.payload for env in messages]
         if messages:
+            # receive_message at superstep s *is* the inbox just handed in.
+            if self._need_receive:
+                frame["receive_message"] = _distinct(
+                    [(x, env.sender, freeze(env.payload), s) for env in messages]
+                )
+            if self._need_stream_receive:
+                frame["receive"] = _as_set(
+                    [(x, env.sender, freeze(env.payload)) for env in messages]
+                )
             for env in messages:
-                payloads.append(env.payload)
-                if self._need_receive:
-                    add_local(
-                        "receive_message", x,
-                        (x, env.sender, freeze(env.payload), s), s,
-                    )
-                if self._need_stream_receive:
-                    db.stream.add("receive", x, (x, env.sender, freeze(env.payload)))
                 if env.tables:
                     for rel, rows in env.tables.items():
                         db.merge_remote(x, env.sender, rel, rows)
@@ -399,29 +413,47 @@ class OnlineQueryProgram(VertexProgram):
         recorder = self._recorder
         recorder._rebind(ctx)
         self.inner.compute(recorder, payloads)
+        sends = recorder.sends
 
         query_start = time.perf_counter()
         if self._need_superstep:
-            add_local("superstep", x, (x, s), s)
+            frame["superstep"] = [(x, s)]
         if self._need_value or self._need_stream_value:
             d = freeze(self.value_projector(ctx.value))
             if self._need_value:
-                add_local("value", x, (x, d, s), s)
+                frame["value"] = [(x, d, s)]
             if self._need_stream_value:
-                db.stream.add("vertex_value", x, (x, d))
+                frame["vertex_value"] = [(x, d)]
         if self._need_evolution:
             j = self._last_active.get(x)
             if j is not None:
-                add_local("evolution", x, (x, j, s), s)
+                frame["evolution"] = [(x, j, s)]
         self._last_active[x] = s
-        for target, payload in recorder.sends:
+        if sends:
             if self._need_send:
-                add_local("send_message", x, (x, target, freeze(payload), s), s)
+                frame["send_message"] = _distinct(
+                    [(x, target, freeze(payload), s) for target, payload in sends]
+                )
             if self._need_stream_send:
-                db.stream.add("send", x, (x, target, freeze(payload)))
-        for target, value in recorder.edge_updates:
-            if self._need_edge_value:
-                add_local("edge_value", x, (x, target, freeze(value), s), s)
+                frame["send"] = _as_set(
+                    [(x, target, freeze(payload)) for target, payload in sends]
+                )
+        if self._need_edge_value and recorder.edge_updates:
+            frame["edge_value"] = _distinct(
+                [(x, target, freeze(value), s)
+                 for target, value in recorder.edge_updates]
+            )
+        # Facts a later superstep may read leave the frame for the store.
+        for relation in self._stored:
+            rows = frame.pop(relation, None)
+            if rows:
+                part = db.local._ensure(relation, x)
+                if self.timed_index:
+                    for row in rows:
+                        part.add_timed(row, s)
+                else:
+                    for row in rows:
+                        part.add(row)
 
         if traced:
             eval_start = time.perf_counter()
@@ -432,14 +464,17 @@ class OnlineQueryProgram(VertexProgram):
         if traced:
             eval_seconds = time.perf_counter() - eval_start
             self._eval_ns += int(eval_seconds * 1e9)
-        if self._windows:
-            for relation, window in self._windows.items():
-                part = db.local.partition(relation, x)
-                if part is None:
-                    self.prune_misses += 1
-                else:
-                    self.prune_hits += 1
-                    self.pruned_rows += part.prune_older_than(s - window)
+        # The frame's rows die with it; bounded-window partitions shed
+        # the superstep that just left their window.
+        for rows in frame.values():
+            self.pruned_rows += len(rows)
+        for relation, window in self._windows.items():
+            part = db.local.partition(relation, x)
+            if part is None:
+                self.prune_misses += 1
+            else:
+                self.prune_hits += 1
+                self.pruned_rows += part.prune_older_than(s - window)
         query_end = time.perf_counter()
         self.query_seconds += query_end - query_start
         if traced:
@@ -448,9 +483,48 @@ class OnlineQueryProgram(VertexProgram):
             self._capture_ns += int(
                 (query_end - query_start - eval_seconds) * 1e9
             )
+        if sends:
+            self._ship(ctx, x, sends)
 
-        for target, payload in recorder.sends:
-            ctx.send(target, Envelope(x, payload, self._delta_tables(x, target)))
+    def _ship(self, ctx: VertexContext, x: Any,
+              sends: List[Tuple[Any, Any]]) -> None:
+        """Release the analytic's buffered messages as envelopes, each with
+        the rows of every remotely-referenced relation its target has not
+        been sent yet. Partition lengths are read once; targets at the same
+        watermark (a broadcast) share one table dict, which receivers only
+        read."""
+        send = ctx.send
+        parts = [store.partition(rel, x) for rel, store in self._shipped]
+        orders = [part.order if part is not None else () for part in parts]
+        lengths = tuple([len(order) for order in orders])
+        if not any(lengths):
+            for target, payload in sends:
+                send(target, Envelope(x, payload, None))
+            return
+        marks = self._watermarks.get(x)
+        if marks is None:
+            marks = self._watermarks[x] = {}
+        unshipped = (0,) * len(lengths)
+        keep_marks = not self.ship_full_tables
+        deltas: Dict[Tuple[int, ...], Tuple[Optional[Dict[str, Any]], int]] = {}
+        shipped = 0
+        for target, payload in sends:
+            mark = marks.get(target, unshipped)
+            delta = deltas.get(mark)
+            if delta is None:
+                tables = {
+                    rel: order[start:]
+                    for (rel, _), order, start in zip(self._shipped, orders, mark)
+                    if start < len(order)
+                }
+                delta = deltas[mark] = (
+                    tables or None, sum(map(len, tables.values()))
+                )
+            shipped += delta[1]
+            if keep_marks:
+                marks[target] = lengths
+            send(target, Envelope(x, payload, delta[0]))
+        self.shipped_tuples += shipped
 
     # -- tracing helpers ---------------------------------------------------
     def _flush_phase_spans(self) -> None:
@@ -487,7 +561,7 @@ class OnlineQueryProgram(VertexProgram):
         ).inc(self.shipped_tuples)
         registry.counter(
             "repro_capture_pruned_rows_total",
-            "transient rows dropped by window pruning",
+            "transient rows dropped with their frame or by window pruning",
         ).inc(self.pruned_rows)
         registry.counter(
             "repro_capture_prune_checks_total",
@@ -591,30 +665,17 @@ class OnlineQueryProgram(VertexProgram):
         """Auto-captured transient rows, including worker shards."""
         return self.db.local.num_rows() + self._merged_transient_rows
 
-    def _delta_tables(
-        self, vertex: Any, target: Any
-    ) -> Optional[Dict[str, List[Tuple[Any, ...]]]]:
-        """Unshipped tuples of every remotely-referenced relation."""
-        if not self._remote_rels:
-            return None
-        marks = self._watermarks.setdefault(vertex, {}).setdefault(target, {})
-        tables: Optional[Dict[str, List[Tuple[Any, ...]]]] = None
-        for rel in self._remote_rels:
-            if rel in self.compiled.head_predicates:
-                part = self.db.derived.partition(rel, vertex)
-            else:
-                part = self.db.local.partition(rel, vertex)
-            if part is None:
-                continue
-            start = 0 if self.ship_full_tables else marks.get(rel, 0)
-            order = part.order
-            if start < len(order):
-                if tables is None:
-                    tables = {}
-                tables[rel] = order[start:]
-                self.shipped_tuples += len(order) - start
-                marks[rel] = len(order)
-        return tables
+
+def _distinct(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
+    """``rows`` without repeats, first occurrences in order."""
+    return rows if len(rows) < 2 else list(dict.fromkeys(rows))
+
+
+def _as_set(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
+    """``rows`` without repeats, in the order of a set built from them: the
+    stream relations have always been enumerated as sets, and the capture
+    rules' enumeration order is the row order of the sealed slabs."""
+    return rows if len(rows) < 2 else list(set(rows))
 
 
 def _as_program(

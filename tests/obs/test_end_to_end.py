@@ -78,13 +78,19 @@ class TestTracedSession:
         spans = [e for e in events if e["type"] == "span"]
         run = next(s for s in spans if s["cat"] == PHASE_RUN)
         steps = [s for s in spans if s["cat"] == PHASE_SUPERSTEP]
-        # superstep spans tile the run span: they are disjoint
-        # subintervals, so they sum to at most the run wall and — since
-        # the loop body outside them is a few statements — must cover
-        # the bulk of it
+        # superstep spans tile the run span: ordered, disjoint
+        # subintervals of it, so they sum to at most the run wall. (How
+        # much of the wall they cover is not asserted: between them sit
+        # the master's barrier work and, on a 15 ms run, whatever stall
+        # the machine adds — a >= 0.5 bound failed under load in PR 13.)
+        steps.sort(key=lambda s: s["ts"])
+        assert run["ts"] <= steps[0]["ts"]
+        for before, after in zip(steps, steps[1:]):
+            assert before["ts"] + before["dur"] <= after["ts"] + 1
+        assert (steps[-1]["ts"] + steps[-1]["dur"]
+                <= run["ts"] + run["dur"] + 1)  # us floor rounding
         step_total = sum(s["dur"] for s in steps)
-        assert step_total <= run["dur"]
-        assert step_total >= 0.5 * run["dur"]
+        assert 0 < step_total <= run["dur"]
         # compute + barrier tile each superstep the same way
         by_id = {s["id"]: s for s in spans}
         for step in steps:
@@ -110,7 +116,17 @@ class TestTracedSession:
         events, _, _, _ = traced_session
         summary = summarize(events)
         assert summary["runs"] == 1
-        assert 0.5 <= summary["coverage"] <= 1.0
+        # coverage is the spans' own accounting — superstep time over run
+        # time — so it is checked against the spans, not against a
+        # wall-clock share that one scheduler stall can halve
+        spans = [e for e in events if e["type"] == "span"]
+        run = next(s for s in spans if s["cat"] == PHASE_RUN)
+        steps = [s for s in spans if s["cat"] == PHASE_SUPERSTEP]
+        assert summary["supersteps"] == len(steps) > 0
+        assert summary["run_seconds"] == pytest.approx(run["dur"] / 1e6)
+        assert summary["coverage"] == pytest.approx(
+            sum(s["dur"] for s in steps) / run["dur"])
+        assert 0.0 < summary["coverage"] <= 1.0
 
     def test_chrome_round_trip(self, traced_session):
         events, _, _, _ = traced_session

@@ -325,14 +325,13 @@ _NAMES = {
     "def", "return", "for", "in", "if", "or", "not", "is", "else", "try",
     "except", "continue", "break", "None", "True", "False", "TypeError",
     "len", "bool", "set", "_make", "rule", "K", "F", "db", "site", "t",
-    "out", "seen", "w", "a", "b", "ok", "get", "append", "add", "probe",
-    "rows", "rows_at", "all_rows", "index_enabled", "index_scans",
-    "index_probes",
+    "out", "seen", "w", "a", "b", "ok", "get", "append", "add",
+    "candidates", "all_rows",
 }
-_SLOT = re.compile(r"^(v\d+|r\d+|rs\d+|c\d+_\d+|g\d+)$")
+_SLOT = re.compile(r"^(v\d+|r\d+|c\d+_\d+|g\d+)$")
 _OPS = {
     "(", ")", "[", "]", ",", ":", ".", "=", "==", "!=", "<", "<=", ">",
-    ">=", "+", "-", "*", "/", "+=",
+    ">=", "+", "-", "*", "/",
 }
 
 

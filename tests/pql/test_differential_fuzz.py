@@ -102,6 +102,24 @@ def random_program(draw):
     return "".join(pieces)
 
 
+def random_run(graph_seed):
+    """A small random weighted graph and a factory for the analytic to
+    run on it (SSSP or PageRank, drawn from the same seed)."""
+    from repro.analytics.pagerank import PageRank
+    from repro.analytics.sssp import SSSP
+    from repro.graph.generators import random_graph, with_random_weights
+
+    rng = random.Random(graph_seed)
+    n = rng.randint(4, 9)
+    graph = with_random_weights(
+        random_graph(n, rng.randint(n, 3 * n), seed=graph_seed),
+        seed=graph_seed,
+    )
+    if rng.random() < 0.5:
+        return graph, lambda: SSSP(source=0)
+    return graph, lambda: PageRank(num_supersteps=4)
+
+
 class TestDifferentialFuzz:
     @given(random_store(), random_program())
     @SLOW
@@ -186,25 +204,11 @@ class TestDifferentialFuzz:
         delta shipping): the rows a query derives while the analytic runs
         equal the oracle's over a full capture of the same run — random
         programs x random graphs."""
-        from repro.analytics.pagerank import PageRank
-        from repro.analytics.sssp import SSSP
         from repro.core.queries import CAPTURE_FULL_QUERY
         from repro.errors import PQLCompatibilityError
-        from repro.graph.generators import random_graph, with_random_weights
         from repro.runtime.online import run_online
 
-        rng = random.Random(graph_seed)
-        n = rng.randint(4, 9)
-        graph = with_random_weights(
-            random_graph(n, rng.randint(n, 3 * n), seed=graph_seed),
-            seed=graph_seed,
-        )
-        if rng.random() < 0.5:
-            def make():
-                return SSSP(source=0)
-        else:
-            def make():
-                return PageRank(num_supersteps=4)
+        graph, make = random_run(graph_seed)
         try:
             online = run_online(graph, make(), src)
         except PQLCompatibilityError:
@@ -225,3 +229,32 @@ class TestDifferentialFuzz:
             assert online.query.rows(rel) == sorted(
                 independent.get(rel, set()), key=repr
             ), f"{rel} differs from semi-naive for program:\n{src}"
+
+    @given(st.integers(0, 100_000), random_program())
+    @SLOW
+    def test_online_backends_agree(self, graph_seed, src):
+        """Online mode across the process boundary: frames are built from
+        unpickled envelopes and shared delta tables are pickled once per
+        batch, so the serial run, the 2-worker ring and the 2-worker queue
+        must agree on every row and on how many tuples were shipped."""
+        from repro.engine.config import EngineConfig
+        from repro.errors import PQLCompatibilityError
+        from repro.runtime.online import run_online
+
+        graph, make = random_run(graph_seed)
+        try:
+            serial = run_online(graph, make(), src)
+        except PQLCompatibilityError:
+            return  # backward / mixed compositions do not run online
+        counted = ("shipped_tuples", "pruned_rows", "transient_rows")
+        for transport in ("ring", "queue"):
+            config = EngineConfig(backend="parallel", num_workers=2,
+                                  transport=transport)
+            parallel = run_online(graph, make(), src, config=config)
+            assert parallel.values == serial.values, transport
+            assert parallel.query.as_dict() == serial.query.as_dict(), (
+                f"{transport} rows differ for program:\n{src}"
+            )
+            for key in counted:
+                assert (parallel.query.stats[key]
+                        == serial.query.stats[key]), (transport, key, src)

@@ -203,17 +203,19 @@ class TestTupleStore:
         assert not ts.add("r", 0, (0, 1))
         assert ts.num_rows() == 1
 
-    def test_rows_at_falls_back_without_index(self):
+    def test_slice_falls_back_without_index(self):
         ts = TupleStore()
         ts.add("r", 0, (0, 1))
-        assert set(ts.rows_at("r", 0, 5)) == {(0, 1)}
+        assert set(ts.partition("r", 0).slice(5)) == {(0, 1)}
 
     def test_timed_index(self):
         ts = TupleStore()
         ts.add_timed("r", 0, (0, "a", 1), 1)
         ts.add_timed("r", 0, (0, "b", 2), 2)
-        assert list(ts.rows_at("r", 0, 1)) == [(0, "a", 1)]
-        assert list(ts.rows_at("r", 0, 3)) == []
+        part = ts.partition("r", 0)
+        assert list(part.slice(1)) == [(0, "a", 1)]
+        assert list(part.slice(3)) == []
+        assert len(part.slice(None)) == 2
 
     def test_set_group_replaces(self):
         ts = TupleStore()

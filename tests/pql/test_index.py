@@ -119,8 +119,8 @@ class TestTupleStorePartitions:
         # time slice instead (PR 12; before, the index was rebuilt here).
         assert ts.probe("r", "v", (1,), (3,)) is None
         assert part.index is None
-        assert list(ts.rows_at("r", "v", DEPTH + 3)) == [(DEPTH + 3, 3)]
-        assert list(ts.rows_at("r", "v", 0)) == []
+        assert list(part.slice(DEPTH + 3)) == [(DEPTH + 3, 3)]
+        assert list(part.slice(0)) == []
 
 
 @pytest.fixture()

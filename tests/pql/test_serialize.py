@@ -161,6 +161,27 @@ class TestPaginate:
         with pytest.raises(ValueError, match="stale"):
             paginate(other, 2, cursor)
 
+    def test_result_holding_infinity_pages(self, result, capture):
+        """SSSP stores hold inf for unreached vertices; the cursor digest
+        must take it, and finite-only results keep their digest bytes."""
+        import hashlib
+
+        unreached = run_layered(
+            capture.store, Q.BACKWARD_LINEAGE_FULL_QUERY,
+            params={"alpha": 1, "sigma": 0},
+        )
+        assert unreached.rows("back_lineage") == [(1, float("inf"))]
+        first = paginate(unreached, 1)
+        assert first["total_rows"] == 2 and first["next_cursor"]
+        last = paginate(unreached, 1, first["next_cursor"])
+        assert last["rows"] == [["back_trace", [1, 0]]]
+        assert last["next_cursor"] is None
+        with pytest.raises(ValueError, match="stale"):
+            paginate(result, 1, first["next_cursor"])
+        strict = canonical_json(result_to_dict(result))  # raises on inf
+        assert result_digest(result) == hashlib.sha256(
+            strict.encode("utf-8")).hexdigest()[:16]
+
     def test_nonpositive_limit_raises(self, result):
         with pytest.raises(ValueError, match="limit"):
             paginate(result, 0)

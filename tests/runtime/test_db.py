@@ -55,53 +55,87 @@ class TestStoreDatabase:
         assert db.derived.rows("custom", 0) == {(0, 1)}
 
 
+def read(db, relation, vertex, time=None, pattern=None, key=None):
+    return db.candidates(relation, vertex, time, pattern, key)
+
+
+class TestCandidates:
+    """The one read a located scan makes, over every backend."""
+
+    def test_store_scan_slice_and_probe(self, graph):
+        store = ProvenanceStore()
+        store.add_all("value", [(0, float(i), i) for i in range(40)])
+        db = StoreDatabase(store, graph)
+        assert len(read(db, "value", 0)) == 40
+        assert set(read(db, "value", 0, time=3)) == {(0, 3.0, 3)}
+        assert (db.index_probes, db.index_scans) == (0, 2)
+        assert list(read(db, "value", 0, 3, (2,), (3,))) == [(0, 3.0, 3)]
+        assert (db.index_probes, db.index_scans) == (1, 2)
+        db.index_enabled = False
+        assert (0, 3.0, 3) in set(read(db, "value", 0, 3, (2,), (3,)))
+        assert (db.index_probes, db.index_scans) == (1, 3)
+
+
 class TestOnlineDatabase:
     def make(self, graph):
         return OnlineDatabase(graph, head_predicates={"derivedrel"},
-                              stream_relations={"vertex_value"})
+                              frame_relations={"vertex_value"})
 
     def test_local_vs_remote_partitions(self, graph):
         db = self.make(graph)
         db.local.add("value", 0, (0, 1.0, 0))
         db.local.add("value", 1, (1, 5.0, 0))
         db.begin_vertex(0)
-        assert db.rows("value", 0) == {(0, 1.0, 0)}
+        assert read(db, "value", 0) == {(0, 1.0, 0)}
         # vertex 1's facts are NOT visible remotely unless shipped
-        assert list(db.rows("value", 1)) == []
+        assert list(read(db, "value", 1)) == []
         db.merge_remote(0, 1, "value", [(1, 5.0, 0)])
-        assert set(db.rows("value", 1)) == {(1, 5.0, 0)}
+        assert set(read(db, "value", 1)) == {(1, 5.0, 0)}
 
     def test_remote_partitions_keyed_by_receiver(self, graph):
         db = self.make(graph)
         db.merge_remote(0, 1, "t", [(1, "x")])
         db.begin_vertex(2)
-        assert list(db.rows("t", 1)) == []  # vertex 2 received nothing
+        assert list(read(db, "t", 1)) == []  # vertex 2 received nothing
         db.begin_vertex(0)
-        assert set(db.rows("t", 1)) == {(1, "x")}
+        assert set(read(db, "t", 1)) == {(1, "x")}
 
-    def test_stream_reset_per_vertex(self, graph):
+    def test_frame_reset_per_vertex(self, graph):
         db = self.make(graph)
-        db.begin_vertex(0)
-        db.stream.add("vertex_value", 0, (0, 1.0))
-        assert db.rows("vertex_value", 0) == {(0, 1.0)}
-        db.begin_vertex(1)
-        assert list(db.rows("vertex_value", 1)) == []
+        frame = db.begin_vertex(0)
+        frame["vertex_value"] = [(0, 1.0)]
+        assert read(db, "vertex_value", 0) == [(0, 1.0)]
+        assert db.begin_vertex(1) == {}
+        assert list(read(db, "vertex_value", 1)) == []
+        assert db.local.relations() == []
 
     def test_derived_visible_locally(self, graph):
         db = self.make(graph)
         db.begin_vertex(0)
         db.add("derivedrel", (0, 7))
-        assert set(db.rows("derivedrel", 0)) == {(0, 7)}
+        assert set(read(db, "derivedrel", 0)) == {(0, 7)}
 
     def test_static_relations(self, graph):
         db = self.make(graph)
         db.begin_vertex(0)
-        assert list(db.rows("edge", 0)) == [(0, 1)]
-        assert db.rows_at("edge", 0, 3) == [(0, 1)]
+        assert list(read(db, "edge", 0)) == [(0, 1)]
+        assert read(db, "edge", 1, time=3) == [(1, 2)]  # any vertex's edges
 
     def test_timed_local_reads(self, graph):
         db = self.make(graph)
         db.local.add_timed("value", 0, (0, 1.0, 0), 0)
         db.local.add_timed("value", 0, (0, 2.0, 1), 1)
         db.begin_vertex(0)
-        assert list(db.rows_at("value", 0, 1)) == [(0, 2.0, 1)]
+        assert list(read(db, "value", 0, time=1)) == [(0, 2.0, 1)]
+        assert len(read(db, "value", 0)) == 2
+
+    def test_counters_split_probes_from_scans(self, graph):
+        db = self.make(graph)
+        for i in range(40):
+            db.add("derivedrel", (0, i))
+        db.begin_vertex(0)
+        assert list(read(db, "derivedrel", 0, None, (1,), (7,))) == [(0, 7)]
+        assert (db.index_probes, db.index_scans) == (1, 0)
+        db.index_enabled = False
+        assert len(read(db, "derivedrel", 0, None, (1,), (7,))) == 40
+        assert (db.index_probes, db.index_scans) == (1, 1)

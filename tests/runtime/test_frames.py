@@ -1,0 +1,176 @@
+"""Superstep frames: facts only the current superstep reads stay out of the
+tuple stores, and the paths around them (delta shipping, inbox merge)
+keep their results."""
+
+import copy
+
+import pytest
+
+from repro.analytics.pagerank import PageRank
+from repro.analytics.sssp import SSSP
+from repro.core import queries as Q
+from repro.engine.config import EngineConfig
+from repro.engine.engine import PregelEngine
+from repro.engine.vertex import VertexProgram
+from repro.graph.digraph import from_edge_list
+from repro.graph.generators import web_graph, with_random_weights
+from repro.pql.analysis import compile_query
+from repro.pql.parser import parse
+from repro.pql.udf import FunctionRegistry
+from repro.runtime import online
+from repro.runtime.online import OnlineQueryProgram, run_online
+
+
+@pytest.fixture(scope="module")
+def wgraph():
+    return with_random_weights(
+        web_graph(120, avg_degree=5, target_diameter=8, seed=5), seed=5
+    )
+
+
+def run_wrapper(graph, analytic, src, params=None, udfs=None, **switches):
+    """One online run; returns the wrapper (its databases and counters)."""
+    functions = FunctionRegistry(udfs)
+    program = parse(src)
+    if params:
+        program = program.bind(**params)
+    compiled = compile_query(program, functions=functions)
+    wrapper = OnlineQueryProgram(
+        analytic.make_program(), compiled, functions, graph,
+        value_projector=analytic.provenance_value, **switches,
+    )
+    wrapper.run_setup()
+    PregelEngine(graph, config=EngineConfig(use_combiner=False)).run(wrapper)
+    return wrapper
+
+
+def derived(wrapper):
+    store = wrapper.db.derived
+    return {rel: sorted(store.all_rows(rel), key=repr)
+            for rel in sorted(store.relations())}
+
+
+class TestFramedRelations:
+    SRC = "got(X, Y, M, I) :- receive_message(X, Y, M, I), superstep(X, I)."
+
+    def test_window_zero_relations_never_reach_the_local_store(self, wgraph):
+        framed = run_wrapper(wgraph, SSSP(source=0), self.SRC)
+        assert framed.db.frame_relations == {"receive_message", "superstep"}
+        assert framed.db.local.relations() == []
+        assert framed.transient_row_count() == 0
+        assert framed.pruned_rows > 0 and framed.prune_hits == 0
+        stored = run_wrapper(wgraph, SSSP(source=0), self.SRC,
+                             prune_history=False)
+        assert stored.db.frame_relations == set()
+        assert sorted(stored.db.local.relations()) == [
+            "receive_message", "superstep"]
+        # every row the frames dropped is a row the stored run still holds
+        assert stored.transient_row_count() == framed.pruned_rows
+        assert stored.pruned_rows == 0
+        assert derived(framed) == derived(stored) and derived(framed)["got"]
+
+    def test_shipped_relations_stay_stored(self, wgraph):
+        """A window-0 relation that neighbors read is shipped by
+        watermark over its insertion-order log, so it cannot be framed."""
+        src = ("heard(X, Y, I) :- receive_message(X, Y, M, I), "
+               "superstep(Y, J), J = I - 1.")
+        wrapper = run_wrapper(wgraph, SSSP(source=0), src)
+        assert wrapper.db.frame_relations == {"receive_message"}
+        assert wrapper.db.local.relations() == ["superstep"]
+        assert wrapper.shipped_tuples > 0 and derived(wrapper)["heard"]
+
+    def test_duplicate_messages_yield_one_receive_row(self):
+        class Twice(VertexProgram):
+            name = "twice"
+
+            def initial_value(self, vertex_id, graph):
+                return 0
+
+            def compute(self, ctx, messages):
+                if ctx.superstep == 0:
+                    for target, _ in ctx.out_edges():
+                        ctx.send(target, 1.0)
+                        ctx.send(target, 1.0)
+                ctx.set_value(len(messages))
+                ctx.vote_to_halt()
+
+        graph = from_edge_list([(0, 1), (2, 1)])
+        result = run_online(
+            graph, Twice(),
+            "got(X, Y, M, I) :- receive_message(X, Y, M, I)."
+            "n(X, I, count(Y)) :- receive_message(X, Y, M, I).",
+        )
+        assert result.values[1] == 4  # the analytic sees every copy
+        assert result.query.rows("got") == [(1, 0, 1.0, 1), (1, 2, 1.0, 1)]
+        assert result.query.rows("n") == [(1, 1, 2)]
+        # the frame of vertex 1 at superstep 1 held two rows, not four
+        assert result.query.stats["pruned_rows"] == 2
+        assert result.query.stats["transient_rows"] == 0
+
+    def test_stream_queries_answer_as_before(self, wgraph):
+        """vertex_value / send / receive (frame-only since they lost their
+        own store) derive what the auto-captured relations derive."""
+        analytic = SSSP(source=0)
+        streamed = run_online(wgraph, analytic, Q.CAPTURE_FULL_QUERY)
+        recorded = run_online(
+            wgraph, analytic,
+            "value(X, D, I) :- value(X, D, I)."
+            "send_message(X, Y, M, I) :- send_message(X, Y, M, I)."
+            "receive_message(X, Y, M, I) :- receive_message(X, Y, M, I).",
+        )
+        for rel in ("value", "send_message", "receive_message"):
+            assert streamed.query.rows(rel) == recorded.query.rows(rel), rel
+            assert streamed.query.rows(rel)
+        assert streamed.query.stats["transient_rows"] == 0
+
+
+class TestWindowedRelations:
+    SRC = "prev(X, D, I) :- superstep(X, I), value(X, D, J), J = I - 1."
+
+    def test_window_one_still_prunes(self, wgraph):
+        analytic = PageRank(num_supersteps=6)
+        pruned = run_wrapper(wgraph, analytic, self.SRC)
+        assert pruned._windows == {"value": 1}
+        assert pruned.db.frame_relations == {"superstep"}
+        assert pruned.db.local.relations() == ["value"]
+        assert pruned.prune_hits > 0 and pruned.pruned_rows > 0
+        # two supersteps of `value` per vertex survive, at most
+        assert pruned.transient_row_count() <= 2 * wgraph.num_vertices
+        kept = run_wrapper(wgraph, analytic, self.SRC, prune_history=False)
+        assert kept.transient_row_count() > pruned.transient_row_count()
+        assert derived(pruned) == derived(kept) and derived(pruned)["prev"]
+
+
+class TestShipping:
+    def run_apt(self, graph, **switches):
+        analytic = PageRank(num_supersteps=6)
+        return run_wrapper(graph, analytic, Q.APT_QUERY, {"eps": 0.01},
+                           Q.apt_udfs(analytic), **switches)
+
+    def test_shared_delta_tables_are_never_mutated(self, wgraph, monkeypatch):
+        sent = []
+
+        class Spy(online.Envelope):
+            def __init__(self, sender, payload, tables=None):
+                super().__init__(sender, payload, tables)
+                if tables is not None:
+                    sent.append((tables, copy.deepcopy(tables)))
+
+        monkeypatch.setattr(online, "Envelope", Spy)
+        wrapper = self.run_apt(wgraph)
+        assert wrapper.shipped_tuples == sum(
+            len(rows) for tables, _ in sent for rows in tables.values())
+        # a broadcast slices once: one dict rides on many envelopes ...
+        assert len({id(tables) for tables, _ in sent}) < len(sent)
+        # ... and is the same after every receiver merged it
+        assert all(tables == before for tables, before in sent)
+
+    def test_ablation_switches_keep_the_rows(self, wgraph):
+        default = self.run_apt(wgraph)
+        full = self.run_apt(wgraph, ship_full_tables=True)
+        unsliced = self.run_apt(wgraph, timed_index=False)
+        assert derived(full) == derived(default)
+        assert derived(unsliced) == derived(default)
+        assert derived(default)["safe"] or derived(default)["unsafe"]
+        assert full.shipped_tuples > default.shipped_tuples
+        assert unsliced.shipped_tuples == default.shipped_tuples

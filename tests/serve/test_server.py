@@ -322,6 +322,39 @@ class TestPagination:
         assert status == 409
         assert doc["error"] == "bad_cursor"
 
+    def test_pages_over_a_result_holding_infinity(self, server, catalog,
+                                                  sssp_store):
+        """Query 10 rooted at an unreached vertex's superstep 0 returns
+        its initial distance, inf: every page is served (the digest used
+        to refuse it with 400 bad_cursor) and staleness is still a 409."""
+        run_id = run_id_for(catalog, sssp_store)
+        body = {"query": "query10", "params": {"alpha": 1, "sigma": 0}}
+        status, full = server.request(
+            "POST", f"/runs/{run_id}/query", body=body)
+        assert status == 200
+        lineage = full["result"]["relations"]["back_lineage"]["rows"]
+        assert lineage == [[1, float("inf")]]
+        collected, cursor = [], None
+        while True:
+            page_body = dict(body, limit=1)
+            if cursor:
+                page_body["cursor"] = cursor
+            status, doc = server.request(
+                "POST", f"/runs/{run_id}/query", body=page_body)
+            assert status == 200, doc
+            collected.extend(doc["page"]["rows"])
+            cursor = doc["page"]["next_cursor"]
+            if cursor is None:
+                break
+            stale = cursor
+        assert collected == [["back_lineage", [1, float("inf")]],
+                             ["back_trace", [1, 0]]]
+        other = dict(self._body(catalog, run_id), limit=1, cursor=stale)
+        status, doc = server.request(
+            "POST", f"/runs/{run_id}/query", body=other)
+        assert status == 409
+        assert doc["error"] == "bad_cursor"
+
     def test_garbage_cursor_is_400(self, server, catalog, sssp_store):
         run_id = run_id_for(catalog, sssp_store)
         body = dict(self._body(catalog, run_id), limit=2, cursor="!!!")
