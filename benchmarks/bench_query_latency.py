@@ -55,17 +55,16 @@ from repro.runtime.online import run_online
 DATASET = "IN-04"
 ALS_FEATURES = 5
 ALS_ROUNDS = 2
-#: The vectorized lane's queries and its CI gate. Re-baselined after PR
-#: 12 compiled the row path: the gate is result identity + "the batch
-#: kernels ran" + "vectorized is not slower than the indexed row path
-#: beyond a tolerance", NOT a speedup. At the 0.25x smoke scale the two
-#: paths now measure 0.98-1.08x of each other (the kernels' lead is ~2x
-#: only at full scale, where nothing gates it); 0.8 — at most 25% slower
-#: — leaves room for CI-runner noise while still catching a kernel
-#: regression. Whether the kernels earn their place at all is decided on
-#: ``benchmarks/e2e`` (``offline-query wall_s``), not here.
+#: The vectorized lane's queries and its CI gate: result identity + "layer
+#: programs ran" + a speedup floor over the indexed row path. Re-baselined
+#: for layer programs (one program run per rule and layer instead of one
+#: per rule, layer and vertex): at the 0.25x smoke scale Q9/Q10 read
+#: 7.1-7.6x indexed (the per-site kernels they replace read 0.98-1.09x),
+#: so 3.0 keeps >2x headroom for CI-runner noise and still fails if the
+#: site loop ever moves back outside the evaluator. The yardstick for the
+#: evaluator as a whole stays ``benchmarks/e2e`` (``offline-query wall_s``).
 VECTOR_QUERIES = ("query9", "query10")
-VECTOR_MIN_SPEEDUP = 0.8
+VECTOR_MIN_SPEEDUP = 3.0
 #: The lineage queries (9, 10) trace through a dedicated longer PageRank
 #: capture: probe narrowing grows with partition depth (rows per vertex ~
 #: supersteps), and the paper's lineage experiments are exactly the

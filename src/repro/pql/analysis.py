@@ -631,12 +631,6 @@ def _make_scan(
             if pos > 0
             and (op == CHECK_TERM or (op == CHECK_VAR and payload in bound))
         )
-    # Batch-kernel eligibility mirrors allow_probe (aggregate-head rules
-    # stay row-at-a-time: float accumulation is enumeration-order
-    # sensitive) and requires a known partition. Like the hash-probe
-    # annotation this says the step *may* vectorize — stores that expose
-    # no column batches (in-memory, pickle, virtual graph relations) fall
-    # back to the row path at runtime.
     return ScanStep(
         relation=atom.predicate,
         negated=negated,
@@ -645,7 +639,6 @@ def _make_scan(
         time_bound=time_bound,
         time_arg=time_arg,
         probe=probe,
-        vectorized=allow_probe and loc_bound,
     )
 
 
@@ -897,7 +890,6 @@ def _semijoin_optimize(
                         post_filters=absorbed,
                         exists=True,
                         probe=step.probe,
-                        vectorized=step.vectorized,
                     )
                     del out[i + 1:j]
         i += 1

@@ -26,9 +26,6 @@ from repro.pql.ast import Aggregate, BinOp, Const, FuncCall, Param, Term, Var
 from repro.pql.codegen import compile_rule
 from repro.pql.index import MIN_INDEX_ROWS, RowIndex
 from repro.pql.plan import (
-    ANY,
-    BIND,
-    CHECK_TERM,
     CHECK_VAR,
     CompareStep,
     CompiledRule,
@@ -215,6 +212,10 @@ class TupleStore:
         parts = self._data.get(relation)
         return parts.get(vertex) if parts else None
 
+    def partitions(self, relation: str) -> Dict[Any, _Partition]:
+        """``vertex -> partition`` of one relation (read-only view)."""
+        return self._data.get(relation) or {}
+
     def _ensure(self, relation: str, vertex: Any) -> _Partition:
         parts = self._data.setdefault(relation, {})
         part = parts.get(vertex)
@@ -292,8 +293,8 @@ class Database:
         self.index_probes = 0
         self.index_scans = 0
         # When a VectorContext (repro.pql.vectorized) is attached, the
-        # evaluator routes eligible non-aggregate rules through its batch
-        # kernels; None keeps the row-at-a-time path exclusively.
+        # evaluator runs every located rule that has a layer program once
+        # over all sites; None keeps the per-site row functions exclusively.
         self.vector_ctx: Optional[Any] = None
 
     # -- reads (override) -------------------------------------------------
@@ -366,108 +367,6 @@ class Database:
         return self.derived.set_group(relation, vertex, key, row)
 
 
-# ---------------------------------------------------------------------------
-# single-step primitives (only the vectorized per-row fallback uses them)
-# ---------------------------------------------------------------------------
-def _candidate_rows(step: ScanStep, env: Env, db: Database,
-                    functions: FunctionRegistry,
-                    checks: Dict[int, Any]) -> Iterable[Row]:
-    """``db.candidates`` for a scan step under ``env`` (``checks`` already
-    holds the pre-evaluated CHECK_TERM values, and every CHECK_VAR position
-    in the probe pattern is bound in ``env`` by plan construction).
-
-    The backend behind ``db`` may be an in-memory store (RowIndex maps)
-    or a sealed columnar view, where the probe decodes only the key and
-    pattern columns of mmap'd slabs; `_match` still validates every row,
-    so both produce identical results.
-    """
-    arg_ops = step.arg_ops
-    op, payload = arg_ops[0]
-    if op == CHECK_VAR:
-        loc = env[payload]
-    elif op == CHECK_TERM:
-        loc = eval_term(payload, env, functions)
-    else:  # BIND / ANY: unlocated scan (setup / oracle mode only)
-        return db.all_rows(step.relation)
-
-    def known(pos: int) -> Any:
-        return checks[pos] if pos in checks else env[arg_ops[pos][1]]
-
-    timed = step.time_bound and step.time_arg is not None
-    return db.candidates(
-        step.relation, loc, known(step.time_arg) if timed else None,
-        step.probe, tuple([known(pos) for pos in step.probe]),
-    )
-
-
-def _match(step: ScanStep, row: Row, env: Env,
-           checks: Dict[int, Any]) -> Optional[Env]:
-    """Match a row against a scan's arg ops; return the extended env."""
-    arg_ops = step.arg_ops
-    if len(row) != len(arg_ops):
-        return None
-    local: Optional[Env] = None
-    for pos, (op, payload) in enumerate(arg_ops):
-        if op == ANY:
-            continue
-        value = row[pos]
-        if op == BIND:
-            if local is None:
-                local = {}
-            existing = local.get(payload, _MISSING)
-            if existing is _MISSING:
-                local[payload] = value
-            elif existing != value:
-                return None
-        elif op == CHECK_VAR:
-            expected = (
-                local[payload]
-                if local is not None and payload in local
-                else env.get(payload, _MISSING)
-            )
-            if expected is _MISSING or expected != value:
-                return None
-        # CHECK_TERM handled via precomputed `checks`
-    for pos, expected in checks.items():
-        if row[pos] != expected:
-            return None
-    if local:
-        merged = dict(env)
-        merged.update(local)
-        return merged
-    return env
-
-
-_MISSING = object()
-
-
-def _term_checks(step: ScanStep, env: Env,
-                 functions: FunctionRegistry) -> Dict[int, Any]:
-    """Pre-evaluate CHECK_TERM positions once per scan invocation."""
-    checks: Dict[int, Any] = {}
-    for pos, (op, payload) in enumerate(step.arg_ops):
-        if op == CHECK_TERM:
-            checks[pos] = eval_term(payload, env, functions)
-    return checks
-
-
-def _passes(filters: Sequence[Any], env: Env,
-            functions: FunctionRegistry) -> bool:
-    """Evaluate absorbed post-filter steps against a row's bindings."""
-    for step in filters:
-        if isinstance(step, CompareStep):
-            left = eval_term(step.left, env, functions)
-            right = eval_term(step.right, env, functions)
-            if not _compare(step.op, left, right):
-                return False
-        else:  # CallStep
-            fn = functions.get(step.func)
-            args = [eval_term(a, env, functions) for a in step.args]
-            if bool(fn(*args)) == step.negated:
-                return False
-    return True
-
-
 def _select_plan(crule: CompiledRule, mode: str) -> RulePlan:
     if mode == MODE_ANCHORED and crule.anchored_plan is not None:
         return crule.anchored_plan
@@ -493,43 +392,55 @@ def evaluate_rule(
     mode: str,
     db: Database,
     functions: FunctionRegistry,
-    site: Any = None,
+    sites: Sequence[Any],
     anchor_time: Optional[int] = None,
+    budget: Optional[Any] = None,
 ) -> int:
-    """Evaluate one rule at one site; returns the number of new facts."""
-    if mode != MODE_FREE and site is None:
-        raise PQLError("located evaluation requires a site")
+    """Evaluate one rule over ``sites``; returns the number of new facts.
+
+    With a vector context attached the rule runs once, as a layer program
+    over all sites as a column; every rule that has none — and every rule
+    without a context — runs its generated function once per site.
+    """
     if mode == MODE_ANCHORED and anchor_time is None and crule.time_var is not None:
         raise PQLError("anchored evaluation requires an anchor time")
-    ctx = db.vector_ctx
-    if crule.is_aggregate:
-        # Aggregate heads always stay on the row path; count the bypass so
-        # `rules_fallback` means "invocations the kernels did not run".
-        if ctx is not None and mode != MODE_FREE:
-            ctx.rules_fallback += 1
-        solutions = compiled_fn(crule, mode)(db, functions, site, anchor_time)
-        return _evaluate_aggregate(crule, solutions, db)
-    # Materialize before inserting: a recursive rule may scan the very
-    # relation it derives into (evaluation is snapshot-per-step; the
-    # enclosing fixpoint loop picks up the new facts next round).
+    head = crule.head_predicate
     try:
-        rows = None
+        site = sites  # until the per-site loop names one
+        ctx = db.vector_ctx
         if ctx is not None and mode != MODE_FREE:
-            # Batch kernels compute the same solution set as the generated
-            # function (dedup happens on insert); None means the plan could
-            # not vectorize and the row path below runs instead.
-            plan = _select_plan(crule, mode)
-            rows = ctx.evaluate(crule, plan, site, anchor_time, db, functions)
-        if rows is None:
-            rows = compiled_fn(crule, mode)(db, functions, site, anchor_time)
-    except PQLError:
+            # The layer program computes the same solution set as the
+            # generated function at every site (dedup happens on insert);
+            # None means the rule has no program (reason counted).
+            rows = ctx.evaluate(crule, mode, sites, anchor_time, db, functions)
+            if rows is not None:
+                return db.add_rows(head, rows) if rows else 0
+        fn = compiled_fn(crule, mode)
+        new = 0
+        for site in sites:
+            if site is None and mode != MODE_FREE:
+                raise PQLError("located evaluation requires a site")
+            if budget is not None:
+                budget.tick()
+            # Materialize before inserting: a recursive rule may scan the
+            # very relation it derives into (evaluation is snapshot-per-
+            # step; the enclosing fixpoint loop picks up the new facts
+            # next round).
+            rows = fn(db, functions, site, anchor_time)
+            if crule.is_aggregate:
+                new += _evaluate_aggregate(crule, rows, db)
+            elif rows:
+                new += db.add_rows(head, rows)
+        return new
+    except (PQLError, MemoryError):  # budgets pass through by name
         raise
     except Exception as exc:
+        where = (f"over {len(sites)} sites" if site is sites
+                 else f"at site {site!r}")
         raise PQLError(
-            f"error evaluating rule at site {site!r}: {crule.rule} "
+            f"error evaluating rule {where}: {crule.rule} "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-    return db.add_rows(crule.head_predicate, rows) if rows else 0
 
 
 def _evaluate_aggregate(
@@ -600,6 +511,7 @@ PreparedStrata = List[Tuple[List[CompiledRule], bool]]
 
 def prepare_strata(
     strata: Sequence[Sequence[CompiledRule]],
+    anchored: bool = False,
 ) -> PreparedStrata:
     """Precompute, per stratum, whether fixpoint iteration is needed.
 
@@ -613,17 +525,36 @@ def prepare_strata(
     Only genuinely recursive strata (a dependency cycle, e.g. transitive
     closure) keep the fixpoint loop. Callers that drive evaluation per
     vertex per superstep (the online runtime) prepare once and reuse.
+
+    ``anchored`` prepares for anchored evaluation only (the layered
+    driver): there every fact a rule derives carries the anchor superstep,
+    so a scan that reads the relation one or more supersteps away
+    (``back_trace(Y, J), J = I + 1``) cannot see anything derived at this
+    anchor and is no dependency within it — Lemma 5.3's one pass per layer,
+    applied inside the layer.
     """
     prepared: PreparedStrata = []
     for stratum in strata:
         if not stratum:
             continue
         heads = {crule.head_predicate for crule in stratum}
+        # head -> the position where *every* rule deriving it writes the
+        # anchor superstep (absent: some rule does not)
+        stamped: Dict[str, int] = {}
+        if anchored:
+            for head in heads:
+                positions = {
+                    c.head_time_index if c.time_var is not None else None
+                    for c in stratum if c.head_predicate == head
+                }
+                if len(positions) == 1 and None not in positions:
+                    stamped[head] = positions.pop()
         # predicate-level dependency edges within the stratum
         deps: Dict[str, Set[str]] = {h: set() for h in heads}
         for crule in stratum:
             for rel in crule.body_relations:
-                if rel in heads:
+                if rel in heads and not (
+                        rel in stamped and _lagged(crule, rel, stamped[rel])):
                     deps[crule.head_predicate].add(rel)
         order = _topological(deps)
         if order is None:
@@ -635,6 +566,32 @@ def prepare_strata(
             )
             prepared.append((ordered, False))
     return prepared
+
+
+def _lagged(crule: CompiledRule, relation: str, position: int) -> bool:
+    """Does every scan of ``relation`` in ``crule``'s anchored plan check,
+    at ``position``, a variable bound to the anchor superstep plus or minus
+    a non-zero integer constant?"""
+    if crule.time_var is None or crule.anchored_plan is None:
+        return False
+    shifted: Set[str] = set()
+    scans: List[ScanStep] = []
+    for step in crule.anchored_plan.steps:
+        if isinstance(step, ScanStep) and step.relation == relation:
+            scans.append(step)
+        elif isinstance(step, CompareStep) and step.bind_var is not None:
+            expr = step.right if step.bind_from_left else step.left
+            if (isinstance(expr, BinOp) and expr.op in ("+", "-")
+                    and expr.left == Var(crule.time_var)
+                    and isinstance(expr.right, Const)
+                    and type(expr.right.value) is int and expr.right.value):
+                shifted.add(step.bind_var)
+    return bool(scans) and all(
+        position < len(scan.arg_ops)
+        and scan.arg_ops[position][0] == CHECK_VAR
+        and scan.arg_ops[position][1] in shifted
+        for scan in scans
+    )
 
 
 def _topological(deps: Dict[str, Set[str]]) -> Optional[List[str]]:
@@ -676,11 +633,11 @@ def run_prepared(
     ``is not None`` check per call.
 
     ``budget`` is an optional :class:`repro.pql.budget.QueryBudget`: its
-    ``tick`` runs once per evaluation site (cancellation + strided clock)
-    and each fixpoint round's new derivations are charged against the row
-    budget, so a bounded request raises ``BudgetExceededError`` from
-    inside the loop rather than discovering the overrun at the end. The
-    unbudgeted hot path keeps its original loop untouched.
+    ``tick`` runs once per row-function site and per kernel stride inside
+    a layer program (cancellation + strided clock), and each fixpoint
+    round's new derivations are charged against the row budget, so a
+    bounded request raises ``BudgetExceededError`` from inside the loop
+    rather than discovering the overrun at the end.
     """
     total = 0
     timing = stratum_seconds is not None
@@ -690,17 +647,9 @@ def run_prepared(
         while True:
             new = 0
             for crule in stratum:
-                if budget is None:
-                    for site in sites:
-                        new += evaluate_rule(
-                            crule, mode, db, functions, site, anchor_time
-                        )
-                else:
-                    for site in sites:
-                        budget.tick()
-                        new += evaluate_rule(
-                            crule, mode, db, functions, site, anchor_time
-                        )
+                new += evaluate_rule(
+                    crule, mode, db, functions, sites, anchor_time, budget
+                )
             total += new
             if budget is not None:
                 budget.add_rows(new)

@@ -23,6 +23,7 @@ from repro.pql.plan import (
     RulePlan,
     ScanStep,
 )
+from repro.pql.vectorized import layer_program
 
 
 def _describe_arg(op: str, payload: Any) -> str:
@@ -50,8 +51,6 @@ def _describe_step(step: Any, indent: str) -> List[str]:
         if step.probe:
             positions = ",".join(str(p) for p in step.probe)
             flags.append(f"hash-probe({positions})")
-        if step.vectorized:
-            flags.append("vectorized")
         suffix = f"  [{', '.join(flags)}]" if flags else ""
         lines = [f"{indent}scan {step.relation}({args}){suffix}"]
         for post in step.post_filters:
@@ -69,9 +68,10 @@ def _describe_step(step: Any, indent: str) -> List[str]:
     return [f"{indent}{step!r}"]
 
 
-def _describe_plan(plan: RulePlan, label: str, code: Any = None) -> List[str]:
+def _describe_plan(plan: RulePlan, label: str, evaluator: str,
+                   code: Any = None) -> List[str]:
     lines = [f"    {label} plan (prebound: "
-             f"{', '.join(plan.prebound) or 'none'}):"]
+             f"{', '.join(plan.prebound) or 'none'}){evaluator}:"]
     for step in plan.steps:
         lines.extend(_describe_step(step, "      "))
     if code is not None:  # the function the evaluator runs for this plan
@@ -104,7 +104,14 @@ def explain_rule(crule: CompiledRule, verbose: bool = False) -> str:
                  ("free", crule.free_plan, MODE_FREE)]
     for label, plan, mode in plans if verbose else plans[:1]:
         code = compiled_fn(crule, mode) if verbose else None
-        lines.extend(_describe_plan(plan, label, code))
+        # How a sealed columnar store evaluates the plan (in-memory stores
+        # and free-mode plans always run the row function).
+        evaluator = ""
+        if mode != MODE_FREE:
+            program = layer_program(crule, mode)
+            evaluator = (f" [row function: {program}]"
+                         if isinstance(program, str) else " [layer program]")
+        lines.extend(_describe_plan(plan, label, evaluator, code))
     return "\n".join(lines)
 
 
@@ -124,7 +131,9 @@ def explain(
     from a run's stats dict; when given, the report closes with the
     observed hash-index hit rate (a ``hash-probe`` annotation on a scan
     only says the plan *can* probe — unindexable partitions still fall
-    back to scans at runtime).
+    back to scans at runtime). When the same dict carries a sealed-store
+    run's evaluator counters, the report also says how many rule runs were
+    layer programs and why the rest went through the row function.
     """
     lines = [
         f"direction: {compiled.direction}",
@@ -188,4 +197,12 @@ def explain(
             f"observed index usage: {probes} hash probe(s),"
             f" {scans} scan(s) ({rate:.1%} probed)"
         )
+        if "rules_vectorized" in index_stats:
+            reasons = index_stats.get("fallback_reasons") or {}
+            why = ", ".join(f"{k}: {n}" for k, n in sorted(reasons.items()))
+            lines.append(
+                f"observed evaluator: {index_stats['rules_vectorized']} layer"
+                f" program run(s), {index_stats.get('rules_fallback', 0)}"
+                " row-function rule run(s)" + (f" ({why})" if why else "")
+            )
     return "\n".join(lines)

@@ -93,61 +93,6 @@ class RowIndex:
         return table.get(key, EMPTY_ROWS)
 
 
-class VectorIndex:
-    """A build/probe hash join table over typed column vectors.
-
-    Where :class:`RowIndex` projects keys out of materialized row tuples,
-    this builds straight from column slices — raw i64/f64 values or
-    dictionary *codes* for string lanes — so the build side never
-    materializes a row. The table maps each key to the row offsets (into
-    the batch the columns were sliced from) carrying it; the probe side
-    looks keys up per input row. Same candidate-narrowing contract as
-    every other index here: offsets are exact for the key columns, and
-    the caller re-checks anything the key does not cover.
-    """
-
-    __slots__ = ("table",)
-
-    #: Budget ticks fire every this many build rows, so row/time budgets
-    #: interrupt long builds mid-kernel rather than between rules.
-    TICK_STRIDE = 1024
-
-    def __init__(self, columns: List[Any], count: int,
-                 budget: Any = None) -> None:
-        table: Dict[Any, List[int]] = {}
-        tick = budget.tick if budget is not None else None
-        if len(columns) == 1:
-            col = columns[0]
-            for i in range(count):
-                if tick is not None and i % self.TICK_STRIDE == 0:
-                    tick()
-                key = col[i]
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [i]
-                else:
-                    bucket.append(i)
-        else:
-            for i in range(count):
-                if tick is not None and i % self.TICK_STRIDE == 0:
-                    tick()
-                key = tuple(col[i] for col in columns)
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [i]
-                else:
-                    bucket.append(i)
-        self.table = table
-
-    def probe(self, key: Any) -> List[int]:
-        """Row offsets whose key projection equals ``key`` (empty list on
-        miss)."""
-        return self.table.get(key, _EMPTY_IDS)
-
-
-_EMPTY_IDS: List[int] = []
-
-
 class FactsIndex:
     """Relation-level indexes for the centralized semi-naive evaluator.
 

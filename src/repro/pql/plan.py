@@ -61,12 +61,6 @@ class ScanStep:
     # Non-empty => the evaluator may hash-probe the partition on these
     # positions instead of scanning it (see repro.pql.index).
     probe: Tuple[int, ...] = ()
-    # The vectorized evaluator may run this scan as a batch kernel over
-    # typed column vectors when the store exposes them (sealed columnar
-    # partitions). Set by the compiler for non-aggregate rules scanning
-    # stored relations; aggregate-head rules stay on the row path (their
-    # float accumulation is enumeration-order sensitive).
-    vectorized: bool = False
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         neg = "!" if self.negated else ""
@@ -143,9 +137,14 @@ class CompiledRule:
     compiled: Dict[str, Callable[..., Any]] = field(
         default_factory=dict, repr=False, compare=False
     )
+    # Binding mode -> layer program (repro.pql.vectorized), or the reason
+    # (a str) the plan has none. Same lifetime rules as ``compiled``.
+    layer_programs: Dict[str, Any] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __getstate__(self) -> Dict[str, Any]:
-        return {**self.__dict__, "compiled": {}}
+        return {**self.__dict__, "compiled": {}, "layer_programs": {}}
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"[{self.direction}{'/static' if self.is_static else ''}] {self.rule}"

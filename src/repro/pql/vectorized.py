@@ -1,71 +1,61 @@
-"""Vectorized (batch) evaluation of compiled PQL rule plans.
+"""Layer programs: one rule, one layer, one pass over column batches.
 
-The row-at-a-time core (:mod:`repro.pql.eval`) turns every stored fact
-back into a Python tuple, matches it field by field under an env dict,
-and copies that dict per binding — cheap per row, ruinous per million
-rows. This module evaluates the *same plans* as column batches instead:
+Section 5.1's layered evaluation visits the provenance graph a layer at a
+time, and a sealed store keeps a layer as one slab with one contiguous row
+array per relation. A *layer program* evaluates a rule plan against that
+shape directly: the rule's location variable starts as a **column** holding
+every evaluation site of the layer, each plan step transforms the whole
+column set at once, and the rule runs once per (rule, layer) instead of
+once per (rule, layer, vertex) — the superstep-as-a-join shape.
 
-* **Selection** runs on typed column vectors — ``memoryview('q')`` /
-  ``('d')`` casts over ARSC segments, u32 dictionary-code views for
-  string lanes — so a literal filter is a tight ``col[i] == v`` loop
-  with no tuple or env in sight. String equality is pushed down to
-  dictionary-code comparison: the literal is resolved to its code by a
-  bytewise dictionary scan (``ColumnarSlab.str_code``) and the string
-  dictionary itself is never decoded for the comparison.
-* **Hash joins** build :class:`repro.pql.index.VectorIndex` tables
-  straight from column slices — raw i64/f64 values or dict codes —
-  and probe them once per input row, replacing the row engine's
-  tuple-materializing nested loop for stored-relation joins.
-* **Late materialization**: only the columns bound by *surviving*
-  variables — those a later step or the rule head actually reads — are
-  ever gathered. A payload column no kernel asks for stays an undecoded
-  mmap'd segment (the big win on lineage queries whose message payloads
-  are pickle lanes).
-* **Semi-naive recursion** is preserved structurally: the fixpoint
-  drivers re-run rules until no new facts appear, and derived-relation
-  scans go through the same incremental probe machinery as the row
-  path, so each round's join against the recursive relation only folds
-  in that round's delta.
+* A **stored scan** reads one whole-layer
+  :class:`~repro.provenance.store.ColumnBatch` per slab it can match in.
+  Known scalar positions (the anchored time, literals) become one selection
+  pass over a typed column — string literals compare as dictionary codes,
+  the dictionary is never decoded for them. The location joins through the
+  slab's ``vertex -> (start, count)`` group table, so no location column is
+  ever decoded and membership in the table *is* the location check. Known
+  columnar positions (a remote location bound by an earlier atom's payload,
+  a time bound by ``evolution``) turn the scan into a hash join keyed on
+  (location, those positions).
+* A **derived scan** (``back_trace(Y, J)``, ``!change(Y, J)``) is one tight
+  probe loop over the derived overlay's partitions.
+* **Late materialization**: only the columns bound by variables a later
+  step or the head reads are gathered; everything else stays an undecoded
+  mmap'd segment.
 
-**Byte-identity is the contract.** Every kernel computes exactly the
-solution *set* the row path computes — selection compares with Python
-``==`` semantics (dict-code equality coincides with string equality
-within one slab's column), hash probes narrow candidates exactly like
-``RowIndex`` probes, and head rows are deduplicated by the same
-``Database.add`` set insert the row path uses, so multiplicity
-differences cannot surface. Aggregate-head rules never enter this
-module (their float accumulation is enumeration-order sensitive); they
-stay on the scan path unchanged.
+**Identity.** A program computes, for every site, exactly the solutions the
+generated row function (:mod:`repro.pql.codegen`) computes there: selection
+and joins compare with Python ``==``, rows stay in site-major order with
+each partition's matches in slab row order, and head rows are deduplicated
+by the same ``Database.add_rows`` insert. Moving the site loop inside only
+changes *when* a rule's rows are inserted (after all sites instead of after
+each), which a non-recursive stratum cannot observe and a recursive one
+absorbs in its fixpoint loop.
 
-A rule falls back to the row path — wholesale or per scan — when the
-plan shape or the store cannot vectorize: free-mode (unlocated) scans,
-stores without column batches (in-memory, pickle, legacy slabs), virtual
-graph relations, and derived relations. The fallback reuses
-:mod:`repro.pql.eval` helpers verbatim, so it cannot diverge.
+A rule runs as a layer program or — aggregate heads (float accumulation is
+enumeration-order sensitive), virtual ``edge`` / ``vertex`` scans, unlocated
+scans, unhashable (pickle-lane) join keys, head predicates that also have
+stored rows — wholesale through its row function at every site; the reason
+is counted in ``fallback_reasons``. There is no per-row fallback inside a
+program.
 
-``QueryBudget`` interaction: kernels tick the budget every
-:data:`VECTOR_TICK_STRIDE` processed rows (selection, gather, build and
-probe loops alike), so cancellation, wall-clock and row budgets fire
-*inside* a batch, not merely between rules.
+``QueryBudget``: every selection, build, probe, gather and head loop charges
+its row count up front and ticks the budget once per
+:data:`VECTOR_TICK_STRIDE` rows, so cancellation and deadlines fire inside
+a layer, between kernels.
 """
 
 from __future__ import annotations
 
+import operator
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
 from repro.pql.ast import BinOp, Const, FuncCall, Param, Term, Var
-from repro.pql.eval import (
-    _candidate_rows,
-    _compare,
-    _match,
-    _passes,
-    _term_checks,
-)
-from repro.pql.index import VectorIndex
+from repro.pql.eval import _compare, _select_plan
 from repro.pql.plan import (
-    ANY,
     BIND,
     CHECK_TERM,
     CHECK_VAR,
@@ -76,67 +66,116 @@ from repro.pql.plan import (
     ScanStep,
 )
 from repro.pql.udf import FunctionRegistry
+from repro.provenance.model import CORE_SCHEMAS, STATIC
 
 Row = Tuple[Any, ...]
 
-#: Batch kernels tick the query budget once per this many processed rows.
-#: Small enough that wall-clock and cancellation budgets interrupt a long
-#: selection or gather mid-kernel; large enough to amortize the call.
+#: Kernels tick the query budget once per this many processed rows.
 VECTOR_TICK_STRIDE = 256
+
+#: Hidden column carrying input-row indices through absorbed post-filters.
+_SRC = "\x00src"
 
 
 class _Unvectorizable(Exception):
-    """Internal: this plan cannot compile to a vector program (the rule
-    falls back to the row path wholesale)."""
+    """This rule has no layer program (here); it runs its row function at
+    every site instead. ``reason`` is the counted ``fallback_reasons`` key."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
-# term compilation
+# evaluation state and terms
 # ---------------------------------------------------------------------------
-def _compile_term(
-    term: Term, functions: FunctionRegistry, col_vars: Set[str],
-) -> Tuple[Callable[..., Any], bool]:
-    """Compile a term to ``fn(scalars, columns, i) -> value``.
+class _State:
+    """``scalars`` holds the per-run constants (the anchor time, scalar
+    binds); ``columns`` maps every other live variable to one of ``n``
+    equal-length sequences — the location variable from the start."""
 
-    Returns ``(fn, is_scalar)``; a scalar term depends on no columnar
-    variable and may be evaluated once per rule invocation instead of
-    once per row. Mirrors :func:`repro.pql.eval.eval_term`, including
-    its error behavior.
-    """
+    __slots__ = ("functions", "scalars", "columns", "n")
+
+    def __init__(self, functions: FunctionRegistry, scalars: Dict[str, Any],
+                 columns: Dict[str, Any], n: int) -> None:
+        self.functions, self.scalars = functions, scalars
+        self.columns, self.n = columns, n
+
+    def take(self, idx: List[int], keep: Set[str],
+             subset: bool = False) -> None:
+        """Gather rows ``idx`` of the columns in ``keep`` (the rest are
+        dead). ``subset``: ``idx`` is an ascending selection, so a full-
+        length one is the identity."""
+        if subset and len(idx) == self.n:
+            return
+        self.columns = {
+            name: list(map(col.__getitem__, idx))
+            for name, col in self.columns.items() if name in keep
+        }
+        self.n = len(idx)
+
+
+class _Term:
+    """A compiled term. A ``scalar`` term depends on no column and has a
+    ``value``; any other has a ``column`` computed in one pass over its
+    operand columns (``var`` names the column a plain variable reads).
+    Mirrors :func:`repro.pql.eval.eval_term`."""
+
+    __slots__ = ("fn", "scalar", "var")
+
+    def __init__(self, fn: Any, scalar: bool, var: Optional[str] = None) -> None:
+        self.fn, self.scalar, self.var = fn, scalar, var
+
+    def value(self, state: _State) -> Any:
+        return self.fn(state)
+
+    def column(self, state: _State) -> Any:
+        if self.scalar:
+            return [self.fn(state)] * state.n
+        return self.fn(state)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv}
+
+
+def _compile_term(term: Term, col_vars: Set[str]) -> _Term:
     if isinstance(term, Var):
         name = term.name
         if name in col_vars:
-            return (lambda s, c, i: c[name][i]), False
+            return _Term(lambda st: st.columns[name], False, name)
 
-        def load(s: Dict[str, Any], c: Any, i: int) -> Any:
+        def load(st: _State) -> Any:
             try:
-                return s[name]
+                return st.scalars[name]
             except KeyError:
-                raise PQLError(f"unbound variable {name}") from None
+                raise PQLError(
+                    f"internal: variable {name} unbound at evaluation"
+                ) from None
 
-        return load, True
+        return _Term(load, True)
     if isinstance(term, Const):
         value = term.value
-        return (lambda s, c, i: value), True
+        return _Term(lambda st: value, True)
     if isinstance(term, BinOp):
-        lf, ls = _compile_term(term.left, functions, col_vars)
-        rf, rs = _compile_term(term.right, functions, col_vars)
-        op = term.op
-        if op == "+":
-            return (lambda s, c, i: lf(s, c, i) + rf(s, c, i)), ls and rs
-        if op == "-":
-            return (lambda s, c, i: lf(s, c, i) - rf(s, c, i)), ls and rs
-        if op == "*":
-            return (lambda s, c, i: lf(s, c, i) * rf(s, c, i)), ls and rs
-        if op == "/":
-            return (lambda s, c, i: lf(s, c, i) / rf(s, c, i)), ls and rs
-        raise PQLError(f"unknown operator {op!r}")
+        if term.op not in _ARITHMETIC:
+            raise PQLError(f"unknown operator {term.op!r}")
+        op = _ARITHMETIC[term.op]
+        left, right = _compile_term(term.left, col_vars), _compile_term(
+            term.right, col_vars)
+        if left.scalar and right.scalar:
+            return _Term(lambda st: op(left.value(st), right.value(st)), True)
+        return _Term(
+            lambda st: list(map(op, left.column(st), right.column(st))), False)
     if isinstance(term, FuncCall):
-        parts = [_compile_term(a, functions, col_vars) for a in term.args]
-        arg_fns = [f for f, _ in parts]
-        scalar = all(s for _, s in parts)
-        fn = functions.get(term.name)
-        return (lambda s, c, i: fn(*[f(s, c, i) for f in arg_fns])), scalar
+        args, name = [_compile_term(a, col_vars) for a in term.args], term.name
+        # Looked up when reached, like the row function: an unknown
+        # function only errors on a branch that gets there.
+        if all(a.scalar for a in args):
+            return _Term(lambda st: st.functions.get(name)(
+                *[a.value(st) for a in args]), True)
+        return _Term(lambda st: list(map(
+            st.functions.get(name), *[a.column(st) for a in args])), False)
     if isinstance(term, Param):
         raise PQLSemanticError(f"unbound parameter ${term.name}")
     raise PQLError(f"cannot evaluate term {term!r}")
@@ -175,720 +214,435 @@ def _step_reads(step: Any) -> Set[str]:
     return names
 
 
-# ---------------------------------------------------------------------------
-# evaluation state
-# ---------------------------------------------------------------------------
-class _State:
-    """Evaluation state threaded through compiled ops.
-
-    ``scalars`` holds per-invocation constants (the anchored site/time
-    plus every scalar bind); ``columns`` maps columnar variables to
-    equal-length sequences; ``n`` is the batch length, or ``None`` while
-    the state is still purely scalar (semantically: one solution row).
-    """
-
-    __slots__ = ("scalars", "columns", "n")
-
-    def __init__(self, scalars: Dict[str, Any]) -> None:
-        self.scalars = scalars
-        self.columns: Dict[str, Any] = {}
-        self.n: Optional[int] = None
-
-    def compact(self, keep: List[int]) -> None:
-        if len(keep) == self.n:
-            return
-        self.columns = {
-            name: [col[i] for i in keep]
-            for name, col in self.columns.items()
-        }
-        self.n = len(keep)
+def _as_list(col: Any) -> Any:
+    """Typed views index slowly from Python; one C-level copy pays for any
+    loop over the column."""
+    return col.tolist() if isinstance(col, memoryview) else col
 
 
 # ---------------------------------------------------------------------------
-# non-scan ops
+# non-scan ops. ``run`` returns False when no solution can survive; ``keep``
+# names the variables still read after the op.
 # ---------------------------------------------------------------------------
 class _BindOp:
-    __slots__ = ("var", "fn", "scalar")
+    kind = "filter"
 
-    def __init__(self, var: str, fn: Any, scalar: bool) -> None:
-        self.var, self.fn, self.scalar = var, fn, scalar
+    def __init__(self, var: str, term: _Term) -> None:
+        self.var, self.term = var, term
 
-    def run(self, state: _State, ctx: "VectorContext") -> Optional[_State]:
-        if self.scalar:
-            state.scalars[self.var] = self.fn(state.scalars, None, 0)
-            return state
-        started = time.perf_counter()
-        fn, scalars, columns = self.fn, state.scalars, state.columns
-        tick = ctx.tick
-        out = []
-        for i in range(state.n or 0):
-            if i % VECTOR_TICK_STRIDE == 0:
-                tick(VECTOR_TICK_STRIDE)
-            out.append(fn(scalars, columns, i))
-        columns[self.var] = out
-        ctx.time_kernel("filter", started)
-        return state
+    def run(self, state: _State, ctx: "VectorContext") -> bool:
+        if self.term.scalar:
+            state.scalars[self.var] = self.term.value(state)
+        else:
+            ctx.tick(state.n)
+            state.columns[self.var] = self.term.column(state)
+        return True
 
 
 class _FilterOp:
-    __slots__ = ("op", "lf", "rf", "scalar")
+    kind = "filter"
 
-    def __init__(self, op: str, lf: Any, rf: Any, scalar: bool) -> None:
-        self.op, self.lf, self.rf, self.scalar = op, lf, rf, scalar
+    def __init__(self, op: str, left: _Term, right: _Term,
+                 keep: Set[str]) -> None:
+        self.op, self.left, self.right, self.keep = op, left, right, keep
 
-    def run(self, state: _State, ctx: "VectorContext") -> Optional[_State]:
-        scalars = state.scalars
-        if self.scalar:
-            ok = _compare(
-                self.op,
-                self.lf(scalars, None, 0),
-                self.rf(scalars, None, 0),
-            )
-            return state if ok else None
-        started = time.perf_counter()
-        lf, rf, op = self.lf, self.rf, self.op
-        columns = state.columns
-        tick = ctx.tick
-        keep = []
-        for i in range(state.n or 0):
-            if i % VECTOR_TICK_STRIDE == 0:
-                tick(VECTOR_TICK_STRIDE)
-            if _compare(op, lf(scalars, columns, i), rf(scalars, columns, i)):
-                keep.append(i)
-        state.compact(keep)
-        ctx.time_kernel("filter", started)
-        return state
+    def run(self, state: _State, ctx: "VectorContext") -> bool:
+        op, left, right = self.op, self.left, self.right
+        if left.scalar and right.scalar:
+            return _compare(op, left.value(state), right.value(state))
+        ctx.tick(state.n)
+        pairs = zip(left.column(state), right.column(state))
+        state.take([i for i, (a, b) in enumerate(pairs) if _compare(op, a, b)],
+                   self.keep, subset=True)
+        return True
 
 
 class _CallOp:
-    __slots__ = ("fn", "arg_fns", "scalar", "negated")
+    kind = "filter"
 
-    def __init__(self, fn: Any, arg_fns: List[Any], scalar: bool,
-                 negated: bool) -> None:
-        self.fn, self.arg_fns = fn, arg_fns
-        self.scalar, self.negated = scalar, negated
+    def __init__(self, func: str, args: List[_Term], negated: bool,
+                 keep: Set[str]) -> None:
+        self.func, self.args, self.negated, self.keep = func, args, negated, keep
 
-    def run(self, state: _State, ctx: "VectorContext") -> Optional[_State]:
-        scalars = state.scalars
-        fn, arg_fns, negated = self.fn, self.arg_fns, self.negated
-        if self.scalar:
-            ok = bool(fn(*[f(scalars, None, 0) for f in arg_fns]))
-            return state if ok != negated else None
-        started = time.perf_counter()
-        columns = state.columns
-        tick = ctx.tick
-        keep = []
-        for i in range(state.n or 0):
-            if i % VECTOR_TICK_STRIDE == 0:
-                tick(VECTOR_TICK_STRIDE)
-            ok = bool(fn(*[f(scalars, columns, i) for f in arg_fns]))
-            if ok != negated:
-                keep.append(i)
-        state.compact(keep)
-        ctx.time_kernel("filter", started)
-        return state
+    def run(self, state: _State, ctx: "VectorContext") -> bool:
+        fn, negated = state.functions.get(self.func), self.negated
+        if all(a.scalar for a in self.args):
+            return bool(fn(*[a.value(state) for a in self.args])) != negated
+        ctx.tick(state.n)
+        rows = zip(*[a.column(state) for a in self.args])
+        state.take([i for i, args in enumerate(rows)
+                    if bool(fn(*args)) != negated], self.keep, subset=True)
+        return True
+
+
+def _compile_test(step: Any, col_vars: Set[str], keep: Set[str]) -> Any:
+    if isinstance(step, CompareStep):
+        return _FilterOp(step.op, _compile_term(step.left, col_vars),
+                         _compile_term(step.right, col_vars), keep)
+    return _CallOp(step.func, [_compile_term(a, col_vars) for a in step.args],
+                   step.negated, keep)
 
 
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
 class _ScanOp:
-    """One relational scan, compiled against the scalar/columnar variable
-    split at its position in the plan.
+    """One relational scan against the scalar/columnar variable split at its
+    position in the plan. Whether the relation is stored or derived is the
+    database's to say, so that is decided per run; both matchers return the
+    matching input-row indices (ascending; once per match, or once per input
+    row when only existence matters) plus the bound columns aligned to
+    them."""
 
-    Three execution strategies, picked per invocation:
-
-    * **batch kernel** — input state still scalar and the store serves
-      column batches for the (scalar) location: selection over typed
-      vectors, dict-code pushdown, late-materialized gather;
-    * **hash join** — input state columnar but the location is scalar:
-      build a :class:`VectorIndex` from the batch's key columns (dict
-      codes for string lanes) and probe it per input row;
-    * **row fallback** — everything else (derived relations, virtual
-      graph relations, non-columnar stores): the row engine's own
-      candidate/match helpers per input row, byte-identical to it.
-    """
-
-    __slots__ = (
-        "step", "functions", "value_fns", "local_checks", "binds",
-        "binds_used", "semi", "point", "point_fns", "batchable", "hash_ok",
-        "hash_keys", "env_vars",
-    )
-
-    def __init__(self, step: ScanStep, functions: FunctionRegistry,
-                 col_vars: Set[str], columnar_state: bool,
-                 needed_after: Set[str]) -> None:
-        self.step = step
-        self.functions = functions
-        loc_op = step.arg_ops[0][0]
-        if loc_op not in (CHECK_VAR, CHECK_TERM):
-            # Unlocated scans only occur in free-mode plans, which the
-            # evaluator never routes here; bail out defensively.
-            raise _Unvectorizable("unlocated scan")
-        # Positions whose values are known before the scan runs, compiled
-        # against the *current* scalar/columnar split.
-        self.value_fns: Dict[int, Tuple[Any, bool]] = {}
+    def __init__(self, step: ScanStep, col_vars: Set[str],
+                 keep: Set[str]) -> None:
+        if step.arg_ops[0][0] not in (CHECK_VAR, CHECK_TERM):
+            raise _Unvectorizable("unlocated-scan")  # free-mode plans only
+        schema = CORE_SCHEMAS.get(step.relation)
+        if schema is not None and schema.kind == STATIC:
+            raise _Unvectorizable("static-relation")  # answered from the graph
+        self.step, self.keep = step, keep
+        self.arity = len(step.arg_ops)
+        # Positions whose values are known before the scan runs.
+        self.known: Dict[int, _Term] = {}
         self.local_checks: List[Tuple[int, int]] = []
         binds: List[Tuple[int, str]] = []
         first_bind: Dict[str, int] = {}
-        has_any = False
         for pos, (op, payload) in enumerate(step.arg_ops):
             if op == CHECK_TERM:
-                self.value_fns[pos] = _compile_term(
-                    payload, functions, col_vars
-                )
+                self.known[pos] = _compile_term(payload, col_vars)
+            elif op == CHECK_VAR and payload in first_bind:
+                # repeated variable within this atom: row-local check
+                self.local_checks.append((first_bind[payload], pos))
             elif op == CHECK_VAR:
-                if payload in first_bind:
-                    # repeated variable within this atom: row-local check
-                    self.local_checks.append((first_bind[payload], pos))
-                else:
-                    self.value_fns[pos] = _compile_term(
-                        Var(payload), functions, col_vars
-                    )
+                self.known[pos] = _compile_term(Var(payload), col_vars)
             elif op == BIND:
                 first_bind.setdefault(payload, pos)
                 binds.append((pos, payload))
-            else:
-                has_any = True
-        self.binds = binds
-        # Late materialization: gather only binds some later step or the
-        # head reads; the rest are never decoded.
-        self.binds_used = [
-            (pos, name) for pos, name in binds if name in needed_after
+        self.scalar_pos = [p for p, t in self.known.items() if p and t.scalar]
+        self.key_pos = [p for p, t in self.known.items() if p and not t.scalar]
+        self.kind = "join" if self.key_pos else "selection"
+        # Point scan: every position checked (so nothing bound or filtered)
+        # — a match is set membership.
+        self.point = len(self.known) == self.arity
+        # Absorbed post-filters (exists scans) run over every match with
+        # the binds they read; otherwise only binds read later are gathered
+        # and a scan with none of those just keeps or drops its input rows.
+        filter_reads: Set[str] = set()
+        for post in step.post_filters:
+            filter_reads |= _step_reads(post)
+        inner = col_vars | {name for _pos, name in binds}
+        self.filters = [
+            _compile_test(post, inner, filter_reads | {_SRC})
+            for post in step.post_filters
         ]
-        # Semi semantics: exists scans, anti-joins, and positive scans
-        # whose bindings all go unused keep the input's cardinality
-        # (multiplicity cannot matter — head rows dedup on insert).
-        self.semi = step.exists or step.negated or not self.binds_used
-        # Point-membership fast path for the row fallback: every position
-        # checked, nothing bound or wild — a candidate matches iff it
-        # equals the expected tuple, so membership in the partition's row
-        # set replaces the whole candidate/match machinery.
-        self.point = (
-            self.semi and not step.post_filters and not has_any and not binds
-        )
-        self.point_fns = (
-            [self.value_fns[pos][0] for pos in range(len(step.arg_ops))]
-            if self.point else []
-        )
-        loc_scalar = self.value_fns[0][1]
-        # The batch kernel drives from a scalar state; post-filters on a
-        # non-exists scan never occur but would need per-row envs.
-        self.batchable = (
-            not columnar_state and loc_scalar
-            and not (step.post_filters and not step.exists)
-        )
-        # Hash-join eligibility: columnar input, scalar location, at
-        # least one columnar-checked position to key on, and exactness
-        # of a probe hit (no local repeats, no absorbed filters).
-        self.hash_keys = [
-            pos for pos, (_fn, scalar) in sorted(self.value_fns.items())
-            if pos != 0 and not scalar
-        ]
-        self.hash_ok = (
-            columnar_state and loc_scalar and bool(self.hash_keys)
-            and not self.local_checks and not step.post_filters
-        )
-        # Columnar variables whose values per-row fallback envs carry.
-        self.env_vars = tuple(col_vars)
+        self.filter_reads = filter_reads
+        wanted = filter_reads if self.filters else keep
+        self.gather = [(pos, name) for pos, name in binds if name in wanted]
+        self.semi = step.exists or step.negated or not self.gather
+        self.first_only = self.semi and not self.filters
 
-    # -- shared selection over one batch --------------------------------
-    def _select(self, batch: Any, expected: Dict[int, Any], loc_index: int,
-                ctx: "VectorContext") -> Tuple[Optional[List[int]], bool]:
-        """Row offsets of ``batch`` passing every known-value check, as
-        ``(selection, empty)``: selection ``None`` means *all rows*."""
-        count = batch.count
-        tick = ctx.tick
+    def run(self, state: _State, ctx: "VectorContext") -> bool:
+        db = ctx.db
+        relation = self.step.relation
+        try:
+            if relation not in db.head_predicates:
+                src, binds = self._match_stored(state, ctx)
+            elif db.store.has_relation(relation):
+                raise _Unvectorizable("stored-head")  # overlay + store union
+            else:
+                src, binds = self._match_derived(state, ctx)
+        except TypeError:  # an unhashable value reached a hash key
+            raise _Unvectorizable("pickle-key") from None
+        ctx.batched_scans += 1
+        if self.filters and src:
+            columns = {
+                name: list(map(col.__getitem__, src))
+                for name, col in state.columns.items()
+                if name in self.filter_reads
+            }
+            columns.update(binds)
+            columns[_SRC] = src
+            inner = _State(state.functions, state.scalars, columns, len(src))
+            if all(f.run(inner, ctx) for f in self.filters):
+                src = list(dict.fromkeys(inner.columns[_SRC]))
+            else:
+                src = []
+        if self.step.negated:
+            hit = set(src)
+            src = [i for i in range(state.n) if i not in hit]
+        state.take(src, self.keep, subset=self.semi)
+        if not self.semi:
+            state.columns.update(binds)
+        return True
+
+    # -- stored relations: whole-layer column batches --------------------
+    def _match_stored(self, state: _State, ctx: "VectorContext",
+                      ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        step, known = self.step, self.known
+        times = None
+        time_term = known.get(step.time_arg) if step.time_arg else None
+        if time_term is not None:  # one layer slab per time value
+            times = ([time_term.value(state)] if time_term.scalar
+                     else list(dict.fromkeys(time_term.column(state))))
+        batches = ctx.db.column_batches(step.relation, times)
+        if batches is None:
+            raise _Unvectorizable("static-relation")
+        loc = known[0].column(state)
+        expected = {pos: known[pos].value(state) for pos in self.scalar_pos}
+        key_cols = [known[pos].column(state) for pos in self.key_pos]
+        parts: List[Tuple[List[int], Dict[str, List[Any]]]] = []
+        for batch in batches:
+            if batch.arity != self.arity:
+                continue  # rows of this arity can never match the atom
+            sel = self._select(batch, expected, ctx)
+            if sel is not None and not sel:
+                continue
+            if key_cols:
+                src, rows = self._hash_match(batch, sel, loc, key_cols, ctx)
+            else:
+                src, rows = self._span_match(batch.groups(), sel, loc, ctx)
+            if not src:
+                continue
+            ctx.batch_rows += len(src)
+            ctx.tick(len(src) * len(self.gather))
+            parts.append((src, {
+                name: list(map(_as_list(batch.values(pos)).__getitem__, rows))
+                for pos, name in self.gather
+            }))
+        if len(parts) == 1:
+            return parts[0]
+        # Several slabs matched: back to input-row order (stable, so one
+        # input row's matches stay in slab order).
+        src = [i for part, _binds in parts for i in part]
+        if self.first_only:
+            return sorted(set(src)), {}
+        order = sorted(range(len(src)), key=src.__getitem__)
+        return [src[k] for k in order], {
+            name: list(map(
+                [v for _src, binds in parts for v in binds[name]].__getitem__,
+                order))
+            for _pos, name in self.gather
+        }
+
+    def _select(self, batch: Any, expected: Dict[int, Any],
+                ctx: "VectorContext") -> Optional[List[int]]:
+        """Row ids of ``batch`` passing every known-scalar and row-local
+        check; ``None`` means *all rows*."""
         sel: Optional[List[int]] = None
         for pos, value in expected.items():
-            if pos == 0 and loc_index == 0:
-                continue  # partition selection already proved it
             if batch.lane(pos) == "str":
-                code = batch.code_of(pos, value)
-                if code is None:
-                    return None, True  # literal absent from dictionary
+                value = batch.code_of(pos, value)
+                if value is None:
+                    return []  # literal absent from this slab's dictionary
                 col: Any = batch.codes(pos)
-                value = code
             else:
                 col = batch.values(pos)
-            tick(count if sel is None else len(sel))
             if sel is None:
-                sel = [i for i in range(count) if col[i] == value]
+                ctx.tick(batch.count)
+                col = _as_list(col)
+                if col.count(value) != len(col):
+                    sel = [i for i, v in enumerate(col) if v == value]
             else:
+                ctx.tick(len(sel))
                 sel = [i for i in sel if col[i] == value]
-            if not sel:
-                return None, True
+            if sel is not None and not sel:
+                return sel
         for pos_a, pos_b in self.local_checks:
             ca, cb = batch.values(pos_a), batch.values(pos_b)
-            tick(count if sel is None else len(sel))
-            if sel is None:
-                sel = [i for i in range(count) if ca[i] == cb[i]]
-            else:
-                sel = [i for i in sel if ca[i] == cb[i]]
-            if not sel:
-                return None, True
-        return sel, False
-
-    def _scalar_expected(self, scalars: Dict[str, Any]) -> Dict[int, Any]:
-        return {
-            pos: fn(scalars, None, 0)
-            for pos, (fn, scalar) in self.value_fns.items()
-            if scalar
-        }
-
-    def _scalar_time(self, scalars: Dict[str, Any]) -> Optional[int]:
-        """The scan's time value when provably scalar — narrows the batch
-        fetch to one layer. ``None`` fetches all layers; the time column
-        check still filters, so this is purely a fast path."""
-        step = self.step
-        if step.time_bound and step.time_arg is not None:
-            entry = self.value_fns.get(step.time_arg)
-            if entry is not None and entry[1]:
-                return entry[0](scalars, None, 0)
-        return None
-
-    # -- batch kernel (scalar input state) -------------------------------
-    def _run_batch(self, state: _State, batches: List[Any],
-                   loc_index: int, ctx: "VectorContext") -> Optional[_State]:
-        step = self.step
-        scalars = state.scalars
-        expected = self._scalar_expected(scalars)
-        arity = len(step.arg_ops)
-        gathered: Dict[str, List[Any]] = {
-            name: [] for _pos, name in self.binds_used
-        }
-        single: Optional[Dict[str, Any]] = None
-        matched = False
-        started = time.perf_counter()
-        for batch in batches:
-            if batch.arity != arity:
-                continue  # rows of this arity can never match the atom
-            sel, empty = self._select(batch, expected, loc_index, ctx)
-            if empty:
-                continue
-            if step.negated:
-                ctx.time_kernel("selection", started)
-                return None  # anti-join witness exists
-            if step.exists and step.post_filters:
-                if self._exists_filtered(batch, sel, scalars, ctx):
-                    matched = True
-                    break
-                continue
-            matched = True
-            if self.semi:
-                break  # existence settled; no columns consumed
             ids = range(batch.count) if sel is None else sel
-            ctx.batch_rows += len(ids)
-            if len(batches) == 1 and sel is None:
-                # Whole-partition gather of a single batch: keep the
-                # typed column views themselves (zero-copy for i64/f64).
-                single = {
-                    name: batch.values(pos)
-                    for pos, name in self.binds_used
-                }
-            else:
-                for pos, name in self.binds_used:
-                    values = batch.values(pos)
-                    ctx.tick(len(ids))
-                    gathered[name].extend(values[i] for i in ids)
-        ctx.time_kernel("selection", started)
-        if step.negated:
-            return state  # no witness in any batch
-        if not matched:
-            return None
-        if self.semi:
-            return state
-        columns: Dict[str, Any] = single if single is not None else gathered
-        state.columns = columns
-        state.n = len(next(iter(columns.values())))
-        return state
+            ctx.tick(len(ids))
+            sel = [i for i in ids if ca[i] == cb[i]]
+        return sel
 
-    def _exists_filtered(self, batch: Any, sel: Optional[List[int]],
-                         scalars: Dict[str, Any],
-                         ctx: "VectorContext") -> bool:
-        """Exists scan with absorbed post-filters: first selected row
-        passing them settles the branch (same as the row path)."""
-        ids = range(batch.count) if sel is None else sel
-        values = {pos: batch.values(pos) for pos, _name in self.binds}
-        for i in ids:
-            ctx.tick(1)
-            env = dict(scalars)
-            for pos, name in self.binds:
-                env[name] = values[pos][i]
-            if _passes(self.step.post_filters, env, self.functions):
-                return True
-        return False
-
-    # -- hash join (columnar input state) --------------------------------
-    def _run_hashjoin(self, state: _State, batches: List[Any],
-                      loc_index: int,
-                      ctx: "VectorContext") -> Optional[_State]:
-        step = self.step
-        scalars = state.scalars
-        columns = state.columns
-        arity = len(step.arg_ops)
-        expected = self._scalar_expected(scalars)
-        hash_keys = self.hash_keys
-        started = time.perf_counter()
-        # Build one VectorIndex per batch over the key columns — dict
-        # codes for string lanes, raw values otherwise. Pickle-lane keys
-        # may be unhashable; those scans take the row fallback.
-        built: List[Tuple[Any, Optional[List[int]], Any, List[str]]] = []
-        for batch in batches:
-            if batch.arity != arity:
+    def _span_match(self, groups: Dict[Any, Tuple[int, int]],
+                    sel: Optional[List[int]], loc: Any, ctx: "VectorContext",
+                    ) -> Tuple[List[int], List[int]]:
+        """Location-only join: a vertex's matches are its contiguous row
+        range in the slab (minus what the selection dropped)."""
+        ctx.tick(len(loc))
+        if sel is None and self.first_only:
+            return [i for i, v in enumerate(loc) if v in groups], []
+        ok = None if sel is None else set(sel)
+        src: List[int] = []
+        rows: List[int] = []
+        get = groups.get
+        for i, v in enumerate(loc):
+            span = get(v)
+            if span is None:
                 continue
-            if any(batch.lane(pos) == "pkl" for pos in hash_keys):
-                ctx.time_kernel("join", started)
-                return self._run_rows(state, ctx)
-            sel, empty = self._select(batch, expected, loc_index, ctx)
-            if empty:
-                continue
-            key_cols: List[Any] = []
-            lanes: List[str] = []
-            for pos in hash_keys:
-                lane = batch.lane(pos)
-                col = batch.codes(pos) if lane == "str" \
-                    else batch.values(pos)
-                if sel is not None:
-                    col = [col[i] for i in sel]
-                key_cols.append(col)
-                lanes.append(lane)
-            count = batch.count if sel is None else len(sel)
-            ctx.tick(count)
-            index = VectorIndex(key_cols, count)
-            built.append((batch, sel, index, lanes))
-            ctx.batch_rows += count
-        key_fns = [self.value_fns[pos][0] for pos in hash_keys]
-        negated, semi = step.negated, self.semi
-        kept: List[int] = []
-        out_binds: Dict[str, List[Any]] = {
-            name: [] for _pos, name in self.binds_used
-        }
-        bind_cols: Dict[int, Dict[int, Any]] = {}
-        for i in range(state.n or 0):
-            ctx.tick(1)
-            probe_values = [fn(scalars, columns, i) for fn in key_fns]
-            hit = False
-            for b, (batch, sel, index, lanes) in enumerate(built):
-                parts: List[Any] = []
-                miss = False
-                for pos, lane, value in zip(hash_keys, lanes, probe_values):
-                    if lane == "str":
-                        code = batch.code_of(pos, value)
-                        if code is None:
-                            miss = True
-                            break
-                        parts.append(code)
-                    else:
-                        parts.append(value)
-                if miss:
-                    continue
-                key = parts[0] if len(parts) == 1 else tuple(parts)
-                try:
-                    ids = index.probe(key)
-                except TypeError:
-                    continue  # unhashable probe value matches nothing
-                if not ids:
-                    continue
-                hit = True
-                if semi:
-                    break
-                cols = bind_cols.get(b)
-                if cols is None:
-                    cols = bind_cols[b] = {
-                        pos: batch.values(pos)
-                        for pos, _name in self.binds_used
-                    }
-                for offset in ids:
-                    row_id = offset if sel is None else sel[offset]
-                    kept.append(i)
-                    for pos, name in self.binds_used:
-                        out_binds[name].append(cols[pos][row_id])
-            if semi and hit != negated:
-                kept.append(i)
-        if semi:
-            state.compact(kept)
-            ctx.time_kernel("join", started)
-            return state
-        state.columns = {
-            name: [col[i] for i in kept]
-            for name, col in state.columns.items()
-        }
-        state.columns.update(out_binds)
-        state.n = len(kept)
-        ctx.time_kernel("join", started)
-        return state if state.n else None
+            ids: Any = range(span[0], span[0] + span[1])
+            if ok is not None:
+                ids = [r for r in ids if r in ok]
+            if self.first_only:
+                ids = ids[:1]
+            rows.extend(ids)
+            src.extend([i] * len(ids))
+        return src, rows
 
-    # -- per-row fallback ------------------------------------------------
-    def _run_point(self, state: _State,
-                   ctx: "VectorContext") -> Optional[_State]:
-        """Membership fast path: every atom position is a check, so a
-        candidate matches iff it equals the expected tuple — partition
-        membership replaces the candidate/match machinery entirely."""
-        step = self.step
-        db = ctx.db
-        scalars = state.scalars
-        columns = state.columns
-        tick = ctx.tick
-        started = time.perf_counter()
-        fns = self.point_fns
-        negated = step.negated
-        relation = step.relation
-        timed = step.time_bound and step.time_arg is not None
-        time_arg = step.time_arg
-        rows_at = db.rows_at
-        rows_of = db.rows
-        # Head predicates absent from the backing store live only in the
-        # derived overlay; probing it directly skips the per-row store
-        # partition lookup. Derived partitions are unsliced, but the
-        # expected tuple carries the time attribute, so membership still
-        # enforces the time bound.
-        derived_rows = (
-            db.derived.rows if ctx.derived_only(relation) else None
-        )
-        kept: List[int] = []
-        kept_scalar = False
-        checked = 0
-        indices: Any = (None,) if state.n is None else range(state.n)
-        for i in indices:
-            tick(1)
-            idx = 0 if i is None else i
-            expected = tuple([fn(scalars, columns, idx) for fn in fns])
-            if derived_rows is not None:
-                part = derived_rows(relation, expected[0])
-            elif timed:
-                part = rows_at(relation, expected[0], expected[time_arg])
+    def _hash_match(self, batch: Any, sel: Optional[List[int]], loc: Any,
+                    key_cols: List[Any], ctx: "VectorContext",
+                    ) -> Tuple[List[int], List[int]]:
+        """Hash join keyed on (location, known columnar positions): build
+        over the slab's selected rows, probe once per input row."""
+        if any(batch.lane(pos) == "pkl" for pos in self.key_pos):
+            raise _Unvectorizable("pickle-key")
+        locs: List[Any] = [None] * batch.count
+        for vertex, (start, count) in batch.groups().items():
+            locs[start:start + count] = [vertex] * count
+        cols = [locs] + [_as_list(batch.values(pos)) for pos in self.key_pos]
+        ids: Any = range(batch.count)
+        if sel is not None:
+            ids, cols = sel, [list(map(col.__getitem__, sel)) for col in cols]
+        ctx.tick(len(ids) + len(loc))
+        table: Dict[Any, List[int]] = {}
+        for row, key in zip(ids, zip(*cols)):
+            bucket = table.get(key)
+            if bucket is None:
+                table[key] = [row]
             else:
-                part = rows_of(relation, expected[0])
-            checked += 1
+                bucket.append(row)
+        get, first_only = table.get, self.first_only
+        src: List[int] = []
+        rows: List[int] = []
+        for i, key in enumerate(zip(loc, *key_cols)):
             try:
-                hit = expected in part
-            except TypeError:  # unhashable check against a set partition
-                hit = any(row == expected for row in part)
-            if hit == negated:
+                bucket = get(key)
+            except TypeError:
+                continue  # an unhashable probe value equals no typed cell
+            if bucket is None:
                 continue
-            if i is None:
-                kept_scalar = True
+            if first_only:
+                src.append(i)
             else:
-                kept.append(i)
-        db.index_scans += checked
-        ctx.time_kernel("join", started)
-        if state.n is None:
-            return state if kept_scalar else None
-        state.compact(kept)
-        return state
+                src.extend([i] * len(bucket))
+                rows.extend(bucket)
+        return src, rows
 
-    def _run_rows(self, state: _State,
-                  ctx: "VectorContext") -> Optional[_State]:
-        """Join through the row engine's candidate/match helpers, one
-        input row at a time — byte-identical to the row path on one scan."""
+    # -- derived head relations: the overlay's partitions ----------------
+    def _match_derived(self, state: _State, ctx: "VectorContext",
+                       ) -> Tuple[List[int], Dict[str, List[Any]]]:
         step = self.step
-        functions = self.functions
-        db = ctx.db
-        scalars = state.scalars
-        tick = ctx.tick
-        started = time.perf_counter()
-        env_vars = self.env_vars
-        columns = state.columns
-        indices: Any = (None,) if state.n is None else range(state.n)
-        kept: List[int] = []
-        kept_scalar = False
-        out_ids: List[int] = []
-        out_binds: Dict[str, List[Any]] = {
-            name: [] for _pos, name in self.binds_used
-        }
-        bind_names = [name for _pos, name in self.binds_used]
-        for i in indices:
-            tick(1)
-            env = dict(scalars)
-            if i is not None:
-                for v in env_vars:
-                    env[v] = columns[v][i]
-            checks = _term_checks(step, env, functions)
-            if step.negated:
-                keep = True
-                for row in _candidate_rows(step, env, db, functions, checks):
-                    if _match(step, row, env, checks) is not None:
-                        keep = False
-                        break
-            elif self.semi:
-                keep = False
-                for row in _candidate_rows(step, env, db, functions, checks):
-                    extended = _match(step, row, env, checks)
-                    if extended is not None and _passes(
-                        step.post_filters, extended, functions
-                    ):
-                        keep = True
-                        break
-            else:
-                keep = False
-                for row in _candidate_rows(step, env, db, functions, checks):
-                    extended = _match(step, row, env, checks)
-                    if extended is None:
-                        continue
-                    keep = True
-                    if i is not None:
-                        out_ids.append(i)
-                    for name in bind_names:
-                        out_binds[name].append(extended[name])
-                if keep and i is None:
-                    kept_scalar = True
-                continue
-            if not keep:
-                continue
-            if i is None:
-                kept_scalar = True
-            else:
-                kept.append(i)
-        ctx.time_kernel("join", started)
-        if self.semi:
-            if state.n is None:
-                return state if kept_scalar else None
-            state.compact(kept)
-            return state
-        # Positive scan with used binds: per-match output columns.
-        if state.n is None:
-            if not kept_scalar:
-                return None
-            state.columns = out_binds
-            state.n = len(next(iter(out_binds.values())))
-            return state
-        state.columns = {
-            name: [col[i] for i in out_ids]
-            for name, col in state.columns.items()
-        }
-        state.columns.update(out_binds)
-        state.n = len(out_ids)
-        return state if state.n else None
-
-    def run(self, state: _State, ctx: "VectorContext") -> Optional[_State]:
-        step = self.step
-        if self.batchable or self.hash_ok:
-            loc = self.value_fns[0][0](state.scalars, None, 0)
-            batches = _column_batches(
-                ctx.db, step.relation, loc, self._scalar_time(state.scalars)
-            )
-            if batches is not None:
-                ctx.batched_scans += 1
-                ctx.used = True
-                loc_index = _location_index(ctx.db, step.relation)
-                if self.batchable:
-                    return self._run_batch(state, batches, loc_index, ctx)
-                return self._run_hashjoin(state, batches, loc_index, ctx)
-        ctx.fallback_scans += 1
+        parts = ctx.db.derived.partitions(step.relation)
+        ctx.tick(state.n)
+        positions = sorted(self.known)
+        cols = [self.known[pos].column(state) for pos in positions]
         if self.point:
-            return self._run_point(state, ctx)
-        return self._run_rows(state, ctx)
-
-
-def _column_batches(db: Any, relation: str, loc: Any,
-                    superstep: Optional[int]) -> Optional[List[Any]]:
-    getter = getattr(db, "column_batches", None)
-    if getter is None:
-        return None
-    return getter(relation, loc, superstep)
-
-
-def _location_index(db: Any, relation: str) -> int:
-    """Column position holding the partition key, or -1 when unknown
-    (the kernel then keeps the location check — a redundant check is
-    harmless, a wrongly skipped one is not)."""
-    getter = getattr(db, "location_index", None)
-    if getter is None:
-        return -1
-    return getter(relation)
+            # a candidate matches iff it equals the expected tuple
+            hits = []
+            for i, row in enumerate(zip(*cols)):
+                part = parts.get(row[0])
+                if part is not None and row in part.rows:
+                    hits.append(i)
+            return hits, {}
+        checks = list(zip(positions[1:], cols[1:]))
+        pattern = tuple(positions[1:]) if ctx.db.index_enabled else ()
+        arity, local_checks, first_only = (
+            self.arity, self.local_checks, self.first_only)
+        src: List[int] = []
+        matched: List[Row] = []
+        for i, vertex in enumerate(cols[0]):
+            part = parts.get(vertex)
+            if part is None:
+                continue
+            cand = None
+            if pattern:
+                cand = part.probe(pattern, tuple([c[i] for _p, c in checks]))
+            if cand is None:  # aggregate logs keep replaced rows: use the set
+                cand = part.order if part.groups is None else part.rows
+            for row in cand:
+                if len(row) != arity:
+                    continue
+                if any(row[pos] != col[i] for pos, col in checks) or any(
+                        row[a] != row[b] for a, b in local_checks):
+                    continue
+                src.append(i)
+                matched.append(row)
+                if first_only:
+                    break
+        ctx.tick(len(matched))
+        return src, {
+            name: [row[pos] for row in matched] for pos, name in self.gather
+        }
 
 
 # ---------------------------------------------------------------------------
 # the compiled program
 # ---------------------------------------------------------------------------
-class _Program:
-    """A rule plan compiled to batch ops. One program per plan object;
-    cached on the :class:`VectorContext` for the life of a run."""
+class LayerProgram:
+    """A rule plan compiled to column ops; immutable once built, memoized
+    on the rule (:func:`layer_program`)."""
 
-    __slots__ = ("ops", "head_fns", "head_scalar")
-
-    def __init__(self, plan: RulePlan, crule: CompiledRule,
-                 functions: FunctionRegistry) -> None:
-        col_vars: Set[str] = set()
-        columnar_state = False
-        # Variables still needed strictly *after* step k — feeds the late
-        # materialization decision (an unused bind is never gathered).
-        head_reads: Set[str] = set()
+    def __init__(self, crule: CompiledRule, plan: RulePlan) -> None:
+        if crule.is_aggregate:
+            raise _Unvectorizable("aggregate-head")
+        self.loc_var = crule.loc_var
+        self.time_var = (
+            crule.time_var if crule.time_var in plan.prebound else None
+        )
+        col_vars: Set[str] = {crule.loc_var}
+        # Variables still read strictly *after* step k — the late
+        # materialization decision (a bind nobody reads is never gathered).
+        acc: Set[str] = set()
         for arg in crule.head_args:
-            _term_vars(arg, head_reads)
+            _term_vars(arg, acc)
         needed_after: List[Set[str]] = []
-        acc = set(head_reads)
         for step in reversed(plan.steps):
             needed_after.insert(0, set(acc))
             acc |= _step_reads(step)
         self.ops: List[Any] = []
-        for k, step in enumerate(plan.steps):
+        for step, keep in zip(plan.steps, needed_after):
             op: Any
             if isinstance(step, ScanStep):
-                op = _ScanOp(step, functions, col_vars, columnar_state,
-                             needed_after[k])
-                if op.binds_used:
-                    columnar_state = True
-                    col_vars.update(name for _pos, name in op.binds_used)
-            elif isinstance(step, CompareStep):
-                if step.bind_var is not None:
-                    expr = step.right if step.bind_from_left else step.left
-                    fn, scalar = _compile_term(expr, functions, col_vars)
-                    op = _BindOp(step.bind_var, fn, scalar)
-                    if not scalar:
-                        columnar_state = True
-                        col_vars.add(step.bind_var)
-                else:
-                    lf, ls = _compile_term(step.left, functions, col_vars)
-                    rf, rs = _compile_term(step.right, functions, col_vars)
-                    op = _FilterOp(step.op, lf, rf, ls and rs)
-            elif isinstance(step, CallStep):
-                parts = [
-                    _compile_term(a, functions, col_vars) for a in step.args
-                ]
-                op = _CallOp(
-                    functions.get(step.func),
-                    [f for f, _ in parts],
-                    all(s for _, s in parts),
-                    step.negated,
-                )
-            else:  # pragma: no cover - plan construction guarantees types
-                raise _Unvectorizable(f"unknown step {step!r}")
+                op = _ScanOp(step, col_vars, keep)
+                if not op.semi:
+                    col_vars.update(name for _pos, name in op.gather)
+            elif isinstance(step, CompareStep) and step.bind_var is not None:
+                expr = step.right if step.bind_from_left else step.left
+                op = _BindOp(step.bind_var, _compile_term(expr, col_vars))
+                if not op.term.scalar:
+                    col_vars.add(step.bind_var)
+            else:
+                op = _compile_test(step, col_vars, keep)
             self.ops.append(op)
-        head_parts = [
-            _compile_term(arg, functions, col_vars)
-            for arg in crule.head_args
-        ]
-        self.head_fns = [f for f, _ in head_parts]
-        self.head_scalar = all(s for _, s in head_parts)
+        self.head = [_compile_term(arg, col_vars) for arg in crule.head_args]
 
-    def run(self, scalars: Dict[str, Any],
+    def run(self, sites: Sequence[Any], anchor_time: Optional[int],
             ctx: "VectorContext") -> List[Row]:
-        """All head rows of the rule's solutions. Duplicates are allowed —
-        the caller's set insert deduplicates, exactly like the row path —
-        which is also why a constant head over a non-empty batch may emit
-        a single row."""
-        state: Optional[_State] = _State(scalars)
+        """Head rows of the rule's solutions at every site, site-major.
+        Duplicates are allowed — the caller's set insert deduplicates,
+        exactly like the row path."""
+        # Naive evaluation lists a vertex once per superstep it ran in; a
+        # site's solutions do not depend on how often it is listed.
+        sites = list(dict.fromkeys(sites))
+        scalars = {} if self.time_var is None else {self.time_var: anchor_time}
+        state = _State(ctx.functions, scalars, {self.loc_var: sites}, len(sites))
         for op in self.ops:
-            state = op.run(state, ctx)
-            if state is None or state.n == 0:
+            if not state.n:
+                return []
+            started = time.perf_counter()
+            alive = op.run(state, ctx)
+            ctx.time_kernel(op.kind, started)
+            if not alive:
                 return []
         started = time.perf_counter()
-        fns = self.head_fns
-        scalars = state.scalars
-        if state.n is None or self.head_scalar:
-            rows = [tuple(f(scalars, None, 0) for f in fns)]
-        else:
-            columns = state.columns
-            tick = ctx.tick
-            rows = []
-            for i in range(state.n):
-                if i % VECTOR_TICK_STRIDE == 0:
-                    tick(VECTOR_TICK_STRIDE)
-                rows.append(tuple(f(scalars, columns, i) for f in fns))
+        ctx.tick(state.n)
+        rows = list(zip(*[term.column(state) for term in self.head]))
         ctx.time_kernel("head", started)
         return rows
+
+
+def layer_program(crule: CompiledRule, mode: str) -> Any:
+    """The layer program for ``crule`` under ``mode``, or the reason (a
+    str) its plan has none; memoized on the rule beside the row function."""
+    program = crule.layer_programs.get(mode)
+    if program is None:
+        try:
+            program = LayerProgram(crule, _select_plan(crule, mode))
+        except _Unvectorizable as exc:
+            program = exc.reason
+        crule.layer_programs[mode] = program
+    return program
 
 
 # ---------------------------------------------------------------------------
@@ -898,49 +652,28 @@ class VectorContext:
     """Per-run vectorized evaluation state.
 
     The offline drivers attach one to the database (``db.vector_ctx``);
-    :func:`repro.pql.eval.evaluate_rule` routes every eligible
-    non-aggregate rule through it. Carries the compiled-program cache,
-    the query budget hook, and the kernel timing / usage counters the
-    drivers surface in result stats.
+    :func:`repro.pql.eval.evaluate_rule` hands it every located rule with
+    the layer's whole site list. Carries the query budget hook and the
+    kernel timing / usage counters the drivers surface in result stats.
     """
 
-    __slots__ = ("budget", "db", "kernel_seconds", "used", "batched_scans",
-                 "fallback_scans", "batch_rows", "rules_vectorized",
-                 "rules_fallback", "_programs", "_tick_accum",
-                 "_derived_only")
+    __slots__ = ("budget", "db", "functions", "kernel_seconds",
+                 "batched_scans", "fallback_scans", "batch_rows",
+                 "rules_vectorized", "rules_fallback", "fallback_reasons",
+                 "_tick_accum")
 
     def __init__(self, budget: Optional[Any] = None) -> None:
         self.budget = budget
         self.db: Any = None  # bound per evaluate() call
+        self.functions: Any = None
         self.kernel_seconds: Dict[str, float] = {}
-        self.used = False
         self.batched_scans = 0
         self.fallback_scans = 0
         self.batch_rows = 0
         self.rules_vectorized = 0
         self.rules_fallback = 0
-        self._programs: Dict[int, Any] = {}
+        self.fallback_reasons: Dict[str, int] = {}
         self._tick_accum = 0
-        self._derived_only: Dict[str, bool] = {}
-
-    def derived_only(self, relation: str) -> bool:
-        """True when ``relation``'s rows can only live in the derived
-        overlay — it is a head predicate of the running query and the
-        backing store has no partitions for it. Point kernels then probe
-        the overlay directly, skipping the store lookup per row. Sound
-        because stores are read-only during offline evaluation."""
-        flag = self._derived_only.get(relation)
-        if flag is None:
-            db = self.db
-            heads = getattr(db, "head_predicates", None)
-            store = getattr(db, "store", None)
-            has = getattr(store, "has_relation", None)
-            flag = bool(
-                heads is not None and relation in heads
-                and has is not None and not has(relation)
-            )
-            self._derived_only[relation] = flag
-        return flag
 
     def tick(self, rows: int) -> None:
         """Charge ``rows`` processed kernel rows against the budget; the
@@ -962,31 +695,29 @@ class VectorContext:
     def evaluate(
         self,
         crule: CompiledRule,
-        plan: RulePlan,
-        site: Any,
+        mode: str,
+        sites: Sequence[Any],
         anchor_time: Optional[int],
         db: Any,
         functions: FunctionRegistry,
     ) -> Optional[List[Row]]:
-        """Head rows for one rule invocation, or ``None`` when the plan
-        cannot vectorize (the caller falls back to the row path)."""
-        key = id(plan)
-        program = self._programs.get(key)
-        if program is None:
+        """Head rows of one rule over all ``sites``, or ``None`` when the
+        rule has no layer program here (the caller runs the row function
+        per site; the reason is counted)."""
+        program = reason = layer_program(crule, mode)
+        if not isinstance(program, str):
+            self.db, self.functions = db, functions
             try:
-                program = _Program(plan, crule, functions)
-            except _Unvectorizable:
-                program = False
-            self._programs[key] = program
-        if program is False:
-            self.rules_fallback += 1
-            return None
-        self.rules_vectorized += 1
-        self.db = db
-        scalars = {crule.loc_var: site}
-        if crule.time_var in plan.prebound:
-            scalars[crule.time_var] = anchor_time
-        return program.run(scalars, self)
+                rows = program.run(sites, anchor_time, self)
+            except _Unvectorizable as exc:
+                reason = exc.reason
+            else:
+                self.rules_vectorized += 1
+                return rows
+        self.rules_fallback += 1
+        self.fallback_scans += len(sites)
+        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
+        return None
 
     def stats(self) -> Dict[str, Any]:
         """Counters for the drivers' result stats."""
@@ -999,4 +730,5 @@ class VectorContext:
             "batch_rows": self.batch_rows,
             "rules_vectorized": self.rules_vectorized,
             "rules_fallback": self.rules_fallback,
+            "fallback_reasons": dict(sorted(self.fallback_reasons.items())),
         }

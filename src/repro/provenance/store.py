@@ -373,7 +373,7 @@ class ProvenanceStore:
     serves_column_batches = False
 
     def column_batches(
-        self, relation: str, vertex: Any, superstep: Optional[int] = None,
+        self, relation: str, supersteps: Optional[Iterable[Any]] = None,
     ) -> None:
         return None
 
@@ -418,25 +418,25 @@ class ProvenanceStore:
 
 
 class ColumnBatch:
-    """One partition's rows in one slab as typed column vectors.
+    """One relation's rows in one slab as typed column vectors.
 
-    The unit the vectorized evaluator consumes: a contiguous ``(start,
-    count)`` row range of one relation inside one ARSC slab. Columns are
-    decoded lazily and independently — ``values``/``codes`` touch exactly
-    one column's segment, which is what makes late materialization real
-    (a column no kernel asks for is never decoded). ``note`` is the
-    owning view's budget check, invoked after every decode so
+    The unit the vectorized evaluator consumes: *all* rows of one relation
+    inside one ARSC slab — a whole layer (or the static slab) at once.
+    Columns are decoded lazily and independently — ``values``/``codes``
+    touch exactly one column's segment, which is what makes late
+    materialization real (a column no kernel asks for is never decoded).
+    ``groups`` maps each vertex to its contiguous ``(start, count)`` row
+    range, so a location join needs no location column at all. ``note``
+    is the owning view's budget check, invoked after every decode so
     out-of-core memory budgets fire mid-batch, not per query.
     """
 
-    __slots__ = ("_slab", "relation", "start", "count", "_lanes", "_note")
+    __slots__ = ("_slab", "relation", "count", "_lanes", "_note")
 
-    def __init__(self, slab: Any, relation: str, start: int, count: int,
-                 note: Any) -> None:
+    def __init__(self, slab: Any, relation: str, note: Any) -> None:
         self._slab = slab
         self.relation = relation
-        self.start = start
-        self.count = count
+        self.count = slab.row_count(relation)
         self._lanes = slab.lanes(relation)
         self._note = note
 
@@ -447,11 +447,17 @@ class ColumnBatch:
     def lane(self, pos: int) -> str:
         return self._lanes[pos]
 
+    def groups(self) -> Dict[Any, Tuple[int, int]]:
+        """``vertex -> (start, count)`` in row order — decodes only the
+        group-key segment."""
+        out = self._slab.groups(self.relation)
+        self._note()
+        return out
+
     def values(self, pos: int) -> Any:
-        """Decoded values of one column over this range (str lanes gather
-        through the memoized dictionary; fixed lanes are zero-copy)."""
-        out = self._slab.column_slice(self.relation, pos, self.start,
-                                      self.count)
+        """Decoded values of one column (str lanes gather through the
+        memoized dictionary; fixed lanes are zero-copy)."""
+        out = self._slab.column_slice(self.relation, pos, 0, self.count)
         self._note()
         return out
 
@@ -460,9 +466,7 @@ class ColumnBatch:
         every other lane) — the operand for pushed-down string equality."""
         if self._lanes[pos] != "str":
             return None
-        out = self._slab.vector(self.relation, pos)[
-            self.start:self.start + self.count
-        ]
+        out = self._slab.vector(self.relation, pos)
         self._note()
         return out
 
@@ -698,35 +702,27 @@ class SealedStoreView:
         return tuple(results)
 
     def column_batches(
-        self, relation: str, vertex: Any, superstep: Optional[int] = None,
+        self, relation: str, supersteps: Optional[Iterable[Any]] = None,
     ) -> List[ColumnBatch]:
-        """One partition as typed column batches, one per slab that holds
-        a row range for ``vertex`` — the vectorized evaluator's scan
-        source. Mirrors ``partition_at`` (``superstep`` given) /
-        ``partition`` (``superstep is None``) slab selection exactly, so
-        enumerating the batches' rows equals the row-path candidate set.
-        Only group keys are decoded here; columns decode on demand."""
+        """One relation as whole-slab column batches — the vectorized
+        evaluator's scan source. Slab selection mirrors ``partition_at``
+        (one layer slab per entry of ``supersteps``) / ``partition``
+        (``supersteps is None``: every layer) exactly, so enumerating the
+        batches' rows of a vertex equals the row-path candidate set.
+        Nothing is decoded here; columns and group keys decode on demand."""
         schema = self._schema(relation)
         if schema is None:
             return []
         if schema.time_index is None:
-            slabs: List[Any] = [self._static]
-        elif superstep is not None:
-            slab = self._slab(superstep)
-            slabs = [slab] if slab is not None else []
+            slabs: Iterable[Any] = [self._static]
+        elif supersteps is not None:
+            slabs = [self._slab(superstep) for superstep in supersteps]
         else:
-            slabs = list(self._layer_views())
-        batches: List[ColumnBatch] = []
-        for slab in slabs:
-            if not slab.has_relation(relation):
-                continue
-            span = slab.groups(relation).get(vertex)
-            if span is not None:
-                batches.append(
-                    ColumnBatch(slab, relation, span[0], span[1], self._note)
-                )
-        self._note()
-        return batches
+            slabs = self._layer_views()
+        return [
+            ColumnBatch(slab, relation, self._note) for slab in slabs
+            if slab is not None and slab.has_relation(relation)
+        ]
 
     def stats(self) -> Dict[str, Any]:
         """Planner statistics straight from slab footers: per relation the

@@ -102,26 +102,17 @@ class StoreDatabase(Database):
             yield from self.derived.all_rows(relation)
 
     def column_batches(
-        self, relation: str, vertex: Any, superstep: Any = None,
-    ) -> Optional[Iterable[Any]]:
-        """Typed column batches for a stored partition, or ``None`` to
-        make the vectorized evaluator fall back to row candidates.
-
-        ``None`` (never ``[]``) for anything a batch enumeration could
-        under-report: virtual graph relations, head predicates (their
-        derived overlay lives outside the store), and the in-memory
-        store, which keeps no typed columns."""
+        self, relation: str, supersteps: Optional[Iterable[Any]] = None,
+    ) -> Optional[List[Any]]:
+        """Whole-layer column batches of a stored relation (one per slab
+        in ``supersteps``; ``None``: every layer), or ``None`` when the
+        relation has no stored columns to batch: the virtual graph
+        relations, and everything in the in-memory store. Head predicates
+        are the caller's business — their derived overlay lives outside
+        the store."""
         if _StaticRelations.handles(relation):
             return None
-        if relation in self.head_predicates:
-            return None
-        return self.store.column_batches(relation, vertex, superstep)
-
-    def location_index(self, relation: str) -> int:
-        # Stored provenance relations carry the owning vertex at position
-        # 0 and partitions group by it, so batch kernels may skip the
-        # location check.
-        return 0
+        return self.store.column_batches(relation, supersteps)
 
     def probe(
         self, relation: str, vertex: Any, pattern: Tuple[int, ...], key: Row

@@ -41,6 +41,8 @@ from repro.pql.eval import (
     MODE_ANCHORED,
     MODE_FREE,
     MODE_LOCATED,
+    prepare_strata,
+    run_prepared,
     run_strata,
 )
 from repro.pql.parser import parse
@@ -56,10 +58,9 @@ def _attach_vector_ctx(
     db: StoreDatabase, store: ProvenanceStore, vectorize: bool,
     budget: Optional[QueryBudget] = None,
 ) -> Optional[VectorContext]:
-    """Enable batch-kernel evaluation when the store serves column
-    batches (sealed views); the in-memory store keeps the row path —
-    attaching a context there would only re-route scans through the
-    per-row fallback for no gain."""
+    """Enable layer-program evaluation when the store serves column
+    batches (sealed views); the in-memory store keeps no typed columns, so
+    it stays on the row functions."""
     if not vectorize or not store.serves_column_batches:
         return None
     ctx = VectorContext(budget=budget)
@@ -77,7 +78,7 @@ def _evaluator_stats(
         "vectorize": vectorize,
         "compiled_rules": compiled.compiled_rules,
         "evaluator": (
-            "vectorized" if ctx is not None and ctx.used
+            "vectorized" if ctx is not None and ctx.rules_vectorized
             else ("indexed" if use_index else "scan")
         ),
     }
@@ -162,6 +163,7 @@ def run_layered(
     if compiled.direction == DIRECTION_BACKWARD:
         order = range(num_layers - 1, -1, -1)
 
+    prepared = prepare_strata(compiled.strata, anchored=True)
     peak_layer_rows = 0
     layers_visited = 0
     for layer_index in order:
@@ -178,8 +180,8 @@ def run_layered(
             "query-eval", PHASE_QUERY, mode="layered", layer=layer_index,
             sites=len(sites),
         ):
-            derivations += run_strata(
-                compiled.strata, MODE_ANCHORED, db, functions,
+            derivations += run_prepared(
+                prepared, MODE_ANCHORED, db, functions,
                 sorted(sites, key=repr),
                 anchor_time=layer_index,
                 stratum_seconds=stratum_seconds,

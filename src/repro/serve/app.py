@@ -456,12 +456,13 @@ class ReproServer:
             pass
 
     #: Evaluator-choice stats surfaced per query response: which path ran
-    #: (``vectorized`` / ``indexed`` / ``scan``) and, when batch kernels
-    #: ran, their per-kernel timings and usage counters.
+    #: (``vectorized`` / ``indexed`` / ``scan``) and, when layer programs
+    #: ran, their per-kernel timings, usage counters and the counted
+    #: reasons rules went through the row function instead.
     _EVAL_STAT_KEYS = (
         "evaluator", "vectorize", "kernel_seconds", "batched_scans",
         "fallback_scans", "batch_rows", "rules_vectorized",
-        "rules_fallback",
+        "rules_fallback", "fallback_reasons",
     )
 
     async def _execute_query(self, entry: CatalogEntry, query_text: str,

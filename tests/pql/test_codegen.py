@@ -59,7 +59,7 @@ def derive(src, facts, mode=MODE_LOCATED, site=0, anchor_time=None,
     rules, funcs = rules_of(src, udfs, **params)
     db = DictDB(facts)
     for crule in rules:
-        evaluate_rule(crule, mode, db, funcs, site, anchor_time)
+        evaluate_rule(crule, mode, db, funcs, [site], anchor_time)
     return {
         rel: sorted(db.derived.all_rows(rel)) for rel in db.derived.relations()
     }
@@ -111,7 +111,7 @@ class TestLowering:
             compiled={},
         )
         db = DictDB({"superstep": [(0, 1), (3, 4), (3, 5)]})
-        assert evaluate_rule(crule, MODE_LOCATED, db, funcs, site=0) == 2
+        assert evaluate_rule(crule, MODE_LOCATED, db, funcs, [0]) == 2
         assert sorted(db.derived.all_rows("at")) == [(0, 4), (0, 5)]
 
     def test_row_of_wrong_arity_is_skipped(self):
@@ -153,7 +153,7 @@ class TestLowering:
             "superstep": [(0, 1), (0, 2), (0, 3)],
             "value": [(0, 5.0, 1), (0, 6.0, 1), (0, 0.5, 2), (0, 2.0, 3)],
         })
-        evaluate_rule(crule, MODE_LOCATED, db, funcs, site=0)
+        evaluate_rule(crule, MODE_LOCATED, db, funcs, [0])
         assert sorted(db.derived.all_rows("cnt")) == [(0, 2)]
 
     def test_exists_with_post_filter_from_planner(self):
@@ -208,7 +208,7 @@ class TestLowering:
         )
         db = DictDB({"value": [(7, 1.0, 1)]})
         with pytest.raises(PQLError) as err:
-            evaluate_rule(rules[0], MODE_LOCATED, db, funcs, site=7)
+            evaluate_rule(rules[0], MODE_LOCATED, db, funcs, [7])
         message = str(err.value)
         assert "site 7" in message and "boom(D)" in message
         assert "ValueError: bad payload" in message
@@ -250,7 +250,7 @@ class TestLowering:
                 db = DictDB(facts)
                 barrier.wait(timeout=10)
                 for mode in (MODE_LOCATED, MODE_ANCHORED, MODE_LOCATED):
-                    evaluate_rule(crule, mode, db, funcs, 0, 4)
+                    evaluate_rule(crule, mode, db, funcs, [0], 4)
                 results.append(sorted(db.derived.all_rows("j")))
             except Exception as exc:  # surfaced below
                 errors.append(exc)
@@ -299,7 +299,7 @@ class TestLowering:
         body = ", ".join(f"value(X, D{i}, I{i})" for i in range(120))
         rules, funcs = rules_of(f"deep(X) :- {body}.")
         with pytest.raises(PQLError, match="nests too deeply"):
-            evaluate_rule(rules[0], MODE_LOCATED, DictDB({}), funcs, site=0)
+            evaluate_rule(rules[0], MODE_LOCATED, DictDB({}), funcs, [0])
 
     def test_linecache_entry_lives_as_long_as_the_function(self):
         rules, _ = rules_of("s(X, I) :- superstep(X, I).")
@@ -372,7 +372,7 @@ class TestNoUserText:
             "superstep": [(0, 1), (0, 2)],
         })
         for crule in rules:
-            evaluate_rule(crule, MODE_LOCATED, db, funcs, site=0)
+            evaluate_rule(crule, MODE_LOCATED, db, funcs, [0])
         assert sorted(db.derived.all_rows("tag")) == [(0, text, 1)]
         assert sorted(db.derived.all_rows("tagged")) == [(0, 1)]
         assert sorted(db.derived.all_rows("other")) == [(0, 2)]

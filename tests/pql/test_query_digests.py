@@ -12,6 +12,12 @@ this file's ``compute_digests`` against the parent commit's ``src/``::
 
 so any drift in what the evaluator derives — in any mode, with hash probes
 on or off, serial or on two worker processes — fails here.
+
+``test_sealed_store_digests_match_parent_commit`` holds the sealed-store
+evaluators to the same pins: every offline capture is sealed to ARSC and
+re-queried layered and naive, with layer programs on and off and hash
+probes on and off, and each digest must equal the pin of the same query,
+mode and index switch.
 """
 
 import json
@@ -26,7 +32,14 @@ from repro.core.ariadne import Ariadne
 from repro.engine.config import EngineConfig
 from repro.graph.generators import movielens_like, web_graph, with_random_weights
 from repro.obs.ledger import digest_query_result
-from repro.runtime.offline import run_layered, run_naive, run_reference
+from repro.provenance.spill import SpillManager
+from repro.runtime.offline import (
+    run_layered,
+    run_layered_from_spill,
+    run_naive,
+    run_naive_from_spill,
+    run_reference,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_query_digests.json")
 
@@ -114,6 +127,47 @@ def test_digests_match_parent_commit():
     assert not drifted, f"result digests drifted from the seed: {drifted}"
     # every result is non-trivial somewhere: a digest of nothing pins nothing
     assert len(set(golden.values())) > len(QUERIES)
+
+
+def test_sealed_store_digests_match_parent_commit(tmp_path):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    workloads = _workloads()
+    sealed = {}
+    for name, (graph, make) in workloads.items():
+        directory = str(tmp_path / name)
+        Ariadne(graph, make()).capture(spill_directory=directory).spill.seal_all()
+        sealed[name] = SpillManager.open(directory)
+    graph, make = workloads["pagerank"]
+    directory = str(tmp_path / "custom")
+    Ariadne(graph, make()).capture(
+        Q.CAPTURE_BACKWARD_CUSTOM_QUERY,
+        spill_directory=directory).spill.seal_all()
+    sealed["custom"] = SpillManager.open(directory)
+    cases = [
+        (query, workload, params)
+        for query, (workload, params, _online, offline) in QUERIES.items()
+        if offline
+    ] + [("query12", "custom", LINEAGE)]
+    programs_ran = 0
+    drifted = {}
+    for query, workload, params in cases:
+        graph, make = workloads["pagerank" if workload == "custom" else workload]
+        text = Q.NAMED_QUERIES[query]
+        udfs = Q.apt_udfs(make())
+        for driver in (run_layered_from_spill, run_naive_from_spill):
+            for index in (True, False):
+                for vectorize in (True, False):
+                    result = driver(
+                        sealed[workload], text, graph, params, udfs,
+                        use_index=index, vectorize=vectorize,
+                    )
+                    programs_ran += result.stats.get("rules_vectorized", 0)
+                    pin = golden[f"{query}/{result.mode}/index={index}/serial"]
+                    if digest_query_result(result) != pin:
+                        drifted[(query, result.mode, index, vectorize)] = pin
+    assert not drifted, f"sealed-store digests drifted from the seed: {drifted}"
+    assert programs_ran > 0
 
 
 if __name__ == "__main__":

@@ -1,19 +1,22 @@
-"""Vectorized columnar evaluation: differential identity, footer-stat
-compatibility, dictionary caching, and budget interaction.
+"""Layer programs over sealed columnar stores: differential identity, which
+rules run as programs and why the rest do not, footer-stat compatibility,
+dictionary caching, and budget interaction.
 
-The contract under test: the batch-kernel evaluator is an *optimization*,
-never a semantics change — for every query it must produce byte-identical
-results to the indexed and scan row paths, and it must honor
-``QueryBudget`` bounds from *inside* batch kernels, not merely between
-rules.
+The contract under test: a layer program is an *optimization*, never a
+semantics change — for every query it must produce byte-identical results
+to the indexed and scan row functions, it runs once per (rule, layer)
+whatever the number of vertices, and it must honor ``QueryBudget`` and
+memory bounds from *inside* a layer, not merely between layers.
 """
 
 import os
 import pickle
+import traceback
 import zlib
 
 import pytest
 
+from repro.analytics.pagerank import PageRank
 from repro.analytics.sssp import SSSP
 from repro.core import queries as Q
 from repro.errors import BudgetExceededError
@@ -181,18 +184,21 @@ def test_string_equality_pushdown(tmp_path, wgraph):
     assert vec.stats["evaluator"] == "vectorized"
 
 
-def test_explain_shows_vectorized_steps(sealed_dir, lineage_params):
-    """Plans compiled against a sealed view flag batchable scans."""
-    spill = SpillManager.open(sealed_dir)
-    view = open_store_view(spill)
-    try:
-        program = parse(Q.NAMED_QUERIES["query9"]).bind(
-            alpha=0, sigma=lineage_params["sigma"])
-        compiled = compile_query(program, registry=view.registry,
-                                 stats=view.stats())
-        assert "vectorized" in explain(compiled, verbose=True)
-    finally:
-        view.close()
+def test_explain_names_each_rules_evaluator(lineage_params):
+    """EXPLAIN says, per rule, whether a sealed store runs it as a layer
+    program or through the row function — and why."""
+    program = parse(Q.NAMED_QUERIES["query9"]).bind(
+        alpha=0, sigma=lineage_params["sigma"])
+    report = explain(compile_query(program))
+    assert report.count("[layer program]") == 3
+    assert "row function" not in report
+
+    report = explain(compile_query(parse(Q.NAMED_QUERIES["query8"]).bind(eps=1)))
+    assert "[row function: aggregate-head]" in report
+    report = explain(compile_query(parse(
+        "out(X, Y, I) :- superstep(X, I), edge(X, Y).")), verbose=True)
+    assert "anchored plan (prebound: I, X) [row function: static-relation]" in report
+    assert "[layer program]" not in report
 
 
 # ---------------------------------------------------------------------------
@@ -373,3 +379,275 @@ class TestBudgetInteraction:
         with pytest.raises(BudgetExceededError, match="layer"):
             self._run(sealed_dir, wgraph, lineage_params,
                       QueryBudget(max_depth=1))
+
+
+# ---------------------------------------------------------------------------
+# layer programs: shapes, invocation counts, counted fallbacks, memoization
+# ---------------------------------------------------------------------------
+def _small_store(layers=3, vertices=6, payload=lambda v, s: float(v % 3)):
+    """A hand-built capture: every vertex active in every layer, each
+    sending its payload to the next two vertices."""
+    store = ProvenanceStore()
+    for s in range(layers):
+        for v in range(vertices):
+            store.add("superstep", (v, s))
+            store.add("value", (v, payload(v, s), s))
+            if s:
+                store.add("evolution", (v, s - 1, s))
+            for hop in (1, 2):
+                if s + 1 < layers:
+                    target = (v + hop) % vertices
+                    store.add("send_message", (v, target, payload(v, s), s))
+                    store.add("receive_message",
+                              (target, v, payload(v, s), s + 1))
+    return store
+
+
+def _sealed(store, tmp_path, name="store"):
+    directory = str(tmp_path / name)
+    _seal(store, directory)
+    return SpillManager.open(directory)
+
+
+SHAPES = {
+    # a stored scan at a remote location bound by an earlier atom
+    "remote": "heard(X, D, I) :- receive_message(X, Y, M, I), "
+              "value(Y, D, J), J = I - 1.",
+    # the time attribute bound from an earlier scan (columnar time)
+    "evolve": "prev(X, D, I) :- evolution(X, J, I), value(X, D, J).",
+    # anti-join against a derived relation at a remote location
+    "antiderived": "big(X, D, I) :- value(X, D, I), D >= 1.0."
+                   "calm(X, I) :- receive_message(X, Y, M, I), "
+                   "!big(Y, M, J), J = I - 1.",
+    # recursion that closes inside one layer, derived scan with a bind
+    "within": "lvl(X, N, I) :- superstep(X, I), N = 0."
+              "lvl(X, N, I) :- lvl(X, K, I), N = K + 1, N < 3.",
+    # repeated variable inside one atom, wildcard, exists + post-filter
+    "local": "echo(X, Y, I) :- receive_message(X, Y, _, I), "
+             "value(X, D, I), value(X, D2, J), evolution(X, J, I), D2 <= D.",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_plan_shapes_run_as_layer_programs(shape, tmp_path):
+    store = _small_store()
+    spill = _sealed(store, tmp_path)
+    src = SHAPES[shape]
+    reference = run_reference(store, src)
+    assert any(reference.rows(rel) for rel in reference.relations())
+    for driver in (run_layered_from_spill, run_naive_from_spill):
+        vec = driver(spill, src)
+        row = driver(spill, src, vectorize=False)
+        assert vec.stats["evaluator"] == "vectorized"
+        assert vec.stats["rules_fallback"] == 0 == vec.stats["fallback_scans"]
+        assert vec.stats["fallback_reasons"] == {}
+        for rel in reference.relations():
+            assert vec.rows(rel) == reference.rows(rel) == row.rows(rel), rel
+        assert vec.derivations == row.derivations
+
+
+def test_query10_runs_once_per_rule_and_layer_whatever_the_size(tmp_path):
+    """The invocation-count regression: program runs scale with rules x
+    layers, never with vertices (the per-site evaluator this replaces made
+    rules x layers x sites x fixpoint rounds of them)."""
+    counts = {}
+    for vertices in (40, 160):
+        graph = web_graph(vertices, avg_degree=4, target_diameter=5, seed=7)
+        store = run_online(graph, PageRank(num_supersteps=5),
+                           Q.CAPTURE_FULL_QUERY, capture=True).store
+        spill = _sealed(store, tmp_path, f"pr{vertices}")
+        params = {"alpha": 0, "sigma": store.max_superstep}
+        result = run_layered_from_spill(
+            spill, Q.NAMED_QUERIES["query10"], graph, params)
+        assert len(result.rows("back_trace")) > 1
+        assert result.stats["rules_fallback"] == 0
+        counts[vertices] = (store.num_layers,
+                            result.stats["rules_vectorized"])
+    assert counts[40] == counts[160]
+    layers, runs = counts[160]
+    assert runs == 3 * layers  # rules x layers: no confirming round either
+
+
+def test_fallback_reasons_are_counted(tmp_path, wgraph):
+    """Every rule run that is not a layer program names its reason; the
+    counts add up to ``rules_fallback`` and the rows do not change."""
+    def tuple_payload(v, s):
+        return (v % 2, s)  # a pickle-lane column
+
+    store = _small_store(payload=tuple_payload)
+    spill = _sealed(store, tmp_path)
+    layers = store.num_layers
+    cases = {
+        "aggregate-head": "cnt(X, count(I)) :- superstep(X, I).",
+        "static-relation": "out(X, Y, I) :- superstep(X, I), edge(X, Y).",
+        # a hash join keyed on a pickle-lane (possibly unhashable) column
+        "pickle-key": "same(X, Y, I) :- receive_message(X, Y, M, I), "
+                      "value(Y, M, J), J = I - 1.",
+        # the head predicate also has stored rows: overlay + store union
+        "stored-head": "superstep(X, I) :- value(X, D, I)."
+                       "seen(X, I) :- superstep(X, I).",
+    }
+    for reason, src in cases.items():
+        vec = run_layered_from_spill(spill, src, wgraph)
+        row = run_layered_from_spill(spill, src, wgraph, vectorize=False)
+        reasons = vec.stats["fallback_reasons"]
+        assert reasons.get(reason, 0) >= 1, (reason, reasons)
+        assert sum(reasons.values()) == vec.stats["rules_fallback"]
+        assert vec.stats["fallback_scans"] >= vec.stats["rules_fallback"]
+        assert "fallback_reasons" not in row.stats
+        for rel in row.relations():
+            assert vec.rows(rel) == row.rows(rel), (reason, rel)
+    # a rule that falls back still lets its stratum-mates run as programs
+    vec = run_layered_from_spill(
+        spill, cases["aggregate-head"] + SHAPES["evolve"], wgraph)
+    assert vec.stats["fallback_reasons"] == {"aggregate-head": layers}
+    assert vec.stats["rules_vectorized"] == layers
+
+
+def test_layer_programs_are_memoized_on_the_rule(sealed_dir, wgraph,
+                                                 lineage_params, monkeypatch):
+    """A compiled query reused across runs (the serve plan cache) builds
+    its programs once; pickling a rule drops them like the row functions."""
+    built = []
+    original = vec_mod.LayerProgram.__init__
+
+    def counting(self, crule, plan):
+        built.append(crule.index)
+        original(self, crule, plan)
+
+    monkeypatch.setattr(vec_mod.LayerProgram, "__init__", counting)
+    spill = SpillManager.open(sealed_dir)
+    view = open_store_view(spill)
+    try:
+        program = parse(Q.NAMED_QUERIES["query10"]).bind(**lineage_params)
+        compiled = compile_query(program, registry=view.registry)
+        first = run_layered(view, compiled, wgraph)
+        assert sorted(built) == [0, 1, 2]
+        second = run_layered(view, compiled, wgraph)
+        assert sorted(built) == [0, 1, 2]  # nothing rebuilt
+        assert (obsledger.digest_query_result(first)
+                == obsledger.digest_query_result(second))
+        crule = compiled.rules[0]
+        assert crule.layer_programs
+        assert pickle.loads(pickle.dumps(crule)).layer_programs == {}
+    finally:
+        view.close()
+
+
+# ---------------------------------------------------------------------------
+# budgets keep firing inside one layer (one layer, many rows)
+# ---------------------------------------------------------------------------
+def _one_layer_store(vertices=300, fanout=12):
+    store = ProvenanceStore()
+    for v in range(vertices):
+        store.add("superstep", (v, 0))
+        store.add("value", (v, float(v), 0))
+        for hop in range(1, fanout + 1):
+            store.add("receive_message",
+                      (v, (v + hop) % vertices, float(hop), 0))
+    return store
+
+
+ONE_LAYER_QUERY = (
+    "got(X, Y, I) :- receive_message(X, Y, M, I), value(X, D, I), M < D.")
+
+
+def _raised_inside_a_program(excinfo):
+    frames = traceback.extract_tb(excinfo.value.__traceback__)
+    return any(f.filename.endswith("vectorized.py") for f in frames)
+
+
+class _CancelOnTick(QueryBudget):
+    """Revokes itself on its ``n``-th tick — i.e. from inside whichever
+    kernel loop is running then, like a client disconnecting mid-query."""
+    __slots__ = ("countdown",)
+
+    def __init__(self, countdown, **kwargs):
+        super().__init__(**kwargs)
+        self.countdown = countdown
+
+    def tick(self):
+        self.countdown -= 1
+        if self.countdown == 0:
+            self.cancel()
+        super().tick()
+
+
+class _DeadlineOnTick(_CancelOnTick):
+    """Arms an already-expired deadline on its ``n``-th tick (a 0-second
+    timeout that starts once the layer program is running; armed up front
+    it would fire at the layer boundary, before any kernel)."""
+    __slots__ = ()
+
+    def cancel(self):
+        self._deadline = 0.0
+
+
+class TestBudgetsInsideOneLayer:
+    @pytest.fixture(scope="class")
+    def spill(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("onelayer"))
+        _seal(_one_layer_store(), directory)
+        return SpillManager.open(directory)
+
+    def _run(self, spill, budget=None, **kwargs):
+        view = open_store_view(spill, **kwargs)
+        try:
+            return run_layered(view, ONE_LAYER_QUERY, budget=budget)
+        finally:
+            view.close()
+
+    def test_the_store_is_one_layer_of_many_rows(self, spill):
+        result = self._run(spill)
+        assert result.supersteps == 1
+        assert result.stats["rules_vectorized"] == 1
+        assert result.stats["batch_rows"] > 3000
+
+    def test_cancellation_mid_program(self, spill):
+        budget = _CancelOnTick(3)
+        with pytest.raises(BudgetExceededError, match="cancelled") as err:
+            self._run(spill, budget)
+        assert budget.layers == 1 and _raised_inside_a_program(err)
+
+    def test_timeout_mid_program(self, spill, monkeypatch):
+        monkeypatch.setattr(budget_mod, "TICK_STRIDE", 1)
+        budget = _DeadlineOnTick(3, timeout_seconds=60)
+        with pytest.raises(BudgetExceededError, match="deadline") as err:
+            self._run(spill, budget)
+        assert budget.layers == 1 and _raised_inside_a_program(err)
+
+    def test_max_rows_overrun_within_the_layer(self, spill):
+        budget = QueryBudget(max_rows=100)
+        with pytest.raises(BudgetExceededError, match="rows"):
+            self._run(spill, budget)
+        assert budget.layers == 1 and budget.rows > 100
+
+    def test_memory_budget_raises_mid_layer(self, spill):
+        # enough for the layer's group keys (site discovery), not for the
+        # columns the program then decodes
+        view = open_store_view(spill)
+        view.layer_sites(0)
+        keys_only = view.peak_slab_decoded_bytes
+        view.close()
+        with pytest.raises(MemoryError, match="memory budget") as err:
+            self._run(spill, memory_budget_bytes=keys_only + 64)
+        assert _raised_inside_a_program(err)
+
+
+def test_whole_layer_batches_decode_no_more_than_partition_slices(
+        sealed_dir, wgraph, lineage_params):
+    """``peak_slab_bytes`` / ``decoded_bytes`` for Queries 9 and 10 are the
+    per-partition evaluator's (recorded at its last commit, f24e5f9, over
+    this fixture): a whole-layer batch decodes the same column segments the
+    partition slices did, and the location joins through group keys."""
+    spill = SpillManager.open(sealed_dir)
+    pinned = {
+        "query9": ({"alpha": 0, "sigma": lineage_params["sigma"]},
+                   3710, 24860),
+        "query10": (lineage_params, 3636, 25788),
+    }
+    for name, (params, peak, decoded) in pinned.items():
+        result = run_layered_from_spill(
+            spill, Q.NAMED_QUERIES[name], wgraph, params)
+        assert result.stats["peak_slab_bytes"] <= peak, name
+        assert result.stats["decoded_bytes"] <= decoded, name

@@ -256,6 +256,44 @@ class TestEvaluatorChoice:
         assert scan["stats"]["evaluator"] == "scan"
         assert scan["result"] == vec["result"]
 
+    def test_plan_cache_hit_reuses_layer_programs(self, server, catalog,
+                                                  sssp_store, monkeypatch):
+        """A plan-cache hit skips layer-program construction as well as
+        PQL compilation: programs live on the cached plan's rules."""
+        from repro.pql import vectorized
+
+        built = []
+        original = vectorized.LayerProgram.__init__
+
+        def counting(self, crule, plan):
+            built.append(crule.index)
+            original(self, crule, plan)
+
+        monkeypatch.setattr(vectorized.LayerProgram, "__init__", counting)
+        run_id = run_id_for(catalog, sssp_store)
+        body = {"query": "seen(X, I) :- superstep(X, I), value(X, D, I), "
+                         "D >= 0.0."}
+        status, first = server.request(
+            "POST", f"/runs/{run_id}/query", body=body)
+        assert status == 200 and first["plan_cache"] == "miss"
+        assert built == [0]
+        status, second = server.request(
+            "POST", f"/runs/{run_id}/query", body=body)
+        assert status == 200 and second["plan_cache"] == "hit"
+        assert built == [0]
+        assert second["stats"]["rules_vectorized"] > 0
+        assert second["result"] == first["result"]
+
+    def test_fallback_reasons_in_response_stats(self, server, catalog,
+                                                sssp_store):
+        run_id = run_id_for(catalog, sssp_store)
+        body = {"query": "cnt(X, count(I)) :- superstep(X, I)."}
+        status, doc = server.request(
+            "POST", f"/runs/{run_id}/query", body=body)
+        assert status == 200
+        reasons = doc["stats"]["fallback_reasons"]
+        assert reasons == {"aggregate-head": doc["stats"]["rules_fallback"]}
+
     def test_eval_latency_metric_labeled_by_evaluator(self, server, catalog,
                                                       sssp_store):
         run_id = run_id_for(catalog, sssp_store)
