@@ -126,7 +126,6 @@ def _engine_config(args: argparse.Namespace) -> "EngineConfig":
         backend=getattr(args, "backend", "serial"),
         partitioner=getattr(args, "partitioner", "hash"),
         transport=getattr(args, "transport", None) or "ring",
-        query_index=not getattr(args, "no_index", False),
         spill_async=not getattr(args, "spill_sync", False),
         spill_compression=getattr(args, "spill_compression", None) or "zlib",
     )
@@ -468,7 +467,7 @@ def cmd_capture(args: argparse.Namespace) -> int:
 
 def _print_stratum_timings(args: argparse.Namespace,
                            timings: Dict[int, float],
-                           index_stats: Optional[Dict[str, Any]] = None,
+                           run_stats: Optional[Dict[str, Any]] = None,
                            ) -> None:
     """With ``-v``, close the query output with the compilation report
     annotated with the observed per-stratum costs (EXPLAIN + timings)."""
@@ -484,7 +483,7 @@ def _print_stratum_timings(args: argparse.Namespace,
             program = program.bind(**params)
         funcs = FunctionRegistry({"udf_diff": lambda a, b, e: abs(a - b) < e})
         compiled = compile_query(program, functions=funcs)
-        print(explain(compiled, timings=timings, index_stats=index_stats))
+        print(explain(compiled, timings=timings, run_stats=run_stats))
     except ReproError:
         # compilation may need UDFs the CLI doesn't know; still show costs
         total = sum(timings.values()) or 1.0
@@ -499,7 +498,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     spill = SpillManager.open(args.store)
     graph = _load_graph(args) if (args.graph or args.dataset) else None
     params = _params(args.param)
-    use_index = not getattr(args, "no_index", False)
     vectorize = not getattr(args, "no_vectorize", False)
     query_text = _query_text(args)
     budget = getattr(args, "memory_budget", None)
@@ -507,7 +505,7 @@ def cmd_query(args: argparse.Namespace) -> int:
               else run_naive_from_spill)
     result = driver(
         spill, query_text, graph, params,
-        memory_budget_bytes=budget, use_index=use_index, vectorize=vectorize,
+        memory_budget_bytes=budget, vectorize=vectorize,
     )
     json_output = getattr(args, "json_output", False)
     if json_output:
@@ -548,7 +546,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if getattr(args, "verbosity", 0):
         timings = result.stats.get("stratum_seconds") or {}
         if timings:
-            _print_stratum_timings(args, timings, index_stats=result.stats)
+            _print_stratum_timings(args, timings, run_stats=result.stats)
     return 0
 
 
@@ -887,10 +885,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                         help="parallel-backend message transport: shared-"
                              "memory rings or multiprocessing queues "
                              "(results identical; default: ring)")
-    parser.add_argument("--no-index", action="store_true",
-                        help="disable hash-index probing during query "
-                             "evaluation (results are identical; use for "
-                             "A/B latency comparisons)")
     parser.add_argument("--no-vectorize", action="store_true",
                         help="disable the vectorized batch evaluator over "
                              "columnar stores and keep the row-at-a-time "

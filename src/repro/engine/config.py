@@ -64,10 +64,6 @@ class EngineConfig:
             pickled program. Programs that do not pickle (e.g. closures)
             transparently fall back to a fresh fork. Turn off to restore
             fork-per-run behavior.
-        query_index: let online query evaluation hash-probe partitions on
-            bound argument positions instead of scanning them (see
-            :mod:`repro.pql.index`). Results are byte-identical either
-            way; turn off (CLI ``--no-index``) only for A/B latency runs.
         spill_async: seal provenance layers through the spill manager's
             background writer thread (the paper's asynchronous HDFS
             offload) instead of blocking the capture path per slab. Slab
@@ -99,7 +95,6 @@ class EngineConfig:
     ring_capacity: int = 1 << 20
     transport_wait_seconds: float = 60.0
     warm_pool: bool = True
-    query_index: bool = True
     spill_async: bool = True
     spill_compression: str = "zlib"
     ledger_dir: Optional[str] = None

@@ -584,7 +584,6 @@ def _make_scan(
     loc_var: str,
     schema: Optional[RelationSchema],
     allow_scan_all: bool,
-    allow_probe: bool = True,
 ) -> Optional[ScanStep]:
     """Build a scan step if the atom is evaluable under ``bound``."""
     loc = atom.args[0]
@@ -616,29 +615,13 @@ def _make_scan(
     if time_arg is not None and time_arg < len(arg_ops):
         op, payload = arg_ops[time_arg]
         time_bound = op == CHECK_TERM or (op == CHECK_VAR and payload in bound)
-    remote = loc.name != loc_var
-    # Hash-probe pattern: positions whose value the evaluator can compute
-    # *before* iterating rows. CHECK_TERM is always evaluable there (its
-    # variables are in `bound` by construction); CHECK_VAR only when the
-    # variable comes from `bound` — a CHECK_VAR emitted for a repeated
-    # variable of this same atom (`seen`) is resolved per-row, not per-scan.
-    # Position 0 selects the partition and never joins the pattern.
-    probe: Tuple[int, ...] = ()
-    if allow_probe:
-        probe = tuple(
-            pos
-            for pos, (op, payload) in enumerate(arg_ops)
-            if pos > 0
-            and (op == CHECK_TERM or (op == CHECK_VAR and payload in bound))
-        )
     return ScanStep(
         relation=atom.predicate,
         negated=negated,
         arg_ops=tuple(arg_ops),
-        remote=remote,
+        remote=loc.name != loc_var,
         time_bound=time_bound,
         time_arg=time_arg,
-        probe=probe,
     )
 
 
@@ -648,24 +631,14 @@ def build_plan(
     prebound: Sequence[str],
     allow_scan_all: bool,
     loc_var: str,
-    stats: Optional[Dict[str, int]] = None,
 ) -> RulePlan:
     """Greedy join-order planning with binding propagation.
 
-    ``stats`` refines the scan order. Two shapes are accepted per
-    relation: a plain stored row count (e.g.
-    :meth:`~repro.provenance.store.ProvenanceStore.counts`) or the richer
-    ``{"rows": n, "distinct": {position: count}}`` a sealed columnar
-    store's footer records at seal time
-    (:meth:`~repro.provenance.store.SealedStoreView.stats`). Among
-    equally-bound candidates the planner prefers the longest
-    statically-probeable binding prefix, then — when distinct counts are
-    known — the probe whose key columns are most selective (highest
-    distinct count), then the smallest estimated cardinality. Ordering
-    only ever permutes join order, never membership, so results are
-    identical with or without stats. Without stats the ordering is
-    unchanged, so plans stay deterministic for callers that compile
-    without a store.
+    Among the positive scans evaluable next, the planner prefers one whose
+    time attribute is bound (it reads a single superstep's slice), then the
+    one with the most bound arguments, then the earliest in the body. The
+    order depends on the rule text alone, so every caller — with or
+    without a store — gets the same plan.
 
     Raises :class:`PQLSemanticError` if the rule cannot be ordered safely
     (an unbound variable in a negated atom, comparison or function call).
@@ -673,32 +646,10 @@ def build_plan(
     bound: Set[str] = set(prebound)
     remaining: List[Literal] = list(rule.body)
     steps: List[PlanStep] = []
-    # Aggregate accumulation (sum/avg over floats) is sensitive to row
-    # enumeration order; probes enumerate index buckets, scans enumerate
-    # sets. Keeping aggregate rule bodies on the scan path makes results
-    # byte-identical with indexing on or off.
-    allow_probe = not rule.head.has_aggregates()
 
     def scan_priority(step: ScanStep) -> Tuple[int, ...]:
         checks = sum(1 for op, _ in step.arg_ops if op != BIND and op != ANY)
-        if stats is None:
-            return (1 if step.time_bound else 0, checks, 0, 0)
-        entry = stats.get(step.relation, 0)
-        if isinstance(entry, dict):
-            rows = entry.get("rows", 0)
-            distinct_of = entry.get("distinct", {})
-            selectivity = max(
-                (distinct_of.get(pos, 0) for pos in step.probe), default=0,
-            )
-        else:
-            rows, selectivity = entry, 0
-        return (
-            1 if step.time_bound else 0,
-            checks,
-            len(step.probe),
-            selectivity,
-            -rows,
-        )
+        return (1 if step.time_bound else 0, checks)
 
     while remaining:
         placed: Optional[int] = None
@@ -721,7 +672,6 @@ def build_plan(
                     candidate = _make_scan(
                         lit.atom, True, bound, loc_var,
                         schema_of(lit.atom.predicate), allow_scan_all,
-                        allow_probe,
                     )
                     if candidate is not None:
                         step = candidate
@@ -765,7 +715,6 @@ def build_plan(
                 candidate = _make_scan(
                     lit.atom, False, bound, loc_var,
                     schema_of(lit.atom.predicate), allow_scan_all,
-                    allow_probe,
                 )
                 if candidate is None:
                     continue
@@ -784,7 +733,7 @@ def build_plan(
                 if isinstance(lit, AtomLiteral) and not lit.negated:
                     candidate = _make_scan(
                         lit.atom, False, bound, loc_var,
-                        schema_of(lit.atom.predicate), True, allow_probe,
+                        schema_of(lit.atom.predicate), True,
                     )
                     if candidate is not None:
                         step = candidate
@@ -889,7 +838,6 @@ def _semijoin_optimize(
                         time_arg=step.time_arg,
                         post_filters=absorbed,
                         exists=True,
-                        probe=step.probe,
                     )
                     del out[i + 1:j]
         i += 1
@@ -903,7 +851,6 @@ def compile_query(
     program: Program,
     registry: Optional[SchemaRegistry] = None,
     functions: Optional[FunctionRegistry] = None,
-    stats: Optional[Dict[str, int]] = None,
 ) -> CompiledQuery:
     """Compile a parsed PQL program against a relation registry.
 
@@ -911,10 +858,6 @@ def compile_query(
     schemas plus, for offline queries, whatever a capture run stored.
     ``functions`` is only consulted for *names* here (to resolve boolean
     calls); actual callables are looked up at evaluation time.
-    ``stats`` (relation -> row count, or the richer per-column shape
-    :func:`build_plan` documents) feeds the planner's cardinality and
-    selectivity heuristics; the offline drivers pass the captured store's
-    counts, or its footer-stamped column stats for sealed columnar views.
     """
     registry = registry or SchemaRegistry()
     functions = functions or FunctionRegistry()
@@ -1044,14 +987,12 @@ def compile_query(
 
         if is_static:
             anchored = located = None
-            free = build_plan(rule, schema_of, (), True, loc_var, stats)
+            free = build_plan(rule, schema_of, (), True, loc_var)
         else:
             prebound_anchor = [loc_var] + ([time_var] if time_var else [])
-            anchored = build_plan(
-                rule, schema_of, prebound_anchor, False, loc_var, stats
-            )
-            located = build_plan(rule, schema_of, [loc_var], False, loc_var, stats)
-            free = build_plan(rule, schema_of, (), True, loc_var, stats)
+            anchored = build_plan(rule, schema_of, prebound_anchor, False, loc_var)
+            located = build_plan(rule, schema_of, [loc_var], False, loc_var)
+            free = build_plan(rule, schema_of, (), True, loc_var)
 
         body_vars = sorted(
             {v.name for v in rule.variables() if v.name != ANONYMOUS}

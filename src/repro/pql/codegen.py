@@ -10,7 +10,7 @@ distinct witness.
 Generated source never contains user-controlled text (``repro serve``
 compiles PQL sent by HTTP clients): identifiers come from the generator's
 counters, operators from the tables below, and every constant, relation
-name, function name and probe pattern is read from the closed-over tuple
+name and function name is read from the closed-over tuple
 ``K``. The source is registered in ``linecache`` (tracebacks through a
 generated frame show its lines) for as long as the function is alive.
 """
@@ -150,12 +150,7 @@ class _Generator:
         else:
             timed = step.time_bound and step.time_arg is not None
             time = known[step.time_arg] if timed else "None"
-            pattern = key = "None"
-            if step.probe:
-                pattern = self.const(step.probe)
-                key = _tuple_of([known[pos] for pos in step.probe])
-            rows = (f"db.candidates({relation}, {known[0]}, {time}, "
-                    f"{pattern}, {key})")
+            rows = f"db.candidates({relation}, {known[0]}, {time})"
         # Candidates only narrow: every row is still matched in full.
         self.emit(depth, f"for {row} in {rows}:")
         self.emit(depth + 1, f"if {' or '.join(mismatch)}:")

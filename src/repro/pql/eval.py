@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 from repro.errors import PQLError, PQLSemanticError
 from repro.pql.ast import Aggregate, BinOp, Const, FuncCall, Param, Term, Var
 from repro.pql.codegen import compile_rule
-from repro.pql.index import MIN_INDEX_ROWS, RowIndex
 from repro.pql.plan import (
     CHECK_VAR,
     CompareStep,
@@ -102,7 +101,7 @@ def _compare(op: str, left: Any, right: Any) -> bool:
 class _Partition:
     """One relation's tuples at one vertex: a set plus insertion order."""
 
-    __slots__ = ("rows", "order", "groups", "by_time", "index", "windowed")
+    __slots__ = ("rows", "order", "groups", "by_time")
 
     def __init__(self) -> None:
         self.rows: Set[Row] = set()
@@ -111,9 +110,6 @@ class _Partition:
         self.groups: Optional[Dict[Row, Row]] = None
         # Optional superstep index (populated via add_timed).
         self.by_time: Optional[Dict[Any, List[Row]]] = None
-        # Lazily-built hash indexes over `order` (see repro.pql.index).
-        self.index: Optional[RowIndex] = None
-        self.windowed = False  # window pruning has dropped rows
 
     def add(self, row: Row) -> bool:
         if row in self.rows:
@@ -162,31 +158,7 @@ class _Partition:
                 removed += 1
         if removed:
             self.order = [row for row in self.order if row in self.rows]
-            # The index folds `order` incrementally and cannot unsee the
-            # dropped rows.
-            self.index = None
-            self.windowed = True
         return removed
-
-    def probe(
-        self, pattern: Tuple[int, ...], key: Row
-    ) -> Optional[Tuple[Row, ...]]:
-        """Hash-probe candidates, or ``None`` when unindexable.
-
-        Aggregate partitions are unindexable: ``set_group`` discards
-        replaced rows from ``rows`` but leaves them in ``order``, so an
-        index over the log would resurrect them. Neither are window-pruned
-        ones: the next prune would discard the index, and every scan of a
-        pruned relation is time-bound, so it falls back to a ``by_time`` slice.
-        """
-        if self.groups is not None or self.windowed:
-            return None
-        index = self.index
-        if index is None:
-            if len(self.order) < MIN_INDEX_ROWS:
-                return None  # cheaper to scan than to build
-            index = self.index = RowIndex()
-        return index.probe(self.order, pattern, key)
 
     def set_group(self, key: Row, row: Row) -> bool:
         if self.groups is None:
@@ -238,16 +210,6 @@ class TupleStore:
         part = self.partition(relation, vertex)
         return part.rows if part is not None else set()
 
-    def probe(
-        self, relation: str, vertex: Any, pattern: Tuple[int, ...], key: Row
-    ) -> Optional[Iterable[Row]]:
-        """Hash-probe one partition; ``()`` when absent, ``None`` when the
-        partition cannot be indexed (aggregate groups)."""
-        part = self.partition(relation, vertex)
-        if part is None:
-            return ()
-        return part.probe(pattern, key)
-
     def all_rows(self, relation: str) -> Iterator[Row]:
         parts = self._data.get(relation)
         if not parts:
@@ -278,20 +240,13 @@ class Database:
 
     Generated rule functions read located scans through ``candidates`` and
     unlocated ones through ``all_rows``; ``add`` / ``set_group`` write
-    derived facts. Backends implement ``rows`` (optionally ``rows_at`` and
-    ``probe``) and inherit ``candidates``, or answer it directly (online);
-    by default writes go to an internal :class:`TupleStore`.
+    derived facts. Backends implement ``rows`` (optionally ``rows_at``) and
+    inherit ``candidates``, or answer it directly (online); by default
+    writes go to an internal :class:`TupleStore`.
     """
 
     def __init__(self) -> None:
         self.derived = TupleStore()
-        # Hash-probe switch and counters (see repro.pql.index):
-        # `candidates` consults `probe` only when `index_enabled` is set and
-        # the scan step carries a binding pattern. The counters feed EXPLAIN
-        # and the query benchmarks.
-        self.index_enabled = True
-        self.index_probes = 0
-        self.index_scans = 0
         # When a VectorContext (repro.pql.vectorized) is attached, the
         # evaluator runs every located rule that has a layer program once
         # over all sites; None keeps the per-site row functions exclusively.
@@ -308,31 +263,12 @@ class Database:
     def all_rows(self, relation: str) -> Iterable[Row]:
         raise NotImplementedError
 
-    def probe(
-        self, relation: str, vertex: Any, pattern: Tuple[int, ...], key: Row
-    ) -> Optional[Iterable[Row]]:
-        """Candidate rows of the partition whose projection on ``pattern``
-        equals ``key``, or ``None`` to make the evaluator fall back to a
-        scan. A probe may return a *superset* of the matching rows (the
-        evaluator re-matches every candidate), never a subset."""
-        return None
-
-    def candidates(
-        self, relation: str, vertex: Any, time: Any,
-        pattern: Optional[Tuple[int, ...]], key: Optional[Row],
-    ) -> Iterable[Row]:
+    def candidates(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
         """The rows a scan of ``vertex``'s partition must match — the one
-        read a located scan step makes. ``pattern`` / ``key`` are the
-        step's binding pattern and its values (hash-probed when the backend
-        can), ``time`` the bound time attribute (``None``: not bound).
-        Candidates only narrow: the scan still matches every row in full,
-        so any superset of the matching rows is a correct answer."""
-        if pattern and self.index_enabled:
-            rows = self.probe(relation, vertex, pattern, key)
-            if rows is not None:
-                self.index_probes += 1
-                return rows
-        self.index_scans += 1
+        read a located scan step makes: the partition, or its slice of
+        superstep ``time`` when the time attribute is bound (``None``: not
+        bound). The scan matches every row in full, so any superset of the
+        matching rows is a correct answer."""
         if time is not None:
             return self.rows_at(relation, vertex, time)
         return self.rows(relation, vertex)

@@ -2,7 +2,7 @@
 
 Renders everything the compiler derived from a query as text: per-rule
 direction and stratum, the join plans with their binding modes, the
-semi-join and index annotations, which provenance relations will be
+semi-join and time-slice annotations, which provenance relations will be
 auto-captured online, the history windows, and the evaluation modes the
 query is eligible for. Exposed on the CLI as ``python -m repro explain``.
 """
@@ -48,9 +48,6 @@ def _describe_step(step: Any, indent: str) -> List[str]:
             flags.append("remote")
         if step.time_bound:
             flags.append("superstep-indexed")
-        if step.probe:
-            positions = ",".join(str(p) for p in step.probe)
-            flags.append(f"hash-probe({positions})")
         suffix = f"  [{', '.join(flags)}]" if flags else ""
         lines = [f"{indent}scan {step.relation}({args}){suffix}"]
         for post in step.post_filters:
@@ -119,7 +116,7 @@ def explain(
     compiled: CompiledQuery,
     verbose: bool = False,
     timings: "Optional[Dict[int, float]]" = None,
-    index_stats: "Optional[Dict[str, int]]" = None,
+    run_stats: "Optional[Dict[str, Any]]" = None,
 ) -> str:
     """Render a compiled query's full compilation report.
 
@@ -127,13 +124,9 @@ def explain(
     ``stratum_seconds`` collected by the offline runtimes when tracing is
     on); when given, the report closes with the measured cost of each
     stratum so plan structure and runtime cost read side by side.
-    ``index_stats`` carries the ``index_probes`` / ``index_scans`` counters
-    from a run's stats dict; when given, the report closes with the
-    observed hash-index hit rate (a ``hash-probe`` annotation on a scan
-    only says the plan *can* probe — unindexable partitions still fall
-    back to scans at runtime). When the same dict carries a sealed-store
-    run's evaluator counters, the report also says how many rule runs were
-    layer programs and why the rest went through the row function.
+    ``run_stats`` is a run's stats dict; when it carries a sealed-store
+    run's evaluator counters, the report closes with how many rule runs
+    were layer programs and why the rest went through the row function.
     """
     lines = [
         f"direction: {compiled.direction}",
@@ -188,21 +181,12 @@ def explain(
                 f"  stratum {stratum_no}: {seconds * 1000:.3f} ms"
                 f" ({share:.1%} of evaluation)"
             )
-    if index_stats is not None:
-        probes = index_stats.get("index_probes", 0)
-        scans = index_stats.get("index_scans", 0)
-        total_lookups = probes + scans
-        rate = probes / total_lookups if total_lookups else 0.0
+    if run_stats is not None and "rules_vectorized" in run_stats:
+        reasons = run_stats.get("fallback_reasons") or {}
+        why = ", ".join(f"{k}: {n}" for k, n in sorted(reasons.items()))
         lines.append(
-            f"observed index usage: {probes} hash probe(s),"
-            f" {scans} scan(s) ({rate:.1%} probed)"
+            f"observed evaluator: {run_stats['rules_vectorized']} layer"
+            f" program run(s), {run_stats.get('rules_fallback', 0)}"
+            " row-function rule run(s)" + (f" ({why})" if why else "")
         )
-        if "rules_vectorized" in index_stats:
-            reasons = index_stats.get("fallback_reasons") or {}
-            why = ", ".join(f"{k}: {n}" for k, n in sorted(reasons.items()))
-            lines.append(
-                f"observed evaluator: {index_stats['rules_vectorized']} layer"
-                f" program run(s), {index_stats.get('rules_fallback', 0)}"
-                " row-function rule run(s)" + (f" ({why})" if why else "")
-            )
     return "\n".join(lines)

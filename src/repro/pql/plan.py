@@ -51,16 +51,10 @@ class ScanStep:
     negated: bool
     arg_ops: Tuple[ArgOp, ...]
     remote: bool  # partition lives at a vertex other than the evaluating one
-    time_bound: bool  # the relation's time attribute is bound => use index
+    time_bound: bool  # the relation's time attribute is bound => read a slice
     time_arg: Optional[int]  # index of the time attribute, if any
     post_filters: Tuple["PlanStep", ...] = ()
     exists: bool = False
-    # Argument positions (excluding 0, the partition selector) whose values
-    # are provably known before the scan runs: CHECK_TERM positions and
-    # CHECK_VAR positions whose variable was bound by an *earlier* step.
-    # Non-empty => the evaluator may hash-probe the partition on these
-    # positions instead of scanning it (see repro.pql.index).
-    probe: Tuple[int, ...] = ()
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         neg = "!" if self.negated else ""

@@ -16,13 +16,6 @@ It serves two purposes:
 Supported: positive/negated atoms, comparisons (with `=` binding),
 boolean function calls, anonymous variables, non-recursive aggregates —
 the same fragment the main compiler accepts.
-
-Positive and negated atoms that read the full fact sets are hash-probed
-through a :class:`~repro.pql.index.FactsIndex` on whatever argument
-positions happen to be bound (constants plus already-bound variables).
-Probes only *narrow candidates* — :func:`_match_atom` still decides every
-row — so results are identical with indexing on or off; delta occurrences
-are never probed (deltas are small and rebuilt every iteration).
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from repro.pql.ast import (
     AtomLiteral,
     BoolCall,
     Comparison,
-    Const,
     FuncCall,
     Literal,
     Program,
@@ -47,7 +39,6 @@ from repro.pql.ast import (
     term_vars,
 )
 from repro.pql.eval import _compare, eval_term
-from repro.pql.index import FactsIndex
 from repro.pql.udf import FunctionRegistry
 
 Row = Tuple[Any, ...]
@@ -138,50 +129,13 @@ def _literal_ready(plit: _PreparedLiteral, env: Env) -> bool:
 
 
 class _EvalContext:
-    """Shared evaluation state: fact sets, functions, optional index."""
+    """Shared evaluation state: fact sets and functions."""
 
-    __slots__ = ("facts", "functions", "index")
+    __slots__ = ("facts", "functions")
 
-    def __init__(self, facts: Facts, functions: FunctionRegistry,
-                 index: Optional[FactsIndex] = None) -> None:
+    def __init__(self, facts: Facts, functions: FunctionRegistry) -> None:
         self.facts = facts
         self.functions = functions
-        self.index = index
-
-
-def _probe_key(atom: Atom, env: Env) -> Optional[Tuple[Tuple[int, ...], Row]]:
-    """Bound argument positions and their values for hash-probing, or
-    ``None`` when nothing is bound (a probe would not narrow). Computed
-    terms (arithmetic, calls) are left to :func:`_match_atom`."""
-    pattern: List[int] = []
-    key: List[Any] = []
-    for pos, term in enumerate(atom.args):
-        if isinstance(term, Var):
-            if term.name == ANONYMOUS:
-                continue
-            value = env.get(term.name, _MISSING)
-            if value is not _MISSING:
-                pattern.append(pos)
-                key.append(value)
-        elif isinstance(term, Const):
-            pattern.append(pos)
-            key.append(term.value)
-    if not pattern:
-        return None
-    return tuple(pattern), tuple(key)
-
-
-def _atom_rows(atom: Atom, env: Env, ctx: _EvalContext) -> Iterable[Row]:
-    """Candidate rows for a (positive or negated) atom reading the full
-    fact sets, hash-probed on bound positions when an index is active."""
-    rows = ctx.facts.get(atom.predicate, _EMPTY_ROWS)
-    if ctx.index is not None and rows:
-        probe = _probe_key(atom, env)
-        if probe is not None:
-            hit = ctx.index.probe(atom.predicate, rows, probe[0], probe[1])
-            if hit is not None:
-                return hit
-    return rows
 
 
 def _solutions(
@@ -227,7 +181,7 @@ def _solutions(
 
     if isinstance(lit, AtomLiteral):
         if lit.negated:
-            for row in _atom_rows(lit.atom, env, ctx):
+            for row in ctx.facts.get(lit.atom.predicate, _EMPTY_ROWS):
                 if _match_atom(lit.atom, row, env, ctx.functions) is not None:
                     return
             yield from _solutions(rest, env, ctx, rest_delta, delta)
@@ -236,7 +190,7 @@ def _solutions(
                 rows: Iterable[Row] = delta.get(lit.atom.predicate,
                                                 _EMPTY_ROWS)
             else:
-                rows = _atom_rows(lit.atom, env, ctx)
+                rows = ctx.facts.get(lit.atom.predicate, _EMPTY_ROWS)
             for row in rows:
                 extended = _match_atom(lit.atom, row, env, ctx.functions)
                 if extended is not None:
@@ -269,17 +223,9 @@ def _derive(
     delta_at: Optional[int] = None,
     delta: Optional[Facts] = None,
 ) -> Set[Row]:
-    out: Set[Row] = set()
     if rule.head.has_aggregates():
-        # Aggregate accumulation (sum/avg over floats) is sensitive to row
-        # enumeration order, and probes enumerate index buckets instead of
-        # sets; keep aggregate bodies on the scan path so results are
-        # byte-identical with indexing on or off.
-        scan_ctx = ctx
-        if ctx.index is not None:
-            scan_ctx = _EvalContext(ctx.facts, ctx.functions, None)
-        out |= _derive_aggregate(rule, body, scan_ctx)
-        return out
+        return _derive_aggregate(rule, body, ctx)
+    out: Set[Row] = set()
     for env in _solutions(body, {}, ctx, delta_at, delta):
         out.add(
             tuple(eval_term(a, env, ctx.functions) for a in rule.head.args)
@@ -367,15 +313,12 @@ def evaluate_seminaive(
     edb: Dict[str, Iterable[Row]],
     functions: Optional[FunctionRegistry] = None,
     naive: bool = False,
-    use_index: bool = True,
 ) -> Facts:
     """Evaluate a bound PQL program over plain fact sets.
 
     ``edb`` maps relation names to rows. Returns all facts (EDB + derived).
     With ``naive=True`` the delta optimization is disabled (every iteration
-    re-derives from scratch) — the ablation baseline. With
-    ``use_index=False`` hash-probing is disabled and every atom falls back
-    to a full relation scan; results are identical either way.
+    re-derives from scratch) — the ablation baseline.
 
     EDB relations passed as set-like views (see
     :func:`store_to_facts` with ``readonly=True``) are consumed in place —
@@ -399,10 +342,7 @@ def evaluate_seminaive(
     program = _resolve_functions(program, set(facts) | head_preds, functions)
     strata_of = _stratify(program, head_preds)
     max_stratum = max(strata_of.values(), default=0)
-    ctx = _EvalContext(
-        facts, functions, FactsIndex() if use_index else None
-    )
-    index = ctx.index
+    ctx = _EvalContext(facts, functions)
 
     for level in range(max_stratum + 1):
         rules = [
@@ -423,8 +363,6 @@ def evaluate_seminaive(
             known = facts.setdefault(rule.head.predicate, set())
             fresh = new - known
             known |= fresh
-            if index is not None and fresh:
-                index.extend(rule.head.predicate, fresh)
             delta.setdefault(rule.head.predicate, set()).update(fresh)
         # iterate
         while any(delta.values()):
@@ -446,8 +384,6 @@ def evaluate_seminaive(
                 known = facts.setdefault(rule.head.predicate, set())
                 fresh = candidate_rows - known
                 known |= fresh
-                if index is not None and fresh:
-                    index.extend(rule.head.predicate, fresh)
                 if fresh:
                     next_delta.setdefault(
                         rule.head.predicate, set()

@@ -6,8 +6,8 @@ the query server both depend on:
 * **Row order.** Result rows of a relation are totally ordered by
   :func:`row_sort_key` (the row's ``repr``). Every surface that exposes
   rows — ``QueryResult.rows``, ``repro query`` output, HTTP responses,
-  pagination cursors — sorts with this key, so indexed and scan
-  evaluation, layered and naive modes, CLI and server all agree on the
+  pagination cursors — sorts with this key, so layer programs and row
+  functions, layered and naive modes, CLI and server all agree on the
   exact sequence. Pagination cursors are plain offsets into that
   sequence, which is what makes them deterministic across requests.
 

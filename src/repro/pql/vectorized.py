@@ -536,7 +536,6 @@ class _ScanOp:
                     hits.append(i)
             return hits, {}
         checks = list(zip(positions[1:], cols[1:]))
-        pattern = tuple(positions[1:]) if ctx.db.index_enabled else ()
         arity, local_checks, first_only = (
             self.arity, self.local_checks, self.first_only)
         src: List[int] = []
@@ -545,11 +544,8 @@ class _ScanOp:
             part = parts.get(vertex)
             if part is None:
                 continue
-            cand = None
-            if pattern:
-                cand = part.probe(pattern, tuple([c[i] for _p, c in checks]))
-            if cand is None:  # aggregate logs keep replaced rows: use the set
-                cand = part.order if part.groups is None else part.rows
+            # aggregate logs keep replaced rows: use the set
+            cand = part.order if part.groups is None else part.rows
             for row in cand:
                 if len(row) != arity:
                     continue

@@ -7,10 +7,8 @@ store from the query server's catalog pays that price for every slab. ARSC
 stores each relation as *per-column typed segments* with an offset-indexed
 footer, so a reader can
 
-* reopen a slab by reading only the footer (mmap + one small unpickle),
-* decode exactly the columns a query plan touches, and
-* hash-probe a relation on its bound positions without materializing rows
-  whose key projection differs.
+* reopen a slab by reading only the footer (mmap + one small unpickle), and
+* decode exactly the columns a query plan touches.
 
 On-disk layout (all offsets are absolute file offsets)::
 
@@ -55,14 +53,13 @@ from typing import (
 )
 
 from repro.errors import ProvenanceError
-from repro.pql.index import MIN_INDEX_ROWS
 
 Row = Tuple[Any, ...]
 
 ARSC_MAGIC = b"ARSC"
-#: Version 2 adds per-column ``distinct`` stats to the footer (planner
-#: selectivity ordering). Readers accept both; version-1 slabs simply
-#: carry no stats.
+#: Version 2 adds per-column ``distinct`` counts to the footer. No reader
+#: uses them; the writer keeps stamping them so sealed bytes stay stable.
+#: Readers accept both versions.
 ARSC_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
 
@@ -254,11 +251,11 @@ def validate_columnar_file(path: str) -> None:
 class ColumnarSlab:
     """An mmap-backed ARSC slab reader with lazy per-column decode.
 
-    Opening reads only the footer. Everything else — column values, group
-    (partition) row sets, probe hash maps — is decoded on first touch and
-    memoized. ``decoded_bytes`` accounts the uncompressed payload of every
-    segment touched so far; evaluators use it to enforce honest
-    out-of-core memory budgets.
+    Opening reads only the footer. Everything else — column values and
+    group (partition) row sets — is decoded on first touch and memoized.
+    ``decoded_bytes`` accounts the uncompressed payload of every segment
+    touched so far; evaluators use it to enforce honest out-of-core memory
+    budgets.
     """
 
     def __init__(self, path: str, data: Optional[bytes] = None,
@@ -326,9 +323,6 @@ class ColumnarSlab:
         self._groups: Dict[str, Dict[Any, Tuple[int, int]]] = {}
         self._group_rows: Dict[Tuple[str, int], FrozenSet[Row]] = {}
         self._rows_cache: Dict[str, List[Optional[Row]]] = {}
-        self._probe_maps: Dict[
-            Tuple[str, Tuple[int, ...]], Dict[Tuple[Any, ...], List[int]]
-        ] = {}
         # typed zero-copy vectors (memoryview casts) for the batch kernels
         self._vectors: Dict[Tuple[str, int], Any] = {}
         # memoized per-relation lane tuples (footer-only, immutable)
@@ -368,21 +362,6 @@ class ColumnarSlab:
             )
         return lanes
 
-    def column_stats(self, relation: str) -> Dict[str, Any]:
-        """Footer-stamped stats for one relation: row count plus the
-        per-position distinct counts version-2 slabs record at seal time.
-        Version-1 slabs yield an empty ``distinct`` map — callers must
-        treat the stats as optional."""
-        desc = self._relations.get(relation)
-        if desc is None:
-            return {"rows": 0, "distinct": {}}
-        distinct = {
-            pos: col["distinct"]
-            for pos, col in enumerate(desc["columns"])
-            if col.get("distinct") is not None
-        }
-        return {"rows": desc["rows"], "distinct": distinct}
-
     def raw_bytes(self, relation: Optional[str] = None) -> int:
         """Uncompressed payload bytes (all relations, or one) — the cost of
         decoding everything, known without decoding anything."""
@@ -400,19 +379,34 @@ class ColumnarSlab:
     def _segment(self, key: Tuple[str, Any], seg: Tuple[int, int],
                  comp: str, raw_len: int) -> Any:
         """The (decompressed) buffer of one segment; raw-mode segments stay
-        zero-copy views into the map. Accounts ``raw_len`` on first touch."""
+        zero-copy views into the map. Accounts ``raw_len`` on first touch.
+
+        A segment must decode to exactly the ``raw_len`` bytes its footer
+        declares: inflation stops one byte past that, so a lying footer can
+        neither allocate without bound nor under-charge ``decoded_bytes``.
+        """
         buf = self._buffers.get(key)
         if buf is None:
             off, length = seg
+            complete = True
             try:
                 if comp == "zlib":
-                    buf = zlib.decompress(bytes(self._buf[off:off + length]))
+                    inflater = zlib.decompressobj()
+                    # max_length=0 means "unlimited", hence the + 1
+                    buf = inflater.decompress(
+                        bytes(self._buf[off:off + length]), raw_len + 1)
+                    complete = inflater.eof
                 else:
                     buf = memoryview(self._buf)[off:off + length]
             except (zlib.error, ValueError) as exc:
                 raise _corrupt(
                     self.path, f"corrupt segment at {off}: {exc}"
                 ) from None
+            if len(buf) != raw_len or not complete:
+                raise _corrupt(
+                    self.path, f"segment at {off} does not decode to the "
+                    f"{raw_len} bytes its footer declares",
+                )
             self._buffers[key] = buf
             self.decoded_bytes += raw_len
         return buf
@@ -546,7 +540,7 @@ class ColumnarSlab:
 
     def column(self, relation: str, pos: int) -> Tuple[Any, ...]:
         """One fully decoded column, memoized. Only the requested column's
-        segments are touched — this is the lane the probe path pays for."""
+        segments are touched."""
         key = (relation, pos)
         values = self._columns.get(key)
         if values is not None:
@@ -670,38 +664,6 @@ class ColumnarSlab:
         for rid in range(self.row_count(relation)):
             yield self._row(relation, rid)
 
-    # -- probing --------------------------------------------------------
-    def probe(
-        self, relation: str, pattern: Tuple[int, ...], key: Tuple[Any, ...],
-    ) -> Optional[Tuple[Row, ...]]:
-        """Slab-wide hash probe on ``pattern``: decodes *only* the pattern
-        columns to build the map, then materializes just the hit rows.
-        Candidate-narrowing only (supersets are fine — the evaluator
-        re-matches); ``None`` below the indexing threshold, mirroring
-        :data:`repro.pql.index.MIN_INDEX_ROWS`."""
-        desc = self._relations.get(relation)
-        if desc is None:
-            return ()
-        nrows = desc["rows"]
-        if nrows < MIN_INDEX_ROWS:
-            return None
-        table = self._probe_maps.get((relation, pattern))
-        if table is None:
-            columns = [self.column(relation, pos) for pos in pattern]
-            table = {}
-            for rid in range(nrows):
-                row_key = tuple(col[rid] for col in columns)
-                bucket = table.get(row_key)
-                if bucket is None:
-                    table[row_key] = [rid]
-                else:
-                    bucket.append(rid)
-            self._probe_maps[(relation, pattern)] = table
-        ids = table.get(key)
-        if not ids:
-            return ()
-        return tuple(self._row(relation, rid) for rid in ids)
-
     # -- whole-slab compatibility ---------------------------------------
     def to_chunks(self, meta_key: str = "\x00meta") -> Dict[str, Any]:
         """Full decode back to the sealers' chunk shape (``relation ->
@@ -738,8 +700,7 @@ class ColumnarSlab:
     def close(self) -> None:
         """Drop memoized state and unmap the file."""
         for attr in ("_vectors", "_buffers", "_columns", "_str_dicts",
-                     "_groups", "_group_rows", "_rows_cache", "_probe_maps",
-                     "_dict_codes"):
+                     "_groups", "_group_rows", "_rows_cache", "_dict_codes"):
             state = getattr(self, attr, None)
             if state is not None:
                 state.clear()

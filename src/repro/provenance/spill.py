@@ -222,8 +222,8 @@ class SpillManager:
         self.run_id: Optional[str] = None
         # Writer thread state. The thread starts lazily on the first
         # asynchronous seal (so read-only managers and forked children
-        # never own one) and is a daemon: an unflushed manager must not
-        # wedge interpreter shutdown. Completed jobs are handed back via
+        # never own one), stops at seal_all()/close(), and is a daemon: an
+        # unflushed manager must not wedge interpreter shutdown. Completed jobs are handed back via
         # ``_completed`` and folded into metrics/tracing/accounting on the
         # caller's thread; the first writer exception is held in
         # ``_writer_error`` and re-raised at the next seal/flush/close.
@@ -451,12 +451,19 @@ class SpillManager:
         Layers already sealed (eagerly, during the run) are assumed
         current — the online wrapper re-seals any layer that gains rows
         after its first seal; call :meth:`seal_layer` to force a refresh.
+
+        The writer thread stops here: an idle writer would otherwise keep
+        this manager — and the whole in-memory store — alive for the rest
+        of the process. A later seal starts a fresh one.
         """
         self.seal_static_nowait()
         for superstep in range(self.store.num_layers):
             if superstep not in self._slabs:
                 self.seal_layer_nowait(superstep)
-        self.flush()
+        try:
+            self.flush()
+        finally:
+            self._shutdown_writer()
         self.write_manifest()
         total = self.total_sealed_bytes()
         logger.debug(

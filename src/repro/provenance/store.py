@@ -18,7 +18,6 @@ from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ProvenanceError
-from repro.pql.index import MIN_INDEX_ROWS, RowIndex
 from repro.provenance.model import RelationSchema, SchemaRegistry
 from repro.sizemodel import RowSizer, estimate_bytes
 
@@ -33,26 +32,21 @@ _EMPTY_ROWS: frozenset = frozenset()
 class RelationPartition:
     """Tuples of one relation at one vertex, sliced by superstep."""
 
-    __slots__ = ("schema", "rows", "log", "by_time", "index")
+    __slots__ = ("schema", "rows", "by_time")
 
     def __init__(self, schema: RelationSchema) -> None:
         self.schema = schema
         self.rows: Set[Row] = set()
-        # Append-only insertion log; hash indexes fold it in incrementally.
-        self.log: List[Row] = []
         # superstep -> rows; only maintained for time-indexed relations.
         self.by_time: Optional[Dict[int, Set[Row]]] = (
             {} if schema.time_index is not None else None
         )
-        # Lazily-built hash indexes over `log` (see repro.pql.index).
-        self.index: Optional[RowIndex] = None
 
     def add(self, row: Row) -> bool:
         """Insert; return True if the row is new."""
         if row in self.rows:
             return False
         self.rows.add(row)
-        self.log.append(row)
         if self.by_time is not None:
             t = row[self.schema.time_index]
             bucket = self.by_time.get(t)
@@ -66,19 +60,6 @@ class RelationPartition:
         if self.by_time is None:
             return self.rows
         return self.by_time.get(superstep, _EMPTY_ROWS)
-
-    def probe(
-        self, pattern: Tuple[int, ...], key: Row
-    ) -> Optional[Tuple[Row, ...]]:
-        """Hash-probe this partition's rows on ``pattern`` (store
-        partitions are append-only, so the index is always valid), or
-        ``None`` while the partition is too small to be worth indexing."""
-        index = self.index
-        if index is None:
-            if len(self.log) < MIN_INDEX_ROWS:
-                return None  # cheaper to scan than to build
-            index = self.index = RowIndex()
-        return index.probe(self.log, pattern, key)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -221,7 +202,6 @@ class ProvenanceStore:
                 partition_rows.add(row)
                 if len(partition_rows) == before:
                     continue  # duplicate
-                partition.log.append(row)
                 added += 1
                 batch_bytes += sizer(row)
                 t = row[time_index]
@@ -252,7 +232,6 @@ class ProvenanceStore:
                 partition_rows.add(row)
                 if len(partition_rows) == before:
                     continue  # duplicate
-                partition.log.append(row)
                 added += 1
                 batch_bytes += sizer(row)
                 if time_index is not None:
@@ -297,19 +276,6 @@ class ProvenanceStore:
             return _EMPTY_ROWS
         part = partitions.get(vertex)
         return part.at_time(superstep) if part is not None else _EMPTY_ROWS
-
-    def probe(
-        self, relation: str, vertex: Any, pattern: Tuple[int, ...], key: Row
-    ) -> Optional[Tuple[Row, ...]]:
-        """Hash-probe one partition's rows on a binding pattern; ``None``
-        when the partition is below the indexing threshold."""
-        partitions = self._data.get(relation)
-        if not partitions:
-            return ()
-        part = partitions.get(vertex)
-        if part is None:
-            return ()
-        return part.probe(pattern, key)
 
     def rows(self, relation: str) -> Iterator[Row]:
         for part in self._data.get(relation, {}).values():
@@ -405,11 +371,6 @@ class ProvenanceStore:
             for relation, partitions in self._data.items()
         }
 
-    def stats(self) -> Dict[str, int]:
-        """Planner statistics: plain row counts (the sealed view has
-        per-column distinct counts from slab footers as well)."""
-        return self.counts()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ProvenanceStore(relations={len(self._data)}, "
@@ -482,8 +443,8 @@ class SealedStoreView:
     """Out-of-core read view over a sealed store.
 
     Implements :class:`ProvenanceStore`'s read protocol (``partition`` /
-    ``partition_at`` / ``probe`` / ``rows`` / ``layer`` / ``layer_sites`` /
-    ``column_batches`` / ``stats`` / accounting) on top of a
+    ``partition_at`` / ``rows`` / ``layer`` / ``layer_sites`` /
+    ``column_batches`` / accounting) on top of a
     :class:`~repro.provenance.spill.SpillManager`'s ARSC slabs
     (:mod:`repro.provenance.columnar`), so the offline evaluators and the
     query server run against sealed captures **without rebuilding a
@@ -503,9 +464,7 @@ class SealedStoreView:
     slab's lazy reader *actually decodes* — exceeding the budget on any
     single slab raises :class:`MemoryError`. That is why captures whose
     layers outgrow the budget stay queryable: a plan that touches few
-    columns decodes few bytes. Probes mirror the in-memory contract —
-    candidates may be any superset of the matching rows (the evaluator
-    re-matches), and ``None`` means "scan instead".
+    columns decodes few bytes.
     """
 
     #: Partitions are served as typed column batches (the vectorized
@@ -658,49 +617,6 @@ class SealedStoreView:
         self._note()
         return rows if rows else _EMPTY_ROWS
 
-    def probe(
-        self, relation: str, vertex: Any, pattern: Tuple[int, ...], key: Row
-    ) -> Optional[Tuple[Row, ...]]:
-        """Hash-probe sealed partitions on ``pattern`` + the location
-        attribute, decoding only those columns. When the pattern binds the
-        relation's time attribute, exactly one layer slab is consulted."""
-        schema = self._schema(relation)
-        if schema is None:
-            return ()
-        loc = schema.location_index
-        if loc in pattern:
-            if key[pattern.index(loc)] != vertex:
-                return ()
-            full_pattern, full_key = pattern, key
-        else:
-            full_pattern = pattern + (loc,)
-            full_key = tuple(key) + (vertex,)
-        time_index = schema.time_index
-        if time_index is None:
-            slabs: List[Any] = [self._static]
-        elif time_index in pattern:
-            slab = self._slab(key[pattern.index(time_index)])
-            slabs = [slab] if slab is not None else []
-        else:
-            slabs = list(self._layer_views())
-        results: List[Row] = []
-        any_indexed = False
-        for slab in slabs:
-            if not slab.has_relation(relation):
-                continue
-            hit = slab.probe(relation, full_pattern, full_key)
-            if hit is None:
-                # Below the slab's indexing threshold: its whole partition
-                # is a valid (scan-sized) superset of the matches there.
-                results.extend(slab.group_rows(relation, vertex))
-            else:
-                any_indexed = True
-                results.extend(hit)
-        self._note()
-        if not any_indexed:
-            return None  # every slab was scan-cheap: let the caller scan
-        return tuple(results)
-
     def column_batches(
         self, relation: str, supersteps: Optional[Iterable[Any]] = None,
     ) -> List[ColumnBatch]:
@@ -723,24 +639,6 @@ class SealedStoreView:
             ColumnBatch(slab, relation, self._note) for slab in slabs
             if slab is not None and slab.has_relation(relation)
         ]
-
-    def stats(self) -> Dict[str, Any]:
-        """Planner statistics straight from slab footers: per relation the
-        total row count plus per-position distinct counts (version-2
-        slabs; the max across slabs is a usable selectivity lower bound).
-        Stat-less version-1 slabs degrade to row counts only."""
-        out: Dict[str, Any] = {}
-        for slab in self._all_views():
-            for relation in slab.relations():
-                stats = slab.column_stats(relation)
-                entry = out.get(relation)
-                if entry is None:
-                    entry = out[relation] = {"rows": 0, "distinct": {}}
-                entry["rows"] += stats["rows"]
-                for pos, count in stats["distinct"].items():
-                    if count > entry["distinct"].get(pos, 0):
-                        entry["distinct"][pos] = count
-        return out
 
     def rows(self, relation: str) -> Iterator[Row]:
         for slab in self._all_views():

@@ -114,28 +114,6 @@ class StoreDatabase(Database):
             return None
         return self.store.column_batches(relation, supersteps)
 
-    def probe(
-        self, relation: str, vertex: Any, pattern: Tuple[int, ...], key: Row
-    ) -> Optional[Iterable[Row]]:
-        """Hash-probe the stored partition (and the derived overlay for
-        head predicates). Virtual static relations fall back to scans —
-        they are answered from adjacency structure, not row logs. Probe
-        results may overlap between store and overlay; the evaluator
-        re-matches and deduplicates, so a plain concatenation is safe."""
-        if _StaticRelations.handles(relation):
-            return None
-        stored = self.store.probe(relation, vertex, pattern, key)
-        if stored is None:
-            return None  # partition below the indexing threshold
-        if relation in self.head_predicates:
-            derived = self.derived.probe(relation, vertex, pattern, key)
-            if derived is None:
-                return None  # unindexable overlay: scan both sides
-            if stored and derived:
-                return list(stored) + list(derived)
-            return derived or stored
-        return stored
-
 
 class OnlineDatabase(Database):
     """Online view for one wrapper run.
@@ -187,20 +165,16 @@ class OnlineDatabase(Database):
                 order.append(row)
 
     # -- Database interface ----------------------------------------------
-    def candidates(
-        self, relation: str, vertex: Any, time: Any,
-        pattern: Optional[Tuple[int, ...]], key: Optional[Row],
-    ) -> Iterable[Row]:
-        """One flat dispatch: the frame list, the site's stored partition,
-        or — for any vertex other than the evaluating one — only what that
-        vertex shipped here (the paper's locality restriction)."""
+    def candidates(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
+        """One flat dispatch: the frame list, the site's stored partition
+        (its ``time`` slice when one is bound and kept), or — for any vertex
+        other than the evaluating one — only what that vertex shipped here
+        (the paper's locality restriction)."""
         if relation in _STATIC:
-            self.index_scans += 1
             return self.static.rows(relation, vertex)
         if vertex != self.current_site:
             part = self.remote.get((self.current_site, relation, vertex))
         elif relation in self.frame_relations:
-            self.index_scans += 1
             rows = self.frame.get(relation, ())
             if relation in self.head_predicates:  # capture into a core relation
                 return list(rows) + list(self.derived.rows(relation, vertex))
@@ -214,20 +188,9 @@ class OnlineDatabase(Database):
                 elif derived is not None:
                     # Derived partitions are unsliced; the scan re-checks
                     # the time attribute, so a superset is safe.
-                    self.index_scans += 1
                     return list(part.slice(time)) + list(derived.rows)
         if part is None:
-            self.index_scans += 1
             return ()
-        # A time slice is one superstep of one vertex: nothing left for a
-        # hash to narrow, so only unsliced reads probe.
-        if pattern and self.index_enabled and (
-                time is None or part.by_time is None):
-            rows = part.probe(pattern, key)
-            if rows is not None:
-                self.index_probes += 1
-                return rows
-        self.index_scans += 1
         return part.slice(time)
 
     def all_rows(self, relation: str) -> Iterator[Row]:

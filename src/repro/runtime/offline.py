@@ -69,18 +69,15 @@ def _attach_vector_ctx(
 
 
 def _evaluator_stats(
-    ctx: Optional[VectorContext], use_index: bool, vectorize: bool,
-    compiled: CompiledQuery,
+    ctx: Optional[VectorContext], vectorize: bool, compiled: CompiledQuery,
 ) -> Dict[str, Any]:
     """The evaluator-choice block shared by all offline drivers (and
     surfaced verbatim by the CLI, benchmarks, and the query server)."""
     out: Dict[str, Any] = {
         "vectorize": vectorize,
         "compiled_rules": compiled.compiled_rules,
-        "evaluator": (
-            "vectorized" if ctx is not None and ctx.rules_vectorized
-            else ("indexed" if use_index else "scan")
-        ),
+        "evaluator": ("vectorized" if ctx is not None and ctx.rules_vectorized
+                      else "rows"),
     }
     if ctx is not None:
         out.update(ctx.stats())
@@ -92,16 +89,13 @@ def _compile_offline(
     store: ProvenanceStore,
     functions: FunctionRegistry,
     params: Optional[Dict[str, Any]],
-    stats: Optional[Dict[str, int]] = None,
 ) -> CompiledQuery:
     if isinstance(query, CompiledQuery):
         return query
     program = parse(query) if isinstance(query, str) else query
     if params:
         program = program.bind(**params)
-    return compile_query(
-        program, registry=store.registry, functions=functions, stats=stats
-    )
+    return compile_query(program, registry=store.registry, functions=functions)
 
 
 def _run_setup(compiled: CompiledQuery, db: StoreDatabase,
@@ -123,16 +117,14 @@ def run_layered(
     graph: Optional[DiGraph] = None,
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
-    use_index: bool = True,
     budget: Optional[QueryBudget] = None,
     vectorize: bool = True,
 ) -> QueryResult:
     """Layered offline evaluation of a directed query.
 
-    ``use_index=False`` disables hash-probe access paths (the ``--no-index``
-    escape hatch); ``vectorize=False`` disables batch-kernel evaluation
-    over sealed columnar stores (``--no-vectorize``); results are
-    byte-identical in every combination.
+    ``vectorize=False`` disables layer-program evaluation over sealed
+    columnar stores (``--no-vectorize``); results are byte-identical
+    either way.
 
     ``budget`` bounds the evaluation (depth = layers visited, derived
     rows, wall clock); overruns raise
@@ -140,10 +132,7 @@ def run_layered(
     from inside batch kernels, which tick the budget per processed rows.
     """
     functions = FunctionRegistry(udfs)
-    compiled = _compile_offline(
-        query, store, functions, params,
-        stats=store.stats() if use_index else None,
-    )
+    compiled = _compile_offline(query, store, functions, params)
     compiled.require_layered()
     if budget is not None:
         budget.start()
@@ -153,7 +142,6 @@ def run_layered(
     # stratum per layer) so EXPLAIN can show observed costs untraced.
     stratum_seconds: Dict[int, float] = {}
     db = StoreDatabase(store, graph, compiled.head_predicates)
-    db.index_enabled = use_index
     ctx = _attach_vector_ctx(db, store, vectorize, budget)
     start = time.perf_counter()
     derivations = _run_setup(compiled, db, functions, stratum_seconds)
@@ -194,11 +182,8 @@ def run_layered(
         "store_rows": store.num_rows,
         "head_predicates": sorted(compiled.head_predicates),
         "stratum_seconds": stratum_seconds,
-        "use_index": use_index,
-        "index_probes": db.index_probes,
-        "index_scans": db.index_scans,
     }
-    stats.update(_evaluator_stats(ctx, use_index, vectorize, compiled))
+    stats.update(_evaluator_stats(ctx, vectorize, compiled))
     return QueryResult(
         derived=db.derived,
         mode="layered",
@@ -216,7 +201,6 @@ def run_naive(
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
     memory_budget_bytes: Optional[int] = None,
-    use_index: bool = True,
     budget: Optional[QueryBudget] = None,
     vectorize: bool = True,
 ) -> QueryResult:
@@ -231,10 +215,7 @@ def run_naive(
     up front against the store's layer count.
     """
     functions = FunctionRegistry(udfs)
-    compiled = _compile_offline(
-        query, store, functions, params,
-        stats=store.stats() if use_index else None,
-    )
+    compiled = _compile_offline(query, store, functions, params)
     if compiled.uses_stream:
         raise PQLCompatibilityError(
             "queries over transient stream relations only run online"
@@ -254,7 +235,6 @@ def run_naive(
     # stratum per layer) so EXPLAIN can show observed costs untraced.
     stratum_seconds: Dict[int, float] = {}
     db = StoreDatabase(store, graph, compiled.head_predicates)
-    db.index_enabled = use_index
     ctx = _attach_vector_ctx(db, store, vectorize, budget)
     start = time.perf_counter()
     derivations = _run_setup(compiled, db, functions, stratum_seconds)
@@ -283,11 +263,8 @@ def run_naive(
         "sites": len(sites),
         "head_predicates": sorted(compiled.head_predicates),
         "stratum_seconds": stratum_seconds,
-        "use_index": use_index,
-        "index_probes": db.index_probes,
-        "index_scans": db.index_scans,
     }
-    stats.update(_evaluator_stats(ctx, use_index, vectorize, compiled))
+    stats.update(_evaluator_stats(ctx, vectorize, compiled))
     return QueryResult(
         derived=db.derived,
         mode="naive",
@@ -325,7 +302,6 @@ def run_layered_from_spill(
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
     memory_budget_bytes: Optional[int] = None,
-    use_index: bool = True,
     vectorize: bool = True,
 ) -> QueryResult:
     """Layered evaluation straight off sealed layer slabs.
@@ -345,7 +321,7 @@ def run_layered_from_spill(
     """
     return _run_from_spill(
         run_layered, spill, memory_budget_bytes, query, graph, params, udfs,
-        use_index=use_index, vectorize=vectorize,
+        vectorize=vectorize,
     )
 
 
@@ -356,7 +332,6 @@ def run_naive_from_spill(
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
     memory_budget_bytes: Optional[int] = None,
-    use_index: bool = True,
     vectorize: bool = True,
 ) -> QueryResult:
     """Naive evaluation over a sealed store.
@@ -369,7 +344,7 @@ def run_naive_from_spill(
     return _run_from_spill(
         run_naive, spill, None, query, graph, params, udfs,
         memory_budget_bytes=memory_budget_bytes,
-        use_index=use_index, vectorize=vectorize,
+        vectorize=vectorize,
     )
 
 
@@ -379,14 +354,8 @@ def run_reference(
     graph: Optional[DiGraph] = None,
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
-    use_index: bool = False,
 ) -> QueryResult:
-    """Centralized stratified-Datalog oracle (testing ground truth).
-
-    Hash-probing is off by default so the oracle stays a pure scanning
-    evaluator — an index bug can then never blind the differential tests
-    that compare the other modes against it.
-    """
+    """Centralized stratified-Datalog oracle (testing ground truth)."""
     functions = FunctionRegistry(udfs)
     compiled = _compile_offline(query, store, functions, params)
     if compiled.uses_stream:
@@ -394,7 +363,6 @@ def run_reference(
             "queries over transient stream relations only run online"
         )
     db = StoreDatabase(store, graph, compiled.head_predicates)
-    db.index_enabled = use_index
     start = time.perf_counter()
     derivations = _run_setup(compiled, db, functions)
     with get_tracer().span("query-eval", PHASE_QUERY, mode="reference"):
@@ -409,9 +377,6 @@ def run_reference(
         derivations=derivations,
         stats={
             "head_predicates": sorted(compiled.head_predicates),
-            "use_index": use_index,
-            "index_probes": db.index_probes,
-            "index_scans": db.index_scans,
             "compiled_rules": compiled.compiled_rules,
         },
     )

@@ -206,7 +206,6 @@ class OnlineQueryProgram(VertexProgram):
         prune_history: bool = True,
         ship_full_tables: bool = False,
         timed_index: bool = True,
-        use_index: bool = True,
         spill: Optional[SpillManager] = None,
         eager_seal: bool = True,
     ) -> None:
@@ -252,8 +251,6 @@ class OnlineQueryProgram(VertexProgram):
             store=store,
             persist=set(compiled.head_predicates),
         )
-        # Hash-probe access paths (EngineConfig.query_index / --no-index).
-        self.db.index_enabled = use_index
         # Incremental layer sealing: with a spill manager attached, each
         # superstep's completed layer is handed to the writer at the
         # barrier (master_halt) instead of being re-materialized by
@@ -600,8 +597,6 @@ class OnlineQueryProgram(VertexProgram):
             "prune_hits": self.prune_hits,
             "prune_misses": self.prune_misses,
             "query_seconds": self.query_seconds,
-            "index_probes": self.db.index_probes,
-            "index_scans": self.db.index_scans,
         }
 
     def parallel_worker_end(self) -> None:
@@ -632,8 +627,6 @@ class OnlineQueryProgram(VertexProgram):
                 "prune_hits": self.prune_hits - base["prune_hits"],
                 "prune_misses": self.prune_misses - base["prune_misses"],
                 "query_seconds": self.query_seconds - base["query_seconds"],
-                "index_probes": self.db.index_probes - base["index_probes"],
-                "index_scans": self.db.index_scans - base["index_scans"],
             },
             "transient_rows": self.db.local.num_rows(),
         }
@@ -657,8 +650,6 @@ class OnlineQueryProgram(VertexProgram):
             self.prune_hits += counters["prune_hits"]
             self.prune_misses += counters["prune_misses"]
             self.query_seconds += counters["query_seconds"]
-            self.db.index_probes += counters.get("index_probes", 0)
-            self.db.index_scans += counters.get("index_scans", 0)
             self._merged_transient_rows += state["transient_rows"]
 
     def transient_row_count(self) -> int:
@@ -731,7 +722,6 @@ def run_online(
     wrapper = OnlineQueryProgram(
         program, compiled, functions, graph, store=store,
         value_projector=projector,
-        use_index=engine_config.query_index,
         spill=spill,
         # Under the parallel backend the master's store only fills at
         # merge time; eager per-superstep sealing is serial-only.
@@ -763,9 +753,6 @@ def run_online(
             "prune_misses": wrapper.prune_misses,
             "transient_rows": wrapper.transient_row_count(),
             "shipped_tuples": wrapper.shipped_tuples,
-            "use_index": engine_config.query_index,
-            "index_probes": wrapper.db.index_probes,
-            "index_scans": wrapper.db.index_scans,
             "sealed_layers": wrapper.sealed_layers,
             "compiled_rules": compiled.compiled_rules,
         },

@@ -456,7 +456,7 @@ class ReproServer:
             pass
 
     #: Evaluator-choice stats surfaced per query response: which path ran
-    #: (``vectorized`` / ``indexed`` / ``scan``) and, when layer programs
+    #: (``vectorized`` / ``rows``) and, when layer programs
     #: ran, their per-kernel timings, usage counters and the counted
     #: reasons rules went through the row function instead.
     _EVAL_STAT_KEYS = (
@@ -467,7 +467,7 @@ class ReproServer:
 
     async def _execute_query(self, entry: CatalogEntry, query_text: str,
                              params: Dict[str, Any], mode: str,
-                             use_index: bool, budget: QueryBudget,
+                             budget: QueryBudget,
                              limit: Optional[int],
                              cursor: Optional[str],
                              vectorize: bool = True) -> Dict[str, Any]:
@@ -480,24 +480,21 @@ class ReproServer:
         def work() -> Any:
             with entry.eval_lock:
                 compiled, cache = entry.prepare(
-                    query_text, params, mode, use_index, vectorize)
+                    query_text, params, mode, vectorize)
                 outcome["plan_cache"] = cache
                 runner = run_layered if mode == "layered" else run_naive
                 if worker_tracer is None:
-                    return runner(entry.store, compiled,
-                                  use_index=use_index, budget=budget,
+                    return runner(entry.store, compiled, budget=budget,
                                   vectorize=vectorize)
                 with thread_tracing(worker_tracer):
-                    return runner(entry.store, compiled,
-                                  use_index=use_index, budget=budget,
+                    return runner(entry.store, compiled, budget=budget,
                                   vectorize=vectorize)
 
         result = await self._offload(work, budget)
         cache = outcome.get("plan_cache", "miss")
         self._m_plan.labels(cache).inc()
-        evaluator = result.stats.get(
-            "evaluator", "indexed" if use_index else "scan")
-        self._m_eval.labels(evaluator).observe(result.wall_seconds)
+        self._m_eval.labels(result.stats["evaluator"]).observe(
+            result.wall_seconds)
         if worker_tracer is not None:
             main_tracer.ingest(worker_tracer.sink.events, None,
                                run=entry.run_id)
@@ -585,7 +582,6 @@ class ReproServer:
         if mode not in MODES:
             raise HttpError(400, "bad_query",
                             f"mode must be one of {MODES}, got {mode!r}")
-        use_index = bool(body.get("use_index", True))
         vectorize = bool(body.get("vectorize", True))
         limit = body.get("limit")
         if limit is not None and (not isinstance(limit, int) or limit <= 0):
@@ -596,8 +592,8 @@ class ReproServer:
             raise HttpError(400, "bad_query", "cursor must be a string")
         budget = self._make_budget(body.get("budget") or {})
         doc = await self._execute_query(
-            entry, query_text, params, mode, use_index, budget, limit,
-            cursor, vectorize=vectorize)
+            entry, query_text, params, mode, budget, limit, cursor,
+            vectorize=vectorize)
         return 200, doc, "application/json"
 
     async def _handle_lineage(self, request: Request, run_id: str,
@@ -632,7 +628,7 @@ class ReproServer:
         cursor = request.query.get("cursor")
         doc = await self._execute_query(
             entry, query_text, {"alpha": vertex, "sigma": sigma},
-            "layered", True, budget, limit, cursor)
+            "layered", budget, limit, cursor)
         doc.update({"vertex": serialize.jsonable_value(vertex),
                     "direction": direction, "sigma": sigma})
         return 200, doc, "application/json"

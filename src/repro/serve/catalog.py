@@ -14,15 +14,15 @@ Admission, identity, and reuse rules:
   requests). Registering the same directory twice returns the same
   :class:`CatalogEntry`; the store is opened exactly once. This — plus
   each entry's ``eval_lock`` — is what makes concurrent queries safe:
-  the lazy decode and probe-map builds that reads perform mutate shared
+  the lazy decode and row materialization that reads perform mutate shared
   slab-handle state, so evaluations against one store are serialized
   while different stores evaluate fully in parallel.
 
 * **Prepared-plan cache.** Each entry keeps a small LRU of compiled
-  query plans keyed by (query text, bound params, mode, index flag).
+  query plans keyed by (query text, bound params, mode, vectorize flag).
   A cache hit skips parse + semantic analysis + stratification + plan
-  selection; the long-lived store also keeps its lazily-built row
-  indexes warm across requests — together these are the "warm" path the
+  selection; the long-lived store also keeps its lazily decoded columns
+  warm across requests — together these are the "warm" path the
   serve benchmark compares against a cold per-request store open.
 
 * **Invalidation.** Every request calls :meth:`CatalogEntry.ensure_fresh`,
@@ -116,30 +116,25 @@ class CatalogEntry:
     # prepared plans
     # ------------------------------------------------------------------
     def plan_key(self, query_text: str, params: Optional[Dict[str, Any]],
-                 mode: str, use_index: bool,
-                 vectorize: bool = True) -> Tuple[Any, ...]:
+                 mode: str, vectorize: bool = True) -> Tuple[Any, ...]:
         return (
             hashlib.sha256(query_text.encode("utf-8")).hexdigest(),
             obsledger.canonical_json(params or {}),
             mode,
-            use_index,
             vectorize,
         )
 
     def prepare(self, query_text: str, params: Optional[Dict[str, Any]],
-                mode: str, use_index: bool,
-                vectorize: bool = True) -> Tuple[CompiledQuery, str]:
+                mode: str, vectorize: bool = True) -> Tuple[CompiledQuery, str]:
         """Compile (or fetch the cached plan for) one query.
 
         Returns ``(compiled, outcome)`` with outcome ``"hit"`` or
         ``"miss"``. Must be called under :attr:`eval_lock` — the cache
         dict and the store's schema registry are not independently
         locked. Plans are keyed per evaluator choice so an A/B request
-        pair never shares (or evicts) the other path's plan, and
-        compilation sees the same planner statistics the offline drivers
-        use (slab-footer row + distinct counts).
+        pair never shares (or evicts) the other path's plan.
         """
-        key = self.plan_key(query_text, params, mode, use_index, vectorize)
+        key = self.plan_key(query_text, params, mode, vectorize)
         cached = self._plans.get(key)
         if cached is not None:
             self._plans.move_to_end(key)
@@ -150,7 +145,6 @@ class CatalogEntry:
             program = program.bind(**params)
         compiled = compile_query(
             program, registry=self.store.registry, functions=self.functions,
-            stats=self.store.stats() if use_index else None,
         )
         self._plans[key] = compiled
         if len(self._plans) > self._plan_cache_size:

@@ -29,7 +29,7 @@ from repro.pql.udf import FunctionRegistry
 
 
 class DictDB(Database):
-    """Facts in a dict, scanned linearly: no index, no time slices."""
+    """Facts in a dict, scanned linearly: no time slices."""
 
     def __init__(self, facts):
         super().__init__()
@@ -96,6 +96,8 @@ class TestLowering:
         hoisted = [ln for ln in source.splitlines() if re.search(r"c\d+_2 = ", ln)]
         assert len(hoisted) == 1
         assert source.index(hoisted[0]) < source.index("for r2 in")
+        # one read per scan, no key tuple: relation, location, bound time
+        assert "for r2 in db.candidates(K[2], v2, c2_2):" in source
 
     def test_check_term_location(self):
         """A partition selected by an expression (hand-built plan: the

@@ -163,7 +163,7 @@ class TestDifferentialFuzz:
     def test_vectorized_agrees_over_sealed_columnar(self, store, src):
         """Layer programs over a sealed ARSC store return the same rows as
         the reference interpreter, the semi-naive interpreter and the row
-        functions (indexed and scan) — random programs, including ones
+        functions — random programs, including ones
         whose rules partly run the row function (aggregates)."""
         import shutil
         import tempfile
@@ -196,8 +196,7 @@ class TestDifferentialFuzz:
             except PQLCompatibilityError:
                 pass  # mixed-direction composition: layered refuses
             runs.append(run_naive_from_spill(spill, src))
-            runs.append(run_naive_from_spill(spill, src, use_index=False,
-                                             vectorize=False))
+            runs.append(run_naive_from_spill(spill, src, vectorize=False))
             for result in runs:
                 for rel in expected.relations():
                     assert result.rows(rel) == expected.rows(rel), (

@@ -3,21 +3,22 @@ the commit before plans were compiled to Python (PR 12's parent).
 
 Each key of ``golden_query_digests.json`` names a query, the driver that
 ran it (online = anchored per vertex, layered = anchored per layer, naive =
-located, reference = free), the index switch and the backend; the value is
-the sha256 of the sorted result rows. The digests were produced by running
-this file's ``compute_digests`` against the parent commit's ``src/``::
+located, reference = free), the retired hash-index switch (always
+``index=False``: PR 21 deleted the index and its ``index=True`` twins,
+which pinned the same digests) and the backend; the value is the sha256 of
+the sorted result rows. The digests were produced by running this file's
+``compute_digests`` against the parent commit's ``src/``::
 
     PYTHONPATH=<parent>/src python tests/pql/test_query_digests.py > \\
         tests/pql/golden_query_digests.json
 
-so any drift in what the evaluator derives — in any mode, with hash probes
-on or off, serial or on two worker processes — fails here.
+so any drift in what the evaluator derives — in any mode, serial or on two
+worker processes — fails here.
 
 ``test_sealed_store_digests_match_parent_commit`` holds the sealed-store
 evaluators to the same pins: every offline capture is sealed to ARSC and
-re-queried layered and naive, with layer programs on and off and hash
-probes on and off, and each digest must equal the pin of the same query,
-mode and index switch.
+re-queried layered and naive, with layer programs on and off, and each
+digest must equal the pin of the same query and mode.
 """
 
 import json
@@ -83,38 +84,26 @@ def compute_digests():
         graph, make = workloads[workload]
         text = Q.NAMED_QUERIES[query]
         if online:
-            for index in (True, False):
-                for backend, workers in (("serial", 1), ("parallel", 2)):
-                    config = EngineConfig(
-                        backend=backend, num_workers=workers,
-                        query_index=index,
-                    )
-                    result = Ariadne(graph, make(), config).query_online(
-                        text, params=params
-                    )
-                    key = f"{query}/online/index={index}/{backend}"
-                    digests[key] = digest_query_result(result.query)
+            for backend, workers in (("serial", 1), ("parallel", 2)):
+                config = EngineConfig(backend=backend, num_workers=workers)
+                result = Ariadne(graph, make(), config).query_online(
+                    text, params=params
+                )
+                key = f"{query}/online/index=False/{backend}"
+                digests[key] = digest_query_result(result.query)
         if offline:
             udfs = Q.apt_udfs(make())
-            for index in (True, False):
-                for driver in (run_layered, run_naive, run_reference):
-                    result = driver(
-                        stores[workload], text, graph, params, udfs,
-                        use_index=index,
-                    )
-                    key = f"{query}/{result.mode}/index={index}/serial"
-                    digests[key] = digest_query_result(result)
+            for driver in (run_layered, run_naive, run_reference):
+                result = driver(stores[workload], text, graph, params, udfs)
+                key = f"{query}/{result.mode}/index=False/serial"
+                digests[key] = digest_query_result(result)
     # Query 12 reads the custom store Query 11 captures.
     graph, make = workloads["pagerank"]
     custom = Ariadne(graph, make()).capture_for_backward().store
-    for index in (True, False):
-        for driver in (run_layered, run_naive, run_reference):
-            result = driver(
-                custom, Q.BACKWARD_LINEAGE_CUSTOM_QUERY, graph, LINEAGE,
-                use_index=index,
-            )
-            key = f"query12/{result.mode}/index={index}/serial"
-            digests[key] = digest_query_result(result)
+    for driver in (run_layered, run_naive, run_reference):
+        result = driver(custom, Q.BACKWARD_LINEAGE_CUSTOM_QUERY, graph, LINEAGE)
+        key = f"query12/{result.mode}/index=False/serial"
+        digests[key] = digest_query_result(result)
     return digests
 
 
@@ -156,16 +145,15 @@ def test_sealed_store_digests_match_parent_commit(tmp_path):
         text = Q.NAMED_QUERIES[query]
         udfs = Q.apt_udfs(make())
         for driver in (run_layered_from_spill, run_naive_from_spill):
-            for index in (True, False):
-                for vectorize in (True, False):
-                    result = driver(
-                        sealed[workload], text, graph, params, udfs,
-                        use_index=index, vectorize=vectorize,
-                    )
-                    programs_ran += result.stats.get("rules_vectorized", 0)
-                    pin = golden[f"{query}/{result.mode}/index={index}/serial"]
-                    if digest_query_result(result) != pin:
-                        drifted[(query, result.mode, index, vectorize)] = pin
+            for vectorize in (True, False):
+                result = driver(
+                    sealed[workload], text, graph, params, udfs,
+                    vectorize=vectorize,
+                )
+                programs_ran += result.stats.get("rules_vectorized", 0)
+                pin = golden[f"{query}/{result.mode}/index=False/serial"]
+                if digest_query_result(result) != pin:
+                    drifted[(query, result.mode, vectorize)] = pin
     assert not drifted, f"sealed-store digests drifted from the seed: {drifted}"
     assert programs_ran > 0
 

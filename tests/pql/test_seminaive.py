@@ -126,3 +126,29 @@ class TestDifferential:
 
     def test_query4(self, store, wgraph):
         self._compare(store, wgraph, Q.PAGERANK_CHECK_QUERY)
+
+
+class TestReadonlyFacts:
+    """``store_to_facts(readonly=True)``: zero-copy set views over the live
+    store and graph, consumed in place by the evaluator."""
+
+    def test_views_match_copied_facts(self, store, wgraph):
+        copied = store_to_facts(store, wgraph)
+        views = store_to_facts(store, wgraph, readonly=True)
+        assert set(copied) == set(views)
+        for rel in copied:
+            assert set(views[rel]) == set(copied[rel]), rel
+            assert len(views[rel]) == len(copied[rel]), rel
+        some_row = next(iter(copied["value"]))
+        assert some_row in views["value"]
+        assert ("no", "such", "row") not in views["value"]
+
+    def test_seminaive_over_views(self, store, wgraph):
+        program = parse(Q.SSSP_WCC_STABILITY_QUERY)
+        from_views = evaluate_seminaive(
+            program, store_to_facts(store, wgraph, readonly=True)
+        )
+        from_copies = evaluate_seminaive(
+            program, store_to_facts(store, wgraph)
+        )
+        assert from_views == from_copies

@@ -21,7 +21,7 @@ from repro.pql.serialize import (
     result_to_dict,
     row_sort_key,
 )
-from repro.runtime.offline import run_layered, run_naive
+from repro.runtime.offline import run_layered, run_naive, run_reference
 
 
 @pytest.fixture(scope="module")
@@ -61,19 +61,12 @@ class TestCanonicalOrder:
         # Deterministic: same input in any order, same output.
         assert ordered_rows(reversed(rows)) == out
 
-    def test_indexed_and_scan_order_agree(self, capture):
-        """The pinned total order holds across access paths (no-index
-        scan vs hash probes) and across evaluation drivers."""
+    def test_driver_orders_agree(self, capture):
+        """The pinned total order holds across evaluation drivers."""
         params = lineage_params(capture.store)
         runs = [
-            run_layered(capture.store, Q.BACKWARD_LINEAGE_FULL_QUERY,
-                        params=params, use_index=True),
-            run_layered(capture.store, Q.BACKWARD_LINEAGE_FULL_QUERY,
-                        params=params, use_index=False),
-            run_naive(capture.store, Q.BACKWARD_LINEAGE_FULL_QUERY,
-                      params=params, use_index=True),
-            run_naive(capture.store, Q.BACKWARD_LINEAGE_FULL_QUERY,
-                      params=params, use_index=False),
+            driver(capture.store, Q.BACKWARD_LINEAGE_FULL_QUERY, params=params)
+            for driver in (run_layered, run_naive, run_reference)
         ]
         baseline = result_to_dict(runs[0])
         baseline.pop("mode")

@@ -1,10 +1,10 @@
 """Layer programs over sealed columnar stores: differential identity, which
-rules run as programs and why the rest do not, footer-stat compatibility,
+rules run as programs and why the rest do not, version-1 footer compatibility,
 dictionary caching, and budget interaction.
 
 The contract under test: a layer program is an *optimization*, never a
 semantics change — for every query it must produce byte-identical results
-to the indexed and scan row functions, it runs once per (rule, layer)
+to the row functions, it runs once per (rule, layer)
 whatever the number of vertices, and it must honor ``QueryBudget`` and
 memory bounds from *inside* a layer, not merely between layers.
 """
@@ -86,14 +86,14 @@ def query_cases(lineage_params):
 
 
 # ---------------------------------------------------------------------------
-# differential matrix: vectorized == indexed == scan
+# differential matrix: layer programs == row functions
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("qname", [
     "query3", "query5", "query8", "query9", "query10",
 ])
 def test_vectorized_matches_row_paths(qname, sealed_dir, full_store,
                                       wgraph, lineage_params):
-    """One digest across {vectorized, indexed, scan} x both drivers."""
+    """One digest across {layer programs, row functions} x both drivers."""
     case = query_cases(lineage_params)[qname]
     query = Q.NAMED_QUERIES[qname]
     reference = run_reference(
@@ -101,21 +101,18 @@ def test_vectorized_matches_row_paths(qname, sealed_dir, full_store,
     )
     spill = SpillManager.open(sealed_dir)
     digests = set()
-    for use_index in (True, False):
-        for vectorize in (True, False):
-            for driver in (run_layered_from_spill, run_naive_from_spill):
-                result = driver(
-                    spill, query, wgraph, case.get("params"),
-                    case.get("udfs"),
-                    use_index=use_index, vectorize=vectorize,
+    for vectorize in (True, False):
+        for driver in (run_layered_from_spill, run_naive_from_spill):
+            result = driver(
+                spill, query, wgraph, case.get("params"), case.get("udfs"),
+                vectorize=vectorize,
+            )
+            for relation in reference.relations():
+                assert result.rows(relation) == reference.rows(relation), (
+                    f"{qname} {driver.__name__} vectorize={vectorize} "
+                    f"{relation}"
                 )
-                for relation in reference.relations():
-                    assert (result.rows(relation)
-                            == reference.rows(relation)), (
-                        f"{qname} {driver.__name__} use_index={use_index} "
-                        f"vectorize={vectorize} {relation}"
-                    )
-                digests.add(obsledger.digest_query_result(result))
+            digests.add(obsledger.digest_query_result(result))
     assert len(digests) == 1, (
         f"{qname}: results must be byte-identical across evaluators"
     )
@@ -136,19 +133,15 @@ def test_evaluator_stats_reported(sealed_dir, full_store, wgraph,
     assert vec.stats["batch_rows"] > 0
     assert vec.stats["kernel_seconds"]  # at least one kernel timed
 
-    idx = run_layered_from_spill(spill, query, wgraph, params,
-                                 vectorize=False)
-    assert idx.stats["evaluator"] == "indexed"
-    assert "batched_scans" not in idx.stats
-
-    scan = run_layered_from_spill(spill, query, wgraph, params,
-                                  use_index=False, vectorize=False)
-    assert scan.stats["evaluator"] == "scan"
+    rows = run_layered_from_spill(spill, query, wgraph, params,
+                                  vectorize=False)
+    assert rows.stats["evaluator"] == "rows"
+    assert "batched_scans" not in rows.stats
 
     # The in-memory store serves no column batches: vectorize=True
     # degrades to the row path and says so.
     row = run_layered(full_store, query, wgraph, params)
-    assert row.stats["evaluator"] == "indexed"
+    assert row.stats["evaluator"] == "rows"
     assert row.stats["vectorize"] is True
 
 
@@ -175,8 +168,7 @@ def test_string_equality_pushdown(tmp_path, wgraph):
     src = 'out(X, D, I) :- value(X, D, I), D = "tag-1".'
     spill = SpillManager.open(directory)
     vec = run_layered_from_spill(spill, src, wgraph)
-    scan = run_layered_from_spill(spill, src, wgraph, use_index=False,
-                                  vectorize=False)
+    scan = run_layered_from_spill(spill, src, wgraph, vectorize=False)
     reference = run_reference(store, src, wgraph)
     assert vec.rows("out") == reference.rows("out")
     assert vec.rows("out") == scan.rows("out")
@@ -202,7 +194,7 @@ def test_explain_names_each_rules_evaluator(lineage_params):
 
 
 # ---------------------------------------------------------------------------
-# footer stats: version-1 slabs (no distinct counts) stay readable
+# version-1 slabs (no distinct counts in the footer) stay readable
 # ---------------------------------------------------------------------------
 def _downgrade_slab_to_v1(path):
     """Rewrite an ARSC v2 slab as a faithful v1 slab: version byte 1 and
@@ -241,12 +233,10 @@ class TestV1FooterCompat:
                 _downgrade_slab_to_v1(os.path.join(directory, name))
         return directory
 
-    def test_v1_slabs_read_and_report_no_distinct(self, v1_dir):
+    def test_v1_slabs_read_with_footer_row_counts(self, v1_dir, full_store):
         view = open_store_view(SpillManager.open(v1_dir))
         try:
-            stats = view.stats()
-            assert stats and all(s["rows"] > 0 for s in stats.values())
-            assert all(s["distinct"] == {} for s in stats.values())
+            assert view.counts() == full_store.counts()
         finally:
             view.close()
 

@@ -1,4 +1,5 @@
-"""ARSC columnar codec: lanes, round-trips, probes, corrupt slabs, fuzz.
+"""ARSC columnar codec: lanes, round-trips, corrupt slabs, bounded segment
+decompression, fuzz.
 
 The codec's contract: every chunk dict the sealers produce round-trips
 *exactly* — including concrete value types (``1`` vs ``1.0`` vs ``True``
@@ -10,6 +11,7 @@ every structural violation of the on-disk format surfaces as a
 
 import pickle
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -17,7 +19,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProvenanceError
-from repro.pql.index import MIN_INDEX_ROWS
 from repro.provenance.columnar import (
     LANE_F64,
     LANE_I64,
@@ -153,36 +154,6 @@ class TestLazyAccounting:
         assert slab.decoded_bytes < slab.raw_bytes() // 2
 
 
-class TestProbe:
-    def _slab(self, rows=4 * MIN_INDEX_ROWS):
-        chunks = {"r": {0: {(0, i, float(i % 7), f"k{i % 3}")
-                           for i in range(rows)}}}
-        return chunks, roundtrip(chunks)
-
-    def test_probe_matches_brute_force(self):
-        chunks, slab = self._slab()
-        pattern, key = (0, 3), (0, "k1")
-        hits = slab.probe("r", pattern, key)
-        want = {row for row in chunks["r"][0]
-                if (row[0], row[3]) == key}
-        assert set(hits) == want
-
-    def test_probe_miss_returns_empty(self):
-        _chunks, slab = self._slab()
-        assert slab.probe("r", (1,), (10 ** 9,)) == ()
-        assert slab.probe("absent", (0,), (0,)) == ()
-
-    def test_small_partition_declines(self):
-        slab = roundtrip({"r": {0: {(i,) for i in range(MIN_INDEX_ROWS - 1)}}})
-        assert slab.probe("r", (0,), (1,)) is None
-
-    def test_probe_decodes_only_pattern_columns(self):
-        _chunks, slab = self._slab()
-        slab.probe("r", (1,), (-1,))          # miss: no rows materialized
-        one_column = slab.decoded_bytes
-        assert 0 < one_column < slab.raw_bytes("r") // 2
-
-
 class TestCorruptSlabs:
     def _blob(self):
         blob, _ = encode_columnar_slab(
@@ -228,6 +199,73 @@ class TestCorruptSlabs:
         path.write_bytes(self._blob())
         with ColumnarSlab(str(path)) as slab:
             assert slab.group_rows("r", 0) == {(1, 2.0)}
+
+
+def _with_segment(blob, relation, pos, payload):
+    """``blob`` with column ``pos`` of ``relation`` re-pointed at a new
+    zlib ``payload``, its footer still declaring the original size."""
+    footer_off, footer_len, magic = struct.unpack("<QI4s", blob[-16:])
+    footer = pickle.loads(zlib.decompress(blob[footer_off:footer_off
+                                               + footer_len]))
+    column = footer["relations"][relation]["columns"][pos]
+    column.update(seg=(footer_off, len(payload)), comp="zlib")
+    encoded = zlib.compress(pickle.dumps(footer))
+    return (blob[:footer_off] + payload + encoded + struct.pack(
+        "<QI4s", footer_off + len(payload), len(encoded), magic), footer_off)
+
+
+class TestBoundedDecode:
+    """A footer that lies about a segment's size is refused by name before
+    the segment can allocate past it or under-charge ``decoded_bytes``."""
+
+    ROWS = {"r": {0: {(i, float(i)) for i in range(4)}}}  # i64: 32 bytes
+
+    def _open(self, tmp_path, payload):
+        blob, _ = encode_columnar_slab(self.ROWS, "zlib")
+        bad, offset = _with_segment(blob, "r", 0, payload)
+        path = tmp_path / "lying.slab"
+        path.write_bytes(bad)
+        return ColumnarSlab(str(path)), offset
+
+    def test_segment_inflating_far_past_its_size_is_refused(self, tmp_path):
+        deflate = zlib.compressobj()
+        zeros = bytes(1 << 20)
+        bomb = b"".join(deflate.compress(zeros) for _ in range(64))
+        bomb += deflate.flush()  # 64 MiB of zeros in ~64 KiB
+        slab, offset = self._open(tmp_path, bomb)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProvenanceError) as err:
+                slab.column("r", 0)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            slab.close()
+        assert peak < 1 << 20  # never inflated beyond the declared size
+        assert "lying.slab" in str(err.value)
+        assert f"segment at {offset}" in str(err.value)
+        assert slab.decoded_bytes == 0
+
+    def test_segment_inflating_short_is_refused(self, tmp_path):
+        slab, offset = self._open(tmp_path, zlib.compress(bytes(8)))
+        with pytest.raises(ProvenanceError, match=f"segment at {offset}"):
+            slab.vector("r", 0)
+        slab.close()
+
+    def test_truncated_stream_is_refused(self, tmp_path):
+        slab, offset = self._open(tmp_path, zlib.compress(bytes(32))[:-6])
+        with pytest.raises(ProvenanceError, match=f"segment at {offset}"):
+            slab.column("r", 0)
+        slab.close()
+
+    @pytest.mark.parametrize("compression", COMPRESSIONS)
+    def test_honest_slab_charges_declared_sizes(self, compression):
+        chunks = {"r": {0: {(0, "a", 1.5), (0, "b", 2.5)},
+                        1: {(1, "a", 3.5)}}}
+        slab = roundtrip(chunks, compression)
+        assert slab.to_chunks() == expected_chunks(chunks)
+        desc = slab._relations["r"]  # noqa: SLF001 - the declared sizes
+        assert slab.decoded_bytes == slab.raw_bytes() + desc["keys_raw"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Spill fast-lane tests: slab codecs, the asynchronous writer, and
 failure semantics."""
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -71,6 +73,26 @@ class TestRoundTripMatrix:
                 spill.seal_layer_nowait(t)
             # load_layer flushes implicitly; no explicit flush() needed.
             assert spill.load_layer(1)["value"][0] == {(0, 0.0, 1)}
+
+    def test_seal_all_stops_the_writer(self, tmp_path):
+        # An idle writer thread held the manager (and its store) for the
+        # rest of the process: every capture in a loop leaked one store.
+        store = _populated_store()
+        spill = SpillManager(store, directory=str(tmp_path),
+                             async_writes=True)
+        spill.seal_layer_nowait(0)
+        writer = spill._writer
+        assert writer is not None and writer.is_alive()
+        spill.seal_all()
+        assert spill._writer is None and not writer.is_alive()
+        spill.seal_layer_nowait(1)  # a re-seal starts a fresh writer
+        assert spill._writer is not None
+        spill.seal_all()
+        assert spill._writer is None
+        ref = weakref.ref(spill)
+        del spill
+        gc.collect()
+        assert ref() is None
 
     def test_unknown_compression_rejected(self, tmp_path):
         with pytest.raises(ProvenanceError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProvenanceError
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import _EMPTY_ROWS, ProvenanceStore
 
 
 @pytest.fixture
@@ -66,6 +66,17 @@ class TestReads:
     def test_execution_nodes(self, store):
         nodes = store.execution_nodes()
         assert (0, 0) in nodes and (0, 1) in nodes and (1, 1) in nodes
+
+    def test_miss_slices_share_one_frozenset(self, store):
+        # Partition/slice misses are the common case on sparse relations;
+        # they must all return the one immutable empty set, not allocate.
+        miss = store.partition_at("value", 0, 10_000)
+        assert miss is _EMPTY_ROWS
+        assert store.partition("value", 77) is _EMPTY_ROWS
+        assert store.partition_at("value", 77, 0) is _EMPTY_ROWS
+        assert isinstance(miss, frozenset)
+        with pytest.raises(AttributeError):
+            miss.add((1, 2.0, 3))
 
 
 class TestAccounting:

@@ -98,7 +98,7 @@ def _store_rows(store):
 
 
 # ---------------------------------------------------------------------------
-# Queries 1-12, both from-spill drivers, indexed and scan
+# Queries 1-12, both from-spill drivers
 # ---------------------------------------------------------------------------
 def query_cases(lineage_params):
     return {
@@ -115,13 +115,11 @@ def query_cases(lineage_params):
     }
 
 
-@pytest.mark.parametrize("use_index", (True, False), ids=("indexed", "scan"))
 @pytest.mark.parametrize("qname", [
     "query1", "query3", "query4", "query5", "query6", "query7", "query8",
     "query9", "query10",
 ])
-def test_query_matrix(qname, use_index, sealed_dir, full_store, wgraph,
-                      lineage_params):
+def test_query_matrix(qname, sealed_dir, full_store, wgraph, lineage_params):
     case = query_cases(lineage_params)[qname]
     query = Q.NAMED_QUERIES[qname]
     reference = run_reference(
@@ -132,7 +130,6 @@ def test_query_matrix(qname, use_index, sealed_dir, full_store, wgraph,
     for driver in (run_layered_from_spill, run_naive_from_spill):
         result = driver(
             spill, query, wgraph, case.get("params"), case.get("udfs"),
-            use_index=use_index,
         )
         for relation in reference.relations():
             assert result.rows(relation) == reference.rows(relation), (
@@ -285,7 +282,7 @@ class TestSealedView:
         view = open_store_view(SpillManager.open(sealed_dir))
         try:
             assert view.partition("never_captured", 0) == frozenset()
-            assert view.probe("never_captured", 0, (1,), (0,)) == ()
+            assert view.partition_at("never_captured", 0, 1) == frozenset()
         finally:
             view.close()
 

@@ -55,25 +55,34 @@ class TestStoreDatabase:
         assert db.derived.rows("custom", 0) == {(0, 1)}
 
 
-def read(db, relation, vertex, time=None, pattern=None, key=None):
-    return db.candidates(relation, vertex, time, pattern, key)
+def read(db, relation, vertex, time=None):
+    return db.candidates(relation, vertex, time)
 
 
 class TestCandidates:
     """The one read a located scan makes, over every backend."""
 
-    def test_store_scan_slice_and_probe(self, graph):
+    def test_store_scan_and_slice(self, graph):
         store = ProvenanceStore()
         store.add_all("value", [(0, float(i), i) for i in range(40)])
         db = StoreDatabase(store, graph)
         assert len(read(db, "value", 0)) == 40
-        assert set(read(db, "value", 0, time=3)) == {(0, 3.0, 3)}
-        assert (db.index_probes, db.index_scans) == (0, 2)
-        assert list(read(db, "value", 0, 3, (2,), (3,))) == [(0, 3.0, 3)]
-        assert (db.index_probes, db.index_scans) == (1, 2)
-        db.index_enabled = False
-        assert (0, 3.0, 3) in set(read(db, "value", 0, 3, (2,), (3,)))
-        assert (db.index_probes, db.index_scans) == (1, 3)
+        # a bound time reads exactly that superstep's bucket
+        assert read(db, "value", 0, time=3) == {(0, 3.0, 3)}
+        assert read(db, "value", 0, time=99) == frozenset()
+        assert read(db, "value", 7) == frozenset()  # no such partition
+        assert list(read(db, "edge", 0, time=3)) == [(0, 1)]
+
+    def test_head_predicate_reads_store_and_overlay(self, graph):
+        store = ProvenanceStore()
+        store.add_all("value", [(0, 1.0, 0), (0, 2.0, 1)])
+        db = StoreDatabase(store, graph, head_predicates={"value"})
+        db.add("value", (0, 9.0, 1))
+        # the overlay is unsliced: a superset the scan re-checks
+        assert set(read(db, "value", 0, time=1)) == {(0, 2.0, 1),
+                                                      (0, 9.0, 1)}
+        assert set(read(db, "value", 0)) == {(0, 1.0, 0), (0, 2.0, 1),
+                                              (0, 9.0, 1)}
 
 
 class TestOnlineDatabase:
@@ -129,13 +138,10 @@ class TestOnlineDatabase:
         assert list(read(db, "value", 0, time=1)) == [(0, 2.0, 1)]
         assert len(read(db, "value", 0)) == 2
 
-    def test_counters_split_probes_from_scans(self, graph):
+    def test_unsliced_read_is_the_whole_partition(self, graph):
         db = self.make(graph)
         for i in range(40):
             db.add("derivedrel", (0, i))
         db.begin_vertex(0)
-        assert list(read(db, "derivedrel", 0, None, (1,), (7,))) == [(0, 7)]
-        assert (db.index_probes, db.index_scans) == (1, 0)
-        db.index_enabled = False
-        assert len(read(db, "derivedrel", 0, None, (1,), (7,))) == 40
-        assert (db.index_probes, db.index_scans) == (1, 1)
+        assert read(db, "derivedrel", 0) == {(0, i) for i in range(40)}
+        assert list(read(db, "derivedrel", 1)) == []  # nothing shipped

@@ -17,6 +17,7 @@ from repro.graph.generators import web_graph, with_random_weights
 from repro.pql.analysis import compile_query
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
+from repro.runtime.db import OnlineDatabase
 from repro.runtime import online
 from repro.runtime.online import OnlineQueryProgram, run_online
 
@@ -139,6 +140,22 @@ class TestWindowedRelations:
         kept = run_wrapper(wgraph, analytic, self.SRC, prune_history=False)
         assert kept.transient_row_count() > pruned.transient_row_count()
         assert derived(pruned) == derived(kept) and derived(pruned)["prev"]
+
+    def test_pruned_partition_time_bound_scan_is_its_bucket(self):
+        """A window-pruned partition keeps serving time-bound scans from
+        its ``by_time`` buckets: the scan reads exactly the bucket of the
+        bound superstep, and a pruned superstep reads nothing."""
+        db = OnlineDatabase(None, head_predicates=set(),
+                            frame_relations=set())
+        for i in range(64):
+            db.local.add_timed("r", "v", ("v", i % 4, i), i)
+        part = db.local.partition("r", "v")
+        assert part.prune_older_than(32) == 32
+        db.begin_vertex("v")
+        assert db.candidates("r", "v", 35) is part.by_time[35]
+        assert list(db.candidates("r", "v", 35)) == [("v", 3, 35)]
+        assert list(db.candidates("r", "v", 3)) == []
+        assert len(db.candidates("r", "v", None)) == 32
 
 
 class TestShipping:

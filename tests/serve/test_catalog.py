@@ -101,16 +101,16 @@ class TestPlanCache:
         params = lineage_params(entry.store)
         with entry.eval_lock:
             _, outcome = entry.prepare(
-                Q.BACKWARD_LINEAGE_FULL_QUERY, params, "layered", True)
+                Q.BACKWARD_LINEAGE_FULL_QUERY, params, "layered")
             assert outcome == "miss"
             compiled, outcome = entry.prepare(
-                Q.BACKWARD_LINEAGE_FULL_QUERY, params, "layered", True)
+                Q.BACKWARD_LINEAGE_FULL_QUERY, params, "layered")
             assert outcome == "hit"
         assert entry.plan_hits == 1 and entry.plan_misses == 1
         assert compiled is not None
 
-    def test_key_includes_params_mode_and_index_flag(self, catalog,
-                                                     sssp_store):
+    def test_key_includes_params_mode_and_vectorize_flag(self, catalog,
+                                                         sssp_store):
         entry, _ = catalog.register_path(sssp_store)
         base = lineage_params(entry.store)
         variants = [
@@ -120,9 +120,9 @@ class TestPlanCache:
             (base, "layered", False),
         ]
         with entry.eval_lock:
-            for params, mode, use_index in variants:
+            for params, mode, vectorize in variants:
                 _, outcome = entry.prepare(
-                    Q.BACKWARD_LINEAGE_FULL_QUERY, params, mode, use_index)
+                    Q.BACKWARD_LINEAGE_FULL_QUERY, params, mode, vectorize)
                 assert outcome == "miss"
         assert entry.plan_misses == len(variants)
         assert entry.plan_cache_len == len(variants)
@@ -133,12 +133,12 @@ class TestPlanCache:
         with entry.eval_lock:
             for sigma in (0, 1, 2):
                 entry.prepare(Q.BACKWARD_LINEAGE_FULL_QUERY,
-                              {"alpha": 0, "sigma": sigma}, "layered", True)
+                              {"alpha": 0, "sigma": sigma}, "layered")
             assert entry.plan_cache_len == 2
             # sigma=0 was evicted; re-preparing it is a miss again.
             _, outcome = entry.prepare(
                 Q.BACKWARD_LINEAGE_FULL_QUERY,
-                {"alpha": 0, "sigma": 0}, "layered", True)
+                {"alpha": 0, "sigma": 0}, "layered")
             assert outcome == "miss"
 
 
@@ -158,7 +158,7 @@ class TestInvalidation:
         entry, _ = catalog.register_path(copy)
         with entry.eval_lock:
             entry.prepare(Q.BACKWARD_LINEAGE_FULL_QUERY,
-                          lineage_params(entry.store), "layered", True)
+                          lineage_params(entry.store), "layered")
         assert entry.plan_cache_len == 1
         manifest = os.path.join(copy, "manifest.json")
         with open(manifest) as fh:

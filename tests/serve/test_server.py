@@ -229,8 +229,8 @@ class TestQueries:
 class TestEvaluatorChoice:
     def test_vectorized_default_and_row_path_override(self, server, catalog,
                                                       sssp_store):
-        """Columnar stores vectorize by default; ``vectorize: false`` and
-        ``use_index: false`` select the row paths — same result bytes."""
+        """Columnar stores vectorize by default; ``vectorize: false``
+        selects the row path — same result bytes."""
         run_id = run_id_for(catalog, sssp_store)
         entry = catalog.get(run_id)
         body = {"query": "query10", "params": lineage_params(entry.store)}
@@ -242,19 +242,28 @@ class TestEvaluatorChoice:
         assert vec["stats"]["batched_scans"] > 0
         assert vec["stats"]["kernel_seconds"]
 
-        status, idx = server.request(
+        status, rows = server.request(
             "POST", f"/runs/{run_id}/query", body=dict(body,
                                                        vectorize=False))
         assert status == 200
-        assert idx["stats"]["evaluator"] == "indexed"
-        assert idx["result"] == vec["result"]
+        assert rows["stats"]["evaluator"] == "rows"
+        assert rows["result"] == vec["result"]
 
-        status, scan = server.request(
-            "POST", f"/runs/{run_id}/query",
-            body=dict(body, vectorize=False, use_index=False))
-        assert status == 200
-        assert scan["stats"]["evaluator"] == "scan"
-        assert scan["result"] == vec["result"]
+    def test_use_index_is_an_ignored_key(self, server, catalog, sssp_store):
+        """``use_index`` selected a hash index that no longer exists: it
+        is ignored like any unknown key, so it shares the plan-cache entry
+        of the same request without it."""
+        run_id = run_id_for(catalog, sssp_store)
+        entry = catalog.get(run_id)
+        body = {"query": "query10", "params": lineage_params(entry.store)}
+        status, first = server.request(
+            "POST", f"/runs/{run_id}/query", body=dict(body, use_index=True))
+        assert status == 200 and first["plan_cache"] == "miss"
+        status, second = server.request(
+            "POST", f"/runs/{run_id}/query", body=dict(body, use_index=False))
+        assert status == 200 and second["plan_cache"] == "hit"
+        assert second["result"] == first["result"]
+        assert entry.plan_cache_len == 1
 
     def test_plan_cache_hit_reuses_layer_programs(self, server, catalog,
                                                   sssp_store, monkeypatch):
@@ -307,7 +316,8 @@ class TestEvaluatorChoice:
         text = raw.decode("utf-8")
         assert "repro_serve_query_eval_seconds" in text
         assert 'evaluator="vectorized"' in text
-        assert 'evaluator="indexed"' in text
+        assert 'evaluator="rows"' in text
+        assert 'evaluator="indexed"' not in text
 
 
 class TestPagination:
