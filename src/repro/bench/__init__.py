@@ -10,7 +10,6 @@ from repro.bench.workloads import (
     bench_scale,
     capture_seconds,
     captured_store,
-    frontier_sssp_graph,
     ml20_for,
     web_graph_for,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "bench_scale",
     "capture_seconds",
     "captured_store",
-    "frontier_sssp_graph",
     "ml20_for",
     "web_graph_for",
 ]

@@ -10,7 +10,6 @@ WCC run to convergence; ALS alternates until its error stabilizes.
 
 from __future__ import annotations
 
-import math
 import os
 from typing import Dict, Tuple
 
@@ -95,24 +94,6 @@ def capture_seconds(analytic_name: str, dataset: str) -> float:
     """Wall time of the (cached) full capture for this workload."""
     captured_store(analytic_name, dataset)
     return _capture_seconds[(analytic_name, dataset)]
-
-
-def frontier_sssp_graph(num_vertices: int, seed: int = 7) -> DiGraph:
-    """Long-diameter weighted grid for frontier-scheduling benchmarks.
-
-    A square grid with right/down edges is the worst case for a full-scan
-    scheduler: SSSP from the corner runs ~2*sqrt(V) supersteps while the
-    wavefront only ever covers O(sqrt(V)) vertices, so a scan engine does
-    O(V^1.5) vertex visits where a frontier engine does O(V). Every vertex
-    is reachable from vertex 0, and the random positive weights keep the
-    relaxation pattern non-trivial.
-    """
-    from repro.graph.generators import grid_graph, with_random_weights
-
-    side = max(2, math.isqrt(max(0, num_vertices - 1)) + 1)  # ceil(sqrt(n))
-    return with_random_weights(
-        grid_graph(side, side), low=0.1, high=1.0, seed=seed
-    )
 
 
 def repeats(default: int = 1) -> int:

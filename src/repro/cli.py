@@ -125,7 +125,6 @@ def _engine_config(args: argparse.Namespace) -> "EngineConfig":
         num_workers=getattr(args, "num_workers", 4),
         backend=getattr(args, "backend", "serial"),
         partitioner=getattr(args, "partitioner", "hash"),
-        transport=getattr(args, "transport", None) or "ring",
         spill_async=not getattr(args, "spill_sync", False),
         spill_compression=getattr(args, "spill_compression", None) or "zlib",
     )
@@ -197,7 +196,6 @@ def _start_trace(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
             backend=backend,
             num_workers=getattr(args, "num_workers", 4),
             partitioner=getattr(args, "partitioner", "hash"),
-            transport=getattr(args, "transport", None) or "ring",
         )
     return {"tracer": tracer, "sink": sink, "fmt": fmt, "path": path,
             "run_id": run_id}
@@ -336,11 +334,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = ariadne.baseline()
     elapsed = time.perf_counter() - start
     print(f"analytic:    {ariadne.analytic.name}")
-    backend_line = (f"backend:     {config.backend} ({config.num_workers} "
-                    f"workers, {config.partitioner} partitioning")
-    if config.backend == "parallel":
-        backend_line += f", {config.transport} transport"
-    print(backend_line + ")")
+    print(f"backend:     {config.backend} ({config.num_workers} "
+          f"workers, {config.partitioner} partitioning)")
     print(f"graph:       |V|={graph.num_vertices} |E|={graph.num_edges}")
     print(f"supersteps:  {result.num_supersteps} ({result.halt_reason})")
     print(f"messages:    {result.metrics.total_messages}")
@@ -880,11 +875,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--partitioner", choices=("hash", "range"),
                         default="hash",
                         help="vertex partitioning strategy (default: hash)")
-    parser.add_argument("--transport", choices=("ring", "queue"),
-                        default="ring",
-                        help="parallel-backend message transport: shared-"
-                             "memory rings or multiprocessing queues "
-                             "(results identical; default: ring)")
     parser.add_argument("--no-vectorize", action="store_true",
                         help="disable the vectorized batch evaluator over "
                              "columnar stores and keep the row-at-a-time "

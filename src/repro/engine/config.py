@@ -24,46 +24,23 @@ class EngineConfig:
         deterministic_delivery: sort each vertex's inbox by sender order
             before compute. All library analytics are order-insensitive, but
             tests that compare evaluation modes keep this on.
-        frontier_scheduling: iterate only the active frontier (vertices that
-            have not halted, plus vertices with pending messages) each
-            superstep instead of scanning the whole vertex set. Scheduled
-            vertices run in canonical vertex order, so results are
-            byte-identical to a full scan; turn off only to measure the
-            scheduler itself or to reproduce the seed engine's behavior.
         backend: which execution backend :func:`repro.parallel.make_engine`
             builds — ``"serial"`` (the in-process simulation) or
             ``"parallel"`` (the shared-nothing multiprocess backend of
-            :mod:`repro.parallel`, one OS process per worker). Both produce
-            byte-identical results; the parallel backend measures
-            cross-worker traffic instead of simulating it.
+            :mod:`repro.parallel`, one OS process per worker, message
+            batches over one ``multiprocessing.Queue`` per worker, the
+            forked fleet kept warm across runs of one engine). Both produce byte-identical
+            results; the parallel backend measures cross-worker traffic
+            instead of simulating it.
         partitioner: vertex partitioning strategy the engine factory uses
             when no explicit partitioner object is supplied — ``"hash"``
             (stable crc32 hash, Giraph's default) or ``"range"``
             (contiguous integer ranges, integer ids only).
-        transport: how the multiprocess backend moves message batches
-            between worker processes — ``"ring"`` (the default:
-            single-producer/single-consumer shared-memory byte rings with
-            struct-packed envelopes, see :mod:`repro.parallel.rings`) or
-            ``"queue"`` (the original per-worker ``multiprocessing.Queue``
-            path, kept as a fallback and for differential testing).
-            Results are byte-identical under both; only wall clock and
-            ``network_bytes`` framing differ. Ignored by the serial
-            backend.
-        ring_capacity: bytes of buffer per directed worker pair under the
-            ring transport. Frames larger than the ring stream through it
-            in chunks (senders and receivers pump concurrently), so this
-            bounds memory, not message size.
-        transport_wait_seconds: how long a worker waits on a peer's ring
-            or queue before declaring the exchange wedged. The master
-            separately detects dead workers by polling liveness; this is
-            the worker-side backstop that keeps a stuck peer from hanging
-            the fleet forever.
-        warm_pool: keep the forked worker processes (shard graphs and
-            attached transports included) alive across ``run()`` calls on
-            the same engine, re-initializing them per run by shipping the
-            pickled program. Programs that do not pickle (e.g. closures)
-            transparently fall back to a fresh fork. Turn off to restore
-            fork-per-run behavior.
+        transport_wait_seconds: how long a parallel worker waits for a
+            peer's message batch before declaring the exchange wedged. The
+            master separately detects dead workers by polling liveness;
+            this is the worker-side backstop that keeps a stuck peer from
+            hanging the fleet forever.
         spill_async: seal provenance layers through the spill manager's
             background writer thread (the paper's asynchronous HDFS
             offload) instead of blocking the capture path per slab. Slab
@@ -88,13 +65,9 @@ class EngineConfig:
     track_message_bytes: bool = False
     use_combiner: bool = True
     deterministic_delivery: bool = False
-    frontier_scheduling: bool = True
     backend: str = "serial"
     partitioner: str = "hash"
-    transport: str = "ring"
-    ring_capacity: int = 1 << 20
     transport_wait_seconds: float = 60.0
-    warm_pool: bool = True
     spill_async: bool = True
     spill_compression: str = "zlib"
     ledger_dir: Optional[str] = None
@@ -112,12 +85,6 @@ class EngineConfig:
             raise EngineError(
                 f"unknown partitioner {self.partitioner!r} (hash | range)"
             )
-        if self.transport not in ("ring", "queue"):
-            raise EngineError(
-                f"unknown transport {self.transport!r} (ring | queue)"
-            )
-        if self.ring_capacity < 4096:
-            raise EngineError("ring_capacity must be >= 4096 bytes")
         if self.transport_wait_seconds <= 0:
             raise EngineError("transport_wait_seconds must be > 0")
         if self.spill_compression not in ("raw", "zlib"):

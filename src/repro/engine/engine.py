@@ -16,9 +16,9 @@ simulation is single-threaded — at the graph scales of the benchmark suite the
 GIL would serialize threads anyway, and determinism is worth more to a
 reproduction than fake parallelism.
 
-Scheduling is frontier-driven by default: each superstep only the vertices
-that are awake or have pending messages are visited, in canonical vertex
-order, so the work per superstep is O(frontier) rather than O(V) while the
+Scheduling is frontier-driven: each superstep only the vertices that are
+awake or have pending messages are visited, in canonical vertex order, so
+the work per superstep is O(frontier) rather than O(V) while the
 computation stays byte-identical to a whole-graph scan (the long tails of
 SSSP/BFS/WCC touch a handful of vertices per superstep; scanning all of them
 dominated the seed engine's wall time). Messages are bucketed per target
@@ -222,8 +222,7 @@ class PregelEngine:
             )
         run_start = time.perf_counter()
 
-        frontier_mode = config.frontier_scheduling
-        order_of = graph.vertex_order() if frontier_mode else None
+        order_of = graph.vertex_order()
         deterministic = config.deterministic_delivery
         bind = ctx._bind
         compute = program.compute
@@ -240,30 +239,23 @@ class PregelEngine:
                 )
             step_start = time.perf_counter()
 
-            if frontier_mode:
-                # O(frontier) schedule: awake vertices plus message
-                # targets, in canonical vertex order so the computation is
-                # byte-identical to a whole-graph scan.
-                if any(inboxes):
-                    schedule: Set[Any] = set(active)
-                    for box in inboxes:
-                        schedule.update(box)
-                else:
-                    schedule = active
-                if len(schedule) == num_vertices:
-                    iterator = iter(graph.vertices())  # whole-graph frontier
-                else:
-                    iterator = iter(sorted(schedule, key=order_of.__getitem__))
-                scan = False
+            # O(frontier) schedule: awake vertices plus message targets,
+            # in canonical vertex order — the vertices a whole-graph scan
+            # would execute, in the order it would execute them.
+            if any(inboxes):
+                schedule: Set[Any] = set(active)
+                for box in inboxes:
+                    schedule.update(box)
             else:
-                iterator = iter(graph.vertices())
-                scan = True
+                schedule = active
+            if len(schedule) == num_vertices:
+                order = graph.vertices()  # whole-graph frontier
+            else:
+                order = sorted(schedule, key=order_of.__getitem__)
 
-            for vertex_id in iterator:
+            for vertex_id in order:
                 worker = worker_of[vertex_id]
                 messages = inboxes[worker].get(vertex_id)
-                if scan and messages is None and vertex_id not in active:
-                    continue
                 step.active_vertices += 1
                 self._current_worker = worker
                 if messages is not None and deterministic:

@@ -30,23 +30,22 @@ class SuperstepMetrics:
     messages_sent: int = 0
     messages_combined: int = 0
     # Messages folded away on the *sender* side before serialization
-    # (ring transport with an associative combiner). Always 0 serially:
-    # there is no wire, so every fold is a plain combine. The invariant
-    # messages_combined + messages_precombined == serial messages_combined
-    # holds per superstep — pre-combining moves folds, it never adds or
-    # drops one.
+    # (multiprocess backend with an associative combiner). Always 0
+    # serially: there is no wire, so every fold is a plain combine. The
+    # invariant messages_combined + messages_precombined == serial
+    # messages_combined holds per superstep — pre-combining moves folds,
+    # it never adds or drops one.
     messages_precombined: int = 0
     cross_worker_messages: int = 0
     message_bytes: int = 0
-    # Bytes of pickled message batches that actually crossed a process
-    # boundary. Always 0 on the serial backend (nothing is serialized);
-    # the multiprocess backend measures the real blob sizes it ships.
+    # Bytes of encoded message frames (struct-packed columns, or a pickle
+    # for mixed payloads) that actually crossed a process boundary.
+    # Always 0 on the serial backend (nothing is serialized); the
+    # multiprocess backend measures the real frame sizes it ships.
     network_bytes: int = 0
     wall_seconds: float = 0.0
     # Scheduler counters: how many vertices the superstep scheduled
-    # (frontier) and how many it never had to look at. Under full-scan
-    # scheduling, skipped vertices were still iterated — the gap between
-    # the two modes' wall time for the same counters is the scan overhead.
+    # (frontier) and how many it never had to look at.
     frontier_size: int = 0
     skipped_vertices: int = 0
 
@@ -193,7 +192,7 @@ class RunMetrics:
         ).inc(self.total_cross_worker_messages)
         registry.counter(
             "repro_engine_network_bytes_total",
-            "pickled message-batch bytes shipped between worker processes",
+            "encoded message-frame bytes shipped between worker processes",
         ).inc(self.total_network_bytes)
         registry.counter(
             "repro_engine_skipped_vertices_total",

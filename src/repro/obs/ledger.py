@@ -12,7 +12,7 @@ that opts in via ``EngineConfig.ledger_dir`` — appends one JSON record to
   command, configuration, environment fingerprint and start timestamp),
   plus a ``parent_run_id`` linking a query run to the capture run that
   produced its store (read back from the store manifest);
-* **inputs** — the full engine/backend/transport configuration, an
+* **inputs** — the full engine/backend configuration, an
   environment fingerprint (python, platform, usable cores, package
   version) and the dataset identity (edge-list content hash);
 * **outputs** — result digests: the vertex-values digest, the sealed-slab

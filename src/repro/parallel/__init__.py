@@ -2,11 +2,10 @@
 
 The serial engine *simulates* ``num_workers`` workers in one process;
 this package runs them as real forked OS processes, one graph shard each,
-exchanging framed message batches through a pluggable transport —
-shared-memory SPSC rings by default, ``multiprocessing.Queue`` as the
-fallback — under a master-coordinated superstep barrier, and still
-produces byte-identical results (see ``DESIGN.md`` sections 7 and 10 for
-the protocol and the determinism argument). A warm worker pool keeps the
+exchanging framed message batches over one ``multiprocessing.Queue``
+per worker under a master-coordinated superstep barrier, and still
+produces byte-identical results (see ``DESIGN.md`` section 7 for the
+protocol and the determinism argument). A warm worker pool keeps the
 forked fleet alive across runs of the same engine.
 """
 
@@ -18,13 +17,7 @@ from repro.parallel.messages import (
     ShardCheckpoint,
     merge_shard_checkpoints,
 )
-from repro.parallel.transport import (
-    QueueTransport,
-    RingTransport,
-    create_transport,
-    decode_frame,
-    encode_batch,
-)
+from repro.parallel.transport import QueueTransport, decode_frame, encode_batch
 from repro.parallel.worker import WorkerPool
 
 __all__ = [
@@ -32,11 +25,9 @@ __all__ = [
     "FinalReport",
     "ParallelEngine",
     "QueueTransport",
-    "RingTransport",
     "ShardCheckpoint",
     "WorkerPool",
     "build_partitioner",
-    "create_transport",
     "decode_frame",
     "encode_batch",
     "make_engine",

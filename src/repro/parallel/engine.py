@@ -5,13 +5,13 @@
 ``run()`` contract, byte-identical vertex values and halting behavior. The
 difference is that ``num_workers`` is no longer simulated — each worker is
 a forked OS process owning one shard, message batches really cross process
-boundaries through a pluggable transport (shared-memory rings by default,
-measured in the ``network_bytes`` metric), and the superstep barrier is a
+boundaries over one ``multiprocessing.Queue`` per worker (measured in
+the ``network_bytes`` metric), and the superstep barrier is a
 master-coordinated reduction:
 
 1. master broadcasts ``("step", s, aggregator_values, checkpoint?)``;
 2. workers compute their shard frontier, exchange tagged message frames
-   peer-to-peer through the transport, and report counters + raw
+   peer-to-peer over the data queues, and report counters + raw
    aggregator contributions + drained trace events (+ optionally a shard
    checkpoint);
 3. master folds the contributions into the real aggregator registry in
@@ -26,12 +26,12 @@ inherited copy-on-write, so the backend accepts every program the serial
 engine accepts. Platforms without ``fork`` raise ``EngineError``.
 
 The fork happens once per engine, not once per run: a
-:class:`~repro.parallel.worker.WorkerPool` keeps the fleet (and its
-transport) warm across ``run()`` calls, shipping only the pickled
-program per run. Programs that do not pickle transparently fall back to
-a fresh fork, so nothing the old fork-per-run path accepted is rejected.
-Set ``EngineConfig.warm_pool = False`` (or mutate the graph between
-runs — the pool cannot see mutations) to fork per run again.
+:class:`~repro.parallel.worker.WorkerPool` keeps the fleet (and its data
+queues) warm across ``run()`` calls, shipping only the pickled program
+per run. Programs that do not pickle transparently fall back to a fresh
+fork, so every program the serial engine accepts runs here too. The
+pool cannot see graph mutations: mutate the graph, then build a new
+engine.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ logger = get_logger("parallel")
 _POLL_SECONDS = 1.0
 
 #: Worker stamp of the most recent parallel run in this process: worker
-#: pids + transport topology, recorded at run start for the run ledger
+#: count and pids, recorded at run start for the run ledger
 #: (``repro.obs.ledger``) so audit records name the actual fleet that
 #: executed, not just the requested configuration.
 _LAST_WORKER_STAMP: Optional[Dict[str, Any]] = None
@@ -88,15 +88,15 @@ def last_worker_stamp() -> Optional[Dict[str, Any]]:
 
 #: How long the master keeps draining reports after the first error, so a
 #: root-cause ``VertexProgramError`` can displace a secondary transport
-#: error (peers of a failed worker die of ring poisoning, and their
-#: reports can reach the control queue first).
+#: error (peers of a failed worker die of the poisoned queue it left
+#: them, and their reports can reach the control queue first).
 _ERROR_GRACE_SECONDS = 5.0
 
 
 def _error_rank(error: BaseException) -> int:
     """Lower is more interesting to the caller: a vertex program failure
     is the root cause; a bare ``EngineError`` is usually transport
-    collateral (poisoned ring, died peer)."""
+    collateral (poisoned queue, died peer)."""
     if isinstance(error, VertexProgramError):
         return 0
     if not isinstance(error, EngineError):
@@ -245,7 +245,7 @@ class ParallelEngine:
                 "run", PHASE_RUN,
                 program=getattr(program, "name", type(program).__name__),
                 vertices=num_vertices, workers=num_workers,
-                backend="parallel", transport=self.config.transport,
+                backend="parallel",
             )
         run_start = time.perf_counter()
 
@@ -255,8 +255,6 @@ class ParallelEngine:
         _LAST_WORKER_STAMP = {
             "backend": "parallel",
             "num_workers": num_workers,
-            "transport": self.config.transport,
-            "warm_pool": self.config.warm_pool,
             "worker_pids": [p.pid for p in pool.procs],
         }
 
@@ -267,8 +265,7 @@ class ParallelEngine:
         wait_histogram = get_registry().histogram(
             "repro_transport_wait_seconds",
             "per-worker per-superstep time blocked on the message transport",
-            labels=("transport",),
-        ).labels(self.config.transport)
+        )
         try:
             pool.init_run(blob, traced)
             for superstep in range(limit):
@@ -366,8 +363,6 @@ class ParallelEngine:
             if traced:
                 run_span.end(halt_reason="error")
             raise
-        if not self.config.warm_pool:
-            self._teardown(force=False)
 
         metrics.wall_seconds = time.perf_counter() - run_start
         if traced:
@@ -377,11 +372,10 @@ class ParallelEngine:
         metrics.publish(get_registry())
         logger.debug(
             "parallel run %s finished: %d supersteps, %d messages, "
-            "%d network bytes via %s, %.3fs (%s)",
+            "%d network bytes, %.3fs (%s)",
             getattr(program, "name", type(program).__name__),
             metrics.num_supersteps, metrics.total_messages,
-            metrics.total_network_bytes, self.config.transport,
-            metrics.wall_seconds, halt_reason,
+            metrics.total_network_bytes, metrics.wall_seconds, halt_reason,
         )
         return RunResult(
             values=values,
@@ -396,7 +390,7 @@ class ParallelEngine:
         """Raise the most root-cause-looking error reported this barrier.
 
         After one worker reports an error, its peers usually fail too
-        (poisoned rings), and queue arrival order is not causal order —
+        (poisoned queues), and queue arrival order is not causal order —
         so drain briefly and prefer a ``VertexProgramError`` over
         transport collateral.
         """

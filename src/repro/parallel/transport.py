@@ -1,20 +1,10 @@
-"""Pluggable message transport of the multiprocess backend.
+"""Message transport of the multiprocess backend.
 
-Pregelix models message exchange as a physical dataflow operator that can
-be swapped without touching program semantics; this module is that seam.
-A *transport* is the master-side handle (created before the fork, so the
-workers inherit whatever OS resources it owns); each worker builds its
-*endpoint* after forking and calls :meth:`Endpoint.exchange` once per
-superstep to ship its per-peer outboxes and collect one batch from every
-peer.
-
-Two implementations:
-
-* ``ring`` (default) — per-pair shared-memory SPSC byte rings
-  (:mod:`repro.parallel.rings`) carrying struct-packed frames;
-* ``queue`` — the original ``multiprocessing.Queue`` path, kept as a
-  fallback and for differential testing (it always uses the pickle lane,
-  so it exercises a genuinely different serialization path).
+The master builds a :class:`QueueTransport` before the fork — one
+``multiprocessing.Queue`` per worker, inherited by every child — and
+each worker wraps it in a :class:`QueueEndpoint` whose
+:meth:`~QueueEndpoint.exchange` runs once per superstep: put one frame
+on every peer's queue, then take one frame per peer off its own.
 
 **Wire format.** A batch of tagged messages ``(pos, seq, target,
 payload)`` is one *frame*: a fixed header ``(kind, flags, src,
@@ -26,9 +16,9 @@ Anything else falls back to a pickled list. ``seq`` never crosses the
 wire: within a batch messages are already in send order, a worker sends
 one batch per peer per superstep, and sender positions are disjoint
 across workers, so the receiver regenerates ``seq = 0..count-1`` and the
-global ``(pos, seq)`` merge order is unchanged. On the ring the frame is
-length-prefixed; superstep and epoch in the header let receivers detect
-protocol skew instead of silently merging a stale batch.
+global ``(pos, seq)`` merge order is unchanged. Superstep and epoch in
+the header let receivers detect protocol skew instead of silently
+merging a stale batch.
 """
 
 from __future__ import annotations
@@ -38,10 +28,9 @@ import queue as queue_module
 import struct
 import time
 from array import array
-from typing import Any, Dict, List, Optional
+from typing import Any, List
 
 from repro.errors import EngineError
-from repro.parallel.rings import RingBoard
 
 KIND_EMPTY = 0    # no messages this superstep
 KIND_PICKLE = 1   # body = pickled [(pos, target, payload), ...]
@@ -49,12 +38,7 @@ KIND_F8 = 2       # body = i64 pos column + i64 target column + f64 payloads
 KIND_I8 = 3       # body = i64 pos column + i64 target column + i64 payloads
 
 FRAME_HEADER = struct.Struct("<BBHIII")  # kind, flags, src, superstep, epoch, count
-_LEN = struct.Struct("<I")
 _I64 = 8
-
-#: Initial/terminal sleep of the ring pump's backoff when no byte moved.
-_SPIN_MIN = 0.000001
-_SPIN_MAX = 0.0005
 
 
 # ----------------------------------------------------------------------
@@ -137,141 +121,14 @@ def decode_frame(frame: memoryview) -> Any:
 
 
 # ----------------------------------------------------------------------
-# endpoints (worker side)
+# endpoint (worker side) and transport (master side)
 # ----------------------------------------------------------------------
-class RingEndpoint:
-    """Worker-side pump over the shared-memory ring board.
-
-    ``exchange`` interleaves partial writes and reads in one non-blocking
-    loop, so it can never deadlock on ring capacity: even when every
-    outgoing frame is larger than its ring, everyone drains incoming
-    bytes while their own frames trickle out. The barrier protocol
-    guarantees rings are empty between supersteps, so exactly one frame
-    per peer is expected per call.
-    """
-
-    kind = "ring"
-
-    def __init__(
-        self, board: RingBoard, worker_id: int, wait_seconds: float
-    ) -> None:
-        self.worker_id = worker_id
-        self._board = board
-        self._wait = wait_seconds
-        self._peers = [
-            w for w in range(board.num_workers) if w != worker_id
-        ]
-        self._out = {p: board.ring(worker_id, p) for p in self._peers}
-        self._in = {p: board.ring(p, worker_id) for p in self._peers}
-
-    def exchange(
-        self, superstep: int, epoch: int, outboxes: List[List[Any]], report: Any
-    ) -> List[List[Any]]:
-        batches = [outboxes[self.worker_id]]
-        sends = []
-        for peer in self._peers:
-            frame = encode_batch(
-                self.worker_id, superstep, epoch, outboxes[peer]
-            )
-            data = _LEN.pack(len(frame)) + frame
-            report.network_bytes += len(data)
-            sends.append([self._out[peer], memoryview(data), 0])
-        if not self._peers:
-            return batches
-
-        bufs: Dict[int, bytearray] = {p: bytearray() for p in self._peers}
-        need: Dict[int, Optional[int]] = {p: None for p in self._peers}
-        pending = set(self._peers)
-        backoff = _SPIN_MIN
-        deadline: Optional[float] = None
-        waited = 0.0
-        while sends or pending:
-            progress = False
-            still = []
-            for item in sends:
-                ring, data, offset = item
-                if ring.poisoned:
-                    raise EngineError(
-                        f"worker {self.worker_id}: outgoing ring poisoned "
-                        "(a peer failed or the master aborted)"
-                    )
-                wrote = ring.try_write(data, offset)
-                if wrote:
-                    progress = True
-                    offset = item[2] = offset + wrote
-                if offset < len(data):
-                    still.append(item)
-            sends = still
-            for peer in tuple(pending):
-                ring = self._in[peer]
-                chunk = ring.try_read(1 << 16)
-                if chunk:
-                    progress = True
-                    buf = bufs[peer]
-                    while chunk:
-                        buf += chunk
-                        chunk = ring.try_read(1 << 16)
-                    if need[peer] is None and len(buf) >= _LEN.size:
-                        need[peer] = _LEN.unpack_from(buf)[0]
-                    want = need[peer]
-                    if want is not None and len(buf) >= _LEN.size + want:
-                        if len(buf) != _LEN.size + want:
-                            raise EngineError(
-                                f"worker {self.worker_id}: trailing bytes "
-                                f"after the frame from {peer}"
-                            )
-                        src, step, ep, batch = decode_frame(
-                            memoryview(buf)[_LEN.size:]
-                        )
-                        if src != peer or step != superstep or ep != epoch:
-                            raise EngineError(
-                                f"worker {self.worker_id}: unexpected frame "
-                                f"from {src} (superstep {step}, epoch {ep}; "
-                                f"expected {peer}/{superstep}/{epoch})"
-                            )
-                        pending.discard(peer)
-                        if batch:
-                            batches.append(batch)
-                elif ring.poisoned:
-                    raise EngineError(
-                        f"worker {self.worker_id}: ring from {peer} "
-                        "poisoned (peer failed or the master aborted)"
-                    )
-            if progress:
-                backoff = _SPIN_MIN
-                deadline = None
-            else:
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + self._wait
-                elif now > deadline:
-                    raise EngineError(
-                        f"worker {self.worker_id}: no transport progress "
-                        f"for {self._wait:.0f}s at superstep {superstep} "
-                        f"(stuck peers: {sorted(pending)})"
-                    )
-                time.sleep(backoff)
-                waited += backoff
-                backoff = min(backoff * 2, _SPIN_MAX)
-        report.wait_seconds += waited
-        return batches
-
-    def poison_outgoing(self) -> None:
-        """Dying-worker path: unblock every peer pumping our rings."""
-        self._board.poison_from(self.worker_id)
-
-    def close(self) -> None:
-        self._board.close()
-
-
 class QueueEndpoint:
-    """The original per-worker ``multiprocessing.Queue`` exchange.
+    """One worker's view of the per-worker ``multiprocessing.Queue`` set.
 
     ``None`` on the data queue is the poison sentinel (queues have no
     shared flag a peer could set).
     """
-
-    kind = "queue"
 
     def __init__(
         self, queues: List[Any], worker_id: int, wait_seconds: float
@@ -324,41 +181,17 @@ class QueueEndpoint:
         return batches
 
     def poison_outgoing(self) -> None:
+        """Dying-worker path: unblock every peer waiting on our frame."""
         for peer in self._peers:
             try:
                 self._queues[peer].put_nowait(None)
             except Exception:  # noqa: BLE001 - best effort while dying
                 pass
 
-    def close(self) -> None:
-        pass
-
-
-# ----------------------------------------------------------------------
-# transports (master side)
-# ----------------------------------------------------------------------
-class RingTransport:
-    kind = "ring"
-
-    def __init__(self, config: Any, ctx: Any) -> None:
-        self.board = RingBoard(config.num_workers, config.ring_capacity)
-        self._wait = config.transport_wait_seconds
-
-    def endpoint(self, worker_id: int) -> RingEndpoint:
-        return RingEndpoint(self.board, worker_id, self._wait)
-
-    def poison(self) -> None:
-        self.board.poison_all()
-
-    def close(self) -> None:
-        self.board.close()
-
-    def unlink(self) -> None:
-        self.board.unlink()
-
 
 class QueueTransport:
-    kind = "queue"
+    """The master-side handle: one data queue per worker, created before
+    the fork so every worker inherits all of them."""
 
     def __init__(self, config: Any, ctx: Any) -> None:
         self.queues = [ctx.Queue() for _ in range(config.num_workers)]
@@ -381,13 +214,3 @@ class QueueTransport:
         for q in self.queues:
             q.cancel_join_thread()
             q.close()
-
-    def unlink(self) -> None:
-        pass
-
-
-def create_transport(config: Any, ctx: Any) -> Any:
-    """Build the transport ``config.transport`` names (master side)."""
-    if config.transport == "queue":
-        return QueueTransport(config, ctx)
-    return RingTransport(config, ctx)

@@ -3,7 +3,7 @@
 A worker owns one graph shard: the values, halt flags and inbox of its
 vertices. Each superstep it computes the local frontier in canonical
 vertex order, buckets outgoing messages per destination worker, ships one
-transport frame to every peer, merges the batches it receives back into
+frame to every peer's queue, merges the batches it receives back into
 its inbox, and reports counters (plus aggregator contributions, drained
 trace events and optionally a shard checkpoint) to the master.
 
@@ -21,11 +21,11 @@ fold. Aggregator contributions are shipped raw with their ``(sender_pos,
 seq)`` tags and folded master-side in global order.
 
 :class:`WorkerPool` is the master-side handle keeping forked workers —
-and their shard graphs, routing tables and transport — alive across
+and their shard graphs, routing tables and data queues — alive across
 ``run()`` calls: re-running ships only a pickled program (``CMD_INIT``)
 instead of re-forking and re-faulting the whole graph. The pool assumes
-the graph is not mutated between runs of the same engine instance; fork
-per run (``EngineConfig.warm_pool = False``) if it is.
+the graph is not mutated between runs of the same engine instance; use a
+new engine if it is.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from repro.parallel.messages import (
     ShardCheckpoint,
     TaggedMessage,
 )
-from repro.parallel.transport import create_transport
+from repro.parallel.transport import QueueTransport
 from repro.sizemodel import estimate_bytes
 
 
@@ -222,7 +222,7 @@ class ShardRuntime:
     def serve(self, traced: bool) -> bool:
         """Process master commands for one run. Never raises: every
         failure is shipped to the master inside a report (after poisoning
-        our outgoing transport so peers blocked on us unblock too).
+        our peers' queues so peers blocked on us unblock too).
 
         Returns True when the worker should stay warm for another
         ``CMD_INIT``, False when the process should exit.
@@ -253,7 +253,7 @@ class ShardRuntime:
             if kind == CMD_STEP:
                 report = self._superstep(command[1], command[2], command[3])
                 if report.error is not None:
-                    # Peers may be blocked pumping our rings for a frame
+                    # Peers may be blocked waiting for a frame from us
                     # that will never come — unblock them before the
                     # master even notices the error.
                     self._endpoint.poison_outgoing()
@@ -345,7 +345,7 @@ class ShardRuntime:
         report.active_after = len(active)
 
     def _exchange(self, superstep: int, report: BarrierReport) -> None:
-        """Ship outgoing batches through the transport, collect incoming
+        """Ship outgoing batches to the peers, collect incoming
         ones, rebuild the inbox in global send order, and apply the
         combiner receiver-side (sender-side for associative combiners)."""
         outboxes = self._outboxes
@@ -466,34 +466,31 @@ def worker_main(
     A clean ``CMD_COLLECT`` keeps the process warm for the next init.
     """
     endpoint = transport.endpoint(worker_id)
-    try:
-        while True:
-            command = cmd_queue.get()
-            kind = command[0]
-            if kind == CMD_INIT:
-                _, blob, traced, epoch = command
-                try:
-                    prog = program if blob is None else pickle.loads(blob)
-                except BaseException as exc:  # noqa: BLE001 - to master
-                    ctrl_queue.put(FinalReport(
-                        worker_id, error=ShardRuntime._wrap(exc)))
-                    return
-                runtime = ShardRuntime(
-                    worker_id, graph, prog, config, shard, worker_of,
-                    order_of, endpoint, cmd_queue, ctrl_queue, epoch,
-                )
-                if not runtime.serve(traced):
-                    return
-            elif kind in (CMD_ABORT, CMD_SHUTDOWN):
-                return
-            else:  # pragma: no cover - protocol bug
+    while True:
+        command = cmd_queue.get()
+        kind = command[0]
+        if kind == CMD_INIT:
+            _, blob, traced, epoch = command
+            try:
+                prog = program if blob is None else pickle.loads(blob)
+            except BaseException as exc:  # noqa: BLE001 - to master
                 ctrl_queue.put(FinalReport(
-                    worker_id,
-                    error=EngineError(f"unknown command {kind!r}"),
-                ))
+                    worker_id, error=ShardRuntime._wrap(exc)))
                 return
-    finally:
-        endpoint.close()
+            runtime = ShardRuntime(
+                worker_id, graph, prog, config, shard, worker_of,
+                order_of, endpoint, cmd_queue, ctrl_queue, epoch,
+            )
+            if not runtime.serve(traced):
+                return
+        elif kind in (CMD_ABORT, CMD_SHUTDOWN):
+            return
+        else:  # pragma: no cover - protocol bug
+            ctrl_queue.put(FinalReport(
+                worker_id,
+                error=EngineError(f"unknown command {kind!r}"),
+            ))
+            return
 
 
 # ----------------------------------------------------------------------
@@ -510,8 +507,8 @@ def _reap_pool(
     ``weakref.finalize`` can call it without resurrecting the pool."""
     if force:
         # Workers may be blocked mid-exchange on a peer that already
-        # died; poison the transport so pumps raise instead of spinning,
-        # then kill whatever is left.
+        # died; poison the data queues so they raise instead of waiting
+        # out transport_wait_seconds, then kill whatever is left.
         try:
             transport.poison()
         except Exception:  # noqa: BLE001 - already tearing down
@@ -544,13 +541,12 @@ def _reap_pool(
         pass
     try:
         transport.close()
-        transport.unlink()
     except Exception:  # noqa: BLE001
         pass
 
 
 class WorkerPool:
-    """A persistent fleet of forked workers plus their transport.
+    """A persistent fleet of forked workers plus their data queues.
 
     Forking is the expensive part of a parallel run (the whole graph and
     routing tables fault into every child); the pool pays it once and
@@ -577,7 +573,7 @@ class WorkerPool:
         ctx = multiprocessing.get_context("fork")
         self.config = config
         self.num_workers = config.num_workers
-        self.transport = create_transport(config, ctx)
+        self.transport = QueueTransport(config, ctx)
         self.cmd_queues = [
             ctx.SimpleQueue() for _ in range(self.num_workers)
         ]

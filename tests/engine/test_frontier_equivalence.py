@@ -1,14 +1,17 @@
-"""Frontier-scheduled runs must be indistinguishable from full scans.
+"""Frontier-scheduled runs must execute exactly what a full scan would.
 
-The frontier scheduler visits only awake-or-messaged vertices in canonical
-vertex order; a full scan visits every vertex and skips the idle ones. The
-two must agree on *everything* an engine run produces — values, aggregators,
-halt reason, superstep count, message counters — and, for provenance-aware
-runs, on the captured store contents, across seeded-random graphs and all
-the paper's analytics (property-style: many seeds, one invariant).
+The engine visits only awake-or-messaged vertices in canonical vertex
+order. The oracle lives here, not in the engine: :class:`ScheduleRecorder`
+wraps a program, logs every ``compute`` as ``(superstep, vertex)`` plus
+each vertex's halt vote and every message target, and then replays a
+literal whole-graph scan over ``graph.vertices()`` — run a vertex iff it
+is awake or was messaged — to check that every superstep ran exactly those
+vertices, in that order. Property-style: seeded-random graphs, all the
+paper's analytics, and both capture queries.
 """
 
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -40,34 +43,85 @@ def random_weighted_graph(seed: int) -> DiGraph:
     return with_random_weights(g, seed=seed)
 
 
-def assert_equivalent(graph: DiGraph, make_program, num_workers: int = 4):
-    """Run frontier vs full scan and compare every observable output."""
-    scan = PregelEngine(
-        graph,
-        config=EngineConfig(
-            num_workers=num_workers, frontier_scheduling=False
-        ),
-    ).run(make_program())
-    frontier = PregelEngine(
-        graph,
-        config=EngineConfig(
-            num_workers=num_workers, frontier_scheduling=True
-        ),
-    ).run(make_program())
-    assert frontier.values == scan.values
-    assert frontier.aggregators == scan.aggregators
-    assert frontier.halt_reason == scan.halt_reason
-    assert frontier.edge_values == scan.edge_values
-    assert frontier.num_supersteps == scan.num_supersteps
-    fm, sm = frontier.metrics, scan.metrics
-    assert fm.total_messages == sm.total_messages
-    assert fm.total_active_vertices == sm.total_active_vertices
-    assert fm.total_cross_worker_messages == sm.total_cross_worker_messages
-    # the frontier scheduler executes exactly the vertices the scan did
-    for f_step, s_step in zip(fm.supersteps, sm.supersteps):
-        assert f_step.active_vertices == s_step.active_vertices
-        assert f_step.frontier_size == s_step.frontier_size
-    return frontier, scan
+class ScheduleRecorder(VertexProgram):
+    """Wrapper program that logs every compute as ``(superstep, vertex)``.
+
+    It also notes each vertex's halt vote and every message target (by
+    wrapping the engine's send), which is all a whole-graph scan needs to
+    decide who runs next.
+    """
+
+    def __init__(self, inner: VertexProgram, engine: PregelEngine) -> None:
+        self.inner = inner
+        self.graph = engine.graph
+        self.name = getattr(inner, "name", type(inner).__name__)
+        self.computes = []  # (superstep, vertex), in call order
+        self.halted = {}  # (superstep, vertex) -> voted to halt
+        self.sent = defaultdict(set)  # superstep -> message targets
+        self._superstep = 0
+        send = engine._send
+
+        def recording_send(sender, target, message):
+            self.sent[self._superstep].add(target)
+            send(sender, target, message)
+
+        engine._send = recording_send
+
+    def initial_value(self, vertex_id, graph):
+        return self.inner.initial_value(vertex_id, graph)
+
+    def combiner(self):
+        return self.inner.combiner()
+
+    def aggregators(self):
+        return self.inner.aggregators()
+
+    def master_halt(self, aggregators, superstep):
+        return self.inner.master_halt(aggregators, superstep)
+
+    def compute(self, ctx, messages):
+        self._superstep = ctx.superstep
+        self.computes.append((ctx.superstep, ctx.vertex_id))
+        self.inner.compute(ctx, messages)
+        self.halted[ctx.superstep, ctx.vertex_id] = ctx._halted
+
+    def assert_scan_schedule(self, result) -> None:
+        """Every superstep ran exactly the vertices a whole-graph scan
+        runs (awake or messaged), in ``graph.vertices()`` order."""
+        awake = set(self.graph.vertices())
+        expected = []
+        for superstep, step in enumerate(result.metrics.supersteps):
+            messaged = self.sent[superstep - 1]
+            scan = [v for v in self.graph.vertices()
+                    if v in awake or v in messaged]
+            assert step.active_vertices == len(scan), superstep
+            assert step.frontier_size == len(scan), superstep
+            expected.extend((superstep, v) for v in scan)
+            for v in scan:
+                if self.halted[superstep, v]:
+                    awake.discard(v)
+                else:
+                    awake.add(v)
+        assert self.computes == expected
+
+
+def assert_scan_equivalent(graph: DiGraph, make_program, num_workers: int = 4):
+    """The recorded run schedules like a scan and is otherwise untouched:
+    values, counters and halting match an unrecorded run."""
+    config = EngineConfig(num_workers=num_workers)
+    engine = PregelEngine(graph, config=config)
+    recorder = ScheduleRecorder(make_program(), engine)
+    recorded = engine.run(recorder)
+    recorder.assert_scan_schedule(recorded)
+    plain = PregelEngine(graph, config=config).run(make_program())
+    assert recorded.values == plain.values
+    assert recorded.aggregators == plain.aggregators
+    assert recorded.halt_reason == plain.halt_reason
+    assert recorded.edge_values == plain.edge_values
+    assert recorded.metrics.summary() == {
+        **plain.metrics.summary(),
+        "wall_seconds": recorded.metrics.wall_seconds,
+    }
 
 
 ANALYTICS = {
@@ -82,14 +136,16 @@ ANALYTICS = {
 @pytest.mark.parametrize("seed", [1, 7, 42])
 class TestAnalyticEquivalence:
     def test_random_graphs(self, analytic, seed):
-        assert_equivalent(random_weighted_graph(seed), ANALYTICS[analytic])
+        assert_scan_equivalent(
+            random_weighted_graph(seed), ANALYTICS[analytic]
+        )
 
     def test_web_graphs(self, analytic, seed):
         g = with_random_weights(
             web_graph(120, avg_degree=5, target_diameter=8, seed=seed),
             seed=seed,
         )
-        assert_equivalent(g, ANALYTICS[analytic])
+        assert_scan_equivalent(g, ANALYTICS[analytic])
 
 
 class TestSchedulerSemantics:
@@ -146,18 +202,41 @@ class TestSchedulerSemantics:
         assert result.values == {}
 
 
-class TestCaptureEquivalence:
-    """Provenance capture must be identical under both schedulers."""
+@pytest.fixture
+def recorders(monkeypatch):
+    """Route ``run_online``'s engine through a :class:`ScheduleRecorder`
+    around the whole provenance wrapper and check its schedule."""
+    made = []
 
-    @staticmethod
-    def store_contents(store):
-        return {
-            relation: {
-                vertex: frozenset(store.partition(relation, vertex))
-                for vertex in store.vertices(relation)
-            }
-            for relation in store.relations()
-        }
+    def make_engine(graph, config=None):
+        engine = PregelEngine(graph, config=config)
+        run = engine.run
+
+        def recorded_run(program, max_supersteps=None):
+            recorder = ScheduleRecorder(program, engine)
+            made.append(recorder)
+            result = run(recorder, max_supersteps)
+            recorder.assert_scan_schedule(result)
+            return result
+
+        engine.run = recorded_run
+        return engine
+
+    monkeypatch.setattr("repro.runtime.online.make_engine", make_engine)
+    return made
+
+
+def stored_rows(store, relation):
+    return {
+        row
+        for vertex in store.vertices(relation)
+        for row in store.partition(relation, vertex)
+    }
+
+
+class TestCaptureEquivalence:
+    """Provenance capture runs are scheduled like a scan, and the captured
+    store records exactly the computes the recorder saw."""
 
     @pytest.mark.parametrize(
         "make_analytic",
@@ -168,42 +247,31 @@ class TestCaptureEquivalence:
         ],
         ids=["pagerank", "sssp", "wcc"],
     )
-    def test_full_capture_stores_match(self, make_analytic):
+    def test_full_capture_stores_match(self, make_analytic, recorders):
         g = with_random_weights(
             web_graph(80, avg_degree=4, target_diameter=6, seed=11), seed=11
         )
-        runs = {}
-        for frontier in (False, True):
-            runs[frontier] = run_online(
-                g,
-                make_analytic(),
-                Q.CAPTURE_FULL_QUERY,
-                capture=True,
-                config=EngineConfig(frontier_scheduling=frontier),
-            )
-        scan, frontier = runs[False], runs[True]
-        assert self.store_contents(frontier.store) == self.store_contents(
-            scan.store
+        run = run_online(
+            g, make_analytic(), Q.CAPTURE_FULL_QUERY, capture=True,
         )
-        assert frontier.store.num_rows == scan.store.num_rows
-        assert frontier.store.max_superstep == scan.store.max_superstep
-        assert frontier.analytic.values == scan.analytic.values
-        assert frontier.query.derivations == scan.query.derivations
+        (recorder,) = recorders
+        computes = {(v, s) for s, v in recorder.computes}
+        assert stored_rows(run.store, "superstep") == computes
+        assert run.store.max_superstep == run.analytic.num_supersteps - 1
 
-    def test_custom_capture_stores_match(self):
+    def test_custom_capture_stores_match(self, recorders):
         g = with_random_weights(
             web_graph(80, avg_degree=4, target_diameter=6, seed=13), seed=13
         )
-        runs = {}
-        for frontier in (False, True):
-            runs[frontier] = run_online(
-                g,
-                SSSP(source=0),
-                Q.CAPTURE_FWD_LINEAGE_QUERY,
-                params={"source": 0},
-                capture=True,
-                config=EngineConfig(frontier_scheduling=frontier),
-            )
-        assert self.store_contents(runs[True].store) == self.store_contents(
-            runs[False].store
+        run = run_online(
+            g,
+            SSSP(source=0),
+            Q.CAPTURE_FWD_LINEAGE_QUERY,
+            params={"source": 0},
+            capture=True,
         )
+        (recorder,) = recorders
+        computes = {(v, s) for s, v in recorder.computes}
+        lineage = {(x, i) for x, _value, i in stored_rows(run.store,
+                                                          "fwd_lineage")}
+        assert lineage and lineage <= computes

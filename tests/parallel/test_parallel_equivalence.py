@@ -1,9 +1,9 @@
-"""ParallelEngine vs PregelEngine equivalence (the ISSUE acceptance bar).
+"""ParallelEngine vs PregelEngine equivalence.
 
 The multiprocess backend must be a drop-in: byte-identical vertex values,
-the same halting superstep and halt reason, and metrics whose counts are
-*measured* across real process boundaries yet equal to the serial engine's
-simulated ones.
+the same halting superstep and halt reason, checkpoint payloads the serial
+engine can resume from, and metrics whose counts are *measured* across
+real process boundaries yet equal to the serial engine's simulated ones.
 """
 
 import pytest
@@ -11,6 +11,12 @@ import pytest
 from repro.analytics.pagerank import PageRank
 from repro.analytics.sssp import SSSP
 from repro.analytics.wcc import WCC
+from repro.engine.checkpoint import (
+    CheckpointedEngine,
+    latest_checkpoint,
+    load_checkpoint,
+    resume,
+)
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.graph.generators import (
@@ -55,8 +61,12 @@ def assert_equivalent(serial, parallel):
     assert parallel.edge_values == serial.edge_values
     s, p = serial.metrics.summary(), parallel.metrics.summary()
     for key in ("supersteps", "vertex_executions", "messages",
-                "message_bytes", "frontier_vertices", "skipped_vertices"):
+                "cross_worker_messages", "message_bytes",
+                "frontier_vertices", "skipped_vertices"):
         assert p[key] == s[key], key
+    # pre-combining moves folds to the sender, never changes the total
+    assert (p["messages_combined"] + p["messages_precombined"]
+            == s["messages_combined"])
 
 
 class TestAnalyticEquivalence:
@@ -108,6 +118,15 @@ class TestCrossWorkerCounts:
         summary = parallel.metrics.summary()
         assert summary["cross_worker_messages"] == 0
         assert summary["network_bytes"] == 0
+
+    def test_precombine_only_on_associative_combiners(self, wgraph):
+        # SSSP's MinCombiner is associative -> sender-side folds happen;
+        # PageRank's SumCombiner is not (float addition) -> none allowed
+        sssp = parallel_run(wgraph, lambda: SSSP(source=0).make_program(), 4)
+        assert sssp.metrics.summary()["messages_precombined"] > 0
+        pagerank = parallel_run(
+            wgraph, lambda: PageRank(num_supersteps=12).make_program(), 4)
+        assert pagerank.metrics.summary()["messages_precombined"] == 0
 
 
 class TestPartitionerChoice:
@@ -162,3 +181,44 @@ class TestConfigParity:
         ).run(PageRank(num_supersteps=20).make_program(), max_supersteps=5)
         assert_equivalent(serial, parallel)
         assert parallel.halt_reason == "max_supersteps"
+
+
+class TestCheckpoints:
+    """PageRank checkpoints carry receiver-combined float inboxes, the
+    payload most sensitive to fold order."""
+
+    def test_checkpoint_payloads_match_serial(self, wgraph, tmp_path):
+        serial_dir = tmp_path / "serial"
+        parallel_dir = tmp_path / "parallel"
+        CheckpointedEngine(
+            wgraph, str(serial_dir), interval=4,
+            config=EngineConfig(num_workers=2),
+        ).run(PageRank(num_supersteps=12).make_program())
+        with ParallelEngine(
+            wgraph, config=EngineConfig(num_workers=2, backend="parallel"),
+            checkpoint_dir=str(parallel_dir), checkpoint_interval=4,
+        ) as engine:
+            engine.run(PageRank(num_supersteps=12).make_program())
+        s = load_checkpoint(latest_checkpoint(str(serial_dir)))
+        p = load_checkpoint(latest_checkpoint(str(parallel_dir)))
+        assert p.superstep == s.superstep
+        assert p.values == s.values
+        assert p.halted == s.halted
+        assert p.inbox == s.inbox
+
+    def test_serial_resume_from_parallel_checkpoint(self, wgraph, tmp_path):
+        full = serial_run(wgraph, lambda: PageRank(
+            num_supersteps=12).make_program(), num_workers=2)
+        with ParallelEngine(
+            wgraph, config=EngineConfig(num_workers=2, backend="parallel"),
+            checkpoint_dir=str(tmp_path), checkpoint_interval=5,
+        ) as engine:
+            engine.run(PageRank(num_supersteps=12).make_program())
+        resumed = resume(
+            wgraph, PageRank(num_supersteps=12).make_program(), str(tmp_path),
+            config=EngineConfig(num_workers=2),
+        )
+        assert resumed.values == full.values
+        assert resumed.halt_reason == full.halt_reason
+        # the resumed engine only runs the post-checkpoint tail
+        assert resumed.num_supersteps < full.num_supersteps

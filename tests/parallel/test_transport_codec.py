@@ -1,12 +1,10 @@
-"""Frame codec and ring-buffer unit tests (plus hypothesis fuzz).
+"""Frame codec unit tests (plus hypothesis fuzz).
 
 The wire format must be a bijection on tagged batches: whatever
 ``encode_batch`` accepts, ``decode_frame`` must return unchanged —
 including lane selection (struct-packed i64/f64 columns for homogeneous
 int/float payloads, pickle for everything else) being invisible to the
-receiver. The SPSC ring must deliver every byte in order across
-wrap-around, frames larger than its capacity, and interleaved
-partial writes.
+receiver.
 """
 
 import math
@@ -15,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.rings import HEADER_BYTES, Ring, RingBoard
 from repro.parallel.transport import (
     KIND_EMPTY,
     KIND_F8,
@@ -138,107 +135,6 @@ class TestCodecFuzz:
     @given(batch=batch_strategy(objects))
     def test_arbitrary_batches(self, batch):
         assert roundtrip(batch) == batch
-
-
-def make_ring(capacity=256):
-    board = RingBoard(num_workers=2, capacity=capacity)
-    ring = board.ring(0, 1)
-    return board, ring
-
-
-class TestRing:
-    def test_header_layout(self):
-        assert HEADER_BYTES == 64
-
-    def test_write_read(self):
-        board, ring = make_ring()
-        try:
-            assert ring.try_write(b"hello", 0) == 5
-            assert ring.available() == 5
-            assert ring.try_read(1 << 20) == b"hello"
-            assert ring.available() == 0
-        finally:
-            board.close()
-            board.unlink()
-
-    def test_wraparound(self):
-        board, ring = make_ring(capacity=64)
-        try:
-            payload = bytes(range(48))
-            for _ in range(10):  # 480 bytes through a 64-byte ring
-                written = 0
-                out = bytearray()
-                while len(out) < len(payload):
-                    written += ring.try_write(payload, written)
-                    out += ring.try_read(1 << 20)
-                assert bytes(out) == payload
-        finally:
-            board.close()
-            board.unlink()
-
-    def test_partial_write_when_full(self):
-        board, ring = make_ring(capacity=64)
-        try:
-            data = bytes(100)
-            n = ring.try_write(data, 0)
-            assert n == 64  # ring full
-            assert ring.try_write(data, n) == 0  # no progress until a read
-            got = ring.try_read(limit=16)
-            assert len(got) == 16
-            assert ring.try_write(data, n) == 16
-        finally:
-            board.close()
-            board.unlink()
-
-    def test_frame_larger_than_capacity_streams(self):
-        # the transport pump interleaves partial writes and reads, so a
-        # frame bigger than the ring must stream through in pieces
-        board, ring = make_ring(capacity=64)
-        try:
-            blob = bytes(i % 251 for i in range(1000))
-            sent = 0
-            received = bytearray()
-            while len(received) < len(blob):
-                sent += ring.try_write(blob, sent)
-                received += ring.try_read(1 << 20)
-            assert bytes(received) == blob
-        finally:
-            board.close()
-            board.unlink()
-
-    def test_poison(self):
-        board, ring = make_ring()
-        try:
-            assert not ring.poisoned
-            ring.poison()
-            assert ring.poisoned
-        finally:
-            board.close()
-            board.unlink()
-
-    def test_board_poison_from(self):
-        board = RingBoard(num_workers=3, capacity=4096)
-        try:
-            board.poison_from(1)
-            assert board.ring(1, 0).poisoned
-            assert board.ring(1, 2).poisoned
-            assert not board.ring(0, 1).poisoned
-            assert not board.ring(2, 1).poisoned
-        finally:
-            board.close()
-            board.unlink()
-
-    def test_pairs_are_distinct(self):
-        board = RingBoard(num_workers=3, capacity=4096)
-        try:
-            board.ring(0, 1).try_write(b"a", 0)
-            board.ring(1, 0).try_write(b"bc", 0)
-            assert board.ring(0, 1).try_read(16) == b"a"
-            assert board.ring(1, 0).try_read(16) == b"bc"
-            assert board.ring(0, 2).available() == 0
-        finally:
-            board.close()
-            board.unlink()
 
 
 class TestFrameValidation:

@@ -22,8 +22,6 @@ from repro.errors import EngineError, VertexProgramError
 from repro.graph.generators import web_graph, with_random_weights
 from repro.parallel.engine import ParallelEngine
 
-TRANSPORTS = ("ring", "queue")
-
 
 @pytest.fixture(scope="module")
 def wgraph():
@@ -42,9 +40,8 @@ def _pids(engine):
 
 
 class TestWarmPool:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_pids_stable_across_runs(self, wgraph, transport):
-        with _engine(wgraph, transport=transport) as engine:
+    def test_pids_stable_across_runs(self, wgraph):
+        with _engine(wgraph) as engine:
             first = engine.run(SSSP(source=0).make_program())
             pids = _pids(engine)
             second = engine.run(SSSP(source=0).make_program())
@@ -74,11 +71,6 @@ class TestWarmPool:
             engine.run(make())
             assert _pids(engine) != pids  # refork, not a hang or crash
 
-    def test_warm_pool_disabled_tears_down_each_run(self, wgraph):
-        with _engine(wgraph, warm_pool=False) as engine:
-            engine.run(SSSP(source=0).make_program())
-            assert engine._pool is None
-
     def test_close_reaps_children(self, wgraph):
         engine = _engine(wgraph)
         engine.run(SSSP(source=0).make_program())
@@ -98,23 +90,21 @@ class TestWarmPool:
 
 
 class TestErrorPaths:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_vertex_error_not_masked_by_transport(self, wgraph, transport):
-        """A failing vertex poisons its outgoing rings; peers die with
+    def test_vertex_error_not_masked_by_transport(self, wgraph):
+        """A failing vertex poisons its peers' queues; peers die with
         transport errors — the master must still report the root cause."""
         def boom(ctx, msgs):
             if ctx.superstep == 2 and ctx.vertex_id == 7:
                 raise ValueError("deliberate")
             ctx.send_to_all(1.0)
 
-        with _engine(wgraph, workers=4, transport=transport) as engine:
+        with _engine(wgraph, workers=4) as engine:
             with pytest.raises(VertexProgramError) as info:
                 engine.run(FunctionProgram(boom))
         assert info.value.vertex_id == 7
         assert info.value.superstep == 2
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_killed_worker_does_not_hang_master(self, wgraph, transport):
+    def test_killed_worker_does_not_hang_master(self, wgraph):
         """SIGKILL mid-superstep: no error report, no poison marker — the
         master must detect the dead process and abort within its polling
         budget instead of blocking on the barrier forever."""
@@ -122,10 +112,7 @@ class TestErrorPaths:
             time.sleep(0.002)
             ctx.send_to_all(1.0)
 
-        engine = _engine(
-            wgraph, workers=4, transport=transport,
-            transport_wait_seconds=30.0,
-        )
+        engine = _engine(wgraph, workers=4, transport_wait_seconds=30.0)
         try:
             killed = threading.Event()
 

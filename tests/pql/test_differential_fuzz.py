@@ -262,8 +262,8 @@ class TestDifferentialFuzz:
     def test_online_backends_agree(self, graph_seed, src):
         """Online mode across the process boundary: frames are built from
         unpickled envelopes and shared delta tables are pickled once per
-        batch, so the serial run, the 2-worker ring and the 2-worker queue
-        must agree on every row and on how many tuples were shipped."""
+        batch, so the serial run and the 2-worker run must agree on every
+        row and on how many tuples were shipped."""
         from repro.engine.config import EngineConfig
         from repro.errors import PQLCompatibilityError
         from repro.runtime.online import run_online
@@ -273,15 +273,12 @@ class TestDifferentialFuzz:
             serial = run_online(graph, make(), src)
         except PQLCompatibilityError:
             return  # backward / mixed compositions do not run online
-        counted = ("shipped_tuples", "pruned_rows", "transient_rows")
-        for transport in ("ring", "queue"):
-            config = EngineConfig(backend="parallel", num_workers=2,
-                                  transport=transport)
-            parallel = run_online(graph, make(), src, config=config)
-            assert parallel.values == serial.values, transport
-            assert parallel.query.as_dict() == serial.query.as_dict(), (
-                f"{transport} rows differ for program:\n{src}"
-            )
-            for key in counted:
-                assert (parallel.query.stats[key]
-                        == serial.query.stats[key]), (transport, key, src)
+        config = EngineConfig(backend="parallel", num_workers=2)
+        parallel = run_online(graph, make(), src, config=config)
+        assert parallel.values == serial.values
+        assert parallel.query.as_dict() == serial.query.as_dict(), (
+            f"rows differ for program:\n{src}"
+        )
+        for key in ("shipped_tuples", "pruned_rows", "transient_rows"):
+            assert (parallel.query.stats[key]
+                    == serial.query.stats[key]), (key, src)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -240,21 +241,18 @@ class TestParallelBackendFlags:
             "--backend", "parallel", "--num-workers", "2",
         ]) == 0
         parallel = capsys.readouterr().out
-        assert ("backend:     parallel (2 workers, hash partitioning, "
-                "ring transport)") in parallel
+        assert ("backend:     parallel (2 workers, hash "
+                "partitioning)") in parallel
         # everything except the backend/wall lines is byte-identical
         strip = lambda out: [l for l in out.splitlines()
                              if not l.startswith(("backend:", "wall:"))]
         assert strip(parallel) == strip(serial)
 
-    def test_transport_flag(self, graph_file, capsys):
-        assert main([
-            "run", "--analytic", "sssp", "--graph", graph_file,
-            "--backend", "parallel", "--num-workers", "2",
-            "--transport", "queue",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "queue transport" in out
+    def test_transport_flag(self, graph_file):
+        # one transport: there is no switch left to pick another
+        with pytest.raises(SystemExit):
+            main(["run", "--analytic", "sssp", "--graph", graph_file,
+                  "--backend", "parallel", "--transport", "queue"])
 
     def test_apt_parallel(self, graph_file, capsys):
         assert main([
@@ -278,8 +276,15 @@ class TestParallelBackendFlags:
         configs = [e for e in events if e.get("name") == "run-config"]
         assert configs and configs[0]["attrs"] == {
             "backend": "parallel", "num_workers": 2, "partitioner": "hash",
-            "transport": "ring",
         }
+        runs = [e for e in events
+                if e.get("type") == "span" and e.get("cat") == "run"]
+        assert runs and all("transport" not in e["attrs"] for e in runs)
+        from repro.obs.metrics import get_registry
+
+        waits = [line for line in get_registry().to_prometheus().splitlines()
+                 if line.startswith("repro_transport_wait_seconds_count")]
+        assert waits == [waits[0]] and "transport=" not in waits[0]
         # worker-side compute spans were merged into the master trace
         workers = {e["attrs"]["worker"] for e in events
                    if e.get("type") == "span"
@@ -422,6 +427,48 @@ class TestRunLedgerAndAudit:
             "--threshold", "0.6",
         ]) == 0
         assert "verdict: ok" in capsys.readouterr().out
+
+    def test_compare_against_record_with_removed_switches(
+        self, graph_file, tmp_path, capsys
+    ):
+        """Records written while EngineConfig still had transport,
+        ring_capacity, warm_pool and frontier_scheduling (and the worker
+        stamp carried transport / warm_pool) still load and compare."""
+        from repro.obs.ledger import RunLedger
+
+        ledger_dir = str(tmp_path / "ledger")
+        assert main([
+            "run", "--analytic", "sssp", "--graph", graph_file,
+            "--backend", "parallel", "--num-workers", "2",
+            "--ledger", ledger_dir,
+        ]) == 0
+        ledger = RunLedger(ledger_dir)
+        (current,) = ledger.records()
+        removed = {"transport", "ring_capacity", "warm_pool",
+                   "frontier_scheduling"}
+        assert not removed & set(current["config"])
+        assert not {"transport", "warm_pool"} & set(current["workers"])
+
+        older = dict(current, run_id="r" + "0" * 16)
+        older["config"] = dict(
+            current["config"], transport="ring", ring_capacity=1 << 20,
+            warm_pool=True, frontier_scheduling=True,
+        )
+        older["workers"] = dict(
+            current["workers"], transport="ring", warm_pool=True
+        )
+        with open(ledger.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(older, sort_keys=True) + "\n")
+        assert ledger.get(older["run_id"])["config"]["transport"] == "ring"
+
+        capsys.readouterr()
+        assert main([
+            "compare", older["run_id"], current["run_id"],
+            "--ledger", ledger_dir, "--threshold", "100",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "values digests: identical" in out
+        assert "verdict: ok" in out
 
     def test_audit_without_ledger_errors(self, tmp_path, capsys):
         assert main(["audit", "list"]) == 2
