@@ -82,9 +82,7 @@ def seal_captures(directory):
     ):
         capture = Ariadne(graph, analytic).capture()
         target = os.path.join(directory, name)
-        spill = SpillManager(capture.store, directory=target,
-                             async_writes=False)
-        spill.seal_all()
+        SpillManager(capture.store, directory=target).seal_all()
         stores[name] = target
     return stores
 

@@ -125,8 +125,6 @@ def _engine_config(args: argparse.Namespace) -> "EngineConfig":
         num_workers=getattr(args, "num_workers", 4),
         backend=getattr(args, "backend", "serial"),
         partitioner=getattr(args, "partitioner", "hash"),
-        spill_async=not getattr(args, "spill_sync", False),
-        spill_compression=getattr(args, "spill_compression", None) or "zlib",
     )
 
 
@@ -420,9 +418,9 @@ def cmd_capture(args: argparse.Namespace) -> int:
     query = _query_text(args) if (args.query or args.query_file) else (
         Q.CAPTURE_FULL_QUERY
     )
-    # Completed layers are sealed eagerly while the analytic runs
-    # (asynchronously unless --spill-sync); seal_all finishes the static
-    # slab and any layer the run never completed eagerly.
+    # Completed layers are sealed eagerly and asynchronously while the
+    # analytic runs; seal_all finishes the static slab and any layer the
+    # run never completed eagerly.
     result = ariadne.capture(
         query, params=_params(args.param), spill_directory=args.out
     )
@@ -437,7 +435,7 @@ def cmd_capture(args: argparse.Namespace) -> int:
     for relation, count in sorted(store.counts().items()):
         print(f"  {relation}: {count}")
     print(f"sealed {bytes_sealed} bytes to {spill.directory} "
-          f"({spill.compression}, {'async' if spill.async_writes else 'sync'})")
+          f"({spill.compression})")
     store_info = obsledger.store_fingerprint(spill)
     store_info["rows"] = store.num_rows
     store_info["layers"] = store.num_layers
@@ -610,10 +608,7 @@ def cmd_store_migrate(args: argparse.Namespace) -> int:
     # The one importer of the retired-format decoders.
     from repro.provenance.legacy import migrate_store
 
-    report = migrate_store(
-        args.dir, run_id=args.run_id,
-        compression=getattr(args, "spill_compression", None),
-    )
+    report = migrate_store(args.dir, run_id=args.run_id)
     spill = report.pop("spill")
     print(f"migrated {len(report['slabs'])} slab(s) in {args.dir} "
           f"to columnar "
@@ -880,14 +875,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                              "columnar stores and keep the row-at-a-time "
                              "path (results are identical; use for A/B "
                              "latency comparisons)")
-    parser.add_argument("--spill-sync", action="store_true",
-                        help="seal provenance layers synchronously instead "
-                             "of through the background spill writer "
-                             "(slab contents are identical)")
-    parser.add_argument("--spill-compression", choices=("raw", "zlib"),
-                        default="zlib",
-                        help="slab codec for sealed provenance layers "
-                             "(default: zlib)")
     parser.add_argument("--ledger", metavar="DIR",
                         help="append this run's audit record to the ledger "
                              "in DIR (default: $REPRO_LEDGER; capture/query "
@@ -1015,14 +1002,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps = store_sub.add_parser(
         "migrate",
         help="rewrite a store sealed by an earlier release (framed- or "
-             "bare-pickle slabs) as columnar ARSC, in place",
+             "bare-pickle slabs) as zlib columnar ARSC, in place",
         parents=[obs],
     )
     ps.add_argument("dir", help="sealed store directory")
-    ps.add_argument("--spill-compression", choices=("raw", "zlib"),
-                    default=None,
-                    help="re-encode with this codec (default: keep the "
-                         "store's current compression)")
     ps.add_argument("--ledger", metavar="DIR",
                     help="append the migration record to the ledger in DIR "
                          "(default: the store directory)")

@@ -133,8 +133,7 @@ class Ariadne:
         persisted provenance store (``result.store``).
 
         With ``spill_directory``, completed layers are sealed to disk
-        *during* the run (asynchronously by default — see
-        ``EngineConfig.spill_async`` / ``spill_compression``) and the
+        *during* the run — asynchronously, as zlib ARSC slabs — and the
         manager is returned on ``result.spill``; finish with
         ``result.spill.seal_all()``.
         """

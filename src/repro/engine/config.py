@@ -12,6 +12,11 @@ from repro.errors import EngineError
 class EngineConfig:
     """Tunables for a :class:`~repro.engine.engine.PregelEngine` run.
 
+    Provenance capture has no tunables here: sealed layers always go
+    through the spill manager's background writer as zlib ARSC slabs, and
+    a parallel worker's wait for a peer's batch is bounded by
+    :data:`repro.parallel.transport.PEER_WAIT_SECONDS`.
+
     Attributes:
         num_workers: simulated worker count (the paper's cluster has 7
             machines; messages that cross a worker boundary are counted as
@@ -36,21 +41,6 @@ class EngineConfig:
             when no explicit partitioner object is supplied — ``"hash"``
             (stable crc32 hash, Giraph's default) or ``"range"``
             (contiguous integer ranges, integer ids only).
-        transport_wait_seconds: how long a parallel worker waits for a
-            peer's message batch before declaring the exchange wedged. The
-            master separately detects dead workers by polling liveness;
-            this is the worker-side backstop that keeps a stuck peer from
-            hanging the fleet forever.
-        spill_async: seal provenance layers through the spill manager's
-            background writer thread (the paper's asynchronous HDFS
-            offload) instead of blocking the capture path per slab. Slab
-            contents are byte-identical either way; turn off (CLI
-            ``--spill-sync``) to serialize sealing for debugging or A/B
-            timing.
-        spill_compression: slab codec for sealed layers — ``"zlib"``
-            (default) or ``"raw"`` (uncompressed segments). Rebuilt stores
-            are identical under both; the CLI switch is
-            ``--spill-compression``.
         ledger_dir: directory of an append-only run ledger
             (``repro.obs.ledger``). When set, library entry points
             (:meth:`Ariadne.baseline`, :func:`run_online`,
@@ -67,9 +57,6 @@ class EngineConfig:
     deterministic_delivery: bool = False
     backend: str = "serial"
     partitioner: str = "hash"
-    transport_wait_seconds: float = 60.0
-    spill_async: bool = True
-    spill_compression: str = "zlib"
     ledger_dir: Optional[str] = None
 
     def validate(self) -> None:
@@ -84,11 +71,4 @@ class EngineConfig:
         if self.partitioner not in ("hash", "range"):
             raise EngineError(
                 f"unknown partitioner {self.partitioner!r} (hash | range)"
-            )
-        if self.transport_wait_seconds <= 0:
-            raise EngineError("transport_wait_seconds must be > 0")
-        if self.spill_compression not in ("raw", "zlib"):
-            raise EngineError(
-                f"unknown spill compression {self.spill_compression!r} "
-                "(raw | zlib)"
             )

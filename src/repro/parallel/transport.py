@@ -40,6 +40,12 @@ KIND_I8 = 3       # body = i64 pos column + i64 target column + i64 payloads
 FRAME_HEADER = struct.Struct("<BBHIII")  # kind, flags, src, superstep, epoch, count
 _I64 = 8
 
+#: How long a worker waits for a peer's batch before declaring the
+#: exchange wedged. The master detects dead workers separately by polling
+#: liveness; this is the worker-side backstop that keeps a stuck peer from
+#: hanging the fleet forever.
+PEER_WAIT_SECONDS = 60.0
+
 
 # ----------------------------------------------------------------------
 # frame codec
@@ -130,12 +136,9 @@ class QueueEndpoint:
     shared flag a peer could set).
     """
 
-    def __init__(
-        self, queues: List[Any], worker_id: int, wait_seconds: float
-    ) -> None:
+    def __init__(self, queues: List[Any], worker_id: int) -> None:
         self.worker_id = worker_id
         self._queues = queues
-        self._wait = wait_seconds
         self._peers = [w for w in range(len(queues)) if w != worker_id]
 
     def exchange(
@@ -154,11 +157,11 @@ class QueueEndpoint:
         while pending:
             start = time.perf_counter()
             try:
-                frame = own.get(timeout=self._wait)
+                frame = own.get(timeout=PEER_WAIT_SECONDS)
             except queue_module.Empty:
                 raise EngineError(
                     f"worker {self.worker_id}: no batch from peers "
-                    f"{sorted(pending)} within {self._wait:.0f}s at "
+                    f"{sorted(pending)} within {PEER_WAIT_SECONDS:.0f}s at "
                     f"superstep {superstep}"
                 ) from None
             waited += time.perf_counter() - start
@@ -195,10 +198,9 @@ class QueueTransport:
 
     def __init__(self, config: Any, ctx: Any) -> None:
         self.queues = [ctx.Queue() for _ in range(config.num_workers)]
-        self._wait = config.transport_wait_seconds
 
     def endpoint(self, worker_id: int) -> QueueEndpoint:
-        return QueueEndpoint(self.queues, worker_id, self._wait)
+        return QueueEndpoint(self.queues, worker_id)
 
     def poison(self) -> None:
         # Each worker may be blocked waiting for up to n-1 peers; one

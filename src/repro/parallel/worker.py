@@ -508,7 +508,7 @@ def _reap_pool(
     if force:
         # Workers may be blocked mid-exchange on a peer that already
         # died; poison the data queues so they raise instead of waiting
-        # out transport_wait_seconds, then kill whatever is left.
+        # out PEER_WAIT_SECONDS, then kill whatever is left.
         try:
             transport.poison()
         except Exception:  # noqa: BLE001 - already tearing down

@@ -16,18 +16,12 @@ from repro.provenance.model import (
     SchemaRegistry,
     freeze,
 )
-from repro.provenance.spill import (
-    DEFAULT_COMPRESSION,
-    SPILL_COMPRESSIONS,
-    SpillManager,
-    rebuild_store,
-)
+from repro.provenance.spill import SLAB_COMPRESSION, SpillManager, rebuild_store
 from repro.provenance.store import ProvenanceStore, RelationPartition
 
 __all__ = [
     "inspect",
-    "DEFAULT_COMPRESSION",
-    "SPILL_COMPRESSIONS",
+    "SLAB_COMPRESSION",
     "ProvNode",
     "rebuild_store",
     "UnfoldedProvenanceGraph",

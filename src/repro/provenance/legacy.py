@@ -30,11 +30,9 @@ from repro.provenance.columnar import (
 from repro.provenance.spill import (
     _META_KEY,
     ARSL_MAGIC,
-    DEFAULT_COMPRESSION,
+    SLAB_COMPRESSION,
     SLAB_FORMAT,
-    SPILL_COMPRESSIONS,
     SpillManager,
-    read_manifest,
     slab_paths,
 )
 
@@ -98,15 +96,12 @@ def decode_retired_slab(path: str, data: bytes, static: bool) -> Dict[str, Any]:
 
 
 def migrate_store(
-    directory: str,
-    *,
-    run_id: Optional[str] = None,
-    compression: Optional[str] = None,
+    directory: str, *, run_id: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Rewrite a sealed store's slabs in place as ARSC.
+    """Rewrite a sealed store's slabs in place as zlib ARSC.
 
-    Every slab (static + layers, whatever its current format — so a
-    half-migrated directory is simply finished) is fully decoded and
+    Every slab (static + layers, whatever its current format or codec — so
+    a half-migrated directory is simply finished) is fully decoded and
     re-encoded with an atomic per-file rename; then the manifest is
     re-stamped with the new digests and — when ``run_id`` is given — the
     migrating run's id, with ``migrated_from`` pointing at the original
@@ -117,10 +112,6 @@ def migrate_store(
     Returns a report: per-slab formats and sizes before/after, plus the
     reopened manager (``"spill"``) for fingerprinting.
     """
-    manifest = read_manifest(directory) or {}
-    comp = compression or manifest.get("compression") or DEFAULT_COMPRESSION
-    if comp not in SPILL_COMPRESSIONS:
-        raise ProvenanceError(f"unknown spill compression {comp!r}")
     static, layers = slab_paths(directory)
     slabs_report: Dict[str, Dict[str, Any]] = {}
     digests: Dict[str, Dict[str, Any]] = {}
@@ -134,7 +125,9 @@ def migrate_store(
         else:
             from_format = "pickle" if data[:4] == ARSL_MAGIC else "legacy"
             chunks = decode_retired_slab(path, data, static=path is static)
-        blob, _raw = encode_columnar_slab(chunks, comp, meta_key=_META_KEY)
+        blob, _raw = encode_columnar_slab(
+            chunks, SLAB_COMPRESSION, meta_key=_META_KEY,
+        )
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(blob)
@@ -150,7 +143,6 @@ def migrate_store(
     spill = SpillManager.open(directory)
     old_run_id = spill.run_id
     spill.slab_digests = digests
-    spill.compression = comp
     if run_id is not None:
         spill.migrated_from = old_run_id
         spill.run_id = run_id
@@ -158,7 +150,7 @@ def migrate_store(
     logger.info("migrated %d slab(s) in %s to ARSC", len(digests), directory)
     return {
         "directory": directory,
-        "compression": comp,
+        "compression": spill.compression,
         "from_run_id": old_run_id,
         "run_id": spill.run_id,
         "slabs": slabs_report,

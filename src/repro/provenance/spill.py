@@ -12,20 +12,20 @@ naive (see ``repro.runtime.offline.run_layered_from_spill`` /
 observation that naive whole-graph loading fails where layered evaluation
 proceeds).
 
-Two mechanisms keep sealing off the capture hot path:
+There is one write path, and it keeps sealing off the capture hot path:
 
-* **Asynchronous writes** (``async_writes=True``, the default): sealing
-  enqueues a snapshot of the layer on a bounded queue; a background writer
-  thread encodes, compresses and writes it while the analytic's next
-  superstep runs. ``flush()`` (called implicitly by every read-side method)
-  drains the queue. A writer failure is held and re-raised as a
-  :class:`ProvenanceError` at the next seal, flush or close — never
-  silently dropped.
+* **Asynchronous writes**: sealing enqueues a snapshot of the layer on a
+  bounded queue; a background writer thread encodes, compresses and
+  writes it while the analytic's next superstep runs. ``flush()`` (called
+  implicitly by every read-side method) drains the queue. A writer failure
+  is held and re-raised as a :class:`ProvenanceError` at the next seal,
+  flush or close — never silently dropped.
 * **Columnar ARSC slabs** (:mod:`repro.provenance.columnar`), the one slab
   format: per-relation, per-column typed segments behind an offset-indexed
-  footer, zlib-compressed per segment by default (``compression="zlib"``;
-  ``"raw"`` skips the codec). Readers mmap the slab and decode only the
-  columns a query touches
+  footer, zlib-compressed per segment. Stores sealed uncompressed by
+  earlier releases still open and query; :meth:`SpillManager.open`
+  reports the codec their footers carry. Readers mmap the slab and decode
+  only the columns a query touches
   (:class:`~repro.provenance.store.SealedStoreView`), which is what makes
   sealed captures larger than RAM queryable. ``load_layer`` /
   ``load_static`` / :func:`rebuild_store` fully materialize instead.
@@ -62,8 +62,8 @@ from repro.provenance.store import ProvenanceStore, Row, SealedStoreView
 
 logger = get_logger("provenance.spill")
 
-#: Slab codecs (per ARSC segment).
-SPILL_COMPRESSIONS: Tuple[str, ...] = ("raw", "zlib")
+#: The codec every sealed ARSC segment is written with.
+SLAB_COMPRESSION = "zlib"
 
 #: The one slab format, as stamped into manifests, ledger fingerprints and
 #: query stats.
@@ -72,9 +72,6 @@ SLAB_FORMAT = "columnar"
 #: Magic of the retired framed-pickle slabs; recognized only so the open
 #: error can name the format (decoding lives in ``provenance.legacy``).
 ARSL_MAGIC = b"ARSL"
-
-DEFAULT_ASYNC = True
-DEFAULT_COMPRESSION = "zlib"
 
 #: Store manifest: per-slab content hashes stamped at seal time, the basis
 #: for ``repro audit verify`` (see ``repro.obs.ledger``).
@@ -172,26 +169,15 @@ class SpillManager:
     """Seals completed provenance layers out of memory into slab files."""
 
     def __init__(
-        self,
-        store: ProvenanceStore,
-        directory: Optional[str] = None,
-        memory_budget_bytes: Optional[int] = None,
-        *,
-        async_writes: bool = DEFAULT_ASYNC,
-        compression: str = DEFAULT_COMPRESSION,
+        self, store: ProvenanceStore, directory: Optional[str] = None,
     ) -> None:
-        if compression not in SPILL_COMPRESSIONS:
-            raise ProvenanceError(
-                f"unknown spill compression {compression!r} "
-                f"({' | '.join(SPILL_COMPRESSIONS)})"
-            )
         self.store = store
         self._own_dir = directory is None
         self.directory = directory or tempfile.mkdtemp(prefix="repro-spill-")
         os.makedirs(self.directory, exist_ok=True)
-        self.memory_budget_bytes = memory_budget_bytes
-        self.async_writes = async_writes
-        self.compression = compression
+        #: Segment codec of this store's slabs: what this manager writes,
+        #: or — for a reopened store — what its static slab's footer says.
+        self.compression = SLAB_COMPRESSION
         self._slabs: Dict[int, str] = {}
         self._static_path: Optional[str] = None
         self.bytes_spilled = 0
@@ -220,11 +206,11 @@ class SpillManager:
         #: before seal_all; read back by :meth:`open` for ledger parent
         #: links on query runs).
         self.run_id: Optional[str] = None
-        # Writer thread state. The thread starts lazily on the first
-        # asynchronous seal (so read-only managers and forked children
-        # never own one), stops at seal_all()/close(), and is a daemon: an
-        # unflushed manager must not wedge interpreter shutdown. Completed jobs are handed back via
-        # ``_completed`` and folded into metrics/tracing/accounting on the
+        # Writer thread state. Every seal goes through the writer thread,
+        # which starts lazily on the first seal (so read-only managers and
+        # forked children never own one), stops at seal_all()/close(), and
+        # is a daemon: an unflushed manager must not wedge interpreter
+        # shutdown. Completed jobs are handed back via ``_completed`` and folded into metrics/tracing/accounting on the
         # caller's thread; the first writer exception is held in
         # ``_writer_error`` and re-raised at the next seal/flush/close.
         self._queue: Optional["queue.Queue[Optional[Tuple[Any, str, Dict[str, Any]]]]"] = None
@@ -253,6 +239,10 @@ class SpillManager:
         # struct.error/EOFError deep inside the first query.
         for path in [manager._static_path, *manager._slabs.values()]:
             check_slab(path)
+        # Report the codec on disk, not the one this release writes: a
+        # store sealed uncompressed must fingerprint as such.
+        with ColumnarSlab(manager._static_path) as static:
+            manager.compression = static.compression
         manifest = read_manifest(directory)
         if manifest is not None:
             manager.slab_digests = {
@@ -296,12 +286,11 @@ class SpillManager:
                 q.task_done()
 
     def _execute(self, job: Tuple[Any, str, Dict[str, Any]]) -> None:
-        """Encode and write one slab; runs on the writer thread when
-        asynchronous, inline otherwise."""
+        """Encode and write one slab; runs on the writer thread."""
         key, path, chunks = job
         start = time.perf_counter()
         blob, raw = encode_columnar_slab(
-            chunks, self.compression, meta_key=_META_KEY,
+            chunks, SLAB_COMPRESSION, meta_key=_META_KEY,
         )
         # Hashed here, not at verify time: the blob is already in memory
         # on the writer thread, so the manifest digest is nearly free.
@@ -314,13 +303,9 @@ class SpillManager:
 
     def _submit(self, key: Any, path: str, chunks: Dict[str, Any]) -> None:
         self._raise_pending()
-        job = (key, path, chunks)
-        if self.async_writes:
-            q = self._ensure_writer()
-            q.put(job)
-            _spill_metrics().queue_depth.set(q.qsize())
-        else:
-            self._execute(job)
+        q = self._ensure_writer()
+        q.put((key, path, chunks))
+        _spill_metrics().queue_depth.set(q.qsize())
         self._drain_completed()
 
     def _drain_completed(self) -> None:
@@ -402,7 +387,7 @@ class SpillManager:
         """Write one layer to disk; returns the slab's byte size.
 
         The in-memory store keeps the layer (evicting would complicate the
-        store's indexes); what the budget models is the *capture path*: how
+        store's indexes); what sealing models is the *capture path*: how
         many bytes had to be moved to storage.
         """
         self.seal_layer_nowait(superstep)
@@ -588,12 +573,6 @@ class SpillManager:
         for path in self._slabs.values():
             total += os.path.getsize(path)
         return total
-
-    def over_budget(self) -> bool:
-        return (
-            self.memory_budget_bytes is not None
-            and self.store.total_bytes() > self.memory_budget_bytes
-        )
 
     def close(self) -> None:
         """Shut the writer down and remove the slab files.

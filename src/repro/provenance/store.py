@@ -8,7 +8,7 @@ vertex annotated with relation partitions, rather than one node per
 
 The store tracks serialized byte sizes incrementally (Tables 3/4 report
 capture sizes) and supports spilling sealed layers to disk through
-:class:`~repro.provenance.spill.SpillFile` — the stand-in for the paper's
+:class:`~repro.provenance.spill.SpillManager` — the stand-in for the paper's
 asynchronous HDFS offload.
 """
 
@@ -19,7 +19,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ProvenanceError
 from repro.provenance.model import RelationSchema, SchemaRegistry
-from repro.sizemodel import RowSizer, estimate_bytes
+from repro.sizemodel import RowSizer
 
 Row = Tuple[Any, ...]
 
@@ -75,13 +75,7 @@ class ProvenanceStore:
     query evaluation touches a few relations across many vertices.
     """
 
-    def __init__(
-        self,
-        registry: Optional[SchemaRegistry] = None,
-        *,
-        intern: bool = True,
-        legacy_sizing: bool = False,
-    ) -> None:
+    def __init__(self, registry: Optional[SchemaRegistry] = None) -> None:
         self.registry = registry or SchemaRegistry()
         self._data: Dict[str, Dict[Any, RelationPartition]] = {}
         self._bytes: Dict[str, int] = {}
@@ -94,12 +88,10 @@ class ProvenanceStore:
         # distinct in provenance (values, payloads) and would bloat the
         # pool, and ``1 == 1.0 == True`` share a hash, so a mixed pool
         # could swap types and change the size model's answer.
-        self._intern_pool: Optional[Dict[str, str]] = {} if intern else None
-        # ``legacy_sizing`` prices every row with the recursive
-        # ``estimate_bytes`` instead of the memoized per-relation sizer;
-        # both are byte-exact, the flag exists so benchmarks and identity
-        # tests can pin the pre-fast-lane behavior.
-        self._legacy_sizing = legacy_sizing
+        self._intern_pool: Dict[str, str] = {}
+        # Memoized per-relation sizers, byte-exact against the recursive
+        # ``estimate_bytes`` (the size-model oracle the tests check them
+        # against).
         self._sizers: Dict[str, RowSizer] = {}
 
     # ------------------------------------------------------------------
@@ -117,8 +109,6 @@ class ProvenanceStore:
         return row if out is None else tuple(out)
 
     def _sizer_for(self, relation: str):
-        if self._legacy_sizing:
-            return estimate_bytes
         sizer = self._sizers.get(relation)
         if sizer is None:
             sizer = self._sizers[relation] = RowSizer()
@@ -129,9 +119,7 @@ class ProvenanceStore:
         attribute (the location specifier)."""
         schema = self.registry.get(relation)
         schema.check(row)
-        pool = self._intern_pool
-        if pool is not None:
-            row = self._intern_row(row, pool)
+        row = self._intern_row(row, self._intern_pool)
         vertex = schema.location_of(row)
         partitions = self._data.setdefault(relation, {})
         partition = partitions.get(vertex)
@@ -174,11 +162,7 @@ class ProvenanceStore:
         # skip the pool entirely; rows whose columns deviate from the
         # learned shape just miss the optimization.
         pool = self._intern_pool
-        intern_cols: Tuple[int, ...] = ()
-        if pool is not None:
-            intern_cols = tuple(
-                i for i, v in enumerate(first) if type(v) is str
-            )
+        intern_cols = tuple(i for i, v in enumerate(first) if type(v) is str)
         added = 0
         batch_bytes = 0
         max_t = self._max_superstep
@@ -249,10 +233,6 @@ class ProvenanceStore:
             self._bytes[relation] = self._bytes.get(relation, 0) + batch_bytes
             self._max_superstep = max_t
         return added
-
-    def add_all(self, relation: str, rows: Iterable[Row]) -> int:
-        """Alias of :meth:`add_batch` (kept for the pre-batching callers)."""
-        return self.add_batch(relation, rows)
 
     # ------------------------------------------------------------------
     # reading

@@ -693,10 +693,10 @@ def run_online(
     ``query`` may be PQL source text, a parsed program, or an already
     compiled query. With ``capture=True`` the derived head relations are
     persisted into a fresh :class:`ProvenanceStore` returned on the result.
-    With ``spill_directory`` as well, a :class:`SpillManager` (configured
-    from ``config.spill_async`` / ``config.spill_compression``) seals each
-    completed layer during the run and is returned on ``result.spill`` —
-    call ``result.spill.seal_all()`` to finish the static slab.
+    With ``spill_directory`` as well, a :class:`SpillManager` hands each
+    completed layer to its background writer during the run (zlib ARSC
+    slabs) and is returned on ``result.spill`` — call
+    ``result.spill.seal_all()`` to finish the static slab.
     """
     functions = FunctionRegistry(udfs)
     compiled = _compile(query, functions, params)
@@ -713,12 +713,7 @@ def run_online(
     )
     spill: Optional[SpillManager] = None
     if capture and spill_directory is not None:
-        spill = SpillManager(
-            store,
-            directory=spill_directory,
-            async_writes=engine_config.spill_async,
-            compression=engine_config.spill_compression,
-        )
+        spill = SpillManager(store, directory=spill_directory)
     wrapper = OnlineQueryProgram(
         program, compiled, functions, graph, store=store,
         value_projector=projector,

@@ -112,7 +112,7 @@ class TestErrorPaths:
             time.sleep(0.002)
             ctx.send_to_all(1.0)
 
-        engine = _engine(wgraph, workers=4, transport_wait_seconds=30.0)
+        engine = _engine(wgraph, workers=4)
         try:
             killed = threading.Event()
 
@@ -134,7 +134,7 @@ class TestErrorPaths:
             elapsed = time.monotonic() - start
             thread.join()
             assert killed.is_set()
-            # well under transport_wait_seconds: death detection, not the
+            # well under PEER_WAIT_SECONDS: death detection, not the
             # transport deadline, ended the run
             assert elapsed < 20
         finally:

@@ -30,7 +30,7 @@ def store():
         "send_message": [(1, 0, 4.0, 0), (0, 2, 2.0, 0)],
     }
     for rel, rows in facts.items():
-        s.add_all(rel, rows)
+        s.add_batch(rel, rows)
     return s
 
 
@@ -74,7 +74,7 @@ class TestJoins:
 
     def test_repeated_variable_in_atom(self, store):
         s = ProvenanceStore()
-        s.add_all("evolution", [(0, 1, 1), (0, 1, 2)])
+        s.add_batch("evolution", [(0, 1, 1), (0, 1, 2)])
         result = evaluate("p(X) :- evolution(X, I, I).", s)
         assert result.rows("p") == [(0,)]
 
@@ -160,7 +160,7 @@ class TestAggregates:
 
     def test_sum_and_groups(self, store):
         s = ProvenanceStore()
-        s.add_all("receive_message",
+        s.add_batch("receive_message",
                   [(0, 1, 2.0, 1), (0, 2, 3.0, 1), (0, 1, 5.0, 2)])
         result = evaluate(
             "msum(X, I, sum(M)) :- receive_message(X, Y, M, I).", s
@@ -181,7 +181,7 @@ class TestAggregates:
     def test_duplicate_values_from_distinct_witnesses_counted(self):
         s = ProvenanceStore()
         # two neighbors deliver the same message value: sum must be 4, not 2
-        s.add_all("receive_message", [(0, 1, 2.0, 1), (0, 2, 2.0, 1)])
+        s.add_batch("receive_message", [(0, 1, 2.0, 1), (0, 2, 2.0, 1)])
         result = evaluate(
             "msum(X, sum(M)) :- receive_message(X, Y, M, I).", s
         )

@@ -68,8 +68,8 @@ class TestPreparedStrata:
         from repro.runtime.offline import run_reference
 
         store = ProvenanceStore()
-        store.add_all("superstep", [(0, 0), (0, 1), (1, 1)])
-        store.add_all("receive_message", [(0, 1, 1.0, 1)])
+        store.add_batch("superstep", [(0, 0), (0, 1), (1, 1)])
+        store.add_batch("receive_message", [(0, 1, 1.0, 1)])
         result = run_reference(
             store,
             # heads intentionally listed in anti-dependency order

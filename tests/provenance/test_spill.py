@@ -54,14 +54,6 @@ class TestSpill:
         assert rebuilt.partition("prov_edges", 0) == {(0, 1)}
         assert rebuilt.registry.get("prov_edges").topology == TOPO_EDGE
 
-    def test_budget_flag(self, store, tmp_path):
-        spill = SpillManager(store, directory=str(tmp_path),
-                             memory_budget_bytes=1)
-        assert spill.over_budget()
-        spill.memory_budget_bytes = None
-        assert not spill.over_budget()
-        spill.close()
-
     def test_close_removes_slabs(self, store, tmp_path):
         spill = SpillManager(store, directory=str(tmp_path))
         spill.seal_all()

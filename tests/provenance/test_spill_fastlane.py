@@ -1,5 +1,5 @@
-"""Spill fast-lane tests: slab codecs, the asynchronous writer, and
-failure semantics."""
+"""Spill fast-lane tests: the seal/rebuild round trip, the asynchronous
+writer, and failure semantics."""
 
 import gc
 import os
@@ -9,11 +9,7 @@ import pytest
 
 from repro.errors import ProvenanceError
 from repro.provenance.model import RelationSchema, TOPO_EDGE
-from repro.provenance.spill import (
-    SPILL_COMPRESSIONS,
-    SpillManager,
-    rebuild_store,
-)
+from repro.provenance.spill import SpillManager, rebuild_store
 from repro.provenance.store import ProvenanceStore
 
 
@@ -37,15 +33,9 @@ def _store_dict(store):
 
 
 class TestRoundTripMatrix:
-    @pytest.mark.parametrize("async_writes", [False, True])
-    @pytest.mark.parametrize("compression", SPILL_COMPRESSIONS)
-    def test_seal_all_rebuild_identity(self, tmp_path, async_writes,
-                                       compression):
+    def test_seal_all_rebuild_identity(self, tmp_path):
         store = _populated_store()
-        with SpillManager(
-            store, directory=str(tmp_path),
-            async_writes=async_writes, compression=compression,
-        ) as spill:
+        with SpillManager(store, directory=str(tmp_path)) as spill:
             total = spill.seal_all()
             assert total == spill.bytes_spilled > 0
             rebuilt = rebuild_store(spill)
@@ -53,22 +43,9 @@ class TestRoundTripMatrix:
         assert rebuilt.total_bytes() == store.total_bytes()
         assert rebuilt.registry.get("prov_edges").topology == TOPO_EDGE
 
-    def test_zlib_smaller_than_raw(self, tmp_path):
-        store = _populated_store()
-        sizes = {}
-        for compression in SPILL_COMPRESSIONS:
-            directory = tmp_path / compression
-            with SpillManager(
-                store, directory=str(directory), compression=compression,
-            ) as spill:
-                sizes[compression] = spill.seal_all()
-        assert sizes["zlib"] < sizes["raw"]
-
     def test_async_layer_readback_waits_for_writer(self, tmp_path):
         store = _populated_store()
-        with SpillManager(
-            store, directory=str(tmp_path), async_writes=True,
-        ) as spill:
+        with SpillManager(store, directory=str(tmp_path)) as spill:
             for t in range(store.num_layers):
                 spill.seal_layer_nowait(t)
             # load_layer flushes implicitly; no explicit flush() needed.
@@ -78,8 +55,7 @@ class TestRoundTripMatrix:
         # An idle writer thread held the manager (and its store) for the
         # rest of the process: every capture in a loop leaked one store.
         store = _populated_store()
-        spill = SpillManager(store, directory=str(tmp_path),
-                             async_writes=True)
+        spill = SpillManager(store, directory=str(tmp_path))
         spill.seal_layer_nowait(0)
         writer = spill._writer
         assert writer is not None and writer.is_alive()
@@ -94,19 +70,10 @@ class TestRoundTripMatrix:
         gc.collect()
         assert ref() is None
 
-    def test_unknown_compression_rejected(self, tmp_path):
-        with pytest.raises(ProvenanceError):
-            SpillManager(
-                _populated_store(), directory=str(tmp_path),
-                compression="brotli",
-            )
-
 
 class TestWriterFailure:
     def _broken(self, tmp_path, monkeypatch):
-        spill = SpillManager(
-            _populated_store(), directory=str(tmp_path), async_writes=True,
-        )
+        spill = SpillManager(_populated_store(), directory=str(tmp_path))
 
         def boom(job):
             raise OSError("disk detached")
@@ -140,9 +107,7 @@ class TestWriterFailure:
 
     def test_later_jobs_skipped_after_failure(self, tmp_path, monkeypatch):
         store = _populated_store()
-        spill = SpillManager(
-            store, directory=str(tmp_path), async_writes=True,
-        )
+        spill = SpillManager(store, directory=str(tmp_path))
         real_execute = SpillManager._execute
         calls = []
 

@@ -31,8 +31,8 @@ class TestWrites:
         with pytest.raises(ProvenanceError):
             store.add("mystery", (0,))
 
-    def test_add_all_counts_new(self, store):
-        added = store.add_all("value", [(0, 1.5, 0), (2, 3.0, 0)])
+    def test_add_batch_counts_new(self, store):
+        added = store.add_batch("value", [(0, 1.5, 0), (2, 3.0, 0)])
         assert added == 1
 
 

@@ -47,8 +47,8 @@ class TestBatchEquivalence:
     def test_empty_batch_is_noop(self):
         store = ProvenanceStore()
         assert store.add_batch("value", []) == 0
-        # Matches the old add_all semantics: an empty iterable never
-        # touches the registry, even for unknown relations.
+        # An empty iterable never touches the registry, even for unknown
+        # relations.
         assert store.add_batch("mystery", []) == 0
         assert store.num_rows == 0
 
@@ -61,10 +61,6 @@ class TestBatchEquivalence:
         store = ProvenanceStore()
         with pytest.raises(ProvenanceError):
             store.add_batch("mystery", [(0,)])
-
-    def test_add_all_is_batched(self):
-        store = ProvenanceStore()
-        assert store.add_all("value", ROWS) == 4
 
 
 class TestInterning:
@@ -86,11 +82,6 @@ class TestInterning:
         stored = [row[2] for row in store.rows("send_message")]
         assert stored[0] is stored[1]
 
-    def test_intern_disabled(self):
-        store = ProvenanceStore(intern=False)
-        store.add_batch("send_message", [(0, 1, "y" * 40, 0)])
-        assert store.num_rows == 1
-
 
 _scalar = st.one_of(
     st.integers(min_value=-10, max_value=10),
@@ -110,14 +101,18 @@ class TestProperties:
     @settings(max_examples=50, deadline=None)
     @given(rows=_rows)
     def test_interned_equals_plain(self, rows):
-        interned = ProvenanceStore()
-        interned.add_batch("value", rows)
-        plain = ProvenanceStore(intern=False, legacy_sizing=True)
+        """The batch lane (intern columns learned from the first row)
+        equals the plain per-row path, and both price rows exactly as the
+        ``estimate_bytes`` size model does."""
+        batched = ProvenanceStore()
+        batched.add_batch("value", rows)
+        perrow = ProvenanceStore()
         for row in rows:
-            plain.add("value", row)
-        assert _store_dict(interned) == _store_dict(plain)
-        assert interned.total_bytes() == plain.total_bytes()
-        assert interned.num_rows == plain.num_rows
+            perrow.add("value", row)
+        assert _store_dict(batched) == _store_dict(perrow)
+        expected = sum(estimate_bytes(row) for row in set(rows))
+        assert batched.total_bytes() == perrow.total_bytes() == expected
+        assert batched.num_rows == perrow.num_rows
 
     @settings(max_examples=50, deadline=None)
     @given(rows=_rows)

@@ -23,11 +23,15 @@ from repro.core import queries as Q
 from repro.errors import ProvenanceError
 from repro.graph.generators import web_graph, with_random_weights
 from repro.obs import ledger as obsledger
+from repro.provenance import inspect as pinspect
+from repro.provenance.columnar import ColumnarSlab, encode_columnar_slab
 from repro.provenance.legacy import migrate_store
 from repro.provenance.spill import (
     SpillManager,
     open_store_view,
+    read_manifest,
     rebuild_store,
+    slab_paths,
 )
 from repro.provenance.store import ProvenanceStore, SealedStoreView
 from repro.runtime.offline import (
@@ -62,8 +66,8 @@ def custom_store(wgraph):
     ).store
 
 
-def _seal(store, directory, compression="zlib"):
-    spill = SpillManager(store, directory=directory, compression=compression)
+def _seal(store, directory):
+    spill = SpillManager(store, directory=directory)
     spill.seal_all()
     return spill
 
@@ -167,21 +171,15 @@ def test_rebuilt_store_identical(sealed_dir, full_store):
 # out-of-core: Section 5.1's scalability argument
 # ---------------------------------------------------------------------------
 class TestOutOfCore:
-    @pytest.fixture(scope="class")
-    def raw_dir(self, full_store, tmp_path_factory):
-        directory = str(tmp_path_factory.mktemp("ooc"))
-        _seal(full_store, directory, compression="raw")
-        return directory
-
     def test_layered_answers_where_naive_cannot_load(
-            self, raw_dir, full_store, wgraph, lineage_params):
+            self, sealed_dir, full_store, wgraph, lineage_params):
         """Pick a budget above layered's load unit (one slab's decoded
         columns) but below the whole decoded store: layered answers Query
         10 correctly, naive fails cleanly before evaluating anything."""
         query = Q.NAMED_QUERIES["query10"]
         reference = run_reference(full_store, query, wgraph, lineage_params)
 
-        spill = SpillManager.open(raw_dir)
+        spill = SpillManager.open(sealed_dir)
         unbudgeted = run_layered_from_spill(
             spill, query, wgraph, lineage_params,
         )
@@ -208,9 +206,9 @@ class TestOutOfCore:
         for relation in reference.relations():
             assert result.rows(relation) == reference.rows(relation)
 
-    def test_layered_budget_too_small_raises(self, raw_dir, wgraph,
+    def test_layered_budget_too_small_raises(self, sealed_dir, wgraph,
                                              lineage_params):
-        spill = SpillManager.open(raw_dir)
+        spill = SpillManager.open(sealed_dir)
         with pytest.raises(MemoryError, match="memory budget"):
             run_layered_from_spill(
                 spill, Q.NAMED_QUERIES["query10"], wgraph, lineage_params,
@@ -268,7 +266,7 @@ class TestSealedView:
         """The offline drivers take either store without probing for
         capabilities: every public read member of the in-memory store
         exists on the sealed view."""
-        writers = {"add", "add_batch", "add_all"}
+        writers = {"add", "add_batch"}
         protocol = {
             name for name in vars(ProvenanceStore)
             if not name.startswith("_") and name not in writers
@@ -311,6 +309,47 @@ class TestSealedView:
         again = query10()
         for key in ("decoded_bytes", "peak_slab_bytes"):
             assert again.stats[key] == first.stats[key] > 0
+
+
+# ---------------------------------------------------------------------------
+# uncompressed ARSC: written by earlier releases, still read
+# ---------------------------------------------------------------------------
+def test_raw_sealed_store_reports_its_codec(sealed_dir, tmp_path, wgraph,
+                                            lineage_params, capsys):
+    """Regression: ``SpillManager.open`` never read the codec back, so a
+    store sealed uncompressed (``--spill-compression raw``, before the
+    switch was removed) reported ``zlib`` in ``repro inspect`` and in its
+    ledger fingerprint while its slab footers said ``raw``. It must also
+    keep answering like its zlib twin and pass ``audit verify``."""
+    directory = str(tmp_path / "raw")
+    shutil.copytree(sealed_dir, directory)
+    static, layers = slab_paths(directory)
+    for path in [static, *layers.values()]:
+        with ColumnarSlab(path) as slab:
+            chunks = slab.to_chunks()
+        blob, _raw = encode_columnar_slab(chunks, "raw")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+    restamp = SpillManager.open(directory)
+    restamp.slab_digests = {
+        os.path.basename(path): {"sha256": obsledger.digest_file(path),
+                                 "bytes": os.path.getsize(path)}
+        for path in [static, *layers.values()]
+    }
+    restamp.write_manifest()
+    assert read_manifest(directory)["compression"] == "raw"
+
+    spill = SpillManager.open(directory)
+    assert spill.compression == "raw"
+    header = pinspect.summarize_slabs(spill).splitlines()[0]
+    spill.release_slabs()
+    assert "compression=raw" in header
+    assert obsledger.store_fingerprint(spill)["compression"] == "raw"
+    assert (_query10_digest(directory, wgraph, lineage_params)
+            == _query10_digest(sealed_dir, wgraph, lineage_params))
+    assert main(["audit", "verify", "--store", directory]) == 0
+    assert main(["inspect", "--store", directory]) == 0
+    assert "compression=raw" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ class TestCandidates:
 
     def test_store_scan_and_slice(self, graph):
         store = ProvenanceStore()
-        store.add_all("value", [(0, float(i), i) for i in range(40)])
+        store.add_batch("value", [(0, float(i), i) for i in range(40)])
         db = StoreDatabase(store, graph)
         assert len(read(db, "value", 0)) == 40
         # a bound time reads exactly that superstep's bucket
@@ -75,7 +75,7 @@ class TestCandidates:
 
     def test_head_predicate_reads_store_and_overlay(self, graph):
         store = ProvenanceStore()
-        store.add_all("value", [(0, 1.0, 0), (0, 2.0, 1)])
+        store.add_batch("value", [(0, 1.0, 0), (0, 2.0, 1)])
         db = StoreDatabase(store, graph, head_predicates={"value"})
         db.add("value", (0, 9.0, 1))
         # the overlay is unsliced: a superset the scan re-checks

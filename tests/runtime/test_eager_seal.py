@@ -9,7 +9,6 @@ from repro.analytics.pagerank import PageRank
 from repro.analytics.sssp import SSSP
 from repro.core import queries as Q
 from repro.engine.config import EngineConfig
-from repro.errors import EngineError
 from repro.graph.generators import web_graph, with_random_weights
 from repro.provenance.spill import rebuild_store
 from repro.runtime.online import run_online
@@ -46,19 +45,6 @@ class TestEagerSealing:
         rebuilt = rebuild_store(result.spill)
         assert _store_dict(rebuilt) == _store_dict(result.store)
         assert rebuilt.total_bytes() == result.store.total_bytes()
-        result.spill.close()
-
-    def test_sync_raw_spill_round_trip(self, graph, tmp_path):
-        config = EngineConfig(spill_async=False, spill_compression="raw")
-        result = run_online(
-            graph, PageRank(num_supersteps=4), Q.CAPTURE_FULL_QUERY,
-            capture=True, spill_directory=str(tmp_path), config=config,
-        )
-        assert not result.spill.async_writes
-        assert result.spill.compression == "raw"
-        result.spill.seal_all()
-        rebuilt = rebuild_store(result.spill)
-        assert _store_dict(rebuilt) == _store_dict(result.store)
         result.spill.close()
 
     def test_early_halt_still_flushes_capture(self, tmp_path):
@@ -103,15 +89,3 @@ class TestParallelCaptureSpill:
         rebuilt = rebuild_store(parallel.spill)
         assert _store_dict(rebuilt) == _store_dict(serial.store)
         parallel.spill.close()
-
-
-class TestConfigValidation:
-    def test_bad_compression_rejected(self):
-        with pytest.raises(EngineError):
-            EngineConfig(spill_compression="bogus").validate()
-
-    def test_defaults_are_async_zlib(self):
-        config = EngineConfig()
-        config.validate()
-        assert config.spill_async is True
-        assert config.spill_compression == "zlib"

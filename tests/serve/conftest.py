@@ -18,9 +18,7 @@ def seal_capture(graph, analytic, directory: str) -> str:
     and the server is about to reopen them from disk.
     """
     capture = Ariadne(graph, analytic).capture()
-    spill = SpillManager(capture.store, directory=directory,
-                         async_writes=False)
-    spill.seal_all()
+    SpillManager(capture.store, directory=directory).seal_all()
     return directory
 
 

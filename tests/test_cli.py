@@ -81,18 +81,17 @@ class TestCLI:
         assert main(["inspect", "--store", store_dir, "--vertex", "0"]) == 0
         assert "vertex 0" in capsys.readouterr().out
 
-    def test_capture_sync_raw_spill(self, graph_file, tmp_path, capsys):
-        store_dir = str(tmp_path / "prov-raw")
-        assert main([
-            "capture", "--analytic", "sssp", "--graph", graph_file,
-            "--out", store_dir, "--spill-sync", "--spill-compression", "raw",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "(raw, sync)" in out
-        assert os.path.exists(os.path.join(store_dir, "static.slab"))
-
-        assert main(["inspect", "--store", store_dir]) == 0
-        assert "provenance store" in capsys.readouterr().out
+    def test_spill_flags_rejected(self, graph_file, tmp_path):
+        # one capture path: there is no switch left to pick another
+        store_dir = str(tmp_path / "prov")
+        for flag in (["--spill-sync"], ["--spill-compression", "raw"]):
+            with pytest.raises(SystemExit):
+                main(["capture", "--analytic", "sssp", "--graph", graph_file,
+                      "--out", store_dir, *flag])
+        with pytest.raises(SystemExit):
+            main(["store", "migrate", store_dir,
+                  "--spill-compression", "raw"])
+        assert not os.path.exists(store_dir)
 
     def test_capture_default_is_async_zlib(self, graph_file, tmp_path,
                                            capsys):
@@ -101,7 +100,7 @@ class TestCLI:
             "capture", "--analytic", "sssp", "--graph", graph_file,
             "--out", store_dir,
         ]) == 0
-        assert "(zlib, async)" in capsys.readouterr().out
+        assert "(zlib)" in capsys.readouterr().out
 
     def test_missing_query_errors(self, graph_file, capsys):
         code = main(["monitor", "--analytic", "sssp", "--graph", graph_file])
@@ -432,8 +431,9 @@ class TestRunLedgerAndAudit:
         self, graph_file, tmp_path, capsys
     ):
         """Records written while EngineConfig still had transport,
-        ring_capacity, warm_pool and frontier_scheduling (and the worker
-        stamp carried transport / warm_pool) still load and compare."""
+        ring_capacity, warm_pool, frontier_scheduling, spill_async,
+        spill_compression and transport_wait_seconds (and the worker stamp
+        carried transport / warm_pool) still load and compare."""
         from repro.obs.ledger import RunLedger
 
         ledger_dir = str(tmp_path / "ledger")
@@ -445,21 +445,25 @@ class TestRunLedgerAndAudit:
         ledger = RunLedger(ledger_dir)
         (current,) = ledger.records()
         removed = {"transport", "ring_capacity", "warm_pool",
-                   "frontier_scheduling"}
+                   "frontier_scheduling", "spill_async", "spill_compression",
+                   "transport_wait_seconds"}
         assert not removed & set(current["config"])
         assert not {"transport", "warm_pool"} & set(current["workers"])
 
         older = dict(current, run_id="r" + "0" * 16)
         older["config"] = dict(
             current["config"], transport="ring", ring_capacity=1 << 20,
-            warm_pool=True, frontier_scheduling=True,
+            warm_pool=True, frontier_scheduling=True, spill_async=False,
+            spill_compression="raw", transport_wait_seconds=60.0,
         )
         older["workers"] = dict(
             current["workers"], transport="ring", warm_pool=True
         )
         with open(ledger.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(older, sort_keys=True) + "\n")
-        assert ledger.get(older["run_id"])["config"]["transport"] == "ring"
+        loaded = ledger.get(older["run_id"])["config"]
+        assert loaded["transport"] == "ring"
+        assert loaded["spill_compression"] == "raw"
 
         capsys.readouterr()
         assert main([
