@@ -491,15 +491,12 @@ def cmd_query(args: argparse.Namespace) -> int:
     spill = SpillManager.open(args.store)
     graph = _load_graph(args) if (args.graph or args.dataset) else None
     params = _params(args.param)
-    vectorize = not getattr(args, "no_vectorize", False)
     query_text = _query_text(args)
     budget = getattr(args, "memory_budget", None)
     driver = (run_layered_from_spill if args.mode == "layered"
               else run_naive_from_spill)
-    result = driver(
-        spill, query_text, graph, params,
-        memory_budget_bytes=budget, vectorize=vectorize,
-    )
+    result = driver(spill, query_text, graph, params,
+                    memory_budget_bytes=budget)
     json_output = getattr(args, "json_output", False)
     if json_output:
         from repro.pql.serialize import canonical_json, result_to_dict
@@ -870,11 +867,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--partitioner", choices=("hash", "range"),
                         default="hash",
                         help="vertex partitioning strategy (default: hash)")
-    parser.add_argument("--no-vectorize", action="store_true",
-                        help="disable the vectorized batch evaluator over "
-                             "columnar stores and keep the row-at-a-time "
-                             "path (results are identical; use for A/B "
-                             "latency comparisons)")
     parser.add_argument("--ledger", metavar="DIR",
                         help="append this run's audit record to the ledger "
                              "in DIR (default: $REPRO_LEDGER; capture/query "

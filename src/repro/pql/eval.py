@@ -22,7 +22,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
-from repro.pql.ast import Aggregate, BinOp, Const, FuncCall, Param, Term, Var
+from repro.pql.ast import Aggregate, AtomLiteral, BinOp, Const, FuncCall, Param, Term, Var
 from repro.pql.codegen import compile_rule
 from repro.pql.plan import (
     CHECK_VAR,
@@ -247,9 +247,9 @@ class Database:
 
     def __init__(self) -> None:
         self.derived = TupleStore()
-        # When a VectorContext (repro.pql.vectorized) is attached, the
-        # evaluator runs every located rule that has a layer program once
-        # over all sites; None keeps the per-site row functions exclusively.
+        # When a VectorContext (repro.pql.vectorized) is attached (offline),
+        # the evaluator runs every located rule that has a layer program
+        # once over all sites; None (online) keeps the per-site row functions.
         self.vector_ctx: Optional[Any] = None
 
     # -- reads (override) -------------------------------------------------
@@ -334,9 +334,10 @@ def evaluate_rule(
 ) -> int:
     """Evaluate one rule over ``sites``; returns the number of new facts.
 
-    With a vector context attached the rule runs once, as a layer program
-    over all sites as a column; every rule that has none — and every rule
-    without a context — runs its generated function once per site.
+    With a vector context attached (offline) the rule runs once, as a layer
+    program over all sites as a column; every rule that has none — and
+    every rule online or in free mode — runs its generated function once
+    per site.
     """
     if mode == MODE_ANCHORED and anchor_time is None and crule.time_var is not None:
         raise PQLError("anchored evaluation requires an anchor time")
@@ -468,12 +469,24 @@ def prepare_strata(
     (``back_trace(Y, J), J = I + 1``) cannot see anything derived at this
     anchor and is no dependency within it — Lemma 5.3's one pass per layer,
     applied inside the layer.
+
+    A relation whose every rule here copies it onto itself
+    (``superstep(X, I) :- superstep(X, I)``, Query 2) is no dependency
+    either: its readers already see every row such a rule derives, through
+    the base rows ``candidates`` / ``rows`` return beside the derived ones.
     """
     prepared: PreparedStrata = []
     for stratum in strata:
         if not stratum:
             continue
-        heads = {crule.head_predicate for crule in stratum}
+        # heads in first-rule order: _topological breaks ties by it
+        heads = dict.fromkeys(
+            c.head_predicate for c in sorted(stratum, key=lambda c: c.index))
+        copies = {
+            head for head in heads
+            if all(c.rule.body == (AtomLiteral(c.rule.head),)
+                   for c in stratum if c.head_predicate == head)
+        }
         # head -> the position where *every* rule deriving it writes the
         # anchor superstep (absent: some rule does not)
         stamped: Dict[str, int] = {}
@@ -489,7 +502,7 @@ def prepare_strata(
         deps: Dict[str, Set[str]] = {h: set() for h in heads}
         for crule in stratum:
             for rel in crule.body_relations:
-                if rel in heads and not (
+                if rel in heads and rel not in copies and not (
                         rel in stamped and _lagged(crule, rel, stamped[rel])):
                     deps[crule.head_predicate].add(rel)
         order = _topological(deps)
@@ -531,23 +544,18 @@ def _lagged(crule: CompiledRule, relation: str, position: int) -> bool:
 
 
 def _topological(deps: Dict[str, Set[str]]) -> Optional[List[str]]:
-    """Kahn's algorithm; returns None when the graph has a cycle
-    (including self-loops, i.e. genuine recursion)."""
-    indegree = {node: len(edges) for node, edges in deps.items()}
-    dependents: Dict[str, List[str]] = {node: [] for node in deps}
-    for node, edges in deps.items():
-        for dep in edges:
-            dependents[dep].append(node)
-    ready = sorted(node for node, count in indegree.items() if count == 0)
+    """Dependency order: each step places the first node listed in
+    ``deps`` whose dependencies are all placed. None when the graph has a
+    cycle (including self-loops, i.e. genuine recursion)."""
     order: List[str] = []
-    while ready:
-        node = ready.pop()
+    pending = list(deps)
+    while pending:
+        node = next((n for n in pending if deps[n].issubset(order)), None)
+        if node is None:
+            return None
+        pending.remove(node)
         order.append(node)
-        for dependent in sorted(dependents[node]):
-            indegree[dependent] -= 1
-            if indegree[dependent] == 0:
-                ready.append(dependent)
-    return order if len(order) == len(deps) else None
+    return order
 
 
 def run_prepared(

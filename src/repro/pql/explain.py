@@ -101,8 +101,8 @@ def explain_rule(crule: CompiledRule, verbose: bool = False) -> str:
                  ("free", crule.free_plan, MODE_FREE)]
     for label, plan, mode in plans if verbose else plans[:1]:
         code = compiled_fn(crule, mode) if verbose else None
-        # How a sealed columnar store evaluates the plan (in-memory stores
-        # and free-mode plans always run the row function).
+        # How the offline drivers evaluate the plan (online and free-mode
+        # plans always run the row function).
         evaluator = ""
         if mode != MODE_FREE:
             program = layer_program(crule, mode)
@@ -124,7 +124,7 @@ def explain(
     ``stratum_seconds`` collected by the offline runtimes when tracing is
     on); when given, the report closes with the measured cost of each
     stratum so plan structure and runtime cost read side by side.
-    ``run_stats`` is a run's stats dict; when it carries a sealed-store
+    ``run_stats`` is a run's stats dict; when it carries an offline
     run's evaluator counters, the report closes with how many rule runs
     were layer programs and why the rest went through the row function.
     """

@@ -1,33 +1,37 @@
 """Layer programs: one rule, one layer, one pass over column batches.
 
 Section 5.1's layered evaluation visits the provenance graph a layer at a
-time, and a sealed store keeps a layer as one slab with one contiguous row
-array per relation. A *layer program* evaluates a rule plan against that
-shape directly: the rule's location variable starts as a **column** holding
-every evaluation site of the layer, each plan step transforms the whole
-column set at once, and the rule runs once per (rule, layer) instead of
-once per (rule, layer, vertex) — the superstep-as-a-join shape.
+time, and both stores hand out a layer of one relation as one column batch
+with each vertex's rows contiguous. A *layer program* evaluates a rule plan
+against that shape directly: the rule's location variable starts as a
+**column** holding every evaluation site of the layer, each plan step
+transforms the whole column set at once, and the rule runs once per (rule,
+layer) instead of once per (rule, layer, vertex) — the superstep-as-a-join
+shape.
 
-* A **stored scan** reads one whole-layer
-  :class:`~repro.provenance.store.ColumnBatch` per slab it can match in.
-  Known scalar positions (the anchored time, literals) become one selection
-  pass over a typed column — string literals compare as dictionary codes,
-  the dictionary is never decoded for them. The location joins through the
-  slab's ``vertex -> (start, count)`` group table, so no location column is
-  ever decoded and membership in the table *is* the location check. Known
-  columnar positions (a remote location bound by an earlier atom's payload,
-  a time bound by ``evolution``) turn the scan into a hash join keyed on
-  (location, those positions).
+* A **stored scan** reads one whole-layer batch per layer it can match in
+  (``store.column_batches``: a sealed slab's
+  :class:`~repro.provenance.store.ColumnBatch` or the in-memory store's
+  :class:`~repro.provenance.store.ListBatch`). Known scalar positions (the
+  anchored time, literals) become one selection pass over a column — a
+  slab's string literals compare as dictionary codes, never decoded. The
+  location joins through the batch's ``vertex -> (start, count)`` group
+  table, so no location column is ever decoded and membership in the table
+  *is* the location check. Known columnar positions (a remote location
+  bound by an earlier atom's payload, a time bound by ``evolution``) turn
+  the scan into a hash join keyed on (location, those positions).
 * A **derived scan** (``back_trace(Y, J)``, ``!change(Y, J)``) is one tight
   probe loop over the derived overlay's partitions.
+* An **exists scan** with absorbed filters (``fwd_lineage(Y, W, J), J < I``)
+  runs once per distinct row of the columns it reads, not once per input.
 * **Late materialization**: only the columns bound by variables a later
-  step or the head reads are gathered; everything else stays an undecoded
-  mmap'd segment.
+  step or the head reads are gathered; over a slab everything else stays
+  an undecoded mmap'd segment.
 
 **Identity.** A program computes, for every site, exactly the solutions the
 generated row function (:mod:`repro.pql.codegen`) computes there: selection
 and joins compare with Python ``==``, rows stay in site-major order with
-each partition's matches in slab row order, and head rows are deduplicated
+each partition's matches in batch row order, and head rows are deduplicated
 by the same ``Database.add_rows`` insert. Moving the site loop inside only
 changes *when* a rule's rows are inserted (after all sites instead of after
 each), which a non-recursive stratum cannot observe and a recursive one
@@ -337,6 +341,7 @@ class _ScanOp:
             for post in step.post_filters
         ]
         self.filter_reads = filter_reads
+        self.reads = _step_reads(step)
         wanted = filter_reads if self.filters else keep
         self.gather = [(pos, name) for pos, name in binds if name in wanted]
         self.semi = step.exists or step.negated or not self.gather
@@ -345,7 +350,10 @@ class _ScanOp:
     def run(self, state: _State, ctx: "VectorContext") -> bool:
         db = ctx.db
         relation = self.step.relation
+        outer, inverse = state, None
         try:
+            if self.filters:  # an exists scan: matched once per distinct input
+                state, inverse = self._distinct(state)
             if relation not in db.head_predicates:
                 src, binds = self._match_stored(state, ctx)
             elif db.store.has_relation(relation):
@@ -368,6 +376,9 @@ class _ScanOp:
                 src = list(dict.fromkeys(inner.columns[_SRC]))
             else:
                 src = []
+        if inverse is not None:
+            hit, state = set(src), outer
+            src = [i for i, d in enumerate(inverse) if d in hit]
         if self.step.negated:
             hit = set(src)
             src = [i for i in range(state.n) if i not in hit]
@@ -375,6 +386,17 @@ class _ScanOp:
         if not self.semi:
             state.columns.update(binds)
         return True
+
+    def _distinct(self, state: _State) -> Tuple[_State, List[int]]:
+        """The distinct rows of the columns this scan reads (its outcome's
+        only inputs), and each input row's index among them."""
+        names = [name for name in state.columns if name in self.reads]
+        index: Dict[Row, int] = {}
+        inverse = [index.setdefault(key, len(index)) for key in (
+            zip(*[state.columns[name] for name in names]) if names
+            else [()] * state.n)]
+        columns = dict(zip(names, map(list, zip(*index))))
+        return _State(state.functions, state.scalars, columns, len(index)), inverse
 
     # -- stored relations: whole-layer column batches --------------------
     def _match_stored(self, state: _State, ctx: "VectorContext",
@@ -385,9 +407,7 @@ class _ScanOp:
         if time_term is not None:  # one layer slab per time value
             times = ([time_term.value(state)] if time_term.scalar
                      else list(dict.fromkeys(time_term.column(state))))
-        batches = ctx.db.column_batches(step.relation, times)
-        if batches is None:
-            raise _Unvectorizable("static-relation")
+        batches = ctx.db.store.column_batches(step.relation, times)
         loc = known[0].column(state)
         expected = {pos: known[pos].value(state) for pos in self.scalar_pos}
         key_cols = [known[pos].column(state) for pos in self.key_pos]
@@ -647,7 +667,8 @@ def layer_program(crule: CompiledRule, mode: str) -> Any:
 class VectorContext:
     """Per-run vectorized evaluation state.
 
-    The offline drivers attach one to the database (``db.vector_ctx``);
+    ``run_layered`` and ``run_naive`` always attach one to the database
+    (``db.vector_ctx``), whichever store they read;
     :func:`repro.pql.eval.evaluate_rule` hands it every located rule with
     the layer's whole site list. Carries the query budget hook and the
     kernel timing / usage counters the drivers surface in result stats.
@@ -716,8 +737,11 @@ class VectorContext:
         return None
 
     def stats(self) -> Dict[str, Any]:
-        """Counters for the drivers' result stats."""
+        """The evaluator block of the drivers' result stats (surfaced
+        verbatim by the CLI, the benchmarks and the query server):
+        ``evaluator`` is ``vectorized`` once any layer program ran."""
         return {
+            "evaluator": "vectorized" if self.rules_vectorized else "rows",
             "kernel_seconds": {
                 k: round(v, 6) for k, v in self.kernel_seconds.items()
             },

@@ -656,10 +656,6 @@ class ColumnarSlab:
             self._group_rows[key] = rows
         return rows
 
-    def iter_groups(self, relation: str) -> Iterator[Tuple[Any, FrozenSet[Row]]]:
-        for vertex in self.groups(relation):
-            yield vertex, self.group_rows(relation, vertex)
-
     def all_rows(self, relation: str) -> Iterator[Row]:
         for rid in range(self.row_count(relation)):
             yield self._row(relation, rid)
@@ -672,7 +668,8 @@ class ColumnarSlab:
         chunks: Dict[str, Any] = {}
         for relation in self._relations:
             chunks[relation] = {
-                vertex: set(rows) for vertex, rows in self.iter_groups(relation)
+                vertex: set(self.group_rows(relation, vertex))
+                for vertex in self.groups(relation)
             }
         if self.meta is not None:
             chunks[meta_key] = self.meta

@@ -93,6 +93,8 @@ class ProvenanceStore:
         # ``estimate_bytes`` (the size-model oracle the tests check them
         # against).
         self._sizers: Dict[str, RowSizer] = {}
+        # column_batches: relation -> superstep (None: all) -> its batch
+        self._batches: Dict[str, Dict[Any, ListBatch]] = {}
 
     # ------------------------------------------------------------------
     # writing
@@ -119,6 +121,7 @@ class ProvenanceStore:
         attribute (the location specifier)."""
         schema = self.registry.get(relation)
         schema.check(row)
+        self._batches.clear()
         row = self._intern_row(row, self._intern_pool)
         vertex = schema.location_of(row)
         partitions = self._data.setdefault(relation, {})
@@ -151,6 +154,7 @@ class ProvenanceStore:
         except StopIteration:
             return 0
         schema = self.registry.get(relation)
+        self._batches.clear()
         arity = schema.arity
         time_index = schema.time_index
         location = schema.location_index
@@ -269,35 +273,28 @@ class ProvenanceStore:
             out.update(partitions)
         return out
 
+    def _layer_slices(self, superstep: int) -> Iterator[Tuple[str, Any, Set[Row]]]:
+        """``(relation, vertex, rows)`` of every non-empty slice of a layer."""
+        for relation, partitions in self._data.items():
+            if self.registry.get(relation).time_index is not None:
+                for vertex, part in partitions.items():
+                    if superstep in part.by_time:
+                        yield relation, vertex, part.by_time[superstep]
+
     def layer(self, superstep: int) -> Dict[str, Dict[Any, Set[Row]]]:
         """All time-indexed facts of one layer, relation -> vertex -> rows."""
         out: Dict[str, Dict[Any, Set[Row]]] = {}
-        for relation, partitions in self._data.items():
-            schema = self.registry.get(relation)
-            if schema.time_index is None:
-                continue
-            by_vertex: Dict[Any, Set[Row]] = {}
-            for vertex, part in partitions.items():
-                rows = part.at_time(superstep)
-                if rows:
-                    by_vertex[vertex] = rows
-            if by_vertex:
-                out[relation] = by_vertex
+        for relation, vertex, rows in self._layer_slices(superstep):
+            out.setdefault(relation, {})[vertex] = rows
         return out
 
     def layer_sites(self, superstep: int) -> Set[Any]:
         """Vertices carrying at least one fact in one layer."""
-        sites: Set[Any] = set()
-        for by_vertex in self.layer(superstep).values():
-            sites.update(by_vertex)
-        return sites
+        return {vertex for _rel, vertex, _rows in self._layer_slices(superstep)}
 
     def layer_rows(self, superstep: int) -> int:
         """Row count of one layer."""
-        return sum(
-            len(rows) for by_vertex in self.layer(superstep).values()
-            for rows in by_vertex.values()
-        )
+        return sum(len(rows) for _rel, _v, rows in self._layer_slices(superstep))
 
     def execution_nodes(self) -> Set[Tuple[Any, int]]:
         """The nodes of the unfolded provenance graph: every
@@ -313,15 +310,31 @@ class ProvenanceStore:
                         nodes.add((vertex, t))
         return nodes
 
-    #: The in-memory store keeps row sets, not typed columns: the batch
-    #: kernels have nothing to read here and evaluation stays on the row
-    #: path (:class:`SealedStoreView` is the store that serves batches).
-    serves_column_batches = False
-
     def column_batches(
         self, relation: str, supersteps: Optional[Iterable[Any]] = None,
-    ) -> None:
-        return None
+    ) -> List[ListBatch]:
+        """List-backed batches: one per entry of ``supersteps`` (each
+        vertex's ``partition_at`` slice) or the whole relation when ``None``
+        — the sealed view's slab selection, in the row path's order. The
+        first read builds every layer; batches live until the next write."""
+        partitions = self._data.get(relation)
+        if not partitions:
+            return []
+        schema = self.registry.get(relation)
+        layers = self._batches.get(relation)
+        if layers is None:  # published only once complete
+            slices: Dict[Any, List[Tuple[Any, Set[Row]]]] = {}
+            for v, part in partitions.items():
+                for t, rows in (part.by_time or {}).items():
+                    slices.setdefault(t, []).append((v, rows))
+            layers = self._batches[relation] = {
+                t: ListBatch(schema.arity, s) for t, s in slices.items()}
+        if supersteps is None or schema.time_index is None:
+            if None not in layers:
+                layers[None] = ListBatch(schema.arity, [
+                    (v, part.rows) for v, part in partitions.items()])
+            supersteps = [None]
+        return [layers[t] for t in supersteps if t in layers]
 
     @property
     def max_superstep(self) -> int:
@@ -419,11 +432,42 @@ class ColumnBatch:
         return code
 
 
+class ListBatch:
+    """The :class:`ColumnBatch` protocol over the in-memory store's row
+    sets, each vertex's rows contiguous in partition iteration order. Every
+    lane is ``"obj"`` (plain Python values), so ``codes`` / ``code_of`` are
+    never asked for; a column is gathered on its first ``values`` call."""
+
+    __slots__ = ("arity", "count", "_rows", "_groups", "_columns")
+
+    def __init__(self, arity: int,
+                 partitions: List[Tuple[Any, Set[Row]]]) -> None:
+        self.arity = arity
+        self._rows: List[Row] = []
+        self._groups: Dict[Any, Tuple[int, int]] = {}
+        self._columns: Dict[int, List[Any]] = {}
+        for vertex, rows in partitions:  # every partition / slice is non-empty
+            self._groups[vertex] = (len(self._rows), len(rows))
+            self._rows.extend(rows)
+        self.count = len(self._rows)
+
+    def lane(self, pos: int) -> str:
+        return "obj"
+
+    def groups(self) -> Dict[Any, Tuple[int, int]]:
+        return self._groups
+
+    def values(self, pos: int) -> List[Any]:
+        if pos not in self._columns:
+            self._columns[pos] = [row[pos] for row in self._rows]
+        return self._columns[pos]
+
+
 class SealedStoreView:
     """Out-of-core read view over a sealed store.
 
     Implements :class:`ProvenanceStore`'s read protocol (``partition`` /
-    ``partition_at`` / ``rows`` / ``layer`` / ``layer_sites`` /
+    ``partition_at`` / ``rows`` / ``layer_sites`` / ``layer_rows`` /
     ``column_batches`` / accounting) on top of a
     :class:`~repro.provenance.spill.SpillManager`'s ARSC slabs
     (:mod:`repro.provenance.columnar`), so the offline evaluators and the
@@ -446,10 +490,6 @@ class SealedStoreView:
     layers outgrow the budget stay queryable: a plan that touches few
     columns decodes few bytes.
     """
-
-    #: Partitions are served as typed column batches (the vectorized
-    #: evaluator's input) as well as row sets.
-    serves_column_batches = True
 
     def __init__(
         self, spill: Any, memory_budget_bytes: Optional[int] = None,
@@ -633,22 +673,6 @@ class SealedStoreView:
             for name in names:
                 if slab.has_relation(name):
                     out.update(slab.groups(name))
-        self._note()
-        return out
-
-    def layer(self, superstep: int) -> Dict[str, Dict[Any, Set[Row]]]:
-        """Full materialization of one layer (compatibility path; the
-        layered evaluator prefers :meth:`layer_sites`)."""
-        slab = self._slab(superstep)
-        out: Dict[str, Dict[Any, Set[Row]]] = {}
-        if slab is not None:
-            for relation in slab.relations():
-                by_vertex = {
-                    vertex: set(rows)
-                    for vertex, rows in slab.iter_groups(relation)
-                }
-                if by_vertex:
-                    out[relation] = by_vertex
         self._note()
         return out
 

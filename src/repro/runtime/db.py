@@ -101,19 +101,6 @@ class StoreDatabase(Database):
         if relation in self.head_predicates:
             yield from self.derived.all_rows(relation)
 
-    def column_batches(
-        self, relation: str, supersteps: Optional[Iterable[Any]] = None,
-    ) -> Optional[List[Any]]:
-        """Whole-layer column batches of a stored relation (one per slab
-        in ``supersteps``; ``None``: every layer), or ``None`` when the
-        relation has no stored columns to batch: the virtual graph
-        relations, and everything in the in-memory store. Head predicates
-        are the caller's business — their derived overlay lives outside
-        the store."""
-        if _StaticRelations.handles(relation):
-            return None
-        return self.store.column_batches(relation, supersteps)
-
 
 class OnlineDatabase(Database):
     """Online view for one wrapper run.

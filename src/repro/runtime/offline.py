@@ -4,7 +4,9 @@ Every driver takes a store that implements the read protocol shared by the
 in-memory :class:`~repro.provenance.store.ProvenanceStore` and the
 out-of-core :class:`~repro.provenance.store.SealedStoreView`; the
 ``*_from_spill`` entry points only open a view over a sealed store and hand
-it to the same drivers. Three drivers share the evaluator core:
+it to the same drivers. Three drivers share the evaluator core; the first
+two run every rule they can as a layer program
+(:mod:`repro.pql.vectorized`) over whichever store they are given:
 
 * :func:`run_layered` — Section 5.1's layered evaluation. Layers are visited
   in the direction dictated by the query class (ascending for forward,
@@ -54,36 +56,6 @@ from repro.runtime.db import StoreDatabase
 from repro.runtime.results import QueryResult
 
 
-def _attach_vector_ctx(
-    db: StoreDatabase, store: ProvenanceStore, vectorize: bool,
-    budget: Optional[QueryBudget] = None,
-) -> Optional[VectorContext]:
-    """Enable layer-program evaluation when the store serves column
-    batches (sealed views); the in-memory store keeps no typed columns, so
-    it stays on the row functions."""
-    if not vectorize or not store.serves_column_batches:
-        return None
-    ctx = VectorContext(budget=budget)
-    db.vector_ctx = ctx
-    return ctx
-
-
-def _evaluator_stats(
-    ctx: Optional[VectorContext], vectorize: bool, compiled: CompiledQuery,
-) -> Dict[str, Any]:
-    """The evaluator-choice block shared by all offline drivers (and
-    surfaced verbatim by the CLI, benchmarks, and the query server)."""
-    out: Dict[str, Any] = {
-        "vectorize": vectorize,
-        "compiled_rules": compiled.compiled_rules,
-        "evaluator": ("vectorized" if ctx is not None and ctx.rules_vectorized
-                      else "rows"),
-    }
-    if ctx is not None:
-        out.update(ctx.stats())
-    return out
-
-
 def _compile_offline(
     query: Union[str, Program, CompiledQuery],
     store: ProvenanceStore,
@@ -118,13 +90,12 @@ def run_layered(
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
     budget: Optional[QueryBudget] = None,
-    vectorize: bool = True,
 ) -> QueryResult:
     """Layered offline evaluation of a directed query.
 
-    ``vectorize=False`` disables layer-program evaluation over sealed
-    columnar stores (``--no-vectorize``); results are byte-identical
-    either way.
+    Each rule runs once per layer as a layer program over the store's
+    column batches; a rule that has none runs its row function per site
+    (the reason is counted in ``stats["fallback_reasons"]``).
 
     ``budget`` bounds the evaluation (depth = layers visited, derived
     rows, wall clock); overruns raise
@@ -142,7 +113,7 @@ def run_layered(
     # stratum per layer) so EXPLAIN can show observed costs untraced.
     stratum_seconds: Dict[int, float] = {}
     db = StoreDatabase(store, graph, compiled.head_predicates)
-    ctx = _attach_vector_ctx(db, store, vectorize, budget)
+    ctx = db.vector_ctx = VectorContext(budget=budget)
     start = time.perf_counter()
     derivations = _run_setup(compiled, db, functions, stratum_seconds)
 
@@ -182,8 +153,9 @@ def run_layered(
         "store_rows": store.num_rows,
         "head_predicates": sorted(compiled.head_predicates),
         "stratum_seconds": stratum_seconds,
+        "compiled_rules": compiled.compiled_rules,
+        **ctx.stats(),
     }
-    stats.update(_evaluator_stats(ctx, vectorize, compiled))
     return QueryResult(
         derived=db.derived,
         mode="layered",
@@ -202,7 +174,6 @@ def run_naive(
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
     memory_budget_bytes: Optional[int] = None,
     budget: Optional[QueryBudget] = None,
-    vectorize: bool = True,
 ) -> QueryResult:
     """Straightforward offline evaluation over the fully materialized graph.
 
@@ -235,7 +206,7 @@ def run_naive(
     # stratum per layer) so EXPLAIN can show observed costs untraced.
     stratum_seconds: Dict[int, float] = {}
     db = StoreDatabase(store, graph, compiled.head_predicates)
-    ctx = _attach_vector_ctx(db, store, vectorize, budget)
+    ctx = db.vector_ctx = VectorContext(budget=budget)
     start = time.perf_counter()
     derivations = _run_setup(compiled, db, functions, stratum_seconds)
     # The straightforward engine materializes the *unfolded* provenance
@@ -263,8 +234,9 @@ def run_naive(
         "sites": len(sites),
         "head_predicates": sorted(compiled.head_predicates),
         "stratum_seconds": stratum_seconds,
+        "compiled_rules": compiled.compiled_rules,
+        **ctx.stats(),
     }
-    stats.update(_evaluator_stats(ctx, vectorize, compiled))
     return QueryResult(
         derived=db.derived,
         mode="naive",
@@ -302,7 +274,6 @@ def run_layered_from_spill(
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
     memory_budget_bytes: Optional[int] = None,
-    vectorize: bool = True,
 ) -> QueryResult:
     """Layered evaluation straight off sealed layer slabs.
 
@@ -321,7 +292,6 @@ def run_layered_from_spill(
     """
     return _run_from_spill(
         run_layered, spill, memory_budget_bytes, query, graph, params, udfs,
-        vectorize=vectorize,
     )
 
 
@@ -332,7 +302,6 @@ def run_naive_from_spill(
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
     memory_budget_bytes: Optional[int] = None,
-    vectorize: bool = True,
 ) -> QueryResult:
     """Naive evaluation over a sealed store.
 
@@ -344,7 +313,6 @@ def run_naive_from_spill(
     return _run_from_spill(
         run_naive, spill, None, query, graph, params, udfs,
         memory_budget_bytes=memory_budget_bytes,
-        vectorize=vectorize,
     )
 
 

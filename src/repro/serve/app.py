@@ -460,7 +460,7 @@ class ReproServer:
     #: ran, their per-kernel timings, usage counters and the counted
     #: reasons rules went through the row function instead.
     _EVAL_STAT_KEYS = (
-        "evaluator", "vectorize", "kernel_seconds", "batched_scans",
+        "evaluator", "kernel_seconds", "batched_scans",
         "fallback_scans", "batch_rows", "rules_vectorized",
         "rules_fallback", "fallback_reasons",
     )
@@ -469,8 +469,7 @@ class ReproServer:
                              params: Dict[str, Any], mode: str,
                              budget: QueryBudget,
                              limit: Optional[int],
-                             cursor: Optional[str],
-                             vectorize: bool = True) -> Dict[str, Any]:
+                             cursor: Optional[str]) -> Dict[str, Any]:
         outcome: Dict[str, Any] = {}
         main_tracer = get_tracer()
         worker_tracer: Optional[Tracer] = None
@@ -479,16 +478,13 @@ class ReproServer:
 
         def work() -> Any:
             with entry.eval_lock:
-                compiled, cache = entry.prepare(
-                    query_text, params, mode, vectorize)
+                compiled, cache = entry.prepare(query_text, params, mode)
                 outcome["plan_cache"] = cache
                 runner = run_layered if mode == "layered" else run_naive
                 if worker_tracer is None:
-                    return runner(entry.store, compiled, budget=budget,
-                                  vectorize=vectorize)
+                    return runner(entry.store, compiled, budget=budget)
                 with thread_tracing(worker_tracer):
-                    return runner(entry.store, compiled, budget=budget,
-                                  vectorize=vectorize)
+                    return runner(entry.store, compiled, budget=budget)
 
         result = await self._offload(work, budget)
         cache = outcome.get("plan_cache", "miss")
@@ -582,7 +578,6 @@ class ReproServer:
         if mode not in MODES:
             raise HttpError(400, "bad_query",
                             f"mode must be one of {MODES}, got {mode!r}")
-        vectorize = bool(body.get("vectorize", True))
         limit = body.get("limit")
         if limit is not None and (not isinstance(limit, int) or limit <= 0):
             raise HttpError(400, "bad_query", "limit must be a positive "
@@ -592,8 +587,7 @@ class ReproServer:
             raise HttpError(400, "bad_query", "cursor must be a string")
         budget = self._make_budget(body.get("budget") or {})
         doc = await self._execute_query(
-            entry, query_text, params, mode, budget, limit, cursor,
-            vectorize=vectorize)
+            entry, query_text, params, mode, budget, limit, cursor)
         return 200, doc, "application/json"
 
     async def _handle_lineage(self, request: Request, run_id: str,

@@ -19,7 +19,7 @@ Admission, identity, and reuse rules:
   while different stores evaluate fully in parallel.
 
 * **Prepared-plan cache.** Each entry keeps a small LRU of compiled
-  query plans keyed by (query text, bound params, mode, vectorize flag).
+  query plans keyed by (query text, bound params, mode).
   A cache hit skips parse + semantic analysis + stratification + plan
   selection; the long-lived store also keeps its lazily decoded columns
   warm across requests — together these are the "warm" path the
@@ -116,25 +116,23 @@ class CatalogEntry:
     # prepared plans
     # ------------------------------------------------------------------
     def plan_key(self, query_text: str, params: Optional[Dict[str, Any]],
-                 mode: str, vectorize: bool = True) -> Tuple[Any, ...]:
+                 mode: str) -> Tuple[Any, ...]:
         return (
             hashlib.sha256(query_text.encode("utf-8")).hexdigest(),
             obsledger.canonical_json(params or {}),
             mode,
-            vectorize,
         )
 
     def prepare(self, query_text: str, params: Optional[Dict[str, Any]],
-                mode: str, vectorize: bool = True) -> Tuple[CompiledQuery, str]:
+                mode: str) -> Tuple[CompiledQuery, str]:
         """Compile (or fetch the cached plan for) one query.
 
         Returns ``(compiled, outcome)`` with outcome ``"hit"`` or
         ``"miss"``. Must be called under :attr:`eval_lock` — the cache
         dict and the store's schema registry are not independently
-        locked. Plans are keyed per evaluator choice so an A/B request
-        pair never shares (or evicts) the other path's plan.
+        locked.
         """
-        key = self.plan_key(query_text, params, mode, vectorize)
+        key = self.plan_key(query_text, params, mode)
         cached = self._plans.get(key)
         if cached is not None:
             self._plans.move_to_end(key)

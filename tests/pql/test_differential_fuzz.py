@@ -8,6 +8,7 @@ constants — every combination is safe and stratified by construction, but
 the *plans* differ wildly, which is the point.
 """
 
+import contextlib
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -160,10 +161,11 @@ class TestDifferentialFuzz:
 
     @given(random_store(), random_program())
     @SLOW
-    def test_vectorized_agrees_over_sealed_columnar(self, store, src):
+    def test_vectorized_agrees_over_sealed_columnar(self, forced_rows, store,
+                                                    src):
         """Layer programs over a sealed ARSC store return the same rows as
-        the reference interpreter, the semi-naive interpreter and the row
-        functions — random programs, including ones
+        the reference interpreter, the semi-naive interpreter and the
+        forced row functions — random programs, including ones
         whose rules partly run the row function (aggregates)."""
         import shutil
         import tempfile
@@ -189,14 +191,13 @@ class TestDifferentialFuzz:
             writer.write_manifest()
             spill = SpillManager.open(directory)
             runs = []
-            try:
-                runs.append(run_layered_from_spill(spill, src))
-                runs.append(run_layered_from_spill(spill, src,
-                                                   vectorize=False))
-            except PQLCompatibilityError:
-                pass  # mixed-direction composition: layered refuses
-            runs.append(run_naive_from_spill(spill, src))
-            runs.append(run_naive_from_spill(spill, src, vectorize=False))
+            for forced in (False, True):
+                with forced_rows() if forced else contextlib.nullcontext():
+                    try:
+                        runs.append(run_layered_from_spill(spill, src))
+                    except PQLCompatibilityError:
+                        pass  # mixed-direction composition: layered refuses
+                    runs.append(run_naive_from_spill(spill, src))
             for result in runs:
                 for rel in expected.relations():
                     assert result.rows(rel) == expected.rows(rel), (

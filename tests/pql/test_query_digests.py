@@ -17,10 +17,13 @@ worker processes — fails here.
 
 ``test_sealed_store_digests_match_parent_commit`` holds the sealed-store
 evaluators to the same pins: every offline capture is sealed to ARSC and
-re-queried layered and naive, with layer programs on and off, and each
-digest must equal the pin of the same query and mode.
+re-queried layered and naive, by layer programs and with every rule forced
+onto its row function (the ``forced_rows`` oracle), and each digest must
+equal the pin of the same query and mode. The ``layered`` / ``naive`` pins
+of ``compute_digests`` are layer programs over the in-memory store.
 """
 
+import contextlib
 import json
 import os
 import sys
@@ -118,7 +121,7 @@ def test_digests_match_parent_commit():
     assert len(set(golden.values())) > len(QUERIES)
 
 
-def test_sealed_store_digests_match_parent_commit(tmp_path):
+def test_sealed_store_digests_match_parent_commit(tmp_path, forced_rows):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     workloads = _workloads()
@@ -145,15 +148,18 @@ def test_sealed_store_digests_match_parent_commit(tmp_path):
         text = Q.NAMED_QUERIES[query]
         udfs = Q.apt_udfs(make())
         for driver in (run_layered_from_spill, run_naive_from_spill):
-            for vectorize in (True, False):
-                result = driver(
-                    sealed[workload], text, graph, params, udfs,
-                    vectorize=vectorize,
-                )
-                programs_ran += result.stats.get("rules_vectorized", 0)
+            for evaluator in ("programs", "rows"):
+                with (forced_rows() if evaluator == "rows"
+                      else contextlib.nullcontext()):
+                    result = driver(sealed[workload], text, graph, params,
+                                    udfs)
+                if evaluator == "programs":
+                    programs_ran += result.stats["rules_vectorized"]
+                else:
+                    assert result.stats["rules_vectorized"] == 0
                 pin = golden[f"{query}/{result.mode}/index=False/serial"]
                 if digest_query_result(result) != pin:
-                    drifted[(query, result.mode, vectorize)] = pin
+                    drifted[(query, result.mode, evaluator)] = pin
     assert not drifted, f"sealed-store digests drifted from the seed: {drifted}"
     assert programs_ran > 0
 

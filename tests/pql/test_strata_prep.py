@@ -38,6 +38,16 @@ class TestTopological:
     def test_empty(self):
         assert _topological({}) == []
 
+    def test_ties_break_by_listing_order(self):
+        # prepare_strata lists heads by their first rule, so independent
+        # relations fire in program order
+        assert _topological({"c": set(), "a": set(), "b": set()}) == [
+            "c", "a", "b",
+        ]
+        assert _topological({"z": {"y"}, "y": set(), "x": set()}) == [
+            "y", "z", "x",
+        ]
+
 
 class TestPreparedStrata:
     def test_apt_needs_no_fixpoint_loop(self):
@@ -59,6 +69,49 @@ class TestPreparedStrata:
     def test_single_rule_stratum_not_recursive(self):
         prepared = prepared_of("p(X, I) :- superstep(X, I).")
         assert prepared == [(prepared[0][0], False)]
+
+    def test_acyclic_stratum_keeps_program_order(self):
+        prepared = prepared_of(Q.SSSP_WCC_UPDATE_CHECK_QUERY)
+        for rules, recursive in prepared:
+            assert not recursive
+            assert [c.index for c in rules] == sorted(c.index for c in rules)
+
+    def test_copy_rules_are_no_dependency(self):
+        """Query 2 copies superstep/evolution onto themselves; those rules
+        re-derive rows their readers already see, so the stratum is one
+        pass in program order, not a fixpoint."""
+        prepared = prepared_of(Q.CAPTURE_FULL_QUERY)
+        assert [([c.index for c in rules], recursive)
+                for rules, recursive in prepared] == [([0, 1, 2, 3, 4], False)]
+        # a relation that is also derived from itself some other way is
+        # still a dependency of its own rules
+        prepared = prepared_of("p(X, I) :- p(X, I)."
+                               "p(X, I) :- p(X, J), I = J + 1, I < 3."
+                               "p(X, I) :- superstep(X, I).")
+        assert [recursive for _rules, recursive in prepared] == [True]
+
+    def test_capture_runs_each_rule_once_per_vertex(self, monkeypatch):
+        from repro.analytics.pagerank import PageRank
+        from repro.graph.generators import web_graph
+        from repro.pql import eval as pql_eval
+        from repro.runtime.online import run_online
+
+        calls = []
+        original = pql_eval.evaluate_rule
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].index)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pql_eval, "evaluate_rule", counting)
+        graph = web_graph(30, avg_degree=3, target_diameter=4, seed=5)
+        result = run_online(graph, PageRank(num_supersteps=4),
+                            Q.CAPTURE_FULL_QUERY, capture=True)
+        executions = sum(s.active_vertices
+                         for s in result.analytic.metrics.supersteps)
+        assert executions > 0
+        assert len(calls) == 5 * executions
+        assert calls[:5] == [0, 1, 2, 3, 4]
 
     def test_results_unchanged_by_ordering(self):
         # differential: a dependency-ordered stratum must produce the same

@@ -1,14 +1,17 @@
-"""Layer programs over sealed columnar stores: differential identity, which
-rules run as programs and why the rest do not, version-1 footer compatibility,
-dictionary caching, and budget interaction.
+"""Layer programs over both stores (sealed ARSC slabs and the in-memory
+store's list batches): differential identity, which rules run as programs
+and why the rest do not, version-1 footer compatibility, dictionary caching,
+and budget interaction.
 
 The contract under test: a layer program is an *optimization*, never a
 semantics change — for every query it must produce byte-identical results
-to the row functions, it runs once per (rule, layer)
-whatever the number of vertices, and it must honor ``QueryBudget`` and
-memory bounds from *inside* a layer, not merely between layers.
+to the row functions (forced by the ``forced_rows`` fixture: the row path
+is a test oracle, no library switch selects it), it runs once per (rule,
+layer) whatever the number of vertices, and it must honor ``QueryBudget``
+and memory bounds from *inside* a layer, not merely between layers.
 """
 
+import contextlib
 import os
 import pickle
 import traceback
@@ -34,10 +37,23 @@ from repro.provenance.store import ProvenanceStore
 from repro.runtime.offline import (
     run_layered,
     run_layered_from_spill,
+    run_naive,
     run_naive_from_spill,
     run_reference,
 )
 from repro.runtime.online import run_online
+
+from tests.conftest import FORCED_ROWS
+
+DRIVERS = (run_layered_from_spill, run_naive_from_spill, run_layered,
+           run_naive)
+
+
+def _drive(driver, spill, store, *args, **kwargs):
+    """``driver`` over the sealed store (``*_from_spill``) or the
+    in-memory one it was sealed from."""
+    source = spill if driver.__name__.endswith("_from_spill") else store
+    return driver(source, *args, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +92,12 @@ def lineage_params(full_store):
 
 def query_cases(lineage_params):
     return {
+        "query1": dict(params={"eps": 0.1}, udfs=Q.apt_udfs(SSSP(source=0))),
         "query3": dict(params={"source": 0}),
+        "query4": dict(),
         "query5": dict(),
+        "query6": dict(),
+        "query7": dict(),
         "query8": dict(params={"eps": 0.01}),
         "query9": dict(params={"alpha": 0,
                                "sigma": lineage_params["sigma"]}),
@@ -92,24 +112,27 @@ def query_cases(lineage_params):
     "query3", "query5", "query8", "query9", "query10",
 ])
 def test_vectorized_matches_row_paths(qname, sealed_dir, full_store,
-                                      wgraph, lineage_params):
-    """One digest across {layer programs, row functions} x both drivers."""
+                                      wgraph, lineage_params, forced_rows):
+    """One digest across {layer programs, forced row functions} x
+    {layered, naive} x {sealed, in-memory}."""
     case = query_cases(lineage_params)[qname]
     query = Q.NAMED_QUERIES[qname]
-    reference = run_reference(
-        full_store, query, wgraph, case.get("params"), case.get("udfs"),
-    )
+    args = (query, wgraph, case.get("params"), case.get("udfs"))
+    reference = run_reference(full_store, *args)
     spill = SpillManager.open(sealed_dir)
     digests = set()
-    for vectorize in (True, False):
-        for driver in (run_layered_from_spill, run_naive_from_spill):
-            result = driver(
-                spill, query, wgraph, case.get("params"), case.get("udfs"),
-                vectorize=vectorize,
-            )
+    for forced in (False, True):
+        for driver in DRIVERS:
+            if forced:
+                with forced_rows():
+                    result = _drive(driver, spill, full_store, *args)
+                assert result.stats["rules_vectorized"] == 0
+            else:
+                result = _drive(driver, spill, full_store, *args)
+                assert result.stats["rules_vectorized"] > 0
             for relation in reference.relations():
                 assert result.rows(relation) == reference.rows(relation), (
-                    f"{qname} {driver.__name__} vectorize={vectorize} "
+                    f"{qname} {driver.__name__} forced_rows={forced} "
                     f"{relation}"
                 )
             digests.add(obsledger.digest_query_result(result))
@@ -119,45 +142,118 @@ def test_vectorized_matches_row_paths(qname, sealed_dir, full_store,
 
 
 def test_evaluator_stats_reported(sealed_dir, full_store, wgraph,
-                                  lineage_params):
-    """Result stats name the path that actually ran and its kernel work."""
+                                  lineage_params, forced_rows):
+    """Result stats name the path that actually ran and its kernel work,
+    over either store."""
     query = Q.NAMED_QUERIES["query9"]
     params = {"alpha": 0, "sigma": lineage_params["sigma"]}
 
     spill = SpillManager.open(sealed_dir)
-    vec = run_layered_from_spill(spill, query, wgraph, params)
-    assert vec.stats["evaluator"] == "vectorized"
-    assert vec.stats["vectorize"] is True
-    assert vec.stats["batched_scans"] > 0
-    assert vec.stats["rules_vectorized"] > 0
-    assert vec.stats["batch_rows"] > 0
-    assert vec.stats["kernel_seconds"]  # at least one kernel timed
+    for driver in DRIVERS:
+        vec = _drive(driver, spill, full_store, query, wgraph, params)
+        assert vec.stats["evaluator"] == "vectorized", driver.__name__
+        assert "vectorize" not in vec.stats
+        assert vec.stats["batched_scans"] > 0
+        assert vec.stats["rules_vectorized"] > 0
+        assert vec.stats["batch_rows"] > 0
+        assert vec.stats["kernel_seconds"]  # at least one kernel timed
+        assert vec.stats["fallback_reasons"] == {}
 
-    rows = run_layered_from_spill(spill, query, wgraph, params,
-                                  vectorize=False)
+    with forced_rows():
+        rows = run_layered(full_store, query, wgraph, params)
     assert rows.stats["evaluator"] == "rows"
-    assert "batched_scans" not in rows.stats
-
-    # The in-memory store serves no column batches: vectorize=True
-    # degrades to the row path and says so.
-    row = run_layered(full_store, query, wgraph, params)
-    assert row.stats["evaluator"] == "rows"
-    assert row.stats["vectorize"] is True
+    assert rows.stats["batched_scans"] == 0
+    assert rows.stats["fallback_reasons"] == {
+        FORCED_ROWS: rows.stats["rules_fallback"]}
 
 
-def test_aggregate_heads_stay_on_row_path(sealed_dir, wgraph):
+@pytest.fixture(scope="module")
+def custom_store(wgraph):
+    return run_online(
+        wgraph, SSSP(source=0), Q.CAPTURE_BACKWARD_CUSTOM_QUERY, capture=True
+    ).store
+
+
+@pytest.mark.parametrize("driver", [run_layered, run_naive])
+def test_in_memory_store_runs_layer_programs(driver, full_store, custom_store,
+                                             wgraph, lineage_params):
+    """Queries 1-12 over an unsealed capture: layer programs, and the only
+    rules left on their row functions are aggregate heads (Query 8)."""
+    cases = [(qname, full_store, case)
+             for qname, case in query_cases(lineage_params).items()]
+    cases.append(("query12", custom_store, dict(params=lineage_params)))
+    for qname, store, case in cases:
+        result = driver(store, Q.NAMED_QUERIES[qname], wgraph,
+                        case.get("params"), case.get("udfs"))
+        assert result.stats["evaluator"] == "vectorized", qname
+        assert set(result.stats["fallback_reasons"]) <= {"aggregate-head"}, (
+            qname, result.stats["fallback_reasons"])
+
+
+def test_list_batches_equal_slab_batches(sealed_dir, full_store):
+    """The in-memory store's batches are its sealed twin's slab batches,
+    layer by layer: same row count, group table and column values. Within
+    one vertex's range rows come in set iteration order, which the seal's
+    set copy need not keep, so a range is compared as a set of rows."""
+    def rows_by_group(batch):
+        rows = list(zip(*[batch.values(pos) for pos in range(batch.arity)]))
+        return {vertex: set(rows[start:start + count])
+                for vertex, (start, count) in batch.groups().items()}
+
+    view = open_store_view(SpillManager.open(sealed_dir))
+    try:
+        for relation in full_store.relations():
+            schema = full_store.registry.get(relation)
+            selections = ([None] if schema.time_index is None else
+                          [[t] for t in range(full_store.num_layers)])
+            for supersteps in selections:
+                listed = full_store.column_batches(relation, supersteps)
+                slabs = view.column_batches(relation, supersteps)
+                assert len(listed) == len(slabs), (relation, supersteps)
+                for mine, theirs in zip(listed, slabs):
+                    assert mine.count == theirs.count
+                    assert mine.arity == theirs.arity
+                    assert mine.groups() == theirs.groups()
+                    assert rows_by_group(mine) == rows_by_group(theirs), (
+                        relation, supersteps)
+    finally:
+        view.close()
+
+
+def test_list_batches_are_reused_until_a_write():
+    """Every scan of a run (and every later run) reads the same batch and
+    gathered column; ``add`` or ``add_batch`` drops them, so a batch never
+    lags the store."""
+    store = _small_store()
+    (batch,) = store.column_batches("value", [1])
+    assert store.column_batches("value", [1]) == [batch]
+    assert batch.values(1) is batch.values(1)
+    store.add("value", (0, 9.0, 1))
+    (grown,) = store.column_batches("value", [1])
+    assert grown.count == batch.count + 1
+    store.add_batch("value", [(1, 8.0, 1)])
+    (regrown,) = store.column_batches("value", [1])
+    assert regrown.count == grown.count + 1
+    assert (0, 9.0, 1) in zip(*[regrown.values(p) for p in range(3)])
+
+
+def test_aggregate_heads_stay_on_row_path(sealed_dir, wgraph, forced_rows):
     """Aggregates never vectorize; the rule is counted as a fallback and
-    the answer still matches the reference evaluator."""
+    the answer still matches the row functions'."""
     src = "cnt(X, count(I)) :- superstep(X, I)."
     spill = SpillManager.open(sealed_dir)
     result = run_naive_from_spill(spill, src, wgraph)
-    expected = run_naive_from_spill(spill, src, wgraph, vectorize=False)
+    with forced_rows():
+        expected = run_naive_from_spill(spill, src, wgraph)
     assert result.rows("cnt") == expected.rows("cnt")
+    assert result.stats["fallback_reasons"] == {
+        "aggregate-head": result.stats["rules_fallback"]}
     assert result.stats["rules_fallback"] > 0
 
 
-def test_string_equality_pushdown(tmp_path, wgraph):
-    """Dict-code selection on string columns: same rows as the scan path."""
+def test_string_equality_pushdown(tmp_path, wgraph, forced_rows):
+    """Dict-code selection on string columns: same rows as the scan path
+    and as a plain comparison over the in-memory store's list batch."""
     store = ProvenanceStore()
     for s in range(3):
         for v in range(8):
@@ -168,12 +264,14 @@ def test_string_equality_pushdown(tmp_path, wgraph):
     src = 'out(X, D, I) :- value(X, D, I), D = "tag-1".'
     spill = SpillManager.open(directory)
     vec = run_layered_from_spill(spill, src, wgraph)
-    scan = run_layered_from_spill(spill, src, wgraph, vectorize=False)
+    listed = run_layered(store, src, wgraph)
+    with forced_rows():
+        scan = run_layered_from_spill(spill, src, wgraph)
     reference = run_reference(store, src, wgraph)
     assert vec.rows("out") == reference.rows("out")
-    assert vec.rows("out") == scan.rows("out")
+    assert vec.rows("out") == scan.rows("out") == listed.rows("out")
     assert len(vec.rows("out")) == 3 * 3  # 3 vertices x 3 supersteps
-    assert vec.stats["evaluator"] == "vectorized"
+    assert vec.stats["evaluator"] == listed.stats["evaluator"] == "vectorized"
 
 
 def test_explain_names_each_rules_evaluator(lineage_params):
@@ -419,21 +517,62 @@ SHAPES = {
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_plan_shapes_run_as_layer_programs(shape, tmp_path):
+def test_plan_shapes_run_as_layer_programs(shape, tmp_path, forced_rows):
     store = _small_store()
     spill = _sealed(store, tmp_path)
     src = SHAPES[shape]
     reference = run_reference(store, src)
     assert any(reference.rows(rel) for rel in reference.relations())
-    for driver in (run_layered_from_spill, run_naive_from_spill):
-        vec = driver(spill, src)
-        row = driver(spill, src, vectorize=False)
+    for driver in DRIVERS:
+        vec = _drive(driver, spill, store, src)
+        with forced_rows():
+            row = _drive(driver, spill, store, src)
         assert vec.stats["evaluator"] == "vectorized"
         assert vec.stats["rules_fallback"] == 0 == vec.stats["fallback_scans"]
         assert vec.stats["fallback_reasons"] == {}
         for rel in reference.relations():
             assert vec.rows(rel) == reference.rows(rel) == row.rows(rel), rel
         assert vec.derivations == row.derivations
+
+
+def test_filtered_exists_scan_runs_once_per_distinct_input(
+        tmp_path, forced_rows):
+    """An exists scan with an absorbed filter (Query 3's
+    ``fwd_lineage(Y, W, J), J < I``) is decided once per distinct value of
+    what it reads: when every receiver hears from one sender, the filter
+    runs over that sender's rows once per layer, however many receivers
+    ask (per input it ran receivers x rows times)."""
+    receivers, layers = 20, 3
+    store = ProvenanceStore()
+    for s in range(layers):
+        for v in range(receivers + 1):
+            store.add("superstep", (v, s))
+        for v in range(1, receivers + 1):
+            if s:
+                store.add("receive_message", (v, 0, 1.0, s))
+    src = ("reach(X, I) :- superstep(X, I), X = 0."
+           "heard(X, I) :- receive_message(X, Y, M, I), reach(Y, J), "
+           "before(J, I).")
+    spill = _sealed(store, tmp_path)
+    for driver in DRIVERS:
+        calls = {"programs": 0, "rows": 0}
+        results = {}
+        for evaluator in calls:
+            def before(j, i, evaluator=evaluator):
+                calls[evaluator] += 1
+                return j < i
+
+            with (forced_rows() if evaluator == "rows"
+                  else contextlib.nullcontext()):
+                results[evaluator] = _drive(driver, spill, store, src, None,
+                                            None, {"before": before})
+        assert results["programs"].stats["rules_fallback"] == 0
+        assert (results["programs"].rows("heard")
+                == results["rows"].rows("heard"))
+        assert len(results["rows"].rows("heard")) == receivers * (layers - 1)
+        assert 0 < calls["programs"] <= layers * layers, (
+            driver.__name__, calls)
+        assert calls["rows"] >= receivers * (layers - 1)
 
 
 def test_query10_runs_once_per_rule_and_layer_whatever_the_size(tmp_path):
@@ -458,7 +597,7 @@ def test_query10_runs_once_per_rule_and_layer_whatever_the_size(tmp_path):
     assert runs == 3 * layers  # rules x layers: no confirming round either
 
 
-def test_fallback_reasons_are_counted(tmp_path, wgraph):
+def test_fallback_reasons_are_counted(tmp_path, wgraph, forced_rows):
     """Every rule run that is not a layer program names its reason; the
     counts add up to ``rules_fallback`` and the rows do not change."""
     def tuple_payload(v, s):
@@ -479,12 +618,14 @@ def test_fallback_reasons_are_counted(tmp_path, wgraph):
     }
     for reason, src in cases.items():
         vec = run_layered_from_spill(spill, src, wgraph)
-        row = run_layered_from_spill(spill, src, wgraph, vectorize=False)
+        with forced_rows():
+            row = run_layered_from_spill(spill, src, wgraph)
         reasons = vec.stats["fallback_reasons"]
         assert reasons.get(reason, 0) >= 1, (reason, reasons)
         assert sum(reasons.values()) == vec.stats["rules_fallback"]
         assert vec.stats["fallback_scans"] >= vec.stats["rules_fallback"]
-        assert "fallback_reasons" not in row.stats
+        assert row.stats["fallback_reasons"] == {
+            FORCED_ROWS: row.stats["rules_fallback"]}
         for rel in row.relations():
             assert vec.rows(rel) == row.rows(rel), (reason, rel)
     # a rule that falls back still lets its stratum-mates run as programs

@@ -262,19 +262,27 @@ class TestSealedView:
         finally:
             view.close()
 
-    def test_one_read_protocol(self):
+    def test_one_read_protocol(self, sealed_dir, full_store):
         """The offline drivers take either store without probing for
         capabilities: every public read member of the in-memory store
-        exists on the sealed view."""
-        writers = {"add", "add_batch"}
+        exists on the sealed view, and both serve column batches."""
+        # ``layer`` is the seal's snapshot of an in-memory layer
+        # (``SpillManager._layer_chunks``); no driver reads it
+        writers = {"add", "add_batch", "layer"}
         protocol = {
             name for name in vars(ProvenanceStore)
             if not name.startswith("_") and name not in writers
         }
         assert protocol <= set(dir(SealedStoreView))
-        assert ProvenanceStore().column_batches("value", 0) is None
-        assert not ProvenanceStore.serves_column_batches
-        assert SealedStoreView.serves_column_batches
+        assert ProvenanceStore().column_batches("value", [0]) == []
+        rows = sum(map(len, full_store.layer(1)["value"].values()))
+        view = open_store_view(SpillManager.open(sealed_dir))
+        try:
+            for store in (full_store, view):
+                batches = store.column_batches("value", [1])
+                assert [batch.count for batch in batches] == [rows]
+        finally:
+            view.close()
 
     def test_unknown_relation_is_empty_read(self, sealed_dir):
         view = open_store_view(SpillManager.open(sealed_dir))

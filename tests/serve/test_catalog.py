@@ -109,20 +109,18 @@ class TestPlanCache:
         assert entry.plan_hits == 1 and entry.plan_misses == 1
         assert compiled is not None
 
-    def test_key_includes_params_mode_and_vectorize_flag(self, catalog,
-                                                         sssp_store):
+    def test_key_includes_params_and_mode(self, catalog, sssp_store):
         entry, _ = catalog.register_path(sssp_store)
         base = lineage_params(entry.store)
         variants = [
-            (base, "layered", True),
-            ({**base, "sigma": 0}, "layered", True),
-            (base, "naive", True),
-            (base, "layered", False),
+            (base, "layered"),
+            ({**base, "sigma": 0}, "layered"),
+            (base, "naive"),
         ]
         with entry.eval_lock:
-            for params, mode, vectorize in variants:
+            for params, mode in variants:
                 _, outcome = entry.prepare(
-                    Q.BACKWARD_LINEAGE_FULL_QUERY, params, mode, vectorize)
+                    Q.BACKWARD_LINEAGE_FULL_QUERY, params, mode)
                 assert outcome == "miss"
         assert entry.plan_misses == len(variants)
         assert entry.plan_cache_len == len(variants)

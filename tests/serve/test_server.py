@@ -228,9 +228,10 @@ class TestQueries:
 
 class TestEvaluatorChoice:
     def test_vectorized_default_and_row_path_override(self, server, catalog,
-                                                      sssp_store):
-        """Columnar stores vectorize by default; ``vectorize: false``
-        selects the row path — same result bytes."""
+                                                      sssp_store,
+                                                      forced_rows):
+        """Served queries run layer programs; the row functions (forced
+        test-side, the oracle) serve the same result bytes."""
         run_id = run_id_for(catalog, sssp_store)
         entry = catalog.get(run_id)
         body = {"query": "query10", "params": lineage_params(entry.store)}
@@ -238,16 +239,35 @@ class TestEvaluatorChoice:
             "POST", f"/runs/{run_id}/query", body=body)
         assert status == 200
         assert vec["stats"]["evaluator"] == "vectorized"
-        assert vec["stats"]["vectorize"] is True
+        assert "vectorize" not in vec["stats"]
         assert vec["stats"]["batched_scans"] > 0
         assert vec["stats"]["kernel_seconds"]
 
-        status, rows = server.request(
-            "POST", f"/runs/{run_id}/query", body=dict(body,
-                                                       vectorize=False))
+        with forced_rows():
+            status, rows = server.request(
+                "POST", f"/runs/{run_id}/query", body=body)
         assert status == 200
         assert rows["stats"]["evaluator"] == "rows"
         assert rows["result"] == vec["result"]
+
+    def test_vectorize_is_an_ignored_key(self, server, catalog, sssp_store):
+        """``vectorize`` selected the row path, which is no longer a
+        served option: the key is ignored like any unknown key, so
+        ``"vectorize": false`` shares the plan-cache entry of the plain
+        request and still runs layer programs."""
+        run_id = run_id_for(catalog, sssp_store)
+        entry = catalog.get(run_id)
+        body = {"query": "query9", "params": lineage_params(entry.store)}
+        status, first = server.request(
+            "POST", f"/runs/{run_id}/query", body=body)
+        assert status == 200 and first["plan_cache"] == "miss"
+        cached = entry.plan_cache_len
+        status, second = server.request(
+            "POST", f"/runs/{run_id}/query", body=dict(body, vectorize=False))
+        assert status == 200 and second["plan_cache"] == "hit"
+        assert second["stats"]["evaluator"] == "vectorized"
+        assert second["result"] == first["result"]
+        assert entry.plan_cache_len == cached
 
     def test_use_index_is_an_ignored_key(self, server, catalog, sssp_store):
         """``use_index`` selected a hash index that no longer exists: it
@@ -304,13 +324,14 @@ class TestEvaluatorChoice:
         assert reasons == {"aggregate-head": doc["stats"]["rules_fallback"]}
 
     def test_eval_latency_metric_labeled_by_evaluator(self, server, catalog,
-                                                      sssp_store):
+                                                      sssp_store,
+                                                      forced_rows):
         run_id = run_id_for(catalog, sssp_store)
         entry = catalog.get(run_id)
         body = {"query": "query10", "params": lineage_params(entry.store)}
         server.request("POST", f"/runs/{run_id}/query", body=body)
-        server.request("POST", f"/runs/{run_id}/query",
-                       body=dict(body, vectorize=False))
+        with forced_rows():
+            server.request("POST", f"/runs/{run_id}/query", body=body)
         status, raw = server.request("GET", "/metrics")
         assert status == 200
         text = raw.decode("utf-8")

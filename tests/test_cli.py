@@ -93,6 +93,16 @@ class TestCLI:
                   "--spill-compression", "raw"])
         assert not os.path.exists(store_dir)
 
+    def test_no_vectorize_flag_rejected(self, tmp_path):
+        # one offline evaluator: there is no switch left to pick the rows
+        for command in (["query", "--store", str(tmp_path), "--query",
+                         "query10"],
+                        ["monitor", "--analytic", "sssp", "--query",
+                         "query5"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--no-vectorize"])
+            assert exc.value.code == 2
+
     def test_capture_default_is_async_zlib(self, graph_file, tmp_path,
                                            capsys):
         store_dir = str(tmp_path / "prov-zlib")
