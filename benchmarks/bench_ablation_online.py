@@ -1,13 +1,15 @@
 """Ablations of the online-evaluation design choices (DESIGN.md §3).
 
-Three switches, each isolated on the apt query over SSSP:
+Two switches, each isolated on the apt query over SSSP:
 
 * **delta piggybacking** — per-target watermarks ship each derived tuple to
   a neighbor once; the ablation re-ships full tables on every message;
 * **window pruning** — bounded-history relations are pruned per superstep;
-  the ablation retains the full transient provenance;
-* **superstep index** — time-anchored scans read one bucket instead of the
-  whole partition; the ablation scans linearly.
+  the ablation retains the full transient provenance.
+
+(A third, ``timed_index=False``, unsliced the stored partitions' superstep
+index; superstep programs read stored relations only as ``by_time``
+batches, so it changed nothing and is gone.)
 
 Each row reports runtime (best of ``REPEATS`` runs — the variants are
 within a few percent of each other, less than one run's noise) and the
@@ -69,7 +71,6 @@ def build_rows():
     default = run_variant()
     no_delta = run_variant(ship_full_tables=True)
     no_prune = run_variant(prune_history=False)
-    no_index = run_variant(timed_index=False)
     rows = [
         ("default", default["seconds"], default["shipped"],
          default["transient"]),
@@ -77,18 +78,16 @@ def build_rows():
          no_delta["transient"]),
         ("no window pruning", no_prune["seconds"], no_prune["shipped"],
          no_prune["transient"]),
-        ("no superstep index", no_index["seconds"], no_index["shipped"],
-         no_index["transient"]),
     ]
     # every variant computes the same query result
-    for variant in (no_delta, no_prune, no_index):
+    for variant in (no_delta, no_prune):
         assert variant["safe"] == default["safe"]
         assert variant["unsafe"] == default["unsafe"]
-    return rows, default, no_delta, no_prune, no_index
+    return rows, default, no_delta, no_prune
 
 
 def test_ablation_online(benchmark):
-    rows, default, no_delta, no_prune, no_index = benchmark.pedantic(
+    rows, default, no_delta, no_prune = benchmark.pedantic(
         build_rows, rounds=1, iterations=1
     )
     table = format_table(
@@ -102,8 +101,5 @@ def test_ablation_online(benchmark):
     # pruning must keep the transient store smaller
     assert default["transient"] < no_prune["transient"]
     # ... and, since frames replaced the store-then-prune round trip, cost
-    # nothing: before PR 14 "no window pruning" was the faster row
+    # nothing: before frames "no window pruning" was the faster row
     assert default["seconds"] < no_prune["seconds"]
-    # the superstep index must not change results (timing asserted loosely:
-    # the indexed variant never does *more* work)
-    assert default["safe"] == no_index["safe"]

@@ -182,6 +182,17 @@ class PregelEngine:
         num_workers = config.num_workers
         num_vertices = graph.num_vertices
         worker_of = self._worker_of
+        # Tracing is resolved once per run; with the null tracer installed
+        # (the default) the per-superstep cost is one flag check. The run
+        # span covers setup and the metrics publish too.
+        tracer = get_tracer()
+        traced = tracer.enabled
+        if traced:
+            run_span = tracer.span(
+                "run", PHASE_RUN,
+                program=getattr(program, "name", type(program).__name__),
+                vertices=num_vertices, workers=num_workers,
+            )
 
         if _restore is None:
             values: Dict[Any, Any] = {
@@ -210,22 +221,13 @@ class PregelEngine:
         metrics = RunMetrics()
         metrics.track_message_bytes = self._track_bytes
         halt_reason = "max_supersteps"
-        # Tracing is resolved once per run; with the null tracer installed
-        # (the default) the per-superstep cost is one flag check.
-        tracer = get_tracer()
-        traced = tracer.enabled
-        if traced:
-            run_span = tracer.span(
-                "run", PHASE_RUN,
-                program=getattr(program, "name", type(program).__name__),
-                vertices=num_vertices, workers=num_workers,
-            )
         run_start = time.perf_counter()
 
         order_of = graph.vertex_order()
         deterministic = config.deterministic_delivery
         bind = ctx._bind
         compute = program.compute
+        post_superstep = program.post_superstep
 
         for superstep in range(first_superstep, limit):
             step = SuperstepMetrics(superstep)
@@ -275,6 +277,9 @@ class PregelEngine:
                     active.discard(vertex_id)
                 else:
                     active.add(vertex_id)
+            # After the last compute, before the barrier delivers (or a
+            # checkpoint snapshots) the superstep's messages.
+            post_superstep(superstep)
 
             step.frontier_size = step.active_vertices
             step.skipped_vertices = num_vertices - step.active_vertices
@@ -317,11 +322,11 @@ class PregelEngine:
                 break
 
         metrics.wall_seconds = time.perf_counter() - run_start
+        metrics.publish(get_registry())
         if traced:
             run_span.end(
                 supersteps=metrics.num_supersteps, halt_reason=halt_reason
             )
-        metrics.publish(get_registry())
         logger.debug(
             "run %s finished: %d supersteps, %d messages, %.3fs (%s)",
             getattr(program, "name", type(program).__name__),

@@ -169,6 +169,14 @@ class VertexProgram:
         """Aggregators to register for the run."""
         return {}
 
+    def post_superstep(self, superstep: int) -> None:
+        """Program-level hook run once per superstep, after the last
+        ``compute`` of ``superstep`` and before its messages are delivered
+        (the engine's barrier, a parallel worker's exchange) — the analogue
+        of Giraph's ``WorkerContext.postSuperstep()``. It sees no vertex
+        context; messages sent during the superstep may still be mutated.
+        Ariadne's query program evaluates the query here. Default: no-op."""
+
     def master_halt(self, aggregators: "Any", superstep: int) -> bool:
         """Master-side convergence check evaluated at each barrier.
 

@@ -66,6 +66,7 @@ from repro.obs.trace import (
     PHASE_QUERY,
     PHASE_RUN,
     PHASE_SERVE,
+    PHASE_PLAN,
     PHASE_SPILL,
     PHASE_SUPERSTEP,
     PHASES,
@@ -117,6 +118,7 @@ __all__ = [
     "PHASE_QUERY",
     "PHASE_RUN",
     "PHASE_SERVE",
+    "PHASE_PLAN",
     "PHASE_SPILL",
     "PHASE_SUPERSTEP",
     "PHASES",

@@ -4,12 +4,13 @@ The span model mirrors the BSP execution it instruments::
 
     run
     └── superstep s                 (one per superstep)
-        ├── compute                 (the vertex loop)
-        │     · provenance-capture  (fact recording, per superstep)
-        │     · query-eval          (PQL stratum fixpoint, per superstep)
+        ├── compute                 (the vertex loop + post_superstep)
+        │     └── query-eval        (the online superstep program)
         ├── message-barrier         (outbox swap + aggregators + hooks)
         │     └── checkpoint        (CheckpointedEngine snapshot write)
         └── spill                   (slab seal/load round-trips)
+    provenance-capture              (capture flush + layer hand-off, at
+                                     each barrier's halt check and run end)
 
 Phase names are fixed (:data:`PHASES`) so traces from different runs
 aggregate cleanly; free-form context travels in span attributes.
@@ -47,11 +48,12 @@ PHASE_SPILL = "spill"
 PHASE_CHECKPOINT = "checkpoint"
 PHASE_TRANSPORT = "transport"  # worker-side message exchange (parallel)
 PHASE_SERVE = "serve"  # HTTP request handling in the query server
+PHASE_PLAN = "plan"  # query compilation and program build, before a run
 
 PHASES = (
     PHASE_RUN, PHASE_SUPERSTEP, PHASE_COMPUTE, PHASE_BARRIER, PHASE_COMBINE,
     PHASE_CAPTURE, PHASE_QUERY, PHASE_SPILL, PHASE_CHECKPOINT,
-    PHASE_TRANSPORT, PHASE_SERVE,
+    PHASE_TRANSPORT, PHASE_SERVE, PHASE_PLAN,
 )
 
 
@@ -216,9 +218,9 @@ class Tracer:
                **attrs: Any) -> None:
         """Emit a synthetic span for an externally-accumulated duration.
 
-        Used for phase timings that are summed across many fine-grained
-        events (per-vertex capture work) and flushed once per superstep —
-        the span ends "now" and is backdated by its duration.
+        Used for durations measured outside the tracer (a served
+        request's evaluation, a spill write on the writer thread) — the
+        span ends "now" and is backdated by its duration.
         """
         span_id = self._next_id
         self._next_id += 1

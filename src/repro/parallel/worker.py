@@ -337,6 +337,8 @@ class ShardRuntime:
                 active.discard(vertex_id)
             else:
                 active.add(vertex_id)
+        # Before the exchange pickles the superstep's messages.
+        self.program.post_superstep(superstep)
         if span is not None:
             span.end(
                 active_vertices=report.executed,
@@ -416,9 +418,6 @@ class ShardRuntime:
         report = FinalReport(self.worker_id)
         try:
             program = self.program
-            end = getattr(program, "parallel_worker_end", None)
-            if end is not None:
-                end()
             state = getattr(program, "parallel_state", None)
             report.values = self._values
             report.edge_overlay = self._edge_overlay

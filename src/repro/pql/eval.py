@@ -245,12 +245,20 @@ class Database:
     writes go to an internal :class:`TupleStore`.
     """
 
+    #: Whether a vertex may read another vertex's partition only through
+    #: what that vertex shipped to it (the online view: the paper's
+    #: locality restriction); offline views read every partition.
+    locality = False
+
     def __init__(self) -> None:
         self.derived = TupleStore()
-        # When a VectorContext (repro.pql.vectorized) is attached (offline),
-        # the evaluator runs every located rule that has a layer program
-        # once over all sites; None (online) keeps the per-site row functions.
+        # When a VectorContext (repro.pql.vectorized) is attached (the
+        # online and offline runtimes always attach one), the evaluator
+        # runs every located rule that has a layer program once over all
+        # sites; None keeps the per-site row functions.
         self.vector_ctx: Optional[Any] = None
+        # The site a row function is evaluating at (what locality reads).
+        self.current_site: Any = None
 
     # -- reads (override) -------------------------------------------------
     def rows(self, relation: str, vertex: Any) -> Iterable[Row]:
@@ -334,10 +342,10 @@ def evaluate_rule(
 ) -> int:
     """Evaluate one rule over ``sites``; returns the number of new facts.
 
-    With a vector context attached (offline) the rule runs once, as a layer
-    program over all sites as a column; every rule that has none — and
-    every rule online or in free mode — runs its generated function once
-    per site.
+    With a vector context attached the rule runs once, as a layer program
+    over all sites as a column; every rule that has none — and every rule
+    in free mode — runs its generated function once per site, with the
+    database told the site (``db.current_site``).
     """
     if mode == MODE_ANCHORED and anchor_time is None and crule.time_var is not None:
         raise PQLError("anchored evaluation requires an anchor time")
@@ -359,6 +367,7 @@ def evaluate_rule(
                 raise PQLError("located evaluation requires a site")
             if budget is not None:
                 budget.tick()
+            db.current_site = site
             # Materialize before inserting: a recursive rule may scan the
             # very relation it derives into (evaluation is snapshot-per-
             # step; the enclosing fixpoint loop picks up the new facts
@@ -573,8 +582,8 @@ def run_prepared(
     ``stratum_seconds`` is the observability hook: a dict that accumulates
     wall time per stratum number (the offline drivers pass one when
     tracing is enabled, and the timings feed ``EXPLAIN``). When ``None``
-    — the online runtime's per-vertex hot path — the only cost is one
-    ``is not None`` check per call.
+    (the online superstep program) the only cost is one ``is not None``
+    check per stratum.
 
     ``budget`` is an optional :class:`repro.pql.budget.QueryBudget`: its
     ``tick`` runs once per row-function site and per kernel stride inside

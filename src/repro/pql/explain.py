@@ -101,8 +101,9 @@ def explain_rule(crule: CompiledRule, verbose: bool = False) -> str:
                  ("free", crule.free_plan, MODE_FREE)]
     for label, plan, mode in plans if verbose else plans[:1]:
         code = compiled_fn(crule, mode) if verbose else None
-        # How the offline drivers evaluate the plan (online and free-mode
-        # plans always run the row function).
+        # How every runtime evaluates the plan — the online superstep
+        # program and the offline layers alike (free-mode plans always run
+        # the row function).
         evaluator = ""
         if mode != MODE_FREE:
             program = layer_program(crule, mode)
@@ -124,9 +125,10 @@ def explain(
     ``stratum_seconds`` collected by the offline runtimes when tracing is
     on); when given, the report closes with the measured cost of each
     stratum so plan structure and runtime cost read side by side.
-    ``run_stats`` is a run's stats dict; when it carries an offline
-    run's evaluator counters, the report closes with how many rule runs
-    were layer programs and why the rest went through the row function.
+    ``run_stats`` is a run's stats dict; when it carries a run's
+    evaluator counters (online or offline), the report closes with how
+    many rule runs were layer programs and why the rest went through the
+    row function.
     """
     lines = [
         f"direction: {compiled.direction}",

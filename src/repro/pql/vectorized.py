@@ -1,27 +1,37 @@
 """Layer programs: one rule, one layer, one pass over column batches.
 
 Section 5.1's layered evaluation visits the provenance graph a layer at a
-time, and both stores hand out a layer of one relation as one column batch
+time, and every store hands out a layer of one relation as one column batch
 with each vertex's rows contiguous. A *layer program* evaluates a rule plan
 against that shape directly: the rule's location variable starts as a
 **column** holding every evaluation site of the layer, each plan step
 transforms the whole column set at once, and the rule runs once per (rule,
 layer) instead of once per (rule, layer, vertex) — the superstep-as-a-join
-shape.
+shape. Online, the layer is the superstep being evaluated and the sites
+are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
 
 * A **stored scan** reads one whole-layer batch per layer it can match in
   (``store.column_batches``: a sealed slab's
-  :class:`~repro.provenance.store.ColumnBatch` or the in-memory store's
-  :class:`~repro.provenance.store.ListBatch`). Known scalar positions (the
-  anchored time, literals) become one selection pass over a column — a
-  slab's string literals compare as dictionary codes, never decoded. The
-  location joins through the batch's ``vertex -> (start, count)`` group
-  table, so no location column is ever decoded and membership in the table
-  *is* the location check. Known columnar positions (a remote location
-  bound by an earlier atom's payload, a time bound by ``evolution``) turn
-  the scan into a hash join keyed on (location, those positions).
+  :class:`~repro.provenance.store.ColumnBatch`, the in-memory store's
+  :class:`~repro.provenance.store.ListBatch`, or the online superstep's
+  frames and stored slices). Known scalar positions (the anchored time,
+  literals) become one selection pass over a column — a slab's string
+  literals compare as dictionary codes, never decoded. The location joins
+  through the batch's ``vertex -> (start, count)`` group table, so no
+  location column is ever decoded and membership in the table *is* the
+  location check. Known columnar positions (a remote location bound by an
+  earlier atom's payload, a time bound by ``evolution``) turn the scan into
+  a hash join keyed on (location, those positions), built over the probed
+  vertices' group ranges only; a columnar time joins each slab with just
+  the input rows that ask for it.
 * A **derived scan** (``back_trace(Y, J)``, ``!change(Y, J)``) is one tight
-  probe loop over the derived overlay's partitions.
+  probe loop over the derived overlay's partitions. A head predicate that
+  also has stored rows (Query 2's ``superstep(X, I) :- superstep(X, I)``)
+  reads both: per input row, the stored matches, then the derived ones.
+* **Locality** (``db.locality``, the online view): an input row whose
+  location is not its site reads only what that vertex shipped to the site
+  — ``db.visible`` / ``db.visible_hits``, its partition up to the watermark
+  of its last message there.
 * An **exists scan** with absorbed filters (``fwd_lineage(Y, W, J), J < I``)
   runs once per distinct row of the columns it reads, not once per input.
 * **Late materialization**: only the columns bound by variables a later
@@ -39,10 +49,9 @@ absorbs in its fixpoint loop.
 
 A rule runs as a layer program or — aggregate heads (float accumulation is
 enumeration-order sensitive), virtual ``edge`` / ``vertex`` scans, unlocated
-scans, unhashable (pickle-lane) join keys, head predicates that also have
-stored rows — wholesale through its row function at every site; the reason
-is counted in ``fallback_reasons``. There is no per-row fallback inside a
-program.
+scans, unhashable (pickle-lane) join keys — wholesale through its row
+function at every site; the reason is counted in ``fallback_reasons``.
+There is no per-row fallback inside a program.
 
 ``QueryBudget``: every selection, build, probe, gather and head loop charges
 its row count up front and ticks the budget once per
@@ -54,6 +63,7 @@ from __future__ import annotations
 
 import operator
 import time
+from itertools import compress, count
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
@@ -224,6 +234,13 @@ def _as_list(col: Any) -> Any:
     return col.tolist() if isinstance(col, memoryview) else col
 
 
+def _shift(part: Tuple[List[int], Dict[str, List[Any]]], idx: List[int],
+           ) -> Tuple[List[int], Dict[str, List[Any]]]:
+    """Matches of the input subset ``idx``, renumbered as full input rows."""
+    src, binds = part
+    return list(map(idx.__getitem__, src)), binds
+
+
 # ---------------------------------------------------------------------------
 # non-scan ops. ``run`` returns False when no solution can survive; ``keep``
 # names the variables still read after the op.
@@ -292,14 +309,14 @@ def _compile_test(step: Any, col_vars: Set[str], keep: Set[str]) -> Any:
 # ---------------------------------------------------------------------------
 class _ScanOp:
     """One relational scan against the scalar/columnar variable split at its
-    position in the plan. Whether the relation is stored or derived is the
-    database's to say, so that is decided per run; both matchers return the
-    matching input-row indices (ascending; once per match, or once per input
-    row when only existence matters) plus the bound columns aligned to
-    them."""
+    position in the plan. Whether the relation is stored, derived or both
+    is the database's to say, so that is decided per run; every matcher
+    returns the matching input-row indices (ascending; once per match, or
+    once per input row when only existence matters) plus the bound columns
+    aligned to them."""
 
     def __init__(self, step: ScanStep, col_vars: Set[str],
-                 keep: Set[str]) -> None:
+                 keep: Set[str], site_var: str) -> None:
         if step.arg_ops[0][0] not in (CHECK_VAR, CHECK_TERM):
             raise _Unvectorizable("unlocated-scan")  # free-mode plans only
         schema = CORE_SCHEMAS.get(step.relation)
@@ -307,6 +324,10 @@ class _ScanOp:
             raise _Unvectorizable("static-relation")  # answered from the graph
         self.step, self.keep = step, keep
         self.arity = len(step.arg_ops)
+        # Under locality (online), a row whose location is not its
+        # evaluation site reads what that vertex shipped to the site.
+        self.site_var = site_var
+        self.remote = step.arg_ops[0] != (CHECK_VAR, site_var)
         # Positions whose values are known before the scan runs.
         self.known: Dict[int, _Term] = {}
         self.local_checks: List[Tuple[int, int]] = []
@@ -348,18 +369,12 @@ class _ScanOp:
         self.first_only = self.semi and not self.filters
 
     def run(self, state: _State, ctx: "VectorContext") -> bool:
-        db = ctx.db
-        relation = self.step.relation
+        local = self.remote and ctx.db.locality
         outer, inverse = state, None
         try:
             if self.filters:  # an exists scan: matched once per distinct input
-                state, inverse = self._distinct(state)
-            if relation not in db.head_predicates:
-                src, binds = self._match_stored(state, ctx)
-            elif db.store.has_relation(relation):
-                raise _Unvectorizable("stored-head")  # overlay + store union
-            else:
-                src, binds = self._match_derived(state, ctx)
+                state, inverse = self._distinct(state, local)
+            src, binds = self._match(state, ctx, local)
         except TypeError:  # an unhashable value reached a hash key
             raise _Unvectorizable("pickle-key") from None
         ctx.batched_scans += 1
@@ -387,10 +402,13 @@ class _ScanOp:
             state.columns.update(binds)
         return True
 
-    def _distinct(self, state: _State) -> Tuple[_State, List[int]]:
+    def _distinct(self, state: _State,
+                  local: bool) -> Tuple[_State, List[int]]:
         """The distinct rows of the columns this scan reads (its outcome's
-        only inputs), and each input row's index among them."""
-        names = [name for name in state.columns if name in self.reads]
+        only inputs — and, under locality, the site the read is made
+        from), and each input row's index among them."""
+        names = [name for name in state.columns if name in self.reads
+                 or local and name == self.site_var]
         index: Dict[Row, int] = {}
         inverse = [index.setdefault(key, len(index)) for key in (
             zip(*[state.columns[name] for name in names]) if names
@@ -398,16 +416,95 @@ class _ScanOp:
         columns = dict(zip(names, map(list, zip(*index))))
         return _State(state.functions, state.scalars, columns, len(index)), inverse
 
+    def _match(self, state: _State, ctx: "VectorContext", local: bool,
+               ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        """Matches of every input row. Under locality, rows whose location
+        is their site read the site's own relations and the rest read what
+        the located vertex shipped to the site (``db.visible``)."""
+        if local:
+            site = state.columns[self.site_var]
+            loc = self.known[0].column(state)
+            far = list(compress(count(), map(operator.ne, loc, site)))
+            if len(far) == state.n:
+                return self._match_far(state, ctx)
+            if far:
+                near = list(compress(count(), map(operator.eq, loc, site)))
+                return self._merge([
+                    _shift(self._match_far(self._subset(state, far), ctx), far),
+                    _shift(self._match_here(self._subset(state, near), ctx),
+                           near),
+                ])
+        return self._match_here(state, ctx)
+
+    def _subset(self, state: _State, idx: List[int]) -> _State:
+        """Rows ``idx`` of the columns a match reads."""
+        return _State(state.functions, state.scalars, {
+            name: list(map(col.__getitem__, idx))
+            for name, col in state.columns.items()
+            if name in self.reads or name == self.site_var
+        }, len(idx))
+
+    def _match_here(self, state: _State, ctx: "VectorContext",
+                    ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        """A head predicate's derived rows, after its stored rows when the
+        store has the relation too (Query 2's copy rules): per input row,
+        the union the row path reads."""
+        db, relation = ctx.db, self.step.relation
+        parts = []
+        if relation not in db.head_predicates or db.store.has_relation(relation):
+            parts = self._match_stored(state, ctx)
+        if relation in db.head_predicates:
+            parts.append(self._match_derived(state, ctx))
+        return self._merge(parts)
+
+    def _merge(self, parts: List[Tuple[List[int], Dict[str, List[Any]]]],
+               ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        """Matches of several sources back in input-row order (stable, so
+        one input row's matches stay in source order)."""
+        if len(parts) == 1:
+            return parts[0]
+        src = [i for part, _binds in parts for i in part]
+        if self.first_only:
+            return sorted(set(src)), {}
+        order = sorted(range(len(src)), key=src.__getitem__)
+        return [src[k] for k in order], {
+            name: list(map(
+                [v for _src, binds in parts for v in binds[name]].__getitem__,
+                order))
+            for _pos, name in self.gather
+        }
+
     # -- stored relations: whole-layer column batches --------------------
     def _match_stored(self, state: _State, ctx: "VectorContext",
-                      ) -> Tuple[List[int], Dict[str, List[Any]]]:
-        step, known = self.step, self.known
-        times = None
-        time_term = known.get(step.time_arg) if step.time_arg else None
-        if time_term is not None:  # one layer slab per time value
-            times = ([time_term.value(state)] if time_term.scalar
-                     else list(dict.fromkeys(time_term.column(state))))
-        batches = ctx.db.store.column_batches(step.relation, times)
+                      ) -> List[Tuple[List[int], Dict[str, List[Any]]]]:
+        """One match part per batch with any match, in batch order."""
+        step = self.step
+        batches = ctx.db.store.column_batches
+        time_term = self.known.get(step.time_arg) if step.time_arg else None
+        if time_term is None:  # every layer (or the static slab)
+            return self._match_batches(
+                state, ctx, batches(step.relation, None))
+        if time_term.scalar:
+            return self._match_batches(
+                state, ctx, batches(step.relation, [time_term.value(state)]))
+        # A columnar time: each input row matches in its own time's slab,
+        # so each slab is joined with just the rows that ask for it.
+        by_time: Dict[Any, List[int]] = {}
+        for i, t in enumerate(time_term.column(state)):
+            by_time.setdefault(t, []).append(i)
+        if len(by_time) == 1:
+            return self._match_batches(state, ctx,
+                                       batches(step.relation, list(by_time)))
+        parts = []
+        for t, idx in by_time.items():
+            parts.extend(_shift(part, idx) for part in self._match_batches(
+                self._subset(state, idx), ctx, batches(step.relation, [t])))
+        return parts
+
+    def _match_batches(self, state: _State, ctx: "VectorContext",
+                       batches: List[Any],
+                       ) -> List[Tuple[List[int], Dict[str, List[Any]]]]:
+        known = self.known
         loc = known[0].column(state)
         expected = {pos: known[pos].value(state) for pos in self.scalar_pos}
         key_cols = [known[pos].column(state) for pos in self.key_pos]
@@ -430,20 +527,7 @@ class _ScanOp:
                 name: list(map(_as_list(batch.values(pos)).__getitem__, rows))
                 for pos, name in self.gather
             }))
-        if len(parts) == 1:
-            return parts[0]
-        # Several slabs matched: back to input-row order (stable, so one
-        # input row's matches stay in slab order).
-        src = [i for part, _binds in parts for i in part]
-        if self.first_only:
-            return sorted(set(src)), {}
-        order = sorted(range(len(src)), key=src.__getitem__)
-        return [src[k] for k in order], {
-            name: list(map(
-                [v for _src, binds in parts for v in binds[name]].__getitem__,
-                order))
-            for _pos, name in self.gather
-        }
+        return parts
 
     def _select(self, batch: Any, expected: Dict[int, Any],
                 ctx: "VectorContext") -> Optional[List[int]]:
@@ -504,16 +588,27 @@ class _ScanOp:
                     key_cols: List[Any], ctx: "VectorContext",
                     ) -> Tuple[List[int], List[int]]:
         """Hash join keyed on (location, known columnar positions): build
-        over the slab's selected rows, probe once per input row."""
+        over the selected rows of the probed vertices' group ranges only (a
+        key holds its location, so no other row can match), probe once per
+        input row."""
         if any(batch.lane(pos) == "pkl" for pos in self.key_pos):
             raise _Unvectorizable("pickle-key")
-        locs: List[Any] = [None] * batch.count
-        for vertex, (start, count) in batch.groups().items():
-            locs[start:start + count] = [vertex] * count
-        cols = [locs] + [_as_list(batch.values(pos)) for pos in self.key_pos]
-        ids: Any = range(batch.count)
-        if sel is not None:
-            ids, cols = sel, [list(map(col.__getitem__, sel)) for col in cols]
+        groups = batch.groups()
+        ok = None if sel is None else set(sel)
+        ids: List[int] = []
+        locs: List[Any] = []
+        for vertex in dict.fromkeys(loc):
+            span = groups.get(vertex)
+            if span is None:
+                continue
+            rows: Any = range(span[0], span[0] + span[1])
+            if ok is not None:
+                rows = [r for r in rows if r in ok]
+            ids.extend(rows)
+            locs.extend([vertex] * len(rows))
+        cols = [locs] + [list(map(_as_list(batch.values(pos)).__getitem__, ids))
+                         for pos in self.key_pos]
+        ctx.build_rows += len(ids)
         ctx.tick(len(ids) + len(loc))
         table: Dict[Any, List[int]] = {}
         for row, key in zip(ids, zip(*cols)):
@@ -542,8 +637,7 @@ class _ScanOp:
     # -- derived head relations: the overlay's partitions ----------------
     def _match_derived(self, state: _State, ctx: "VectorContext",
                        ) -> Tuple[List[int], Dict[str, List[Any]]]:
-        step = self.step
-        parts = ctx.db.derived.partitions(step.relation)
+        parts = ctx.db.derived.partitions(self.step.relation)
         ctx.tick(state.n)
         positions = sorted(self.known)
         cols = [self.known[pos].column(state) for pos in positions]
@@ -555,17 +649,38 @@ class _ScanOp:
                 if part is not None and row in part.rows:
                     hits.append(i)
             return hits, {}
+        # aggregate logs keep replaced rows: use the set
+        return self._match_rows(positions, cols, [
+            None if part is None else
+            part.order if part.groups is None else part.rows
+            for part in map(parts.get, cols[0])], ctx)
+
+    # -- remote reads under locality: what the located vertex shipped -----
+    def _match_far(self, state: _State, ctx: "VectorContext",
+                   ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        db, relation = ctx.db, self.step.relation
+        ctx.tick(state.n)
+        positions = sorted(self.known)
+        cols = [self.known[pos].column(state) for pos in positions]
+        sites = state.columns[self.site_var]
+        if self.point:
+            return db.visible_hits(relation, sites, list(zip(*cols))), {}
+        return self._match_rows(positions, cols,
+                                db.visible(relation, sites, cols[0]), ctx)
+
+    def _match_rows(self, positions: List[int], cols: List[Any],
+                    candidates: List[Any], ctx: "VectorContext",
+                    ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        """Match each input row against its own candidate rows (``None``:
+        none), in candidate order."""
         checks = list(zip(positions[1:], cols[1:]))
         arity, local_checks, first_only = (
             self.arity, self.local_checks, self.first_only)
         src: List[int] = []
         matched: List[Row] = []
-        for i, vertex in enumerate(cols[0]):
-            part = parts.get(vertex)
-            if part is None:
+        for i, cand in enumerate(candidates):
+            if not cand:
                 continue
-            # aggregate logs keep replaced rows: use the set
-            cand = part.order if part.groups is None else part.rows
             for row in cand:
                 if len(row) != arity:
                     continue
@@ -610,7 +725,7 @@ class LayerProgram:
         for step, keep in zip(plan.steps, needed_after):
             op: Any
             if isinstance(step, ScanStep):
-                op = _ScanOp(step, col_vars, keep)
+                op = _ScanOp(step, col_vars, keep, crule.loc_var)
                 if not op.semi:
                     col_vars.update(name for _pos, name in op.gather)
             elif isinstance(step, CompareStep) and step.bind_var is not None:
@@ -667,15 +782,15 @@ def layer_program(crule: CompiledRule, mode: str) -> Any:
 class VectorContext:
     """Per-run vectorized evaluation state.
 
-    ``run_layered`` and ``run_naive`` always attach one to the database
-    (``db.vector_ctx``), whichever store they read;
-    :func:`repro.pql.eval.evaluate_rule` hands it every located rule with
-    the layer's whole site list. Carries the query budget hook and the
+    ``run_layered``, ``run_naive`` and the online query program always
+    attach one to the database (``db.vector_ctx``), whichever store they
+    read; :func:`repro.pql.eval.evaluate_rule` hands it every located rule
+    with the layer's whole site list. Carries the query budget hook and the
     kernel timing / usage counters the drivers surface in result stats.
     """
 
     __slots__ = ("budget", "db", "functions", "kernel_seconds",
-                 "batched_scans", "fallback_scans", "batch_rows",
+                 "batched_scans", "fallback_scans", "batch_rows", "build_rows",
                  "rules_vectorized", "rules_fallback", "fallback_reasons",
                  "_tick_accum")
 
@@ -687,6 +802,7 @@ class VectorContext:
         self.batched_scans = 0
         self.fallback_scans = 0
         self.batch_rows = 0
+        self.build_rows = 0
         self.rules_vectorized = 0
         self.rules_fallback = 0
         self.fallback_reasons: Dict[str, int] = {}
@@ -736,6 +852,16 @@ class VectorContext:
         self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
         return None
 
+    def merge(self, stats: Dict[str, Any]) -> None:
+        """Fold another context's :meth:`stats` (a parallel worker's) in."""
+        for name in ("batched_scans", "fallback_scans", "batch_rows",
+                     "build_rows", "rules_vectorized", "rules_fallback"):
+            setattr(self, name, getattr(self, name) + stats[name])
+        for into, more in ((self.kernel_seconds, stats["kernel_seconds"]),
+                           (self.fallback_reasons, stats["fallback_reasons"])):
+            for key, value in more.items():
+                into[key] = into.get(key, 0) + value
+
     def stats(self) -> Dict[str, Any]:
         """The evaluator block of the drivers' result stats (surfaced
         verbatim by the CLI, the benchmarks and the query server):
@@ -748,6 +874,7 @@ class VectorContext:
             "batched_scans": self.batched_scans,
             "fallback_scans": self.fallback_scans,
             "batch_rows": self.batch_rows,
+            "build_rows": self.build_rows,
             "rules_vectorized": self.rules_vectorized,
             "rules_fallback": self.rules_fallback,
             "fallback_reasons": dict(sorted(self.fallback_reasons.items())),

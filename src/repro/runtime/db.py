@@ -15,14 +15,18 @@ define what "the partition of relation R at vertex v" means per mode:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import count, repeat
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import DiGraph
 from repro.pql.eval import Database, Row, TupleStore, _Partition
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.model import CORE_SCHEMAS, freeze
+from repro.provenance.store import ListBatch, ProvenanceStore
 
 
 _STATIC = frozenset(("edge", "vertex"))
+#: A sender that never messaged anyone (read-only).
+_NO_MARKS: Dict[Any, Tuple[int, ...]] = {}
 
 
 class _StaticRelations:
@@ -102,46 +106,312 @@ class StoreDatabase(Database):
             yield from self.derived.all_rows(relation)
 
 
+def receive_rows(vertex: Any, messages: Sequence[Any],
+                 superstep: int) -> List[Row]:
+    """``vertex``'s ``receive_message`` rows at ``superstep``: one per
+    distinct (sender, payload) of the envelopes it received, first
+    occurrences in arrival order."""
+    rows = [(vertex, env.sender, freeze(env.payload), superstep)
+            for env in messages]
+    return rows if len(rows) < 2 else list(dict.fromkeys(rows))
+
+
+def receive_count(messages: Sequence[Any]) -> int:
+    """``len(receive_rows(...))`` without building the rows."""
+    if len({env.sender for env in messages}) == len(messages):
+        return len(messages)
+    return len({(env.sender, freeze(env.payload)) for env in messages})
+
+
+class _InboxBatch:
+    """``receive_message`` of one superstep as a batch straight over the
+    envelopes the executed vertices received, in compute order — the
+    superstep's inbox *is* the relation. A column is built when a program
+    first reads it, so a query that never binds the payload never freezes
+    one. A repeated message is a repeated row, which changes no solution:
+    a program's head insert keeps the first of equal rows."""
+
+    __slots__ = ("count", "_inbox", "_superstep", "_groups", "_columns")
+    arity = 4
+
+    def __init__(self, inbox: List[Tuple[Any, Sequence[Any]]],
+                 superstep: int) -> None:
+        self._inbox, self._superstep = inbox, superstep
+        self._groups: Dict[Any, Tuple[int, int]] = {}
+        self._columns: Dict[int, List[Any]] = {}
+        start = 0
+        for vertex, messages in inbox:
+            self._groups[vertex] = (start, len(messages))
+            start += len(messages)
+        self.count = start
+
+    def lane(self, pos: int) -> str:
+        return "obj"
+
+    def groups(self) -> Dict[Any, Tuple[int, int]]:
+        return self._groups
+
+    def values(self, pos: int) -> List[Any]:
+        column = self._columns.get(pos)
+        if column is None:
+            inbox = self._inbox
+            if pos == 0:
+                column = [v for v, messages in inbox for _env in messages]
+            elif pos == 1:
+                column = [env.sender for _v, messages in inbox
+                          for env in messages]
+            elif pos == 2:
+                column = [freeze(env.payload) for _v, messages in inbox
+                          for env in messages]
+            else:
+                column = [self._superstep] * self.count
+            self._columns[pos] = column
+        return column
+
+
+class SuperstepBatches:
+    """The online superstep as a column-batch source — the
+    ``column_batches`` protocol of the stores (DESIGN.md §14), so layer
+    programs run over a superstep exactly as over a sealed layer.
+
+    * A *frame* relation (``frame_relations``: the stream relations and
+      every auto-captured relation only the anchor superstep reads) is the
+      superstep's ``frames[relation]`` — ``vertex -> rows``, filled by the
+      executed vertices in compute order — as one batch; a framed
+      ``receive_message`` is the superstep's ``inbox`` (``vertex ->
+      envelopes``) as an :class:`_InboxBatch`.
+    * A *stored* relation (``local``: the facts a later superstep may still
+      read) serves one batch per requested superstep, built from its
+      partitions' ``by_time`` slices, or its whole partitions when no
+      superstep is bound: the candidates the row path reads, in its order.
+      Only the superstep's sites' partitions are in it — a vertex reads
+      another's rows only through what was shipped (``db.visible``).
+
+    Batches are built on first ask and live for one superstep.
+    """
+
+    def __init__(self, local: TupleStore, frame_relations: Set[str]) -> None:
+        self.local = local
+        self.frame_relations = frame_relations
+        self.frames: Dict[str, Dict[Any, List[Row]]] = {}
+        self.inbox: Dict[Any, Sequence[Any]] = {}
+        self.sites: Sequence[Any] = ()
+        self.superstep: Any = None
+        self._batches: Dict[Tuple[str, Any], Any] = {}
+
+    def begin(self, superstep: Any, sites: Sequence[Any],
+              frames: Dict[str, Dict[Any, List[Row]]],
+              inbox: Dict[Any, Sequence[Any]]) -> None:
+        """Serve ``superstep``, evaluated at ``sites``, whose frames are
+        ``frames`` and whose executed vertices received ``inbox``."""
+        self.superstep, self.sites = superstep, sites
+        self.frames, self.inbox = frames, inbox
+        self._batches = {}
+
+    def frame_rows(self, relation: str, vertex: Any) -> List[Row]:
+        if relation == "receive_message":
+            return receive_rows(vertex, self.inbox.get(vertex, ()),
+                                self.superstep)
+        return self.frames.get(relation, {}).get(vertex, [])
+
+    def has_relation(self, relation: str) -> bool:
+        return relation in self.frame_relations or bool(
+            self.local.partitions(relation))
+
+    def column_batches(self, relation: str,
+                       supersteps: Optional[Iterable[Any]] = None,
+                       ) -> List[Any]:
+        if relation in self.frame_relations:
+            if supersteps is not None and self.superstep not in supersteps:
+                return []
+            supersteps = [self.superstep]
+        elif supersteps is None:
+            supersteps = [None]
+        out = []
+        for t in supersteps:
+            key = (relation, t)
+            if key not in self._batches:
+                self._batches[key] = self._build(relation, t)
+            batch = self._batches[key]
+            if batch is not None:
+                out.append(batch)
+        return out
+
+    def _build(self, relation: str, time: Any) -> Any:
+        if relation == "receive_message" and relation in self.frame_relations:
+            inbox = list(self.inbox.items())
+            return _InboxBatch(inbox, self.superstep) if inbox else None
+        if relation in self.frame_relations:
+            slices = list(self.frames.get(relation, {}).items())
+        else:
+            parts = self.local.partitions(relation)
+            slices = []
+            for v in self.sites:
+                part = parts.get(v)
+                rows = (None if part is None else part.rows if time is None
+                        else part.by_time.get(time))
+                if rows:
+                    slices.append((v, rows))
+        return ListBatch(CORE_SCHEMAS[relation].arity, slices) if slices else None
+
+
 class OnlineDatabase(Database):
     """Online view for one wrapper run.
 
-    ``frame`` holds the facts only the superstep being evaluated reads
-    (``frame_relations``: the stream relations plus every auto-captured
-    relation whose history window is 0) as plain row lists, replaced per
-    vertex and never stored; ``local`` holds the auto-captured facts a later
-    superstep may still read, ``remote`` the tables neighbors shipped to
-    each vertex, and ``derived`` (from the base class) the query's IDB
-    facts.
+    ``store`` serves the superstep being evaluated as column batches
+    (:class:`SuperstepBatches`): its frames, never stored, and ``local``,
+    the auto-captured facts a later superstep may still read; ``derived``
+    (from the base class) holds the query's IDB facts.
+
+    A vertex reads another vertex's ``shipped`` relations only as far as
+    that vertex has shipped them to it (the paper's locality restriction):
+    :meth:`ship` records, per (sender, receiver), the length of each
+    shipped partition at the sender's last message to the receiver — its
+    watermark — and :meth:`visible` answers the partition up to it. Across
+    processes the same rows arrive as tables on the envelopes
+    (``remote``, merged by :meth:`merge_remote`); ``shard`` names the
+    vertices of this process (``None``: every vertex).
     """
+
+    locality = True
 
     def __init__(
         self,
         graph: Optional[DiGraph],
         head_predicates: Set[str],
         frame_relations: Set[str],
+        shipped: Iterable[str] = (),
     ) -> None:
         super().__init__()
         self.local = TupleStore()
-        # (receiver, relation, sender) -> what sender shipped to receiver.
-        self.remote: Dict[Tuple[Any, str, Any], _Partition] = {}
+        self.store = SuperstepBatches(self.local, frame_relations)
         self.static = _StaticRelations(graph)
         self.head_predicates = head_predicates
         self.frame_relations = frame_relations
-        self.frame: Dict[str, List[Row]] = {}
-        self.current_site: Any = None
+        # shipped relation -> the store its partitions live in
+        self.shipped = {
+            rel: self.derived if rel in head_predicates else self.local
+            for rel in sorted(shipped)
+        }
+        self._slot = {rel: i for i, rel in enumerate(self.shipped)}
+        # sender -> receiver -> watermark (lengths aligned with `shipped`)
+        self.marks: Dict[Any, Dict[Any, Tuple[int, ...]]] = {}
+        # (receiver, relation, sender) -> what sender shipped across processes
+        self.remote: Dict[Tuple[Any, str, Any], _Partition] = {}
+        self.shard: Optional[Set[Any]] = None
 
-    # -- runtime hooks ------------------------------------------------------
-    def begin_vertex(self, site: Any) -> Dict[str, List[Row]]:
-        """Evaluate at ``site`` from now on; returns its empty frame."""
-        self.current_site = site
-        self.frame = frame = {}
-        return frame
+    # -- shipping -----------------------------------------------------------
+    def ship(self, senders: Sequence[Tuple[Any, Sequence[Tuple[Any, Any]],
+                                           Sequence[Tuple[Any, Any]]]],
+             full: bool = False) -> int:
+        """Each ``(sender, sends, crossing)`` of ``senders``: ``sender``
+        sent ``sends`` (``(target, payload)``, in send order) at the
+        superstep just evaluated, so move each target's watermark to what
+        ``sender`` holds now. Each ``(target, envelope)`` of ``crossing`` — a message
+        to another process — carries the delta as its ``tables`` (targets
+        at the same watermark share one dict, which receivers only read).
+        Returns the rows the per-target deltas carry — every message the
+        rows its target had not been shipped yet, so a repeat message
+        carries none — or, with ``full``, every row on every message."""
+        # no partition appears while shipping: resolve the maps once
+        partitions = [store.partitions(rel).get
+                      for rel, store in self.shipped.items()]
+        unshipped = (0,) * len(partitions)
+        carried = 0
+        for sender, sent, crossing in senders:
+            parts = [get(sender) for get in partitions]
+            lengths = tuple([len(p.order) if p is not None else 0
+                             for p in parts])
+            if not any(lengths):
+                continue
+            marks = self.marks.setdefault(sender, {})
+            targets = dict.fromkeys([target for target, _ in sent])
+            if full:
+                carried += sum(lengths) * len(sent)
+            else:
+                carried += sum(lengths) * len(targets) - sum(
+                    map(sum, map(marks.get, targets, repeat(unshipped))))
+            if crossing:
+                self._fill_tables(parts, lengths, marks, crossing, full)
+            marks.update(dict.fromkeys(targets, lengths))
+        return carried
+
+    def _fill_tables(self, parts: List[Optional[_Partition]],
+                     lengths: Tuple[int, ...],
+                     marks: Dict[Any, Tuple[int, ...]],
+                     crossing: Sequence[Tuple[Any, Any]], full: bool) -> None:
+        orders = [p.order if p is not None else [] for p in parts]
+        unshipped = (0,) * len(lengths)
+        deltas: Dict[Tuple[int, ...], Optional[Dict[str, List[Row]]]] = {}
+        seen: Set[Any] = set()
+        for target, envelope in crossing:
+            start = (unshipped if full else lengths if target in seen
+                     else marks.get(target, unshipped))
+            seen.add(target)
+            if start not in deltas:
+                deltas[start] = {
+                    rel: order[a:]
+                    for rel, order, a in zip(self.shipped, orders, start)
+                    if a < len(order)
+                } or None
+            envelope.tables = deltas[start]
+
+    def visible(self, relation: str, receivers: Sequence[Any],
+                senders: Sequence[Any]) -> List[Sequence[Row]]:
+        """Per (receiver, sender) pair, the rows of ``sender``'s
+        ``relation`` partition ``receiver`` has been shipped, in insertion
+        order: the partition up to the watermark of ``sender``'s last
+        message to ``receiver`` (never what ``sender`` derived after it),
+        or the merged tables of another process."""
+        slot = self._slot.get(relation)
+        if slot is None:
+            return [()] * len(receivers)
+        parts = self.shipped[relation].partitions(relation)
+        marks, remote, shard = self.marks, self.remote, self.shard
+        out: List[Sequence[Row]] = []
+        for x, y in zip(receivers, senders):
+            if shard is not None and y not in shard:
+                part = remote.get((x, relation, y))
+                out.append(() if part is None else part.order)
+                continue
+            part, mark = parts.get(y), marks.get(y, _NO_MARKS).get(x)
+            out.append(() if part is None or mark is None
+                       else part.order[:mark[slot]])
+        return out
+
+    def visible_hits(self, relation: str, receivers: Sequence[Any],
+                     rows: Sequence[Row]) -> List[int]:
+        """Indices of the ``rows`` their location vertex has shipped to the
+        matching receiver (:meth:`visible`, as membership; one pass, the
+        partition's set first)."""
+        slot = self._slot.get(relation)
+        if slot is None:
+            return []
+        get_part = self.shipped[relation].partitions(relation).get
+        get_marks = self.marks.get
+        remote, shard = self.remote, self.shard
+        hits: List[int] = []
+        hit = hits.append
+        for i, x, row in zip(count(), receivers, rows):
+            if shard is not None and row[0] not in shard:
+                part = remote.get((x, relation, row[0]))
+                if part is not None and row in part.rows:
+                    hit(i)
+                continue
+            part = get_part(row[0])
+            if part is None or row not in part.rows:
+                continue
+            mark = get_marks(row[0], _NO_MARKS).get(x)
+            if mark is not None and (mark[slot] == len(part.order)
+                                     or row not in part.order[mark[slot]:]):
+                hit(i)
+        return hits
 
     def merge_remote(
         self, receiver: Any, sender: Any, relation: str, rows: Iterable[Row]
     ) -> None:
-        """Fold a shipped table into ``receiver``'s inbox (read-only on
-        ``rows``: one table may ride on several envelopes)."""
+        """Fold a table shipped across processes into ``receiver``'s inbox
+        (read-only on ``rows``: one table may ride on several envelopes)."""
         part = self.remote.get((receiver, relation, sender))
         if part is None:
             part = self.remote[(receiver, relation, sender)] = _Partition()
@@ -153,32 +423,27 @@ class OnlineDatabase(Database):
 
     # -- Database interface ----------------------------------------------
     def candidates(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
-        """One flat dispatch: the frame list, the site's stored partition
-        (its ``time`` slice when one is bound and kept), or — for any vertex
-        other than the evaluating one — only what that vertex shipped here
-        (the paper's locality restriction)."""
+        """The row path's read at ``current_site`` (rules without a layer
+        program): the site's frame rows or stored partition (its ``time``
+        slice when one is bound), a head predicate's derived rows after
+        them, or — for any other vertex — only what that vertex shipped
+        here."""
         if relation in _STATIC:
             return self.static.rows(relation, vertex)
         if vertex != self.current_site:
-            part = self.remote.get((self.current_site, relation, vertex))
-        elif relation in self.frame_relations:
-            rows = self.frame.get(relation, ())
-            if relation in self.head_predicates:  # capture into a core relation
-                return list(rows) + list(self.derived.rows(relation, vertex))
-            return rows
+            return self.visible(relation, [self.current_site], [vertex])[0]
+        if relation in self.frame_relations:
+            rows: Iterable[Row] = self.store.frame_rows(relation, vertex)
         else:
             part = self.local.partition(relation, vertex)
-            if relation in self.head_predicates:
-                derived = self.derived.partition(relation, vertex)
-                if part is None:
-                    part = derived
-                elif derived is not None:
-                    # Derived partitions are unsliced; the scan re-checks
-                    # the time attribute, so a superset is safe.
-                    return list(part.slice(time)) + list(derived.rows)
-        if part is None:
-            return ()
-        return part.slice(time)
+            rows = part.slice(time) if part is not None else ()
+        if relation in self.head_predicates:
+            derived = self.derived.partition(relation, vertex)
+            if derived is not None:
+                # Derived partitions are unsliced; the scan re-checks the
+                # time attribute, so a superset is safe.
+                return list(rows) + list(derived.rows) if rows else derived.rows
+        return rows
 
     def all_rows(self, relation: str) -> Iterator[Row]:
         # Online rules are never evaluated in free mode; only static setup

@@ -3,8 +3,9 @@
 Ariadne appends query tables to the messages the vertices exchange
 (Section 5.2). The engine is oblivious: an :class:`Envelope` is just the
 message payload from its perspective. The wrapper vertex program unwraps the
-analytic's payload and merges the piggybacked table deltas into the
-receiver's remote partitions.
+analytic's payload; an envelope that crossed from another process carries
+table deltas (filled by the sender's superstep program), which the receiver
+merges into its remote partitions.
 """
 
 from __future__ import annotations

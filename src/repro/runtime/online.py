@@ -1,28 +1,35 @@
 """Online PQL evaluation — the paper's headline contribution (Section 5.2).
 
 A forward (or local) query is compiled into a *query vertex program* that
-wraps the unmodified analytic. Every superstep, each active vertex:
+wraps the unmodified analytic. Every superstep, each active vertex's
+``compute``:
 
-1. unwraps incoming envelopes, handing the analytic its payloads and merging
-   piggybacked query tables into the vertex's remote partitions;
-2. runs the analytic's ``compute`` through a recording context that buffers
-   its outgoing messages and observes value/edge updates;
-3. records the transient provenance facts of this superstep — but only the
-   relations the query actually references (the paper's customized capture)
-   — into the compute's *frame*; only the relations a later superstep can
-   still read (or a neighbor is shipped) move on into the tuple store;
-4. evaluates the query's strata to a local fixpoint, anchored at the current
-   superstep;
-5. drops the frame, prunes the stored relations whose window just moved,
-   and releases the buffered messages as envelopes, each carrying the delta
-   of every remotely-referenced relation since the last shipment to its
-   target (one watermark tuple per target; targets at the same watermark
-   share one table).
+1. hands the analytic its envelopes' payloads (merging the tables of
+   envelopes that crossed from another process into its remote partitions);
+2. runs the analytic's ``compute`` through a recording context that sends
+   each message on as an envelope whose tables are still empty, and
+   observes value/edge updates;
+3. records the transient provenance facts of this superstep — only the
+   relations the query references (the paper's customized capture) — into
+   superstep-wide *frames* keyed by vertex; ``receive_message`` is the
+   inbox itself.
+
+Then, once per superstep, :meth:`OnlineQueryProgram.post_superstep` — the
+engine's program-level hook — runs the *superstep program*: every rule
+evaluates once, as a layer program over all the executed vertices (the
+location a column, the frames and stored relations column batches), the
+fresh head rows go to the capture buffer, the frames die, windowed
+relations are pruned, and each sender's watermark toward every target it
+messaged moves on. A vertex reads another vertex's relations only up to
+that watermark — what per-target deltas shipped — and across processes the
+deltas ride on the envelopes as tables.
 
 Theorem 5.4's two guarantees hold by construction: the analytic cannot see
-query state (its context is a proxy; tables ride in envelope fields the
-analytic never reads), and query messages travel only on edges the analytic
-itself used.
+query state (its context is a proxy; the hook has no vertex context; tables
+ride in envelope fields the analytic never reads), and query rows travel
+only along the analytic's own messages (a watermark exists only for a
+(sender, target) pair the analytic used, and tables are filled only on the
+envelopes its sends became).
 
 When a ``capture`` store is supplied, every derived head tuple is also
 persisted — capture *is* online evaluation of the capture query (Figure 1a).
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analytics.base import Analytic
@@ -41,7 +49,7 @@ from repro.errors import PQLCompatibilityError
 from repro.graph.digraph import DiGraph
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
-from repro.obs.trace import PHASE_CAPTURE, PHASE_QUERY, get_tracer
+from repro.obs.trace import PHASE_CAPTURE, PHASE_PLAN, PHASE_QUERY, get_tracer
 from repro.parallel.backend import make_engine
 from repro.pql.analysis import CompiledQuery, compile_query, relation_windows
 from repro.pql.ast import Program
@@ -50,10 +58,11 @@ from repro.pql.eval import (
 )
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
+from repro.pql.vectorized import VectorContext, layer_program
 from repro.provenance.model import SchemaRegistry, freeze
 from repro.provenance.spill import SpillManager
 from repro.provenance.store import ProvenanceStore
-from repro.runtime.db import OnlineDatabase
+from repro.runtime.db import OnlineDatabase, receive_count, receive_rows
 from repro.runtime.envelope import Envelope
 from repro.runtime.results import OnlineRunResult, QueryResult
 
@@ -61,33 +70,61 @@ logger = get_logger("runtime.online")
 
 
 class RecordingContext:
-    """Proxy context handed to the analytic: buffers sends, observes
+    """Proxy context handed to the analytic: sends each message on as an
+    :class:`Envelope` (tables still empty), records the sends and
     value/edge updates, delegates everything else to the real context.
+
+    A broadcast toward this process is one shared envelope: such envelopes
+    never carry tables (the superstep program reads the sender's partition
+    up to its watermark instead). A message to another process (a target
+    outside ``shard``) is an envelope of its own, listed in ``crossing``
+    for the superstep program to fill.
 
     One recorder is reused across all compute calls of a run (rebound per
     vertex via :meth:`_rebind`) to keep the capture hot path allocation-free,
     mirroring how the engine reuses its :class:`VertexContext`.
     """
 
-    __slots__ = ("_ctx", "sends", "edge_updates")
+    __slots__ = ("_ctx", "_send", "_sender", "record", "shard", "sends",
+                 "crossing", "edge_updates")
 
-    def __init__(self, ctx: Optional[VertexContext] = None) -> None:
-        self._ctx = ctx
+    def __init__(self, record: bool = True) -> None:
+        self._ctx: Any = None
+        self._send: Any = None
+        self._sender: Any = None
+        self.record = record  # keep ``sends`` (the query reads them)
+        self.shard: Optional[Set[Any]] = None
         self.sends: List[Tuple[Any, Any]] = []
+        self.crossing: List[Tuple[Any, Envelope]] = []
         self.edge_updates: List[Tuple[Any, Any]] = []
 
     def _rebind(self, ctx: VertexContext) -> None:
         self._ctx = ctx
+        self._send = ctx.send
+        self._sender = ctx.vertex_id
         self.sends = []
+        self.crossing = []
         self.edge_updates = []
 
     # -- intercepted -------------------------------------------------------
     def send(self, target: Any, message: Any) -> None:
-        self.sends.append((target, message))
+        envelope = Envelope(self._sender, message, None)
+        if self.record:
+            self.sends.append((target, message))
+        if self.shard is not None and target not in self.shard:
+            self.crossing.append((target, envelope))
+        self._send(target, envelope)
 
     def send_to_all(self, message: Any) -> None:
-        for target, _value in self._ctx.out_edges():
-            self.sends.append((target, message))
+        ctx = self._ctx
+        if self.shard is not None:
+            for target, _value in ctx.out_edges():
+                self.send(target, message)
+            return
+        if self.record:
+            self.sends.extend(
+                [(target, message) for target, _ in ctx.out_edges()])
+        ctx.send_to_all(Envelope(self._sender, message, None))
 
     def set_edge_value(self, target: Any, value: Any) -> None:
         self.edge_updates.append((target, value))
@@ -148,39 +185,72 @@ class _PersistingOnlineDatabase(OnlineDatabase):
     online evaluation reads the derived/local partitions, never the store.
     """
 
-    def __init__(self, *args: Any, store: Optional[ProvenanceStore],
+    def __init__(self, *args: Any, capture: Optional[ProvenanceStore],
                  persist: Set[str], **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.store = store
-        self.persist = persist if store is not None else set()
+        self.capture = capture
+        self.persist = persist if capture is not None else set()
+        self._runs: List[Tuple[str, List[Tuple[Any, ...]]]] = []
         self._pending: Dict[str, List[Tuple[Any, ...]]] = {}
 
     def add_rows(self, relation: str, rows: Any) -> int:
         if relation not in self.persist:
             return self._insert(relation, rows, None)
-        # A bucket appears with its first fresh row: the store's relation
-        # order (and so its sealed bytes) follows bucket order.
-        bucket = self._pending.get(relation, [])
-        new = self._insert(relation, rows, bucket)
+        fresh: List[Tuple[Any, ...]] = []
+        new = self._insert(relation, rows, fresh)
         if new:
-            self._pending[relation] = bucket
+            self._runs.append((relation, fresh))
         return new
+
+    def settle(self, sites: Optional[Sequence[Any]] = None) -> None:
+        """Move the fresh rows of the rule runs since the last call into
+        the buffer. With ``sites`` (one superstep's evaluation sites, in
+        compute order) they go site by site, each site's rows in run order
+        — the order a per-vertex evaluator derives them in — so the store's
+        relation order and row order (and so its sealed bytes) do not
+        depend on a superstep program deriving a rule's rows for every site
+        at once. Without, they go in run order."""
+        runs, self._runs = self._runs, []
+        pending = self._pending
+        if sites is None:
+            for relation, rows in runs:
+                pending.setdefault(relation, []).extend(rows)
+            return
+        position = {x: i for i, x in enumerate(sites)}
+        first: Dict[str, Tuple[int, int]] = {}
+        chunks: Dict[str, List[List[Tuple[Any, ...]]]] = {}
+        for k, (relation, rows) in enumerate(runs):
+            # a run's rows are site-major; row[0] is the site
+            key = (position[rows[0][0]], k)
+            if relation not in first or key < first[relation]:
+                first[relation] = key
+            chunks.setdefault(relation, []).append(rows)
+        for relation in sorted(first, key=first.__getitem__):
+            parts = chunks[relation]
+            bucket = pending.setdefault(relation, [])
+            if len(parts) == 1:
+                bucket.extend(parts[0])
+            else:  # stable: one site's rows stay in run order
+                bucket.extend(sorted(chain.from_iterable(parts),
+                                     key=lambda row: position[row[0]]))
 
     def disable_persistence(self) -> None:
         """Stop persisting and drop the buffer (forked parallel workers:
         their store copy dies with the process; the master re-derives the
         shard's head tuples from ``parallel_state``)."""
         self.persist = set()
+        self._runs.clear()
         self._pending.clear()
 
     def flush_captured(self) -> Set[int]:
         """Drain buffered head tuples into the store; returns the set of
         supersteps the flush touched (for incremental layer sealing)."""
+        self.settle()
         pending = self._pending
         if not pending:
             return set()
         self._pending = {}
-        store = self.store
+        store = self.capture
         registry = store.registry
         touched: Set[int] = set()
         for relation, rows in pending.items():
@@ -193,7 +263,12 @@ class _PersistingOnlineDatabase(OnlineDatabase):
 
 
 class OnlineQueryProgram(VertexProgram):
-    """The analytic with the compiled PQL query appended (Figure 2)."""
+    """The analytic with the compiled PQL query appended (Figure 2).
+
+    ``compute`` runs the analytic and only *records* the vertex's facts
+    into superstep-wide frames; :meth:`post_superstep` evaluates the query
+    once over every vertex the superstep executed.
+    """
 
     def __init__(
         self,
@@ -205,7 +280,6 @@ class OnlineQueryProgram(VertexProgram):
         value_projector: Optional[Callable[[Any], Any]] = None,
         prune_history: bool = True,
         ship_full_tables: bool = False,
-        timed_index: bool = True,
         spill: Optional[SpillManager] = None,
         eager_seal: bool = True,
     ) -> None:
@@ -227,12 +301,12 @@ class OnlineQueryProgram(VertexProgram):
         # Superstep frames and window pruning. A relation that no rule
         # reads at any superstep but the anchor one (the stream relations
         # always; with `prune_history`, every auto-captured relation of
-        # window 0) lives in the per-compute frame and is gone when
-        # `compute` returns; one with a bounded window >= 1 is stored and
-        # pruned per superstep; the rest are stored for the whole run.
-        # Shipped relations are always stored — their watermarks index the
-        # insertion-order log. Persisted heads are unaffected: capture
-        # hands them to the store, not to these transient relations.
+        # window 0) lives in the superstep's frame and is gone when the
+        # superstep has been evaluated; one with a bounded window >= 1 is
+        # stored and pruned per superstep; the rest are stored for the
+        # whole run. Shipped relations are always stored — their watermarks
+        # index the insertion-order log. Persisted heads are unaffected:
+        # capture hands them to the store, not to these transient relations.
         framed = set(compiled.stream_relations)
         self._windows: Dict[str, int] = {}
         if prune_history:
@@ -244,13 +318,18 @@ class OnlineQueryProgram(VertexProgram):
                 else:
                     self._windows[relation] = window
         self._stored = sorted(compiled.auto_capture - framed)
+        # receive_message is the inbox itself (``_inbox``), not a frame.
+        self._recorded = (compiled.auto_capture | compiled.stream_relations
+                          ) - {"receive_message"}
         self.db = _PersistingOnlineDatabase(
             graph,
             compiled.head_predicates,
             framed,
-            store=store,
+            compiled.remote_relations,
+            capture=store,
             persist=set(compiled.head_predicates),
         )
+        self.db.vector_ctx = VectorContext()
         # Incremental layer sealing: with a spill manager attached, each
         # superstep's completed layer is handed to the writer at the
         # barrier (master_halt) instead of being re-materialized by
@@ -270,29 +349,23 @@ class OnlineQueryProgram(VertexProgram):
         self._need_stream_value = "vertex_value" in stream
         self._need_stream_send = "send" in stream
         self._need_stream_receive = "receive" in stream
-        self._prepared = prepare_strata(compiled.strata)
-        # Generated before any fork, so workers inherit the functions and
-        # every backend reports the same `compiled_rules`.
+        # Every fact a superstep program derives carries its superstep, so
+        # a lagged scan is no dependency within it (Lemma 5.3).
+        self._prepared = prepare_strata(compiled.strata, anchored=True)
+        # Built before any fork, so workers inherit them: each rule's layer
+        # program, or — for a rule that has none — its row function (and
+        # every backend reports the same `compiled_rules`).
         for stratum, _ in self._prepared:
             for crule in stratum:
-                compiled_fn(crule, MODE_ANCHORED)
+                if isinstance(layer_program(crule, MODE_ANCHORED), str):
+                    compiled_fn(crule, MODE_ANCHORED)
         self.pruned_rows = 0
-        # Ablation switches: ship full tables instead of per-target deltas
-        # (measures the value of watermark shipping) and disable the
-        # per-superstep partition index (measures the value of time slices).
+        # Ablation switch: ship full tables instead of per-target deltas
+        # (measures the value of watermark shipping).
         self.ship_full_tables = ship_full_tables
-        self.timed_index = timed_index
-        # Delta piggybacking: the shipped relations with the store each
-        # one's partition lives in, and per (vertex, target) the partition
-        # lengths already shipped (vertex -> target -> tuple aligned with
-        # `_shipped`).
-        self._shipped = [
-            (rel, self.db.derived if rel in compiled.head_predicates
-             else self.db.local)
-            for rel in sorted(compiled.remote_relations)
-        ]
-        self._watermarks: Dict[Any, Dict[Any, Tuple[int, ...]]] = {}
-        self._recorder = RecordingContext()
+        self._recorder = RecordingContext(
+            record=self._need_send or self._need_stream_send
+            or bool(self.db.shipped))
         self.shipped_tuples = 0
         self._last_active: Dict[Any, int] = {}
         self.derivations = 0
@@ -302,21 +375,26 @@ class OnlineQueryProgram(VertexProgram):
         # window check that found no partition to prune.
         self.prune_hits = 0
         self.prune_misses = 0
-        # Tracing: per-vertex timings are accumulated and flushed as one
-        # synthetic span per phase per superstep (per-vertex spans would
-        # dominate the work they measure). Resolved once at construction —
-        # the tracer active when the run starts is the one that sees it.
-        self._tracer = get_tracer()
-        self._traced = self._tracer.enabled
-        self._trace_superstep = -1
-        self._capture_ns = 0
-        self._eval_ns = 0
         # Parallel-backend merge state: counter baselines recorded at
         # worker start (the wrapper is forked after run_setup, so worker
         # deltas must exclude the inherited setup work) and transient-row
         # counts folded in from worker shards at merge time.
         self._parallel_base: Dict[str, Any] = {}
         self._merged_transient_rows = 0
+        self._begin_superstep()
+
+    def _begin_superstep(self) -> None:
+        """Empty the superstep being recorded: the executed vertices in
+        compute order, their frames (relation -> vertex -> rows), the
+        envelopes they received and, when the query ships anything, their
+        sends."""
+        self._sites: List[Any] = []
+        self._inbox: Dict[Any, Sequence[Envelope]] = {}
+        self._frames: Dict[str, Dict[Any, List[Tuple[Any, ...]]]] = {
+            relation: {} for relation in self._recorded
+        }
+        self._sends: List[Tuple[Any, List[Tuple[Any, Any]],
+                                List[Tuple[Any, Envelope]]]] = []
 
     # -- delegation to the analytic --------------------------------------
     def initial_value(self, vertex_id: Any, graph: Any) -> Any:
@@ -331,9 +409,11 @@ class OnlineQueryProgram(VertexProgram):
             # The barrier for `superstep` has passed: its layer is
             # complete. Batch-flush the buffered head tuples, then hand
             # the finished layer(s) to the spill writer.
-            touched = self.db.flush_captured()
-            if self._capture_spill is not None:
-                self._seal_completed(touched, superstep)
+            with get_tracer().span("provenance-capture", PHASE_CAPTURE,
+                                   superstep=superstep):
+                touched = self.db.flush_captured()
+                if self._capture_spill is not None:
+                    self._seal_completed(touched, superstep)
         return halt
 
     def _seal_completed(self, touched: Set[int], through: int) -> None:
@@ -346,7 +426,7 @@ class OnlineQueryProgram(VertexProgram):
             if t <= sealed_through:
                 spill.seal_layer_nowait(t)
                 self.sealed_layers += 1
-        through = min(through, self.db.store.max_superstep)
+        through = min(through, self.db.capture.max_superstep)
         while sealed_through < through:
             sealed_through += 1
             spill.seal_layer_nowait(sealed_through)
@@ -360,9 +440,10 @@ class OnlineQueryProgram(VertexProgram):
         eagerly (and the static slab) are left to ``seal_all``."""
         if not self.db.persist:
             return
-        touched = self.db.flush_captured()
-        if self._capture_spill is not None and touched:
-            self._seal_completed(touched, max(touched))
+        with get_tracer().span("provenance-capture", PHASE_CAPTURE):
+            touched = self.db.flush_captured()
+            if self._capture_spill is not None and touched:
+                self._seal_completed(touched, max(touched))
 
     def combiner(self):
         return None  # envelopes carry senders and tables; never combine
@@ -376,178 +457,125 @@ class OnlineQueryProgram(VertexProgram):
         buckets: List[List[Any]] = [[] for _ in range(max_stratum + 1)]
         for crule in self.compiled.static_rules:
             buckets[crule.stratum].append(crule)
-        self.derivations += run_strata(
-            buckets, MODE_FREE, self.db, self.functions, [None]
-        )
+        with get_tracer().span("query-eval", PHASE_QUERY, mode="setup"):
+            self.derivations += run_strata(
+                buckets, MODE_FREE, self.db, self.functions, [None]
+            )
+        self.db.settle()
 
     # -- the appended vertex program --------------------------------------
     def compute(self, ctx: VertexContext, messages: Sequence[Envelope]) -> None:
         x = ctx.vertex_id
         s = ctx.superstep
-        db = self.db
-        frame = db.begin_vertex(x)
-        traced = self._traced
-        if traced and s != self._trace_superstep:
-            self._flush_phase_spans()
-            self._trace_superstep = s
-
-        payloads = [env.payload for env in messages]
+        frames = self._frames
         if messages:
             # receive_message at superstep s *is* the inbox just handed in.
             if self._need_receive:
-                frame["receive_message"] = _distinct(
-                    [(x, env.sender, freeze(env.payload), s) for env in messages]
-                )
+                self._inbox[x] = messages
             if self._need_stream_receive:
-                frame["receive"] = _as_set(
+                frames["receive"][x] = _as_set(
                     [(x, env.sender, freeze(env.payload)) for env in messages]
                 )
-            for env in messages:
-                if env.tables:
-                    for rel, rows in env.tables.items():
-                        db.merge_remote(x, env.sender, rel, rows)
+            if self.db.shard is not None:
+                for env in messages:
+                    if env.tables:  # shipped from another process
+                        for rel, rows in env.tables.items():
+                            self.db.merge_remote(x, env.sender, rel, rows)
 
         recorder = self._recorder
         recorder._rebind(ctx)
-        self.inner.compute(recorder, payloads)
+        self.inner.compute(recorder, [env.payload for env in messages])
         sends = recorder.sends
 
-        query_start = time.perf_counter()
         if self._need_superstep:
-            frame["superstep"] = [(x, s)]
+            frames["superstep"][x] = [(x, s)]
         if self._need_value or self._need_stream_value:
             d = freeze(self.value_projector(ctx.value))
             if self._need_value:
-                frame["value"] = [(x, d, s)]
+                frames["value"][x] = [(x, d, s)]
             if self._need_stream_value:
-                frame["vertex_value"] = [(x, d)]
+                frames["vertex_value"][x] = [(x, d)]
         if self._need_evolution:
             j = self._last_active.get(x)
             if j is not None:
-                frame["evolution"] = [(x, j, s)]
+                frames["evolution"][x] = [(x, j, s)]
         self._last_active[x] = s
-        if sends:
-            if self._need_send:
-                frame["send_message"] = _distinct(
-                    [(x, target, freeze(payload), s) for target, payload in sends]
-                )
-            if self._need_stream_send:
-                frame["send"] = _as_set(
-                    [(x, target, freeze(payload)) for target, payload in sends]
-                )
         if self._need_edge_value and recorder.edge_updates:
-            frame["edge_value"] = _distinct(
+            frames["edge_value"][x] = _distinct(
                 [(x, target, freeze(value), s)
                  for target, value in recorder.edge_updates]
             )
-        # Facts a later superstep may read leave the frame for the store.
-        for relation in self._stored:
-            rows = frame.pop(relation, None)
-            if rows:
-                part = db.local._ensure(relation, x)
-                if self.timed_index:
-                    for row in rows:
-                        part.add_timed(row, s)
-                else:
-                    for row in rows:
-                        part.add(row)
-
-        if traced:
-            eval_start = time.perf_counter()
-        self.derivations += run_prepared(
-            self._prepared, MODE_ANCHORED, db, self.functions, (x,),
-            anchor_time=s,
-        )
-        if traced:
-            eval_seconds = time.perf_counter() - eval_start
-            self._eval_ns += int(eval_seconds * 1e9)
-        # The frame's rows die with it; bounded-window partitions shed
-        # the superstep that just left their window.
-        for rows in frame.values():
-            self.pruned_rows += len(rows)
-        for relation, window in self._windows.items():
-            part = db.local.partition(relation, x)
-            if part is None:
-                self.prune_misses += 1
-            else:
-                self.prune_hits += 1
-                self.pruned_rows += part.prune_older_than(s - window)
-        query_end = time.perf_counter()
-        self.query_seconds += query_end - query_start
-        if traced:
-            # capture = fact recording + window pruning; the stratum
-            # fixpoint is accounted separately as query-eval.
-            self._capture_ns += int(
-                (query_end - query_start - eval_seconds) * 1e9
-            )
-        if sends:
-            self._ship(ctx, x, sends)
-
-    def _ship(self, ctx: VertexContext, x: Any,
-              sends: List[Tuple[Any, Any]]) -> None:
-        """Release the analytic's buffered messages as envelopes, each with
-        the rows of every remotely-referenced relation its target has not
-        been sent yet. Partition lengths are read once; targets at the same
-        watermark (a broadcast) share one table dict, which receivers only
-        read."""
-        send = ctx.send
-        parts = [store.partition(rel, x) for rel, store in self._shipped]
-        orders = [part.order if part is not None else () for part in parts]
-        lengths = tuple([len(order) for order in orders])
-        if not any(lengths):
-            for target, payload in sends:
-                send(target, Envelope(x, payload, None))
+        self._sites.append(x)
+        if not sends:
             return
-        marks = self._watermarks.get(x)
-        if marks is None:
-            marks = self._watermarks[x] = {}
-        unshipped = (0,) * len(lengths)
-        keep_marks = not self.ship_full_tables
-        deltas: Dict[Tuple[int, ...], Tuple[Optional[Dict[str, Any]], int]] = {}
-        shipped = 0
-        for target, payload in sends:
-            mark = marks.get(target, unshipped)
-            delta = deltas.get(mark)
-            if delta is None:
-                tables = {
-                    rel: order[start:]
-                    for (rel, _), order, start in zip(self._shipped, orders, mark)
-                    if start < len(order)
+        if self._need_send:
+            frames["send_message"][x] = _distinct(
+                [(x, target, freeze(payload), s) for target, payload in sends]
+            )
+        if self._need_stream_send:
+            frames["send"][x] = _as_set(
+                [(x, target, freeze(payload)) for target, payload in sends]
+            )
+        if self.db.shipped:
+            self._sends.append((x, sends, recorder.crossing))
+
+    def post_superstep(self, superstep: int) -> None:
+        """Evaluate the query over the superstep just computed: every rule
+        runs once as a layer program over all the executed vertices (a rule
+        that has none runs its row function at each of them), then the
+        frames are dropped, windows pruned and each sender's watermarks
+        moved. Reads no analytic context, and fills tables only on the
+        envelopes the analytic's own messages became (Theorem 5.4)."""
+        self.inner.post_superstep(superstep)
+        sites, frames, inbox = self._sites, self._frames, self._inbox
+        sends = self._sends
+        self._begin_superstep()
+        if not sites:
+            return
+        with get_tracer().span("query-eval", PHASE_QUERY,
+                               superstep=superstep, sites=len(sites)):
+            started = time.perf_counter()
+            db = self.db
+            # Facts a later superstep may read leave the frame for the store.
+            if "receive_message" in self._stored:
+                frames["receive_message"] = {
+                    x: receive_rows(x, messages, superstep)
+                    for x, messages in inbox.items()
                 }
-                delta = deltas[mark] = (
-                    tables or None, sum(map(len, tables.values()))
-                )
-            shipped += delta[1]
-            if keep_marks:
-                marks[target] = lengths
-            send(target, Envelope(x, payload, delta[0]))
-        self.shipped_tuples += shipped
-
-    # -- tracing helpers ---------------------------------------------------
-    def _flush_phase_spans(self) -> None:
-        """Emit the finished superstep's accumulated capture/query-eval
-        timings as one synthetic span per phase."""
-        if self._trace_superstep < 0:
-            return
-        if self._capture_ns:
-            self._tracer.record(
-                "provenance-capture", PHASE_CAPTURE, self._capture_ns / 1e9,
-                superstep=self._trace_superstep,
+            for relation in self._stored:
+                for x, rows in frames.pop(relation).items():
+                    part = db.local._ensure(relation, x)
+                    for row in rows:
+                        part.add_timed(row, superstep)
+            db.store.begin(superstep, sites, frames, inbox)
+            self.derivations += run_prepared(
+                self._prepared, MODE_ANCHORED, db, self.functions, sites,
+                anchor_time=superstep,
             )
-        if self._eval_ns:
-            self._tracer.record(
-                "query-eval", PHASE_QUERY, self._eval_ns / 1e9,
-                superstep=self._trace_superstep,
-            )
-        self._capture_ns = 0
-        self._eval_ns = 0
+            db.settle(sites)
+            # The frames die here; bounded-window partitions shed the
+            # superstep that just left their window.
+            db.store.begin(None, (), {}, {})
+            for by_vertex in frames.values():
+                self.pruned_rows += sum(map(len, by_vertex.values()))
+            if "receive_message" in db.frame_relations:
+                self.pruned_rows += sum(map(receive_count, inbox.values()))
+            for relation, window in self._windows.items():
+                partitions = db.local.partitions(relation)
+                for x in sites:
+                    part = partitions.get(x)
+                    if part is None:
+                        self.prune_misses += 1
+                    else:
+                        self.prune_hits += 1
+                        self.pruned_rows += part.prune_older_than(
+                            superstep - window)
+            self.shipped_tuples += db.ship(sends, self.ship_full_tables)
+            self.query_seconds += time.perf_counter() - started
 
-    def finish_trace(self) -> None:
-        """Flush the last superstep's phase spans and fold the run's
-        capture counters into the process metrics registry."""
-        if self._traced:
-            self._flush_phase_spans()
-            self._trace_superstep = -1
+    def publish_metrics(self) -> None:
+        """Fold the run's capture counters into the process metrics
+        registry."""
         registry = get_registry()
         registry.counter(
             "repro_capture_derivations_total", "derived head tuples"
@@ -578,18 +606,14 @@ class OnlineQueryProgram(VertexProgram):
         """Called in a freshly forked worker before superstep 0."""
         # Capture persistence is master-side only: this fork's store copy
         # dies with the worker, and the master re-derives the shard's head
-        # tuples from ``parallel_state`` at merge time. The spill writer
-        # thread (if any) did not survive the fork either; drop the
-        # reference so the worker never touches the manager.
+        # tuples from ``parallel_state``. The spill writer thread (if any)
+        # did not survive the fork either; drop the reference so the
+        # worker never touches the manager.
         self.db.disable_persistence()
         self._capture_spill = None
-        # The construction-time tracer belongs to the master process;
-        # re-resolve against the worker's own (fresh) tracer.
-        self._tracer = get_tracer()
-        self._traced = self._tracer.enabled
-        self._trace_superstep = -1
-        self._capture_ns = 0
-        self._eval_ns = 0
+        # Senders outside the shard reach this process only as envelope
+        # tables.
+        self.db.shard = self._recorder.shard = set(shard)
         self._parallel_base = {
             "derivations": self.derivations,
             "shipped_tuples": self.shipped_tuples,
@@ -598,12 +622,6 @@ class OnlineQueryProgram(VertexProgram):
             "prune_misses": self.prune_misses,
             "query_seconds": self.query_seconds,
         }
-
-    def parallel_worker_end(self) -> None:
-        """Called in the worker on shutdown, before the final trace drain."""
-        if self._traced:
-            self._flush_phase_spans()
-            self._trace_superstep = -1
 
     def parallel_state(self) -> Dict[str, Any]:
         """Shard state shipped to the master on shutdown.
@@ -621,13 +639,10 @@ class OnlineQueryProgram(VertexProgram):
                 for rel in sorted(derived.relations())
             ],
             "counters": {
-                "derivations": self.derivations - base["derivations"],
-                "shipped_tuples": self.shipped_tuples - base["shipped_tuples"],
-                "pruned_rows": self.pruned_rows - base["pruned_rows"],
-                "prune_hits": self.prune_hits - base["prune_hits"],
-                "prune_misses": self.prune_misses - base["prune_misses"],
-                "query_seconds": self.query_seconds - base["query_seconds"],
+                name: getattr(self, name) - value
+                for name, value in base.items()
             },
+            "evaluator": self.db.vector_ctx.stats(),
             "transient_rows": self.db.local.num_rows(),
         }
 
@@ -636,20 +651,17 @@ class OnlineQueryProgram(VertexProgram):
 
         Replaying derived rows through ``db.add_rows`` persists fresh head
         tuples into the capture store exactly once: rows already present
-        (the static setup every worker inherited) dedupe to no-ops.
+        (the static setup every worker inherited) dedupe to no-ops. The
+        evaluator block sums every worker's program runs.
         """
         for state in states:
             if state is None:
                 continue
             for rel, rows in state["derived"]:
                 self.db.add_rows(rel, rows)
-            counters = state["counters"]
-            self.derivations += counters["derivations"]
-            self.shipped_tuples += counters["shipped_tuples"]
-            self.pruned_rows += counters["pruned_rows"]
-            self.prune_hits += counters["prune_hits"]
-            self.prune_misses += counters["prune_misses"]
-            self.query_seconds += counters["query_seconds"]
+            for name, value in state["counters"].items():
+                setattr(self, name, getattr(self, name) + value)
+            self.db.vector_ctx.merge(state["evaluator"])
             self._merged_transient_rows += state["transient_rows"]
 
     def transient_row_count(self) -> int:
@@ -699,35 +711,37 @@ def run_online(
     ``result.spill.seal_all()`` to finish the static slab.
     """
     functions = FunctionRegistry(udfs)
-    compiled = _compile(query, functions, params)
-    program, projector = _as_program(analytic)
+    tracer = get_tracer()
+    with tracer.span("plan", PHASE_PLAN):
+        compiled = _compile(query, functions, params)
+        program, projector = _as_program(analytic)
 
-    store: Optional[ProvenanceStore] = None
-    if capture:
-        store = ProvenanceStore()
-        store.registry.register_all(compiled.idb_schemas.values())
+        store: Optional[ProvenanceStore] = None
+        if capture:
+            store = ProvenanceStore()
+            store.registry.register_all(compiled.idb_schemas.values())
 
-    engine_config = replace(
-        config or EngineConfig(),
-        use_combiner=False,  # envelopes carry senders and tables
-    )
-    spill: Optional[SpillManager] = None
-    if capture and spill_directory is not None:
-        spill = SpillManager(store, directory=spill_directory)
-    wrapper = OnlineQueryProgram(
-        program, compiled, functions, graph, store=store,
-        value_projector=projector,
-        spill=spill,
-        # Under the parallel backend the master's store only fills at
-        # merge time; eager per-superstep sealing is serial-only.
-        eager_seal=engine_config.backend == "serial",
-    )
+        engine_config = replace(
+            config or EngineConfig(),
+            use_combiner=False,  # envelopes carry senders and tables
+        )
+        spill: Optional[SpillManager] = None
+        if capture and spill_directory is not None:
+            spill = SpillManager(store, directory=spill_directory)
+        wrapper = OnlineQueryProgram(
+            program, compiled, functions, graph, store=store,
+            value_projector=projector,
+            spill=spill,
+            # Under the parallel backend the master's store only fills at
+            # merge time; eager per-superstep sealing is serial-only.
+            eager_seal=engine_config.backend == "serial",
+        )
     wrapper.run_setup()
 
     engine = make_engine(graph, config=engine_config)
     run = engine.run(wrapper, max_supersteps=max_supersteps)
     wrapper.finish_capture()
-    wrapper.finish_trace()
+    wrapper.publish_metrics()
     logger.debug(
         "online run %s: %d supersteps, %d derivations, %.3fs query time",
         wrapper.name, run.num_supersteps, wrapper.derivations,
@@ -750,6 +764,7 @@ def run_online(
             "shipped_tuples": wrapper.shipped_tuples,
             "sealed_layers": wrapper.sealed_layers,
             "compiled_rules": compiled.compiled_rules,
+            **wrapper.db.vector_ctx.stats(),
         },
     )
     if engine_config.ledger_dir:

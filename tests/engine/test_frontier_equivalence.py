@@ -79,6 +79,9 @@ class ScheduleRecorder(VertexProgram):
     def master_halt(self, aggregators, superstep):
         return self.inner.master_halt(aggregators, superstep)
 
+    def post_superstep(self, superstep):
+        self.inner.post_superstep(superstep)
+
     def compute(self, ctx, messages):
         self._superstep = ctx.superstep
         self.computes.append((ctx.superstep, ctx.vertex_id))

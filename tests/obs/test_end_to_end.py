@@ -100,17 +100,23 @@ class TestTracedSession:
                 and by_id.get(s["parent"]) is step
             )
             assert inner <= step["dur"] + 2  # us floor rounding
-        # the capture + query-eval phase accumulators are measured inside
-        # compute, so they cannot exceed the compute total
+        # the online query runs once per superstep inside compute (the
+        # post_superstep hook), so its spans cannot exceed the compute
+        # total; the capture flush runs at the master's halt check between
+        # supersteps, and once more after the run
         compute_total = sum(
             s["dur"] for s in spans if s["cat"] == PHASE_COMPUTE
         )
-        online_total = sum(
-            s["dur"] for s in spans
-            if s["cat"] in (PHASE_CAPTURE, PHASE_QUERY)
+        online = [
+            s for s in spans if s["cat"] == PHASE_QUERY
             and "layer" not in s["attrs"] and "mode" not in s["attrs"]
-        )
-        assert online_total <= compute_total + 2 * len(spans)
+        ]
+        assert 0 < len(online) <= len(steps)  # one per superstep at most
+        assert all(by_id[s["parent"]]["cat"] == PHASE_COMPUTE for s in online)
+        assert sum(s["dur"] for s in online) <= compute_total + 2 * len(spans)
+        capture = [s for s in spans if s["cat"] == PHASE_CAPTURE]
+        assert capture
+        assert all(by_id.get(s["parent"]) in (run, None) for s in capture)
 
     def test_summary_coverage(self, traced_session):
         events, _, _, _ = traced_session

@@ -57,7 +57,11 @@ class TestOnlineQuery:
         serial = Ariadne(grid, PageRank()).apt(epsilon=0.01)
         parallel = Ariadne(grid, PageRank(), _config(workers)).apt(
             epsilon=0.01)
-        skip = {"query_seconds"}  # wall time; everything countable matches
+        # wall times, and the evaluator's per-process program runs (each
+        # worker runs every rule over its own shard); every other count
+        # matches
+        skip = {"query_seconds", "kernel_seconds", "batched_scans",
+                "rules_vectorized", "rules_fallback", "fallback_reasons"}
         s = {k: v for k, v in serial.query.stats.items() if k not in skip}
         p = {k: v for k, v in parallel.query.stats.items() if k not in skip}
         assert p == s
@@ -107,9 +111,9 @@ def _udf_diff(d1, d2, eps):
 
 class TestWarmPoolReinit:
     def test_query1_twice_on_one_warm_pool(self, grid):
-        """First run: workers inherit the wrapper (and its generated rule
-        functions) by fork. Second run: the same pool is re-initialized
-        with a pickled wrapper, which must carry no generated function and
+        """First run: workers inherit the wrapper (and its layer programs)
+        by fork. Second run: the same pool is re-initialized with a pickled
+        wrapper, which must carry no program or generated function and
         rebuild them in the worker — rows stay byte-identical to serial."""
         import pickle
 
@@ -145,13 +149,16 @@ class TestWarmPoolReinit:
         expected = PregelEngine(grid, config=config).run(serial)
         assert rows(serial)["safe"]  # the query derives something
 
-        assert all(c.compiled for c in compiled.rules)  # memo is warm ...
+        # the memo is warm ...
+        assert all(c.compiled or c.layer_programs for c in compiled.rules)
         blob = pickle.dumps(wrapper())
         assert b"pql-codegen" not in blob  # ... and stays out of the blob
         clone = pickle.loads(blob)
-        assert all(not c.compiled for c in clone.compiled.rules)
+        assert all(not c.compiled and not c.layer_programs
+                   for c in clone.compiled.rules)
         assert all(
-            not c.compiled for stratum, _ in clone._prepared for c in stratum
+            not c.compiled and not c.layer_programs
+            for stratum, _ in clone._prepared for c in stratum
         )
 
         parallel = EngineConfig(

@@ -507,6 +507,10 @@ SHAPES = {
     "antiderived": "big(X, D, I) :- value(X, D, I), D >= 1.0."
                    "calm(X, I) :- receive_message(X, Y, M, I), "
                    "!big(Y, M, J), J = I - 1.",
+    # a head predicate that also has stored rows: store rows, then the
+    # overlay's, per input row (the union the row path reads)
+    "storedhead": "superstep(X, I) :- value(X, D, I)."
+                  "seen(X, I) :- superstep(X, I).",
     # recursion that closes inside one layer, derived scan with a bind
     "within": "lvl(X, N, I) :- superstep(X, I), N = 0."
               "lvl(X, N, I) :- lvl(X, K, I), N = K + 1, N < 3.",
@@ -597,6 +601,35 @@ def test_query10_runs_once_per_rule_and_layer_whatever_the_size(tmp_path):
     assert runs == 3 * layers  # rules x layers: no confirming round either
 
 
+def test_columnar_time_builds_only_the_probed_vertices(
+        sealed_dir, full_store, wgraph, forced_rows):
+    """Query 5's ``value(=X, bind D1, =J)`` (``J`` bound by ``evolution``)
+    is a hash join per ``J`` slab, built over the probed vertices' group
+    ranges only: it builds no more rows than it probes, where a
+    whole-layer build took every vertex of each ``J`` layer asked for."""
+    spill = SpillManager.open(sealed_dir)
+    query = Q.SSSP_WCC_UPDATE_CHECK_QUERY
+    vec = run_layered_from_spill(spill, query, wgraph)
+    with forced_rows():
+        row = run_layered_from_spill(spill, query, wgraph)
+    assert vec.stats["rules_fallback"] == 0
+    for rel in row.relations():
+        assert vec.rows(rel) == row.rows(rel), rel
+    assert vec.rows("updated")
+    # two rules scan value at J, each once per layer I, over the sites
+    # holding value and evolution at I
+    per_layer = {}
+    for _x, _d, t in full_store.rows("value"):
+        per_layer[t] = per_layer.get(t, 0) + 1
+    sites = {(x, i) for x, _d, i in full_store.rows("value")}
+    asked = {(i, j) for x, j, i in full_store.rows("evolution")
+             if (x, i) in sites}
+    whole_layers = 2 * sum(per_layer.get(j, 0) for _i, j in asked)
+    probes = 2 * sum(1 for x, _j, i in full_store.rows("evolution")
+                     if (x, i) in sites)
+    assert 0 < vec.stats["build_rows"] <= probes < whole_layers
+
+
 def test_fallback_reasons_are_counted(tmp_path, wgraph, forced_rows):
     """Every rule run that is not a layer program names its reason; the
     counts add up to ``rules_fallback`` and the rows do not change."""
@@ -612,9 +645,6 @@ def test_fallback_reasons_are_counted(tmp_path, wgraph, forced_rows):
         # a hash join keyed on a pickle-lane (possibly unhashable) column
         "pickle-key": "same(X, Y, I) :- receive_message(X, Y, M, I), "
                       "value(Y, M, J), J = I - 1.",
-        # the head predicate also has stored rows: overlay + store union
-        "stored-head": "superstep(X, I) :- value(X, D, I)."
-                       "seen(X, I) :- superstep(X, I).",
     }
     for reason, src in cases.items():
         vec = run_layered_from_spill(spill, src, wgraph)

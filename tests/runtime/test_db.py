@@ -86,47 +86,65 @@ class TestCandidates:
 
 
 class TestOnlineDatabase:
-    def make(self, graph):
+    """The row path's reads at ``db.current_site`` (rules without a layer
+    program)."""
+
+    def make(self, graph, shipped=()):
         return OnlineDatabase(graph, head_predicates={"derivedrel"},
-                              frame_relations={"vertex_value"})
+                              frame_relations={"vertex_value"},
+                              shipped=shipped)
 
     def test_local_vs_remote_partitions(self, graph):
-        db = self.make(graph)
+        db = self.make(graph, shipped=["value"])
         db.local.add("value", 0, (0, 1.0, 0))
         db.local.add("value", 1, (1, 5.0, 0))
-        db.begin_vertex(0)
+        db.current_site = 0
         assert read(db, "value", 0) == {(0, 1.0, 0)}
         # vertex 1's facts are NOT visible remotely unless shipped
         assert list(read(db, "value", 1)) == []
-        db.merge_remote(0, 1, "value", [(1, 5.0, 0)])
-        assert set(read(db, "value", 1)) == {(1, 5.0, 0)}
+        assert db.ship([(1, [(0, "m")], [])]) == 1
+        assert list(read(db, "value", 1)) == [(1, 5.0, 0)]
+        # a row 1 holds after its last message to 0 stays invisible ...
+        db.local.add("value", 1, (1, 6.0, 1))
+        assert list(read(db, "value", 1)) == [(1, 5.0, 0)]
+        # ... until it messages 0 again; a repeat message carries nothing
+        assert db.ship([(1, [(0, "m"), (0, "m")], [])]) == 1
+        assert list(read(db, "value", 1)) == [(1, 5.0, 0), (1, 6.0, 1)]
+        db.current_site = 2
+        assert list(read(db, "value", 1)) == []  # never messaged 2
 
     def test_remote_partitions_keyed_by_receiver(self, graph):
-        db = self.make(graph)
+        """From another process (a sender outside ``shard``), what arrived
+        as envelope tables, merged per receiver."""
+        db = self.make(graph, shipped=["t"])
+        db.shard = {0, 2}
         db.merge_remote(0, 1, "t", [(1, "x")])
-        db.begin_vertex(2)
+        db.current_site = 2
         assert list(read(db, "t", 1)) == []  # vertex 2 received nothing
-        db.begin_vertex(0)
+        db.current_site = 0
         assert set(read(db, "t", 1)) == {(1, "x")}
 
-    def test_frame_reset_per_vertex(self, graph):
+    def test_frames_live_one_superstep(self, graph):
         db = self.make(graph)
-        frame = db.begin_vertex(0)
-        frame["vertex_value"] = [(0, 1.0)]
+        db.store.begin(0, [0, 1], {"vertex_value": {0: [(0, 1.0)]}}, {})
+        db.current_site = 0
         assert read(db, "vertex_value", 0) == [(0, 1.0)]
-        assert db.begin_vertex(1) == {}
+        db.current_site = 1
         assert list(read(db, "vertex_value", 1)) == []
+        db.store.begin(1, [0], {"vertex_value": {}}, {})
+        db.current_site = 0
+        assert list(read(db, "vertex_value", 0)) == []
         assert db.local.relations() == []
 
     def test_derived_visible_locally(self, graph):
         db = self.make(graph)
-        db.begin_vertex(0)
+        db.current_site = 0
         db.add("derivedrel", (0, 7))
         assert set(read(db, "derivedrel", 0)) == {(0, 7)}
 
     def test_static_relations(self, graph):
         db = self.make(graph)
-        db.begin_vertex(0)
+        db.current_site = 0
         assert list(read(db, "edge", 0)) == [(0, 1)]
         assert read(db, "edge", 1, time=3) == [(1, 2)]  # any vertex's edges
 
@@ -134,7 +152,7 @@ class TestOnlineDatabase:
         db = self.make(graph)
         db.local.add_timed("value", 0, (0, 1.0, 0), 0)
         db.local.add_timed("value", 0, (0, 2.0, 1), 1)
-        db.begin_vertex(0)
+        db.current_site = 0
         assert list(read(db, "value", 0, time=1)) == [(0, 2.0, 1)]
         assert len(read(db, "value", 0)) == 2
 
@@ -142,6 +160,46 @@ class TestOnlineDatabase:
         db = self.make(graph)
         for i in range(40):
             db.add("derivedrel", (0, i))
-        db.begin_vertex(0)
+        db.current_site = 0
         assert read(db, "derivedrel", 0) == {(0, i) for i in range(40)}
         assert list(read(db, "derivedrel", 1)) == []  # nothing shipped
+
+
+class TestSuperstepBatches:
+    """The superstep as column batches: what layer programs read online."""
+
+    def test_frames_and_stored_slices(self, graph):
+        db = OnlineDatabase(graph, head_predicates=set(),
+                            frame_relations={"superstep"})
+        for v in (0, 1, 2):
+            db.local.add_timed("value", v, (v, float(v), 3), 3)
+        db.store.begin(4, [2, 0], {"superstep": {2: [(2, 4)], 0: [(0, 4)]}},
+                       {})
+        (frame,) = db.store.column_batches("superstep", [4])
+        assert frame.groups() == {2: (0, 1), 0: (1, 1)}  # compute order
+        assert db.store.column_batches("superstep", [3]) == []
+        # stored rows: the slices of this superstep's sites only
+        (layer,) = db.store.column_batches("value", [3])
+        assert layer.groups() == {2: (0, 1), 0: (1, 1)}
+        assert layer.values(1) == [2.0, 0.0]
+        assert db.store.column_batches("value", [5]) == []
+
+    def test_inbox_is_receive_message(self, graph):
+        class Env:
+            def __init__(self, sender, payload):
+                self.sender, self.payload = sender, payload
+
+        db = OnlineDatabase(graph, head_predicates=set(),
+                            frame_relations={"receive_message"})
+        twice = Env(2, [1])
+        inbox = {0: [twice, twice, Env(1, [1])], 2: [Env(0, 5.0)]}
+        db.store.begin(7, [0, 2], {}, inbox)
+        (batch,) = db.store.column_batches("receive_message", [7])
+        assert batch.count == 4 and batch.groups() == {0: (0, 3), 2: (3, 1)}
+        assert batch.values(1) == [2, 2, 1, 0]
+        assert batch.values(2) == [(1,), (1,), (1,), 5.0]  # frozen on demand
+        assert batch.values(3) == [7] * 4
+        # the row path reads each distinct message once
+        db.current_site = 0
+        assert read(db, "receive_message", 0) == [(0, 2, (1,), 7),
+                                                  (0, 1, (1,), 7)]

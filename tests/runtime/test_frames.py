@@ -151,7 +151,7 @@ class TestWindowedRelations:
             db.local.add_timed("r", "v", ("v", i % 4, i), i)
         part = db.local.partition("r", "v")
         assert part.prune_older_than(32) == 32
-        db.begin_vertex("v")
+        db.current_site = "v"
         assert db.candidates("r", "v", 35) is part.by_time[35]
         assert list(db.candidates("r", "v", 35)) == [("v", 3, 35)]
         assert list(db.candidates("r", "v", 3)) == []
@@ -164,30 +164,41 @@ class TestShipping:
         return run_wrapper(graph, analytic, Q.APT_QUERY, {"eps": 0.01},
                            Q.apt_udfs(analytic), **switches)
 
-    def test_shared_delta_tables_are_never_mutated(self, wgraph, monkeypatch):
-        sent = []
-
-        class Spy(online.Envelope):
-            def __init__(self, sender, payload, tables=None):
-                super().__init__(sender, payload, tables)
-                if tables is not None:
-                    sent.append((tables, copy.deepcopy(tables)))
-
-        monkeypatch.setattr(online, "Envelope", Spy)
-        wrapper = self.run_apt(wgraph)
-        assert wrapper.shipped_tuples == sum(
-            len(rows) for tables, _ in sent for rows in tables.values())
-        # a broadcast slices once: one dict rides on many envelopes ...
-        assert len({id(tables) for tables, _ in sent}) < len(sent)
-        # ... and is the same after every receiver merged it
-        assert all(tables == before for tables, before in sent)
+    def test_shared_delta_tables_are_never_mutated(self):
+        """Across processes the deltas ride on the envelopes: targets at one
+        watermark share one sliced table, and receivers only read it."""
+        db = OnlineDatabase(None, head_predicates={"r"},
+                            frame_relations=set(), shipped=["r"])
+        db.shard = {0}
+        for i in range(3):
+            db.add("r", (0, i))
+        targets = [1, 2, 3]
+        envelopes = [online.Envelope(0, "m") for _ in targets]
+        sends = [(0, [(t, "m") for t in targets],
+                  list(zip(targets, envelopes)))]
+        assert db.ship(sends) == 9  # three rows to each of three targets
+        tables = envelopes[0].tables
+        assert all(env.tables is tables for env in envelopes)
+        before = copy.deepcopy(tables)
+        receiver = OnlineDatabase(None, head_predicates={"r"},
+                                  frame_relations=set(), shipped=["r"])
+        receiver.shard = set(targets)
+        for target, env in zip(targets, envelopes):
+            for rel, rows in env.tables.items():
+                receiver.merge_remote(target, 0, rel, rows)
+        assert tables == before
+        receiver.current_site = 2
+        assert list(receiver.candidates("r", 0, None)) == [
+            (0, 0), (0, 1), (0, 2)]
+        # the next message to a target carries only what is new to it
+        db.add("r", (0, 3))
+        envelope = online.Envelope(0, "m")
+        assert db.ship([(0, [(1, "m")], [(1, envelope)])]) == 1
+        assert envelope.tables == {"r": [(0, 3)]}
 
     def test_ablation_switches_keep_the_rows(self, wgraph):
         default = self.run_apt(wgraph)
         full = self.run_apt(wgraph, ship_full_tables=True)
-        unsliced = self.run_apt(wgraph, timed_index=False)
         assert derived(full) == derived(default)
-        assert derived(unsliced) == derived(default)
         assert derived(default)["safe"] or derived(default)["unsafe"]
         assert full.shipped_tuples > default.shipped_tuples
-        assert unsliced.shipped_tuples == default.shipped_tuples
