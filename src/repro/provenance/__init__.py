@@ -17,7 +17,7 @@ from repro.provenance.model import (
     freeze,
 )
 from repro.provenance.spill import SLAB_COMPRESSION, SpillManager, rebuild_store
-from repro.provenance.store import ProvenanceStore, RelationPartition
+from repro.provenance.store import ProvenanceStore
 
 __all__ = [
     "inspect",
@@ -40,5 +40,4 @@ __all__ = [
     "freeze",
     "SpillManager",
     "ProvenanceStore",
-    "RelationPartition",
 ]

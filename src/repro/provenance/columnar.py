@@ -123,8 +123,9 @@ def encode_columnar_slab(
     compression: str,
     meta_key: str = "\x00meta",
 ) -> Tuple[bytes, int]:
-    """Encode slab ``chunks`` (``relation -> vertex -> set(rows)``, plus an
-    optional meta entry under ``meta_key``) as an ARSC blob.
+    """Encode slab ``chunks`` (``relation -> vertex -> rows``, plus an
+    optional meta entry under ``meta_key``) as an ARSC blob, each vertex's
+    rows in the order they iterate.
 
     Returns ``(blob, raw_bytes)``; ``raw_bytes`` is the pre-compression
     payload total (the compression-ratio numerator).
@@ -663,13 +664,16 @@ class ColumnarSlab:
     # -- whole-slab compatibility ---------------------------------------
     def to_chunks(self, meta_key: str = "\x00meta") -> Dict[str, Any]:
         """Full decode back to the sealers' chunk shape (``relation ->
-        vertex -> set(rows)``) — the compatibility path ``load_layer`` /
-        ``rebuild_store`` use. Defeats laziness by design."""
+        vertex -> rows``, each group's rows a list in slab order, so
+        encoding the chunks again writes the same bytes) — the path
+        ``load_layer`` / ``rebuild_store`` / ``store migrate`` use. Defeats
+        laziness by design."""
         chunks: Dict[str, Any] = {}
         for relation in self._relations:
             chunks[relation] = {
-                vertex: set(self.group_rows(relation, vertex))
-                for vertex in self.groups(relation)
+                vertex: [self._row(relation, rid)
+                         for rid in range(start, start + count)]
+                for vertex, (start, count) in self.groups(relation).items()
             }
         if self.meta is not None:
             chunks[meta_key] = self.meta

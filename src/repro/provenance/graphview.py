@@ -1,9 +1,11 @@
 """The unfolded provenance graph (Figure 3) and its layers (Definition 5.1).
 
-The store keeps the compact representation; this module derives the unfolded
-view where a *node* is one execution of a vertex — a ``(vertex, superstep)``
-pair — connected by *evolution* edges (same vertex, consecutive active
-supersteps) and *message* edges (sender execution -> receiver execution).
+The store keeps the compact representation — relation partitions per input
+vertex, held layer by layer, so ``partition`` reads one vertex's rows across
+every superstep; this module derives the unfolded view where a *node* is one
+execution of a vertex — a ``(vertex, superstep)`` pair — connected by
+*evolution* edges (same vertex, consecutive active supersteps) and *message*
+edges (sender execution -> receiver execution).
 
 The unfolded view is what the paper's layering theory is stated over; tests
 verify that layer *i* equals the executions at superstep *i* and that

@@ -46,7 +46,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ProvenanceError
 from repro.obs.log import get_logger
@@ -366,13 +366,14 @@ class SpillManager:
     # ------------------------------------------------------------------
     # sealing
     # ------------------------------------------------------------------
-    def _layer_chunks(self, superstep: int) -> Dict[str, Dict[Any, Set[Row]]]:
-        """Snapshot one layer as per-relation chunks. Bucket sets are
-        copied on the caller's thread — the store may keep mutating while
-        the writer serializes."""
+    def _layer_chunks(self, layer: Any) -> Dict[str, Dict[Any, List[Row]]]:
+        """Snapshot one layer of the store (``None``: its time-less
+        relations) as per-relation chunks, each vertex's rows copied in
+        insertion order on the caller's thread — the store may keep growing
+        while the writer encodes."""
         return {
-            relation: {vertex: set(rows) for vertex, rows in by_vertex.items()}
-            for relation, by_vertex in self.store.layer(superstep).items()
+            relation: {vertex: list(rows) for vertex, rows in by_vertex.items()}
+            for relation, by_vertex in self.store.layer(layer).items()
         }
 
     def seal_layer_nowait(self, superstep: int) -> None:
@@ -386,8 +387,8 @@ class SpillManager:
     def seal_layer(self, superstep: int) -> int:
         """Write one layer to disk; returns the slab's byte size.
 
-        The in-memory store keeps the layer (evicting would complicate the
-        store's indexes); what sealing models is the *capture path*: how
+        The in-memory store keeps the layer (the capture's result still
+        holds the store); what sealing models is the *capture path*: how
         many bytes had to be moved to storage.
         """
         self.seal_layer_nowait(superstep)
@@ -398,18 +399,7 @@ class SpillManager:
         """The time-less relations (e.g. Query 11's prov_edges) plus the
         relation schemas and layer count, as slab chunks."""
         registry = self.store.registry
-        chunks: Dict[str, Any] = {}
-        for relation in self.store.relations():
-            schema = registry.get(relation)
-            if schema.time_index is not None:
-                continue
-            by_vertex: Dict[Any, Set[Row]] = {}
-            for vertex in self.store.vertices(relation):
-                rows = self.store.partition(relation, vertex)
-                if rows:
-                    by_vertex[vertex] = set(rows)
-            if by_vertex:
-                chunks[relation] = by_vertex
+        chunks: Dict[str, Any] = self._layer_chunks(None)
         chunks[_META_KEY] = {
             "schemas": {
                 name: registry.get(name) for name in self.store.relations()
@@ -517,7 +507,7 @@ class SpillManager:
     def sealed_layers(self) -> Iterator[int]:
         return iter(sorted(self._slabs))
 
-    def load_layer(self, superstep: int) -> Dict[str, Dict[Any, Set[Row]]]:
+    def load_layer(self, superstep: int) -> Dict[str, Dict[Any, List[Row]]]:
         return self._load(superstep)
 
     def open_columnar_slab(self, key: Any) -> ColumnarSlab:
@@ -687,19 +677,21 @@ def open_store_view(
 
 def rebuild_store(spill: SpillManager) -> ProvenanceStore:
     """Deserialize every slab back into a fresh store (the naive-evaluation
-    load path: the whole provenance graph is materialized at once)."""
+    load path: the whole provenance graph is materialized at once).
+
+    Relations are inserted in the order the static slab's schemas list
+    them — the sealed store's own — and each one's rows in slab order, so
+    sealing the rebuilt store writes the same bytes again."""
     from repro.provenance.model import SchemaRegistry
 
     static = spill.load_static()
     registry = SchemaRegistry()
     registry.register_all(static["schemas"].values())
     store = ProvenanceStore(registry)
-    for relation, by_vertex in static["relations"].items():
-        for rows in by_vertex.values():
-            store.add_batch(relation, rows)
-    for layer_index in spill.sealed_layers():
-        layer = spill.load_layer(layer_index)
-        for relation, by_vertex in layer.items():
-            for rows in by_vertex.values():
+    slabs = [static["relations"]]
+    slabs.extend(spill.load_layer(t) for t in spill.sealed_layers())
+    for relation in static["schemas"]:
+        for chunks in slabs:
+            for rows in chunks.get(relation, {}).values():
                 store.add_batch(relation, rows)
     return store

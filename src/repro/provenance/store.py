@@ -1,27 +1,35 @@
 """The provenance store — the compact provenance graph of Section 3.
 
-Physically the store is: per relation, per vertex, a set of tuples, with
-time-sliced indexing for relations that carry a superstep attribute. This is
-exactly the paper's compact representation (Figure 4): one node per input
-vertex annotated with relation partitions, rather than one node per
-(vertex, superstep) pair.
+Physically the store is layer-major, like its sealed form: per relation,
+per *layer* (the superstep; ``None`` for a time-less relation, whose one
+layer is the static slab), per vertex, a *bucket* of rows in insertion
+order. Logically it is still the paper's compact representation (Figure
+4): one node per input vertex annotated with relation partitions, rather
+than one node per (vertex, superstep) pair — ``partition`` answers a
+vertex's rows over every layer.
 
 The store tracks serialized byte sizes incrementally (Tables 3/4 report
 capture sizes) and supports spilling sealed layers to disk through
 :class:`~repro.provenance.spill.SpillManager` — the stand-in for the paper's
-asynchronous HDFS offload.
+asynchronous HDFS offload. A seal snapshots one layer's buckets as they
+are, so a slab's row order is the store's insertion order.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 from repro.errors import ProvenanceError
 from repro.provenance.model import RelationSchema, SchemaRegistry
 from repro.sizemodel import RowSizer
 
 Row = Tuple[Any, ...]
+#: One vertex's rows of one (relation, layer): a dict keyed by row, so one
+#: insert both deduplicates and keeps insertion order.
+Bucket = Dict[Row, None]
 
 #: Shared immutable empty result for partition/slice misses. Misses are the
 #: common case on sparse relations; allocating a fresh ``set()`` per miss
@@ -29,60 +37,25 @@ Row = Tuple[Any, ...]
 _EMPTY_ROWS: frozenset = frozenset()
 
 
-class RelationPartition:
-    """Tuples of one relation at one vertex, sliced by superstep."""
-
-    __slots__ = ("schema", "rows", "by_time")
-
-    def __init__(self, schema: RelationSchema) -> None:
-        self.schema = schema
-        self.rows: Set[Row] = set()
-        # superstep -> rows; only maintained for time-indexed relations.
-        self.by_time: Optional[Dict[int, Set[Row]]] = (
-            {} if schema.time_index is not None else None
-        )
-
-    def add(self, row: Row) -> bool:
-        """Insert; return True if the row is new."""
-        if row in self.rows:
-            return False
-        self.rows.add(row)
-        if self.by_time is not None:
-            t = row[self.schema.time_index]
-            bucket = self.by_time.get(t)
-            if bucket is None:
-                self.by_time[t] = {row}
-            else:
-                bucket.add(row)
-        return True
-
-    def at_time(self, superstep: int) -> Set[Row]:
-        if self.by_time is None:
-            return self.rows
-        return self.by_time.get(superstep, _EMPTY_ROWS)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-
 class ProvenanceStore:
     """The captured provenance of one analytic run.
 
-    Organized relation-major (``relation -> vertex -> partition``) because
-    query evaluation touches a few relations across many vertices.
+    Organized ``relation -> layer -> vertex -> bucket``: a capture writes
+    one superstep at a time and layered evaluation and the seal read one
+    layer at a time (§5.1, Lemma 5.3). Rows are returned as read-only
+    set views of their buckets, iterating in insertion order.
     """
 
     def __init__(self, registry: Optional[SchemaRegistry] = None) -> None:
         self.registry = registry or SchemaRegistry()
-        self._data: Dict[str, Dict[Any, RelationPartition]] = {}
+        self._data: Dict[str, Dict[Any, Dict[Any, Bucket]]] = {}
         self._bytes: Dict[str, int] = {}
         self._num_rows = 0
         self._max_superstep = -1
+        # layer -> its row count over every relation
+        self._layer_rows: Dict[Any, int] = {}
         # Attribute intern pool: repeated string attributes (vertex labels,
-        # message tags) collapse to one object each, so the row sets hold
+        # message tags) collapse to one object each, so the buckets hold
         # references instead of copies. Only ``str`` is interned: CPython
         # already caches small ints (the vertex ids), floats are mostly
         # distinct in provenance (values, payloads) and would bloat the
@@ -93,23 +66,15 @@ class ProvenanceStore:
         # ``estimate_bytes`` (the size-model oracle the tests check them
         # against).
         self._sizers: Dict[str, RowSizer] = {}
-        # column_batches: relation -> superstep (None: all) -> its batch
+        # Read-side views of a relation, built on first read and dropped by
+        # the next write to it: column_batches' relation -> layer -> batch,
+        # and partition's relation -> vertex -> rows over every layer.
         self._batches: Dict[str, Dict[Any, ListBatch]] = {}
+        self._vertex_views: Dict[str, Dict[Any, Bucket]] = {}
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def _intern_row(self, row: Row, pool: Dict[str, str]) -> Row:
-        out = None
-        for i, v in enumerate(row):
-            if type(v) is str:
-                canon = pool.setdefault(v, v)
-                if canon is not v:
-                    if out is None:
-                        out = list(row)
-                    out[i] = canon
-        return row if out is None else tuple(out)
-
     def _sizer_for(self, relation: str):
         sizer = self._sizers.get(relation)
         if sizer is None:
@@ -119,34 +84,15 @@ class ProvenanceStore:
     def add(self, relation: str, row: Row) -> bool:
         """Insert a fact; returns True if new. The vertex is row's first
         attribute (the location specifier)."""
-        schema = self.registry.get(relation)
-        schema.check(row)
-        self._batches.clear()
-        row = self._intern_row(row, self._intern_pool)
-        vertex = schema.location_of(row)
-        partitions = self._data.setdefault(relation, {})
-        partition = partitions.get(vertex)
-        if partition is None:
-            partition = RelationPartition(schema)
-            partitions[vertex] = partition
-        if not partition.add(row):
-            return False
-        self._num_rows += 1
-        size = self._sizer_for(relation)(row)
-        self._bytes[relation] = self._bytes.get(relation, 0) + size
-        t = schema.time_of(row)
-        if t is not None and t > self._max_superstep:
-            self._max_superstep = t
-        return True
+        return self.add_batch(relation, (row,)) == 1
 
     def add_batch(self, relation: str, rows: Iterable[Row]) -> int:
-        """Batched insert — the capture fast lane.
+        """Insert ``rows`` in order; returns the number that were new.
 
-        Semantically identical to calling :meth:`add` per row (same dedup,
-        same errors, same accounting), but the schema lookup, arity check
-        setup, partition-dict resolution and size-model dispatch happen
-        once per batch instead of once per row. Returns the number of rows
-        that were new.
+        The schema, size model and intern columns resolve once per batch
+        and the layer once per run of rows that share one (a capture flush
+        is all one superstep); each row then takes one bucket insert — the
+        len-delta dedup hashes the row tuple once.
         """
         iterator = iter(rows)
         try:
@@ -154,84 +100,54 @@ class ProvenanceStore:
         except StopIteration:
             return 0
         schema = self.registry.get(relation)
-        self._batches.clear()
+        self._batches.pop(relation, None)
+        self._vertex_views.pop(relation, None)
         arity = schema.arity
         time_index = schema.time_index
         location = schema.location_index
         sizer = self._sizer_for(relation)
-        partitions = self._data.setdefault(relation, {})
-        get_partition = partitions.get
+        layers = self._data.setdefault(relation, {})
+        layer_rows = self._layer_rows
         # Intern columns are learned from the batch's first row, so
         # string-free batches (most provenance relations are all-numeric)
         # skip the pool entirely; rows whose columns deviate from the
         # learned shape just miss the optimization.
         pool = self._intern_pool
         intern_cols = tuple(i for i, v in enumerate(first) if type(v) is str)
-        added = 0
-        batch_bytes = 0
+        added = counted = batch_bytes = 0
         max_t = self._max_superstep
-        # The dedup/insert below inlines RelationPartition.add — the
-        # len-delta dedup hashes the row tuple once instead of twice and
-        # skips a method call per row, which is measurable at capture
-        # rates. Two copies of the loop: the first drops the intern scan
-        # and the time-index branch for the overwhelmingly common batch
-        # shape (all-numeric rows of a time-indexed relation). Keep all
-        # three in sync with RelationPartition.add.
-        if not intern_cols and time_index is not None:
-            for row in chain((first,), iterator):
-                if len(row) != arity:
-                    schema.check(row)  # raises the canonical arity error
-                vertex = row[location]
-                partition = get_partition(vertex)
-                if partition is None:
-                    partition = partitions[vertex] = RelationPartition(schema)
-                partition_rows = partition.rows
-                before = len(partition_rows)
-                partition_rows.add(row)
-                if len(partition_rows) == before:
-                    continue  # duplicate
-                added += 1
-                batch_bytes += sizer(row)
-                t = row[time_index]
-                by_time = partition.by_time
-                bucket = by_time.get(t)
-                if bucket is None:
-                    by_time[t] = {row}
-                else:
-                    bucket.add(row)
-                if t > max_t:
+        layer: Any = None
+        by_vertex: Optional[Dict[Any, Bucket]] = None
+        for row in chain((first,), iterator):
+            if len(row) != arity:
+                schema.check(row)  # raises the canonical arity error
+            for i in intern_cols:
+                v = row[i]
+                if type(v) is str:
+                    canon = pool.setdefault(v, v)
+                    if canon is not v:
+                        row = row[:i] + (canon,) + row[i + 1:]
+            t = row[time_index] if time_index is not None else None
+            if by_vertex is None or t != layer:
+                if by_vertex is not None:
+                    layer_rows[layer] = layer_rows.get(layer, 0) + added - counted
+                    counted = added
+                layer = t
+                by_vertex = layers.get(t)
+                if by_vertex is None:
+                    by_vertex = layers[t] = {}
+                if t is not None and t > max_t:
                     max_t = t
-        else:
-            for row in chain((first,), iterator):
-                if len(row) != arity:
-                    schema.check(row)  # raises the canonical arity error
-                for i in intern_cols:
-                    v = row[i]
-                    if type(v) is str:
-                        canon = pool.setdefault(v, v)
-                        if canon is not v:
-                            row = row[:i] + (canon,) + row[i + 1:]
-                vertex = row[location]
-                partition = get_partition(vertex)
-                if partition is None:
-                    partition = partitions[vertex] = RelationPartition(schema)
-                partition_rows = partition.rows
-                before = len(partition_rows)
-                partition_rows.add(row)
-                if len(partition_rows) == before:
-                    continue  # duplicate
+            vertex = row[location]
+            bucket = by_vertex.get(vertex)
+            if bucket is None:
+                bucket = by_vertex[vertex] = {}
+            before = len(bucket)
+            bucket[row] = None
+            if len(bucket) != before:
                 added += 1
                 batch_bytes += sizer(row)
-                if time_index is not None:
-                    t = row[time_index]
-                    by_time = partition.by_time
-                    bucket = by_time.get(t)
-                    if bucket is None:
-                        by_time[t] = {row}
-                    else:
-                        bucket.add(row)
-                    if t > max_t:
-                        max_t = t
+        layer_rows[layer] = layer_rows.get(layer, 0) + added - counted
         if added:
             self._num_rows += added
             self._bytes[relation] = self._bytes.get(relation, 0) + batch_bytes
@@ -247,94 +163,111 @@ class ProvenanceStore:
     def has_relation(self, relation: str) -> bool:
         return relation in self._data
 
-    def partition(self, relation: str, vertex: Any) -> Set[Row]:
-        partitions = self._data.get(relation)
-        if not partitions:
+    def partition(self, relation: str, vertex: Any) -> AbstractSet[Row]:
+        """``vertex``'s rows of ``relation`` over every layer, layer by
+        layer. A relation with more than one layer answers from a
+        per-vertex view, gathered in one pass over the layers on the
+        vertex's first read and kept until the next write to the
+        relation."""
+        layers = self._data.get(relation)
+        if not layers:
             return _EMPTY_ROWS
-        part = partitions.get(vertex)
-        return part.rows if part is not None else _EMPTY_ROWS
+        if len(layers) == 1:
+            (by_vertex,) = layers.values()
+            rows = by_vertex.get(vertex)
+        else:
+            view = self._vertex_views.setdefault(relation, {})
+            rows = view.get(vertex)
+            if rows is None:
+                rows = view[vertex] = {}
+                for by_vertex in layers.values():
+                    bucket = by_vertex.get(vertex)
+                    if bucket is not None:
+                        rows.update(bucket)
+        return rows.keys() if rows else _EMPTY_ROWS
 
-    def partition_at(self, relation: str, vertex: Any, superstep: int) -> Set[Row]:
-        partitions = self._data.get(relation)
-        if not partitions:
+    def partition_at(self, relation: str, vertex: Any,
+                     superstep: int) -> AbstractSet[Row]:
+        """``vertex``'s rows of ``relation`` in one layer (every row of a
+        time-less relation)."""
+        layers = self._data.get(relation)
+        if not layers:
             return _EMPTY_ROWS
-        part = partitions.get(vertex)
-        return part.at_time(superstep) if part is not None else _EMPTY_ROWS
+        if self.registry.get(relation).time_index is None:
+            superstep = None
+        rows = layers.get(superstep, {}).get(vertex)
+        return rows.keys() if rows is not None else _EMPTY_ROWS
 
     def rows(self, relation: str) -> Iterator[Row]:
-        for part in self._data.get(relation, {}).values():
-            yield from part.rows
+        for by_vertex in self._data.get(relation, {}).values():
+            for bucket in by_vertex.values():
+                yield from bucket
 
     def vertices(self, relation: Optional[str] = None) -> Set[Any]:
-        if relation is not None:
-            return set(self._data.get(relation, {}))
+        relations = (self._data.values() if relation is None
+                     else [self._data.get(relation, {})])
         out: Set[Any] = set()
-        for partitions in self._data.values():
-            out.update(partitions)
+        for layers in relations:
+            for by_vertex in layers.values():
+                out.update(by_vertex)
         return out
 
-    def _layer_slices(self, superstep: int) -> Iterator[Tuple[str, Any, Set[Row]]]:
-        """``(relation, vertex, rows)`` of every non-empty slice of a layer."""
-        for relation, partitions in self._data.items():
-            if self.registry.get(relation).time_index is not None:
-                for vertex, part in partitions.items():
-                    if superstep in part.by_time:
-                        yield relation, vertex, part.by_time[superstep]
-
-    def layer(self, superstep: int) -> Dict[str, Dict[Any, Set[Row]]]:
-        """All time-indexed facts of one layer, relation -> vertex -> rows."""
-        out: Dict[str, Dict[Any, Set[Row]]] = {}
-        for relation, vertex, rows in self._layer_slices(superstep):
-            out.setdefault(relation, {})[vertex] = rows
-        return out
+    def layer(self, superstep: Any) -> Dict[str, Dict[Any, AbstractSet[Row]]]:
+        """One layer, relation -> vertex -> rows (``None``: the time-less
+        relations) — read-only views of the buckets, in insertion order."""
+        return {
+            relation: {v: bucket.keys() for v, bucket in layers[superstep].items()}
+            for relation, layers in self._data.items() if superstep in layers
+        }
 
     def layer_sites(self, superstep: int) -> Set[Any]:
         """Vertices carrying at least one fact in one layer."""
-        return {vertex for _rel, vertex, _rows in self._layer_slices(superstep)}
+        sites: Set[Any] = set()
+        for layers in self._data.values():
+            sites.update(layers.get(superstep, ()))
+        return sites
 
     def layer_rows(self, superstep: int) -> int:
         """Row count of one layer."""
-        return sum(len(rows) for _rel, _v, rows in self._layer_slices(superstep))
+        return self._layer_rows.get(superstep, 0)
 
     def execution_nodes(self) -> Set[Tuple[Any, int]]:
         """The nodes of the unfolded provenance graph: every
         ``(vertex, superstep)`` pair that carries at least one fact."""
-        nodes: Set[Tuple[Any, int]] = set()
-        for relation, partitions in self._data.items():
-            schema = self.registry.get(relation)
-            if schema.time_index is None:
-                continue
-            for vertex, part in partitions.items():
-                if part.by_time is not None:
-                    for t in part.by_time:
-                        nodes.add((vertex, t))
-        return nodes
+        return {
+            (vertex, t)
+            for layers in self._data.values()
+            for t, by_vertex in layers.items() if t is not None
+            for vertex in by_vertex
+        }
 
     def column_batches(
         self, relation: str, supersteps: Optional[Iterable[Any]] = None,
     ) -> List[ListBatch]:
-        """List-backed batches: one per entry of ``supersteps`` (each
-        vertex's ``partition_at`` slice) or the whole relation when ``None``
-        — the sealed view's slab selection, in the row path's order. The
-        first read builds every layer; batches live until the next write."""
-        partitions = self._data.get(relation)
-        if not partitions:
+        """List-backed batches over the layers' buckets: one per entry of
+        ``supersteps``, or every layer in superstep order when ``None``, and
+        a time-less relation's one layer either way — the sealed view's slab
+        selection. A layer's batch is built on its first read and kept until
+        the next write to the relation."""
+        layers = self._data.get(relation)
+        if not layers:
             return []
         schema = self.registry.get(relation)
-        layers = self._batches.get(relation)
-        if layers is None:  # published only once complete
-            slices: Dict[Any, List[Tuple[Any, Set[Row]]]] = {}
-            for v, part in partitions.items():
-                for t, rows in (part.by_time or {}).items():
-                    slices.setdefault(t, []).append((v, rows))
-            layers = self._batches[relation] = {
-                t: ListBatch(schema.arity, s) for t, s in slices.items()}
-        if supersteps is None or schema.time_index is None:
-            if None not in layers:
-                layers[None] = ListBatch(schema.arity, [
-                    (v, part.rows) for v, part in partitions.items()])
+        if schema.time_index is None:
             supersteps = [None]
-        return [layers[t] for t in supersteps if t in layers]
+        elif supersteps is None:
+            supersteps = sorted(layers)
+        built = self._batches.setdefault(relation, {})
+        out: List[ListBatch] = []
+        for t in supersteps:
+            batch = built.get(t)
+            if batch is None:
+                by_vertex = layers.get(t)
+                if by_vertex is None:
+                    continue
+                batch = built[t] = ListBatch(schema.arity, by_vertex.items())
+            out.append(batch)
+        return out
 
     @property
     def max_superstep(self) -> int:
@@ -360,8 +293,9 @@ class ProvenanceStore:
 
     def counts(self) -> Dict[str, int]:
         return {
-            relation: sum(len(p) for p in partitions.values())
-            for relation, partitions in self._data.items()
+            relation: sum(len(bucket) for by_vertex in layers.values()
+                          for bucket in by_vertex.values())
+            for relation, layers in self._data.items()
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -433,15 +367,17 @@ class ColumnBatch:
 
 
 class ListBatch:
-    """The :class:`ColumnBatch` protocol over the in-memory store's row
-    sets, each vertex's rows contiguous in partition iteration order. Every
-    lane is ``"obj"`` (plain Python values), so ``codes`` / ``code_of`` are
-    never asked for; a column is gathered on its first ``values`` call."""
+    """The :class:`ColumnBatch` protocol over in-memory rows: one layer's
+    ``(vertex, rows)`` pairs, each vertex's rows contiguous in the order
+    given (a store bucket's is insertion order, as in its sealed slab).
+    Every lane is ``"obj"`` (plain Python values), so ``codes`` /
+    ``code_of`` are never asked for; a column is gathered on its first
+    ``values`` call."""
 
     __slots__ = ("arity", "count", "_rows", "_groups", "_columns")
 
     def __init__(self, arity: int,
-                 partitions: List[Tuple[Any, Set[Row]]]) -> None:
+                 partitions: Iterable[Tuple[Any, Iterable[Row]]]) -> None:
         self.arity = arity
         self._rows: List[Row] = []
         self._groups: Dict[Any, Tuple[int, int]] = {}

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analytics.base import Analytic
@@ -190,76 +189,27 @@ class _PersistingOnlineDatabase(OnlineDatabase):
         super().__init__(*args, **kwargs)
         self.capture = capture
         self.persist = persist if capture is not None else set()
-        self._runs: List[Tuple[str, List[Tuple[Any, ...]]]] = []
         self._pending: Dict[str, List[Tuple[Any, ...]]] = {}
 
     def add_rows(self, relation: str, rows: Any) -> int:
         if relation not in self.persist:
             return self._insert(relation, rows, None)
-        fresh: List[Tuple[Any, ...]] = []
-        new = self._insert(relation, rows, fresh)
-        if new:
-            self._runs.append((relation, fresh))
-        return new
-
-    def settle(self, sites: Optional[Sequence[Any]] = None) -> None:
-        """Move the fresh rows of the rule runs since the last call into
-        the buffer. With ``sites`` (one superstep's evaluation sites, in
-        compute order) they go site by site, each site's rows in run order
-        — the order a per-vertex evaluator derives them in — so the store's
-        relation order and row order (and so its sealed bytes) do not
-        depend on a superstep program deriving a rule's rows for every site
-        at once. Without, they go in run order."""
-        runs, self._runs = self._runs, []
-        pending = self._pending
-        if sites is None:
-            for relation, rows in runs:
-                pending.setdefault(relation, []).extend(rows)
-            return
-        position = {x: i for i, x in enumerate(sites)}
-        first: Dict[str, Tuple[int, int]] = {}
-        chunks: Dict[str, List[List[Tuple[Any, ...]]]] = {}
-        for k, (relation, rows) in enumerate(runs):
-            # a run's rows are site-major; row[0] is the site
-            key = (position[rows[0][0]], k)
-            if relation not in first or key < first[relation]:
-                first[relation] = key
-            chunks.setdefault(relation, []).append(rows)
-        for relation in sorted(first, key=first.__getitem__):
-            parts = chunks[relation]
-            bucket = pending.setdefault(relation, [])
-            if len(parts) == 1:
-                bucket.extend(parts[0])
-            else:  # stable: one site's rows stay in run order
-                bucket.extend(sorted(chain.from_iterable(parts),
-                                     key=lambda row: position[row[0]]))
+        return self._insert(relation, rows,
+                            self._pending.setdefault(relation, []))
 
     def disable_persistence(self) -> None:
         """Stop persisting and drop the buffer (forked parallel workers:
         their store copy dies with the process; the master re-derives the
         shard's head tuples from ``parallel_state``)."""
         self.persist = set()
-        self._runs.clear()
         self._pending.clear()
 
-    def flush_captured(self) -> Set[int]:
-        """Drain buffered head tuples into the store; returns the set of
-        supersteps the flush touched (for incremental layer sealing)."""
-        self.settle()
-        pending = self._pending
-        if not pending:
-            return set()
-        self._pending = {}
-        store = self.capture
-        registry = store.registry
-        touched: Set[int] = set()
+    def flush_captured(self) -> None:
+        """Drain buffered head tuples into the store, each relation's in
+        the order they were derived."""
+        pending, self._pending = self._pending, {}
         for relation, rows in pending.items():
-            store.add_batch(relation, rows)
-            time_index = registry.get(relation).time_index
-            if time_index is not None:
-                for row in rows:
-                    touched.add(row[time_index])
-        return touched
+            self.capture.add_batch(relation, rows)
 
 
 class OnlineQueryProgram(VertexProgram):
@@ -337,7 +287,8 @@ class OnlineQueryProgram(VertexProgram):
         # the parallel backend the master's store fills at merge time.
         self._capture_spill = spill if eager_seal else None
         self.sealed_layers = 0
-        self._sealed_through = -1
+        # superstep -> the layer's row count at its last seal
+        self._sealed_rows: List[int] = []
         need = compiled.auto_capture
         self._need_superstep = "superstep" in need
         self._need_value = "value" in need
@@ -411,39 +362,40 @@ class OnlineQueryProgram(VertexProgram):
             # the finished layer(s) to the spill writer.
             with get_tracer().span("provenance-capture", PHASE_CAPTURE,
                                    superstep=superstep):
-                touched = self.db.flush_captured()
+                self.db.flush_captured()
                 if self._capture_spill is not None:
-                    self._seal_completed(touched, superstep)
+                    self._seal_completed(superstep)
         return halt
 
-    def _seal_completed(self, touched: Set[int], through: int) -> None:
+    def _seal_completed(self, through: int) -> None:
         """Seal every layer up to ``through`` that is not sealed yet, and
-        re-seal any already-sealed layer the last flush appended to (a
+        re-seal any sealed layer that gained rows since its last seal (a
         re-seal just overwrites the slab, so late rows cost one write)."""
-        spill = self._capture_spill
-        sealed_through = self._sealed_through
-        for t in sorted(touched):
-            if t <= sealed_through:
-                spill.seal_layer_nowait(t)
-                self.sealed_layers += 1
-        through = min(through, self.db.capture.max_superstep)
-        while sealed_through < through:
-            sealed_through += 1
-            spill.seal_layer_nowait(sealed_through)
+        store = self.db.capture
+        sealed = self._sealed_rows
+        through = min(through, store.max_superstep)
+        for t in range(max(through + 1, len(sealed))):
+            rows = store.layer_rows(t)
+            if t == len(sealed):
+                sealed.append(rows)
+            elif sealed[t] != rows:
+                sealed[t] = rows
+            else:
+                continue
+            self._capture_spill.seal_layer_nowait(t)
             self.sealed_layers += 1
-        self._sealed_through = sealed_through
 
     def finish_capture(self) -> None:
         """Flush buffered captured rows after the engine loop — the
         engine's early-halt paths can skip the final ``master_halt`` — and
-        re-seal any layer that final flush touched. Layers never sealed
-        eagerly (and the static slab) are left to ``seal_all``."""
+        seal what that flush added. The static slab is left to
+        ``seal_all``."""
         if not self.db.persist:
             return
         with get_tracer().span("provenance-capture", PHASE_CAPTURE):
-            touched = self.db.flush_captured()
-            if self._capture_spill is not None and touched:
-                self._seal_completed(touched, max(touched))
+            self.db.flush_captured()
+            if self._capture_spill is not None:
+                self._seal_completed(self.db.capture.max_superstep)
 
     def combiner(self):
         return None  # envelopes carry senders and tables; never combine
@@ -461,7 +413,6 @@ class OnlineQueryProgram(VertexProgram):
             self.derivations += run_strata(
                 buckets, MODE_FREE, self.db, self.functions, [None]
             )
-        self.db.settle()
 
     # -- the appended vertex program --------------------------------------
     def compute(self, ctx: VertexContext, messages: Sequence[Envelope]) -> None:
@@ -473,7 +424,7 @@ class OnlineQueryProgram(VertexProgram):
             if self._need_receive:
                 self._inbox[x] = messages
             if self._need_stream_receive:
-                frames["receive"][x] = _as_set(
+                frames["receive"][x] = _distinct(
                     [(x, env.sender, freeze(env.payload)) for env in messages]
                 )
             if self.db.shard is not None:
@@ -513,7 +464,7 @@ class OnlineQueryProgram(VertexProgram):
                 [(x, target, freeze(payload), s) for target, payload in sends]
             )
         if self._need_stream_send:
-            frames["send"][x] = _as_set(
+            frames["send"][x] = _distinct(
                 [(x, target, freeze(payload)) for target, payload in sends]
             )
         if self.db.shipped:
@@ -552,7 +503,6 @@ class OnlineQueryProgram(VertexProgram):
                 self._prepared, MODE_ANCHORED, db, self.functions, sites,
                 anchor_time=superstep,
             )
-            db.settle(sites)
             # The frames die here; bounded-window partitions shed the
             # superstep that just left their window.
             db.store.begin(None, (), {}, {})
@@ -672,13 +622,6 @@ class OnlineQueryProgram(VertexProgram):
 def _distinct(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
     """``rows`` without repeats, first occurrences in order."""
     return rows if len(rows) < 2 else list(dict.fromkeys(rows))
-
-
-def _as_set(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
-    """``rows`` without repeats, in the order of a set built from them: the
-    stream relations have always been enumerated as sets, and the capture
-    rules' enumeration order is the row order of the sealed slabs."""
-    return rows if len(rows) < 2 else list(set(rows))
 
 
 def _as_program(

@@ -192,20 +192,21 @@ def test_in_memory_store_runs_layer_programs(driver, full_store, custom_store,
 
 def test_list_batches_equal_slab_batches(sealed_dir, full_store):
     """The in-memory store's batches are its sealed twin's slab batches,
-    layer by layer: same row count, group table and column values. Within
-    one vertex's range rows come in set iteration order, which the seal's
-    set copy need not keep, so a range is compared as a set of rows."""
+    for one layer and for every layer (``supersteps=None``): same row
+    count, group table and column values, each vertex's rows in the same
+    order — a slab is its layer's buckets as inserted."""
     def rows_by_group(batch):
         rows = list(zip(*[batch.values(pos) for pos in range(batch.arity)]))
-        return {vertex: set(rows[start:start + count])
+        return {vertex: rows[start:start + count]
                 for vertex, (start, count) in batch.groups().items()}
 
     view = open_store_view(SpillManager.open(sealed_dir))
     try:
         for relation in full_store.relations():
             schema = full_store.registry.get(relation)
-            selections = ([None] if schema.time_index is None else
-                          [[t] for t in range(full_store.num_layers)])
+            selections = [None]
+            if schema.time_index is not None:
+                selections += [[t] for t in range(full_store.num_layers)]
             for supersteps in selections:
                 listed = full_store.column_batches(relation, supersteps)
                 slabs = view.column_batches(relation, supersteps)

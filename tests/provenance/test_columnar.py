@@ -40,9 +40,10 @@ def roundtrip(chunks, compression="zlib"):
 
 
 def expected_chunks(chunks):
-    """What decode must return: empty partitions dropped, sets of rows."""
+    """What decode must return: empty partitions dropped, each group's
+    rows as a list in the order the encoder iterated them."""
     return {
-        rel: {v: set(rows) for v, rows in by_vertex.items() if rows}
+        rel: {v: list(rows) for v, rows in by_vertex.items() if rows}
         for rel, by_vertex in chunks.items()
     }
 

@@ -28,8 +28,8 @@ class TestSpill:
             size = spill.seal_layer(1)
             assert size > 0
             layer = spill.load_layer(1)
-            assert layer["value"][0] == {(0, 2.0, 1)}
-            assert layer["value"][1] == {(1, 3.0, 1)}
+            assert layer["value"][0] == [(0, 2.0, 1)]
+            assert layer["value"][1] == [(1, 3.0, 1)]
 
     def test_load_unsealed_raises(self, store, tmp_path):
         with SpillManager(store, directory=str(tmp_path)) as spill:
@@ -40,7 +40,7 @@ class TestSpill:
         with SpillManager(store, directory=str(tmp_path)) as spill:
             spill.seal_static()
             static = spill.load_static()
-            assert static["relations"]["prov_edges"][0] == {(0, 1)}
+            assert static["relations"]["prov_edges"][0] == [(0, 1)]
             assert static["schemas"]["prov_edges"].topology == TOPO_EDGE
             assert static["num_layers"] == 2
 

@@ -49,7 +49,7 @@ class TestRoundTripMatrix:
             for t in range(store.num_layers):
                 spill.seal_layer_nowait(t)
             # load_layer flushes implicitly; no explicit flush() needed.
-            assert spill.load_layer(1)["value"][0] == {(0, 0.0, 1)}
+            assert spill.load_layer(1)["value"][0] == [(0, 0.0, 1)]
 
     def test_seal_all_stops_the_writer(self, tmp_path):
         # An idle writer thread held the manager (and its store) for the
