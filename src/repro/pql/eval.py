@@ -22,7 +22,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
-from repro.pql.ast import Aggregate, AtomLiteral, BinOp, Const, FuncCall, Param, Term, Var
+from repro.pql.ast import Aggregate, BinOp, Const, FuncCall, Param, Term, Var
 from repro.pql.codegen import compile_rule
 from repro.pql.plan import (
     CHECK_VAR,
@@ -493,8 +493,7 @@ def prepare_strata(
             c.head_predicate for c in sorted(stratum, key=lambda c: c.index))
         copies = {
             head for head in heads
-            if all(c.rule.body == (AtomLiteral(c.rule.head),)
-                   for c in stratum if c.head_predicate == head)
+            if all(c.is_self_copy for c in stratum if c.head_predicate == head)
         }
         # head -> the position where *every* rule deriving it writes the
         # anchor superstep (absent: some rule does not)

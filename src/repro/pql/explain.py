@@ -23,7 +23,7 @@ from repro.pql.plan import (
     RulePlan,
     ScanStep,
 )
-from repro.pql.vectorized import layer_program
+from repro.pql.vectorized import CopyProgram, layer_program
 
 
 def _describe_arg(op: str, payload: Any) -> str:
@@ -107,8 +107,10 @@ def explain_rule(crule: CompiledRule, verbose: bool = False) -> str:
         evaluator = ""
         if mode != MODE_FREE:
             program = layer_program(crule, mode)
-            evaluator = (f" [row function: {program}]"
-                         if isinstance(program, str) else " [layer program]")
+            evaluator = (
+                f" [row function: {program}]" if isinstance(program, str)
+                else " [copy program]" if isinstance(program, CopyProgram)
+                else " [layer program]")
         lines.extend(_describe_plan(plan, label, evaluator, code))
     return "\n".join(lines)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-from repro.pql.ast import Rule, Term
+from repro.pql.ast import AtomLiteral, Rule, Term
 
 # Argument matching ops for relational scans.
 BIND = "bind"  # first occurrence of a variable: bind it from the tuple
@@ -136,6 +136,13 @@ class CompiledRule:
     layer_programs: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @property
+    def is_self_copy(self) -> bool:
+        """``superstep(X, I) :- superstep(X, I)``: the body is one positive
+        atom equal to the head, so every row it derives is a row its head
+        relation already has."""
+        return self.rule.body == (AtomLiteral(self.rule.head),)
 
     def __getstate__(self) -> Dict[str, Any]:
         return {**self.__dict__, "compiled": {}, "layer_programs": {}}

@@ -26,8 +26,8 @@ are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
   the input rows that ask for it.
 * A **derived scan** (``back_trace(Y, J)``, ``!change(Y, J)``) is one tight
   probe loop over the derived overlay's partitions. A head predicate that
-  also has stored rows (Query 2's ``superstep(X, I) :- superstep(X, I)``)
-  reads both: per input row, the stored matches, then the derived ones.
+  also has stored rows (a query that derives into ``superstep``) reads
+  both: per input row, the stored matches, then the derived ones.
 * **Locality** (``db.locality``, the online view): an input row whose
   location is not its site reads only what that vertex shipped to the site
   — ``db.visible`` / ``db.visible_hits``, its partition up to the watermark
@@ -37,6 +37,9 @@ are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
 * **Late materialization**: only the columns bound by variables a later
   step or the head reads are gathered; over a slab everything else stays
   an undecoded mmap'd segment.
+* A **copy program** (:class:`CopyProgram`) replaces the whole plan of a
+  rule that only projects one relation at the location and anchor —
+  Query 2's capture rules: its head rows are the batch's rows, per site.
 
 **Identity.** A program computes, for every site, exactly the solutions the
 generated row function (:mod:`repro.pql.codegen`) computes there: selection
@@ -63,7 +66,7 @@ from __future__ import annotations
 
 import operator
 import time
-from itertools import compress, count
+from itertools import compress, count, repeat
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
@@ -763,13 +766,176 @@ class LayerProgram:
         return rows
 
 
+class CopyProgram:
+    """A *projection at the anchor*: one scan of a relation R at the
+    location and (when R has a superstep attribute) the anchor superstep,
+    distinct variables, no constant, filter or negation, optionally joined
+    with ``superstep(X, I)`` at the anchor ``I``; the head is a tuple of
+    those variables. Query 2's five rules and Query 11's ``prov_value`` /
+    ``prov_send`` have this shape.
+
+    Such a rule appends R's rows to its head: per site in site order, R's
+    rows in batch order, one head tuple per row — or one per site when the
+    head reads no column of R but the location. There is no ``_State``, no
+    gather of an already-ordered batch and no rescan of the head's derived
+    history, which an exact self-copy (:attr:`CompiledRule.is_self_copy`)
+    could only re-derive. ``superstep(X, I)`` is one membership test per
+    site. When R is another rule's head its derived rows join too, so the
+    rule runs as the :class:`LayerProgram` it would otherwise be. The new
+    head rows reach the insert in the order that program derives them."""
+
+    def __init__(self, crule: CompiledRule, plan: RulePlan, scan: ScanStep,
+                 stepped: bool, head: Tuple[Optional[int], ...]) -> None:
+        self.relation, self.arity = scan.relation, len(scan.arg_ops)
+        # R's superstep attribute holds the anchor: read that layer only
+        self.anchored = scan.time_arg is not None
+        self.stepped = stepped  # the body joins superstep(X, I)
+        # per head position: R's column, 0 the site, None the anchor
+        self.head = head
+        self.columns = any(head)  # reads a column of R besides X
+        self.exact = crule.is_self_copy
+        self.general = LayerProgram(crule, plan)
+
+    def run(self, sites: Sequence[Any], anchor_time: Optional[int],
+            ctx: "VectorContext") -> List[Row]:
+        db = ctx.db
+        if not self.exact and self.relation in db.head_predicates:
+            return self.general.run(sites, anchor_time, ctx)
+        started = time.perf_counter()
+        sites = list(dict.fromkeys(sites))
+        if self.stepped:
+            sites = _stepped(sites, anchor_time, ctx)
+        rows: List[Row] = []
+        # one batch: the anchor layer, the static slab, or the frame
+        for batch in db.store.column_batches(
+                self.relation, [anchor_time] if self.anchored else None):
+            if batch.arity == self.arity:
+                rows += self._copy(batch, sites, anchor_time)
+        ctx.batched_scans += 1
+        ctx.batch_rows += len(rows)
+        ctx.tick(len(rows))
+        ctx.time_kernel("copy", started)
+        return rows
+
+    def _copy(self, batch: Any, sites: List[Any],
+              anchor: Optional[int]) -> List[Row]:
+        """One batch's head rows, site-major."""
+        get = batch.groups().get
+        spans = []
+        for i, site in enumerate(sites):
+            span = get(site)
+            if span is not None and span[1]:
+                spans.append((i, span[0], span[1]))
+        if not self.columns:
+            loc = [sites[i] for i, _start, _n in spans]
+            return list(zip(*[loc if pos == 0 else repeat(anchor)
+                              for pos in self.head]))
+        loc = []
+        for i, _start, n in spans:
+            loc += [sites[i]] * n
+        ids = None if _one_sweep(spans, batch.count) else [
+            r for _i, start, n in spans for r in range(start, start + n)]
+        cols: List[Any] = []
+        for pos in self.head:
+            if pos is None:
+                cols.append(repeat(anchor))
+            elif pos == 0:
+                cols.append(loc)
+            else:
+                col = _as_list(batch.values(pos))
+                cols.append(col if ids is None
+                            else list(map(col.__getitem__, ids)))
+        return list(zip(*cols))
+
+
+def _one_sweep(spans: List[Tuple[int, int, int]], count: int) -> bool:
+    """Do ``spans`` cover a batch of ``count`` rows in row order?"""
+    expected = 0
+    for _i, start, n in spans:
+        if start != expected:
+            return False
+        expected += n
+    return expected == count
+
+
+def _stepped(sites: List[Any], anchor: Optional[int],
+             ctx: "VectorContext") -> List[Any]:
+    """The sites with ``superstep(X, I)`` at the anchor: a stored row
+    (membership in the layer's group table) or, when ``superstep`` is a
+    head, a derived one."""
+    db = ctx.db
+    present: Set[Any] = set()
+    for batch in db.store.column_batches("superstep", [anchor]):
+        if batch.arity == 2:
+            present.update(batch.groups())
+    if "superstep" in db.head_predicates:
+        parts = db.derived.partitions("superstep")
+        for site in sites:
+            part = parts.get(site)
+            if part is not None and (site, anchor) in part.rows:
+                present.add(site)
+    ctx.batched_scans += 1
+    return [site for site in sites if site in present]
+
+
+def _copy_program(crule: CompiledRule, plan: RulePlan,
+                  ) -> Optional[CopyProgram]:
+    """``crule``'s copy program under ``plan`` if the rule is a projection
+    at the anchor (:class:`CopyProgram`) — decided by its shape only."""
+    steps, loc = plan.steps, crule.loc_var
+    anchor = crule.time_var if crule.time_var in plan.prebound else None
+    if crule.is_aggregate or len(steps) > 2 or not all(
+            isinstance(s, ScanStep) and not s.negated and not s.post_filters
+            for s in steps):
+        return None
+    scan = steps[0]
+    if len(steps) == 2:  # R and superstep(X, I), in either order
+        stamp = ((CHECK_VAR, loc), (CHECK_VAR, anchor))
+        stamps = [s.relation == "superstep" and s.arg_ops == stamp
+                  for s in steps]
+        if anchor is None or not any(stamps):
+            return None
+        scan = steps[0] if stamps[1] else steps[1]
+    schema = CORE_SCHEMAS.get(scan.relation)
+    if schema is not None and schema.kind == STATIC:
+        return None  # answered from the graph (static-relation)
+    if scan.arg_ops[0] != (CHECK_VAR, loc):
+        return None
+    time_arg = scan.time_arg
+    if time_arg is not None and (
+            anchor is None or scan.arg_ops[time_arg] != (CHECK_VAR, anchor)):
+        return None  # R read in every layer, not at the anchor
+    binds: Dict[str, int] = {}
+    for pos, (op, payload) in enumerate(scan.arg_ops[1:], 1):
+        if op == BIND:
+            binds[payload] = pos
+        elif pos != time_arg:
+            return None  # a constant, a repeated variable
+    head: List[Optional[int]] = []
+    for arg in crule.head_args:
+        if not isinstance(arg, Var):
+            return None
+        if arg.name == loc:
+            head.append(0)
+        elif arg.name in binds:
+            head.append(binds[arg.name])
+        elif arg.name == anchor:
+            head.append(None)
+        else:
+            return None
+    return CopyProgram(crule, plan, scan, len(steps) == 2, tuple(head))
+
+
 def layer_program(crule: CompiledRule, mode: str) -> Any:
-    """The layer program for ``crule`` under ``mode``, or the reason (a
-    str) its plan has none; memoized on the rule beside the row function."""
+    """The program for ``crule`` under ``mode`` — a :class:`CopyProgram`
+    when the rule is a projection at the anchor, else a
+    :class:`LayerProgram` — or the reason (a str) its plan has none;
+    memoized on the rule beside the row function."""
     program = crule.layer_programs.get(mode)
     if program is None:
+        plan = _select_plan(crule, mode)
         try:
-            program = LayerProgram(crule, _select_plan(crule, mode))
+            program = _copy_program(crule, plan) or LayerProgram(crule, plan)
         except _Unvectorizable as exc:
             program = exc.reason
         crule.layer_programs[mode] = program

@@ -87,9 +87,9 @@ def _corrupt(path: str, detail: str) -> ProvenanceError:
 
 def _pick_lane(values: Sequence[Any]) -> str:
     """The narrowest lane that reproduces every value's exact type."""
-    kinds = {type(v) for v in values}
+    kinds = set(map(type, values))
     if kinds == {int}:
-        if all(_I64_MIN <= v <= _I64_MAX for v in values):
+        if _I64_MIN <= min(values) and max(values) <= _I64_MAX:
             return LANE_I64
         return LANE_PKL
     if kinds == {float}:

@@ -147,12 +147,19 @@ class SchemaRegistry:
         return self._schemas.keys()
 
 
+#: Exact types ``freeze`` returns as they are, tested before anything else
+#: (payloads and values are mostly plain numbers).
+_ATOMS = frozenset((str, bytes, int, float, bool, type(None)))
+
+
 def freeze(value: Any) -> Any:
     """Convert a runtime value into a hashable, set-storable form.
 
     Message payloads and vertex values can be lists, dicts or numpy arrays;
     provenance relations use set semantics, so facts must be hashable.
     """
+    if type(value) in _ATOMS:
+        return value
     if isinstance(value, (str, bytes, int, float, bool)) or value is None:
         return value
     if isinstance(value, tuple):

@@ -33,12 +33,15 @@ envelopes its sends became).
 
 When a ``capture`` store is supplied, every derived head tuple is also
 persisted — capture *is* online evaluation of the capture query (Figure 1a).
+A persisted head no other rule reads is held by the store alone, and the
+result answers it from there.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import replace
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analytics.base import Analytic
@@ -63,7 +66,7 @@ from repro.provenance.spill import SpillManager
 from repro.provenance.store import ProvenanceStore
 from repro.runtime.db import OnlineDatabase, receive_count, receive_rows
 from repro.runtime.envelope import Envelope
-from repro.runtime.results import OnlineRunResult, QueryResult
+from repro.runtime.results import CapturedRelations, OnlineRunResult, QueryResult
 
 logger = get_logger("runtime.online")
 
@@ -182,6 +185,11 @@ class _PersistingOnlineDatabase(OnlineDatabase):
     size accounting amortize per batch instead of per row). Buffering is
     safe because the capture store is write-only while the run is live:
     online evaluation reads the derived/local partitions, never the store.
+
+    A persisted head in ``store_only`` — no rule reads it but its own exact
+    copy, it is not shipped, and its rows cannot repeat across flushes —
+    is held once: its rows go to the buffer only, deduplicated there, and
+    never into ``derived``.
     """
 
     def __init__(self, *args: Any, capture: Optional[ProvenanceStore],
@@ -189,9 +197,17 @@ class _PersistingOnlineDatabase(OnlineDatabase):
         super().__init__(*args, **kwargs)
         self.capture = capture
         self.persist = persist if capture is not None else set()
-        self._pending: Dict[str, List[Tuple[Any, ...]]] = {}
+        self.store_only: Set[str] = set()
+        self._pending: Dict[str, Any] = {}
 
     def add_rows(self, relation: str, rows: Any) -> int:
+        if relation in self.store_only:
+            held = self._pending.get(relation)
+            if held is None:
+                held = self._pending[relation] = {}
+            before = len(held)
+            held.update(zip(rows, repeat(None)))
+            return len(held) - before
         if relation not in self.persist:
             return self._insert(relation, rows, None)
         return self._insert(relation, rows,
@@ -200,8 +216,10 @@ class _PersistingOnlineDatabase(OnlineDatabase):
     def disable_persistence(self) -> None:
         """Stop persisting and drop the buffer (forked parallel workers:
         their store copy dies with the process; the master re-derives the
-        shard's head tuples from ``parallel_state``)."""
+        shard's head tuples from ``parallel_state``, so a worker holds
+        every head in ``derived``)."""
         self.persist = set()
+        self.store_only = set()
         self._pending.clear()
 
     def flush_captured(self) -> None:
@@ -280,6 +298,8 @@ class OnlineQueryProgram(VertexProgram):
             persist=set(compiled.head_predicates),
         )
         self.db.vector_ctx = VectorContext()
+        if store is not None:
+            self.db.store_only = _store_only_heads(compiled)
         # Incremental layer sealing: with a spill manager attached, each
         # superstep's completed layer is handed to the writer at the
         # barrier (master_halt) instead of being re-materialized by
@@ -459,14 +479,15 @@ class OnlineQueryProgram(VertexProgram):
         self._sites.append(x)
         if not sends:
             return
+        if self._need_send or self._need_stream_send:
+            targets = [target for target, _payload in sends]
+            payloads = _frozen_payloads(sends)
         if self._need_send:
             frames["send_message"][x] = _distinct(
-                [(x, target, freeze(payload), s) for target, payload in sends]
-            )
+                list(zip(repeat(x), targets, payloads, repeat(s))))
         if self._need_stream_send:
             frames["send"][x] = _distinct(
-                [(x, target, freeze(payload)) for target, payload in sends]
-            )
+                list(zip(repeat(x), targets, payloads)))
         if self.db.shipped:
             self._sends.append((x, sends, recorder.crossing))
 
@@ -624,6 +645,43 @@ def _distinct(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
     return rows if len(rows) < 2 else list(dict.fromkeys(rows))
 
 
+_UNSET = object()
+
+
+def _frozen_payloads(sends: List[Tuple[Any, Any]]) -> List[Any]:
+    """Each send's payload, frozen; a run of sends of one payload object —
+    a broadcast records one per out-edge — is frozen once."""
+    out: List[Any] = []
+    last = frozen = _UNSET
+    for _target, payload in sends:
+        if payload is not last:
+            last, frozen = payload, freeze(payload)
+        out.append(frozen)
+    return out
+
+
+def _store_only_heads(compiled: CompiledQuery) -> Set[str]:
+    """The captured heads a capture holds in its store only: no rule reads
+    one but its own exact copy, none is shipped or aggregated, and its
+    rows cannot repeat across supersteps — every rule deriving it writes
+    the anchor superstep at one head position, or it is derived once, in
+    setup — so deduplicating one flush's rows deduplicates them all."""
+    read = {rel for c in compiled.rules if not c.is_self_copy
+            for rel in c.body_relations}
+    rules: Dict[str, List[Any]] = {}
+    for crule in compiled.rules:
+        rules.setdefault(crule.head_predicate, []).append(crule)
+    heads = set()
+    for head, defs in rules.items():
+        stamps = {c.head_time_index for c in defs}
+        if (head not in read and head not in compiled.remote_relations
+                and not any(c.is_aggregate for c in defs)
+                and (all(c.is_static for c in defs)
+                     or len(stamps) == 1 and None not in stamps)):
+            heads.add(head)
+    return heads
+
+
 def _as_program(
     inner: Union[Analytic, VertexProgram]
 ) -> Tuple[VertexProgram, Callable[[Any], Any]]:
@@ -691,8 +749,11 @@ def run_online(
         wrapper.query_seconds,
     )
 
+    derived: Any = wrapper.db.derived
+    if wrapper.db.store_only:
+        derived = CapturedRelations(derived, store, wrapper.db.store_only)
     query_result = QueryResult(
-        derived=wrapper.db.derived,
+        derived=derived,
         mode="capture" if capture else "online",
         wall_seconds=run.metrics.wall_seconds,
         supersteps=run.num_supersteps,

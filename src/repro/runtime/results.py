@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 from repro.engine.engine import RunResult
 from repro.pql.eval import Row, TupleStore
@@ -12,11 +12,41 @@ from repro.provenance.spill import SpillManager
 from repro.provenance.store import ProvenanceStore
 
 
+class CapturedRelations:
+    """A capture's derived relations: the run's tuple store, except the
+    heads it held only in the capture store (each captured row is held
+    once, DESIGN.md §9), which are answered from there — same rows, same
+    counts. Reads like a :class:`TupleStore`."""
+
+    def __init__(self, derived: TupleStore, store: ProvenanceStore,
+                 store_only: Set[str]) -> None:
+        self.derived, self.store, self.store_only = derived, store, store_only
+
+    def relations(self) -> List[str]:
+        return self.derived.relations() + [
+            rel for rel in sorted(self.store_only) if self.store.has_relation(rel)]
+
+    def all_rows(self, relation: str) -> Iterable[Row]:
+        if relation in self.store_only:
+            return self.store.rows(relation)
+        return self.derived.all_rows(relation)
+
+    def num_rows(self, relation: str) -> int:
+        if relation in self.store_only:
+            return self.store.counts().get(relation, 0)
+        return self.derived.num_rows(relation)
+
+    def rows(self, relation: str, vertex: Any) -> Iterable[Row]:
+        if relation in self.store_only:
+            return self.store.partition(relation, vertex)
+        return self.derived.rows(relation, vertex)
+
+
 @dataclass
 class QueryResult:
     """Derived relations of one query evaluation, plus run statistics."""
 
-    derived: TupleStore
+    derived: Union[TupleStore, CapturedRelations]
     mode: str  # 'online' | 'layered' | 'naive' | 'reference'
     wall_seconds: float = 0.0
     supersteps: int = 0

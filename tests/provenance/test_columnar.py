@@ -70,8 +70,30 @@ class TestLaneSelection:
         ([None, None], LANE_PKL),
         ([(1, 2), (3, 4)], LANE_PKL),
         ([1, "a"], LANE_PKL),
+        ([-(2 ** 63) - 1], LANE_PKL),     # past the lower bound
+        ([0, 2 ** 63, -1], LANE_PKL),     # one value past the upper bound
+        ([-(2 ** 63), 0, 2 ** 63 - 1], LANE_I64),
+        ([False, 0, 1], LANE_PKL),        # bool among ints
+        ([0, 1, True], LANE_PKL),
+        ([0.0, -0.0, float("nan")], LANE_F64),
+        (["", "x", "\udcff"], LANE_STR),
+        (["a", 1.0], LANE_PKL),
     ])
     def test_pick_lane(self, values, lane):
+        assert _pick_lane(values) == lane
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(min_value=-(2 ** 64), max_value=2 ** 64), st.booleans(),
+        st.floats(), st.text(max_size=3), st.none()), min_size=1))
+    def test_pick_lane_matches_its_per_value_definition(self, values):
+        kinds = {type(v) for v in values}
+        if kinds == {int}:
+            lane = (LANE_I64 if all(-(2 ** 63) <= v < 2 ** 63 for v in values)
+                    else LANE_PKL)
+        else:
+            lane = {frozenset([float]): LANE_F64,
+                    frozenset([str]): LANE_STR}.get(frozenset(kinds), LANE_PKL)
         assert _pick_lane(values) == lane
 
 

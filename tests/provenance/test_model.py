@@ -107,6 +107,17 @@ class TestFreeze:
         for v in (1, 2.5, "s", b"b", True, None):
             assert freeze(v) == v
 
+    def test_scalars_keep_their_identity_and_type(self):
+        class Label(str):
+            pass
+
+        class Rank(int):
+            pass
+
+        for v in (10 ** 30, 2.5, "text", b"b", False, None, Label("x"),
+                  Rank(3)):
+            assert freeze(v) is v
+
     def test_list_and_set_become_tuples(self):
         assert freeze([1, 2]) == (1, 2)
         assert freeze({1}) == (1,)

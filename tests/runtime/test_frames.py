@@ -108,6 +108,37 @@ class TestFramedRelations:
         assert result.query.stats["pruned_rows"] == 2
         assert result.query.stats["transient_rows"] == 0
 
+    def test_send_rows_freeze_each_payload_as_sent(self):
+        """A broadcast's payload is frozen once for all its out-edges, and
+        interleaved sends of other objects — equal ones of another type
+        too — each keep their own frozen payload."""
+        shared = [1, 2]
+
+        class Sender(VertexProgram):
+            name = "sender"
+
+            def initial_value(self, vertex_id, graph):
+                return 0
+
+            def compute(self, ctx, messages):
+                if ctx.superstep == 0 and ctx.vertex_id == 0:
+                    ctx.send_to_all(shared)
+                    ctx.send(1, 1)
+                    ctx.send(2, 1.0)
+                    ctx.send(1, shared)
+                ctx.vote_to_halt()
+
+        result = run_online(
+            from_edge_list([(0, 1), (0, 2)]), Sender(),
+            "got(X, Y, M, I) :- send(X, Y, M), superstep(X, I)."
+            "sent(X, Y, M, I) :- send_message(X, Y, M, I).",
+        )
+        expected = [(0, 1, (1, 2), 0), (0, 2, (1, 2), 0), (0, 1, 1, 0),
+                    (0, 2, 1.0, 0)]
+        for relation in ("got", "sent"):
+            assert sorted(map(repr, result.query.rows(relation))) == sorted(
+                map(repr, expected))
+
     def test_stream_queries_answer_as_before(self, wgraph):
         """vertex_value / send / receive (frame-only since they lost their
         own store) derive what the auto-captured relations derive."""

@@ -1,0 +1,129 @@
+"""One copy per captured row: a persisted head that no other rule reads is
+held by the capture store alone — not also in the run's derived tuple
+store — and the capture's result answers it from the store, with the rows,
+counts and digest it had when it was held twice."""
+
+import json
+import os
+
+import pytest
+
+from repro.analytics.pagerank import PageRank
+from repro.core import queries as Q
+from repro.core.ariadne import Ariadne
+from repro.engine.config import EngineConfig
+from repro.graph.generators import web_graph
+from repro.obs.ledger import digest_query_result
+from repro.pql.analysis import compile_query
+from repro.pql.eval import TupleStore
+from repro.pql.parser import parse
+from repro.runtime.online import _store_only_heads
+from repro.runtime.results import CapturedRelations
+
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pql",
+                      "golden_query_digests.json")
+
+QUERIES = {"query2": Q.CAPTURE_FULL_QUERY,
+           "query11": Q.CAPTURE_BACKWARD_CUSTOM_QUERY}
+
+STORE_ONLY = {
+    "query2": {"value", "send_message", "receive_message", "evolution"},
+    "query11": {"prov_value", "prov_send", "prov_edges"},
+}
+
+#: Counters of these captures before heads were held once (the same at
+#: one and two workers).
+PINS = {
+    "query2": {
+        "counts": {"evolution": 300, "receive_message": 1200,
+                   "send_message": 1200, "superstep": 360, "value": 360},
+        "derivations": 3420, "pruned_rows": 3420, "shipped_tuples": 0,
+        "transient_rows": 0,
+    },
+    "query11": {
+        "counts": {"prov_edges": 240, "prov_send": 295, "prov_value": 360},
+        "derivations": 895, "pruned_rows": 1920, "shipped_tuples": 0,
+        "transient_rows": 0,
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return web_graph(60, avg_degree=4, target_diameter=5, seed=12)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("backend", ["serial", "parallel"])
+@pytest.mark.parametrize("query", sorted(QUERIES))
+def test_capture_answers_store_only_heads_from_the_store(graph, golden, query,
+                                                        backend):
+    config = EngineConfig(backend=backend,
+                          num_workers=2 if backend == "parallel" else 1)
+    result = Ariadne(graph, PageRank(num_supersteps=6), config).capture(
+        QUERIES[query])
+    answer = result.query
+    # the digest the query's online run was pinned to, held once or not
+    assert (digest_query_result(answer)
+            == golden[f"{query}/online/index=False/{backend}"])
+    pin = PINS[query]
+    assert {rel: answer.count(rel) for rel in answer.relations()} == (
+        pin["counts"])
+    assert answer.derivations == pin["derivations"]
+    for key in ("transient_rows", "pruned_rows", "shipped_tuples"):
+        assert answer.stats[key] == pin[key], key
+
+    held = answer.derived
+    assert isinstance(held, CapturedRelations)
+    assert held.store_only == STORE_ONLY[query]
+    assert not held.store_only & set(held.derived.relations())
+    # an online run of the same query holds every head in its tuple store
+    online = Ariadne(graph, PageRank(num_supersteps=6), config).query_online(
+        QUERIES[query])
+    assert isinstance(online.query.derived, TupleStore)
+    assert answer.as_dict() == online.query.as_dict()
+    for rel in STORE_ONLY[query]:
+        vertices = answer.vertices(rel)
+        assert vertices == online.query.vertices(rel)
+        vertex = min(vertices)
+        assert answer.rows_at(rel, vertex) == online.query.rows_at(rel, vertex)
+
+
+@pytest.mark.parametrize("text,expected", [
+    (Q.CAPTURE_FULL_QUERY, STORE_ONLY["query2"]),  # superstep is read
+    (Q.CAPTURE_BACKWARD_CUSTOM_QUERY, STORE_ONLY["query11"]),
+    # shipped and recursive
+    (Q.CAPTURE_FWD_LINEAGE_QUERY.replace("$source", "0"), set()),
+    # aggregated
+    ("n(X, I, count(Y)) :- receive_message(X, Y, M, I).", set()),
+    # no superstep in the head: a row can recur at a later superstep
+    ("seen(X) :- superstep(X, I).", set()),
+    # a static head another rule reads
+    (Q.PAGERANK_CHECK_QUERY, {"check_failed"}),
+])
+def test_store_only_heads(text, expected):
+    assert _store_only_heads(compile_query(parse(text))) == expected
+
+
+def test_store_only_rows_count_once(graph):
+    """Two rules derive the same rows of a store-only head: the second
+    derivation is no new row, as it was when ``derived`` deduplicated."""
+    text = "h(X, I) :- superstep(X, I). h(X, I) :- value(X, D, I)."
+    captured = Ariadne(graph, PageRank(num_supersteps=3)).capture(text)
+    online = Ariadne(graph, PageRank(num_supersteps=3)).query_online(text)
+    assert captured.query.derived.store_only == {"h"}
+    assert captured.query.derivations == online.query.derivations
+    assert captured.query.derivations == captured.store.num_rows > 0
+
+
+def test_online_runs_hold_every_head(graph):
+    result = Ariadne(graph, PageRank(num_supersteps=3)).query_online(
+        Q.CAPTURE_FULL_QUERY)
+    assert isinstance(result.query.derived, TupleStore)
+    assert set(result.query.derived.relations()) == {
+        "value", "send_message", "receive_message", "superstep", "evolution"}
