@@ -22,13 +22,13 @@ class EngineConfig:
             machines; messages that cross a worker boundary are counted as
             network traffic in the metrics).
         max_supersteps: hard stop even if the analytic has not converged.
-        track_message_bytes: estimate serialized message sizes per superstep.
-            Costs time, so benchmarks that only need wall-clock leave it off.
-        use_combiner: honor the vertex program's message combiner. Provenance
-            capture disables combining because it needs per-sender messages.
-        deterministic_delivery: sort each vertex's inbox by sender order
-            before compute. All library analytics are order-insensitive, but
-            tests that compare evaluation modes keep this on.
+        use_combiner: honor the vertex program's message combiner. Online
+            evaluation turns it off: ``receive_message`` holds one row per
+            sender's message, which a fold would merge away. Delivery order
+            is fixed either way — a vertex receives its messages in send
+            order (senders in canonical compute order, each sender's sends
+            in the order it made them), at any worker count and on either
+            backend.
         backend: which execution backend :func:`repro.parallel.make_engine`
             builds — ``"serial"`` (the in-process simulation) or
             ``"parallel"`` (the shared-nothing multiprocess backend of
@@ -52,9 +52,7 @@ class EngineConfig:
 
     num_workers: int = 4
     max_supersteps: int = 500
-    track_message_bytes: bool = False
     use_combiner: bool = True
-    deterministic_delivery: bool = False
     backend: str = "serial"
     partitioner: str = "hash"
     ledger_dir: Optional[str] = None

@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 from repro.engine.aggregators import AggregatorRegistry
 from repro.engine.config import EngineConfig
 from repro.engine.metrics import RunMetrics, SuperstepMetrics
-from repro.engine.ordering import delivery_key
 from repro.engine.vertex import VertexContext, VertexProgram
 from repro.errors import EngineError, GraphError, VertexProgramError
 from repro.graph.digraph import DiGraph
@@ -49,7 +48,6 @@ from repro.obs.trace import (
     PHASE_SUPERSTEP,
     get_tracer,
 )
-from repro.sizemodel import estimate_bytes
 
 logger = get_logger("engine")
 
@@ -109,7 +107,6 @@ class PregelEngine:
         self._combiner = None
         self._current_step = SuperstepMetrics(0)
         self._current_worker = 0
-        self._track_bytes = self.config.track_message_bytes
         self._adjacency = graph.out_edges_map()
 
     # ------------------------------------------------------------------
@@ -150,8 +147,6 @@ class PregelEngine:
         # cross-worker check is one integer comparison.
         if worker != self._current_worker:
             step.cross_worker_messages += 1
-        if self._track_bytes:
-            step.message_bytes += estimate_bytes(message)
         outbox = self._outboxes[worker]
         box = outbox.get(target)
         if box is None:
@@ -215,16 +210,13 @@ class PregelEngine:
         self._adjacency = graph.out_edges_map()
         self.aggregators = AggregatorRegistry(program.aggregators())
         self._combiner = program.combiner() if config.use_combiner else None
-        self._track_bytes = config.track_message_bytes
 
         ctx = VertexContext(self)
         metrics = RunMetrics()
-        metrics.track_message_bytes = self._track_bytes
         halt_reason = "max_supersteps"
         run_start = time.perf_counter()
 
         order_of = graph.vertex_order()
-        deterministic = config.deterministic_delivery
         bind = ctx._bind
         compute = program.compute
         post_superstep = program.post_superstep
@@ -260,8 +252,6 @@ class PregelEngine:
                 messages = inboxes[worker].get(vertex_id)
                 step.active_vertices += 1
                 self._current_worker = worker
-                if messages is not None and deterministic:
-                    messages.sort(key=delivery_key)
                 bind(vertex_id, superstep, values[vertex_id])
                 try:
                     compute(ctx, messages if messages is not None else NO_MESSAGES)

@@ -37,7 +37,6 @@ class SuperstepMetrics:
     # it never adds or drops one.
     messages_precombined: int = 0
     cross_worker_messages: int = 0
-    message_bytes: int = 0
     # Bytes of encoded message frames (struct-packed columns, or a pickle
     # for mixed payloads) that actually crossed a process boundary.
     # Always 0 on the serial backend (nothing is serialized); the
@@ -56,17 +55,10 @@ class RunMetrics:
 
     supersteps: List[SuperstepMetrics] = field(default_factory=list)
     wall_seconds: float = 0.0
-    # Whether the run actually estimated message sizes
-    # (EngineConfig.track_message_bytes). When False, the per-superstep
-    # byte counters read 0 because nothing was measured — not because
-    # nothing was sent — and summary() reports None instead of that
-    # misleading zero.
-    track_message_bytes: bool = True
     # Whether network_bytes was *measured* (multiprocess backend) rather
     # than structurally zero because nothing ever crossed a process
-    # boundary (serial backend). Mirrors the track_message_bytes
-    # convention: summary() reports None instead of a misleading 0 when
-    # no measurement happened.
+    # boundary (serial backend): summary() reports None instead of a
+    # misleading 0 when no measurement happened.
     measured_network_bytes: bool = False
 
     @property
@@ -81,10 +73,6 @@ class RunMetrics:
     def total_active_vertices(self) -> int:
         """Total vertex executions (the 'work' of the run)."""
         return sum(s.active_vertices for s in self.supersteps)
-
-    @property
-    def total_message_bytes(self) -> int:
-        return sum(s.message_bytes for s in self.supersteps)
 
     @property
     def total_cross_worker_messages(self) -> int:
@@ -140,9 +128,6 @@ class RunMetrics:
             "wall_seconds": self.wall_seconds,
             "vertex_executions": self.total_active_vertices,
             "messages": self.total_messages,
-            "message_bytes": (
-                self.total_message_bytes if self.track_message_bytes else None
-            ),
             "messages_combined": self.total_messages_combined,
             "messages_precombined": self.total_messages_precombined,
             "combine_ratio": self.combine_ratio,
@@ -198,11 +183,6 @@ class RunMetrics:
             "repro_engine_skipped_vertices_total",
             "vertices the frontier scheduler never executed",
         ).inc(self.total_skipped_vertices)
-        if self.track_message_bytes:
-            registry.counter(
-                "repro_engine_message_bytes_total",
-                "estimated serialized message bytes",
-            ).inc(self.total_message_bytes)
         histogram = registry.histogram(
             "repro_engine_superstep_seconds",
             "compute wall time per superstep",

@@ -259,7 +259,6 @@ class ParallelEngine:
         }
 
         metrics = RunMetrics()
-        metrics.track_message_bytes = self.config.track_message_bytes
         metrics.measured_network_bytes = True
         halt_reason = "max_supersteps"
         wait_histogram = get_registry().histogram(
@@ -293,7 +292,6 @@ class ParallelEngine:
                     step.messages_combined += report.messages_combined
                     step.messages_precombined += report.messages_precombined
                     step.cross_worker_messages += report.cross_worker_messages
-                    step.message_bytes += report.message_bytes
                     step.network_bytes += report.network_bytes
                     wait_seconds += report.wait_seconds
                     wait_histogram.observe(report.wait_seconds)

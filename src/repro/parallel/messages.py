@@ -105,7 +105,6 @@ class BarrierReport:
     messages_combined: int = 0     # receiver-side folds for this superstep
     messages_precombined: int = 0  # sender-side folds (associative combiners)
     cross_worker_messages: int = 0
-    message_bytes: int = 0       # estimated payload bytes (if tracked)
     network_bytes: int = 0       # measured framed bytes shipped
     wait_seconds: float = 0.0    # time blocked on the transport
     aggregations: List[Tuple[int, int, str, Any]] = field(default_factory=list)

@@ -36,7 +36,6 @@ import weakref
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.engine.engine import NO_MESSAGES
-from repro.engine.ordering import delivery_key
 from repro.engine.vertex import VertexContext
 from repro.errors import EngineError, GraphError, VertexProgramError
 from repro.obs.sinks import InMemorySink
@@ -60,7 +59,6 @@ from repro.parallel.messages import (
     TaggedMessage,
 )
 from repro.parallel.transport import QueueTransport
-from repro.sizemodel import estimate_bytes
 
 
 def _precombine(
@@ -156,8 +154,6 @@ class ShardRuntime:
         self._num_workers = config.num_workers
         self.aggregators = WorkerAggregators(set(program.aggregators()))
         self._combiner = program.combiner() if config.use_combiner else None
-        self._track_bytes = config.track_message_bytes
-        self._deterministic = config.deterministic_delivery
         self._adjacency = graph.out_edges_map()
         self._edge_overlay: Dict[Any, Dict[Any, Any]] = {}
         # Per-destination-worker outboxes of tagged messages; each stays
@@ -209,8 +205,6 @@ class ShardRuntime:
         report.messages_sent += 1
         if worker != self.worker_id:
             report.cross_worker_messages += 1
-        if self._track_bytes:
-            report.message_bytes += estimate_bytes(message)
         self._outboxes[worker].append(
             (self._sender_pos, self._seq, target, message)
         )
@@ -299,7 +293,6 @@ class ShardRuntime:
         active = self._active
         values = self._values
         order_of = self._order_of
-        deterministic = self._deterministic
         ctx = self._ctx
         bind = ctx._bind
         compute = self.program.compute
@@ -320,8 +313,6 @@ class ShardRuntime:
             pos = order_of[vertex_id]
             self._sender_pos = pos
             aggregators._pos = pos
-            if messages is not None and deterministic:
-                messages.sort(key=delivery_key)
             bind(vertex_id, superstep, values[vertex_id])
             try:
                 compute(ctx, messages if messages is not None else NO_MESSAGES)

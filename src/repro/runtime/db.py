@@ -15,6 +15,7 @@ define what "the partition of relation R at vertex v" means per mode:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import count, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -25,6 +26,8 @@ from repro.provenance.store import ListBatch, ProvenanceStore
 
 
 _STATIC = frozenset(("edge", "vertex"))
+#: The relations an :class:`Inbox` serves, with their arities.
+_RECEIVE = {"receive_message": 4, "receive": 3}
 #: A sender that never messaged anyone (read-only).
 _NO_MARKS: Dict[Any, Tuple[int, ...]] = {}
 
@@ -106,47 +109,77 @@ class StoreDatabase(Database):
             yield from self.derived.all_rows(relation)
 
 
-def receive_rows(vertex: Any, messages: Sequence[Any],
-                 superstep: int) -> List[Row]:
-    """``vertex``'s ``receive_message`` rows at ``superstep``: one per
-    distinct (sender, payload) of the envelopes it received, first
-    occurrences in arrival order."""
-    rows = [(vertex, env.sender, freeze(env.payload), superstep)
-            for env in messages]
+_UNSET = object()
+
+
+def frozen_payloads(payloads: Sequence[Any]) -> List[Any]:
+    """``payloads``, frozen; a run of one payload object — a broadcast
+    sends one per out-edge — is frozen once."""
+    out: List[Any] = []
+    last = frozen = _UNSET
+    for payload in payloads:
+        if payload is not last:
+            last, frozen = payload, freeze(payload)
+        out.append(frozen)
+    return out
+
+
+def distinct(rows: List[Row]) -> List[Row]:
+    """``rows`` without repeats, first occurrences in order."""
     return rows if len(rows) < 2 else list(dict.fromkeys(rows))
 
 
-def receive_count(messages: Sequence[Any]) -> int:
-    """``len(receive_rows(...))`` without building the rows."""
-    if len({env.sender for env in messages}) == len(messages):
-        return len(messages)
-    return len({(env.sender, freeze(env.payload)) for env in messages})
+class Inbox:
+    """What the executed vertices of superstep *s* received, read from the
+    send log of *s − 1*: ``receive_message(X, Y, M, s)`` is
+    ``send_message(Y, X, M, s − 1)``, so the sender and payload of every
+    message are already in the process and the engine delivers bare
+    payloads.
 
+    ``log`` holds ``(sender, targets, payloads, ...)`` in the compute order
+    of *s − 1*, a sender's sends in send order; ``frozen`` maps a sender to
+    its payloads already frozen for a ``send`` frame; ``received`` maps a
+    receiver to the ``(sender, payload)`` of the envelopes that crossed
+    from another process at *s*, which follow its local messages. The
+    messages are grouped by receiver in the order of ``sites`` (a log
+    target that did not execute here is another process's), each
+    receiver's in send order — the order the engine delivered them in.
 
-class _InboxBatch:
-    """``receive_message`` of one superstep as a batch straight over the
-    envelopes the executed vertices received, in compute order — the
-    superstep's inbox *is* the relation. A column is built when a program
-    first reads it, so a query that never binds the payload never freezes
-    one. A repeated message is a repeated row, which changes no solution:
-    a program's head insert keeps the first of equal rows."""
+    The columns are receiver, sender, payload and, for
+    ``receive_message``, the superstep (:class:`InboxBatch` serves them as
+    a column batch). The payload column is built — and frozen — when
+    first read, so a query that never binds a payload freezes none. A
+    repeated message is a repeated batch row, which changes no solution (a
+    program's head insert keeps the first of equal rows); :meth:`rows`
+    keeps the first occurrence of each."""
 
-    __slots__ = ("count", "_inbox", "_superstep", "_groups", "_columns")
-    arity = 4
+    __slots__ = ("superstep", "count", "_log", "_frozen", "_received",
+                 "_groups", "_columns")
 
-    def __init__(self, inbox: List[Tuple[Any, Sequence[Any]]],
-                 superstep: int) -> None:
-        self._inbox, self._superstep = inbox, superstep
+    def __init__(self, log: Sequence[Tuple[Any, ...]], sites: Sequence[Any],
+                 superstep: Any,
+                 frozen: Optional[Dict[Any, List[Any]]] = None,
+                 received: Optional[Dict[Any, List[Tuple[Any, Any]]]] = None,
+                 ) -> None:
+        self.superstep = superstep
+        self._log, self._frozen = log, frozen or {}
+        self._received = received or {}
+        boxes: Dict[Any, List[Any]] = defaultdict(list)
+        for entry in log:
+            sender = entry[0]
+            for target in entry[1]:
+                boxes[target].append(sender)
+        for receiver, messages in self._received.items():
+            boxes[receiver] += [sender for sender, _payload in messages]
         self._groups: Dict[Any, Tuple[int, int]] = {}
-        self._columns: Dict[int, List[Any]] = {}
-        start = 0
-        for vertex, messages in inbox:
-            self._groups[vertex] = (start, len(messages))
-            start += len(messages)
-        self.count = start
-
-    def lane(self, pos: int) -> str:
-        return "obj"
+        senders: List[Any] = []
+        for v in sites:
+            box = boxes.get(v)
+            if box:
+                self._groups[v] = (len(senders), len(box))
+                senders += box
+        self.count = len(senders)
+        self._columns: Dict[int, List[Any]] = {1: senders}
 
     def groups(self) -> Dict[Any, Tuple[int, int]]:
         return self._groups
@@ -154,19 +187,79 @@ class _InboxBatch:
     def values(self, pos: int) -> List[Any]:
         column = self._columns.get(pos)
         if column is None:
-            inbox = self._inbox
             if pos == 0:
-                column = [v for v, messages in inbox for _env in messages]
-            elif pos == 1:
-                column = [env.sender for _v, messages in inbox
-                          for env in messages]
+                column = []
+                for v, (_start, n) in self._groups.items():
+                    column += repeat(v, n)
             elif pos == 2:
-                column = [freeze(env.payload) for _v, messages in inbox
-                          for env in messages]
+                column = self._payloads()
             else:
-                column = [self._superstep] * self.count
+                column = [self.superstep] * self.count
             self._columns[pos] = column
         return column
+
+    def _payloads(self) -> List[Any]:
+        boxes: Dict[Any, List[Any]] = defaultdict(list)
+        frozen = self._frozen
+        for entry in self._log:
+            held = frozen.get(entry[0])
+            for target, payload in zip(
+                    entry[1], frozen_payloads(entry[2]) if held is None
+                    else held):
+                boxes[target].append(payload)
+        for receiver, messages in self._received.items():
+            boxes[receiver] += frozen_payloads(
+                [payload for _sender, payload in messages])
+        column: List[Any] = []
+        for v in self._groups:
+            column += boxes[v]
+        return column
+
+    def rows(self, vertex: Any, stamped: bool = True) -> List[Row]:
+        """``vertex``'s ``receive_message`` rows (``receive`` rows when not
+        ``stamped``): one per distinct (sender, payload), first
+        occurrences in delivery order."""
+        span = self._groups.get(vertex)
+        if span is None:
+            return []
+        start, end = span[0], span[0] + span[1]
+        columns = [repeat(vertex), self._columns[1][start:end],
+                   self.values(2)[start:end]]
+        if stamped:
+            columns.append(repeat(self.superstep))
+        return distinct(list(zip(*columns)))
+
+    def distinct_count(self) -> int:
+        """``len(rows(v))`` summed over the receivers, freezing payloads
+        only for a receiver some sender messaged twice."""
+        senders = self._columns[1]
+        total = 0
+        for start, n in self._groups.values():
+            group = senders[start:start + n]
+            if len(set(group)) == n:
+                total += n
+            else:
+                total += len(set(zip(group, self.values(2)[start:start + n])))
+        return total
+
+
+class InboxBatch:
+    """An :class:`Inbox` as the column batch of ``receive_message``
+    (arity 4) or ``receive`` (arity 3)."""
+
+    __slots__ = ("arity", "count", "_inbox")
+
+    def __init__(self, inbox: Inbox, arity: int) -> None:
+        self.arity, self.count, self._inbox = arity, inbox.count, inbox
+
+    def lane(self, pos: int) -> str:
+        return "obj"
+
+    def groups(self) -> Dict[Any, Tuple[int, int]]:
+        return self._inbox.groups()
+
+    def values(self, pos: int) -> List[Any]:
+        return self._inbox.values(pos)
 
 
 class SuperstepBatches:
@@ -177,9 +270,8 @@ class SuperstepBatches:
     * A *frame* relation (``frame_relations``: the stream relations and
       every auto-captured relation only the anchor superstep reads) is the
       superstep's ``frames[relation]`` — ``vertex -> rows``, filled by the
-      executed vertices in compute order — as one batch; a framed
-      ``receive_message`` is the superstep's ``inbox`` (``vertex ->
-      envelopes``) as an :class:`_InboxBatch`.
+      executed vertices in compute order — as one batch; ``receive`` and a
+      framed ``receive_message`` are the superstep's :class:`Inbox`.
     * A *stored* relation (``local``: the facts a later superstep may still
       read) serves one batch per requested superstep, built from its
       partitions' ``by_time`` slices, or its whole partitions when no
@@ -194,14 +286,14 @@ class SuperstepBatches:
         self.local = local
         self.frame_relations = frame_relations
         self.frames: Dict[str, Dict[Any, List[Row]]] = {}
-        self.inbox: Dict[Any, Sequence[Any]] = {}
+        self.inbox: Optional[Inbox] = None
         self.sites: Sequence[Any] = ()
         self.superstep: Any = None
         self._batches: Dict[Tuple[str, Any], Any] = {}
 
     def begin(self, superstep: Any, sites: Sequence[Any],
               frames: Dict[str, Dict[Any, List[Row]]],
-              inbox: Dict[Any, Sequence[Any]]) -> None:
+              inbox: Optional[Inbox]) -> None:
         """Serve ``superstep``, evaluated at ``sites``, whose frames are
         ``frames`` and whose executed vertices received ``inbox``."""
         self.superstep, self.sites = superstep, sites
@@ -209,9 +301,10 @@ class SuperstepBatches:
         self._batches = {}
 
     def frame_rows(self, relation: str, vertex: Any) -> List[Row]:
-        if relation == "receive_message":
-            return receive_rows(vertex, self.inbox.get(vertex, ()),
-                                self.superstep)
+        if relation in _RECEIVE:
+            if self.inbox is None:
+                return []
+            return self.inbox.rows(vertex, relation == "receive_message")
         return self.frames.get(relation, {}).get(vertex, [])
 
     def has_relation(self, relation: str) -> bool:
@@ -238,9 +331,10 @@ class SuperstepBatches:
         return out
 
     def _build(self, relation: str, time: Any) -> Any:
-        if relation == "receive_message" and relation in self.frame_relations:
-            inbox = list(self.inbox.items())
-            return _InboxBatch(inbox, self.superstep) if inbox else None
+        if relation in self.frame_relations and relation in _RECEIVE:
+            inbox = self.inbox
+            return (InboxBatch(inbox, _RECEIVE[relation])
+                    if inbox is not None and inbox.count else None)
         if relation in self.frame_relations:
             slices = list(self.frames.get(relation, {}).items())
         else:
@@ -301,11 +395,11 @@ class OnlineDatabase(Database):
         self.shard: Optional[Set[Any]] = None
 
     # -- shipping -----------------------------------------------------------
-    def ship(self, senders: Sequence[Tuple[Any, Sequence[Tuple[Any, Any]],
-                                           Sequence[Tuple[Any, Any]]]],
+    def ship(self, log: Sequence[Tuple[Any, Sequence[Any], Sequence[Any],
+                                       Sequence[Tuple[Any, Any]]]],
              full: bool = False) -> int:
-        """Each ``(sender, sends, crossing)`` of ``senders``: ``sender``
-        sent ``sends`` (``(target, payload)``, in send order) at the
+        """Each ``(sender, targets, payloads, crossing)`` of the send
+        ``log``: ``sender`` messaged ``targets`` (in send order) at the
         superstep just evaluated, so move each target's watermark to what
         ``sender`` holds now. Each ``(target, envelope)`` of ``crossing`` — a message
         to another process — carries the delta as its ``tables`` (targets
@@ -318,14 +412,14 @@ class OnlineDatabase(Database):
                       for rel, store in self.shipped.items()]
         unshipped = (0,) * len(partitions)
         carried = 0
-        for sender, sent, crossing in senders:
+        for sender, sent, _payloads, crossing in log:
             parts = [get(sender) for get in partitions]
             lengths = tuple([len(p.order) if p is not None else 0
                              for p in parts])
             if not any(lengths):
                 continue
             marks = self.marks.setdefault(sender, {})
-            targets = dict.fromkeys([target for target, _ in sent])
+            targets = dict.fromkeys(sent)
             if full:
                 carried += sum(lengths) * len(sent)
             else:

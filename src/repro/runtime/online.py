@@ -4,15 +4,18 @@ A forward (or local) query is compiled into a *query vertex program* that
 wraps the unmodified analytic. Every superstep, each active vertex's
 ``compute``:
 
-1. hands the analytic its envelopes' payloads (merging the tables of
-   envelopes that crossed from another process into its remote partitions);
+1. hands the analytic its messages (unwrapping, under the multiprocess
+   backend, the envelopes that crossed from another process and merging
+   their tables into its remote partitions);
 2. runs the analytic's ``compute`` through a recording context that sends
-   each message on as an envelope whose tables are still empty, and
+   each payload on bare — wrapped in an envelope whose tables are still
+   empty only when it crosses to another process — records the sends and
    observes value/edge updates;
 3. records the transient provenance facts of this superstep — only the
    relations the query references (the paper's customized capture) — into
-   superstep-wide *frames* keyed by vertex; ``receive_message`` is the
-   inbox itself.
+   superstep-wide *frames* keyed by vertex. ``receive_message`` and
+   ``receive`` at superstep *s* are read from the send log of *s − 1*
+   (:class:`~repro.runtime.db.Inbox`), not from the messages.
 
 Then, once per superstep, :meth:`OnlineQueryProgram.post_superstep` — the
 engine's program-level hook — runs the *superstep program*: every rule
@@ -29,7 +32,7 @@ query state (its context is a proxy; the hook has no vertex context; tables
 ride in envelope fields the analytic never reads), and query rows travel
 only along the analytic's own messages (a watermark exists only for a
 (sender, target) pair the analytic used, and tables are filled only on the
-envelopes its sends became).
+crossing envelopes its sends became).
 
 When a ``capture`` store is supplied, every derived head tuple is also
 persisted — capture *is* online evaluation of the capture query (Figure 1a).
@@ -42,6 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analytics.base import Analytic
@@ -64,39 +68,41 @@ from repro.pql.vectorized import VectorContext, layer_program
 from repro.provenance.model import SchemaRegistry, freeze
 from repro.provenance.spill import SpillManager
 from repro.provenance.store import ProvenanceStore
-from repro.runtime.db import OnlineDatabase, receive_count, receive_rows
+from repro.runtime.db import Inbox, OnlineDatabase, distinct, frozen_payloads
 from repro.runtime.envelope import Envelope
 from repro.runtime.results import CapturedRelations, OnlineRunResult, QueryResult
 
 logger = get_logger("runtime.online")
 
+_first = itemgetter(0)
+
 
 class RecordingContext:
-    """Proxy context handed to the analytic: sends each message on as an
-    :class:`Envelope` (tables still empty), records the sends and
-    value/edge updates, delegates everything else to the real context.
+    """Proxy context handed to the analytic: sends each payload on bare,
+    records the sends and value/edge updates, delegates everything else to
+    the real context.
 
-    A broadcast toward this process is one shared envelope: such envelopes
-    never carry tables (the superstep program reads the sender's partition
-    up to its watermark instead). A message to another process (a target
-    outside ``shard``) is an envelope of its own, listed in ``crossing``
-    for the superstep program to fill.
+    Only a message to another process (a target outside ``shard``) is
+    wrapped, in an :class:`Envelope` of its own whose tables are still
+    empty, listed in ``crossing`` for the superstep program to fill.
 
     One recorder is reused across all compute calls of a run (rebound per
     vertex via :meth:`_rebind`) to keep the capture hot path allocation-free,
     mirroring how the engine reuses its :class:`VertexContext`.
     """
 
-    __slots__ = ("_ctx", "_send", "_sender", "record", "shard", "sends",
-                 "crossing", "edge_updates")
+    __slots__ = ("_ctx", "_send", "_sender", "record", "shard", "targets",
+                 "payloads", "crossing", "edge_updates")
 
     def __init__(self, record: bool = True) -> None:
         self._ctx: Any = None
         self._send: Any = None
         self._sender: Any = None
-        self.record = record  # keep ``sends`` (the query reads them)
+        self.record = record  # keep the sends (the query reads them)
         self.shard: Optional[Set[Any]] = None
-        self.sends: List[Tuple[Any, Any]] = []
+        # the sends as two columns, in send order
+        self.targets: List[Any] = []
+        self.payloads: List[Any] = []
         self.crossing: List[Tuple[Any, Envelope]] = []
         self.edge_updates: List[Tuple[Any, Any]] = []
 
@@ -104,18 +110,20 @@ class RecordingContext:
         self._ctx = ctx
         self._send = ctx.send
         self._sender = ctx.vertex_id
-        self.sends = []
+        self.targets = []
+        self.payloads = []
         self.crossing = []
         self.edge_updates = []
 
     # -- intercepted -------------------------------------------------------
     def send(self, target: Any, message: Any) -> None:
-        envelope = Envelope(self._sender, message, None)
         if self.record:
-            self.sends.append((target, message))
+            self.targets.append(target)
+            self.payloads.append(message)
         if self.shard is not None and target not in self.shard:
-            self.crossing.append((target, envelope))
-        self._send(target, envelope)
+            message = Envelope(self._sender, message, None)
+            self.crossing.append((target, message))
+        self._send(target, message)
 
     def send_to_all(self, message: Any) -> None:
         ctx = self._ctx
@@ -124,9 +132,10 @@ class RecordingContext:
                 self.send(target, message)
             return
         if self.record:
-            self.sends.extend(
-                [(target, message) for target, _ in ctx.out_edges()])
-        ctx.send_to_all(Envelope(self._sender, message, None))
+            edges = ctx.out_edges()
+            self.targets += map(_first, edges)
+            self.payloads += repeat(message, len(edges))
+        ctx.send_to_all(message)
 
     def set_edge_value(self, target: Any, value: Any) -> None:
         self.edge_updates.append((target, value))
@@ -286,9 +295,9 @@ class OnlineQueryProgram(VertexProgram):
                 else:
                     self._windows[relation] = window
         self._stored = sorted(compiled.auto_capture - framed)
-        # receive_message is the inbox itself (``_inbox``), not a frame.
+        # receive_message / receive are the Inbox, not frames.
         self._recorded = (compiled.auto_capture | compiled.stream_relations
-                          ) - {"receive_message"}
+                          ) - {"receive_message", "receive"}
         self.db = _PersistingOnlineDatabase(
             graph,
             compiled.head_predicates,
@@ -320,6 +329,9 @@ class OnlineQueryProgram(VertexProgram):
         self._need_stream_value = "vertex_value" in stream
         self._need_stream_send = "send" in stream
         self._need_stream_receive = "receive" in stream
+        # Keep each superstep's send log for the next one's Inbox.
+        self._keep_log = self._need_receive or self._need_stream_receive
+        self._log: Tuple[List[Any], Dict[Any, List[Any]]] = ([], {})
         # Every fact a superstep program derives carries its superstep, so
         # a lagged scan is no dependency within it (Lemma 5.3).
         self._prepared = prepare_strata(compiled.strata, anchored=True)
@@ -336,7 +348,7 @@ class OnlineQueryProgram(VertexProgram):
         self.ship_full_tables = ship_full_tables
         self._recorder = RecordingContext(
             record=self._need_send or self._need_stream_send
-            or bool(self.db.shipped))
+            or self._keep_log or bool(self.db.shipped))
         self.shipped_tuples = 0
         self._last_active: Dict[Any, int] = {}
         self.derivations = 0
@@ -356,16 +368,19 @@ class OnlineQueryProgram(VertexProgram):
 
     def _begin_superstep(self) -> None:
         """Empty the superstep being recorded: the executed vertices in
-        compute order, their frames (relation -> vertex -> rows), the
-        envelopes they received and, when the query ships anything, their
-        sends."""
+        compute order, their frames (relation -> vertex -> rows) and, when
+        the query ships anything or reads what was received, their send
+        log (``(sender, targets, payloads, crossing)``), the payloads a
+        ``send`` frame froze (sender -> payloads) and the envelopes that
+        crossed from another process (receiver -> ``(sender, payload)``)."""
         self._sites: List[Any] = []
-        self._inbox: Dict[Any, Sequence[Envelope]] = {}
         self._frames: Dict[str, Dict[Any, List[Tuple[Any, ...]]]] = {
             relation: {} for relation in self._recorded
         }
-        self._sends: List[Tuple[Any, List[Tuple[Any, Any]],
+        self._sends: List[Tuple[Any, List[Any], List[Any],
                                 List[Tuple[Any, Envelope]]]] = []
+        self._frozen: Dict[Any, List[Any]] = {}
+        self._received: Dict[Any, List[Tuple[Any, Any]]] = {}
 
     # -- delegation to the analytic --------------------------------------
     def initial_value(self, vertex_id: Any, graph: Any) -> Any:
@@ -418,7 +433,7 @@ class OnlineQueryProgram(VertexProgram):
                 self._seal_completed(self.db.capture.max_superstep)
 
     def combiner(self):
-        return None  # envelopes carry senders and tables; never combine
+        return None  # receive_message needs each sender's message
 
     # -- setup -------------------------------------------------------------
     def run_setup(self) -> None:
@@ -435,28 +450,17 @@ class OnlineQueryProgram(VertexProgram):
             )
 
     # -- the appended vertex program --------------------------------------
-    def compute(self, ctx: VertexContext, messages: Sequence[Envelope]) -> None:
+    def compute(self, ctx: VertexContext, messages: Sequence[Any]) -> None:
         x = ctx.vertex_id
         s = ctx.superstep
         frames = self._frames
-        if messages:
-            # receive_message at superstep s *is* the inbox just handed in.
-            if self._need_receive:
-                self._inbox[x] = messages
-            if self._need_stream_receive:
-                frames["receive"][x] = _distinct(
-                    [(x, env.sender, freeze(env.payload)) for env in messages]
-                )
-            if self.db.shard is not None:
-                for env in messages:
-                    if env.tables:  # shipped from another process
-                        for rel, rows in env.tables.items():
-                            self.db.merge_remote(x, env.sender, rel, rows)
+        if messages and self.db.shard is not None:
+            messages = self._unwrap(x, messages)
 
         recorder = self._recorder
         recorder._rebind(ctx)
-        self.inner.compute(recorder, [env.payload for env in messages])
-        sends = recorder.sends
+        self.inner.compute(recorder, messages)
+        targets, payloads = recorder.targets, recorder.payloads
 
         if self._need_superstep:
             frames["superstep"][x] = [(x, s)]
@@ -472,24 +476,43 @@ class OnlineQueryProgram(VertexProgram):
                 frames["evolution"][x] = [(x, j, s)]
         self._last_active[x] = s
         if self._need_edge_value and recorder.edge_updates:
-            frames["edge_value"][x] = _distinct(
+            frames["edge_value"][x] = distinct(
                 [(x, target, freeze(value), s)
                  for target, value in recorder.edge_updates]
             )
         self._sites.append(x)
-        if not sends:
+        if not targets:
             return
         if self._need_send or self._need_stream_send:
-            targets = [target for target, _payload in sends]
-            payloads = _frozen_payloads(sends)
+            frozen = frozen_payloads(payloads)
+            if self._keep_log:
+                self._frozen[x] = frozen
         if self._need_send:
-            frames["send_message"][x] = _distinct(
-                list(zip(repeat(x), targets, payloads, repeat(s))))
+            frames["send_message"][x] = distinct(
+                list(zip(repeat(x), targets, frozen, repeat(s))))
         if self._need_stream_send:
-            frames["send"][x] = _distinct(
-                list(zip(repeat(x), targets, payloads)))
-        if self.db.shipped:
-            self._sends.append((x, sends, recorder.crossing))
+            frames["send"][x] = distinct(
+                list(zip(repeat(x), targets, frozen)))
+        if self._keep_log or self.db.shipped:
+            self._sends.append((x, targets, payloads, recorder.crossing))
+
+    def _unwrap(self, x: Any, messages: Sequence[Any]) -> List[Any]:
+        """``x``'s messages as the analytic's payloads: an envelope that
+        crossed from another process is unwrapped, its tables merged into
+        ``x``'s remote partitions and, when the query reads what ``x``
+        received, its message noted for the :class:`Inbox`."""
+        payloads = []
+        for message in messages:
+            if type(message) is Envelope:
+                if message.tables:
+                    for rel, rows in message.tables.items():
+                        self.db.merge_remote(x, message.sender, rel, rows)
+                if self._keep_log:
+                    self._received.setdefault(x, []).append(
+                        (message.sender, message.payload))
+                message = message.payload
+            payloads.append(message)
+        return payloads
 
     def post_superstep(self, superstep: int) -> None:
         """Evaluate the query over the superstep just computed: every rule
@@ -497,10 +520,13 @@ class OnlineQueryProgram(VertexProgram):
         that has none runs its row function at each of them), then the
         frames are dropped, windows pruned and each sender's watermarks
         moved. Reads no analytic context, and fills tables only on the
-        envelopes the analytic's own messages became (Theorem 5.4)."""
+        crossing envelopes the analytic's own messages became (Theorem
+        5.4)."""
         self.inner.post_superstep(superstep)
-        sites, frames, inbox = self._sites, self._frames, self._inbox
-        sends = self._sends
+        sites, frames, sends = self._sites, self._frames, self._sends
+        (log, frozen), received = self._log, self._received
+        if self._keep_log:
+            self._log = (sends, self._frozen)  # what superstep + 1 received
         self._begin_superstep()
         if not sites:
             return
@@ -508,11 +534,12 @@ class OnlineQueryProgram(VertexProgram):
                                superstep=superstep, sites=len(sites)):
             started = time.perf_counter()
             db = self.db
+            inbox = (Inbox(log, sites, superstep, frozen, received)
+                     if self._keep_log else None)
             # Facts a later superstep may read leave the frame for the store.
             if "receive_message" in self._stored:
                 frames["receive_message"] = {
-                    x: receive_rows(x, messages, superstep)
-                    for x, messages in inbox.items()
+                    x: inbox.rows(x) for x in inbox.groups()
                 }
             for relation in self._stored:
                 for x, rows in frames.pop(relation).items():
@@ -526,11 +553,12 @@ class OnlineQueryProgram(VertexProgram):
             )
             # The frames die here; bounded-window partitions shed the
             # superstep that just left their window.
-            db.store.begin(None, (), {}, {})
+            db.store.begin(None, (), {}, None)
             for by_vertex in frames.values():
                 self.pruned_rows += sum(map(len, by_vertex.values()))
-            if "receive_message" in db.frame_relations:
-                self.pruned_rows += sum(map(receive_count, inbox.values()))
+            framed = db.frame_relations & {"receive_message", "receive"}
+            if inbox is not None and framed:
+                self.pruned_rows += len(framed) * inbox.distinct_count()
             for relation, window in self._windows.items():
                 partitions = db.local.partitions(relation)
                 for x in sites:
@@ -541,7 +569,8 @@ class OnlineQueryProgram(VertexProgram):
                         self.prune_hits += 1
                         self.pruned_rows += part.prune_older_than(
                             superstep - window)
-            self.shipped_tuples += db.ship(sends, self.ship_full_tables)
+            if db.shipped:
+                self.shipped_tuples += db.ship(sends, self.ship_full_tables)
             self.query_seconds += time.perf_counter() - started
 
     def publish_metrics(self) -> None:
@@ -640,26 +669,6 @@ class OnlineQueryProgram(VertexProgram):
         return self.db.local.num_rows() + self._merged_transient_rows
 
 
-def _distinct(rows: List[Tuple[Any, ...]]) -> List[Tuple[Any, ...]]:
-    """``rows`` without repeats, first occurrences in order."""
-    return rows if len(rows) < 2 else list(dict.fromkeys(rows))
-
-
-_UNSET = object()
-
-
-def _frozen_payloads(sends: List[Tuple[Any, Any]]) -> List[Any]:
-    """Each send's payload, frozen; a run of sends of one payload object —
-    a broadcast records one per out-edge — is frozen once."""
-    out: List[Any] = []
-    last = frozen = _UNSET
-    for _target, payload in sends:
-        if payload is not last:
-            last, frozen = payload, freeze(payload)
-        out.append(frozen)
-    return out
-
-
 def _store_only_heads(compiled: CompiledQuery) -> Set[str]:
     """The captured heads a capture holds in its store only: no rule reads
     one but its own exact copy, none is shipped or aggregated, and its
@@ -724,7 +733,7 @@ def run_online(
 
         engine_config = replace(
             config or EngineConfig(),
-            use_combiner=False,  # envelopes carry senders and tables
+            use_combiner=False,  # receive_message needs each message
         )
         spill: Optional[SpillManager] = None
         if capture and spill_directory is not None:

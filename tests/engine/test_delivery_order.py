@@ -1,0 +1,156 @@
+"""Delivery order is send order, whatever runs around the analytic.
+
+A vertex receives its messages with the senders in canonical compute
+order and each sender's sends in the order it made them. Nothing sorts an
+inbox, so the order must not move with the worker count, the backend, or
+an online query wrapped around the analytic — which sends the analytic's
+payloads bare in one process, and wraps none in an envelope.
+"""
+
+import pytest
+
+from repro.core import queries as Q
+from repro.engine.config import EngineConfig
+from repro.engine.engine import PregelEngine
+from repro.engine.vertex import VertexProgram
+from repro.graph.generators import web_graph
+from repro.parallel.backend import make_engine
+from repro.runtime import online
+from repro.runtime.online import RecordingContext, run_online
+
+ROUNDS = 4
+
+
+class Recorder(VertexProgram):
+    """Logs, as its value, the message list every compute saw: a vertex's
+    value is ``((superstep, messages), ...)``. Each compute broadcasts one
+    payload and sends a second, distinct one to its first out-neighbor,
+    so an inbox mixes senders and repeats one."""
+
+    name = "recorder"
+
+    def initial_value(self, vertex_id, graph):
+        return ()
+
+    def compute(self, ctx, messages):
+        s = ctx.superstep
+        ctx.set_value(ctx.value + ((s, tuple(messages)),))
+        if s < ROUNDS:
+            ctx.send_to_all((ctx.vertex_id, s))
+            edges = ctx.out_edges()
+            if edges:
+                ctx.send(edges[0][0], (ctx.vertex_id, s, "again"))
+        else:
+            ctx.vote_to_halt()
+
+
+@pytest.fixture(scope="module")
+def graph():
+    return web_graph(80, avg_degree=4, target_diameter=6, seed=23)
+
+
+@pytest.fixture(scope="module")
+def bare(graph):
+    return PregelEngine(graph, config=EngineConfig(use_combiner=False)).run(
+        Recorder())
+
+
+def online_run(graph, query, **kwargs):
+    return run_online(graph, Recorder(), query, **kwargs)
+
+
+QUERIES = {
+    "query1": dict(query=Q.APT_QUERY, params={"eps": 0.5},
+                   udfs={"udf_diff": lambda d1, d2, eps: len(d1) == len(d2)}),
+    "query4": dict(query=Q.PAGERANK_CHECK_QUERY),
+    "query2-capture": dict(query=Q.CAPTURE_FULL_QUERY, capture=True),
+}
+
+
+class TestDeliveryOrder:
+    def test_every_compute_saw_messages(self, bare):
+        seen = [messages for log in bare.values.values()
+                for _s, messages in log]
+        assert any(len(messages) > 1 for messages in seen)
+
+    def test_bare_run_delivers_in_send_order(self, graph, bare):
+        """Every vertex ran at every superstep before ``ROUNDS``, so an
+        inbox is: each sender in canonical order, its broadcast along its
+        out-edges, then its second send."""
+        for v, log in bare.values.items():
+            for s, messages in log[1:]:
+                expected = []
+                for u in graph.vertices():
+                    edges = graph.out_edges(u)
+                    expected += [(u, s - 1) for t, _ in edges if t == v]
+                    if edges and edges[0][0] == v:
+                        expected.append((u, s - 1, "again"))
+                assert messages == tuple(expected), (v, s)
+
+    @pytest.mark.parametrize("workers", [1, 3, 7])
+    def test_serial_worker_counts(self, graph, bare, workers):
+        run = PregelEngine(graph, config=EngineConfig(
+            num_workers=workers, use_combiner=False)).run(Recorder())
+        assert run.values == bare.values
+
+    def test_parallel_backend(self, graph, bare):
+        run = make_engine(graph, config=EngineConfig(
+            num_workers=2, backend="parallel", use_combiner=False,
+        )).run(Recorder())
+        assert run.metrics.total_cross_worker_messages > 0
+        assert run.values == bare.values
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_online_queries(self, graph, bare, name):
+        run = online_run(graph, **QUERIES[name])
+        assert run.analytic.values == bare.values
+
+    def test_online_parallel_backend(self, graph, bare):
+        run = online_run(graph, config=EngineConfig(
+            num_workers=2, backend="parallel"), **QUERIES["query1"])
+        assert run.analytic.values == bare.values
+
+
+class TestNoEnvelopeInProcess:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class Counted(online.Envelope):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(online, "Envelope", Counted)
+        return built
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_serial_online_run_builds_none(self, graph, bare, built, name):
+        run = online_run(graph, **QUERIES[name])
+        assert run.analytic.values == bare.values
+        assert built == []
+
+    def test_a_crossing_message_is_wrapped(self, graph, built):
+        """The counted class is the one the recorder builds: a message to
+        a vertex outside ``shard`` is one envelope."""
+        sent = []
+
+        class Context:
+            vertex_id = 0
+
+            def send(self, target, message):
+                sent.append((target, message))
+
+        recorder = RecordingContext()
+        recorder.shard = {0, 1}
+        recorder._rebind(Context())
+        recorder.send(1, "near")
+        recorder.send(2, "far")
+        assert built == [(0, "far", None)]
+        assert sent[0] == (1, "near")
+        assert sent[1][1].payload == "far"
+        assert recorder.crossing == [(2, sent[1][1])]
+        assert recorder.targets == [1, 2]
+        assert recorder.payloads == ["near", "far"]

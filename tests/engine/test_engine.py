@@ -137,17 +137,6 @@ class TestMessaging:
         # chain edges i -> i+1 always cross with 2-worker modulo hashing
         assert step0.cross_worker_messages == step0.messages_sent == 9
 
-    def test_message_bytes_tracked_when_enabled(self):
-        prog = FunctionProgram(
-            lambda ctx, msgs: (
-                ctx.send_to_all("hello") if ctx.superstep == 0 else None,
-                ctx.vote_to_halt(),
-            )
-        )
-        config = EngineConfig(track_message_bytes=True)
-        result = run_program(chain_graph(3), prog, config=config)
-        assert result.metrics.total_message_bytes > 0
-
 
 class TestEdgeValueOverlay:
     def test_overlay_does_not_mutate_graph(self):

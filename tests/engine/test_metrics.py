@@ -21,13 +21,11 @@ class TestRunMetrics:
             step = SuperstepMetrics(i)
             step.active_vertices = active
             step.messages_sent = msgs
-            step.message_bytes = msgs * 8
             step.cross_worker_messages = msgs // 2
             metrics.supersteps.append(step)
         assert metrics.num_supersteps == 2
         assert metrics.total_messages == 14
         assert metrics.total_active_vertices == 8
-        assert metrics.total_message_bytes == 112
         assert metrics.total_cross_worker_messages == 7
 
     def test_summary_keys(self):
@@ -35,7 +33,7 @@ class TestRunMetrics:
         summary = metrics.summary()
         assert set(summary) == {
             "supersteps", "wall_seconds", "vertex_executions", "messages",
-            "message_bytes", "cross_worker_messages", "network_bytes",
+            "cross_worker_messages", "network_bytes",
             "frontier_vertices", "skipped_vertices",
             "messages_combined", "messages_precombined", "combine_ratio",
         }
@@ -60,22 +58,6 @@ class TestRunMetrics:
         assert metrics.combine_ratio == 0.5
         empty = RunMetrics()
         assert empty.combine_ratio == 0.0
-
-    def test_summary_message_bytes_none_when_untracked(self):
-        # when byte estimation is off the per-step counters read 0 because
-        # nothing was measured; the summary must not report that as "0 bytes"
-        metrics = RunMetrics(track_message_bytes=False)
-        step = SuperstepMetrics(0)
-        step.messages_sent = 5
-        metrics.supersteps.append(step)
-        assert metrics.summary()["message_bytes"] is None
-
-    def test_summary_message_bytes_reported_when_tracked(self):
-        metrics = RunMetrics()
-        step = SuperstepMetrics(0)
-        step.message_bytes = 64
-        metrics.supersteps.append(step)
-        assert metrics.summary()["message_bytes"] == 64
 
     def test_frontier_skip_ratio(self):
         metrics = RunMetrics()
@@ -113,24 +95,6 @@ class TestEngineCounting:
         # scheduler counters mirror the executed/idle split
         assert steps[0].frontier_size == 4 and steps[0].skipped_vertices == 0
         assert steps[1].frontier_size == 1 and steps[1].skipped_vertices == 3
-
-    def test_summary_reflects_byte_tracking_config(self):
-        from repro.engine.config import EngineConfig
-
-        def chatty(ctx, msgs):
-            ctx.send_to_all("x")
-
-        off = run_program(
-            chain_graph(3), FunctionProgram(chatty),
-            config=EngineConfig(track_message_bytes=False), max_supersteps=2,
-        )
-        assert off.metrics.summary()["message_bytes"] is None
-
-        on = run_program(
-            chain_graph(3), FunctionProgram(chatty),
-            config=EngineConfig(track_message_bytes=True), max_supersteps=2,
-        )
-        assert on.metrics.summary()["message_bytes"] > 0
 
     def test_wall_seconds_accumulate(self):
         result = run_program(

@@ -36,30 +36,13 @@ class TestEnvelopePickling:
         env = roundtrip(Envelope("a", 1.5, tables))
         assert env.tables == tables
 
-    def test_cached_sort_key_not_shipped(self):
-        """``sort_key`` is computed lazily and cached; the cache must not
-        serialize (it is per-process state) but the recomputed key must be
-        identical on the other side."""
-        env = Envelope(7, 0.125)
-        key_before = env.sort_key  # populate the cache
-        clone = roundtrip(env)
-        assert clone._sort_key is None  # arrived cold
-        assert clone.sort_key == key_before
-
-    def test_sort_order_stable_across_pickling(self):
-        envs = [Envelope(s, p) for s, p in ((3, 0.1), (1, 0.9), (2, 0.5))]
-        clones = [roundtrip(e) for e in envs]
-        assert ([e.sender for e in sorted(envs, key=lambda e: e.sort_key)]
-                == [e.sender for e in sorted(clones,
-                                             key=lambda e: e.sort_key)])
-
 
 class TestReportPickling:
     def test_barrier_report(self):
         report = BarrierReport(
             worker_id=1, superstep=4, executed=10, active_after=3,
             messages_sent=20, messages_combined=2, cross_worker_messages=6,
-            message_bytes=480, network_bytes=333,
+            network_bytes=333,
             aggregations=[(0, 0, "sum", 1.5)],
             trace_events=[{"type": "span", "id": 9}],
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.graph.digraph import from_edge_list
 from repro.provenance.store import ProvenanceStore
-from repro.runtime.db import OnlineDatabase, StoreDatabase
+from repro.runtime.db import Inbox, OnlineDatabase, StoreDatabase
 
 
 @pytest.fixture
@@ -102,13 +102,13 @@ class TestOnlineDatabase:
         assert read(db, "value", 0) == {(0, 1.0, 0)}
         # vertex 1's facts are NOT visible remotely unless shipped
         assert list(read(db, "value", 1)) == []
-        assert db.ship([(1, [(0, "m")], [])]) == 1
+        assert db.ship([(1, [0], ["m"], [])]) == 1
         assert list(read(db, "value", 1)) == [(1, 5.0, 0)]
         # a row 1 holds after its last message to 0 stays invisible ...
         db.local.add("value", 1, (1, 6.0, 1))
         assert list(read(db, "value", 1)) == [(1, 5.0, 0)]
         # ... until it messages 0 again; a repeat message carries nothing
-        assert db.ship([(1, [(0, "m"), (0, "m")], [])]) == 1
+        assert db.ship([(1, [0, 0], ["m", "m"], [])]) == 1
         assert list(read(db, "value", 1)) == [(1, 5.0, 0), (1, 6.0, 1)]
         db.current_site = 2
         assert list(read(db, "value", 1)) == []  # never messaged 2
@@ -126,12 +126,12 @@ class TestOnlineDatabase:
 
     def test_frames_live_one_superstep(self, graph):
         db = self.make(graph)
-        db.store.begin(0, [0, 1], {"vertex_value": {0: [(0, 1.0)]}}, {})
+        db.store.begin(0, [0, 1], {"vertex_value": {0: [(0, 1.0)]}}, None)
         db.current_site = 0
         assert read(db, "vertex_value", 0) == [(0, 1.0)]
         db.current_site = 1
         assert list(read(db, "vertex_value", 1)) == []
-        db.store.begin(1, [0], {"vertex_value": {}}, {})
+        db.store.begin(1, [0], {"vertex_value": {}}, None)
         db.current_site = 0
         assert list(read(db, "vertex_value", 0)) == []
         assert db.local.relations() == []
@@ -174,7 +174,7 @@ class TestSuperstepBatches:
         for v in (0, 1, 2):
             db.local.add_timed("value", v, (v, float(v), 3), 3)
         db.store.begin(4, [2, 0], {"superstep": {2: [(2, 4)], 0: [(0, 4)]}},
-                       {})
+                       None)
         (frame,) = db.store.column_batches("superstep", [4])
         assert frame.groups() == {2: (0, 1), 0: (1, 1)}  # compute order
         assert db.store.column_batches("superstep", [3]) == []
@@ -185,15 +185,13 @@ class TestSuperstepBatches:
         assert db.store.column_batches("value", [5]) == []
 
     def test_inbox_is_receive_message(self, graph):
-        class Env:
-            def __init__(self, sender, payload):
-                self.sender, self.payload = sender, payload
-
+        """``receive_message`` at superstep 7 is the send log of superstep
+        6, grouped by receiver in site order."""
         db = OnlineDatabase(graph, head_predicates=set(),
                             frame_relations={"receive_message"})
-        twice = Env(2, [1])
-        inbox = {0: [twice, twice, Env(1, [1])], 2: [Env(0, 5.0)]}
-        db.store.begin(7, [0, 2], {}, inbox)
+        twice = [1]
+        log = [(2, [0, 0], [twice, twice]), (1, [0], [[1]]), (0, [2], [5.0])]
+        db.store.begin(7, [0, 2], {}, Inbox(log, [0, 2], 7))
         (batch,) = db.store.column_batches("receive_message", [7])
         assert batch.count == 4 and batch.groups() == {0: (0, 3), 2: (3, 1)}
         assert batch.values(1) == [2, 2, 1, 0]

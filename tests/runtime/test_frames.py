@@ -205,7 +205,7 @@ class TestShipping:
             db.add("r", (0, i))
         targets = [1, 2, 3]
         envelopes = [online.Envelope(0, "m") for _ in targets]
-        sends = [(0, [(t, "m") for t in targets],
+        sends = [(0, targets, ["m"] * len(targets),
                   list(zip(targets, envelopes)))]
         assert db.ship(sends) == 9  # three rows to each of three targets
         tables = envelopes[0].tables
@@ -224,7 +224,7 @@ class TestShipping:
         # the next message to a target carries only what is new to it
         db.add("r", (0, 3))
         envelope = online.Envelope(0, "m")
-        assert db.ship([(0, [(1, "m")], [(1, envelope)])]) == 1
+        assert db.ship([(0, [1], ["m"], [(1, envelope)])]) == 1
         assert envelope.tables == {"r": [(0, 3)]}
 
     def test_ablation_switches_keep_the_rows(self, wgraph):
