@@ -13,7 +13,7 @@ are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
 * A **stored scan** reads one whole-layer batch per layer it can match in
   (``store.column_batches``: a sealed slab's
   :class:`~repro.provenance.store.ColumnBatch`, the in-memory store's
-  :class:`~repro.provenance.store.ListBatch`, or the online superstep's
+  :class:`~repro.provenance.store.Layer`, or the online superstep's
   frames and stored slices). Known scalar positions (the anchored time,
   literals) become one selection pass over a column — a slab's string
   literals compare as dictionary codes, never decoded. The location joins
@@ -66,8 +66,10 @@ from __future__ import annotations
 
 import operator
 import time
-from itertools import compress, count, repeat
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import compress, count
+from typing import (
+    Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import PQLError, PQLSemanticError
 from repro.pql.ast import BinOp, Const, FuncCall, Param, Term, Var
@@ -775,14 +777,16 @@ class CopyProgram:
     ``prov_send`` have this shape.
 
     Such a rule appends R's rows to its head: per site in site order, R's
-    rows in batch order, one head tuple per row — or one per site when the
-    head reads no column of R but the location. There is no ``_State``, no
-    gather of an already-ordered batch and no rescan of the head's derived
-    history, which an exact self-copy (:attr:`CompiledRule.is_self_copy`)
-    could only re-derive. ``superstep(X, I)`` is one membership test per
-    site. When R is another rule's head its derived rows join too, so the
-    rule runs as the :class:`LayerProgram` it would otherwise be. The new
-    head rows reach the insert in the order that program derives them."""
+    rows in batch order, one head row per row — or one per site when the
+    head reads no column of R but the location. The rows come out as
+    :class:`CopiedRows`, the head's columns, which a capture appends to its
+    store as they are. There is no ``_State``, no gather of an already-
+    ordered batch and no rescan of the head's derived history, which an
+    exact self-copy (:attr:`CompiledRule.is_self_copy`) could only
+    re-derive. ``superstep(X, I)`` is one membership test per site. When R
+    is another rule's head its derived rows join too, so the rule runs as
+    the :class:`LayerProgram` it would otherwise be. The new head rows
+    reach the insert in the order that program derives them."""
 
     def __init__(self, crule: CompiledRule, plan: RulePlan, scan: ScanStep,
                  stepped: bool, head: Tuple[Optional[int], ...]) -> None:
@@ -797,7 +801,7 @@ class CopyProgram:
         self.general = LayerProgram(crule, plan)
 
     def run(self, sites: Sequence[Any], anchor_time: Optional[int],
-            ctx: "VectorContext") -> List[Row]:
+            ctx: "VectorContext") -> Any:
         db = ctx.db
         if not self.exact and self.relation in db.head_predicates:
             return self.general.run(sites, anchor_time, ctx)
@@ -805,12 +809,13 @@ class CopyProgram:
         sites = list(dict.fromkeys(sites))
         if self.stepped:
             sites = _stepped(sites, anchor_time, ctx)
-        rows: List[Row] = []
+        rows = CopiedRows([[] for _ in self.head], [])
         # one batch: the anchor layer, the static slab, or the frame
         for batch in db.store.column_batches(
                 self.relation, [anchor_time] if self.anchored else None):
             if batch.arity == self.arity:
-                rows += self._copy(batch, sites, anchor_time)
+                rows = self._copy(batch, sites, anchor_time)
+                break
         ctx.batched_scans += 1
         ctx.batch_rows += len(rows)
         ctx.tick(len(rows))
@@ -818,40 +823,62 @@ class CopyProgram:
         return rows
 
     def _copy(self, batch: Any, sites: List[Any],
-              anchor: Optional[int]) -> List[Row]:
+              anchor: Optional[int]) -> "CopiedRows":
         """One batch's head rows, site-major."""
         get = batch.groups().get
         spans = []
-        for i, site in enumerate(sites):
+        for site in sites:
             span = get(site)
             if span is not None and span[1]:
-                spans.append((i, span[0], span[1]))
+                spans.append((site, span[0], span[1]))
         if not self.columns:
-            loc = [sites[i] for i, _start, _n in spans]
-            return list(zip(*[loc if pos == 0 else repeat(anchor)
-                              for pos in self.head]))
+            loc = [site for site, _start, _n in spans]
+            return CopiedRows([loc if pos == 0 else [anchor] * len(loc)
+                               for pos in self.head],
+                              [(site, 1) for site in loc])
         loc = []
-        for i, _start, n in spans:
-            loc += [sites[i]] * n
+        for site, _start, n in spans:
+            loc += [site] * n
         ids = None if _one_sweep(spans, batch.count) else [
-            r for _i, start, n in spans for r in range(start, start + n)]
-        cols: List[Any] = []
+            r for _site, start, n in spans for r in range(start, start + n)]
+        cols: List[List[Any]] = []
         for pos in self.head:
             if pos is None:
-                cols.append(repeat(anchor))
+                cols.append([anchor] * len(loc))
             elif pos == 0:
                 cols.append(loc)
             else:
                 col = _as_list(batch.values(pos))
                 cols.append(col if ids is None
                             else list(map(col.__getitem__, ids)))
-        return list(zip(*cols))
+        return CopiedRows(cols, [(site, n) for site, _start, n in spans])
 
 
-def _one_sweep(spans: List[Tuple[int, int, int]], count: int) -> bool:
+class CopiedRows:
+    """A copy program's head rows as the head's columns: ``columns`` holds
+    one list per head position (a column may be the batch's own list:
+    read, never write), ``spans`` each site's ``(site, count)`` run in row
+    order. Iterating yields the row tuples, for any insert that takes
+    rows; a capture store appends the columns
+    (:meth:`~repro.provenance.store.ProvenanceStore.append_columns`)."""
+
+    __slots__ = ("columns", "spans")
+
+    def __init__(self, columns: List[List[Any]],
+                 spans: List[Tuple[Any, int]]) -> None:
+        self.columns, self.spans = columns, spans
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __iter__(self) -> Iterator[Row]:
+        return zip(*self.columns)
+
+
+def _one_sweep(spans: List[Tuple[Any, int, int]], count: int) -> bool:
     """Do ``spans`` cover a batch of ``count`` rows in row order?"""
     expected = 0
-    for _i, start, n in spans:
+    for _site, start, n in spans:
         if start != expected:
             return False
         expected += n

@@ -1,14 +1,19 @@
 """ARSC — the columnar sealed-slab format for out-of-core queries.
 
-The framed ARSL slabs (``repro.provenance.spill``) are one pickle per
-relation chunk: touching a single column of a single relation costs a full
-decompress + unpickle of everything in the slab, and reopening a sealed
-store from the query server's catalog pays that price for every slab. ARSC
-stores each relation as *per-column typed segments* with an offset-indexed
+Every sealed slab (one per superstep layer, plus the static slab of
+time-less relations and schemas, :mod:`repro.provenance.spill`) stores
+each relation as *per-column typed segments* behind an offset-indexed
 footer, so a reader can
 
 * reopen a slab by reading only the footer (mmap + one small unpickle), and
 * decode exactly the columns a query plan touches.
+
+The writer takes columns, not rows: the in-memory store already holds
+each (relation, layer) as column lists plus a vertex group table
+(:class:`~repro.provenance.store.Layer`), and a seal hands those over as
+they are (:class:`SlabColumns`). Row-shaped chunks (``relation -> vertex
+-> rows``, what :meth:`ColumnarSlab.to_chunks` returns) are accepted too
+and transposed first — the migration and round-trip path.
 
 On-disk layout (all offsets are absolute file offsets)::
 
@@ -21,13 +26,15 @@ On-disk layout (all offsets are absolute file offsets)::
     footer  = zlib-compressed pickle of the slab descriptor (below)
     trailer = struct "<QI4s": footer offset u64, footer length u32, b"ARSC"
 
-The footer descriptor maps ``relation -> {rows, groups, loc, columns}``:
-``groups`` is the list of ``(start, count)`` row ranges after sorting rows
-by their location attribute (the partition vertex), so one partition is one
-contiguous range per slab; ``columns`` carries each column's lane, segment
-offsets and uncompressed size. The static slab's meta (schemas + layer
-count) rides inside the footer, which is what makes catalog reopen
-near-zero: schemas are available without touching a single segment.
+The footer descriptor maps ``relation -> {rows, groups, columns, keys}``:
+``groups`` is the list of ``(start, count)`` row ranges of the partitions
+(vertices) in row order — each vertex's rows are one contiguous range per
+slab, vertices in the order their first row reached the store — and the
+``keys`` segment lists the vertices in the same order; ``columns`` carries
+each column's lane, segment offsets and uncompressed size. The static
+slab's meta (schemas + layer count) rides inside the footer, which is what
+makes catalog reopen near-zero: schemas are available without touching a
+single segment.
 
 Column lanes reuse the capture path's exact-type discipline (PR 6): because
 ``1 == 1.0 == True`` share a hash, a lane only admits values whose concrete
@@ -48,11 +55,14 @@ import mmap
 import pickle
 import struct
 import zlib
+from operator import itemgetter
 from typing import (
-    Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple,
+    Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from repro.errors import ProvenanceError
+from repro.sizemodel import exact_kind
 
 Row = Tuple[Any, ...]
 
@@ -74,9 +84,6 @@ _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 
-_I64_MIN = -(1 << 63)
-_I64_MAX = (1 << 63) - 1
-
 #: zlib level for segments — same speed-over-size tradeoff as ARSL slabs.
 _ZLIB_LEVEL = 1
 
@@ -87,16 +94,24 @@ def _corrupt(path: str, detail: str) -> ProvenanceError:
 
 def _pick_lane(values: Sequence[Any]) -> str:
     """The narrowest lane that reproduces every value's exact type."""
-    kinds = set(map(type, values))
-    if kinds == {int}:
-        if _I64_MIN <= min(values) and max(values) <= _I64_MAX:
-            return LANE_I64
-        return LANE_PKL
-    if kinds == {float}:
-        return LANE_F64
-    if kinds == {str}:
-        return LANE_STR
-    return LANE_PKL
+    return _lane_payload(values)[0]
+
+
+def _lane_payload(values: Sequence[Any]) -> Tuple[str, Optional[bytes]]:
+    """:func:`_pick_lane`, with the packed column of a fixed-width lane
+    (``None`` for the others): an int column is i64 exactly when it packs
+    as signed 64-bit."""
+    kind = exact_kind(values)
+    if kind is int:
+        try:
+            return LANE_I64, struct.pack(f"<{len(values)}q", *values)
+        except struct.error:  # some value outside i64
+            return LANE_PKL, None
+    if kind is float:
+        return LANE_F64, struct.pack(f"<{len(values)}d", *values)
+    if kind is str:
+        return LANE_STR, None
+    return LANE_PKL, None
 
 
 def _encode_str_dict(values: Sequence[str]) -> Tuple[bytes, bytes, int]:
@@ -118,18 +133,43 @@ def _encode_str_dict(values: Sequence[str]) -> Tuple[bytes, bytes, int]:
     return dict_blob, codes_blob, len(codes)
 
 
+class SlabColumns(NamedTuple):
+    """One relation's rows of one slab, as the encoder takes them:
+    ``columns`` holds one list per attribute, of which the first ``count``
+    values are encoded (a capture may keep appending to the lists while
+    the writer encodes), and ``groups`` maps each vertex to its
+    ``(start, count)`` row range, in row order, covering the rows."""
+
+    columns: Sequence[List[Any]]
+    count: int
+    groups: Dict[Any, Tuple[int, int]]
+
+    @classmethod
+    def of_rows(cls, by_vertex: Dict[Any, Sequence[Row]]) -> "SlabColumns":
+        """``vertex -> rows`` transposed, each vertex's rows in the order
+        they iterate; empty partitions are dropped."""
+        rows: List[Row] = []
+        groups: Dict[Any, Tuple[int, int]] = {}
+        for vertex, part in by_vertex.items():
+            if part:
+                groups[vertex] = (len(rows), len(part))
+                rows.extend(part)
+        arity = len(rows[0]) if rows else 0
+        return cls([list(map(itemgetter(pos), rows)) for pos in range(arity)],
+                   len(rows), groups)
+
+
 def encode_columnar_slab(
     chunks: Dict[str, Any],
     compression: str,
     meta_key: str = "\x00meta",
 ) -> Tuple[bytes, int]:
-    """Encode slab ``chunks`` (``relation -> vertex -> rows``, plus an
-    optional meta entry under ``meta_key``) as an ARSC blob, each vertex's
-    rows in the order they iterate.
+    """Encode slab ``chunks`` (``relation ->`` :class:`SlabColumns` or
+    ``vertex -> rows``, plus an optional meta entry under ``meta_key``) as
+    an ARSC blob.
 
     Returns ``(blob, raw_bytes)``; ``raw_bytes`` is the pre-compression
     payload total (the compression-ratio numerator).
-    Empty partitions are dropped (the sealers never emit them).
     """
     compress = compression == "zlib"
     parts: List[bytes] = [_HEADER.pack(ARSC_MAGIC, ARSC_VERSION, 0, 0)]
@@ -151,31 +191,19 @@ def encode_columnar_slab(
 
     relations: Dict[str, Dict[str, Any]] = {}
     meta = None
-    for relation, by_vertex in chunks.items():
+    for relation, chunk in chunks.items():
         if relation == meta_key:
-            meta = by_vertex
+            meta = chunk
             continue
-        rows_list: List[Row] = []
-        groups: List[Tuple[int, int]] = []
-        group_keys: List[Any] = []
-        for vertex, rows in by_vertex.items():
-            if not rows:
-                continue
-            groups.append((len(rows_list), len(rows)))
-            group_keys.append(vertex)
-            rows_list.extend(rows)
-        nrows = len(rows_list)
-        arity = len(rows_list[0]) if rows_list else 0
+        if isinstance(chunk, dict):
+            chunk = SlabColumns.of_rows(chunk)
+        nrows = chunk.count
         columns: List[Dict[str, Any]] = []
-        for pos in range(arity):
-            values = [row[pos] for row in rows_list]
-            lane = _pick_lane(values)
+        for column in chunk.columns:
+            values = column[:nrows]
+            lane, payload = _lane_payload(values)
             desc: Dict[str, Any] = {"lane": lane}
-            if lane == LANE_I64:
-                payload = struct.pack(f"<{nrows}q", *values)
-                desc["distinct"] = len(set(values))
-            elif lane == LANE_F64:
-                payload = struct.pack(f"<{nrows}d", *values)
+            if payload is not None:  # i64, f64
                 desc["distinct"] = len(set(values))
             elif lane == LANE_STR:
                 dict_blob, payload, count = _encode_str_dict(values)
@@ -190,6 +218,8 @@ def encode_columnar_slab(
             seg, comp, raw_len = add_segment(payload)
             desc.update(seg=seg, comp=comp, raw=raw_len)
             columns.append(desc)
+        group_keys = list(chunk.groups)
+        groups = list(chunk.groups.values())
         keys_seg, keys_comp, keys_raw = add_segment(
             pickle.dumps(group_keys, protocol=pickle.HIGHEST_PROTOCOL)
         )

@@ -366,23 +366,13 @@ class SpillManager:
     # ------------------------------------------------------------------
     # sealing
     # ------------------------------------------------------------------
-    def _layer_chunks(self, layer: Any) -> Dict[str, Dict[Any, List[Row]]]:
-        """Snapshot one layer of the store (``None``: its time-less
-        relations) as per-relation chunks, each vertex's rows copied in
-        insertion order on the caller's thread — the store may keep growing
-        while the writer encodes."""
-        return {
-            relation: {vertex: list(rows) for vertex, rows in by_vertex.items()}
-            for relation, by_vertex in self.store.layer(layer).items()
-        }
-
     def seal_layer_nowait(self, superstep: int) -> None:
         """Hand one completed layer to the writer without waiting for the
         disk — the capture fast lane. Re-sealing a superstep overwrites its
         slab, so late rows just cost one extra write."""
         path = self.slab_path(superstep)
         self._slabs[superstep] = path
-        self._submit(superstep, path, self._layer_chunks(superstep))
+        self._submit(superstep, path, self.store.layer_columns(superstep))
 
     def seal_layer(self, superstep: int) -> int:
         """Write one layer to disk; returns the slab's byte size.
@@ -399,7 +389,7 @@ class SpillManager:
         """The time-less relations (e.g. Query 11's prov_edges) plus the
         relation schemas and layer count, as slab chunks."""
         registry = self.store.registry
-        chunks: Dict[str, Any] = self._layer_chunks(None)
+        chunks: Dict[str, Any] = self.store.layer_columns(None)
         chunks[_META_KEY] = {
             "schemas": {
                 name: registry.get(name) for name in self.store.relations()

@@ -1,35 +1,30 @@
 """The provenance store — the compact provenance graph of Section 3.
 
-Physically the store is layer-major, like its sealed form: per relation,
-per *layer* (the superstep; ``None`` for a time-less relation, whose one
-layer is the static slab), per vertex, a *bucket* of rows in insertion
-order. Logically it is still the paper's compact representation (Figure
-4): one node per input vertex annotated with relation partitions, rather
-than one node per (vertex, superstep) pair — ``partition`` answers a
-vertex's rows over every layer.
-
-The store tracks serialized byte sizes incrementally (Tables 3/4 report
-capture sizes) and supports spilling sealed layers to disk through
-:class:`~repro.provenance.spill.SpillManager` — the stand-in for the paper's
-asynchronous HDFS offload. A seal snapshots one layer's buckets as they
-are, so a slab's row order is the store's insertion order.
+Physically the store is layer-major and columnar, like its sealed form:
+per relation, per *layer* (the superstep; ``None`` for a time-less
+relation, whose one layer is the static slab), a :class:`Layer` of column
+lists and a vertex group table. Logically it is still the paper's compact
+representation (Figure 4): one node per input vertex annotated with
+relation partitions — ``partition`` answers a vertex's rows over every
+layer. A layer *is* what evaluation reads (``column_batches``) and what a
+seal encodes (:class:`~repro.provenance.spill.SpillManager`), so a slab's
+row order is the store's; byte sizes (Tables 3/4) are priced per column.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import (
-    AbstractSet, Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+    AbstractSet, Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.errors import ProvenanceError
+from repro.provenance.columnar import SlabColumns
 from repro.provenance.model import RelationSchema, SchemaRegistry
-from repro.sizemodel import RowSizer
+from repro.sizemodel import column_bytes, row_prefix_bytes
 
 Row = Tuple[Any, ...]
-#: One vertex's rows of one (relation, layer): a dict keyed by row, so one
-#: insert both deduplicates and keeps insertion order.
-Bucket = Dict[Row, None]
+Span = Tuple[int, int]
 
 #: Shared immutable empty result for partition/slice misses. Misses are the
 #: common case on sparse relations; allocating a fresh ``set()`` per miss
@@ -37,50 +32,206 @@ Bucket = Dict[Row, None]
 _EMPTY_ROWS: frozenset = frozenset()
 
 
+def _distinct(columns: Sequence[List[Any]], probe: Sequence[int],
+              start: int, end: int) -> bool:
+    """Are rows ``start:end`` pairwise distinct? Sufficient test: one
+    column whose values there are — no row tuple is built."""
+    n = end - start
+    for pos in probe:
+        if len(set(columns[pos][start:end])) == n:
+            return True
+    return False
+
+
+class Layer:
+    """One relation's rows of one layer, as the :class:`ColumnBatch`
+    protocol over memory: ``columns`` holds one list per attribute,
+    ``count`` values each, in arrival order, and the group table maps each
+    vertex (in first-arrival order) to its ``(start, count)`` range.
+
+    A vertex whose rows arrive in more than one append gets more ranges
+    and *scatters* the layer; the next read or seal permutes it
+    vertex-major, each vertex's rows in arrival order. The permuted
+    columns are new lists, so a seal handed the old ones still reads what
+    it was given.
+
+    An append skips rows the layer holds. A new vertex's run needs no row
+    tuple for that when it is one row or one of its columns has no
+    repeats; any other run is checked against the vertex's row set, built
+    from the columns on first need and kept up to date after.
+    """
+
+    __slots__ = ("columns", "count", "_groups", "_more", "_keys")
+
+    def __init__(self, arity: int) -> None:
+        self.columns: List[List[Any]] = [[] for _ in range(arity)]
+        self.count = 0
+        self._groups: Dict[Any, Span] = {}  # each vertex's first range
+        self._more: Dict[Any, List[Span]] = {}  # ranges after the first
+        self._keys: Dict[Any, Dict[Row, None]] = {}  # row sets, see above
+
+    @classmethod
+    def of(cls, chunk: SlabColumns) -> "Layer":
+        """A layer holding ``chunk`` as it is — its vertices one range
+        each, their rows distinct: a superstep's frames and stored slices
+        (:class:`~repro.runtime.db.SuperstepBatches`)."""
+        layer = cls(0)
+        layer.columns, layer.count, layer._groups = (
+            list(chunk.columns), chunk.count, chunk.groups)
+        return layer
+
+    # -- the column batch protocol ---------------------------------------
+    @property
+    def arity(self) -> int:
+        return len(self.columns)
+
+    def lane(self, pos: int) -> str:
+        return "obj"
+
+    def groups(self) -> Dict[Any, Span]:
+        self.settle()
+        return self._groups
+
+    def values(self, pos: int) -> List[Any]:
+        self.settle()
+        return self.columns[pos]
+
+    # -- writing -----------------------------------------------------------
+    def append(self, columns: List[List[Any]],
+               spans: Iterable[Tuple[Any, int]], probe: Sequence[int],
+               ) -> Tuple[int, bool]:
+        """Append the rows of ``columns`` the layer does not hold yet;
+        ``spans`` gives each vertex's rows as one ``(vertex, count)`` run,
+        in row order. Returns how many rows took the row-set check and
+        whether this append scattered the layer. ``probe`` names the
+        columns worth testing for repeats (not the location or the
+        time)."""
+        first, more = self._groups, self._more
+        was_scattered = bool(more)
+        at = self.count
+        keep: Optional[List[int]] = None  # surviving rows, once one is dropped
+        keyed = start = 0
+        for vertex, n in spans:
+            end = start + n
+            span = first.get(vertex)
+            if span is None and (n == 1 or _distinct(columns, probe,
+                                                     start, end)):
+                kept = n
+                if keep is not None:
+                    keep.extend(range(start, end))
+            else:
+                keyed += n
+                seen = self.row_set(vertex)
+                ids = []
+                for i, row in enumerate(
+                        zip(*[col[start:end] for col in columns]), start):
+                    size = len(seen)
+                    seen[row] = None
+                    if len(seen) != size:
+                        ids.append(i)
+                kept = len(ids)
+                if keep is None and kept != n:
+                    keep = list(range(start))
+                if keep is not None:
+                    keep += ids
+            if kept:
+                if span is None:
+                    first[vertex] = (at, kept)
+                else:
+                    more.setdefault(vertex, []).append((at, kept))
+                at += kept
+            start = end
+        if keep is not None:
+            columns = [list(map(col.__getitem__, keep)) for col in columns]
+        if at != self.count:
+            for mine, col in zip(self.columns, columns):
+                mine.extend(col)
+            self.count = at
+        return keyed, bool(more) and not was_scattered
+
+    def settle(self) -> None:
+        """Permute a scattered layer into vertex-major order."""
+        more = self._more
+        if not more:
+            return
+        ids: List[int] = []
+        groups: Dict[Any, Span] = {}
+        for vertex, span in self._groups.items():
+            at = len(ids)
+            for start, n in (span, *more.get(vertex, ())):
+                ids.extend(range(start, start + n))
+            groups[vertex] = (at, len(ids) - at)
+        self.columns = [list(map(col.__getitem__, ids))
+                        for col in self.columns]
+        self._groups, self._more = groups, {}
+
+    # -- reading -----------------------------------------------------------
+    def rows_of(self, vertex: Any) -> List[Row]:
+        """``vertex``'s rows in arrival order."""
+        span = self._groups.get(vertex)
+        if span is None:
+            return []
+        out: List[Row] = []
+        for start, n in (span, *self._more.get(vertex, ())):
+            out += zip(*[col[start:start + n] for col in self.columns])
+        return out
+
+    def row_set(self, vertex: Any) -> Dict[Row, None]:
+        """``vertex``'s rows as an insertion-ordered dict (do not write)."""
+        rows = self._keys.get(vertex)
+        if rows is None:
+            rows = self._keys[vertex] = dict.fromkeys(self.rows_of(vertex))
+        return rows
+
+    def nbytes(self) -> int:
+        """The rows' serialized size under :mod:`repro.sizemodel`, priced
+        per column."""
+        return row_prefix_bytes(self.count) + sum(map(column_bytes,
+                                                      self.columns))
+
+    def snapshot(self) -> SlabColumns:
+        """What a seal encodes, taken with no row copied: the column lists
+        (the store only appends past ``count`` while the writer encodes),
+        ``count`` and a copy of the group table — vertex-major, so each
+        vertex is one range."""
+        self.settle()
+        return SlabColumns(self.columns, self.count, dict(self._groups))
+
+
 class ProvenanceStore:
     """The captured provenance of one analytic run.
 
-    Organized ``relation -> layer -> vertex -> bucket``: a capture writes
+    Organized ``relation -> layer ->`` :class:`Layer`: a capture writes
     one superstep at a time and layered evaluation and the seal read one
     layer at a time (§5.1, Lemma 5.3). Rows are returned as read-only
-    set views of their buckets, iterating in insertion order.
+    set views, iterating in insertion order.
+
+    ``dedup_rows`` counts the rows that took a layer's keyed check (see
+    :class:`Layer`), ``permuted_layers`` the appends that scattered a
+    layer, so that its next read or seal permutes it.
     """
 
     def __init__(self, registry: Optional[SchemaRegistry] = None) -> None:
         self.registry = registry or SchemaRegistry()
-        self._data: Dict[str, Dict[Any, Dict[Any, Bucket]]] = {}
-        self._bytes: Dict[str, int] = {}
-        self._num_rows = 0
+        self._data: Dict[str, Dict[Any, Layer]] = {}
         self._max_superstep = -1
-        # layer -> its row count over every relation
-        self._layer_rows: Dict[Any, int] = {}
+        self.dedup_rows = 0
+        self.permuted_layers = 0
         # Attribute intern pool: repeated string attributes (vertex labels,
-        # message tags) collapse to one object each, so the buckets hold
+        # message tags) collapse to one object each, so the columns hold
         # references instead of copies. Only ``str`` is interned: CPython
         # already caches small ints (the vertex ids), floats are mostly
         # distinct in provenance (values, payloads) and would bloat the
         # pool, and ``1 == 1.0 == True`` share a hash, so a mixed pool
         # could swap types and change the size model's answer.
         self._intern_pool: Dict[str, str] = {}
-        # Memoized per-relation sizers, byte-exact against the recursive
-        # ``estimate_bytes`` (the size-model oracle the tests check them
-        # against).
-        self._sizers: Dict[str, RowSizer] = {}
-        # Read-side views of a relation, built on first read and dropped by
-        # the next write to it: column_batches' relation -> layer -> batch,
-        # and partition's relation -> vertex -> rows over every layer.
-        self._batches: Dict[str, Dict[Any, ListBatch]] = {}
-        self._vertex_views: Dict[str, Dict[Any, Bucket]] = {}
+        # partition's relation -> vertex -> rows over every layer, built on
+        # first read and dropped by the next write to the relation
+        self._vertex_views: Dict[str, Dict[Any, Dict[Row, None]]] = {}
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def _sizer_for(self, relation: str):
-        sizer = self._sizers.get(relation)
-        if sizer is None:
-            sizer = self._sizers[relation] = RowSizer()
-        return sizer.best()
-
     def add(self, relation: str, row: Row) -> bool:
         """Insert a fact; returns True if new. The vertex is row's first
         attribute (the location specifier)."""
@@ -89,70 +240,82 @@ class ProvenanceStore:
     def add_batch(self, relation: str, rows: Iterable[Row]) -> int:
         """Insert ``rows`` in order; returns the number that were new.
 
-        The schema, size model and intern columns resolve once per batch
-        and the layer once per run of rows that share one (a capture flush
-        is all one superstep); each row then takes one bucket insert — the
-        len-delta dedup hashes the row tuple once.
-        """
-        iterator = iter(rows)
-        try:
-            first = next(iterator)
-        except StopIteration:
+        The row entry: each layer's rows are grouped by vertex (first-seen
+        order), transposed into columns and appended like
+        :meth:`append_columns` appends."""
+        rows = rows if isinstance(rows, list) else list(rows)
+        if not rows:
             return 0
         schema = self.registry.get(relation)
-        self._batches.pop(relation, None)
-        self._vertex_views.pop(relation, None)
-        arity = schema.arity
+        arity, location = schema.arity, schema.location_index
         time_index = schema.time_index
-        location = schema.location_index
-        sizer = self._sizer_for(relation)
-        layers = self._data.setdefault(relation, {})
-        layer_rows = self._layer_rows
-        # Intern columns are learned from the batch's first row, so
-        # string-free batches (most provenance relations are all-numeric)
-        # skip the pool entirely; rows whose columns deviate from the
-        # learned shape just miss the optimization.
-        pool = self._intern_pool
-        intern_cols = tuple(i for i, v in enumerate(first) if type(v) is str)
-        added = counted = batch_bytes = 0
-        max_t = self._max_superstep
-        layer: Any = None
-        by_vertex: Optional[Dict[Any, Bucket]] = None
-        for row in chain((first,), iterator):
+        # layer -> vertex -> rows, both in first-seen order
+        split: Dict[Any, Dict[Any, List[Row]]] = {}
+        for row in rows:
             if len(row) != arity:
                 schema.check(row)  # raises the canonical arity error
-            for i in intern_cols:
-                v = row[i]
-                if type(v) is str:
-                    canon = pool.setdefault(v, v)
-                    if canon is not v:
-                        row = row[:i] + (canon,) + row[i + 1:]
             t = row[time_index] if time_index is not None else None
-            if by_vertex is None or t != layer:
-                if by_vertex is not None:
-                    layer_rows[layer] = layer_rows.get(layer, 0) + added - counted
-                    counted = added
-                layer = t
-                by_vertex = layers.get(t)
-                if by_vertex is None:
-                    by_vertex = layers[t] = {}
-                if t is not None and t > max_t:
-                    max_t = t
+            by_vertex = split.get(t)
+            if by_vertex is None:
+                by_vertex = split[t] = {}
             vertex = row[location]
-            bucket = by_vertex.get(vertex)
-            if bucket is None:
-                bucket = by_vertex[vertex] = {}
-            before = len(bucket)
-            bucket[row] = None
-            if len(bucket) != before:
-                added += 1
-                batch_bytes += sizer(row)
-        layer_rows[layer] = layer_rows.get(layer, 0) + added - counted
-        if added:
-            self._num_rows += added
-            self._bytes[relation] = self._bytes.get(relation, 0) + batch_bytes
-            self._max_superstep = max_t
+            part = by_vertex.get(vertex)
+            if part is None:
+                by_vertex[vertex] = [row]
+            else:
+                part.append(row)
+        added = 0
+        for t, by_vertex in split.items():
+            chunk = SlabColumns.of_rows(by_vertex)
+            spans = [(vertex, n) for vertex, (_, n) in chunk.groups.items()]
+            added += self._append(relation, schema, t, chunk.columns, spans)
         return added
+
+    def append_columns(self, relation: str, columns: List[List[Any]],
+                       spans: Sequence[Tuple[Any, int]]) -> int:
+        """Append rows given as columns (one list per attribute, equal
+        lengths) — each vertex's rows one ``(vertex, count)`` span, in row
+        order; returns the number that were new. Rows of several layers,
+        or a vertex with several spans, go through :meth:`add_batch`."""
+        if not spans:
+            return 0
+        schema = self.registry.get(relation)
+        if len(columns) != schema.arity:
+            schema.check(tuple(col[0] for col in columns))
+        time_index = schema.time_index
+        t = None
+        if time_index is not None:
+            times = columns[time_index]
+            t = times[0]
+            if times.count(t) != len(times):
+                return self.add_batch(relation, zip(*columns))
+        if len({vertex for vertex, _n in spans}) != len(spans):
+            return self.add_batch(relation, zip(*columns))
+        return self._append(relation, schema, t, columns, spans)
+
+    def _append(self, relation: str, schema: RelationSchema, t: Any,
+                columns: List[List[Any]], spans: Sequence[Any]) -> int:
+        pool = self._intern_pool
+        columns = [[pool.setdefault(v, v) if type(v) is str else v
+                    for v in col] if type(col[0]) is str else col
+                   for col in columns]
+        layers = self._data.get(relation)
+        if layers is None:
+            layers = self._data[relation] = {}
+        layer = layers.get(t)
+        if layer is None:
+            layer = layers[t] = Layer(schema.arity)
+            if t is not None and t > self._max_superstep:
+                self._max_superstep = t
+        probe = [pos for pos in range(schema.arity)
+                 if pos not in (schema.location_index, schema.time_index)]
+        before = layer.count
+        keyed, scattered = layer.append(columns, spans, probe)
+        self.dedup_rows += keyed
+        self.permuted_layers += scattered
+        if layer.count != before:
+            self._vertex_views.pop(relation, None)
+        return layer.count - before
 
     # ------------------------------------------------------------------
     # reading
@@ -165,25 +328,17 @@ class ProvenanceStore:
 
     def partition(self, relation: str, vertex: Any) -> AbstractSet[Row]:
         """``vertex``'s rows of ``relation`` over every layer, layer by
-        layer. A relation with more than one layer answers from a
-        per-vertex view, gathered in one pass over the layers on the
-        vertex's first read and kept until the next write to the
-        relation."""
+        layer — gathered in one pass over the layers on the vertex's first
+        read and kept until the next write to the relation."""
         layers = self._data.get(relation)
         if not layers:
             return _EMPTY_ROWS
-        if len(layers) == 1:
-            (by_vertex,) = layers.values()
-            rows = by_vertex.get(vertex)
-        else:
-            view = self._vertex_views.setdefault(relation, {})
-            rows = view.get(vertex)
-            if rows is None:
-                rows = view[vertex] = {}
-                for by_vertex in layers.values():
-                    bucket = by_vertex.get(vertex)
-                    if bucket is not None:
-                        rows.update(bucket)
+        view = self._vertex_views.setdefault(relation, {})
+        rows = view.get(vertex)
+        if rows is None:
+            rows = view[vertex] = {}
+            for layer in layers.values():
+                rows.update(dict.fromkeys(layer.rows_of(vertex)))
         return rows.keys() if rows else _EMPTY_ROWS
 
     def partition_at(self, relation: str, vertex: Any,
@@ -195,41 +350,50 @@ class ProvenanceStore:
             return _EMPTY_ROWS
         if self.registry.get(relation).time_index is None:
             superstep = None
-        rows = layers.get(superstep, {}).get(vertex)
-        return rows.keys() if rows is not None else _EMPTY_ROWS
+        layer = layers.get(superstep)
+        if layer is None or vertex not in layer._groups:
+            return _EMPTY_ROWS
+        return layer.row_set(vertex).keys()
 
     def rows(self, relation: str) -> Iterator[Row]:
-        for by_vertex in self._data.get(relation, {}).values():
-            for bucket in by_vertex.values():
-                yield from bucket
+        for layer in self._data.get(relation, {}).values():
+            layer.settle()
+            yield from zip(*layer.columns)
 
     def vertices(self, relation: Optional[str] = None) -> Set[Any]:
         relations = (self._data.values() if relation is None
                      else [self._data.get(relation, {})])
-        out: Set[Any] = set()
-        for layers in relations:
-            for by_vertex in layers.values():
-                out.update(by_vertex)
-        return out
+        return {vertex for layers in relations for layer in layers.values()
+                for vertex in layer._groups}
 
     def layer(self, superstep: Any) -> Dict[str, Dict[Any, AbstractSet[Row]]]:
         """One layer, relation -> vertex -> rows (``None``: the time-less
-        relations) — read-only views of the buckets, in insertion order."""
+        relations) — read-only views, in insertion order."""
+        out = {}
+        for relation, layers in self._data.items():
+            layer = layers.get(superstep)
+            if layer is not None:
+                out[relation] = {v: layer.row_set(v).keys()
+                                 for v in layer.groups()}
+        return out
+
+    def layer_columns(self, superstep: Any) -> Dict[str, SlabColumns]:
+        """One layer of every relation (``None``: the time-less ones) as
+        its :meth:`Layer.snapshot`, in relation order — a seal's input."""
         return {
-            relation: {v: bucket.keys() for v, bucket in layers[superstep].items()}
+            relation: layers[superstep].snapshot()
             for relation, layers in self._data.items() if superstep in layers
         }
 
     def layer_sites(self, superstep: int) -> Set[Any]:
         """Vertices carrying at least one fact in one layer."""
-        sites: Set[Any] = set()
-        for layers in self._data.values():
-            sites.update(layers.get(superstep, ()))
-        return sites
+        return {vertex for layers in self._data.values()
+                if superstep in layers for vertex in layers[superstep]._groups}
 
     def layer_rows(self, superstep: int) -> int:
         """Row count of one layer."""
-        return self._layer_rows.get(superstep, 0)
+        return sum(layers[superstep].count for layers in self._data.values()
+                   if superstep in layers)
 
     def execution_nodes(self) -> Set[Tuple[Any, int]]:
         """The nodes of the unfolded provenance graph: every
@@ -237,36 +401,30 @@ class ProvenanceStore:
         return {
             (vertex, t)
             for layers in self._data.values()
-            for t, by_vertex in layers.items() if t is not None
-            for vertex in by_vertex
+            for t, layer in layers.items() if t is not None
+            for vertex in layer._groups
         }
 
     def column_batches(
         self, relation: str, supersteps: Optional[Iterable[Any]] = None,
-    ) -> List[ListBatch]:
-        """List-backed batches over the layers' buckets: one per entry of
+    ) -> List[Layer]:
+        """The layers themselves, as column batches: one per entry of
         ``supersteps``, or every layer in superstep order when ``None``, and
-        a time-less relation's one layer either way — the sealed view's slab
-        selection. A layer's batch is built on its first read and kept until
-        the next write to the relation."""
+        a time-less relation's one layer either way — the sealed view's
+        slab selection."""
         layers = self._data.get(relation)
         if not layers:
             return []
-        schema = self.registry.get(relation)
-        if schema.time_index is None:
+        if self.registry.get(relation).time_index is None:
             supersteps = [None]
         elif supersteps is None:
             supersteps = sorted(layers)
-        built = self._batches.setdefault(relation, {})
-        out: List[ListBatch] = []
+        out = []
         for t in supersteps:
-            batch = built.get(t)
-            if batch is None:
-                by_vertex = layers.get(t)
-                if by_vertex is None:
-                    continue
-                batch = built[t] = ListBatch(schema.arity, by_vertex.items())
-            out.append(batch)
+            layer = layers.get(t)
+            if layer is not None:
+                layer.settle()
+                out.append(layer)
         return out
 
     @property
@@ -283,25 +441,25 @@ class ProvenanceStore:
     # ------------------------------------------------------------------
     @property
     def num_rows(self) -> int:
-        return self._num_rows
+        return sum(self.counts().values())
 
     def total_bytes(self) -> int:
-        return sum(self._bytes.values())
+        return sum(self.relation_bytes().values())
 
     def relation_bytes(self) -> Dict[str, int]:
-        return dict(self._bytes)
+        return {relation: sum(layer.nbytes() for layer in layers.values())
+                for relation, layers in self._data.items()}
 
     def counts(self) -> Dict[str, int]:
         return {
-            relation: sum(len(bucket) for by_vertex in layers.values()
-                          for bucket in by_vertex.values())
+            relation: sum(layer.count for layer in layers.values())
             for relation, layers in self._data.items()
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ProvenanceStore(relations={len(self._data)}, "
-            f"rows={self._num_rows}, bytes={self.total_bytes()})"
+            f"rows={self.num_rows}, bytes={self.total_bytes()})"
         )
 
 
@@ -364,39 +522,6 @@ class ColumnBatch:
         code = self._slab.str_code(self.relation, pos, value)
         self._note()
         return code
-
-
-class ListBatch:
-    """The :class:`ColumnBatch` protocol over in-memory rows: one layer's
-    ``(vertex, rows)`` pairs, each vertex's rows contiguous in the order
-    given (a store bucket's is insertion order, as in its sealed slab).
-    Every lane is ``"obj"`` (plain Python values), so ``codes`` /
-    ``code_of`` are never asked for; a column is gathered on its first
-    ``values`` call."""
-
-    __slots__ = ("arity", "count", "_rows", "_groups", "_columns")
-
-    def __init__(self, arity: int,
-                 partitions: Iterable[Tuple[Any, Iterable[Row]]]) -> None:
-        self.arity = arity
-        self._rows: List[Row] = []
-        self._groups: Dict[Any, Tuple[int, int]] = {}
-        self._columns: Dict[int, List[Any]] = {}
-        for vertex, rows in partitions:  # every partition / slice is non-empty
-            self._groups[vertex] = (len(self._rows), len(rows))
-            self._rows.extend(rows)
-        self.count = len(self._rows)
-
-    def lane(self, pos: int) -> str:
-        return "obj"
-
-    def groups(self) -> Dict[Any, Tuple[int, int]]:
-        return self._groups
-
-    def values(self, pos: int) -> List[Any]:
-        if pos not in self._columns:
-            self._columns[pos] = [row[pos] for row in self._rows]
-        return self._columns[pos]
 
 
 class SealedStoreView:

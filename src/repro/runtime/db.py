@@ -21,8 +21,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 
 from repro.graph.digraph import DiGraph
 from repro.pql.eval import Database, Row, TupleStore, _Partition
-from repro.provenance.model import CORE_SCHEMAS, freeze
-from repro.provenance.store import ListBatch, ProvenanceStore
+from repro.provenance.columnar import SlabColumns
+from repro.provenance.model import freeze
+from repro.provenance.store import Layer, ProvenanceStore
 
 
 _STATIC = frozenset(("edge", "vertex"))
@@ -336,17 +337,17 @@ class SuperstepBatches:
             return (InboxBatch(inbox, _RECEIVE[relation])
                     if inbox is not None and inbox.count else None)
         if relation in self.frame_relations:
-            slices = list(self.frames.get(relation, {}).items())
+            slices = self.frames.get(relation, {})
         else:
             parts = self.local.partitions(relation)
-            slices = []
+            slices = {}
             for v in self.sites:
                 part = parts.get(v)
                 rows = (None if part is None else part.rows if time is None
                         else part.by_time.get(time))
                 if rows:
-                    slices.append((v, rows))
-        return ListBatch(CORE_SCHEMAS[relation].arity, slices) if slices else None
+                    slices[v] = rows
+        return Layer.of(SlabColumns.of_rows(slices)) if slices else None
 
 
 class OnlineDatabase(Database):

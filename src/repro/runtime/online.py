@@ -21,7 +21,7 @@ Then, once per superstep, :meth:`OnlineQueryProgram.post_superstep` — the
 engine's program-level hook — runs the *superstep program*: every rule
 evaluates once, as a layer program over all the executed vertices (the
 location a column, the frames and stored relations column batches), the
-fresh head rows go to the capture buffer, the frames die, windowed
+fresh head rows go to the capture store, the frames die, windowed
 relations are pruned, and each sender's watermark toward every target it
 messaged moves on. A vertex reads another vertex's relations only up to
 that watermark — what per-target deltas shipped — and across processes the
@@ -64,7 +64,7 @@ from repro.pql.eval import (
 )
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
-from repro.pql.vectorized import VectorContext, layer_program
+from repro.pql.vectorized import CopiedRows, VectorContext, layer_program
 from repro.provenance.model import SchemaRegistry, freeze
 from repro.provenance.spill import SpillManager
 from repro.provenance.store import ProvenanceStore
@@ -189,16 +189,17 @@ class RecordingContext:
 class _PersistingOnlineDatabase(OnlineDatabase):
     """Online database that also persists derived head tuples to a store.
 
-    Fresh head tuples are buffered per relation and drained in batches
-    through :meth:`ProvenanceStore.add_batch` (schema checks, interning and
-    size accounting amortize per batch instead of per row). Buffering is
-    safe because the capture store is write-only while the run is live:
-    online evaluation reads the derived/local partitions, never the store.
+    A persisted head's fresh rows go to the store as they are derived, one
+    :meth:`ProvenanceStore.add_batch` per rule and superstep — safe because
+    the capture store is write-only while the run is live: online
+    evaluation reads the frames and the derived/local partitions, never
+    the store.
 
     A persisted head in ``store_only`` — no rule reads it but its own exact
-    copy, it is not shipped, and its rows cannot repeat across flushes —
-    is held once: its rows go to the buffer only, deduplicated there, and
-    never into ``derived``.
+    copy, it is not shipped, and its rows cannot repeat across supersteps
+    — is held once: its rows go to the store only, which deduplicates them,
+    and never into ``derived``. A copy program's rows arrive as columns
+    (:class:`~repro.pql.vectorized.CopiedRows`) and are appended as such.
     """
 
     def __init__(self, *args: Any, capture: Optional[ProvenanceStore],
@@ -207,36 +208,27 @@ class _PersistingOnlineDatabase(OnlineDatabase):
         self.capture = capture
         self.persist = persist if capture is not None else set()
         self.store_only: Set[str] = set()
-        self._pending: Dict[str, Any] = {}
 
     def add_rows(self, relation: str, rows: Any) -> int:
         if relation in self.store_only:
-            held = self._pending.get(relation)
-            if held is None:
-                held = self._pending[relation] = {}
-            before = len(held)
-            held.update(zip(rows, repeat(None)))
-            return len(held) - before
+            if type(rows) is CopiedRows:
+                return self.capture.append_columns(
+                    relation, rows.columns, rows.spans)
+            return self.capture.add_batch(relation, rows)
         if relation not in self.persist:
             return self._insert(relation, rows, None)
-        return self._insert(relation, rows,
-                            self._pending.setdefault(relation, []))
+        fresh: List[Any] = []
+        new = self._insert(relation, rows, fresh)
+        self.capture.add_batch(relation, fresh)
+        return new
 
     def disable_persistence(self) -> None:
-        """Stop persisting and drop the buffer (forked parallel workers:
-        their store copy dies with the process; the master re-derives the
-        shard's head tuples from ``parallel_state``, so a worker holds
-        every head in ``derived``)."""
+        """Stop persisting (forked parallel workers: their store copy dies
+        with the process; the master re-derives the shard's head tuples
+        from ``parallel_state``, so a worker holds every head in
+        ``derived``)."""
         self.persist = set()
         self.store_only = set()
-        self._pending.clear()
-
-    def flush_captured(self) -> None:
-        """Drain buffered head tuples into the store, each relation's in
-        the order they were derived."""
-        pending, self._pending = self._pending, {}
-        for relation, rows in pending.items():
-            self.capture.add_batch(relation, rows)
 
 
 class OnlineQueryProgram(VertexProgram):
@@ -393,14 +385,20 @@ class OnlineQueryProgram(VertexProgram):
         halt = self.inner.master_halt(aggregators, superstep)
         if self.db.persist:
             # The barrier for `superstep` has passed: its layer is
-            # complete. Batch-flush the buffered head tuples, then hand
-            # the finished layer(s) to the spill writer.
-            with get_tracer().span("provenance-capture", PHASE_CAPTURE,
-                                   superstep=superstep):
-                self.db.flush_captured()
-                if self._capture_spill is not None:
-                    self._seal_completed(superstep)
+            # complete. Hand the finished layer(s) to the spill writer.
+            self._capture_barrier(superstep, superstep=superstep)
         return halt
+
+    def _capture_barrier(self, through: int, **attrs: Any) -> None:
+        """One ``provenance-capture`` span: seal the completed layers up to
+        ``through`` and stamp the store's ingest counters."""
+        store = self.db.capture
+        with get_tracer().span("provenance-capture", PHASE_CAPTURE,
+                               **attrs) as span:
+            if self._capture_spill is not None:
+                self._seal_completed(min(through, store.max_superstep))
+            span.set(permuted_layers=store.permuted_layers,
+                     dedup_rows=store.dedup_rows)
 
     def _seal_completed(self, through: int) -> None:
         """Seal every layer up to ``through`` that is not sealed yet, and
@@ -408,7 +406,6 @@ class OnlineQueryProgram(VertexProgram):
         re-seal just overwrites the slab, so late rows cost one write)."""
         store = self.db.capture
         sealed = self._sealed_rows
-        through = min(through, store.max_superstep)
         for t in range(max(through + 1, len(sealed))):
             rows = store.layer_rows(t)
             if t == len(sealed):
@@ -421,16 +418,11 @@ class OnlineQueryProgram(VertexProgram):
             self.sealed_layers += 1
 
     def finish_capture(self) -> None:
-        """Flush buffered captured rows after the engine loop — the
-        engine's early-halt paths can skip the final ``master_halt`` — and
-        seal what that flush added. The static slab is left to
-        ``seal_all``."""
-        if not self.db.persist:
-            return
-        with get_tracer().span("provenance-capture", PHASE_CAPTURE):
-            self.db.flush_captured()
-            if self._capture_spill is not None:
-                self._seal_completed(self.db.capture.max_superstep)
+        """Seal what the last supersteps added after the engine loop — the
+        engine's early-halt paths can skip the final ``master_halt``. The
+        static slab is left to ``seal_all``."""
+        if self.db.persist:
+            self._capture_barrier(self.db.capture.max_superstep)
 
     def combiner(self):
         return None  # receive_message needs each sender's message
@@ -596,6 +588,18 @@ class OnlineQueryProgram(VertexProgram):
             "repro_capture_prune_checks_total",
             "window-pruning partition checks", labels=("outcome",),
         ).labels("miss").inc(self.prune_misses)
+        store = self.db.capture
+        if store is not None:
+            registry.counter(
+                "repro_capture_permuted_layers_total",
+                "capture layers scattered by a second append of a vertex "
+                "(permuted vertex-major before a read or seal)",
+            ).inc(store.permuted_layers)
+            registry.counter(
+                "repro_capture_dedup_rows_total",
+                "captured rows checked row by row against a vertex's "
+                "stored rows",
+            ).inc(store.dedup_rows)
 
     # -- multiprocess backend hooks ---------------------------------------
     # The parallel engine duck-types these: each worker process runs this
@@ -777,6 +781,8 @@ def run_online(
             "shipped_tuples": wrapper.shipped_tuples,
             "sealed_layers": wrapper.sealed_layers,
             "compiled_rules": compiled.compiled_rules,
+            **({"permuted_layers": store.permuted_layers,
+                "dedup_rows": store.dedup_rows} if store is not None else {}),
             **wrapper.db.vector_ctx.stats(),
         },
     )

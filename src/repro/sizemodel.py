@@ -18,7 +18,7 @@ Python object headers) — and only the *ratios* matter for the reproduction.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence
 
 _PREFIX = 4
 _SCALAR = 8
@@ -45,120 +45,38 @@ def estimate_bytes(value: Any) -> int:
     return _PREFIX + len(repr(value))
 
 
-#: Exact-type fixed sizes under the byte model. Keyed by ``type(v)``
-#: identity, so ``bool`` (a subclass of ``int``) and numpy scalars never
-#: take the wrong branch: anything not listed falls back to the recursive
-#: estimator.
-_FIXED_SIZES = {int: _SCALAR, float: _SCALAR, bool: 1, type(None): 1}
+def exact_kind(values: Sequence[Any]) -> Optional[type]:
+    """The one concrete type of every value in ``values`` — ``None`` when
+    they are empty or of mixed types. Exact, so ``bool`` (a subclass of
+    ``int``) and numpy scalars never pass for ``int`` / ``float``: the
+    test the columnar slab encoder picks a column's lane by."""
+    kinds = set(map(type, values))
+    return kinds.pop() if len(kinds) == 1 else None
 
 
-class RowSizer:
-    """Memoized per-schema row size model.
+def column_bytes(values: Sequence[Any]) -> int:
+    """``sum(estimate_bytes(v) for v in values)``, priced per column.
 
-    Provenance rows of one relation are near-homogeneous: every ``value``
-    fact is ``(int, float, int)``, every ``send_message`` fact is
-    ``(int, int, payload, int)``, and so on. ``estimate_bytes`` re-discovers
-    that shape per row via an isinstance chain and a recursive generator
-    sum, which dominates ``ProvenanceStore.add``. A ``RowSizer`` learns the
-    column type signature from the first row it sees and then prices
-    signature-matching rows with one precomputed constant plus a length
-    term per string column.
-
-    Exactness is the contract — Tables 3/4 report these totals: any row
-    whose column types deviate from the learned signature (heterogeneous
-    payloads, numpy scalars, tuple-valued attributes) is priced by
-    :func:`estimate_bytes` itself, so ``sizer(row) == estimate_bytes(row)``
-    for every input.
+    Provenance columns are near-homogeneous (every ``value`` fact is
+    ``(int, float, int)``), so one :func:`exact_kind` test prices a whole
+    column at a constant per value (plus the lengths of a ``str`` /
+    ``bytes`` column); a mixed column is priced value by value. A row of
+    such columns costs its tuple's count prefix on top, so ``n`` rows cost
+    ``row_prefix_bytes(n) + sum(map(column_bytes, columns))``.
     """
+    kind = exact_kind(values)
+    if kind is int or kind is float:
+        return _SCALAR * len(values)
+    if kind is str or kind is bytes:
+        return _PREFIX * len(values) + sum(map(len, values))
+    if kind is bool or kind is type(None):
+        return len(values)
+    return sum(map(estimate_bytes, values))
 
-    __slots__ = ("_types", "_fixed", "_var_cols", "_exact_cols", "_fast")
 
-    def __init__(self) -> None:
-        self._types: Optional[Tuple[type, ...]] = None
-        self._fixed = 0
-        self._var_cols: Tuple[int, ...] = ()
-        self._exact_cols: Tuple[int, ...] = ()
-        self._fast = None
-
-    def _learn(self, row: Tuple[Any, ...]) -> None:
-        types = tuple(type(v) for v in row)
-        fixed = _PREFIX  # the row tuple's own count prefix
-        var_cols = []
-        exact_cols = []
-        for i, t in enumerate(types):
-            size = _FIXED_SIZES.get(t)
-            if size is not None:
-                fixed += size
-            elif t is str or t is bytes:
-                var_cols.append(i)
-            else:
-                exact_cols.append(i)
-        self._types = types
-        self._fixed = fixed
-        self._var_cols = tuple(var_cols)
-        self._exact_cols = tuple(exact_cols)
-        self._fast = self._specialize()
-
-    def _specialize(self):
-        """A hand-unrolled closure for all-fixed-width signatures of the
-        common provenance arities (every core relation is one): the row
-        prices to a precomputed constant after a few type-identity checks,
-        with :func:`estimate_bytes` still the answer on any mismatch."""
-        if self._var_cols or self._exact_cols:
-            return None
-        types, fixed, est = self._types, self._fixed, estimate_bytes
-        if len(types) == 2:
-            t0, t1 = types
-
-            def fast(row):
-                if (len(row) == 2 and type(row[0]) is t0
-                        and type(row[1]) is t1):
-                    return fixed
-                return est(row)
-        elif len(types) == 3:
-            t0, t1, t2 = types
-
-            def fast(row):
-                if (len(row) == 3 and type(row[0]) is t0
-                        and type(row[1]) is t1 and type(row[2]) is t2):
-                    return fixed
-                return est(row)
-        elif len(types) == 4:
-            t0, t1, t2, t3 = types
-
-            def fast(row):
-                if (len(row) == 4 and type(row[0]) is t0
-                        and type(row[1]) is t1 and type(row[2]) is t2
-                        and type(row[3]) is t3):
-                    return fixed
-                return est(row)
-        else:
-            return None
-        return fast
-
-    def best(self):
-        """The cheapest exact callable for this sizer: the specialized
-        closure once the signature is learned and qualifies, else the
-        sizer itself. Batch ingestion re-resolves per batch, so the first
-        batch learns and later batches run specialized."""
-        return self._fast or self
-
-    def __call__(self, row: Tuple[Any, ...]) -> int:
-        types = self._types
-        if types is None:
-            self._learn(row)
-            types = self._types
-        if len(row) != len(types):
-            return estimate_bytes(row)
-        for v, t in zip(row, types):
-            if type(v) is not t:
-                return estimate_bytes(row)
-        total = self._fixed
-        for i in self._var_cols:
-            total += _PREFIX + len(row[i])
-        for i in self._exact_cols:
-            total += estimate_bytes(row[i])
-        return total
+def row_prefix_bytes(rows: int) -> int:
+    """The count prefixes of ``rows`` row tuples."""
+    return _PREFIX * rows
 
 
 def graph_bytes(graph: Any) -> int:

@@ -221,21 +221,24 @@ def test_list_batches_equal_slab_batches(sealed_dir, full_store):
         view.close()
 
 
-def test_list_batches_are_reused_until_a_write():
-    """Every scan of a run (and every later run) reads the same batch and
-    gathered column; ``add`` or ``add_batch`` drops them, so a batch never
-    lags the store."""
+def test_store_layers_are_their_own_batches():
+    """An in-memory store's layer is its column batch: every scan reads
+    the same object and column list, and ``add`` / ``add_batch`` show in it
+    at once, so a batch never lags the store."""
     store = _small_store()
     (batch,) = store.column_batches("value", [1])
     assert store.column_batches("value", [1]) == [batch]
     assert batch.values(1) is batch.values(1)
+    count = batch.count
     store.add("value", (0, 9.0, 1))
     (grown,) = store.column_batches("value", [1])
-    assert grown.count == batch.count + 1
+    assert grown is batch and grown.count == count + 1
     store.add_batch("value", [(1, 8.0, 1)])
-    (regrown,) = store.column_batches("value", [1])
-    assert regrown.count == grown.count + 1
-    assert (0, 9.0, 1) in zip(*[regrown.values(p) for p in range(3)])
+    assert batch.count == count + 2
+    rows = list(zip(*[batch.values(p) for p in range(3)]))
+    assert (0, 9.0, 1) in rows and (1, 8.0, 1) in rows
+    for vertex, (start, n) in batch.groups().items():
+        assert {row[0] for row in rows[start:start + n]} == {vertex}
 
 
 def test_aggregate_heads_stay_on_row_path(sealed_dir, wgraph, forced_rows):

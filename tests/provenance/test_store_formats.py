@@ -290,9 +290,11 @@ class TestSealedView:
         """The offline drivers take either store without probing for
         capabilities: every public read member of the in-memory store
         exists on the sealed view, and both serve column batches."""
-        # ``layer`` is the seal's snapshot of an in-memory layer
-        # (``SpillManager._layer_chunks``); no driver reads it
-        writers = {"add", "add_batch", "layer"}
+        # ``layer_columns`` is the seal's snapshot of an in-memory layer
+        # (``SpillManager.seal_layer_nowait``) and ``layer`` its row view; no
+        # driver reads either
+        writers = {"add", "add_batch", "append_columns", "layer",
+                   "layer_columns"}
         protocol = {
             name for name in vars(ProvenanceStore)
             if not name.startswith("_") and name not in writers

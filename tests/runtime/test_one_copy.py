@@ -127,3 +127,38 @@ def test_online_runs_hold_every_head(graph):
     assert isinstance(result.query.derived, TupleStore)
     assert set(result.query.derived.relations()) == {
         "value", "send_message", "receive_message", "superstep", "evolution"}
+
+
+@pytest.mark.parametrize("query, permuted, dedup", [
+    (Q.CAPTURE_FULL_QUERY, 0, 0),
+    # the second prov_edges rule's rows of every vertex the first gave rows
+    (Q.CAPTURE_BACKWARD_CUSTOM_UNDIRECTED_QUERY, 1, 234),
+], ids=["query2", "query11-undirected"])
+def test_capture_reports_its_ingest_path(graph, tmp_path, query, permuted,
+                                         dedup):
+    """A capture's stats, its ``provenance-capture`` spans and the
+    ``repro_capture_*`` counters say how many layers had one vertex's rows
+    arrive in more than one append, and how many rows took the store's
+    row-by-row check."""
+    from repro.analytics.wcc import WCC
+    from repro.obs.metrics import MetricsRegistry, set_registry
+    from repro.obs.sinks import InMemorySink
+    from repro.obs.trace import Tracer, tracing
+
+    registry, sink = MetricsRegistry(), InMemorySink()
+    previous = set_registry(registry)
+    try:
+        with tracing(Tracer(sink, registry=registry)):
+            result = Ariadne(graph, WCC()).capture(
+                query, spill_directory=str(tmp_path))
+    finally:
+        set_registry(previous)
+    stats = result.query.stats
+    assert (stats["permuted_layers"], stats["dedup_rows"]) == (permuted, dedup)
+    spans = [e for e in sink.events if e.get("type") == "span"
+             and e["name"] == "provenance-capture"]
+    assert spans and spans[-1]["attrs"]["permuted_layers"] == permuted
+    assert spans[-1]["attrs"]["dedup_rows"] == dedup
+    text = registry.to_prometheus()
+    assert f"repro_capture_permuted_layers_total {permuted}" in text
+    assert f"repro_capture_dedup_rows_total {dedup}" in text
