@@ -123,7 +123,6 @@ def _engine_config(args: argparse.Namespace) -> "EngineConfig":
 
     return EngineConfig(
         num_workers=getattr(args, "num_workers", 4),
-        backend=getattr(args, "backend", "serial"),
         partitioner=getattr(args, "partitioner", "hash"),
     )
 
@@ -185,14 +184,13 @@ def _start_trace(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
         else InMemorySink()
     tracer = Tracer(sink, registry=get_registry())
     set_tracer(tracer)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
+    num_workers = getattr(args, "num_workers", None)
+    if num_workers is not None:
         # Stamp the execution configuration into the trace so a recorded
-        # run is attributable to its backend/partitioning setup.
+        # run is attributable to its simulated worker/partitioning setup.
         tracer.event(
             "run-config", "meta",
-            backend=backend,
-            num_workers=getattr(args, "num_workers", 4),
+            num_workers=num_workers,
             partitioner=getattr(args, "partitioner", "hash"),
         )
     return {"tracer": tracer, "sink": sink, "fmt": fmt, "path": path,
@@ -260,14 +258,6 @@ def _trace_pointer(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
     }
 
 
-def _worker_stamp(config: "EngineConfig") -> Optional[Dict[str, Any]]:
-    if config.backend != "parallel":
-        return None
-    from repro.parallel.engine import last_worker_stamp
-
-    return last_worker_stamp()
-
-
 def _append_run_record(
     args: argparse.Namespace,
     command: str,
@@ -304,7 +294,6 @@ def _append_run_record(
         wall_seconds=wall_seconds,
         registry=get_registry(),
         trace=_trace_pointer(args),
-        workers=_worker_stamp(config) if config is not None else None,
     )
     return obsledger.RunLedger(directory).append(record)
 
@@ -332,8 +321,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = ariadne.baseline()
     elapsed = time.perf_counter() - start
     print(f"analytic:    {ariadne.analytic.name}")
-    print(f"backend:     {config.backend} ({config.num_workers} "
-          f"workers, {config.partitioner} partitioning)")
+    print(f"workers:     {config.num_workers} simulated "
+          f"({config.partitioner} partitioning)")
     print(f"graph:       |V|={graph.num_vertices} |E|={graph.num_edges}")
     print(f"supersteps:  {result.num_supersteps} ({result.halt_reason})")
     print(f"messages:    {result.metrics.total_messages}")
@@ -858,15 +847,14 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--source", type=int, default=0, help="SSSP source")
     parser.add_argument("--approx-eps", type=float, default=None,
                         help="run the approximate analytic variant")
-    parser.add_argument("--backend", choices=("serial", "parallel"),
-                        default="serial",
-                        help="execution backend: in-process simulation or "
-                             "multiprocess workers (default: serial)")
     parser.add_argument("--num-workers", type=int, default=4,
-                        help="worker count (simulated or real processes)")
+                        help="simulated worker count: the run stays in one "
+                             "process and counts messages between workers "
+                             "as network traffic (default: 4)")
     parser.add_argument("--partitioner", choices=("hash", "range"),
                         default="hash",
-                        help="vertex partitioning strategy (default: hash)")
+                        help="how vertices are split across the simulated "
+                             "workers (default: hash)")
     parser.add_argument("--ledger", metavar="DIR",
                         help="append this run's audit record to the ledger "
                              "in DIR (default: $REPRO_LEDGER; capture/query "

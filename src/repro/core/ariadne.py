@@ -23,9 +23,8 @@ from typing import Any, Callable, Dict, Optional, Union
 from repro.analytics.base import Analytic
 from repro.core import queries as Q
 from repro.engine.config import EngineConfig
-from repro.engine.engine import RunResult
+from repro.engine.engine import PregelEngine, RunResult
 from repro.errors import ReproError
-from repro.parallel.backend import make_engine
 from repro.graph.digraph import DiGraph
 from repro.pql.ast import Program
 from repro.provenance.store import ProvenanceStore
@@ -61,7 +60,7 @@ class Ariadne:
     # ------------------------------------------------------------------
     def baseline(self, max_supersteps: Optional[int] = None) -> RunResult:
         """Run the unmodified analytic (the Giraph bar in every figure)."""
-        engine = make_engine(self.graph, config=self.config)
+        engine = PregelEngine(self.graph, config=self.config)
         result = engine.run(self.analytic.make_program(), max_supersteps)
         if self.config.ledger_dir:
             self._record_run("baseline", results={
@@ -86,18 +85,12 @@ class Ariadne:
         (online/capture runs are recorded inside ``run_online`` instead,
         which sees the spill store)."""
         obsledger = self._ledger()
-        workers = None
-        if self.config.backend == "parallel":
-            from repro.parallel.engine import last_worker_stamp
-
-            workers = last_worker_stamp()
         obsledger.RunLedger(self.config.ledger_dir).append(
             obsledger.make_record(
                 command,
                 config=self.config,
                 dataset=obsledger.dataset_fingerprint(self.graph),
                 analytic=self.analytic.name,
-                workers=workers,
                 **fields,
             )
         )

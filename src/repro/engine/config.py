@@ -13,34 +13,24 @@ class EngineConfig:
     """Tunables for a :class:`~repro.engine.engine.PregelEngine` run.
 
     Provenance capture has no tunables here: sealed layers always go
-    through the spill manager's background writer as zlib ARSC slabs, and
-    a parallel worker's wait for a peer's batch is bounded by
-    :data:`repro.parallel.transport.PEER_WAIT_SECONDS`.
+    through the spill manager's background writer as zlib ARSC slabs.
 
     Attributes:
         num_workers: simulated worker count (the paper's cluster has 7
-            machines; messages that cross a worker boundary are counted as
-            network traffic in the metrics).
+            machines). The run stays in one process; a message between
+            vertices of different simulated workers is counted as network
+            traffic (``cross_worker_messages``), and nothing else changes.
         max_supersteps: hard stop even if the analytic has not converged.
         use_combiner: honor the vertex program's message combiner. Online
             evaluation turns it off: ``receive_message`` holds one row per
             sender's message, which a fold would merge away. Delivery order
             is fixed either way — a vertex receives its messages in send
             order (senders in canonical compute order, each sender's sends
-            in the order it made them), at any worker count and on either
-            backend.
-        backend: which execution backend :func:`repro.parallel.make_engine`
-            builds — ``"serial"`` (the in-process simulation) or
-            ``"parallel"`` (the shared-nothing multiprocess backend of
-            :mod:`repro.parallel`, one OS process per worker, message
-            batches over one ``multiprocessing.Queue`` per worker, the
-            forked fleet kept warm across runs of one engine). Both produce byte-identical
-            results; the parallel backend measures cross-worker traffic
-            instead of simulating it.
-        partitioner: vertex partitioning strategy the engine factory uses
-            when no explicit partitioner object is supplied — ``"hash"``
-            (stable crc32 hash, Giraph's default) or ``"range"``
-            (contiguous integer ranges, integer ids only).
+            in the order it made them), at any worker count.
+        partitioner: how the engine splits the vertices across the
+            simulated workers — ``"hash"`` (stable crc32 hash, Giraph's
+            default) or ``"range"`` (contiguous integer ranges, integer
+            ids only).
         ledger_dir: directory of an append-only run ledger
             (``repro.obs.ledger``). When set, library entry points
             (:meth:`Ariadne.baseline`, :func:`run_online`,
@@ -53,7 +43,6 @@ class EngineConfig:
     num_workers: int = 4
     max_supersteps: int = 500
     use_combiner: bool = True
-    backend: str = "serial"
     partitioner: str = "hash"
     ledger_dir: Optional[str] = None
 
@@ -62,10 +51,6 @@ class EngineConfig:
             raise EngineError("num_workers must be >= 1")
         if self.max_supersteps < 1:
             raise EngineError("max_supersteps must be >= 1")
-        if self.backend not in ("serial", "parallel"):
-            raise EngineError(
-                f"unknown backend {self.backend!r} (serial | parallel)"
-            )
         if self.partitioner not in ("hash", "range"):
             raise EngineError(
                 f"unknown partitioner {self.partitioner!r} (hash | range)"

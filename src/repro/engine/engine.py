@@ -10,11 +10,12 @@ Executes a :class:`~repro.engine.vertex.VertexProgram` over a
 * the run terminates when no vertex is active and no messages are in flight
   (or a master convergence check fires, or ``max_supersteps`` is hit).
 
-The engine simulates ``num_workers`` workers with hash-partitioned vertices;
-messages crossing a partition boundary are counted as network traffic. The
-simulation is single-threaded — at the graph scales of the benchmark suite the
-GIL would serialize threads anyway, and determinism is worth more to a
-reproduction than fake parallelism.
+The engine simulates ``num_workers`` workers over vertices split by
+``config.partitioner``; messages crossing a partition boundary are counted
+as network traffic (``cross_worker_messages``, the stand-in for the paper's
+7-machine cluster traffic). The simulation is single-threaded and the only
+engine: a multiprocess backend lost to it at every measured size (DESIGN.md
+§7), and determinism is worth more to a reproduction than fake parallelism.
 
 Scheduling is frontier-driven: each superstep only the vertices that are
 awake or have pending messages are visited, in canonical vertex order, so
@@ -38,7 +39,7 @@ from repro.engine.metrics import RunMetrics, SuperstepMetrics
 from repro.engine.vertex import VertexContext, VertexProgram
 from repro.errors import EngineError, GraphError, VertexProgramError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import HashPartitioner, Partitioner
+from repro.graph.partition import HashPartitioner, Partitioner, RangePartitioner
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import (
@@ -87,12 +88,11 @@ class PregelEngine:
         self,
         graph: DiGraph,
         config: Optional[EngineConfig] = None,
-        partitioner: Optional[Partitioner] = None,
     ) -> None:
         self.graph = graph
         self.config = config or EngineConfig()
         self.config.validate()
-        self.partitioner = partitioner or HashPartitioner(self.config.num_workers)
+        self.partitioner = _partitioner(self.config, graph)
         self._worker_of: Dict[Any, int] = {
             v: self.partitioner.worker_of(v) for v in graph.vertices()
         }
@@ -363,6 +363,13 @@ class PregelEngine:
         for target, messages in inbox.items():
             buckets[worker_of[target]][target] = list(messages)
         return buckets
+
+
+def _partitioner(config: EngineConfig, graph: DiGraph) -> Partitioner:
+    """The partitioner ``config.partitioner`` names."""
+    if config.partitioner == "range":
+        return RangePartitioner(config.num_workers, max(graph.num_vertices, 1))
+    return HashPartitioner(config.num_workers)
 
 
 def run_program(

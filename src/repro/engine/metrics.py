@@ -1,9 +1,10 @@
 """Execution metrics of an engine run.
 
-The paper's evaluation reports wall-clock overheads; a single-process
-simulation additionally records *work* counters (vertex executions, messages,
-bytes, cross-worker traffic) that are hardware-independent and therefore the
-more faithful basis for comparing evaluation modes.
+The paper's evaluation reports wall-clock overheads; the single-process
+simulation additionally records *work* counters (vertex executions,
+messages, cross-worker traffic between the simulated workers) that are
+hardware-independent and therefore the more faithful basis for comparing
+evaluation modes.
 
 :class:`RunMetrics` is the per-run view of the same counters the
 process-wide :class:`~repro.obs.metrics.MetricsRegistry` accumulates
@@ -29,19 +30,9 @@ class SuperstepMetrics:
     active_vertices: int = 0
     messages_sent: int = 0
     messages_combined: int = 0
-    # Messages folded away on the *sender* side before serialization
-    # (multiprocess backend with an associative combiner). Always 0
-    # serially: there is no wire, so every fold is a plain combine. The
-    # invariant messages_combined + messages_precombined == serial
-    # messages_combined holds per superstep — pre-combining moves folds,
-    # it never adds or drops one.
-    messages_precombined: int = 0
+    # Messages between vertices of different simulated workers: the
+    # paper's network-traffic metric.
     cross_worker_messages: int = 0
-    # Bytes of encoded message frames (struct-packed columns, or a pickle
-    # for mixed payloads) that actually crossed a process boundary.
-    # Always 0 on the serial backend (nothing is serialized); the
-    # multiprocess backend measures the real frame sizes it ships.
-    network_bytes: int = 0
     wall_seconds: float = 0.0
     # Scheduler counters: how many vertices the superstep scheduled
     # (frontier) and how many it never had to look at.
@@ -55,11 +46,6 @@ class RunMetrics:
 
     supersteps: List[SuperstepMetrics] = field(default_factory=list)
     wall_seconds: float = 0.0
-    # Whether network_bytes was *measured* (multiprocess backend) rather
-    # than structurally zero because nothing ever crossed a process
-    # boundary (serial backend): summary() reports None instead of a
-    # misleading 0 when no measurement happened.
-    measured_network_bytes: bool = False
 
     @property
     def num_supersteps(self) -> int:
@@ -79,25 +65,15 @@ class RunMetrics:
         return sum(s.cross_worker_messages for s in self.supersteps)
 
     @property
-    def total_network_bytes(self) -> int:
-        """Measured bytes shipped between worker processes (0 when serial)."""
-        return sum(s.network_bytes for s in self.supersteps)
-
-    @property
     def total_messages_combined(self) -> int:
         return sum(s.messages_combined for s in self.supersteps)
 
     @property
-    def total_messages_precombined(self) -> int:
-        return sum(s.messages_precombined for s in self.supersteps)
-
-    @property
     def combine_ratio(self) -> float:
-        """Fraction of sent messages a combiner folded away (either side)."""
-        folded = self.total_messages_combined + self.total_messages_precombined
+        """Fraction of sent messages a combiner folded away."""
         if not self.total_messages:
             return 0.0
-        return folded / self.total_messages
+        return self.total_messages_combined / self.total_messages
 
     @property
     def total_frontier_size(self) -> int:
@@ -129,13 +105,8 @@ class RunMetrics:
             "vertex_executions": self.total_active_vertices,
             "messages": self.total_messages,
             "messages_combined": self.total_messages_combined,
-            "messages_precombined": self.total_messages_precombined,
             "combine_ratio": self.combine_ratio,
             "cross_worker_messages": self.total_cross_worker_messages,
-            "network_bytes": (
-                self.total_network_bytes
-                if self.measured_network_bytes else None
-            ),
             "frontier_vertices": self.total_frontier_size,
             "skipped_vertices": self.total_skipped_vertices,
         }
@@ -168,17 +139,9 @@ class RunMetrics:
             "messages folded by a combiner",
         ).inc(self.total_messages_combined)
         registry.counter(
-            "repro_engine_messages_precombined_total",
-            "messages folded sender-side before serialization",
-        ).inc(self.total_messages_precombined)
-        registry.counter(
             "repro_engine_cross_worker_messages_total",
             "messages that crossed a worker boundary",
         ).inc(self.total_cross_worker_messages)
-        registry.counter(
-            "repro_engine_network_bytes_total",
-            "encoded message-frame bytes shipped between worker processes",
-        ).inc(self.total_network_bytes)
         registry.counter(
             "repro_engine_skipped_vertices_total",
             "vertices the frontier scheduler never executed",

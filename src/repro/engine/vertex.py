@@ -20,31 +20,19 @@ from repro.errors import EngineError
 
 
 class Combiner:
-    """Message combiner: reduces messages addressed to the same target.
-
-    ``associative`` declares that any fold tree over a message sequence
-    produces a value ``==`` to the serial left fold. The parallel backend
-    only pre-combines on the sender side when this is True; float addition
-    is famously not associative, so :class:`SumCombiner` leaves it False
-    and keeps receiver-side (serial-order) folding.
-    """
-
-    associative = False
+    """Message combiner: reduces messages addressed to the same target,
+    left-folding them in delivery order."""
 
     def combine(self, a: Any, b: Any) -> Any:
         raise NotImplementedError
 
 
 class MinCombiner(Combiner):
-    associative = True
-
     def combine(self, a: Any, b: Any) -> Any:
         return a if a <= b else b
 
 
 class MaxCombiner(Combiner):
-    associative = True
-
     def combine(self, a: Any, b: Any) -> Any:
         return a if a >= b else b
 
@@ -171,9 +159,9 @@ class VertexProgram:
 
     def post_superstep(self, superstep: int) -> None:
         """Program-level hook run once per superstep, after the last
-        ``compute`` of ``superstep`` and before its messages are delivered
-        (the engine's barrier, a parallel worker's exchange) — the analogue
-        of Giraph's ``WorkerContext.postSuperstep()``. It sees no vertex
+        ``compute`` of ``superstep`` and before the engine's barrier
+        delivers its messages — the analogue of Giraph's
+        ``WorkerContext.postSuperstep()``. It sees no vertex
         context; messages sent during the superstep may still be mutated.
         Ariadne's query program evaluates the query here. Default: no-op."""
 

@@ -3,14 +3,13 @@
 The engine splits the vertex set across N workers exactly like Giraph does:
 by default hash partitioning on the vertex id. Range partitioning is provided
 for experiments on locality (messages between vertices on the same worker are
-"local"; crossing a partition boundary counts as network traffic in the
-engine metrics — simulated by the serial engine, measured by the
-multiprocess backend in :mod:`repro.parallel`).
+"local"; crossing a partition boundary counts as simulated network traffic
+in the engine metrics, ``cross_worker_messages``). The engine picks one by
+``EngineConfig.partitioner``.
 
-Partition assignments must be *stable*: the parallel backend computes the
-vertex -> worker map once in the master and every worker process routes
-messages with a forked copy of it, and checkpoint/resume as well as
-cross-run comparisons assume the same id always lands on the same worker.
+Partition assignments must be *stable*: checkpoint/resume and cross-run
+comparisons of ``cross_worker_messages`` assume the same id always lands
+on the same worker.
 Python's builtin ``hash`` is salted per process for ``str`` (and anything
 containing one), so :class:`HashPartitioner` hashes with ``zlib.crc32`` over
 a canonical encoding instead.
@@ -72,8 +71,7 @@ class HashPartitioner(Partitioner):
     Integer ids hash to themselves, so for the dense integer id spaces our
     generators produce this is also perfectly balanced. String ids are
     crc32-hashed, so the assignment is identical in every process and every
-    run — a requirement of the multiprocess backend (workers fork with a
-    shared routing map) that Python's salted ``hash()`` violates.
+    run, which Python's salted ``hash()`` is not.
     """
 
     def worker_of(self, vertex_id: Hashable) -> int:

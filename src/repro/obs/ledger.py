@@ -12,7 +12,7 @@ that opts in via ``EngineConfig.ledger_dir`` — appends one JSON record to
   command, configuration, environment fingerprint and start timestamp),
   plus a ``parent_run_id`` linking a query run to the capture run that
   produced its store (read back from the store manifest);
-* **inputs** — the full engine/backend configuration, an
+* **inputs** — the full engine configuration, an
   environment fingerprint (python, platform, usable cores, package
   version) and the dataset identity (edge-list content hash);
 * **outputs** — result digests: the vertex-values digest, the sealed-slab
@@ -86,8 +86,8 @@ def digest_values(values: Mapping[Any, Any]) -> str:
     """Digest of an analytic's final vertex values.
 
     Rows are hashed in sorted ``repr`` order so the digest is independent
-    of dict iteration order (and therefore identical across the serial
-    and parallel backends, which build the mapping in different orders).
+    of dict iteration order (and therefore identical at any simulated
+    worker count or partitioning).
     """
     h = hashlib.sha256()
     for line in sorted(repr((k, v)) for k, v in values.items()):
@@ -320,11 +320,13 @@ def make_record(
     metrics: Optional[Dict[str, Any]] = None,
     registry: Optional[Any] = None,
     trace: Optional[Dict[str, Any]] = None,
-    workers: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble one run record. ``query`` is PQL source text (stored as a
     hash plus a short head, never the full text — ledgers stay small);
-    ``registry`` may be a :class:`MetricsRegistry` (snapshotted here)."""
+    ``registry`` may be a :class:`MetricsRegistry` (snapshotted here).
+    ``workers`` is always ``None``: it held the worker-process stamp of a
+    multiprocess backend that no longer exists, and stays in the record
+    so older and newer records share one shape."""
     if registry is not None and hasattr(registry, "snapshot"):
         registry = registry.snapshot()
     query_field = None
@@ -350,7 +352,7 @@ def make_record(
         "metrics": metrics,
         "registry": registry,
         "trace": trace,
-        "workers": workers,
+        "workers": None,
     }
 
 
@@ -490,8 +492,8 @@ def verify_record(record: Dict[str, Any], ledger: RunLedger,
 # ---------------------------------------------------------------------------
 #: Metric keys compared (and reported) by :func:`compare_records`.
 COMPARE_METRICS = (
-    "supersteps", "vertex_executions", "messages", "network_bytes",
-    "messages_combined", "messages_precombined", "cross_worker_messages",
+    "supersteps", "vertex_executions", "messages", "messages_combined",
+    "cross_worker_messages",
 )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List
 
-from repro.obs.trace import PHASE_BARRIER, PHASE_RUN, PHASE_SUPERSTEP
+from repro.obs.trace import PHASE_RUN, PHASE_SUPERSTEP
 
 
 def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
@@ -21,13 +21,6 @@ def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     superstep_seconds = 0.0
     num_supersteps = 0
     num_instants = 0
-    # Transport totals from the master's barrier-span attributes (the
-    # parallel backend stamps them; serial barrier spans have none).
-    network_bytes = 0
-    messages_combined = 0
-    messages_precombined = 0
-    transport_wait = 0.0
-    saw_transport = False
     for event in events:
         etype = event.get("type")
         if etype == "instant":
@@ -37,14 +30,6 @@ def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
             continue
         seconds = event["dur"] / 1e6
         cat = event["cat"]
-        if cat == PHASE_BARRIER:
-            attrs = event.get("attrs") or {}
-            if "network_bytes" in attrs:
-                saw_transport = True
-                network_bytes += attrs.get("network_bytes", 0)
-                messages_combined += attrs.get("messages_combined", 0)
-                messages_precombined += attrs.get("messages_precombined", 0)
-                transport_wait += attrs.get("transport_wait_seconds", 0.0)
         agg = phases.get(cat)
         if agg is None:
             agg = phases[cat] = {
@@ -74,15 +59,6 @@ def summarize(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
         # fraction of run wall time covered by superstep spans
         "coverage": (superstep_seconds / run_seconds) if run_seconds else None,
         "instants": num_instants,
-        "transport": (
-            {
-                "network_bytes": network_bytes,
-                "messages_combined": messages_combined,
-                "messages_precombined": messages_precombined,
-                "wait_seconds": transport_wait,
-            }
-            if saw_transport else None
-        ),
     }
 
 
@@ -104,16 +80,6 @@ def render_summary(summary: Dict[str, Any]) -> str:
         lines.append("no run spans in trace")
     if summary["instants"]:
         lines.append(f"{summary['instants']} instant event(s)")
-    transport = summary.get("transport")
-    if transport is not None:
-        combined = transport["messages_combined"]
-        precombined = transport["messages_precombined"]
-        lines.append(
-            f"transport: {transport['network_bytes']} bytes shipped, "
-            f"{combined} receiver-combined + {precombined} "
-            f"sender-precombined messages, "
-            f"{transport['wait_seconds']:.3f}s blocked"
-        )
 
     phases = summary["phases"]
     if phases:

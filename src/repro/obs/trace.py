@@ -46,14 +46,13 @@ PHASE_CAPTURE = "provenance-capture"
 PHASE_QUERY = "query-eval"
 PHASE_SPILL = "spill"
 PHASE_CHECKPOINT = "checkpoint"
-PHASE_TRANSPORT = "transport"  # worker-side message exchange (parallel)
 PHASE_SERVE = "serve"  # HTTP request handling in the query server
 PHASE_PLAN = "plan"  # query compilation and program build, before a run
 
 PHASES = (
     PHASE_RUN, PHASE_SUPERSTEP, PHASE_COMPUTE, PHASE_BARRIER, PHASE_COMBINE,
     PHASE_CAPTURE, PHASE_QUERY, PHASE_SPILL, PHASE_CHECKPOINT,
-    PHASE_TRANSPORT, PHASE_SERVE, PHASE_PLAN,
+    PHASE_SERVE, PHASE_PLAN,
 )
 
 
@@ -263,15 +262,15 @@ class Tracer:
                **extra_attrs: Any) -> None:
         """Merge events recorded by another tracer into this trace.
 
-        The parallel backend gives every worker process its own tracer
-        over an in-memory sink and ships the drained events to the master
-        at each barrier; this grafts them into the master trace. Span ids
-        are remapped to fresh ids from this tracer's sequence (worker
+        The query server evaluates on executor threads, each under a
+        private tracer over an in-memory sink (:class:`thread_tracing`),
+        and grafts the drained events into the main trace with this. Span
+        ids are remapped to fresh ids from this tracer's sequence (private
         tracers all start at 1, and the validator rejects duplicates);
         parent links are rewritten consistently, and spans that were roots
-        in the worker are reparented under ``parent_id`` (typically the
-        master's superstep span). ``extra_attrs`` (e.g. ``worker=3``) are
-        stamped onto every ingested event.
+        in the private trace are reparented under ``parent_id``.
+        ``extra_attrs`` (the server's ``run=<run id>``) are stamped onto
+        every ingested event.
         """
         id_map: Dict[int, int] = {}
         for event in events:
@@ -315,7 +314,7 @@ _ACTIVE: Any = NULL_TRACER
 # so code that evaluates on worker threads while a process-wide tracer is
 # installed (the query server's executor offload) scopes a private tracer
 # to its thread and ingests the drained events into the main trace
-# afterwards — the same pattern the parallel backend uses across processes.
+# afterwards (:meth:`Tracer.ingest`).
 _THREAD_ACTIVE = __import__("threading").local()
 
 

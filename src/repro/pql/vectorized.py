@@ -1045,16 +1045,6 @@ class VectorContext:
         self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
         return None
 
-    def merge(self, stats: Dict[str, Any]) -> None:
-        """Fold another context's :meth:`stats` (a parallel worker's) in."""
-        for name in ("batched_scans", "fallback_scans", "batch_rows",
-                     "build_rows", "rules_vectorized", "rules_fallback"):
-            setattr(self, name, getattr(self, name) + stats[name])
-        for into, more in ((self.kernel_seconds, stats["kernel_seconds"]),
-                           (self.fallback_reasons, stats["fallback_reasons"])):
-            for key, value in more.items():
-                into[key] = into.get(key, 0) + value
-
     def stats(self) -> Dict[str, Any]:
         """The evaluator block of the drivers' result stats (surfaced
         verbatim by the CLI, the benchmarks and the query server):

@@ -207,8 +207,8 @@ class SpillManager:
         #: links on query runs).
         self.run_id: Optional[str] = None
         # Writer thread state. Every seal goes through the writer thread,
-        # which starts lazily on the first seal (so read-only managers and
-        # forked children never own one), stops at seal_all()/close(), and
+        # which starts lazily on the first seal (so read-only managers
+        # never own one), stops at seal_all()/close(), and
         # is a daemon: an unflushed manager must not wedge interpreter
         # shutdown. Completed jobs are handed back via ``_completed`` and folded into metrics/tracing/accounting on the
         # caller's thread; the first writer exception is held in

@@ -1,7 +1,6 @@
 """Evaluation runtimes: online (+capture), layered offline, naive offline."""
 
 from repro.runtime.db import OnlineDatabase, StoreDatabase
-from repro.runtime.envelope import Envelope
 from repro.runtime.offline import run_layered, run_naive, run_reference
 from repro.runtime.online import (
     OnlineQueryProgram,
@@ -13,7 +12,6 @@ from repro.runtime.results import OnlineRunResult, QueryResult
 __all__ = [
     "OnlineDatabase",
     "StoreDatabase",
-    "Envelope",
     "run_layered",
     "run_naive",
     "run_reference",

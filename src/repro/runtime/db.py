@@ -1,6 +1,6 @@
 """Database views backing the three PQL evaluation modes.
 
-The evaluator core (:mod:`repro.pql.eval`) is backend-agnostic; these classes
+The evaluator core (:mod:`repro.pql.eval`) is store-agnostic; these classes
 define what "the partition of relation R at vertex v" means per mode:
 
 * :class:`StoreDatabase` — offline evaluation over a captured
@@ -8,9 +8,10 @@ define what "the partition of relation R at vertex v" means per mode:
   graph (``edge`` / ``vertex`` are virtual relations answered from the
   adjacency structure) plus derived facts.
 * :class:`OnlineDatabase` — online evaluation: local transient provenance
-  facts, derived facts, and *remote* partitions that hold only what
-  neighbors piggybacked onto analytic messages (the paper's locality
-  restriction — a vertex can see exactly what was shipped to it).
+  facts and derived facts, where a vertex reads another vertex's partition
+  only up to the watermark of that vertex's last message to it (the
+  paper's locality restriction — a vertex can see exactly what would have
+  been piggybacked onto the analytic's messages to it).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import count, repeat
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import DiGraph
-from repro.pql.eval import Database, Row, TupleStore, _Partition
+from repro.pql.eval import Database, Row, TupleStore
 from repro.provenance.columnar import SlabColumns
 from repro.provenance.model import freeze
 from repro.provenance.store import Layer, ProvenanceStore
@@ -137,14 +138,11 @@ class Inbox:
     message are already in the process and the engine delivers bare
     payloads.
 
-    ``log`` holds ``(sender, targets, payloads, ...)`` in the compute order
-    of *s − 1*, a sender's sends in send order; ``frozen`` maps a sender to
-    its payloads already frozen for a ``send`` frame; ``received`` maps a
-    receiver to the ``(sender, payload)`` of the envelopes that crossed
-    from another process at *s*, which follow its local messages. The
-    messages are grouped by receiver in the order of ``sites`` (a log
-    target that did not execute here is another process's), each
-    receiver's in send order — the order the engine delivered them in.
+    ``log`` holds ``(sender, targets, payloads)`` in the compute order of
+    *s − 1*, a sender's sends in send order; ``frozen`` maps a sender to
+    its payloads already frozen for a ``send`` frame. The messages are
+    grouped by receiver in the order of ``sites``, each receiver's in send
+    order — the order the engine delivered them in.
 
     The columns are receiver, sender, payload and, for
     ``receive_message``, the superstep (:class:`InboxBatch` serves them as
@@ -154,24 +152,18 @@ class Inbox:
     program's head insert keeps the first of equal rows); :meth:`rows`
     keeps the first occurrence of each."""
 
-    __slots__ = ("superstep", "count", "_log", "_frozen", "_received",
-                 "_groups", "_columns")
+    __slots__ = ("superstep", "count", "_log", "_frozen", "_groups",
+                 "_columns")
 
     def __init__(self, log: Sequence[Tuple[Any, ...]], sites: Sequence[Any],
                  superstep: Any,
-                 frozen: Optional[Dict[Any, List[Any]]] = None,
-                 received: Optional[Dict[Any, List[Tuple[Any, Any]]]] = None,
-                 ) -> None:
+                 frozen: Optional[Dict[Any, List[Any]]] = None) -> None:
         self.superstep = superstep
         self._log, self._frozen = log, frozen or {}
-        self._received = received or {}
         boxes: Dict[Any, List[Any]] = defaultdict(list)
-        for entry in log:
-            sender = entry[0]
-            for target in entry[1]:
+        for sender, targets, _payloads in log:
+            for target in targets:
                 boxes[target].append(sender)
-        for receiver, messages in self._received.items():
-            boxes[receiver] += [sender for sender, _payload in messages]
         self._groups: Dict[Any, Tuple[int, int]] = {}
         senders: List[Any] = []
         for v in sites:
@@ -202,15 +194,12 @@ class Inbox:
     def _payloads(self) -> List[Any]:
         boxes: Dict[Any, List[Any]] = defaultdict(list)
         frozen = self._frozen
-        for entry in self._log:
-            held = frozen.get(entry[0])
+        for sender, targets, payloads in self._log:
+            held = frozen.get(sender)
             for target, payload in zip(
-                    entry[1], frozen_payloads(entry[2]) if held is None
+                    targets, frozen_payloads(payloads) if held is None
                     else held):
                 boxes[target].append(payload)
-        for receiver, messages in self._received.items():
-            boxes[receiver] += frozen_payloads(
-                [payload for _sender, payload in messages])
         column: List[Any] = []
         for v in self._groups:
             column += boxes[v]
@@ -362,10 +351,7 @@ class OnlineDatabase(Database):
     that vertex has shipped them to it (the paper's locality restriction):
     :meth:`ship` records, per (sender, receiver), the length of each
     shipped partition at the sender's last message to the receiver — its
-    watermark — and :meth:`visible` answers the partition up to it. Across
-    processes the same rows arrive as tables on the envelopes
-    (``remote``, merged by :meth:`merge_remote`); ``shard`` names the
-    vertices of this process (``None``: every vertex).
+    watermark — and :meth:`visible` answers the partition up to it.
     """
 
     locality = True
@@ -391,29 +377,23 @@ class OnlineDatabase(Database):
         self._slot = {rel: i for i, rel in enumerate(self.shipped)}
         # sender -> receiver -> watermark (lengths aligned with `shipped`)
         self.marks: Dict[Any, Dict[Any, Tuple[int, ...]]] = {}
-        # (receiver, relation, sender) -> what sender shipped across processes
-        self.remote: Dict[Tuple[Any, str, Any], _Partition] = {}
-        self.shard: Optional[Set[Any]] = None
 
     # -- shipping -----------------------------------------------------------
-    def ship(self, log: Sequence[Tuple[Any, Sequence[Any], Sequence[Any],
-                                       Sequence[Tuple[Any, Any]]]],
+    def ship(self, log: Sequence[Tuple[Any, Sequence[Any], Sequence[Any]]],
              full: bool = False) -> int:
-        """Each ``(sender, targets, payloads, crossing)`` of the send
-        ``log``: ``sender`` messaged ``targets`` (in send order) at the
-        superstep just evaluated, so move each target's watermark to what
-        ``sender`` holds now. Each ``(target, envelope)`` of ``crossing`` — a message
-        to another process — carries the delta as its ``tables`` (targets
-        at the same watermark share one dict, which receivers only read).
-        Returns the rows the per-target deltas carry — every message the
-        rows its target had not been shipped yet, so a repeat message
-        carries none — or, with ``full``, every row on every message."""
+        """Each ``(sender, targets, payloads)`` of the send ``log``:
+        ``sender`` messaged ``targets`` (in send order) at the superstep
+        just evaluated, so move each target's watermark to what ``sender``
+        holds now. Returns the rows the per-target deltas carry — every
+        message the rows its target had not been shipped yet, so a repeat
+        message carries none — or, with ``full``, every row on every
+        message."""
         # no partition appears while shipping: resolve the maps once
         partitions = [store.partitions(rel).get
                       for rel, store in self.shipped.items()]
         unshipped = (0,) * len(partitions)
         carried = 0
-        for sender, sent, _payloads, crossing in log:
+        for sender, sent, _payloads in log:
             parts = [get(sender) for get in partitions]
             lengths = tuple([len(p.order) if p is not None else 0
                              for p in parts])
@@ -426,49 +406,22 @@ class OnlineDatabase(Database):
             else:
                 carried += sum(lengths) * len(targets) - sum(
                     map(sum, map(marks.get, targets, repeat(unshipped))))
-            if crossing:
-                self._fill_tables(parts, lengths, marks, crossing, full)
             marks.update(dict.fromkeys(targets, lengths))
         return carried
-
-    def _fill_tables(self, parts: List[Optional[_Partition]],
-                     lengths: Tuple[int, ...],
-                     marks: Dict[Any, Tuple[int, ...]],
-                     crossing: Sequence[Tuple[Any, Any]], full: bool) -> None:
-        orders = [p.order if p is not None else [] for p in parts]
-        unshipped = (0,) * len(lengths)
-        deltas: Dict[Tuple[int, ...], Optional[Dict[str, List[Row]]]] = {}
-        seen: Set[Any] = set()
-        for target, envelope in crossing:
-            start = (unshipped if full else lengths if target in seen
-                     else marks.get(target, unshipped))
-            seen.add(target)
-            if start not in deltas:
-                deltas[start] = {
-                    rel: order[a:]
-                    for rel, order, a in zip(self.shipped, orders, start)
-                    if a < len(order)
-                } or None
-            envelope.tables = deltas[start]
 
     def visible(self, relation: str, receivers: Sequence[Any],
                 senders: Sequence[Any]) -> List[Sequence[Row]]:
         """Per (receiver, sender) pair, the rows of ``sender``'s
         ``relation`` partition ``receiver`` has been shipped, in insertion
         order: the partition up to the watermark of ``sender``'s last
-        message to ``receiver`` (never what ``sender`` derived after it),
-        or the merged tables of another process."""
+        message to ``receiver`` (never what ``sender`` derived after it)."""
         slot = self._slot.get(relation)
         if slot is None:
             return [()] * len(receivers)
         parts = self.shipped[relation].partitions(relation)
-        marks, remote, shard = self.marks, self.remote, self.shard
+        marks = self.marks
         out: List[Sequence[Row]] = []
         for x, y in zip(receivers, senders):
-            if shard is not None and y not in shard:
-                part = remote.get((x, relation, y))
-                out.append(() if part is None else part.order)
-                continue
             part, mark = parts.get(y), marks.get(y, _NO_MARKS).get(x)
             out.append(() if part is None or mark is None
                        else part.order[:mark[slot]])
@@ -484,15 +437,9 @@ class OnlineDatabase(Database):
             return []
         get_part = self.shipped[relation].partitions(relation).get
         get_marks = self.marks.get
-        remote, shard = self.remote, self.shard
         hits: List[int] = []
         hit = hits.append
         for i, x, row in zip(count(), receivers, rows):
-            if shard is not None and row[0] not in shard:
-                part = remote.get((x, relation, row[0]))
-                if part is not None and row in part.rows:
-                    hit(i)
-                continue
             part = get_part(row[0])
             if part is None or row not in part.rows:
                 continue
@@ -501,20 +448,6 @@ class OnlineDatabase(Database):
                                      or row not in part.order[mark[slot]:]):
                 hit(i)
         return hits
-
-    def merge_remote(
-        self, receiver: Any, sender: Any, relation: str, rows: Iterable[Row]
-    ) -> None:
-        """Fold a table shipped across processes into ``receiver``'s inbox
-        (read-only on ``rows``: one table may ride on several envelopes)."""
-        part = self.remote.get((receiver, relation, sender))
-        if part is None:
-            part = self.remote[(receiver, relation, sender)] = _Partition()
-        present, order = part.rows, part.order
-        for row in rows:
-            if row not in present:
-                present.add(row)
-                order.append(row)
 
     # -- Database interface ----------------------------------------------
     def candidates(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:

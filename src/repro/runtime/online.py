@@ -4,14 +4,11 @@ A forward (or local) query is compiled into a *query vertex program* that
 wraps the unmodified analytic. Every superstep, each active vertex's
 ``compute``:
 
-1. hands the analytic its messages (unwrapping, under the multiprocess
-   backend, the envelopes that crossed from another process and merging
-   their tables into its remote partitions);
-2. runs the analytic's ``compute`` through a recording context that sends
-   each payload on bare — wrapped in an envelope whose tables are still
-   empty only when it crosses to another process — records the sends and
-   observes value/edge updates;
-3. records the transient provenance facts of this superstep — only the
+1. runs the analytic's ``compute`` on its messages — the analytic's own
+   payloads, which the engine delivers bare — through a recording context
+   that sends each payload on unchanged, records the sends and observes
+   value/edge updates;
+2. records the transient provenance facts of this superstep — only the
    relations the query references (the paper's customized capture) — into
    superstep-wide *frames* keyed by vertex. ``receive_message`` and
    ``receive`` at superstep *s* are read from the send log of *s − 1*
@@ -24,15 +21,14 @@ location a column, the frames and stored relations column batches), the
 fresh head rows go to the capture store, the frames die, windowed
 relations are pruned, and each sender's watermark toward every target it
 messaged moves on. A vertex reads another vertex's relations only up to
-that watermark — what per-target deltas shipped — and across processes the
-deltas ride on the envelopes as tables.
+that watermark: what per-target deltas would have shipped.
 
-Theorem 5.4's two guarantees hold by construction: the analytic cannot see
-query state (its context is a proxy; the hook has no vertex context; tables
-ride in envelope fields the analytic never reads), and query rows travel
-only along the analytic's own messages (a watermark exists only for a
-(sender, target) pair the analytic used, and tables are filled only on the
-crossing envelopes its sends became).
+Theorem 5.4's two guarantees hold by construction. The analytic cannot see
+query state: its context is a proxy, its messages are its own payloads,
+and the hook has no vertex context. Query rows travel only along the
+analytic's own messages: a vertex reads another vertex's relations only
+through a watermark, and a watermark exists only for a (sender, target)
+pair the analytic used in its send log.
 
 When a ``capture`` store is supplied, every derived head tuple is also
 persisted — capture *is* online evaluation of the capture query (Figure 1a).
@@ -50,13 +46,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Un
 
 from repro.analytics.base import Analytic
 from repro.engine.config import EngineConfig
+from repro.engine.engine import PregelEngine
 from repro.engine.vertex import VertexContext, VertexProgram
 from repro.errors import PQLCompatibilityError
 from repro.graph.digraph import DiGraph
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import PHASE_CAPTURE, PHASE_PLAN, PHASE_QUERY, get_tracer
-from repro.parallel.backend import make_engine
 from repro.pql.analysis import CompiledQuery, compile_query, relation_windows
 from repro.pql.ast import Program
 from repro.pql.eval import (
@@ -69,7 +65,6 @@ from repro.provenance.model import SchemaRegistry, freeze
 from repro.provenance.spill import SpillManager
 from repro.provenance.store import ProvenanceStore
 from repro.runtime.db import Inbox, OnlineDatabase, distinct, frozen_payloads
-from repro.runtime.envelope import Envelope
 from repro.runtime.results import CapturedRelations, OnlineRunResult, QueryResult
 
 logger = get_logger("runtime.online")
@@ -82,37 +77,28 @@ class RecordingContext:
     records the sends and value/edge updates, delegates everything else to
     the real context.
 
-    Only a message to another process (a target outside ``shard``) is
-    wrapped, in an :class:`Envelope` of its own whose tables are still
-    empty, listed in ``crossing`` for the superstep program to fill.
-
     One recorder is reused across all compute calls of a run (rebound per
     vertex via :meth:`_rebind`) to keep the capture hot path allocation-free,
     mirroring how the engine reuses its :class:`VertexContext`.
     """
 
-    __slots__ = ("_ctx", "_send", "_sender", "record", "shard", "targets",
-                 "payloads", "crossing", "edge_updates")
+    __slots__ = ("_ctx", "_send", "record", "targets", "payloads",
+                 "edge_updates")
 
     def __init__(self, record: bool = True) -> None:
         self._ctx: Any = None
         self._send: Any = None
-        self._sender: Any = None
         self.record = record  # keep the sends (the query reads them)
-        self.shard: Optional[Set[Any]] = None
         # the sends as two columns, in send order
         self.targets: List[Any] = []
         self.payloads: List[Any] = []
-        self.crossing: List[Tuple[Any, Envelope]] = []
         self.edge_updates: List[Tuple[Any, Any]] = []
 
     def _rebind(self, ctx: VertexContext) -> None:
         self._ctx = ctx
         self._send = ctx.send
-        self._sender = ctx.vertex_id
         self.targets = []
         self.payloads = []
-        self.crossing = []
         self.edge_updates = []
 
     # -- intercepted -------------------------------------------------------
@@ -120,17 +106,10 @@ class RecordingContext:
         if self.record:
             self.targets.append(target)
             self.payloads.append(message)
-        if self.shard is not None and target not in self.shard:
-            message = Envelope(self._sender, message, None)
-            self.crossing.append((target, message))
         self._send(target, message)
 
     def send_to_all(self, message: Any) -> None:
         ctx = self._ctx
-        if self.shard is not None:
-            for target, _value in ctx.out_edges():
-                self.send(target, message)
-            return
         if self.record:
             edges = ctx.out_edges()
             self.targets += map(_first, edges)
@@ -222,14 +201,6 @@ class _PersistingOnlineDatabase(OnlineDatabase):
         self.capture.add_batch(relation, fresh)
         return new
 
-    def disable_persistence(self) -> None:
-        """Stop persisting (forked parallel workers: their store copy dies
-        with the process; the master re-derives the shard's head tuples
-        from ``parallel_state``, so a worker holds every head in
-        ``derived``)."""
-        self.persist = set()
-        self.store_only = set()
-
 
 class OnlineQueryProgram(VertexProgram):
     """The analytic with the compiled PQL query appended (Figure 2).
@@ -250,7 +221,6 @@ class OnlineQueryProgram(VertexProgram):
         prune_history: bool = True,
         ship_full_tables: bool = False,
         spill: Optional[SpillManager] = None,
-        eager_seal: bool = True,
     ) -> None:
         compiled.require_online()
         aggregate_heads = {
@@ -304,9 +274,8 @@ class OnlineQueryProgram(VertexProgram):
         # Incremental layer sealing: with a spill manager attached, each
         # superstep's completed layer is handed to the writer at the
         # barrier (master_halt) instead of being re-materialized by
-        # seal_all at run end. Serial backend only (``eager_seal``) — under
-        # the parallel backend the master's store fills at merge time.
-        self._capture_spill = spill if eager_seal else None
+        # seal_all at run end.
+        self._capture_spill = spill
         self.sealed_layers = 0
         # superstep -> the layer's row count at its last seal
         self._sealed_rows: List[int] = []
@@ -327,9 +296,8 @@ class OnlineQueryProgram(VertexProgram):
         # Every fact a superstep program derives carries its superstep, so
         # a lagged scan is no dependency within it (Lemma 5.3).
         self._prepared = prepare_strata(compiled.strata, anchored=True)
-        # Built before any fork, so workers inherit them: each rule's layer
-        # program, or — for a rule that has none — its row function (and
-        # every backend reports the same `compiled_rules`).
+        # Built before the run: each rule's layer program, or — for a rule
+        # that has none — its row function.
         for stratum, _ in self._prepared:
             for crule in stratum:
                 if isinstance(layer_program(crule, MODE_ANCHORED), str):
@@ -350,29 +318,20 @@ class OnlineQueryProgram(VertexProgram):
         # window check that found no partition to prune.
         self.prune_hits = 0
         self.prune_misses = 0
-        # Parallel-backend merge state: counter baselines recorded at
-        # worker start (the wrapper is forked after run_setup, so worker
-        # deltas must exclude the inherited setup work) and transient-row
-        # counts folded in from worker shards at merge time.
-        self._parallel_base: Dict[str, Any] = {}
-        self._merged_transient_rows = 0
         self._begin_superstep()
 
     def _begin_superstep(self) -> None:
         """Empty the superstep being recorded: the executed vertices in
         compute order, their frames (relation -> vertex -> rows) and, when
         the query ships anything or reads what was received, their send
-        log (``(sender, targets, payloads, crossing)``), the payloads a
-        ``send`` frame froze (sender -> payloads) and the envelopes that
-        crossed from another process (receiver -> ``(sender, payload)``)."""
+        log (``(sender, targets, payloads)``) and the payloads a ``send``
+        frame froze (sender -> payloads)."""
         self._sites: List[Any] = []
         self._frames: Dict[str, Dict[Any, List[Tuple[Any, ...]]]] = {
             relation: {} for relation in self._recorded
         }
-        self._sends: List[Tuple[Any, List[Any], List[Any],
-                                List[Tuple[Any, Envelope]]]] = []
+        self._sends: List[Tuple[Any, List[Any], List[Any]]] = []
         self._frozen: Dict[Any, List[Any]] = {}
-        self._received: Dict[Any, List[Tuple[Any, Any]]] = {}
 
     # -- delegation to the analytic --------------------------------------
     def initial_value(self, vertex_id: Any, graph: Any) -> Any:
@@ -446,9 +405,6 @@ class OnlineQueryProgram(VertexProgram):
         x = ctx.vertex_id
         s = ctx.superstep
         frames = self._frames
-        if messages and self.db.shard is not None:
-            messages = self._unwrap(x, messages)
-
         recorder = self._recorder
         recorder._rebind(ctx)
         self.inner.compute(recorder, messages)
@@ -486,37 +442,18 @@ class OnlineQueryProgram(VertexProgram):
             frames["send"][x] = distinct(
                 list(zip(repeat(x), targets, frozen)))
         if self._keep_log or self.db.shipped:
-            self._sends.append((x, targets, payloads, recorder.crossing))
-
-    def _unwrap(self, x: Any, messages: Sequence[Any]) -> List[Any]:
-        """``x``'s messages as the analytic's payloads: an envelope that
-        crossed from another process is unwrapped, its tables merged into
-        ``x``'s remote partitions and, when the query reads what ``x``
-        received, its message noted for the :class:`Inbox`."""
-        payloads = []
-        for message in messages:
-            if type(message) is Envelope:
-                if message.tables:
-                    for rel, rows in message.tables.items():
-                        self.db.merge_remote(x, message.sender, rel, rows)
-                if self._keep_log:
-                    self._received.setdefault(x, []).append(
-                        (message.sender, message.payload))
-                message = message.payload
-            payloads.append(message)
-        return payloads
+            self._sends.append((x, targets, payloads))
 
     def post_superstep(self, superstep: int) -> None:
         """Evaluate the query over the superstep just computed: every rule
         runs once as a layer program over all the executed vertices (a rule
         that has none runs its row function at each of them), then the
         frames are dropped, windows pruned and each sender's watermarks
-        moved. Reads no analytic context, and fills tables only on the
-        crossing envelopes the analytic's own messages became (Theorem
-        5.4)."""
+        moved. Reads no analytic context, and moves watermarks only along
+        the analytic's own sends (Theorem 5.4)."""
         self.inner.post_superstep(superstep)
         sites, frames, sends = self._sites, self._frames, self._sends
-        (log, frozen), received = self._log, self._received
+        log, frozen = self._log
         if self._keep_log:
             self._log = (sends, self._frozen)  # what superstep + 1 received
         self._begin_superstep()
@@ -526,7 +463,7 @@ class OnlineQueryProgram(VertexProgram):
                                superstep=superstep, sites=len(sites)):
             started = time.perf_counter()
             db = self.db
-            inbox = (Inbox(log, sites, superstep, frozen, received)
+            inbox = (Inbox(log, sites, superstep, frozen)
                      if self._keep_log else None)
             # Facts a later superstep may read leave the frame for the store.
             if "receive_message" in self._stored:
@@ -600,77 +537,6 @@ class OnlineQueryProgram(VertexProgram):
                 "captured rows checked row by row against a vertex's "
                 "stored rows",
             ).inc(store.dedup_rows)
-
-    # -- multiprocess backend hooks ---------------------------------------
-    # The parallel engine duck-types these: each worker process runs this
-    # same (forked) wrapper over its shard, ships its state back on
-    # shutdown, and the master folds the shards into its own copy so the
-    # result-building code below works unchanged on both backends.
-    def parallel_worker_begin(self, worker_id: int, shard: Sequence[Any]) -> None:
-        """Called in a freshly forked worker before superstep 0."""
-        # Capture persistence is master-side only: this fork's store copy
-        # dies with the worker, and the master re-derives the shard's head
-        # tuples from ``parallel_state``. The spill writer thread (if any)
-        # did not survive the fork either; drop the reference so the
-        # worker never touches the manager.
-        self.db.disable_persistence()
-        self._capture_spill = None
-        # Senders outside the shard reach this process only as envelope
-        # tables.
-        self.db.shard = self._recorder.shard = set(shard)
-        self._parallel_base = {
-            "derivations": self.derivations,
-            "shipped_tuples": self.shipped_tuples,
-            "pruned_rows": self.pruned_rows,
-            "prune_hits": self.prune_hits,
-            "prune_misses": self.prune_misses,
-            "query_seconds": self.query_seconds,
-        }
-
-    def parallel_state(self) -> Dict[str, Any]:
-        """Shard state shipped to the master on shutdown.
-
-        Derived rows are shipped sorted by ``repr`` — partition sets
-        iterate in a salted-hash order that differs across processes, and
-        the wire payload must be deterministic. The master deduplicates on
-        replay, so the static-setup rows every fork inherited merge away.
-        """
-        base = self._parallel_base
-        derived = self.db.derived
-        return {
-            "derived": [
-                (rel, sorted(derived.all_rows(rel), key=repr))
-                for rel in sorted(derived.relations())
-            ],
-            "counters": {
-                name: getattr(self, name) - value
-                for name, value in base.items()
-            },
-            "evaluator": self.db.vector_ctx.stats(),
-            "transient_rows": self.db.local.num_rows(),
-        }
-
-    def merge_parallel_states(self, states: Sequence[Any]) -> None:
-        """Fold worker shard states (in worker-id order) into this copy.
-
-        Replaying derived rows through ``db.add_rows`` persists fresh head
-        tuples into the capture store exactly once: rows already present
-        (the static setup every worker inherited) dedupe to no-ops. The
-        evaluator block sums every worker's program runs.
-        """
-        for state in states:
-            if state is None:
-                continue
-            for rel, rows in state["derived"]:
-                self.db.add_rows(rel, rows)
-            for name, value in state["counters"].items():
-                setattr(self, name, getattr(self, name) + value)
-            self.db.vector_ctx.merge(state["evaluator"])
-            self._merged_transient_rows += state["transient_rows"]
-
-    def transient_row_count(self) -> int:
-        """Auto-captured transient rows, including worker shards."""
-        return self.db.local.num_rows() + self._merged_transient_rows
 
 
 def _store_only_heads(compiled: CompiledQuery) -> Set[str]:
@@ -746,13 +612,10 @@ def run_online(
             program, compiled, functions, graph, store=store,
             value_projector=projector,
             spill=spill,
-            # Under the parallel backend the master's store only fills at
-            # merge time; eager per-superstep sealing is serial-only.
-            eager_seal=engine_config.backend == "serial",
         )
     wrapper.run_setup()
 
-    engine = make_engine(graph, config=engine_config)
+    engine = PregelEngine(graph, config=engine_config)
     run = engine.run(wrapper, max_supersteps=max_supersteps)
     wrapper.finish_capture()
     wrapper.publish_metrics()
@@ -777,7 +640,7 @@ def run_online(
             "pruned_rows": wrapper.pruned_rows,
             "prune_hits": wrapper.prune_hits,
             "prune_misses": wrapper.prune_misses,
-            "transient_rows": wrapper.transient_row_count(),
+            "transient_rows": wrapper.db.local.num_rows(),
             "shipped_tuples": wrapper.shipped_tuples,
             "sealed_layers": wrapper.sealed_layers,
             "compiled_rules": compiled.compiled_rules,
@@ -821,11 +684,6 @@ def _append_ledger_record(
     }
     if spill is not None:
         results["store"] = {"directory": spill.directory}
-    workers = None
-    if engine_config.backend == "parallel":
-        from repro.parallel.engine import last_worker_stamp
-
-        workers = last_worker_stamp()
     obsledger.RunLedger(engine_config.ledger_dir).append(
         obsledger.make_record(
             "capture" if capture else "online",
@@ -837,7 +695,6 @@ def _append_ledger_record(
             results=results,
             metrics=run.metrics.summary(),
             registry=get_registry(),
-            workers=workers,
         )
     )
 

@@ -18,8 +18,7 @@ Request lifecycle for a query::
 Evaluation threads never touch the process-wide tracer (its span stack
 is single-threaded): when tracing is on, each request evaluates under a
 thread-local tracer and the events are grafted into the main trace with
-``Tracer.ingest`` afterwards — the same scheme the parallel backend uses
-across processes.
+``Tracer.ingest`` afterwards.
 """
 
 from __future__ import annotations

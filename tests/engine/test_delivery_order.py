@@ -2,9 +2,9 @@
 
 A vertex receives its messages with the senders in canonical compute
 order and each sender's sends in the order it made them. Nothing sorts an
-inbox, so the order must not move with the worker count, the backend, or
-an online query wrapped around the analytic — which sends the analytic's
-payloads bare in one process, and wraps none in an envelope.
+inbox, so the order must not move with the simulated worker count or an
+online query wrapped around the analytic — which sends the analytic's
+payloads on bare.
 """
 
 import pytest
@@ -14,8 +14,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.engine.vertex import VertexProgram
 from repro.graph.generators import web_graph
-from repro.parallel.backend import make_engine
-from repro.runtime import online
 from repro.runtime.online import RecordingContext, run_online
 
 ROUNDS = 4
@@ -91,13 +89,7 @@ class TestDeliveryOrder:
     def test_serial_worker_counts(self, graph, bare, workers):
         run = PregelEngine(graph, config=EngineConfig(
             num_workers=workers, use_combiner=False)).run(Recorder())
-        assert run.values == bare.values
-
-    def test_parallel_backend(self, graph, bare):
-        run = make_engine(graph, config=EngineConfig(
-            num_workers=2, backend="parallel", use_combiner=False,
-        )).run(Recorder())
-        assert run.metrics.total_cross_worker_messages > 0
+        assert (run.metrics.total_cross_worker_messages > 0) == (workers > 1)
         assert run.values == bare.values
 
     @pytest.mark.parametrize("name", sorted(QUERIES))
@@ -105,36 +97,15 @@ class TestDeliveryOrder:
         run = online_run(graph, **QUERIES[name])
         assert run.analytic.values == bare.values
 
-    def test_online_parallel_backend(self, graph, bare):
-        run = online_run(graph, config=EngineConfig(
-            num_workers=2, backend="parallel"), **QUERIES["query1"])
+    @pytest.mark.parametrize("workers", [1, 3, 7])
+    def test_online_worker_counts(self, graph, bare, workers):
+        run = online_run(graph, config=EngineConfig(num_workers=workers),
+                         **QUERIES["query1"])
         assert run.analytic.values == bare.values
 
-
-class TestNoEnvelopeInProcess:
-    @pytest.fixture
-    def built(self, monkeypatch):
-        built = []
-
-        class Counted(online.Envelope):
-            __slots__ = ()
-
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(online, "Envelope", Counted)
-        return built
-
-    @pytest.mark.parametrize("name", sorted(QUERIES))
-    def test_serial_online_run_builds_none(self, graph, bare, built, name):
-        run = online_run(graph, **QUERIES[name])
-        assert run.analytic.values == bare.values
-        assert built == []
-
-    def test_a_crossing_message_is_wrapped(self, graph, built):
-        """The counted class is the one the recorder builds: a message to
-        a vertex outside ``shard`` is one envelope."""
+    def test_recorder_sends_payloads_bare(self):
+        """The recorder hands the engine the analytic's own payloads and
+        keeps the sends as two columns."""
         sent = []
 
         class Context:
@@ -144,13 +115,9 @@ class TestNoEnvelopeInProcess:
                 sent.append((target, message))
 
         recorder = RecordingContext()
-        recorder.shard = {0, 1}
         recorder._rebind(Context())
         recorder.send(1, "near")
         recorder.send(2, "far")
-        assert built == [(0, "far", None)]
-        assert sent[0] == (1, "near")
-        assert sent[1][1].payload == "far"
-        assert recorder.crossing == [(2, sent[1][1])]
+        assert sent == [(1, "near"), (2, "far")]
         assert recorder.targets == [1, 2]
         assert recorder.payloads == ["near", "far"]

@@ -1,5 +1,7 @@
 """Unit tests for the BSP engine: superstep semantics, halting, messaging."""
 
+import pickle
+
 import pytest
 
 from repro.engine.config import EngineConfig
@@ -196,6 +198,15 @@ class TestErrors:
         with pytest.raises(EngineError):
             PregelEngine(chain_graph(2), config=EngineConfig(max_supersteps=0))
 
+    def test_config_rejects_unknown_partitioner(self):
+        with pytest.raises(EngineError, match="partitioner"):
+            EngineConfig(partitioner="metis").validate()
+
+    def test_config_has_no_backend(self):
+        # one engine: there is no field left to pick another
+        with pytest.raises(TypeError):
+            EngineConfig(backend="serial")
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self):
@@ -204,3 +215,26 @@ class TestDeterminism:
         r2 = run_program(g, Broadcast(rounds=25))
         assert r1.values == r2.values
         assert r1.num_supersteps == r2.num_supersteps
+
+
+class TestVertexProgramErrorPickling:
+    @staticmethod
+    def roundtrip(obj):
+        return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
+
+    def test_fields_survive(self):
+        err = VertexProgramError("v9", 3, ValueError("boom"))
+        clone = self.roundtrip(err)
+        assert clone.vertex_id == "v9"
+        assert clone.superstep == 3
+        assert isinstance(clone.cause, ValueError)
+        assert str(clone) == str(err)
+
+    def test_unpicklable_cause_degrades(self):
+        cause = ValueError("local state")
+        cause.callback = lambda: None  # closures don't pickle
+        err = VertexProgramError(1, 0, cause)
+        clone = self.roundtrip(err)
+        assert clone.vertex_id == 1
+        assert isinstance(clone.cause, RuntimeError)
+        assert "local state" in str(clone.cause)

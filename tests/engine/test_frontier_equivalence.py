@@ -211,7 +211,7 @@ def recorders(monkeypatch):
     around the whole provenance wrapper and check its schedule."""
     made = []
 
-    def make_engine(graph, config=None):
+    def recorded_engine(graph, config=None):
         engine = PregelEngine(graph, config=config)
         run = engine.run
 
@@ -225,7 +225,7 @@ def recorders(monkeypatch):
         engine.run = recorded_run
         return engine
 
-    monkeypatch.setattr("repro.runtime.online.make_engine", make_engine)
+    monkeypatch.setattr("repro.runtime.online.PregelEngine", recorded_engine)
     return made
 
 

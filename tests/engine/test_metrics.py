@@ -33,28 +33,17 @@ class TestRunMetrics:
         summary = metrics.summary()
         assert set(summary) == {
             "supersteps", "wall_seconds", "vertex_executions", "messages",
-            "cross_worker_messages", "network_bytes",
-            "frontier_vertices", "skipped_vertices",
-            "messages_combined", "messages_precombined", "combine_ratio",
+            "cross_worker_messages", "frontier_vertices", "skipped_vertices",
+            "messages_combined", "combine_ratio",
         }
-
-    def test_network_bytes_none_unless_measured(self):
-        metrics = RunMetrics()
-        step = SuperstepMetrics(0)
-        metrics.supersteps.append(step)
-        assert metrics.summary()["network_bytes"] is None
-        metrics.measured_network_bytes = True
-        assert metrics.summary()["network_bytes"] == 0
 
     def test_combine_ratio(self):
         metrics = RunMetrics()
         step = SuperstepMetrics(0)
         step.messages_sent = 10
-        step.messages_combined = 3
-        step.messages_precombined = 2
+        step.messages_combined = 5
         metrics.supersteps.append(step)
-        assert metrics.total_messages_combined == 3
-        assert metrics.total_messages_precombined == 2
+        assert metrics.total_messages_combined == 5
         assert metrics.combine_ratio == 0.5
         empty = RunMetrics()
         assert empty.combine_ratio == 0.0

@@ -1,7 +1,7 @@
 """``VertexProgram.post_superstep``: the program-level hook every engine
 runs once per superstep, after the last ``compute`` and before the
-superstep's messages are delivered (the serial barrier, a checkpoint
-snapshot, a parallel worker's exchange)."""
+superstep's messages are delivered (the barrier, a checkpoint snapshot),
+at any simulated worker count."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.engine.vertex import VertexProgram
 from repro.graph.generators import web_graph, with_random_weights
-from repro.parallel.engine import ParallelEngine
 
 ROUNDS = 4  # supersteps in which every vertex messages its out-neighbors
 
@@ -54,14 +53,6 @@ class Stamper(VertexProgram):
         self.log.append(("halt", superstep))
         return False
 
-    # the parallel backend runs the program in its workers: ship the
-    # workers' records back to the master's copy
-    def parallel_state(self):
-        return {"log": self.log, "seen": self.seen}
-
-    def merge_parallel_states(self, states):
-        self.workers = states
-
 
 @pytest.fixture(scope="module")
 def graph():
@@ -69,8 +60,8 @@ def graph():
 
 
 def posts_follow_computes(log):
-    """Per superstep: computes, then exactly one hook, then (serial) the
-    master's halt check after the barrier."""
+    """Per superstep: computes, then exactly one hook, then the master's
+    halt check after the barrier."""
     posts = [s for kind, s in log if kind == "post"]
     assert posts == sorted(set(posts))
     for superstep in posts:
@@ -106,20 +97,19 @@ def test_checkpoints_snapshot_what_the_hook_wrote(graph, tmp_path):
     assert boxes and all(box["stamp"] == ROUNDS - 1 for box in boxes)
 
 
-def test_parallel_workers_run_the_hook_before_the_exchange(graph):
+@pytest.mark.parametrize("workers", [1, 3, 7])
+def test_simulated_workers_run_the_hook_before_the_barrier(graph, workers):
+    """The hook runs once per superstep whatever the worker count, and a
+    box that crossed simulated workers arrives stamped like any other."""
     program = Stamper()
-    config = EngineConfig(num_workers=2, backend="parallel")
-    with ParallelEngine(graph, config=config) as engine:
-        result = engine.run(program)
-    states = program.workers
-    assert len(states) == 2
-    for state in states:
-        # each worker hooks every superstep, even one where it computed
-        # nothing, and boxes that crossed workers were pickled stamped
-        assert posts_follow_computes(state["log"]) == list(
-            range(result.num_supersteps))
-        all_boxes_stamped(state["seen"])
-    serial = PregelEngine(graph).run(Stamper())
+    config = EngineConfig(num_workers=workers)
+    result = PregelEngine(graph, config=config).run(program)
+    assert (result.metrics.total_cross_worker_messages > 0) == (workers > 1)
+    assert posts_follow_computes(program.log) == list(
+        range(result.num_supersteps))
+    all_boxes_stamped(program.seen)
+    serial = PregelEngine(graph, config=EngineConfig(num_workers=1)).run(
+        Stamper())
     assert result.values == serial.values
 
 
@@ -149,7 +139,7 @@ COUNTS = ("supersteps", "vertex_executions", "messages", "messages_combined",
 @pytest.mark.parametrize("make_analytic", [
     lambda: PageRank(num_supersteps=6), lambda: SSSP(source=0),
 ], ids=["pagerank", "sssp"])
-@pytest.mark.parametrize("engine", ["serial", "checkpointed", "parallel"])
+@pytest.mark.parametrize("engine", ["serial", "checkpointed", "7-workers"])
 def test_bare_analytic_is_unchanged(engine, make_analytic, tmp_path):
     weighted = with_random_weights(
         web_graph(60, avg_degree=4, target_diameter=5, seed=4), seed=4)
@@ -160,9 +150,8 @@ def test_bare_analytic_is_unchanged(engine, make_analytic, tmp_path):
         if engine == "checkpointed":
             return CheckpointedEngine(weighted, str(tmp_path / program.name),
                                       interval=2).run(program)
-        config = EngineConfig(num_workers=2, backend="parallel")
-        with ParallelEngine(weighted, config=config) as parallel:
-            return parallel.run(program)
+        return PregelEngine(weighted, config=EngineConfig(num_workers=7)).run(
+            program)
 
     analytic = make_analytic()
     bare = run(analytic.make_program())
@@ -173,5 +162,4 @@ def test_bare_analytic_is_unchanged(engine, make_analytic, tmp_path):
     assert with_hook.halt_reason == bare.halt_reason
     summary, bare_summary = with_hook.metrics.summary(), bare.metrics.summary()
     assert {k: summary[k] for k in COUNTS} == {k: bare_summary[k] for k in COUNTS}
-    if engine != "parallel":  # the workers' copies count theirs
-        assert hooked.calls == bare.num_supersteps
+    assert hooked.calls == bare.num_supersteps

@@ -6,9 +6,11 @@ import pytest
 from repro.analytics.pagerank import PageRank
 from repro.analytics.sssp import SSSP
 from repro.analytics.wcc import WCC
+from repro.engine.checkpoint import CheckpointedEngine
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
-from repro.graph.generators import web_graph, with_random_weights
+from repro.engine.vertex import FunctionProgram
+from repro.graph.generators import grid_graph, web_graph, with_random_weights
 from repro.graph.partition import RangePartitioner
 
 
@@ -52,11 +54,22 @@ class TestWorkerCountInvariance:
 
 
 class TestPartitionerChoice:
+    def test_more_workers_than_vertices(self):
+        """Empty partitions are legal: a worker with no vertices changes
+        nothing."""
+        tiny = grid_graph(2, 2)  # 4 vertices
+        one = PregelEngine(tiny, config=EngineConfig(num_workers=1)).run(
+            WCC().make_program())
+        six = PregelEngine(tiny, config=EngineConfig(num_workers=6)).run(
+            WCC().make_program())
+        assert six.values == one.values
+        assert six.metrics.total_messages == one.metrics.total_messages
+
+
     def test_range_partitioner_same_results(self, wgraph):
         hash_run = PregelEngine(wgraph).run(SSSP(source=0).make_program())
         range_run = PregelEngine(
-            wgraph,
-            partitioner=RangePartitioner(4, wgraph.num_vertices),
+            wgraph, config=EngineConfig(partitioner="range"),
         ).run(SSSP(source=0).make_program())
         assert hash_run.values == range_run.values
 
@@ -70,3 +83,32 @@ class TestPartitionerChoice:
         assert single.metrics.total_cross_worker_messages == 0
         assert multi.metrics.total_cross_worker_messages > 0
         assert single.metrics.total_messages == multi.metrics.total_messages
+
+    def test_config_partitioner_is_honoured(self, wgraph, tmp_path):
+        """``partitioner="range"`` splits the vertices into contiguous id
+        ranges in every engine, so the cross-worker count is the one made
+        by hand from that split."""
+
+        def broadcast_once(ctx, messages):
+            if ctx.superstep == 0:
+                ctx.send_to_all(ctx.vertex_id)
+            ctx.vote_to_halt()
+
+        config = EngineConfig(num_workers=3, partitioner="range")
+        chunk = -(-wgraph.num_vertices // 3)
+
+        def worker(v):
+            return min(v // chunk, 2)
+
+        by_hand = sum(1 for u, v, _ in wgraph.edges() if worker(u) != worker(v))
+        by_hash = sum(1 for u, v, _ in wgraph.edges() if u % 3 != v % 3)
+        assert by_hand != by_hash
+        engines = [
+            PregelEngine(wgraph, config=config),
+            CheckpointedEngine(wgraph, str(tmp_path), config=config),
+        ]
+        for engine in engines:
+            assert isinstance(engine.partitioner, RangePartitioner)
+            run = engine.run(FunctionProgram(broadcast_once))
+            assert run.metrics.total_messages == wgraph.num_edges
+            assert run.metrics.total_cross_worker_messages == by_hand

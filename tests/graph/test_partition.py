@@ -55,10 +55,10 @@ class TestStableHash:
     """The salted-``hash()`` regression (satellite 1).
 
     Python randomizes ``hash(str)`` per process, so the old HashPartitioner
-    assigned string-id vertices differently on every run — fatal for a
-    forked multiprocess backend that bakes the routing map into each worker.
-    These assignments are pinned: if they ever change, shard routing (and
-    any persisted per-shard artifact) silently breaks.
+    assigned string-id vertices differently on every run, so the simulated
+    cross-worker traffic of one graph moved between runs. These assignments
+    are pinned: if they ever change, ``cross_worker_messages`` of a recorded
+    run (and a checkpoint's worker buckets) silently stop matching.
     """
 
     PINNED = {
@@ -130,7 +130,7 @@ class TestPartitionerProperties:
 
     def test_fewer_vertices_than_workers(self):
         """num_vertices < num_workers must yield (some) empty shards, not
-        an error — the parallel engine spawns a worker per shard anyway."""
+        an error — the engine simulates every configured worker anyway."""
         hash_parts = HashPartitioner(8).partition([0, 1, 2])
         range_parts = RangePartitioner(8, 3).partition([0, 1, 2])
         for parts in (hash_parts, range_parts):

@@ -1,11 +1,12 @@
 """Property tests for Tracer.ingest id-remapping.
 
-The parallel backend merges worker-local traces into the master trace at
-every barrier; each worker's tracer assigns span ids from 1, so merging
-must remap ids to fresh ones while preserving the parent-link structure.
-These properties pin the invariants for arbitrary span forests — including
-merges of already-merged traces, which is what happens when a warm pool
-ships multiple runs' events through the same master tracer.
+The query server evaluates each request under a thread-local tracer and
+merges its events into the main trace afterwards; each private tracer
+assigns span ids from 1, so merging must remap ids to fresh ones while
+preserving the parent-link structure. These properties pin the invariants
+for arbitrary span forests — including merges of already-merged traces,
+which is what happens when many requests' events pass through the same
+main tracer.
 """
 
 from hypothesis import HealthCheck, given, settings

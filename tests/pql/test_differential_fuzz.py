@@ -260,26 +260,30 @@ class TestDifferentialFuzz:
 
     @given(st.integers(0, 100_000), random_program())
     @SLOW
-    def test_online_backends_agree(self, graph_seed, src):
-        """Online mode across the process boundary: frames are built from
-        unpickled envelopes and shared delta tables are pickled once per
-        batch, so the serial run and the 2-worker run must agree on every
-        row and on how many tuples were shipped."""
+    def test_online_worker_counts_agree(self, graph_seed, src):
+        """Online mode at 1, 3 and 7 simulated workers: the split changes
+        only which messages count as cross-worker traffic, so every run
+        must agree on every row, every derivation and how many tuples
+        were shipped."""
         from repro.engine.config import EngineConfig
         from repro.errors import PQLCompatibilityError
         from repro.runtime.online import run_online
 
         graph, make = random_run(graph_seed)
         try:
-            serial = run_online(graph, make(), src)
+            one = run_online(graph, make(), src,
+                             config=EngineConfig(num_workers=1))
         except PQLCompatibilityError:
             return  # backward / mixed compositions do not run online
-        config = EngineConfig(backend="parallel", num_workers=2)
-        parallel = run_online(graph, make(), src, config=config)
-        assert parallel.values == serial.values
-        assert parallel.query.as_dict() == serial.query.as_dict(), (
-            f"rows differ for program:\n{src}"
-        )
-        for key in ("shipped_tuples", "pruned_rows", "transient_rows"):
-            assert (parallel.query.stats[key]
-                    == serial.query.stats[key]), (key, src)
+        assert one.analytic.metrics.total_cross_worker_messages == 0
+        for workers in (3, 7):
+            many = run_online(graph, make(), src,
+                              config=EngineConfig(num_workers=workers))
+            assert many.values == one.values
+            assert many.query.as_dict() == one.query.as_dict(), (
+                f"rows differ at {workers} workers for program:\n{src}"
+            )
+            assert many.query.derivations == one.query.derivations, src
+            for key in ("shipped_tuples", "pruned_rows", "transient_rows"):
+                assert (many.query.stats[key]
+                        == one.query.stats[key]), (key, workers, src)

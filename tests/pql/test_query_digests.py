@@ -5,15 +5,23 @@ Each key of ``golden_query_digests.json`` names a query, the driver that
 ran it (online = anchored per vertex, layered = anchored per layer, naive =
 located, reference = free), the retired hash-index switch (always
 ``index=False``: PR 21 deleted the index and its ``index=True`` twins,
-which pinned the same digests) and the backend; the value is the sha256 of
-the sorted result rows. The digests were produced by running this file's
-``compute_digests`` against the parent commit's ``src/``::
+which pinned the same digests) and a worker suffix; the value is the sha256
+of the sorted result rows. The digests were produced by running this
+file's ``compute_digests`` against the parent commit's ``src/``::
 
     PYTHONPATH=<parent>/src python tests/pql/test_query_digests.py > \\
         tests/pql/golden_query_digests.json
 
-so any drift in what the evaluator derives — in any mode, serial or on two
-worker processes — fails here.
+so any drift in what the evaluator derives — in any mode, at any simulated
+worker count — fails here.
+
+The suffix of an online key names the worker count: ``/serial`` is one
+simulated worker and ``/parallel`` is seven. The ``/parallel`` keys were
+recorded on two worker processes of a multiprocess backend that has since
+been deleted; they equal their ``/serial`` twins, and the file is not
+regenerated, so they now pin that the serial engine derives the same rows
+when its vertices are split across seven simulated workers. Offline keys
+are always ``/serial``.
 
 ``test_sealed_store_digests_match_parent_commit`` holds the sealed-store
 evaluators to the same pins: every offline capture is sealed to ARSC and
@@ -87,12 +95,12 @@ def compute_digests():
         graph, make = workloads[workload]
         text = Q.NAMED_QUERIES[query]
         if online:
-            for backend, workers in (("serial", 1), ("parallel", 2)):
-                config = EngineConfig(backend=backend, num_workers=workers)
+            for suffix, workers in (("serial", 1), ("parallel", 7)):
+                config = EngineConfig(num_workers=workers)
                 result = Ariadne(graph, make(), config).query_online(
                     text, params=params
                 )
-                key = f"{query}/online/index=False/{backend}"
+                key = f"{query}/online/index=False/{suffix}"
                 digests[key] = digest_query_result(result.query)
         if offline:
             udfs = Q.apt_udfs(make())

@@ -60,7 +60,7 @@ def read(db, relation, vertex, time=None):
 
 
 class TestCandidates:
-    """The one read a located scan makes, over every backend."""
+    """The one read a located scan makes, over every store."""
 
     def test_store_scan_and_slice(self, graph):
         store = ProvenanceStore()
@@ -102,27 +102,16 @@ class TestOnlineDatabase:
         assert read(db, "value", 0) == {(0, 1.0, 0)}
         # vertex 1's facts are NOT visible remotely unless shipped
         assert list(read(db, "value", 1)) == []
-        assert db.ship([(1, [0], ["m"], [])]) == 1
+        assert db.ship([(1, [0], ["m"])]) == 1
         assert list(read(db, "value", 1)) == [(1, 5.0, 0)]
         # a row 1 holds after its last message to 0 stays invisible ...
         db.local.add("value", 1, (1, 6.0, 1))
         assert list(read(db, "value", 1)) == [(1, 5.0, 0)]
         # ... until it messages 0 again; a repeat message carries nothing
-        assert db.ship([(1, [0, 0], ["m", "m"], [])]) == 1
+        assert db.ship([(1, [0, 0], ["m", "m"])]) == 1
         assert list(read(db, "value", 1)) == [(1, 5.0, 0), (1, 6.0, 1)]
         db.current_site = 2
         assert list(read(db, "value", 1)) == []  # never messaged 2
-
-    def test_remote_partitions_keyed_by_receiver(self, graph):
-        """From another process (a sender outside ``shard``), what arrived
-        as envelope tables, merged per receiver."""
-        db = self.make(graph, shipped=["t"])
-        db.shard = {0, 2}
-        db.merge_remote(0, 1, "t", [(1, "x")])
-        db.current_site = 2
-        assert list(read(db, "t", 1)) == []  # vertex 2 received nothing
-        db.current_site = 0
-        assert set(read(db, "t", 1)) == {(1, "x")}
 
     def test_frames_live_one_superstep(self, graph):
         db = self.make(graph)

@@ -71,21 +71,22 @@ class TestEagerSealing:
         assert result.query.stats["sealed_layers"] == 0
 
 
-class TestParallelCaptureSpill:
-    def test_parallel_backend_capture_round_trip(self, graph, tmp_path):
-        config = EngineConfig(backend="parallel", num_workers=2)
-        serial = run_online(
+class TestSimulatedWorkersCaptureSpill:
+    @pytest.mark.parametrize("workers", [3, 7])
+    def test_capture_round_trip(self, graph, tmp_path, workers):
+        one = run_online(
             graph, PageRank(num_supersteps=4), Q.CAPTURE_FULL_QUERY,
-            capture=True,
+            capture=True, config=EngineConfig(num_workers=1),
         )
-        parallel = run_online(
+        many = run_online(
             graph, PageRank(num_supersteps=4), Q.CAPTURE_FULL_QUERY,
-            capture=True, spill_directory=str(tmp_path), config=config,
+            capture=True, spill_directory=str(tmp_path),
+            config=EngineConfig(num_workers=workers),
         )
-        # Workers never persist; the master re-derives and seals at the
-        # end, so eager per-superstep sealing is disabled.
-        assert parallel.query.stats["sealed_layers"] == 0
-        parallel.spill.seal_all()
-        rebuilt = rebuild_store(parallel.spill)
-        assert _store_dict(rebuilt) == _store_dict(serial.store)
-        parallel.spill.close()
+        # Layers are sealed eagerly at any worker count, and the sealed
+        # store is the one-worker capture.
+        assert many.query.stats["sealed_layers"] > 0
+        many.spill.seal_all()
+        rebuilt = rebuild_store(many.spill)
+        assert _store_dict(rebuilt) == _store_dict(one.store)
+        many.spill.close()

@@ -1,8 +1,6 @@
 """Superstep frames: facts only the current superstep reads stay out of the
-tuple stores, and the paths around them (delta shipping, inbox merge)
+tuple stores, and the paths around them (delta shipping, the inbox)
 keep their results."""
-
-import copy
 
 import pytest
 
@@ -18,7 +16,6 @@ from repro.pql.analysis import compile_query
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 from repro.runtime.db import OnlineDatabase
-from repro.runtime import online
 from repro.runtime.online import OnlineQueryProgram, run_online
 
 
@@ -58,7 +55,7 @@ class TestFramedRelations:
         framed = run_wrapper(wgraph, SSSP(source=0), self.SRC)
         assert framed.db.frame_relations == {"receive_message", "superstep"}
         assert framed.db.local.relations() == []
-        assert framed.transient_row_count() == 0
+        assert framed.db.local.num_rows() == 0
         assert framed.pruned_rows > 0 and framed.prune_hits == 0
         stored = run_wrapper(wgraph, SSSP(source=0), self.SRC,
                              prune_history=False)
@@ -66,7 +63,7 @@ class TestFramedRelations:
         assert sorted(stored.db.local.relations()) == [
             "receive_message", "superstep"]
         # every row the frames dropped is a row the stored run still holds
-        assert stored.transient_row_count() == framed.pruned_rows
+        assert stored.db.local.num_rows() == framed.pruned_rows
         assert stored.pruned_rows == 0
         assert derived(framed) == derived(stored) and derived(framed)["got"]
 
@@ -167,9 +164,9 @@ class TestWindowedRelations:
         assert pruned.db.local.relations() == ["value"]
         assert pruned.prune_hits > 0 and pruned.pruned_rows > 0
         # two supersteps of `value` per vertex survive, at most
-        assert pruned.transient_row_count() <= 2 * wgraph.num_vertices
+        assert pruned.db.local.num_rows() <= 2 * wgraph.num_vertices
         kept = run_wrapper(wgraph, analytic, self.SRC, prune_history=False)
-        assert kept.transient_row_count() > pruned.transient_row_count()
+        assert kept.db.local.num_rows() > pruned.db.local.num_rows()
         assert derived(pruned) == derived(kept) and derived(pruned)["prev"]
 
     def test_pruned_partition_time_bound_scan_is_its_bucket(self):
@@ -195,37 +192,24 @@ class TestShipping:
         return run_wrapper(graph, analytic, Q.APT_QUERY, {"eps": 0.01},
                            Q.apt_udfs(analytic), **switches)
 
-    def test_shared_delta_tables_are_never_mutated(self):
-        """Across processes the deltas ride on the envelopes: targets at one
-        watermark share one sliced table, and receivers only read it."""
+    def test_each_target_is_shipped_its_own_delta(self):
+        """A message moves its target's watermark: the first message to a
+        target carries every row the sender holds, the next only what is
+        new to that target, and a target sees nothing past its watermark."""
         db = OnlineDatabase(None, head_predicates={"r"},
                             frame_relations=set(), shipped=["r"])
-        db.shard = {0}
         for i in range(3):
             db.add("r", (0, i))
         targets = [1, 2, 3]
-        envelopes = [online.Envelope(0, "m") for _ in targets]
-        sends = [(0, targets, ["m"] * len(targets),
-                  list(zip(targets, envelopes)))]
-        assert db.ship(sends) == 9  # three rows to each of three targets
-        tables = envelopes[0].tables
-        assert all(env.tables is tables for env in envelopes)
-        before = copy.deepcopy(tables)
-        receiver = OnlineDatabase(None, head_predicates={"r"},
-                                  frame_relations=set(), shipped=["r"])
-        receiver.shard = set(targets)
-        for target, env in zip(targets, envelopes):
-            for rel, rows in env.tables.items():
-                receiver.merge_remote(target, 0, rel, rows)
-        assert tables == before
-        receiver.current_site = 2
-        assert list(receiver.candidates("r", 0, None)) == [
-            (0, 0), (0, 1), (0, 2)]
-        # the next message to a target carries only what is new to it
+        assert db.ship([(0, targets, ["m"] * len(targets))]) == 9
+        db.current_site = 2
+        assert list(db.candidates("r", 0, None)) == [(0, 0), (0, 1), (0, 2)]
         db.add("r", (0, 3))
-        envelope = online.Envelope(0, "m")
-        assert db.ship([(0, [1], ["m"], [(1, envelope)])]) == 1
-        assert envelope.tables == {"r": [(0, 3)]}
+        assert db.ship([(0, [1], ["m"])]) == 1
+        assert list(db.candidates("r", 0, None)) == [(0, 0), (0, 1), (0, 2)]
+        db.current_site = 1
+        assert list(db.candidates("r", 0, None)) == [
+            (0, 0), (0, 1), (0, 2), (0, 3)]
 
     def test_ablation_switches_keep_the_rows(self, wgraph):
         default = self.run_apt(wgraph)

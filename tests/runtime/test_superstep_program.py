@@ -15,10 +15,7 @@ from repro.graph.partition import HashPartitioner
 from repro.pql import eval as pql_eval
 from repro.runtime.online import run_online
 
-BACKENDS = {
-    "serial": None,
-    "2-worker": EngineConfig(num_workers=2, backend="parallel"),
-}
+WORKERS = [1, 3, 7]  # simulated; locality must not move with the split
 
 Y, X = 0, 1  # Y messages X once
 
@@ -38,20 +35,24 @@ class MessageOnce(VertexProgram):
             ctx.vote_to_halt()
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_remote_reads_stop_at_the_senders_last_message(backend):
+@pytest.mark.parametrize("workers", WORKERS)
+def test_remote_reads_stop_at_the_senders_last_message(workers):
     """Y derives r(Y, I) at every superstep but messages X after the first
     only, so X — reading r(Y, J) with J unbounded at supersteps 1 and 2,
     when Y's partition already holds r(Y, 1) — sees r(Y, 0) alone: what
     Y's message shipped, never Y's partition past that watermark."""
-    assert HashPartitioner(2).worker_of(X) != HashPartitioner(2).worker_of(Y)
+    partitioner = HashPartitioner(workers)
+    assert (partitioner.worker_of(X) != partitioner.worker_of(Y)) == (
+        workers > 1)
     result = run_online(
         from_edge_list([(Y, X), (X, 2)]), MessageOnce(),
         "r(X, I) :- superstep(X, I), X = 0."
         "heard(X, Y) :- receive_message(X, Y, M, I)."
         "seen(X, J, I) :- heard(X, Y), r(Y, J), superstep(X, I).",
-        config=BACKENDS[backend],
+        config=EngineConfig(num_workers=workers),
     )
+    assert result.analytic.metrics.total_cross_worker_messages == (
+        workers > 1)
     assert result.query.rows("r") == [(Y, 0), (Y, 1), (Y, 2)]
     assert result.query.rows("seen") == [(X, 0, 1), (X, 0, 2)]
     assert result.query.stats["shipped_tuples"] == 1
@@ -74,14 +75,14 @@ class FanIn(VertexProgram):
             ctx.vote_to_halt()
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_aggregate_heads_run_their_row_functions(backend):
+@pytest.mark.parametrize("workers", WORKERS)
+def test_aggregate_heads_run_their_row_functions(workers):
     result = run_online(
         from_edge_list([(0, 2), (1, 2), (2, 3), (1, 3)]), FanIn(),
         "deg(X, I, count(Y)) :- receive_message(X, Y, M, I)."
         "tot(X, I, sum(M)) :- receive_message(X, Y, M, I)."
         "busy(X, I) :- deg(X, I, D), D > 1.",
-        config=BACKENDS[backend],
+        config=EngineConfig(num_workers=workers),
     )
     query = result.query
     assert query.rows("deg") == [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2)]
@@ -89,10 +90,10 @@ def test_aggregate_heads_run_their_row_functions(backend):
                                  (3, 2, 4.0)]
     assert query.rows("busy") == [(2, 1), (2, 2), (3, 1), (3, 2)]
     assert query.derivations == 12
-    if backend == "serial":  # three supersteps; workers count their own
-        assert query.stats["fallback_reasons"] == {"aggregate-head": 6}
-        assert query.stats["rules_fallback"] == 6
-        assert query.stats["rules_vectorized"] == 3
+    # three supersteps, two aggregate rules each
+    assert query.stats["fallback_reasons"] == {"aggregate-head": 6}
+    assert query.stats["rules_fallback"] == 6
+    assert query.stats["rules_vectorized"] == 3
 
 
 def test_query1_runs_rules_times_supersteps(monkeypatch):

@@ -241,69 +241,91 @@ class TestExportAndExplainCommands:
         assert "free plan" in capsys.readouterr().out
 
 
-class TestParallelBackendFlags:
-    def test_run_parallel_matches_serial_output(self, graph_file, capsys):
-        assert main(["run", "--analytic", "sssp", "--graph", graph_file]) == 0
-        serial = capsys.readouterr().out
-        assert main([
-            "run", "--analytic", "sssp", "--graph", graph_file,
-            "--backend", "parallel", "--num-workers", "2",
-        ]) == 0
-        parallel = capsys.readouterr().out
-        assert ("backend:     parallel (2 workers, hash "
-                "partitioning)") in parallel
-        # everything except the backend/wall lines is byte-identical
+class TestSimulatedWorkerFlags:
+    def test_run_worker_counts_match(self, graph_file, capsys):
+        assert main(["run", "--analytic", "sssp", "--graph", graph_file,
+                     "--num-workers", "1"]) == 0
+        one = capsys.readouterr().out
+        assert main(["run", "--analytic", "sssp", "--graph", graph_file,
+                     "--num-workers", "7"]) == 0
+        seven = capsys.readouterr().out
+        assert "workers:     7 simulated (hash partitioning)" in seven
+        # everything except the worker-count and wall lines is identical
         strip = lambda out: [l for l in out.splitlines()
-                             if not l.startswith(("backend:", "wall:"))]
-        assert strip(parallel) == strip(serial)
+                             if not l.startswith(("workers:", "wall:"))]
+        assert strip(seven) == strip(one)
 
     def test_transport_flag(self, graph_file):
         # one transport: there is no switch left to pick another
         with pytest.raises(SystemExit):
             main(["run", "--analytic", "sssp", "--graph", graph_file,
-                  "--backend", "parallel", "--transport", "queue"])
+                  "--transport", "queue"])
 
-    def test_apt_parallel(self, graph_file, capsys):
+    @pytest.mark.parametrize("backend", ["serial", "parallel"])
+    def test_backend_flag_is_rejected(self, graph_file, backend):
+        # one engine: there is no switch left to pick another
+        with pytest.raises(SystemExit):
+            main(["run", "--analytic", "sssp", "--graph", graph_file,
+                  "--backend", backend])
+
+    def test_apt_simulated_workers(self, graph_file, capsys):
         assert main([
             "apt", "--analytic", "sssp", "--graph", graph_file,
-            "--eps", "0.1", "--backend", "parallel", "--num-workers", "2",
-            "--partitioner", "range",
+            "--eps", "0.1", "--num-workers", "7", "--partitioner", "range",
         ]) == 0
         assert "verdict" in capsys.readouterr().out
 
-    def test_backend_recorded_in_trace(self, graph_file, tmp_path, capsys):
+    def test_worker_config_recorded_in_trace(self, graph_file, tmp_path,
+                                             capsys):
         from repro.obs.sinks import read_trace, validate_events
 
-        trace_file = str(tmp_path / "par.jsonl")
+        trace_file = str(tmp_path / "run.jsonl")
         assert main([
             "run", "--analytic", "sssp", "--graph", graph_file,
-            "--backend", "parallel", "--num-workers", "2",
+            "--num-workers", "7", "--partitioner", "range",
             "--trace", trace_file,
         ]) == 0
         events = read_trace(trace_file)
         assert validate_events(events) == []
         configs = [e for e in events if e.get("name") == "run-config"]
         assert configs and configs[0]["attrs"] == {
-            "backend": "parallel", "num_workers": 2, "partitioner": "hash",
+            "num_workers": 7, "partitioner": "range",
         }
         runs = [e for e in events
                 if e.get("type") == "span" and e.get("cat") == "run"]
-        assert runs and all("transport" not in e["attrs"] for e in runs)
-        from repro.obs.metrics import get_registry
+        assert runs and all(e["attrs"]["workers"] == 7 for e in runs)
 
-        waits = [line for line in get_registry().to_prometheus().splitlines()
-                 if line.startswith("repro_transport_wait_seconds_count")]
-        assert waits == [waits[0]] and "transport=" not in waits[0]
-        # worker-side compute spans were merged into the master trace
-        workers = {e["attrs"]["worker"] for e in events
-                   if e.get("type") == "span"
-                   and "worker" in e.get("attrs", {})}
-        assert workers == {0, 1}
+    def test_trace_with_transport_spans_still_validates(
+            self, graph_file, tmp_path, capsys):
+        """A trace written while the multiprocess backend existed — a
+        ``transport`` span, barrier spans carrying ``network_bytes`` — still
+        validates and summarizes."""
+        from repro.obs.sinks import read_trace
 
-    def test_rejects_unknown_backend(self, graph_file):
-        with pytest.raises(SystemExit):
-            main(["run", "--analytic", "sssp", "--graph", graph_file,
-                  "--backend", "threads"])
+        trace_file = str(tmp_path / "run.jsonl")
+        assert main(["run", "--analytic", "sssp", "--graph", graph_file,
+                     "--trace", trace_file]) == 0
+        events = read_trace(trace_file)
+        barriers = [e for e in events if e.get("cat") == "message-barrier"]
+        assert barriers
+        for event in barriers:
+            event["attrs"].update(network_bytes=512, messages_combined=0,
+                                  messages_precombined=3,
+                                  transport_wait_seconds=0.001)
+        first = barriers[0]
+        events.append(dict(first, name="transport", cat="transport",
+                           id=max(e.get("id") or 0 for e in events) + 1,
+                           parent=first["parent"], attrs={"worker": 1}))
+        with open(trace_file, "w", encoding="utf-8") as fh:
+            for event in events:
+                fh.write(json.dumps(event) + "\n")
+        capsys.readouterr()
+        assert main(["stats", trace_file, "--validate"]) == 0
+        assert "trace OK" in capsys.readouterr().out
+        assert main(["stats", trace_file]) == 0
+        out = capsys.readouterr().out
+        assert "\ntransport " in out  # a phase row like any other
+        assert "bytes shipped" not in out
 
 
 class TestRunLedgerAndAudit:
@@ -333,7 +355,9 @@ class TestRunLedgerAndAudit:
         assert capture["run_id"].startswith("r")
         store = capture["results"]["store"]
         assert "static.slab" in store["slabs"]
-        assert capture["config"]["backend"] == "serial"
+        assert "backend" not in capture["config"]
+        assert capture["config"]["num_workers"] == 4
+        assert capture["workers"] is None
         assert capture["dataset"]["edges_sha256"]
         assert query["results"]["mode"] == "layered"
         assert query["query"]["sha256"]
@@ -440,42 +464,55 @@ class TestRunLedgerAndAudit:
     def test_compare_against_record_with_removed_switches(
         self, graph_file, tmp_path, capsys
     ):
-        """Records written while EngineConfig still had transport,
+        """Records written while EngineConfig still had backend, transport,
         ring_capacity, warm_pool, frontier_scheduling, spill_async,
-        spill_compression and transport_wait_seconds (and the worker stamp
-        carried transport / warm_pool) still load and compare."""
+        spill_compression and transport_wait_seconds — with a worker-process
+        stamp and measured network_bytes / messages_precombined metrics —
+        still load, verify and compare."""
         from repro.obs.ledger import RunLedger
 
         ledger_dir = str(tmp_path / "ledger")
         assert main([
             "run", "--analytic", "sssp", "--graph", graph_file,
-            "--backend", "parallel", "--num-workers", "2",
-            "--ledger", ledger_dir,
+            "--num-workers", "7", "--ledger", ledger_dir,
         ]) == 0
         ledger = RunLedger(ledger_dir)
         (current,) = ledger.records()
-        removed = {"transport", "ring_capacity", "warm_pool",
+        removed = {"backend", "transport", "ring_capacity", "warm_pool",
                    "frontier_scheduling", "spill_async", "spill_compression",
                    "transport_wait_seconds"}
         assert not removed & set(current["config"])
-        assert not {"transport", "warm_pool"} & set(current["workers"])
+        assert current["workers"] is None
+        assert not {"network_bytes", "messages_precombined"} & set(
+            current["metrics"])
 
         older = dict(current, run_id="r" + "0" * 16)
         older["config"] = dict(
-            current["config"], transport="ring", ring_capacity=1 << 20,
-            warm_pool=True, frontier_scheduling=True, spill_async=False,
-            spill_compression="raw", transport_wait_seconds=60.0,
+            current["config"], backend="parallel", transport="ring",
+            ring_capacity=1 << 20, warm_pool=True, frontier_scheduling=True,
+            spill_async=False, spill_compression="raw",
+            transport_wait_seconds=60.0,
         )
-        older["workers"] = dict(
-            current["workers"], transport="ring", warm_pool=True
-        )
+        older["workers"] = {"backend": "parallel", "num_workers": 7,
+                            "worker_pids": [101, 102, 103, 104, 105, 106,
+                                            107],
+                            "transport": "ring", "warm_pool": True}
+        older["metrics"] = dict(current["metrics"], network_bytes=4096,
+                                messages_precombined=5)
         with open(ledger.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(older, sort_keys=True) + "\n")
-        loaded = ledger.get(older["run_id"])["config"]
-        assert loaded["transport"] == "ring"
-        assert loaded["spill_compression"] == "raw"
+        loaded = ledger.get(older["run_id"])
+        assert loaded["config"]["backend"] == "parallel"
+        assert loaded["config"]["transport"] == "ring"
+        assert loaded["config"]["spill_compression"] == "raw"
+        assert loaded["workers"]["worker_pids"][0] == 101
+        assert loaded["metrics"]["network_bytes"] == 4096
 
         capsys.readouterr()
+        assert main([
+            "audit", "verify", older["run_id"], "--ledger", ledger_dir,
+        ]) == 0
+        assert "audit verify OK" in capsys.readouterr().out
         assert main([
             "compare", older["run_id"], current["run_id"],
             "--ledger", ledger_dir, "--threshold", "100",
