@@ -591,8 +591,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_store_migrate(args: argparse.Namespace) -> int:
-    # The one importer of the retired-format decoders.
-    from repro.provenance.legacy import migrate_store
+    from repro.provenance.spill import migrate_store
 
     report = migrate_store(args.dir, run_id=args.run_id)
     spill = report.pop("spill")
@@ -981,8 +980,9 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p.add_subparsers(dest="store_command", required=True)
     ps = store_sub.add_parser(
         "migrate",
-        help="rewrite a store sealed by an earlier release (framed- or "
-             "bare-pickle slabs) as zlib columnar ARSC, in place",
+        help="re-encode a sealed store (e.g. one sealed raw by an earlier "
+             "release) as zlib columnar ARSC, in place; a store in a "
+             "retired slab format is refused",
         parents=[obs],
     )
     ps.add_argument("dir", help="sealed store directory")
@@ -1001,7 +1001,7 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[obs])
     _add_query_args(p)
     p.add_argument("--verbose", action="store_true",
-                   help="every binding mode's plan and generated function")
+                   help="every binding mode's plan and layer-program ops")
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("stats", help="summarize or convert a trace file",

@@ -17,8 +17,8 @@ This is Ariadne's query compiler. Given a parsed
 6. classifies every rule and the whole query as local / forward / backward /
    mixed (Definition 5.2) — forward queries are online-eligible
    (Theorem 5.4), directed queries are layered-eligible (Lemma 5.3);
-7. builds nested-loop join plans with binding propagation for the three
-   evaluation binding modes (anchored / located / free).
+7. builds join plans with binding propagation for the binding modes a
+   rule runs in: anchored and located, or free for a static setup rule.
 """
 
 from __future__ import annotations
@@ -91,8 +91,8 @@ class CompiledQuery:
 
     @property
     def compiled_rules(self) -> int:
-        """Generated (rule, mode) functions held so far (result stats)."""
-        return sum(len(crule.compiled) for crule in self.rules)
+        """(rule, mode) layer programs built so far (result stats)."""
+        return sum(len(crule.layer_programs) for crule in self.rules)
 
     @property
     def online_eligible(self) -> bool:
@@ -985,14 +985,13 @@ def compile_query(
                     head_time_index = pos
                     break
 
+        anchored = located = free = None
         if is_static:
-            anchored = located = None
             free = build_plan(rule, schema_of, (), True, loc_var)
         else:
             prebound_anchor = [loc_var] + ([time_var] if time_var else [])
             anchored = build_plan(rule, schema_of, prebound_anchor, False, loc_var)
             located = build_plan(rule, schema_of, [loc_var], False, loc_var)
-            free = build_plan(rule, schema_of, (), True, loc_var)
 
         body_vars = sorted(
             {v.name for v in rule.variables() if v.name != ANONYMOUS}

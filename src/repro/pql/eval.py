@@ -1,14 +1,15 @@
 """PQL evaluation core.
 
-Runs the plans produced by :mod:`repro.pql.analysis` — left-deep
-nested-loop joins with binding propagation, compiled once per (rule, mode)
-into a Python function by :mod:`repro.pql.codegen`. The same core drives all
-three of the paper's evaluation methods — online, layered offline and naive
+Runs the plans produced by :mod:`repro.pql.analysis`: every rule runs as a
+layer program (:mod:`repro.pql.vectorized`), once per (rule, layer) over
+all of the layer's sites as a column. The same core drives all three of
+the paper's evaluation methods — online, layered offline and naive
 offline — which differ only in
 
 * the *database view* they evaluate against (what "the partition at vertex
   v" means and whether remote partitions are reachable),
-* the *binding mode* (anchored to a superstep, located at a vertex, or free),
+* the *binding mode* (anchored to a superstep, located at a vertex, or free
+  for static setup rules),
 * the *driver loop* (per-superstep, per-layer, or global fixpoint).
 
 Derived tuples land in a :class:`TupleStore`, which maintains per-vertex
@@ -19,11 +20,10 @@ online runtime can ship deltas using per-neighbor watermarks).
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
-from repro.pql.ast import Aggregate, BinOp, Const, FuncCall, Param, Term, Var
-from repro.pql.codegen import compile_rule
+from repro.pql.ast import BinOp, Const, FuncCall, Param, Term, Var
 from repro.pql.plan import (
     CHECK_VAR,
     CompareStep,
@@ -236,14 +236,12 @@ class TupleStore:
 
 
 class Database:
-    """Interface the evaluator reads facts from and writes derivations to.
-
-    Generated rule functions read located scans through ``candidates`` and
-    unlocated ones through ``all_rows``; ``add`` / ``set_group`` write
-    derived facts. Backends implement ``rows`` (optionally ``rows_at``) and
-    inherit ``candidates``, or answer it directly (online); by default
-    writes go to an internal :class:`TupleStore`.
-    """
+    """What the evaluator writes derivations to: ``add_rows`` /
+    ``set_group`` into an internal :class:`TupleStore`. The backends
+    (:mod:`repro.runtime.db`) add the reads a layer program makes —
+    ``store`` and ``static`` column batches, and under locality
+    ``visible`` / ``visible_hits`` — and the drivers attach the
+    :class:`~repro.pql.vectorized.VectorContext` every rule runs in."""
 
     #: Whether a vertex may read another vertex's partition only through
     #: what that vertex shipped to it (the online view: the paper's
@@ -252,38 +250,7 @@ class Database:
 
     def __init__(self) -> None:
         self.derived = TupleStore()
-        # When a VectorContext (repro.pql.vectorized) is attached (the
-        # online and offline runtimes always attach one), the evaluator
-        # runs every located rule that has a layer program once over all
-        # sites; None keeps the per-site row functions.
         self.vector_ctx: Optional[Any] = None
-        # The site a row function is evaluating at (what locality reads).
-        self.current_site: Any = None
-
-    # -- reads (override) -------------------------------------------------
-    def rows(self, relation: str, vertex: Any) -> Iterable[Row]:
-        raise NotImplementedError
-
-    def rows_at(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
-        """Time-sliced read; default falls back to a full partition scan."""
-        return self.rows(relation, vertex)
-
-    def all_rows(self, relation: str) -> Iterable[Row]:
-        raise NotImplementedError
-
-    def candidates(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
-        """The rows a scan of ``vertex``'s partition must match — the one
-        read a located scan step makes: the partition, or its slice of
-        superstep ``time`` when the time attribute is bound (``None``: not
-        bound). The scan matches every row in full, so any superset of the
-        matching rows is a correct answer."""
-        if time is not None:
-            return self.rows_at(relation, vertex, time)
-        return self.rows(relation, vertex)
-
-    # -- writes ------------------------------------------------------------
-    def add(self, relation: str, row: Row) -> bool:
-        return bool(self.add_rows(relation, (row,)))
 
     def add_rows(self, relation: str, rows: Iterable[Row]) -> int:
         """Insert derived rows in order; returns how many were new."""
@@ -311,21 +278,12 @@ class Database:
         return self.derived.set_group(relation, vertex, key, row)
 
 
-def _select_plan(crule: CompiledRule, mode: str) -> RulePlan:
+def _select_plan(crule: CompiledRule, mode: str) -> Optional[RulePlan]:
     if mode == MODE_ANCHORED and crule.anchored_plan is not None:
         return crule.anchored_plan
     if mode == MODE_LOCATED and crule.located_plan is not None:
         return crule.located_plan
     return crule.free_plan
-
-
-def compiled_fn(crule: CompiledRule, mode: str) -> Callable[..., List[Any]]:
-    """The generated function for ``crule`` under ``mode`` (memoized)."""
-    fn = crule.compiled.get(mode)
-    if fn is None:
-        plan = _select_plan(crule, mode)
-        fn = crule.compiled[mode] = compile_rule(crule, plan)
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -338,115 +296,28 @@ def evaluate_rule(
     functions: FunctionRegistry,
     sites: Sequence[Any],
     anchor_time: Optional[int] = None,
-    budget: Optional[Any] = None,
 ) -> int:
-    """Evaluate one rule over ``sites``; returns the number of new facts.
-
-    With a vector context attached the rule runs once, as a layer program
-    over all sites as a column; every rule that has none — and every rule
-    in free mode — runs its generated function once per site, with the
-    database told the site (``db.current_site``).
-    """
+    """Evaluate one rule over ``sites`` as one layer program; returns the
+    number of new facts. An aggregate head replaces each group's row
+    (recomputed from the current database on every evaluation;
+    stratification guarantees the aggregated relations are complete)."""
     if mode == MODE_ANCHORED and anchor_time is None and crule.time_var is not None:
         raise PQLError("anchored evaluation requires an anchor time")
     head = crule.head_predicate
     try:
-        site = sites  # until the per-site loop names one
-        ctx = db.vector_ctx
-        if ctx is not None and mode != MODE_FREE:
-            # The layer program computes the same solution set as the
-            # generated function at every site (dedup happens on insert);
-            # None means the rule has no program (reason counted).
-            rows = ctx.evaluate(crule, mode, sites, anchor_time, db, functions)
-            if rows is not None:
-                return db.add_rows(head, rows) if rows else 0
-        fn = compiled_fn(crule, mode)
-        new = 0
-        for site in sites:
-            if site is None and mode != MODE_FREE:
-                raise PQLError("located evaluation requires a site")
-            if budget is not None:
-                budget.tick()
-            db.current_site = site
-            # Materialize before inserting: a recursive rule may scan the
-            # very relation it derives into (evaluation is snapshot-per-
-            # step; the enclosing fixpoint loop picks up the new facts
-            # next round).
-            rows = fn(db, functions, site, anchor_time)
-            if crule.is_aggregate:
-                new += _evaluate_aggregate(crule, rows, db)
-            elif rows:
-                new += db.add_rows(head, rows)
-        return new
+        rows = db.vector_ctx.evaluate(
+            crule, mode, sites, anchor_time, db, functions)
+        if crule.is_aggregate:
+            return sum(db.set_group(head, row[0], key, row)
+                       for key, row in rows)
+        return db.add_rows(head, rows) if rows else 0
     except (PQLError, MemoryError):  # budgets pass through by name
         raise
     except Exception as exc:
-        where = (f"over {len(sites)} sites" if site is sites
-                 else f"at site {site!r}")
         raise PQLError(
-            f"error evaluating rule {where}: {crule.rule} "
+            f"error evaluating rule over {len(sites)} sites: {crule.rule} "
             f"({type(exc).__name__}: {exc})"
         ) from exc
-
-
-def _evaluate_aggregate(
-    crule: CompiledRule,
-    solutions: List[Tuple[Row, Row]],
-    db: Database,
-) -> int:
-    """Aggregate rule: group, reduce, replace.
-
-    ``solutions`` holds one ``(group key, aggregated values)`` pair per
-    distinct witness, in enumeration order (the generated function dedups).
-    Aggregates use replacement semantics per group (recomputed from the
-    current database on every evaluation); stratification guarantees the
-    aggregated relations are complete when this runs within one evaluation
-    round.
-    """
-    head_args = crule.head_args
-    agg_positions = [
-        i for i, a in enumerate(head_args) if isinstance(a, Aggregate)
-    ]
-    # group key -> per-aggregate accumulators [(count, sum, min, max), ...]
-    groups: Dict[Row, List[List[Any]]] = {}
-    for key, values in solutions:
-        accs = groups.get(key)
-        if accs is None:
-            accs = [[0, 0, None, None] for _ in agg_positions]
-            groups[key] = accs
-        for acc, pos, value in zip(accs, agg_positions, values):
-            agg: Aggregate = head_args[pos]  # type: ignore[assignment]
-            acc[0] += 1
-            if agg.func in ("sum", "avg"):
-                acc[1] += value
-            if acc[2] is None or value < acc[2]:
-                acc[2] = value
-            if acc[3] is None or value > acc[3]:
-                acc[3] = value
-    changed = 0
-    for key, accs in groups.items():
-        row_values: List[Any] = []
-        key_iter = iter(key)
-        acc_iter = iter(zip(accs, agg_positions))
-        for i, arg in enumerate(head_args):
-            if isinstance(arg, Aggregate):
-                acc, _pos = next(acc_iter)
-                if arg.func == "count":
-                    row_values.append(acc[0])
-                elif arg.func == "sum":
-                    row_values.append(acc[1])
-                elif arg.func == "min":
-                    row_values.append(acc[2])
-                elif arg.func == "max":
-                    row_values.append(acc[3])
-                else:  # avg
-                    row_values.append(acc[1] / acc[0] if acc[0] else None)
-            else:
-                row_values.append(next(key_iter))
-        row = tuple(row_values)
-        if db.set_group(crule.head_predicate, row[0], key, row):
-            changed += 1
-    return changed
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +353,7 @@ def prepare_strata(
     A relation whose every rule here copies it onto itself
     (``superstep(X, I) :- superstep(X, I)``, Query 2) is no dependency
     either: its readers already see every row such a rule derives, through
-    the base rows ``candidates`` / ``rows`` return beside the derived ones.
+    the stored rows a scan reads beside the derived ones.
     """
     prepared: PreparedStrata = []
     for stratum in strata:
@@ -585,8 +456,8 @@ def run_prepared(
     check per stratum.
 
     ``budget`` is an optional :class:`repro.pql.budget.QueryBudget`: its
-    ``tick`` runs once per row-function site and per kernel stride inside
-    a layer program (cancellation + strided clock), and each fixpoint
+    ``tick`` runs once per kernel stride inside a layer program (the
+    context's, cancellation + strided clock), and each fixpoint
     round's new derivations are charged against the row budget, so a
     bounded request raises ``BudgetExceededError`` from inside the loop
     rather than discovering the overrun at the end.
@@ -600,8 +471,7 @@ def run_prepared(
             new = 0
             for crule in stratum:
                 new += evaluate_rule(
-                    crule, mode, db, functions, sites, anchor_time, budget
-                )
+                    crule, mode, db, functions, sites, anchor_time)
             total += new
             if budget is not None:
                 budget.add_rows(new)
@@ -635,3 +505,23 @@ def run_strata(
         prepare_strata(strata), mode, db, functions, list(sites), anchor_time,
         stratum_seconds, budget,
     )
+
+
+def run_setup(
+    static_rules: Sequence[CompiledRule],
+    db: Database,
+    functions: FunctionRegistry,
+    stratum_seconds: Optional[Dict[int, float]] = None,
+) -> int:
+    """Evaluate a query's static rules (``edge`` / ``vertex`` and what
+    derives from them only, e.g. Query 4's in-degree) once, stratum by
+    stratum, as free-mode layer programs — the setup the offline drivers
+    and the online wrapper run before anything else."""
+    if not static_rules:
+        return 0
+    buckets: List[List[CompiledRule]] = [
+        [] for _ in range(max(c.stratum for c in static_rules) + 1)]
+    for crule in static_rules:
+        buckets[crule.stratum].append(crule)
+    return run_strata(buckets, MODE_FREE, db, functions, [None],
+                      stratum_seconds=stratum_seconds)

@@ -4,7 +4,8 @@ Renders everything the compiler derived from a query as text: per-rule
 direction and stratum, the join plans with their binding modes, the
 semi-join and time-slice annotations, which provenance relations will be
 auto-captured online, the history windows, and the evaluation modes the
-query is eligible for. Exposed on the CLI as ``python -m repro explain``.
+query is eligible for; verbose, each plan's layer-program ops as well.
+Exposed on the CLI as ``python -m repro explain``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from repro.pql.analysis import CompiledQuery, relation_windows
-from repro.pql.eval import MODE_ANCHORED, MODE_FREE, MODE_LOCATED, compiled_fn
+from repro.pql.eval import MODE_ANCHORED, MODE_FREE, MODE_LOCATED
 from repro.pql.plan import (
     BIND,
     CHECK_TERM,
@@ -65,15 +66,16 @@ def _describe_step(step: Any, indent: str) -> List[str]:
     return [f"{indent}{step!r}"]
 
 
-def _describe_plan(plan: RulePlan, label: str, evaluator: str,
-                   code: Any = None) -> List[str]:
+def _describe_plan(plan: RulePlan, label: str, program: Any,
+                   verbose: bool) -> List[str]:
+    kind = "copy" if isinstance(program, CopyProgram) else "layer"
     lines = [f"    {label} plan (prebound: "
-             f"{', '.join(plan.prebound) or 'none'}){evaluator}:"]
+             f"{', '.join(plan.prebound) or 'none'}) [{kind} program]:"]
     for step in plan.steps:
         lines.extend(_describe_step(step, "      "))
-    if code is not None:  # the function the evaluator runs for this plan
-        lines.append("      generated:")
-        lines.extend("        " + ln for ln in code.source.splitlines())
+    if verbose:  # the column ops the evaluator runs for this plan
+        lines.append(f"      {kind} program:")
+        lines.extend("        " + op for op in program.describe())
     return lines
 
 
@@ -97,21 +99,12 @@ def explain_rule(crule: CompiledRule, verbose: bool = False) -> str:
         plans = [("setup", crule.free_plan, MODE_FREE)]
     else:
         plans = [("anchored", crule.anchored_plan, MODE_ANCHORED),
-                 ("located", crule.located_plan, MODE_LOCATED),
-                 ("free", crule.free_plan, MODE_FREE)]
+                 ("located", crule.located_plan, MODE_LOCATED)]
+    # How every runtime evaluates the plan — the online superstep program
+    # and the offline drivers alike.
     for label, plan, mode in plans if verbose else plans[:1]:
-        code = compiled_fn(crule, mode) if verbose else None
-        # How every runtime evaluates the plan — the online superstep
-        # program and the offline layers alike (free-mode plans always run
-        # the row function).
-        evaluator = ""
-        if mode != MODE_FREE:
-            program = layer_program(crule, mode)
-            evaluator = (
-                f" [row function: {program}]" if isinstance(program, str)
-                else " [copy program]" if isinstance(program, CopyProgram)
-                else " [layer program]")
-        lines.extend(_describe_plan(plan, label, evaluator, code))
+        lines.extend(_describe_plan(plan, label, layer_program(crule, mode),
+                                    verbose))
     return "\n".join(lines)
 
 
@@ -129,8 +122,7 @@ def explain(
     stratum so plan structure and runtime cost read side by side.
     ``run_stats`` is a run's stats dict; when it carries a run's
     evaluator counters (online or offline), the report closes with how
-    many rule runs were layer programs and why the rest went through the
-    row function.
+    many layer programs ran.
     """
     lines = [
         f"direction: {compiled.direction}",
@@ -186,11 +178,7 @@ def explain(
                 f" ({share:.1%} of evaluation)"
             )
     if run_stats is not None and "rules_vectorized" in run_stats:
-        reasons = run_stats.get("fallback_reasons") or {}
-        why = ", ".join(f"{k}: {n}" for k, n in sorted(reasons.items()))
         lines.append(
             f"observed evaluator: {run_stats['rules_vectorized']} layer"
-            f" program run(s), {run_stats.get('rules_fallback', 0)}"
-            " row-function rule run(s)" + (f" ({why})" if why else "")
-        )
+            " program run(s)")
     return "\n".join(lines)

@@ -1,23 +1,24 @@
 """Physical plan structures for compiled PQL rules.
 
-A rule body compiles into an ordered list of plan steps; the evaluator
-(:mod:`repro.pql.eval`) interprets them as a left-deep nested-loop join with
-binding propagation. Three binding modes exist because the same rule text is
-evaluated differently per mode:
+A rule body compiles into an ordered list of plan steps — a left-deep join
+with binding propagation, which :mod:`repro.pql.vectorized` compiles to one
+layer program per binding mode. Three binding modes exist because the same
+rule text is evaluated differently per mode:
 
 * ``anchored`` — online / layered evaluation: the head's location variable is
   bound to the evaluating vertex and the head's time variable to the current
   superstep (layer);
 * ``located`` — naive offline evaluation: only the location variable is
   pre-bound (rules are evaluated for all supersteps at once);
-* ``free`` — setup evaluation of static rules: nothing is pre-bound and
-  location arguments may scan all partitions.
+* ``free`` — setup evaluation of static rules (the only rules with a free
+  plan): nothing is pre-bound and location arguments may scan all
+  partitions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.pql.ast import AtomLiteral, Rule, Term
 
@@ -121,18 +122,14 @@ class CompiledRule:
     is_aggregate: bool
     remote_relations: Tuple[str, ...]  # relations read at remote vertices
     body_relations: Tuple[str, ...]
-    anchored_plan: Optional[RulePlan]
-    located_plan: Optional[RulePlan]
-    free_plan: RulePlan
+    anchored_plan: Optional[RulePlan]  # non-static rules only
+    located_plan: Optional[RulePlan]  # non-static rules only
+    free_plan: Optional[RulePlan]  # static (setup) rules only
     # Names of all body variables, for aggregate witness deduplication.
     body_vars: Tuple[str, ...]
-    # Binding mode -> generated function (repro.pql.codegen). Racing first
-    # uses assign equivalent functions (no lock); never pickled, rebuilt lazily.
-    compiled: Dict[str, Callable[..., Any]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    # Binding mode -> layer program (repro.pql.vectorized), or the reason
-    # (a str) the plan has none. Same lifetime rules as ``compiled``.
+    # Binding mode -> layer program (repro.pql.vectorized). Racing first
+    # uses assign equivalent programs (no lock); never pickled, rebuilt
+    # lazily.
     layer_programs: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -145,7 +142,7 @@ class CompiledRule:
         return self.rule.body == (AtomLiteral(self.rule.head),)
 
     def __getstate__(self) -> Dict[str, Any]:
-        return {**self.__dict__, "compiled": {}, "layer_programs": {}}
+        return {**self.__dict__, "layer_programs": {}}
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"[{self.direction}{'/static' if self.is_static else ''}] {self.rule}"

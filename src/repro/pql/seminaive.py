@@ -31,6 +31,7 @@ from repro.pql.ast import (
     AtomLiteral,
     BoolCall,
     Comparison,
+    Const,
     FuncCall,
     Literal,
     Program,
@@ -129,13 +130,59 @@ def _literal_ready(plit: _PreparedLiteral, env: Env) -> bool:
 
 
 class _EvalContext:
-    """Shared evaluation state: fact sets and functions."""
+    """Shared evaluation state: fact sets, functions, and per-(relation,
+    attribute) hash indexes, built on first use and rebuilt whenever the
+    relation's size changed behind them (:meth:`add` keeps them current)."""
 
-    __slots__ = ("facts", "functions")
+    __slots__ = ("facts", "functions", "_index")
 
     def __init__(self, facts: Facts, functions: FunctionRegistry) -> None:
         self.facts = facts
         self.functions = functions
+        # (relation, attribute) -> (size when built, value -> rows)
+        self._index: Dict[Tuple[str, int],
+                          Tuple[int, Dict[Any, List[Row]]]] = {}
+
+    def candidates(self, atom: Atom, env: Env) -> Iterable[Row]:
+        """The rows of ``atom``'s relation that can match under ``env``:
+        those holding the value of its first bound attribute, or all."""
+        rows = self.facts.get(atom.predicate, _EMPTY_ROWS)
+        for pos, term in enumerate(atom.args):
+            if isinstance(term, Const):
+                value = term.value
+            elif isinstance(term, Var):
+                value = env.get(term.name, _MISSING)
+                if value is _MISSING:
+                    continue
+            else:
+                continue
+            key = (atom.predicate, pos)
+            built = self._index.get(key)
+            # only head relations (plain sets) grow; a read-only view of
+            # the store is indexed once
+            if built is None or (type(rows) is set and built[0] != len(rows)):
+                by_value: Dict[Any, List[Row]] = {}
+                for row in rows:
+                    if len(row) > pos:
+                        by_value.setdefault(row[pos], []).append(row)
+                built = self._index[key] = (
+                    len(rows) if type(rows) is set else -1, by_value)
+            try:
+                return built[1].get(value, ())
+            except TypeError:  # an unhashable value matches by equality
+                return rows
+        return rows
+
+    def add(self, predicate: str, fresh: Set[Row]) -> None:
+        """Insert new facts, keeping the relation's indexes current."""
+        rows = self.facts.setdefault(predicate, set())
+        rows |= fresh
+        for (relation, pos), (_size, by_value) in list(self._index.items()):
+            if relation == predicate:
+                for row in fresh:
+                    if len(row) > pos:
+                        by_value.setdefault(row[pos], []).append(row)
+                self._index[relation, pos] = (len(rows), by_value)
 
 
 def _solutions(
@@ -181,7 +228,7 @@ def _solutions(
 
     if isinstance(lit, AtomLiteral):
         if lit.negated:
-            for row in ctx.facts.get(lit.atom.predicate, _EMPTY_ROWS):
+            for row in ctx.candidates(lit.atom, env):
                 if _match_atom(lit.atom, row, env, ctx.functions) is not None:
                     return
             yield from _solutions(rest, env, ctx, rest_delta, delta)
@@ -190,7 +237,7 @@ def _solutions(
                 rows: Iterable[Row] = delta.get(lit.atom.predicate,
                                                 _EMPTY_ROWS)
             else:
-                rows = ctx.facts.get(lit.atom.predicate, _EMPTY_ROWS)
+                rows = ctx.candidates(lit.atom, env)
             for row in rows:
                 extended = _match_atom(lit.atom, row, env, ctx.functions)
                 if extended is not None:
@@ -360,9 +407,8 @@ def evaluate_seminaive(
         delta: Facts = {}
         for rule in rules:
             new = _derive(rule, bodies[id(rule)], ctx)
-            known = facts.setdefault(rule.head.predicate, set())
-            fresh = new - known
-            known |= fresh
+            fresh = new - facts.get(rule.head.predicate, _EMPTY_ROWS)
+            ctx.add(rule.head.predicate, fresh)
             delta.setdefault(rule.head.predicate, set()).update(fresh)
         # iterate
         while any(delta.values()):
@@ -381,9 +427,9 @@ def evaluate_seminaive(
                             candidate_rows |= _derive(
                                 rule, body, ctx, delta_at=i, delta=delta,
                             )
-                known = facts.setdefault(rule.head.predicate, set())
-                fresh = candidate_rows - known
-                known |= fresh
+                fresh = candidate_rows - facts.get(rule.head.predicate,
+                                                   _EMPTY_ROWS)
+                ctx.add(rule.head.predicate, fresh)
                 if fresh:
                     next_delta.setdefault(
                         rule.head.predicate, set()

@@ -40,21 +40,28 @@ are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
 * A **copy program** (:class:`CopyProgram`) replaces the whole plan of a
   rule that only projects one relation at the location and anchor —
   Query 2's capture rules: its head rows are the batch's rows, per site.
+* **Static relations** (``edge`` / ``vertex``) are one batch per
+  database, built from the graph's adjacency lists on first read
+  (``db.static``); any site reads them, locality or not.
+* **Free mode** (static setup rules only): the location is a bind, so
+  the scan reads the whole relation — its batches, then a head's derived
+  rows — once per input row.
+* **Aggregate heads** reduce the program's solutions per group: the
+  distinct witnesses (every body variable's value) in enumeration order,
+  so a float ``sum`` / ``avg`` accumulates in one fixed order.
 
-**Identity.** A program computes, for every site, exactly the solutions the
-generated row function (:mod:`repro.pql.codegen`) computes there: selection
-and joins compare with Python ``==``, rows stay in site-major order with
-each partition's matches in batch row order, and head rows are deduplicated
-by the same ``Database.add_rows`` insert. Moving the site loop inside only
-changes *when* a rule's rows are inserted (after all sites instead of after
-each), which a non-recursive stratum cannot observe and a recursive one
-absorbs in its fixpoint loop.
-
-A rule runs as a layer program or — aggregate heads (float accumulation is
-enumeration-order sensitive), virtual ``edge`` / ``vertex`` scans, unlocated
-scans, unhashable (pickle-lane) join keys — wholesale through its row
-function at every site; the reason is counted in ``fallback_reasons``.
-There is no per-row fallback inside a program.
+**Identity.** A program computes, for every site, exactly the solutions a
+nested-loop join over the plan computes there: selection and joins compare
+with Python ``==``, rows stay in site-major order with each partition's
+matches in batch row order (an aggregate reads a derived partition's row
+set, the order its float sums are pinned in), and head rows are
+deduplicated by the ``Database.add_rows`` insert. A key no hash table can
+hold (a pickle-lane column) is matched by equality inside the location's
+group range. Moving the site loop inside only changes *when* a rule's rows
+are inserted (after all sites instead of after each), which a
+non-recursive stratum cannot observe and a recursive one absorbs in its
+fixpoint loop. :mod:`repro.pql.seminaive` is the independent
+row-at-a-time oracle the tests hold every program to.
 
 ``QueryBudget``: every selection, build, probe, gather and head loop charges
 its row count up front and ticks the budget once per
@@ -66,13 +73,15 @@ from __future__ import annotations
 
 import operator
 import time
+from functools import reduce
 from itertools import compress, count
+from operator import itemgetter
 from typing import (
     Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.errors import PQLError, PQLSemanticError
-from repro.pql.ast import BinOp, Const, FuncCall, Param, Term, Var
+from repro.pql.ast import Aggregate, BinOp, Const, FuncCall, Param, Term, Var
 from repro.pql.eval import _compare, _select_plan
 from repro.pql.plan import (
     BIND,
@@ -94,15 +103,6 @@ VECTOR_TICK_STRIDE = 256
 
 #: Hidden column carrying input-row indices through absorbed post-filters.
 _SRC = "\x00src"
-
-
-class _Unvectorizable(Exception):
-    """This rule has no layer program (here); it runs its row function at
-    every site instead. ``reason`` is the counted ``fallback_reasons`` key."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,8 @@ def _compile_term(term: Term, col_vars: Set[str]) -> _Term:
             lambda st: list(map(op, left.column(st), right.column(st))), False)
     if isinstance(term, FuncCall):
         args, name = [_compile_term(a, col_vars) for a in term.args], term.name
-        # Looked up when reached, like the row function: an unknown
-        # function only errors on a branch that gets there.
+        # Looked up when reached: an unknown function only errors on a
+        # branch that gets there.
         if all(a.scalar for a in args):
             return _Term(lambda st: st.functions.get(name)(
                 *[a.value(st) for a in args]), True)
@@ -256,6 +256,9 @@ class _BindOp:
     def __init__(self, var: str, term: _Term) -> None:
         self.var, self.term = var, term
 
+    def describe(self) -> str:
+        return f"let {self.var} ({'scalar' if self.term.scalar else 'column'})"
+
     def run(self, state: _State, ctx: "VectorContext") -> bool:
         if self.term.scalar:
             state.scalars[self.var] = self.term.value(state)
@@ -271,6 +274,10 @@ class _FilterOp:
     def __init__(self, op: str, left: _Term, right: _Term,
                  keep: Set[str]) -> None:
         self.op, self.left, self.right, self.keep = op, left, right, keep
+
+    def describe(self) -> str:
+        scalar = self.left.scalar and self.right.scalar
+        return f"filter {self.op} ({'scalar' if scalar else 'column'})"
 
     def run(self, state: _State, ctx: "VectorContext") -> bool:
         op, left, right = self.op, self.left, self.right
@@ -289,6 +296,9 @@ class _CallOp:
     def __init__(self, func: str, args: List[_Term], negated: bool,
                  keep: Set[str]) -> None:
         self.func, self.args, self.negated, self.keep = func, args, negated, keep
+
+    def describe(self) -> str:
+        return f"filter {'not ' if self.negated else ''}{self.func}/{len(self.args)}"
 
     def run(self, state: _State, ctx: "VectorContext") -> bool:
         fn, negated = state.functions.get(self.func), self.negated
@@ -314,25 +324,30 @@ def _compile_test(step: Any, col_vars: Set[str], keep: Set[str]) -> Any:
 # ---------------------------------------------------------------------------
 class _ScanOp:
     """One relational scan against the scalar/columnar variable split at its
-    position in the plan. Whether the relation is stored, derived or both
-    is the database's to say, so that is decided per run; every matcher
-    returns the matching input-row indices (ascending; once per match, or
-    once per input row when only existence matters) plus the bound columns
-    aligned to them."""
+    position in the plan. Whether the relation is static, stored, derived
+    or both is the database's to say, so that is decided per run; every
+    matcher returns the matching input-row indices (ascending; once per
+    match, or once per input row when only existence matters) plus the
+    bound columns aligned to them.
 
-    def __init__(self, step: ScanStep, col_vars: Set[str],
-                 keep: Set[str], site_var: str) -> None:
-        if step.arg_ops[0][0] not in (CHECK_VAR, CHECK_TERM):
-            raise _Unvectorizable("unlocated-scan")  # free-mode plans only
-        schema = CORE_SCHEMAS.get(step.relation)
-        if schema is not None and schema.kind == STATIC:
-            raise _Unvectorizable("static-relation")  # answered from the graph
-        self.step, self.keep = step, keep
+    ``site_var`` is the location variable the sites bind (``None`` in free
+    mode); ``row_sets`` reads a derived partition's row set rather than its
+    insertion order (an aggregate's enumeration order)."""
+
+    def __init__(self, step: ScanStep, col_vars: Set[str], keep: Set[str],
+                 site_var: Optional[str], row_sets: bool = False) -> None:
+        self.step, self.keep, self.row_sets = step, keep, row_sets
         self.arity = len(step.arg_ops)
+        schema = CORE_SCHEMAS.get(step.relation)
+        # edge / vertex: answered from the graph, readable from any site
+        self.static = schema is not None and schema.kind == STATIC
+        # free mode: the location is a bind, the scan reads every row
+        self.unlocated = step.arg_ops[0][0] not in (CHECK_VAR, CHECK_TERM)
         # Under locality (online), a row whose location is not its
         # evaluation site reads what that vertex shipped to the site.
         self.site_var = site_var
-        self.remote = step.arg_ops[0] != (CHECK_VAR, site_var)
+        self.remote = (site_var is not None and not self.static
+                       and step.arg_ops[0] != (CHECK_VAR, site_var))
         # Positions whose values are known before the scan runs.
         self.known: Dict[int, _Term] = {}
         self.local_checks: List[Tuple[int, int]] = []
@@ -373,15 +388,38 @@ class _ScanOp:
         self.semi = step.exists or step.negated or not self.gather
         self.first_only = self.semi and not self.filters
 
+    def describe(self) -> str:
+        """The scan's kernel: its source, matcher and what it keeps."""
+        notes = ["graph batch" if self.static else "store"]
+        if self.unlocated:
+            notes.append("whole relation")
+        elif self.key_pos:
+            notes.append(f"join on location + {self.key_pos}")
+        else:
+            notes.append("location spans")
+        if self.scalar_pos:
+            notes.append(f"select {self.scalar_pos}")
+        if self.remote:
+            notes.append("remote")
+        if self.filters:
+            notes.append(f"{len(self.filters)} post-filter(s) per distinct input")
+        if self.step.negated:
+            notes.append("anti-join")
+        elif self.first_only:
+            notes.append("first match")
+        if self.gather and not self.semi:
+            notes.append("gather " + ", ".join(n for _p, n in self.gather))
+        return f"{self.kind} {self.step.relation} ({'; '.join(notes)})"
+
     def run(self, state: _State, ctx: "VectorContext") -> bool:
         local = self.remote and ctx.db.locality
         outer, inverse = state, None
-        try:
-            if self.filters:  # an exists scan: matched once per distinct input
-                state, inverse = self._distinct(state, local)
+        if self.filters:  # an exists scan: matched once per distinct input
+            state, inverse = self._distinct(state, local)
+        if self.unlocated:
+            src, binds = self._match_all(state, ctx)
+        else:
             src, binds = self._match(state, ctx, local)
-        except TypeError:  # an unhashable value reached a hash key
-            raise _Unvectorizable("pickle-key") from None
         ctx.batched_scans += 1
         if self.filters and src:
             columns = {
@@ -408,16 +446,20 @@ class _ScanOp:
         return True
 
     def _distinct(self, state: _State,
-                  local: bool) -> Tuple[_State, List[int]]:
+                  local: bool) -> Tuple[_State, Optional[List[int]]]:
         """The distinct rows of the columns this scan reads (its outcome's
         only inputs — and, under locality, the site the read is made
-        from), and each input row's index among them."""
+        from), and each input row's index among them; an unhashable value
+        makes every input row its own."""
         names = [name for name in state.columns if name in self.reads
                  or local and name == self.site_var]
         index: Dict[Row, int] = {}
-        inverse = [index.setdefault(key, len(index)) for key in (
-            zip(*[state.columns[name] for name in names]) if names
-            else [()] * state.n)]
+        try:
+            inverse = [index.setdefault(key, len(index)) for key in (
+                zip(*[state.columns[name] for name in names]) if names
+                else [()] * state.n)]
+        except TypeError:
+            return state, None
         columns = dict(zip(names, map(list, zip(*index))))
         return _State(state.functions, state.scalars, columns, len(index)), inverse
 
@@ -453,7 +495,7 @@ class _ScanOp:
                     ) -> Tuple[List[int], Dict[str, List[Any]]]:
         """A head predicate's derived rows, after its stored rows when the
         store has the relation too (Query 2's copy rules): per input row,
-        the union the row path reads."""
+        the stored matches, then the derived ones."""
         db, relation = ctx.db, self.step.relation
         parts = []
         if relation not in db.head_predicates or db.store.has_relation(relation):
@@ -479,19 +521,24 @@ class _ScanOp:
             for _pos, name in self.gather
         }
 
+    def _batches(self, ctx: "VectorContext",
+                 supersteps: Optional[List[Any]]) -> List[Any]:
+        """The relation's column batches: the graph's for ``edge`` /
+        ``vertex``, else the store's (one per requested superstep)."""
+        source = ctx.db.static if self.static else ctx.db.store
+        return source.column_batches(self.step.relation, supersteps)
+
     # -- stored relations: whole-layer column batches --------------------
     def _match_stored(self, state: _State, ctx: "VectorContext",
                       ) -> List[Tuple[List[int], Dict[str, List[Any]]]]:
         """One match part per batch with any match, in batch order."""
         step = self.step
-        batches = ctx.db.store.column_batches
         time_term = self.known.get(step.time_arg) if step.time_arg else None
         if time_term is None:  # every layer (or the static slab)
-            return self._match_batches(
-                state, ctx, batches(step.relation, None))
+            return self._match_batches(state, ctx, self._batches(ctx, None))
         if time_term.scalar:
             return self._match_batches(
-                state, ctx, batches(step.relation, [time_term.value(state)]))
+                state, ctx, self._batches(ctx, [time_term.value(state)]))
         # A columnar time: each input row matches in its own time's slab,
         # so each slab is joined with just the rows that ask for it.
         by_time: Dict[Any, List[int]] = {}
@@ -499,11 +546,11 @@ class _ScanOp:
             by_time.setdefault(t, []).append(i)
         if len(by_time) == 1:
             return self._match_batches(state, ctx,
-                                       batches(step.relation, list(by_time)))
+                                       self._batches(ctx, list(by_time)))
         parts = []
         for t, idx in by_time.items():
             parts.extend(_shift(part, idx) for part in self._match_batches(
-                self._subset(state, idx), ctx, batches(step.relation, [t])))
+                self._subset(state, idx), ctx, self._batches(ctx, [t])))
         return parts
 
     def _match_batches(self, state: _State, ctx: "VectorContext",
@@ -520,10 +567,12 @@ class _ScanOp:
             sel = self._select(batch, expected, ctx)
             if sel is not None and not sel:
                 continue
-            if key_cols:
-                src, rows = self._hash_match(batch, sel, loc, key_cols, ctx)
-            else:
+            if not key_cols:
                 src, rows = self._span_match(batch.groups(), sel, loc, ctx)
+            elif any(batch.lane(pos) == "pkl" for pos in self.key_pos):
+                src, rows = self._range_match(batch, sel, loc, key_cols, ctx)
+            else:
+                src, rows = self._hash_match(batch, sel, loc, key_cols, ctx)
             if not src:
                 continue
             ctx.batch_rows += len(src)
@@ -596,8 +645,6 @@ class _ScanOp:
         over the selected rows of the probed vertices' group ranges only (a
         key holds its location, so no other row can match), probe once per
         input row."""
-        if any(batch.lane(pos) == "pkl" for pos in self.key_pos):
-            raise _Unvectorizable("pickle-key")
         groups = batch.groups()
         ok = None if sel is None else set(sel)
         ids: List[int] = []
@@ -639,6 +686,31 @@ class _ScanOp:
                 rows.extend(bucket)
         return src, rows
 
+    def _range_match(self, batch: Any, sel: Optional[List[int]], loc: Any,
+                     key_cols: List[Any], ctx: "VectorContext",
+                     ) -> Tuple[List[int], List[int]]:
+        """Equality join for keys no hash table can hold (a pickle lane
+        may carry unhashable values): each input row is compared with the
+        selected rows of its location's group range, in row order."""
+        groups = batch.groups()
+        ok = None if sel is None else set(sel)
+        cols = [_as_list(batch.values(pos)) for pos in self.key_pos]
+        src: List[int] = []
+        rows: List[int] = []
+        for i, (vertex, *key) in enumerate(zip(loc, *key_cols)):
+            span = groups.get(vertex)
+            if span is None:
+                continue
+            ctx.tick(span[1])
+            for row in range(span[0], span[0] + span[1]):
+                if (ok is None or row in ok) and all(
+                        col[row] == k for col, k in zip(cols, key)):
+                    src.append(i)
+                    rows.append(row)
+                    if self.first_only:
+                        break
+        return src, rows
+
     # -- derived head relations: the overlay's partitions ----------------
     def _match_derived(self, state: _State, ctx: "VectorContext",
                        ) -> Tuple[List[int], Dict[str, List[Any]]]:
@@ -651,13 +723,17 @@ class _ScanOp:
             hits = []
             for i, row in enumerate(zip(*cols)):
                 part = parts.get(row[0])
-                if part is not None and row in part.rows:
-                    hits.append(i)
+                try:
+                    if part is not None and row in part.rows:
+                        hits.append(i)
+                except TypeError:
+                    pass  # an unhashable value equals no stored row
             return hits, {}
         # aggregate logs keep replaced rows: use the set
-        return self._match_rows(positions, cols, [
+        sets = self.row_sets
+        return self._match_rows(list(zip(positions[1:], cols[1:])), [
             None if part is None else
-            part.order if part.groups is None else part.rows
+            part.rows if sets or part.groups is not None else part.order
             for part in map(parts.get, cols[0])], ctx)
 
     # -- remote reads under locality: what the located vertex shipped -----
@@ -670,27 +746,86 @@ class _ScanOp:
         sites = state.columns[self.site_var]
         if self.point:
             return db.visible_hits(relation, sites, list(zip(*cols))), {}
-        return self._match_rows(positions, cols,
+        return self._match_rows(list(zip(positions[1:], cols[1:])),
                                 db.visible(relation, sites, cols[0]), ctx)
 
-    def _match_rows(self, positions: List[int], cols: List[Any],
+    # -- free mode: the whole relation -----------------------------------
+    def _match_all(self, state: _State, ctx: "VectorContext",
+                   ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        """An unlocated scan (static setup rules): every input row reads
+        every row of the relation — its batches, then a head's derived
+        rows partition by partition."""
+        db, relation = ctx.db, self.step.relation
+        expected = {pos: self.known[pos].value(state) for pos in self.scalar_pos}
+        checks = [(pos, self.known[pos].column(state)) for pos in self.key_pos]
+        parts = []
+        for batch in self._batches(ctx, None):
+            if batch.arity == self.arity:
+                sel = self._select(batch, expected, ctx)
+                parts.append(self._cross(
+                    state, ctx, range(batch.count) if sel is None else sel,
+                    checks, batch.values))
+        if relation in db.head_predicates:
+            rows = [
+                row for part in db.derived.partitions(relation).values()
+                for row in part.rows
+                if len(row) == self.arity
+                and all(row[pos] == v for pos, v in expected.items())
+                and all(row[a] == row[b] for a, b in self.local_checks)]
+            parts.append(self._cross(state, ctx, range(len(rows)), checks,
+                                     lambda pos: [row[pos] for row in rows]))
+        return self._merge(parts)
+
+    def _cross(self, state: _State, ctx: "VectorContext", ids: Any,
+               checks: List[Tuple[int, Any]], values: Any,
+               ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        """Every input row against the rows ``ids`` of one source, whose
+        column ``pos`` is ``values(pos)``; ``checks`` pairs a position
+        with the input column it must equal."""
+        if checks:
+            cols = [(_as_list(values(pos)), col) for pos, col in checks]
+            src: List[int] = []
+            rows: List[int] = []
+            for i in range(state.n):
+                for row in ids:
+                    if all(have[row] == want[i] for have, want in cols):
+                        src.append(i)
+                        rows.append(row)
+                        if self.first_only:
+                            break
+        else:
+            rows = list(ids[:1] if self.first_only else ids)
+            src = [i for i in range(state.n) for _ in rows]
+            rows *= state.n
+        ctx.tick(len(src) * (1 + len(self.gather)))
+        return src, {
+            name: list(map(_as_list(values(pos)).__getitem__, rows))
+            for pos, name in self.gather
+        }
+
+    def _match_rows(self, checks: List[Tuple[int, Any]],
                     candidates: List[Any], ctx: "VectorContext",
                     ) -> Tuple[List[int], Dict[str, List[Any]]]:
         """Match each input row against its own candidate rows (``None``:
-        none), in candidate order."""
-        checks = list(zip(positions[1:], cols[1:]))
+        none), in candidate order; ``checks`` pairs a position with the
+        input column it must equal."""
         arity, local_checks, first_only = (
             self.arity, self.local_checks, self.first_only)
+        # the checked positions of a row, against the input's values
+        get = itemgetter(*[pos for pos, _col in checks]) if checks else None
+        wants = (list(zip(*[col for _pos, col in checks])) if len(checks) > 1
+                 else checks[0][1] if checks else None)
         src: List[int] = []
         matched: List[Row] = []
         for i, cand in enumerate(candidates):
             if not cand:
                 continue
+            want = wants[i] if get is not None else None
             for row in cand:
-                if len(row) != arity:
-                    continue
-                if any(row[pos] != col[i] for pos, col in checks) or any(
-                        row[a] != row[b] for a, b in local_checks):
+                if len(row) != arity or (
+                        get is not None and get(row) != want) or (
+                        local_checks and any(
+                            row[a] != row[b] for a, b in local_checks)):
                     continue
                 src.append(i)
                 matched.append(row)
@@ -707,52 +842,88 @@ class _ScanOp:
 # ---------------------------------------------------------------------------
 class LayerProgram:
     """A rule plan compiled to column ops; immutable once built, memoized
-    on the rule (:func:`layer_program`)."""
+    on the rule (:func:`layer_program`). A plan that pre-binds the location
+    starts from the sites as a column; a free-mode plan (static setup
+    rules) from one empty solution."""
 
     def __init__(self, crule: CompiledRule, plan: RulePlan) -> None:
-        if crule.is_aggregate:
-            raise _Unvectorizable("aggregate-head")
-        self.loc_var = crule.loc_var
+        self.loc_var = (
+            crule.loc_var if crule.loc_var in plan.prebound else None
+        )
         self.time_var = (
             crule.time_var if crule.time_var in plan.prebound else None
         )
-        col_vars: Set[str] = {crule.loc_var}
+        self.aggregate = crule.is_aggregate
+        col_vars: Set[str] = set() if self.loc_var is None else {self.loc_var}
+        terms = [arg.term if isinstance(arg, Aggregate) else arg
+                 for arg in crule.head_args]
         # Variables still read strictly *after* step k — the late
         # materialization decision (a bind nobody reads is never gathered).
-        acc: Set[str] = set()
-        for arg in crule.head_args:
-            _term_vars(arg, acc)
+        # An aggregate's witness reads every body variable.
+        acc: Set[str] = set(crule.body_vars) if self.aggregate else set()
+        for term in terms:
+            _term_vars(term, acc)
         needed_after: List[Set[str]] = []
         for step in reversed(plan.steps):
             needed_after.insert(0, set(acc))
             acc |= _step_reads(step)
         self.ops: List[Any] = []
+        bound = set(plan.prebound)
         for step, keep in zip(plan.steps, needed_after):
             op: Any
             if isinstance(step, ScanStep):
-                op = _ScanOp(step, col_vars, keep, crule.loc_var)
+                op = _ScanOp(step, col_vars, keep, self.loc_var,
+                             row_sets=self.aggregate)
                 if not op.semi:
                     col_vars.update(name for _pos, name in op.gather)
+                    bound.update(name for _pos, name in op.gather)
             elif isinstance(step, CompareStep) and step.bind_var is not None:
                 expr = step.right if step.bind_from_left else step.left
                 op = _BindOp(step.bind_var, _compile_term(expr, col_vars))
+                bound.add(step.bind_var)
                 if not op.term.scalar:
                     col_vars.add(step.bind_var)
             else:
                 op = _compile_test(step, col_vars, keep)
             self.ops.append(op)
-        self.head = [_compile_term(arg, col_vars) for arg in crule.head_args]
+        self.head = [_compile_term(term, col_vars) for term in terms]
+        # aggregate heads: head position -> its aggregate function (None:
+        # a group-key position), and the witness columns (a variable an
+        # exists scan projected away is no part of a witness)
+        self.funcs = [arg.func if isinstance(arg, Aggregate) else None
+                      for arg in crule.head_args]
+        self.witness = [_compile_term(Var(name), col_vars)
+                        for name in crule.body_vars
+                        if name in bound] if self.aggregate else []
+
+    def describe(self) -> List[str]:
+        """One line per column op, then the head."""
+        start = ("sites as column " + self.loc_var if self.loc_var
+                 else "one empty solution (free mode)")
+        lines = [start] + [op.describe() for op in self.ops]
+        if self.aggregate:
+            lines.append("aggregate " + ", ".join(
+                func for func in self.funcs if func is not None)
+                + " per group, distinct witnesses in order")
+        else:
+            lines.append(f"head: {len(self.head)} column(s)")
+        return lines
 
     def run(self, sites: Sequence[Any], anchor_time: Optional[int],
-            ctx: "VectorContext") -> List[Row]:
+            ctx: "VectorContext") -> List[Any]:
         """Head rows of the rule's solutions at every site, site-major.
-        Duplicates are allowed — the caller's set insert deduplicates,
-        exactly like the row path."""
+        Duplicates are allowed — the caller's set insert deduplicates. An
+        aggregate returns one ``(group key, head row)`` per group
+        (:meth:`_reduce`)."""
         # Naive evaluation lists a vertex once per superstep it ran in; a
         # site's solutions do not depend on how often it is listed.
-        sites = list(dict.fromkeys(sites))
         scalars = {} if self.time_var is None else {self.time_var: anchor_time}
-        state = _State(ctx.functions, scalars, {self.loc_var: sites}, len(sites))
+        if self.loc_var is None:  # free mode: one empty solution
+            state = _State(ctx.functions, scalars, {}, 1)
+        else:
+            sites = list(dict.fromkeys(sites))
+            state = _State(ctx.functions, scalars, {self.loc_var: sites},
+                           len(sites))
         for op in self.ops:
             if not state.n:
                 return []
@@ -763,9 +934,56 @@ class LayerProgram:
                 return []
         started = time.perf_counter()
         ctx.tick(state.n)
+        if self.aggregate:
+            rows = self._reduce(state)
+            ctx.time_kernel("aggregate", started)
+            return rows
         rows = list(zip(*[term.column(state) for term in self.head]))
         ctx.time_kernel("head", started)
         return rows
+
+    def _reduce(self, state: _State) -> List[Tuple[Row, Row]]:
+        """Group and reduce: one head row per distinct witness (every
+        bound body variable's value, the location among them, so per
+        site), first occurrences in enumeration order — equal witnesses
+        give equal head rows — then each group's aggregates over its rows
+        in that order, which fixes a float ``sum`` / ``avg``. Groups come
+        out in first-seen order, as ``(group key, head row)``."""
+        rows = dict(zip(zip(*[t.column(state) for t in self.witness]),
+                        zip(*[t.column(state) for t in self.head]))).values()
+        funcs = self.funcs
+        key_at = [pos for pos, func in enumerate(funcs) if func is None]
+        key_of = itemgetter(*key_at)  # a bare value for a one-column key
+        groups: Dict[Any, List[Row]] = {}
+        for row in rows:
+            key = key_of(row)
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [row]
+            else:
+                members.append(row)
+        out = []
+        for key, members in groups.items():
+            head = list(members[0])
+            for pos, func in enumerate(funcs):
+                if func is not None:
+                    head[pos] = _aggregate(func, [m[pos] for m in members])
+            out.append((key if len(key_at) > 1 else (key,), tuple(head)))
+        return out
+
+
+def _aggregate(func: str, values: List[Any]) -> Any:
+    """One aggregate over a group's values, in order: ``sum`` / ``avg``
+    add left to right from 0 (never a compensated sum), ``min`` /
+    ``max`` keep the first extreme."""
+    if func == "count":
+        return len(values)
+    if func == "min":
+        return min(values)
+    if func == "max":
+        return max(values)
+    total = reduce(operator.add, values, 0)
+    return total if func == "sum" else total / len(values)
 
 
 class CopyProgram:
@@ -799,6 +1017,11 @@ class CopyProgram:
         self.columns = any(head)  # reads a column of R besides X
         self.exact = crule.is_self_copy
         self.general = LayerProgram(crule, plan)
+
+    def describe(self) -> List[str]:
+        return [f"copy {self.relation} rows per site"
+                + (" at the anchor" if self.anchored else "")
+                + (", sites with superstep(X, I)" if self.stepped else "")]
 
     def run(self, sites: Sequence[Any], anchor_time: Optional[int],
             ctx: "VectorContext") -> Any:
@@ -925,7 +1148,7 @@ def _copy_program(crule: CompiledRule, plan: RulePlan,
         scan = steps[0] if stamps[1] else steps[1]
     schema = CORE_SCHEMAS.get(scan.relation)
     if schema is not None and schema.kind == STATIC:
-        return None  # answered from the graph (static-relation)
+        return None  # a copy reads the store; edge / vertex are the graph's
     if scan.arg_ops[0] != (CHECK_VAR, loc):
         return None
     time_arg = scan.time_arg
@@ -956,15 +1179,11 @@ def _copy_program(crule: CompiledRule, plan: RulePlan,
 def layer_program(crule: CompiledRule, mode: str) -> Any:
     """The program for ``crule`` under ``mode`` — a :class:`CopyProgram`
     when the rule is a projection at the anchor, else a
-    :class:`LayerProgram` — or the reason (a str) its plan has none;
-    memoized on the rule beside the row function."""
+    :class:`LayerProgram` — memoized on the rule."""
     program = crule.layer_programs.get(mode)
     if program is None:
         plan = _select_plan(crule, mode)
-        try:
-            program = _copy_program(crule, plan) or LayerProgram(crule, plan)
-        except _Unvectorizable as exc:
-            program = exc.reason
+        program = _copy_program(crule, plan) or LayerProgram(crule, plan)
         crule.layer_programs[mode] = program
     return program
 
@@ -977,15 +1196,14 @@ class VectorContext:
 
     ``run_layered``, ``run_naive`` and the online query program always
     attach one to the database (``db.vector_ctx``), whichever store they
-    read; :func:`repro.pql.eval.evaluate_rule` hands it every located rule
-    with the layer's whole site list. Carries the query budget hook and the
+    read; :func:`repro.pql.eval.evaluate_rule` hands it every rule with
+    the layer's whole site list. Carries the query budget hook and the
     kernel timing / usage counters the drivers surface in result stats.
     """
 
     __slots__ = ("budget", "db", "functions", "kernel_seconds",
-                 "batched_scans", "fallback_scans", "batch_rows", "build_rows",
-                 "rules_vectorized", "rules_fallback", "fallback_reasons",
-                 "_tick_accum")
+                 "batched_scans", "batch_rows", "build_rows",
+                 "rules_vectorized", "_tick_accum")
 
     def __init__(self, budget: Optional[Any] = None) -> None:
         self.budget = budget
@@ -993,12 +1211,9 @@ class VectorContext:
         self.functions: Any = None
         self.kernel_seconds: Dict[str, float] = {}
         self.batched_scans = 0
-        self.fallback_scans = 0
         self.batch_rows = 0
         self.build_rows = 0
         self.rules_vectorized = 0
-        self.rules_fallback = 0
-        self.fallback_reasons: Dict[str, int] = {}
         self._tick_accum = 0
 
     def tick(self, rows: int) -> None:
@@ -1026,39 +1241,26 @@ class VectorContext:
         anchor_time: Optional[int],
         db: Any,
         functions: FunctionRegistry,
-    ) -> Optional[List[Row]]:
-        """Head rows of one rule over all ``sites``, or ``None`` when the
-        rule has no layer program here (the caller runs the row function
-        per site; the reason is counted)."""
-        program = reason = layer_program(crule, mode)
-        if not isinstance(program, str):
-            self.db, self.functions = db, functions
-            try:
-                rows = program.run(sites, anchor_time, self)
-            except _Unvectorizable as exc:
-                reason = exc.reason
-            else:
-                self.rules_vectorized += 1
-                return rows
-        self.rules_fallback += 1
-        self.fallback_scans += len(sites)
-        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
-        return None
+    ) -> List[Any]:
+        """Head rows of one rule over all ``sites`` (an aggregate's
+        ``(group key, row)`` pairs)."""
+        self.db, self.functions = db, functions
+        rows = layer_program(crule, mode).run(sites, anchor_time, self)
+        self.rules_vectorized += 1
+        return rows
 
     def stats(self) -> Dict[str, Any]:
         """The evaluator block of the drivers' result stats (surfaced
         verbatim by the CLI, the benchmarks and the query server):
-        ``evaluator`` is ``vectorized`` once any layer program ran."""
+        ``evaluator`` is ``vectorized`` — every rule runs as a layer
+        program."""
         return {
-            "evaluator": "vectorized" if self.rules_vectorized else "rows",
+            "evaluator": "vectorized",
             "kernel_seconds": {
                 k: round(v, 6) for k, v in self.kernel_seconds.items()
             },
             "batched_scans": self.batched_scans,
-            "fallback_scans": self.fallback_scans,
             "batch_rows": self.batch_rows,
             "build_rows": self.build_rows,
             "rules_vectorized": self.rules_vectorized,
-            "rules_fallback": self.rules_fallback,
-            "fallback_reasons": dict(sorted(self.fallback_reasons.items())),
         }

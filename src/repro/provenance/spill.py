@@ -30,10 +30,11 @@ There is one write path, and it keeps sealing off the capture hot path:
   sealed captures larger than RAM queryable. ``load_layer`` /
   ``load_static`` / :func:`rebuild_store` fully materialize instead.
 
-Stores sealed by earlier releases (framed-pickle ARSL slabs, bare-pickle
-slabs) are refused at :meth:`SpillManager.open` with an error naming the
-format; ``repro store migrate <dir>`` (:mod:`repro.provenance.legacy`)
-rewrites them as ARSC.
+Stores sealed by earlier releases in a retired format (framed-pickle ARSL
+slabs, bare-pickle slabs) are refused at :meth:`SpillManager.open` with an
+error naming the format; no reader for them is left. ``repro store migrate
+<dir>`` (:func:`migrate_store`) re-encodes an ARSC store with this
+release's codec.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ SLAB_COMPRESSION = "zlib"
 SLAB_FORMAT = "columnar"
 
 #: Magic of the retired framed-pickle slabs; recognized only so the open
-#: error can name the format (decoding lives in ``provenance.legacy``).
+#: error can name the format (nothing decodes them any more).
 ARSL_MAGIC = b"ARSL"
 
 #: Store manifest: per-slab content hashes stamped at seal time, the basis
@@ -195,7 +196,7 @@ class SpillManager:
         # own decoded_bytes, keeping budgets and peak_slab_bytes honest.
         self._dict_caches: Dict[Any, Dict[Any, Any]] = {}
         #: Run id a migration rewrote this store under (manifest bookkeeping
-        #: only; set by :func:`repro.provenance.legacy.migrate_store`).
+        #: only; set by :func:`migrate_store`).
         self.migrated_from: Optional[str] = None
         # Per-slab content hashes (basename -> {"sha256", "bytes"}),
         # computed on the writer thread while the blob is still in memory
@@ -597,6 +598,69 @@ class SpillManager:
         self.close()
 
 
+def migrate_store(
+    directory: str, *, run_id: Optional[str] = None,
+) -> Dict[str, Any]:
+    """Re-encode a sealed store's slabs in place with this release's codec
+    (zlib ARSC) — a store sealed raw by an earlier release, or half
+    migrated, is simply finished.
+
+    The store is opened first, so a slab in a retired format (or a corrupt
+    one) is refused exactly as :meth:`SpillManager.open` refuses it,
+    before any file is touched. Each slab is fully decoded and re-encoded
+    with an atomic per-file rename; then the manifest is re-stamped with
+    the new digests and — when ``run_id`` is given — the migrating run's
+    id, with ``migrated_from`` pointing at the original capture's run id.
+    The caller (``repro store migrate``) appends a ledger record
+    parent-linked to the old run so ``repro audit verify`` can resolve the
+    re-stamped manifest; see :mod:`repro.obs.ledger`.
+
+    Returns a report: per-slab formats and sizes before/after, plus the
+    reopened manager (``"spill"``) for fingerprinting.
+    """
+    before = SpillManager.open(directory)
+    slabs_report: Dict[str, Dict[str, Any]] = {}
+    digests: Dict[str, Dict[str, Any]] = {}
+    for path in [before._static_path, *before._slabs.values()]:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with ColumnarSlab(path, data=data) as slab:
+            chunks = slab.to_chunks(_META_KEY)
+        blob, _raw = encode_columnar_slab(
+            chunks, SLAB_COMPRESSION, meta_key=_META_KEY,
+        )
+        tmp = path + ".tmp"
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+        name = os.path.basename(path)
+        digests[name] = {
+            "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob),
+        }
+        slabs_report[name] = {
+            "from_format": SLAB_FORMAT,
+            "bytes_before": len(data), "bytes_after": len(blob),
+        }
+    spill = SpillManager.open(directory)
+    old_run_id = spill.run_id
+    spill.slab_digests = digests
+    if run_id is not None:
+        spill.migrated_from = old_run_id
+        spill.run_id = run_id
+    spill.write_manifest()
+    logger.info("migrated %d slab(s) in %s to ARSC", len(digests), directory)
+    return {
+        "directory": directory,
+        "compression": spill.compression,
+        "from_run_id": old_run_id,
+        "run_id": spill.run_id,
+        "slabs": slabs_report,
+        "bytes_before": sum(s["bytes_before"] for s in slabs_report.values()),
+        "bytes_after": sum(s["bytes_after"] for s in slabs_report.values()),
+        "spill": spill,
+    }
+
+
 def slab_paths(directory: str) -> Tuple[str, Dict[int, str]]:
     """``(static slab path, {superstep: layer slab path})`` of a sealed
     store directory."""
@@ -634,9 +698,9 @@ def check_slab(path: str) -> None:
         else "legacy bare-pickle"
     )
     raise ProvenanceError(
-        f"slab {path} is in the retired {retired} format; run "
-        f"`repro store migrate {os.path.dirname(path) or '.'}` to rewrite "
-        "the store as columnar (ARSC)"
+        f"slab {path} is in the retired {retired} format, which this "
+        "release cannot read; re-capture the store, or rewrite it as "
+        "columnar (ARSC) with an earlier release's `repro store migrate`"
     )
 
 

@@ -5,8 +5,8 @@ define what "the partition of relation R at vertex v" means per mode:
 
 * :class:`StoreDatabase` — offline evaluation over a captured
   :class:`~repro.provenance.store.ProvenanceStore` plus the static input
-  graph (``edge`` / ``vertex`` are virtual relations answered from the
-  adjacency structure) plus derived facts.
+  graph (``edge`` / ``vertex``: one column batch each, built from the
+  adjacency lists) plus derived facts.
 * :class:`OnlineDatabase` — online evaluation: local transient provenance
   facts and derived facts, where a vertex reads another vertex's partition
   only up to the watermark of that vertex's last message to it (the
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import count, repeat
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import DiGraph
 from repro.pql.eval import Database, Row, TupleStore
@@ -26,42 +27,50 @@ from repro.provenance.columnar import SlabColumns
 from repro.provenance.model import freeze
 from repro.provenance.store import Layer, ProvenanceStore
 
-
-_STATIC = frozenset(("edge", "vertex"))
 #: The relations an :class:`Inbox` serves, with their arities.
 _RECEIVE = {"receive_message": 4, "receive": 3}
 #: A sender that never messaged anyone (read-only).
 _NO_MARKS: Dict[Any, Tuple[int, ...]] = {}
+_first = itemgetter(0)
 
 
 class _StaticRelations:
-    """Virtual ``edge`` / ``vertex`` relations answered from the graph."""
+    """The ``edge`` / ``vertex`` relations of the input graph as one column
+    batch each, built from the adjacency lists on first read and kept for
+    the database's lifetime: every vertex's out-edges one contiguous group,
+    in ``graph.edges()`` order."""
 
     def __init__(self, graph: Optional[DiGraph]) -> None:
         self.graph = graph
+        self._batches: Dict[str, Layer] = {}
 
-    def rows(self, relation: str, vertex: Any) -> Iterable[Row]:
-        if self.graph is None or vertex not in self.graph:
-            return ()
-        if relation == "edge":
-            return [(vertex, t) for t, _ in self.graph.out_edges(vertex)]
-        if relation == "vertex":
-            return ((vertex,),)
-        return ()
-
-    def all_rows(self, relation: str) -> Iterator[Row]:
+    def column_batches(self, relation: str,
+                       supersteps: Optional[Iterable[Any]] = None,
+                       ) -> List[Layer]:
+        """The relation's one batch (``[]``: no graph); the relations have
+        no superstep attribute, so ``supersteps`` selects nothing."""
         if self.graph is None:
-            return
-        if relation == "edge":
-            for u, v, _value in self.graph.edges():
-                yield (u, v)
-        elif relation == "vertex":
-            for v in self.graph.vertices():
-                yield (v,)
+            return []
+        batch = self._batches.get(relation)
+        if batch is None:
+            batch = self._batches[relation] = self._build(relation)
+        return [batch]
 
-    @staticmethod
-    def handles(relation: str) -> bool:
-        return relation in _STATIC
+    def _build(self, relation: str) -> Layer:
+        groups: Dict[Any, Tuple[int, int]] = {}
+        if relation == "vertex":
+            vertices = list(self.graph.vertices())
+            for i, v in enumerate(vertices):
+                groups[v] = (i, 1)
+            return Layer.of(SlabColumns([vertices], len(vertices), groups))
+        sources: List[Any] = []
+        targets: List[Any] = []
+        for u, out in self.graph.out_edges_map().items():
+            if out:
+                groups[u] = (len(sources), len(out))
+                sources += repeat(u, len(out))
+                targets += map(_first, out)
+        return Layer.of(SlabColumns([sources, targets], len(sources), groups))
 
 
 class StoreDatabase(Database):
@@ -77,38 +86,6 @@ class StoreDatabase(Database):
         self.store = store
         self.static = _StaticRelations(graph)
         self.head_predicates = head_predicates or set()
-
-    def rows(self, relation: str, vertex: Any) -> Iterable[Row]:
-        if _StaticRelations.handles(relation):
-            return self.static.rows(relation, vertex)
-        stored = self.store.partition(relation, vertex)
-        if relation in self.head_predicates:
-            derived = self.derived.rows(relation, vertex)
-            if stored and derived:
-                return stored | derived
-            return derived or stored
-        return stored
-
-    def rows_at(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
-        if _StaticRelations.handles(relation):
-            return self.static.rows(relation, vertex)
-        stored = self.store.partition_at(relation, vertex, time)
-        if relation in self.head_predicates:
-            # Derived partitions are not time-sliced; returning a superset
-            # is safe because the scan re-checks the time attribute.
-            derived = self.derived.rows(relation, vertex)
-            if stored and derived:
-                return stored | derived
-            return derived or stored
-        return stored
-
-    def all_rows(self, relation: str) -> Iterator[Row]:
-        if _StaticRelations.handles(relation):
-            yield from self.static.all_rows(relation)
-            return
-        yield from self.store.rows(relation)
-        if relation in self.head_predicates:
-            yield from self.derived.all_rows(relation)
 
 
 _UNSET = object()
@@ -265,7 +242,7 @@ class SuperstepBatches:
     * A *stored* relation (``local``: the facts a later superstep may still
       read) serves one batch per requested superstep, built from its
       partitions' ``by_time`` slices, or its whole partitions when no
-      superstep is bound: the candidates the row path reads, in its order.
+      superstep is bound.
       Only the superstep's sites' partitions are in it — a vertex reads
       another's rows only through what was shipped (``db.visible``).
 
@@ -289,13 +266,6 @@ class SuperstepBatches:
         self.superstep, self.sites = superstep, sites
         self.frames, self.inbox = frames, inbox
         self._batches = {}
-
-    def frame_rows(self, relation: str, vertex: Any) -> List[Row]:
-        if relation in _RECEIVE:
-            if self.inbox is None:
-                return []
-            return self.inbox.rows(vertex, relation == "receive_message")
-        return self.frames.get(relation, {}).get(vertex, [])
 
     def has_relation(self, relation: str) -> bool:
         return relation in self.frame_relations or bool(
@@ -448,37 +418,3 @@ class OnlineDatabase(Database):
                                      or row not in part.order[mark[slot]:]):
                 hit(i)
         return hits
-
-    # -- Database interface ----------------------------------------------
-    def candidates(self, relation: str, vertex: Any, time: Any) -> Iterable[Row]:
-        """The row path's read at ``current_site`` (rules without a layer
-        program): the site's frame rows or stored partition (its ``time``
-        slice when one is bound), a head predicate's derived rows after
-        them, or — for any other vertex — only what that vertex shipped
-        here."""
-        if relation in _STATIC:
-            return self.static.rows(relation, vertex)
-        if vertex != self.current_site:
-            return self.visible(relation, [self.current_site], [vertex])[0]
-        if relation in self.frame_relations:
-            rows: Iterable[Row] = self.store.frame_rows(relation, vertex)
-        else:
-            part = self.local.partition(relation, vertex)
-            rows = part.slice(time) if part is not None else ()
-        if relation in self.head_predicates:
-            derived = self.derived.partition(relation, vertex)
-            if derived is not None:
-                # Derived partitions are unsliced; the scan re-checks the
-                # time attribute, so a superset is safe.
-                return list(rows) + list(derived.rows) if rows else derived.rows
-        return rows
-
-    def all_rows(self, relation: str) -> Iterator[Row]:
-        # Online rules are never evaluated in free mode; only static setup
-        # uses all_rows, and static relations are handled by the graph.
-        if _StaticRelations.handles(relation):
-            yield from self.static.all_rows(relation)
-            return
-        yield from self.local.all_rows(relation)
-        if relation in self.head_predicates:
-            yield from self.derived.all_rows(relation)

@@ -4,9 +4,8 @@ Every driver takes a store that implements the read protocol shared by the
 in-memory :class:`~repro.provenance.store.ProvenanceStore` and the
 out-of-core :class:`~repro.provenance.store.SealedStoreView`; the
 ``*_from_spill`` entry points only open a view over a sealed store and hand
-it to the same drivers. Three drivers share the evaluator core; the first
-two run every rule they can as a layer program
-(:mod:`repro.pql.vectorized`) over whichever store they are given:
+it to the same drivers. The first two drivers run every rule as a layer
+program (:mod:`repro.pql.vectorized`) over whichever store they are given:
 
 * :func:`run_layered` — Section 5.1's layered evaluation. Layers are visited
   in the direction dictated by the query class (ascending for forward,
@@ -16,15 +15,16 @@ two run every rule they can as a layer program
   the paper compares against: the whole provenance graph is materialized and
   unanchored rules are re-evaluated over every vertex until a global
   fixpoint, which is why it is consistently the slowest mode (Figure 8).
-* :func:`run_reference` — a centralized stratified-Datalog oracle (free
-  binding mode, no distribution at all). Not part of the paper's system; the
-  test suite uses it as ground truth for the distributed modes.
+* :func:`run_reference` — a centralized stratified-Datalog oracle: the
+  standalone semi-naive interpreter (:mod:`repro.pql.seminaive`) over the
+  store's rows. Not part of the paper's system; the test suite uses it as
+  ground truth for the distributed modes.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.errors import PQLCompatibilityError
 from repro.graph.digraph import DiGraph
@@ -35,25 +35,27 @@ from repro.pql.analysis import (
     CompiledQuery,
     compile_query,
 )
-
-logger = get_logger("runtime.offline")
-from repro.pql.ast import Program
+from repro.pql.ast import Atom, Program, Rule
 from repro.pql.budget import QueryBudget
 from repro.pql.eval import (
     MODE_ANCHORED,
-    MODE_FREE,
     MODE_LOCATED,
+    TupleStore,
     prepare_strata,
     run_prepared,
+    run_setup,
     run_strata,
 )
 from repro.pql.parser import parse
+from repro.pql.seminaive import evaluate_seminaive, store_to_facts
 from repro.pql.udf import FunctionRegistry
 from repro.pql.vectorized import VectorContext
 from repro.provenance.spill import SLAB_FORMAT, open_store_view
 from repro.provenance.store import ProvenanceStore
 from repro.runtime.db import StoreDatabase
 from repro.runtime.results import QueryResult
+
+logger = get_logger("runtime.offline")
 
 
 def _compile_offline(
@@ -70,19 +72,6 @@ def _compile_offline(
     return compile_query(program, registry=store.registry, functions=functions)
 
 
-def _run_setup(compiled: CompiledQuery, db: StoreDatabase,
-               functions: FunctionRegistry,
-               stratum_seconds: Optional[Dict[int, float]] = None) -> int:
-    if not compiled.static_rules:
-        return 0
-    max_stratum = max(c.stratum for c in compiled.static_rules)
-    buckets: List[List[Any]] = [[] for _ in range(max_stratum + 1)]
-    for crule in compiled.static_rules:
-        buckets[crule.stratum].append(crule)
-    return run_strata(buckets, MODE_FREE, db, functions, [None],
-                      stratum_seconds=stratum_seconds)
-
-
 def run_layered(
     store: ProvenanceStore,
     query: Union[str, Program, CompiledQuery],
@@ -94,8 +83,7 @@ def run_layered(
     """Layered offline evaluation of a directed query.
 
     Each rule runs once per layer as a layer program over the store's
-    column batches; a rule that has none runs its row function per site
-    (the reason is counted in ``stats["fallback_reasons"]``).
+    column batches; static setup rules run once, first.
 
     ``budget`` bounds the evaluation (depth = layers visited, derived
     rows, wall clock); overruns raise
@@ -115,7 +103,8 @@ def run_layered(
     db = StoreDatabase(store, graph, compiled.head_predicates)
     ctx = db.vector_ctx = VectorContext(budget=budget)
     start = time.perf_counter()
-    derivations = _run_setup(compiled, db, functions, stratum_seconds)
+    derivations = run_setup(compiled.static_rules, db, functions,
+                            stratum_seconds)
 
     num_layers = store.num_layers
     order = range(num_layers)
@@ -208,7 +197,8 @@ def run_naive(
     db = StoreDatabase(store, graph, compiled.head_predicates)
     ctx = db.vector_ctx = VectorContext(budget=budget)
     start = time.perf_counter()
-    derivations = _run_setup(compiled, db, functions, stratum_seconds)
+    derivations = run_setup(compiled.static_rules, db, functions,
+                            stratum_seconds)
     # The straightforward engine materializes the *unfolded* provenance
     # graph and runs the query vertex program at every provenance node —
     # one per (vertex, superstep) execution. The evaluation site list
@@ -323,28 +313,42 @@ def run_reference(
     params: Optional[Dict[str, Any]] = None,
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
 ) -> QueryResult:
-    """Centralized stratified-Datalog oracle (testing ground truth)."""
+    """Centralized stratified-Datalog oracle (testing ground truth): the
+    semi-naive interpreter over the store's rows and the graph. A head
+    that is also a stored relation (``superstep(X, I) :- ...``) answers,
+    like the other drivers, with what its rules derive from the fixpoint,
+    not with its stored rows."""
     functions = FunctionRegistry(udfs)
     compiled = _compile_offline(query, store, functions, params)
     if compiled.uses_stream:
         raise PQLCompatibilityError(
             "queries over transient stream relations only run online"
         )
-    db = StoreDatabase(store, graph, compiled.head_predicates)
     start = time.perf_counter()
-    derivations = _run_setup(compiled, db, functions)
     with get_tracer().span("query-eval", PHASE_QUERY, mode="reference"):
-        derivations += run_strata(
-            compiled.strata, MODE_FREE, db, functions, [None]
-        )
+        facts = evaluate_seminaive(
+            compiled.program, store_to_facts(store, graph, readonly=True),
+            functions)
+    stored = [rel for rel in sorted(compiled.head_predicates)
+              if store.has_relation(rel)]
+    if stored:  # their rules once more over the fixpoint, heads renamed
+        again = Program(tuple(
+            Rule(Atom(f"{rule.head.predicate}\x00derived", rule.head.args),
+                 rule.body)
+            for rule in compiled.program.rules
+            if rule.head.predicate in stored))
+        rederived = evaluate_seminaive(again, facts, functions)
+        for rel in stored:
+            facts[rel] = rederived.get(f"{rel}\x00derived", set())
+    derived = TupleStore()
+    for relation in sorted(compiled.head_predicates):
+        for row in facts.get(relation, ()):
+            derived.add(relation, row[0], row)
     return QueryResult(
-        derived=db.derived,
+        derived=derived,
         mode="reference",
         wall_seconds=time.perf_counter() - start,
         supersteps=store.num_layers,
-        derivations=derivations,
-        stats={
-            "head_predicates": sorted(compiled.head_predicates),
-            "compiled_rules": compiled.compiled_rules,
-        },
+        derivations=derived.num_rows(),
+        stats={"head_predicates": sorted(compiled.head_predicates)},
     )

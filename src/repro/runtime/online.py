@@ -55,12 +55,10 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import PHASE_CAPTURE, PHASE_PLAN, PHASE_QUERY, get_tracer
 from repro.pql.analysis import CompiledQuery, compile_query, relation_windows
 from repro.pql.ast import Program
-from repro.pql.eval import (
-    MODE_ANCHORED, MODE_FREE, compiled_fn, prepare_strata, run_prepared, run_strata,
-)
+from repro.pql.eval import MODE_ANCHORED, prepare_strata, run_prepared, run_setup
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
-from repro.pql.vectorized import CopiedRows, VectorContext, layer_program
+from repro.pql.vectorized import CopiedRows, VectorContext
 from repro.provenance.model import SchemaRegistry, freeze
 from repro.provenance.spill import SpillManager
 from repro.provenance.store import ProvenanceStore
@@ -296,12 +294,6 @@ class OnlineQueryProgram(VertexProgram):
         # Every fact a superstep program derives carries its superstep, so
         # a lagged scan is no dependency within it (Lemma 5.3).
         self._prepared = prepare_strata(compiled.strata, anchored=True)
-        # Built before the run: each rule's layer program, or — for a rule
-        # that has none — its row function.
-        for stratum, _ in self._prepared:
-            for crule in stratum:
-                if isinstance(layer_program(crule, MODE_ANCHORED), str):
-                    compiled_fn(crule, MODE_ANCHORED)
         self.pruned_rows = 0
         # Ablation switch: ship full tables instead of per-target deltas
         # (measures the value of watermark shipping).
@@ -391,14 +383,9 @@ class OnlineQueryProgram(VertexProgram):
         """Evaluate static rules (e.g. Query 4's in-degree) once."""
         if not self.compiled.static_rules:
             return
-        max_stratum = max(c.stratum for c in self.compiled.static_rules)
-        buckets: List[List[Any]] = [[] for _ in range(max_stratum + 1)]
-        for crule in self.compiled.static_rules:
-            buckets[crule.stratum].append(crule)
         with get_tracer().span("query-eval", PHASE_QUERY, mode="setup"):
-            self.derivations += run_strata(
-                buckets, MODE_FREE, self.db, self.functions, [None]
-            )
+            self.derivations += run_setup(
+                self.compiled.static_rules, self.db, self.functions)
 
     # -- the appended vertex program --------------------------------------
     def compute(self, ctx: VertexContext, messages: Sequence[Any]) -> None:
@@ -446,9 +433,8 @@ class OnlineQueryProgram(VertexProgram):
 
     def post_superstep(self, superstep: int) -> None:
         """Evaluate the query over the superstep just computed: every rule
-        runs once as a layer program over all the executed vertices (a rule
-        that has none runs its row function at each of them), then the
-        frames are dropped, windows pruned and each sender's watermarks
+        runs once as a layer program over all the executed vertices, then
+        the frames are dropped, windows pruned and each sender's watermarks
         moved. Reads no analytic context, and moves watermarks only along
         the analytic's own sends (Theorem 5.4)."""
         self.inner.post_superstep(superstep)

@@ -454,14 +454,12 @@ class ReproServer:
         except Exception:  # noqa: BLE001 - reaping must not mask the cause
             pass
 
-    #: Evaluator-choice stats surfaced per query response: which path ran
-    #: (``vectorized`` / ``rows``) and, when layer programs
-    #: ran, their per-kernel timings, usage counters and the counted
-    #: reasons rules went through the row function instead.
+    #: Evaluator stats surfaced per query response: the evaluator
+    #: (``vectorized``), the layer programs' per-kernel timings and their
+    #: usage counters.
     _EVAL_STAT_KEYS = (
-        "evaluator", "kernel_seconds", "batched_scans",
-        "fallback_scans", "batch_rows", "rules_vectorized",
-        "rules_fallback", "fallback_reasons",
+        "evaluator", "kernel_seconds", "batched_scans", "batch_rows",
+        "rules_vectorized",
     )
 
     async def _execute_query(self, entry: CatalogEntry, query_text: str,

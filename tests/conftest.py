@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import pickle
@@ -13,28 +12,7 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import chain_graph, web_graph, with_random_weights
-from repro.pql import vectorized
 from repro.provenance.spill import SpillManager
-
-#: The counted fallback reason of every rule run under ``forced_rows``.
-FORCED_ROWS = "forced-rows"
-
-
-@pytest.fixture(scope="session")
-def forced_rows():
-    """``with forced_rows():`` — no rule has a layer program inside the
-    block, so the offline drivers run every rule's row function per site
-    (counted as ``fallback_reasons["forced-rows"]``). The row path is the
-    oracle the layer programs are checked against; no library switch
-    selects it."""
-    @contextlib.contextmanager
-    def force():
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vectorized, "layer_program",
-                          lambda crule, mode: FORCED_ROWS)
-            yield
-
-    return force
 
 
 @pytest.fixture

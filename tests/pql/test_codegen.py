@@ -1,14 +1,10 @@
-"""The plan compiler (repro.pql.codegen): one case per construct it lowers,
-plus the rule that generated source never carries user-controlled text."""
+"""The plan compiler: one case per construct a rule plan lowers to layer-
+program column ops (:mod:`repro.pql.vectorized`), plus the rule that user
+text never becomes code — lowering compiles no Python source at all."""
 
+import builtins
 import dataclasses
-import gc
-import io
-import linecache
 import pickle
-import re
-import tokenize
-import traceback
 
 import pytest
 
@@ -20,29 +16,42 @@ from repro.pql.eval import (
     MODE_FREE,
     MODE_LOCATED,
     Database,
-    compiled_fn,
     evaluate_rule,
 )
 from repro.pql.parser import parse
 from repro.pql.plan import CHECK_TERM, CompareStep, RulePlan, ScanStep
 from repro.pql.udf import FunctionRegistry
+from repro.pql.vectorized import VectorContext, layer_program
+from repro.provenance.columnar import SlabColumns
+from repro.provenance.store import Layer
+
+
+class _Facts:
+    """Facts in a dict as column batches, one per (relation, arity); no
+    layers, so every read is a superset the scan's checks narrow."""
+
+    def __init__(self, facts):
+        self.facts = facts
+
+    def has_relation(self, relation):
+        return relation in self.facts
+
+    def column_batches(self, relation, supersteps=None):
+        by_arity = {}
+        for row in self.facts.get(relation, ()):
+            by_arity.setdefault(len(row), {}).setdefault(row[0], []).append(row)
+        return [Layer.of(SlabColumns.of_rows(rows))
+                for rows in by_arity.values()]
 
 
 class DictDB(Database):
-    """Facts in a dict, scanned linearly: no time slices."""
+    """Stored and static facts from one dict, plus the derived overlay."""
 
-    def __init__(self, facts):
+    def __init__(self, facts, heads=()):
         super().__init__()
-        self.facts = facts
-
-    def rows(self, relation, vertex):
-        stored = [r for r in self.facts.get(relation, ()) if r[0] == vertex]
-        return stored + sorted(self.derived.rows(relation, vertex))
-
-    def all_rows(self, relation):
-        return list(self.facts.get(relation, ())) + sorted(
-            self.derived.all_rows(relation)
-        )
+        self.store = self.static = _Facts(facts)
+        self.head_predicates = set(heads)
+        self.vector_ctx = VectorContext()
 
 
 def rules_of(src, udfs=None, **params):
@@ -57,7 +66,7 @@ def derive(src, facts, mode=MODE_LOCATED, site=0, anchor_time=None,
            udfs=None, **params):
     """Evaluate the program's rules in order at one site; all derived rows."""
     rules, funcs = rules_of(src, udfs, **params)
-    db = DictDB(facts)
+    db = DictDB(facts, {c.head_predicate for c in rules})
     for crule in rules:
         evaluate_rule(crule, mode, db, funcs, [site], anchor_time)
     return {
@@ -91,13 +100,11 @@ class TestLowering:
         )
         assert out == {"prev": [(0, 9.0, 2)], "zero": [(0, 7.0)]}
         rules, _ = rules_of("prev(X, D, I) :- superstep(X, I), value(X, D, I - 1).")
-        source = compiled_fn(rules[0], MODE_ANCHORED).source
-        # evaluated once per scan invocation, outside the row loop
-        hoisted = [ln for ln in source.splitlines() if re.search(r"c\d+_2 = ", ln)]
-        assert len(hoisted) == 1
-        assert source.index(hoisted[0]) < source.index("for r2 in")
-        # one read per scan, no key tuple: relation, location, bound time
-        assert "for r2 in db.candidates(K[2], v2, c2_2):" in source
+        program = layer_program(rules[0], MODE_ANCHORED)
+        # evaluated once per run, as a scalar: one selection over the column
+        value = next(op for op in program.ops if op.step.relation == "value")
+        assert value.scalar_pos == [2] and value.key_pos == []
+        assert value.known[2].scalar
 
     def test_check_term_location(self):
         """A partition selected by an expression (hand-built plan: the
@@ -110,7 +117,7 @@ class TestLowering:
         )
         crule = dataclasses.replace(
             crule, located_plan=RulePlan((moved,), crule.located_plan.prebound),
-            compiled={},
+            layer_programs={},
         )
         db = DictDB({"superstep": [(0, 1), (3, 4), (3, 5)]})
         assert evaluate_rule(crule, MODE_LOCATED, db, funcs, [0]) == 2
@@ -134,9 +141,9 @@ class TestLowering:
         assert out["quiet"] == [(0, 1), (0, 3)]
 
     def test_exists_bindings_stay_out_of_scope(self):
-        """A semi-join's bindings are local to it: downstream the
-        aggregate witness reads them as None, so two values passing the
-        absorbed filter still count once."""
+        """A semi-join's bindings are local to it: the aggregate witness
+        leaves them out, so two values passing the absorbed filter still
+        count once."""
         rules, funcs = rules_of(
             "cnt(X, count(I)) :- superstep(X, I), value(X, D, I), D > 1.0."
         )
@@ -145,12 +152,11 @@ class TestLowering:
         assert isinstance(val, ScanStep) and isinstance(cmp, CompareStep)
         semi = dataclasses.replace(val, exists=True, post_filters=(cmp,))
         crule = dataclasses.replace(
-            crule, located_plan=RulePlan((sup, semi), ("X",)), compiled={},
+            crule, located_plan=RulePlan((sup, semi), ("X",)),
+            layer_programs={},
         )
-        source = compiled_fn(crule, MODE_LOCATED).source
-        d_index = crule.body_vars.index("D")
-        witness = re.search(r"w = \((.*)\)", source).group(1).split(", ")
-        assert witness[d_index] == "None"
+        program = layer_program(crule, MODE_LOCATED)
+        assert len(program.witness) == len(crule.body_vars) - 1  # no D
         db = DictDB({
             "superstep": [(0, 1), (0, 2), (0, 3)],
             "value": [(0, 5.0, 1), (0, 6.0, 1), (0, 0.5, 2), (0, 2.0, 3)],
@@ -190,10 +196,12 @@ class TestLowering:
         assert out == {"stats": [(0, 3, 8.0, 2.0, 3.0, 8.0 / 3)]}
 
     def test_free_mode_scans_every_partition(self):
-        facts = {"superstep": [(0, 1), (1, 1), (2, 2)]}
-        out = derive("s(X, I) :- superstep(X, I), I = 1.", facts,
+        """Only static setup rules have a free plan: its first scan reads
+        the whole relation."""
+        facts = {"edge": [(0, 1), (1, 1), (2, 2)]}
+        out = derive("into1(X, Y) :- edge(X, Y), Y = 1.", facts,
                      mode=MODE_FREE, site=None)
-        assert out == {"s": [(0, 1), (1, 1)]}
+        assert out == {"into1": [(0, 1), (1, 1)]}
 
     def test_anchored_binds_site_and_time(self):
         facts = {"superstep": [(0, 1), (0, 2), (1, 2)]}
@@ -212,31 +220,27 @@ class TestLowering:
         with pytest.raises(PQLError) as err:
             evaluate_rule(rules[0], MODE_LOCATED, db, funcs, [7])
         message = str(err.value)
-        assert "site 7" in message and "boom(D)" in message
+        # one program runs over every site: the error counts them
+        assert "over 1 sites" in message and "boom(D)" in message
         assert "ValueError: bad payload" in message
-        # the generated frame shows its own source line (linecache)
-        cause = err.value.__cause__
-        rendered = "".join(
-            traceback.format_exception(type(cause), cause, cause.__traceback__)
-        )
-        assert "<pql-codegen " in rendered
-        assert re.search(r"if bool\(F\.get\(K\[\d+\]\)\(v\d+\)\)", rendered)
+        assert isinstance(err.value.__cause__, ValueError)
 
     def test_memo_is_per_mode_and_not_pickled(self):
-        rules, _ = rules_of("s(X, I) :- superstep(X, I).")
+        rules, _ = rules_of("s(X, I) :- superstep(X, I), I > 0.")
         crule = rules[0]
-        first = compiled_fn(crule, MODE_ANCHORED)
-        assert compiled_fn(crule, MODE_ANCHORED) is first
-        assert compiled_fn(crule, MODE_LOCATED) is not first
+        first = layer_program(crule, MODE_ANCHORED)
+        assert layer_program(crule, MODE_ANCHORED) is first
+        assert layer_program(crule, MODE_LOCATED) is not first
         clone = pickle.loads(pickle.dumps(crule))
-        assert clone.compiled == {} and len(crule.compiled) == 2
-        assert compiled_fn(clone, MODE_ANCHORED).source == first.source
+        assert clone.layer_programs == {} and len(crule.layer_programs) == 2
+        assert (layer_program(clone, MODE_ANCHORED).describe()
+                == first.describe())
 
     def test_concurrent_first_use_is_benign(self):
         """Plan-cache entries are shared by serve's evaluator threads: a
-        racing first use may generate a function twice, but every caller
-        gets rows from an equivalent one and the memo ends up with one
-        entry per mode."""
+        racing first use may build a program twice, but every caller gets
+        rows from an equivalent one and the memo ends up with one entry
+        per mode."""
         import sys
         import threading
 
@@ -270,11 +274,13 @@ class TestLowering:
         assert not errors and not any(th.is_alive() for th in threads)
         assert len(results) == 8 and all(r == results[0] for r in results)
         assert len(results[0]) == 25
-        assert sorted(crule.compiled) == sorted([MODE_ANCHORED, MODE_LOCATED])
+        assert sorted(crule.layer_programs) == sorted([MODE_ANCHORED,
+                                                       MODE_LOCATED])
 
     def test_plans_deeper_than_the_block_limit_continue_in_a_closure(self):
-        """CPython allows 20 statically nested blocks per function; the
-        interpreter this replaces had no such limit."""
+        """A plan is a flat list of column ops, so no depth limit applies:
+        not CPython's 20 nested blocks, not the tokenizer's 100 indent
+        levels (both bounded the generated functions this replaced)."""
         facts = {
             "value": [(0, float(i), i) for i in range(40)],
             "superstep": [(0, 3), (0, 5)],
@@ -286,35 +292,19 @@ class TestLowering:
         assert derive(src, facts) == {
             "deep": [(0, i, float(i + 24)) for i in range(16)]
         }
-        rules, _ = rules_of(src)
-        assert "def g16():" in compiled_fn(rules[0], MODE_LOCATED).source
         # outer bindings, a negated scan and the aggregate witness all
-        # reach across the function boundary
+        # reach across every op
         mixed = chain[:16] + ["!superstep(X, I0)", "value(X, E, I0 + 20)"]
         out = derive(f"deep(X, I0, count(E)) :- {', '.join(mixed)}.", facts)
         assert out == {
             "deep": [(0, i, 1) for i in range(20) if i not in (3, 5)]
         }
-
-    def test_indentation_limit_is_a_pql_error(self):
-        # the tokenizer stops at 100 indent levels (~90 scan atoms)
         body = ", ".join(f"value(X, D{i}, I{i})" for i in range(120))
-        rules, funcs = rules_of(f"deep(X) :- {body}.")
-        with pytest.raises(PQLError, match="nests too deeply"):
-            evaluate_rule(rules[0], MODE_LOCATED, DictDB({}), funcs, [0])
-
-    def test_linecache_entry_lives_as_long_as_the_function(self):
-        rules, _ = rules_of("s(X, I) :- superstep(X, I).")
-        filename = compiled_fn(rules[0], MODE_LOCATED).__code__.co_filename
-        assert filename in linecache.cache
-        linecache.checkcache()
-        assert filename in linecache.cache
-        del rules
-        gc.collect()
-        assert filename not in linecache.cache
+        assert derive(f"deep(X) :- {body}.", {"value": [(0, 1.0, 1)]}) == {
+            "deep": [(0,)]}
 
 
-# -- no user-controlled text in generated source ---------------------------
+# -- no user-controlled text becomes code ----------------------------------
 HOSTILE = [
     "it's",
     'say "hi"',
@@ -323,33 +313,15 @@ HOSTILE = [
     "'); import os; ('",
 ]
 
-_NAMES = {
-    "def", "return", "for", "in", "if", "or", "not", "is", "else", "try",
-    "except", "continue", "break", "None", "True", "False", "TypeError",
-    "len", "bool", "set", "_make", "rule", "K", "F", "db", "site", "t",
-    "out", "seen", "w", "a", "b", "ok", "get", "append", "add",
-    "candidates", "all_rows",
-}
-_SLOT = re.compile(r"^(v\d+|r\d+|c\d+_\d+|g\d+)$")
-_OPS = {
-    "(", ")", "[", "]", ",", ":", ".", "=", "==", "!=", "<", "<=", ">",
-    ">=", "+", "-", "*", "/",
-}
 
+@pytest.fixture
+def no_codegen(monkeypatch):
+    """Fail any ``compile`` / ``exec`` / ``eval`` of source text."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("lowering compiled source text")
 
-def assert_whitelisted(source):
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.NAME:
-            assert tok.string in _NAMES or _SLOT.match(tok.string), tok
-        elif tok.type == tokenize.NUMBER:
-            assert tok.string.isdigit(), tok
-        elif tok.type == tokenize.OP:
-            assert tok.string in _OPS, tok
-        else:
-            assert tok.type in (
-                tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
-                tokenize.DEDENT, tokenize.ENDMARKER,
-            ), tok  # in particular: no STRING, no COMMENT
+    for name in ("compile", "exec", "eval"):
+        monkeypatch.setattr(builtins, name, refuse)
 
 
 class TestNoUserText:
@@ -360,28 +332,29 @@ class TestNoUserText:
     )
 
     @pytest.mark.parametrize("text", HOSTILE)
-    def test_constants_and_params_stay_in_the_constants_tuple(self, text):
+    def test_constants_and_params_stay_in_the_constants_tuple(self, text,
+                                                             no_codegen):
+        """Constants and parameters are values held by the compiled terms;
+        lowering and running a program compiles no source."""
         rules, funcs = rules_of(self.SRC, p=text, q=text + "x", r=(text,))
         for crule in rules:
-            for mode in (MODE_ANCHORED, MODE_LOCATED, MODE_FREE):
-                source = compiled_fn(crule, mode).source
-                assert text not in source
-                assert "import" not in source
-                assert_whitelisted(source)
+            for mode in (MODE_ANCHORED, MODE_LOCATED):
+                for line in layer_program(crule, mode).describe():
+                    assert text not in line
         # ... and the constants still do their job
         db = DictDB({
             "receive_message": [(0, 1, text, 1), (0, 2, "benign", 1)],
             "superstep": [(0, 1), (0, 2)],
-        })
+        }, {c.head_predicate for c in rules})
         for crule in rules:
             evaluate_rule(crule, MODE_LOCATED, db, funcs, [0])
         assert sorted(db.derived.all_rows("tag")) == [(0, text, 1)]
         assert sorted(db.derived.all_rows("tagged")) == [(0, 1)]
         assert sorted(db.derived.all_rows("other")) == [(0, 2)]
 
-    def test_hand_built_constants(self):
+    def test_hand_built_constants(self, no_codegen):
         """Constants that never went through the lexer (API callers)."""
-        rules, _ = rules_of("s(X, I) :- superstep(X, I).")
+        rules, funcs = rules_of("s(X, I) :- superstep(X, I).")
         crule = rules[0]
         scan = crule.located_plan.steps[0]
         for text in HOSTILE:
@@ -390,18 +363,18 @@ class TestNoUserText:
                 arg_ops=scan.arg_ops[:1] + ((CHECK_TERM, Const(text)),),
             )
             crule = dataclasses.replace(
-                crule, compiled={},
+                crule, layer_programs={},
                 located_plan=RulePlan((hostile,), ("X",)),
                 head_args=(Var("X"), Const(text)),
             )
-            source = compiled_fn(crule, MODE_LOCATED).source
-            assert text not in source
-            assert_whitelisted(source)
+            db = DictDB({text: [(0, text), (0, "other")]})
+            evaluate_rule(crule, MODE_LOCATED, db, funcs, [0])
+            assert sorted(db.derived.all_rows("s")) == [(0, text)]
 
     def test_same_shape_same_source(self):
-        """Constants live in K, so the source depends on the plan's shape
-        only."""
+        """The lowering depends on the plan's shape only: constants are
+        values, never part of the program's structure."""
         a, _ = rules_of("s(X, I) :- superstep(X, I), I > $n.", n=1)
         b, _ = rules_of("s(X, I) :- superstep(X, I), I > $n.", n=10 ** 9)
-        assert (compiled_fn(a[0], MODE_ANCHORED).source
-                == compiled_fn(b[0], MODE_ANCHORED).source)
+        assert (layer_program(a[0], MODE_ANCHORED).describe()
+                == layer_program(b[0], MODE_ANCHORED).describe())

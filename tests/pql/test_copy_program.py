@@ -116,10 +116,7 @@ def plain_layer_programs():
     """Every rule that has a program runs a plain ``LayerProgram`` — the
     copy programs' oracle."""
     def plain(crule, mode):
-        try:
-            return vec.LayerProgram(crule, _select_plan(crule, mode))
-        except vec._Unvectorizable as exc:
-            return exc.reason
+        return vec.LayerProgram(crule, _select_plan(crule, mode))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vec, "layer_program", plain)
@@ -152,7 +149,7 @@ _ANALYTICS = {"pagerank": lambda: PageRank(num_supersteps=6),
               "sssp": lambda: SSSP(source=0)}
 
 _STATS = ("transient_rows", "pruned_rows", "shipped_tuples",
-          "rules_vectorized", "rules_fallback")
+          "rules_vectorized")
 
 
 def _online(graphs, workload, text, capture, workers=1):
@@ -265,13 +262,3 @@ def test_stamp_drops_sites_without_a_superstep_row(stores, graphs):
     result = run_layered(store, "v(X, D, I) :- value(X, D, I), superstep(X, I).",
                          graphs["sssp"])
     assert {x for x, _d, _i in result.rows("v")} == {1, 2, 4, 5}
-
-
-def test_forced_rows_bypass_copy_programs(graphs, forced_rows):
-    plain = _online(graphs, "pagerank", _Q2, True)
-    with forced_rows():
-        rows = _online(graphs, "pagerank", _Q2, True)
-    assert rows.query.stats["rules_vectorized"] == 0
-    assert "copy" not in rows.query.stats["kernel_seconds"]
-    assert rows.query.as_dict() == plain.query.as_dict()
-    assert _store_content(rows.store) == _store_content(plain.store)

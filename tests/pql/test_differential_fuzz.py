@@ -1,19 +1,24 @@
-"""Randomized differential testing: the plan-based evaluator and the
-standalone semi-naive interpreter must agree on randomly composed programs
-over randomly generated provenance stores.
+"""Randomized differential testing: the layer programs (online, layered
+and naive, over in-memory and sealed stores) and the standalone semi-naive
+interpreter must agree on randomly composed programs over randomly
+generated provenance stores and graphs.
 
 Programs are assembled from parameterized rule templates (filters, joins,
-negation, recursion through receive/send guards, aggregation) with random
-constants — every combination is safe and stratified by construction, but
-the *plans* differ wildly, which is the point.
+negation, recursion through receive/send guards, aggregation over float
+columns, ``edge`` / ``vertex`` reads, static setup rules, joins keyed on a
+pickle-lane column) with random constants — every combination is safe and
+stratified by construction, but the *plans* differ wildly, which is the
+point.
 """
 
-import contextlib
+import math
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.graph.digraph import DiGraph
 from repro.pql.parser import parse
 from repro.pql.seminaive import evaluate_seminaive, store_to_facts
 from repro.pql.udf import FunctionRegistry
@@ -29,9 +34,18 @@ SLOW = settings(
 
 @st.composite
 def random_store(draw):
+    """A capture and the graph it ran on: ``(store, graph)``. Message
+    payloads are floats or, in about half the stores, tuples (a sealed
+    slab's pickle lane)."""
     rng = random.Random(draw(st.integers(0, 100_000)))
     n = draw(st.integers(3, 8))
     supersteps = draw(st.integers(2, 5))
+    tuples = draw(st.booleans())
+    graph = DiGraph()
+    for v in range(n):
+        graph.add_vertex(v)
+    for _ in range(rng.randint(n, 2 * n)):
+        graph.add_edge(rng.randrange(n), rng.randrange(n))
     store = ProvenanceStore()
     last_active = {}
     for s in range(supersteps):
@@ -46,9 +60,11 @@ def random_store(draw):
             if rng.random() < 0.6 and s + 1 < supersteps:
                 target = rng.randrange(n)
                 m = float(rng.randint(0, 3))
+                if tuples:
+                    m = (int(m), rng.randint(0, 1))
                 store.add("send_message", (v, target, m, s))
                 store.add("receive_message", (target, v, m, s + 1))
-    return store
+    return store, graph
 
 
 @st.composite
@@ -64,7 +80,8 @@ def random_program(draw):
             st.sampled_from(
                 ["filter", "join", "negation", "forward", "backward",
                  "aggregate", "arith", "remote", "evolve", "antiderived",
-                 "within"]
+                 "within", "floats", "edges", "setup", "picklekey",
+                 "aggregate-head", "static-relation", "pickle-key"]
             ),
             min_size=1,
             max_size=5,
@@ -122,6 +139,42 @@ def random_program(draw):
                 "lvl(X, N, I) :- superstep(X, I), N = 0."
                 f"lvl(X, N, I) :- lvl(X, K, I), N = K + 1, N < {2 + c2}."
             )
+        elif kind == "floats" and "spread(" not in "".join(pieces):
+            # every float aggregate over what the neighbors sent, and over
+            # their previous values (a join: witnesses, not rows)
+            pieces.append(
+                "spread(X, I, count(Y), sum(D), avg(D), min(D), max(D)) :- "
+                "receive_message(X, Y, M, I), value(Y, D, J), J = I - 1."
+                "level(X, sum(D), avg(D)) :- value(X, D, I).")
+        elif kind == "edges" and "fan(" not in "".join(pieces):
+            # edge / vertex read at the anchor, locally and one hop away
+            pieces.append(
+                "fan(X, Y, I) :- superstep(X, I), edge(X, Y), vertex(Y)."
+                "hop2(X, Z, I) :- superstep(X, I), edge(X, Y), edge(Y, Z).")
+        elif kind == "setup" and "hasin(" not in "".join(pieces):
+            # static setup rules, one reading another's head, and a rule
+            # reading a static head at the anchor (Query 4's shape)
+            pieces.append(
+                "hasin(X) :- edge(Y, X)."
+                "hasout(X) :- edge(X, Y)."
+                "sink(X) :- vertex(X), hasin(X), !hasout(X)."
+                "hop(X, Z) :- edge(X, Y), hasout(Y), edge(Y, Z)."
+                "orphan(X, I) :- superstep(X, I), !hasin(X).")
+        elif kind == "picklekey" and "echoed(" not in "".join(pieces):
+            # a join keyed on the payload column (a pickle lane when the
+            # payloads are tuples)
+            pieces.append(
+                "echoed(X, Y, I) :- receive_message(X, Y, M, I), "
+                "send_message(Y, X, M, J), J = I - 1.")
+        # the three shapes that once had no layer program, verbatim
+        elif kind == "aggregate-head" and "cnts(" not in "".join(pieces):
+            pieces.append("cnts(X, count(I)) :- superstep(X, I).")
+        elif kind == "static-relation" and "out(" not in "".join(pieces):
+            pieces.append("out(X, Y, I) :- superstep(X, I), edge(X, Y).")
+        elif kind == "pickle-key" and "same(" not in "".join(pieces):
+            pieces.append(
+                "same(X, Y, I) :- receive_message(X, Y, M, I), "
+                "value(Y, M, J), J = I - 1.")
     return "".join(pieces)
 
 
@@ -143,16 +196,34 @@ def random_run(graph_seed):
     return graph, lambda: PageRank(num_supersteps=4)
 
 
+def _close(got, want):
+    """Row lists equal, floats to within rounding: a float ``sum`` /
+    ``avg`` over an analytic's values depends on the order it adds them
+    in, which no evaluator shares with another."""
+    assert len(got) == len(want)
+    for row, other in zip(got, want):
+        assert len(row) == len(other)
+        for a, b in zip(row, other):
+            if isinstance(a, float) and isinstance(b, float):
+                assert math.isclose(a, b, rel_tol=1e-12), (row, other)
+            else:
+                assert a == b, (row, other)
+    return True
+
+
+def _seminaive(store, src, graph=None):
+    return evaluate_seminaive(parse(src), store_to_facts(store, graph),
+                              FunctionRegistry())
+
+
 class TestDifferentialFuzz:
     @given(random_store(), random_program())
     @SLOW
-    def test_evaluators_agree(self, store, src):
+    def test_evaluators_agree(self, capture, src):
+        store, graph = capture
         program = parse(src)
-        expected = run_reference(store, src)
-        functions = FunctionRegistry()
-        actual = evaluate_seminaive(
-            program, store_to_facts(store), functions
-        )
+        expected = run_reference(store, src, graph)
+        actual = _seminaive(store, src, graph)
         for pred in {r.head.predicate for r in program.rules}:
             assert (
                 sorted(actual.get(pred, set()), key=repr)
@@ -161,12 +232,10 @@ class TestDifferentialFuzz:
 
     @given(random_store(), random_program())
     @SLOW
-    def test_vectorized_agrees_over_sealed_columnar(self, forced_rows, store,
-                                                    src):
-        """Layer programs over a sealed ARSC store return the same rows as
-        the reference interpreter, the semi-naive interpreter and the
-        forced row functions — random programs, including ones
-        whose rules partly run the row function (aggregates)."""
+    def test_vectorized_agrees_over_sealed_columnar(self, capture, src):
+        """Layer programs over a sealed ARSC store return the semi-naive
+        interpreter's rows — random programs, aggregates, static rules
+        and pickle-lane join keys included."""
         import shutil
         import tempfile
 
@@ -177,13 +246,8 @@ class TestDifferentialFuzz:
             run_naive_from_spill,
         )
 
-        expected = run_reference(store, src)
-        independent = evaluate_seminaive(
-            parse(src), store_to_facts(store), FunctionRegistry()
-        )
-        for rel in expected.relations():
-            assert expected.rows(rel) == sorted(
-                independent.get(rel, set()), key=repr), rel
+        store, graph = capture
+        independent = _seminaive(store, src, graph)
         directory = tempfile.mkdtemp(prefix="vecfuzz-")
         try:
             writer = SpillManager(store, directory=directory)
@@ -191,17 +255,17 @@ class TestDifferentialFuzz:
             writer.write_manifest()
             spill = SpillManager.open(directory)
             runs = []
-            for forced in (False, True):
-                with forced_rows() if forced else contextlib.nullcontext():
-                    try:
-                        runs.append(run_layered_from_spill(spill, src))
-                    except PQLCompatibilityError:
-                        pass  # mixed-direction composition: layered refuses
-                    runs.append(run_naive_from_spill(spill, src))
+            try:
+                runs.append(run_layered_from_spill(spill, src, graph))
+            except PQLCompatibilityError:
+                pass  # mixed-direction composition: layered refuses
+            runs.append(run_naive_from_spill(spill, src, graph))
             for result in runs:
-                for rel in expected.relations():
-                    assert result.rows(rel) == expected.rows(rel), (
-                        f"{rel} differs ({result.stats['evaluator']}) for "
+                assert result.stats["evaluator"] == "vectorized"
+                for rel in result.stats["head_predicates"]:
+                    assert result.rows(rel) == sorted(
+                        independent.get(rel, set()), key=repr), (
+                        f"{rel} differs ({result.mode}) for "
                         f"program:\n{src}"
                     )
         finally:
@@ -209,16 +273,17 @@ class TestDifferentialFuzz:
 
     @given(random_store(), random_program())
     @SLOW
-    def test_layered_and_naive_agree_on_directed_programs(self, store, src):
+    def test_layered_and_naive_agree_on_directed_programs(self, capture, src):
         from repro.errors import PQLCompatibilityError
         from repro.runtime.offline import run_layered, run_naive
 
-        expected = run_reference(store, src)
+        store, graph = capture
+        expected = run_reference(store, src, graph)
         try:
-            layered = run_layered(store, src)
+            layered = run_layered(store, src, graph)
         except PQLCompatibilityError:
             return  # mixed-direction composition: layered correctly refuses
-        naive = run_naive(store, src)
+        naive = run_naive(store, src, graph)
         for rel in expected.relations():
             assert layered.rows(rel) == expected.rows(rel), rel
             assert naive.rows(rel) == expected.rows(rel), rel
@@ -228,10 +293,10 @@ class TestDifferentialFuzz:
     def test_online_agrees_with_reference_over_its_own_capture(
         self, graph_seed, src
     ):
-        """Online mode (the generated per-vertex functions, window pruning,
-        delta shipping): the rows a query derives while the analytic runs
-        equal the oracle's over a full capture of the same run — random
-        programs x random graphs."""
+        """Online mode (superstep programs, window pruning, delta
+        shipping): the rows a query derives while the analytic runs equal
+        the semi-naive oracle's over a full capture of the same run —
+        random programs x random graphs."""
         from repro.core.queries import CAPTURE_FULL_QUERY
         from repro.errors import PQLCompatibilityError
         from repro.runtime.online import run_online
@@ -245,18 +310,10 @@ class TestDifferentialFuzz:
             graph, make(), CAPTURE_FULL_QUERY, capture=True
         ).store
         expected = run_reference(store, src, graph)
-        # ... and the semi-naive interpreter's, which shares no code with
-        # the generated functions the other two run.
-        independent = evaluate_seminaive(
-            parse(src), store_to_facts(store), FunctionRegistry()
-        )
         for rel in expected.relations():
-            assert online.query.rows(rel) == expected.rows(rel), (
+            assert _close(online.query.rows(rel), expected.rows(rel)), (
                 f"{rel} differs online for program:\n{src}"
             )
-            assert online.query.rows(rel) == sorted(
-                independent.get(rel, set()), key=repr
-            ), f"{rel} differs from semi-naive for program:\n{src}"
 
     @given(st.integers(0, 100_000), random_program())
     @SLOW
@@ -287,3 +344,60 @@ class TestDifferentialFuzz:
             for key in ("shipped_tuples", "pruned_rows", "transient_rows"):
                 assert (many.query.stats[key]
                         == one.query.stats[key]), (key, workers, src)
+
+
+#: The rule shapes that once ran a per-site row function instead of a
+#: layer program, by the reason that was counted for them.
+FORMER_FALLBACKS = {
+    "aggregate-head": "cnt(X, count(I), sum(I), avg(I)) :- superstep(X, I).",
+    "static-relation": "out(X, Y, I) :- superstep(X, I), edge(X, Y).",
+    # a join keyed on a pickle-lane column: tuple values and payloads
+    "pickle-key": "same(X, Y, I) :- receive_message(X, Y, M, I), "
+                  "value(Y, M, J), J = I - 1.",
+    "unlocated-scan": "hasin(X) :- edge(Y, X). hop(X, Z) :- edge(X, Y), "
+                      "hasin(Y), edge(Y, Z).",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FORMER_FALLBACKS))
+def test_former_fallback_shapes_agree(shape, tmp_path):
+    """Each shape runs as layer programs in every offline driver, over
+    the in-memory and the sealed store, and returns the semi-naive
+    interpreter's rows."""
+    from repro.provenance.spill import SpillManager
+    from repro.runtime.offline import (
+        run_layered,
+        run_layered_from_spill,
+        run_naive,
+        run_naive_from_spill,
+    )
+
+    store = ProvenanceStore()
+    graph = DiGraph()
+    for v in range(6):
+        graph.add_edge(v, (v + 1) % 6)
+        graph.add_edge(v, (v + 3) % 6)
+    for s in range(3):
+        for v in range(6):
+            store.add("superstep", (v, s))
+            store.add("value", (v, (v % 2, s), s))
+            for target in ((v + 1) % 6, (v + 3) % 6):
+                if s < 2:
+                    store.add("send_message", (v, target, (v % 2, s), s))
+                    store.add("receive_message",
+                              (target, v, (v % 2, s), s + 1))
+    writer = SpillManager(store, directory=str(tmp_path))
+    writer.seal_all()
+    spill = SpillManager.open(str(tmp_path))
+    src = FORMER_FALLBACKS[shape]
+    expected = _seminaive(store, src, graph)
+    heads = {rule.head.predicate for rule in parse(src).rules}
+    assert any(expected.get(head) for head in heads)
+    for driver, source in ((run_layered, store), (run_naive, store),
+                           (run_layered_from_spill, spill),
+                           (run_naive_from_spill, spill)):
+        result = driver(source, src, graph)
+        assert result.stats["rules_vectorized"] > 0
+        for head in heads:
+            assert result.rows(head) == sorted(
+                expected.get(head, set()), key=repr), (driver.__name__, head)

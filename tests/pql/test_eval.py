@@ -226,20 +226,23 @@ class TestTupleStore:
 
 
 class TestErrorContext:
+    """The distributed drivers name the failing rule and its sites."""
+
     def test_rule_error_names_rule_and_site(self, store):
         from repro.errors import PQLError
+        from repro.runtime.offline import run_naive
 
-        with pytest.raises(PQLError, match="ZeroDivisionError"):
-            evaluate("p(X, D / 0) :- value(X, D, I).", store)
+        with pytest.raises(PQLError, match=r"over \d+ sites: p\(X, \(D / 0\)\)"
+                           ".*ZeroDivisionError"):
+            run_naive(store, "p(X, D / 0) :- value(X, D, I).")
 
     def test_udf_exception_wrapped(self, store):
         from repro.errors import PQLError
+        from repro.runtime.offline import run_naive
 
         def boom(*_args):
             raise RuntimeError("kaboom")
 
         with pytest.raises(PQLError, match="kaboom"):
-            evaluate(
-                "p(X) :- value(X, D, I), boom(D).", store,
-                udfs={"boom": boom},
-            )
+            run_naive(store, "p(X) :- value(X, D, I), boom(D).",
+                      udfs={"boom": boom})

@@ -46,18 +46,25 @@ class TestExplain:
         short = explain(cq, verbose=False)
         long = explain(cq, verbose=True)
         assert "located plan" not in short
-        assert "located plan" in long and "free plan" in long
+        assert "located plan" in long and "anchored plan" in long
+        # only a static setup rule has a free plan
+        assert "free plan" not in long
 
     def test_verbose_prints_each_plans_generated_function(self):
+        """Verbose EXPLAIN lists the layer-program ops compiled for every
+        plan, the static setup rule's included."""
         cq = compiled_of(Q.PAGERANK_CHECK_QUERY)
-        assert "generated:" not in explain(cq, verbose=False)
+        assert "layer program:" not in explain(cq, verbose=False)
         long = explain(cq, verbose=True)
-        # one setup rule (free plan) + one rule in all three binding modes
-        assert long.count("generated:") == 4
-        assert long.count("def rule(db, F, site, t):") == 4
-        # the code follows the plan it was generated from
-        assert long.index("anchored plan") < long.index("v1 = t") < long.index(
-            "located plan")
+        # one setup rule (free plan) + one rule in two binding modes
+        assert long.count("layer program:") == 3
+        assert "setup plan (prebound: none) [layer program]" in long
+        assert "one empty solution (free mode)" in long
+        assert long.count("sites as column X") == 2
+        # the ops follow the plan they were compiled from
+        assert long.index("anchored plan") < long.index(
+            "selection receive_message") < long.index("located plan")
+        assert "row function" not in long and "def rule" not in long
 
     def test_stream_relations_listed(self):
         text = explain(compiled_of(Q.CAPTURE_FULL_QUERY))

@@ -2,8 +2,8 @@
 the commit before plans were compiled to Python (PR 12's parent).
 
 Each key of ``golden_query_digests.json`` names a query, the driver that
-ran it (online = anchored per vertex, layered = anchored per layer, naive =
-located, reference = free), the retired hash-index switch (always
+ran it (online = anchored per superstep, layered = anchored per layer,
+naive = located, reference = the semi-naive interpreter), the retired hash-index switch (always
 ``index=False``: PR 21 deleted the index and its ``index=True`` twins,
 which pinned the same digests) and a worker suffix; the value is the sha256
 of the sorted result rows. The digests were produced by running this
@@ -23,15 +23,18 @@ regenerated, so they now pin that the serial engine derives the same rows
 when its vertices are split across seven simulated workers. Offline keys
 are always ``/serial``.
 
+The ``reference`` pins were recorded by a free-mode row evaluator that has
+since been deleted; :func:`~repro.runtime.offline.run_reference` is now
+the standalone semi-naive interpreter (:mod:`repro.pql.seminaive`), which
+shares no code with the layer programs, and it derives the same rows.
+
 ``test_sealed_store_digests_match_parent_commit`` holds the sealed-store
 evaluators to the same pins: every offline capture is sealed to ARSC and
-re-queried layered and naive, by layer programs and with every rule forced
-onto its row function (the ``forced_rows`` oracle), and each digest must
-equal the pin of the same query and mode. The ``layered`` / ``naive`` pins
-of ``compute_digests`` are layer programs over the in-memory store.
+re-queried layered and naive, and each digest must equal the pin of the
+same query and mode. The ``layered`` / ``naive`` pins of
+``compute_digests`` are layer programs over the in-memory store.
 """
 
-import contextlib
 import json
 import os
 import sys
@@ -129,7 +132,7 @@ def test_digests_match_parent_commit():
     assert len(set(golden.values())) > len(QUERIES)
 
 
-def test_sealed_store_digests_match_parent_commit(tmp_path, forced_rows):
+def test_sealed_store_digests_match_parent_commit(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         golden = json.load(fh)
     workloads = _workloads()
@@ -156,18 +159,11 @@ def test_sealed_store_digests_match_parent_commit(tmp_path, forced_rows):
         text = Q.NAMED_QUERIES[query]
         udfs = Q.apt_udfs(make())
         for driver in (run_layered_from_spill, run_naive_from_spill):
-            for evaluator in ("programs", "rows"):
-                with (forced_rows() if evaluator == "rows"
-                      else contextlib.nullcontext()):
-                    result = driver(sealed[workload], text, graph, params,
-                                    udfs)
-                if evaluator == "programs":
-                    programs_ran += result.stats["rules_vectorized"]
-                else:
-                    assert result.stats["rules_vectorized"] == 0
-                pin = golden[f"{query}/{result.mode}/index=False/serial"]
-                if digest_query_result(result) != pin:
-                    drifted[(query, result.mode, evaluator)] = pin
+            result = driver(sealed[workload], text, graph, params, udfs)
+            programs_ran += result.stats["rules_vectorized"]
+            pin = golden[f"{query}/{result.mode}/index=False/serial"]
+            if digest_query_result(result) != pin:
+                drifted[(query, result.mode)] = pin
     assert not drifted, f"sealed-store digests drifted from the seed: {drifted}"
     assert programs_ran > 0
 

@@ -116,7 +116,6 @@ class TestPreparedStrata:
         assert calls == [0, 1, 2, 3, 4] * supersteps
         stats = result.query.stats
         assert stats["rules_vectorized"] == 5 * supersteps
-        assert stats["rules_fallback"] == 0
 
     def test_results_unchanged_by_ordering(self):
         # differential: a dependency-ordered stratum must produce the same

@@ -1,17 +1,16 @@
 """Layer programs over both stores (sealed ARSC slabs and the in-memory
-store's list batches): differential identity, which rules run as programs
-and why the rest do not, version-1 footer compatibility, dictionary caching,
-and budget interaction.
+store's list batches): differential identity, every rule shape running as
+a program, version-1 footer compatibility, dictionary caching, and budget
+interaction.
 
-The contract under test: a layer program is an *optimization*, never a
-semantics change — for every query it must produce byte-identical results
-to the row functions (forced by the ``forced_rows`` fixture: the row path
-is a test oracle, no library switch selects it), it runs once per (rule,
-layer) whatever the number of vertices, and it must honor ``QueryBudget``
-and memory bounds from *inside* a layer, not merely between layers.
+The contract under test: a layer program is the evaluator, and for every
+query it must produce the results of the row-at-a-time oracle
+(``run_reference``, the semi-naive interpreter) byte for byte, it runs
+once per (rule, layer) whatever the number of vertices, and it must honor
+``QueryBudget`` and memory bounds from *inside* a layer, not merely
+between layers.
 """
 
-import contextlib
 import os
 import pickle
 import traceback
@@ -42,8 +41,6 @@ from repro.runtime.offline import (
     run_reference,
 )
 from repro.runtime.online import run_online
-
-from tests.conftest import FORCED_ROWS
 
 DRIVERS = (run_layered_from_spill, run_naive_from_spill, run_layered,
            run_naive)
@@ -106,45 +103,38 @@ def query_cases(lineage_params):
 
 
 # ---------------------------------------------------------------------------
-# differential matrix: layer programs == row functions
+# differential matrix: layer programs == the row-at-a-time oracle
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("qname", [
     "query3", "query5", "query8", "query9", "query10",
 ])
 def test_vectorized_matches_row_paths(qname, sealed_dir, full_store,
-                                      wgraph, lineage_params, forced_rows):
-    """One digest across {layer programs, forced row functions} x
-    {layered, naive} x {sealed, in-memory}."""
+                                      wgraph, lineage_params):
+    """One digest across {layered, naive} x {sealed, in-memory}, and the
+    semi-naive oracle's rows."""
     case = query_cases(lineage_params)[qname]
     query = Q.NAMED_QUERIES[qname]
     args = (query, wgraph, case.get("params"), case.get("udfs"))
     reference = run_reference(full_store, *args)
     spill = SpillManager.open(sealed_dir)
     digests = set()
-    for forced in (False, True):
-        for driver in DRIVERS:
-            if forced:
-                with forced_rows():
-                    result = _drive(driver, spill, full_store, *args)
-                assert result.stats["rules_vectorized"] == 0
-            else:
-                result = _drive(driver, spill, full_store, *args)
-                assert result.stats["rules_vectorized"] > 0
-            for relation in reference.relations():
-                assert result.rows(relation) == reference.rows(relation), (
-                    f"{qname} {driver.__name__} forced_rows={forced} "
-                    f"{relation}"
-                )
-            digests.add(obsledger.digest_query_result(result))
+    for driver in DRIVERS:
+        result = _drive(driver, spill, full_store, *args)
+        assert result.stats["rules_vectorized"] > 0
+        for relation in reference.relations():
+            assert result.rows(relation) == reference.rows(relation), (
+                f"{qname} {driver.__name__} {relation}"
+            )
+        digests.add(obsledger.digest_query_result(result))
     assert len(digests) == 1, (
-        f"{qname}: results must be byte-identical across evaluators"
+        f"{qname}: results must be byte-identical across drivers and stores"
     )
 
 
 def test_evaluator_stats_reported(sealed_dir, full_store, wgraph,
-                                  lineage_params, forced_rows):
-    """Result stats name the path that actually ran and its kernel work,
-    over either store."""
+                                  lineage_params):
+    """Result stats name the evaluator and its kernel work, over either
+    store."""
     query = Q.NAMED_QUERIES["query9"]
     params = {"alpha": 0, "sigma": lineage_params["sigma"]}
 
@@ -157,14 +147,7 @@ def test_evaluator_stats_reported(sealed_dir, full_store, wgraph,
         assert vec.stats["rules_vectorized"] > 0
         assert vec.stats["batch_rows"] > 0
         assert vec.stats["kernel_seconds"]  # at least one kernel timed
-        assert vec.stats["fallback_reasons"] == {}
-
-    with forced_rows():
-        rows = run_layered(full_store, query, wgraph, params)
-    assert rows.stats["evaluator"] == "rows"
-    assert rows.stats["batched_scans"] == 0
-    assert rows.stats["fallback_reasons"] == {
-        FORCED_ROWS: rows.stats["rules_fallback"]}
+        assert not any("fallback" in key for key in vec.stats)
 
 
 @pytest.fixture(scope="module")
@@ -177,8 +160,8 @@ def custom_store(wgraph):
 @pytest.mark.parametrize("driver", [run_layered, run_naive])
 def test_in_memory_store_runs_layer_programs(driver, full_store, custom_store,
                                              wgraph, lineage_params):
-    """Queries 1-12 over an unsealed capture: layer programs, and the only
-    rules left on their row functions are aggregate heads (Query 8)."""
+    """Queries 1-12 over an unsealed capture: every rule a layer program,
+    Query 8's aggregate heads included."""
     cases = [(qname, full_store, case)
              for qname, case in query_cases(lineage_params).items()]
     cases.append(("query12", custom_store, dict(params=lineage_params)))
@@ -186,8 +169,7 @@ def test_in_memory_store_runs_layer_programs(driver, full_store, custom_store,
         result = driver(store, Q.NAMED_QUERIES[qname], wgraph,
                         case.get("params"), case.get("udfs"))
         assert result.stats["evaluator"] == "vectorized", qname
-        assert set(result.stats["fallback_reasons"]) <= {"aggregate-head"}, (
-            qname, result.stats["fallback_reasons"])
+        assert result.stats["rules_vectorized"] > 0, qname
 
 
 def test_list_batches_equal_slab_batches(sealed_dir, full_store):
@@ -241,23 +223,25 @@ def test_store_layers_are_their_own_batches():
         assert {row[0] for row in rows[start:start + n]} == {vertex}
 
 
-def test_aggregate_heads_stay_on_row_path(sealed_dir, wgraph, forced_rows):
-    """Aggregates never vectorize; the rule is counted as a fallback and
-    the answer still matches the row functions'."""
-    src = "cnt(X, count(I)) :- superstep(X, I)."
+def test_aggregate_heads_run_as_layer_programs(sealed_dir, full_store,
+                                               wgraph):
+    """An aggregate head is a grouped reduce over its program's solutions:
+    the oracle's rows, and the kernel is timed."""
+    src = ("cnt(X, count(I)) :- superstep(X, I)."
+           "avg(X, I, avg(D), sum(D), min(D), max(D)) :- value(X, D, I).")
     spill = SpillManager.open(sealed_dir)
-    result = run_naive_from_spill(spill, src, wgraph)
-    with forced_rows():
-        expected = run_naive_from_spill(spill, src, wgraph)
-    assert result.rows("cnt") == expected.rows("cnt")
-    assert result.stats["fallback_reasons"] == {
-        "aggregate-head": result.stats["rules_fallback"]}
-    assert result.stats["rules_fallback"] > 0
+    expected = run_reference(full_store, src, wgraph)
+    for driver in (run_naive_from_spill, run_layered_from_spill):
+        result = driver(spill, src, wgraph)
+        for relation in ("cnt", "avg"):
+            assert result.rows(relation) == expected.rows(relation)
+            assert result.rows(relation)
+        assert "aggregate" in result.stats["kernel_seconds"]
 
 
-def test_string_equality_pushdown(tmp_path, wgraph, forced_rows):
-    """Dict-code selection on string columns: same rows as the scan path
-    and as a plain comparison over the in-memory store's list batch."""
+def test_string_equality_pushdown(tmp_path, wgraph):
+    """Dict-code selection on string columns: same rows as the oracle and
+    as a plain comparison over the in-memory store's list batch."""
     store = ProvenanceStore()
     for s in range(3):
         for v in range(8):
@@ -269,18 +253,15 @@ def test_string_equality_pushdown(tmp_path, wgraph, forced_rows):
     spill = SpillManager.open(directory)
     vec = run_layered_from_spill(spill, src, wgraph)
     listed = run_layered(store, src, wgraph)
-    with forced_rows():
-        scan = run_layered_from_spill(spill, src, wgraph)
     reference = run_reference(store, src, wgraph)
-    assert vec.rows("out") == reference.rows("out")
-    assert vec.rows("out") == scan.rows("out") == listed.rows("out")
+    assert vec.rows("out") == reference.rows("out") == listed.rows("out")
     assert len(vec.rows("out")) == 3 * 3  # 3 vertices x 3 supersteps
     assert vec.stats["evaluator"] == listed.stats["evaluator"] == "vectorized"
 
 
 def test_explain_names_each_rules_evaluator(lineage_params):
-    """EXPLAIN says, per rule, whether a sealed store runs it as a layer
-    program or through the row function — and why."""
+    """EXPLAIN says, per rule, which program every driver runs it as —
+    aggregate heads, static relations and setup rules included."""
     program = parse(Q.NAMED_QUERIES["query9"]).bind(
         alpha=0, sigma=lineage_params["sigma"])
     report = explain(compile_query(program))
@@ -288,11 +269,13 @@ def test_explain_names_each_rules_evaluator(lineage_params):
     assert "row function" not in report
 
     report = explain(compile_query(parse(Q.NAMED_QUERIES["query8"]).bind(eps=1)))
-    assert "[row function: aggregate-head]" in report
+    assert report.count("[layer program]") == 7
     report = explain(compile_query(parse(
         "out(X, Y, I) :- superstep(X, I), edge(X, Y).")), verbose=True)
-    assert "anchored plan (prebound: I, X) [row function: static-relation]" in report
-    assert "[layer program]" not in report
+    assert "anchored plan (prebound: I, X) [layer program]" in report
+    assert "selection edge (graph batch; location spans" in report
+    report = explain(compile_query(parse(Q.PAGERANK_CHECK_QUERY)))
+    assert "setup plan (prebound: none) [layer program]" in report
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +457,7 @@ class TestBudgetInteraction:
 
 
 # ---------------------------------------------------------------------------
-# layer programs: shapes, invocation counts, counted fallbacks, memoization
+# layer programs: shapes, invocation counts, memoization
 # ---------------------------------------------------------------------------
 def _small_store(layers=3, vertices=6, payload=lambda v, s: float(v % 3)):
     """A hand-built capture: every vertex active in every layer, each
@@ -512,9 +495,12 @@ SHAPES = {
                    "calm(X, I) :- receive_message(X, Y, M, I), "
                    "!big(Y, M, J), J = I - 1.",
     # a head predicate that also has stored rows: store rows, then the
-    # overlay's, per input row (the union the row path reads)
+    # overlay's, per input row
     "storedhead": "superstep(X, I) :- value(X, D, I)."
                   "seen(X, I) :- superstep(X, I).",
+    # ... deriving only some of the stored rows: the result is what the
+    # rule derives, not the stored relation
+    "storedsubset": "superstep(X, I) :- value(X, D, I), D >= 1.0.",
     # recursion that closes inside one layer, derived scan with a bind
     "within": "lvl(X, N, I) :- superstep(X, I), N = 0."
               "lvl(X, N, I) :- lvl(X, K, I), N = K + 1, N < 3.",
@@ -525,26 +511,24 @@ SHAPES = {
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_plan_shapes_run_as_layer_programs(shape, tmp_path, forced_rows):
+def test_plan_shapes_run_as_layer_programs(shape, tmp_path):
     store = _small_store()
     spill = _sealed(store, tmp_path)
     src = SHAPES[shape]
     reference = run_reference(store, src)
     assert any(reference.rows(rel) for rel in reference.relations())
+    derivations = set()
     for driver in DRIVERS:
         vec = _drive(driver, spill, store, src)
-        with forced_rows():
-            row = _drive(driver, spill, store, src)
         assert vec.stats["evaluator"] == "vectorized"
-        assert vec.stats["rules_fallback"] == 0 == vec.stats["fallback_scans"]
-        assert vec.stats["fallback_reasons"] == {}
+        assert vec.stats["rules_vectorized"] > 0
         for rel in reference.relations():
-            assert vec.rows(rel) == reference.rows(rel) == row.rows(rel), rel
-        assert vec.derivations == row.derivations
+            assert vec.rows(rel) == reference.rows(rel), rel
+        derivations.add(vec.derivations)
+    assert len(derivations) == 1
 
 
-def test_filtered_exists_scan_runs_once_per_distinct_input(
-        tmp_path, forced_rows):
+def test_filtered_exists_scan_runs_once_per_distinct_input(tmp_path):
     """An exists scan with an absorbed filter (Query 3's
     ``fwd_lineage(Y, W, J), J < I``) is decided once per distinct value of
     what it reads: when every receiver hears from one sender, the filter
@@ -562,25 +546,23 @@ def test_filtered_exists_scan_runs_once_per_distinct_input(
            "heard(X, I) :- receive_message(X, Y, M, I), reach(Y, J), "
            "before(J, I).")
     spill = _sealed(store, tmp_path)
-    for driver in DRIVERS:
-        calls = {"programs": 0, "rows": 0}
-        results = {}
-        for evaluator in calls:
-            def before(j, i, evaluator=evaluator):
-                calls[evaluator] += 1
-                return j < i
+    calls = {"programs": 0, "rows": 0}
 
-            with (forced_rows() if evaluator == "rows"
-                  else contextlib.nullcontext()):
-                results[evaluator] = _drive(driver, spill, store, src, None,
-                                            None, {"before": before})
-        assert results["programs"].stats["rules_fallback"] == 0
-        assert (results["programs"].rows("heard")
-                == results["rows"].rows("heard"))
-        assert len(results["rows"].rows("heard")) == receivers * (layers - 1)
+    def before(j, i, evaluator="rows"):
+        calls[evaluator] += 1
+        return j < i
+
+    # the row-at-a-time oracle decides the filter once per input
+    reference = run_reference(store, src, udfs={"before": before})
+    assert len(reference.rows("heard")) == receivers * (layers - 1)
+    assert calls["rows"] >= receivers * (layers - 1)
+    for driver in DRIVERS:
+        calls["programs"] = 0
+        result = _drive(driver, spill, store, src, None, None, {
+            "before": lambda j, i: before(j, i, "programs")})
+        assert result.rows("heard") == reference.rows("heard")
         assert 0 < calls["programs"] <= layers * layers, (
             driver.__name__, calls)
-        assert calls["rows"] >= receivers * (layers - 1)
 
 
 def test_query10_runs_once_per_rule_and_layer_whatever_the_size(tmp_path):
@@ -597,7 +579,6 @@ def test_query10_runs_once_per_rule_and_layer_whatever_the_size(tmp_path):
         result = run_layered_from_spill(
             spill, Q.NAMED_QUERIES["query10"], graph, params)
         assert len(result.rows("back_trace")) > 1
-        assert result.stats["rules_fallback"] == 0
         counts[vertices] = (store.num_layers,
                             result.stats["rules_vectorized"])
     assert counts[40] == counts[160]
@@ -606,7 +587,7 @@ def test_query10_runs_once_per_rule_and_layer_whatever_the_size(tmp_path):
 
 
 def test_columnar_time_builds_only_the_probed_vertices(
-        sealed_dir, full_store, wgraph, forced_rows):
+        sealed_dir, full_store, wgraph):
     """Query 5's ``value(=X, bind D1, =J)`` (``J`` bound by ``evolution``)
     is a hash join per ``J`` slab, built over the probed vertices' group
     ranges only: it builds no more rows than it probes, where a
@@ -614,9 +595,7 @@ def test_columnar_time_builds_only_the_probed_vertices(
     spill = SpillManager.open(sealed_dir)
     query = Q.SSSP_WCC_UPDATE_CHECK_QUERY
     vec = run_layered_from_spill(spill, query, wgraph)
-    with forced_rows():
-        row = run_layered_from_spill(spill, query, wgraph)
-    assert vec.stats["rules_fallback"] == 0
+    row = run_reference(full_store, query, wgraph)
     for rel in row.relations():
         assert vec.rows(rel) == row.rows(rel), rel
     assert vec.rows("updated")
@@ -634,45 +613,10 @@ def test_columnar_time_builds_only_the_probed_vertices(
     assert 0 < vec.stats["build_rows"] <= probes < whole_layers
 
 
-def test_fallback_reasons_are_counted(tmp_path, wgraph, forced_rows):
-    """Every rule run that is not a layer program names its reason; the
-    counts add up to ``rules_fallback`` and the rows do not change."""
-    def tuple_payload(v, s):
-        return (v % 2, s)  # a pickle-lane column
-
-    store = _small_store(payload=tuple_payload)
-    spill = _sealed(store, tmp_path)
-    layers = store.num_layers
-    cases = {
-        "aggregate-head": "cnt(X, count(I)) :- superstep(X, I).",
-        "static-relation": "out(X, Y, I) :- superstep(X, I), edge(X, Y).",
-        # a hash join keyed on a pickle-lane (possibly unhashable) column
-        "pickle-key": "same(X, Y, I) :- receive_message(X, Y, M, I), "
-                      "value(Y, M, J), J = I - 1.",
-    }
-    for reason, src in cases.items():
-        vec = run_layered_from_spill(spill, src, wgraph)
-        with forced_rows():
-            row = run_layered_from_spill(spill, src, wgraph)
-        reasons = vec.stats["fallback_reasons"]
-        assert reasons.get(reason, 0) >= 1, (reason, reasons)
-        assert sum(reasons.values()) == vec.stats["rules_fallback"]
-        assert vec.stats["fallback_scans"] >= vec.stats["rules_fallback"]
-        assert row.stats["fallback_reasons"] == {
-            FORCED_ROWS: row.stats["rules_fallback"]}
-        for rel in row.relations():
-            assert vec.rows(rel) == row.rows(rel), (reason, rel)
-    # a rule that falls back still lets its stratum-mates run as programs
-    vec = run_layered_from_spill(
-        spill, cases["aggregate-head"] + SHAPES["evolve"], wgraph)
-    assert vec.stats["fallback_reasons"] == {"aggregate-head": layers}
-    assert vec.stats["rules_vectorized"] == layers
-
-
 def test_layer_programs_are_memoized_on_the_rule(sealed_dir, wgraph,
                                                  lineage_params, monkeypatch):
     """A compiled query reused across runs (the serve plan cache) builds
-    its programs once; pickling a rule drops them like the row functions."""
+    its programs once; pickling a rule drops them."""
     built = []
     original = vec_mod.LayerProgram.__init__
 

@@ -5,9 +5,10 @@ handling.
 ARSC (:mod:`repro.provenance.columnar`) is the only slab format the
 library writes or queries. Stores in the two retired formats (framed-pickle
 ARSL, bare pickle) are built here by the test-side ``retire_store`` writer
-(``tests/conftest.py``) and must (a) be refused by name everywhere except
-``repro store migrate`` and (b) migrate to a store indistinguishable from
-a directly sealed one. Queries 2 and 11 are capture-time queries (they read
+(``tests/conftest.py``) and must be refused by name everywhere —
+``repro store migrate`` included, which leaves them byte-identical. A
+store sealed uncompressed by an earlier release still opens, and migrates
+to a store indistinguishable from a directly sealed one. Queries 2 and 11 are capture-time queries (they read
 transient stream relations and cannot run offline); their guarantee is the
 chunk-level one asserted by ``test_rebuilt_store_identical``.
 """
@@ -25,9 +26,9 @@ from repro.graph.generators import web_graph, with_random_weights
 from repro.obs import ledger as obsledger
 from repro.provenance import inspect as pinspect
 from repro.provenance.columnar import ColumnarSlab, encode_columnar_slab
-from repro.provenance.legacy import migrate_store
 from repro.provenance.spill import (
     SpillManager,
+    migrate_store,
     open_store_view,
     read_manifest,
     rebuild_store,
@@ -348,17 +349,15 @@ class TestSealedView:
 # ---------------------------------------------------------------------------
 # uncompressed ARSC: written by earlier releases, still read
 # ---------------------------------------------------------------------------
-def test_raw_sealed_store_reports_its_codec(sealed_dir, tmp_path, wgraph,
-                                            lineage_params, capsys):
-    """Regression: ``SpillManager.open`` never read the codec back, so a
-    store sealed uncompressed (``--spill-compression raw``, before the
-    switch was removed) reported ``zlib`` in ``repro inspect`` and in its
-    ledger fingerprint while its slab footers said ``raw``. It must also
-    keep answering like its zlib twin and pass ``audit verify``."""
-    directory = str(tmp_path / "raw")
-    shutil.copytree(sealed_dir, directory)
+def _reseal_raw(directory, names=None):
+    """Re-encode a sealed store's slabs (all, or the basenames in
+    ``names``) uncompressed, as earlier releases could seal them, and
+    re-stamp the manifest."""
     static, layers = slab_paths(directory)
-    for path in [static, *layers.values()]:
+    paths = [static, *layers.values()]
+    for path in paths:
+        if names is not None and os.path.basename(path) not in names:
+            continue
         with ColumnarSlab(path) as slab:
             chunks = slab.to_chunks()
         blob, _raw = encode_columnar_slab(chunks, "raw")
@@ -368,9 +367,21 @@ def test_raw_sealed_store_reports_its_codec(sealed_dir, tmp_path, wgraph,
     restamp.slab_digests = {
         os.path.basename(path): {"sha256": obsledger.digest_file(path),
                                  "bytes": os.path.getsize(path)}
-        for path in [static, *layers.values()]
+        for path in paths
     }
     restamp.write_manifest()
+
+
+def test_raw_sealed_store_reports_its_codec(sealed_dir, tmp_path, wgraph,
+                                            lineage_params, capsys):
+    """Regression: ``SpillManager.open`` never read the codec back, so a
+    store sealed uncompressed (``--spill-compression raw``, before the
+    switch was removed) reported ``zlib`` in ``repro inspect`` and in its
+    ledger fingerprint while its slab footers said ``raw``. It must also
+    keep answering like its zlib twin and pass ``audit verify``."""
+    directory = str(tmp_path / "raw")
+    shutil.copytree(sealed_dir, directory)
+    _reseal_raw(directory)
     assert read_manifest(directory)["compression"] == "raw"
 
     spill = SpillManager.open(directory)
@@ -387,8 +398,17 @@ def test_raw_sealed_store_reports_its_codec(sealed_dir, tmp_path, wgraph,
 
 
 # ---------------------------------------------------------------------------
-# retired formats: refused by name, migrated in place
+# retired formats: refused by name, migrate included; ARSC migrated in place
 # ---------------------------------------------------------------------------
+def _snapshot(directory):
+    """Every file of a directory, name -> bytes."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
+
+
 class TestRetiredFormats:
     @pytest.fixture()
     def retired(self, sealed_dir, tmp_path, retire_store):
@@ -399,6 +419,15 @@ class TestRetiredFormats:
             return directory
         return make
 
+    @pytest.fixture()
+    def raw(self, sealed_dir, tmp_path):
+        def make(names=None):
+            directory = str(tmp_path / "store-raw")
+            shutil.copytree(sealed_dir, directory)
+            _reseal_raw(directory, names)
+            return directory
+        return make
+
     @pytest.mark.parametrize("fmt,needle", [
         ("pickle", r"framed-pickle \(ARSL\)"),
         ("legacy", "legacy bare-pickle"),
@@ -406,7 +435,7 @@ class TestRetiredFormats:
     def test_unmigrated_store_is_refused_by_name(self, fmt, needle, retired,
                                                  capsys):
         directory = retired(fmt)
-        pattern = f"{needle}.*repro store migrate {directory}"
+        pattern = f"{needle} format, which this release cannot read"
         with pytest.raises(ProvenanceError, match=pattern):
             SpillManager.open(directory)
         for argv in (
@@ -416,18 +445,34 @@ class TestRetiredFormats:
         ):
             assert main(argv) == 2
             err = capsys.readouterr().err
-            assert "repro store migrate" in err and "retired" in err
+            assert "cannot read" in err and "retired" in err
 
+    @pytest.mark.parametrize("names", [None, ("layer-000001.slab",)],
+                             ids=["whole", "one-slab"])
     @pytest.mark.parametrize("fmt", RETIRED)
-    def test_migrate_matches_direct_seal(self, fmt, retired, sealed_dir,
-                                         full_store, wgraph, lineage_params):
-        directory = retired(fmt)
+    def test_migrate_refuses_retired_store(self, fmt, names, retired, capsys):
+        """``repro store migrate`` fails like ``SpillManager.open`` on a
+        store holding any retired slab, and leaves every file as it was."""
+        directory = retired(fmt, names)
+        before = _snapshot(directory)
+        with pytest.raises(ProvenanceError, match="retired"):
+            migrate_store(directory, run_id="rmigrated01")
+        assert _snapshot(directory) == before
+        assert main(["store", "migrate", directory]) == 2
+        assert "retired" in capsys.readouterr().err
+        assert _snapshot(directory) == before
+
+    def test_migrate_matches_direct_seal(self, raw, sealed_dir, full_store,
+                                         wgraph, lineage_params):
+        directory = raw()
         report = migrate_store(directory, run_id="rmigrated01")
         report["spill"].release_slabs()
-        assert {s["from_format"] for s in report["slabs"].values()} == {fmt}
+        assert report["compression"] == "zlib"
+        assert report["bytes_after"] < report["bytes_before"]
 
         spill = SpillManager.open(directory)
         assert spill.run_id == "rmigrated01"
+        assert spill.compression == "zlib"
         assert _store_rows(rebuild_store(spill)) == _store_rows(full_store)
         assert (_query10_digest(directory, wgraph, lineage_params)
                 == _query10_digest(sealed_dir, wgraph, lineage_params))
@@ -435,38 +480,41 @@ class TestRetiredFormats:
         assert problems == []
 
     def test_half_migrated_store_migrates_to_completion(
-            self, retired, sealed_dir, wgraph, lineage_params):
-        directory = retired("pickle", names=("layer-000001.slab",))
-        with pytest.raises(ProvenanceError, match="layer-000001.slab"):
-            SpillManager.open(directory)
+            self, raw, sealed_dir, wgraph, lineage_params):
+        directory = raw(names=("layer-000001.slab",))
         report = migrate_store(directory)
         report["spill"].release_slabs()
-        formats = {name: slab["from_format"]
-                   for name, slab in report["slabs"].items()}
-        assert formats.pop("layer-000001.slab") == "pickle"
-        assert set(formats.values()) == {"columnar"}
+        raw_before = {name for name, slab in report["slabs"].items()
+                      if slab["bytes_after"] < slab["bytes_before"]}
+        assert raw_before == {"layer-000001.slab"}
+        assert report["spill"].compression == "zlib"
         assert (_query10_digest(directory, wgraph, lineage_params)
                 == _query10_digest(sealed_dir, wgraph, lineage_params))
 
-    def test_cli_migrate_then_audit_verify(self, retired, capsys):
+    def test_cli_migrate_then_audit_verify(self, raw, capsys):
         """`repro store migrate` appends a ledger record parent-linked to
         the capture, so `repro audit verify` resolves the re-stamped
         manifest instead of flagging drift."""
-        directory = retired("legacy")
+        directory = raw()
         assert main(["store", "migrate", directory]) == 0
-        assert "legacy -> columnar" in capsys.readouterr().out
+        assert "columnar -> columnar" in capsys.readouterr().out
         assert main(["audit", "verify", "--store", directory]) == 0
         assert main(["query", "--store", directory, "--query", "query5"]) == 0
 
-    def test_serve_admission_after_migration(self, retired, full_store):
-        """Digest-verified admission refuses the retired store and admits
-        it once migrated."""
+    def test_serve_admission_after_migration(self, retired, raw, full_store):
+        """Digest-verified admission refuses a retired store, before and
+        after a migration attempt, and admits a migrated raw store."""
         from repro.serve.catalog import AdmissionError, RunCatalog
 
-        directory = retired("legacy")
         catalog = RunCatalog(verify=True)
-        with pytest.raises(AdmissionError, match="repro store migrate"):
+        directory = retired("legacy")
+        with pytest.raises(AdmissionError, match="cannot read"):
             catalog.register_path(directory)
+        with pytest.raises(ProvenanceError):
+            migrate_store(directory)
+        with pytest.raises(AdmissionError, match="cannot read"):
+            catalog.register_path(directory)
+        directory = raw()
         migrate_store(directory)["spill"].release_slabs()
         entry, created = catalog.register_path(directory)
         assert created

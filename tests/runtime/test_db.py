@@ -1,8 +1,14 @@
-"""Unit tests for the evaluation database views."""
+"""Unit tests for the evaluation database views: what a layer program
+reads through them."""
 
 import pytest
 
 from repro.graph.digraph import from_edge_list
+from repro.pql.analysis import compile_query
+from repro.pql.eval import MODE_ANCHORED, MODE_LOCATED
+from repro.pql.parser import parse
+from repro.pql.udf import FunctionRegistry
+from repro.pql.vectorized import VectorContext
 from repro.provenance.store import ProvenanceStore
 from repro.runtime.db import Inbox, OnlineDatabase, StoreDatabase
 
@@ -21,73 +27,97 @@ def graph():
     return from_edge_list([(0, 1), (1, 2)])
 
 
+def derive(db, src, sites, anchor=None):
+    """The head rows the program's last rule derives over ``db`` at
+    ``sites`` — anchored at ``anchor`` when one is given, else located."""
+    crule = compile_query(parse(src)).rules[-1]
+    db.vector_ctx = VectorContext()
+    mode = MODE_LOCATED if anchor is None else MODE_ANCHORED
+    return sorted(db.vector_ctx.evaluate(
+        crule, mode, sites, anchor, db, FunctionRegistry()))
+
+
+VALUE = "v(X, D, I) :- value(X, D, I)."
+#: ``derivedrel`` is a head so the last rule can read it as one
+DERIVED = "derivedrel(X, Y) :- superstep(X, Y). r(X, Y) :- derivedrel(X, Y)."
+
+
 class TestStoreDatabase:
     def test_reads_store_partitions(self, store, graph):
         db = StoreDatabase(store, graph)
-        assert db.rows("value", 0) == {(0, 1.0, 0), (0, 2.0, 1)}
-        assert db.rows("value", 5) == set()
+        assert derive(db, VALUE, [0]) == [(0, 1.0, 0), (0, 2.0, 1)]
+        assert derive(db, VALUE, [5]) == []
 
     def test_time_sliced_reads(self, store, graph):
         db = StoreDatabase(store, graph)
-        assert db.rows_at("value", 0, 1) == {(0, 2.0, 1)}
+        assert derive(db, VALUE, [0], anchor=1) == [(0, 2.0, 1)]
 
     def test_virtual_edge_relation(self, store, graph):
         db = StoreDatabase(store, graph)
-        assert list(db.rows("edge", 0)) == [(0, 1)]
-        assert sorted(db.all_rows("edge")) == [(0, 1), (1, 2)]
-        assert list(db.rows("vertex", 1)) == [(1,)]
+        (edges,) = db.static.column_batches("edge")
+        assert edges.groups() == {0: (0, 1), 1: (1, 1)}
+        assert (edges.values(0), edges.values(1)) == ([0, 1], [1, 2])
+        assert db.static.column_batches("edge") == [edges]  # built once
+        (vertices,) = db.static.column_batches("vertex")
+        assert vertices.values(0) == [0, 1, 2]
+        # a static rule reads the whole relation; a located scan, a group
+        assert derive(db, "o(X, Y) :- edge(X, Y).", [None]) == [
+            (0, 1), (1, 2)]
+        assert derive(db, "o(X, Y) :- superstep(X, I), edge(X, Y).",
+                      [0, 2]) == [(0, 1)]
+        assert derive(db, "o(X) :- superstep(X, I), vertex(X).",
+                      [0, 7]) == [(0,)]
 
     def test_edge_relation_without_graph(self, store):
         db = StoreDatabase(store, None)
-        assert list(db.rows("edge", 0)) == []
-        assert list(db.all_rows("edge")) == []
+        assert db.static.column_batches("edge") == []
+        assert derive(db, "o(X, Y) :- edge(X, Y).", [0]) == []
 
     def test_derived_union_for_head_predicates(self, store, graph):
         db = StoreDatabase(store, graph, head_predicates={"value"})
-        db.add("value", (0, 9.0, 2))
-        rows = set(db.rows("value", 0))
+        db.add_rows("value", [(0, 9.0, 2)])
+        rows = derive(db, VALUE, [0])
         assert (0, 9.0, 2) in rows and (0, 1.0, 0) in rows
 
     def test_derived_separate_for_non_heads(self, store, graph):
         db = StoreDatabase(store, graph, head_predicates=set())
-        db.add("custom", (0, 1))
-        assert db.rows("custom", 0) == set()  # not a head: invisible as EDB
-        assert db.derived.rows("custom", 0) == {(0, 1)}
-
-
-def read(db, relation, vertex, time=None):
-    return db.candidates(relation, vertex, time)
+        db.add_rows("derivedrel", [(0, 1)])
+        assert derive(db, DERIVED, [0]) == []  # not a head: invisible as EDB
+        assert db.derived.rows("derivedrel", 0) == {(0, 1)}
 
 
 class TestCandidates:
-    """The one read a located scan makes, over every store."""
+    """The rows a located scan matches, over every store."""
 
     def test_store_scan_and_slice(self, graph):
         store = ProvenanceStore()
         store.add_batch("value", [(0, float(i), i) for i in range(40)])
         db = StoreDatabase(store, graph)
-        assert len(read(db, "value", 0)) == 40
-        # a bound time reads exactly that superstep's bucket
-        assert read(db, "value", 0, time=3) == {(0, 3.0, 3)}
-        assert read(db, "value", 0, time=99) == frozenset()
-        assert read(db, "value", 7) == frozenset()  # no such partition
-        assert list(read(db, "edge", 0, time=3)) == [(0, 1)]
+        assert len(derive(db, VALUE, [0])) == 40
+        # a bound time reads exactly that superstep's layer
+        assert derive(db, VALUE, [0], anchor=3) == [(0, 3.0, 3)]
+        assert derive(db, VALUE, [0], anchor=99) == []
+        assert derive(db, VALUE, [7]) == []  # no such partition
+        assert derive(db, "o(X, Y, I) :- superstep(X, I), edge(X, Y).",
+                      [0], anchor=3) == []
+        store.add("superstep", (0, 3))
+        assert derive(db, "o(X, Y, I) :- superstep(X, I), edge(X, Y).",
+                      [0], anchor=3) == [(0, 1, 3)]
 
     def test_head_predicate_reads_store_and_overlay(self, graph):
         store = ProvenanceStore()
         store.add_batch("value", [(0, 1.0, 0), (0, 2.0, 1)])
         db = StoreDatabase(store, graph, head_predicates={"value"})
-        db.add("value", (0, 9.0, 1))
-        # the overlay is unsliced: a superset the scan re-checks
-        assert set(read(db, "value", 0, time=1)) == {(0, 2.0, 1),
-                                                      (0, 9.0, 1)}
-        assert set(read(db, "value", 0)) == {(0, 1.0, 0), (0, 2.0, 1),
-                                              (0, 9.0, 1)}
+        db.add_rows("value", [(0, 9.0, 1)])
+        # the overlay is unsliced: the scan checks its time position
+        assert derive(db, VALUE, [0], anchor=1) == [(0, 2.0, 1), (0, 9.0, 1)]
+        assert derive(db, VALUE, [0]) == [(0, 1.0, 0), (0, 2.0, 1),
+                                          (0, 9.0, 1)]
 
 
 class TestOnlineDatabase:
-    """The row path's reads at ``db.current_site`` (rules without a layer
-    program)."""
+    """The online view: a site's own relations, and another vertex's only
+    up to what it shipped (``visible``)."""
 
     def make(self, graph, shipped=()):
         return OnlineDatabase(graph, head_predicates={"derivedrel"},
@@ -98,60 +128,64 @@ class TestOnlineDatabase:
         db = self.make(graph, shipped=["value"])
         db.local.add("value", 0, (0, 1.0, 0))
         db.local.add("value", 1, (1, 5.0, 0))
-        db.current_site = 0
-        assert read(db, "value", 0) == {(0, 1.0, 0)}
+        db.store.begin(0, [0], {}, None)
+        (own,) = db.store.column_batches("value")
+        assert own.groups() == {0: (0, 1)}  # the sites' partitions only
+
+        def seen(receiver, sender):
+            return list(db.visible("value", [receiver], [sender])[0])
+
         # vertex 1's facts are NOT visible remotely unless shipped
-        assert list(read(db, "value", 1)) == []
+        assert seen(0, 1) == []
         assert db.ship([(1, [0], ["m"])]) == 1
-        assert list(read(db, "value", 1)) == [(1, 5.0, 0)]
+        assert seen(0, 1) == [(1, 5.0, 0)]
         # a row 1 holds after its last message to 0 stays invisible ...
         db.local.add("value", 1, (1, 6.0, 1))
-        assert list(read(db, "value", 1)) == [(1, 5.0, 0)]
+        assert seen(0, 1) == [(1, 5.0, 0)]
         # ... until it messages 0 again; a repeat message carries nothing
         assert db.ship([(1, [0, 0], ["m", "m"])]) == 1
-        assert list(read(db, "value", 1)) == [(1, 5.0, 0), (1, 6.0, 1)]
-        db.current_site = 2
-        assert list(read(db, "value", 1)) == []  # never messaged 2
+        assert seen(0, 1) == [(1, 5.0, 0), (1, 6.0, 1)]
+        assert seen(2, 1) == []  # never messaged 2
+        assert db.visible_hits("value", [0, 2], [(1, 6.0, 1)] * 2) == [0]
 
     def test_frames_live_one_superstep(self, graph):
         db = self.make(graph)
         db.store.begin(0, [0, 1], {"vertex_value": {0: [(0, 1.0)]}}, None)
-        db.current_site = 0
-        assert read(db, "vertex_value", 0) == [(0, 1.0)]
-        db.current_site = 1
-        assert list(read(db, "vertex_value", 1)) == []
+        (frame,) = db.store.column_batches("vertex_value")
+        assert frame.groups() == {0: (0, 1)} and frame.values(1) == [1.0]
         db.store.begin(1, [0], {"vertex_value": {}}, None)
-        db.current_site = 0
-        assert list(read(db, "vertex_value", 0)) == []
+        assert db.store.column_batches("vertex_value") == []
         assert db.local.relations() == []
 
     def test_derived_visible_locally(self, graph):
         db = self.make(graph)
-        db.current_site = 0
-        db.add("derivedrel", (0, 7))
-        assert set(read(db, "derivedrel", 0)) == {(0, 7)}
+        db.add_rows("derivedrel", [(0, 7)])
+        assert derive(db, DERIVED, [0]) == [(0, 7)]
 
     def test_static_relations(self, graph):
         db = self.make(graph)
-        db.current_site = 0
-        assert list(read(db, "edge", 0)) == [(0, 1)]
-        assert read(db, "edge", 1, time=3) == [(1, 2)]  # any vertex's edges
+        (edges,) = db.static.column_batches("edge")
+        assert edges.groups() == {0: (0, 1), 1: (1, 1)}
+        # the graph is no vertex's to ship: a remote edge scan reads it
+        db.store.begin(0, [0], {"vertex_value": {0: [(0, 1.0)]}}, None)
+        assert derive(db, "o(X, Z) :- vertex_value(X, V), edge(X, Y), "
+                          "edge(Y, Z).", [0]) == [(0, 2)]
 
     def test_timed_local_reads(self, graph):
         db = self.make(graph)
         db.local.add_timed("value", 0, (0, 1.0, 0), 0)
         db.local.add_timed("value", 0, (0, 2.0, 1), 1)
-        db.current_site = 0
-        assert list(read(db, "value", 0, time=1)) == [(0, 2.0, 1)]
-        assert len(read(db, "value", 0)) == 2
+        db.store.begin(1, [0], {}, None)
+        (layer,) = db.store.column_batches("value", [1])
+        assert layer.values(1) == [2.0]
+        (whole,) = db.store.column_batches("value")
+        assert whole.count == 2
 
     def test_unsliced_read_is_the_whole_partition(self, graph):
         db = self.make(graph)
-        for i in range(40):
-            db.add("derivedrel", (0, i))
-        db.current_site = 0
-        assert read(db, "derivedrel", 0) == {(0, i) for i in range(40)}
-        assert list(read(db, "derivedrel", 1)) == []  # nothing shipped
+        db.add_rows("derivedrel", [(0, i) for i in range(40)])
+        assert derive(db, DERIVED, [0]) == [(0, i) for i in range(40)]
+        assert db.visible("derivedrel", [1], [0]) == [()]  # nothing shipped
 
 
 class TestSuperstepBatches:
@@ -186,7 +220,5 @@ class TestSuperstepBatches:
         assert batch.values(1) == [2, 2, 1, 0]
         assert batch.values(2) == [(1,), (1,), (1,), 5.0]  # frozen on demand
         assert batch.values(3) == [7] * 4
-        # the row path reads each distinct message once
-        db.current_site = 0
-        assert read(db, "receive_message", 0) == [(0, 2, (1,), 7),
-                                                  (0, 1, (1,), 7)]
+        # a stored receive_message holds each distinct message once
+        assert db.store.inbox.rows(0) == [(0, 2, (1,), 7), (0, 1, (1,), 7)]

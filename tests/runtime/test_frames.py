@@ -179,11 +179,12 @@ class TestWindowedRelations:
             db.local.add_timed("r", "v", ("v", i % 4, i), i)
         part = db.local.partition("r", "v")
         assert part.prune_older_than(32) == 32
-        db.current_site = "v"
-        assert db.candidates("r", "v", 35) is part.by_time[35]
-        assert list(db.candidates("r", "v", 35)) == [("v", 3, 35)]
-        assert list(db.candidates("r", "v", 3)) == []
-        assert len(db.candidates("r", "v", None)) == 32
+        db.store.begin(35, ["v"], {}, None)
+        (bucket,) = db.store.column_batches("r", [35])
+        assert list(zip(*bucket.columns)) == [("v", 3, 35)]
+        assert db.store.column_batches("r", [3]) == []
+        (whole,) = db.store.column_batches("r")
+        assert whole.count == 32
 
 
 class TestShipping:
@@ -198,17 +199,14 @@ class TestShipping:
         new to that target, and a target sees nothing past its watermark."""
         db = OnlineDatabase(None, head_predicates={"r"},
                             frame_relations=set(), shipped=["r"])
-        for i in range(3):
-            db.add("r", (0, i))
+        db.add_rows("r", [(0, i) for i in range(3)])
         targets = [1, 2, 3]
         assert db.ship([(0, targets, ["m"] * len(targets))]) == 9
-        db.current_site = 2
-        assert list(db.candidates("r", 0, None)) == [(0, 0), (0, 1), (0, 2)]
-        db.add("r", (0, 3))
+        assert list(db.visible("r", [2], [0])[0]) == [(0, 0), (0, 1), (0, 2)]
+        db.add_rows("r", [(0, 3)])
         assert db.ship([(0, [1], ["m"])]) == 1
-        assert list(db.candidates("r", 0, None)) == [(0, 0), (0, 1), (0, 2)]
-        db.current_site = 1
-        assert list(db.candidates("r", 0, None)) == [
+        assert list(db.visible("r", [2], [0])[0]) == [(0, 0), (0, 1), (0, 2)]
+        assert list(db.visible("r", [1], [0])[0]) == [
             (0, 0), (0, 1), (0, 2), (0, 3)]
 
     def test_ablation_switches_keep_the_rows(self, wgraph):

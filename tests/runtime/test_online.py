@@ -170,12 +170,13 @@ class TestOnlineMechanics:
         assert result.query.mode == "online"
 
     def test_stats_count_generated_functions(self, graph):
-        # Query 4: the static rule (free mode, at setup) has a generated
-        # function; the anchored rule runs as a layer program, needs none.
+        # Query 4: one program per (rule, mode) that ran — the static rule
+        # in free mode at setup, the other anchored every superstep.
         result = run_online(graph, PageRank(num_supersteps=5),
                             Q.PAGERANK_CHECK_QUERY)
-        assert result.query.stats["compiled_rules"] == 1
-        assert result.query.stats["rules_vectorized"] > 0
+        assert result.query.stats["compiled_rules"] == 2
+        assert (result.query.stats["rules_vectorized"]
+                == 1 + result.analytic.num_supersteps)
 
     def test_windowed_partitions_serve_time_slices(self, graph):
         """Window-pruned partitions answer their time-bound scans from the

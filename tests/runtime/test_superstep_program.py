@@ -1,7 +1,7 @@
 """The superstep program: the online query runs once per superstep over
 every vertex the superstep executed, reads another vertex's rows only as
-far as that vertex shipped them, and runs a rule without a layer program
-through its row function at each site, with a counted reason."""
+far as that vertex shipped them, and runs every rule — aggregate heads
+included — as one layer program."""
 
 import pytest
 
@@ -90,10 +90,10 @@ def test_aggregate_heads_run_their_row_functions(workers):
                                  (3, 2, 4.0)]
     assert query.rows("busy") == [(2, 1), (2, 2), (3, 1), (3, 2)]
     assert query.derivations == 12
-    # three supersteps, two aggregate rules each
-    assert query.stats["fallback_reasons"] == {"aggregate-head": 6}
-    assert query.stats["rules_fallback"] == 6
-    assert query.stats["rules_vectorized"] == 3
+    # three supersteps, three rules each: the aggregates are layer
+    # programs too (a grouped reduce over their solutions)
+    assert query.stats["rules_vectorized"] == 9
+    assert "aggregate" in query.stats["kernel_seconds"]
 
 
 def test_query1_runs_rules_times_supersteps(monkeypatch):

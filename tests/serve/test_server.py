@@ -228,13 +228,18 @@ class TestQueries:
 
 class TestEvaluatorChoice:
     def test_vectorized_default_and_row_path_override(self, server, catalog,
-                                                      sssp_store,
-                                                      forced_rows):
-        """Served queries run layer programs; the row functions (forced
-        test-side, the oracle) serve the same result bytes."""
+                                                      sssp_store):
+        """Served queries run layer programs, and serve the rows the
+        row-at-a-time oracle (the semi-naive interpreter) derives over
+        the same store."""
+        from repro.core import queries as Q
+        from repro.provenance.spill import rebuild_store
+        from repro.runtime.offline import run_reference
+
         run_id = run_id_for(catalog, sssp_store)
         entry = catalog.get(run_id)
-        body = {"query": "query10", "params": lineage_params(entry.store)}
+        params = lineage_params(entry.store)
+        body = {"query": "query10", "params": params}
         status, vec = server.request(
             "POST", f"/runs/{run_id}/query", body=body)
         assert status == 200
@@ -243,12 +248,13 @@ class TestEvaluatorChoice:
         assert vec["stats"]["batched_scans"] > 0
         assert vec["stats"]["kernel_seconds"]
 
-        with forced_rows():
-            status, rows = server.request(
-                "POST", f"/runs/{run_id}/query", body=body)
-        assert status == 200
-        assert rows["stats"]["evaluator"] == "rows"
-        assert rows["result"] == vec["result"]
+        oracle = run_reference(rebuild_store(entry.spill),
+                               Q.NAMED_QUERIES["query10"], params=params)
+        relations = vec["result"]["relations"]
+        assert sorted(relations) == oracle.relations()
+        for relation in oracle.relations():
+            assert relations[relation]["rows"] == [
+                list(row) for row in oracle.rows(relation)]
 
     def test_vectorize_is_an_ignored_key(self, server, catalog, sssp_store):
         """``vectorize`` selected the row path, which is no longer a
@@ -313,31 +319,29 @@ class TestEvaluatorChoice:
         assert second["stats"]["rules_vectorized"] > 0
         assert second["result"] == first["result"]
 
-    def test_fallback_reasons_in_response_stats(self, server, catalog,
-                                                sssp_store):
+    def test_evaluator_stats_in_response(self, server, catalog, sssp_store):
         run_id = run_id_for(catalog, sssp_store)
         body = {"query": "cnt(X, count(I)) :- superstep(X, I)."}
         status, doc = server.request(
             "POST", f"/runs/{run_id}/query", body=body)
         assert status == 200
-        reasons = doc["stats"]["fallback_reasons"]
-        assert reasons == {"aggregate-head": doc["stats"]["rules_fallback"]}
+        # an aggregate head runs as a layer program: no fallback to report
+        assert doc["stats"]["rules_vectorized"] > 0
+        assert not any("fallback" in key for key in doc["stats"])
+        assert doc["result"]["relations"]["cnt"]["count"] > 0
 
     def test_eval_latency_metric_labeled_by_evaluator(self, server, catalog,
-                                                      sssp_store,
-                                                      forced_rows):
+                                                      sssp_store):
         run_id = run_id_for(catalog, sssp_store)
         entry = catalog.get(run_id)
         body = {"query": "query10", "params": lineage_params(entry.store)}
         server.request("POST", f"/runs/{run_id}/query", body=body)
-        with forced_rows():
-            server.request("POST", f"/runs/{run_id}/query", body=body)
         status, raw = server.request("GET", "/metrics")
         assert status == 200
         text = raw.decode("utf-8")
         assert "repro_serve_query_eval_seconds" in text
         assert 'evaluator="vectorized"' in text
-        assert 'evaluator="rows"' in text
+        assert 'evaluator="rows"' not in text
         assert 'evaluator="indexed"' not in text
 
 

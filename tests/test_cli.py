@@ -238,7 +238,9 @@ class TestExportAndExplainCommands:
         assert main([
             "explain", "--query", "query4", "--verbose",
         ]) == 0
-        assert "free plan" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "setup plan (prebound: none) [layer program]" in out
+        assert "layer program:" in out and "row function" not in out
 
 
 class TestSimulatedWorkerFlags:
