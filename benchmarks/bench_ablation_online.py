@@ -8,13 +8,13 @@ Two switches, each isolated on the apt query over SSSP:
   the ablation retains the full transient provenance.
 
 (A third, ``timed_index=False``, unsliced the stored partitions' superstep
-index; superstep programs read stored relations only as ``by_time``
-batches, so it changed nothing and is gone.)
+index; superstep programs read stored relations only a layer per
+superstep, so it changed nothing and is gone.)
 
 Each row reports runtime (best of ``REPEATS`` runs — the variants are
 within a few percent of each other, less than one run's noise) and the
 memory/traffic metric the switch targets. With ``prune_history`` on,
-window-0 relations live in per-compute frames and never reach the
+window-0 relations live in per-superstep frames and never reach the
 transient store (DESIGN.md §16); "no window pruning" stores and keeps them.
 """
 
@@ -29,6 +29,7 @@ from repro.pql.analysis import compile_query
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 from repro.runtime.online import OnlineQueryProgram
+from repro.runtime.results import QueryResult
 
 DATASET = "UK-02"
 REPEATS = 3
@@ -58,12 +59,13 @@ def _run_once(**switches):
     start = time.perf_counter()
     engine.run(wrapper)
     elapsed = time.perf_counter() - start
+    result = QueryResult(derived=wrapper.db.derived, mode="online")
     return {
         "seconds": elapsed,
         "shipped": wrapper.shipped_tuples,
-        "transient": wrapper.db.local.num_rows(),
-        "safe": wrapper.db.derived.num_rows("safe"),
-        "unsafe": wrapper.db.derived.num_rows("unsafe"),
+        "transient": wrapper.transient_rows,
+        "safe": result.count("safe"),
+        "unsafe": result.count("unsafe"),
     }
 
 

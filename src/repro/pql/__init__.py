@@ -30,7 +30,6 @@ from repro.pql.eval import (
     MODE_FREE,
     MODE_LOCATED,
     Database,
-    TupleStore,
     eval_term,
     evaluate_rule,
     run_strata,
@@ -66,7 +65,6 @@ __all__ = [
     "MODE_FREE",
     "MODE_LOCATED",
     "Database",
-    "TupleStore",
     "eval_term",
     "evaluate_rule",
     "run_strata",

@@ -114,6 +114,16 @@ class CompiledQuery:
                 f"query direction is {self.direction!r}; only local/forward "
                 "queries can be evaluated online (Theorem 5.4)"
             )
+        for crule in self.rules:
+            if crule.time_var is not None and any(
+                    lit.atom.predicate == "evolution" and lit.atom.arity > 1
+                    and lit.atom.args[1] == Var(crule.time_var)
+                    for lit in crule.rule.body
+                    if isinstance(lit, AtomLiteral)):
+                raise PQLCompatibilityError(
+                    "rule is anchored on evolution's earlier superstep, but "
+                    "online an evolution(X, J, I) row only exists from the "
+                    f"later superstep I on: {crule.rule}")
 
     def require_layered(self) -> None:
         if not self.layered_eligible:

@@ -12,15 +12,17 @@ offline — which differ only in
   for static setup rules),
 * the *driver loop* (per-superstep, per-layer, or global fixpoint).
 
-Derived tuples land in a :class:`TupleStore`, which maintains per-vertex
-partitions with both set semantics (Datalog) and insertion order (so the
-online runtime can ship deltas using per-neighbor watermarks).
+Derived tuples land in the database's ``derived``
+:class:`~repro.provenance.store.Relations` — the container the stores
+use, one layer per superstep that derived rows — with set semantics over
+all layers (Datalog). A layer program reads them through the same
+column-batch matchers as stored relations.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLError, PQLSemanticError
 from repro.pql.ast import BinOp, Const, FuncCall, Param, Term, Var
@@ -32,6 +34,7 @@ from repro.pql.plan import (
     ScanStep,
 )
 from repro.pql.udf import FunctionRegistry
+from repro.provenance.store import Relations
 
 Row = Tuple[Any, ...]
 Env = Dict[str, Any]
@@ -96,152 +99,16 @@ def _compare(op: str, left: Any, right: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# derived-tuple storage
+# derived facts
 # ---------------------------------------------------------------------------
-class _Partition:
-    """One relation's tuples at one vertex: a set plus insertion order."""
-
-    __slots__ = ("rows", "order", "groups", "by_time")
-
-    def __init__(self) -> None:
-        self.rows: Set[Row] = set()
-        self.order: List[Row] = []
-        # For aggregate relations: group key -> current row.
-        self.groups: Optional[Dict[Row, Row]] = None
-        # Optional superstep index (populated via add_timed).
-        self.by_time: Optional[Dict[Any, List[Row]]] = None
-
-    def add(self, row: Row) -> bool:
-        if row in self.rows:
-            return False
-        self.rows.add(row)
-        self.order.append(row)
-        return True
-
-    def add_timed(self, row: Row, time: Any) -> bool:
-        if row in self.rows:
-            return False
-        self.rows.add(row)
-        self.order.append(row)
-        if self.by_time is None:
-            self.by_time = {}
-        bucket = self.by_time.get(time)
-        if bucket is None:
-            self.by_time[time] = [row]
-        else:
-            bucket.append(row)
-        return True
-
-    def slice(self, time: Any) -> Iterable[Row]:
-        """The rows of superstep ``time`` when one is given and the
-        partition is time-indexed, else every row (a superset: scans
-        re-check the time attribute)."""
-        if time is not None and self.by_time is not None:
-            return self.by_time.get(time, ())
-        return self.rows
-
-    def prune_older_than(self, time: Any) -> int:
-        """Drop time-indexed rows with bucket time < ``time``.
-
-        Only valid for partitions populated exclusively via
-        :meth:`add_timed` that are never shipped (the insertion-order list
-        is rebuilt, so watermark-based delta shipping would break).
-        Returns the number of rows removed.
-        """
-        if self.by_time is None:
-            return 0
-        stale = [t for t in self.by_time if t < time]
-        removed = 0
-        for t in stale:
-            for row in self.by_time.pop(t):
-                self.rows.discard(row)
-                removed += 1
-        if removed:
-            self.order = [row for row in self.order if row in self.rows]
-        return removed
-
-    def set_group(self, key: Row, row: Row) -> bool:
-        if self.groups is None:
-            self.groups = {}
-        old = self.groups.get(key)
-        if old == row:
-            return False
-        if old is not None:
-            self.rows.discard(old)
-        self.groups[key] = row
-        self.rows.add(row)
-        self.order.append(row)
-        return True
-
-
-class TupleStore:
-    """Per-vertex partitioned relations (derived facts or transient EDBs)."""
-
-    def __init__(self) -> None:
-        self._data: Dict[str, Dict[Any, _Partition]] = {}
-
-    def partition(self, relation: str, vertex: Any) -> Optional[_Partition]:
-        parts = self._data.get(relation)
-        return parts.get(vertex) if parts else None
-
-    def partitions(self, relation: str) -> Dict[Any, _Partition]:
-        """``vertex -> partition`` of one relation (read-only view)."""
-        return self._data.get(relation) or {}
-
-    def _ensure(self, relation: str, vertex: Any) -> _Partition:
-        parts = self._data.setdefault(relation, {})
-        part = parts.get(vertex)
-        if part is None:
-            part = _Partition()
-            parts[vertex] = part
-        return part
-
-    def add(self, relation: str, vertex: Any, row: Row) -> bool:
-        return self._ensure(relation, vertex).add(row)
-
-    def add_timed(self, relation: str, vertex: Any, row: Row, time: Any) -> bool:
-        """Insert and index by superstep for fast anchored scans."""
-        return self._ensure(relation, vertex).add_timed(row, time)
-
-    def set_group(self, relation: str, vertex: Any, key: Row, row: Row) -> bool:
-        return self._ensure(relation, vertex).set_group(key, row)
-
-    def rows(self, relation: str, vertex: Any) -> Set[Row]:
-        part = self.partition(relation, vertex)
-        return part.rows if part is not None else set()
-
-    def all_rows(self, relation: str) -> Iterator[Row]:
-        parts = self._data.get(relation)
-        if not parts:
-            return
-        # Snapshot the partition list: free-mode scans of a relation being
-        # derived into must not observe concurrent structural changes.
-        for part in list(parts.values()):
-            yield from part.rows
-
-    def relations(self) -> List[str]:
-        return list(self._data)
-
-    def vertices(self, relation: str) -> Iterable[Any]:
-        return self._data.get(relation, {}).keys()
-
-    def num_rows(self, relation: Optional[str] = None) -> int:
-        if relation is not None:
-            return sum(len(p.rows) for p in self._data.get(relation, {}).values())
-        return sum(
-            len(p.rows)
-            for parts in self._data.values()
-            for p in parts.values()
-        )
-
-
 class Database:
-    """What the evaluator writes derivations to: ``add_rows`` /
-    ``set_group`` into an internal :class:`TupleStore`. The backends
-    (:mod:`repro.runtime.db`) add the reads a layer program makes —
-    ``store`` and ``static`` column batches, and under locality
-    ``visible`` / ``visible_hits`` — and the drivers attach the
-    :class:`~repro.pql.vectorized.VectorContext` every rule runs in."""
+    """What the evaluator writes derivations to: ``derived``, a
+    :class:`~repro.provenance.store.Relations` layered by the superstep
+    each row was derived at. The backends (:mod:`repro.runtime.db`) add
+    the reads a layer program makes — ``store`` and ``static`` column
+    batches, and under locality what another vertex shipped — and the
+    drivers attach the :class:`~repro.pql.vectorized.VectorContext` every
+    rule runs in."""
 
     #: Whether a vertex may read another vertex's partition only through
     #: what that vertex shipped to it (the online view: the paper's
@@ -249,33 +116,14 @@ class Database:
     locality = False
 
     def __init__(self) -> None:
-        self.derived = TupleStore()
+        self.derived = Relations()
         self.vector_ctx: Optional[Any] = None
 
-    def add_rows(self, relation: str, rows: Iterable[Row]) -> int:
-        """Insert derived rows in order; returns how many were new."""
-        return self._insert(relation, rows, None)
-
-    def _insert(self, relation: str, rows: Iterable[Row],
-                fresh: Optional[List[Row]]) -> int:
-        """``add_rows``; ``fresh`` (the capture database's) collects new rows."""
-        new = 0
-        vertex = present = order = None
-        for row in rows:
-            if present is None or row[0] != vertex:  # once per same-vertex run
-                vertex = row[0]
-                part = self.derived._ensure(relation, vertex)
-                present, order = part.rows, part.order
-            if row not in present:  # _Partition.add, inlined for the hot path
-                present.add(row)
-                order.append(row)
-                new += 1
-                if fresh is not None:
-                    fresh.append(row)
-        return new
-
-    def set_group(self, relation: str, vertex: Any, key: Row, row: Row) -> bool:
-        return self.derived.set_group(relation, vertex, key, row)
+    def add_rows(self, relation: str, rows: Iterable[Row],
+                 layer: Any = None) -> int:
+        """Insert derived rows in order at ``layer`` (the superstep that
+        derived them); returns how many were new."""
+        return len(self.derived.insert(relation, rows, layer))
 
 
 def _select_plan(crule: CompiledRule, mode: str) -> Optional[RulePlan]:
@@ -308,9 +156,8 @@ def evaluate_rule(
         rows = db.vector_ctx.evaluate(
             crule, mode, sites, anchor_time, db, functions)
         if crule.is_aggregate:
-            return sum(db.set_group(head, row[0], key, row)
-                       for key, row in rows)
-        return db.add_rows(head, rows) if rows else 0
+            return db.derived.set_groups(head, rows)
+        return db.add_rows(head, rows, anchor_time) if rows else 0
     except (PQLError, MemoryError):  # budgets pass through by name
         raise
     except Exception as exc:

@@ -8,7 +8,7 @@ against that shape directly: the rule's location variable starts as a
 transforms the whole column set at once, and the rule runs once per (rule,
 layer) instead of once per (rule, layer, vertex) — the superstep-as-a-join
 shape. Online, the layer is the superstep being evaluated and the sites
-are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
+are the vertices it executed (``repro.runtime.db.OnlineDatabase``).
 
 * A **stored scan** reads one whole-layer batch per layer it can match in
   (``store.column_batches``: a sealed slab's
@@ -24,14 +24,18 @@ are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
   a hash join keyed on (location, those positions), built over the probed
   vertices' group ranges only; a columnar time joins each slab with just
   the input rows that ask for it.
-* A **derived scan** (``back_trace(Y, J)``, ``!change(Y, J)``) is one tight
-  probe loop over the derived overlay's partitions. A head predicate that
-  also has stored rows (a query that derives into ``superstep``) reads
-  both: per input row, the stored matches, then the derived ones.
+* A **derived scan** (``back_trace(Y, J)``, ``!change(Y, J)``) is a
+  stored scan too: the database's derived facts are layers of the same
+  shape (``db.derived``, one per superstep that derived rows, the layer of
+  a bound time and the ``None`` layer only when one is bound). A head
+  predicate that also has stored rows (a query that derives into
+  ``superstep``) reads both: per input row, the stored matches, then the
+  derived ones.
 * **Locality** (``db.locality``, the online view): an input row whose
   location is not its site reads only what that vertex shipped to the site
-  — ``db.visible`` / ``db.visible_hits``, its partition up to the watermark
-  of its last message there.
+  — the layers of its relation up to the superstep of its last message
+  there (``db.shipped_through`` / ``db.shipped_layers``), through the same
+  matchers.
 * An **exists scan** with absorbed filters (``fwd_lineage(Y, W, J), J < I``)
   runs once per distinct row of the columns it reads, not once per input.
 * **Late materialization**: only the columns bound by variables a later
@@ -44,8 +48,8 @@ are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
   database, built from the graph's adjacency lists on first read
   (``db.static``); any site reads them, locality or not.
 * **Free mode** (static setup rules only): the location is a bind, so
-  the scan reads the whole relation — its batches, then a head's derived
-  rows — once per input row.
+  the scan reads the whole relation — its stored, then its derived
+  batches — once per input row.
 * **Aggregate heads** reduce the program's solutions per group: the
   distinct witnesses (every body variable's value) in enumeration order,
   so a float ``sum`` / ``avg`` accumulates in one fixed order.
@@ -53,8 +57,8 @@ are the vertices it executed (``repro.runtime.db.SuperstepBatches``).
 **Identity.** A program computes, for every site, exactly the solutions a
 nested-loop join over the plan computes there: selection and joins compare
 with Python ``==``, rows stay in site-major order with each partition's
-matches in batch row order (an aggregate reads a derived partition's row
-set, the order its float sums are pinned in), and head rows are
+matches in batch row order (a derived partition's in arrival order, the
+order an aggregate's float sums are pinned in), and head rows are
 deduplicated by the ``Database.add_rows`` insert. A key no hash table can
 hold (a pickle-lane column) is matched by equality inside the location's
 group range. Moving the site loop inside only changes *when* a rule's rows
@@ -74,7 +78,7 @@ from __future__ import annotations
 import operator
 import time
 from functools import reduce
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from operator import itemgetter
 from typing import (
     Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple,
@@ -103,6 +107,8 @@ VECTOR_TICK_STRIDE = 256
 
 #: Hidden column carrying input-row indices through absorbed post-filters.
 _SRC = "\x00src"
+#: The location of an input row whose exists scan has passed: no group's.
+_PASSED = object()
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +337,11 @@ class _ScanOp:
     bound columns aligned to them.
 
     ``site_var`` is the location variable the sites bind (``None`` in free
-    mode); ``row_sets`` reads a derived partition's row set rather than its
-    insertion order (an aggregate's enumeration order)."""
+    mode)."""
 
     def __init__(self, step: ScanStep, col_vars: Set[str], keep: Set[str],
-                 site_var: Optional[str], row_sets: bool = False) -> None:
-        self.step, self.keep, self.row_sets = step, keep, row_sets
+                 site_var: Optional[str]) -> None:
+        self.step, self.keep = step, keep
         self.arity = len(step.arg_ops)
         schema = CORE_SCHEMAS.get(step.relation)
         # edge / vertex: answered from the graph, readable from any site
@@ -367,9 +372,6 @@ class _ScanOp:
         self.scalar_pos = [p for p, t in self.known.items() if p and t.scalar]
         self.key_pos = [p for p, t in self.known.items() if p and not t.scalar]
         self.kind = "join" if self.key_pos else "selection"
-        # Point scan: every position checked (so nothing bound or filtered)
-        # — a match is set membership.
-        self.point = len(self.known) == self.arity
         # Absorbed post-filters (exists scans) run over every match with
         # the binds they read; otherwise only binds read later are gathered
         # and a scan with none of those just keeps or drops its input rows.
@@ -418,22 +420,11 @@ class _ScanOp:
             state, inverse = self._distinct(state, local)
         if self.unlocated:
             src, binds = self._match_all(state, ctx)
+        elif not local:
+            src, binds = self._merge(self._match_stored(state, ctx))
         else:
-            src, binds = self._match(state, ctx, local)
+            src, binds = self._match_local(state, ctx)
         ctx.batched_scans += 1
-        if self.filters and src:
-            columns = {
-                name: list(map(col.__getitem__, src))
-                for name, col in state.columns.items()
-                if name in self.filter_reads
-            }
-            columns.update(binds)
-            columns[_SRC] = src
-            inner = _State(state.functions, state.scalars, columns, len(src))
-            if all(f.run(inner, ctx) for f in self.filters):
-                src = list(dict.fromkeys(inner.columns[_SRC]))
-            else:
-                src = []
         if inverse is not None:
             hit, state = set(src), outer
             src = [i for i, d in enumerate(inverse) if d in hit]
@@ -463,25 +454,33 @@ class _ScanOp:
         columns = dict(zip(names, map(list, zip(*index))))
         return _State(state.functions, state.scalars, columns, len(index)), inverse
 
-    def _match(self, state: _State, ctx: "VectorContext", local: bool,
-               ) -> Tuple[List[int], Dict[str, List[Any]]]:
-        """Matches of every input row. Under locality, rows whose location
-        is their site read the site's own relations and the rest read what
-        the located vertex shipped to the site (``db.visible``)."""
-        if local:
-            site = state.columns[self.site_var]
-            loc = self.known[0].column(state)
-            far = list(compress(count(), map(operator.ne, loc, site)))
-            if len(far) == state.n:
-                return self._match_far(state, ctx)
-            if far:
-                near = list(compress(count(), map(operator.eq, loc, site)))
-                return self._merge([
-                    _shift(self._match_far(self._subset(state, far), ctx), far),
-                    _shift(self._match_here(self._subset(state, near), ctx),
-                           near),
-                ])
-        return self._match_here(state, ctx)
+    def _match_local(self, state: _State, ctx: "VectorContext",
+                     ) -> Tuple[List[int], Dict[str, List[Any]]]:
+        """Matches of every input row under locality: rows whose location
+        is their site read the site's own relations, and the rest the
+        layers the located vertex had shipped to the site — those up to
+        the superstep of its last message there (``db.shipped_through``).
+        """
+        site = state.columns[self.site_var]
+        loc = self.known[0].column(state)
+        far = list(compress(count(), map(operator.ne, loc, site)))
+        if not far:
+            return self._merge(self._match_stored(state, ctx))
+        asks: Dict[Any, List[int]] = {}  # superstep shipped through -> rows
+        if len(far) < state.n:
+            asks[None] = list(compress(count(), map(operator.eq, loc, site)))
+        for i, through in zip(far, ctx.db.shipped_through(
+                [site[i] for i in far], [loc[i] for i in far])):
+            if through is not None:  # None: shipped the site nothing
+                asks.setdefault(through, []).append(i)
+        parts = []
+        for through, idx in asks.items():
+            if len(idx) == state.n:
+                parts += self._match_stored(state, ctx, through)
+            else:
+                parts += [_shift(part, idx) for part in self._match_stored(
+                    self._subset(state, idx), ctx, through)]
+        return self._merge(parts)
 
     def _subset(self, state: _State, idx: List[int]) -> _State:
         """Rows ``idx`` of the columns a match reads."""
@@ -491,19 +490,6 @@ class _ScanOp:
             if name in self.reads or name == self.site_var
         }, len(idx))
 
-    def _match_here(self, state: _State, ctx: "VectorContext",
-                    ) -> Tuple[List[int], Dict[str, List[Any]]]:
-        """A head predicate's derived rows, after its stored rows when the
-        store has the relation too (Query 2's copy rules): per input row,
-        the stored matches, then the derived ones."""
-        db, relation = ctx.db, self.step.relation
-        parts = []
-        if relation not in db.head_predicates or db.store.has_relation(relation):
-            parts = self._match_stored(state, ctx)
-        if relation in db.head_predicates:
-            parts.append(self._match_derived(state, ctx))
-        return self._merge(parts)
-
     def _merge(self, parts: List[Tuple[List[int], Dict[str, List[Any]]]],
                ) -> Tuple[List[int], Dict[str, List[Any]]]:
         """Matches of several sources back in input-row order (stable, so
@@ -511,7 +497,7 @@ class _ScanOp:
         if len(parts) == 1:
             return parts[0]
         src = [i for part, _binds in parts for i in part]
-        if self.first_only:
+        if self.first_only or self.filters:  # existence only
             return sorted(set(src)), {}
         order = sorted(range(len(src)), key=src.__getitem__)
         return [src[k] for k in order], {
@@ -521,36 +507,44 @@ class _ScanOp:
             for _pos, name in self.gather
         }
 
-    def _batches(self, ctx: "VectorContext",
-                 supersteps: Optional[List[Any]]) -> List[Any]:
+    def _batches(self, ctx: "VectorContext", supersteps: Optional[List[Any]],
+                 through: Any = None) -> List[Any]:
         """The relation's column batches: the graph's for ``edge`` /
-        ``vertex``, else the store's (one per requested superstep)."""
-        source = ctx.db.static if self.static else ctx.db.store
-        return source.column_batches(self.step.relation, supersteps)
+        ``vertex``, else the store's and then, for a head predicate, the
+        derived layers (either one per requested superstep) — or, with a
+        ``through``, the layers another vertex had shipped by its message
+        at that superstep (locality)."""
+        if through is not None:
+            return ctx.db.shipped_layers(self.step.relation, supersteps,
+                                         through)
+        return _batches(ctx.db, self.step.relation, supersteps, self.static)
 
     # -- stored relations: whole-layer column batches --------------------
     def _match_stored(self, state: _State, ctx: "VectorContext",
+                      through: Any = None,
                       ) -> List[Tuple[List[int], Dict[str, List[Any]]]]:
-        """One match part per batch with any match, in batch order."""
+        """One match part per batch with any match, in batch order (the
+        batches of ``through``: see :meth:`_batches`)."""
         step = self.step
         time_term = self.known.get(step.time_arg) if step.time_arg else None
         if time_term is None:  # every layer (or the static slab)
-            return self._match_batches(state, ctx, self._batches(ctx, None))
+            return self._match_batches(state, ctx,
+                                       self._batches(ctx, None, through))
         if time_term.scalar:
-            return self._match_batches(
-                state, ctx, self._batches(ctx, [time_term.value(state)]))
+            return self._match_batches(state, ctx, self._batches(
+                ctx, [time_term.value(state)], through))
         # A columnar time: each input row matches in its own time's slab,
         # so each slab is joined with just the rows that ask for it.
-        by_time: Dict[Any, List[int]] = {}
+        asks: Dict[Any, List[int]] = {}
         for i, t in enumerate(time_term.column(state)):
-            by_time.setdefault(t, []).append(i)
-        if len(by_time) == 1:
+            asks.setdefault(t, []).append(i)
+        if len(asks) == 1:
             return self._match_batches(state, ctx,
-                                       self._batches(ctx, list(by_time)))
+                                       self._batches(ctx, list(asks), through))
         parts = []
-        for t, idx in by_time.items():
+        for t, idx in asks.items():
             parts.extend(_shift(part, idx) for part in self._match_batches(
-                self._subset(state, idx), ctx, self._batches(ctx, [t])))
+                self._subset(state, idx), ctx, self._batches(ctx, [t], through)))
         return parts
 
     def _match_batches(self, state: _State, ctx: "VectorContext",
@@ -577,11 +571,35 @@ class _ScanOp:
                 continue
             ctx.batch_rows += len(src)
             ctx.tick(len(src) * len(self.gather))
-            parts.append((src, {
+            binds = {
                 name: list(map(_as_list(batch.values(pos)).__getitem__, rows))
                 for pos, name in self.gather
-            }))
+            }
+            if self.filters:  # an input row that passed reads no more batches
+                src, binds = self._passing(state, src, binds, ctx), {}
+                if src:
+                    loc = list(loc)
+                    for i in src:
+                        loc[i] = _PASSED
+            if src:
+                parts.append((src, binds))
         return parts
+
+    def _passing(self, state: _State, src: List[int],
+                 binds: Dict[str, List[Any]], ctx: "VectorContext",
+                 ) -> List[int]:
+        """The input rows among ``src`` with a match (bound to ``binds``)
+        that passes the absorbed filters, each once."""
+        columns = {
+            name: list(map(col.__getitem__, src))
+            for name, col in state.columns.items() if name in self.filter_reads
+        }
+        columns.update(binds)
+        columns[_SRC] = src
+        inner = _State(state.functions, state.scalars, columns, len(src))
+        if all(f.run(inner, ctx) for f in self.filters):
+            return list(dict.fromkeys(inner.columns[_SRC]))
+        return []
 
     def _select(self, batch: Any, expected: Dict[int, Any],
                 ctx: "VectorContext") -> Optional[List[int]]:
@@ -621,21 +639,21 @@ class _ScanOp:
         ctx.tick(len(loc))
         if sel is None and self.first_only:
             return [i for i, v in enumerate(loc) if v in groups], []
-        ok = None if sel is None else set(sel)
-        src: List[int] = []
-        rows: List[int] = []
-        get = groups.get
-        for i, v in enumerate(loc):
-            span = get(v)
-            if span is None:
-                continue
-            ids: Any = range(span[0], span[0] + span[1])
-            if ok is not None:
-                ids = [r for r in ids if r in ok]
-            if self.first_only:
-                ids = ids[:1]
-            rows.extend(ids)
-            src.extend([i] * len(ids))
+        spans = list(map(groups.get, loc))
+        src = [i for i, span in enumerate(spans) if span is not None]
+        if not src:
+            return [], []
+        starts, counts = zip(*map(spans.__getitem__, src))
+        rows = list(chain.from_iterable(
+            map(range, starts, map(operator.add, starts, counts))))
+        src = list(chain.from_iterable(map(repeat, src, counts)))
+        if sel is not None:
+            kept = list(map(set(sel).__contains__, rows))
+            src, rows = list(compress(src, kept)), list(compress(rows, kept))
+            if self.first_only:  # each input row's first survivor
+                kept = list(map(operator.ne, src, [None, *src[:-1]]))
+                src, rows = (list(compress(src, kept)),
+                             list(compress(rows, kept)))
         return src, rows
 
     def _hash_match(self, batch: Any, sel: Optional[List[int]], loc: Any,
@@ -711,69 +729,24 @@ class _ScanOp:
                         break
         return src, rows
 
-    # -- derived head relations: the overlay's partitions ----------------
-    def _match_derived(self, state: _State, ctx: "VectorContext",
-                       ) -> Tuple[List[int], Dict[str, List[Any]]]:
-        parts = ctx.db.derived.partitions(self.step.relation)
-        ctx.tick(state.n)
-        positions = sorted(self.known)
-        cols = [self.known[pos].column(state) for pos in positions]
-        if self.point:
-            # a candidate matches iff it equals the expected tuple
-            hits = []
-            for i, row in enumerate(zip(*cols)):
-                part = parts.get(row[0])
-                try:
-                    if part is not None and row in part.rows:
-                        hits.append(i)
-                except TypeError:
-                    pass  # an unhashable value equals no stored row
-            return hits, {}
-        # aggregate logs keep replaced rows: use the set
-        sets = self.row_sets
-        return self._match_rows(list(zip(positions[1:], cols[1:])), [
-            None if part is None else
-            part.rows if sets or part.groups is not None else part.order
-            for part in map(parts.get, cols[0])], ctx)
-
-    # -- remote reads under locality: what the located vertex shipped -----
-    def _match_far(self, state: _State, ctx: "VectorContext",
-                   ) -> Tuple[List[int], Dict[str, List[Any]]]:
-        db, relation = ctx.db, self.step.relation
-        ctx.tick(state.n)
-        positions = sorted(self.known)
-        cols = [self.known[pos].column(state) for pos in positions]
-        sites = state.columns[self.site_var]
-        if self.point:
-            return db.visible_hits(relation, sites, list(zip(*cols))), {}
-        return self._match_rows(list(zip(positions[1:], cols[1:])),
-                                db.visible(relation, sites, cols[0]), ctx)
-
     # -- free mode: the whole relation -----------------------------------
     def _match_all(self, state: _State, ctx: "VectorContext",
                    ) -> Tuple[List[int], Dict[str, List[Any]]]:
         """An unlocated scan (static setup rules): every input row reads
-        every row of the relation — its batches, then a head's derived
-        rows partition by partition."""
-        db, relation = ctx.db, self.step.relation
+        every row of the relation — its stored, then its derived
+        batches."""
         expected = {pos: self.known[pos].value(state) for pos in self.scalar_pos}
         checks = [(pos, self.known[pos].column(state)) for pos in self.key_pos]
         parts = []
         for batch in self._batches(ctx, None):
             if batch.arity == self.arity:
                 sel = self._select(batch, expected, ctx)
-                parts.append(self._cross(
+                src, binds = self._cross(
                     state, ctx, range(batch.count) if sel is None else sel,
-                    checks, batch.values))
-        if relation in db.head_predicates:
-            rows = [
-                row for part in db.derived.partitions(relation).values()
-                for row in part.rows
-                if len(row) == self.arity
-                and all(row[pos] == v for pos, v in expected.items())
-                and all(row[a] == row[b] for a, b in self.local_checks)]
-            parts.append(self._cross(state, ctx, range(len(rows)), checks,
-                                     lambda pos: [row[pos] for row in rows]))
+                    checks, batch.values)
+                if self.filters:
+                    src, binds = self._passing(state, src, binds, ctx), {}
+                parts.append((src, binds))
         return self._merge(parts)
 
     def _cross(self, state: _State, ctx: "VectorContext", ids: Any,
@@ -801,39 +774,6 @@ class _ScanOp:
         return src, {
             name: list(map(_as_list(values(pos)).__getitem__, rows))
             for pos, name in self.gather
-        }
-
-    def _match_rows(self, checks: List[Tuple[int, Any]],
-                    candidates: List[Any], ctx: "VectorContext",
-                    ) -> Tuple[List[int], Dict[str, List[Any]]]:
-        """Match each input row against its own candidate rows (``None``:
-        none), in candidate order; ``checks`` pairs a position with the
-        input column it must equal."""
-        arity, local_checks, first_only = (
-            self.arity, self.local_checks, self.first_only)
-        # the checked positions of a row, against the input's values
-        get = itemgetter(*[pos for pos, _col in checks]) if checks else None
-        wants = (list(zip(*[col for _pos, col in checks])) if len(checks) > 1
-                 else checks[0][1] if checks else None)
-        src: List[int] = []
-        matched: List[Row] = []
-        for i, cand in enumerate(candidates):
-            if not cand:
-                continue
-            want = wants[i] if get is not None else None
-            for row in cand:
-                if len(row) != arity or (
-                        get is not None and get(row) != want) or (
-                        local_checks and any(
-                            row[a] != row[b] for a, b in local_checks)):
-                    continue
-                src.append(i)
-                matched.append(row)
-                if first_only:
-                    break
-        ctx.tick(len(matched))
-        return src, {
-            name: [row[pos] for row in matched] for pos, name in self.gather
         }
 
 
@@ -872,8 +812,7 @@ class LayerProgram:
         for step, keep in zip(plan.steps, needed_after):
             op: Any
             if isinstance(step, ScanStep):
-                op = _ScanOp(step, col_vars, keep, self.loc_var,
-                             row_sets=self.aggregate)
+                op = _ScanOp(step, col_vars, keep, self.loc_var)
                 if not op.semi:
                     col_vars.update(name for _pos, name in op.gather)
                     bound.update(name for _pos, name in op.gather)
@@ -1108,22 +1047,35 @@ def _one_sweep(spans: List[Tuple[Any, int, int]], count: int) -> bool:
     return expected == count
 
 
+def _batches(db: Any, relation: str, supersteps: Optional[List[Any]],
+             static: bool = False) -> List[Any]:
+    """``relation``'s column batches in ``db``: the graph's for ``edge`` /
+    ``vertex``; else the store's — unless it is a head the store lacks —
+    and then, for a head, the derived layers."""
+    if static:
+        return db.static.column_batches(relation, supersteps)
+    if relation not in db.head_predicates:
+        return db.store.column_batches(relation, supersteps)
+    out = (db.store.column_batches(relation, supersteps)
+           if db.store.has_relation(relation) else [])
+    return out + db.derived.column_batches(relation, supersteps)
+
+
 def _stepped(sites: List[Any], anchor: Optional[int],
              ctx: "VectorContext") -> List[Any]:
-    """The sites with ``superstep(X, I)`` at the anchor: a stored row
-    (membership in the layer's group table) or, when ``superstep`` is a
-    head, a derived one."""
-    db = ctx.db
+    """The sites with ``superstep(X, I)`` at the anchor, stored or, when
+    ``superstep`` is a head, derived: membership in a layer's group table
+    when the whole layer is at the anchor."""
     present: Set[Any] = set()
-    for batch in db.store.column_batches("superstep", [anchor]):
-        if batch.arity == 2:
+    for batch in _batches(ctx.db, "superstep", [anchor]):
+        if batch.arity != 2:
+            continue
+        times = _as_list(batch.values(1))
+        if times.count(anchor) == len(times):
             present.update(batch.groups())
-    if "superstep" in db.head_predicates:
-        parts = db.derived.partitions("superstep")
-        for site in sites:
-            part = parts.get(site)
-            if part is not None and (site, anchor) in part.rows:
-                present.add(site)
+        else:
+            present.update(v for v, (start, n) in batch.groups().items()
+                           if anchor in times[start:start + n])
     ctx.batched_scans += 1
     return [site for site in sites if site in present]
 

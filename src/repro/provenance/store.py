@@ -9,10 +9,14 @@ relation partitions — ``partition`` answers a vertex's rows over every
 layer. A layer *is* what evaluation reads (``column_batches``) and what a
 seal encodes (:class:`~repro.provenance.spill.SpillManager`), so a slab's
 row order is the store's; byte sizes (Tables 3/4) are priced per column.
+The store is one :class:`Relations`, the container that also holds every
+query's derived facts and the online runtime's transient ones.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import ne, sub
 from typing import (
     AbstractSet, Any, Dict, Iterable, Iterator, List, Optional, Sequence,
     Set, Tuple,
@@ -30,6 +34,7 @@ Span = Tuple[int, int]
 #: common case on sparse relations; allocating a fresh ``set()`` per miss
 #: was measurable in the offline query hot path.
 _EMPTY_ROWS: frozenset = frozenset()
+_NONE = object()  # equals no vertex
 
 
 def _distinct(columns: Sequence[List[Any]], probe: Sequence[int],
@@ -73,8 +78,8 @@ class Layer:
     @classmethod
     def of(cls, chunk: SlabColumns) -> "Layer":
         """A layer holding ``chunk`` as it is — its vertices one range
-        each, their rows distinct: a superstep's frames and stored slices
-        (:class:`~repro.runtime.db.SuperstepBatches`)."""
+        each, their rows distinct: the graph's ``edge`` / ``vertex``
+        relations, an aggregate head's groups, a stored inbox."""
         layer = cls(0)
         layer.columns, layer.count, layer._groups = (
             list(chunk.columns), chunk.count, chunk.groups)
@@ -102,20 +107,18 @@ class Layer:
                ) -> Tuple[int, bool]:
         """Append the rows of ``columns`` the layer does not hold yet;
         ``spans`` gives each vertex's rows as one ``(vertex, count)`` run,
-        in row order. Returns how many rows took the row-set check and
-        whether this append scattered the layer. ``probe`` names the
-        columns worth testing for repeats (not the location or the
-        time)."""
-        first, more = self._groups, self._more
-        was_scattered = bool(more)
-        at = self.count
+        in row order, each vertex once. Returns how many rows took the
+        row-set check and whether this append scattered the layer.
+        ``probe`` names the columns worth testing for repeats (not the
+        location or the time)."""
+        first = self._groups
         keep: Optional[List[int]] = None  # surviving rows, once one is dropped
+        kept_spans: List[Tuple[Any, int]] = []
         keyed = start = 0
         for vertex, n in spans:
             end = start + n
-            span = first.get(vertex)
-            if span is None and (n == 1 or _distinct(columns, probe,
-                                                     start, end)):
+            if vertex not in first and (n == 1 or _distinct(columns, probe,
+                                                            start, end)):
                 kept = n
                 if keep is not None:
                     keep.extend(range(start, end))
@@ -135,19 +138,39 @@ class Layer:
                 if keep is not None:
                     keep += ids
             if kept:
-                if span is None:
-                    first[vertex] = (at, kept)
-                else:
-                    more.setdefault(vertex, []).append((at, kept))
-                at += kept
+                kept_spans.append((vertex, kept))
             start = end
         if keep is not None:
             columns = [list(map(col.__getitem__, keep)) for col in columns]
+        return keyed, self.extend(columns, kept_spans)
+
+    def extend(self, columns: Sequence[List[Any]],
+               spans: Iterable[Tuple[Any, int]]) -> bool:
+        """Append rows with no check: ``spans`` gives each vertex's rows as
+        ``(vertex, count)`` runs, in row order. The caller knows they are
+        new, and no row set of theirs is built (:meth:`append` keeps its
+        own). Returns whether this append scattered the layer."""
+        first, more = self._groups, self._more
+        was_scattered = bool(more)
+        at = self.count
+        for vertex, n in spans:
+            if vertex in first:
+                more.setdefault(vertex, []).append((at, n))
+            else:
+                first[vertex] = (at, n)
+            at += n
         if at != self.count:
             for mine, col in zip(self.columns, columns):
                 mine.extend(col)
             self.count = at
-        return keyed, bool(more) and not was_scattered
+        return bool(more) and not was_scattered
+
+    def push(self, vertex: Any, row: Row) -> None:
+        """Append the one row of a vertex the layer holds none of."""
+        self._groups[vertex] = (self.count, 1)
+        for col, value in zip(self.columns, row):
+            col.append(value)
+        self.count += 1
 
     def settle(self) -> None:
         """Permute a scattered layer into vertex-major order."""
@@ -198,7 +221,182 @@ class Layer:
         return SlabColumns(self.columns, self.count, dict(self._groups))
 
 
-class ProvenanceStore:
+class Relations:
+    """Relations held as :class:`Layer`\\ s, ``relation -> layer -> Layer``,
+    the one container of this package: the capture store
+    (:class:`ProvenanceStore`), a query's derived facts and the online
+    runtime's transient facts. A layer is keyed by the superstep its rows
+    arrived at — ``None`` for rows that arrived at none (setup, naive and
+    reference evaluation) — and the layers of a relation iterate in arrival
+    order.
+
+    The read API — :meth:`relations`, :meth:`rows`, :meth:`count`,
+    :meth:`partition`, :meth:`column_batches` — is what results and layer
+    programs read, whichever container answers.
+
+    :meth:`insert` gives a relation set semantics over all its layers (a
+    time-less head such as ``touched(X)`` may be derived again at every
+    superstep) and counts each vertex's rows (:meth:`sizes`, what a
+    watermark prices). An aggregate head is replaced by group
+    (:meth:`set_groups`) and held as one layer.
+    """
+
+    def __init__(self) -> None:
+        self._data: Dict[str, Dict[Any, Layer]] = {}
+        # relation -> vertex -> rows over every layer, built on first read
+        # and dropped by the next write to the relation
+        self._vertex_views: Dict[str, Dict[Any, Dict[Row, None]]] = {}
+        # relation -> the rows inserted; each vertex's row count (sizes)
+        self._seen: Dict[str, Set[Row]] = {}
+        self._sizes: Dict[str, Dict[Any, int]] = {}
+        # aggregate relation -> group key -> row
+        self._groups: Dict[str, Dict[Row, Row]] = {}
+
+    # ------------------------------------------------------------------
+    # writing
+    # ------------------------------------------------------------------
+    def insert(self, relation: str, rows: Iterable[Row],
+               layer: Any = None) -> List[Row]:
+        """Add the ``rows`` the relation does not hold, in any layer, to
+        ``layer``; returns them in order."""
+        seen = self._seen.setdefault(relation, set())
+        # each row not held yet, once (set.add returns None)
+        fresh = [row for row in rows if not (row in seen or seen.add(row))]
+        if not fresh:
+            return fresh
+        spans = getattr(rows, "spans", None)  # rows given as columns
+        if spans is not None and len(fresh) == len(rows):
+            columns = rows.columns
+        else:  # a span starts where a row's vertex is not the previous one's
+            columns = [list(col) for col in zip(*fresh)]
+            locs = columns[0]
+            starts = list(compress(count(), map(ne, locs, [_NONE, *locs])))
+            spans = list(zip(map(locs.__getitem__, starts),
+                             map(sub, [*starts[1:], len(locs)], starts)))
+        sizes = self._sizes.get(relation)
+        if sizes is not None:
+            for v, n in spans:
+                sizes[v] = sizes.get(v, 0) + n
+        layers = self._data.setdefault(relation, {})
+        target = layers.get(layer)
+        if target is None:
+            target = layers[layer] = Layer(len(columns))
+        target.extend(columns, spans)
+        self._vertex_views.pop(relation, None)
+        return fresh
+
+    def set_groups(self, relation: str,
+                   pairs: Iterable[Tuple[Row, Row]]) -> int:
+        """Set each ``(group key, row)`` of an aggregate relation, replacing
+        the group's row; returns how many groups changed."""
+        groups = self._groups.setdefault(relation, {})
+        changed = 0
+        for key, row in pairs:
+            if groups.get(key) == row:
+                continue
+            groups[key] = row
+            changed += 1
+        if changed:
+            by_vertex: Dict[Any, List[Row]] = {}
+            for row in groups.values():
+                by_vertex.setdefault(row[0], []).append(row)
+            self.put(relation, None, Layer.of(SlabColumns.of_rows(by_vertex)))
+        return changed
+
+    def put(self, relation: str, key: Any, layer: Layer) -> None:
+        """Hold ``layer`` — rows no other layer holds — as layer ``key``."""
+        self._data.setdefault(relation, {})[key] = layer
+        self._vertex_views.pop(relation, None)
+        self._sizes.pop(relation, None)
+
+    def drop_before(self, relation: str, key: Any) -> int:
+        """Drop the layers keyed below ``key``; returns their row count."""
+        layers = self._data.get(relation)
+        if not layers:
+            return 0
+        self._vertex_views.pop(relation, None)
+        self._sizes.pop(relation, None)
+        return sum(layers.pop(t).count for t in [t for t in layers if t < key])
+
+    # ------------------------------------------------------------------
+    # reading
+    # ------------------------------------------------------------------
+    def relations(self) -> List[str]:
+        return [relation for relation, layers in self._data.items() if layers]
+
+    def has_relation(self, relation: str) -> bool:
+        return bool(self._data.get(relation))
+
+    def partition(self, relation: str, vertex: Any) -> AbstractSet[Row]:
+        """``vertex``'s rows of ``relation`` over every layer, layer by
+        layer — gathered in one pass over the layers on the vertex's first
+        read and kept until the next write to the relation."""
+        layers = self._data.get(relation)
+        if not layers:
+            return _EMPTY_ROWS
+        view = self._vertex_views.setdefault(relation, {})
+        rows = view.get(vertex)
+        if rows is None:
+            rows = view[vertex] = {}
+            for layer in layers.values():
+                rows.update(dict.fromkeys(layer.rows_of(vertex)))
+        return rows.keys() if rows else _EMPTY_ROWS
+
+    def rows(self, relation: str) -> Iterator[Row]:
+        for layer in self._data.get(relation, {}).values():
+            layer.settle()
+            yield from zip(*layer.columns)
+
+    def vertices(self, relation: Optional[str] = None) -> Set[Any]:
+        relations = (self._data.values() if relation is None
+                     else [self._data.get(relation, {})])
+        return {vertex for layers in relations for layer in layers.values()
+                for vertex in layer._groups}
+
+    def count(self, relation: str) -> int:
+        return sum(layer.count
+                   for layer in self._data.get(relation, {}).values())
+
+    def counts(self) -> Dict[str, int]:
+        return {relation: self.count(relation) for relation in self._data}
+
+    def sizes(self, relation: str) -> Dict[Any, int]:
+        """Each vertex's row count (read only), counted on first ask and
+        kept up to date by :meth:`insert`."""
+        sizes = self._sizes.get(relation)
+        if sizes is None:
+            sizes = self._sizes[relation] = {}
+            for layer in self._data.get(relation, {}).values():
+                for v, span in layer._groups.items():
+                    sizes[v] = sizes.get(v, 0) + span[1] + sum(
+                        n for _start, n in layer._more.get(v, ()))
+        return sizes
+
+    def column_batches(self, relation: str,
+                       supersteps: Optional[Iterable[Any]] = None,
+                       through: Any = None) -> List[Layer]:
+        """The layers as column batches: every layer when ``supersteps`` is
+        ``None``, else the layers of those supersteps after the ``None``
+        layer — with a ``through``, of those only the ``None`` layer and
+        the layers up to that superstep. A layer that arrived at a
+        superstep holds only rows whose time attribute is that superstep,
+        if the relation has one: an anchored rule writes its anchor
+        there."""
+        layers = self._data.get(relation)
+        if not layers:
+            return []
+        out = []
+        for key in layers if supersteps is None else dict.fromkeys(
+                (None, *supersteps)):
+            layer = layers.get(key)
+            if layer is not None and (through is None or key is None
+                                      or key <= through):
+                layer.settle()
+                out.append(layer)
+        return out
+
+
+class ProvenanceStore(Relations):
     """The captured provenance of one analytic run.
 
     Organized ``relation -> layer ->`` :class:`Layer`: a capture writes
@@ -212,8 +410,8 @@ class ProvenanceStore:
     """
 
     def __init__(self, registry: Optional[SchemaRegistry] = None) -> None:
+        super().__init__()
         self.registry = registry or SchemaRegistry()
-        self._data: Dict[str, Dict[Any, Layer]] = {}
         self._max_superstep = -1
         self.dedup_rows = 0
         self.permuted_layers = 0
@@ -225,9 +423,6 @@ class ProvenanceStore:
         # pool, and ``1 == 1.0 == True`` share a hash, so a mixed pool
         # could swap types and change the size model's answer.
         self._intern_pool: Dict[str, str] = {}
-        # partition's relation -> vertex -> rows over every layer, built on
-        # first read and dropped by the next write to the relation
-        self._vertex_views: Dict[str, Dict[Any, Dict[Row, None]]] = {}
 
     # ------------------------------------------------------------------
     # writing
@@ -320,27 +515,6 @@ class ProvenanceStore:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def relations(self) -> List[str]:
-        return list(self._data.keys())
-
-    def has_relation(self, relation: str) -> bool:
-        return relation in self._data
-
-    def partition(self, relation: str, vertex: Any) -> AbstractSet[Row]:
-        """``vertex``'s rows of ``relation`` over every layer, layer by
-        layer — gathered in one pass over the layers on the vertex's first
-        read and kept until the next write to the relation."""
-        layers = self._data.get(relation)
-        if not layers:
-            return _EMPTY_ROWS
-        view = self._vertex_views.setdefault(relation, {})
-        rows = view.get(vertex)
-        if rows is None:
-            rows = view[vertex] = {}
-            for layer in layers.values():
-                rows.update(dict.fromkeys(layer.rows_of(vertex)))
-        return rows.keys() if rows else _EMPTY_ROWS
-
     def partition_at(self, relation: str, vertex: Any,
                      superstep: int) -> AbstractSet[Row]:
         """``vertex``'s rows of ``relation`` in one layer (every row of a
@@ -354,17 +528,6 @@ class ProvenanceStore:
         if layer is None or vertex not in layer._groups:
             return _EMPTY_ROWS
         return layer.row_set(vertex).keys()
-
-    def rows(self, relation: str) -> Iterator[Row]:
-        for layer in self._data.get(relation, {}).values():
-            layer.settle()
-            yield from zip(*layer.columns)
-
-    def vertices(self, relation: Optional[str] = None) -> Set[Any]:
-        relations = (self._data.values() if relation is None
-                     else [self._data.get(relation, {})])
-        return {vertex for layers in relations for layer in layers.values()
-                for vertex in layer._groups}
 
     def layer(self, superstep: Any) -> Dict[str, Dict[Any, AbstractSet[Row]]]:
         """One layer, relation -> vertex -> rows (``None``: the time-less
@@ -412,20 +575,10 @@ class ProvenanceStore:
         ``supersteps``, or every layer in superstep order when ``None``, and
         a time-less relation's one layer either way — the sealed view's
         slab selection."""
-        layers = self._data.get(relation)
-        if not layers:
-            return []
-        if self.registry.get(relation).time_index is None:
-            supersteps = [None]
-        elif supersteps is None:
-            supersteps = sorted(layers)
-        out = []
-        for t in supersteps:
-            layer = layers.get(t)
-            if layer is not None:
-                layer.settle()
-                out.append(layer)
-        return out
+        if supersteps is None:
+            supersteps = sorted(t for t in self._data.get(relation, ())
+                                if t is not None)
+        return super().column_batches(relation, supersteps)
 
     @property
     def max_superstep(self) -> int:
@@ -449,12 +602,6 @@ class ProvenanceStore:
     def relation_bytes(self) -> Dict[str, int]:
         return {relation: sum(layer.nbytes() for layer in layers.values())
                 for relation, layers in self._data.items()}
-
-    def counts(self) -> Dict[str, int]:
-        return {
-            relation: sum(layer.count for layer in layers.values())
-            for relation, layers in self._data.items()
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,36 +1,40 @@
 """Database views backing the three PQL evaluation modes.
 
 The evaluator core (:mod:`repro.pql.eval`) is store-agnostic; these classes
-define what "the partition of relation R at vertex v" means per mode:
+define what "the partition of relation R at vertex v" means per mode. Every
+relation they hold is layers of one container,
+:class:`~repro.provenance.store.Relations`:
 
 * :class:`StoreDatabase` — offline evaluation over a captured
   :class:`~repro.provenance.store.ProvenanceStore` plus the static input
   graph (``edge`` / ``vertex``: one column batch each, built from the
   adjacency lists) plus derived facts.
-* :class:`OnlineDatabase` — online evaluation: local transient provenance
-  facts and derived facts, where a vertex reads another vertex's partition
-  only up to the watermark of that vertex's last message to it (the
-  paper's locality restriction — a vertex can see exactly what would have
-  been piggybacked onto the analytic's messages to it).
+* :class:`OnlineDatabase` — online evaluation: the superstep's frames,
+  local transient provenance facts and derived facts, where a vertex reads
+  another vertex's partition only up to the watermark of that vertex's
+  last message to it (the paper's locality restriction — a vertex can see
+  exactly what would have been piggybacked onto the analytic's messages
+  to it).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import count, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.digraph import DiGraph
-from repro.pql.eval import Database, Row, TupleStore
+from repro.pql.eval import Database, Row
 from repro.provenance.columnar import SlabColumns
 from repro.provenance.model import freeze
-from repro.provenance.store import Layer, ProvenanceStore
+from repro.provenance.store import Layer, ProvenanceStore, Relations
 
 #: The relations an :class:`Inbox` serves, with their arities.
 _RECEIVE = {"receive_message": 4, "receive": 3}
 #: A sender that never messaged anyone (read-only).
-_NO_MARKS: Dict[Any, Tuple[int, ...]] = {}
+_NO_MARKS: Dict[Any, Tuple[Any, Tuple[int, ...]]] = {}
+_UNSHIPPED = (None, ())  # the watermark of a pair with no message yet
 _first = itemgetter(0)
 
 
@@ -101,11 +105,6 @@ def frozen_payloads(payloads: Sequence[Any]) -> List[Any]:
             last, frozen = payload, freeze(payload)
         out.append(frozen)
     return out
-
-
-def distinct(rows: List[Row]) -> List[Row]:
-    """``rows`` without repeats, first occurrences in order."""
-    return rows if len(rows) < 2 else list(dict.fromkeys(rows))
 
 
 class Inbox:
@@ -194,7 +193,12 @@ class Inbox:
                    self.values(2)[start:end]]
         if stamped:
             columns.append(repeat(self.superstep))
-        return distinct(list(zip(*columns)))
+        return list(dict.fromkeys(zip(*columns)))
+
+    def layer(self) -> Layer:
+        """Every receiver's :meth:`rows`, as one layer."""
+        return Layer.of(SlabColumns.of_rows(
+            {v: self.rows(v) for v in self._groups}))
 
     def distinct_count(self) -> int:
         """``len(rows(v))`` summed over the receivers, freezing payloads
@@ -229,99 +233,32 @@ class InboxBatch:
         return self._inbox.values(pos)
 
 
-class SuperstepBatches:
-    """The online superstep as a column-batch source — the
-    ``column_batches`` protocol of the stores (DESIGN.md §14), so layer
-    programs run over a superstep exactly as over a sealed layer.
+class OnlineDatabase(Database):
+    """Online view for one wrapper run. It is its own ``store``: it serves
+    the superstep being evaluated as column batches, the ``column_batches``
+    protocol of the stores (DESIGN.md §14), so layer programs run over a
+    superstep exactly as over a sealed layer.
 
     * A *frame* relation (``frame_relations``: the stream relations and
       every auto-captured relation only the anchor superstep reads) is the
-      superstep's ``frames[relation]`` — ``vertex -> rows``, filled by the
-      executed vertices in compute order — as one batch; ``receive`` and a
-      framed ``receive_message`` are the superstep's :class:`Inbox`.
-    * A *stored* relation (``local``: the facts a later superstep may still
-      read) serves one batch per requested superstep, built from its
-      partitions' ``by_time`` slices, or its whole partitions when no
-      superstep is bound.
-      Only the superstep's sites' partitions are in it — a vertex reads
-      another's rows only through what was shipped (``db.visible``).
+      superstep's ``frames[relation]``, a :class:`Layer` the executed
+      vertices appended to in compute order; ``receive`` and a framed
+      ``receive_message`` are the superstep's :class:`Inbox`.
+    * A *stored* relation is ``local``'s: the auto-captured facts a later
+      superstep may still read, one layer per superstep.
 
-    Batches are built on first ask and live for one superstep.
-    """
-
-    def __init__(self, local: TupleStore, frame_relations: Set[str]) -> None:
-        self.local = local
-        self.frame_relations = frame_relations
-        self.frames: Dict[str, Dict[Any, List[Row]]] = {}
-        self.inbox: Optional[Inbox] = None
-        self.sites: Sequence[Any] = ()
-        self.superstep: Any = None
-        self._batches: Dict[Tuple[str, Any], Any] = {}
-
-    def begin(self, superstep: Any, sites: Sequence[Any],
-              frames: Dict[str, Dict[Any, List[Row]]],
-              inbox: Optional[Inbox]) -> None:
-        """Serve ``superstep``, evaluated at ``sites``, whose frames are
-        ``frames`` and whose executed vertices received ``inbox``."""
-        self.superstep, self.sites = superstep, sites
-        self.frames, self.inbox = frames, inbox
-        self._batches = {}
-
-    def has_relation(self, relation: str) -> bool:
-        return relation in self.frame_relations or bool(
-            self.local.partitions(relation))
-
-    def column_batches(self, relation: str,
-                       supersteps: Optional[Iterable[Any]] = None,
-                       ) -> List[Any]:
-        if relation in self.frame_relations:
-            if supersteps is not None and self.superstep not in supersteps:
-                return []
-            supersteps = [self.superstep]
-        elif supersteps is None:
-            supersteps = [None]
-        out = []
-        for t in supersteps:
-            key = (relation, t)
-            if key not in self._batches:
-                self._batches[key] = self._build(relation, t)
-            batch = self._batches[key]
-            if batch is not None:
-                out.append(batch)
-        return out
-
-    def _build(self, relation: str, time: Any) -> Any:
-        if relation in self.frame_relations and relation in _RECEIVE:
-            inbox = self.inbox
-            return (InboxBatch(inbox, _RECEIVE[relation])
-                    if inbox is not None and inbox.count else None)
-        if relation in self.frame_relations:
-            slices = self.frames.get(relation, {})
-        else:
-            parts = self.local.partitions(relation)
-            slices = {}
-            for v in self.sites:
-                part = parts.get(v)
-                rows = (None if part is None else part.rows if time is None
-                        else part.by_time.get(time))
-                if rows:
-                    slices[v] = rows
-        return Layer.of(SlabColumns.of_rows(slices)) if slices else None
-
-
-class OnlineDatabase(Database):
-    """Online view for one wrapper run.
-
-    ``store`` serves the superstep being evaluated as column batches
-    (:class:`SuperstepBatches`): its frames, never stored, and ``local``,
-    the auto-captured facts a later superstep may still read; ``derived``
-    (from the base class) holds the query's IDB facts.
+    ``derived`` (from the base class) holds the query's IDB facts, one
+    layer per superstep that derived rows.
 
     A vertex reads another vertex's ``shipped`` relations only as far as
-    that vertex has shipped them to it (the paper's locality restriction):
-    :meth:`ship` records, per (sender, receiver), the length of each
-    shipped partition at the sender's last message to the receiver — its
-    watermark — and :meth:`visible` answers the partition up to it.
+    that vertex has shipped them to it (the paper's locality restriction).
+    :meth:`ship` records, per (sender, receiver), a watermark: the
+    superstep of the sender's last message to the receiver and how many
+    rows of each shipped relation the sender held then. Layers arrive in
+    superstep order and a message leaves after its superstep's
+    evaluation, so what the sender had shipped is exactly its rows in the
+    layers up to that superstep (:meth:`shipped_layers`); the row counts
+    price the per-target deltas.
     """
 
     locality = True
@@ -334,39 +271,72 @@ class OnlineDatabase(Database):
         shipped: Iterable[str] = (),
     ) -> None:
         super().__init__()
-        self.local = TupleStore()
-        self.store = SuperstepBatches(self.local, frame_relations)
+        self.local = Relations()
+        self.store = self
         self.static = _StaticRelations(graph)
         self.head_predicates = head_predicates
         self.frame_relations = frame_relations
-        # shipped relation -> the store its partitions live in
+        self.superstep: Any = None
+        self.frames: Dict[str, Layer] = {}
+        self.inbox: Optional[Inbox] = None
+        # shipped relation -> the container its rows live in
         self.shipped = {
             rel: self.derived if rel in head_predicates else self.local
             for rel in sorted(shipped)
         }
-        self._slot = {rel: i for i, rel in enumerate(self.shipped)}
-        # sender -> receiver -> watermark (lengths aligned with `shipped`)
-        self.marks: Dict[Any, Dict[Any, Tuple[int, ...]]] = {}
+        # sender -> receiver -> watermark: the superstep of the sender's
+        # last message to the receiver, and its row counts then (aligned
+        # with `shipped`)
+        self.marks: Dict[Any, Dict[Any, Tuple[Any, Tuple[int, ...]]]] = {}
+
+    # -- the superstep as column batches -----------------------------------
+    def begin(self, superstep: Any, frames: Dict[str, Layer],
+              inbox: Optional[Inbox]) -> None:
+        """Serve ``superstep``, whose frames are ``frames`` and whose
+        executed vertices received ``inbox``."""
+        self.superstep, self.frames, self.inbox = superstep, frames, inbox
+
+    def has_relation(self, relation: str) -> bool:
+        return (relation in self.frame_relations
+                or self.local.has_relation(relation))
+
+    def column_batches(self, relation: str,
+                       supersteps: Optional[Iterable[Any]] = None,
+                       ) -> List[Any]:
+        if relation not in self.frame_relations:
+            return self.local.column_batches(relation, supersteps)
+        if supersteps is not None and self.superstep not in supersteps:
+            return []
+        if relation in _RECEIVE:
+            inbox = self.inbox
+            return ([InboxBatch(inbox, _RECEIVE[relation])]
+                    if inbox is not None and inbox.count else [])
+        frame = self.frames.get(relation)
+        return [frame] if frame is not None and frame.count else []
+
+    def keep(self, relation: str, superstep: Any, layer: Layer) -> None:
+        """Store ``layer``, a frame of ``superstep``, for later supersteps:
+        a shipped relation's rows are inserted, counting each vertex's rows
+        for its watermarks."""
+        if relation in self.shipped:
+            self.local.insert(relation, zip(*layer.columns), superstep)
+        elif layer.count:
+            self.local.put(relation, superstep, layer)
 
     # -- shipping -----------------------------------------------------------
     def ship(self, log: Sequence[Tuple[Any, Sequence[Any], Sequence[Any]]],
-             full: bool = False) -> int:
+             superstep: Any, full: bool = False) -> int:
         """Each ``(sender, targets, payloads)`` of the send ``log``:
-        ``sender`` messaged ``targets`` (in send order) at the superstep
+        ``sender`` messaged ``targets`` (in send order) at ``superstep``,
         just evaluated, so move each target's watermark to what ``sender``
         holds now. Returns the rows the per-target deltas carry — every
         message the rows its target had not been shipped yet, so a repeat
         message carries none — or, with ``full``, every row on every
         message."""
-        # no partition appears while shipping: resolve the maps once
-        partitions = [store.partitions(rel).get
-                      for rel, store in self.shipped.items()]
-        unshipped = (0,) * len(partitions)
+        sizes = [held.sizes(rel).get for rel, held in self.shipped.items()]
         carried = 0
         for sender, sent, _payloads in log:
-            parts = [get(sender) for get in partitions]
-            lengths = tuple([len(p.order) if p is not None else 0
-                             for p in parts])
+            lengths = tuple([size(sender, 0) for size in sizes])
             if not any(lengths):
                 continue
             marks = self.marks.setdefault(sender, {})
@@ -375,46 +345,26 @@ class OnlineDatabase(Database):
                 carried += sum(lengths) * len(sent)
             else:
                 carried += sum(lengths) * len(targets) - sum(
-                    map(sum, map(marks.get, targets, repeat(unshipped))))
-            marks.update(dict.fromkeys(targets, lengths))
+                    sum(marks.get(target, _UNSHIPPED)[1]) for target in targets)
+            marks.update(dict.fromkeys(targets, (superstep, lengths)))
         return carried
 
-    def visible(self, relation: str, receivers: Sequence[Any],
-                senders: Sequence[Any]) -> List[Sequence[Row]]:
-        """Per (receiver, sender) pair, the rows of ``sender``'s
-        ``relation`` partition ``receiver`` has been shipped, in insertion
-        order: the partition up to the watermark of ``sender``'s last
-        message to ``receiver`` (never what ``sender`` derived after it)."""
-        slot = self._slot.get(relation)
-        if slot is None:
-            return [()] * len(receivers)
-        parts = self.shipped[relation].partitions(relation)
+    def shipped_through(self, receivers: Sequence[Any],
+                        senders: Sequence[Any]) -> List[Any]:
+        """Per (receiver, sender) pair, the superstep of ``sender``'s last
+        message to ``receiver`` that shipped anything (``None``: none did).
+        ``receiver`` has been shipped exactly the sender's rows in the
+        layers of that superstep and before — never what it derived
+        after."""
         marks = self.marks
-        out: List[Sequence[Row]] = []
-        for x, y in zip(receivers, senders):
-            part, mark = parts.get(y), marks.get(y, _NO_MARKS).get(x)
-            out.append(() if part is None or mark is None
-                       else part.order[:mark[slot]])
-        return out
+        return [marks.get(y, _NO_MARKS).get(x, _UNSHIPPED)[0]
+                for x, y in zip(receivers, senders)]
 
-    def visible_hits(self, relation: str, receivers: Sequence[Any],
-                     rows: Sequence[Row]) -> List[int]:
-        """Indices of the ``rows`` their location vertex has shipped to the
-        matching receiver (:meth:`visible`, as membership; one pass, the
-        partition's set first)."""
-        slot = self._slot.get(relation)
-        if slot is None:
-            return []
-        get_part = self.shipped[relation].partitions(relation).get
-        get_marks = self.marks.get
-        hits: List[int] = []
-        hit = hits.append
-        for i, x, row in zip(count(), receivers, rows):
-            part = get_part(row[0])
-            if part is None or row not in part.rows:
-                continue
-            mark = get_marks(row[0], _NO_MARKS).get(x)
-            if mark is not None and (mark[slot] == len(part.order)
-                                     or row not in part.order[mark[slot]:]):
-                hit(i)
-        return hits
+    def shipped_layers(self, relation: str,
+                       supersteps: Optional[Iterable[Any]],
+                       through: Any) -> List[Layer]:
+        """``relation``'s layers of ``supersteps`` (every one: ``None``) as
+        a vertex shipped them by its message at superstep ``through``."""
+        held = self.shipped.get(relation)
+        return [] if held is None else held.column_batches(
+            relation, supersteps, through)

@@ -40,7 +40,6 @@ from repro.pql.budget import QueryBudget
 from repro.pql.eval import (
     MODE_ANCHORED,
     MODE_LOCATED,
-    TupleStore,
     prepare_strata,
     run_prepared,
     run_setup,
@@ -51,7 +50,7 @@ from repro.pql.seminaive import evaluate_seminaive, store_to_facts
 from repro.pql.udf import FunctionRegistry
 from repro.pql.vectorized import VectorContext
 from repro.provenance.spill import SLAB_FORMAT, open_store_view
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ProvenanceStore, Relations
 from repro.runtime.db import StoreDatabase
 from repro.runtime.results import QueryResult
 
@@ -340,15 +339,14 @@ def run_reference(
         rederived = evaluate_seminaive(again, facts, functions)
         for rel in stored:
             facts[rel] = rederived.get(f"{rel}\x00derived", set())
-    derived = TupleStore()
-    for relation in sorted(compiled.head_predicates):
-        for row in facts.get(relation, ()):
-            derived.add(relation, row[0], row)
+    derived = Relations()
+    derivations = sum(len(derived.insert(relation, facts.get(relation, ())))
+                      for relation in sorted(compiled.head_predicates))
     return QueryResult(
         derived=derived,
         mode="reference",
         wall_seconds=time.perf_counter() - start,
         supersteps=store.num_layers,
-        derivations=derived.num_rows(),
+        derivations=derivations,
         stats={"head_predicates": sorted(compiled.head_predicates)},
     )

@@ -10,7 +10,8 @@ wraps the unmodified analytic. Every superstep, each active vertex's
    value/edge updates;
 2. records the transient provenance facts of this superstep — only the
    relations the query references (the paper's customized capture) — into
-   superstep-wide *frames* keyed by vertex. ``receive_message`` and
+   superstep-wide *frames*, one :class:`~repro.provenance.store.Layer` per
+   relation, appending its rows as columns. ``receive_message`` and
    ``receive`` at superstep *s* are read from the send log of *s − 1*
    (:class:`~repro.runtime.db.Inbox`), not from the messages.
 
@@ -19,9 +20,10 @@ engine's program-level hook — runs the *superstep program*: every rule
 evaluates once, as a layer program over all the executed vertices (the
 location a column, the frames and stored relations column batches), the
 fresh head rows go to the capture store, the frames die, windowed
-relations are pruned, and each sender's watermark toward every target it
-messaged moves on. A vertex reads another vertex's relations only up to
-that watermark: what per-target deltas would have shipped.
+relations drop the layers that left their window, and each sender's
+watermark toward every target it messaged moves on to this superstep. A
+vertex reads another vertex's relations only up to that watermark: what
+per-target deltas would have shipped.
 
 Theorem 5.4's two guarantees hold by construction. The analytic cannot see
 query state: its context is a proxy, its messages are its own payloads,
@@ -59,15 +61,18 @@ from repro.pql.eval import MODE_ANCHORED, prepare_strata, run_prepared, run_setu
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 from repro.pql.vectorized import CopiedRows, VectorContext
-from repro.provenance.model import SchemaRegistry, freeze
+from repro.provenance.model import CORE_SCHEMAS, SchemaRegistry, freeze
 from repro.provenance.spill import SpillManager
-from repro.provenance.store import ProvenanceStore
-from repro.runtime.db import Inbox, OnlineDatabase, distinct, frozen_payloads
-from repro.runtime.results import CapturedRelations, OnlineRunResult, QueryResult
+from repro.provenance.store import Layer, ProvenanceStore
+from repro.runtime.db import Inbox, OnlineDatabase, frozen_payloads
+from repro.runtime.results import OnlineRunResult, QueryResult
 
 logger = get_logger("runtime.online")
 
 _first = itemgetter(0)
+#: The columns a multi-row frame tests for repeats: the target and the
+#: payload or value (``send_message``, ``send``, ``edge_value``).
+_PROBE = (1, 2)
 
 
 class RecordingContext:
@@ -169,8 +174,8 @@ class _PersistingOnlineDatabase(OnlineDatabase):
     A persisted head's fresh rows go to the store as they are derived, one
     :meth:`ProvenanceStore.add_batch` per rule and superstep — safe because
     the capture store is write-only while the run is live: online
-    evaluation reads the frames and the derived/local partitions, never
-    the store.
+    evaluation reads the frames and the derived/local layers, never the
+    store.
 
     A persisted head in ``store_only`` — no rule reads it but its own exact
     copy, it is not shipped, and its rows cannot repeat across supersteps
@@ -186,18 +191,16 @@ class _PersistingOnlineDatabase(OnlineDatabase):
         self.persist = persist if capture is not None else set()
         self.store_only: Set[str] = set()
 
-    def add_rows(self, relation: str, rows: Any) -> int:
+    def add_rows(self, relation: str, rows: Any, layer: Any = None) -> int:
         if relation in self.store_only:
             if type(rows) is CopiedRows:
                 return self.capture.append_columns(
                     relation, rows.columns, rows.spans)
             return self.capture.add_batch(relation, rows)
-        if relation not in self.persist:
-            return self._insert(relation, rows, None)
-        fresh: List[Any] = []
-        new = self._insert(relation, rows, fresh)
-        self.capture.add_batch(relation, fresh)
-        return new
+        fresh = self.derived.insert(relation, rows, layer)
+        if relation in self.persist:
+            self.capture.add_batch(relation, fresh)
+        return len(fresh)
 
 
 class OnlineQueryProgram(VertexProgram):
@@ -241,9 +244,10 @@ class OnlineQueryProgram(VertexProgram):
         # window 0) lives in the superstep's frame and is gone when the
         # superstep has been evaluated; one with a bounded window >= 1 is
         # stored and pruned per superstep; the rest are stored for the
-        # whole run. Shipped relations are always stored — their watermarks
-        # index the insertion-order log. Persisted heads are unaffected:
-        # capture hands them to the store, not to these transient relations.
+        # whole run. Shipped relations are always stored and never pruned:
+        # a watermark reads every layer up to a superstep. Persisted heads
+        # are unaffected: capture hands them to the store, not to these
+        # transient relations.
         framed = set(compiled.stream_relations)
         self._windows: Dict[str, int] = {}
         if prune_history:
@@ -256,8 +260,11 @@ class OnlineQueryProgram(VertexProgram):
                     self._windows[relation] = window
         self._stored = sorted(compiled.auto_capture - framed)
         # receive_message / receive are the Inbox, not frames.
-        self._recorded = (compiled.auto_capture | compiled.stream_relations
-                          ) - {"receive_message", "receive"}
+        self._recorded = {
+            relation: CORE_SCHEMAS[relation].arity
+            for relation in sorted(compiled.auto_capture
+                                   | compiled.stream_relations)
+            if relation not in ("receive_message", "receive")}
         self.db = _PersistingOnlineDatabase(
             graph,
             compiled.head_predicates,
@@ -305,22 +312,17 @@ class OnlineQueryProgram(VertexProgram):
         self._last_active: Dict[Any, int] = {}
         self.derivations = 0
         self.query_seconds = 0.0
-        # Window pruning effectiveness: a hit is a (relation, vertex)
-        # partition that existed when its window was enforced, a miss is a
-        # window check that found no partition to prune.
-        self.prune_hits = 0
-        self.prune_misses = 0
         self._begin_superstep()
 
     def _begin_superstep(self) -> None:
         """Empty the superstep being recorded: the executed vertices in
-        compute order, their frames (relation -> vertex -> rows) and, when
+        compute order, their frames (relation -> layer) and, when
         the query ships anything or reads what was received, their send
         log (``(sender, targets, payloads)``) and the payloads a ``send``
         frame froze (sender -> payloads)."""
         self._sites: List[Any] = []
-        self._frames: Dict[str, Dict[Any, List[Tuple[Any, ...]]]] = {
-            relation: {} for relation in self._recorded
+        self._frames: Dict[str, Layer] = {
+            relation: Layer(arity) for relation, arity in self._recorded.items()
         }
         self._sends: List[Tuple[Any, List[Any], List[Any]]] = []
         self._frozen: Dict[Any, List[Any]] = {}
@@ -398,23 +400,25 @@ class OnlineQueryProgram(VertexProgram):
         targets, payloads = recorder.targets, recorder.payloads
 
         if self._need_superstep:
-            frames["superstep"][x] = [(x, s)]
+            frames["superstep"].push(x, (x, s))
         if self._need_value or self._need_stream_value:
             d = freeze(self.value_projector(ctx.value))
             if self._need_value:
-                frames["value"][x] = [(x, d, s)]
+                frames["value"].push(x, (x, d, s))
             if self._need_stream_value:
-                frames["vertex_value"][x] = [(x, d)]
+                frames["vertex_value"].push(x, (x, d))
         if self._need_evolution:
             j = self._last_active.get(x)
             if j is not None:
-                frames["evolution"][x] = [(x, j, s)]
+                frames["evolution"].push(x, (x, j, s))
         self._last_active[x] = s
         if self._need_edge_value and recorder.edge_updates:
-            frames["edge_value"][x] = distinct(
-                [(x, target, freeze(value), s)
-                 for target, value in recorder.edge_updates]
-            )
+            updates = recorder.edge_updates
+            n = len(updates)
+            frames["edge_value"].append(
+                [[x] * n, [target for target, _value in updates],
+                 [freeze(value) for _target, value in updates], [s] * n],
+                [(x, n)], _PROBE)
         self._sites.append(x)
         if not targets:
             return
@@ -422,12 +426,13 @@ class OnlineQueryProgram(VertexProgram):
             frozen = frozen_payloads(payloads)
             if self._keep_log:
                 self._frozen[x] = frozen
+        n = len(targets)
         if self._need_send:
-            frames["send_message"][x] = distinct(
-                list(zip(repeat(x), targets, frozen, repeat(s))))
+            frames["send_message"].append(
+                [[x] * n, targets, frozen, [s] * n], [(x, n)], _PROBE)
         if self._need_stream_send:
-            frames["send"][x] = distinct(
-                list(zip(repeat(x), targets, frozen)))
+            frames["send"].append([[x] * n, targets, frozen], [(x, n)],
+                                  _PROBE)
         if self._keep_log or self.db.shipped:
             self._sends.append((x, targets, payloads))
 
@@ -452,41 +457,36 @@ class OnlineQueryProgram(VertexProgram):
             inbox = (Inbox(log, sites, superstep, frozen)
                      if self._keep_log else None)
             # Facts a later superstep may read leave the frame for the store.
-            if "receive_message" in self._stored:
-                frames["receive_message"] = {
-                    x: inbox.rows(x) for x in inbox.groups()
-                }
             for relation in self._stored:
-                for x, rows in frames.pop(relation).items():
-                    part = db.local._ensure(relation, x)
-                    for row in rows:
-                        part.add_timed(row, superstep)
-            db.store.begin(superstep, sites, frames, inbox)
+                db.keep(relation, superstep, inbox.layer()
+                        if relation == "receive_message"
+                        else frames.pop(relation))
+            db.begin(superstep, frames, inbox)
             self.derivations += run_prepared(
                 self._prepared, MODE_ANCHORED, db, self.functions, sites,
                 anchor_time=superstep,
             )
-            # The frames die here; bounded-window partitions shed the
-            # superstep that just left their window.
-            db.store.begin(None, (), {}, None)
-            for by_vertex in frames.values():
-                self.pruned_rows += sum(map(len, by_vertex.values()))
+            # The frames die here; a bounded-window relation sheds the
+            # layer that just left its window.
+            db.begin(None, {}, None)
+            for frame in frames.values():
+                self.pruned_rows += frame.count
             framed = db.frame_relations & {"receive_message", "receive"}
             if inbox is not None and framed:
                 self.pruned_rows += len(framed) * inbox.distinct_count()
             for relation, window in self._windows.items():
-                partitions = db.local.partitions(relation)
-                for x in sites:
-                    part = partitions.get(x)
-                    if part is None:
-                        self.prune_misses += 1
-                    else:
-                        self.prune_hits += 1
-                        self.pruned_rows += part.prune_older_than(
-                            superstep - window)
+                self.pruned_rows += db.local.drop_before(
+                    relation, superstep - window)
             if db.shipped:
-                self.shipped_tuples += db.ship(sends, self.ship_full_tables)
+                self.shipped_tuples += db.ship(sends, superstep,
+                                               self.ship_full_tables)
             self.query_seconds += time.perf_counter() - started
+
+    @property
+    def transient_rows(self) -> int:
+        """The auto-captured rows the run still holds for later supersteps
+        (what window pruning and frames keep down)."""
+        return sum(self.db.local.counts().values())
 
     def publish_metrics(self) -> None:
         """Fold the run's capture counters into the process metrics
@@ -503,14 +503,6 @@ class OnlineQueryProgram(VertexProgram):
             "repro_capture_pruned_rows_total",
             "transient rows dropped with their frame or by window pruning",
         ).inc(self.pruned_rows)
-        registry.counter(
-            "repro_capture_prune_checks_total",
-            "window-pruning partition checks", labels=("outcome",),
-        ).labels("hit").inc(self.prune_hits)
-        registry.counter(
-            "repro_capture_prune_checks_total",
-            "window-pruning partition checks", labels=("outcome",),
-        ).labels("miss").inc(self.prune_misses)
         store = self.db.capture
         if store is not None:
             registry.counter(
@@ -611,11 +603,8 @@ def run_online(
         wrapper.query_seconds,
     )
 
-    derived: Any = wrapper.db.derived
-    if wrapper.db.store_only:
-        derived = CapturedRelations(derived, store, wrapper.db.store_only)
     query_result = QueryResult(
-        derived=derived,
+        derived=wrapper.db.derived,
         mode="capture" if capture else "online",
         wall_seconds=run.metrics.wall_seconds,
         supersteps=run.num_supersteps,
@@ -624,9 +613,7 @@ def run_online(
             "query_seconds": wrapper.query_seconds,
             "head_predicates": sorted(compiled.head_predicates),
             "pruned_rows": wrapper.pruned_rows,
-            "prune_hits": wrapper.prune_hits,
-            "prune_misses": wrapper.prune_misses,
-            "transient_rows": wrapper.db.local.num_rows(),
+            "transient_rows": wrapper.transient_rows,
             "shipped_tuples": wrapper.shipped_tuples,
             "sealed_layers": wrapper.sealed_layers,
             "compiled_rules": compiled.compiled_rules,
@@ -634,6 +621,8 @@ def run_online(
                 "dedup_rows": store.dedup_rows} if store is not None else {}),
             **wrapper.db.vector_ctx.stats(),
         },
+        store=store,
+        store_only=frozenset(wrapper.db.store_only),
     )
     if engine_config.ledger_dir:
         _append_ledger_record(

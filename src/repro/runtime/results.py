@@ -3,61 +3,43 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Set
 
 from repro.engine.engine import RunResult
-from repro.pql.eval import Row, TupleStore
+from repro.pql.eval import Row
 from repro.pql.serialize import ordered_rows, row_sort_key
 from repro.provenance.spill import SpillManager
-from repro.provenance.store import ProvenanceStore
-
-
-class CapturedRelations:
-    """A capture's derived relations: the run's tuple store, except the
-    heads it held only in the capture store (each captured row is held
-    once, DESIGN.md §9), which are answered from there — same rows, same
-    counts. Reads like a :class:`TupleStore`."""
-
-    def __init__(self, derived: TupleStore, store: ProvenanceStore,
-                 store_only: Set[str]) -> None:
-        self.derived, self.store, self.store_only = derived, store, store_only
-
-    def relations(self) -> List[str]:
-        return self.derived.relations() + [
-            rel for rel in sorted(self.store_only) if self.store.has_relation(rel)]
-
-    def all_rows(self, relation: str) -> Iterable[Row]:
-        if relation in self.store_only:
-            return self.store.rows(relation)
-        return self.derived.all_rows(relation)
-
-    def num_rows(self, relation: str) -> int:
-        if relation in self.store_only:
-            return self.store.counts().get(relation, 0)
-        return self.derived.num_rows(relation)
-
-    def rows(self, relation: str, vertex: Any) -> Iterable[Row]:
-        if relation in self.store_only:
-            return self.store.partition(relation, vertex)
-        return self.derived.rows(relation, vertex)
+from repro.provenance.store import ProvenanceStore, Relations
 
 
 @dataclass
 class QueryResult:
-    """Derived relations of one query evaluation, plus run statistics."""
+    """Derived relations of one query evaluation, plus run statistics.
 
-    derived: Union[TupleStore, CapturedRelations]
-    mode: str  # 'online' | 'layered' | 'naive' | 'reference'
+    ``derived`` holds the relations the run derived. A capture holds each
+    head in ``store_only`` — one no other rule reads — in its capture
+    ``store`` alone (each captured row is held once, DESIGN.md §9), and
+    answers it from there: the store has the same read API."""
+
+    derived: Relations
+    mode: str  # 'online' | 'capture' | 'layered' | 'naive' | 'reference'
     wall_seconds: float = 0.0
     supersteps: int = 0
     derivations: int = 0
     stats: Dict[str, Any] = field(default_factory=dict)
+    store: Optional[ProvenanceStore] = None
+    store_only: FrozenSet[str] = frozenset()
+
+    def _holder(self, relation: str) -> Relations:
+        return self.store if relation in self.store_only else self.derived
 
     def relations(self) -> List[str]:
         """Relations with at least one derived row, plus every head
         predicate of the query (so empty results are visible as zero
         counts rather than silently missing)."""
         derived = set(self.derived.relations())
+        derived.update(rel for rel in self.store_only
+                       if self.store.has_relation(rel))
         derived.update(self.stats.get("head_predicates", ()))
         return sorted(derived)
 
@@ -65,16 +47,17 @@ class QueryResult:
         """All derived tuples of one relation, in the canonical total
         order (``repro.pql.serialize.row_sort_key``) that pagination
         cursors and the CLI/server serializers depend on."""
-        return ordered_rows(self.derived.all_rows(relation))
+        return ordered_rows(self._holder(relation).rows(relation))
 
     def count(self, relation: str) -> int:
-        return self.derived.num_rows(relation)
+        return self._holder(relation).count(relation)
 
     def vertices(self, relation: str) -> Set[Any]:
-        return {row[0] for row in self.derived.all_rows(relation)}
+        return {row[0] for row in self._holder(relation).rows(relation)}
 
     def rows_at(self, relation: str, vertex: Any) -> List[Row]:
-        return sorted(self.derived.rows(relation, vertex), key=row_sort_key)
+        return sorted(self._holder(relation).partition(relation, vertex),
+                      key=row_sort_key)
 
     def as_dict(self) -> Dict[str, List[Row]]:
         return {rel: self.rows(rel) for rel in self.relations()}

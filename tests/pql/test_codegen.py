@@ -70,7 +70,7 @@ def derive(src, facts, mode=MODE_LOCATED, site=0, anchor_time=None,
     for crule in rules:
         evaluate_rule(crule, mode, db, funcs, [site], anchor_time)
     return {
-        rel: sorted(db.derived.all_rows(rel)) for rel in db.derived.relations()
+        rel: sorted(db.derived.rows(rel)) for rel in db.derived.relations()
     }
 
 
@@ -121,7 +121,7 @@ class TestLowering:
         )
         db = DictDB({"superstep": [(0, 1), (3, 4), (3, 5)]})
         assert evaluate_rule(crule, MODE_LOCATED, db, funcs, [0]) == 2
-        assert sorted(db.derived.all_rows("at")) == [(0, 4), (0, 5)]
+        assert sorted(db.derived.rows("at")) == [(0, 4), (0, 5)]
 
     def test_row_of_wrong_arity_is_skipped(self):
         facts = {"value": [(0, 1.0), (0, 2.0, 1), (0, 3.0, 2, "extra")]}
@@ -162,7 +162,7 @@ class TestLowering:
             "value": [(0, 5.0, 1), (0, 6.0, 1), (0, 0.5, 2), (0, 2.0, 3)],
         })
         evaluate_rule(crule, MODE_LOCATED, db, funcs, [0])
-        assert sorted(db.derived.all_rows("cnt")) == [(0, 2)]
+        assert sorted(db.derived.rows("cnt")) == [(0, 2)]
 
     def test_exists_with_post_filter_from_planner(self):
         facts = {
@@ -257,7 +257,7 @@ class TestLowering:
                 barrier.wait(timeout=10)
                 for mode in (MODE_LOCATED, MODE_ANCHORED, MODE_LOCATED):
                     evaluate_rule(crule, mode, db, funcs, [0], 4)
-                results.append(sorted(db.derived.all_rows("j")))
+                results.append(sorted(db.derived.rows("j")))
             except Exception as exc:  # surfaced below
                 errors.append(exc)
 
@@ -348,9 +348,9 @@ class TestNoUserText:
         }, {c.head_predicate for c in rules})
         for crule in rules:
             evaluate_rule(crule, MODE_LOCATED, db, funcs, [0])
-        assert sorted(db.derived.all_rows("tag")) == [(0, text, 1)]
-        assert sorted(db.derived.all_rows("tagged")) == [(0, 1)]
-        assert sorted(db.derived.all_rows("other")) == [(0, 2)]
+        assert sorted(db.derived.rows("tag")) == [(0, text, 1)]
+        assert sorted(db.derived.rows("tagged")) == [(0, 1)]
+        assert sorted(db.derived.rows("other")) == [(0, 2)]
 
     def test_hand_built_constants(self, no_codegen):
         """Constants that never went through the lexer (API callers)."""
@@ -369,7 +369,7 @@ class TestNoUserText:
             )
             db = DictDB({text: [(0, text), (0, "other")]})
             evaluate_rule(crule, MODE_LOCATED, db, funcs, [0])
-            assert sorted(db.derived.all_rows("s")) == [(0, text)]
+            assert sorted(db.derived.rows("s")) == [(0, text)]
 
     def test_same_shape_same_source(self):
         """The lowering depends on the plan's shape only: constants are

@@ -133,9 +133,9 @@ def _store_content(store):
 
 
 def _derived_content(derived):
-    """Every derived (relation, vertex) partition in insertion order."""
-    return {rel: {v: list(part.order)
-                  for v, part in derived.partitions(rel).items()}
+    """Every derived (relation, vertex) partition in arrival order."""
+    return {rel: {v: list(derived.partition(rel, v))
+                  for v in derived.vertices(rel)}
             for rel in derived.relations()}
 
 

@@ -81,7 +81,8 @@ def random_program(draw):
                 ["filter", "join", "negation", "forward", "backward",
                  "aggregate", "arith", "remote", "evolve", "antiderived",
                  "within", "floats", "edges", "setup", "picklekey",
-                 "aggregate-head", "static-relation", "pickle-key"]
+                 "aggregate-head", "static-relation", "pickle-key",
+                 "stale", "touched"]
             ),
             min_size=1,
             max_size=5,
@@ -175,6 +176,15 @@ def random_program(draw):
             pieces.append(
                 "same(X, Y, I) :- receive_message(X, Y, M, I), "
                 "value(Y, M, J), J = I - 1.")
+        elif kind == "stale" and "was(" not in "".join(pieces):
+            # anchored on evolution's earlier superstep (online refuses it)
+            pieces.append("was(X, J) :- evolution(X, J, I).")
+        elif kind == "touched" and "near(" not in "".join(pieces):
+            # a time-less head read remotely: shipped, and derived again
+            # at every superstep its vertex runs
+            pieces.append(
+                "touched(X) :- superstep(X, I)."
+                "near(X, Y, I) :- receive_message(X, Y, M, I), touched(Y).")
     return "".join(pieces)
 
 

@@ -5,10 +5,10 @@ import pytest
 from repro.errors import PQLError
 from repro.pql.analysis import compile_query
 from repro.pql.ast import BinOp, Const, FuncCall, Var
-from repro.pql.eval import TupleStore, eval_term
+from repro.pql.eval import eval_term
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ProvenanceStore, Relations
 from repro.runtime.db import StoreDatabase
 from repro.runtime.offline import run_reference
 
@@ -196,33 +196,49 @@ class TestAggregates:
         assert result.rows("busy") == [(0,), (1,)]
 
 
-class TestTupleStore:
+class TestRelations:
+    """The derived-fact container: layers by arrival superstep, set
+    semantics over all of them."""
+
     def test_add_and_dedupe(self):
-        ts = TupleStore()
-        assert ts.add("r", 0, (0, 1))
-        assert not ts.add("r", 0, (0, 1))
-        assert ts.num_rows() == 1
+        rel = Relations()
+        assert rel.insert("r", [(0, 1), (0, 1)]) == [(0, 1)]
+        assert rel.insert("r", [(0, 1)], layer=3) == []  # held in layer None
+        assert rel.counts() == {"r": 1}
 
-    def test_slice_falls_back_without_index(self):
-        ts = TupleStore()
-        ts.add("r", 0, (0, 1))
-        assert set(ts.partition("r", 0).slice(5)) == {(0, 1)}
+    def test_unbound_read_is_every_layer(self):
+        rel = Relations()
+        rel.insert("r", [(0, "a", 1)], layer=1)
+        rel.insert("r", [(0, "z", 5)])
+        rel.insert("r", [(0, "b", 2)], layer=2)
+        assert [layer.count for layer in rel.column_batches("r")] == [1, 1, 1]
+        # a bound superstep reads the None layer, then its own
+        assert [list(zip(*layer.columns)) for layer in
+                rel.column_batches("r", [2])] == [[(0, "z", 5)], [(0, "b", 2)]]
 
-    def test_timed_index(self):
-        ts = TupleStore()
-        ts.add_timed("r", 0, (0, "a", 1), 1)
-        ts.add_timed("r", 0, (0, "b", 2), 2)
-        part = ts.partition("r", 0)
-        assert list(part.slice(1)) == [(0, "a", 1)]
-        assert list(part.slice(3)) == []
-        assert len(part.slice(None)) == 2
+    def test_layers_keyed_by_arrival(self):
+        rel = Relations()
+        rel.insert("r", [(0, "a", 1), (1, "c", 1)], layer=1)
+        rel.insert("r", [(0, "b", 2)], layer=2)
+        (one,) = rel.column_batches("r", [1])
+        assert one.groups() == {0: (0, 1), 1: (1, 1)}
+        assert rel.column_batches("r", [3]) == []
+        # each vertex's rows in arrival order, and counted for watermarks
+        assert list(rel.partition("r", 0)) == [(0, "a", 1), (0, "b", 2)]
+        assert rel.sizes("r") == {0: 2, 1: 1}
+        # a watermark through superstep 1 reads the layers up to it
+        assert [layer.count for layer in
+                rel.column_batches("r", None, through=1)] == [2]
+        assert rel.drop_before("r", 2) == 2
+        assert list(rel.rows("r")) == [(0, "b", 2)]
 
-    def test_set_group_replaces(self):
-        ts = TupleStore()
-        assert ts.set_group("agg", 0, (0,), (0, 1))
-        assert ts.set_group("agg", 0, (0,), (0, 2))
-        assert not ts.set_group("agg", 0, (0,), (0, 2))
-        assert ts.rows("agg", 0) == {(0, 2)}
+    def test_set_groups_replaces(self):
+        rel = Relations()
+        assert rel.set_groups("agg", [((0,), (0, 1))]) == 1
+        assert rel.set_groups("agg", [((0,), (0, 2))]) == 1
+        assert rel.set_groups("agg", [((0,), (0, 2))]) == 0
+        assert set(rel.partition("agg", 0)) == {(0, 2)}
+        assert len(rel.column_batches("agg", [7])) == 1  # one layer
 
 
 class TestErrorContext:

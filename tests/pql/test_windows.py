@@ -103,7 +103,7 @@ class TestPruningEndToEnd:
             engine = PregelEngine(wgraph, config=EngineConfig(use_combiner=False))
             engine.run(wrapper)
             results[prune] = {
-                rel: sorted(wrapper.db.derived.all_rows(rel), key=repr)
+                rel: sorted(wrapper.db.derived.rows(rel), key=repr)
                 for rel in ("change", "no_execute", "safe", "unsafe")
             }
             if prune:

@@ -9,7 +9,7 @@ from repro.pql.eval import MODE_ANCHORED, MODE_LOCATED
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 from repro.pql.vectorized import VectorContext
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import Layer, ProvenanceStore
 from repro.runtime.db import Inbox, OnlineDatabase, StoreDatabase
 
 
@@ -35,6 +35,22 @@ def derive(db, src, sites, anchor=None):
     mode = MODE_LOCATED if anchor is None else MODE_ANCHORED
     return sorted(db.vector_ctx.evaluate(
         crule, mode, sites, anchor, db, FunctionRegistry()))
+
+
+def layer_of(arity, *rows):
+    """A frame: ``rows``, one per vertex, in order."""
+    layer = Layer(arity)
+    for row in rows:
+        layer.push(row[0], row)
+    return layer
+
+
+def shipped(db, relation, receiver, sender):
+    """The rows of ``sender``'s ``relation`` ``receiver`` was shipped."""
+    (through,) = db.shipped_through([receiver], [sender])
+    return [] if through is None else [
+        row for layer in db.shipped_layers(relation, None, through)
+        for row in layer.rows_of(sender)]
 
 
 VALUE = "v(X, D, I) :- value(X, D, I)."
@@ -83,7 +99,7 @@ class TestStoreDatabase:
         db = StoreDatabase(store, graph, head_predicates=set())
         db.add_rows("derivedrel", [(0, 1)])
         assert derive(db, DERIVED, [0]) == []  # not a head: invisible as EDB
-        assert db.derived.rows("derivedrel", 0) == {(0, 1)}
+        assert set(db.derived.partition("derivedrel", 0)) == {(0, 1)}
 
 
 class TestCandidates:
@@ -117,7 +133,7 @@ class TestCandidates:
 
 class TestOnlineDatabase:
     """The online view: a site's own relations, and another vertex's only
-    up to what it shipped (``visible``)."""
+    up to what it shipped (its layers through its last message)."""
 
     def make(self, graph, shipped=()):
         return OnlineDatabase(graph, head_predicates={"derivedrel"},
@@ -126,34 +142,51 @@ class TestOnlineDatabase:
 
     def test_local_vs_remote_partitions(self, graph):
         db = self.make(graph, shipped=["value"])
-        db.local.add("value", 0, (0, 1.0, 0))
-        db.local.add("value", 1, (1, 5.0, 0))
-        db.store.begin(0, [0], {}, None)
+        db.keep("value", 0, layer_of(3, (0, 1.0, 0), (1, 5.0, 0)))
+        db.store.begin(0, {}, None)
         (own,) = db.store.column_batches("value")
-        assert own.groups() == {0: (0, 1)}  # the sites' partitions only
+        # the whole layer: a site looks its own group up in it
+        assert own.groups() == {0: (0, 1), 1: (1, 1)}
+        assert derive(db, VALUE, [0], anchor=0) == [(0, 1.0, 0)]
 
         def seen(receiver, sender):
-            return list(db.visible("value", [receiver], [sender])[0])
+            return shipped(db, "value", receiver, sender)
 
         # vertex 1's facts are NOT visible remotely unless shipped
         assert seen(0, 1) == []
-        assert db.ship([(1, [0], ["m"])]) == 1
+        assert db.ship([(1, [0], ["m"])], 0) == 1
         assert seen(0, 1) == [(1, 5.0, 0)]
         # a row 1 holds after its last message to 0 stays invisible ...
-        db.local.add("value", 1, (1, 6.0, 1))
+        db.keep("value", 1, layer_of(3, (1, 6.0, 1)))
         assert seen(0, 1) == [(1, 5.0, 0)]
         # ... until it messages 0 again; a repeat message carries nothing
-        assert db.ship([(1, [0, 0], ["m", "m"])]) == 1
+        assert db.ship([(1, [0, 0], ["m", "m"])], 1) == 1
         assert seen(0, 1) == [(1, 5.0, 0), (1, 6.0, 1)]
         assert seen(2, 1) == []  # never messaged 2
-        assert db.visible_hits("value", [0, 2], [(1, 6.0, 1)] * 2) == [0]
+
+    def test_remote_reads_go_through_the_watermark(self, graph):
+        """A rule reading a sender's rows gets exactly what was shipped."""
+        db = OnlineDatabase(graph, head_predicates=set(),
+                            frame_relations={"receive_message"},
+                            shipped=["value"])
+        db.keep("value", 0, layer_of(3, (1, 5.0, 0)))
+        db.ship([(1, [0], ["m"])], 0)
+        db.keep("value", 1, layer_of(3, (1, 6.0, 1)))
+        db.store.begin(2, {}, Inbox([(1, [0, 2], ["m", "m"])], [0, 2], 2))
+        rule = "o(X, D) :- receive_message(X, Y, M, I), value(Y, D, J)."
+        assert derive(db, rule, [0, 2], anchor=2) == [(0, 5.0)]
+        point = "o(X) :- receive_message(X, Y, M, I), value(Y, 6.0, J)."
+        assert derive(db, point, [0, 2], anchor=2) == []
+        db.ship([(1, [0], ["m"])], 1)
+        assert derive(db, rule, [0, 2], anchor=2) == [(0, 5.0), (0, 6.0)]
+        assert derive(db, point, [0, 2], anchor=2) == [(0,)]
 
     def test_frames_live_one_superstep(self, graph):
         db = self.make(graph)
-        db.store.begin(0, [0, 1], {"vertex_value": {0: [(0, 1.0)]}}, None)
+        db.store.begin(0, {"vertex_value": layer_of(2, (0, 1.0))}, None)
         (frame,) = db.store.column_batches("vertex_value")
         assert frame.groups() == {0: (0, 1)} and frame.values(1) == [1.0]
-        db.store.begin(1, [0], {"vertex_value": {}}, None)
+        db.store.begin(1, {"vertex_value": layer_of(2)}, None)
         assert db.store.column_batches("vertex_value") == []
         assert db.local.relations() == []
 
@@ -167,25 +200,26 @@ class TestOnlineDatabase:
         (edges,) = db.static.column_batches("edge")
         assert edges.groups() == {0: (0, 1), 1: (1, 1)}
         # the graph is no vertex's to ship: a remote edge scan reads it
-        db.store.begin(0, [0], {"vertex_value": {0: [(0, 1.0)]}}, None)
+        db.store.begin(0, {"vertex_value": layer_of(2, (0, 1.0))}, None)
         assert derive(db, "o(X, Z) :- vertex_value(X, V), edge(X, Y), "
                           "edge(Y, Z).", [0]) == [(0, 2)]
 
     def test_timed_local_reads(self, graph):
         db = self.make(graph)
-        db.local.add_timed("value", 0, (0, 1.0, 0), 0)
-        db.local.add_timed("value", 0, (0, 2.0, 1), 1)
-        db.store.begin(1, [0], {}, None)
+        db.keep("value", 0, layer_of(3, (0, 1.0, 0)))
+        db.keep("value", 1, layer_of(3, (0, 2.0, 1)))
+        db.store.begin(1, {}, None)
         (layer,) = db.store.column_batches("value", [1])
         assert layer.values(1) == [2.0]
-        (whole,) = db.store.column_batches("value")
-        assert whole.count == 2
+        # unbound: every layer, in superstep order
+        assert [batch.values(1) for batch in
+                db.store.column_batches("value")] == [[1.0], [2.0]]
 
     def test_unsliced_read_is_the_whole_partition(self, graph):
         db = self.make(graph)
         db.add_rows("derivedrel", [(0, i) for i in range(40)])
         assert derive(db, DERIVED, [0]) == [(0, i) for i in range(40)]
-        assert db.visible("derivedrel", [1], [0]) == [()]  # nothing shipped
+        assert db.shipped_through([1], [0]) == [None]  # nothing shipped
 
 
 class TestSuperstepBatches:
@@ -194,17 +228,15 @@ class TestSuperstepBatches:
     def test_frames_and_stored_slices(self, graph):
         db = OnlineDatabase(graph, head_predicates=set(),
                             frame_relations={"superstep"})
-        for v in (0, 1, 2):
-            db.local.add_timed("value", v, (v, float(v), 3), 3)
-        db.store.begin(4, [2, 0], {"superstep": {2: [(2, 4)], 0: [(0, 4)]}},
-                       None)
+        db.keep("value", 3, layer_of(3, *[(v, float(v), 3) for v in (2, 1, 0)]))
+        db.store.begin(4, {"superstep": layer_of(2, (2, 4), (0, 4))}, None)
         (frame,) = db.store.column_batches("superstep", [4])
         assert frame.groups() == {2: (0, 1), 0: (1, 1)}  # compute order
         assert db.store.column_batches("superstep", [3]) == []
-        # stored rows: the slices of this superstep's sites only
+        # stored rows: the layer of superstep 3, every vertex's group
         (layer,) = db.store.column_batches("value", [3])
-        assert layer.groups() == {2: (0, 1), 0: (1, 1)}
-        assert layer.values(1) == [2.0, 0.0]
+        assert layer.groups() == {2: (0, 1), 1: (1, 1), 0: (2, 1)}
+        assert layer.values(1) == [2.0, 1.0, 0.0]
         assert db.store.column_batches("value", [5]) == []
 
     def test_inbox_is_receive_message(self, graph):
@@ -214,7 +246,7 @@ class TestSuperstepBatches:
                             frame_relations={"receive_message"})
         twice = [1]
         log = [(2, [0, 0], [twice, twice]), (1, [0], [[1]]), (0, [2], [5.0])]
-        db.store.begin(7, [0, 2], {}, Inbox(log, [0, 2], 7))
+        db.store.begin(7, {}, Inbox(log, [0, 2], 7))
         (batch,) = db.store.column_batches("receive_message", [7])
         assert batch.count == 4 and batch.groups() == {0: (0, 3), 2: (3, 1)}
         assert batch.values(1) == [2, 2, 1, 0]

@@ -1,5 +1,5 @@
 """Superstep frames: facts only the current superstep reads stay out of the
-tuple stores, and the paths around them (delta shipping, the inbox)
+stored layers, and the paths around them (delta shipping, the inbox)
 keep their results."""
 
 import pytest
@@ -15,6 +15,7 @@ from repro.graph.generators import web_graph, with_random_weights
 from repro.pql.analysis import compile_query
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
+from repro.provenance.store import Layer
 from repro.runtime.db import OnlineDatabase
 from repro.runtime.online import OnlineQueryProgram, run_online
 
@@ -44,8 +45,13 @@ def run_wrapper(graph, analytic, src, params=None, udfs=None, **switches):
 
 def derived(wrapper):
     store = wrapper.db.derived
-    return {rel: sorted(store.all_rows(rel), key=repr)
+    return {rel: sorted(store.rows(rel), key=repr)
             for rel in sorted(store.relations())}
+
+
+def held(wrapper):
+    """Transient rows the wrapper's local layers hold."""
+    return sum(wrapper.db.local.counts().values())
 
 
 class TestFramedRelations:
@@ -55,21 +61,21 @@ class TestFramedRelations:
         framed = run_wrapper(wgraph, SSSP(source=0), self.SRC)
         assert framed.db.frame_relations == {"receive_message", "superstep"}
         assert framed.db.local.relations() == []
-        assert framed.db.local.num_rows() == 0
-        assert framed.pruned_rows > 0 and framed.prune_hits == 0
+        assert held(framed) == 0
+        assert framed.pruned_rows > 0 and framed._windows == {}
         stored = run_wrapper(wgraph, SSSP(source=0), self.SRC,
                              prune_history=False)
         assert stored.db.frame_relations == set()
         assert sorted(stored.db.local.relations()) == [
             "receive_message", "superstep"]
         # every row the frames dropped is a row the stored run still holds
-        assert stored.db.local.num_rows() == framed.pruned_rows
+        assert held(stored) == framed.pruned_rows
         assert stored.pruned_rows == 0
         assert derived(framed) == derived(stored) and derived(framed)["got"]
 
     def test_shipped_relations_stay_stored(self, wgraph):
         """A window-0 relation that neighbors read is shipped by
-        watermark over its insertion-order log, so it cannot be framed."""
+        watermark over each vertex's rows, so it cannot be framed."""
         src = ("heard(X, Y, I) :- receive_message(X, Y, M, I), "
                "superstep(Y, J), J = I - 1.")
         wrapper = run_wrapper(wgraph, SSSP(source=0), src)
@@ -162,29 +168,30 @@ class TestWindowedRelations:
         assert pruned._windows == {"value": 1}
         assert pruned.db.frame_relations == {"superstep"}
         assert pruned.db.local.relations() == ["value"]
-        assert pruned.prune_hits > 0 and pruned.pruned_rows > 0
-        # two supersteps of `value` per vertex survive, at most
-        assert pruned.db.local.num_rows() <= 2 * wgraph.num_vertices
+        assert pruned.pruned_rows > 0
+        # two supersteps of `value` survive, whole layers
+        assert len(pruned.db.local.column_batches("value")) == 2
+        assert held(pruned) <= 2 * wgraph.num_vertices
         kept = run_wrapper(wgraph, analytic, self.SRC, prune_history=False)
-        assert kept.db.local.num_rows() > pruned.db.local.num_rows()
+        assert held(kept) == held(pruned) + pruned.pruned_rows
         assert derived(pruned) == derived(kept) and derived(pruned)["prev"]
 
     def test_pruned_partition_time_bound_scan_is_its_bucket(self):
-        """A window-pruned partition keeps serving time-bound scans from
-        its ``by_time`` buckets: the scan reads exactly the bucket of the
-        bound superstep, and a pruned superstep reads nothing."""
+        """A window-pruned relation keeps serving time-bound scans from
+        its layers: the scan reads exactly the layer of the bound
+        superstep, and a pruned superstep reads nothing."""
         db = OnlineDatabase(None, head_predicates=set(),
                             frame_relations=set())
         for i in range(64):
-            db.local.add_timed("r", "v", ("v", i % 4, i), i)
-        part = db.local.partition("r", "v")
-        assert part.prune_older_than(32) == 32
-        db.store.begin(35, ["v"], {}, None)
+            frame = Layer(3)
+            frame.push("v", ("v", i % 4, i))
+            db.keep("r", i, frame)
+        assert db.local.drop_before("r", 32) == 32
+        db.store.begin(35, {}, None)
         (bucket,) = db.store.column_batches("r", [35])
         assert list(zip(*bucket.columns)) == [("v", 3, 35)]
         assert db.store.column_batches("r", [3]) == []
-        (whole,) = db.store.column_batches("r")
-        assert whole.count == 32
+        assert sum(layer.count for layer in db.store.column_batches("r")) == 32
 
 
 class TestShipping:
@@ -199,15 +206,20 @@ class TestShipping:
         new to that target, and a target sees nothing past its watermark."""
         db = OnlineDatabase(None, head_predicates={"r"},
                             frame_relations=set(), shipped=["r"])
-        db.add_rows("r", [(0, i) for i in range(3)])
+
+        def seen(receiver):
+            (through,) = db.shipped_through([receiver], [0])
+            return [row for layer in db.shipped_layers("r", None, through)
+                    for row in layer.rows_of(0)]
+
+        db.add_rows("r", [(0, i) for i in range(3)], 0)
         targets = [1, 2, 3]
-        assert db.ship([(0, targets, ["m"] * len(targets))]) == 9
-        assert list(db.visible("r", [2], [0])[0]) == [(0, 0), (0, 1), (0, 2)]
-        db.add_rows("r", [(0, 3)])
-        assert db.ship([(0, [1], ["m"])]) == 1
-        assert list(db.visible("r", [2], [0])[0]) == [(0, 0), (0, 1), (0, 2)]
-        assert list(db.visible("r", [1], [0])[0]) == [
-            (0, 0), (0, 1), (0, 2), (0, 3)]
+        assert db.ship([(0, targets, ["m"] * len(targets))], 0) == 9
+        assert seen(2) == [(0, 0), (0, 1), (0, 2)]
+        db.add_rows("r", [(0, 3)], 1)
+        assert db.ship([(0, [1], ["m"])], 1) == 1
+        assert seen(2) == [(0, 0), (0, 1), (0, 2)]
+        assert seen(1) == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
     def test_ablation_switches_keep_the_rows(self, wgraph):
         default = self.run_apt(wgraph)

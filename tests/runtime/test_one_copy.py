@@ -1,6 +1,6 @@
 """One copy per captured row: a persisted head that no other rule reads is
-held by the capture store alone — not also in the run's derived tuple
-store — and the capture's result answers it from the store, with the rows,
+held by the capture store alone — not also in the run's derived facts
+— and the capture's result answers it from the store, with the rows,
 counts and digest it had when it was held twice."""
 
 import json
@@ -15,10 +15,8 @@ from repro.engine.config import EngineConfig
 from repro.graph.generators import web_graph
 from repro.obs.ledger import digest_query_result
 from repro.pql.analysis import compile_query
-from repro.pql.eval import TupleStore
 from repro.pql.parser import parse
 from repro.runtime.online import _store_only_heads
-from repro.runtime.results import CapturedRelations
 
 GOLDEN = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pql",
                       "golden_query_digests.json")
@@ -79,14 +77,13 @@ def test_capture_answers_store_only_heads_from_the_store(graph, golden, query,
     for key in ("transient_rows", "pruned_rows", "shipped_tuples"):
         assert answer.stats[key] == pin[key], key
 
-    held = answer.derived
-    assert isinstance(held, CapturedRelations)
-    assert held.store_only == STORE_ONLY[query]
-    assert not held.store_only & set(held.derived.relations())
-    # an online run of the same query holds every head in its tuple store
+    assert answer.store is result.store
+    assert answer.store_only == STORE_ONLY[query]
+    assert not answer.store_only & set(answer.derived.relations())
+    # an online run of the same query holds every head in its derived facts
     online = Ariadne(graph, PageRank(num_supersteps=6), config).query_online(
         QUERIES[query])
-    assert isinstance(online.query.derived, TupleStore)
+    assert online.query.store is None and not online.query.store_only
     assert answer.as_dict() == online.query.as_dict()
     for rel in STORE_ONLY[query]:
         vertices = answer.vertices(rel)
@@ -117,7 +114,7 @@ def test_store_only_rows_count_once(graph):
     text = "h(X, I) :- superstep(X, I). h(X, I) :- value(X, D, I)."
     captured = Ariadne(graph, PageRank(num_supersteps=3)).capture(text)
     online = Ariadne(graph, PageRank(num_supersteps=3)).query_online(text)
-    assert captured.query.derived.store_only == {"h"}
+    assert captured.query.store_only == {"h"}
     assert captured.query.derivations == online.query.derivations
     assert captured.query.derivations == captured.store.num_rows > 0
 
@@ -125,7 +122,7 @@ def test_store_only_rows_count_once(graph):
 def test_online_runs_hold_every_head(graph):
     result = Ariadne(graph, PageRank(num_supersteps=3)).query_online(
         Q.CAPTURE_FULL_QUERY)
-    assert isinstance(result.query.derived, TupleStore)
+    assert not result.query.store_only
     assert set(result.query.derived.relations()) == {
         "value", "send_message", "receive_message", "superstep", "evolution"}
 

@@ -11,10 +11,11 @@ from repro.analytics.pagerank import PageRank
 from repro.analytics.sssp import SSSP
 from repro.analytics.wcc import WCC
 from repro.core import queries as Q
+from repro.engine.config import EngineConfig
 from repro.engine.engine import run_program
 from repro.errors import PQLCompatibilityError
-from repro.graph.generators import web_graph, with_random_weights
-from repro.runtime.offline import run_reference
+from repro.graph.generators import random_graph, web_graph, with_random_weights
+from repro.runtime.offline import run_layered, run_reference
 from repro.runtime.online import run_online
 
 
@@ -142,6 +143,38 @@ class TestOnlineRestrictions:
         with pytest.raises(PQLCompatibilityError, match="aggregate"):
             run_online(graph, PageRank(num_supersteps=5), query)
 
+    def test_anchor_on_evolutions_earlier_superstep_rejected(self):
+        """``evolution(X, J, I)`` arrives at superstep I, after the anchor
+        J has been evaluated: online would silently derive nothing where
+        the offline drivers derive every row, so it refuses the rule."""
+        small = with_random_weights(random_graph(9, 20, seed=3), seed=3)
+        stale = "seen(X, J) :- evolution(X, J, I)."
+        with pytest.raises(PQLCompatibilityError,
+                           match=r"seen\(X, J\) :- evolution"):
+            run_online(small, PageRank(num_supersteps=4), stale)
+        store = run_online(small, PageRank(num_supersteps=4),
+                           Q.CAPTURE_FULL_QUERY, capture=True).store
+        assert run_layered(store, stale).rows("seen") == run_reference(
+            store, stale).rows("seen")
+        assert run_reference(store, stale).count("seen") == 27
+
+    @pytest.mark.parametrize("workers", [1, 3, 7])
+    def test_timeless_shipped_head(self, workers):
+        """``touched(X)`` is derived again at every superstep a vertex runs
+        and read by its neighbors: one row per vertex, shipped once per
+        target, and the rows the oracle derives."""
+        small = with_random_weights(random_graph(9, 20, seed=3), seed=3)
+        query = ("touched(X) :- superstep(X, I)."
+                 "near(X, Y, I) :- receive_message(X, Y, M, I), touched(Y).")
+        online = run_online(small, PageRank(num_supersteps=4), query,
+                            config=EngineConfig(num_workers=workers))
+        store = run_online(small, PageRank(num_supersteps=4),
+                           Q.CAPTURE_FULL_QUERY, capture=True).store
+        assert online.query.as_dict() == run_reference(
+            store, query, small).as_dict()
+        assert (online.query.count("near"), online.query.count("touched"),
+                online.query.stats["shipped_tuples"]) == (60, 9, 20)
+
 
 class TestOnlineMechanics:
     def test_monitoring_query_fires_on_buggy_analytic(self, graph):
@@ -179,9 +212,9 @@ class TestOnlineMechanics:
                 == 1 + result.analytic.num_supersteps)
 
     def test_windowed_partitions_serve_time_slices(self, graph):
-        """Window-pruned partitions answer their time-bound scans from the
-        ``by_time`` slices that survive pruning, and the rows are those the
-        oracle derives over the full capture of the same run."""
+        """Window-pruned relations answer their time-bound scans from the
+        layers that survive pruning, and the rows are those the oracle
+        derives over the full capture of the same run."""
         analytic = PageRank(num_supersteps=8)
         udfs = Q.apt_udfs(analytic)
         online = run_online(graph, analytic, Q.APT_QUERY, {"eps": 0.01}, udfs)

@@ -2,16 +2,16 @@
 
 from repro.engine.engine import RunResult
 from repro.engine.metrics import RunMetrics
-from repro.pql.eval import TupleStore
+from repro.provenance.store import Relations
 from repro.runtime.results import OnlineRunResult, QueryResult
 
 
 def make_query_result(**stats):
-    ts = TupleStore()
-    ts.add("safe", 0, (0, 1))
-    ts.add("safe", 2, (2, 3))
-    ts.add("unsafe", 1, (1, 1))
-    return QueryResult(derived=ts, mode="online", stats=stats)
+    derived = Relations()
+    derived.insert("safe", [(2, 3)], layer=1)
+    derived.insert("safe", [(0, 1)], layer=0)
+    derived.insert("unsafe", [(1, 1)])
+    return QueryResult(derived=derived, mode="online", stats=stats)
 
 
 class TestQueryResult:
