@@ -50,12 +50,12 @@ def _run_once(**switches):
     compiled = compile_query(
         parse(Q.APT_QUERY).bind(eps=0.1), functions=functions
     )
+    engine = PregelEngine(graph, config=EngineConfig(use_combiner=False))
     wrapper = OnlineQueryProgram(
-        analytic.make_program(), compiled, functions, graph,
+        analytic.make_program(), compiled, functions, engine,
         value_projector=analytic.provenance_value, **switches,
     )
     wrapper.run_setup()
-    engine = PregelEngine(graph, config=EngineConfig(use_combiner=False))
     start = time.perf_counter()
     engine.run(wrapper)
     elapsed = time.perf_counter() - start

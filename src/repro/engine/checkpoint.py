@@ -11,9 +11,10 @@ The checkpointed engine no longer re-drives its own copy of the superstep
 loop: :meth:`PregelEngine.run` exposes an ``_after_barrier`` hook (called at
 every barrier, before termination checks — Pregel's snapshot point) and a
 ``_restore`` parameter, so checkpointed runs get frontier scheduling and the
-bucketed message path for free. Snapshots stay in the original flat format
-(``halted`` dict, ``target -> messages`` inbox), so checkpoints written by
-the seed engine remain loadable.
+send-log message path for free. Snapshots stay in the original flat format
+(``halted`` dict, ``target -> messages`` inbox) — the barrier's receiver
+table as it is — so checkpoints written by the seed engine remain
+loadable.
 
 Checkpoints capture *engine* state only. Provenance wrappers keep their own
 state (transient tables, watermarks), so provenance-aware runs should be
@@ -119,16 +120,12 @@ class CheckpointedEngine(PregelEngine):
         next_superstep: int,
         values: Dict[Any, Any],
         active: Set[Any],
-        inboxes: List[Dict[Any, List[Any]]],
+        inbox: Dict[Any, List[Any]],
     ) -> None:
         if next_superstep % self.interval != 0:
             return
-        # Flatten to the snapshot format: worker buckets are disjoint by
-        # construction, and halt flags are the complement of the active set.
+        # Halt flags are the complement of the active set.
         halted = {v: v not in active for v in self.graph.vertices()}
-        inbox: Dict[Any, List[Any]] = {}
-        for box in inboxes:
-            inbox.update(box)
         self._write_checkpoint(next_superstep, values, halted, inbox)
 
     def _write_checkpoint(

@@ -20,24 +20,26 @@ engine: a multiprocess backend lost to it at every measured size (DESIGN.md
 Scheduling is frontier-driven: each superstep only the vertices that are
 awake or have pending messages are visited, in canonical vertex order, so
 the work per superstep is O(frontier) rather than O(V) while the
-computation stays byte-identical to a whole-graph scan (the long tails of
-SSSP/BFS/WCC touch a handful of vertices per superstep; scanning all of them
-dominated the seed engine's wall time). Messages are bucketed per target
-worker at send time, so the superstep barrier is a pointer swap per worker
-and cross-worker accounting is a single integer comparison.
+computation stays byte-identical to a whole-graph scan.
+
+Messages are a relation, as in Pregelix: a superstep's sends are one
+:class:`SendLog`, which a broadcast extends with no Python call per
+message, and the barrier is one group-by of it by receiver, folding with
+the combiner when one is on. The online runtime reads the log and the
+receiver table instead of recording the messages again.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.aggregators import AggregatorRegistry
 from repro.engine.config import EngineConfig
 from repro.engine.metrics import RunMetrics, SuperstepMetrics
 from repro.engine.vertex import VertexContext, VertexProgram
-from repro.errors import EngineError, GraphError, VertexProgramError
+from repro.errors import EngineError, VertexProgramError
 from repro.graph.digraph import DiGraph
 from repro.graph.partition import HashPartitioner, Partitioner, RangePartitioner
 from repro.obs.log import get_logger
@@ -56,6 +58,65 @@ logger = get_logger("engine")
 #: A tuple (not a list) so a vertex program that mutates its ``messages``
 #: argument cannot corrupt deliveries for subsequent vertices.
 NO_MESSAGES: Sequence[Any] = ()
+
+
+class SendLog:
+    """One superstep's messages — the message relation — in send order:
+    senders in compute order, each sender's sends in the order it made
+    them. ``senders``, ``targets`` and ``payloads`` are its columns (the
+    analytic's payloads, bare); ``spans`` maps each vertex that sent
+    anything to its ``(start, count)`` range, in compute order."""
+
+    __slots__ = ("senders", "targets", "payloads", "spans")
+
+    def __init__(self) -> None:
+        self.senders: List[Any] = []
+        self.targets: List[Any] = []
+        self.payloads: List[Any] = []
+        self.spans: Dict[Any, Tuple[int, int]] = {}
+
+    @classmethod
+    def of(cls, entries: Iterable[Tuple[Any, Sequence[Any], Sequence[Any]]]
+           ) -> "SendLog":
+        """A log of ``(sender, targets, payloads)`` entries, each sender
+        once, in send order."""
+        log = cls()
+        for sender, targets, payloads in entries:
+            log.spans[sender] = (len(log.targets), len(targets))
+            log.senders += [sender] * len(targets)
+            log.targets += targets
+            log.payloads += payloads
+        return log
+
+    def group_by_receiver(self, combiner: Optional[Any] = None,
+                          ) -> Tuple[Dict[Any, List[Any]], Dict[Any, List[Any]]]:
+        """The barrier: ``(messages, senders)``, each ``receiver -> list``
+        in first-arrival order, a receiver's messages in send order. With a
+        ``combiner`` a receiver's messages are left-folded into one and
+        ``senders`` is empty; without, ``senders`` aligns with
+        ``messages``."""
+        senders: Dict[Any, List[Any]] = {}
+        if combiner is not None:
+            combine = combiner.combine
+            folded: Dict[Any, Any] = {}
+            for target, payload in zip(self.targets, self.payloads):
+                if target in folded:
+                    folded[target] = combine(folded[target], payload)
+                else:
+                    folded[target] = payload
+            return {t: [m] for t, m in folded.items()}, senders
+        messages: Dict[Any, List[Any]] = {}
+        get = messages.get
+        for sender, target, payload in zip(self.senders, self.targets,
+                                           self.payloads):
+            box = get(target)
+            if box is None:
+                messages[target] = [payload]
+                senders[target] = [sender]
+            else:
+                box.append(payload)
+                senders[target].append(sender)
+        return messages, senders
 
 
 @dataclass
@@ -82,6 +143,11 @@ class PregelEngine:
     The engine holds no per-run state between :meth:`run` calls, so one
     engine can execute the baseline analytic, then the capture run, then
     offline queries over the same input graph.
+
+    During a run, ``send_log`` is the superstep's :class:`SendLog`
+    (complete when ``post_superstep`` runs), ``inbox`` / ``inbox_senders``
+    the receiver table its computes were delivered, and ``edge_updates``
+    its ``set_edge_value`` calls as ``(vertex, target, value)``.
     """
 
     def __init__(
@@ -98,28 +164,21 @@ class PregelEngine:
         }
         # --- per-run state (reset in run()) ---
         self.aggregators = AggregatorRegistry()
-        # One outbox dict per worker, keyed by target vertex. Building the
-        # buckets at send time makes the barrier a pointer swap per worker.
-        self._outboxes: List[Dict[Any, List[Any]]] = [
-            {} for _ in range(self.config.num_workers)
-        ]
+        self.send_log = SendLog()
+        self.inbox: Dict[Any, List[Any]] = {}
+        self.inbox_senders: Dict[Any, List[Any]] = {}
+        self.edge_updates: List[Tuple[Any, Any, Any]] = []
         self._edge_overlay: Dict[Any, Dict[Any, Any]] = {}
-        self._combiner = None
-        self._current_step = SuperstepMetrics(0)
-        self._current_worker = 0
+        # vertex -> how many of its out-edges cross workers (broadcasts),
+        # filled on first use in a run
+        self._cross_edges: Dict[Any, int] = {}
         self._adjacency = graph.out_edges_map()
 
     # ------------------------------------------------------------------
     # context callbacks (kept on the engine so one context object suffices)
     # ------------------------------------------------------------------
     def _edges_of(self, vertex_id: Any) -> List[Tuple[Any, Any]]:
-        if not self._edge_overlay:
-            # Overlay-free common case: direct adjacency lookup.
-            try:
-                return self._adjacency[vertex_id]
-            except KeyError:
-                raise GraphError(f"unknown vertex {vertex_id!r}") from None
-        base = self.graph.out_edges(vertex_id)
+        base = self._adjacency[vertex_id]  # a bound context's own vertex
         overlay = self._edge_overlay.get(vertex_id)
         if not overlay:
             return base
@@ -135,27 +194,16 @@ class PregelEngine:
         if not self.graph.has_edge(u, v):
             raise EngineError(f"cannot set value of missing edge {u!r}->{v!r}")
         self._edge_overlay.setdefault(u, {})[v] = value
+        self.edge_updates.append((u, v, value))
 
-    def _send(self, sender: Any, target: Any, message: Any) -> None:
-        worker = self._worker_of.get(target)
-        if worker is None:
-            raise EngineError(f"message to unknown vertex {target!r}")
-        step = self._current_step
-        step.messages_sent += 1
-        # The sender's worker is bound once per compute call; picking the
-        # target bucket already resolved the target's worker, so the
-        # cross-worker check is one integer comparison.
-        if worker != self._current_worker:
-            step.cross_worker_messages += 1
-        outbox = self._outboxes[worker]
-        box = outbox.get(target)
-        if box is None:
-            outbox[target] = [message]
-        elif self._combiner is not None:
-            box[0] = self._combiner.combine(box[0], message)
-            step.messages_combined += 1
-        else:
-            box.append(message)
+    def _count_cross_edges(self, vertex_id: Any) -> int:
+        """Table and return how many of ``vertex_id``'s out-edges cross
+        workers: what its broadcast adds to ``cross_worker_messages``."""
+        worker_of = self._worker_of
+        count = self._cross_edges[vertex_id] = sum(map(
+            worker_of[vertex_id].__ne__,
+            map(worker_of.__getitem__, self.graph.out_targets()[vertex_id])))
+        return count
 
     # ------------------------------------------------------------------
     def run(
@@ -194,22 +242,23 @@ class PregelEngine:
                 v: program.initial_value(v, graph) for v in graph.vertices()
             }
             active: Set[Any] = set(values)
-            inboxes: List[Dict[Any, List[Any]]] = [{} for _ in range(num_workers)]
+            inbox: Dict[Any, List[Any]] = {}
             first_superstep = 0
             self._edge_overlay = {}
         else:
             values = dict(_restore.values)
             active = {v for v, halted in _restore.halted.items() if not halted}
-            inboxes = self._bucket_inbox(_restore.inbox)
+            inbox = {t: list(m) for t, m in _restore.inbox.items()}
             first_superstep = _restore.superstep
             self._edge_overlay = {
                 u: dict(targets) for u, targets in _restore.edge_overlay.items()
             }
 
-        self._outboxes = [{} for _ in range(num_workers)]
+        self.inbox, self.inbox_senders = inbox, {}
         self._adjacency = graph.out_edges_map()
+        self._cross_edges = {}
         self.aggregators = AggregatorRegistry(program.aggregators())
-        self._combiner = program.combiner() if config.use_combiner else None
+        combiner = program.combiner() if config.use_combiner else None
 
         ctx = VertexContext(self)
         metrics = RunMetrics()
@@ -223,7 +272,12 @@ class PregelEngine:
 
         for superstep in range(first_superstep, limit):
             step = SuperstepMetrics(superstep)
-            self._current_step = step
+            log = self.send_log = SendLog()
+            self.edge_updates = []
+            senders, spans = log.senders, log.spans
+            targets = ctx._targets = log.targets
+            ctx._payloads = log.payloads
+            ctx._cross = 0
             if traced:
                 step_span = tracer.span(
                     "superstep", PHASE_SUPERSTEP, superstep=superstep
@@ -236,37 +290,41 @@ class PregelEngine:
             # O(frontier) schedule: awake vertices plus message targets,
             # in canonical vertex order — the vertices a whole-graph scan
             # would execute, in the order it would execute them.
-            if any(inboxes):
+            if inbox:
                 schedule: Set[Any] = set(active)
-                for box in inboxes:
-                    schedule.update(box)
+                schedule.update(inbox)
             else:
                 schedule = active
+            step.active_vertices = len(schedule)
             if len(schedule) == num_vertices:
                 order = graph.vertices()  # whole-graph frontier
             else:
                 order = sorted(schedule, key=order_of.__getitem__)
 
             for vertex_id in order:
-                worker = worker_of[vertex_id]
-                messages = inboxes[worker].get(vertex_id)
-                step.active_vertices += 1
-                self._current_worker = worker
-                bind(vertex_id, superstep, values[vertex_id])
+                start = len(targets)
+                bind(vertex_id, superstep, values[vertex_id],
+                     worker_of[vertex_id])
                 try:
-                    compute(ctx, messages if messages is not None else NO_MESSAGES)
+                    compute(ctx, inbox.get(vertex_id, NO_MESSAGES))
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except VertexProgramError:
                     raise
                 except Exception as exc:
                     raise VertexProgramError(vertex_id, superstep, exc) from exc
+                sent = len(targets) - start
+                if sent:
+                    spans[vertex_id] = (start, sent)
+                    senders += [vertex_id] * sent
                 if ctx._value_changed:
                     values[vertex_id] = ctx._value
                 if ctx._halted:
                     active.discard(vertex_id)
                 else:
                     active.add(vertex_id)
+            step.messages_sent = len(targets)
+            step.cross_worker_messages = ctx._cross
             # After the last compute, before the barrier delivers (or a
             # checkpoint snapshots) the superstep's messages.
             post_superstep(superstep)
@@ -285,13 +343,14 @@ class PregelEngine:
                     "message-barrier", PHASE_BARRIER, superstep=superstep
                 )
 
-            # --- barrier: pointer swap per worker ---
-            inboxes = self._outboxes
-            self._outboxes = [{} for _ in range(num_workers)]
+            # --- barrier: one group-by of the send log by receiver ---
+            inbox, self.inbox_senders = log.group_by_receiver(combiner)
+            self.inbox = inbox
+            if combiner is not None:
+                step.messages_combined = len(targets) - len(inbox)
             self.aggregators.barrier()
-            has_messages = any(inboxes)
 
-            self._after_barrier(superstep + 1, values, active, inboxes)
+            self._after_barrier(superstep + 1, values, active, inbox)
 
             if traced:
                 barrier_span.end()
@@ -301,13 +360,13 @@ class PregelEngine:
                     frontier_size=step.frontier_size,
                 )
 
-            if not computed_any and not has_messages:
+            if not computed_any and not inbox:
                 halt_reason = "no_active_vertices"
                 break
             if program.master_halt(self.aggregators, superstep):
                 halt_reason = "master_halt"
                 break
-            if not has_messages and not active:
+            if not inbox and not active:
                 halt_reason = "converged"
                 break
 
@@ -336,33 +395,21 @@ class PregelEngine:
         )
 
     # ------------------------------------------------------------------
-    # subclass hooks / helpers
+    # subclass hooks
     # ------------------------------------------------------------------
     def _after_barrier(
         self,
         next_superstep: int,
         values: Dict[Any, Any],
         active: Set[Any],
-        inboxes: List[Dict[Any, List[Any]]],
+        inbox: Dict[Any, List[Any]],
     ) -> None:
         """Called at every superstep barrier, before termination checks.
 
-        ``inboxes`` holds the messages to be delivered at
-        ``next_superstep``, bucketed per worker. The default does nothing;
+        ``inbox`` maps each receiver to the messages to be delivered at
+        ``next_superstep``. The default does nothing;
         :class:`~repro.engine.checkpoint.CheckpointedEngine` snapshots here.
         """
-
-    def _bucket_inbox(
-        self, inbox: Dict[Any, List[Any]]
-    ) -> List[Dict[Any, List[Any]]]:
-        """Scatter a flat ``target -> messages`` inbox into worker buckets."""
-        buckets: List[Dict[Any, List[Any]]] = [
-            {} for _ in range(self.config.num_workers)
-        ]
-        worker_of = self._worker_of
-        for target, messages in inbox.items():
-            buckets[worker_of[target]][target] = list(messages)
-        return buckets
 
 
 def _partitioner(config: EngineConfig, graph: DiGraph) -> Partitioner:

@@ -45,9 +45,10 @@ class SumCombiner(Combiner):
 class VertexContext:
     """Per-vertex view of the engine during ``compute``.
 
-    One context instance is reused across all vertices of a worker (the
+    One context instance is reused across all vertices of a run (the
     engine rebinds it before each ``compute`` call) to keep the hot loop
-    allocation-free.
+    allocation-free. A send appends to the columns of the engine's
+    :class:`~repro.engine.engine.SendLog` and counts a cross-worker send.
     """
 
     __slots__ = (
@@ -57,6 +58,13 @@ class VertexContext:
         "_value",
         "_value_changed",
         "_halted",
+        "_worker",
+        "_worker_of",
+        "_out",
+        "_cross_edges",
+        "_targets",
+        "_payloads",
+        "_cross",
     )
 
     def __init__(self, engine: "Any") -> None:
@@ -66,13 +74,22 @@ class VertexContext:
         self._value: Any = None
         self._value_changed = False
         self._halted = False
+        self._worker = 0
+        self._worker_of: Dict[Any, int] = engine._worker_of
+        self._out: Dict[Any, List[Any]] = engine.graph.out_targets()
+        self._cross_edges: Dict[Any, int] = engine._cross_edges
+        self._targets: List[Any] = []
+        self._payloads: List[Any] = []
+        self._cross = 0  # cross-worker sends since the last reset
 
-    def _bind(self, vertex_id: Any, superstep: int, value: Any) -> None:
+    def _bind(self, vertex_id: Any, superstep: int, value: Any,
+              worker: int) -> None:
         self.vertex_id = vertex_id
         self.superstep = superstep
         self._value = value
         self._value_changed = False
         self._halted = False
+        self._worker = worker
 
     # -- state ---------------------------------------------------------
     @property
@@ -99,7 +116,7 @@ class VertexContext:
         return self._engine.graph.in_neighbors(self.vertex_id)
 
     def out_degree(self) -> int:
-        return len(self.out_edges())
+        return len(self._out[self.vertex_id])
 
     def edge_value(self, target: Any) -> Any:
         return self._engine._edge_value(self.vertex_id, target)
@@ -111,14 +128,24 @@ class VertexContext:
 
     # -- communication ---------------------------------------------------
     def send(self, target: Any, message: Any) -> None:
-        self._engine._send(self.vertex_id, target, message)
+        worker = self._worker_of.get(target)
+        if worker is None:
+            raise EngineError(f"message to unknown vertex {target!r}")
+        if worker != self._worker:
+            self._cross += 1
+        self._targets.append(target)
+        self._payloads.append(message)
 
     def send_to_all(self, message: Any) -> None:
-        engine = self._engine
-        send = engine._send
-        me = self.vertex_id
-        for target, _value in engine._edges_of(me):
-            send(me, target, message)
+        """Send ``message`` along every out-edge: no call per message."""
+        targets = self._out[self.vertex_id]
+        if targets:
+            self._targets += targets
+            self._payloads += [message] * len(targets)
+            cross = self._cross_edges.get(self.vertex_id)
+            if cross is None:
+                cross = self._engine._count_cross_edges(self.vertex_id)
+            self._cross += cross
 
     # -- control -----------------------------------------------------------
     def vote_to_halt(self) -> None:

@@ -41,6 +41,8 @@ class DiGraph:
         # Cached vertex -> canonical position map; rebuilt lazily whenever
         # the vertex count changed since it was last materialized.
         self._order_cache: Optional[Dict[VertexId, int]] = None
+        # Cached vertex -> out-neighbor list, dropped by any added vertex/edge.
+        self._targets_cache: Optional[Dict[VertexId, List[VertexId]]] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -48,6 +50,7 @@ class DiGraph:
     def add_vertex(self, v: VertexId) -> None:
         """Add an isolated vertex (no-op if present)."""
         if v not in self._out:
+            self._targets_cache = None
             self._out[v] = []
             self._out_index[v] = {}
             self._in[v] = []
@@ -59,6 +62,7 @@ class DiGraph:
         index = self._out_index[u]
         pos = index.get(v)
         if pos is None:
+            self._targets_cache = None
             index[v] = len(self._out[u])
             self._out[u].append((v, value))
             self._in[v].append(u)
@@ -137,6 +141,15 @@ class DiGraph:
             order = {v: i for i, v in enumerate(self._out)}
             self._order_cache = order
         return order
+
+    def out_targets(self) -> Dict[VertexId, List[VertexId]]:
+        """Cached ``vertex -> out-neighbor list`` map, in out-edge order
+        (the engine's broadcasts extend the send log by it). Read-only."""
+        targets = self._targets_cache
+        if targets is None:
+            targets = {v: [t for t, _ in out] for v, out in self._out.items()}
+            self._targets_cache = targets
+        return targets
 
     def out_neighbors(self, v: VertexId) -> List[VertexId]:
         return [t for t, _ in self.out_edges(v)]

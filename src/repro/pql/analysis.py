@@ -57,6 +57,7 @@ from repro.pql.plan import (
 from repro.pql.udf import FunctionRegistry
 from repro.provenance.model import (
     AUTO_CAPTURED,
+    CORE_SCHEMAS,
     DERIVED,
     STATIC,
     STREAM,
@@ -124,6 +125,15 @@ class CompiledQuery:
                     "rule is anchored on evolution's earlier superstep, but "
                     "online an evolution(X, J, I) row only exists from the "
                     f"later superstep I on: {crule.rule}")
+            if crule.is_static:
+                continue
+            offsets = _anchor_offsets(crule)
+            for atom, term in _timed_atoms(self, crule):
+                if isinstance(term, Var) and offsets.get(term.name, 0) < 0:
+                    raise PQLCompatibilityError(
+                        f"rule reads {atom.predicate} at a superstep after "
+                        "its anchor, which online has not run yet when the "
+                        f"rule is evaluated: {crule.rule}")
 
     def require_layered(self) -> None:
         if not self.layered_eligible:
@@ -503,47 +513,8 @@ def relation_windows(compiled: "CompiledQuery") -> Dict[str, Optional[int]]:
     for crule in compiled.rules:
         if crule.is_static:
             continue
-        # anchor-relative offsets: offset[v] = anchor_superstep - v.
-        # Only anchor-relative bounds are sound: a fact pinned to an
-        # *absolute* superstep ("value(X, D, 0)") can be re-read at every
-        # later anchor, so constants yield no window.
-        offsets: Dict[str, int] = {}
-        if crule.time_var is not None:
-            offsets[crule.time_var] = 0
-        changed = True
-        while changed:
-            changed = False
-            for lit in crule.rule.body:
-                if not isinstance(lit, Comparison) or lit.op != "=":
-                    continue
-                for var_side, expr in ((lit.left, lit.right),
-                                       (lit.right, lit.left)):
-                    if not isinstance(var_side, Var):
-                        continue
-                    if var_side.name in offsets:
-                        continue
-                    offset = _expr_offset(expr, offsets)
-                    if offset is not None:
-                        offsets[var_side.name] = offset
-                        changed = True
-        for lit in crule.rule.body:
-            if not isinstance(lit, AtomLiteral):
-                continue
-            atom = lit.atom
-            schema_time = None
-            # resolve the relation's time attribute against what the rule
-            # was compiled with
-            schema = compiled.idb_schemas.get(atom.predicate)
-            if schema is not None:
-                schema_time = schema.time_index
-            else:
-                from repro.provenance.model import CORE_SCHEMAS
-
-                core = CORE_SCHEMAS.get(atom.predicate)
-                schema_time = core.time_index if core else None
-            if schema_time is None or schema_time >= atom.arity:
-                continue
-            term = atom.args[schema_time]
+        offsets = _anchor_offsets(crule)
+        for atom, term in _timed_atoms(compiled, crule):
             if isinstance(term, Var) and term.name in offsets:
                 note(atom.predicate, max(0, offsets[term.name]))
             else:
@@ -555,6 +526,47 @@ def relation_windows(compiled: "CompiledQuery") -> Dict[str, Optional[int]]:
     for relation in compiled.auto_capture:
         windows.setdefault(relation, None)
     return windows
+
+
+def _anchor_offsets(crule: CompiledRule) -> Dict[str, int]:
+    """``anchor - v`` for each variable ``v`` that equalities pin to the
+    anchor superstep plus or minus a constant (an absolute superstep, as
+    in "value(X, D, 0)", can be re-read at every later anchor: none)."""
+    offsets: Dict[str, int] = {}
+    if crule.time_var is not None:
+        offsets[crule.time_var] = 0
+    changed = True
+    while changed:
+        changed = False
+        for lit in crule.rule.body:
+            if not isinstance(lit, Comparison) or lit.op != "=":
+                continue
+            for var_side, expr in ((lit.left, lit.right),
+                                   (lit.right, lit.left)):
+                if not isinstance(var_side, Var) or var_side.name in offsets:
+                    continue
+                offset = _expr_offset(expr, offsets)
+                if offset is not None:
+                    offsets[var_side.name] = offset
+                    changed = True
+    return offsets
+
+
+def _timed_atoms(compiled: "CompiledQuery", crule: CompiledRule,
+                 ) -> List[Tuple[Atom, Any]]:
+    """``(atom, time term)`` for each body atom of ``crule`` whose relation
+    has a superstep attribute, negated atoms included."""
+    timed = []
+    for lit in crule.rule.body:
+        if not isinstance(lit, AtomLiteral):
+            continue
+        atom = lit.atom
+        schema = (compiled.idb_schemas.get(atom.predicate)
+                  or CORE_SCHEMAS.get(atom.predicate))
+        index = schema.time_index if schema is not None else None
+        if index is not None and index < atom.arity:
+            timed.append((atom, atom.args[index]))
+    return timed
 
 
 def _expr_offset(expr: Any, offsets: Dict[str, int]) -> Optional[int]:

@@ -2,11 +2,7 @@
 
 from repro.runtime.db import OnlineDatabase, StoreDatabase
 from repro.runtime.offline import run_layered, run_naive, run_reference
-from repro.runtime.online import (
-    OnlineQueryProgram,
-    RecordingContext,
-    run_online,
-)
+from repro.runtime.online import OnlineQueryProgram, run_online
 from repro.runtime.results import OnlineRunResult, QueryResult
 
 __all__ = [
@@ -16,7 +12,6 @@ __all__ = [
     "run_naive",
     "run_reference",
     "OnlineQueryProgram",
-    "RecordingContext",
     "run_online",
     "OnlineRunResult",
     "QueryResult",

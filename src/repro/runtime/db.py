@@ -19,23 +19,24 @@ relation they hold is layers of one container,
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import repeat
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.engine.engine import SendLog
 from repro.graph.digraph import DiGraph
 from repro.pql.eval import Database, Row
 from repro.provenance.columnar import SlabColumns
-from repro.provenance.model import freeze
+from repro.provenance.model import _ATOMS, freeze
 from repro.provenance.store import Layer, ProvenanceStore, Relations
 
 #: The relations an :class:`Inbox` serves, with their arities.
 _RECEIVE = {"receive_message": 4, "receive": 3}
 #: A sender that never messaged anyone (read-only).
-_NO_MARKS: Dict[Any, Tuple[Any, Tuple[int, ...]]] = {}
-_UNSHIPPED = (None, ())  # the watermark of a pair with no message yet
+_NO_MARKS: Dict[Any, Tuple[Any, int]] = {}
+_UNSHIPPED = (None, 0)  # the watermark of a pair with no message yet
 _first = itemgetter(0)
+_second = itemgetter(1)
 
 
 class _StaticRelations:
@@ -95,9 +96,13 @@ class StoreDatabase(Database):
 _UNSET = object()
 
 
-def frozen_payloads(payloads: Sequence[Any]) -> List[Any]:
-    """``payloads``, frozen; a run of one payload object — a broadcast
-    sends one per out-edge — is frozen once."""
+def frozen_payloads(payloads: List[Any]) -> List[Any]:
+    """``payloads``, frozen: the list itself when every payload is a
+    plain atom, which ``freeze`` returns as it is; otherwise a run of one
+    payload object — a broadcast sends one per out-edge — is frozen
+    once."""
+    if set(map(type, payloads)) <= _ATOMS:
+        return payloads
     out: List[Any] = []
     last = frozen = _UNSET
     for payload in payloads:
@@ -108,17 +113,17 @@ def frozen_payloads(payloads: Sequence[Any]) -> List[Any]:
 
 
 class Inbox:
-    """What the executed vertices of superstep *s* received, read from the
-    send log of *s − 1*: ``receive_message(X, Y, M, s)`` is
-    ``send_message(Y, X, M, s − 1)``, so the sender and payload of every
-    message are already in the process and the engine delivers bare
-    payloads.
+    """What the executed vertices of superstep *s* received: a view over
+    the engine's receiver table — the barrier's group-by of the send log
+    of *s − 1* — since ``receive_message(X, Y, M, s)`` is
+    ``send_message(Y, X, M, s − 1)``. The engine delivers bare payloads;
+    the sender and payload of every message are already in the process.
 
-    ``log`` holds ``(sender, targets, payloads)`` in the compute order of
-    *s − 1*, a sender's sends in send order; ``frozen`` maps a sender to
-    its payloads already frozen for a ``send`` frame. The messages are
-    grouped by receiver in the order of ``sites``, each receiver's in send
-    order — the order the engine delivered them in.
+    ``messages`` / ``senders`` map each receiver to its payloads and their
+    senders in delivery (send) order. The groups follow ``sites``, the
+    superstep's compute order. ``frozen``, when given, is the previous
+    send log's payload column and the frozen copy a ``send`` frame made
+    of it, so no payload is frozen twice.
 
     The columns are receiver, sender, payload and, for
     ``receive_message``, the superstep (:class:`InboxBatch` serves them as
@@ -128,27 +133,25 @@ class Inbox:
     program's head insert keeps the first of equal rows); :meth:`rows`
     keeps the first occurrence of each."""
 
-    __slots__ = ("superstep", "count", "_log", "_frozen", "_groups",
+    __slots__ = ("superstep", "count", "_messages", "_frozen", "_groups",
                  "_columns")
 
-    def __init__(self, log: Sequence[Tuple[Any, ...]], sites: Sequence[Any],
+    def __init__(self, messages: Dict[Any, List[Any]],
+                 senders: Dict[Any, List[Any]], sites: Sequence[Any],
                  superstep: Any,
-                 frozen: Optional[Dict[Any, List[Any]]] = None) -> None:
+                 frozen: Optional[Tuple[List[Any], List[Any]]] = None,
+                 ) -> None:
         self.superstep = superstep
-        self._log, self._frozen = log, frozen or {}
-        boxes: Dict[Any, List[Any]] = defaultdict(list)
-        for sender, targets, _payloads in log:
-            for target in targets:
-                boxes[target].append(sender)
+        self._messages, self._frozen = messages, frozen
         self._groups: Dict[Any, Tuple[int, int]] = {}
-        senders: List[Any] = []
+        column: List[Any] = []
         for v in sites:
-            box = boxes.get(v)
+            box = senders.get(v)
             if box:
-                self._groups[v] = (len(senders), len(box))
-                senders += box
-        self.count = len(senders)
-        self._columns: Dict[int, List[Any]] = {1: senders}
+                self._groups[v] = (len(column), len(box))
+                column += box
+        self.count = len(column)
+        self._columns: Dict[int, List[Any]] = {1: column}
 
     def groups(self) -> Dict[Any, Tuple[int, int]]:
         return self._groups
@@ -168,18 +171,15 @@ class Inbox:
         return column
 
     def _payloads(self) -> List[Any]:
-        boxes: Dict[Any, List[Any]] = defaultdict(list)
-        frozen = self._frozen
-        for sender, targets, payloads in self._log:
-            held = frozen.get(sender)
-            for target, payload in zip(
-                    targets, frozen_payloads(payloads) if held is None
-                    else held):
-                boxes[target].append(payload)
         column: List[Any] = []
+        messages = self._messages
         for v in self._groups:
-            column += boxes[v]
-        return column
+            column += messages[v]
+        if self._frozen is None:
+            return frozen_payloads(column)
+        # the send frame froze each payload object once: look it up
+        held = dict(zip(map(id, self._frozen[0]), self._frozen[1]))
+        return list(map(held.__getitem__, map(id, column)))
 
     def rows(self, vertex: Any, stamped: bool = True) -> List[Row]:
         """``vertex``'s ``receive_message`` rows (``receive`` rows when not
@@ -254,7 +254,7 @@ class OnlineDatabase(Database):
     that vertex has shipped them to it (the paper's locality restriction).
     :meth:`ship` records, per (sender, receiver), a watermark: the
     superstep of the sender's last message to the receiver and how many
-    rows of each shipped relation the sender held then. Layers arrive in
+    shipped rows the sender held then. Layers arrive in
     superstep order and a message leaves after its superstep's
     evaluation, so what the sender had shipped is exactly its rows in the
     layers up to that superstep (:meth:`shipped_layers`); the row counts
@@ -285,9 +285,9 @@ class OnlineDatabase(Database):
             for rel in sorted(shipped)
         }
         # sender -> receiver -> watermark: the superstep of the sender's
-        # last message to the receiver, and its row counts then (aligned
-        # with `shipped`)
-        self.marks: Dict[Any, Dict[Any, Tuple[Any, Tuple[int, ...]]]] = {}
+        # last message to the receiver, and how many shipped rows it held
+        # then
+        self.marks: Dict[Any, Dict[Any, Tuple[Any, int]]] = {}
 
     # -- the superstep as column batches -----------------------------------
     def begin(self, superstep: Any, frames: Dict[str, Layer],
@@ -324,29 +324,28 @@ class OnlineDatabase(Database):
             self.local.put(relation, superstep, layer)
 
     # -- shipping -----------------------------------------------------------
-    def ship(self, log: Sequence[Tuple[Any, Sequence[Any], Sequence[Any]]],
-             superstep: Any, full: bool = False) -> int:
-        """Each ``(sender, targets, payloads)`` of the send ``log``:
-        ``sender`` messaged ``targets`` (in send order) at ``superstep``,
-        just evaluated, so move each target's watermark to what ``sender``
-        holds now. Returns the rows the per-target deltas carry — every
-        message the rows its target had not been shipped yet, so a repeat
-        message carries none — or, with ``full``, every row on every
-        message."""
-        sizes = [held.sizes(rel).get for rel, held in self.shipped.items()]
+    def ship(self, log: SendLog, superstep: Any, full: bool = False) -> int:
+        """Each sender of the send ``log`` messaged the targets of its span
+        (in send order) at ``superstep``, just evaluated, so move each
+        target's watermark to what the sender holds now. Returns the rows
+        the per-target deltas carry — every message the rows its target
+        had not been shipped yet, so a repeat message carries none — or,
+        with ``full``, every row on every message."""
+        sizes = [held.sizes(rel) for rel, held in self.shipped.items()]
+        targets = log.targets
         carried = 0
-        for sender, sent, _payloads in log:
-            lengths = tuple([size(sender, 0) for size in sizes])
-            if not any(lengths):
+        for sender, (start, n) in log.spans.items():
+            rows = sum([size.get(sender, 0) for size in sizes])
+            if not rows:
                 continue
             marks = self.marks.setdefault(sender, {})
-            targets = dict.fromkeys(sent)
+            sent = dict.fromkeys(targets[start:start + n])
             if full:
-                carried += sum(lengths) * len(sent)
+                carried += rows * n
             else:
-                carried += sum(lengths) * len(targets) - sum(
-                    sum(marks.get(target, _UNSHIPPED)[1]) for target in targets)
-            marks.update(dict.fromkeys(targets, (superstep, lengths)))
+                carried += rows * len(sent) - sum(map(
+                    _second, map(marks.get, sent, repeat(_UNSHIPPED))))
+            marks.update(dict.fromkeys(sent, (superstep, rows)))
         return carried
 
     def shipped_through(self, receivers: Sequence[Any],
@@ -356,9 +355,9 @@ class OnlineDatabase(Database):
         ``receiver`` has been shipped exactly the sender's rows in the
         layers of that superstep and before — never what it derived
         after."""
-        marks = self.marks
-        return [marks.get(y, _NO_MARKS).get(x, _UNSHIPPED)[0]
-                for x, y in zip(receivers, senders)]
+        by_sender = map(self.marks.get, senders, repeat(_NO_MARKS))
+        return list(map(_first, map(dict.get, by_sender, receivers,
+                                    repeat(_UNSHIPPED))))
 
     def shipped_layers(self, relation: str,
                        supersteps: Optional[Iterable[Any]],

@@ -4,33 +4,33 @@ A forward (or local) query is compiled into a *query vertex program* that
 wraps the unmodified analytic. Every superstep, each active vertex's
 ``compute``:
 
-1. runs the analytic's ``compute`` on its messages — the analytic's own
-   payloads, which the engine delivers bare — through a recording context
-   that sends each payload on unchanged, records the sends and observes
-   value/edge updates;
-2. records the transient provenance facts of this superstep — only the
-   relations the query references (the paper's customized capture) — into
-   superstep-wide *frames*, one :class:`~repro.provenance.store.Layer` per
-   relation, appending its rows as columns. ``receive_message`` and
-   ``receive`` at superstep *s* are read from the send log of *s − 1*
-   (:class:`~repro.runtime.db.Inbox`), not from the messages.
+1. runs the analytic's ``compute`` on the engine's own context and on its
+   messages — the analytic's own payloads, which the engine delivers bare;
+2. records the vertex's transient provenance facts of this superstep —
+   only the relations the query references (the paper's customized
+   capture) — into superstep-wide *frames*, one
+   :class:`~repro.provenance.store.Layer` per relation.
 
-Then, once per superstep, :meth:`OnlineQueryProgram.post_superstep` — the
-engine's program-level hook — runs the *superstep program*: every rule
-evaluates once, as a layer program over all the executed vertices (the
-location a column, the frames and stored relations column batches), the
-fresh head rows go to the capture store, the frames die, windowed
-relations drop the layers that left their window, and each sender's
-watermark toward every target it messaged moves on to this superstep. A
-vertex reads another vertex's relations only up to that watermark: what
-per-target deltas would have shipped.
+The messages are not recorded again: they are the engine's message
+relation (:class:`~repro.engine.engine.SendLog`). Once per superstep,
+:meth:`OnlineQueryProgram.post_superstep` — the engine's program-level
+hook — frames ``send_message`` / ``send`` from the superstep's send log
+and ``edge_value`` from its edge-update log, reads ``receive_message`` /
+``receive`` from the receiver table the barrier built out of the previous
+superstep's log (:class:`~repro.runtime.db.Inbox`), and runs the
+*superstep program*: every rule evaluates once, as a layer program over
+all the executed vertices (the location a column, the frames and stored
+relations column batches), the fresh head rows go to the capture store,
+the frames die, windowed relations drop the layers that left their
+window, and each sender's watermark toward every target it messaged moves
+on to this superstep. A vertex reads another vertex's relations only up
+to that watermark: what per-target deltas would have shipped.
 
-Theorem 5.4's two guarantees hold by construction. The analytic cannot see
-query state: its context is a proxy, its messages are its own payloads,
-and the hook has no vertex context. Query rows travel only along the
-analytic's own messages: a vertex reads another vertex's relations only
-through a watermark, and a watermark exists only for a (sender, target)
-pair the analytic used in its send log.
+Theorem 5.4's two guarantees hold by construction (DESIGN.md §18): the
+analytic computes on the bare engine's context and the query reads the
+logs only in the hook, after the superstep's last compute; a vertex reads
+another vertex's relations only through a watermark, which exists only
+for a (sender, target) pair in the analytic's send log.
 
 When a ``capture`` store is supplied, every derived head tuple is also
 persisted — capture *is* online evaluation of the capture query (Figure 1a).
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from itertools import repeat
+from itertools import groupby
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -50,7 +50,7 @@ from repro.analytics.base import Analytic
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.engine.vertex import VertexContext, VertexProgram
-from repro.errors import PQLCompatibilityError
+from repro.errors import EngineError, PQLCompatibilityError
 from repro.graph.digraph import DiGraph
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
@@ -69,103 +69,10 @@ from repro.runtime.results import OnlineRunResult, QueryResult
 
 logger = get_logger("runtime.online")
 
-_first = itemgetter(0)
+_second = itemgetter(1)
 #: The columns a multi-row frame tests for repeats: the target and the
 #: payload or value (``send_message``, ``send``, ``edge_value``).
 _PROBE = (1, 2)
-
-
-class RecordingContext:
-    """Proxy context handed to the analytic: sends each payload on bare,
-    records the sends and value/edge updates, delegates everything else to
-    the real context.
-
-    One recorder is reused across all compute calls of a run (rebound per
-    vertex via :meth:`_rebind`) to keep the capture hot path allocation-free,
-    mirroring how the engine reuses its :class:`VertexContext`.
-    """
-
-    __slots__ = ("_ctx", "_send", "record", "targets", "payloads",
-                 "edge_updates")
-
-    def __init__(self, record: bool = True) -> None:
-        self._ctx: Any = None
-        self._send: Any = None
-        self.record = record  # keep the sends (the query reads them)
-        # the sends as two columns, in send order
-        self.targets: List[Any] = []
-        self.payloads: List[Any] = []
-        self.edge_updates: List[Tuple[Any, Any]] = []
-
-    def _rebind(self, ctx: VertexContext) -> None:
-        self._ctx = ctx
-        self._send = ctx.send
-        self.targets = []
-        self.payloads = []
-        self.edge_updates = []
-
-    # -- intercepted -------------------------------------------------------
-    def send(self, target: Any, message: Any) -> None:
-        if self.record:
-            self.targets.append(target)
-            self.payloads.append(message)
-        self._send(target, message)
-
-    def send_to_all(self, message: Any) -> None:
-        ctx = self._ctx
-        if self.record:
-            edges = ctx.out_edges()
-            self.targets += map(_first, edges)
-            self.payloads += repeat(message, len(edges))
-        ctx.send_to_all(message)
-
-    def set_edge_value(self, target: Any, value: Any) -> None:
-        self.edge_updates.append((target, value))
-        self._ctx.set_edge_value(target, value)
-
-    # -- delegated ---------------------------------------------------------
-    @property
-    def vertex_id(self) -> Any:
-        return self._ctx.vertex_id
-
-    @property
-    def superstep(self) -> int:
-        return self._ctx.superstep
-
-    @property
-    def value(self) -> Any:
-        return self._ctx.value
-
-    def set_value(self, value: Any) -> None:
-        self._ctx.set_value(value)
-
-    @property
-    def num_vertices(self) -> int:
-        return self._ctx.num_vertices
-
-    def out_edges(self):
-        return self._ctx.out_edges()
-
-    def out_neighbors(self):
-        return self._ctx.out_neighbors()
-
-    def in_neighbors(self):
-        return self._ctx.in_neighbors()
-
-    def out_degree(self) -> int:
-        return self._ctx.out_degree()
-
-    def edge_value(self, target: Any) -> Any:
-        return self._ctx.edge_value(target)
-
-    def vote_to_halt(self) -> None:
-        self._ctx.vote_to_halt()
-
-    def aggregate(self, name: str, value: Any) -> None:
-        self._ctx.aggregate(name, value)
-
-    def aggregated(self, name: str) -> Any:
-        return self._ctx.aggregated(name)
 
 
 class _PersistingOnlineDatabase(OnlineDatabase):
@@ -206,9 +113,12 @@ class _PersistingOnlineDatabase(OnlineDatabase):
 class OnlineQueryProgram(VertexProgram):
     """The analytic with the compiled PQL query appended (Figure 2).
 
-    ``compute`` runs the analytic and only *records* the vertex's facts
-    into superstep-wide frames; :meth:`post_superstep` evaluates the query
-    once over every vertex the superstep executed.
+    ``compute`` runs the analytic on the engine's own context and only
+    *records* the vertex's facts into superstep-wide frames;
+    :meth:`post_superstep` reads the messages from ``engine``'s message
+    relation — its send log and receiver table — and evaluates the query
+    once over every vertex the superstep executed. The program runs on
+    ``engine`` only.
     """
 
     def __init__(
@@ -216,7 +126,7 @@ class OnlineQueryProgram(VertexProgram):
         inner: VertexProgram,
         compiled: CompiledQuery,
         functions: FunctionRegistry,
-        graph: DiGraph,
+        engine: PregelEngine,
         store: Optional[ProvenanceStore] = None,
         value_projector: Optional[Callable[[Any], Any]] = None,
         prune_history: bool = True,
@@ -265,8 +175,9 @@ class OnlineQueryProgram(VertexProgram):
             for relation in sorted(compiled.auto_capture
                                    | compiled.stream_relations)
             if relation not in ("receive_message", "receive")}
+        self.engine = engine
         self.db = _PersistingOnlineDatabase(
-            graph,
+            engine.graph,
             compiled.head_predicates,
             framed,
             compiled.remote_relations,
@@ -289,15 +200,14 @@ class OnlineQueryProgram(VertexProgram):
         self._need_value = "value" in need
         self._need_evolution = "evolution" in need
         self._need_send = "send_message" in need
-        self._need_receive = "receive_message" in need
         self._need_edge_value = "edge_value" in need
         stream = compiled.stream_relations
         self._need_stream_value = "vertex_value" in stream
         self._need_stream_send = "send" in stream
-        self._need_stream_receive = "receive" in stream
-        # Keep each superstep's send log for the next one's Inbox.
-        self._keep_log = self._need_receive or self._need_stream_receive
-        self._log: Tuple[List[Any], Dict[Any, List[Any]]] = ([], {})
+        self._reads_inbox = "receive_message" in need or "receive" in stream
+        # The send log's payloads and the frozen copy a send frame made of
+        # them: the next superstep's Inbox looks them up.
+        self._sent: Optional[Tuple[List[Any], List[Any]]] = None
         # Every fact a superstep program derives carries its superstep, so
         # a lagged scan is no dependency within it (Lemma 5.3).
         self._prepared = prepare_strata(compiled.strata, anchored=True)
@@ -305,9 +215,6 @@ class OnlineQueryProgram(VertexProgram):
         # Ablation switch: ship full tables instead of per-target deltas
         # (measures the value of watermark shipping).
         self.ship_full_tables = ship_full_tables
-        self._recorder = RecordingContext(
-            record=self._need_send or self._need_stream_send
-            or self._keep_log or bool(self.db.shipped))
         self.shipped_tuples = 0
         self._last_active: Dict[Any, int] = {}
         self.derivations = 0
@@ -316,16 +223,11 @@ class OnlineQueryProgram(VertexProgram):
 
     def _begin_superstep(self) -> None:
         """Empty the superstep being recorded: the executed vertices in
-        compute order, their frames (relation -> layer) and, when
-        the query ships anything or reads what was received, their send
-        log (``(sender, targets, payloads)``) and the payloads a ``send``
-        frame froze (sender -> payloads)."""
+        compute order and their frames (relation -> layer)."""
         self._sites: List[Any] = []
         self._frames: Dict[str, Layer] = {
             relation: Layer(arity) for relation, arity in self._recorded.items()
         }
-        self._sends: List[Tuple[Any, List[Any], List[Any]]] = []
-        self._frozen: Dict[Any, List[Any]] = {}
 
     # -- delegation to the analytic --------------------------------------
     def initial_value(self, vertex_id: Any, graph: Any) -> Any:
@@ -391,14 +293,16 @@ class OnlineQueryProgram(VertexProgram):
 
     # -- the appended vertex program --------------------------------------
     def compute(self, ctx: VertexContext, messages: Sequence[Any]) -> None:
+        if ctx._engine is not self.engine:  # its logs are what we read
+            raise EngineError("an online query runs on its own engine only")
+        if self._reads_inbox and messages:
+            # the Inbox reads the delivered lists after the superstep: an
+            # analytic that edits its list edits a copy
+            messages = list(messages)
+        self.inner.compute(ctx, messages)
         x = ctx.vertex_id
         s = ctx.superstep
         frames = self._frames
-        recorder = self._recorder
-        recorder._rebind(ctx)
-        self.inner.compute(recorder, messages)
-        targets, payloads = recorder.targets, recorder.payloads
-
         if self._need_superstep:
             frames["superstep"].push(x, (x, s))
         if self._need_value or self._need_stream_value:
@@ -412,29 +316,34 @@ class OnlineQueryProgram(VertexProgram):
             if j is not None:
                 frames["evolution"].push(x, (x, j, s))
         self._last_active[x] = s
-        if self._need_edge_value and recorder.edge_updates:
-            updates = recorder.edge_updates
-            n = len(updates)
-            frames["edge_value"].append(
-                [[x] * n, [target for target, _value in updates],
-                 [freeze(value) for _target, value in updates], [s] * n],
-                [(x, n)], _PROBE)
         self._sites.append(x)
-        if not targets:
-            return
-        if self._need_send or self._need_stream_send:
-            frozen = frozen_payloads(payloads)
-            if self._keep_log:
-                self._frozen[x] = frozen
-        n = len(targets)
-        if self._need_send:
-            frames["send_message"].append(
-                [[x] * n, targets, frozen, [s] * n], [(x, n)], _PROBE)
-        if self._need_stream_send:
-            frames["send"].append([[x] * n, targets, frozen], [(x, n)],
-                                  _PROBE)
-        if self._keep_log or self.db.shipped:
-            self._sends.append((x, targets, payloads))
+
+    def _record_messages(self, superstep: int) -> None:
+        """Frame the superstep's sends and edge updates from the engine's
+        logs — the send log's columns, each sender's span one group, its
+        payloads frozen once — and keep what the next superstep's Inbox
+        reads."""
+        frames, log = self._frames, self.engine.send_log
+        frozen = None
+        if log.spans and (self._need_send or self._need_stream_send):
+            frozen = frozen_payloads(log.payloads)
+            runs = list(zip(log.spans, map(_second, log.spans.values())))
+            columns = [log.senders, log.targets, frozen]
+            if self._need_send:
+                frames["send_message"].append(
+                    columns + [[superstep] * len(log.targets)], runs, _PROBE)
+            if self._need_stream_send:
+                frames["send"].append(columns, runs, _PROBE)
+        self._sent = (None if frozen is None or frozen is log.payloads
+                      else (log.payloads, frozen))
+        updates = self.engine.edge_updates
+        if self._need_edge_value and updates:
+            vertices, targets, values = map(list, zip(*updates))
+            frames["edge_value"].append(
+                [vertices, targets, [freeze(value) for value in values],
+                 [superstep] * len(updates)],
+                [(x, len(list(run))) for x, run in groupby(vertices)],
+                _PROBE)
 
     def post_superstep(self, superstep: int) -> None:
         """Evaluate the query over the superstep just computed: every rule
@@ -443,10 +352,9 @@ class OnlineQueryProgram(VertexProgram):
         moved. Reads no analytic context, and moves watermarks only along
         the analytic's own sends (Theorem 5.4)."""
         self.inner.post_superstep(superstep)
-        sites, frames, sends = self._sites, self._frames, self._sends
-        log, frozen = self._log
-        if self._keep_log:
-            self._log = (sends, self._frozen)  # what superstep + 1 received
+        received = self._sent  # what the last superstep sent
+        self._record_messages(superstep)
+        sites, frames = self._sites, self._frames
         self._begin_superstep()
         if not sites:
             return
@@ -454,8 +362,10 @@ class OnlineQueryProgram(VertexProgram):
                                superstep=superstep, sites=len(sites)):
             started = time.perf_counter()
             db = self.db
-            inbox = (Inbox(log, sites, superstep, frozen)
-                     if self._keep_log else None)
+            engine = self.engine
+            inbox = (Inbox(engine.inbox, engine.inbox_senders, sites,
+                           superstep, received)
+                     if self._reads_inbox else None)
             # Facts a later superstep may read leave the frame for the store.
             for relation in self._stored:
                 db.keep(relation, superstep, inbox.layer()
@@ -478,7 +388,7 @@ class OnlineQueryProgram(VertexProgram):
                 self.pruned_rows += db.local.drop_before(
                     relation, superstep - window)
             if db.shipped:
-                self.shipped_tuples += db.ship(sends, superstep,
+                self.shipped_tuples += db.ship(engine.send_log, superstep,
                                                self.ship_full_tables)
             self.query_seconds += time.perf_counter() - started
 
@@ -586,14 +496,14 @@ def run_online(
         spill: Optional[SpillManager] = None
         if capture and spill_directory is not None:
             spill = SpillManager(store, directory=spill_directory)
+        engine = PregelEngine(graph, config=engine_config)
         wrapper = OnlineQueryProgram(
-            program, compiled, functions, graph, store=store,
+            program, compiled, functions, engine, store=store,
             value_projector=projector,
             spill=spill,
         )
     wrapper.run_setup()
 
-    engine = PregelEngine(graph, config=engine_config)
     run = engine.run(wrapper, max_supersteps=max_supersteps)
     wrapper.finish_capture()
     wrapper.publish_metrics()

@@ -90,10 +90,10 @@ class TestCheckpointing:
         compiled = compile_query(
             parse(Q.SSSP_WCC_STABILITY_QUERY), functions=funcs
         )
-        wrapper = OnlineQueryProgram(
-            SSSP(source=0).make_program(), compiled, funcs, wgraph
-        )
         engine = CheckpointedEngine(wgraph, str(tmp_path), interval=2)
+        wrapper = OnlineQueryProgram(
+            SSSP(source=0).make_program(), compiled, funcs, engine
+        )
         with pytest.raises(EngineError, match="provenance"):
             engine.run(wrapper)
 

@@ -13,8 +13,9 @@ from repro.core import queries as Q
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.engine.vertex import VertexProgram
+from repro.graph.digraph import from_edge_list
 from repro.graph.generators import web_graph
-from repro.runtime.online import RecordingContext, run_online
+from repro.runtime.online import run_online
 
 ROUNDS = 4
 
@@ -103,21 +104,28 @@ class TestDeliveryOrder:
                          **QUERIES["query1"])
         assert run.analytic.values == bare.values
 
-    def test_recorder_sends_payloads_bare(self):
-        """The recorder hands the engine the analytic's own payloads and
-        keeps the sends as two columns."""
-        sent = []
+    def test_send_log_keeps_payloads_bare(self):
+        """The engine's send log holds the analytic's own payloads, as two
+        columns in send order, and delivers those very objects."""
+        near, far = ["near"], ["far"]
+        logs, got = [], {}
 
-        class Context:
-            vertex_id = 0
+        class Sender(VertexProgram):
+            def compute(self, ctx, messages):
+                got[ctx.vertex_id, ctx.superstep] = list(messages)
+                if ctx.superstep == 0 and ctx.vertex_id == 0:
+                    ctx.send(1, near)
+                    ctx.send(2, far)
+                ctx.vote_to_halt()
 
-            def send(self, target, message):
-                sent.append((target, message))
+            def post_superstep(self, superstep):
+                log = engine.send_log
+                logs.append((list(log.targets), list(log.payloads)))
 
-        recorder = RecordingContext()
-        recorder._rebind(Context())
-        recorder.send(1, "near")
-        recorder.send(2, "far")
-        assert sent == [(1, "near"), (2, "far")]
-        assert recorder.targets == [1, 2]
-        assert recorder.payloads == ["near", "far"]
+        engine = PregelEngine(from_edge_list([(0, 1), (0, 2)]))
+        engine.run(Sender())
+        (targets, payloads), _empty = logs
+        assert targets == [1, 2]
+        assert payloads == [["near"], ["far"]]
+        assert payloads[0] is near and payloads[1] is far
+        assert got[1, 1][0] is near and got[2, 1][0] is far

@@ -92,6 +92,35 @@ class TestMessaging:
         with pytest.raises(VertexProgramError):
             run_program(chain_graph(2), prog)
 
+    def test_send_to_unknown_vertex_fails_at_the_send(self):
+        """The send itself raises, inside ``compute``, naming the sender,
+        the superstep and the target — not the barrier after it — and the
+        half-built send log does not outlive the run."""
+        after_send = []
+
+        def fn(ctx, msgs):
+            if ctx.superstep == 1:
+                ctx.send_to_all("fine")
+                if ctx.vertex_id == 1:
+                    ctx.send("missing", "x")
+                    after_send.append(ctx.vertex_id)
+
+        engine = PregelEngine(chain_graph(3))
+        with pytest.raises(VertexProgramError) as info:
+            engine.run(FunctionProgram(fn))
+        err = info.value
+        assert (err.vertex_id, err.superstep) == (1, 1)
+        assert isinstance(err.cause, EngineError)
+        assert "message to unknown vertex 'missing'" in str(err)
+        assert after_send == []
+        # the same engine then runs a program as a fresh one does
+        again = engine.run(Broadcast(rounds=3))
+        fresh = PregelEngine(chain_graph(3)).run(Broadcast(rounds=3))
+        assert again.values == fresh.values
+        assert again.metrics.summary() == {
+            **fresh.metrics.summary(),
+            "wall_seconds": again.metrics.wall_seconds}
+
     def test_combiner_reduces_messages(self):
         class TwoSends(VertexProgram):
             def combiner(self):

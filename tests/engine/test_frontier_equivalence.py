@@ -46,9 +46,10 @@ def random_weighted_graph(seed: int) -> DiGraph:
 class ScheduleRecorder(VertexProgram):
     """Wrapper program that logs every compute as ``(superstep, vertex)``.
 
-    It also notes each vertex's halt vote and every message target (by
-    wrapping the engine's send), which is all a whole-graph scan needs to
-    decide who runs next.
+    It also notes each vertex's halt vote and every message target (read
+    from the engine's public send log after each superstep's last
+    compute), which is all a whole-graph scan needs to decide who runs
+    next.
     """
 
     def __init__(self, inner: VertexProgram, engine: PregelEngine) -> None:
@@ -58,14 +59,7 @@ class ScheduleRecorder(VertexProgram):
         self.computes = []  # (superstep, vertex), in call order
         self.halted = {}  # (superstep, vertex) -> voted to halt
         self.sent = defaultdict(set)  # superstep -> message targets
-        self._superstep = 0
-        send = engine._send
-
-        def recording_send(sender, target, message):
-            self.sent[self._superstep].add(target)
-            send(sender, target, message)
-
-        engine._send = recording_send
+        self._engine = engine
 
     def initial_value(self, vertex_id, graph):
         return self.inner.initial_value(vertex_id, graph)
@@ -80,10 +74,10 @@ class ScheduleRecorder(VertexProgram):
         return self.inner.master_halt(aggregators, superstep)
 
     def post_superstep(self, superstep):
+        self.sent[superstep] = set(self._engine.send_log.targets)
         self.inner.post_superstep(superstep)
 
     def compute(self, ctx, messages):
-        self._superstep = ctx.superstep
         self.computes.append((ctx.superstep, ctx.vertex_id))
         self.inner.compute(ctx, messages)
         self.halted[ctx.superstep, ctx.vertex_id] = ctx._halted

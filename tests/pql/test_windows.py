@@ -94,13 +94,13 @@ class TestPruningEndToEnd:
 
         results = {}
         for prune in (True, False):
+            engine = PregelEngine(wgraph, config=EngineConfig(use_combiner=False))
             wrapper = OnlineQueryProgram(
-                analytic.make_program(), compiled, funcs, wgraph,
+                analytic.make_program(), compiled, funcs, engine,
                 value_projector=analytic.provenance_value,
                 prune_history=prune,
             )
             wrapper.run_setup()
-            engine = PregelEngine(wgraph, config=EngineConfig(use_combiner=False))
             engine.run(wrapper)
             results[prune] = {
                 rel: sorted(wrapper.db.derived.rows(rel), key=repr)

@@ -3,6 +3,7 @@ reads through them."""
 
 import pytest
 
+from repro.engine.engine import SendLog
 from repro.graph.digraph import from_edge_list
 from repro.pql.analysis import compile_query
 from repro.pql.eval import MODE_ANCHORED, MODE_LOCATED
@@ -11,6 +12,12 @@ from repro.pql.udf import FunctionRegistry
 from repro.pql.vectorized import VectorContext
 from repro.provenance.store import Layer, ProvenanceStore
 from repro.runtime.db import Inbox, OnlineDatabase, StoreDatabase
+
+
+def inbox_of(entries, sites, superstep):
+    """The :class:`Inbox` the barrier delivers for a send log of
+    ``(sender, targets, payloads)`` entries."""
+    return Inbox(*SendLog.of(entries).group_by_receiver(), sites, superstep)
 
 
 @pytest.fixture
@@ -154,13 +161,13 @@ class TestOnlineDatabase:
 
         # vertex 1's facts are NOT visible remotely unless shipped
         assert seen(0, 1) == []
-        assert db.ship([(1, [0], ["m"])], 0) == 1
+        assert db.ship(SendLog.of([(1, [0], ["m"])]), 0) == 1
         assert seen(0, 1) == [(1, 5.0, 0)]
         # a row 1 holds after its last message to 0 stays invisible ...
         db.keep("value", 1, layer_of(3, (1, 6.0, 1)))
         assert seen(0, 1) == [(1, 5.0, 0)]
         # ... until it messages 0 again; a repeat message carries nothing
-        assert db.ship([(1, [0, 0], ["m", "m"])], 1) == 1
+        assert db.ship(SendLog.of([(1, [0, 0], ["m", "m"])]), 1) == 1
         assert seen(0, 1) == [(1, 5.0, 0), (1, 6.0, 1)]
         assert seen(2, 1) == []  # never messaged 2
 
@@ -170,14 +177,14 @@ class TestOnlineDatabase:
                             frame_relations={"receive_message"},
                             shipped=["value"])
         db.keep("value", 0, layer_of(3, (1, 5.0, 0)))
-        db.ship([(1, [0], ["m"])], 0)
+        db.ship(SendLog.of([(1, [0], ["m"])]), 0)
         db.keep("value", 1, layer_of(3, (1, 6.0, 1)))
-        db.store.begin(2, {}, Inbox([(1, [0, 2], ["m", "m"])], [0, 2], 2))
+        db.store.begin(2, {}, inbox_of([(1, [0, 2], ["m", "m"])], [0, 2], 2))
         rule = "o(X, D) :- receive_message(X, Y, M, I), value(Y, D, J)."
         assert derive(db, rule, [0, 2], anchor=2) == [(0, 5.0)]
         point = "o(X) :- receive_message(X, Y, M, I), value(Y, 6.0, J)."
         assert derive(db, point, [0, 2], anchor=2) == []
-        db.ship([(1, [0], ["m"])], 1)
+        db.ship(SendLog.of([(1, [0], ["m"])]), 1)
         assert derive(db, rule, [0, 2], anchor=2) == [(0, 5.0), (0, 6.0)]
         assert derive(db, point, [0, 2], anchor=2) == [(0,)]
 
@@ -246,7 +253,7 @@ class TestSuperstepBatches:
                             frame_relations={"receive_message"})
         twice = [1]
         log = [(2, [0, 0], [twice, twice]), (1, [0], [[1]]), (0, [2], [5.0])]
-        db.store.begin(7, {}, Inbox(log, [0, 2], 7))
+        db.store.begin(7, {}, inbox_of(log, [0, 2], 7))
         (batch,) = db.store.column_batches("receive_message", [7])
         assert batch.count == 4 and batch.groups() == {0: (0, 3), 2: (3, 1)}
         assert batch.values(1) == [2, 2, 1, 0]

@@ -8,7 +8,7 @@ from repro.analytics.pagerank import PageRank
 from repro.analytics.sssp import SSSP
 from repro.core import queries as Q
 from repro.engine.config import EngineConfig
-from repro.engine.engine import PregelEngine
+from repro.engine.engine import PregelEngine, SendLog
 from repro.engine.vertex import VertexProgram
 from repro.graph.digraph import from_edge_list
 from repro.graph.generators import web_graph, with_random_weights
@@ -34,12 +34,13 @@ def run_wrapper(graph, analytic, src, params=None, udfs=None, **switches):
     if params:
         program = program.bind(**params)
     compiled = compile_query(program, functions=functions)
+    engine = PregelEngine(graph, config=EngineConfig(use_combiner=False))
     wrapper = OnlineQueryProgram(
-        analytic.make_program(), compiled, functions, graph,
+        analytic.make_program(), compiled, functions, engine,
         value_projector=analytic.provenance_value, **switches,
     )
     wrapper.run_setup()
-    PregelEngine(graph, config=EngineConfig(use_combiner=False)).run(wrapper)
+    engine.run(wrapper)
     return wrapper
 
 
@@ -214,10 +215,11 @@ class TestShipping:
 
         db.add_rows("r", [(0, i) for i in range(3)], 0)
         targets = [1, 2, 3]
-        assert db.ship([(0, targets, ["m"] * len(targets))], 0) == 9
+        log = SendLog.of([(0, targets, ["m"] * len(targets))])
+        assert db.ship(log, 0) == 9
         assert seen(2) == [(0, 0), (0, 1), (0, 2)]
         db.add_rows("r", [(0, 3)], 1)
-        assert db.ship([(0, [1], ["m"])], 1) == 1
+        assert db.ship(SendLog.of([(0, [1], ["m"])]), 1) == 1
         assert seen(2) == [(0, 0), (0, 1), (0, 2)]
         assert seen(1) == [(0, 0), (0, 1), (0, 2), (0, 3)]
 

@@ -1,7 +1,7 @@
 """``receive_message`` read from the previous superstep's send log.
 
-Each case is a send log and the ``receive_message`` rows every receiver
-must read — rows written down from the envelope inbox the engine used to
+Each case is a send log, grouped by receiver as the engine's barrier
+does, and the ``receive_message`` rows every receiver must read — rows written down from the envelope inbox the engine used to
 deliver: one per distinct (sender, payload), first occurrences in arrival
 order.
 """
@@ -11,6 +11,7 @@ import pytest
 from repro.core import queries as Q
 from repro.analytics.pagerank import PageRank
 from repro.engine.config import EngineConfig
+from repro.engine.engine import SendLog
 from repro.engine.vertex import VertexProgram
 from repro.graph.digraph import from_edge_list
 from repro.graph.generators import web_graph
@@ -42,7 +43,8 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rows(name):
     case = CASES[name]
-    inbox = Inbox(case["log"], case["sites"], S)
+    inbox = Inbox(*SendLog.of(case["log"]).group_by_receiver(),
+                  case["sites"], S)
     rows = case["rows"]
     assert list(inbox.groups()) == list(rows)
     assert {v: inbox.rows(v) for v in rows} == rows
@@ -60,10 +62,12 @@ def test_rows(name):
 
 
 def test_frozen_send_payloads_are_reused(monkeypatch):
-    """A sender whose ``send`` frame froze its payloads hands them over."""
+    """A payload the ``send`` frame froze is looked up, not frozen again."""
     calls = []
     monkeypatch.setattr(rdb, "freeze", lambda v: calls.append(v) or v)
-    inbox = Inbox([(2, [6], [PAIR])], [6], S, frozen={2: [(1, 2)]})
+    log = SendLog.of([(2, [6], [PAIR])])
+    inbox = Inbox(*log.group_by_receiver(), [6], S,
+                  frozen=(log.payloads, [(1, 2)]))
     assert inbox.rows(6) == [(6, 2, (1, 2), 4)]
     assert calls == []
 
@@ -113,6 +117,25 @@ def test_online_rows(workers):
     assert result.query.stats["pruned_rows"] == 2 * 5 + 8
 
 
+class Clearing(Script):
+    """:class:`Script` that empties each message list it is handed."""
+
+    def compute(self, ctx, messages):
+        super().compute(ctx, messages)
+        if isinstance(messages, list):
+            messages.clear()
+
+
+def test_analytic_editing_its_messages_changes_no_row():
+    """The engine's receiver table is what the Inbox reads after the
+    superstep, so an analytic that edits its message list must not edit
+    ``receive_message``."""
+    graph = from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3), (3, 3)])
+    result = run_online(graph, Clearing(),
+                        "got(X, Y, M, I) :- receive_message(X, Y, M, I).")
+    assert result.query.rows("got") == SCRIPT_ROWS
+
+
 def test_query4_freezes_no_payload(monkeypatch):
     """Query 4 never binds ``M``: no payload is frozen."""
     calls = []
@@ -123,6 +146,9 @@ def test_query4_freezes_no_payload(monkeypatch):
 
     monkeypatch.setattr(rdb, "freeze", counted)
     monkeypatch.setattr(online, "freeze", counted)
+    # float payloads are their own frozen column: count the column calls too
+    monkeypatch.setattr(rdb, "frozen_payloads", counted)
+    monkeypatch.setattr(online, "frozen_payloads", counted)
     graph = web_graph(60, avg_degree=4, target_diameter=6, seed=3)
     result = run_online(graph, PageRank(num_supersteps=5),
                         Q.PAGERANK_CHECK_QUERY)

@@ -5,6 +5,8 @@
    provenance of the same run.
 """
 
+import re
+
 import pytest
 
 from repro.analytics.pagerank import PageRank
@@ -12,11 +14,15 @@ from repro.analytics.sssp import SSSP
 from repro.analytics.wcc import WCC
 from repro.core import queries as Q
 from repro.engine.config import EngineConfig
-from repro.engine.engine import run_program
-from repro.errors import PQLCompatibilityError
+from repro.engine.engine import PregelEngine, run_program
+from repro.errors import PQLCompatibilityError, VertexProgramError
 from repro.graph.generators import random_graph, web_graph, with_random_weights
+from repro.pql.analysis import compile_query
+from repro.pql.parser import parse
+from repro.pql.udf import FunctionRegistry
+from repro.provenance.model import SchemaRegistry
 from repro.runtime.offline import run_layered, run_reference
-from repro.runtime.online import run_online
+from repro.runtime.online import OnlineQueryProgram, run_online
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +163,56 @@ class TestOnlineRestrictions:
         assert run_layered(store, stale).rows("seen") == run_reference(
             store, stale).rows("seen")
         assert run_reference(store, stale).count("seen") == 27
+
+    def test_read_of_a_later_superstep_rejected(self):
+        """A rule reading a relation at a superstep after its anchor reads
+        what online has not computed yet: it would silently derive nothing
+        where the offline drivers derive every row, so online refuses it
+        by name."""
+        small = with_random_weights(random_graph(9, 20, seed=3), seed=3)
+        ahead = "p(X, I) :- superstep(X, I), value(X, D, J), J = I + 1."
+        with pytest.raises(PQLCompatibilityError,
+                           match=r"value at a superstep after its anchor"
+                                 r".*p\(X, I\) :- superstep"):
+            run_online(small, PageRank(num_supersteps=4), ahead)
+        store = run_online(small, PageRank(num_supersteps=4),
+                           Q.CAPTURE_FULL_QUERY, capture=True).store
+        assert run_layered(store, ahead).rows("p") == run_reference(
+            store, ahead).rows("p")
+        assert run_layered(store, ahead).count("p") == 27
+
+    def test_no_paper_query_refused_for_a_later_read(self):
+        """Online accepts every paper query it accepted before, and refuses
+        only the backward ones, by direction."""
+        refused = {}
+        custom = SchemaRegistry()  # Query 12 reads Query 11's capture
+        custom.register_all(compile_query(
+            parse(Q.CAPTURE_BACKWARD_CUSTOM_QUERY)).idb_schemas.values())
+        for name, src in sorted(Q.NAMED_QUERIES.items()):
+            params = {p: 1 for p in re.findall(r"\$(\w+)", src)}
+            program = parse(src).bind(**params) if params else parse(src)
+            compiled = compile_query(
+                program, registry=custom if name == "query12" else None,
+                functions=FunctionRegistry(Q.apt_udfs(PageRank())))
+            try:
+                compiled.require_online()
+            except PQLCompatibilityError as exc:
+                refused[name] = str(exc)
+        assert sorted(refused) == ["query10", "query12"]
+        assert all("direction is 'backward'" in why
+                   for why in refused.values())
+
+    def test_wrapper_refuses_another_engine(self, graph):
+        """The wrapper reads its own engine's send log and receiver table:
+        run on another engine it would read nothing, so it refuses."""
+        funcs = FunctionRegistry()
+        compiled = compile_query(parse(Q.PAGERANK_CHECK_QUERY),
+                                 functions=funcs)
+        wrapper = OnlineQueryProgram(
+            PageRank(num_supersteps=3).make_program(), compiled, funcs,
+            PregelEngine(graph))
+        with pytest.raises(VertexProgramError, match="its own engine"):
+            PregelEngine(graph).run(wrapper)
 
     @pytest.mark.parametrize("workers", [1, 3, 7])
     def test_timeless_shipped_head(self, workers):
