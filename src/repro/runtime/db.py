@@ -324,13 +324,12 @@ class OnlineDatabase(Database):
             self.local.put(relation, superstep, layer)
 
     # -- shipping -----------------------------------------------------------
-    def ship(self, log: SendLog, superstep: Any, full: bool = False) -> int:
+    def ship(self, log: SendLog, superstep: Any) -> int:
         """Each sender of the send ``log`` messaged the targets of its span
         (in send order) at ``superstep``, just evaluated, so move each
         target's watermark to what the sender holds now. Returns the rows
         the per-target deltas carry — every message the rows its target
-        had not been shipped yet, so a repeat message carries none — or,
-        with ``full``, every row on every message."""
+        had not been shipped yet, so a repeat message carries none."""
         sizes = [held.sizes(rel) for rel, held in self.shipped.items()]
         targets = log.targets
         carried = 0
@@ -340,11 +339,8 @@ class OnlineDatabase(Database):
                 continue
             marks = self.marks.setdefault(sender, {})
             sent = dict.fromkeys(targets[start:start + n])
-            if full:
-                carried += rows * n
-            else:
-                carried += rows * len(sent) - sum(map(
-                    _second, map(marks.get, sent, repeat(_UNSHIPPED))))
+            carried += rows * len(sent) - sum(map(
+                _second, map(marks.get, sent, repeat(_UNSHIPPED))))
             marks.update(dict.fromkeys(sent, (superstep, rows)))
         return carried
 

@@ -130,7 +130,6 @@ class OnlineQueryProgram(VertexProgram):
         store: Optional[ProvenanceStore] = None,
         value_projector: Optional[Callable[[Any], Any]] = None,
         prune_history: bool = True,
-        ship_full_tables: bool = False,
         spill: Optional[SpillManager] = None,
     ) -> None:
         compiled.require_online()
@@ -212,9 +211,6 @@ class OnlineQueryProgram(VertexProgram):
         # a lagged scan is no dependency within it (Lemma 5.3).
         self._prepared = prepare_strata(compiled.strata, anchored=True)
         self.pruned_rows = 0
-        # Ablation switch: ship full tables instead of per-target deltas
-        # (measures the value of watermark shipping).
-        self.ship_full_tables = ship_full_tables
         self.shipped_tuples = 0
         self._last_active: Dict[Any, int] = {}
         self.derivations = 0
@@ -388,8 +384,7 @@ class OnlineQueryProgram(VertexProgram):
                 self.pruned_rows += db.local.drop_before(
                     relation, superstep - window)
             if db.shipped:
-                self.shipped_tuples += db.ship(engine.send_log, superstep,
-                                               self.ship_full_tables)
+                self.shipped_tuples += db.ship(engine.send_log, superstep)
             self.query_seconds += time.perf_counter() - started
 
     @property

@@ -196,11 +196,6 @@ class TestWindowedRelations:
 
 
 class TestShipping:
-    def run_apt(self, graph, **switches):
-        analytic = PageRank(num_supersteps=6)
-        return run_wrapper(graph, analytic, Q.APT_QUERY, {"eps": 0.01},
-                           Q.apt_udfs(analytic), **switches)
-
     def test_each_target_is_shipped_its_own_delta(self):
         """A message moves its target's watermark: the first message to a
         target carries every row the sender holds, the next only what is
@@ -222,10 +217,3 @@ class TestShipping:
         assert db.ship(SendLog.of([(0, [1], ["m"])]), 1) == 1
         assert seen(2) == [(0, 0), (0, 1), (0, 2)]
         assert seen(1) == [(0, 0), (0, 1), (0, 2), (0, 3)]
-
-    def test_ablation_switches_keep_the_rows(self, wgraph):
-        default = self.run_apt(wgraph)
-        full = self.run_apt(wgraph, ship_full_tables=True)
-        assert derived(full) == derived(default)
-        assert derived(default)["safe"] or derived(default)["unsafe"]
-        assert full.shipped_tuples > default.shipped_tuples
