@@ -25,7 +25,6 @@ import argparse
 import gc
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
@@ -53,7 +52,7 @@ from repro.engine.engine import PregelEngine  # noqa: E402
 from repro.graph.datasets import ML_20, WEB_DATASET_ORDER, WEB_DATASETS  # noqa: E402
 from repro.graph.stats import (  # noqa: E402
     average_degree, estimate_average_diameter, max_degree_vertex)
-from repro.obs.ledger import usable_cores  # noqa: E402
+from repro.obs.ledger import environment_fingerprint  # noqa: E402
 from repro.pql.analysis import compile_query  # noqa: E402
 from repro.pql.parser import parse  # noqa: E402
 from repro.pql.seminaive import evaluate_seminaive, store_to_facts  # noqa: E402
@@ -82,8 +81,13 @@ WEB_SCALE = 1.0 / 40_000.0
 ML_SCALE = 1.0 / 1500.0
 SMOKE_DATASETS = ("IN-04", "UK-02")
 SMOKE_ML_SCALE = 0.25
-#: Each timing is the median of REPEATS runs.
+#: Each timing is the median of REPEATS runs. Timings that an ordering
+#: compares take turns within each round (``timed``), so the VM's drift
+#: over a cell hits both sides alike.
 REPEATS = 3
+#: Fig. 12's two lineage queries take 15-300 ms and sit within 10-20% of
+#: each other in sum; they are cheap enough for more rounds.
+LINEAGE_ROUNDS = 9
 ANALYTICS = ("pagerank", "sssp", "wcc")
 PAGERANK_SUPERSTEPS = 20
 #: The paper runs Naive only where it fits: the two smallest datasets.
@@ -134,8 +138,7 @@ ORDERINGS = {
     "fig9.q8_flags": "Query 8 flags over 5% of the vertices",
     "fig10.fewer_messages": "the optimized analytic sends fewer messages",
     "fig10.not_slower": "the optimized analytic is not slower (> 0.9x)",
-    "fig11.online_beats_capture_layered":
-        "online < capture + layered, in sum",
+    "fig11.online_beats_capture_layered": "online < capture + layered",
     "fig11.online_beats_layered": "online < layered, in sum",
     "fig11.naive_slowest": "naive > layered, in sum",
     "fig11.verdicts":
@@ -143,6 +146,8 @@ ORDERINGS = {
     "table5.pagerank_error": "L2 error < 0.05, medians within 0.1",
     "table6.sssp_error": "L1 error < 0.15, optimized medians never lower",
     "fig12.same_lineage": "Query 12 returns Query 10's lineage",
+    "fig12.custom_cheaper":
+        "Query 12 costs less than Query 10, per analytic in sum",
     "fig12.custom_half_of_full":
         "Query 12 costs at most half of Query 10, per analytic in sum",
     "ablation.compact_blowup": "unfolding blows the node count up > 2x",
@@ -160,7 +165,7 @@ WAIVERS = {
     "fig7.custom_cheaper": "ROADMAP item 1",
     "fig8.online_beats_layered": "ROADMAP items 2/3",
     "fig11.online_beats_layered": "ROADMAP items 2/3",
-    "fig12.custom_half_of_full": "ROADMAP item 9",
+    "fig12.custom_half_of_full": "ROADMAP item 10",
 }
 
 Check = Tuple[str, str, bool]  # (ordering, cell, holds)
@@ -176,16 +181,20 @@ def make_analytic(name: str, epsilon: Optional[float] = None) -> Any:
     return WCC()
 
 
-def timed(fn: Callable[[], Any]) -> Tuple[float, Any]:
-    """Median wall time of ``fn`` over REPEATS calls, and what its last
-    call returned."""
-    samples = []
-    gc.collect()  # no collection of an earlier cell's garbage counts
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        result = fn()
-        samples.append(time.perf_counter() - start)
-    return median(samples), result
+def timed(*fns: Callable[[], Any],
+          rounds: int = REPEATS) -> List[Tuple[float, Any]]:
+    """Each of ``fns``' median wall time over ``rounds`` rounds, in each of
+    which every fn runs once in turn, and what its last call returned."""
+    samples: List[List[float]] = [[] for _ in fns]
+    results: List[Any] = [None] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            results[i] = None
+            gc.collect()  # no call pays for an earlier call's garbage
+            start = time.perf_counter()
+            results[i] = fn()
+            samples[i].append(time.perf_counter() - start)
+    return [(median(s), r) for s, r in zip(samples, results)]
 
 
 def commit() -> str:
@@ -205,9 +214,8 @@ class Bench:
         self.ml_scale = ML_SCALE * (SMOKE_ML_SCALE if smoke else 1.0)
         self.datasets = SMOKE_DATASETS if smoke else tuple(WEB_DATASET_ORDER)
         self.stamp = {
+            **environment_fingerprint(),  # python, usable_cores, ...
             "commit": commit(),
-            "python": platform.python_version(),
-            "cores": usable_cores(),
             "scale": {"web": WEB_SCALE, "ml": self.ml_scale},
             "seed": SEED,
             "smoke": smoke,
@@ -266,24 +274,27 @@ def datasets_cells(bench: Bench) -> None:
 
 def query_modes(graph: Any, name: str, spill: SpillManager, query: str,
                 params: Optional[Dict[str, Any]], naive: bool,
-                baseline: float, capture: float) -> Tuple[Dict[str, float],
-                                                          Any]:
+                baseline: float, capture: float,
+                online: Optional[float] = None) -> Dict[str, float]:
     """Online, layered and (where the paper runs it) naive wall times of
     one query over ``baseline``, the offline modes reading the sealed full
-    capture, and capture + layered; and the last online result."""
+    capture, and capture + layered. ``online``, when given, is a time the
+    caller measured beside the capture."""
     udfs = Q.apt_udfs(make_analytic(name))
-    online_s, online = timed(lambda: run_online(
-        graph, make_analytic(name), query, params=params, udfs=udfs))
-    layered_s, _ = timed(
-        lambda: run_layered_from_spill(spill, query, graph, params, udfs))
-    values = {"baseline_s": baseline, "online_x": online_s / baseline,
-              "layered_x": layered_s / baseline,
-              "capture_layered_x": (capture + layered_s) / baseline}
+    modes: Dict[str, Callable[[], Any]] = {
+        "layered": lambda: run_layered_from_spill(
+            spill, query, graph, params, udfs)}
+    if online is None:
+        modes["online"] = lambda: run_online(
+            graph, make_analytic(name), query, params=params, udfs=udfs)
     if naive:
-        naive_s, _ = timed(
-            lambda: run_naive_from_spill(spill, query, graph, params, udfs))
-        values["naive_x"] = naive_s / baseline
-    return values, online
+        modes["naive"] = lambda: run_naive_from_spill(
+            spill, query, graph, params, udfs)
+    seconds = {mode: s for mode, (s, _) in zip(modes, timed(*modes.values()))}
+    seconds.setdefault("online", online)
+    return {"baseline_s": baseline,
+            **{f"{mode}_x": s / baseline for mode, s in seconds.items()},
+            "capture_layered_x": (capture + seconds["layered"]) / baseline}
 
 
 def analytic_cells(bench: Bench, name: str, dataset: str,
@@ -293,12 +304,16 @@ def analytic_cells(bench: Bench, name: str, dataset: str,
     gate."""
     graph = bench.graph(dataset, weighted=name == "sssp")
     cell = {"analytic": name, "dataset": dataset}
-    baseline, bare = timed(
-        lambda: PregelEngine(graph).run(make_analytic(name).make_program()))
-    if name != "wcc":
+
+    def plain(analytic: Any) -> Callable[[], Any]:
+        return lambda: PregelEngine(graph).run(analytic.make_program())
+
+    if name == "wcc":  # no apt-optimized variant
+        [(baseline, bare)] = timed(plain(make_analytic(name)))
+    else:
         approx = make_analytic(name, PAPER_EPSILONS[name])
-        approx_s, approx_run = timed(
-            lambda: PregelEngine(graph).run(approx.make_program()))
+        (baseline, bare), (approx_s, approx_run) = timed(
+            plain(make_analytic(name)), plain(approx))
         bench.record(
             "fig10", cell, original_s=baseline, optimized_s=approx_s,
             speedup=baseline / approx_s,
@@ -313,12 +328,18 @@ def analytic_cells(bench: Bench, name: str, dataset: str,
                                    p=2 if name == "pagerank" else 1),
             median_a=value_median(exact_v), median_b=value_median(approx_v))
 
-    capture, full = timed(lambda: run_online(
-        graph, make_analytic(name), Q.CAPTURE_FULL_QUERY, capture=True))
+    # Fig. 11's apt query online runs beside the full capture it is set
+    # against, and Fig. 7's custom capture beside the full one
     source = 0 if name == "sssp" else max_degree_vertex(graph, kind="out")
-    custom_s, custom = timed(lambda: run_online(
-        graph, make_analytic(name), Q.CAPTURE_FWD_LINEAGE_QUERY,
-        params={"source": source}, capture=True))
+    apt = {"eps": PAPER_EPSILONS[name]}
+    (capture, full), (custom_s, custom), (online_s, online) = timed(
+        lambda: run_online(graph, make_analytic(name), Q.CAPTURE_FULL_QUERY,
+                           capture=True),
+        lambda: run_online(graph, make_analytic(name),
+                           Q.CAPTURE_FWD_LINEAGE_QUERY,
+                           params={"source": source}, capture=True),
+        lambda: run_online(graph, make_analytic(name), Q.APT_QUERY,
+                           params=apt, udfs=Q.apt_udfs(make_analytic(name))))
     store = full.store
     input_bytes = graph_bytes(bench.graph(dataset))
     bench.record("table3", cell, input_bytes=input_bytes,
@@ -340,13 +361,12 @@ def analytic_cells(bench: Bench, name: str, dataset: str,
         spill.seal_all()
         for analytic, query_name, query in MONITORING:
             if analytic == name:
-                values, _ = query_modes(graph, name, spill, query, None,
-                                        naive, baseline, capture)
-                bench.record("fig8", {**cell, "query": query_name}, **values)
-        values, online = query_modes(
-            graph, name, spill, Q.APT_QUERY, {"eps": PAPER_EPSILONS[name]},
-            naive, baseline, capture)
-        bench.record("fig11", cell, **values)
+                bench.record("fig8", {**cell, "query": query_name},
+                             **query_modes(graph, name, spill, query, None,
+                                           naive, baseline, capture))
+        bench.record("fig11", cell, **query_modes(
+            graph, name, spill, Q.APT_QUERY, apt, naive, baseline, capture,
+            online=online_s))
         bench.record("fig11.verdicts", cell,
                      no_execute=online.query.count("no_execute"),
                      safe=online.query.count("safe"),
@@ -382,12 +402,14 @@ def backward_cells(bench: Bench, graph: Any, name: str,
     custom = run_online(graph, make_analytic(name), capture_query,
                         capture=True).store
     params = trace_target(store)
-    full_s, full = timed(lambda: run_layered_from_spill(
-        spill, Q.BACKWARD_LINEAGE_FULL_QUERY, graph, params))
     with SpillManager(custom) as custom_spill:
         custom_spill.seal_all()
-        custom_s, mine = timed(lambda: run_layered_from_spill(
-            custom_spill, Q.BACKWARD_LINEAGE_CUSTOM_QUERY, graph, params))
+        (full_s, full), (custom_s, mine) = timed(
+            lambda: run_layered_from_spill(
+                spill, Q.BACKWARD_LINEAGE_FULL_QUERY, graph, params),
+            lambda: run_layered_from_spill(
+                custom_spill, Q.BACKWARD_LINEAGE_CUSTOM_QUERY, graph, params),
+            rounds=LINEAGE_ROUNDS)
     bench.record("fig12", cell, baseline_s=baseline,
                  full_x=full_s / baseline, custom_x=custom_s / baseline,
                  same=full.rows("back_trace") == mine.rows("back_trace"))
@@ -437,8 +459,8 @@ def seminaive_cell(bench: Bench, graph: Any, cell: Dict[str, Any],
     params = trace_target(store, MAX_TRACE_DEPTH)
     program = parse(Q.BACKWARD_LINEAGE_FULL_QUERY).bind(**params)
     facts = store_to_facts(store, graph)
-    semi_s, semi = timed(lambda: evaluate_seminaive(program, facts))
-    naive_s, naive = timed(
+    (semi_s, semi), (naive_s, naive) = timed(
+        lambda: evaluate_seminaive(program, facts),
         lambda: evaluate_seminaive(program, facts, naive=True))
     bench.record("ablation.seminaive", cell, depth=params["sigma"],
                  trace=len(semi["back_trace"]), seminaive_s=semi_s,
@@ -454,23 +476,35 @@ def pruning_cell(bench: Bench, graph: Any, cell: Dict[str, Any]) -> None:
     compiled = compile_query(parse(Q.APT_QUERY).bind(eps=0.1),
                              functions=functions)
 
-    def run(prune_history: bool) -> Dict[str, Any]:
+    def run(prune_history: bool) -> Tuple[float, Dict[str, Any]]:
+        """The seconds of ``engine.run`` alone, and what it left."""
         engine = PregelEngine(graph, config=EngineConfig(use_combiner=False))
         wrapper = OnlineQueryProgram(
             analytic.make_program(), compiled, functions, engine,
             value_projector=analytic.provenance_value,
             prune_history=prune_history)
         wrapper.run_setup()
+        gc.collect()
+        start = time.perf_counter()
         engine.run(wrapper)
+        seconds = time.perf_counter() - start
         result = QueryResult(derived=wrapper.db.derived, mode="online")
-        return {"transient_rows": wrapper.transient_rows,
-                "shipped_tuples": wrapper.shipped_tuples,
-                "result": (result.count("safe"), result.count("unsafe"))}
+        return seconds, {
+            "transient_rows": wrapper.transient_rows,
+            "shipped_tuples": wrapper.shipped_tuples,
+            "result": [result.count("safe"), result.count("unsafe")]}
 
-    for prune in (True, False):
-        seconds, run_values = timed(lambda: run(prune))
+    runs: Dict[bool, List[Tuple[float, Dict[str, Any]]]] = {True: [],
+                                                             False: []}
+    for _ in range(REPEATS):
+        for prune, samples in runs.items():
+            samples.append(run(prune))
+    for prune, samples in runs.items():
+        left = [values for _s, values in samples]
         bench.record("ablation.pruning", {**cell, "pruning": prune},
-                     seconds=seconds, **run_values)
+                     seconds=median(s for s, _v in samples),
+                     deterministic=all(v == left[0] for v in left),
+                     **left[0])
 
 
 def serve_cell(bench: Bench, cell: Dict[str, Any], directory: str) -> None:
@@ -514,21 +548,22 @@ def als_cells(bench: Bench) -> None:
             return ALS(bipartite, num_features=features,
                        max_rounds=ALS_ROUNDS)
 
-        baseline, _ = timed(
-            lambda: PregelEngine(graph).run(make().make_program()))
-        q7, _ = timed(
-            lambda: run_online(graph, make(), Q.ALS_ERROR_RANGE_QUERY))
-        q8, result = timed(lambda: run_online(
-            graph, make(), Q.ALS_ERROR_TREND_QUERY, params={"eps": Q8_EPS}))
+        runs = [
+            lambda: PregelEngine(graph).run(make().make_program()),
+            lambda: run_online(graph, make(), Q.ALS_ERROR_RANGE_QUERY),
+            lambda: run_online(graph, make(), Q.ALS_ERROR_TREND_QUERY,
+                               params={"eps": Q8_EPS})]
+        if features == ALS_FEATURES[0]:  # Fig. 11's row
+            runs.append(lambda: run_online(
+                graph, make(), Q.APT_QUERY, params={"eps": 0.01},
+                udfs=Q.apt_udfs(make())))
+        (baseline, _), (q7, _), (q8, result), *apt = timed(*runs)
         cell = {"dataset": f"ML-20^{features}"}
         bench.record("fig9", cell, baseline_s=baseline, q7_x=q7 / baseline,
                      q8_x=q8 / baseline,
                      q8_fraction=len(result.query.vertices("problem"))
                      / graph.num_vertices)
-        if features == ALS_FEATURES[0]:
-            online, _ = timed(lambda: run_online(
-                graph, make(), Q.APT_QUERY, params={"eps": 0.01},
-                udfs=Q.apt_udfs(make())))
+        for online, _ in apt:
             bench.record("fig11", {"analytic": "als", **cell},
                          baseline_s=baseline, online_x=online / baseline)
 
@@ -574,15 +609,11 @@ def checks(records: List[Dict[str, Any]]) -> Iterator[Check]:
         yield "fig7.custom_cheaper", label(c), v["custom_x"] < v["full_x"]
     for figure in ("fig8", "fig11"):
         # the ALS row of Fig. 11 runs online only
-        modes = [v for _c, v in cells[figure] if "layered_x" in v]
-        if figure == "fig8":
-            for c, v in cells[figure]:
-                yield (f"{figure}.online_beats_capture_layered", label(c),
-                       v["online_x"] < v["capture_layered_x"])
-        else:  # per cell, Fig. 11's largest datasets sit at 0.9-1.1
-            yield (f"{figure}.online_beats_capture_layered", "sum",
-                   sum(v["online_x"] for v in modes)
-                   < sum(v["capture_layered_x"] for v in modes))
+        rows = [(c, v) for c, v in cells[figure] if "layered_x" in v]
+        for c, v in rows:
+            yield (f"{figure}.online_beats_capture_layered", label(c),
+                   v["online_x"] < v["capture_layered_x"])
+        modes = [v for _c, v in rows]
         yield (f"{figure}.online_beats_layered", "sum",
                sum(v["online_x"] for v in modes)
                < sum(v["layered_x"] for v in modes))
@@ -616,6 +647,7 @@ def checks(records: List[Dict[str, Any]]) -> Iterator[Check]:
         total[0] += v["full_x"]
         total[1] += v["custom_x"]
     for analytic, (full_x, custom_x) in totals.items():
+        yield "fig12.custom_cheaper", analytic, custom_x < full_x
         yield "fig12.custom_half_of_full", analytic, custom_x <= full_x / 2
     for c, v in cells["ablation.compact"]:
         yield ("ablation.compact_blowup", label(c),
@@ -624,7 +656,8 @@ def checks(records: List[Dict[str, Any]]) -> Iterator[Check]:
         yield "ablation.seminaive", label(c), v["slowdown"] > 1 and v["same"]
     pruning = {c["pruning"]: v for c, v in cells["ablation.pruning"]}
     yield ("ablation.window_pruning", "sssp/UK-02",
-           pruning[True]["transient_rows"] < pruning[False]["transient_rows"]
+           pruning[True]["deterministic"] and pruning[False]["deterministic"]
+           and pruning[True]["transient_rows"] < pruning[False]["transient_rows"]
            and pruning[True]["result"] == pruning[False]["result"]
            and pruning[True]["seconds"] < pruning[False]["seconds"])
     for c, v in cells["serve"]:

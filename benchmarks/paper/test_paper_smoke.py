@@ -71,6 +71,21 @@ class TestWaivers:
             assert owner.startswith("ROADMAP item")
 
 
+def test_timed_takes_turns_and_keeps_each_last_result():
+    calls = []
+
+    def tagged(tag):
+        def run():
+            calls.append(tag)
+            return len(calls)
+        return run
+
+    (a_s, a), (b_s, b) = paper.timed(tagged("a"), tagged("b"))
+    assert calls == ["a", "b"] * paper.REPEATS
+    assert (a, b) == (2 * paper.REPEATS - 1, 2 * paper.REPEATS)
+    assert a_s >= 0 and b_s >= 0
+
+
 @pytest.fixture(scope="module")
 def smoke_records(tmp_path_factory):
     bench = paper.Bench(smoke=True)
@@ -81,11 +96,11 @@ def smoke_records(tmp_path_factory):
 
 def test_records_carry_the_stamp(smoke_records):
     stamp = smoke_records.stamp
-    assert {"commit", "python", "cores", "scale", "seed"} <= set(stamp)
+    assert {"commit", "python", "usable_cores", "scale", "seed"} <= set(stamp)
     assert stamp["seed"] == paper.SEED and stamp["smoke"]
     assert stamp["scale"] == {"web": paper.WEB_SCALE,
                               "ml": paper.ML_SCALE * paper.SMOKE_ML_SCALE}
-    assert stamp["cores"] >= 1 and stamp["commit"]
+    assert stamp["usable_cores"] >= 1 and stamp["commit"]
     assert all(r["stamp"] is stamp for r in smoke_records.records)
     # each graph is generated once per run and shared by its figures
     assert smoke_records.graph("IN-04") is smoke_records.graph("IN-04")
