@@ -76,7 +76,7 @@ from repro.obs import (
     validate_otlp,
 )
 from repro.obs import ledger as obsledger
-from repro.provenance.spill import SpillManager, rebuild_store
+from repro.provenance.spill import SpillManager, open_store_view, rebuild_store
 from repro.runtime.offline import (
     run_layered,
     run_layered_from_spill,
@@ -477,7 +477,11 @@ def _print_stratum_timings(args: argparse.Namespace,
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    spill = SpillManager.open(args.store)
+    with SpillManager.open(args.store) as spill:
+        return _query(args, spill)
+
+
+def _query(args: argparse.Namespace, spill: SpillManager) -> int:
     graph = _load_graph(args) if (args.graph or args.dataset) else None
     params = _params(args.param)
     query_text = _query_text(args)
@@ -575,18 +579,18 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     from repro.provenance import inspect as pinspect
 
     logger.info("inspect: opening sealed store %s", args.store)
-    spill = SpillManager.open(args.store)
-    if args.vertex is None:
-        # Physical layout first (footers only — nothing is rebuilt for
-        # this part), then the logical summary.
-        print(pinspect.summarize_slabs(spill))
-        spill.release_slabs()
-        store = rebuild_store(spill)
-        print(pinspect.summarize(store))
-    else:
-        store = rebuild_store(spill)
-        vertex = _parse_param(args.vertex)
-        print(pinspect.render_vertex(store, vertex))
+    with SpillManager.open(args.store) as spill:
+        if args.vertex is None:
+            # Physical layout first (footers only — nothing is rebuilt for
+            # this part), then the logical summary, whose bytes are the
+            # size model's (Tables 3/4), not the slabs' payload.
+            print(pinspect.summarize_slabs(spill))
+            spill.release_slabs()
+            print(pinspect.summarize(rebuild_store(spill)))
+        else:
+            store = rebuild_store(spill)
+            vertex = _parse_param(args.vertex)
+            print(pinspect.render_vertex(store, vertex))
     return 0
 
 
@@ -626,11 +630,11 @@ def cmd_export(args: argparse.Namespace) -> int:
     from repro.provenance.export import export_path
 
     logger.info("export: opening sealed store %s", args.store)
-    spill = SpillManager.open(args.store)
-    store = rebuild_store(spill)
-    logger.debug("export: rebuilt %d rows, writing %s",
-                 store.num_rows, args.out)
-    written = export_path(store, args.out)
+    with SpillManager.open(args.store) as spill:
+        store = open_store_view(spill)
+        logger.debug("export: writing %d rows to %s", store.num_rows,
+                     args.out)
+        written = export_path(store, args.out)
     print(f"exported {written} facts to {args.out}")
     return 0
 

@@ -12,8 +12,11 @@ The writer takes columns, not rows: the in-memory store already holds
 each (relation, layer) as column lists plus a vertex group table
 (:class:`~repro.provenance.store.Layer`), and a seal hands those over as
 they are (:class:`SlabColumns`). Row-shaped chunks (``relation -> vertex
--> rows``, what :meth:`ColumnarSlab.to_chunks` returns) are accepted too
-and transposed first — the migration and round-trip path.
+-> rows``) are accepted too and transposed first.
+
+The reader decodes columns, never rows: a sealed store's reader
+(:class:`~repro.provenance.store.ColumnBatch`) zips the column slices it
+needs, and a migration re-encodes each relation from its decoded columns.
 
 On-disk layout (all offsets are absolute file offsets)::
 
@@ -56,10 +59,7 @@ import pickle
 import struct
 import zlib
 from operator import itemgetter
-from typing import (
-    Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ProvenanceError
 from repro.sizemodel import exact_kind
@@ -81,8 +81,6 @@ LANE_PKL = "pkl"
 _HEADER = struct.Struct("<4sBBH")   # magic, version, reserved, reserved
 _TRAILER = struct.Struct("<QI4s")   # footer offset, footer length, magic
 _U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
 
 #: zlib level for segments — same speed-over-size tradeoff as ARSL slabs.
 _ZLIB_LEVEL = 1
@@ -283,7 +281,7 @@ class ColumnarSlab:
     """An mmap-backed ARSC slab reader with lazy per-column decode.
 
     Opening reads only the footer. Everything else — column values and
-    group (partition) row sets — is decoded on first touch and memoized.
+    group (partition) keys — is decoded on first touch and memoized.
     ``decoded_bytes`` accounts the uncompressed payload of every segment
     touched so far; evaluators use it to enforce honest out-of-core memory
     budgets.
@@ -352,8 +350,6 @@ class ColumnarSlab:
         self._columns: Dict[Tuple[str, int], Tuple[Any, ...]] = {}
         self._str_dicts: Dict[Tuple[str, int], List[str]] = {}
         self._groups: Dict[str, Dict[Any, Tuple[int, int]]] = {}
-        self._group_rows: Dict[Tuple[str, int], FrozenSet[Row]] = {}
-        self._rows_cache: Dict[str, List[Optional[Row]]] = {}
         # typed zero-copy vectors (memoryview casts) for the batch kernels
         self._vectors: Dict[Tuple[str, int], Any] = {}
         # memoized per-relation lane tuples (footer-only, immutable)
@@ -607,50 +603,6 @@ class ColumnarSlab:
         self._columns[key] = values
         return values
 
-    def _value_at(self, relation: str, pos: int, row_id: int) -> Any:
-        """Random access to one cell without materializing the column
-        (possible for the fixed-width lanes; pickle falls back to the
-        memoized full column)."""
-        key = (relation, pos)
-        values = self._columns.get(key)
-        if values is not None:
-            return values[row_id]
-        desc = self._relations[relation]["columns"][pos]
-        lane = desc["lane"]
-        if lane == LANE_PKL:
-            return self.column(relation, pos)[row_id]
-        buf = self._segment((relation, pos), desc["seg"], desc["comp"],
-                            desc["raw"])
-        try:
-            if lane == LANE_I64:
-                return _I64.unpack_from(buf, row_id * 8)[0]
-            if lane == LANE_F64:
-                return _F64.unpack_from(buf, row_id * 8)[0]
-            strings = self._column_strings(relation, pos, desc)
-            (code,) = _U32.unpack_from(buf, row_id * 4)
-            return strings[code]
-        except (struct.error, IndexError) as exc:
-            raise _corrupt(
-                self.path,
-                f"corrupt {lane} column {relation}[{pos}] row {row_id}: "
-                f"{exc}",
-            ) from None
-
-    def _row(self, relation: str, row_id: int) -> Row:
-        cache = self._rows_cache.get(relation)
-        if cache is None:
-            cache = self._rows_cache[relation] = (
-                [None] * self._relations[relation]["rows"]
-            )
-        row = cache[row_id]
-        if row is None:
-            arity = len(self._relations[relation]["columns"])
-            row = tuple(
-                self._value_at(relation, pos, row_id) for pos in range(arity)
-            )
-            cache[row_id] = row
-        return row
-
     # -- partitions -----------------------------------------------------
     def groups(self, relation: str) -> Dict[Any, Tuple[int, int]]:
         """``vertex -> (start, count)`` — decodes only the group-key
@@ -671,43 +623,6 @@ class ColumnarSlab:
                 table = dict(zip(keys, (tuple(g) for g in desc["groups"])))
             self._groups[relation] = table
         return table
-
-    def group_rows(self, relation: str, vertex: Any) -> FrozenSet[Row]:
-        """One partition's rows, materialized from its contiguous range."""
-        span = self.groups(relation).get(vertex)
-        if span is None:
-            return frozenset()
-        start, count = span
-        key = (relation, start)
-        rows = self._group_rows.get(key)
-        if rows is None:
-            rows = frozenset(
-                self._row(relation, rid) for rid in range(start, start + count)
-            )
-            self._group_rows[key] = rows
-        return rows
-
-    def all_rows(self, relation: str) -> Iterator[Row]:
-        for rid in range(self.row_count(relation)):
-            yield self._row(relation, rid)
-
-    # -- whole-slab compatibility ---------------------------------------
-    def to_chunks(self, meta_key: str = "\x00meta") -> Dict[str, Any]:
-        """Full decode back to the sealers' chunk shape (``relation ->
-        vertex -> rows``, each group's rows a list in slab order, so
-        encoding the chunks again writes the same bytes) — the path
-        ``load_layer`` / ``rebuild_store`` / ``store migrate`` use. Defeats
-        laziness by design."""
-        chunks: Dict[str, Any] = {}
-        for relation in self._relations:
-            chunks[relation] = {
-                vertex: [self._row(relation, rid)
-                         for rid in range(start, start + count)]
-                for vertex, (start, count) in self.groups(relation).items()
-            }
-        if self.meta is not None:
-            chunks[meta_key] = self.meta
-        return chunks
 
     def describe(self) -> Dict[str, Any]:
         """Footer-level facts for ``repro inspect`` (no segment decode)."""
@@ -731,7 +646,7 @@ class ColumnarSlab:
     def close(self) -> None:
         """Drop memoized state and unmap the file."""
         for attr in ("_vectors", "_buffers", "_columns", "_str_dicts",
-                     "_groups", "_group_rows", "_rows_cache", "_dict_codes"):
+                     "_groups", "_dict_codes"):
             state = getattr(self, attr, None)
             if state is not None:
                 state.clear()

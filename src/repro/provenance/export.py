@@ -20,7 +20,7 @@ from typing import Any, Dict, IO
 
 from repro.errors import ProvenanceError
 from repro.provenance.model import RelationSchema, SchemaRegistry
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ProvenanceStore, Relations
 
 FORMAT_NAME = "repro-provenance"
 FORMAT_VERSION = 1
@@ -52,8 +52,9 @@ def _from_json(value: Any) -> Any:
     return value
 
 
-def export_jsonl(store: ProvenanceStore, fh: IO[str]) -> int:
-    """Write ``store`` as JSON lines; returns the number of fact lines."""
+def export_jsonl(store: Relations, fh: IO[str]) -> int:
+    """Write ``store`` (a capture store, or a sealed store's view) as JSON
+    lines; returns the number of fact lines."""
     schemas: Dict[str, Dict[str, Any]] = {}
     for relation in store.relations():
         schema = store.registry.get(relation)
@@ -127,7 +128,7 @@ def import_jsonl(fh: IO[str]) -> ProvenanceStore:
     return store
 
 
-def export_path(store: ProvenanceStore, path: str) -> int:
+def export_path(store: Relations, path: str) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         return export_jsonl(store, fh)
 

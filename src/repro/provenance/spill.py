@@ -24,11 +24,16 @@ There is one write path, and it keeps sealing off the capture hot path:
   format: per-relation, per-column typed segments behind an offset-indexed
   footer, zlib-compressed per segment. Stores sealed uncompressed by
   earlier releases still open and query; :meth:`SpillManager.open`
-  reports the codec their footers carry. Readers mmap the slab and decode
-  only the columns a query touches
-  (:class:`~repro.provenance.store.SealedStoreView`), which is what makes
-  sealed captures larger than RAM queryable. ``load_layer`` /
-  ``load_static`` / :func:`rebuild_store` fully materialize instead.
+  reports the codec their footers carry.
+
+There is one read path too: a sealed store is read as a
+:class:`~repro.provenance.store.SealedStoreView` (:func:`open_store_view`),
+the same :class:`~repro.provenance.store.Relations` container as the
+in-memory store, whose layers are the slabs' relations. It mmaps the slabs
+and decodes only the columns a query touches, which is what makes sealed
+captures larger than RAM queryable. :func:`rebuild_store` copies the
+view's columns into an in-memory store, and :func:`migrate_store`
+re-encodes each of its slabs.
 
 Stores sealed by earlier releases in a retired format (framed-pickle ARSL
 slabs, bare-pickle slabs) are refused at :meth:`SpillManager.open` with an
@@ -47,7 +52,7 @@ import tempfile
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ProvenanceError
 from repro.obs.log import get_logger
@@ -59,7 +64,9 @@ from repro.provenance.columnar import (
     is_columnar,
     validate_columnar_file,
 )
-from repro.provenance.store import ProvenanceStore, Row, SealedStoreView
+from repro.provenance.store import (
+    Layer, ProvenanceStore, Relations, SealedStoreView,
+)
 
 logger = get_logger("provenance.spill")
 
@@ -99,14 +106,13 @@ class _SpillMetrics:
     """
 
     __slots__ = (
-        "write_ops", "read_ops", "write_bytes", "read_bytes",
-        "write_slab", "read_slab", "raw_bytes", "seal_seconds",
-        "compression_ratio", "queue_depth",
+        "write_ops", "write_bytes", "write_slab", "raw_bytes",
+        "seal_seconds", "compression_ratio", "queue_depth",
     )
 
     def __init__(self, registry: Any) -> None:
         ops = registry.counter(
-            "repro_spill_ops_total", "slab seal/load operations",
+            "repro_spill_ops_total", "slab seal operations",
             labels=("direction",),
         )
         moved = registry.counter(
@@ -117,11 +123,8 @@ class _SpillMetrics:
             boundaries=BYTES_BUCKETS,
         )
         self.write_ops = ops.labels("write")
-        self.read_ops = ops.labels("read")
         self.write_bytes = moved.labels("write")
-        self.read_bytes = moved.labels("read")
         self.write_slab = slab.labels("write")
-        self.read_slab = slab.labels("read")
         self.raw_bytes = registry.counter(
             "repro_spill_raw_bytes_total",
             "pre-compression bytes of sealed slabs",
@@ -144,11 +147,6 @@ class _SpillMetrics:
         self.write_ops.inc()
         self.write_bytes.inc(size)
         self.write_slab.observe(size)
-
-    def count_read(self, size: int) -> None:
-        self.read_ops.inc()
-        self.read_bytes.inc(size)
-        self.read_slab.observe(size)
 
 
 _metrics_cache: Tuple[Optional[Any], Optional[_SpillMetrics]] = (None, None)
@@ -174,6 +172,9 @@ class SpillManager:
     ) -> None:
         self.store = store
         self._own_dir = directory is None
+        # False for a manager re-attached by open(): close() then leaves
+        # the sealed store on disk
+        self._owns_slabs = True
         self.directory = directory or tempfile.mkdtemp(prefix="repro-spill-")
         os.makedirs(self.directory, exist_ok=True)
         #: Segment codec of this store's slabs: what this manager writes,
@@ -230,9 +231,11 @@ class SpillManager:
     @classmethod
     def open(cls, directory: str) -> "SpillManager":
         """Re-attach to a directory sealed by a previous process (the CLI's
-        persistent store format). The returned manager can load layers and
-        rebuild stores but is not meant for further sealing."""
+        persistent store format). The returned manager serves the store's
+        readers but is not meant for further sealing, and its
+        :meth:`close` removes nothing."""
         manager = cls(ProvenanceStore(), directory=directory)
+        manager._owns_slabs = False
         manager._static_path, manager._slabs = slab_paths(directory)
         # Structurally validate every slab up front so a retired-format,
         # truncated or corrupt file surfaces here as a clear
@@ -386,23 +389,10 @@ class SpillManager:
         self.flush()
         return os.path.getsize(self._slabs[superstep])
 
-    def _static_chunks(self) -> Dict[str, Any]:
-        """The time-less relations (e.g. Query 11's prov_edges) plus the
-        relation schemas and layer count, as slab chunks."""
-        registry = self.store.registry
-        chunks: Dict[str, Any] = self.store.layer_columns(None)
-        chunks[_META_KEY] = {
-            "schemas": {
-                name: registry.get(name) for name in self.store.relations()
-            },
-            "num_layers": self.store.num_layers,
-        }
-        return chunks
-
     def seal_static_nowait(self) -> None:
         path = os.path.join(self.directory, "static.slab")
         self._static_path = path
-        self._submit("static", path, self._static_chunks())
+        self._submit("static", path, _static_chunks(self.store))
 
     def seal_static(self) -> int:
         """Write the static slab; returns its byte size."""
@@ -469,37 +459,8 @@ class SpillManager:
             raise ProvenanceError(f"slab {key!r} was never sealed")
         return path
 
-    def _load(self, key: Any) -> Dict[str, Any]:
-        """Fully decode one slab into its sealing-time chunks — the
-        materialize-everything path; lazy access goes through
-        :meth:`open_columnar_slab` instead."""
-        with self._read_lock:
-            self.flush()
-            path = self._slab_file(key)
-            with get_tracer().span(
-                "spill-load", PHASE_SPILL, layer=key
-            ) as span:
-                with ColumnarSlab(path) as slab:
-                    chunks = slab.to_chunks(_META_KEY)
-                    size = slab.on_disk_bytes
-                span.set(bytes=size)
-            _spill_metrics().count_read(size)
-        return chunks
-
-    def load_static(self) -> Dict[str, Any]:
-        chunks = self._load("static")
-        meta = chunks.pop(_META_KEY)
-        return {
-            "relations": chunks,
-            "schemas": meta["schemas"],
-            "num_layers": meta["num_layers"],
-        }
-
     def sealed_layers(self) -> Iterator[int]:
         return iter(sorted(self._slabs))
-
-    def load_layer(self, superstep: int) -> Dict[str, Dict[Any, List[Row]]]:
-        return self._load(superstep)
 
     def open_columnar_slab(self, key: Any) -> ColumnarSlab:
         """A shared mmap handle for one columnar slab (``key`` is a
@@ -556,7 +517,9 @@ class SpillManager:
         return total
 
     def close(self) -> None:
-        """Shut the writer down and remove the slab files.
+        """Shut the writer down, release the slab handles and — unless
+        the manager was re-attached with :meth:`open` — remove the slab
+        files.
 
         Tolerates a partially-sealed directory — enqueued-but-unwritten
         slabs, already-deleted files and foreign files in the directory are
@@ -568,6 +531,14 @@ class SpillManager:
         self._dict_caches.clear()
         error = self._writer_error
         self._writer_error = None
+        if self._owns_slabs:
+            self._remove_slabs()
+        if error is not None:
+            raise ProvenanceError(
+                f"asynchronous spill writer failed: {error}"
+            ) from error
+
+    def _remove_slabs(self) -> None:
         paths = list(self._slabs.values())
         if self._static_path is not None:
             paths.append(self._static_path)
@@ -586,10 +557,6 @@ class SpillManager:
                 os.rmdir(self.directory)
             except OSError:  # pragma: no cover - best effort cleanup
                 pass
-        if error is not None:
-            raise ProvenanceError(
-                f"asynchronous spill writer failed: {error}"
-            ) from error
 
     def __enter__(self) -> "SpillManager":
         return self
@@ -607,8 +574,9 @@ def migrate_store(
 
     The store is opened first, so a slab in a retired format (or a corrupt
     one) is refused exactly as :meth:`SpillManager.open` refuses it,
-    before any file is touched. Each slab is fully decoded and re-encoded
-    with an atomic per-file rename; then the manifest is re-stamped with
+    before any file is touched. Each slab is re-encoded from the store
+    view's column copy of its layer, as a seal encodes it, with an atomic
+    per-file rename; then the manifest is re-stamped with
     the new digests and — when ``run_id`` is given — the migrating run's
     id, with ``migrated_from`` pointing at the original capture's run id.
     The caller (``repro store migrate``) appends a ledger record
@@ -619,28 +587,34 @@ def migrate_store(
     reopened manager (``"spill"``) for fingerprinting.
     """
     before = SpillManager.open(directory)
+    view = open_store_view(before)
     slabs_report: Dict[str, Dict[str, Any]] = {}
     digests: Dict[str, Dict[str, Any]] = {}
-    for path in [before._static_path, *before._slabs.values()]:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        with ColumnarSlab(path, data=data) as slab:
-            chunks = slab.to_chunks(_META_KEY)
-        blob, _raw = encode_columnar_slab(
-            chunks, SLAB_COMPRESSION, meta_key=_META_KEY,
-        )
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-        name = os.path.basename(path)
-        digests[name] = {
-            "sha256": hashlib.sha256(blob).hexdigest(), "bytes": len(blob),
-        }
-        slabs_report[name] = {
-            "from_format": SLAB_FORMAT,
-            "bytes_before": len(data), "bytes_after": len(blob),
-        }
+    try:
+        for key, path in [(None, before._static_path),
+                          *before._slabs.items()]:
+            chunks = (_static_chunks(view) if key is None
+                      else view.layer_columns(key))
+            blob, _raw = encode_columnar_slab(
+                chunks, SLAB_COMPRESSION, meta_key=_META_KEY,
+            )
+            size = os.path.getsize(path)
+            tmp = path + ".tmp"
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+            name = os.path.basename(path)
+            digests[name] = {
+                "sha256": hashlib.sha256(blob).hexdigest(),
+                "bytes": len(blob),
+            }
+            slabs_report[name] = {
+                "from_format": SLAB_FORMAT,
+                "bytes_before": size, "bytes_after": len(blob),
+            }
+            before.release_slabs()  # hold one slab's decode at a time
+    finally:
+        view.close()
     spill = SpillManager.open(directory)
     old_run_id = spill.run_id
     spill.slab_digests = digests
@@ -730,22 +704,34 @@ def open_store_view(
 
 
 def rebuild_store(spill: SpillManager) -> ProvenanceStore:
-    """Deserialize every slab back into a fresh store (the naive-evaluation
-    load path: the whole provenance graph is materialized at once).
+    """Copy every slab back into a fresh in-memory store (the
+    whole provenance graph materialized at once): each of the store
+    view's layers becomes a :class:`~repro.provenance.store.Layer` of its
+    columns, as lists.
 
-    Relations are inserted in the order the static slab's schemas list
-    them — the sealed store's own — and each one's rows in slab order, so
-    sealing the rebuilt store writes the same bytes again."""
-    from repro.provenance.model import SchemaRegistry
-
-    static = spill.load_static()
-    registry = SchemaRegistry()
-    registry.register_all(static["schemas"].values())
-    store = ProvenanceStore(registry)
-    slabs = [static["relations"]]
-    slabs.extend(spill.load_layer(t) for t in spill.sealed_layers())
-    for relation in static["schemas"]:
-        for chunks in slabs:
-            for rows in chunks.get(relation, {}).values():
-                store.add_batch(relation, rows)
+    Relations come in the order the static slab's schemas list them — the
+    sealed store's own — and each one's rows in slab order, so sealing the
+    rebuilt store writes the same bytes again."""
+    view = open_store_view(spill)
+    try:
+        store = ProvenanceStore(view.registry)
+        for relation in view.relations():
+            for batch in view.column_batches(relation):
+                store.put(relation, batch.key, Layer.of(batch.snapshot()))
+    finally:
+        view.close()
     return store
+
+
+def _static_chunks(store: Relations) -> Dict[str, Any]:
+    """The static slab of ``store`` (a capture store, or a sealed store's
+    view), as slab chunks: the time-less relations (e.g. Query 11's
+    prov_edges) plus the relation schemas and layer count."""
+    chunks: Dict[str, Any] = store.layer_columns(None)
+    chunks[_META_KEY] = {
+        "schemas": {
+            name: store.registry.get(name) for name in store.relations()
+        },
+        "num_layers": store.num_layers,
+    }
+    return chunks

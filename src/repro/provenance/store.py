@@ -231,8 +231,11 @@ class Relations:
     order.
 
     The read API — :meth:`relations`, :meth:`rows`, :meth:`count`,
-    :meth:`partition`, :meth:`column_batches` — is what results and layer
-    programs read, whichever container answers.
+    :meth:`partition`, :meth:`column_batches`, the layer and accounting
+    reads — is written once, over the layer protocol: results, layer
+    programs and the offline drivers read any container alike, a sealed
+    store (:class:`SealedStoreView`, whose layers are slab-backed
+    :class:`ColumnBatch`\\ es) included.
 
     :meth:`insert` gives a relation set semantics over all its layers (a
     time-less head such as ``touched(X)`` may be derived again at every
@@ -251,6 +254,7 @@ class Relations:
         self._sizes: Dict[str, Dict[Any, int]] = {}
         # aggregate relation -> group key -> row
         self._groups: Dict[str, Dict[Row, Row]] = {}
+        self._max_superstep = -1  # the highest layer key held
 
     # ------------------------------------------------------------------
     # writing
@@ -281,6 +285,8 @@ class Relations:
         target = layers.get(layer)
         if target is None:
             target = layers[layer] = Layer(len(columns))
+            if layer is not None:
+                self._max_superstep = max(self._max_superstep, layer)
         target.extend(columns, spans)
         self._vertex_views.pop(relation, None)
         return fresh
@@ -306,6 +312,8 @@ class Relations:
     def put(self, relation: str, key: Any, layer: Layer) -> None:
         """Hold ``layer`` — rows no other layer holds — as layer ``key``."""
         self._data.setdefault(relation, {})[key] = layer
+        if key is not None:
+            self._max_superstep = max(self._max_superstep, key)
         self._vertex_views.pop(relation, None)
         self._sizes.pop(relation, None)
 
@@ -319,7 +327,9 @@ class Relations:
         return sum(layers.pop(t).count for t in [t for t in layers if t < key])
 
     # ------------------------------------------------------------------
-    # reading
+    # reading — over the layer protocol that a Layer and a sealed
+    # ColumnBatch both serve: ``count``, ``arity``, ``groups()``,
+    # ``values(pos)``, ``rows_of(vertex)``, ``nbytes()`` and ``snapshot()``
     # ------------------------------------------------------------------
     def relations(self) -> List[str]:
         return [relation for relation, layers in self._data.items() if layers]
@@ -336,22 +346,33 @@ class Relations:
             return _EMPTY_ROWS
         view = self._vertex_views.setdefault(relation, {})
         rows = view.get(vertex)
-        if rows is None:
-            rows = view[vertex] = {}
+        if rows is None:  # published whole: readers may share the view
+            rows = {}
             for layer in layers.values():
                 rows.update(dict.fromkeys(layer.rows_of(vertex)))
+            view[vertex] = rows
         return rows.keys() if rows else _EMPTY_ROWS
+
+    def partition_at(self, relation: str, vertex: Any,
+                     superstep: Any) -> AbstractSet[Row]:
+        """``vertex``'s rows of ``relation`` in one layer — for a relation
+        held only in the ``None`` layer (a time-less one), in that."""
+        layers = self._data.get(relation)
+        if not layers:
+            return _EMPTY_ROWS
+        layer = layers.get(superstep, layers.get(None))
+        rows = layer.rows_of(vertex) if layer is not None else ()
+        return dict.fromkeys(rows).keys() if rows else _EMPTY_ROWS
 
     def rows(self, relation: str) -> Iterator[Row]:
         for layer in self._data.get(relation, {}).values():
-            layer.settle()
-            yield from zip(*layer.columns)
+            yield from zip(*map(layer.values, range(layer.arity)))
 
     def vertices(self, relation: Optional[str] = None) -> Set[Any]:
         relations = (self._data.values() if relation is None
                      else [self._data.get(relation, {})])
         return {vertex for layers in relations for layer in layers.values()
-                for vertex in layer._groups}
+                for vertex in layer.groups()}
 
     def count(self, relation: str) -> int:
         return sum(layer.count
@@ -375,25 +396,76 @@ class Relations:
     def column_batches(self, relation: str,
                        supersteps: Optional[Iterable[Any]] = None,
                        through: Any = None) -> List[Layer]:
-        """The layers as column batches: every layer when ``supersteps`` is
-        ``None``, else the layers of those supersteps after the ``None``
-        layer — with a ``through``, of those only the ``None`` layer and
-        the layers up to that superstep. A layer that arrived at a
-        superstep holds only rows whose time attribute is that superstep,
-        if the relation has one: an anchored rule writes its anchor
-        there."""
+        """The layers as column batches: the ``None`` layer, then those
+        of ``supersteps`` (every one when ``None``, in superstep order) —
+        with a ``through``, of those only the ``None`` layer and the
+        layers up to that superstep. A layer that arrived at a superstep
+        holds only rows whose time attribute is that superstep, if the
+        relation has one: an anchored rule writes its anchor there."""
         layers = self._data.get(relation)
         if not layers:
             return []
+        if supersteps is None:
+            supersteps = sorted(t for t in layers if t is not None)
         out = []
-        for key in layers if supersteps is None else dict.fromkeys(
-                (None, *supersteps)):
+        for key in dict.fromkeys((None, *supersteps)):
             layer = layers.get(key)
             if layer is not None and (through is None or key is None
                                       or key <= through):
-                layer.settle()
                 out.append(layer)
         return out
+
+    def layer_columns(self, superstep: Any) -> Dict[str, SlabColumns]:
+        """One layer of every relation (``None``: the time-less ones) as
+        what a seal encodes, in relation order."""
+        return {relation: layers[superstep].snapshot()
+                for relation, layers in self._data.items()
+                if superstep in layers}
+
+    def layer_sites(self, superstep: Any) -> Set[Any]:
+        """Vertices carrying at least one fact in one layer (group keys
+        only)."""
+        return {vertex for layers in self._data.values()
+                if superstep in layers
+                for vertex in layers[superstep].groups()}
+
+    def layer_rows(self, superstep: Any) -> int:
+        """Row count of one layer."""
+        return sum(layers[superstep].count for layers in self._data.values()
+                   if superstep in layers)
+
+    def execution_nodes(self) -> Set[Tuple[Any, int]]:
+        """The nodes of the unfolded provenance graph: every
+        ``(vertex, superstep)`` pair that carries at least one fact."""
+        return {
+            (vertex, t)
+            for layers in self._data.values()
+            for t, layer in layers.items() if t is not None
+            for vertex in layer.groups()
+        }
+
+    @property
+    def max_superstep(self) -> int:
+        """The highest superstep a layer is keyed by (-1: none)."""
+        return self._max_superstep
+
+    @property
+    def num_layers(self) -> int:
+        return self._max_superstep + 1
+
+    # ------------------------------------------------------------------
+    # accounting
+    # ------------------------------------------------------------------
+    @property
+    def num_rows(self) -> int:
+        return sum(self.counts().values())
+
+    def total_bytes(self) -> int:
+        return sum(self.relation_bytes().values())
+
+    def relation_bytes(self) -> Dict[str, int]:
+        return {relation: sum(layer.nbytes() for layer in layers.values())
+                for relation, layers in self._data.items()}
 
 
 class ProvenanceStore(Relations):
@@ -412,7 +484,6 @@ class ProvenanceStore(Relations):
     def __init__(self, registry: Optional[SchemaRegistry] = None) -> None:
         super().__init__()
         self.registry = registry or SchemaRegistry()
-        self._max_superstep = -1
         self.dedup_rows = 0
         self.permuted_layers = 0
         # Attribute intern pool: repeated string attributes (vertex labels,
@@ -500,8 +571,8 @@ class ProvenanceStore(Relations):
         layer = layers.get(t)
         if layer is None:
             layer = layers[t] = Layer(schema.arity)
-            if t is not None and t > self._max_superstep:
-                self._max_superstep = t
+            if t is not None:
+                self._max_superstep = max(self._max_superstep, t)
         probe = [pos for pos in range(schema.arity)
                  if pos not in (schema.location_index, schema.time_index)]
         before = layer.count
@@ -515,20 +586,6 @@ class ProvenanceStore(Relations):
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def partition_at(self, relation: str, vertex: Any,
-                     superstep: int) -> AbstractSet[Row]:
-        """``vertex``'s rows of ``relation`` in one layer (every row of a
-        time-less relation)."""
-        layers = self._data.get(relation)
-        if not layers:
-            return _EMPTY_ROWS
-        if self.registry.get(relation).time_index is None:
-            superstep = None
-        layer = layers.get(superstep)
-        if layer is None or vertex not in layer._groups:
-            return _EMPTY_ROWS
-        return layer.row_set(vertex).keys()
-
     def layer(self, superstep: Any) -> Dict[str, Dict[Any, AbstractSet[Row]]]:
         """One layer, relation -> vertex -> rows (``None``: the time-less
         relations) — read-only views, in insertion order."""
@@ -540,69 +597,6 @@ class ProvenanceStore(Relations):
                                  for v in layer.groups()}
         return out
 
-    def layer_columns(self, superstep: Any) -> Dict[str, SlabColumns]:
-        """One layer of every relation (``None``: the time-less ones) as
-        its :meth:`Layer.snapshot`, in relation order — a seal's input."""
-        return {
-            relation: layers[superstep].snapshot()
-            for relation, layers in self._data.items() if superstep in layers
-        }
-
-    def layer_sites(self, superstep: int) -> Set[Any]:
-        """Vertices carrying at least one fact in one layer."""
-        return {vertex for layers in self._data.values()
-                if superstep in layers for vertex in layers[superstep]._groups}
-
-    def layer_rows(self, superstep: int) -> int:
-        """Row count of one layer."""
-        return sum(layers[superstep].count for layers in self._data.values()
-                   if superstep in layers)
-
-    def execution_nodes(self) -> Set[Tuple[Any, int]]:
-        """The nodes of the unfolded provenance graph: every
-        ``(vertex, superstep)`` pair that carries at least one fact."""
-        return {
-            (vertex, t)
-            for layers in self._data.values()
-            for t, layer in layers.items() if t is not None
-            for vertex in layer._groups
-        }
-
-    def column_batches(
-        self, relation: str, supersteps: Optional[Iterable[Any]] = None,
-    ) -> List[Layer]:
-        """The layers themselves, as column batches: one per entry of
-        ``supersteps``, or every layer in superstep order when ``None``, and
-        a time-less relation's one layer either way — the sealed view's
-        slab selection."""
-        if supersteps is None:
-            supersteps = sorted(t for t in self._data.get(relation, ())
-                                if t is not None)
-        return super().column_batches(relation, supersteps)
-
-    @property
-    def max_superstep(self) -> int:
-        """Highest superstep seen across time-indexed relations (-1: none)."""
-        return self._max_superstep
-
-    @property
-    def num_layers(self) -> int:
-        return self._max_superstep + 1
-
-    # ------------------------------------------------------------------
-    # accounting
-    # ------------------------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        return sum(self.counts().values())
-
-    def total_bytes(self) -> int:
-        return sum(self.relation_bytes().values())
-
-    def relation_bytes(self) -> Dict[str, int]:
-        return {relation: sum(layer.nbytes() for layer in layers.values())
-                for relation, layers in self._data.items()}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ProvenanceStore(relations={len(self._data)}, "
@@ -611,7 +605,8 @@ class ProvenanceStore(Relations):
 
 
 class ColumnBatch:
-    """One relation's rows in one slab as typed column vectors.
+    """One relation's rows in one slab as typed column vectors — a sealed
+    store's layer.
 
     The unit the vectorized evaluator consumes: *all* rows of one relation
     inside one ARSC slab — a whole layer (or the static slab) at once.
@@ -619,19 +614,24 @@ class ColumnBatch:
     touch exactly one column's segment, which is what makes late
     materialization real (a column no kernel asks for is never decoded).
     ``groups`` maps each vertex to its contiguous ``(start, count)`` row
-    range, so a location join needs no location column at all. ``note``
-    is the owning view's budget check, invoked after every decode so
-    out-of-core memory budgets fire mid-batch, not per query.
+    range, so a location join needs no location column at all. ``count``
+    and the lanes come from the footer.
+
+    The batch holds its slab's key (``key``: the superstep, ``None`` for
+    the static slab), not the slab: each read fetches the view's current
+    handle and then runs the view's budget check, so out-of-core memory
+    budgets fire mid-batch, not per query.
     """
 
-    __slots__ = ("_slab", "relation", "count", "_lanes", "_note")
+    __slots__ = ("_view", "key", "relation", "count", "_lanes")
 
-    def __init__(self, slab: Any, relation: str, note: Any) -> None:
-        self._slab = slab
+    def __init__(self, view: "SealedStoreView", key: Any, relation: str,
+                 slab: Any) -> None:
+        self._view = view
+        self.key = key
         self.relation = relation
         self.count = slab.row_count(relation)
         self._lanes = slab.lanes(relation)
-        self._note = note
 
     @property
     def arity(self) -> int:
@@ -640,75 +640,94 @@ class ColumnBatch:
     def lane(self, pos: int) -> str:
         return self._lanes[pos]
 
+    def _read(self, method: str, *args: Any) -> Any:
+        """The slab reader's ``method`` for this relation, then the
+        view's budget check."""
+        view = self._view
+        out = getattr(view._slab(self.key), method)(self.relation, *args)
+        view._note()
+        return out
+
     def groups(self) -> Dict[Any, Tuple[int, int]]:
         """``vertex -> (start, count)`` in row order — decodes only the
         group-key segment."""
-        out = self._slab.groups(self.relation)
-        self._note()
-        return out
+        return self._read("groups")
 
     def values(self, pos: int) -> Any:
         """Decoded values of one column (str lanes gather through the
         memoized dictionary; fixed lanes are zero-copy)."""
-        out = self._slab.column_slice(self.relation, pos, 0, self.count)
-        self._note()
-        return out
+        return self._read("column_slice", pos, 0, self.count)
 
     def codes(self, pos: int) -> Optional[Any]:
         """The raw u32 dictionary-code view for a str lane (``None`` for
         every other lane) — the operand for pushed-down string equality."""
         if self._lanes[pos] != "str":
             return None
-        out = self._slab.vector(self.relation, pos)
-        self._note()
-        return out
+        return self._read("vector", pos)
 
     def code_of(self, pos: int, value: Any) -> Optional[int]:
         """Dictionary code of ``value`` in this slab's column (``None``
         when absent: the literal matches nothing here)."""
-        code = self._slab.str_code(self.relation, pos, value)
-        self._note()
-        return code
+        return self._read("str_code", pos, value)
+
+    def rows_of(self, vertex: Any) -> List[Row]:
+        """``vertex``'s rows, decoded from its one row range."""
+        span = self.groups().get(vertex)
+        if span is None:
+            return []
+        return list(zip(*[self._read("column_slice", pos, *span)
+                          for pos in range(self.arity)]))
+
+    def nbytes(self) -> int:
+        """Uncompressed payload bytes, from the footer — the cost of
+        decoding the whole batch."""
+        return self._view._slab(self.key).raw_bytes(self.relation)
+
+    def snapshot(self) -> SlabColumns:
+        """A column copy, as the encoder and :meth:`Layer.of` take it:
+        each column a list (a ``pkl`` column is pickled as the object it
+        is handed)."""
+        return SlabColumns(
+            [list(self.values(pos)) for pos in range(self.arity)],
+            self.count, dict(self.groups()))
 
 
-class SealedStoreView:
-    """Out-of-core read view over a sealed store.
-
-    Implements :class:`ProvenanceStore`'s read protocol (``partition`` /
-    ``partition_at`` / ``rows`` / ``layer_sites`` / ``layer_rows`` /
-    ``column_batches`` / accounting) on top of a
+class SealedStoreView(Relations):
+    """Out-of-core read view over a sealed store: a :class:`Relations`
+    whose layers are :class:`ColumnBatch`\\ es over a
     :class:`~repro.provenance.spill.SpillManager`'s ARSC slabs
-    (:mod:`repro.provenance.columnar`), so the offline evaluators and the
-    query server run against sealed captures **without rebuilding a
-    store**: opening reads only slab footers, and queries decode exactly
-    the columns their plans touch.
+    (:mod:`repro.provenance.columnar`) — superstep ``t``'s slab is layer
+    ``t``, the static slab (the time-less relations) is the ``None``
+    layer. The offline evaluators and the query server run against sealed
+    captures **without rebuilding a store**: opening reads only slab
+    footers, and queries decode exactly the columns their plans touch.
 
-    Layout facts the view exploits:
+    What the view adds to the container is what a slab store needs of its
+    own: the layer map and schemas from the footers, fresh slab handles
+    after another view over the manager released them, the decode
+    accounting, and the memory budget. ``memory_budget_bytes`` bounds the
+    evaluator's *load unit*: what one slab's lazy reader *actually
+    decodes* — exceeding the budget on any single slab raises
+    :class:`MemoryError`. That is why captures whose layers outgrow the
+    budget stay queryable: a plan that touches few columns decodes few
+    bytes.
 
-    * a layer slab ``t`` holds exactly the facts whose superstep is ``t``,
-      so ``partition_at`` is a single-slab group lookup;
-    * time-less relations live only in the static slab;
-    * one partition is one contiguous row range per slab, and partition
-      (vertex) keys are their own tiny segment — site discovery decodes no
-      row columns at all.
-
-    ``memory_budget_bytes`` bounds the evaluator's *load unit*: what one
-    slab's lazy reader *actually decodes* — exceeding the budget on any
-    single slab raises :class:`MemoryError`. That is why captures whose
-    layers outgrow the budget stay queryable: a plan that touches few
-    columns decodes few bytes.
+    The layer map is built here and never written after, so evaluator
+    threads may share the view.
     """
 
     def __init__(
         self, spill: Any, memory_budget_bytes: Optional[int] = None,
     ) -> None:
+        super().__init__()
         self._spill = spill
-        # Slab handles by key (superstep, or "static"; None: no such
-        # slab). The manager shares them between views and closes them all
-        # on release_slabs(), so they are only valid for ``_epoch``.
+        self.memory_budget_bytes = memory_budget_bytes
+        # Slab handles by layer key. The manager shares them between views
+        # and closes them all on release_slabs(), so they are only valid
+        # for ``_epoch``.
         self._slabs: Dict[Any, Any] = {}
         self._epoch: int = spill.release_epoch
-        static = self._static
+        static = self._slab(None)
         meta = static.meta
         if meta is None:
             raise ProvenanceError(
@@ -717,13 +736,20 @@ class SealedStoreView:
             )
         self.registry = SchemaRegistry()
         self.registry.register_all(meta["schemas"].values())
-        self._num_layers: int = meta["num_layers"]
-        self._sealed: List[int] = sorted(spill.sealed_layers())
-        self.memory_budget_bytes = memory_budget_bytes
-        self._relation_names: Optional[List[str]] = None
+        self._max_superstep = meta["num_layers"] - 1
+        # relations in the order the schemas list them — the sealed
+        # store's own, and the name objects the static footer holds
+        layers: Dict[str, Dict[Any, ColumnBatch]] = {
+            relation: {} for relation in meta["schemas"]}
+        for key in [None, *spill.sealed_layers()]:
+            slab = self._slab(key)
+            for relation in slab.relations():
+                layers.setdefault(relation, {})[key] = ColumnBatch(
+                    self, key, relation, slab)
+        self._data = {relation: held for relation, held in layers.items()
+                      if held}
 
-    # -- plumbing -------------------------------------------------------
-    def _slab(self, key: Any) -> Optional[Any]:
+    def _slab(self, key: Any) -> Any:
         if self._epoch != self._spill.release_epoch:
             # Another view over this manager closed and took the shared
             # handles with it; reading a closed one would look like a
@@ -732,29 +758,13 @@ class SealedStoreView:
             self._slabs.clear()
         slab = self._slabs.get(key)
         if slab is None:
-            if key not in self._slabs:
-                try:
-                    slab = self._spill.open_columnar_slab(key)
-                except ProvenanceError:
-                    if key == "static":
-                        raise
-                    slab = None
-                self._slabs[key] = slab
+            slab = self._slabs[key] = self._spill.open_columnar_slab(
+                "static" if key is None else key)
         return slab
 
-    @property
-    def _static(self) -> Any:
-        return self._slab("static")
-
-    def _layer_views(self) -> Iterator[Any]:
-        for superstep in self._sealed:
-            slab = self._slab(superstep)
-            if slab is not None:
-                yield slab
-
-    def _all_views(self) -> Iterator[Any]:
-        yield self._static
-        yield from self._layer_views()
+    def _all_open(self) -> List[Any]:
+        self._slab(None)  # always counted; re-fetches after a release
+        return list(self._slabs.values())
 
     @property
     def decoded_bytes(self) -> int:
@@ -780,178 +790,9 @@ class SealedStoreView:
                     f"({budget})"
                 )
 
-    def _all_open(self) -> List[Any]:
-        self._slab("static")  # always counted; re-fetches after a release
-        return [slab for slab in self._slabs.values() if slab is not None]
-
-    def _schema(self, relation: str) -> Optional[RelationSchema]:
-        # Mirror the in-memory store: asking about a relation nothing ever
-        # registered (e.g. a message relation the capture never saw) is an
-        # empty read, not an error.
-        try:
-            return self.registry.get(relation)
-        except ProvenanceError:
-            return None
-
-    # -- reading --------------------------------------------------------
-    def relations(self) -> List[str]:
-        names = self._relation_names
-        if names is None:
-            names = []
-            seen: Set[str] = set()
-            for slab in self._all_views():
-                for relation in slab.relations():
-                    if relation not in seen:
-                        seen.add(relation)
-                        names.append(relation)
-            self._relation_names = names
-        return list(names)
-
-    def has_relation(self, relation: str) -> bool:
-        return relation in self.relations()
-
-    def partition(self, relation: str, vertex: Any) -> Set[Row]:
-        schema = self._schema(relation)
-        if schema is None:
-            return _EMPTY_ROWS
-        if schema.time_index is None:
-            rows = self._static.group_rows(relation, vertex)
-            self._note()
-            return rows if rows else _EMPTY_ROWS
-        out: Optional[Set[Row]] = None
-        for slab in self._layer_views():
-            if not slab.has_relation(relation):
-                continue
-            rows = slab.group_rows(relation, vertex)
-            if rows:
-                out = rows if out is None else out | rows
-        self._note()
-        return out if out is not None else _EMPTY_ROWS
-
-    def partition_at(
-        self, relation: str, vertex: Any, superstep: int
-    ) -> Set[Row]:
-        schema = self._schema(relation)
-        if schema is None:
-            return _EMPTY_ROWS
-        if schema.time_index is None:
-            rows = self._static.group_rows(relation, vertex)
-            self._note()
-            return rows if rows else _EMPTY_ROWS
-        slab = self._slab(superstep)
-        if slab is None or not slab.has_relation(relation):
-            return _EMPTY_ROWS
-        rows = slab.group_rows(relation, vertex)
-        self._note()
-        return rows if rows else _EMPTY_ROWS
-
-    def column_batches(
-        self, relation: str, supersteps: Optional[Iterable[Any]] = None,
-    ) -> List[ColumnBatch]:
-        """One relation as whole-slab column batches — the vectorized
-        evaluator's scan source. Slab selection mirrors ``partition_at``
-        (one layer slab per entry of ``supersteps``) / ``partition``
-        (``supersteps is None``: every layer) exactly, so enumerating the
-        batches' rows of a vertex equals the row-path candidate set.
-        Nothing is decoded here; columns and group keys decode on demand."""
-        schema = self._schema(relation)
-        if schema is None:
-            return []
-        if schema.time_index is None:
-            slabs: Iterable[Any] = [self._static]
-        elif supersteps is not None:
-            slabs = [self._slab(superstep) for superstep in supersteps]
-        else:
-            slabs = self._layer_views()
-        return [
-            ColumnBatch(slab, relation, self._note) for slab in slabs
-            if slab is not None and slab.has_relation(relation)
-        ]
-
-    def rows(self, relation: str) -> Iterator[Row]:
-        for slab in self._all_views():
-            if slab.has_relation(relation):
-                yield from slab.all_rows(relation)
-        self._note()
-
-    def vertices(self, relation: Optional[str] = None) -> Set[Any]:
-        out: Set[Any] = set()
-        for slab in self._all_views():
-            names = [relation] if relation is not None else slab.relations()
-            for name in names:
-                if slab.has_relation(name):
-                    out.update(slab.groups(name))
-        self._note()
-        return out
-
-    def layer_sites(self, superstep: int) -> Set[Any]:
-        """Vertices carrying at least one fact in one layer — group keys
-        only, no row columns decoded."""
-        slab = self._slab(superstep)
-        sites: Set[Any] = set()
-        if slab is not None:
-            for relation in slab.relations():
-                sites.update(slab.groups(relation))
-        self._note()
-        return sites
-
-    def layer_rows(self, superstep: int) -> int:
-        """Row count of one layer, straight from slab footers."""
-        slab = self._slab(superstep)
-        return slab.total_rows() if slab is not None else 0
-
-    def execution_nodes(self) -> Set[Tuple[Any, int]]:
-        nodes: Set[Tuple[Any, int]] = set()
-        for superstep in self._sealed:
-            for vertex in self.layer_sites(superstep):
-                nodes.add((vertex, superstep))
-        return nodes
-
-    @property
-    def max_superstep(self) -> int:
-        return self._num_layers - 1
-
-    @property
-    def num_layers(self) -> int:
-        return self._num_layers
-
-    # -- accounting -----------------------------------------------------
-    @property
-    def num_rows(self) -> int:
-        return sum(slab.total_rows() for slab in self._all_views())
-
-    def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for slab in self._all_views():
-            for relation in slab.relations():
-                out[relation] = (
-                    out.get(relation, 0) + slab.row_count(relation)
-                )
-        return out
-
-    def total_bytes(self) -> int:
-        """Uncompressed payload bytes of every slab — the cost of decoding
-        everything, known from footers alone. This is what naive
-        evaluation's memory budget compares against."""
-        return sum(slab.raw_bytes() for slab in self._all_views())
-
-    def relation_bytes(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for slab in self._all_views():
-            for relation in slab.relations():
-                out[relation] = (
-                    out.get(relation, 0) + slab.raw_bytes(relation)
-                )
-        return out
-
     def close(self) -> None:
         """Release the manager's shared slab handles (drops mmaps and
         caches); other views over the same manager re-fetch theirs."""
         self._slabs.clear()
+        self._vertex_views.clear()
         self._spill.release_slabs()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SealedStoreView(layers={self._num_layers}, "
-            f"decoded_bytes={self.decoded_bytes})"
-        )

@@ -12,7 +12,32 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import chain_graph, web_graph, with_random_weights
+from repro.provenance.columnar import ColumnarSlab
 from repro.provenance.spill import SpillManager
+
+
+def slab_chunks(slab):
+    """An ARSC slab decoded back to row chunks through the reader's
+    column API (``groups`` and ``column_slice``): ``relation -> vertex ->
+    rows``, each vertex's rows a list in slab order, plus the footer's
+    meta under ``"\\x00meta"`` when it has one."""
+    chunks = {}
+    for relation in slab.relations():
+        count = slab.row_count(relation)
+        columns = [list(slab.column_slice(relation, pos, 0, count))
+                   for pos in range(slab.arity(relation))]
+        chunks[relation] = {
+            vertex: list(zip(*[col[start:start + n] for col in columns]))
+            for vertex, (start, n) in slab.groups(relation).items()
+        }
+    if slab.meta is not None:
+        chunks["\x00meta"] = slab.meta
+    return chunks
+
+
+def group_rows(slab, relation, vertex):
+    """One vertex's rows of a slab relation, as a set."""
+    return frozenset(slab_chunks(slab).get(relation, {}).get(vertex, ()))
 
 
 @pytest.fixture
@@ -54,19 +79,16 @@ def retire_store():
     ``"legacy"`` (one bare pickle per slab) — and re-stamp the manifest."""
     def retire(directory, fmt, names=None):
         spill = SpillManager.open(directory)
-        static = spill.load_static()
-        slabs = {spill._static_path: static}
-        slabs.update((spill.slab_path(t), spill.load_layer(t))
-                     for t in spill.sealed_layers())
-        for path, chunks in slabs.items():
+        paths = [spill._static_path, *map(spill.slab_path,
+                                          spill.sealed_layers())]
+        for path in paths:
             if names is not None and os.path.basename(path) not in names:
                 continue
+            with ColumnarSlab(path) as slab:
+                chunks = slab_chunks(slab)
             if fmt == "legacy":
                 blob = pickle.dumps(chunks)
             else:
-                if chunks is static:
-                    chunks = dict(static["relations"], **{"\x00meta": {
-                        k: static[k] for k in ("schemas", "num_layers")}})
                 blob = b"ARSL\x01\x01" + struct.pack("<I", len(chunks))
                 for key, value in chunks.items():
                     body = zlib.compress(pickle.dumps(value))

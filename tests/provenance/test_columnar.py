@@ -30,6 +30,7 @@ from repro.provenance.columnar import (
     is_columnar,
     validate_columnar_file,
 )
+from tests.conftest import group_rows, slab_chunks
 
 COMPRESSIONS = ("raw", "zlib")
 
@@ -116,14 +117,14 @@ class TestRoundTrip:
             "dead": {5: set()},                 # empty partition dropped
         }
         slab = roundtrip(chunks, compression)
-        assert slab.to_chunks() == expected_chunks(chunks)
+        assert slab_chunks(slab) == expected_chunks(chunks)
         assert slab.compression == compression
 
     def test_exact_types_preserved(self):
         chunks = {"r": {0: {(True, 1.0, "1")}, 1: {(1, 2.0, "x")}}}
         slab = roundtrip(chunks)
         for vertex in (0, 1):
-            got = typed_rows(slab.group_rows("r", vertex))
+            got = typed_rows(group_rows(slab, "r", vertex))
             want = typed_rows(chunks["r"][vertex])
             assert got == want
 
@@ -132,20 +133,20 @@ class TestRoundTrip:
         chunks = {"\x00meta": meta, "r": {0: {(1,)}}}
         slab = roundtrip(chunks)
         assert slab.meta == meta
-        assert slab.to_chunks()["\x00meta"] == meta
+        assert slab_chunks(slab)["\x00meta"] == meta
 
     def test_unicode_dictionary_lane(self):
         strings = ["", "héllo", "日本語", "a\x00b", "\udc80\udcff", "héllo"]
         chunks = {"s": {0: {(s, i) for i, s in enumerate(strings)}}}
         slab = roundtrip(chunks)
-        assert slab.group_rows("s", 0) == chunks["s"][0]
+        assert group_rows(slab, "s", 0) == chunks["s"][0]
         assert list(slab.lanes("s")) == ["str", "i64"]
 
     def test_non_scalar_vertex_keys(self):
         chunks = {"r": {("w", 3): {(1, 2)}, None: {(3, 4)}}}
         slab = roundtrip(chunks)
         assert set(slab.groups("r")) == {("w", 3), None}
-        assert slab.group_rows("r", None) == {(3, 4)}
+        assert group_rows(slab, "r", None) == {(3, 4)}
 
 
 class TestLazyAccounting:
@@ -221,7 +222,7 @@ class TestCorruptSlabs:
         path = tmp_path / "ok.slab"
         path.write_bytes(self._blob())
         with ColumnarSlab(str(path)) as slab:
-            assert slab.group_rows("r", 0) == {(1, 2.0)}
+            assert group_rows(slab, "r", 0) == {(1, 2.0)}
 
 
 def _with_segment(blob, relation, pos, payload):
@@ -286,7 +287,7 @@ class TestBoundedDecode:
         chunks = {"r": {0: {(0, "a", 1.5), (0, "b", 2.5)},
                         1: {(1, "a", 3.5)}}}
         slab = roundtrip(chunks, compression)
-        assert slab.to_chunks() == expected_chunks(chunks)
+        assert slab_chunks(slab) == expected_chunks(chunks)
         desc = slab._relations["r"]  # noqa: SLF001 - the declared sizes
         assert slab.decoded_bytes == slab.raw_bytes() + desc["keys_raw"]
 
@@ -324,11 +325,11 @@ def chunk_dicts(draw):
 @given(chunks=chunk_dicts(), compression=st.sampled_from(COMPRESSIONS))
 def test_fuzz_roundtrip(chunks, compression):
     slab = roundtrip(chunks, compression)
-    assert slab.to_chunks() == expected_chunks(chunks)
+    assert slab_chunks(slab) == expected_chunks(chunks)
     for rel, by_vertex in chunks.items():
         for vertex, rows in by_vertex.items():
             if rows:
-                got = slab.group_rows(rel, vertex)
+                got = group_rows(slab, rel, vertex)
                 assert typed_rows(got) == typed_rows(rows)
 
 
@@ -339,7 +340,7 @@ def test_fuzz_survives_reserialization(chunks):
     """Encoding the decoded chunks again produces the same logical slab
     (byte stability across a migrate round-trip)."""
     first, _ = encode_columnar_slab(chunks, "zlib")
-    decoded = ColumnarSlab("<memory>", data=first).to_chunks()
+    decoded = slab_chunks(ColumnarSlab("<memory>", data=first))
     second, _ = encode_columnar_slab(decoded, "zlib")
     again = ColumnarSlab("<memory>", data=second)
-    assert again.to_chunks() == expected_chunks(chunks)
+    assert slab_chunks(again) == expected_chunks(chunks)

@@ -8,6 +8,7 @@ from repro.errors import ProvenanceError
 from repro.provenance.model import RelationSchema, TOPO_EDGE
 from repro.provenance.spill import SpillManager, rebuild_store
 from repro.provenance.store import ProvenanceStore
+from tests.conftest import slab_chunks
 
 
 @pytest.fixture
@@ -27,22 +28,23 @@ class TestSpill:
         with SpillManager(store, directory=str(tmp_path)) as spill:
             size = spill.seal_layer(1)
             assert size > 0
-            layer = spill.load_layer(1)
+            layer = slab_chunks(spill.open_columnar_slab(1))
             assert layer["value"][0] == [(0, 2.0, 1)]
             assert layer["value"][1] == [(1, 3.0, 1)]
 
     def test_load_unsealed_raises(self, store, tmp_path):
         with SpillManager(store, directory=str(tmp_path)) as spill:
             with pytest.raises(ProvenanceError):
-                spill.load_layer(0)
+                spill.open_columnar_slab(0)
 
     def test_static_slab_holds_timeless_and_schemas(self, store, tmp_path):
         with SpillManager(store, directory=str(tmp_path)) as spill:
             spill.seal_static()
-            static = spill.load_static()
-            assert static["relations"]["prov_edges"][0] == [(0, 1)]
-            assert static["schemas"]["prov_edges"].topology == TOPO_EDGE
-            assert static["num_layers"] == 2
+            static = slab_chunks(spill.open_columnar_slab("static"))
+            meta = static["\x00meta"]
+            assert static["prov_edges"][0] == [(0, 1)]
+            assert meta["schemas"]["prov_edges"].topology == TOPO_EDGE
+            assert meta["num_layers"] == 2
 
     def test_seal_all_and_rebuild(self, store, tmp_path):
         with SpillManager(store, directory=str(tmp_path)) as spill:

@@ -11,6 +11,7 @@ from repro.errors import ProvenanceError
 from repro.provenance.model import RelationSchema, TOPO_EDGE
 from repro.provenance.spill import SpillManager, rebuild_store
 from repro.provenance.store import ProvenanceStore
+from tests.conftest import slab_chunks
 
 
 def _populated_store() -> ProvenanceStore:
@@ -48,8 +49,9 @@ class TestRoundTripMatrix:
         with SpillManager(store, directory=str(tmp_path)) as spill:
             for t in range(store.num_layers):
                 spill.seal_layer_nowait(t)
-            # load_layer flushes implicitly; no explicit flush() needed.
-            assert spill.load_layer(1)["value"][0] == [(0, 0.0, 1)]
+            # opening a slab flushes implicitly; no explicit flush() needed.
+            layer = slab_chunks(spill.open_columnar_slab(1))
+            assert layer["value"][0] == [(0, 0.0, 1)]
 
     def test_seal_all_stops_the_writer(self, tmp_path):
         # An idle writer thread held the manager (and its store) for the

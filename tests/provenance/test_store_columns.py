@@ -22,6 +22,7 @@ from repro.provenance.model import RelationSchema, SchemaRegistry
 from repro.provenance.spill import SpillManager
 from repro.provenance.store import ProvenanceStore
 from repro.sizemodel import estimate_bytes
+from tests.conftest import slab_chunks
 
 #: A time-less relation (its one layer is the static slab).
 LINK = RelationSchema("link", 2)
@@ -193,7 +194,7 @@ def test_column_store_matches_row_buckets(ops):
                 assert _slab(path) == encode_columnar_slab(chunks, "zlib")[0]
         static = ColumnarSlab(os.path.join(spill.directory, "static.slab"))
         with static:
-            decoded = static.to_chunks()
+            decoded = slab_chunks(static)
         decoded.pop("\x00meta")
         assert repr(decoded) == repr(oracle.chunks(None))
 

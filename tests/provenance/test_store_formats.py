@@ -34,7 +34,7 @@ from repro.provenance.spill import (
     rebuild_store,
     slab_paths,
 )
-from repro.provenance.store import ProvenanceStore, SealedStoreView
+from repro.provenance.store import ProvenanceStore, Relations, SealedStoreView
 from repro.runtime.offline import (
     run_layered_from_spill,
     run_naive,
@@ -42,6 +42,7 @@ from repro.runtime.offline import (
     run_reference,
 )
 from repro.runtime.online import run_online
+from tests.conftest import slab_chunks
 
 RETIRED = ("pickle", "legacy")
 
@@ -270,37 +271,65 @@ class TestOutOfCore:
 # ---------------------------------------------------------------------------
 class TestSealedView:
     def test_view_matches_store(self, sealed_dir, full_store):
-        view = open_store_view(SpillManager.open(sealed_dir))
+        spill = SpillManager.open(sealed_dir)
+        view = open_store_view(spill)
         try:
             assert view.num_layers == full_store.num_layers
+            assert view.relations() == full_store.relations()
             assert view.counts() == full_store.counts()
             assert view.execution_nodes() == full_store.execution_nodes()
+            assert view.vertices() == full_store.vertices()
             for relation in full_store.relations():
+                # a seal writes each layer vertex-major, as a read settles it
+                assert list(view.rows(relation)) == list(
+                    full_store.rows(relation))
+                assert (view.vertices(relation)
+                        == full_store.vertices(relation))
                 for vertex in full_store.vertices(relation):
                     assert (view.partition(relation, vertex)
                             == full_store.partition(relation, vertex))
+                    for superstep in (None, 0, full_store.max_superstep):
+                        assert (view.partition_at(relation, vertex, superstep)
+                                == full_store.partition_at(relation, vertex,
+                                                           superstep))
             for superstep in range(full_store.num_layers):
                 assert (view.layer_sites(superstep)
                         == full_store.layer_sites(superstep))
                 assert (view.layer_rows(superstep)
                         == full_store.layer_rows(superstep))
+            # the view prices raw slab payload, from the footers
+            slabs = [spill.open_columnar_slab(key)
+                     for key in ("static", *spill.sealed_layers())]
+            assert view.total_bytes() == sum(s.raw_bytes() for s in slabs)
+            assert view.relation_bytes() == {
+                relation: sum(s.raw_bytes(relation) for s in slabs
+                              if s.has_relation(relation))
+                for relation in view.relations()}
         finally:
             view.close()
+        rebuilt = rebuild_store(spill)
+        assert _store_rows(rebuilt) == _store_rows(full_store)
+        assert rebuilt.relations() == full_store.relations()
+        assert rebuilt.relation_bytes() == full_store.relation_bytes()
+        assert rebuilt.execution_nodes() == full_store.execution_nodes()
 
     def test_one_read_protocol(self, sealed_dir, full_store):
         """The offline drivers take either store without probing for
-        capabilities: every public read member of the in-memory store
-        exists on the sealed view, and both serve column batches."""
-        # ``layer_columns`` is the seal's snapshot of an in-memory layer
-        # (``SpillManager.seal_layer_nowait``) and ``layer`` its row view; no
-        # driver reads either
-        writers = {"add", "add_batch", "append_columns", "layer",
-                   "layer_columns"}
-        protocol = {
-            name for name in vars(ProvenanceStore)
-            if not name.startswith("_") and name not in writers
+        capabilities: both are one container, whose read members the
+        sealed view inherits and does not redefine, and both serve column
+        batches."""
+        assert issubclass(ProvenanceStore, Relations)
+        assert issubclass(SealedStoreView, Relations)
+        shared = {
+            "relations", "has_relation", "partition", "partition_at",
+            "rows", "vertices", "count", "counts", "column_batches",
+            "layer_columns", "layer_sites", "layer_rows",
+            "execution_nodes", "max_superstep", "num_layers", "num_rows",
+            "total_bytes", "relation_bytes",
         }
-        assert protocol <= set(dir(SealedStoreView))
+        assert shared <= set(vars(Relations))
+        assert not shared & set(vars(SealedStoreView))
+        assert not shared & set(vars(ProvenanceStore))
         assert ProvenanceStore().column_batches("value", [0]) == []
         rows = sum(map(len, full_store.layer(1)["value"].values()))
         view = open_store_view(SpillManager.open(sealed_dir))
@@ -310,6 +339,28 @@ class TestSealedView:
                 assert [batch.count for batch in batches] == [rows]
         finally:
             view.close()
+
+    def test_reattached_manager_close_keeps_the_store(self, sealed_dir,
+                                                      tmp_path, capsys):
+        """Regression: a manager from ``SpillManager.open`` does not own
+        the sealed store, yet its ``close()`` — and so its ``with`` block —
+        unlinked every slab and the manifest. The read-only CLI commands,
+        which close theirs, must leave the store verifiable."""
+        directory = str(tmp_path / "store")
+        shutil.copytree(sealed_dir, directory)
+        before = _snapshot(directory)
+        with SpillManager.open(directory) as spill:
+            assert open_store_view(spill).num_rows > 0
+        assert _snapshot(directory) == before
+        SpillManager.open(directory).release_slabs()
+        assert obsledger.verify_store(directory)[0] == []
+        for argv in (["query", "--store", directory, "--query", "query5"],
+                     ["inspect", "--store", directory],
+                     ["export", "--store", directory,
+                      "--out", str(tmp_path / "export.jsonl")]):
+            assert main(argv) == 0
+            assert obsledger.verify_store(directory)[0] == []
+        capsys.readouterr()
 
     def test_unknown_relation_is_empty_read(self, sealed_dir):
         view = open_store_view(SpillManager.open(sealed_dir))
@@ -359,7 +410,7 @@ def _reseal_raw(directory, names=None):
         if names is not None and os.path.basename(path) not in names:
             continue
         with ColumnarSlab(path) as slab:
-            chunks = slab.to_chunks()
+            chunks = slab_chunks(slab)
         blob, _raw = encode_columnar_slab(chunks, "raw")
         with open(path, "wb") as fh:
             fh.write(blob)
