@@ -144,10 +144,13 @@ class PregelEngine:
     engine can execute the baseline analytic, then the capture run, then
     offline queries over the same input graph.
 
-    During a run, ``send_log`` is the superstep's :class:`SendLog`
-    (complete when ``post_superstep`` runs), ``inbox`` / ``inbox_senders``
-    the receiver table its computes were delivered, and ``edge_updates``
-    its ``set_edge_value`` calls as ``(vertex, target, value)``.
+    During a run, ``superstep`` is the superstep being run (``None``
+    between runs), ``values`` the ``vertex -> value`` table and ``order``
+    the superstep's executed vertices in compute order (a list). Complete
+    when ``post_superstep`` runs: ``send_log``, the superstep's
+    :class:`SendLog`; ``inbox`` / ``inbox_senders``, the receiver table its
+    computes were delivered; and ``edge_updates``, its ``set_edge_value``
+    calls as ``(vertex, target, value)``.
     """
 
     def __init__(
@@ -163,6 +166,9 @@ class PregelEngine:
             v: self.partitioner.worker_of(v) for v in graph.vertices()
         }
         # --- per-run state (reset in run()) ---
+        self.superstep: Optional[int] = None
+        self.values: Dict[Any, Any] = {}
+        self.order: List[Any] = []
         self.aggregators = AggregatorRegistry()
         self.send_log = SendLog()
         self.inbox: Dict[Any, List[Any]] = {}
@@ -254,6 +260,7 @@ class PregelEngine:
                 u: dict(targets) for u, targets in _restore.edge_overlay.items()
             }
 
+        self.values = values
         self.inbox, self.inbox_senders = inbox, {}
         self._adjacency = graph.out_edges_map()
         self._cross_edges = {}
@@ -266,11 +273,13 @@ class PregelEngine:
         run_start = time.perf_counter()
 
         order_of = graph.vertex_order()
+        every_vertex = list(graph.vertices())  # the whole-graph frontier
         bind = ctx._bind
         compute = program.compute
         post_superstep = program.post_superstep
 
         for superstep in range(first_superstep, limit):
+            self.superstep = superstep
             step = SuperstepMetrics(superstep)
             log = self.send_log = SendLog()
             self.edge_updates = []
@@ -297,9 +306,10 @@ class PregelEngine:
                 schedule = active
             step.active_vertices = len(schedule)
             if len(schedule) == num_vertices:
-                order = graph.vertices()  # whole-graph frontier
+                order = every_vertex
             else:
                 order = sorted(schedule, key=order_of.__getitem__)
+            self.order = order
 
             for vertex_id in order:
                 start = len(targets)
@@ -370,6 +380,7 @@ class PregelEngine:
                 halt_reason = "converged"
                 break
 
+        self.superstep = None
         metrics.wall_seconds = time.perf_counter() - run_start
         metrics.publish(get_registry())
         if traced:

@@ -18,12 +18,15 @@ This is Ariadne's query compiler. Given a parsed
    mixed (Definition 5.2) — forward queries are online-eligible
    (Theorem 5.4), directed queries are layered-eligible (Lemma 5.3);
 7. builds join plans with binding propagation for the binding modes a
-   rule runs in: anchored and located, or free for a static setup rule.
+   rule runs in: anchored and located, or free for a static setup rule;
+8. marks the remote scans Theorem 5.4 proves complete online (a sender's
+   rows before the anchor) and the rules layered evaluation can hoist out
+   of its layer loop (anchor-free, reading no layer's derivations).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import PQLCompatibilityError, PQLSemanticError
@@ -53,6 +56,7 @@ from repro.pql.plan import (
     PlanStep,
     RulePlan,
     ScanStep,
+    head_stamps,
 )
 from repro.pql.udf import FunctionRegistry
 from repro.provenance.model import (
@@ -867,6 +871,112 @@ def _semijoin_optimize(
 
 
 # ---------------------------------------------------------------------------
+# proven-complete far reads and hoisted rules
+# ---------------------------------------------------------------------------
+def _prove_complete(crule: CompiledRule,
+                    stamps: Dict[str, Optional[int]]) -> RulePlan:
+    """``crule``'s anchored plan with every remote scan Theorem 5.4 proves
+    complete marked ``complete``.
+
+    A scan qualifies when its location is the sender ``Y`` of a positive
+    ``receive_message(X, Y, M, I)`` at the rule's location and anchor, and
+    its time is provably at most ``I − 1``: a variable or term pinned to
+    ``I − c`` with ``c ≥ 1``, or a bind the scan's absorbed ``J < I`` /
+    ``J <= I − 1`` bounds. ``Y`` messaged ``X`` at ``I − 1`` and shipped
+    after that superstep's evaluation, so its watermark toward ``X`` covers
+    every layer through ``I − 1`` — and a layer holds only rows whose time
+    is its superstep (the scanned relation's every rule writes its anchor
+    at the scanned time position), so a later layer holds nothing the time
+    bound admits. A far read of any other shape keeps its watermark."""
+    plan = crule.anchored_plan
+    if crule.time_var is None:
+        return plan
+    offsets = _anchor_offsets(crule)
+    senders = {
+        lit.atom.args[1].name for lit in crule.rule.body
+        if isinstance(lit, AtomLiteral) and not lit.negated
+        and lit.atom.predicate == "receive_message" and lit.atom.arity == 4
+        and lit.atom.args[0] == Var(crule.loc_var)
+        and isinstance(lit.atom.args[1], Var)
+        and isinstance(lit.atom.args[3], Var)
+        and offsets.get(lit.atom.args[3].name) == 0
+    } - {ANONYMOUS}
+    if not senders:
+        return plan
+    steps = tuple(
+        replace(step, complete=True)
+        if isinstance(step, ScanStep) and step.remote
+        and step.arg_ops[0][0] == CHECK_VAR and step.arg_ops[0][1] in senders
+        and step.time_arg is not None
+        and stamps.get(step.relation, step.time_arg) == step.time_arg
+        and _before_anchor(step, offsets)
+        else step
+        for step in plan.steps)
+    return replace(plan, steps=steps)
+
+
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+
+
+def _before_anchor(step: ScanStep, offsets: Dict[str, int]) -> bool:
+    """Is the scan's time provably at most the anchor − 1?"""
+    op, payload = step.arg_ops[step.time_arg]
+    if op == CHECK_VAR:
+        return offsets.get(payload, 0) >= 1
+    if op == CHECK_TERM:
+        return (_expr_offset(payload, offsets) or 0) >= 1
+    if op != BIND:
+        return False
+    time = Var(payload)
+    for post in step.post_filters:
+        if not isinstance(post, CompareStep) or post.bind_var is not None:
+            continue
+        cmp, bound = post.op, post.right
+        if post.right == time:
+            cmp, bound = _FLIPPED.get(cmp), post.left
+        elif post.left != time:
+            continue
+        offset = _expr_offset(bound, offsets)
+        if offset is not None and (cmp == "<" and offset >= 0
+                                   or cmp in ("<=", "=") and offset >= 1):
+            return True
+    return False
+
+
+def _mark_hoisted(rules: Sequence[CompiledRule], remote: Set[str],
+                  schema_of: Callable[[str], Optional[RelationSchema]],
+                  ) -> None:
+    """Mark the rules layered evaluation runs once, before its layer loop:
+    every rule of a head that is anchor-free, has no superstep attribute
+    and is read remotely by no rule, and whose body reads only stored
+    relations, setup heads and other such heads. Anchored on no layer, such
+    a rule derives at each layer's sites exactly what it derives for them
+    over the whole store, and every reader reads it at its own location,
+    where that layer's evaluation has already derived it."""
+    by_head: Dict[str, List[CompiledRule]] = {}
+    for crule in rules:
+        by_head.setdefault(crule.head_predicate, []).append(crule)
+    ready = {head for head, defs in by_head.items()
+             if all(c.is_static for c in defs)}
+    pending = [head for head in by_head if head not in ready]
+    changed = True
+    while changed:
+        changed = False
+        for head in pending:
+            schema = schema_of(head)
+            if head not in ready and head not in remote and (
+                    schema is None or schema.time_index is None) and all(
+                    crule.time_var is None and all(
+                        rel in ready or rel not in by_head
+                        for rel in crule.body_relations)
+                    for crule in by_head[head]):
+                ready.add(head)
+                changed = True
+    for crule in rules:
+        crule.hoisted = not crule.is_static and crule.head_predicate in ready
+
+
+# ---------------------------------------------------------------------------
 # main entry point
 # ---------------------------------------------------------------------------
 def compile_query(
@@ -1048,6 +1158,13 @@ def compile_query(
         query_direction = DIRECTION_BACKWARD
     else:
         query_direction = DIRECTION_MIXED
+
+    _mark_hoisted(compiled, remote_relations, schema_of)
+    if "receive_message" not in head_preds:  # else a body atom may be derived
+        stamps = head_stamps(compiled)
+        for crule in compiled:
+            if crule.anchored_plan is not None:
+                crule.anchored_plan = _prove_complete(crule, stamps)
 
     max_stratum = max((c.stratum for c in compiled), default=0)
     strata: List[List[CompiledRule]] = [[] for _ in range(max_stratum + 1)]

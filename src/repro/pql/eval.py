@@ -32,6 +32,7 @@ from repro.pql.plan import (
     CompiledRule,
     RulePlan,
     ScanStep,
+    head_stamps,
 )
 from repro.pql.udf import FunctionRegistry
 from repro.provenance.store import Relations
@@ -215,15 +216,9 @@ def prepare_strata(
         }
         # head -> the position where *every* rule deriving it writes the
         # anchor superstep (absent: some rule does not)
-        stamped: Dict[str, int] = {}
-        if anchored:
-            for head in heads:
-                positions = {
-                    c.head_time_index if c.time_var is not None else None
-                    for c in stratum if c.head_predicate == head
-                }
-                if len(positions) == 1 and None not in positions:
-                    stamped[head] = positions.pop()
+        stamped: Dict[str, int] = {
+            head: position for head, position in head_stamps(stratum).items()
+            if position is not None} if anchored else {}
         # predicate-level dependency edges within the stratum
         deps: Dict[str, Set[str]] = {h: set() for h in heads}
         for crule in stratum:

@@ -46,7 +46,8 @@ def _describe_step(step: Any, indent: str) -> List[str]:
         if step.exists:
             flags.append("semi-join")
         if step.remote:
-            flags.append("remote")
+            flags.append("remote, proven complete" if step.complete
+                         else "remote")
         if step.time_bound:
             flags.append("superstep-indexed")
         suffix = f"  [{', '.join(flags)}]" if flags else ""
@@ -85,6 +86,8 @@ def explain_rule(crule: CompiledRule, verbose: bool = False) -> str:
     lines.append(
         f"    stratum {crule.stratum}, {kind}"
         + (", aggregate" if crule.is_aggregate else "")
+        + (", hoisted (layered: once, before the layer loop)"
+           if crule.hoisted else "")
         + (
             f", anchored on {crule.time_var}"
             if crule.time_var is not None

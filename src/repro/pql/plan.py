@@ -18,7 +18,7 @@ rule text is evaluated differently per mode:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from repro.pql.ast import AtomLiteral, Rule, Term
 
@@ -46,6 +46,11 @@ class ScanStep:
     passing the filters (turning O(partition) enumeration into an
     existence check — crucial for recursive lineage rules whose join
     variables are projected away).
+
+    ``complete`` marks a remote scan of an anchored plan that Theorem 5.4
+    proves complete online: its location is the sender of a message the
+    anchor received and its time is at most the anchor − 1, so the
+    sender's layers are read with no watermark (``repro.pql.analysis``).
     """
 
     relation: str
@@ -56,6 +61,7 @@ class ScanStep:
     time_arg: Optional[int]  # index of the time attribute, if any
     post_filters: Tuple["PlanStep", ...] = ()
     exists: bool = False
+    complete: bool = False
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         neg = "!" if self.negated else ""
@@ -127,6 +133,9 @@ class CompiledRule:
     free_plan: Optional[RulePlan]  # static (setup) rules only
     # Names of all body variables, for aggregate witness deduplication.
     body_vars: Tuple[str, ...]
+    # Anchor-free and reading only what no layer changes: the layered
+    # drivers run it once, before the layer loop (repro.pql.analysis).
+    hoisted: bool = False
     # Binding mode -> layer program (repro.pql.vectorized). Racing first
     # uses assign equivalent programs (no lock); never pickled, rebuilt
     # lazily.
@@ -146,3 +155,17 @@ class CompiledRule:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"[{self.direction}{'/static' if self.is_static else ''}] {self.rule}"
+
+
+def head_stamps(rules: Iterable[CompiledRule]) -> Dict[str, Optional[int]]:
+    """Per head of ``rules``, the position where every rule deriving it
+    writes its anchor superstep (``None``: some rule writes none, or
+    another one). Anchored evaluation stores such a head's rows in the
+    layer of that superstep."""
+    positions: Dict[str, set] = {}
+    for crule in rules:
+        positions.setdefault(crule.head_predicate, set()).add(
+            None if crule.is_static or crule.time_var is None
+            else crule.head_time_index)
+    return {head: next(iter(held)) if len(held) == 1 else None
+            for head, held in positions.items()}

@@ -35,7 +35,8 @@ are the vertices it executed (``repro.runtime.db.OnlineDatabase``).
   location is not its site reads only what that vertex shipped to the site
   — the layers of its relation up to the superstep of its last message
   there (``db.shipped_through`` / ``db.shipped_layers``), through the same
-  matchers.
+  matchers. A scan the compiler proved complete (``ScanStep.complete``: a
+  sender's rows before the anchor) reads like a local one, no watermark.
 * An **exists scan** with absorbed filters (``fwd_lineage(Y, W, J), J < I``)
   runs once per distinct row of the columns it reads, not once per input.
 * **Late materialization**: only the columns bound by variables a later
@@ -353,6 +354,9 @@ class _ScanOp:
         self.site_var = site_var
         self.remote = (site_var is not None and not self.static
                        and step.arg_ops[0] != (CHECK_VAR, site_var))
+        # ... unless the compiler proved the read complete (Theorem 5.4):
+        # then it reads the vertex's layers as a local scan does.
+        self.watermarked = self.remote and not step.complete
         # Positions whose values are known before the scan runs.
         self.known: Dict[int, _Term] = {}
         self.local_checks: List[Tuple[int, int]] = []
@@ -402,7 +406,8 @@ class _ScanOp:
         if self.scalar_pos:
             notes.append(f"select {self.scalar_pos}")
         if self.remote:
-            notes.append("remote")
+            notes.append("remote" if self.watermarked
+                         else "remote, proven complete")
         if self.filters:
             notes.append(f"{len(self.filters)} post-filter(s) per distinct input")
         if self.step.negated:
@@ -414,7 +419,7 @@ class _ScanOp:
         return f"{self.kind} {self.step.relation} ({'; '.join(notes)})"
 
     def run(self, state: _State, ctx: "VectorContext") -> bool:
-        local = self.remote and ctx.db.locality
+        local = self.watermarked and ctx.db.locality
         outer, inverse = state, None
         if self.filters:  # an exists scan: matched once per distinct input
             state, inverse = self._distinct(state, local)

@@ -37,6 +37,12 @@ _EMPTY_ROWS: frozenset = frozenset()
 _NONE = object()  # equals no vertex
 
 
+def _layer_order(item: Tuple[Any, Any]) -> Tuple[bool, Any]:
+    """A ``(key, layer)`` item's rank: the ``None`` layer first, then by
+    superstep."""
+    return (item[0] is not None, 0 if item[0] is None else item[0])
+
+
 def _distinct(columns: Sequence[List[Any]], probe: Sequence[int],
               start: int, end: int) -> bool:
     """Are rows ``start:end`` pairwise distinct? Sufficient test: one
@@ -227,8 +233,9 @@ class Relations:
     (:class:`ProvenanceStore`), a query's derived facts and the online
     runtime's transient facts. A layer is keyed by the superstep its rows
     arrived at — ``None`` for rows that arrived at none (setup, naive and
-    reference evaluation) — and the layers of a relation iterate in arrival
-    order.
+    reference evaluation) — and the layers of a relation iterate as
+    :meth:`column_batches` lists them, the ``None`` layer first and then in
+    superstep order, whatever order they arrived in.
 
     The read API — :meth:`relations`, :meth:`rows`, :meth:`count`,
     :meth:`partition`, :meth:`column_batches`, the layer and accounting
@@ -281,12 +288,9 @@ class Relations:
         if sizes is not None:
             for v, n in spans:
                 sizes[v] = sizes.get(v, 0) + n
-        layers = self._data.setdefault(relation, {})
-        target = layers.get(layer)
+        target = self._data.get(relation, {}).get(layer)
         if target is None:
-            target = layers[layer] = Layer(len(columns))
-            if layer is not None:
-                self._max_superstep = max(self._max_superstep, layer)
+            target = self._hold(relation, layer, Layer(len(columns)))
         target.extend(columns, spans)
         self._vertex_views.pop(relation, None)
         return fresh
@@ -311,11 +315,26 @@ class Relations:
 
     def put(self, relation: str, key: Any, layer: Layer) -> None:
         """Hold ``layer`` — rows no other layer holds — as layer ``key``."""
-        self._data.setdefault(relation, {})[key] = layer
-        if key is not None:
-            self._max_superstep = max(self._max_superstep, key)
+        self._hold(relation, key, layer)
         self._vertex_views.pop(relation, None)
         self._sizes.pop(relation, None)
+
+    def _hold(self, relation: str, key: Any, layer: Any) -> Any:
+        """Hold ``layer`` as the relation's layer ``key`` and return it. A
+        relation's layers iterate the way :meth:`column_batches` lists
+        them — the ``None`` layer, then superstep order — whatever order
+        they arrive in."""
+        layers = self._data.setdefault(relation, {})
+        last = next(reversed(layers), None)
+        fresh = layers and key not in layers
+        layers[key] = layer
+        if key is not None:
+            self._max_superstep = max(self._max_superstep, key)
+        if fresh and (key is None or last is not None and key < last):
+            ordered = sorted(layers.items(), key=_layer_order)
+            layers.clear()
+            layers.update(ordered)
+        return layer
 
     def drop_before(self, relation: str, key: Any) -> int:
         """Drop the layers keyed below ``key``; returns their row count."""
@@ -565,14 +584,9 @@ class ProvenanceStore(Relations):
         columns = [[pool.setdefault(v, v) if type(v) is str else v
                     for v in col] if type(col[0]) is str else col
                    for col in columns]
-        layers = self._data.get(relation)
-        if layers is None:
-            layers = self._data[relation] = {}
-        layer = layers.get(t)
+        layer = self._data.get(relation, {}).get(t)
         if layer is None:
-            layer = layers[t] = Layer(schema.arity)
-            if t is not None:
-                self._max_superstep = max(self._max_superstep, t)
+            layer = self._hold(relation, t, Layer(schema.arity))
         probe = [pos for pos in range(schema.arity)
                  if pos not in (schema.location_index, schema.time_index)]
         before = layer.count

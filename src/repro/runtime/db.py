@@ -119,30 +119,29 @@ class Inbox:
     ``send_message(Y, X, M, s − 1)``. The engine delivers bare payloads;
     the sender and payload of every message are already in the process.
 
-    ``messages`` / ``senders`` map each receiver to its payloads and their
-    senders in delivery (send) order. The groups follow ``sites``, the
-    superstep's compute order. ``frozen``, when given, is the previous
-    send log's payload column and the frozen copy a ``send`` frame made
-    of it, so no payload is frozen twice.
+    ``senders`` maps each receiver to its senders in delivery (send) order;
+    the groups follow ``sites``, the superstep's compute order. ``log`` is
+    the send log of *s − 1* and ``frozen``, when given, the frozen copy of
+    its payload column a ``send`` frame made, so no payload is frozen
+    twice.
 
     The columns are receiver, sender, payload and, for
     ``receive_message``, the superstep (:class:`InboxBatch` serves them as
-    a column batch). The payload column is built — and frozen — when
-    first read, so a query that never binds a payload freezes none. A
-    repeated message is a repeated batch row, which changes no solution (a
-    program's head insert keeps the first of equal rows); :meth:`rows`
-    keeps the first occurrence of each."""
+    a column batch). The payload column is the log's, regrouped by
+    receiver — never the lists the analytic was handed — and is built, and
+    frozen, when first read, so a query that never binds a payload freezes
+    none. A repeated message is a repeated batch row, which changes no
+    solution (a program's head insert keeps the first of equal rows);
+    :meth:`rows` keeps the first occurrence of each."""
 
-    __slots__ = ("superstep", "count", "_messages", "_frozen", "_groups",
+    __slots__ = ("superstep", "count", "_log", "_frozen", "_groups",
                  "_columns")
 
-    def __init__(self, messages: Dict[Any, List[Any]],
-                 senders: Dict[Any, List[Any]], sites: Sequence[Any],
-                 superstep: Any,
-                 frozen: Optional[Tuple[List[Any], List[Any]]] = None,
-                 ) -> None:
+    def __init__(self, senders: Dict[Any, List[Any]], sites: Sequence[Any],
+                 superstep: Any, log: SendLog,
+                 frozen: Optional[List[Any]] = None) -> None:
         self.superstep = superstep
-        self._messages, self._frozen = messages, frozen
+        self._log, self._frozen = log, frozen
         self._groups: Dict[Any, Tuple[int, int]] = {}
         column: List[Any] = []
         for v in sites:
@@ -171,15 +170,20 @@ class Inbox:
         return column
 
     def _payloads(self) -> List[Any]:
+        """The log's frozen payloads, each receiver's in send order."""
+        payloads = self._frozen
+        if payloads is None:
+            payloads = frozen_payloads(self._log.payloads)
+        boxes: Dict[Any, List[Any]] = {}
+        for target, payload in zip(self._log.targets, payloads):
+            try:
+                boxes[target].append(payload)
+            except KeyError:
+                boxes[target] = [payload]
         column: List[Any] = []
-        messages = self._messages
         for v in self._groups:
-            column += messages[v]
-        if self._frozen is None:
-            return frozen_payloads(column)
-        # the send frame froze each payload object once: look it up
-        held = dict(zip(map(id, self._frozen[0]), self._frozen[1]))
-        return list(map(held.__getitem__, map(id, column)))
+            column += boxes[v]
+        return column
 
     def rows(self, vertex: Any, stamped: bool = True) -> List[Row]:
         """``vertex``'s ``receive_message`` rows (``receive`` rows when not

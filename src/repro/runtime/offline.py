@@ -82,7 +82,9 @@ def run_layered(
     """Layered offline evaluation of a directed query.
 
     Each rule runs once per layer as a layer program over the store's
-    column batches; static setup rules run once, first.
+    column batches; static setup rules run once, first, and then the
+    hoisted rules (anchor-free, reading no layer's derivations: Query 8's
+    ``degree``) once, over every layer's sites.
 
     ``budget`` bounds the evaluation (depth = layers visited, derived
     rows, wall clock); overruns raise
@@ -110,7 +112,22 @@ def run_layered(
     if compiled.direction == DIRECTION_BACKWARD:
         order = range(num_layers - 1, -1, -1)
 
-    prepared = prepare_strata(compiled.strata, anchored=True)
+    # Hoisted rules derive the same rows at every layer: run them once,
+    # over every site a layer has, before the loop.
+    hoisted = [[c for c in stratum if c.hoisted]
+               for stratum in compiled.strata]
+    if any(hoisted):
+        sites = set().union(*map(store.layer_sites, order))
+        with tracer.span("query-eval", PHASE_QUERY, mode="hoisted",
+                         sites=len(sites)):
+            derivations += run_prepared(
+                prepare_strata(hoisted), MODE_LOCATED, db, functions,
+                sorted(sites, key=repr), stratum_seconds=stratum_seconds,
+                budget=budget)
+
+    prepared = prepare_strata(
+        [[c for c in stratum if not c.hoisted] for stratum in compiled.strata],
+        anchored=True)
     peak_layer_rows = 0
     layers_visited = 0
     for layer_index in order:

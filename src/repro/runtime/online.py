@@ -1,36 +1,41 @@
 """Online PQL evaluation — the paper's headline contribution (Section 5.2).
 
-A forward (or local) query is compiled into a *query vertex program* that
-wraps the unmodified analytic. Every superstep, each active vertex's
-``compute``:
+A forward (or local) query is compiled into a *query vertex program*
+appended to the unmodified analytic. The engine runs the analytic's own
+``compute`` on its own context, unwrapped; the query rides along once per
+superstep, in :meth:`OnlineQueryProgram.post_superstep` — the engine's
+program-level hook, after the superstep's last compute — which reads the
+superstep as relations:
 
-1. runs the analytic's ``compute`` on the engine's own context and on its
-   messages — the analytic's own payloads, which the engine delivers bare;
-2. records the vertex's transient provenance facts of this superstep —
-   only the relations the query references (the paper's customized
-   capture) — into superstep-wide *frames*, one
-   :class:`~repro.provenance.store.Layer` per relation.
+1. the *vertex relation*: the engine's executed vertices in compute order
+   (``engine.order``) and their values (``engine.values``) become the
+   ``superstep`` / ``value`` / ``vertex_value`` / ``evolution`` frames in
+   one column pass each, a row per vertex, each value frozen once — only
+   the relations the query references (the paper's customized capture);
+2. the *message relation*: ``send_message`` / ``send`` are framed from the
+   superstep's send log (:class:`~repro.engine.engine.SendLog`) and
+   ``edge_value`` from its edge-update log; ``receive_message`` /
+   ``receive`` are the receiver table the barrier built out of the previous
+   superstep's log (:class:`~repro.runtime.db.Inbox`), its payload column
+   that log's, regrouped by receiver.
 
-The messages are not recorded again: they are the engine's message
-relation (:class:`~repro.engine.engine.SendLog`). Once per superstep,
-:meth:`OnlineQueryProgram.post_superstep` — the engine's program-level
-hook — frames ``send_message`` / ``send`` from the superstep's send log
-and ``edge_value`` from its edge-update log, reads ``receive_message`` /
-``receive`` from the receiver table the barrier built out of the previous
-superstep's log (:class:`~repro.runtime.db.Inbox`), and runs the
-*superstep program*: every rule evaluates once, as a layer program over
-all the executed vertices (the location a column, the frames and stored
-relations column batches), the fresh head rows go to the capture store,
-the frames die, windowed relations drop the layers that left their
-window, and each sender's watermark toward every target it messaged moves
-on to this superstep. A vertex reads another vertex's relations only up
-to that watermark: what per-target deltas would have shipped.
+Then the *superstep program* runs: every rule evaluates once, as a layer
+program over all the executed vertices (the location a column, the frames
+and stored relations column batches), the fresh head rows go to the
+capture store, the frames die, windowed relations drop the layers that
+left their window, and each sender's watermark toward every target it
+messaged moves on to this superstep. A vertex reads another vertex's
+relations only up to that watermark — what per-target deltas would have
+shipped — unless the compiler proved the read complete: the sender of a
+message the anchor received, read at a time before the anchor, has
+shipped all of it (``ScanStep.complete``).
 
 Theorem 5.4's two guarantees hold by construction (DESIGN.md §18): the
 analytic computes on the bare engine's context and the query reads the
-logs only in the hook, after the superstep's last compute; a vertex reads
-another vertex's relations only through a watermark, which exists only
-for a (sender, target) pair in the analytic's send log.
+engine's tables only in the hook; a vertex reads another vertex's
+relations only through a watermark, which exists only for a (sender,
+target) pair in the analytic's send log, or where that watermark provably
+covers the read.
 
 When a ``capture`` store is supplied, every derived head tuple is also
 persisted — capture *is* online evaluation of the capture query (Figure 1a).
@@ -42,14 +47,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from itertools import groupby
+from itertools import compress, groupby, repeat
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.analytics.base import Analytic
 from repro.engine.config import EngineConfig
-from repro.engine.engine import PregelEngine
-from repro.engine.vertex import VertexContext, VertexProgram
+from repro.engine.engine import PregelEngine, SendLog
+from repro.engine.vertex import VertexProgram
 from repro.errors import EngineError, PQLCompatibilityError
 from repro.graph.digraph import DiGraph
 from repro.obs.log import get_logger
@@ -61,6 +66,7 @@ from repro.pql.eval import MODE_ANCHORED, prepare_strata, run_prepared, run_setu
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 from repro.pql.vectorized import CopiedRows, VectorContext
+from repro.provenance.columnar import SlabColumns
 from repro.provenance.model import CORE_SCHEMAS, SchemaRegistry, freeze
 from repro.provenance.spill import SpillManager
 from repro.provenance.store import Layer, ProvenanceStore
@@ -113,12 +119,12 @@ class _PersistingOnlineDatabase(OnlineDatabase):
 class OnlineQueryProgram(VertexProgram):
     """The analytic with the compiled PQL query appended (Figure 2).
 
-    ``compute`` runs the analytic on the engine's own context and only
-    *records* the vertex's facts into superstep-wide frames;
-    :meth:`post_superstep` reads the messages from ``engine``'s message
-    relation — its send log and receiver table — and evaluates the query
-    once over every vertex the superstep executed. The program runs on
-    ``engine`` only.
+    The engine runs the analytic's own ``compute``, ``initial_value`` and
+    ``aggregators``: the program binds them. :meth:`post_superstep` reads
+    the superstep from ``engine`` — its executed vertices, their values,
+    its send log and receiver table — and evaluates the query once over
+    every vertex the superstep executed. The program runs on ``engine``
+    only.
     """
 
     def __init__(
@@ -144,9 +150,13 @@ class OnlineQueryProgram(VertexProgram):
             )
         self.inner = inner
         self.name = f"online[{inner.name}]"
+        # the engine calls the analytic itself
+        self.compute = inner.compute
+        self.initial_value = inner.initial_value
+        self.aggregators = inner.aggregators
         self.compiled = compiled
         self.functions = functions
-        self.value_projector = value_projector or (lambda v: v)
+        self.value_projector = value_projector
         # Superstep frames and window pruning. A relation that no rule
         # reads at any superstep but the anchor one (the stream relations
         # always; with `prune_history`, every auto-captured relation of
@@ -204,9 +214,9 @@ class OnlineQueryProgram(VertexProgram):
         self._need_stream_value = "vertex_value" in stream
         self._need_stream_send = "send" in stream
         self._reads_inbox = "receive_message" in need or "receive" in stream
-        # The send log's payloads and the frozen copy a send frame made of
-        # them: the next superstep's Inbox looks them up.
-        self._sent: Optional[Tuple[List[Any], List[Any]]] = None
+        # The last superstep's send log and the frozen copy of its payloads
+        # a send frame made (None: none did): what the next Inbox reads.
+        self._sent: Tuple[SendLog, Optional[List[Any]]] = (SendLog(), None)
         # Every fact a superstep program derives carries its superstep, so
         # a lagged scan is no dependency within it (Lemma 5.3).
         self._prepared = prepare_strata(compiled.strata, anchored=True)
@@ -215,23 +225,8 @@ class OnlineQueryProgram(VertexProgram):
         self._last_active: Dict[Any, int] = {}
         self.derivations = 0
         self.query_seconds = 0.0
-        self._begin_superstep()
 
-    def _begin_superstep(self) -> None:
-        """Empty the superstep being recorded: the executed vertices in
-        compute order and their frames (relation -> layer)."""
-        self._sites: List[Any] = []
-        self._frames: Dict[str, Layer] = {
-            relation: Layer(arity) for relation, arity in self._recorded.items()
-        }
-
-    # -- delegation to the analytic --------------------------------------
-    def initial_value(self, vertex_id: Any, graph: Any) -> Any:
-        return self.inner.initial_value(vertex_id, graph)
-
-    def aggregators(self):
-        return self.inner.aggregators()
-
+    # -- the analytic's master hooks ----------------------------------------
     def master_halt(self, aggregators: Any, superstep: int) -> bool:
         halt = self.inner.master_halt(aggregators, superstep)
         if self.db.persist:
@@ -287,39 +282,50 @@ class OnlineQueryProgram(VertexProgram):
             self.derivations += run_setup(
                 self.compiled.static_rules, self.db, self.functions)
 
-    # -- the appended vertex program --------------------------------------
-    def compute(self, ctx: VertexContext, messages: Sequence[Any]) -> None:
-        if ctx._engine is not self.engine:  # its logs are what we read
-            raise EngineError("an online query runs on its own engine only")
-        if self._reads_inbox and messages:
-            # the Inbox reads the delivered lists after the superstep: an
-            # analytic that edits its list edits a copy
-            messages = list(messages)
-        self.inner.compute(ctx, messages)
-        x = ctx.vertex_id
-        s = ctx.superstep
-        frames = self._frames
+    # -- the superstep's frames ----------------------------------------------
+    def _record_vertices(self, superstep: int,
+                         sites: List[Any]) -> Dict[str, Layer]:
+        """The executed vertices' frames, one column pass each: a row per
+        vertex in compute order, its value frozen once."""
+        n = len(sites)
+        groups = dict(zip(sites, zip(range(n), repeat(1))))
+        stamp = [superstep] * n
+        frames: Dict[str, List[List[Any]]] = {}
         if self._need_superstep:
-            frames["superstep"].push(x, (x, s))
+            frames["superstep"] = [sites, stamp]
         if self._need_value or self._need_stream_value:
-            d = freeze(self.value_projector(ctx.value))
+            values = list(map(self.engine.values.__getitem__, sites))
+            if self.value_projector is not None:
+                values = list(map(self.value_projector, values))
+            values = frozen_payloads(values)
             if self._need_value:
-                frames["value"].push(x, (x, d, s))
+                frames["value"] = [sites, values, stamp]
             if self._need_stream_value:
-                frames["vertex_value"].push(x, (x, d))
+                frames["vertex_value"] = [sites, values]
+        out = {relation: Layer.of(SlabColumns(columns, n, groups))
+               for relation, columns in frames.items()}
         if self._need_evolution:
-            j = self._last_active.get(x)
-            if j is not None:
-                frames["evolution"].push(x, (x, j, s))
-        self._last_active[x] = s
-        self._sites.append(x)
+            last = self._last_active
+            before = list(map(last.get, sites))
+            last.update(zip(sites, repeat(superstep)))
+            xs = sites
+            if None in before:
+                ran = [j is not None for j in before]
+                xs = list(compress(sites, ran))
+                before = list(compress(before, ran))
+            out["evolution"] = Layer.of(SlabColumns(
+                [xs, before, [superstep] * len(xs)], len(xs),
+                groups if xs is sites
+                else dict(zip(xs, zip(range(len(xs)), repeat(1))))))
+        return out
 
-    def _record_messages(self, superstep: int) -> None:
+    def _record_messages(self, superstep: int, frames: Dict[str, Layer],
+                         ) -> None:
         """Frame the superstep's sends and edge updates from the engine's
         logs — the send log's columns, each sender's span one group, its
-        payloads frozen once — and keep what the next superstep's Inbox
-        reads."""
-        frames, log = self._frames, self.engine.send_log
+        payloads frozen once — and keep the log for the next superstep's
+        Inbox."""
+        log = self.engine.send_log
         frozen = None
         if log.spans and (self._need_send or self._need_stream_send):
             frozen = frozen_payloads(log.payloads)
@@ -330,8 +336,7 @@ class OnlineQueryProgram(VertexProgram):
                     columns + [[superstep] * len(log.targets)], runs, _PROBE)
             if self._need_stream_send:
                 frames["send"].append(columns, runs, _PROBE)
-        self._sent = (None if frozen is None or frozen is log.payloads
-                      else (log.payloads, frozen))
+        self._sent = (log, frozen)
         updates = self.engine.edge_updates
         if self._need_edge_value and updates:
             vertices, targets, values = map(list, zip(*updates))
@@ -347,20 +352,23 @@ class OnlineQueryProgram(VertexProgram):
         the frames are dropped, windows pruned and each sender's watermarks
         moved. Reads no analytic context, and moves watermarks only along
         the analytic's own sends (Theorem 5.4)."""
+        engine = self.engine
+        if engine.superstep != superstep:  # its logs are what we read
+            raise EngineError("an online query runs on its own engine only")
         self.inner.post_superstep(superstep)
         received = self._sent  # what the last superstep sent
-        self._record_messages(superstep)
-        sites, frames = self._sites, self._frames
-        self._begin_superstep()
+        sites = engine.order
+        frames = {relation: Layer(arity)
+                  for relation, arity in self._recorded.items()}
+        self._record_messages(superstep, frames)
         if not sites:
             return
+        frames.update(self._record_vertices(superstep, sites))
         with get_tracer().span("query-eval", PHASE_QUERY,
                                superstep=superstep, sites=len(sites)):
             started = time.perf_counter()
             db = self.db
-            engine = self.engine
-            inbox = (Inbox(engine.inbox, engine.inbox_senders, sites,
-                           superstep, received)
+            inbox = (Inbox(engine.inbox_senders, sites, superstep, *received)
                      if self._reads_inbox else None)
             # Facts a later superstep may read leave the frame for the store.
             for relation in self._stored:
@@ -446,10 +454,10 @@ def _store_only_heads(compiled: CompiledQuery) -> Set[str]:
 
 def _as_program(
     inner: Union[Analytic, VertexProgram]
-) -> Tuple[VertexProgram, Callable[[Any], Any]]:
+) -> Tuple[VertexProgram, Optional[Callable[[Any], Any]]]:
     if isinstance(inner, Analytic):
         return inner.make_program(), inner.provenance_value
-    return inner, lambda v: v
+    return inner, None
 
 
 def run_online(

@@ -30,7 +30,9 @@ LINK = RelationSchema("link", 2)
 
 class BucketStore:
     """The oracle: ``relation -> layer -> vertex -> bucket``, a bucket an
-    insertion-ordered dict keyed by row."""
+    insertion-ordered dict keyed by row. A relation's rows are read layer
+    by layer in superstep order, the time-less layer first, as every store
+    lists them."""
 
     def __init__(self, registry):
         self.registry = registry
@@ -48,14 +50,19 @@ class BucketStore:
                 added += 1
         return added
 
+    def layers(self, relation):
+        held = self.data.get(relation, {})
+        return [held[t] for t in sorted(
+            held, key=lambda t: (t is not None, 0 if t is None else t))]
+
     def partition(self, relation, vertex):
         out = {}
-        for by_vertex in self.data.get(relation, {}).values():
+        for by_vertex in self.layers(relation):
             out.update(by_vertex.get(vertex, {}))
         return list(out)
 
     def rows(self, relation):
-        return [row for by_vertex in self.data.get(relation, {}).values()
+        return [row for by_vertex in self.layers(relation)
                 for bucket in by_vertex.values() for row in bucket]
 
     def chunks(self, t):
@@ -166,6 +173,22 @@ def test_column_store_matches_row_buckets(ops):
     column store equals the row-bucket store's after the same appends. A
     layer sealed and then appended to before the writer finished seals
     what it held at the seal."""
+    _replay(ops)
+
+
+def test_layers_read_in_superstep_order():
+    """One batch holding a row of superstep 1 before one of superstep 0:
+    ``rows()`` and ``partition()`` list superstep 0's first, as
+    ``column_batches()`` and a sealed store do."""
+    ops = [("append", "value", False, [(0, 0, 1), (0, None, 0)])]
+    _replay(ops)
+    store = ProvenanceStore(_registry())
+    _apply(ops[0], store, BucketStore(_registry()))
+    assert list(store.rows("value")) == [(0, None, 0), (0, 0, 1)]
+    assert list(store.partition("value", 0)) == [(0, None, 0), (0, 0, 1)]
+
+
+def _replay(ops):
     store, oracle = ProvenanceStore(_registry()), BucketStore(_registry())
     with SpillManager(store) as spill:
         sealed = None  # (layer, its chunks at the seal)

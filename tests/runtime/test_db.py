@@ -17,7 +17,8 @@ from repro.runtime.db import Inbox, OnlineDatabase, StoreDatabase
 def inbox_of(entries, sites, superstep):
     """The :class:`Inbox` the barrier delivers for a send log of
     ``(sender, targets, payloads)`` entries."""
-    return Inbox(*SendLog.of(entries).group_by_receiver(), sites, superstep)
+    log = SendLog.of(entries)
+    return Inbox(log.group_by_receiver()[1], sites, superstep, log)
 
 
 @pytest.fixture

@@ -43,8 +43,8 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rows(name):
     case = CASES[name]
-    inbox = Inbox(*SendLog.of(case["log"]).group_by_receiver(),
-                  case["sites"], S)
+    log = SendLog.of(case["log"])
+    inbox = Inbox(log.group_by_receiver()[1], case["sites"], S, log)
     rows = case["rows"]
     assert list(inbox.groups()) == list(rows)
     assert {v: inbox.rows(v) for v in rows} == rows
@@ -66,8 +66,8 @@ def test_frozen_send_payloads_are_reused(monkeypatch):
     calls = []
     monkeypatch.setattr(rdb, "freeze", lambda v: calls.append(v) or v)
     log = SendLog.of([(2, [6], [PAIR])])
-    inbox = Inbox(*log.group_by_receiver(), [6], S,
-                  frozen=(log.payloads, [(1, 2)]))
+    inbox = Inbox(log.group_by_receiver()[1], [6], S, log,
+                  frozen=[(1, 2)])
     assert inbox.rows(6) == [(6, 2, (1, 2), 4)]
     assert calls == []
 

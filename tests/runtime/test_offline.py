@@ -219,3 +219,71 @@ class TestMemoryBudgetContrast:
                     spill, Q.SSSP_WCC_STABILITY_QUERY, wgraph,
                     memory_budget_bytes=1,
                 )
+
+
+class TestHoistedRules:
+    """An anchor-free rule reading only stored relations and setup or
+    other hoisted heads derives at every layer what it derives over the
+    whole store: layered evaluation runs it once, before the layer loop."""
+
+    DEGREE = "degree(X, count(Y)) :- receive_message(X, Y, M, I)."
+
+    def test_which_rules_are_hoisted(self):
+        from repro.pql.analysis import compile_query
+        from repro.pql.explain import explain
+        from repro.pql.parser import parse
+
+        def hoisted(src):
+            compiled = compile_query(parse(src))
+            return {c.rule.head.predicate: c.hoisted for c in compiled.rules
+                    if not c.is_static}
+
+        assert hoisted(Q.ALS_ERROR_TREND_QUERY.replace("$eps", "0.1")) == {
+            "prov_rating": False, "prov_prediction": False,
+            "prov_error": False, "degree": True, "sum_error": False,
+            "avg_error": False, "problem": False}
+        # reading a setup head or another hoisted head keeps it hoisted
+        assert hoisted("in(X) :- edge(Y, X)."
+                       "fed(X) :- receive_message(X, Y, M, I), in(X)."
+                       "fed2(X) :- fed(X).") == {"fed": True, "fed2": True}
+        # a derived head that layers change, a remote read, an anchor
+        assert hoisted("s(X, I) :- superstep(X, I). t(X) :- s(X, I).") == {
+            "s": False, "t": False}
+        assert hoisted("t(X) :- superstep(X, I)."
+                       "n(X, I) :- receive_message(X, Y, M, I), t(Y).") == {
+            "t": False, "n": False}
+        report = explain(compile_query(parse(self.DEGREE)))
+        assert "hoisted (layered: once, before the layer loop)" in report
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The head of every rule evaluation, in order."""
+        from repro.pql import eval as pql_eval
+
+        heads = []
+        evaluate = pql_eval.evaluate_rule
+        monkeypatch.setattr(pql_eval, "evaluate_rule", lambda crule, *a, **k: (
+            heads.append(crule.head_predicate), evaluate(crule, *a, **k))[1])
+        return heads
+
+    def test_layered_runs_a_hoisted_rule_once(self, sssp_store, wgraph,
+                                              calls):
+        query = (self.DEGREE
+                 + "big(X, I) :- degree(X, D), superstep(X, I), D > 2.")
+        layered, _naive, _reference = assert_modes_agree(
+            sssp_store, query, wgraph)
+        assert calls.count("degree") == 2  # once layered, once naive
+        assert calls.count("big") == sssp_store.num_layers + 1
+        assert layered.count("degree") == len(
+            {row[0] for row in sssp_store.rows("receive_message")})
+        assert layered.count("big") > 0
+
+    def test_online_runs_it_every_superstep(self, sssp_store, wgraph,
+                                            calls):
+        """Online a superstep only holds the messages received so far, so
+        the rule runs at every superstep; the last ones leave the counts
+        layered evaluation derives."""
+        online = run_online(wgraph, SSSP(source=0), self.DEGREE)
+        assert calls.count("degree") == online.query.supersteps
+        assert online.query.rows("degree") == run_layered(
+            sssp_store, self.DEGREE, wgraph).rows("degree")

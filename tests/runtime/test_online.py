@@ -15,7 +15,7 @@ from repro.analytics.wcc import WCC
 from repro.core import queries as Q
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine, run_program
-from repro.errors import PQLCompatibilityError, VertexProgramError
+from repro.errors import EngineError, PQLCompatibilityError
 from repro.graph.generators import random_graph, web_graph, with_random_weights
 from repro.pql.analysis import compile_query
 from repro.pql.parser import parse
@@ -211,7 +211,7 @@ class TestOnlineRestrictions:
         wrapper = OnlineQueryProgram(
             PageRank(num_supersteps=3).make_program(), compiled, funcs,
             PregelEngine(graph))
-        with pytest.raises(VertexProgramError, match="its own engine"):
+        with pytest.raises(EngineError, match="its own engine"):
             PregelEngine(graph).run(wrapper)
 
     @pytest.mark.parametrize("workers", [1, 3, 7])
