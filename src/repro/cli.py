@@ -8,15 +8,15 @@ Subcommands mirror the Ariadne workflows:
 * ``capture``  — run with a capture query, seal the store to a directory;
 * ``query``    — evaluate a query offline (layered/naive) over a sealed store;
 * ``inspect``  — print a vertex's provenance history from a sealed store;
-* ``stats``    — summarize (or convert/validate) a trace file;
+* ``stats``    — summarize, validate or OTLP-export a JSONL trace;
 * ``audit``    — list/show/verify/diff run-ledger records;
 * ``compare``  — metric/wall-time deltas between two ledger records;
 * ``datasets`` — list the Table 2 dataset registry.
 
-Every workload command accepts ``--trace OUT`` to record a span trace of
-the run (``--trace-format`` picks JSONL, Chrome ``trace_event`` JSON,
-OTLP-JSON, or a Prometheus text dump), plus ``-v``/``--quiet`` to control
-the ``repro`` logger hierarchy.
+Every workload command accepts ``--trace OUT`` to stream a JSONL span
+trace of the run (``repro stats OUT --format otel`` turns it into
+OTLP-JSON), plus ``-v``/``--quiet`` to control the ``repro`` logger
+hierarchy.
 
 Every workload invocation gets a content-derived run id. ``capture`` and
 ``query`` always append an audit record to the run ledger in the store
@@ -59,7 +59,6 @@ from repro.graph.digraph import DiGraph
 from repro.graph.io import read_edge_list
 from repro.obs import (
     NULL_TRACER,
-    InMemorySink,
     JsonlSink,
     Tracer,
     configure_logging,
@@ -69,28 +68,19 @@ from repro.obs import (
     render_summary,
     set_tracer,
     summarize,
-    to_chrome_trace,
     to_otlp_json,
-    trace_to_prometheus,
     validate_events,
     validate_otlp,
 )
 from repro.obs import ledger as obsledger
 from repro.provenance.spill import SpillManager, open_store_view, rebuild_store
-from repro.runtime.offline import (
-    run_layered,
-    run_layered_from_spill,
-    run_naive,
-    run_naive_from_spill,
-)
+from repro.runtime.offline import run_layered_from_spill, run_naive_from_spill
 
 logger = get_logger("cli")
 
 # The canonical table lives next to the query texts; re-exported here for
 # backwards compatibility with callers that imported it from the CLI.
 NAMED_QUERIES: Dict[str, str] = Q.NAMED_QUERIES
-
-TRACE_FORMATS = ("jsonl", "chrome", "prom", "otel")
 
 
 def _parse_param(text: str) -> Any:
@@ -170,19 +160,12 @@ def _metrics_line(metrics: Any) -> str:
 # trace lifecycle
 # ---------------------------------------------------------------------------
 def _start_trace(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
-    """Install a process-wide tracer when ``--trace OUT`` was given.
-
-    JSONL streams straight to the output file; chrome/prom buffer events
-    in memory and convert on exit (both are whole-trace formats).
-    """
+    """Install a process-wide tracer streaming JSONL to ``--trace OUT``."""
     path = getattr(args, "trace", None)
     if not path:
         return None
-    fmt = getattr(args, "trace_format", "jsonl") or "jsonl"
-    run_id = getattr(args, "run_id", None)
-    sink = JsonlSink(path, run_id=run_id) if fmt == "jsonl" \
-        else InMemorySink()
-    tracer = Tracer(sink, registry=get_registry())
+    tracer = Tracer(JsonlSink(path, run_id=getattr(args, "run_id", None)),
+                    registry=get_registry())
     set_tracer(tracer)
     num_workers = getattr(args, "num_workers", None)
     if num_workers is not None:
@@ -193,8 +176,7 @@ def _start_trace(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
             num_workers=num_workers,
             partitioner=getattr(args, "partitioner", "hash"),
         )
-    return {"tracer": tracer, "sink": sink, "fmt": fmt, "path": path,
-            "run_id": run_id}
+    return {"tracer": tracer, "path": path}
 
 
 def _finish_trace(ctx: Optional[Dict[str, Any]]) -> None:
@@ -202,21 +184,7 @@ def _finish_trace(ctx: Optional[Dict[str, Any]]) -> None:
         return
     ctx["tracer"].close()
     set_tracer(NULL_TRACER)
-    fmt, path = ctx["fmt"], ctx["path"]
-    if fmt == "chrome":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(to_chrome_trace(ctx["sink"].events), fh, indent=1,
-                      sort_keys=True)
-    elif fmt == "otel":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                to_otlp_json(ctx["sink"].events, run_id=ctx["run_id"]),
-                fh, indent=1, sort_keys=True,
-            )
-    elif fmt == "prom":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(get_registry().to_prometheus())
-    print(f"trace ({fmt}) written to {path}", file=sys.stderr)
+    print(f"trace (jsonl) written to {ctx['path']}", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +220,7 @@ def _trace_pointer(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
     path = getattr(args, "trace", None)
     if not path:
         return None
-    return {
-        "path": os.path.abspath(path),
-        "format": getattr(args, "trace_format", "jsonl") or "jsonl",
-    }
+    return {"path": os.path.abspath(path), "format": "jsonl"}
 
 
 def _append_run_record(
@@ -689,10 +654,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             return 1
         print(f"trace OK ({len(events)} events)")
         return 0
-    elif args.format == "chrome":
-        text = json.dumps(to_chrome_trace(events), indent=1, sort_keys=True)
-    elif args.format == "prom":
-        text = trace_to_prometheus(events)
     else:
         text = render_summary(summarize(events))
     if args.out:
@@ -886,10 +847,8 @@ def _trace_parent() -> argparse.ArgumentParser:
     """Shared tracing flags (workload subcommands)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--trace", metavar="OUT",
-                        help="record a span trace of this command to OUT")
-    parent.add_argument("--trace-format", choices=TRACE_FORMATS,
-                        default="jsonl",
-                        help="trace output format (default: jsonl)")
+                        help="record a JSONL span trace of this command "
+                             "to OUT (OTLP: repro stats OUT --format otel)")
     return parent
 
 
@@ -1011,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="summarize or convert a trace file",
                        parents=[obs])
     p.add_argument("trace_file", help="JSONL trace written by --trace")
-    p.add_argument("--format", choices=("text", "chrome", "prom", "otel"),
+    p.add_argument("--format", choices=("text", "otel"),
                    default="text", help="output format (default: text)")
     p.add_argument("--out", help="write to a file instead of stdout")
     p.add_argument("--validate", action="store_true",

@@ -216,15 +216,8 @@ class PregelEngine:
         self,
         program: VertexProgram,
         max_supersteps: Optional[int] = None,
-        _restore: Optional[Any] = None,
     ) -> RunResult:
-        """Execute ``program`` to termination and return the result.
-
-        ``_restore`` is the checkpointing hook: a snapshot with
-        ``superstep`` / ``values`` / ``halted`` / ``inbox`` /
-        ``edge_overlay`` attributes resumes the run mid-flight (see
-        :mod:`repro.engine.checkpoint`).
-        """
+        """Execute ``program`` to termination and return the result."""
         limit = max_supersteps or self.config.max_supersteps
         graph = self.graph
         config = self.config
@@ -243,23 +236,12 @@ class PregelEngine:
                 vertices=num_vertices, workers=num_workers,
             )
 
-        if _restore is None:
-            values: Dict[Any, Any] = {
-                v: program.initial_value(v, graph) for v in graph.vertices()
-            }
-            active: Set[Any] = set(values)
-            inbox: Dict[Any, List[Any]] = {}
-            first_superstep = 0
-            self._edge_overlay = {}
-        else:
-            values = dict(_restore.values)
-            active = {v for v, halted in _restore.halted.items() if not halted}
-            inbox = {t: list(m) for t, m in _restore.inbox.items()}
-            first_superstep = _restore.superstep
-            self._edge_overlay = {
-                u: dict(targets) for u, targets in _restore.edge_overlay.items()
-            }
-
+        values: Dict[Any, Any] = {
+            v: program.initial_value(v, graph) for v in graph.vertices()
+        }
+        active: Set[Any] = set(values)
+        inbox: Dict[Any, List[Any]] = {}
+        self._edge_overlay = {}
         self.values = values
         self.inbox, self.inbox_senders = inbox, {}
         self._adjacency = graph.out_edges_map()
@@ -278,7 +260,7 @@ class PregelEngine:
         compute = program.compute
         post_superstep = program.post_superstep
 
-        for superstep in range(first_superstep, limit):
+        for superstep in range(limit):
             self.superstep = superstep
             step = SuperstepMetrics(superstep)
             log = self.send_log = SendLog()
@@ -335,8 +317,8 @@ class PregelEngine:
                     active.add(vertex_id)
             step.messages_sent = len(targets)
             step.cross_worker_messages = ctx._cross
-            # After the last compute, before the barrier delivers (or a
-            # checkpoint snapshots) the superstep's messages.
+            # After the last compute, before the barrier delivers the
+            # superstep's messages.
             post_superstep(superstep)
 
             step.frontier_size = step.active_vertices
@@ -359,8 +341,6 @@ class PregelEngine:
             if combiner is not None:
                 step.messages_combined = len(targets) - len(inbox)
             self.aggregators.barrier()
-
-            self._after_barrier(superstep + 1, values, active, inbox)
 
             if traced:
                 barrier_span.end()
@@ -404,23 +384,6 @@ class PregelEngine:
             },
             halt_reason=halt_reason,
         )
-
-    # ------------------------------------------------------------------
-    # subclass hooks
-    # ------------------------------------------------------------------
-    def _after_barrier(
-        self,
-        next_superstep: int,
-        values: Dict[Any, Any],
-        active: Set[Any],
-        inbox: Dict[Any, List[Any]],
-    ) -> None:
-        """Called at every superstep barrier, before termination checks.
-
-        ``inbox`` maps each receiver to the messages to be delivered at
-        ``next_superstep``. The default does nothing;
-        :class:`~repro.engine.checkpoint.CheckpointedEngine` snapshots here.
-        """
 
 
 def _partitioner(config: EngineConfig, graph: DiGraph) -> Partitioner:

@@ -7,9 +7,9 @@ for experiments on locality (messages between vertices on the same worker are
 in the engine metrics, ``cross_worker_messages``). The engine picks one by
 ``EngineConfig.partitioner``.
 
-Partition assignments must be *stable*: checkpoint/resume and cross-run
-comparisons of ``cross_worker_messages`` assume the same id always lands
-on the same worker.
+Partition assignments must be *stable*: cross-run comparisons of
+``cross_worker_messages`` assume the same id always lands on the same
+worker.
 Python's builtin ``hash`` is salted per process for ``str`` (and anything
 containing one), so :class:`HashPartitioner` hashes with ``zlib.crc32`` over
 a canonical encoding instead.

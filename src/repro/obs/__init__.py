@@ -7,13 +7,14 @@ Three cooperating pieces:
   overhead is a single flag check per superstep;
 * :mod:`repro.obs.metrics` — process-wide registry of counters, gauges
   and fixed-bucket histograms, rendered in Prometheus text format;
-* :mod:`repro.obs.sinks` — in-memory, JSONL, Chrome ``trace_event`` and
-  Prometheus outputs, plus the JSONL event-schema validator;
+* :mod:`repro.obs.sinks` — the in-memory and JSONL sinks, plus the JSONL
+  event-schema validator;
 * :mod:`repro.obs.stats` — per-phase aggregation behind ``repro stats``;
 * :mod:`repro.obs.log` — the ``repro`` stdlib-logging hierarchy;
 * :mod:`repro.obs.ledger` — append-only run ledger + audit verification
   behind ``repro audit`` / ``repro compare``;
-* :mod:`repro.obs.otel` — OTLP-JSON span export (``--trace-format otel``).
+* :mod:`repro.obs.otel` — OTLP-JSON span export of a JSONL trace
+  (``repro stats TRACE --format otel``).
 
 Typical use::
 
@@ -48,10 +49,7 @@ from repro.obs.metrics import (
 from repro.obs.sinks import (
     InMemorySink,
     JsonlSink,
-    from_chrome_trace,
     read_trace,
-    to_chrome_trace,
-    trace_to_prometheus,
     validate_events,
 )
 from repro.obs.stats import render_summary, summarize
@@ -60,7 +58,6 @@ from repro.obs.trace import (
     NULL_TRACER,
     PHASE_BARRIER,
     PHASE_CAPTURE,
-    PHASE_CHECKPOINT,
     PHASE_COMBINE,
     PHASE_COMPUTE,
     PHASE_QUERY,
@@ -101,10 +98,7 @@ __all__ = [
     "set_registry",
     "InMemorySink",
     "JsonlSink",
-    "from_chrome_trace",
     "read_trace",
-    "to_chrome_trace",
-    "trace_to_prometheus",
     "validate_events",
     "render_summary",
     "summarize",
@@ -112,7 +106,6 @@ __all__ = [
     "NULL_TRACER",
     "PHASE_BARRIER",
     "PHASE_CAPTURE",
-    "PHASE_CHECKPOINT",
     "PHASE_COMBINE",
     "PHASE_COMPUTE",
     "PHASE_QUERY",

@@ -30,7 +30,7 @@ SECONDS_BUCKETS: Tuple[float, ...] = (
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
 )
 
-#: Fixed boundaries for byte-valued histograms (spill slabs, checkpoints).
+#: Fixed boundaries for byte-valued histograms (spill slabs).
 BYTES_BUCKETS: Tuple[float, ...] = (
     1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0,
     4194304.0, 16777216.0, 67108864.0,

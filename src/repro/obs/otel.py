@@ -5,8 +5,8 @@ protocol's JSON encoding (``resourceSpans`` → ``scopeSpans`` → spans with
 hex trace/span ids, parent links, status and typed attributes), so the
 traces the engine already records can be ingested by any OTLP-compatible
 backend (Jaeger, Tempo, vendor collectors) without an OTel SDK
-dependency. Exposed on the CLI as ``--trace-format otel`` and
-``repro stats <trace> --format otel``.
+dependency. Exposed on the CLI as ``repro stats <trace> --format otel``,
+which converts the JSONL trace ``--trace OUT`` streams.
 
 Mapping (see DESIGN.md §11 for the full table):
 
@@ -24,7 +24,7 @@ Mapping (see DESIGN.md §11 for the full table):
 * the phase category rides in ``repro.phase``; original integer ids ride
   in ``repro.span_id``/``repro.parent_id`` — which makes the conversion
   lossless: :func:`from_otlp_json` inverts it exactly (the round-trip is
-  pinned by tests, mirroring the chrome converter).
+  pinned by tests).
 
 :func:`validate_otlp` structurally checks an OTLP-JSON document (hex id
 shapes, unique ids, resolvable parents, time ordering) and is what CI
@@ -105,16 +105,14 @@ def _derive_trace_id(run_id: Optional[str],
     return hashlib.sha256(seed.encode("utf-8")).hexdigest()[:_TRACE_ID_HEX]
 
 
-def to_otlp_json(events: Iterable[Dict[str, Any]],
-                 run_id: Optional[str] = None) -> Dict[str, Any]:
+def to_otlp_json(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     """Convert a decoded JSONL trace (meta/span/instant events) to one
-    OTLP-JSON document. ``run_id`` overrides the meta line's run id."""
+    OTLP-JSON document, named after the meta line's run id."""
     from repro import __version__
 
     events = list(events)
     meta = next((e for e in events if e.get("type") == "meta"), {})
-    if run_id is None:
-        run_id = meta.get("run_id")
+    run_id = meta.get("run_id")
     trace_id = _derive_trace_id(run_id, events)
 
     spans = [e for e in events if e.get("type") == "span"]

@@ -1,15 +1,14 @@
-"""Trace sinks and format converters.
+"""Trace sinks and the JSONL event schema.
 
 A sink receives finished span/instant events as plain dicts from a
-:class:`~repro.obs.trace.Tracer`. Three shapes are supported:
+:class:`~repro.obs.trace.Tracer`. Two shapes are supported:
 
-* :class:`InMemorySink` — collects events in a list (tests, converters);
+* :class:`InMemorySink` — collects events in a list (tests, the server's
+  per-request spans);
 * :class:`JsonlSink` — appends one JSON object per line, preceded by a
-  ``meta`` header line carrying the schema version and clock info;
-* converters — :func:`to_chrome_trace` produces the Chrome ``trace_event``
-  JSON loadable in ``chrome://tracing`` / Perfetto, and
-  :func:`trace_to_prometheus` folds a trace's spans into a fresh metrics
-  registry and renders the Prometheus text format.
+  ``meta`` header line carrying the schema version and clock info. JSONL
+  is the one trace format; ``repro stats TRACE --format otel`` derives
+  OTLP JSON from it (:mod:`repro.obs.otel`).
 
 Event schema (version 2)::
 
@@ -25,11 +24,10 @@ to its run-ledger record (``repro.obs.ledger``); span/instant events are
 unchanged, so :func:`validate_events` accepts both versions in
 :data:`SUPPORTED_SCHEMAS` and rejects anything else.
 
-``ts`` is microseconds on the monotonic clock (``time.perf_counter_ns``),
-the unit Chrome's trace viewer expects; it is meaningful only relative to
-other events of the same trace. :func:`validate_events` checks a decoded
-event stream against this schema and is what CI runs on the benchmark
-smoke trace.
+``ts`` is microseconds on the monotonic clock (``time.perf_counter_ns``);
+it is meaningful only relative to other events of the same trace.
+:func:`validate_events` checks a decoded event stream against this schema
+and is what CI runs (``repro stats --validate``) on the smoke trace.
 """
 
 from __future__ import annotations
@@ -176,101 +174,3 @@ def validate_events(events: Iterable[Dict[str, Any]]) -> List[str]:
     if not seen_meta:
         problems.append("trace has no meta event")
     return problems
-
-
-def spans_of(events: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    return [e for e in events if e.get("type") == "span"]
-
-
-def to_chrome_trace(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Convert a trace to the Chrome ``trace_event`` format.
-
-    Spans become complete (``"ph": "X"``) events and instants become
-    instant (``"ph": "i"``) events; span ids, parents and attributes ride
-    in ``args`` so the conversion is lossless modulo the meta header.
-    """
-    trace_events: List[Dict[str, Any]] = []
-    for event in events:
-        etype = event.get("type")
-        if etype == "span":
-            args = dict(event.get("attrs", {}))
-            args["span_id"] = event["id"]
-            if event.get("parent") is not None:
-                args["parent_id"] = event["parent"]
-            trace_events.append({
-                "name": event["name"],
-                "cat": event["cat"],
-                "ph": "X",
-                "ts": event["ts"],
-                "dur": event["dur"],
-                "pid": 1,
-                "tid": 1,
-                "args": args,
-            })
-        elif etype == "instant":
-            trace_events.append({
-                "name": event["name"],
-                "cat": event["cat"],
-                "ph": "i",
-                "s": "p",
-                "ts": event["ts"],
-                "pid": 1,
-                "tid": 1,
-                "args": dict(event.get("attrs", {})),
-            })
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-
-
-def from_chrome_trace(chrome: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Invert :func:`to_chrome_trace` (round-trip check for tests)."""
-    events: List[Dict[str, Any]] = [meta_event()]
-    for te in chrome.get("traceEvents", []):
-        args = dict(te.get("args", {}))
-        if te.get("ph") == "X":
-            span_id = args.pop("span_id")
-            parent = args.pop("parent_id", None)
-            events.append({
-                "type": "span",
-                "name": te["name"],
-                "cat": te["cat"],
-                "id": span_id,
-                "parent": parent,
-                "ts": te["ts"],
-                "dur": te["dur"],
-                "attrs": args,
-            })
-        elif te.get("ph") == "i":
-            events.append({
-                "type": "instant",
-                "name": te["name"],
-                "cat": te["cat"],
-                "ts": te["ts"],
-                "attrs": args,
-            })
-    return events
-
-
-def trace_to_prometheus(events: Iterable[Dict[str, Any]]) -> str:
-    """Aggregate a trace's spans into metrics and render Prometheus text.
-
-    Span durations land in ``repro_span_seconds`` histograms labeled by
-    phase category, with matching ``repro_span_total`` counters — the
-    offline equivalent of scraping a live registry.
-    """
-    from repro.obs.metrics import MetricsRegistry, SECONDS_BUCKETS
-
-    registry = MetricsRegistry()
-    seconds = registry.histogram(
-        "repro_span_seconds", "span duration by phase",
-        labels=("phase",), boundaries=SECONDS_BUCKETS,
-    )
-    totals = registry.counter(
-        "repro_span_total", "finished spans by phase", labels=("phase",),
-    )
-    for event in events:
-        if event.get("type") != "span":
-            continue
-        phase = event["cat"]
-        seconds.labels(phase).observe(event["dur"] / 1e6)
-        totals.labels(phase).inc()
-    return registry.to_prometheus()

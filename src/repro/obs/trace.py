@@ -6,8 +6,7 @@ The span model mirrors the BSP execution it instruments::
     └── superstep s                 (one per superstep)
         ├── compute                 (the vertex loop + post_superstep)
         │     └── query-eval        (the online superstep program)
-        ├── message-barrier         (outbox swap + aggregators + hooks)
-        │     └── checkpoint        (CheckpointedEngine snapshot write)
+        ├── message-barrier         (send-log group-by + aggregators)
         └── spill                   (slab seal/load round-trips)
     provenance-capture              (capture flush + layer hand-off, at
                                      each barrier's halt check and run end)
@@ -25,8 +24,7 @@ per vertex), and whose ``span()`` returns a shared no-op span so even
 un-gated call sites allocate nothing.
 
 Timestamps come from ``time.perf_counter_ns`` — monotonic, unaffected by
-wall-clock adjustments — and are recorded in microseconds (the Chrome
-trace unit).
+wall-clock adjustments — and are recorded in microseconds.
 """
 
 from __future__ import annotations
@@ -45,14 +43,13 @@ PHASE_COMBINE = "combine"  # counter-only; see module docstring
 PHASE_CAPTURE = "provenance-capture"
 PHASE_QUERY = "query-eval"
 PHASE_SPILL = "spill"
-PHASE_CHECKPOINT = "checkpoint"
 PHASE_SERVE = "serve"  # HTTP request handling in the query server
 PHASE_PLAN = "plan"  # query compilation and program build, before a run
 
 PHASES = (
     PHASE_RUN, PHASE_SUPERSTEP, PHASE_COMPUTE, PHASE_BARRIER, PHASE_COMBINE,
-    PHASE_CAPTURE, PHASE_QUERY, PHASE_SPILL, PHASE_CHECKPOINT,
-    PHASE_SERVE, PHASE_PLAN,
+    PHASE_CAPTURE, PHASE_QUERY, PHASE_SPILL, PHASE_SERVE,
+    PHASE_PLAN,
 )
 
 

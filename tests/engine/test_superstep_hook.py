@@ -1,13 +1,12 @@
-"""``VertexProgram.post_superstep``: the program-level hook every engine
+"""``VertexProgram.post_superstep``: the program-level hook the engine
 runs once per superstep, after the last ``compute`` and before the
-superstep's messages are delivered (the barrier, a checkpoint snapshot),
-at any simulated worker count."""
+barrier delivers the superstep's messages, at any simulated worker
+count."""
 
 import pytest
 
 from repro.analytics.pagerank import PageRank
 from repro.analytics.sssp import SSSP
-from repro.engine.checkpoint import CheckpointedEngine, latest_checkpoint, load_checkpoint
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.engine.vertex import VertexProgram
@@ -86,17 +85,6 @@ def test_serial_engine_runs_the_hook_before_the_barrier(graph):
     all_boxes_stamped(program.seen)
 
 
-def test_checkpoints_snapshot_what_the_hook_wrote(graph, tmp_path):
-    program = Stamper()
-    engine = CheckpointedEngine(graph, str(tmp_path), interval=1)
-    result = engine.run(program, max_supersteps=ROUNDS)
-    assert posts_follow_computes(program.log) == list(range(ROUNDS))
-    assert result.num_supersteps == ROUNDS
-    snapshot = load_checkpoint(latest_checkpoint(str(tmp_path)))
-    boxes = [box for messages in snapshot.inbox.values() for box in messages]
-    assert boxes and all(box["stamp"] == ROUNDS - 1 for box in boxes)
-
-
 @pytest.mark.parametrize("workers", [1, 3, 7])
 def test_simulated_workers_run_the_hook_before_the_barrier(graph, workers):
     """The hook runs once per superstep whatever the worker count, and a
@@ -139,17 +127,14 @@ COUNTS = ("supersteps", "vertex_executions", "messages", "messages_combined",
 @pytest.mark.parametrize("make_analytic", [
     lambda: PageRank(num_supersteps=6), lambda: SSSP(source=0),
 ], ids=["pagerank", "sssp"])
-@pytest.mark.parametrize("engine", ["serial", "checkpointed", "7-workers"])
-def test_bare_analytic_is_unchanged(engine, make_analytic, tmp_path):
+@pytest.mark.parametrize("engine", ["serial", "7-workers"])
+def test_bare_analytic_is_unchanged(engine, make_analytic):
     weighted = with_random_weights(
         web_graph(60, avg_degree=4, target_diameter=5, seed=4), seed=4)
 
     def run(program):
         if engine == "serial":
             return PregelEngine(weighted).run(program)
-        if engine == "checkpointed":
-            return CheckpointedEngine(weighted, str(tmp_path / program.name),
-                                      interval=2).run(program)
         return PregelEngine(weighted, config=EngineConfig(num_workers=7)).run(
             program)
 

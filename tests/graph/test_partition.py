@@ -58,7 +58,7 @@ class TestStableHash:
     assigned string-id vertices differently on every run, so the simulated
     cross-worker traffic of one graph moved between runs. These assignments
     are pinned: if they ever change, ``cross_worker_messages`` of a recorded
-    run (and a checkpoint's worker buckets) silently stop matching.
+    run silently stops matching.
     """
 
     PINNED = {

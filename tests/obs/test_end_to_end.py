@@ -1,6 +1,6 @@
 """End-to-end tracing acceptance: a traced capture+query session yields a
 valid JSONL trace whose per-phase durations account for the run wall time,
-and the trace converts losslessly to the other sink formats."""
+and the live metrics registry mirrors the same spans."""
 
 import pytest
 
@@ -10,10 +10,7 @@ from repro.graph.generators import web_graph, with_random_weights
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.sinks import (
     JsonlSink,
-    from_chrome_trace,
     read_trace,
-    to_chrome_trace,
-    trace_to_prometheus,
     validate_events,
 )
 from repro.obs.stats import summarize
@@ -134,17 +131,11 @@ class TestTracedSession:
             sum(s["dur"] for s in steps) / run["dur"])
         assert 0.0 < summary["coverage"] <= 1.0
 
-    def test_chrome_round_trip(self, traced_session):
-        events, _, _, _ = traced_session
-        restored = from_chrome_trace(to_chrome_trace(events))
-        assert ([e for e in restored if e["type"] != "meta"]
-                == [e for e in events if e["type"] != "meta"])
-
-    def test_prometheus_rendering(self, traced_session):
-        events, _, _, registry = traced_session
-        text = trace_to_prometheus(events)
-        assert 'repro_span_total{phase="run"} 1' in text
-        # the live registry mirrored the same spans while they happened
+    def test_live_registry_mirrors_the_session(self, traced_session):
+        _, _, _, registry = traced_session
+        # the registry the served /metrics route renders counted the same
+        # spans while they happened
+        assert 'repro_span_total{phase="run"} 1' in registry.to_prometheus()
         snap = registry.snapshot()
         assert snap['repro_span_total{phase="run"}'] == 1
         assert snap["repro_capture_derivations_total"] >= 0

@@ -98,8 +98,10 @@ class TestTraceId:
         assert a == b
 
     def test_differs_across_run_ids(self):
-        a = _spans(to_otlp_json(_events(), run_id="r1111aaaa2222bbbb"))
-        b = _spans(to_otlp_json(_events(), run_id="r3333cccc4444dddd"))
+        a = _spans(to_otlp_json([meta_event("r1111aaaa2222bbbb")]
+                                + _events()[1:]))
+        b = _spans(to_otlp_json([meta_event("r3333cccc4444dddd")]
+                                + _events()[1:]))
         assert a[0]["traceId"] != b[0]["traceId"]
 
     def test_content_derived_without_run_id(self):

@@ -1,4 +1,4 @@
-"""Unit tests for trace sinks, the schema validator and converters."""
+"""Unit tests for trace sinks and the schema validator."""
 
 import json
 
@@ -9,11 +9,8 @@ from repro.obs.sinks import (
     SCHEMA_VERSION,
     InMemorySink,
     JsonlSink,
-    from_chrome_trace,
     meta_event,
     read_trace,
-    to_chrome_trace,
-    trace_to_prometheus,
     validate_events,
 )
 from repro.obs.trace import PHASE_RUN, PHASE_SUPERSTEP, Tracer
@@ -105,40 +102,3 @@ class TestValidate:
         events = _sample_events()
         next(e for e in events if e["type"] == "span")["dur"] = -5
         assert any("negative duration" in p for p in validate_events(events))
-
-
-class TestChromeConversion:
-    def test_round_trip_is_lossless(self):
-        events = _sample_events()
-        chrome = to_chrome_trace(events)
-        back = from_chrome_trace(chrome)
-        # modulo the meta header, the event streams are identical
-        assert back[0]["type"] == "meta"
-        originals = [e for e in events if e["type"] != "meta"]
-        restored = [e for e in back if e["type"] != "meta"]
-        assert restored == originals
-
-    def test_chrome_shape(self):
-        chrome = to_chrome_trace(_sample_events())
-        assert chrome["displayTimeUnit"] == "ms"
-        phases = [te["ph"] for te in chrome["traceEvents"]]
-        assert phases.count("X") == 2 and phases.count("i") == 1
-        complete = next(te for te in chrome["traceEvents"]
-                        if te["ph"] == "X" and te["name"] == "superstep")
-        assert "span_id" in complete["args"]
-        assert "parent_id" in complete["args"]
-
-    def test_chrome_json_serializable(self):
-        json.dumps(to_chrome_trace(_sample_events()))
-
-
-class TestPrometheusConversion:
-    def test_spans_aggregate_by_phase(self):
-        text = trace_to_prometheus(_sample_events())
-        assert 'repro_span_total{phase="run"} 1' in text
-        assert 'repro_span_total{phase="superstep"} 1' in text
-        assert 'repro_span_seconds_count{phase="run"} 1' in text
-
-    def test_instants_and_meta_are_ignored(self):
-        text = trace_to_prometheus([meta_event()])
-        assert "repro_span_total" not in text

@@ -90,19 +90,3 @@ class TestStatsCommand:
             fh.write('{"type": "span", "name": "x"}\n')
         assert main(["stats", path, "--validate"]) == 1
         assert "invalid:" in capsys.readouterr().err
-
-    def test_chrome_output_to_file(self, tmp_path, capsys):
-        import json
-
-        path = self._write_trace(tmp_path)
-        out_path = str(tmp_path / "trace.chrome.json")
-        assert main(["stats", path, "--format", "chrome",
-                     "--out", out_path]) == 0
-        with open(out_path, "r", encoding="utf-8") as fh:
-            chrome = json.load(fh)
-        assert len(chrome["traceEvents"]) == 2
-
-    def test_prom_output(self, tmp_path, capsys):
-        path = self._write_trace(tmp_path)
-        assert main(["stats", path, "--format", "prom"]) == 0
-        assert 'repro_span_total{phase="run"} 1' in capsys.readouterr().out

@@ -159,29 +159,6 @@ class TestObservabilityFlags:
         assert {"run", "superstep", "compute"} <= cats
         assert "trace (jsonl) written" in capsys.readouterr().err
 
-    def test_run_trace_chrome_format(self, graph_file, tmp_path, capsys):
-        import json
-
-        trace_file = str(tmp_path / "run.chrome.json")
-        assert main([
-            "run", "--graph", graph_file, "--supersteps", "3",
-            "--trace", trace_file, "--trace-format", "chrome",
-        ]) == 0
-        with open(trace_file, "r", encoding="utf-8") as fh:
-            chrome = json.load(fh)
-        assert chrome["traceEvents"]
-
-    def test_run_trace_prom_format(self, graph_file, tmp_path, capsys):
-        trace_file = str(tmp_path / "run.prom")
-        assert main([
-            "run", "--graph", graph_file, "--supersteps", "3",
-            "--trace", trace_file, "--trace-format", "prom",
-        ]) == 0
-        with open(trace_file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        assert "repro_engine_runs_total" in text
-        assert 'repro_span_total{phase="run"}' in text
-
     def test_stats_summarizes_cli_trace(self, graph_file, tmp_path, capsys):
         trace_file = str(tmp_path / "cap.jsonl")
         store_dir = str(tmp_path / "prov")
@@ -529,25 +506,47 @@ class TestRunLedgerAndAudit:
 
 
 class TestOTelTraceFormat:
-    def test_run_trace_otel_format(self, graph_file, tmp_path, capsys):
-        import json
+    def test_stats_otel_names_the_traced_run(self, graph_file, tmp_path,
+                                             capsys):
+        """``--trace`` streams JSONL; ``stats --format otel`` derives the
+        OTLP document from it, named after the run on the meta line."""
+        import hashlib
 
         from repro.obs.otel import validate_otlp
 
-        trace_file = str(tmp_path / "run.otel.json")
+        trace_file = str(tmp_path / "run.jsonl")
         assert main([
             "run", "--graph", graph_file, "--supersteps", "3",
-            "--trace", trace_file, "--trace-format", "otel",
+            "--trace", trace_file,
         ]) == 0
+        assert "trace (jsonl) written" in capsys.readouterr().err
         with open(trace_file, "r", encoding="utf-8") as fh:
+            run_id = json.loads(fh.readline())["run_id"]
+        out_file = str(tmp_path / "run.otel.json")
+        assert main([
+            "stats", trace_file, "--format", "otel", "--out", out_file,
+        ]) == 0
+        with open(out_file, "r", encoding="utf-8") as fh:
             otlp = json.load(fh)
         assert validate_otlp(otlp) == []
         resource = {
             kv["key"]: kv["value"]
             for kv in otlp["resourceSpans"][0]["resource"]["attributes"]
         }
-        # the exported trace names the run that produced it
-        assert resource["repro.run_id"]["stringValue"].startswith("r")
+        assert resource["repro.run_id"]["stringValue"] == run_id
+        trace_id = hashlib.sha256(("run:" + run_id).encode()).hexdigest()[:32]
+        spans = otlp["resourceSpans"][0]["scopeSpans"][0]["spans"]
+        assert spans and {span["traceId"] for span in spans} == {trace_id}
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--trace", "t.json", "--trace-format", "otel"],
+        ["stats", "t.jsonl", "--format", "chrome"],
+        ["stats", "t.jsonl", "--format", "prom"],
+    ], ids=["trace-format", "stats-chrome", "stats-prom"])
+    def test_removed_trace_formats_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_stats_converts_and_validates_otel(self, graph_file, tmp_path,
                                                capsys):
