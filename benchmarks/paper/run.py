@@ -396,19 +396,32 @@ def backward_cells(bench: Bench, graph: Any, name: str,
                    spill: SpillManager) -> None:
     """Fig. 12: layered backward lineage over the full capture (Query 10)
     and over the custom one (Query 11 capture, Query 12). WCC broadcasts
-    along reverse edges too, so its custom capture reads symmetric edges."""
+    along reverse edges too, so its custom capture reads symmetric edges.
+
+    The figure compares what tracing costs when the capture is read from
+    storage, so each call reads its capture from the slabs: it opens the
+    store's read session and ends it (a warm session would leave the two
+    queries' identical join work and nothing of the smaller capture's
+    saving; EXPERIMENTS.md, Figure 12)."""
     capture_query = (Q.CAPTURE_BACKWARD_CUSTOM_UNDIRECTED_QUERY
                      if name == "wcc" else Q.CAPTURE_BACKWARD_CUSTOM_QUERY)
     custom = run_online(graph, make_analytic(name), capture_query,
                         capture=True).store
     params = trace_target(store)
+
+    def from_slabs(sealed: SpillManager, query: str) -> Callable[[], Any]:
+        def run() -> Any:
+            try:
+                return run_layered_from_spill(sealed, query, graph, params)
+            finally:
+                sealed.release_slabs()
+        return run
+
     with SpillManager(custom) as custom_spill:
         custom_spill.seal_all()
         (full_s, full), (custom_s, mine) = timed(
-            lambda: run_layered_from_spill(
-                spill, Q.BACKWARD_LINEAGE_FULL_QUERY, graph, params),
-            lambda: run_layered_from_spill(
-                custom_spill, Q.BACKWARD_LINEAGE_CUSTOM_QUERY, graph, params),
+            from_slabs(spill, Q.BACKWARD_LINEAGE_FULL_QUERY),
+            from_slabs(custom_spill, Q.BACKWARD_LINEAGE_CUSTOM_QUERY),
             rounds=LINEAGE_ROUNDS)
     bench.record("fig12", cell, baseline_s=baseline,
                  full_x=full_s / baseline, custom_x=custom_s / baseline,

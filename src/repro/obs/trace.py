@@ -10,6 +10,8 @@ The span model mirrors the BSP execution it instruments::
         └── spill                   (slab seal/load round-trips)
     provenance-capture              (capture flush + layer hand-off, at
                                      each barrier's halt check and run end)
+    spill: store-open, slab-decode  (offline reads: a read session's footer
+                                     reads, a segment's first decode)
 
 Phase names are fixed (:data:`PHASES`) so traces from different runs
 aggregate cleanly; free-form context travels in span attributes.

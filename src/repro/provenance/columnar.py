@@ -55,6 +55,7 @@ type it can reproduce *exactly*; anything else falls back to pickle:
 from __future__ import annotations
 
 import mmap
+import os
 import pickle
 import struct
 import zlib
@@ -62,6 +63,7 @@ from operator import itemgetter
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import ProvenanceError
+from repro.obs.trace import PHASE_SPILL, get_tracer
 from repro.sizemodel import exact_kind
 
 Row = Tuple[Any, ...]
@@ -277,26 +279,65 @@ def validate_columnar_file(path: str) -> None:
         )
 
 
+class DecodeCharge:
+    """One run's decode account over slab handles it shares.
+
+    A handle decodes each segment once and keeps it, so one read session
+    serves many runs, and what a handle has decoded says nothing about
+    one run. A run charges each segment the first time *it* reads it —
+    decoded now or earlier in the session — to the slab holding it (the
+    segment lists come from the footer, :meth:`ColumnarSlab.segments`).
+    ``decoded_bytes`` is therefore what the run would decode over cold
+    handles, ``peak_slab_bytes`` its largest slab's share (the columnar
+    load unit), and ``budget`` bounds that share: the charge that takes
+    one slab past it raises :class:`MemoryError`, before the read.
+    """
+
+    __slots__ = ("budget", "by_slab", "_seen")
+
+    def __init__(self, budget: Optional[int] = None) -> None:
+        self.budget = budget
+        self.by_slab: Dict[str, int] = {}
+        self._seen: set = set()
+
+    def charge(self, path: str,
+               segments: Sequence[Tuple[Any, int]]) -> None:
+        """Charge ``segments`` (``(segment, bytes)`` pairs) of the slab at
+        ``path``, each once per run."""
+        seen = self._seen
+        for segment, size in segments:
+            key = (path, segment)
+            if key in seen:
+                continue
+            seen.add(key)
+            total = self.by_slab[path] = self.by_slab.get(path, 0) + size
+            if self.budget is not None and total > self.budget:
+                raise MemoryError(
+                    f"slab {path} decoded {total} bytes of column segments, "
+                    f"exceeding the memory budget ({self.budget})"
+                )
+
+    @property
+    def decoded_bytes(self) -> int:
+        return sum(self.by_slab.values())
+
+    @property
+    def peak_slab_bytes(self) -> int:
+        return max(self.by_slab.values(), default=0)
+
+
 class ColumnarSlab:
     """An mmap-backed ARSC slab reader with lazy per-column decode.
 
     Opening reads only the footer. Everything else — column values and
-    group (partition) keys — is decoded on first touch and memoized.
-    ``decoded_bytes`` accounts the uncompressed payload of every segment
-    touched so far; evaluators use it to enforce honest out-of-core memory
-    budgets.
+    group (partition) keys — is decoded on first touch and memoized, for
+    the life of the handle. ``decoded_bytes`` accounts the uncompressed
+    payload of every segment this handle has decoded; what one run over
+    shared handles reads is a :class:`DecodeCharge`'s.
     """
 
-    def __init__(self, path: str, data: Optional[bytes] = None,
-                 dict_cache: Optional[Dict[Tuple[str, int], List[str]]] = None,
-                 ) -> None:
+    def __init__(self, path: str, data: Optional[bytes] = None) -> None:
         self.path = path
-        #: Optional shared cache of decoded string dictionaries, owned by
-        #: the spill manager so it outlives this handle (queries on a
-        #: reopened view skip the dictionary re-decode). Cache hits are
-        #: still charged to ``decoded_bytes`` so memory budgets and
-        #: ``peak_slab_bytes`` account the resident dictionaries honestly.
-        self._dict_cache = dict_cache
         self._file = None
         self._mm: Any = None
         if data is None:
@@ -354,8 +395,8 @@ class ColumnarSlab:
         self._vectors: Dict[Tuple[str, int], Any] = {}
         # memoized per-relation lane tuples (footer-only, immutable)
         self._lanes: Dict[str, Tuple[str, ...]] = {}
-        # literal -> dict code lookups resolved without decoding the dict
-        self._dict_codes: Dict[Tuple[str, int], Dict[str, Optional[int]]] = {}
+        # each str column's dictionary as string -> code
+        self._dict_codes: Dict[Tuple[str, int], Dict[str, int]] = {}
 
     # -- footer-only accessors (no segment decode) ----------------------
     @property
@@ -402,7 +443,30 @@ class ColumnarSlab:
                 total += col["raw"] + col.get("dict_raw", 0)
         return total
 
+    def segments(self, relation: str) -> Tuple[
+            List[Tuple[Any, int]], List[List[Tuple[Any, int]]]]:
+        """What each read of ``relation`` decodes, from the footer, as
+        ``(segment, bytes)`` lists (what a :class:`DecodeCharge` takes):
+        the group table's (none for a relation without rows), and per
+        column its values' — a str lane's codes, then its dictionary."""
+        desc = self._relations[relation]
+        keys = ([((relation, "keys"), desc["keys_raw"])] if desc["groups"]
+                else [])
+        columns = []
+        for pos, col in enumerate(desc["columns"]):
+            segments = [((relation, pos), col["raw"])]
+            if col["lane"] == LANE_STR:
+                segments.append(((relation, ("dict", pos)), col["dict_raw"]))
+            columns.append(segments)
+        return keys, columns
+
     # -- lazy decode ----------------------------------------------------
+    def _decoding(self, relation: str, segment: str) -> Any:
+        """The ``slab-decode`` span around one segment's first decode."""
+        return get_tracer().span(
+            "slab-decode", PHASE_SPILL, slab=os.path.basename(self.path),
+            relation=relation, segment=segment)
+
     def _segment(self, key: Tuple[str, Any], seg: Tuple[int, int],
                  comp: str, raw_len: int) -> Any:
         """The (decompressed) buffer of one segment; raw-mode segments stay
@@ -442,35 +506,28 @@ class ColumnarSlab:
                         desc: Dict[str, Any]) -> List[str]:
         key = (relation, pos)
         strings = self._str_dicts.get(key)
-        if strings is None and self._dict_cache is not None:
-            strings = self._dict_cache.get(key)
-            if strings is not None:
-                # Cache hit: the dictionary is resident without touching
-                # the segment — charge it as if decoded so budgets see it.
-                self._str_dicts[key] = strings
-                self.decoded_bytes += desc["dict_raw"]
         if strings is None:
-            buf = self._segment((relation, ("dict", pos)), desc["dict_seg"],
-                                desc["dict_comp"], desc["dict_raw"])
-            strings = []
-            offset = _U32.size
-            try:
-                (count,) = _U32.unpack_from(buf, 0)
-                for _ in range(count):
-                    (slen,) = _U32.unpack_from(buf, offset)
-                    offset += _U32.size
-                    strings.append(
-                        bytes(buf[offset:offset + slen])
-                        .decode("utf-8", "surrogatepass")
-                    )
-                    offset += slen
-            except (struct.error, UnicodeDecodeError) as exc:
-                raise _corrupt(
-                    self.path, f"corrupt string dictionary: {exc}"
-                ) from None
+            with self._decoding(relation, f"dictionary {pos}"):
+                buf = self._segment((relation, ("dict", pos)),
+                                    desc["dict_seg"], desc["dict_comp"],
+                                    desc["dict_raw"])
+                strings = []
+                offset = _U32.size
+                try:
+                    (count,) = _U32.unpack_from(buf, 0)
+                    for _ in range(count):
+                        (slen,) = _U32.unpack_from(buf, offset)
+                        offset += _U32.size
+                        strings.append(
+                            bytes(buf[offset:offset + slen])
+                            .decode("utf-8", "surrogatepass")
+                        )
+                        offset += slen
+                except (struct.error, UnicodeDecodeError) as exc:
+                    raise _corrupt(
+                        self.path, f"corrupt string dictionary: {exc}"
+                    ) from None
             self._str_dicts[key] = strings
-            if self._dict_cache is not None:
-                self._dict_cache[key] = strings
         return strings
 
     # -- typed vectors (batch kernels) ----------------------------------
@@ -486,25 +543,26 @@ class ColumnarSlab:
             return vec
         desc = self._relations[relation]["columns"][pos]
         lane = desc["lane"]
-        if lane == LANE_PKL:
-            vec = self.column(relation, pos)
-        else:
-            buf = self._segment((relation, pos), desc["seg"], desc["comp"],
-                                desc["raw"])
-            fmt = {LANE_I64: "q", LANE_F64: "d", LANE_STR: "I"}[lane]
-            try:
-                vec = memoryview(buf).cast(fmt)
-            except (TypeError, ValueError) as exc:
-                raise _corrupt(
-                    self.path,
-                    f"corrupt {lane} column {relation}[{pos}]: {exc}",
-                ) from None
-            if len(vec) != self._relations[relation]["rows"]:
-                raise _corrupt(
-                    self.path,
-                    f"column {relation}[{pos}] holds {len(vec)} values, "
-                    f"footer says {self._relations[relation]['rows']}",
-                )
+        with self._decoding(relation, f"column {pos}"):
+            if lane == LANE_PKL:
+                vec = self.column(relation, pos)
+            else:
+                buf = self._segment((relation, pos), desc["seg"],
+                                    desc["comp"], desc["raw"])
+                fmt = {LANE_I64: "q", LANE_F64: "d", LANE_STR: "I"}[lane]
+                try:
+                    vec = memoryview(buf).cast(fmt)
+                except (TypeError, ValueError) as exc:
+                    raise _corrupt(
+                        self.path,
+                        f"corrupt {lane} column {relation}[{pos}]: {exc}",
+                    ) from None
+                if len(vec) != self._relations[relation]["rows"]:
+                    raise _corrupt(
+                        self.path,
+                        f"column {relation}[{pos}] holds {len(vec)} values, "
+                        f"footer says {self._relations[relation]['rows']}",
+                    )
         self._vectors[key] = vec
         return vec
 
@@ -523,47 +581,17 @@ class ColumnarSlab:
     def str_code(self, relation: str, pos: int, value: Any) -> Optional[int]:
         """The dictionary code of ``value`` in a str-lane column, or ``None``
         when absent (or when ``value`` is not a str — codes only ever encode
-        exact strings). Scans the length-prefixed dictionary blob bytewise,
-        so a literal-equality pushdown never decodes the dictionary."""
+        exact strings). The column's dictionary is decoded once and indexed
+        by string, so a literal-equality pushdown never decodes the codes."""
         if type(value) is not str:
             return None
         key = (relation, pos)
-        memo = self._dict_codes.get(key)
-        if memo is not None and value in memo:
-            return memo[value]
-        desc = self._relations[relation]["columns"][pos]
-        strings = self._str_dicts.get(key)
-        if strings is None and self._dict_cache is not None:
-            strings = self._dict_cache.get(key)
-        if strings is not None:
-            try:
-                code: Optional[int] = strings.index(value)
-            except ValueError:
-                code = None
-        else:
-            buf = self._segment((relation, ("dict", pos)), desc["dict_seg"],
-                                desc["dict_comp"], desc["dict_raw"])
-            target = value.encode("utf-8", "surrogatepass")
-            tlen = len(target)
-            code = None
-            offset = _U32.size
-            try:
-                (count,) = _U32.unpack_from(buf, 0)
-                for idx in range(count):
-                    (slen,) = _U32.unpack_from(buf, offset)
-                    offset += _U32.size
-                    if slen == tlen and bytes(buf[offset:offset + slen]) == target:
-                        code = idx
-                        break
-                    offset += slen
-            except struct.error as exc:
-                raise _corrupt(
-                    self.path, f"corrupt string dictionary: {exc}"
-                ) from None
-        if memo is None:
-            memo = self._dict_codes[key] = {}
-        memo[value] = code
-        return code
+        index = self._dict_codes.get(key)
+        if index is None:
+            strings = self._column_strings(
+                relation, pos, self._relations[relation]["columns"][pos])
+            index = self._dict_codes[key] = {s: code for code, s in enumerate(strings)}
+        return index.get(value)
 
     def column(self, relation: str, pos: int) -> Tuple[Any, ...]:
         """One fully decoded column, memoized. Only the requested column's
@@ -612,15 +640,19 @@ class ColumnarSlab:
             desc = self._relations.get(relation)
             table = {}
             if desc is not None and desc["groups"]:
-                buf = self._segment((relation, "keys"), desc["keys_seg"],
-                                    desc["keys_comp"], desc["keys_raw"])
-                try:
-                    keys = pickle.loads(bytes(buf))
-                except (pickle.UnpicklingError, EOFError, ValueError) as exc:
-                    raise _corrupt(
-                        self.path, f"corrupt group keys for {relation}: {exc}"
-                    ) from None
-                table = dict(zip(keys, (tuple(g) for g in desc["groups"])))
+                with self._decoding(relation, "keys"):
+                    buf = self._segment((relation, "keys"), desc["keys_seg"],
+                                        desc["keys_comp"], desc["keys_raw"])
+                    try:
+                        keys = pickle.loads(bytes(buf))
+                    except (pickle.UnpicklingError, EOFError,
+                            ValueError) as exc:
+                        raise _corrupt(
+                            self.path,
+                            f"corrupt group keys for {relation}: {exc}"
+                        ) from None
+                    table = dict(zip(keys,
+                                     (tuple(g) for g in desc["groups"])))
             self._groups[relation] = table
         return table
 

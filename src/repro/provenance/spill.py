@@ -31,7 +31,10 @@ There is one read path too: a sealed store is read as a
 the same :class:`~repro.provenance.store.Relations` container as the
 in-memory store, whose layers are the slabs' relations. It mmaps the slabs
 and decodes only the columns a query touches, which is what makes sealed
-captures larger than RAM queryable. :func:`rebuild_store` copies the
+captures larger than RAM queryable. A manager holds one such view, its
+read session (:meth:`SpillManager.view`): every query over the manager
+reads through it, so a segment is decoded once per session, not once per
+query. :func:`rebuild_store` copies the
 view's columns into an in-memory store, and :func:`migrate_store`
 re-encodes each of its slabs.
 
@@ -183,19 +186,13 @@ class SpillManager:
         self._slabs: Dict[int, str] = {}
         self._static_path: Optional[str] = None
         self.bytes_spilled = 0
-        # Open mmap handles (key: superstep or "static"), shared by every
-        # SealedStoreView over this manager. ``release_epoch`` counts
-        # release_slabs() calls so a view can tell its handles were closed
-        # under it (by another view's close()) and fetch fresh ones.
+        # The read session (view()) and the open mmap handles under it
+        # (key: superstep or "static"), which keep what they decode.
+        # ``release_epoch`` counts release_slabs() calls so a view held
+        # past one can tell its handles were closed and fetch fresh ones.
+        self._session: Optional[SealedStoreView] = None
         self._open_slabs: Dict[Any, ColumnarSlab] = {}
         self.release_epoch = 0
-        # Decoded string dictionaries, keyed per slab *file* (path, mtime,
-        # size) so a rewrite under the same key never serves stale entries.
-        # Deliberately survives release_slabs(): closing a view and
-        # reopening one on the same manager must not re-decode every
-        # dictionary segment. Each slab handle re-charges cache hits to its
-        # own decoded_bytes, keeping budgets and peak_slab_bytes honest.
-        self._dict_caches: Dict[Any, Dict[Any, Any]] = {}
         #: Run id a migration rewrote this store under (manifest bookkeeping
         #: only; set by :func:`migrate_store`).
         self.migrated_from: Optional[str] = None
@@ -221,12 +218,13 @@ class SpillManager:
         # atomic under the GIL so no lock is needed.
         self._completed: Deque[Tuple[Any, str, int, int, float, str]] = deque()
         self._writer_error: Optional[BaseException] = None
-        # Serializes the read path (slab loads + the flush/drain they
-        # imply) so one manager can be shared across threads — the query
-        # server's catalog opens each sealed store exactly once and its
-        # worker threads may load layers concurrently. Sealing remains
-        # single-threaded by contract (one capture owns the manager).
-        self._read_lock = threading.Lock()
+        # Serializes the read path (the session build, slab opens and the
+        # flush/drain they imply) so one manager can be shared across
+        # threads — the query server's catalog holds each sealed store's
+        # session and its worker threads may read concurrently. Sealing
+        # remains single-threaded by contract (one capture owns the
+        # manager). Re-entrant: building the session opens slabs.
+        self._read_lock = threading.RLock()
 
     @classmethod
     def open(cls, directory: str) -> "SpillManager":
@@ -376,6 +374,7 @@ class SpillManager:
         slab, so late rows just cost one extra write."""
         path = self.slab_path(superstep)
         self._slabs[superstep] = path
+        self._end_session()
         self._submit(superstep, path, self.store.layer_columns(superstep))
 
     def seal_layer(self, superstep: int) -> int:
@@ -392,6 +391,7 @@ class SpillManager:
     def seal_static_nowait(self) -> None:
         path = os.path.join(self.directory, "static.slab")
         self._static_path = path
+        self._end_session()
         self._submit("static", path, _static_chunks(self.store))
 
     def seal_static(self) -> int:
@@ -462,42 +462,49 @@ class SpillManager:
     def sealed_layers(self) -> Iterator[int]:
         return iter(sorted(self._slabs))
 
+    def view(self) -> SealedStoreView:
+        """This manager's read session: one
+        :class:`~repro.provenance.store.SealedStoreView`, built on first
+        use (the footer reads, a ``store-open`` span) and shared by every
+        query over the manager, whose slab handles keep what they decode.
+        :meth:`release_slabs` and a seal end it; the next call builds a
+        fresh one."""
+        with self._read_lock:
+            session = self._session
+            if session is None:
+                with get_tracer().span("store-open", PHASE_SPILL,
+                                       slabs=len(self._slabs) + 1):
+                    session = SealedStoreView(self)
+                self._session = session
+            return session
+
     def open_columnar_slab(self, key: Any) -> ColumnarSlab:
         """A shared mmap handle for one columnar slab (``key`` is a
         superstep, or ``"static"``). Opening reads only the footer; the
-        handle memoizes everything it decodes, so one manager serves any
-        number of :class:`~repro.provenance.store.SealedStoreView` readers."""
+        handle memoizes everything it decodes until :meth:`release_slabs`."""
         with self._read_lock:
             self.flush()
             slab = self._open_slabs.get(key)
             if slab is None:
-                path = self._slab_file(key)
-                try:
-                    st = os.stat(path)
-                    cache_key = (path, st.st_mtime_ns, st.st_size)
-                except OSError:
-                    cache_key = (path, None, None)
-                slab = ColumnarSlab(
-                    path,
-                    dict_cache=self._dict_caches.setdefault(cache_key, {}),
-                )
-                self._open_slabs[key] = slab
+                slab = self._open_slabs[key] = ColumnarSlab(
+                    self._slab_file(key))
             return slab
 
     def release_slabs(self) -> None:
-        """Close every cached columnar slab handle (drops their mmaps and
-        memoized decode state). Views still open over this manager notice
-        through :attr:`release_epoch` and re-fetch."""
-        for slab in self._open_slabs.values():
-            slab.close()
-        self._open_slabs.clear()
-        self.release_epoch += 1
+        """End the read session: close every slab handle (drops their
+        mmaps and decode state). Views held past this notice through
+        :attr:`release_epoch` and re-fetch."""
+        with self._read_lock:
+            for slab in self._open_slabs.values():
+                slab.close()
+            self._open_slabs.clear()
+            self._session = None
+            self.release_epoch += 1
 
-    def decoded_bytes(self) -> int:
-        """Uncompressed bytes decoded so far across open columnar slabs —
-        what lazy readers actually materialized, as opposed to
-        :meth:`total_sealed_bytes` (what is on disk)."""
-        return sum(s.decoded_bytes for s in self._open_slabs.values())
+    def _end_session(self) -> None:
+        """A seal rewrites a slab file: drop the handles mapping it."""
+        if self._open_slabs:
+            self.release_slabs()
 
     def layer_size(self, superstep: int) -> int:
         """On-disk bytes of one sealed layer slab."""
@@ -528,7 +535,6 @@ class SpillManager:
         self._shutdown_writer()
         self._drain_completed()
         self.release_slabs()
-        self._dict_caches.clear()
         error = self._writer_error
         self._writer_error = None
         if self._owns_slabs:
@@ -695,12 +701,9 @@ def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
     return manifest
 
 
-def open_store_view(
-    spill: SpillManager, memory_budget_bytes: Optional[int] = None,
-) -> SealedStoreView:
-    """A lazy :class:`~repro.provenance.store.SealedStoreView` over a
-    sealed store."""
-    return SealedStoreView(spill, memory_budget_bytes=memory_budget_bytes)
+def open_store_view(spill: SpillManager) -> SealedStoreView:
+    """The read session over a sealed store (:meth:`SpillManager.view`)."""
+    return spill.view()
 
 
 def rebuild_store(spill: SpillManager) -> ProvenanceStore:

@@ -15,6 +15,8 @@ query's derived facts and the online runtime's transient ones.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from itertools import compress, count
 from operator import ne, sub
 from typing import (
@@ -23,7 +25,7 @@ from typing import (
 )
 
 from repro.errors import ProvenanceError
-from repro.provenance.columnar import SlabColumns
+from repro.provenance.columnar import DecodeCharge, SlabColumns
 from repro.provenance.model import RelationSchema, SchemaRegistry
 from repro.sizemodel import column_bytes, row_prefix_bytes
 
@@ -444,9 +446,9 @@ class Relations:
     def layer_sites(self, superstep: Any) -> Set[Any]:
         """Vertices carrying at least one fact in one layer (group keys
         only)."""
-        return {vertex for layers in self._data.values()
-                if superstep in layers
-                for vertex in layers[superstep].groups()}
+        return set().union(*[layers[superstep].groups()
+                             for layers in self._data.values()
+                             if superstep in layers])
 
     def layer_rows(self, superstep: Any) -> int:
         """Row count of one layer."""
@@ -628,16 +630,18 @@ class ColumnBatch:
     touch exactly one column's segment, which is what makes late
     materialization real (a column no kernel asks for is never decoded).
     ``groups`` maps each vertex to its contiguous ``(start, count)`` row
-    range, so a location join needs no location column at all. ``count``
-    and the lanes come from the footer.
+    range, so a location join needs no location column at all. ``count``,
+    the lanes and what each read decodes come from the footer.
 
     The batch holds its slab's key (``key``: the superstep, ``None`` for
     the static slab), not the slab: each read fetches the view's current
-    handle and then runs the view's budget check, so out-of-core memory
-    budgets fire mid-batch, not per query.
+    handle and charges the segments it reads to the calling thread's run
+    (:meth:`SealedStoreView.charged`), so out-of-core memory budgets fire
+    mid-batch, not per query.
     """
 
-    __slots__ = ("_view", "key", "relation", "count", "_lanes")
+    __slots__ = ("_view", "key", "relation", "count", "_lanes", "_keys",
+                 "_columns")
 
     def __init__(self, view: "SealedStoreView", key: Any, relation: str,
                  slab: Any) -> None:
@@ -646,6 +650,7 @@ class ColumnBatch:
         self.relation = relation
         self.count = slab.row_count(relation)
         self._lanes = slab.lanes(relation)
+        self._keys, self._columns = slab.segments(relation)
 
     @property
     def arity(self) -> int:
@@ -654,42 +659,48 @@ class ColumnBatch:
     def lane(self, pos: int) -> str:
         return self._lanes[pos]
 
-    def _read(self, method: str, *args: Any) -> Any:
-        """The slab reader's ``method`` for this relation, then the
-        view's budget check."""
+    def _read(self, segments: Sequence[Tuple[Any, int]], method: str,
+              *args: Any) -> Any:
+        """Charge ``segments`` to this thread's run, then the slab
+        reader's ``method`` for this relation."""
         view = self._view
-        out = getattr(view._slab(self.key), method)(self.relation, *args)
-        view._note()
-        return out
+        slab = view._slab(self.key)
+        charge = getattr(view._runs, "charge", None)
+        if charge is not None:
+            charge.charge(slab.path, segments)
+        return getattr(slab, method)(self.relation, *args)
 
     def groups(self) -> Dict[Any, Tuple[int, int]]:
         """``vertex -> (start, count)`` in row order — decodes only the
         group-key segment."""
-        return self._read("groups")
+        return self._read(self._keys, "groups")
 
     def values(self, pos: int) -> Any:
         """Decoded values of one column (str lanes gather through the
         memoized dictionary; fixed lanes are zero-copy)."""
-        return self._read("column_slice", pos, 0, self.count)
+        return self._read(self._columns[pos], "column_slice", pos, 0,
+                          self.count)
 
     def codes(self, pos: int) -> Optional[Any]:
         """The raw u32 dictionary-code view for a str lane (``None`` for
         every other lane) — the operand for pushed-down string equality."""
         if self._lanes[pos] != "str":
             return None
-        return self._read("vector", pos)
+        return self._read(self._columns[pos][:1], "vector", pos)
 
     def code_of(self, pos: int, value: Any) -> Optional[int]:
         """Dictionary code of ``value`` in this slab's column (``None``
         when absent: the literal matches nothing here)."""
-        return self._read("str_code", pos, value)
+        segments = self._columns[pos][1:] if type(value) is str else ()
+        return self._read(segments, "str_code", pos, value)
 
     def rows_of(self, vertex: Any) -> List[Row]:
         """``vertex``'s rows, decoded from its one row range."""
         span = self.groups().get(vertex)
         if span is None:
             return []
-        return list(zip(*[self._read("column_slice", pos, *span)
+        return list(zip(*[self._read(self._columns[pos], "column_slice",
+                                     pos, *span)
                           for pos in range(self.arity)]))
 
     def nbytes(self) -> int:
@@ -716,29 +727,34 @@ class SealedStoreView(Relations):
     captures **without rebuilding a store**: opening reads only slab
     footers, and queries decode exactly the columns their plans touch.
 
+    A view is its manager's *read session* (:meth:`SpillManager.view
+    <repro.provenance.spill.SpillManager.view>`): built once, on first
+    use, and shared by every query over the manager until
+    ``release_slabs()`` or a seal replaces it. Its slab handles keep what
+    they decode, so a warm query decodes nothing again.
+
     What the view adds to the container is what a slab store needs of its
     own: the layer map and schemas from the footers, fresh slab handles
-    after another view over the manager released them, the decode
-    accounting, and the memory budget. ``memory_budget_bytes`` bounds the
-    evaluator's *load unit*: what one slab's lazy reader *actually
-    decodes* — exceeding the budget on any single slab raises
-    :class:`MemoryError`. That is why captures whose layers outgrow the
-    budget stay queryable: a plan that touches few columns decodes few
-    bytes.
+    after the manager released them, and per-run decode accounting.
+    :meth:`charged` opens a run on the calling thread: its reads are
+    charged to a :class:`~repro.provenance.columnar.DecodeCharge`, each
+    segment once, whatever the session decoded before. Its
+    ``memory_budget_bytes`` bounds the evaluator's *load unit*: what one
+    slab's lazy reader decodes for the run — exceeding it on any single
+    slab raises :class:`MemoryError`. That is why captures whose layers
+    outgrow the budget stay queryable: a plan that touches few columns
+    decodes few bytes. Reads outside a run are charged to nothing.
 
-    The layer map is built here and never written after, so evaluator
-    threads may share the view.
+    The layer map is built here and never written after, and each thread
+    keeps its own run, so evaluator threads may share the view.
     """
 
-    def __init__(
-        self, spill: Any, memory_budget_bytes: Optional[int] = None,
-    ) -> None:
+    def __init__(self, spill: Any) -> None:
         super().__init__()
         self._spill = spill
-        self.memory_budget_bytes = memory_budget_bytes
-        # Slab handles by layer key. The manager shares them between views
-        # and closes them all on release_slabs(), so they are only valid
-        # for ``_epoch``.
+        self._runs = threading.local()  # .charge: this thread's run
+        # Slab handles by layer key. The manager owns them and closes them
+        # all on release_slabs(), so they are only valid for ``_epoch``.
         self._slabs: Dict[Any, Any] = {}
         self._epoch: int = spill.release_epoch
         static = self._slab(None)
@@ -765,9 +781,9 @@ class SealedStoreView(Relations):
 
     def _slab(self, key: Any) -> Any:
         if self._epoch != self._spill.release_epoch:
-            # Another view over this manager closed and took the shared
-            # handles with it; reading a closed one would look like a
-            # corrupt slab. Start over with fresh handles.
+            # The manager released its handles under this view (a view
+            # held past release_slabs()); reading a closed one would look
+            # like a corrupt slab. Start over with fresh handles.
             self._epoch = self._spill.release_epoch
             self._slabs.clear()
         slab = self._slabs.get(key)
@@ -776,37 +792,21 @@ class SealedStoreView(Relations):
                 "static" if key is None else key)
         return slab
 
-    def _all_open(self) -> List[Any]:
-        self._slab(None)  # always counted; re-fetches after a release
-        return list(self._slabs.values())
-
-    @property
-    def decoded_bytes(self) -> int:
-        """Uncompressed segment bytes materialized so far — the honest
-        memory cost of everything queries have touched."""
-        return sum(slab.decoded_bytes for slab in self._all_open())
-
-    @property
-    def peak_slab_decoded_bytes(self) -> int:
-        """The largest per-slab decode so far — the columnar load unit
-        (what ``peak_slab_bytes`` reports for out-of-core runs)."""
-        return max(slab.decoded_bytes for slab in self._all_open())
-
-    def _note(self) -> None:
-        budget = self.memory_budget_bytes
-        if budget is None:
-            return
-        for slab in self._all_open():
-            if slab.decoded_bytes > budget:
-                raise MemoryError(
-                    f"slab {slab.path} decoded {slab.decoded_bytes} bytes "
-                    f"of column segments, exceeding the memory budget "
-                    f"({budget})"
-                )
+    @contextmanager
+    def charged(self, memory_budget_bytes: Optional[int] = None,
+                ) -> Iterator[DecodeCharge]:
+        """Charge this thread's reads of the view to one run, until the
+        block ends; yields the run's :class:`DecodeCharge`."""
+        outer = getattr(self._runs, "charge", None)
+        charge = self._runs.charge = DecodeCharge(memory_budget_bytes)
+        try:
+            yield charge
+        finally:
+            self._runs.charge = outer
 
     def close(self) -> None:
-        """Release the manager's shared slab handles (drops mmaps and
-        caches); other views over the same manager re-fetch theirs."""
-        self._slabs.clear()
+        """End the manager's read session: release its slab handles
+        (mmaps and everything decoded). The next read, through this view
+        or a new one, reopens them."""
         self._vertex_views.clear()
         self._spill.release_slabs()

@@ -3,9 +3,10 @@
 Every driver takes a store that implements the read protocol shared by the
 in-memory :class:`~repro.provenance.store.ProvenanceStore` and the
 out-of-core :class:`~repro.provenance.store.SealedStoreView`; the
-``*_from_spill`` entry points only open a view over a sealed store and hand
-it to the same drivers. The first two drivers run every rule as a layer
-program (:mod:`repro.pql.vectorized`) over whichever store they are given:
+``*_from_spill`` entry points hand a sealed store's read session (one view
+per manager, warm across queries) to the same drivers. The first two
+drivers run every rule as a layer program (:mod:`repro.pql.vectorized`)
+over whichever store they are given:
 
 * :func:`run_layered` — Section 5.1's layered evaluation. Layers are visited
   in the direction dictated by the query class (ascending for forward,
@@ -49,7 +50,7 @@ from repro.pql.parser import parse
 from repro.pql.seminaive import evaluate_seminaive, store_to_facts
 from repro.pql.udf import FunctionRegistry
 from repro.pql.vectorized import VectorContext
-from repro.provenance.spill import SLAB_FORMAT, open_store_view
+from repro.provenance.spill import SLAB_FORMAT
 from repro.provenance.store import ProvenanceStore, Relations
 from repro.runtime.db import StoreDatabase
 from repro.runtime.results import QueryResult
@@ -257,20 +258,20 @@ def _run_from_spill(
     driver: Callable[..., QueryResult], spill: Any,
     view_budget_bytes: Optional[int], *args: Any, **kwargs: Any,
 ) -> QueryResult:
-    """Open a view over a sealed store, run ``driver`` on it, stamp the
-    read-side accounting into the result stats, release the view."""
+    """Run ``driver`` on the manager's read session as one charged run
+    (:meth:`~repro.provenance.store.SealedStoreView.charged`) and stamp
+    the run's read-side accounting into the result stats. The session
+    stays open for the next query."""
     start = time.perf_counter()
-    view = open_store_view(spill, memory_budget_bytes=view_budget_bytes)
-    try:
+    view = spill.view()
+    with view.charged(view_budget_bytes) as charge:
         result = driver(view, *args, **kwargs)
-        result.wall_seconds = time.perf_counter() - start
-        result.stats["from_spill"] = True
-        result.stats["store_format"] = SLAB_FORMAT
-        result.stats["decoded_bytes"] = view.decoded_bytes
-        result.stats["peak_slab_bytes"] = view.peak_slab_decoded_bytes
-        return result
-    finally:
-        view.close()
+    result.wall_seconds = time.perf_counter() - start
+    result.stats["from_spill"] = True
+    result.stats["store_format"] = SLAB_FORMAT
+    result.stats["decoded_bytes"] = charge.decoded_bytes
+    result.stats["peak_slab_bytes"] = charge.peak_slab_bytes
+    return result
 
 
 def run_layered_from_spill(

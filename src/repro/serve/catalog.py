@@ -8,15 +8,14 @@ Admission, identity, and reuse rules:
   rejected with the full problem list (:class:`AdmissionError`).
 
 * **One open handle per store.** The catalog is the single owner of each
-  sealed store's :class:`~repro.provenance.spill.SpillManager` and the
-  :class:`~repro.provenance.store.SealedStoreView` over it (an mmap +
-  footer read per slab; columns decode on demand and stay warm across
-  requests). Registering the same directory twice returns the same
-  :class:`CatalogEntry`; the store is opened exactly once. This — plus
-  each entry's ``eval_lock`` — is what makes concurrent queries safe:
-  the lazy decode and row materialization that reads perform mutate shared
-  slab-handle state, so evaluations against one store are serialized
-  while different stores evaluate fully in parallel.
+  sealed store's :class:`~repro.provenance.spill.SpillManager`, and reads
+  through the manager's read session (:meth:`SpillManager.view
+  <repro.provenance.spill.SpillManager.view>`, the one way a store is
+  opened: an mmap + footer read per slab; columns decode on demand and
+  stay warm across requests). Registering the same directory twice
+  returns the same :class:`CatalogEntry`; the store is opened exactly
+  once. Each entry's ``eval_lock`` serializes evaluations against one
+  store, while different stores evaluate fully in parallel.
 
 * **Prepared-plan cache.** Each entry keeps a small LRU of compiled
   query plans keyed by (query text, bound params, mode).
@@ -27,8 +26,9 @@ Admission, identity, and reuse rules:
 
 * **Invalidation.** Every request calls :meth:`CatalogEntry.ensure_fresh`,
   which stats ``manifest.json``; on mtime change the manifest digest is
-  recomputed, and on content change the store is re-verified, reopened,
-  and the plan cache dropped. A store resealed in place is therefore
+  recomputed, and on content change the store is re-verified, reopened
+  (a fresh manager and session; the old one is released), and the plan
+  cache dropped. A store resealed in place is therefore
   picked up without restarting the server.
 """
 
@@ -52,9 +52,9 @@ from repro.pql.udf import FunctionRegistry
 from repro.provenance.spill import (
     MANIFEST_FILENAME,
     SpillManager,
-    open_store_view,
     read_manifest,
 )
+from repro.provenance.store import SealedStoreView
 
 logger = get_logger("serve.catalog")
 
@@ -83,21 +83,20 @@ def _digest_file(path: str) -> str:
 
 
 class CatalogEntry:
-    """One sealed capture held open: its spill handle, store view,
-    prepared-plan cache, and the lock serializing evaluation on it."""
+    """One sealed capture held open: its spill handle (whose read
+    session is the store), prepared-plan cache, and the lock serializing
+    evaluation on it."""
 
     def __init__(self, run_id: str, directory: str, spill: SpillManager,
-                 store: Any, manifest: Dict[str, Any],
+                 manifest: Dict[str, Any],
                  plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
         self.run_id = run_id
         self.directory = directory
         self.spill = spill
-        self.store = store
         self.manifest = manifest
-        #: Serializes PQL evaluation against this store. Lazy column
-        #: decode mutates shared slab-handle state, so two requests
-        #: must not evaluate over the same store concurrently; requests
-        #: against *different* entries run in parallel.
+        #: Serializes PQL evaluation against this store: one request
+        #: evaluates over a store at a time; requests against *different*
+        #: entries run in parallel.
         self.eval_lock = threading.Lock()
         self.functions = FunctionRegistry(None)
         self._plans: "OrderedDict[Tuple[Any, ...], CompiledQuery]" = \
@@ -111,6 +110,11 @@ class CatalogEntry:
         self._manifest_path = manifest_path
         self._manifest_mtime_ns = os.stat(manifest_path).st_mtime_ns
         self._manifest_sha = _digest_file(manifest_path)
+
+    @property
+    def store(self) -> SealedStoreView:
+        """The store's read session."""
+        return self.spill.view()
 
     # ------------------------------------------------------------------
     # prepared plans
@@ -182,10 +186,9 @@ class CatalogEntry:
                 if problems:
                     raise AdmissionError(self.directory, problems)
             spill = SpillManager.open(self.directory)
-            old_store = self.store
-            self.store = open_store_view(spill)
-            self.spill = spill
-            old_store.close()
+            spill.view()  # the new session, built before any request
+            old, self.spill = self.spill, spill
+            old.release_slabs()
             self.manifest = read_manifest(self.directory) or {}
             self._plans.clear()
             self._manifest_mtime_ns = mtime_ns
@@ -264,9 +267,9 @@ class RunCatalog:
                 entry = self._by_id[run_id]
                 self._by_path[directory] = entry
                 return entry, False
-            store = open_store_view(spill)
+            store = spill.view()
             entry = CatalogEntry(
-                run_id, directory, spill, store, manifest,
+                run_id, directory, spill, manifest,
                 plan_cache_size=self._plan_cache_size,
             )
             self._by_id[run_id] = entry

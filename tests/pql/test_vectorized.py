@@ -24,6 +24,8 @@ from repro.core import queries as Q
 from repro.errors import BudgetExceededError
 from repro.graph.generators import web_graph, with_random_weights
 from repro.obs import ledger as obsledger
+from repro.obs.sinks import InMemorySink
+from repro.obs.trace import Tracer, thread_tracing
 from repro.pql import budget as budget_mod
 from repro.pql import vectorized as vec_mod
 from repro.pql.analysis import compile_query
@@ -341,54 +343,44 @@ class TestV1FooterCompat:
 
 
 # ---------------------------------------------------------------------------
-# dictionary caching across queries
+# the read session: a held manager decodes a dictionary once
 # ---------------------------------------------------------------------------
-class TestDictCache:
-    def _chunks(self):
-        rows = {f"tag-{i % 5}" for i in range(40)}
-        return {"value": {0: {(0, tag, 1) for tag in rows}}}
-
-    def test_shared_cache_reuses_decoded_dictionary(self):
-        blob, _raw = columnar.encode_columnar_slab(self._chunks(), "zlib")
-        cache = {}
-        first = columnar.ColumnarSlab("<memory>", data=blob,
-                                      dict_cache=cache)
-        strings = first._column_strings(
-            "value", 1, first._relations["value"]["columns"][1])
-        assert cache[("value", 1)] is strings
-
-        second = columnar.ColumnarSlab("<memory>", data=blob,
-                                       dict_cache=cache)
-        again = second._column_strings(
-            "value", 1, second._relations["value"]["columns"][1])
-        assert again is strings  # served from the cache, not re-decoded
-        # Cache hits are still charged, so budgets see resident dicts.
-        desc = second._relations["value"]["columns"][1]
-        assert second.decoded_bytes >= desc["dict_raw"]
-
-    def test_manager_cache_survives_view_reopen(self, tmp_path, wgraph):
+class TestReadSession:
+    def test_second_query_decodes_no_dictionary(self, tmp_path, wgraph):
+        """The manager's session keeps its handles' decoded dictionaries
+        across queries, so the second query decodes none; it is still
+        charged what it reads, so its stats equal the first's."""
         store = ProvenanceStore()
         for s in range(2):
             for v in range(6):
                 store.add("superstep", (v, s))
                 store.add("value", (v, f"tag-{v % 3}", s))
-        directory = str(tmp_path / "cached")
+        directory = str(tmp_path / "session")
         _seal(store, directory)
         spill = SpillManager.open(directory)
         # The head carries D unbound, so late materialization must decode
         # the string dictionary (a constant-bound D would never touch it).
         src = "out(X, D, I) :- value(X, D, I)."
         first = run_layered_from_spill(spill, src, wgraph)
-        caches = [c for c in spill._dict_caches.values() if c]
-        assert caches, "head materialization must populate the dict cache"
-        cached_ids = {id(strings) for c in caches for strings in c.values()}
-        second = run_layered_from_spill(spill, src, wgraph)
+        slabs = dict(spill._open_slabs)
+        dictionaries = {key: dict(slab._str_dicts)
+                        for key, slab in slabs.items()}
+        assert any(dictionaries.values()), \
+            "head materialization must decode the dictionary"
+        sink = InMemorySink()
+        with thread_tracing(Tracer(sink)):
+            second = run_layered_from_spill(spill, src, wgraph)
+        assert [e for e in sink.events
+                if e.get("name") in ("slab-decode", "store-open")] == []
+        assert spill._open_slabs == slabs
+        for key, slab in slabs.items():  # the same decoded lists
+            assert all(slab._str_dicts[k] is strings
+                       for k, strings in dictionaries[key].items())
         assert (obsledger.digest_query_result(first)
                 == obsledger.digest_query_result(second))
-        survivors = {id(strings) for c in spill._dict_caches.values()
-                     for strings in c.values()}
-        assert cached_ids <= survivors  # same decoded lists, not copies
-        assert second.stats["peak_slab_bytes"] > 0
+        for key in ("decoded_bytes", "peak_slab_bytes"):
+            assert second.stats[key] == first.stats[key] > 0
+        spill.release_slabs()
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +691,11 @@ class TestBudgetsInsideOneLayer:
         _seal(_one_layer_store(), directory)
         return SpillManager.open(directory)
 
-    def _run(self, spill, budget=None, **kwargs):
-        view = open_store_view(spill, **kwargs)
+    def _run(self, spill, budget=None, memory_budget_bytes=None):
+        view = open_store_view(spill)
         try:
-            return run_layered(view, ONE_LAYER_QUERY, budget=budget)
+            with view.charged(memory_budget_bytes):
+                return run_layered(view, ONE_LAYER_QUERY, budget=budget)
         finally:
             view.close()
 
@@ -735,8 +728,9 @@ class TestBudgetsInsideOneLayer:
         # enough for the layer's group keys (site discovery), not for the
         # columns the program then decodes
         view = open_store_view(spill)
-        view.layer_sites(0)
-        keys_only = view.peak_slab_decoded_bytes
+        with view.charged() as charge:
+            view.layer_sites(0)
+        keys_only = charge.peak_slab_bytes
         view.close()
         with pytest.raises(MemoryError, match="memory budget") as err:
             self._run(spill, memory_budget_bytes=keys_only + 64)

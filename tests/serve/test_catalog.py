@@ -158,6 +158,7 @@ class TestInvalidation:
             entry.prepare(Q.BACKWARD_LINEAGE_FULL_QUERY,
                           lineage_params(entry.store), "layered")
         assert entry.plan_cache_len == 1
+        old_spill, old_session = entry.spill, entry.store
         manifest = os.path.join(copy, "manifest.json")
         with open(manifest) as fh:
             text = fh.read()
@@ -169,6 +170,11 @@ class TestInvalidation:
         assert entry.reloads == 1
         assert entry.plan_cache_len == 0
         assert entry.store.num_rows > 0
+        # a new manager's session; the old manager's handles are closed
+        assert entry.spill is not old_spill
+        assert entry.store is not old_session
+        assert entry.store is entry.store
+        assert old_spill._open_slabs == {}
 
     def test_manifest_disappearing_is_admission_error(self, catalog,
                                                       sssp_store, tmp_path):
