@@ -372,7 +372,7 @@ def cmd_capture(args: argparse.Namespace) -> int:
     query = _query_text(args) if (args.query or args.query_file) else (
         Q.CAPTURE_FULL_QUERY
     )
-    # Completed layers are sealed eagerly and asynchronously while the
+    # Each layer is sealed at the barrier that completes it while the
     # analytic runs; seal_all finishes the static slab and any layer the
     # run never completed eagerly.
     result = ariadne.capture(
@@ -526,8 +526,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving {len(catalog)} run(s) on "
               f"http://{server.host}:{server.port}", flush=True)
         if args.ready_file:
-            with open(args.ready_file, "w", encoding="utf-8") as fh:
+            # Written under a temporary name and renamed into place, so a
+            # poller that sees the file never reads it empty.
+            tmp = f"{args.ready_file}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(f"{server.host}:{server.port}\n")
+            os.replace(tmp, args.ready_file)
         try:
             await server.serve_forever()
         finally:

@@ -125,9 +125,9 @@ class Ariadne:
         """Run the analytic with a capture query; the result carries the
         persisted provenance store (``result.store``).
 
-        With ``spill_directory``, completed layers are sealed to disk
-        *during* the run — asynchronously, as zlib ARSC slabs — and the
-        manager is returned on ``result.spill``; finish with
+        With ``spill_directory``, each layer is sealed to disk *during*
+        the run, as a zlib ARSC slab, at the barrier that completes it,
+        and the manager is returned on ``result.spill``; finish with
         ``result.spill.seal_all()``.
         """
         return run_online(

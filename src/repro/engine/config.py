@@ -12,8 +12,8 @@ from repro.errors import EngineError
 class EngineConfig:
     """Tunables for a :class:`~repro.engine.engine.PregelEngine` run.
 
-    Provenance capture has no tunables here: sealed layers always go
-    through the spill manager's background writer as zlib ARSC slabs.
+    Provenance capture has no tunables here: the spill manager seals each
+    completed layer at its barrier, as a zlib ARSC slab.
 
     Attributes:
         num_workers: simulated worker count (the paper's cluster has 7

@@ -217,8 +217,8 @@ class Tracer:
         """Emit a synthetic span for an externally-accumulated duration.
 
         Used for durations measured outside the tracer (a served
-        request's evaluation, a spill write on the writer thread) — the
-        span ends "now" and is backdated by its duration.
+        request, whose evaluation runs on a worker thread) — the span
+        ends "now" and is backdated by its duration.
         """
         span_id = self._next_id
         self._next_id += 1

@@ -1,25 +1,28 @@
-"""Layer spilling — the stand-in for Ariadne's asynchronous HDFS offload.
+"""Layer spilling — the stand-in for Ariadne's HDFS offload.
 
 When the captured provenance graph exceeds available memory the paper's
-prototype offloads it to HDFS *asynchronously, while the analytic is still
-running*, and layered offline evaluation later streams it back one layer at
-a time. :class:`SpillManager` reproduces the mechanism on the local
-filesystem: sealed layers become per-superstep slab files (plus a static
-slab for time-less relations and schemas), and the offline runtimes stream
-them back — one layer at a time for layered evaluation, all at once for
-naive (see ``repro.runtime.offline.run_layered_from_spill`` /
+prototype offloads it to HDFS while the analytic is still running, and
+layered offline evaluation later streams it back one layer at a time.
+:class:`SpillManager` reproduces the mechanism on the local filesystem:
+each layer is sealed into a per-superstep slab file as soon as its
+superstep completes (plus a static slab for time-less relations and
+schemas), and the offline runtimes stream them back — one layer at a time
+for layered evaluation, all at once for naive (see
+``repro.runtime.offline.run_layered_from_spill`` /
 ``run_naive_from_spill``, whose memory budgets reproduce the paper's
 observation that naive whole-graph loading fails where layered evaluation
-proceeds).
+proceeds). What matters for fidelity is the slabs' size and their
+layer-at-a-time access pattern, not whether they are written in the
+background.
 
-There is one write path, and it keeps sealing off the capture hot path:
+There is one write path:
 
-* **Asynchronous writes**: sealing enqueues a snapshot of the layer on a
-  bounded queue; a background writer thread encodes, compresses and
-  writes it while the analytic's next superstep runs. ``flush()`` (called
-  implicitly by every read-side method) drains the queue. A writer failure
-  is held and re-raised as a :class:`ProvenanceError` at the next seal,
-  flush or close — never silently dropped.
+* **Synchronous, atomic seals**: a seal encodes, hashes and writes its
+  slab on the calling thread, inside a ``spill-seal`` span, writing
+  ``<slab>.tmp`` and renaming it over the slab (:func:`_write_slab`). A
+  seal that fails raises :class:`ProvenanceError` naming the slab at that
+  call, removes the ``.tmp`` file and leaves the slab it would have
+  replaced, if any, as it was.
 * **Columnar ARSC slabs** (:mod:`repro.provenance.columnar`), the one slab
   format: per-relation, per-column typed segments behind an offset-indexed
   footer, zlib-compressed per segment. Stores sealed uncompressed by
@@ -50,12 +53,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import queue
 import tempfile
 import threading
 import time
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.errors import ProvenanceError
 from repro.obs.log import get_logger
@@ -89,9 +90,6 @@ ARSL_MAGIC = b"ARSL"
 MANIFEST_FILENAME = "manifest.json"
 MANIFEST_VERSION = 1
 
-#: Bounded writer queue: backpressure instead of unbounded snapshot memory.
-_WRITE_QUEUE_DEPTH = 8
-
 #: The static slab's meta chunk key; ``\x00`` cannot start a relation name.
 _META_KEY = "\x00meta"
 
@@ -110,7 +108,7 @@ class _SpillMetrics:
 
     __slots__ = (
         "write_ops", "write_bytes", "write_slab", "raw_bytes",
-        "seal_seconds", "compression_ratio", "queue_depth",
+        "seal_seconds", "compression_ratio",
     )
 
     def __init__(self, registry: Any) -> None:
@@ -141,9 +139,6 @@ class _SpillMetrics:
             "repro_spill_compression_ratio",
             "raw/compressed ratio per sealed slab",
             boundaries=_RATIO_BUCKETS,
-        )
-        self.queue_depth = registry.gauge(
-            "repro_spill_queue_depth", "pending async slab writes",
         )
 
     def count_write(self, size: int) -> None:
@@ -197,29 +192,16 @@ class SpillManager:
         #: only; set by :func:`migrate_store`).
         self.migrated_from: Optional[str] = None
         # Per-slab content hashes (basename -> {"sha256", "bytes"}),
-        # computed on the writer thread while the blob is still in memory
-        # and stamped into MANIFEST_FILENAME by seal_all(). Re-seals
-        # overwrite their entry (writes complete in FIFO order).
+        # computed at each seal while the blob is still in memory and
+        # stamped into MANIFEST_FILENAME by seal_all(). Re-seals overwrite
+        # their entry.
         self.slab_digests: Dict[str, Dict[str, Any]] = {}
         #: Run id of the capture that sealed this store (set by the caller
         #: before seal_all; read back by :meth:`open` for ledger parent
         #: links on query runs).
         self.run_id: Optional[str] = None
-        # Writer thread state. Every seal goes through the writer thread,
-        # which starts lazily on the first seal (so read-only managers
-        # never own one), stops at seal_all()/close(), and
-        # is a daemon: an unflushed manager must not wedge interpreter
-        # shutdown. Completed jobs are handed back via ``_completed`` and folded into metrics/tracing/accounting on the
-        # caller's thread; the first writer exception is held in
-        # ``_writer_error`` and re-raised at the next seal/flush/close.
-        self._queue: Optional["queue.Queue[Optional[Tuple[Any, str, Dict[str, Any]]]]"] = None
-        self._writer: Optional[threading.Thread] = None
-        # appended by the writer, drained by the caller; deque ops are
-        # atomic under the GIL so no lock is needed.
-        self._completed: Deque[Tuple[Any, str, int, int, float, str]] = deque()
-        self._writer_error: Optional[BaseException] = None
-        # Serializes the read path (the session build, slab opens and the
-        # flush/drain they imply) so one manager can be shared across
+        # Serializes the read path (the session build and the slab opens
+        # under it) so one manager can be shared across
         # threads — the query server's catalog holds each sealed store's
         # session and its worker threads may read concurrently. Sealing
         # remains single-threaded by contract (one capture owns the
@@ -257,169 +239,65 @@ class SpillManager:
         return os.path.join(self.directory, f"layer-{superstep:06d}.slab")
 
     # ------------------------------------------------------------------
-    # writer pipeline
-    # ------------------------------------------------------------------
-    def _ensure_writer(self) -> "queue.Queue[Any]":
-        q = self._queue
-        if q is None:
-            q = self._queue = queue.Queue(maxsize=_WRITE_QUEUE_DEPTH)
-            self._writer = threading.Thread(
-                target=self._writer_loop, name="repro-spill-writer", daemon=True,
-            )
-            self._writer.start()
-        return q
-
-    def _writer_loop(self) -> None:
-        q = self._queue
-        while True:
-            job = q.get()
-            if job is None:
-                q.task_done()
-                return
-            try:
-                # After a failure, drain remaining jobs without writing:
-                # the caller sees the first error; later slabs would
-                # otherwise mask a torn sequence as a partial success.
-                if self._writer_error is None:
-                    self._execute(job)
-            except BaseException as exc:  # noqa: BLE001 - held for the caller
-                self._writer_error = exc
-            finally:
-                q.task_done()
-
-    def _execute(self, job: Tuple[Any, str, Dict[str, Any]]) -> None:
-        """Encode and write one slab; runs on the writer thread."""
-        key, path, chunks = job
-        start = time.perf_counter()
-        blob, raw = encode_columnar_slab(
-            chunks, SLAB_COMPRESSION, meta_key=_META_KEY,
-        )
-        # Hashed here, not at verify time: the blob is already in memory
-        # on the writer thread, so the manifest digest is nearly free.
-        digest = hashlib.sha256(blob).hexdigest()
-        with open(path, "wb") as fh:
-            fh.write(blob)
-        self._completed.append(
-            (key, path, len(blob), raw, time.perf_counter() - start, digest)
-        )
-
-    def _submit(self, key: Any, path: str, chunks: Dict[str, Any]) -> None:
-        self._raise_pending()
-        q = self._ensure_writer()
-        q.put((key, path, chunks))
-        _spill_metrics().queue_depth.set(q.qsize())
-        self._drain_completed()
-
-    def _drain_completed(self) -> None:
-        """Fold finished writes into accounting/metrics/tracing. Runs on
-        the caller's thread so the tracer and registry are never touched
-        concurrently."""
-        pending = self._completed
-        if not pending:
-            return
-        completed = []
-        while pending:
-            completed.append(pending.popleft())
-        metrics = _spill_metrics()
-        tracer = get_tracer()
-        for key, path, size, raw, seconds, digest in completed:
-            self.bytes_spilled += size
-            self.slab_digests[os.path.basename(path)] = {
-                "sha256": digest, "bytes": size,
-            }
-            metrics.count_write(size)
-            metrics.raw_bytes.inc(raw)
-            metrics.seal_seconds.observe(seconds)
-            if size:
-                metrics.compression_ratio.observe(raw / size)
-            if tracer.enabled:
-                tracer.record(
-                    "spill-seal", PHASE_SPILL, seconds,
-                    layer=key, bytes=size, raw_bytes=raw,
-                )
-        logger.debug("spilled %d slab(s)", len(completed))
-
-    def _raise_pending(self) -> None:
-        error = self._writer_error
-        if error is not None:
-            self._writer_error = None
-            raise ProvenanceError(
-                f"asynchronous spill writer failed: {error}"
-            ) from error
-
-    def flush(self) -> None:
-        """Block until every enqueued slab is on disk; re-raise the first
-        writer failure (as :class:`ProvenanceError`), if any."""
-        q = self._queue
-        if q is not None:
-            q.join()
-            _spill_metrics().queue_depth.set(0)
-        self._drain_completed()
-        self._raise_pending()
-
-    def _shutdown_writer(self) -> None:
-        if self._writer is None:
-            return
-        self._queue.put(None)
-        self._writer.join()
-        self._queue = None
-        self._writer = None
-
-    # ------------------------------------------------------------------
     # sealing
     # ------------------------------------------------------------------
-    def seal_layer_nowait(self, superstep: int) -> None:
-        """Hand one completed layer to the writer without waiting for the
-        disk — the capture fast lane. Re-sealing a superstep overwrites its
-        slab, so late rows just cost one extra write."""
-        path = self.slab_path(superstep)
-        self._slabs[superstep] = path
+    def _seal(self, key: Any, path: str) -> int:
+        """Seal one slab (``key`` is a superstep, or ``"static"``) on the
+        calling thread, inside a ``spill-seal`` span, and account for it;
+        returns its byte size."""
         self._end_session()
-        self._submit(superstep, path, self.store.layer_columns(superstep))
+        with get_tracer().span("spill-seal", PHASE_SPILL, layer=key) as span:
+            start = time.perf_counter()
+            chunks = (_static_chunks(self.store) if key == "static"
+                      else self.store.layer_columns(key))
+            size, raw, digest = _write_slab(path, chunks)
+            seconds = time.perf_counter() - start
+            span.set(bytes=size, raw_bytes=raw)
+        self.bytes_spilled += size
+        self.slab_digests[os.path.basename(path)] = {
+            "sha256": digest, "bytes": size,
+        }
+        metrics = _spill_metrics()
+        metrics.count_write(size)
+        metrics.raw_bytes.inc(raw)
+        metrics.seal_seconds.observe(seconds)
+        if size:
+            metrics.compression_ratio.observe(raw / size)
+        return size
 
     def seal_layer(self, superstep: int) -> int:
-        """Write one layer to disk; returns the slab's byte size.
+        """Write one layer to its slab; returns the slab's byte size.
+        Re-sealing a superstep replaces its slab, so late rows just cost
+        one more write.
 
         The in-memory store keeps the layer (the capture's result still
         holds the store); what sealing models is the *capture path*: how
         many bytes had to be moved to storage.
         """
-        self.seal_layer_nowait(superstep)
-        self.flush()
-        return os.path.getsize(self._slabs[superstep])
-
-    def seal_static_nowait(self) -> None:
-        path = os.path.join(self.directory, "static.slab")
-        self._static_path = path
-        self._end_session()
-        self._submit("static", path, _static_chunks(self.store))
+        path = self.slab_path(superstep)
+        size = self._seal(superstep, path)
+        self._slabs[superstep] = path
+        return size
 
     def seal_static(self) -> int:
         """Write the static slab; returns its byte size."""
-        self.seal_static_nowait()
-        self.flush()
-        return os.path.getsize(self._static_path)
+        path = os.path.join(self.directory, "static.slab")
+        size = self._seal("static", path)
+        self._static_path = path
+        return size
 
     def seal_all(self) -> int:
-        """Seal the static slab and every not-yet-sealed layer, wait for
-        the writer, and return the total on-disk bytes of the sealed store.
+        """Seal the static slab and every not-yet-sealed layer, stamp the
+        manifest, and return the total on-disk bytes of the sealed store.
 
         Layers already sealed (eagerly, during the run) are assumed
         current — the online wrapper re-seals any layer that gains rows
         after its first seal; call :meth:`seal_layer` to force a refresh.
-
-        The writer thread stops here: an idle writer would otherwise keep
-        this manager — and the whole in-memory store — alive for the rest
-        of the process. A later seal starts a fresh one.
         """
-        self.seal_static_nowait()
+        self.seal_static()
         for superstep in range(self.store.num_layers):
             if superstep not in self._slabs:
-                self.seal_layer_nowait(superstep)
-        try:
-            self.flush()
-        finally:
-            self._shutdown_writer()
+                self.seal_layer(superstep)
         self.write_manifest()
         total = self.total_sealed_bytes()
         logger.debug(
@@ -483,7 +361,6 @@ class SpillManager:
         superstep, or ``"static"``). Opening reads only the footer; the
         handle memoizes everything it decodes until :meth:`release_slabs`."""
         with self._read_lock:
-            self.flush()
             slab = self._open_slabs.get(key)
             if slab is None:
                 slab = self._open_slabs[key] = ColumnarSlab(
@@ -508,14 +385,10 @@ class SpillManager:
 
     def layer_size(self, superstep: int) -> int:
         """On-disk bytes of one sealed layer slab."""
-        with self._read_lock:
-            self.flush()
         return os.path.getsize(self._slab_file(superstep))
 
     def total_sealed_bytes(self) -> int:
         """On-disk bytes of every sealed slab (static + layers)."""
-        with self._read_lock:
-            self.flush()
         total = 0
         if self._static_path is not None:
             total += os.path.getsize(self._static_path)
@@ -524,25 +397,14 @@ class SpillManager:
         return total
 
     def close(self) -> None:
-        """Shut the writer down, release the slab handles and — unless
-        the manager was re-attached with :meth:`open` — remove the slab
-        files.
+        """Release the slab handles and — unless the manager was
+        re-attached with :meth:`open` — remove the slab files.
 
-        Tolerates a partially-sealed directory — enqueued-but-unwritten
-        slabs, already-deleted files and foreign files in the directory are
-        all fine; a pending writer failure is raised (as
-        :class:`ProvenanceError`) after cleanup completes."""
-        self._shutdown_writer()
-        self._drain_completed()
+        Tolerates a partially-sealed directory: already-deleted files and
+        foreign files in the directory are fine."""
         self.release_slabs()
-        error = self._writer_error
-        self._writer_error = None
         if self._owns_slabs:
             self._remove_slabs()
-        if error is not None:
-            raise ProvenanceError(
-                f"asynchronous spill writer failed: {error}"
-            ) from error
 
     def _remove_slabs(self) -> None:
         paths = list(self._slabs.values())
@@ -581,8 +443,8 @@ def migrate_store(
     The store is opened first, so a slab in a retired format (or a corrupt
     one) is refused exactly as :meth:`SpillManager.open` refuses it,
     before any file is touched. Each slab is re-encoded from the store
-    view's column copy of its layer, as a seal encodes it, with an atomic
-    per-file rename; then the manifest is re-stamped with
+    view's column copy of its layer and written as a seal writes it
+    (:func:`_write_slab`); then the manifest is re-stamped with
     the new digests and — when ``run_id`` is given — the migrating run's
     id, with ``migrated_from`` pointing at the original capture's run id.
     The caller (``repro store migrate``) appends a ledger record
@@ -601,22 +463,13 @@ def migrate_store(
                           *before._slabs.items()]:
             chunks = (_static_chunks(view) if key is None
                       else view.layer_columns(key))
-            blob, _raw = encode_columnar_slab(
-                chunks, SLAB_COMPRESSION, meta_key=_META_KEY,
-            )
             size = os.path.getsize(path)
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
+            after, _raw, digest = _write_slab(path, chunks)
             name = os.path.basename(path)
-            digests[name] = {
-                "sha256": hashlib.sha256(blob).hexdigest(),
-                "bytes": len(blob),
-            }
+            digests[name] = {"sha256": digest, "bytes": after}
             slabs_report[name] = {
                 "from_format": SLAB_FORMAT,
-                "bytes_before": size, "bytes_after": len(blob),
+                "bytes_before": size, "bytes_after": after,
             }
             before.release_slabs()  # hold one slab's decode at a time
     finally:
@@ -639,6 +492,36 @@ def migrate_store(
         "bytes_after": sum(s["bytes_after"] for s in slabs_report.values()),
         "spill": spill,
     }
+
+
+def _write_slab(path: str, chunks: Dict[str, Any]) -> Tuple[int, int, str]:
+    """Encode ``chunks`` as one zlib ARSC slab and write it to ``path``
+    atomically: the blob goes to ``path + ".tmp"``, which is then renamed
+    over ``path``, so a reader or a crash sees the old slab or the new one,
+    never a torn one. Returns ``(bytes, pre-compression bytes, sha256)``;
+    the digest is taken while the blob is in memory, so the manifest's
+    hash is nearly free.
+
+    A failed encode or write raises :class:`ProvenanceError` naming the
+    slab, after removing the ``.tmp`` file; ``path`` is left as it was."""
+    tmp = path + ".tmp"
+    try:
+        blob, raw = encode_columnar_slab(
+            chunks, SLAB_COMPRESSION, meta_key=_META_KEY,
+        )
+        digest = hashlib.sha256(blob).hexdigest()
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, Exception):
+            raise ProvenanceError(f"cannot seal slab {path}: {exc}") from exc
+        raise
+    return len(blob), raw, digest
 
 
 def slab_paths(directory: str) -> Tuple[str, Dict[int, str]]:

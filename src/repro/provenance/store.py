@@ -173,13 +173,6 @@ class Layer:
             self.count = at
         return bool(more) and not was_scattered
 
-    def push(self, vertex: Any, row: Row) -> None:
-        """Append the one row of a vertex the layer holds none of."""
-        self._groups[vertex] = (self.count, 1)
-        for col, value in zip(self.columns, row):
-            col.append(value)
-        self.count += 1
-
     def settle(self) -> None:
         """Permute a scattered layer into vertex-major order."""
         more = self._more
@@ -221,12 +214,11 @@ class Layer:
                                                       self.columns))
 
     def snapshot(self) -> SlabColumns:
-        """What a seal encodes, taken with no row copied: the column lists
-        (the store only appends past ``count`` while the writer encodes),
-        ``count`` and a copy of the group table — vertex-major, so each
-        vertex is one range."""
+        """What a seal encodes, read in place with no row copied: the
+        column lists, ``count`` and the group table — vertex-major, so
+        each vertex is one range."""
         self.settle()
-        return SlabColumns(self.columns, self.count, dict(self._groups))
+        return SlabColumns(self.columns, self.count, self._groups)
 
 
 class Relations:

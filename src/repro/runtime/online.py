@@ -231,7 +231,7 @@ class OnlineQueryProgram(VertexProgram):
         halt = self.inner.master_halt(aggregators, superstep)
         if self.db.persist:
             # The barrier for `superstep` has passed: its layer is
-            # complete. Hand the finished layer(s) to the spill writer.
+            # complete. Seal the finished layer(s).
             self._capture_barrier(superstep, superstep=superstep)
         return halt
 
@@ -260,7 +260,7 @@ class OnlineQueryProgram(VertexProgram):
                 sealed[t] = rows
             else:
                 continue
-            self._capture_spill.seal_layer_nowait(t)
+            self._capture_spill.seal_layer(t)
             self.sealed_layers += 1
 
     def finish_capture(self) -> None:
@@ -476,9 +476,9 @@ def run_online(
     ``query`` may be PQL source text, a parsed program, or an already
     compiled query. With ``capture=True`` the derived head relations are
     persisted into a fresh :class:`ProvenanceStore` returned on the result.
-    With ``spill_directory`` as well, a :class:`SpillManager` hands each
-    completed layer to its background writer during the run (zlib ARSC
-    slabs) and is returned on ``result.spill`` — call
+    With ``spill_directory`` as well, a :class:`SpillManager` seals each
+    layer to a zlib ARSC slab at the barrier that completes it, on the
+    engine's thread, and is returned on ``result.spill`` — call
     ``result.spill.seal_all()`` to finish the static slab.
     """
     functions = FunctionRegistry(udfs)

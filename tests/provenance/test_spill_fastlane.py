@@ -1,5 +1,5 @@
-"""Spill fast-lane tests: the seal/rebuild round trip, the asynchronous
-writer, and failure semantics."""
+"""Spill tests: the seal/rebuild round trip, what a seal leaves behind,
+and failure semantics."""
 
 import gc
 import os
@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import ProvenanceError
 from repro.provenance.model import RelationSchema, TOPO_EDGE
+from repro.provenance import spill as spill_module
 from repro.provenance.spill import SpillManager, rebuild_store
 from repro.provenance.store import ProvenanceStore
 from tests.conftest import slab_chunks
@@ -44,90 +45,98 @@ class TestRoundTripMatrix:
         assert rebuilt.total_bytes() == store.total_bytes()
         assert rebuilt.registry.get("prov_edges").topology == TOPO_EDGE
 
-    def test_async_layer_readback_waits_for_writer(self, tmp_path):
+    def test_layer_readback(self, tmp_path):
         store = _populated_store()
         with SpillManager(store, directory=str(tmp_path)) as spill:
             for t in range(store.num_layers):
-                spill.seal_layer_nowait(t)
-            # opening a slab flushes implicitly; no explicit flush() needed.
+                spill.seal_layer(t)
             layer = slab_chunks(spill.open_columnar_slab(1))
             assert layer["value"][0] == [(0, 0.0, 1)]
 
-    def test_seal_all_stops_the_writer(self, tmp_path):
-        # An idle writer thread held the manager (and its store) for the
-        # rest of the process: every capture in a loop leaked one store.
+    def test_sealed_manager_is_collectable(self, tmp_path):
+        # Nothing outlives a seal to hold the manager (and its store):
+        # a capture loop must not leak one store per capture.
         store = _populated_store()
         spill = SpillManager(store, directory=str(tmp_path))
-        spill.seal_layer_nowait(0)
-        writer = spill._writer
-        assert writer is not None and writer.is_alive()
+        spill.seal_layer(0)
         spill.seal_all()
-        assert spill._writer is None and not writer.is_alive()
-        spill.seal_layer_nowait(1)  # a re-seal starts a fresh writer
-        assert spill._writer is not None
+        spill.seal_layer(1)  # a re-seal after seal_all
         spill.seal_all()
-        assert spill._writer is None
         ref = weakref.ref(spill)
         del spill
         gc.collect()
         assert ref() is None
 
 
-class TestWriterFailure:
-    def _broken(self, tmp_path, monkeypatch):
+def _torn_open(path, mode):
+    """``open`` for the spill module whose files take half of a write,
+    then fail: a disk that fills up mid-slab."""
+    fh = open(path, mode)
+
+    class Torn:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            fh.close()
+
+        def write(self, blob):
+            fh.write(blob[:len(blob) // 2])
+            raise OSError("disk full")
+
+    return Torn()
+
+
+class TestSealFailure:
+    """A seal writes ``<slab>.tmp`` and renames it over the slab: a failed
+    seal raises at that call and leaves the old slab or none, never a
+    torn one."""
+
+    def test_failed_write_raises_at_that_seal(self, tmp_path, monkeypatch):
         spill = SpillManager(_populated_store(), directory=str(tmp_path))
-
-        def boom(job):
-            raise OSError("disk detached")
-
-        monkeypatch.setattr(spill, "_execute", boom)
-        return spill
-
-    def test_failure_surfaces_at_flush(self, tmp_path, monkeypatch):
-        spill = self._broken(tmp_path, monkeypatch)
-        spill.seal_layer_nowait(0)
-        with pytest.raises(ProvenanceError, match="disk detached"):
-            spill.flush()
-        # The error is consumed once; the manager stays usable.
-        spill.flush()
+        monkeypatch.setattr(spill_module, "open", _torn_open, raising=False)
+        with pytest.raises(ProvenanceError,
+                           match=r"layer-000000\.slab.*disk full"):
+            spill.seal_layer(0)
+        assert os.listdir(tmp_path) == []  # no slab, no .tmp
+        assert list(spill.sealed_layers()) == []
+        assert spill.bytes_spilled == 0 and spill.slab_digests == {}
         spill.close()
 
-    def test_failure_surfaces_at_next_seal(self, tmp_path, monkeypatch):
-        spill = self._broken(tmp_path, monkeypatch)
-        spill.seal_layer_nowait(0)
-        spill._queue.join()  # let the writer record the failure
-        with pytest.raises(ProvenanceError, match="disk detached"):
-            spill.seal_layer_nowait(1)
-        spill.close()
-
-    def test_failure_surfaces_at_close(self, tmp_path, monkeypatch):
-        spill = self._broken(tmp_path, monkeypatch)
-        spill.seal_layer_nowait(0)
-        spill._queue.join()
-        with pytest.raises(ProvenanceError, match="disk detached"):
-            spill.close()
-
-    def test_later_jobs_skipped_after_failure(self, tmp_path, monkeypatch):
+    def test_failed_reseal_keeps_the_old_slab(self, tmp_path, monkeypatch):
         store = _populated_store()
         spill = SpillManager(store, directory=str(tmp_path))
-        real_execute = SpillManager._execute
-        calls = []
-
-        def first_fails(job):
-            calls.append(job[0])
-            if len(calls) == 1:
-                raise OSError("disk detached")
-            real_execute(spill, job)
-
-        monkeypatch.setattr(spill, "_execute", first_fails)
-        spill.seal_layer_nowait(0)
-        spill.seal_layer_nowait(1)
-        spill.seal_layer_nowait(2)
-        with pytest.raises(ProvenanceError, match="disk detached"):
-            spill.flush()
-        # Jobs enqueued behind the failure were drained, not written.
-        assert not os.path.exists(spill.slab_path(1))
+        spill.seal_all()
+        path = spill.slab_path(1)
+        with open(path, "rb") as fh:
+            before = fh.read()
+        digests = dict(spill.slab_digests)
+        store.add("value", (0, 9.0, 1))  # a late row: layer 1 is re-sealed
+        monkeypatch.setattr(spill_module, "open", _torn_open, raising=False)
+        with pytest.raises(ProvenanceError, match="disk full"):
+            spill.seal_layer(1)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
+        assert not os.path.exists(path + ".tmp")
+        assert spill.slab_digests == digests
         spill.close()
+
+    def test_manager_stays_usable(self, tmp_path, monkeypatch):
+        store = _populated_store()
+        spill = SpillManager(store, directory=str(tmp_path))
+
+        def boom(*args, **kwargs):
+            raise ValueError("cannot encode")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spill_module, "encode_columnar_slab", boom)
+            with pytest.raises(ProvenanceError, match="cannot encode"):
+                spill.seal_static()
+        total = spill.seal_all()
+        assert total == spill.bytes_spilled > 0
+        assert _store_dict(rebuild_store(spill)) == _store_dict(store)
+        spill.close()  # raises nothing
+        assert not os.path.exists(tmp_path / "static.slab")
 
 
 class TestTolerantClose:

@@ -12,7 +12,6 @@ and every read, the column batches and the sealed slabs must agree.
 """
 
 import os
-import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,13 +197,12 @@ def _replay(ops):
                 if t in oracle.data.get("value", {}) or \
                         t in oracle.data.get("send_message", {}):
                     sealed = (t, oracle.chunks(t))
-                    spill.seal_layer_nowait(t)
+                    spill.seal_layer(t)
                 continue
             _apply(op, store, oracle)
             if sealed is not None:
                 t, chunks = sealed
                 sealed = None
-                spill.flush()
                 assert _slab(spill.slab_path(t)) == \
                     encode_columnar_slab(chunks, "zlib")[0]
         _check_reads(store, oracle)
@@ -241,30 +239,23 @@ def test_rows_of_one_vertex_in_two_appends_are_permuted():
 
 
 def test_seals_read_what_they_were_handed_while_appends_continue():
-    """The spill writer encodes a layer's column lists while the capture
-    keeps appending to that layer, scattering it and so permuting it on
-    the next read. With a tiny switch interval the two threads interleave
-    inside those steps, and every slab still holds its layer as it was at
-    its seal."""
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        store, oracle = ProvenanceStore(), BucketStore(SchemaRegistry())
-        sealed = {}
-        with SpillManager(store) as spill:
-            for t in range(30):
-                # the new layer, and the one sealed last round
-                for layer in (t, t - 1) if t else (t,):
-                    rows = [(v, (v * 7 + t) % 11, float(t), layer)
-                            for v in range(40) for _ in range(3)]
-                    _apply(("append", "send_message", t % 2 == 0, rows),
-                           store, oracle)
-                sealed[t] = oracle.chunks(t)
-                spill.seal_layer_nowait(t)
-                store.column_batches("send_message", [t - 1])  # permute
-            spill.flush()
-            for t, chunks in sealed.items():
-                assert _slab(spill.slab_path(t)) == \
-                    encode_columnar_slab(chunks, "zlib")[0]
-    finally:
-        sys.setswitchinterval(previous)
+    """A seal reads a layer's column lists and group table in place; the
+    capture then keeps appending to that layer, scattering it and so
+    permuting it on the next read. Every slab still holds its layer as it
+    was at its seal."""
+    store, oracle = ProvenanceStore(), BucketStore(SchemaRegistry())
+    sealed = {}
+    with SpillManager(store) as spill:
+        for t in range(30):
+            # the new layer, and the one sealed last round
+            for layer in (t, t - 1) if t else (t,):
+                rows = [(v, (v * 7 + t) % 11, float(t), layer)
+                        for v in range(40) for _ in range(3)]
+                _apply(("append", "send_message", t % 2 == 0, rows),
+                       store, oracle)
+            sealed[t] = oracle.chunks(t)
+            spill.seal_layer(t)
+            store.column_batches("send_message", [t - 1])  # permute
+        for t, chunks in sealed.items():
+            assert _slab(spill.slab_path(t)) == \
+                encode_columnar_slab(chunks, "zlib")[0]

@@ -48,8 +48,7 @@ def derive(db, src, sites, anchor=None):
 def layer_of(arity, *rows):
     """A frame: ``rows``, one per vertex, in order."""
     layer = Layer(arity)
-    for row in rows:
-        layer.push(row[0], row)
+    layer.extend(list(zip(*rows)), [(row[0], 1) for row in rows])
     return layer
 
 

@@ -2,6 +2,7 @@
 manager at superstep barriers, not at run end."""
 
 import os
+import threading
 
 import pytest
 
@@ -10,6 +11,8 @@ from repro.analytics.sssp import SSSP
 from repro.core import queries as Q
 from repro.engine.config import EngineConfig
 from repro.graph.generators import web_graph, with_random_weights
+from repro.obs.sinks import InMemorySink
+from repro.obs.trace import Tracer, tracing
 from repro.provenance.spill import rebuild_store
 from repro.runtime.online import run_online
 
@@ -33,10 +36,9 @@ class TestEagerSealing:
             capture=True, spill_directory=str(tmp_path),
         )
         assert result.spill is not None
-        # Layers were handed to the writer while the analytic ran; the
-        # final seal_all only adds the static slab and any stragglers.
+        # Layers were sealed while the analytic ran; the final seal_all
+        # only adds the static slab and any stragglers.
         assert result.query.stats["sealed_layers"] > 0
-        result.spill.flush()
         sealed = set(result.spill.sealed_layers())
         assert sealed, "no layer slab written before seal_all"
         for superstep in sealed:
@@ -69,6 +71,46 @@ class TestEagerSealing:
         )
         assert result.spill is None
         assert result.query.stats["sealed_layers"] == 0
+
+
+class TestSealSpans:
+    def test_seal_spans_nest_in_the_capture_barrier(
+            self, graph, tmp_path, monkeypatch):
+        """A seal runs on the capture thread inside its own span: each
+        ``spill-seal`` span lies within its parent's interval, a layer's
+        parent is the barrier's ``provenance-capture`` span, and no writer
+        thread is ever started."""
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        sink = InMemorySink()
+        with tracing(Tracer(sink)):
+            result = run_online(
+                graph, PageRank(num_supersteps=6), Q.CAPTURE_FULL_QUERY,
+                capture=True, spill_directory=str(tmp_path),
+            )
+            result.spill.seal_all()
+        result.spill.close()
+        assert "repro-spill-writer" not in started
+        spans = {e["id"]: e for e in sink.events if e["type"] == "span"}
+        seals = [e for e in spans.values() if e["name"] == "spill-seal"]
+        layer_seals = [e for e in seals if e["attrs"]["layer"] != "static"]
+        assert len(layer_seals) == result.query.stats["sealed_layers"] > 0
+        for seal in seals:
+            if seal["parent"] is None:
+                continue
+            parent = spans[seal["parent"]]
+            # ts / dur are whole microseconds: allow one for the rounding
+            assert parent["ts"] <= seal["ts"]
+            assert (seal["ts"] + seal["dur"]
+                    <= parent["ts"] + parent["dur"] + 1)
+        assert {spans[e["parent"]]["name"] for e in layer_seals} == {
+            "provenance-capture"}
 
 
 class TestSimulatedWorkersCaptureSpill:

@@ -185,7 +185,7 @@ class TestWindowedRelations:
                             frame_relations=set())
         for i in range(64):
             frame = Layer(3)
-            frame.push("v", ("v", i % 4, i))
+            frame.extend([["v"], [i % 4], [i]], [("v", 1)])
             db.keep("r", i, frame)
         assert db.local.drop_before("r", 32) == 32
         db.store.begin(35, {}, None)
