@@ -47,7 +47,6 @@ from repro.analytics.pagerank import PageRank  # noqa: E402
 from repro.analytics.sssp import SSSP  # noqa: E402
 from repro.analytics.wcc import WCC  # noqa: E402
 from repro.core import queries as Q  # noqa: E402
-from repro.engine.config import EngineConfig  # noqa: E402
 from repro.engine.engine import PregelEngine  # noqa: E402
 from repro.graph.datasets import ML_20, WEB_DATASET_ORDER, WEB_DATASETS  # noqa: E402
 from repro.graph.stats import (  # noqa: E402
@@ -491,7 +490,7 @@ def pruning_cell(bench: Bench, graph: Any, cell: Dict[str, Any]) -> None:
 
     def run(prune_history: bool) -> Tuple[float, Dict[str, Any]]:
         """The seconds of ``engine.run`` alone, and what it left."""
-        engine = PregelEngine(graph, config=EngineConfig(use_combiner=False))
+        engine = PregelEngine(graph)
         wrapper = OnlineQueryProgram(
             analytic.make_program(), compiled, functions, engine,
             value_projector=analytic.provenance_value,

@@ -111,10 +111,7 @@ def _load_graph(args: argparse.Namespace) -> DiGraph:
 def _engine_config(args: argparse.Namespace) -> "EngineConfig":
     from repro.engine.config import EngineConfig
 
-    return EngineConfig(
-        num_workers=getattr(args, "num_workers", 4),
-        partitioner=getattr(args, "partitioner", "hash"),
-    )
+    return EngineConfig(num_workers=getattr(args, "num_workers", 4))
 
 
 def _make_analytic(args: argparse.Namespace):
@@ -170,12 +167,8 @@ def _start_trace(args: argparse.Namespace) -> Optional[Dict[str, Any]]:
     num_workers = getattr(args, "num_workers", None)
     if num_workers is not None:
         # Stamp the execution configuration into the trace so a recorded
-        # run is attributable to its simulated worker/partitioning setup.
-        tracer.event(
-            "run-config", "meta",
-            num_workers=num_workers,
-            partitioner=getattr(args, "partitioner", "hash"),
-        )
+        # run is attributable to its simulated worker setup.
+        tracer.event("run-config", "meta", num_workers=num_workers)
     return {"tracer": tracer, "path": path}
 
 
@@ -286,8 +279,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = ariadne.baseline()
     elapsed = time.perf_counter() - start
     print(f"analytic:    {ariadne.analytic.name}")
-    print(f"workers:     {config.num_workers} simulated "
-          f"({config.partitioner} partitioning)")
+    print(f"workers:     {config.num_workers} simulated")
     print(f"graph:       |V|={graph.num_vertices} |E|={graph.num_edges}")
     print(f"supersteps:  {result.num_supersteps} ({result.halt_reason})")
     print(f"messages:    {result.metrics.total_messages}")
@@ -819,10 +811,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
                         help="simulated worker count: the run stays in one "
                              "process and counts messages between workers "
                              "as network traffic (default: 4)")
-    parser.add_argument("--partitioner", choices=("hash", "range"),
-                        default="hash",
-                        help="how vertices are split across the simulated "
-                             "workers (default: hash)")
     parser.add_argument("--ledger", metavar="DIR",
                         help="append this run's audit record to the ledger "
                              "in DIR (default: $REPRO_LEDGER; capture/query "

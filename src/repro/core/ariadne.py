@@ -14,6 +14,11 @@ input graph. It exposes the three workflows of the paper:
 
 The facade also registers the analytic-specific ``udf_diff`` so the same apt
 query text works for every analytic (the paper's Section 6.2.2 workflow).
+
+Every workflow runs under the facade's one :class:`EngineConfig`, whose
+``max_supersteps`` is the only superstep cap. The facade keeps no run
+ledger: the CLI and the server append their own records
+(:mod:`repro.obs.ledger`).
 """
 
 from __future__ import annotations
@@ -58,49 +63,16 @@ class Ariadne:
         return udfs
 
     # ------------------------------------------------------------------
-    def baseline(self, max_supersteps: Optional[int] = None) -> RunResult:
+    def baseline(self) -> RunResult:
         """Run the unmodified analytic (the Giraph bar in every figure)."""
         engine = PregelEngine(self.graph, config=self.config)
-        result = engine.run(self.analytic.make_program(), max_supersteps)
-        if self.config.ledger_dir:
-            self._record_run("baseline", results={
-                "values_sha256": self._ledger().digest_values(result.values),
-                "supersteps": result.num_supersteps,
-                "halt_reason": result.halt_reason,
-            }, metrics=result.metrics.summary(),
-                wall_seconds=result.metrics.wall_seconds)
-        return result
-
-    # ------------------------------------------------------------------
-    # run-ledger opt-in (EngineConfig.ledger_dir)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _ledger():
-        from repro.obs import ledger as obsledger
-
-        return obsledger
-
-    def _record_run(self, command: str, **fields: Any) -> None:
-        """Append one audit record for this facade's graph/analytic/config
-        (online/capture runs are recorded inside ``run_online`` instead,
-        which sees the spill store)."""
-        obsledger = self._ledger()
-        obsledger.RunLedger(self.config.ledger_dir).append(
-            obsledger.make_record(
-                command,
-                config=self.config,
-                dataset=obsledger.dataset_fingerprint(self.graph),
-                analytic=self.analytic.name,
-                **fields,
-            )
-        )
+        return engine.run(self.analytic.make_program())
 
     def query_online(
         self,
         query: QueryLike,
         params: Optional[Dict[str, Any]] = None,
         udfs: Optional[Dict[str, Callable[..., Any]]] = None,
-        max_supersteps: Optional[int] = None,
     ) -> OnlineRunResult:
         """Evaluate a forward query online, alongside the analytic."""
         return run_online(
@@ -111,7 +83,6 @@ class Ariadne:
             udfs=self._udfs(udfs),
             capture=False,
             config=self.config,
-            max_supersteps=max_supersteps,
         )
 
     def capture(
@@ -119,7 +90,6 @@ class Ariadne:
         query: QueryLike = Q.CAPTURE_FULL_QUERY,
         params: Optional[Dict[str, Any]] = None,
         udfs: Optional[Dict[str, Callable[..., Any]]] = None,
-        max_supersteps: Optional[int] = None,
         spill_directory: Optional[str] = None,
     ) -> OnlineRunResult:
         """Run the analytic with a capture query; the result carries the
@@ -138,7 +108,6 @@ class Ariadne:
             udfs=self._udfs(udfs),
             capture=True,
             config=self.config,
-            max_supersteps=max_supersteps,
             spill_directory=spill_directory,
         )
 
@@ -159,28 +128,15 @@ class Ariadne:
         """
         merged = self._udfs(udfs)
         if mode == "layered":
-            result = run_layered(store, query, self.graph, params, merged)
-        elif mode == "naive":
-            result = run_naive(
+            return run_layered(store, query, self.graph, params, merged)
+        if mode == "naive":
+            return run_naive(
                 store, query, self.graph, params, merged,
                 memory_budget_bytes=memory_budget_bytes,
             )
-        elif mode == "reference":
-            result = run_reference(store, query, self.graph, params, merged)
-        else:
-            raise ReproError(f"unknown offline mode {mode!r}")
-        if self.config.ledger_dir:
-            obsledger = self._ledger()
-            self._record_run(
-                "offline-query",
-                query=query if isinstance(query, str) else None,
-                results={
-                    "query_sha256": obsledger.digest_query_result(result),
-                    "derivations": result.derivations,
-                },
-                wall_seconds=result.wall_seconds,
-            )
-        return result
+        if mode == "reference":
+            return run_reference(store, query, self.graph, params, merged)
+        raise ReproError(f"unknown offline mode {mode!r}")
 
     # ------------------------------------------------------------------
     # paper workflows
@@ -190,14 +146,11 @@ class Ariadne:
         epsilon: float,
         mode: str = "online",
         store: Optional[ProvenanceStore] = None,
-        max_supersteps: Optional[int] = None,
     ) -> Union[OnlineRunResult, QueryResult]:
         """The motivating apt query (Query 1) at threshold ``epsilon``."""
         params = {"eps": epsilon}
         if mode == "online":
-            return self.query_online(
-                Q.APT_QUERY, params=params, max_supersteps=max_supersteps
-            )
+            return self.query_online(Q.APT_QUERY, params=params)
         if store is None:
             raise ReproError("offline apt evaluation needs a captured store")
         return self.query_offline(store, Q.APT_QUERY, mode=mode, params=params)
@@ -220,9 +173,7 @@ class Ariadne:
             store, query, mode=mode, params={"alpha": vertex, "sigma": superstep}
         )
 
-    def capture_for_backward(
-        self, undirected: bool = False, max_supersteps: Optional[int] = None
-    ) -> OnlineRunResult:
+    def capture_for_backward(self, undirected: bool = False) -> OnlineRunResult:
         """Custom capture for backward tracing (Query 11).
 
         Use ``undirected=True`` for analytics that broadcast along reverse
@@ -234,13 +185,12 @@ class Ariadne:
             if undirected
             else Q.CAPTURE_BACKWARD_CUSTOM_QUERY
         )
-        return self.capture(query, max_supersteps=max_supersteps)
+        return self.capture(query)
 
     def monitor(
         self,
         analytic_name: Optional[str] = None,
         params: Optional[Dict[str, Any]] = None,
-        max_supersteps: Optional[int] = None,
     ) -> Dict[str, OnlineRunResult]:
         """Run the paper's monitoring suite for this analytic online.
 
@@ -264,9 +214,7 @@ class Ariadne:
             query_params = {
                 k: v for k, v in (params or {}).items() if k in needed
             } or None
-            results[query_name] = self.query_online(
-                text, params=query_params, max_supersteps=max_supersteps
-            )
+            results[query_name] = self.query_online(text, params=query_params)
         return results
 
     def explain(

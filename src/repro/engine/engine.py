@@ -11,11 +11,12 @@ Executes a :class:`~repro.engine.vertex.VertexProgram` over a
   (or a master convergence check fires, or ``max_supersteps`` is hit).
 
 The engine simulates ``num_workers`` workers over vertices split by
-``config.partitioner``; messages crossing a partition boundary are counted
-as network traffic (``cross_worker_messages``, the stand-in for the paper's
-7-machine cluster traffic). The simulation is single-threaded and the only
-engine: a multiprocess backend lost to it at every measured size (DESIGN.md
-§7), and determinism is worth more to a reproduction than fake parallelism.
+Giraph's default hash partitioning; messages crossing a partition boundary
+are counted as network traffic (``cross_worker_messages``, the stand-in for
+the paper's 7-machine cluster traffic). The simulation is single-threaded
+and the only engine: a multiprocess backend lost to it at every measured
+size (DESIGN.md §7), and determinism is worth more to a reproduction than
+fake parallelism.
 
 Scheduling is frontier-driven: each superstep only the vertices that are
 awake or have pending messages are visited, in canonical vertex order, so
@@ -25,8 +26,8 @@ computation stays byte-identical to a whole-graph scan.
 Messages are a relation, as in Pregelix: a superstep's sends are one
 :class:`SendLog`, which a broadcast extends with no Python call per
 message, and the barrier is one group-by of it by receiver, folding with
-the combiner when one is on. The online runtime reads the log and the
-receiver table instead of recording the messages again.
+the program's combiner when it supplies one. The online runtime reads the
+log and the receiver table instead of recording the messages again.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.engine.metrics import RunMetrics, SuperstepMetrics
 from repro.engine.vertex import VertexContext, VertexProgram
 from repro.errors import EngineError, VertexProgramError
 from repro.graph.digraph import DiGraph
-from repro.graph.partition import HashPartitioner, Partitioner, RangePartitioner
+from repro.graph.partition import HashPartitioner
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.trace import (
@@ -161,7 +162,7 @@ class PregelEngine:
         self.graph = graph
         self.config = config or EngineConfig()
         self.config.validate()
-        self.partitioner = _partitioner(self.config, graph)
+        self.partitioner = HashPartitioner(self.config.num_workers)
         self._worker_of: Dict[Any, int] = {
             v: self.partitioner.worker_of(v) for v in graph.vertices()
         }
@@ -212,13 +213,9 @@ class PregelEngine:
         return count
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        program: VertexProgram,
-        max_supersteps: Optional[int] = None,
-    ) -> RunResult:
-        """Execute ``program`` to termination and return the result."""
-        limit = max_supersteps or self.config.max_supersteps
+    def run(self, program: VertexProgram) -> RunResult:
+        """Execute ``program`` to termination, or to
+        ``config.max_supersteps``, and return the result."""
         graph = self.graph
         config = self.config
         num_workers = config.num_workers
@@ -247,7 +244,7 @@ class PregelEngine:
         self._adjacency = graph.out_edges_map()
         self._cross_edges = {}
         self.aggregators = AggregatorRegistry(program.aggregators())
-        combiner = program.combiner() if config.use_combiner else None
+        combiner = program.combiner()
 
         ctx = VertexContext(self)
         metrics = RunMetrics()
@@ -260,7 +257,7 @@ class PregelEngine:
         compute = program.compute
         post_superstep = program.post_superstep
 
-        for superstep in range(limit):
+        for superstep in range(config.max_supersteps):
             self.superstep = superstep
             step = SuperstepMetrics(superstep)
             log = self.send_log = SendLog()
@@ -386,18 +383,10 @@ class PregelEngine:
         )
 
 
-def _partitioner(config: EngineConfig, graph: DiGraph) -> Partitioner:
-    """The partitioner ``config.partitioner`` names."""
-    if config.partitioner == "range":
-        return RangePartitioner(config.num_workers, max(graph.num_vertices, 1))
-    return HashPartitioner(config.num_workers)
-
-
 def run_program(
     graph: DiGraph,
     program: VertexProgram,
     config: Optional[EngineConfig] = None,
-    max_supersteps: Optional[int] = None,
 ) -> RunResult:
     """One-shot convenience wrapper: build an engine and run ``program``."""
-    return PregelEngine(graph, config=config).run(program, max_supersteps)
+    return PregelEngine(graph, config=config).run(program)

@@ -177,7 +177,10 @@ class VertexProgram:
         return None
 
     def combiner(self) -> Optional[Combiner]:
-        """Optional message combiner (only honored when config allows)."""
+        """The program's message combiner, or ``None``. The engine folds
+        a receiver's messages with it at every barrier; there is no run
+        setting that turns it off. A program that needs each message
+        (the online query program) returns ``None``."""
         return None
 
     def aggregators(self) -> Dict[str, Aggregator]:

@@ -12,7 +12,7 @@ from repro.graph.generators import (
     with_random_weights,
 )
 from repro.graph.io import read_edge_list, read_ratings, write_edge_list, write_ratings
-from repro.graph.partition import HashPartitioner, Partitioner, RangePartitioner
+from repro.graph.partition import HashPartitioner
 from repro.graph.stats import (
     average_degree,
     bfs_levels,
@@ -39,8 +39,6 @@ __all__ = [
     "write_edge_list",
     "write_ratings",
     "HashPartitioner",
-    "Partitioner",
-    "RangePartitioner",
     "average_degree",
     "bfs_levels",
     "degree_histogram",

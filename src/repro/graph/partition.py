@@ -1,11 +1,11 @@
-"""Vertex partitioners.
+"""The vertex partitioner.
 
-The engine splits the vertex set across N workers exactly like Giraph does:
-by default hash partitioning on the vertex id. Range partitioning is provided
-for experiments on locality (messages between vertices on the same worker are
-"local"; crossing a partition boundary counts as simulated network traffic
-in the engine metrics, ``cross_worker_messages``). The engine picks one by
-``EngineConfig.partitioner``.
+The engine splits the vertex set across N simulated workers exactly like
+Giraph does by default: hash partitioning on the vertex id. Messages between
+vertices on the same worker are "local"; crossing a partition boundary
+counts as simulated network traffic in the engine metrics
+(``cross_worker_messages``). There is no other partitioner: the count is
+the only thing a partitioning changes (DESIGN.md §7).
 
 Partition assignments must be *stable*: cross-run comparisons of
 ``cross_worker_messages`` assume the same id always lands on the same
@@ -46,27 +46,9 @@ def stable_hash(vertex_id: Hashable) -> int:
     return zlib.crc32(data)
 
 
-class Partitioner:
-    """Maps a vertex id to a worker index in ``[0, num_workers)``."""
-
-    def __init__(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise EngineError("need at least one worker")
-        self.num_workers = num_workers
-
-    def worker_of(self, vertex_id: Hashable) -> int:
-        raise NotImplementedError
-
-    def partition(self, vertices: Sequence[Hashable]) -> List[List[Hashable]]:
-        """Split ``vertices`` into one list per worker."""
-        parts: List[List[Hashable]] = [[] for _ in range(self.num_workers)]
-        for v in vertices:
-            parts[self.worker_of(v)].append(v)
-        return parts
-
-
-class HashPartitioner(Partitioner):
-    """Giraph's default: ``stable_hash(id) mod workers``.
+class HashPartitioner:
+    """Giraph's default: ``stable_hash(id) mod workers``, mapping a vertex
+    id to a worker index in ``[0, num_workers)``.
 
     Integer ids hash to themselves, so for the dense integer id spaces our
     generators produce this is also perfectly balanced. String ids are
@@ -74,21 +56,17 @@ class HashPartitioner(Partitioner):
     run, which Python's salted ``hash()`` is not.
     """
 
+    def __init__(self, num_workers: int) -> None:
+        if num_workers < 1:
+            raise EngineError("need at least one worker")
+        self.num_workers = num_workers
+
     def worker_of(self, vertex_id: Hashable) -> int:
         return stable_hash(vertex_id) % self.num_workers
 
-
-class RangePartitioner(Partitioner):
-    """Contiguous integer ranges; only valid for integer vertex ids."""
-
-    def __init__(self, num_workers: int, num_vertices: int) -> None:
-        super().__init__(num_workers)
-        if num_vertices < 1:
-            raise EngineError("need at least one vertex")
-        self.num_vertices = num_vertices
-        self._chunk = max(1, (num_vertices + num_workers - 1) // num_workers)
-
-    def worker_of(self, vertex_id: Hashable) -> int:
-        if not isinstance(vertex_id, int):
-            raise EngineError("RangePartitioner requires integer vertex ids")
-        return min(vertex_id // self._chunk, self.num_workers - 1)
+    def partition(self, vertices: Sequence[Hashable]) -> List[List[Hashable]]:
+        """Split ``vertices`` into one list per worker."""
+        parts: List[List[Hashable]] = [[] for _ in range(self.num_workers)]
+        for v in vertices:
+            parts[self.worker_of(v)].append(v)
+        return parts

@@ -4,9 +4,10 @@ A capture or query run leaves behind a store directory and (optionally) a
 trace file; without a ledger there is no durable record of *what produced
 them*, under which configuration, or whether the artifacts on disk still
 match what the run sealed. The ledger closes that gap: every CLI workload
-invocation (``repro run/monitor/apt/capture/query``) — and any library run
-that opts in via ``EngineConfig.ledger_dir`` — appends one JSON record to
-``<dir>/ledger.jsonl`` describing
+invocation (``repro run/monitor/apt/capture/query``) and every served query
+appends one JSON record to ``<dir>/ledger.jsonl``. A library run
+(:class:`~repro.core.ariadne.Ariadne`, ``run_online``) records nothing: the
+callers that write records own where they go. A record describes
 
 * **identity** — a content-derived run id (sha256 over the invocation's
   command, configuration, environment fingerprint and start timestamp),

@@ -401,9 +401,8 @@ class Relations:
         if sizes is None:
             sizes = self._sizes[relation] = {}
             for layer in self._data.get(relation, {}).values():
-                for v, span in layer._groups.items():
-                    sizes[v] = sizes.get(v, 0) + span[1] + sum(
-                        n for _start, n in layer._more.get(v, ()))
+                for v, (_start, n) in layer.groups().items():
+                    sizes[v] = sizes.get(v, 0) + n
         return sizes
 
     def column_batches(self, relation: str,

@@ -46,7 +46,6 @@ result answers it from there.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from itertools import compress, groupby, repeat
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
@@ -468,7 +467,6 @@ def run_online(
     udfs: Optional[Dict[str, Callable[..., Any]]] = None,
     capture: bool = False,
     config: Optional[EngineConfig] = None,
-    max_supersteps: Optional[int] = None,
     spill_directory: Optional[str] = None,
 ) -> OnlineRunResult:
     """Run ``analytic`` on ``graph`` with ``query`` evaluated online.
@@ -480,6 +478,11 @@ def run_online(
     layer to a zlib ARSC slab at the barrier that completes it, on the
     engine's thread, and is returned on ``result.spill`` — call
     ``result.spill.seal_all()`` to finish the static slab.
+
+    ``config`` is the engine's, unchanged: its ``max_supersteps`` caps the
+    run. The engine folds no messages, because the query program's
+    :meth:`~OnlineQueryProgram.combiner` is ``None`` — ``receive_message``
+    needs each sender's message.
     """
     functions = FunctionRegistry(udfs)
     tracer = get_tracer()
@@ -492,14 +495,10 @@ def run_online(
             store = ProvenanceStore()
             store.registry.register_all(compiled.idb_schemas.values())
 
-        engine_config = replace(
-            config or EngineConfig(),
-            use_combiner=False,  # receive_message needs each message
-        )
         spill: Optional[SpillManager] = None
         if capture and spill_directory is not None:
             spill = SpillManager(store, directory=spill_directory)
-        engine = PregelEngine(graph, config=engine_config)
+        engine = PregelEngine(graph, config=config)
         wrapper = OnlineQueryProgram(
             program, compiled, functions, engine, store=store,
             value_projector=projector,
@@ -507,7 +506,7 @@ def run_online(
         )
     wrapper.run_setup()
 
-    run = engine.run(wrapper, max_supersteps=max_supersteps)
+    run = engine.run(wrapper)
     wrapper.finish_capture()
     wrapper.publish_metrics()
     logger.debug(
@@ -537,53 +536,8 @@ def run_online(
         store=store,
         store_only=frozenset(wrapper.db.store_only),
     )
-    if engine_config.ledger_dir:
-        _append_ledger_record(
-            engine_config, graph, run, query, query_result, capture, spill,
-            analytic_name=wrapper.name,
-        )
     return OnlineRunResult(
         analytic=run, query=query_result, store=store, spill=spill
-    )
-
-
-def _append_ledger_record(
-    engine_config: EngineConfig,
-    graph: DiGraph,
-    run: Any,
-    query: Union[str, Program, CompiledQuery],
-    query_result: QueryResult,
-    capture: bool,
-    spill: Optional[SpillManager],
-    analytic_name: str,
-) -> None:
-    """Library-side ledger opt-in (``EngineConfig.ledger_dir``): one audit
-    record per online/capture run, mirroring the CLI's ``--ledger`` path.
-    Slab digests are not final here — the caller owns ``seal_all()`` — so
-    the record carries the store directory but not the slab table."""
-    from repro.obs import ledger as obsledger
-
-    results: Dict[str, Any] = {
-        "values_sha256": obsledger.digest_values(run.values),
-        "supersteps": run.num_supersteps,
-        "halt_reason": run.halt_reason,
-        "query_sha256": obsledger.digest_query_result(query_result),
-        "derivations": query_result.derivations,
-    }
-    if spill is not None:
-        results["store"] = {"directory": spill.directory}
-    obsledger.RunLedger(engine_config.ledger_dir).append(
-        obsledger.make_record(
-            "capture" if capture else "online",
-            wall_seconds=run.metrics.wall_seconds,
-            config=engine_config,
-            dataset=obsledger.dataset_fingerprint(graph),
-            analytic=analytic_name,
-            query=query if isinstance(query, str) else None,
-            results=results,
-            metrics=run.metrics.summary(),
-            registry=get_registry(),
-        )
     )
 
 

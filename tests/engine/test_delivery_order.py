@@ -50,8 +50,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def bare(graph):
-    return PregelEngine(graph, config=EngineConfig(use_combiner=False)).run(
-        Recorder())
+    return PregelEngine(graph).run(Recorder())
 
 
 def online_run(graph, query, **kwargs):
@@ -89,7 +88,7 @@ class TestDeliveryOrder:
     @pytest.mark.parametrize("workers", [1, 3, 7])
     def test_serial_worker_counts(self, graph, bare, workers):
         run = PregelEngine(graph, config=EngineConfig(
-            num_workers=workers, use_combiner=False)).run(Recorder())
+            num_workers=workers)).run(Recorder())
         assert (run.metrics.total_cross_worker_messages > 0) == (workers > 1)
         assert run.values == bare.values
 

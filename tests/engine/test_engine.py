@@ -1,5 +1,6 @@
 """Unit tests for the BSP engine: superstep semantics, halting, messaging."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -76,7 +77,8 @@ class TestSuperstepSemantics:
 
     def test_max_supersteps_cap(self):
         prog = FunctionProgram(lambda ctx, msgs: ctx.send_to_all(1))
-        result = run_program(chain_graph(3), prog, max_supersteps=5)
+        result = run_program(chain_graph(3), prog,
+                             config=EngineConfig(max_supersteps=5))
         assert result.num_supersteps == 5
         assert result.halt_reason == "max_supersteps"
 
@@ -138,10 +140,12 @@ class TestMessaging:
         assert result.values[2] == [10]  # combined to the min
         assert result.metrics.supersteps[0].messages_combined == 1
 
-    def test_combiner_disabled_by_config(self):
+    def test_no_combiner_delivers_every_message(self):
+        """The combiner is the program's: one whose ``combiner()`` is
+        ``None`` receives each message, under the default config."""
         class TwoSends(VertexProgram):
             def combiner(self):
-                return MinCombiner()
+                return None
 
             def compute(self, ctx, messages):
                 if ctx.superstep == 0 and ctx.vertex_id in (0, 1):
@@ -151,9 +155,9 @@ class TestMessaging:
                 ctx.vote_to_halt()
 
         g = from_edge_list([(0, 2), (1, 2)])
-        config = EngineConfig(use_combiner=False)
-        result = run_program(g, TwoSends(), config=config)
+        result = run_program(g, TwoSends())
         assert result.values[2] == [10, 11]
+        assert result.metrics.total_messages_combined == 0
 
     def test_cross_worker_accounting(self):
         prog = FunctionProgram(
@@ -228,13 +232,27 @@ class TestErrors:
             PregelEngine(chain_graph(2), config=EngineConfig(max_supersteps=0))
 
     def test_config_rejects_unknown_partitioner(self):
-        with pytest.raises(EngineError, match="partitioner"):
-            EngineConfig(partitioner="metis").validate()
+        # hash partitioning only: there is no field left to pick another
+        for name in ("range", "hash", "metis"):
+            with pytest.raises(TypeError):
+                EngineConfig(partitioner=name)
 
     def test_config_has_no_backend(self):
         # one engine: there is no field left to pick another
         with pytest.raises(TypeError):
             EngineConfig(backend="serial")
+
+    @pytest.mark.parametrize("switch", [
+        {"use_combiner": False},       # the combiner is the program's
+        {"ledger_dir": "ledger"},      # the CLI and server keep the ledger
+    ])
+    def test_config_has_no_removed_switch(self, switch):
+        with pytest.raises(TypeError):
+            EngineConfig(**switch)
+
+    def test_config_has_two_fields(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "num_workers", "max_supersteps"]
 
 
 class TestDeterminism:

@@ -209,10 +209,10 @@ def recorders(monkeypatch):
         engine = PregelEngine(graph, config=config)
         run = engine.run
 
-        def recorded_run(program, max_supersteps=None):
+        def recorded_run(program):
             recorder = ScheduleRecorder(program, engine)
             made.append(recorder)
-            result = run(recorder, max_supersteps)
+            result = run(recorder)
             recorder.assert_scan_schedule(result)
             return result
 

@@ -9,6 +9,7 @@ is the trace itself.
 import pytest
 
 from repro.analytics.sssp import SSSP
+from repro.engine.config import EngineConfig
 from repro.engine.engine import run_program
 from repro.engine.vertex import FunctionProgram
 from repro.graph.generators import chain_graph, with_random_weights, web_graph
@@ -144,7 +145,7 @@ class TestEngineTracing:
             run_program(
                 chain_graph(6),
                 FunctionProgram(lambda ctx, m: ctx.send_to_all(1)),
-                max_supersteps=3,
+                config=EngineConfig(max_supersteps=3),
             )
         before = len(sink.events)
         tracer.close()

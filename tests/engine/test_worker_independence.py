@@ -10,7 +10,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.engine.vertex import FunctionProgram
 from repro.graph.generators import grid_graph, web_graph, with_random_weights
-from repro.graph.partition import RangePartitioner
+from repro.graph.partition import stable_hash
 
 
 @pytest.fixture(scope="module")
@@ -64,14 +64,6 @@ class TestPartitionerChoice:
         assert six.values == one.values
         assert six.metrics.total_messages == one.metrics.total_messages
 
-
-    def test_range_partitioner_same_results(self, wgraph):
-        hash_run = PregelEngine(wgraph).run(SSSP(source=0).make_program())
-        range_run = PregelEngine(
-            wgraph, config=EngineConfig(partitioner="range"),
-        ).run(SSSP(source=0).make_program())
-        assert hash_run.values == range_run.values
-
     def test_cross_worker_traffic_varies_with_workers(self, wgraph):
         single = PregelEngine(
             wgraph, config=EngineConfig(num_workers=1)
@@ -83,27 +75,21 @@ class TestPartitionerChoice:
         assert multi.metrics.total_cross_worker_messages > 0
         assert single.metrics.total_messages == multi.metrics.total_messages
 
-    def test_config_partitioner_is_honoured(self, wgraph):
-        """``partitioner="range"`` splits the vertices into contiguous id
-        ranges, so the cross-worker count is the one made by hand from
-        that split."""
+    def test_hash_partitioning_is_honoured(self, wgraph):
+        """The engine splits the vertices by ``stable_hash(id) mod
+        workers`` (Giraph's default), so the cross-worker count is the one
+        made by hand from that split."""
 
         def broadcast_once(ctx, messages):
             if ctx.superstep == 0:
                 ctx.send_to_all(ctx.vertex_id)
             ctx.vote_to_halt()
 
-        config = EngineConfig(num_workers=3, partitioner="range")
-        chunk = -(-wgraph.num_vertices // 3)
-
         def worker(v):
-            return min(v // chunk, 2)
+            return stable_hash(v) % 3
 
         by_hand = sum(1 for u, v, _ in wgraph.edges() if worker(u) != worker(v))
-        by_hash = sum(1 for u, v, _ in wgraph.edges() if u % 3 != v % 3)
-        assert by_hand != by_hash
-        engine = PregelEngine(wgraph, config=config)
-        assert isinstance(engine.partitioner, RangePartitioner)
+        engine = PregelEngine(wgraph, config=EngineConfig(num_workers=3))
         run = engine.run(FunctionProgram(broadcast_once))
         assert run.metrics.total_messages == wgraph.num_edges
         assert run.metrics.total_cross_worker_messages == by_hand

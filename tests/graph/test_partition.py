@@ -1,13 +1,9 @@
-"""Unit tests for vertex partitioners."""
+"""Unit tests for the vertex partitioner."""
 
 import pytest
 
 from repro.errors import EngineError
-from repro.graph.partition import (
-    HashPartitioner,
-    RangePartitioner,
-    stable_hash,
-)
+from repro.graph.partition import HashPartitioner, stable_hash
 
 
 class TestHashPartitioner:
@@ -30,25 +26,6 @@ class TestHashPartitioner:
     def test_invalid_worker_count(self):
         with pytest.raises(EngineError):
             HashPartitioner(0)
-
-
-class TestRangePartitioner:
-    def test_ranges_are_contiguous(self):
-        p = RangePartitioner(3, 9)
-        assert [p.worker_of(v) for v in range(9)] == [0, 0, 0, 1, 1, 1, 2, 2, 2]
-
-    def test_tail_goes_to_last_worker(self):
-        p = RangePartitioner(4, 10)
-        assert p.worker_of(9) == 3
-
-    def test_rejects_non_int(self):
-        p = RangePartitioner(2, 10)
-        with pytest.raises(EngineError):
-            p.worker_of("a")
-
-    def test_rejects_empty(self):
-        with pytest.raises(EngineError):
-            RangePartitioner(2, 0)
 
 
 class TestStableHash:
@@ -106,7 +83,7 @@ class TestStableHash:
 
 
 class TestPartitionerProperties:
-    """Balance/stability properties shared by both partitioners."""
+    """Balance/stability properties of the hash partitioner."""
 
     def test_hash_balance_on_string_ids(self):
         p = HashPartitioner(4)
@@ -117,28 +94,24 @@ class TestPartitionerProperties:
 
     def test_partition_is_exhaustive_and_disjoint(self):
         vertices = list(range(101))
-        for p in (HashPartitioner(3), RangePartitioner(3, 101)):
-            parts = p.partition(vertices)
-            seen = [v for part in parts for v in part]
-            assert sorted(seen) == vertices
-            assert len(seen) == len(set(seen))
+        parts = HashPartitioner(3).partition(vertices)
+        seen = [v for part in parts for v in part]
+        assert sorted(seen) == vertices
+        assert len(seen) == len(set(seen))
 
     def test_partition_preserves_input_order_within_shard(self):
-        p = RangePartitioner(2, 10)
+        p = HashPartitioner(2)
         parts = p.partition([9, 3, 0, 7, 1])
-        assert parts == [[3, 0, 1], [9, 7]]
+        assert parts == [[0], [9, 3, 7, 1]]
 
     def test_fewer_vertices_than_workers(self):
         """num_vertices < num_workers must yield (some) empty shards, not
         an error — the engine simulates every configured worker anyway."""
-        hash_parts = HashPartitioner(8).partition([0, 1, 2])
-        range_parts = RangePartitioner(8, 3).partition([0, 1, 2])
-        for parts in (hash_parts, range_parts):
-            assert len(parts) == 8
-            assert sorted(v for part in parts for v in part) == [0, 1, 2]
-        # range with chunk=1: vertex i -> worker i, tail workers empty
-        assert range_parts[:3] == [[0], [1], [2]]
-        assert all(part == [] for part in range_parts[3:])
+        parts = HashPartitioner(8).partition([0, 1, 2])
+        assert len(parts) == 8
+        # integer ids hash to themselves: vertex i -> worker i, tail empty
+        assert parts[:3] == [[0], [1], [2]]
+        assert all(part == [] for part in parts[3:])
 
     def test_stability_across_instances(self):
         a, b = HashPartitioner(5), HashPartitioner(5)

@@ -276,35 +276,19 @@ class TestComparison:
 
 
 class TestLibraryOptIn:
-    def test_engine_config_ledger_dir_records_runs(self, tmp_path):
-        from repro.analytics.sssp import SSSP
-        from repro.core.ariadne import Ariadne
-        from repro.engine.config import EngineConfig
-
-        g = with_random_weights(web_graph(30, seed=5), seed=5)
-        config = EngineConfig(ledger_dir=str(tmp_path / "ledger"))
-        ariadne = Ariadne(g, SSSP(source=0), config)
-        ariadne.baseline()
-        result = ariadne.capture(spill_directory=str(tmp_path / "prov"))
-        result.spill.seal_all()
-        from repro.core import queries as Q
-
-        ariadne.query_offline(result.store, Q.SSSP_WCC_STABILITY_QUERY)
-        ledger = RunLedger(config.ledger_dir)
-        commands = [r["command"] for r in ledger.records()]
-        assert commands == ["baseline", "capture", "offline-query"]
-        baseline, capture, offline = ledger.records()
-        assert baseline["results"]["values_sha256"] == \
-            capture["results"]["values_sha256"]
-        assert capture["dataset"]["edges_sha256"] == \
-            baseline["dataset"]["edges_sha256"]
-        assert offline["query"]["sha256"]
-        assert baseline["config"]["ledger_dir"] == config.ledger_dir
+    """There is no library opt-in (``EngineConfig`` has no ``ledger_dir``):
+    the CLI and the server write the ledger records."""
 
     def test_no_ledger_dir_records_nothing(self, tmp_path):
         from repro.analytics.sssp import SSSP
+        from repro.core import queries as Q
         from repro.core.ariadne import Ariadne
 
         g = with_random_weights(web_graph(20, seed=6), seed=6)
-        Ariadne(g, SSSP(source=0)).baseline()
-        assert not list(tmp_path.iterdir())
+        ariadne = Ariadne(g, SSSP(source=0))
+        ariadne.baseline()
+        result = ariadne.capture(spill_directory=str(tmp_path / "prov"))
+        result.spill.seal_all()
+        ariadne.query_offline(result.store, Q.SSSP_WCC_STABILITY_QUERY)
+        assert [p.name for p in tmp_path.iterdir()] == ["prov"]
+        assert not list(tmp_path.rglob("ledger.jsonl"))

@@ -82,7 +82,6 @@ class TestPruningEndToEnd:
         )
 
     def test_results_identical_with_and_without_pruning(self, wgraph):
-        from repro.engine.config import EngineConfig
         from repro.engine.engine import PregelEngine
         from repro.pql.udf import FunctionRegistry
         from repro.runtime.online import OnlineQueryProgram
@@ -94,7 +93,7 @@ class TestPruningEndToEnd:
 
         results = {}
         for prune in (True, False):
-            engine = PregelEngine(wgraph, config=EngineConfig(use_combiner=False))
+            engine = PregelEngine(wgraph)
             wrapper = OnlineQueryProgram(
                 analytic.make_program(), compiled, funcs, engine,
                 value_projector=analytic.provenance_value,

@@ -313,6 +313,16 @@ class TestSealedView:
         assert rebuilt.relation_bytes() == full_store.relation_bytes()
         assert rebuilt.execution_nodes() == full_store.execution_nodes()
 
+    def test_sizes_match_store(self, sealed_dir, full_store):
+        """``sizes()`` reads the layer protocol's ``groups()``, so a sealed
+        view counts each vertex's rows as the in-memory store does."""
+        view = open_store_view(SpillManager.open(sealed_dir))
+        try:
+            for relation in full_store.relations():
+                assert view.sizes(relation) == full_store.sizes(relation)
+        finally:
+            view.close()
+
     def test_one_read_protocol(self, sealed_dir, full_store):
         """The offline drivers take either store without probing for
         capabilities: both are one container, whose read members the

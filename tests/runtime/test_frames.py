@@ -7,7 +7,6 @@ import pytest
 from repro.analytics.pagerank import PageRank
 from repro.analytics.sssp import SSSP
 from repro.core import queries as Q
-from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine, SendLog
 from repro.engine.vertex import VertexProgram
 from repro.graph.digraph import from_edge_list
@@ -34,7 +33,7 @@ def run_wrapper(graph, analytic, src, params=None, udfs=None, **switches):
     if params:
         program = program.bind(**params)
     compiled = compile_query(program, functions=functions)
-    engine = PregelEngine(graph, config=EngineConfig(use_combiner=False))
+    engine = PregelEngine(graph)
     wrapper = OnlineQueryProgram(
         analytic.make_program(), compiled, functions, engine,
         value_projector=analytic.provenance_value, **switches,

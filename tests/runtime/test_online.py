@@ -61,14 +61,12 @@ class TestTheorem54AnalyticUnchanged:
 
     def test_query_messages_only_on_analytic_edges(self, wgraph):
         # The apt query ships `change` tables; total engine messages must
-        # equal the analytic's (piggybacking adds no messages).
+        # equal the analytic's (piggybacking adds no messages). The bare run
+        # folds with SSSP's combiner; the online run folds nothing, because
+        # the query program's combiner() is None (receive_message needs
+        # each message), under the same default config.
         analytic = SSSP(source=0)
-        from repro.engine.config import EngineConfig
-
-        baseline = run_program(
-            wgraph, analytic.make_program(),
-            config=EngineConfig(use_combiner=False),
-        )
+        baseline = run_program(wgraph, analytic.make_program())
         online = run_online(
             wgraph, analytic, Q.APT_QUERY, params={"eps": 0.1},
             udfs=Q.apt_udfs(analytic),
@@ -77,6 +75,8 @@ class TestTheorem54AnalyticUnchanged:
             online.analytic.metrics.total_messages
             == baseline.metrics.total_messages
         )
+        assert baseline.metrics.total_messages_combined > 0
+        assert online.analytic.metrics.total_messages_combined == 0
 
 
 class TestTheorem54QueryCorrect:

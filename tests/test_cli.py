@@ -228,7 +228,7 @@ class TestSimulatedWorkerFlags:
         assert main(["run", "--analytic", "sssp", "--graph", graph_file,
                      "--num-workers", "7"]) == 0
         seven = capsys.readouterr().out
-        assert "workers:     7 simulated (hash partitioning)" in seven
+        assert "workers:     7 simulated\n" in seven
         # everything except the worker-count and wall lines is identical
         strip = lambda out: [l for l in out.splitlines()
                              if not l.startswith(("workers:", "wall:"))]
@@ -247,10 +247,18 @@ class TestSimulatedWorkerFlags:
             main(["run", "--analytic", "sssp", "--graph", graph_file,
                   "--backend", backend])
 
+    def test_partitioner_flag_is_rejected(self, graph_file, capsys):
+        # hash partitioning only: there is no switch left to pick another
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--analytic", "sssp", "--graph", graph_file,
+                  "--partitioner", "range"])
+        assert info.value.code == 2
+        assert "--partitioner" in capsys.readouterr().err
+
     def test_apt_simulated_workers(self, graph_file, capsys):
         assert main([
             "apt", "--analytic", "sssp", "--graph", graph_file,
-            "--eps", "0.1", "--num-workers", "7", "--partitioner", "range",
+            "--eps", "0.1", "--num-workers", "7",
         ]) == 0
         assert "verdict" in capsys.readouterr().out
 
@@ -261,15 +269,12 @@ class TestSimulatedWorkerFlags:
         trace_file = str(tmp_path / "run.jsonl")
         assert main([
             "run", "--analytic", "sssp", "--graph", graph_file,
-            "--num-workers", "7", "--partitioner", "range",
-            "--trace", trace_file,
+            "--num-workers", "7", "--trace", trace_file,
         ]) == 0
         events = read_trace(trace_file)
         assert validate_events(events) == []
         configs = [e for e in events if e.get("name") == "run-config"]
-        assert configs and configs[0]["attrs"] == {
-            "num_workers": 7, "partitioner": "range",
-        }
+        assert configs and configs[0]["attrs"] == {"num_workers": 7}
         runs = [e for e in events
                 if e.get("type") == "span" and e.get("cat") == "run"]
         assert runs and all(e["attrs"]["workers"] == 7 for e in runs)
@@ -334,7 +339,7 @@ class TestRunLedgerAndAudit:
         assert capture["run_id"].startswith("r")
         store = capture["results"]["store"]
         assert "static.slab" in store["slabs"]
-        assert "backend" not in capture["config"]
+        assert sorted(capture["config"]) == ["max_supersteps", "num_workers"]
         assert capture["config"]["num_workers"] == 4
         assert capture["workers"] is None
         assert capture["dataset"]["edges_sha256"]
