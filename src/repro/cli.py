@@ -620,19 +620,27 @@ def cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_problems(problems: List[str]) -> bool:
+    """Print each schema problem as ``invalid: ...``; true if any."""
+    for problem in problems:
+        print(f"invalid: {problem}", file=sys.stderr)
+    return bool(problems)
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     logger.info("stats: reading trace %s", args.trace_file)
     events = read_trace(args.trace_file)
     logger.debug("stats: %d events, format=%s", len(events), args.format)
+    # Every output reads the system's event schema: a file that is not
+    # such a trace is named invalid here, before any of them reads it.
+    if _print_problems(validate_events(events)):
+        return 1
     if args.format == "otel":
         # --validate composes: convert, then structurally check the OTLP
         # document (the CI one-liner for the smoke trace's OTel export).
         otlp = to_otlp_json(events)
         if args.validate:
-            problems = validate_otlp(otlp)
-            if problems:
-                for problem in problems:
-                    print(f"invalid: {problem}", file=sys.stderr)
+            if _print_problems(validate_otlp(otlp)):
                 return 1
             spans = sum(
                 len(ss.get("spans", []))
@@ -643,11 +651,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
             return 0
         text = json.dumps(otlp, indent=1, sort_keys=True)
     elif args.validate:
-        problems = validate_events(events)
-        if problems:
-            for problem in problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return 1
         print(f"trace OK ({len(events)} events)")
         return 0
     else:

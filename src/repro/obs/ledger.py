@@ -98,22 +98,33 @@ def digest_values(values: Mapping[Any, Any]) -> str:
 
 
 def digest_rows(rows_by_relation: Mapping[str, Iterable[Any]]) -> str:
-    """Digest of a query result (relation -> rows), order-insensitive."""
-    h = hashlib.sha256()
-    for relation in sorted(rows_by_relation):
-        h.update(relation.encode("utf-8"))
-        h.update(b"\x00")
-        for line in sorted(repr(row) for row in rows_by_relation[relation]):
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
-    return h.hexdigest()
+    """Digest of a query result (relation -> rows), order-insensitive:
+    each relation's name, then its rows' ``repr`` lines in sorted order,
+    relations in sorted order. The reference definition."""
+    return _digest_lines(
+        (relation, sorted(repr(row) for row in rows_by_relation[relation]))
+        for relation in sorted(rows_by_relation))
 
 
 def digest_query_result(result: Any) -> str:
-    """Digest of a :class:`~repro.runtime.results.QueryResult`."""
-    return digest_rows({
-        relation: result.rows(relation) for relation in result.relations()
-    })
+    """Digest of a :class:`~repro.runtime.results.QueryResult`:
+    :func:`digest_rows` of its rows, read from each relation's canonical
+    view. The view's keys are the rows' ``repr`` lines already sorted —
+    the very lines :func:`digest_rows` sorts — so nothing is sorted or
+    ``repr``'d again here."""
+    return _digest_lines((relation, result.canonical(relation)[1])
+                         for relation in sorted(result.relations()))
+
+
+def _digest_lines(lines_by_relation: Iterable[Tuple[str, List[str]]]) -> str:
+    """sha256 over ``(relation, sorted lines)`` pairs, in the order given."""
+    h = hashlib.sha256()
+    for relation, lines in lines_by_relation:
+        h.update(relation.encode("utf-8"))
+        h.update(b"\x00")
+        if lines:
+            h.update(("\n".join(lines) + "\n").encode("utf-8"))
+    return h.hexdigest()
 
 
 def digest_graph(graph: Any) -> str:

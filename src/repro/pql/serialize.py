@@ -6,10 +6,12 @@ the query server both depend on:
 * **Row order.** Result rows of a relation are totally ordered by
   :func:`row_sort_key` (the row's ``repr``). Every surface that exposes
   rows — ``QueryResult.rows``, ``repro query`` output, HTTP responses,
-  pagination cursors — sorts with this key, so layer programs and row
-  functions, layered and naive modes, CLI and server all agree on the
-  exact sequence. Pagination cursors are plain offsets into that
-  sequence, which is what makes them deterministic across requests.
+  pagination cursors, the ledger's result digest — reads one
+  :func:`canonical_order` of the relation, which a ``QueryResult``
+  builds once (``QueryResult.canonical``), so layered and naive modes,
+  CLI and server all agree on the exact sequence. Pagination cursors are
+  plain offsets into that sequence, which is what makes them
+  deterministic across requests.
 
 * **JSON shape.** :func:`result_to_dict` maps a ``QueryResult`` to a
   JSON-safe dict containing only deterministic evaluation outputs (no
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -34,6 +37,24 @@ def row_sort_key(row: Any) -> str:
     is stable across processes for the value types PQL derives.
     """
     return repr(row)
+
+
+def canonical_order(rows: Iterable[Any]) -> Tuple[List[Tuple[Any, ...]],
+                                                  List[str]]:
+    """``(columns, keys)``: the rows sorted into the canonical order, held
+    as columns, and each row's :func:`row_sort_key` beside it — one key
+    per row and one sort. ``zip(*columns)`` gives the rows back in order;
+    the keys are exactly the sorted lines
+    :func:`repro.obs.ledger.digest_rows` hashes.
+
+    Columns, not row tuples, because a view outlives the call that built
+    it: a kept tuple per row would count toward every later collection
+    of the cyclic garbage collector, inside whatever runs next."""
+    rows = list(rows)
+    keys = list(map(row_sort_key, rows))
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    return (list(zip(*[rows[i] for i in order])),
+            [keys[i] for i in order])
 
 
 def ordered_rows(rows: Iterable[Any]) -> List[Any]:
@@ -57,7 +78,13 @@ def jsonable_value(value: Any) -> Any:
     return repr(value)
 
 
+#: The exact types :func:`jsonable_value` returns as they are.
+_JSON_ATOMS = frozenset((int, float, str, bool, type(None)))
+
+
 def jsonable_row(row: Sequence[Any]) -> List[Any]:
+    if _JSON_ATOMS.issuperset(map(type, row)):
+        return list(row)  # what the per-value path returns, without it
     return [jsonable_value(value) for value in row]
 
 
@@ -71,10 +98,10 @@ def result_to_dict(result: Any) -> Dict[str, Any]:
     """
     relations: Dict[str, Any] = {}
     for relation in result.relations():
-        rows = result.rows(relation)
+        columns, keys = result.canonical(relation)
         relations[relation] = {
-            "count": len(rows),
-            "rows": [jsonable_row(row) for row in rows],
+            "count": len(keys),
+            "rows": [jsonable_row(row) for row in zip(*columns)],
         }
     return {
         "mode": result.mode,
@@ -87,12 +114,14 @@ def result_to_dict(result: Any) -> Dict[str, Any]:
 def result_digest(result: Any) -> str:
     """Short content digest of a result's deterministic view (the
     pagination cursor's consistency token)."""
-    import hashlib
+    return _doc_digest(result_to_dict(result))
 
+
+def _doc_digest(doc: Dict[str, Any]) -> str:
     # Non-finite floats are legal row values (SSSP holds inf for unreached
     # vertices) and only hashed here, never parsed back; finite-only
     # results encode to the same bytes either way.
-    payload = canonical_json(result_to_dict(result), allow_nan=True)
+    payload = canonical_json(doc, allow_nan=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -100,11 +129,13 @@ def flatten_result(result: Any) -> List[Tuple[str, List[Any]]]:
     """The canonical flat sequence a pagination cursor indexes into:
     ``(relation, row)`` pairs, relations in sorted order, rows in
     canonical order within each relation."""
-    flat: List[Tuple[str, List[Any]]] = []
-    for relation in result.relations():
-        for row in result.rows(relation):
-            flat.append((relation, jsonable_row(row)))
-    return flat
+    return _flat_rows(result_to_dict(result))
+
+
+def _flat_rows(doc: Dict[str, Any]) -> List[Tuple[str, List[Any]]]:
+    return [(relation, row)
+            for relation, body in doc["relations"].items()
+            for row in body["rows"]]
 
 
 def canonical_json(obj: Any, allow_nan: bool = False) -> str:
@@ -153,7 +184,8 @@ def paginate(result: Any, limit: int,
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
-    digest = result_digest(result)
+    doc = result_to_dict(result)  # the digest and the rows read one dict
+    digest = _doc_digest(doc)
     offset = 0
     if cursor is not None:
         offset, expected = decode_cursor(cursor)
@@ -161,7 +193,7 @@ def paginate(result: Any, limit: int,
             raise ValueError(
                 "stale cursor: the result set changed since this cursor "
                 "was issued")
-    flat = flatten_result(result)
+    flat = _flat_rows(doc)
     page = flat[offset:offset + limit]
     next_offset = offset + len(page)
     return {

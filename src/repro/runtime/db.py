@@ -288,10 +288,14 @@ class OnlineDatabase(Database):
             rel: self.derived if rel in head_predicates else self.local
             for rel in sorted(shipped)
         }
-        # sender -> receiver -> watermark: the superstep of the sender's
-        # last message to the receiver, and how many shipped rows it held
-        # then
-        self.marks: Dict[Any, Dict[Any, Tuple[Any, int]]] = {}
+        # sender -> receiver -> watermark: ``[superstep, rows]``, the
+        # superstep of the sender's last message to the receiver and how
+        # many shipped rows it held then. Every target of one span shares
+        # one watermark list, so a repeat of the span moves them all.
+        self.marks: Dict[Any, Dict[Any, List[Any]]] = {}
+        # sender -> its last span that shipped anything: ``(targets,
+        # distinct targets, the targets' shared watermark)``
+        self.last_span: Dict[Any, Tuple[List[Any], int, List[Any]]] = {}
 
     # -- the superstep as column batches -----------------------------------
     def begin(self, superstep: Any, frames: Dict[str, Layer],
@@ -333,19 +337,35 @@ class OnlineDatabase(Database):
         (in send order) at ``superstep``, just evaluated, so move each
         target's watermark to what the sender holds now. Returns the rows
         the per-target deltas carry — every message the rows its target
-        had not been shipped yet, so a repeat message carries none."""
+        had not been shipped yet, so a repeat message carries none.
+
+        A sender that messages the same targets as its last span that
+        shipped anything (every broadcast, and SSSP's per-edge sends)
+        shares one watermark among them, so it is priced and moved in
+        O(1): ``(rows - rows then) x distinct targets``."""
         sizes = [held.sizes(rel) for rel, held in self.shipped.items()]
         targets = log.targets
+        last_span = self.last_span
         carried = 0
         for sender, (start, n) in log.spans.items():
             rows = sum([size.get(sender, 0) for size in sizes])
             if not rows:
                 continue
+            sent = targets[start:start + n]
+            last = last_span.get(sender)
+            if last is not None and last[0] == sent:
+                _sent, distinct, mark = last
+                carried += (rows - mark[1]) * distinct
+                mark[0], mark[1] = superstep, rows
+                continue
             marks = self.marks.setdefault(sender, {})
-            sent = dict.fromkeys(targets[start:start + n])
-            carried += rows * len(sent) - sum(map(
-                _second, map(marks.get, sent, repeat(_UNSHIPPED))))
-            marks.update(dict.fromkeys(sent, (superstep, rows)))
+            distinct_targets = dict.fromkeys(sent)
+            carried += rows * len(distinct_targets) - sum(map(
+                _second, map(marks.get, distinct_targets,
+                             repeat(_UNSHIPPED))))
+            mark = [superstep, rows]
+            marks.update(dict.fromkeys(distinct_targets, mark))
+            last_span[sender] = (sent, len(distinct_targets), mark)
         return carried
 
     def shipped_through(self, receivers: Sequence[Any],

@@ -8,6 +8,7 @@ import pytest
 from repro import Ariadne, SSSP
 from repro.core import queries as Q
 from repro.graph.generators import web_graph, with_random_weights
+from repro.obs.ledger import digest_query_result, digest_rows
 from repro.pql.serialize import (
     canonical_json,
     decode_cursor,
@@ -21,7 +22,9 @@ from repro.pql.serialize import (
     result_to_dict,
     row_sort_key,
 )
+from repro.provenance.store import Relations
 from repro.runtime.offline import run_layered, run_naive, run_reference
+from repro.runtime.results import QueryResult
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +195,98 @@ def tuple_safe(value):
 
 def unwrap(value):
     return list(value) if isinstance(value, tuple) else value
+
+
+def _handmade_result(relations):
+    derived = Relations()
+    for relation, rows in relations.items():
+        derived.insert(relation, rows)
+    return QueryResult(derived=derived, mode="layered")
+
+
+#: Tuples, ``inf``, ``True`` beside ``1`` and strings: values whose
+#: ``repr`` order differs from their natural one, or whose natural order
+#: does not exist.
+MIXED = {
+    "lineage": [(1, float("inf")), (0, 2.5), (10, 0.0), (2, float("-inf"))],
+    # rows that differ only by True / 1 are one row under set semantics
+    "flags": [(1, True, 1), (2, 1, True), (0, False, 0), (3, 0, 1)],
+    "payloads": [(0, (1, "a")), (0, (1, 2.0)), (3, ("b",)), (0, None)],
+    "names": [("x", "y"), (2, "b"), ("a", 1), (1, "10")],
+}
+
+
+class TestCanonicalView:
+    def test_ledger_digest_is_digest_rows_of_the_rows(self, result):
+        for res in (_handmade_result(MIXED), result):
+            assert digest_query_result(res) == digest_rows(
+                {rel: res.rows(rel) for rel in res.relations()})
+
+    def test_ledger_digest_of_each_mixed_relation(self):
+        for relation, rows in MIXED.items():
+            res = _handmade_result({relation: rows})
+            assert digest_query_result(res) == digest_rows({relation: rows})
+
+    def test_view_is_rows_and_their_keys_in_order(self):
+        res = _handmade_result(MIXED)
+        for relation, rows in MIXED.items():
+            columns, keys = res.canonical(relation)
+            view_rows = list(zip(*columns))
+            assert view_rows == sorted(rows, key=row_sort_key)
+            assert keys == [row_sort_key(row) for row in view_rows]
+            assert keys == sorted(keys)
+
+    def test_rows_returns_a_copy(self):
+        res = _handmade_result(MIXED)
+        res.rows("names").clear()
+        assert res.rows("names") == ordered_rows(MIXED["names"])
+
+    def test_view_built_once_per_relation(self, monkeypatch):
+        res = _handmade_result(MIXED)
+        reads = []
+        holder_rows = res.derived.rows
+
+        def counting_rows(relation):
+            reads.append(relation)
+            return holder_rows(relation)
+
+        monkeypatch.setattr(res.derived, "rows", counting_rows)
+        for _ in range(2):
+            for relation in res.relations():
+                res.rows(relation)
+            result_to_dict(res)
+            paginate(res, 3)
+            paginate(res, 3, paginate(res, 3)["next_cursor"])
+            flatten_result(res)
+            result_digest(res)
+            digest_query_result(res)
+        assert sorted(reads) == sorted(MIXED)
+
+
+class TestJsonableRowFastPath:
+    @pytest.mark.parametrize("row", [
+        (1, 2.5, "v", True, None),
+        (0, float("inf"), False),
+        (1, (2, "a"), 3),
+        (1, [2.0, ("x", None)]),
+        ({1}, 2),
+        (b"raw", 1),
+        (),
+    ])
+    def test_same_as_per_value_path(self, row):
+        assert jsonable_row(row) == [jsonable_value(value) for value in row]
+
+    def test_same_json_bytes_on_mixed_rows(self):
+        class Score(int):
+            pass
+
+        rows = [row for rows in MIXED.values() for row in rows]
+        rows += [(Score(3), "s"), (frozenset({1}), 2)]
+        for row in rows:
+            assert canonical_json(jsonable_row(row), allow_nan=True) \
+                == canonical_json([jsonable_value(v) for v in row],
+                                  allow_nan=True)
+
+    def test_returns_a_fresh_list(self):
+        row = [1, 2]
+        assert jsonable_row(row) is not row

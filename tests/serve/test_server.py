@@ -554,6 +554,42 @@ class TestLedgerRecording:
         assert records
         assert records[-1]["parent_run_id"] == run_id
 
+    def test_served_digest_equals_the_cli_query_digest(self, sssp_store,
+                                                       tmp_path, capsys):
+        """A ``serve-query`` record's ``query_sha256`` is ``repro query``'s
+        for the same query and store, whether the request was answered
+        whole or paged."""
+        from repro.obs.ledger import RunLedger
+        from repro.serve.catalog import RunCatalog
+        store_copy = str(tmp_path / "ledgered")
+        shutil.copytree(sssp_store, store_copy)
+        ledger = RunLedger(store_copy)
+        earlier = len(ledger.records())  # the session store's own history
+        catalog = RunCatalog()
+        with ServerThread(catalog=catalog, record_queries=True) as srv:
+            status, doc = srv.request("POST", "/runs",
+                                      body={"path": store_copy})
+            run_id = doc["run"]["run_id"]
+            params = lineage_params(catalog.get(run_id).store)
+            for extra in ({}, {"limit": 2}):
+                status, doc = srv.request(
+                    "POST", f"/runs/{run_id}/query",
+                    body={"query": "query10", "params": params, **extra})
+                assert status == 200, doc
+        assert sum(rel["count"] for rel in doc["result"]["relations"]
+                   .values()) > 2
+        argv = ["query", "--store", store_copy, "--query", "query10"]
+        for key, value in params.items():
+            argv += ["--param", f"{key}={value}"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        digests = {}
+        for record in ledger.records()[earlier:]:
+            digests.setdefault(record.get("command"), []).append(
+                record["results"]["query_sha256"])
+        (cli_digest,) = digests["query"]
+        assert digests["serve-query"] == [cli_digest, cli_digest]
+
 
 class TestServeCLI:
     def test_repro_serve_subprocess(self, sssp_store, tmp_path):

@@ -172,6 +172,21 @@ class TestObservabilityFlags:
         assert "1 run(s)" in out
         assert "provenance-capture" in out
 
+    @pytest.mark.parametrize("fmt", [[], ["--format", "otel"]],
+                             ids=["text", "otel"])
+    def test_stats_names_a_foreign_trace_invalid(self, tmp_path, capsys,
+                                                 fmt):
+        """A JSONL file in another span schema is named invalid, exit 1,
+        by every output format: no output reads it unchecked."""
+        trace_file = str(tmp_path / "foreign.jsonl")
+        with open(trace_file, "w", encoding="utf-8") as fh:
+            fh.write('{"type":"span","name":"x","start_us":0,"end_us":5}\n')
+        assert main(["stats", trace_file, *fmt]) == 1
+        captured = capsys.readouterr()
+        assert "invalid: event 0 (span): missing key 'dur'" in captured.err
+        assert "invalid: trace has no meta event" in captured.err
+        assert captured.out == ""
+
     def test_query_verbose_prints_stratum_timings(self, graph_file,
                                                   tmp_path, capsys):
         store_dir = str(tmp_path / "prov")
