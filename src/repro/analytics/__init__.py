@@ -1,16 +1,13 @@
-"""Graph analytics evaluated in the paper: PageRank, SSSP, WCC, ALS."""
+"""Graph analytics: the paper's four (PageRank, SSSP, WCC, ALS), their
+approximate variants and normalized error, and k-core decomposition, an
+analytic the paper never evaluated (``examples/provenance_toolbox.py``
+monitors it with template-generated queries)."""
 
-from typing import Any, Dict
+from typing import Dict
 
 from repro.analytics.als import ALS, ALSProgram, rmse_of_run
 from repro.analytics.base import Analytic
-from repro.analytics.bfs import BFS, BFSProgram
-from repro.analytics.hits import HITS, HITSProgram
 from repro.analytics.kcore import KCore, KCoreProgram, h_index
-from repro.analytics.label_propagation import (
-    LabelPropagation,
-    LabelPropagationProgram,
-)
 from repro.analytics.error import lp_norm, median, normalized_error, trimmed_mean
 from repro.analytics.pagerank import (
     ApproximatePageRankProgram,
@@ -28,40 +25,12 @@ PAPER_EPSILONS: Dict[str, float] = {
 }
 
 
-def make_analytic(name: str, **kwargs: Any) -> Analytic:
-    """Factory by analytic name ('pagerank', 'sssp', 'wcc', 'als')."""
-    name = name.lower()
-    if name == "pagerank":
-        return PageRank(**kwargs)
-    if name == "sssp":
-        return SSSP(**kwargs)
-    if name == "wcc":
-        return WCC(**kwargs)
-    if name == "als":
-        return ALS(**kwargs)
-    if name == "bfs":
-        return BFS(**kwargs)
-    if name == "hits":
-        return HITS(**kwargs)
-    if name in ("label-propagation", "label_propagation"):
-        return LabelPropagation(**kwargs)
-    if name == "kcore":
-        return KCore(**kwargs)
-    raise ValueError(f"unknown analytic {name!r}")
-
-
 __all__ = [
     "ALS",
     "ALSProgram",
-    "BFS",
-    "BFSProgram",
-    "HITS",
-    "HITSProgram",
     "KCore",
     "KCoreProgram",
     "h_index",
-    "LabelPropagation",
-    "LabelPropagationProgram",
     "rmse_of_run",
     "Analytic",
     "lp_norm",
@@ -76,5 +45,4 @@ __all__ = [
     "WCC",
     "WCCProgram",
     "PAPER_EPSILONS",
-    "make_analytic",
 ]

@@ -219,9 +219,6 @@ class ALS(Analytic):
             return ()
         return tuple(float(x) for x in np.asarray(value).ravel())
 
-    def default_error_norm(self) -> int:
-        return 2
-
 
 def rmse_of_run(aggregators: Dict[str, Any]) -> float:
     """Final global RMSE from an ALS run's aggregator values."""

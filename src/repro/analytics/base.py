@@ -8,8 +8,8 @@ Ariadne needs to reason about it declaratively:
 * ``provenance_value`` — how a vertex value is projected into the
   ``value(x, d, i)`` provenance relation (identity for scalars; analytics
   with composite state project the semantically meaningful part);
-* ``result_vector`` — the result as a vector for the paper's normalized
-  Lp error metric (Section 6.2.2).
+* ``result_vector`` — the result as a vector of provenance values for the
+  paper's normalized Lp error metric (Section 6.2.2).
 
 ``make_program()`` returns a *fresh* program instance per run so that any
 program-local state (ALS convergence tracking) never leaks across runs.
@@ -43,31 +43,19 @@ class Analytic:
 
     # -- error metrics ---------------------------------------------------
     def result_vector(self, values: Dict[Any, Any]) -> List[float]:
-        """The run result as a flat vector in sorted-vertex order."""
-        out: List[float] = []
+        """The run result as a flat vector in sorted-vertex order: each
+        vertex's provenance value as a float. ALS's vector values have
+        no such projection; its quality measure is the RMSE
+        (:func:`repro.analytics.als.rmse_of_run`)."""
+        vector = []
         for v in sorted(values, key=repr):
-            out.extend(self._flatten(values[v]))
-        return out
-
-    @staticmethod
-    def _flatten(value: Any) -> List[float]:
-        if value is None:
-            return [0.0]
-        if isinstance(value, (int, float)):
-            return [float(value)]
-        if isinstance(value, (tuple, list)):
-            flat: List[float] = []
-            for item in value:
-                flat.extend(Analytic._flatten(item))
-            return flat
-        tolist = getattr(value, "tolist", None)
-        if tolist is not None:  # numpy
-            return Analytic._flatten(tolist())
-        return [float(value)]
-
-    def default_error_norm(self) -> int:
-        """The Lp order the paper uses for this analytic's error tables."""
-        return 2
+            value = self.provenance_value(values[v])
+            if isinstance(value, (tuple, list)):
+                raise TypeError(
+                    f"{self.name} has vector values and no result vector; "
+                    f"measure it with repro.analytics.rmse_of_run")
+            vector.append(float(value))
+        return vector
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Analytic {self.name}>"

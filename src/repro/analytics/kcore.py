@@ -93,9 +93,3 @@ class KCore(Analytic):
 
     def coreness(self, values: Dict[Any, Any]) -> Dict[Any, int]:
         return {v: self.provenance_value(val) for v, val in values.items()}
-
-    def result_vector(self, values: Dict[Any, Any]) -> List[float]:
-        return [
-            float(self.provenance_value(values[v]))
-            for v in sorted(values, key=repr)
-        ]

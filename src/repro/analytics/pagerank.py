@@ -20,7 +20,7 @@ reproduces exact PageRank superstep by superstep.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.analytics.base import Analytic
 from repro.engine.vertex import SumCombiner, VertexContext, VertexProgram
@@ -157,12 +157,3 @@ class PageRank(Analytic):
         if isinstance(value, _ApproxState):
             return value.rank
         return value
-
-    def result_vector(self, values: Dict[Any, Any]) -> List[float]:
-        return [
-            float(self.provenance_value(values[v]))
-            for v in sorted(values, key=repr)
-        ]
-
-    def default_error_norm(self) -> int:
-        return 2

@@ -14,7 +14,7 @@ epsilon = 0.1 on 0-1-weighted graphs.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Sequence
+from typing import Any, Sequence
 
 from repro.analytics.base import Analytic
 from repro.engine.vertex import MinCombiner, VertexContext, VertexProgram
@@ -73,9 +73,3 @@ class SSSP(Analytic):
 
     def make_program(self) -> VertexProgram:
         return SSSPProgram(self.source, self.epsilon)
-
-    def result_vector(self, values: Dict[Any, Any]) -> List[float]:
-        return [float(values[v]) for v in sorted(values, key=repr)]
-
-    def default_error_norm(self) -> int:
-        return 1

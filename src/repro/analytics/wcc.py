@@ -11,7 +11,7 @@ wrong (normalized error ~0.9).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Any, Sequence
 
 from repro.analytics.base import Analytic
 from repro.engine.vertex import MinCombiner, VertexContext, VertexProgram
@@ -72,9 +72,3 @@ class WCC(Analytic):
 
     def make_program(self) -> VertexProgram:
         return WCCProgram(self.epsilon)
-
-    def result_vector(self, values: Dict[Any, Any]) -> List[float]:
-        return [float(values[v]) for v in sorted(values, key=repr)]
-
-    def default_error_norm(self) -> int:
-        return 1

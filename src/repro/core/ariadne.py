@@ -1,16 +1,22 @@
 """The Ariadne facade — the system architecture of Figures 1 and 2.
 
 One :class:`Ariadne` instance manages provenance for one analytic on one
-input graph. It exposes the three workflows of the paper:
+input graph. It exposes the workflows of the paper:
 
 * :meth:`baseline` — run the analytic alone (the overhead reference);
 * :meth:`capture` — run the analytic with a declarative capture query
   appended, producing a :class:`~repro.provenance.store.ProvenanceStore`
-  (Figure 1a);
+  (Figure 1a); pass Query 11 for the custom backward-tracing capture;
 * :meth:`query_online` — run the analytic with a forward query evaluated in
   lockstep, no capture step at all (Figure 2);
 * :meth:`query_offline` — evaluate a query over previously captured
-  provenance, layered or naive (Figure 1b).
+  provenance, layered or naive (Figure 1b);
+* :meth:`apt` and :meth:`backward_lineage` — the paper's apt query
+  (Query 1) and backward lineage (Queries 10 and 12) on top of those.
+
+The monitoring suite runs query by query through :meth:`query_online`
+(``repro monitor``), and a query's compilation report comes from
+:func:`repro.pql.explain.explain` (``repro explain``).
 
 The facade also registers the analytic-specific ``udf_diff`` so the same apt
 query text works for every analytic (the paper's Section 6.2.2 workflow).
@@ -171,69 +177,4 @@ class Ariadne:
         )
         return self.query_offline(
             store, query, mode=mode, params={"alpha": vertex, "sigma": superstep}
-        )
-
-    def capture_for_backward(self, undirected: bool = False) -> OnlineRunResult:
-        """Custom capture for backward tracing (Query 11).
-
-        Use ``undirected=True`` for analytics that broadcast along reverse
-        edges (WCC); the symmetric edge relation keeps Query 12's trace
-        identical to Query 10's.
-        """
-        query = (
-            Q.CAPTURE_BACKWARD_CUSTOM_UNDIRECTED_QUERY
-            if undirected
-            else Q.CAPTURE_BACKWARD_CUSTOM_QUERY
-        )
-        return self.capture(query)
-
-    def monitor(
-        self,
-        analytic_name: Optional[str] = None,
-        params: Optional[Dict[str, Any]] = None,
-    ) -> Dict[str, OnlineRunResult]:
-        """Run the paper's monitoring suite for this analytic online.
-
-        Picks the registered queries (Figure 8/9's Query 4-8) by analytic
-        name; returns ``{query_name: result}``. ALS's Query 8 needs an
-        ``eps`` parameter (``params={"eps": ...}``).
-        """
-        name = analytic_name or self.analytic.name.split("(")[0].split("-")[0]
-        try:
-            suite = Q.MONITORING_QUERIES[name]
-        except KeyError:
-            raise ReproError(
-                f"no registered monitoring queries for analytic {name!r}; "
-                f"known: {sorted(Q.MONITORING_QUERIES)}"
-            ) from None
-        from repro.pql.parser import parse
-
-        results: Dict[str, OnlineRunResult] = {}
-        for query_name, text in suite:
-            needed = parse(text).parameters()
-            query_params = {
-                k: v for k, v in (params or {}).items() if k in needed
-            } or None
-            results[query_name] = self.query_online(text, params=query_params)
-        return results
-
-    def explain(
-        self,
-        query: QueryLike,
-        params: Optional[Dict[str, Any]] = None,
-        udfs: Optional[Dict[str, Callable[..., Any]]] = None,
-        verbose: bool = False,
-    ) -> str:
-        """The compiler's report for a query (see :mod:`repro.pql.explain`)."""
-        from repro.pql.analysis import compile_query
-        from repro.pql.explain import explain as explain_compiled
-        from repro.pql.parser import parse
-        from repro.pql.udf import FunctionRegistry
-
-        program = parse(query) if isinstance(query, str) else query
-        if params:
-            program = program.bind(**params)
-        functions = FunctionRegistry(self._udfs(udfs))
-        return explain_compiled(
-            compile_query(program, functions=functions), verbose=verbose
         )

@@ -134,9 +134,6 @@ class RunResult:
     def num_supersteps(self) -> int:
         return self.metrics.num_supersteps
 
-    def value_of(self, vertex_id: Any) -> Any:
-        return self.values[vertex_id]
-
 
 class PregelEngine:
     """Runs vertex programs over one graph.

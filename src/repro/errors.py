@@ -36,21 +36,6 @@ class VertexProgramError(EngineError):
             f"superstep {superstep}: {cause!r}"
         )
 
-    def __reduce__(self):
-        # Default exception pickling replays __init__ with ``args`` (the
-        # single formatted message), which does not match our 3-argument
-        # signature. The parallel backend ships these across processes, so
-        # reconstruct from the real fields — degrading an unpicklable cause
-        # to its repr rather than failing the whole error report.
-        cause = self.cause
-        try:
-            import pickle
-
-            pickle.dumps(cause)
-        except Exception:
-            cause = RuntimeError(repr(cause))
-        return (VertexProgramError, (self.vertex_id, self.superstep, cause))
-
 
 class ProvenanceError(ReproError):
     """Provenance capture or store failure."""

@@ -130,9 +130,3 @@ def load_web_dataset(
         return spec.generate_weighted(scale)
     return spec.generate(scale)
 
-
-def load_ml20(num_features: int = 5, scale: Optional[float] = None) -> BipartiteGraph:
-    """Generate the synthetic MovieLens stand-in (ML-20^features notation)."""
-    if scale is None:
-        scale = (1.0 / 500.0) * env_scale()
-    return ML_20.generate(num_features=num_features, scale=scale)

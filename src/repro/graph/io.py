@@ -4,8 +4,7 @@ The webgraph datasets the paper uses ship as plain edge lists; this module
 reads and writes the same format so users can load their own graphs:
 
 * unweighted: one ``u v`` pair per line,
-* weighted: ``u v w`` triples,
-* ratings: ``user item rating`` triples for bipartite graphs.
+* weighted: ``u v w`` triples.
 
 Lines starting with ``#`` or ``%`` are comments (SNAP / Matrix Market style).
 """
@@ -13,10 +12,9 @@ Lines starting with ``#`` or ``%`` are comments (SNAP / Matrix Market style).
 from __future__ import annotations
 
 import os
-from typing import IO, Iterator, Optional, Tuple, Union
+from typing import IO, Iterator, Tuple, Union
 
 from repro.errors import GraphError
-from repro.graph.bipartite import BipartiteGraph
 from repro.graph.digraph import DiGraph
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -64,45 +62,3 @@ def write_edge_list(g: DiGraph, path: PathLike, weighted: bool = False) -> None:
         for v in g.vertices():
             if g.out_degree(v) == 0 and g.in_degree(v) == 0:
                 fh.write(f"# isolated {v}\n")
-
-
-def read_ratings(
-    path: PathLike,
-    num_users: Optional[int] = None,
-    num_items: Optional[int] = None,
-) -> BipartiteGraph:
-    """Read ``user item rating`` triples into a :class:`BipartiteGraph`.
-
-    When ``num_users``/``num_items`` are omitted the file is scanned first to
-    size the id spaces (ids are assumed dense from 0).
-    """
-    triples = []
-    max_user = -1
-    max_item = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in _data_lines(fh):
-            parts = line.split()
-            if len(parts) < 3:
-                raise GraphError(
-                    f"{path}:{lineno}: expected 'user item rating', got {line!r}"
-                )
-            user, item, rating = int(parts[0]), int(parts[1]), float(parts[2])
-            triples.append((user, item, rating))
-            max_user = max(max_user, user)
-            max_item = max(max_item, item)
-    if num_users is None:
-        num_users = max_user + 1
-    if num_items is None:
-        num_items = max_item + 1
-    bg = BipartiteGraph(num_users, num_items)
-    for user, item, rating in triples:
-        bg.add_rating(user, item, rating)
-    return bg
-
-
-def write_ratings(bg: BipartiteGraph, path: PathLike) -> None:
-    """Write a bipartite ratings graph as ``user item rating`` lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# users={bg.num_users} items={bg.num_items}\n")
-        for user, item, rating in bg.ratings():
-            fh.write(f"{user} {item} {rating}\n")

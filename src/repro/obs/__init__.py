@@ -38,7 +38,7 @@ from repro.obs.ledger import (
 )
 from repro.obs.log import configure as configure_logging
 from repro.obs.log import get_logger
-from repro.obs.otel import from_otlp_json, to_otlp_json, validate_otlp
+from repro.obs.otel import to_otlp_json, validate_otlp
 from repro.obs.metrics import (
     BYTES_BUCKETS,
     SECONDS_BUCKETS,
@@ -86,7 +86,6 @@ __all__ = [
     "render_comparison",
     "verify_record",
     "verify_store",
-    "from_otlp_json",
     "to_otlp_json",
     "validate_otlp",
     "configure_logging",

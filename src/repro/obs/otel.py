@@ -22,9 +22,7 @@ Mapping (see DESIGN.md §11 for the full table):
   ``repro`` traces stay internally consistent — the resource attribute
   ``repro.clock`` says so explicitly;
 * the phase category rides in ``repro.phase``; original integer ids ride
-  in ``repro.span_id``/``repro.parent_id`` — which makes the conversion
-  lossless: :func:`from_otlp_json` inverts it exactly (the round-trip is
-  pinned by tests).
+  in ``repro.span_id``/``repro.parent_id``.
 
 :func:`validate_otlp` structurally checks an OTLP-JSON document (hex id
 shapes, unique ids, resolvable parents, time ordering) and is what CI
@@ -181,64 +179,6 @@ def to_otlp_json(events: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# import (round-trip inverse)
-# ---------------------------------------------------------------------------
-def _iter_otlp_spans(otlp: Dict[str, Any]
-                     ) -> Iterable[Tuple[Dict[str, Any], Dict[str, Any]]]:
-    for rs in otlp.get("resourceSpans", []):
-        resource = decode_attributes(
-            rs.get("resource", {}).get("attributes", [])
-        )
-        for ss in rs.get("scopeSpans", []):
-            for span in ss.get("spans", []):
-                yield resource, span
-
-
-def from_otlp_json(otlp: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Invert :func:`to_otlp_json` back to meta/span/instant events."""
-    from repro.obs.sinks import meta_event
-
-    events: List[Dict[str, Any]] = []
-    meta: Optional[Dict[str, Any]] = None
-    for resource, span in _iter_otlp_spans(otlp):
-        if meta is None:
-            meta = meta_event(resource.get("repro.run_id"))
-            events.append(meta)
-        attrs = decode_attributes(span.get("attributes", []))
-        phase = attrs.pop("repro.phase", "unknown")
-        start_us = int(span["startTimeUnixNano"]) // 1000
-        end_us = int(span["endTimeUnixNano"]) // 1000
-        if attrs.pop("repro.instant", False):
-            events.append({
-                "type": "instant",
-                "name": span["name"],
-                "cat": phase,
-                "ts": start_us,
-                "attrs": attrs,
-            })
-            continue
-        span_id = attrs.pop("repro.span_id", None)
-        if span_id is None:
-            span_id = int(span["spanId"], 16)
-        parent = attrs.pop("repro.parent_id", None)
-        if parent is None and span.get("parentSpanId"):
-            parent = int(span["parentSpanId"], 16)
-        events.append({
-            "type": "span",
-            "name": span["name"],
-            "cat": phase,
-            "id": span_id,
-            "parent": parent,
-            "ts": start_us,
-            "dur": end_us - start_us,
-            "attrs": attrs,
-        })
-    if meta is None:
-        events.append(meta_event())
-    return events
-
-
-# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 def _check_hex_id(value: Any, width: int) -> Optional[str]:
@@ -253,6 +193,17 @@ def _check_hex_id(value: Any, width: int) -> Optional[str]:
     if as_int == 0:
         return "all-zero id is invalid in OTLP"
     return None
+
+
+def _iter_otlp_spans(otlp: Dict[str, Any]
+                     ) -> Iterable[Tuple[Dict[str, Any], Dict[str, Any]]]:
+    for rs in otlp.get("resourceSpans", []):
+        resource = decode_attributes(
+            rs.get("resource", {}).get("attributes", [])
+        )
+        for ss in rs.get("scopeSpans", []):
+            for span in ss.get("spans", []):
+                yield resource, span
 
 
 def validate_otlp(otlp: Dict[str, Any]) -> List[str]:

@@ -151,9 +151,6 @@ class CompiledQuery:
                 f"({sorted(self.stream_relations)}) only run online"
             )
 
-    def schema_of(self, relation: str) -> Optional[RelationSchema]:
-        return self.idb_schemas.get(relation)
-
 
 # ---------------------------------------------------------------------------
 # resolution and validation

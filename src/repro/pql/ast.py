@@ -157,11 +157,6 @@ class Atom:
     def arity(self) -> int:
         return len(self.args)
 
-    def location(self) -> HeadTerm:
-        if not self.args:
-            raise PQLSemanticError(f"atom {self.predicate} has no arguments")
-        return self.args[0]
-
     def variables(self) -> Iterator[Var]:
         for arg in self.args:
             yield from term_vars(arg)
@@ -235,11 +230,6 @@ class Rule:
     def positive_atoms(self) -> Iterator[Atom]:
         for lit in self.body:
             if isinstance(lit, AtomLiteral) and not lit.negated:
-                yield lit.atom
-
-    def negative_atoms(self) -> Iterator[Atom]:
-        for lit in self.body:
-            if isinstance(lit, AtomLiteral) and lit.negated:
                 yield lit.atom
 
     def body_predicates(self) -> FrozenSet[str]:

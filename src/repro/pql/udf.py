@@ -9,7 +9,7 @@ analytic's value-distance function here under that name.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import PQLSemanticError
 
@@ -73,6 +73,3 @@ class FunctionRegistry:
             return self._functions[name]
         except KeyError:
             raise PQLSemanticError(f"unknown function {name!r}") from None
-
-    def names(self) -> Iterable[str]:
-        return self._functions.keys()

@@ -1,16 +1,19 @@
 """Portable provenance export: JSON-lines serialization of a store.
 
-The spill slabs (pickle) are fast but Python-private; this module writes a
-captured store as newline-delimited JSON so external tooling (jq, DuckDB,
-a notebook) can consume Ariadne provenance. Format:
+Sealed stores are ARSC slabs (zlib-compressed columns) that only
+:mod:`repro.provenance.columnar` reads; this module writes a captured
+store as newline-delimited JSON so external tooling (jq, DuckDB, a
+notebook) can consume Ariadne provenance (``repro export``). Format:
 
 * line 1: a header object — ``{"format": "repro-provenance", "version": 1,
   "schemas": {relation: {arity, kind, time_index, topology}}}``;
-* every following line: ``{"r": relation, "t": [attributes...]}``.
+* every following line: ``{"r": relation, "t": [attributes...]}``, each
+  relation's rows in ``repr`` order.
 
 Values must be JSON-representable; captured provenance is (freeze() maps
-everything to scalars and tuples — tuples become JSON arrays and are
-restored as tuples on import).
+everything to scalars and tuples): tuples become JSON arrays, and the
+infinities, which JSON lacks, become ``{"$": "inf"}`` / ``{"$": "-inf"}``.
+NaN is refused.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import json
 from typing import Any, Dict, IO
 
 from repro.errors import ProvenanceError
-from repro.provenance.model import RelationSchema, SchemaRegistry
-from repro.provenance.store import ProvenanceStore, Relations
+from repro.provenance.store import Relations
 
 FORMAT_NAME = "repro-provenance"
 FORMAT_VERSION = 1
@@ -36,19 +38,6 @@ def _jsonable(value: Any) -> Any:
             return {"$": "inf"}
         if value == float("-inf"):
             return {"$": "-inf"}
-    return value
-
-
-def _from_json(value: Any) -> Any:
-    if isinstance(value, list):
-        return tuple(_from_json(v) for v in value)
-    if isinstance(value, dict):
-        marker = value.get("$")
-        if marker == "inf":
-            return float("inf")
-        if marker == "-inf":
-            return float("-inf")
-        raise ProvenanceError(f"unexpected object in provenance JSON: {value}")
     return value
 
 
@@ -85,54 +74,7 @@ def export_jsonl(store: Relations, fh: IO[str]) -> int:
     return written
 
 
-def import_jsonl(fh: IO[str]) -> ProvenanceStore:
-    """Rebuild a store from :func:`export_jsonl` output."""
-    header_line = fh.readline()
-    if not header_line:
-        raise ProvenanceError("empty provenance export")
-    header = json.loads(header_line)
-    if header.get("format") != FORMAT_NAME:
-        raise ProvenanceError(
-            f"not a {FORMAT_NAME} file (format={header.get('format')!r})"
-        )
-    if header.get("version") != FORMAT_VERSION:
-        raise ProvenanceError(
-            f"unsupported provenance export version {header.get('version')!r}"
-        )
-    registry = SchemaRegistry()
-    for name, spec in header.get("schemas", {}).items():
-        if registry.maybe_get(name) is None:
-            registry.register(
-                RelationSchema(
-                    name,
-                    spec["arity"],
-                    spec.get("kind", "derived"),
-                    time_index=spec.get("time_index"),
-                    topology=spec.get("topology"),
-                )
-            )
-    store = ProvenanceStore(registry)
-    for lineno, line in enumerate(fh, start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            relation = record["r"]
-            row = tuple(_from_json(v) for v in record["t"])
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise ProvenanceError(
-                f"malformed provenance line {lineno}: {exc}"
-            ) from exc
-        store.add(relation, row)
-    return store
-
-
 def export_path(store: Relations, path: str) -> int:
     with open(path, "w", encoding="utf-8") as fh:
         return export_jsonl(store, fh)
 
-
-def import_path(path: str) -> ProvenanceStore:
-    with open(path, "r", encoding="utf-8") as fh:
-        return import_jsonl(fh)

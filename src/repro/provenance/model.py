@@ -143,9 +143,6 @@ class SchemaRegistry:
         for schema in schemas:
             self.register(schema)
 
-    def names(self) -> Iterable[str]:
-        return self._schemas.keys()
-
 
 #: Exact types ``freeze`` returns as they are, tested before anything else
 #: (payloads and values are mostly plain numbers).

@@ -149,10 +149,6 @@ class ReproServer:
         self._executor.shutdown(wait=False, cancel_futures=True)
 
     @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    @property
     def evals_running(self) -> int:
         """Evaluations currently on executor threads (0 when every
         budget overrun / cancellation has fully unwound)."""

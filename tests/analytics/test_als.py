@@ -77,3 +77,8 @@ class TestALS:
 
     def test_rmse_of_run_handles_empty(self):
         assert math.isnan(rmse_of_run({}))
+
+    def test_result_vector_names_rmse_of_run(self, small_ratings):
+        a, result = run_als(small_ratings, num_features=4, max_rounds=1)
+        with pytest.raises(TypeError, match="rmse_of_run"):
+            a.result_vector(result.values)

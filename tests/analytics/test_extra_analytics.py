@@ -1,90 +1,9 @@
-"""Tests for the additional analytics: HITS, label propagation, k-core, BFS."""
+"""Tests for k-core decomposition, the analytic the paper never evaluated."""
 
-import math
-
-import pytest
-
-from repro.analytics.bfs import BFS
-from repro.analytics.hits import HITS
 from repro.analytics.kcore import KCore, h_index
-from repro.analytics.label_propagation import LabelPropagation
 from repro.engine.engine import run_program
-from repro.graph.digraph import DiGraph, from_edge_list
-from repro.graph.generators import chain_graph, web_graph
-from repro.graph.stats import bfs_levels
-
-
-class TestBFS:
-    def test_chain_levels(self):
-        g = chain_graph(5)
-        result = run_program(g, BFS(source=0).make_program())
-        assert result.values == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-
-    def test_matches_oracle(self, small_web):
-        result = run_program(small_web, BFS(source=0).make_program())
-        oracle = bfs_levels(small_web, 0, undirected=False)
-        for v in small_web.vertices():
-            assert result.values[v] == oracle.get(v, math.inf)
-
-    def test_reached_helper(self):
-        g = from_edge_list([(0, 1)])
-        g.add_vertex(9)
-        analytic = BFS(source=0)
-        result = run_program(g, analytic.make_program())
-        assert sorted(analytic.reached(result.values)) == [0, 1]
-
-
-class TestHITS:
-    def test_authority_concentrates_on_popular_target(self):
-        # 1, 2, 3 -> 0: vertex 0 is the clear authority.
-        g = from_edge_list([(1, 0), (2, 0), (3, 0), (0, 1)])
-        analytic = HITS(num_rounds=8)
-        result = run_program(g, analytic.make_program())
-        auth = analytic.authorities(result.values)
-        assert auth[0] == max(auth.values())
-
-    def test_hub_concentrates_on_fan_out(self):
-        g = from_edge_list([(0, 1), (0, 2), (0, 3), (1, 2)])
-        analytic = HITS(num_rounds=8)
-        result = run_program(g, analytic.make_program())
-        hubs = analytic.hubs(result.values)
-        assert hubs[0] == max(hubs.values())
-
-    def test_scores_are_finite_and_nonnegative(self, small_web):
-        analytic = HITS(num_rounds=5)
-        result = run_program(small_web, analytic.make_program())
-        for hub, auth in result.values.values():
-            assert math.isfinite(hub) and math.isfinite(auth)
-            assert hub >= 0.0 and auth >= 0.0
-
-    def test_value_diff_is_pair_distance(self):
-        analytic = HITS()
-        assert analytic.value_diff((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
-
-
-class TestLabelPropagation:
-    def test_two_cliques_two_communities(self):
-        g = DiGraph()
-        for clique in ([0, 1, 2, 3], [10, 11, 12, 13]):
-            for u in clique:
-                for v in clique:
-                    if u != v:
-                        g.add_edge(u, v)
-        g.add_edge(3, 10)  # weak bridge
-        analytic = LabelPropagation(max_rounds=10)
-        result = run_program(g, analytic.make_program())
-        communities = analytic.communities(result.values)
-        # the two cliques keep separate labels despite the bridge
-        assert len(communities) >= 2
-        labels_a = {result.values[v] for v in (0, 1, 2)}
-        labels_b = {result.values[v] for v in (11, 12, 13)}
-        assert labels_a.isdisjoint(labels_b)
-
-    def test_terminates_on_web_graph(self, small_web):
-        result = run_program(
-            small_web, LabelPropagation(max_rounds=8).make_program()
-        )
-        assert result.num_supersteps <= 11
+from repro.graph.digraph import DiGraph
+from repro.graph.generators import chain_graph
 
 
 class TestKCore:

@@ -75,6 +75,3 @@ class TestApproximateSSSP:
         ).values
         for v in small_weighted_web.vertices():
             assert approx[v] >= exact[v] - 1e-12
-
-    def test_default_error_norm_is_l1(self):
-        assert SSSP().default_error_norm() == 1

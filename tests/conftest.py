@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import struct
@@ -33,6 +34,28 @@ def slab_chunks(slab):
     if slab.meta is not None:
         chunks["\x00meta"] = slab.meta
     return chunks
+
+
+def export_form(value):
+    """How ``repro export`` writes one attribute: tuples as arrays, the
+    infinities JSON lacks as ``{"$": ...}`` markers."""
+    if isinstance(value, tuple):
+        return [export_form(v) for v in value]
+    if value == math.inf:
+        return {"$": "inf"}
+    if value == -math.inf:
+        return {"$": "-inf"}
+    return value
+
+
+def expected_facts(store):
+    """The fact lines ``repro export`` writes for ``store``, as parsed
+    JSON: each relation's rows in ``repr`` order, relations by name."""
+    return [
+        {"r": relation, "t": export_form(row)}
+        for relation in sorted(store.relations())
+        for row in sorted(store.rows(relation), key=repr)
+    ]
 
 
 def group_rows(slab, relation, vertex):

@@ -87,25 +87,16 @@ class TestWorkflows:
 
 class TestFacadeExtensions:
     def test_monitor_suite_sssp(self, ariadne):
-        results = ariadne.monitor("sssp")
+        results = {
+            name: ariadne.query_online(text)
+            for name, text in Q.MONITORING_QUERIES["sssp"]
+        }
         assert set(results) == {"query5", "query6"}
         assert results["query5"].query.count("check_failed") == 0
         assert results["query6"].query.count("problem") == 0
 
-    def test_monitor_infers_name(self, wgraph):
-        from repro.analytics.wcc import WCC
-
-        results = Ariadne(wgraph, WCC()).monitor()
-        assert set(results) == {"query5", "query6"}
-
-    def test_monitor_unknown_analytic(self, wgraph):
-        from repro.analytics.bfs import BFS
-
-        with pytest.raises(ReproError, match="monitoring"):
-            Ariadne(wgraph, BFS(source=0)).monitor()
-
     def test_capture_for_backward(self, ariadne, store):
-        custom = ariadne.capture_for_backward()
+        custom = ariadne.capture(Q.CAPTURE_BACKWARD_CUSTOM_QUERY)
         assert set(custom.store.relations()) == {
             "prov_value", "prov_send", "prov_edges",
         }
@@ -116,12 +107,3 @@ class TestFacadeExtensions:
             custom.store, alpha, sigma, custom=True
         )
         assert q12.rows("back_trace") == full.rows("back_trace")
-
-    def test_explain(self, ariadne):
-        text = ariadne.explain(
-            "change(X, I) :- value(X, D1, I), value(X, D2, J), "
-            "evolution(X, J, I), udf_diff(D1, D2, $eps).",
-            params={"eps": 0.1},
-        )
-        assert "direction: local" in text
-        assert "anchored on I" in text

@@ -1,7 +1,6 @@
 """Unit tests for the BSP engine: superstep semantics, halting, messaging."""
 
 import dataclasses
-import pickle
 
 import pytest
 
@@ -262,26 +261,3 @@ class TestDeterminism:
         r2 = run_program(g, Broadcast(rounds=25))
         assert r1.values == r2.values
         assert r1.num_supersteps == r2.num_supersteps
-
-
-class TestVertexProgramErrorPickling:
-    @staticmethod
-    def roundtrip(obj):
-        return pickle.loads(pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-
-    def test_fields_survive(self):
-        err = VertexProgramError("v9", 3, ValueError("boom"))
-        clone = self.roundtrip(err)
-        assert clone.vertex_id == "v9"
-        assert clone.superstep == 3
-        assert isinstance(clone.cause, ValueError)
-        assert str(clone) == str(err)
-
-    def test_unpicklable_cause_degrades(self):
-        cause = ValueError("local state")
-        cause.callback = lambda: None  # closures don't pickle
-        err = VertexProgramError(1, 0, cause)
-        clone = self.roundtrip(err)
-        assert clone.vertex_id == 1
-        assert isinstance(clone.cause, RuntimeError)
-        assert "local state" in str(clone.cause)

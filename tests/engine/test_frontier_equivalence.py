@@ -24,12 +24,9 @@ from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine, run_program
 from repro.engine.vertex import FunctionProgram, VertexProgram
 from repro.graph.digraph import DiGraph
-from repro.graph.generators import (
-    random_graph,
-    web_graph,
-    with_random_weights,
-)
+from repro.graph.generators import web_graph, with_random_weights
 from repro.runtime.online import run_online
+from tests.graphs import random_graph
 
 
 def random_weighted_graph(seed: int) -> DiGraph:

@@ -9,8 +9,9 @@ from repro.analytics.wcc import WCC
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine
 from repro.engine.vertex import FunctionProgram
-from repro.graph.generators import grid_graph, web_graph, with_random_weights
+from repro.graph.generators import web_graph, with_random_weights
 from repro.graph.partition import stable_hash
+from tests.graphs import grid_graph
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from repro.graph.datasets import (
     WEB_DATASET_ORDER,
     WEB_DATASETS,
     env_scale,
-    load_ml20,
     load_web_dataset,
 )
 from repro.graph.stats import average_degree
@@ -46,14 +45,14 @@ class TestGeneration:
             assert 0.0 <= w < 1.0
 
     def test_ml20_shape(self):
-        bg = load_ml20(num_features=5, scale=1.0 / 2000.0)
+        bg = ML_20.generate(num_features=5, scale=1.0 / 2000.0)
         assert bg.num_users >= 32
         assert bg.num_items >= 16
         assert bg.num_ratings >= bg.num_users * 4
 
     def test_ml20_deterministic(self):
-        a = load_ml20(scale=1.0 / 4000.0)
-        b = load_ml20(scale=1.0 / 4000.0)
+        a = ML_20.generate(num_features=5, scale=1.0 / 4000.0)
+        b = ML_20.generate(num_features=5, scale=1.0 / 4000.0)
         assert sorted(a.ratings()) == sorted(b.ratings())
 
 

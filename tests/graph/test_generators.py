@@ -5,10 +5,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.generators import (
     chain_graph,
-    grid_graph,
     movielens_like,
-    random_graph,
-    star_graph,
     web_graph,
     with_random_weights,
 )
@@ -17,6 +14,7 @@ from repro.graph.stats import (
     degree_histogram,
     estimate_average_diameter,
 )
+from tests.graphs import grid_graph, random_graph, star_graph
 
 
 class TestWebGraph:

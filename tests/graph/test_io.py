@@ -3,10 +3,8 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graph.bipartite import BipartiteGraph
-from repro.graph.digraph import DiGraph
-from repro.graph.generators import movielens_like, web_graph, with_random_weights
-from repro.graph.io import read_edge_list, read_ratings, write_edge_list, write_ratings
+from repro.graph.generators import web_graph, with_random_weights
+from repro.graph.io import read_edge_list, write_edge_list
 
 
 class TestEdgeListIO:
@@ -46,25 +44,3 @@ class TestEdgeListIO:
         with pytest.raises(GraphError):
             read_edge_list(path, weighted=True)
 
-
-class TestRatingsIO:
-    def test_roundtrip(self, tmp_path):
-        bg = movielens_like(20, 10, 80, seed=1)
-        path = tmp_path / "r.txt"
-        write_ratings(bg, path)
-        back = read_ratings(path, num_users=20, num_items=10)
-        assert back.num_ratings == bg.num_ratings
-        assert sorted(back.ratings()) == sorted(bg.ratings())
-
-    def test_infer_dimensions(self, tmp_path):
-        path = tmp_path / "r.txt"
-        path.write_text("0 0 3.5\n2 4 1.0\n")
-        bg = read_ratings(path)
-        assert bg.num_users == 3
-        assert bg.num_items == 5
-
-    def test_malformed_raises(self, tmp_path):
-        path = tmp_path / "r.txt"
-        path.write_text("0 1\n")
-        with pytest.raises(GraphError):
-            read_ratings(path)

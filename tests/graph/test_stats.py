@@ -3,7 +3,7 @@
 import math
 
 from repro.graph.digraph import DiGraph, from_edge_list
-from repro.graph.generators import chain_graph, grid_graph, web_graph
+from repro.graph.generators import chain_graph, web_graph
 from repro.graph.stats import (
     average_degree,
     bfs_levels,
@@ -14,6 +14,7 @@ from repro.graph.stats import (
     single_source_shortest_paths,
     weakly_connected_components,
 )
+from tests.graphs import grid_graph
 
 
 class TestBFSAndDiameter:

@@ -6,7 +6,6 @@ from repro.obs.otel import (
     SCOPE_NAME,
     decode_attributes,
     encode_attributes,
-    from_otlp_json,
     to_otlp_json,
     validate_otlp,
 )
@@ -111,13 +110,47 @@ class TestTraceId:
         assert a == b and int(a, 16) != 0
 
 
+def _assert_spans_match(otlp, events):
+    """Every OTLP span carries its source event: name, ids, parent, times
+    and attributes (the original ids and phase ride in ``repro.*``
+    attributes). Spans come first, then instants, each in source order."""
+    spans = [e for e in events if e["type"] == "span"]
+    instants = [e for e in events if e["type"] == "instant"]
+    exported = _spans(otlp)
+    assert len(exported) == len(spans) + len(instants)
+    for event, span in zip(spans, exported):
+        assert span["name"] == event["name"]
+        assert span["spanId"] == format(event["id"], "016x")
+        parent = event.get("parent")
+        attrs = dict(event.get("attrs", {}), **{
+            "repro.phase": event["cat"], "repro.span_id": event["id"]})
+        if parent is None:
+            assert "parentSpanId" not in span
+        else:
+            assert span["parentSpanId"] == format(parent, "016x")
+            attrs["repro.parent_id"] = parent
+        start = int(event["ts"]) * 1000
+        assert span["startTimeUnixNano"] == str(start)
+        assert span["endTimeUnixNano"] == str(start + int(event["dur"]) * 1000)
+        assert decode_attributes(span["attributes"]) == attrs
+    for event, span in zip(instants, exported[len(spans):]):
+        assert span["name"] == event["name"]
+        assert "parentSpanId" not in span
+        ts = str(int(event["ts"]) * 1000)
+        assert span["startTimeUnixNano"] == span["endTimeUnixNano"] == ts
+        assert decode_attributes(span["attributes"]) == dict(
+            event.get("attrs", {}),
+            **{"repro.phase": event["cat"], "repro.instant": True})
+
+
 class TestRoundTrip:
     def test_hand_built_events_round_trip(self):
         events = _events()
-        back = from_otlp_json(to_otlp_json(events))
-        assert back[0]["type"] == "meta"
-        assert back[0]["run_id"] == RUN_ID
-        assert back[1:] == events[1:]
+        otlp = to_otlp_json(events)
+        resource = decode_attributes(
+            otlp["resourceSpans"][0]["resource"]["attributes"])
+        assert resource["repro.run_id"] == RUN_ID
+        _assert_spans_match(otlp, events)
 
     def test_tracer_events_round_trip(self):
         sink = InMemorySink()
@@ -131,12 +164,7 @@ class TestRoundTrip:
         assert validate_events(events) == []
         otlp = to_otlp_json(events)
         assert validate_otlp(otlp) == []
-        back = from_otlp_json(otlp)
-        # same multiset of span/instant events (export groups spans before
-        # instants, so order differs; content must not)
-        key = lambda e: (e["type"], e.get("id", -1), e["name"])
-        assert sorted(back[1:], key=key) == sorted(events[1:], key=key)
-        assert validate_events(back) == []
+        _assert_spans_match(otlp, events)
 
 
 class TestValidate:

@@ -193,7 +193,8 @@ def random_run(graph_seed):
     run on it (SSSP or PageRank, drawn from the same seed)."""
     from repro.analytics.pagerank import PageRank
     from repro.analytics.sssp import SSSP
-    from repro.graph.generators import random_graph, with_random_weights
+    from repro.graph.generators import with_random_weights
+    from tests.graphs import random_graph
 
     rng = random.Random(graph_seed)
     n = rng.randint(4, 9)

@@ -36,6 +36,15 @@ class TestExplain:
         assert "direction: backward" in text
         assert "online" not in text.splitlines()[1]
 
+    def test_local_report_names_its_anchor(self):
+        text = explain(compiled_of(
+            "change(X, I) :- value(X, D1, I), value(X, D2, J), "
+            "evolution(X, J, I), udf_diff(D1, D2, $eps).",
+            eps=0.1,
+        ))
+        assert "direction: local" in text
+        assert "anchored on I" in text
+
     def test_static_rules_shown_as_setup(self):
         text = explain(compiled_of(Q.PAGERANK_CHECK_QUERY))
         assert "static (setup)" in text

@@ -113,7 +113,8 @@ def compute_digests():
                 digests[key] = digest_query_result(result)
     # Query 12 reads the custom store Query 11 captures.
     graph, make = workloads["pagerank"]
-    custom = Ariadne(graph, make()).capture_for_backward().store
+    custom = Ariadne(graph, make()).capture(
+        Q.CAPTURE_BACKWARD_CUSTOM_QUERY).store
     for driver in (run_layered, run_naive, run_reference):
         result = driver(custom, Q.BACKWARD_LINEAGE_CUSTOM_QUERY, graph, LINEAGE)
         key = f"query12/{result.mode}/index=False/serial"

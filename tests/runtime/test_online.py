@@ -16,13 +16,14 @@ from repro.core import queries as Q
 from repro.engine.config import EngineConfig
 from repro.engine.engine import PregelEngine, run_program
 from repro.errors import EngineError, PQLCompatibilityError
-from repro.graph.generators import random_graph, web_graph, with_random_weights
+from repro.graph.generators import web_graph, with_random_weights
 from repro.pql.analysis import compile_query
 from repro.pql.parser import parse
 from repro.pql.udf import FunctionRegistry
 from repro.provenance.model import SchemaRegistry
 from repro.runtime.offline import run_layered, run_reference
 from repro.runtime.online import OnlineQueryProgram, run_online
+from tests.graphs import random_graph
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,8 @@ import pytest
 from repro.cli import main
 from repro.graph.generators import chain_graph, web_graph, with_random_weights
 from repro.graph.io import write_edge_list
+from repro.provenance.spill import SpillManager, open_store_view
+from tests.conftest import expected_facts
 
 
 @pytest.fixture(scope="module")
@@ -213,10 +215,19 @@ class TestExportAndExplainCommands:
         out_file = str(tmp_path / "prov.jsonl")
         assert main(["export", "--store", store_dir, "--out", out_file]) == 0
         assert "exported" in capsys.readouterr().out
-        from repro.provenance.export import import_path
-
-        store = import_path(out_file)
-        assert store.num_rows > 0
+        with open(out_file, encoding="utf-8") as fh:
+            header = json.loads(fh.readline())
+            facts = [json.loads(line) for line in fh]
+        with SpillManager.open(store_dir) as spill:
+            store = open_store_view(spill)
+            assert set(header["schemas"]) == set(store.relations())
+            assert all(
+                header["schemas"][relation]["arity"]
+                == store.registry.get(relation).arity
+                for relation in store.relations()
+            )
+            assert len(facts) == store.num_rows > 0
+            assert facts == expected_facts(store)
 
     def test_explain_named_query(self, capsys):
         assert main([

@@ -238,23 +238,3 @@ class TestExtraAnalyticProperties:
             )
             assert 0 <= cores[v] <= degree
 
-    @given(random_digraph())
-    @SLOW
-    def test_bfs_levels_match_oracle(self, g):
-        from repro.analytics.bfs import BFS
-        from repro.graph.stats import bfs_levels
-
-        result = run_program(g, BFS(source=0).make_program())
-        oracle = bfs_levels(g, 0, undirected=False)
-        for v in g.vertices():
-            assert result.values[v] == oracle.get(v, math.inf)
-
-    @given(random_digraph())
-    @SLOW
-    def test_label_propagation_terminates_with_valid_labels(self, g):
-        from repro.analytics.label_propagation import LabelPropagation
-
-        analytic = LabelPropagation(max_rounds=6)
-        result = run_program(g, analytic.make_program())
-        vertices = set(g.vertices())
-        assert all(label in vertices for label in result.values.values())
