@@ -10,7 +10,6 @@ Subcommands mirror the Ariadne workflows:
 * ``inspect``  — print a vertex's provenance history from a sealed store;
 * ``stats``    — summarize, validate or OTLP-export a JSONL trace;
 * ``audit``    — list/show/verify/diff run-ledger records;
-* ``compare``  — metric/wall-time deltas between two ledger records;
 * ``datasets`` — list the Table 2 dataset registry.
 
 Every workload command accepts ``--trace OUT`` to stream a JSONL span
@@ -78,10 +77,6 @@ from repro.runtime.offline import run_layered_from_spill, run_naive_from_spill
 
 logger = get_logger("cli")
 
-# The canonical table lives next to the query texts; re-exported here for
-# backwards compatibility with callers that imported it from the CLI.
-NAMED_QUERIES: Dict[str, str] = Q.NAMED_QUERIES
-
 
 def _parse_param(text: str) -> Any:
     try:
@@ -131,8 +126,8 @@ def _query_text(args: argparse.Namespace) -> str:
         with open(args.query_file, "r", encoding="utf-8") as fh:
             return fh.read()
     name = getattr(args, "query", None)
-    if name in NAMED_QUERIES:
-        return NAMED_QUERIES[name]
+    if name in Q.NAMED_QUERIES:
+        return Q.NAMED_QUERIES[name]
     if name:
         return name  # assume inline PQL source
     raise ReproError("provide --query NAME or --query-file FILE")
@@ -257,7 +252,7 @@ def _append_run_record(
 
 
 def _open_ledger(args: argparse.Namespace) -> obsledger.RunLedger:
-    """The ledger an audit/compare command reads: ``--ledger``, then
+    """The ledger an audit command reads: ``--ledger``, then
     ``$REPRO_LEDGER``, then the ``--store`` directory."""
     directory = _ledger_dir(args, getattr(args, "store", None))
     if not directory:
@@ -404,24 +399,31 @@ def cmd_capture(args: argparse.Namespace) -> int:
     return 0
 
 
+def _compile_for_explain(text: str, args: argparse.Namespace) -> Any:
+    """``text`` parsed, bound to ``--param``s and compiled against the
+    CLI's UDFs (``udf_diff``), for an EXPLAIN report."""
+    from repro.pql.analysis import compile_query
+    from repro.pql.parser import parse
+    from repro.pql.udf import FunctionRegistry
+
+    program = parse(text)
+    params = _params(args.param)
+    if params:
+        program = program.bind(**params)
+    funcs = FunctionRegistry({"udf_diff": lambda a, b, e: abs(a - b) < e})
+    return compile_query(program, functions=funcs)
+
+
 def _print_stratum_timings(args: argparse.Namespace,
                            timings: Dict[int, float],
                            run_stats: Optional[Dict[str, Any]] = None,
                            ) -> None:
     """With ``-v``, close the query output with the compilation report
     annotated with the observed per-stratum costs (EXPLAIN + timings)."""
-    try:
-        from repro.pql.analysis import compile_query
-        from repro.pql.explain import explain
-        from repro.pql.parser import parse
-        from repro.pql.udf import FunctionRegistry
+    from repro.pql.explain import explain
 
-        program = parse(_query_text(args))
-        params = _params(args.param)
-        if params:
-            program = program.bind(**params)
-        funcs = FunctionRegistry({"udf_diff": lambda a, b, e: abs(a - b) < e})
-        compiled = compile_query(program, functions=funcs)
+    try:
+        compiled = _compile_for_explain(_query_text(args), args)
         print(explain(compiled, timings=timings, run_stats=run_stats))
     except ReproError:
         # compilation may need UDFs the CLI doesn't know; still show costs
@@ -497,8 +499,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import ReproServer
     from repro.serve.catalog import RunCatalog
 
-    catalog = RunCatalog(data_dir=args.data_dir,
-                         verify=not args.no_verify)
+    catalog = RunCatalog(data_dir=args.data_dir)
     for directory in args.store or []:
         entry, _created = catalog.register_path(directory)
         logger.info("serve: registered %s as %s", directory, entry.run_id)
@@ -509,7 +510,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         default_timeout=args.timeout,
         default_max_rows=args.max_rows,
         default_max_depth=args.max_depth,
-        eval_workers=args.eval_workers,
         record_queries=not args.no_query_ledger,
     )
 
@@ -601,19 +601,11 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from repro.pql.analysis import compile_query
     from repro.pql.explain import explain
-    from repro.pql.parser import parse
-    from repro.pql.udf import FunctionRegistry
 
     text = _query_text(args)
     logger.info("explain: compiling %d-char query", len(text))
-    program = parse(text)
-    params = _params(args.param)
-    if params:
-        program = program.bind(**params)
-    funcs = FunctionRegistry({"udf_diff": lambda a, b, e: abs(a - b) < e})
-    compiled = compile_query(program, functions=funcs)
+    compiled = _compile_for_explain(text, args)
     logger.debug("explain: %d rules in %d strata",
                  len(compiled.rules), len(compiled.strata))
     print(explain(compiled, verbose=args.verbose))
@@ -665,7 +657,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# audit + compare
+# audit
 # ---------------------------------------------------------------------------
 def cmd_audit_list(args: argparse.Namespace) -> int:
     ledger = _open_ledger(args)
@@ -772,16 +764,6 @@ def cmd_audit_diff(args: argparse.Namespace) -> int:
         print(f"{a['run_id']} and {b['run_id']} are identical "
               "(modulo timing and identity fields)")
     return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    ledger = _open_ledger(args)
-    comparison = obsledger.compare_records(
-        ledger.resolve(args.run_a), ledger.resolve(args.run_b),
-        threshold=args.threshold,
-    )
-    print(obsledger.render_comparison(comparison))
-    return 1 if comparison["regressed"] else 0
 
 
 def cmd_datasets(_args: argparse.Namespace) -> int:
@@ -918,10 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default per-query result-row budget")
     p.add_argument("--max-depth", type=int,
                    help="default per-query provenance-layer budget")
-    p.add_argument("--eval-workers", type=int, default=4,
-                   help="evaluation thread-pool size (default 4)")
-    p.add_argument("--no-verify", action="store_true",
-                   help="skip slab-digest verification at admission")
     p.add_argument("--no-query-ledger", action="store_true",
                    help="do not append serve-query records to store ledgers")
     p.add_argument("--ready-file", metavar="PATH",
@@ -1006,19 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("run_b")
     pa.set_defaults(fn=cmd_audit_diff)
 
-    p = sub.add_parser(
-        "compare",
-        help="metric/wall-time deltas between two ledger records",
-        parents=[obs],
-    )
-    _add_ledger_ref_args(p)
-    p.add_argument("run_a", help="reference run (id, prefix, or latest[:cmd])")
-    p.add_argument("run_b", help="candidate run")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="wall-time regression threshold as a fraction "
-                        "(default: 0.10); exceeding it exits 1")
-    p.set_defaults(fn=cmd_compare)
-
     p = sub.add_parser("datasets", help="list the Table 2 registry",
                        parents=[obs])
     p.set_defaults(fn=cmd_datasets)
@@ -1027,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_ledger_ref_args(parser: argparse.ArgumentParser) -> None:
-    """Where an audit/compare command finds its ledger."""
+    """Where an audit command finds its ledger."""
     parser.add_argument("--ledger", metavar="DIR",
                         help="ledger directory (default: $REPRO_LEDGER, "
                              "then --store)")

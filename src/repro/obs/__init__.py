@@ -12,7 +12,7 @@ Three cooperating pieces:
 * :mod:`repro.obs.stats` — per-phase aggregation behind ``repro stats``;
 * :mod:`repro.obs.log` — the ``repro`` stdlib-logging hierarchy;
 * :mod:`repro.obs.ledger` — append-only run ledger + audit verification
-  behind ``repro audit`` / ``repro compare``;
+  behind ``repro audit``;
 * :mod:`repro.obs.otel` — OTLP-JSON span export of a JSONL trace
   (``repro stats TRACE --format otel``).
 
@@ -28,11 +28,9 @@ Typical use::
 
 from repro.obs.ledger import (
     RunLedger,
-    compare_records,
     environment_fingerprint,
     make_record,
     new_run_id,
-    render_comparison,
     verify_record,
     verify_store,
 )
@@ -71,19 +69,15 @@ from repro.obs.trace import (
     Span,
     Tracer,
     get_tracer,
-    set_thread_tracer,
     set_tracer,
-    thread_tracing,
     tracing,
 )
 
 __all__ = [
     "RunLedger",
-    "compare_records",
     "environment_fingerprint",
     "make_record",
     "new_run_id",
-    "render_comparison",
     "verify_record",
     "verify_store",
     "to_otlp_json",
@@ -118,8 +112,6 @@ __all__ = [
     "Span",
     "Tracer",
     "get_tracer",
-    "set_thread_tracer",
     "set_tracer",
-    "thread_tracing",
     "tracing",
 ]

@@ -27,8 +27,8 @@ callers that write records own where they go. A record describes
 Records are one JSON object per line, written atomically (single
 ``write`` + flush) so concurrent readers never see a torn record, and
 never rewritten — drift is detected by recomputing digests, not by
-editing history. ``repro audit list|show|verify|diff`` and
-``repro compare`` are the read side.
+editing history. ``repro audit list|show|verify|diff`` is the read
+side.
 """
 
 from __future__ import annotations
@@ -497,88 +497,3 @@ def verify_record(record: Dict[str, Any], ledger: RunLedger,
     if trace and trace.get("path") and not os.path.exists(trace["path"]):
         problems.append(f"trace file {trace['path']} is missing")
     return problems
-
-
-# ---------------------------------------------------------------------------
-# comparison
-# ---------------------------------------------------------------------------
-#: Metric keys compared (and reported) by :func:`compare_records`.
-COMPARE_METRICS = (
-    "supersteps", "vertex_executions", "messages", "messages_combined",
-    "cross_worker_messages",
-)
-
-
-def compare_records(a: Dict[str, Any], b: Dict[str, Any],
-                    threshold: float = 0.10) -> Dict[str, Any]:
-    """Metric/wall-time deltas between two runs (``b`` relative to ``a``).
-
-    ``regressed`` is True when b's wall time exceeds a's by more than
-    ``threshold`` (a fraction) — the bit the CI perf check gates on.
-    Work-counter mismatches are reported but do not regress by
-    themselves (different configs legitimately do different work).
-    """
-    def wall(record: Dict[str, Any]) -> Optional[float]:
-        value = record.get("wall_seconds")
-        if value is None:
-            value = (record.get("metrics") or {}).get("wall_seconds")
-        return value
-
-    wall_a, wall_b = wall(a), wall(b)
-    wall_delta = None
-    if wall_a and wall_b is not None:
-        wall_delta = (wall_b - wall_a) / wall_a
-    metrics: Dict[str, Dict[str, Any]] = {}
-    ma, mb = a.get("metrics") or {}, b.get("metrics") or {}
-    for key in COMPARE_METRICS:
-        va, vb = ma.get(key), mb.get(key)
-        if va is None and vb is None:
-            continue
-        entry: Dict[str, Any] = {"a": va, "b": vb}
-        if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
-            entry["delta"] = vb - va
-            if va:
-                entry["ratio"] = vb / va
-        metrics[key] = entry
-    digests_match = None
-    da = (a.get("results") or {}).get("values_sha256")
-    db = (b.get("results") or {}).get("values_sha256")
-    if da is not None and db is not None:
-        digests_match = da == db
-    return {
-        "a": a.get("run_id"),
-        "b": b.get("run_id"),
-        "wall_seconds": {"a": wall_a, "b": wall_b, "delta_fraction": wall_delta},
-        "metrics": metrics,
-        "values_digests_match": digests_match,
-        "threshold": threshold,
-        "regressed": bool(wall_delta is not None and wall_delta > threshold),
-    }
-
-
-def render_comparison(comparison: Dict[str, Any]) -> str:
-    """Aligned text report for ``repro compare``."""
-    lines: List[str] = [
-        f"compare {comparison['a']} (a) vs {comparison['b']} (b)",
-    ]
-    wall = comparison["wall_seconds"]
-    if wall["a"] is not None and wall["b"] is not None:
-        delta = wall["delta_fraction"]
-        lines.append(
-            f"  wall_seconds: {wall['a']:.4f} -> {wall['b']:.4f} "
-            f"({delta:+.1%} vs {comparison['threshold']:.0%} threshold)"
-        )
-    for key, entry in sorted(comparison["metrics"].items()):
-        extra = ""
-        if "ratio" in entry:
-            extra = f" ({entry['ratio']:.2f}x)"
-        lines.append(f"  {key}: {entry['a']} -> {entry['b']}{extra}")
-    match = comparison["values_digests_match"]
-    if match is not None:
-        lines.append(
-            "  values digests: " + ("identical" if match else "DIFFER")
-        )
-    lines.append(
-        "verdict: " + ("REGRESSED" if comparison["regressed"] else "ok")
-    )
-    return "\n".join(lines)

@@ -1,10 +1,12 @@
 """Trace sinks and the JSONL event schema.
 
 A sink receives finished span/instant events as plain dicts from a
-:class:`~repro.obs.trace.Tracer`. Two shapes are supported:
+:class:`~repro.obs.trace.Tracer`, one at a time: the tracer calls
+``emit``, ``flush`` and ``close`` under its lock, whichever thread
+traced, so a sink needs no locking of its own. Two shapes are supported:
 
-* :class:`InMemorySink` — collects events in a list (tests, the server's
-  per-request spans);
+* :class:`InMemorySink` — collects events in a list (tests, and a
+  ``Tracer`` built without a sink);
 * :class:`JsonlSink` — appends one JSON object per line, preceded by a
   ``meta`` header line carrying the schema version and clock info. JSONL
   is the one trace format; ``repro stats TRACE --format otel`` derives

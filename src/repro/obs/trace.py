@@ -12,6 +12,9 @@ The span model mirrors the BSP execution it instruments::
                                      each barrier's halt check and run end)
     spill: store-open, slab-decode  (offline reads: a read session's footer
                                      reads, a segment's first decode)
+    serve: serve-eval run=<run id>  (one served evaluation, on its worker
+    └── query-eval                   thread, and that evaluation's layers)
+    serve: serve-request            (one HTTP request, on the event loop)
 
 Phase names are fixed (:data:`PHASES`) so traces from different runs
 aggregate cleanly; free-form context travels in span attributes.
@@ -25,12 +28,22 @@ instrumentation entirely (the engine checks it once per superstep, never
 per vertex), and whose ``span()`` returns a shared no-op span so even
 un-gated call sites allocate nothing.
 
+Any thread may trace into the process-wide tracer. Each thread keeps its
+own stack of open spans, so a span's default parent is the innermost span
+open *on its own thread*; span ids come from one counter, and each
+finished event is mirrored into the metrics and written to the sink under
+one lock. The query server's evaluation threads trace this way: each
+served evaluation is a ``serve`` span on its worker thread, with that
+evaluation's ``query-eval`` spans nested under it.
+
 Timestamps come from ``time.perf_counter_ns`` — monotonic, unaffected by
 wall-clock adjustments — and are recorded in microseconds.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
 import time
 from typing import Any, Dict, List, Optional
 
@@ -138,11 +151,6 @@ class NullTracer:
               **attrs: Any) -> None:
         pass
 
-    def ingest(self, events: List[Dict[str, Any]],
-               parent_id: Optional[int] = None,
-               **extra_attrs: Any) -> None:
-        pass
-
     def flush(self) -> None:
         pass
 
@@ -157,11 +165,16 @@ class Tracer:
     """Emits finished spans and instants to a sink; optionally mirrors
     span durations into a :class:`~repro.obs.metrics.MetricsRegistry`.
 
-    Open spans form a stack: a new span's parent defaults to the top of
-    the stack, so nested ``with tracer.span(...)`` blocks — and manual
-    ``begin``/``end`` pairs that close in LIFO order, as the engine's
-    superstep loop does — yield the run → superstep → phase hierarchy
-    without explicit parent plumbing.
+    Open spans form one stack per thread: a new span's parent defaults to
+    the top of the calling thread's stack, so nested ``with
+    tracer.span(...)`` blocks — and manual ``begin``/``end`` pairs that
+    close in LIFO order, as the engine's superstep loop does — yield the
+    run → superstep → phase hierarchy without explicit parent plumbing,
+    and spans opened on other threads never become a parent by accident.
+    Span ids come from one counter shared by every thread; the metric
+    observation and sink write of each finished event happen under one
+    lock, so any thread traces straight into this tracer. After
+    :meth:`close`, emitted events are dropped.
     """
 
     enabled = True
@@ -170,8 +183,10 @@ class Tracer:
                  registry: Optional[Any] = None) -> None:
         self.sink = sink if sink is not None else InMemorySink()
         self.registry = registry
-        self._next_id = 1
-        self._stack: List[Span] = []
+        self._ids = itertools.count(1)
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._closed = False
         self._span_seconds = None
         self._span_total = None
         if registry is not None:
@@ -186,29 +201,37 @@ class Tracer:
                 labels=("phase",),
             )
 
+    def _stack(self) -> List[Span]:
+        """The calling thread's open spans, innermost last."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
+
     # ------------------------------------------------------------------
     def span(self, name: str, category: Optional[str] = None,
              parent: Optional[Span] = None, **attrs: Any) -> Span:
         """Start a span (the clock is already running on return)."""
-        span_id = self._next_id
-        self._next_id += 1
-        if parent is None and self._stack:
-            parent_id: Optional[int] = self._stack[-1].span_id
+        stack = self._stack()
+        if parent is not None:
+            parent_id: Optional[int] = parent.span_id
         else:
-            parent_id = parent.span_id if parent is not None else None
-        span = Span(self, name, category or name, span_id, parent_id,
-                    time.perf_counter_ns(), attrs)
-        self._stack.append(span)
+            parent_id = stack[-1].span_id if stack else None
+        span = Span(self, name, category or name, next(self._ids),
+                    parent_id, time.perf_counter_ns(), attrs)
+        stack.append(span)
         return span
 
     def _finish(self, span: Span) -> None:
         if span.end_ns is not None:
             return  # idempotent: double end is a no-op
         span.end_ns = time.perf_counter_ns()
-        # pop the span (and anything left open above it, defensively)
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
+        # pop the span (and anything this thread left open above it)
+        stack = self._stack()
+        for depth in range(len(stack) - 1, -1, -1):
+            if stack[depth] is span:
+                del stack[depth:]
                 break
         self._emit_span(span)
 
@@ -217,14 +240,13 @@ class Tracer:
         """Emit a synthetic span for an externally-accumulated duration.
 
         Used for durations measured outside the tracer (a served
-        request, whose evaluation runs on a worker thread) — the span
+        request, timed on the event loop across its awaits) — the span
         ends "now" and is backdated by its duration.
         """
-        span_id = self._next_id
-        self._next_id += 1
-        parent_id = self._stack[-1].span_id if self._stack else None
+        stack = self._stack()
+        parent_id = stack[-1].span_id if stack else None
         end_ns = time.perf_counter_ns()
-        span = Span(self, name, category, span_id, parent_id,
+        span = Span(self, name, category, next(self._ids), parent_id,
                     end_ns - int(duration_seconds * 1e9), attrs)
         span.end_ns = end_ns
         self._emit_span(span)
@@ -232,20 +254,19 @@ class Tracer:
     def event(self, name: str, category: Optional[str] = None,
               **attrs: Any) -> None:
         """Emit an instant event (a point in time, no duration)."""
-        self.sink.emit({
+        event = {
             "type": "instant",
             "name": name,
             "cat": category or name,
             "ts": time.perf_counter_ns() // 1000,
             "attrs": attrs,
-        })
+        }
+        with self._lock:
+            if not self._closed:
+                self.sink.emit(event)
 
     def _emit_span(self, span: Span) -> None:
-        duration = span.duration_seconds
-        if self._span_seconds is not None:
-            self._span_seconds.labels(span.category).observe(duration)
-            self._span_total.labels(span.category).inc()
-        self.sink.emit({
+        event = {
             "type": "span",
             "name": span.name,
             "cat": span.category,
@@ -254,76 +275,38 @@ class Tracer:
             "ts": span.start_ns // 1000,
             "dur": (span.end_ns - span.start_ns) // 1000,
             "attrs": span.attrs,
-        })
-
-    def ingest(self, events: List[Dict[str, Any]],
-               parent_id: Optional[int] = None,
-               **extra_attrs: Any) -> None:
-        """Merge events recorded by another tracer into this trace.
-
-        The query server evaluates on executor threads, each under a
-        private tracer over an in-memory sink (:class:`thread_tracing`),
-        and grafts the drained events into the main trace with this. Span
-        ids are remapped to fresh ids from this tracer's sequence (private
-        tracers all start at 1, and the validator rejects duplicates);
-        parent links are rewritten consistently, and spans that were roots
-        in the private trace are reparented under ``parent_id``.
-        ``extra_attrs`` (the server's ``run=<run id>``) are stamped onto
-        every ingested event.
-        """
-        id_map: Dict[int, int] = {}
-        for event in events:
-            old_id = event.get("id")
-            if old_id is not None:
-                id_map[old_id] = self._next_id
-                self._next_id += 1
-        for event in events:
-            event = dict(event)
-            if extra_attrs:
-                attrs = dict(event.get("attrs") or {})
-                attrs.update(extra_attrs)
-                event["attrs"] = attrs
-            old_id = event.get("id")
-            if old_id is not None:
-                event["id"] = id_map[old_id]
-            old_parent = event.get("parent")
-            if old_parent is not None and old_parent in id_map:
-                event["parent"] = id_map[old_parent]
-            elif "parent" in event or event.get("type") == "span":
-                event["parent"] = parent_id
-            if event.get("type") == "span" and self._span_seconds is not None:
-                self._span_seconds.labels(event["cat"]).observe(
-                    event.get("dur", 0) / 1e6
-                )
-                self._span_total.labels(event["cat"]).inc()
+        }
+        with self._lock:
+            if self._closed:
+                return
+            if self._span_seconds is not None:
+                self._span_seconds.labels(span.category).observe(
+                    span.duration_seconds)
+                self._span_total.labels(span.category).inc()
             self.sink.emit(event)
 
     def flush(self) -> None:
-        self.sink.flush()
+        with self._lock:
+            if not self._closed:
+                self.sink.flush()
 
     def close(self) -> None:
-        while self._stack:  # end anything left open, outermost last
-            self._stack[-1].end()
-        self.sink.close()
+        """End the calling thread's open spans, outermost last, then close
+        the sink; later events from any thread are dropped."""
+        stack = self._stack()
+        while stack:
+            stack[-1].end()
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                self.sink.close()
 
 
 _ACTIVE: Any = NULL_TRACER
 
-# Per-thread override. A Tracer's span stack is single-threaded by design,
-# so code that evaluates on worker threads while a process-wide tracer is
-# installed (the query server's executor offload) scopes a private tracer
-# to its thread and ingests the drained events into the main trace
-# afterwards (:meth:`Tracer.ingest`).
-_THREAD_ACTIVE = __import__("threading").local()
-
 
 def get_tracer() -> Any:
-    """The active tracer: this thread's override if one is installed
-    (see :class:`thread_tracing`), else the process-wide tracer
-    (:data:`NULL_TRACER` by default)."""
-    override = getattr(_THREAD_ACTIVE, "tracer", None)
-    if override is not None:
-        return override
+    """The process-wide tracer (:data:`NULL_TRACER` by default)."""
     return _ACTIVE
 
 
@@ -332,16 +315,6 @@ def set_tracer(tracer: Any) -> Any:
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-def set_thread_tracer(tracer: Any) -> Any:
-    """Install ``tracer`` for the *calling thread only*; returns the
-    thread's previous override (``None`` when there was none). Pass
-    ``None`` to remove the override and fall back to the process-wide
-    tracer."""
-    previous = getattr(_THREAD_ACTIVE, "tracer", None)
-    _THREAD_ACTIVE.tracer = tracer
     return previous
 
 
@@ -362,24 +335,3 @@ class tracing:
 
     def __exit__(self, *exc: Any) -> None:
         set_tracer(self._previous)
-
-
-class thread_tracing:
-    """Context manager installing a tracer for the calling thread only.
-
-    Used where evaluation runs on a worker thread while another thread
-    owns the process-wide tracer: each worker traces into its own sink,
-    then the owner ingests the drained events (``Tracer.ingest``) so span
-    ids stay unique and the shared span stack is never touched from two
-    threads."""
-
-    def __init__(self, tracer: Any) -> None:
-        self.tracer = tracer
-        self._previous: Any = None
-
-    def __enter__(self) -> Any:
-        self._previous = set_thread_tracer(self.tracer)
-        return self.tracer
-
-    def __exit__(self, *exc: Any) -> None:
-        set_thread_tracer(self._previous)

@@ -5,13 +5,13 @@ the query server both depend on:
 
 * **Row order.** Result rows of a relation are totally ordered by
   :func:`row_sort_key` (the row's ``repr``). Every surface that exposes
-  rows — ``QueryResult.rows``, ``repro query`` output, HTTP responses,
-  pagination cursors, the ledger's result digest — reads one
+  rows — ``QueryResult.rows``, ``repro query`` output, HTTP responses
+  and their pages, the ledger's result digest — reads one
   :func:`canonical_order` of the relation, which a ``QueryResult``
   builds once (``QueryResult.canonical``), so layered and naive modes,
   CLI and server all agree on the exact sequence. Pagination cursors are
-  plain offsets into that sequence, which is what makes them
-  deterministic across requests.
+  plain offsets into that sequence, stamped with the ledger's digest of
+  the result, which is what makes them deterministic across requests.
 
 * **JSON shape.** :func:`result_to_dict` maps a ``QueryResult`` to a
   JSON-safe dict containing only deterministic evaluation outputs (no
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import base64
 import binascii
-import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs.ledger import digest_query_result
 
 
 def row_sort_key(row: Any) -> str:
@@ -111,33 +112,6 @@ def result_to_dict(result: Any) -> Dict[str, Any]:
     }
 
 
-def result_digest(result: Any) -> str:
-    """Short content digest of a result's deterministic view (the
-    pagination cursor's consistency token)."""
-    return _doc_digest(result_to_dict(result))
-
-
-def _doc_digest(doc: Dict[str, Any]) -> str:
-    # Non-finite floats are legal row values (SSSP holds inf for unreached
-    # vertices) and only hashed here, never parsed back; finite-only
-    # results encode to the same bytes either way.
-    payload = canonical_json(doc, allow_nan=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def flatten_result(result: Any) -> List[Tuple[str, List[Any]]]:
-    """The canonical flat sequence a pagination cursor indexes into:
-    ``(relation, row)`` pairs, relations in sorted order, rows in
-    canonical order within each relation."""
-    return _flat_rows(result_to_dict(result))
-
-
-def _flat_rows(doc: Dict[str, Any]) -> List[Tuple[str, List[Any]]]:
-    return [(relation, row)
-            for relation, body in doc["relations"].items()
-            for row in body["rows"]]
-
-
 def canonical_json(obj: Any, allow_nan: bool = False) -> str:
     """The one JSON encoding both CLI and server emit: sorted keys,
     minimal separators, no NaN/Infinity leniency unless asked for."""
@@ -148,24 +122,35 @@ def canonical_json(obj: Any, allow_nan: bool = False) -> str:
 # ----------------------------------------------------------------------
 # Pagination cursors: opaque base64url-encoded JSON carrying the offset
 # into the flattened row sequence plus the result digest the offset was
-# computed against. Replaying a cursor against a store whose re-evaluated
-# result no longer matches the digest is a structured error, never a
-# silently-shifted page.
+# computed against (:func:`repro.obs.ledger.digest_query_result`, the
+# digest a served query's ledger record carries). Replaying a cursor
+# against a store whose re-evaluated result no longer matches the digest
+# is a structured error, never a silently-shifted page.
+
+CURSOR_VERSION = 2
+
 
 def encode_cursor(offset: int, digest: str) -> str:
-    payload = canonical_json({"v": 1, "offset": offset, "digest": digest})
+    payload = canonical_json(
+        {"v": CURSOR_VERSION, "offset": offset, "digest": digest})
     return base64.urlsafe_b64encode(payload.encode("utf-8")).decode("ascii")
 
 
 def decode_cursor(cursor: str) -> Tuple[int, str]:
-    """Returns ``(offset, digest)``; raises ``ValueError`` on garbage."""
+    """Returns ``(offset, digest)``; raises ``ValueError`` on garbage and
+    on a cursor of another version."""
     try:
         payload = base64.urlsafe_b64decode(cursor.encode("ascii"))
         doc = json.loads(payload.decode("utf-8"))
     except (ValueError, binascii.Error, UnicodeDecodeError) as exc:
         raise ValueError(f"malformed cursor: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("v") != 1:
-        raise ValueError("malformed cursor: unknown version")
+    if not isinstance(doc, dict):
+        raise ValueError("malformed cursor: not an object")
+    if doc.get("v") != CURSOR_VERSION:
+        raise ValueError(
+            f"unsupported cursor version {doc.get('v')!r}: this server "
+            f"issues version {CURSOR_VERSION} cursors; restart the walk "
+            "without a cursor")
     offset = doc.get("offset")
     digest = doc.get("digest")
     if not isinstance(offset, int) or offset < 0 or not isinstance(digest, str):
@@ -173,19 +158,24 @@ def decode_cursor(cursor: str) -> Tuple[int, str]:
     return offset, digest
 
 
-def paginate(result: Any, limit: int,
-             cursor: Optional[str] = None) -> Dict[str, Any]:
-    """One stable page over a result's flattened rows.
+def paginate(result: Any, limit: int, cursor: Optional[str] = None,
+             digest: Optional[str] = None) -> Dict[str, Any]:
+    """One stable page over a result's flattened rows: ``(relation,
+    row)`` pairs, relations in sorted order, rows in canonical order
+    within each relation — :func:`result_to_dict`'s rows, laid end to end.
 
     Returns ``{"rows": [[relation, row], ...], "offset", "limit",
     "total_rows", "next_cursor"}`` where ``next_cursor`` is ``None`` on
-    the last page. Raises ``ValueError`` for malformed/stale cursors or a
-    non-positive limit.
+    the last page. The page's rows are sliced from each relation's
+    canonical view and only they are made JSON-safe. ``digest`` is the
+    result's :func:`~repro.obs.ledger.digest_query_result` when the
+    caller has it already. Raises ``ValueError`` for malformed/stale
+    cursors or a non-positive limit.
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
-    doc = result_to_dict(result)  # the digest and the rows read one dict
-    digest = _doc_digest(doc)
+    if digest is None:
+        digest = digest_query_result(result)
     offset = 0
     if cursor is not None:
         offset, expected = decode_cursor(cursor)
@@ -193,14 +183,23 @@ def paginate(result: Any, limit: int,
             raise ValueError(
                 "stale cursor: the result set changed since this cursor "
                 "was issued")
-    flat = _flat_rows(doc)
-    page = flat[offset:offset + limit]
-    next_offset = offset + len(page)
+    rows: List[List[Any]] = []
+    total = 0  # rows of the relations before this one
+    for relation in result.relations():
+        columns, _keys = result.canonical(relation)
+        count = len(columns[0]) if columns else 0
+        lo = max(offset - total, 0)
+        hi = min(offset + limit - total, count)
+        if lo < hi:
+            rows.extend([relation, jsonable_row(row)]
+                        for row in zip(*[column[lo:hi] for column in columns]))
+        total += count
+    next_offset = offset + len(rows)
     return {
-        "rows": [[relation, row] for relation, row in page],
+        "rows": rows,
         "offset": offset,
         "limit": limit,
-        "total_rows": len(flat),
+        "total_rows": total,
         "next_cursor": (encode_cursor(next_offset, digest)
-                        if next_offset < len(flat) else None),
+                        if next_offset < total else None),
     }

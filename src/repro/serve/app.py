@@ -12,13 +12,16 @@ Request lifecycle for a query::
                      on expiry (or client disconnect) the budget is
                      cancelled and the worker unwinds cooperatively —
                      no executor thread is left running
-                 ──► serialize (full result or stable page), append the
-                     serve-query ledger record, meter + trace the request
+                 ──► digest the result once (the page cursor's token and
+                     the serve-query ledger record's ``query_sha256``),
+                     serialize (full result or stable page), append the
+                     ledger record, meter + trace the request
 
-Evaluation threads never touch the process-wide tracer (its span stack
-is single-threaded): when tracing is on, each request evaluates under a
-thread-local tracer and the events are grafted into the main trace with
-``Tracer.ingest`` afterwards.
+Evaluation threads trace straight into the process-wide tracer, whose
+span stacks are per thread: each evaluation is one ``serve-eval`` span
+(category ``serve``, ``run=<run id>``) on its worker thread, and the
+evaluation's ``query-eval`` spans are its children. The event loop
+records each request as a ``serve-request`` span when it answers.
 """
 
 from __future__ import annotations
@@ -35,14 +38,12 @@ from repro.errors import BudgetExceededError, ReproError
 from repro.obs import ledger as obsledger
 from repro.obs.log import get_logger
 from repro.obs.metrics import SECONDS_BUCKETS, get_registry
-from repro.obs.sinks import InMemorySink
-from repro.obs.trace import PHASE_SERVE, Tracer, get_tracer, thread_tracing
+from repro.obs.trace import PHASE_SERVE, get_tracer
 from repro.pql.budget import QueryBudget
 from repro.pql import serialize
 from repro.runtime.offline import run_layered, run_naive
 from repro.serve.catalog import AdmissionError, CatalogEntry, RunCatalog
 from repro.serve.http import (
-    DEFAULT_MAX_BODY,
     HttpError,
     Request,
     json_response,
@@ -56,9 +57,11 @@ logger = get_logger("serve.app")
 
 DEFAULT_PAGE_LIMIT = 1000
 DEFAULT_TIMEOUT_SECONDS = 30.0
-#: How long aclose/_reap waits for a cancelled evaluation to unwind
-#: before declaring the worker leaked.
-DEFAULT_CANCEL_GRACE = 5.0
+#: Evaluation thread-pool size.
+EVAL_WORKERS = 4
+#: How long _reap waits for a cancelled evaluation to unwind before
+#: declaring the worker leaked.
+CANCEL_GRACE_SECONDS = 5.0
 
 MODES = ("layered", "naive")
 
@@ -75,10 +78,7 @@ class ReproServer:
                  default_timeout: Optional[float] = DEFAULT_TIMEOUT_SECONDS,
                  default_max_rows: Optional[int] = None,
                  default_max_depth: Optional[int] = None,
-                 max_body: int = DEFAULT_MAX_BODY,
-                 eval_workers: int = 4,
                  record_queries: bool = True,
-                 cancel_grace: float = DEFAULT_CANCEL_GRACE,
                  registry: Optional[Any] = None) -> None:
         self.catalog = catalog if catalog is not None else RunCatalog()
         self.host = host
@@ -86,13 +86,11 @@ class ReproServer:
         self.default_timeout = default_timeout
         self.default_max_rows = default_max_rows
         self.default_max_depth = default_max_depth
-        self.max_body = max_body
         self.record_queries = record_queries
-        self.cancel_grace = cancel_grace
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_tasks: set = set()
         self._executor = ThreadPoolExecutor(
-            max_workers=eval_workers, thread_name_prefix="repro-serve-eval")
+            max_workers=EVAL_WORKERS, thread_name_prefix="repro-serve-eval")
         self._evals_lock = Lock()
         self._evals_running = 0
         registry = registry if registry is not None else get_registry()
@@ -166,7 +164,7 @@ class ReproServer:
         try:
             while True:
                 try:
-                    request = await read_request(reader, self.max_body)
+                    request = await read_request(reader)
                 except HttpError as exc:
                     writer.write(json_response(exc.status, exc.body(),
                                                keep_alive=False))
@@ -370,7 +368,7 @@ class ReproServer:
             raise HttpError(404, "unknown_run",
                             f"run {run_id!r} is not in the catalog",
                             runs=[e.run_id for e in self.catalog.entries()])
-        entry.ensure_fresh(verify=self.catalog.verify)
+        entry.ensure_fresh()
         return entry
 
     def _make_budget(self, spec: Dict[str, Any]) -> QueryBudget:
@@ -401,8 +399,8 @@ class ReproServer:
         the budget's own deadline inside the evaluator, and externally by
         ``asyncio.wait_for`` here — whichever fires first. On expiry or
         caller cancellation the budget is revoked and the worker is
-        awaited (bounded by ``cancel_grace``) so no evaluation outlives
-        its request unobserved.
+        awaited (bounded by :data:`CANCEL_GRACE_SECONDS`) so no
+        evaluation outlives its request unobserved.
         """
         loop = asyncio.get_running_loop()
         budget.start()
@@ -440,13 +438,14 @@ class ReproServer:
         """Wait (bounded) for a cancelled evaluation to unwind; count a
         leak if the worker ignores the revoked budget."""
         try:
-            await asyncio.wait_for(asyncio.shield(future), self.cancel_grace)
+            await asyncio.wait_for(asyncio.shield(future),
+                                   CANCEL_GRACE_SECONDS)
         except BudgetExceededError:
             pass  # the worker noticed the revocation — clean unwind
         except asyncio.TimeoutError:
             self._m_leaked.inc()
             logger.error("evaluation failed to unwind within %.1fs grace",
-                         self.cancel_grace)
+                         CANCEL_GRACE_SECONDS)
         except Exception:  # noqa: BLE001 - reaping must not mask the cause
             pass
 
@@ -464,29 +463,24 @@ class ReproServer:
                              limit: Optional[int],
                              cursor: Optional[str]) -> Dict[str, Any]:
         outcome: Dict[str, Any] = {}
-        main_tracer = get_tracer()
-        worker_tracer: Optional[Tracer] = None
-        if main_tracer.enabled:
-            worker_tracer = Tracer(InMemorySink())
 
         def work() -> Any:
-            with entry.eval_lock:
+            with get_tracer().span("serve-eval", PHASE_SERVE,
+                                   run=entry.run_id, mode=mode), \
+                    entry.eval_lock:
                 compiled, cache = entry.prepare(query_text, params, mode)
                 outcome["plan_cache"] = cache
                 runner = run_layered if mode == "layered" else run_naive
-                if worker_tracer is None:
-                    return runner(entry.store, compiled, budget=budget)
-                with thread_tracing(worker_tracer):
-                    return runner(entry.store, compiled, budget=budget)
+                return runner(entry.store, compiled, budget=budget)
 
         result = await self._offload(work, budget)
         cache = outcome.get("plan_cache", "miss")
         self._m_plan.labels(cache).inc()
         self._m_eval.labels(result.stats["evaluator"]).observe(
             result.wall_seconds)
-        if worker_tracer is not None:
-            main_tracer.ingest(worker_tracer.sink.events, None,
-                               run=entry.run_id)
+        paged = limit is not None or cursor is not None
+        digest = (obsledger.digest_query_result(result)
+                  if paged or self.record_queries else None)
         doc: Dict[str, Any] = {
             "run": entry.run_id,
             "mode": result.mode,
@@ -499,12 +493,13 @@ class ReproServer:
                 for key in self._EVAL_STAT_KEYS if key in result.stats
             },
         }
-        if limit is None and cursor is None:
+        if not paged:
             doc["result"] = serialize.result_to_dict(result)
         else:
             page_limit = limit if limit is not None else DEFAULT_PAGE_LIMIT
             try:
-                doc["page"] = serialize.paginate(result, page_limit, cursor)
+                doc["page"] = serialize.paginate(result, page_limit, cursor,
+                                                 digest=digest)
             except ValueError as exc:
                 status = 409 if "stale" in str(exc) else 400
                 raise HttpError(status, "bad_cursor", str(exc))
@@ -519,11 +514,13 @@ class ReproServer:
             }
         entry.queries_served += 1
         if self.record_queries:
-            self._append_query_record(entry, query_text, result, budget)
+            self._append_query_record(entry, query_text, result, budget,
+                                      digest)
         return doc
 
     def _append_query_record(self, entry: CatalogEntry, query_text: str,
-                             result: Any, budget: QueryBudget) -> None:
+                             result: Any, budget: QueryBudget,
+                             digest: str) -> None:
         """Audit-trail the served query into the store's own ledger,
         parent-linked to the capture run that sealed the store."""
         try:
@@ -537,7 +534,7 @@ class ReproServer:
                 parent_run_id=entry.run_id,
                 query=query_text,
                 results={
-                    "query_sha256": obsledger.digest_query_result(result),
+                    "query_sha256": digest,
                     "derivations": result.derivations,
                     "mode": result.mode,
                     "budget": budget.describe(),

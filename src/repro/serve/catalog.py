@@ -17,8 +17,9 @@ Admission, identity, and reuse rules:
   once. Each entry's ``eval_lock`` serializes evaluations against one
   store, while different stores evaluate fully in parallel.
 
-* **Prepared-plan cache.** Each entry keeps a small LRU of compiled
-  query plans keyed by (query text, bound params, mode).
+* **Prepared-plan cache.** Each entry keeps an LRU of
+  :data:`PLAN_CACHE_SIZE` compiled query plans keyed by (query text,
+  bound params, mode).
   A cache hit skips parse + semantic analysis + stratification + plan
   selection; the long-lived store also keeps its lazily decoded columns
   warm across requests — together these are the "warm" path the
@@ -34,7 +35,6 @@ Admission, identity, and reuse rules:
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import tarfile
@@ -58,7 +58,8 @@ from repro.provenance.store import SealedStoreView
 
 logger = get_logger("serve.catalog")
 
-DEFAULT_PLAN_CACHE_SIZE = 32
+#: Prepared plans each entry keeps (least recently used first out).
+PLAN_CACHE_SIZE = 32
 
 
 class AdmissionError(ProvenanceError):
@@ -74,22 +75,13 @@ class AdmissionError(ProvenanceError):
         )
 
 
-def _digest_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 class CatalogEntry:
     """One sealed capture held open: its spill handle (whose read
     session is the store), prepared-plan cache, and the lock serializing
     evaluation on it."""
 
     def __init__(self, run_id: str, directory: str, spill: SpillManager,
-                 manifest: Dict[str, Any],
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
+                 manifest: Dict[str, Any]) -> None:
         self.run_id = run_id
         self.directory = directory
         self.spill = spill
@@ -101,7 +93,6 @@ class CatalogEntry:
         self.functions = FunctionRegistry(None)
         self._plans: "OrderedDict[Tuple[Any, ...], CompiledQuery]" = \
             OrderedDict()
-        self._plan_cache_size = plan_cache_size
         self.plan_hits = 0
         self.plan_misses = 0
         self.queries_served = 0
@@ -109,7 +100,7 @@ class CatalogEntry:
         manifest_path = os.path.join(directory, MANIFEST_FILENAME)
         self._manifest_path = manifest_path
         self._manifest_mtime_ns = os.stat(manifest_path).st_mtime_ns
-        self._manifest_sha = _digest_file(manifest_path)
+        self._manifest_sha = obsledger.digest_file(manifest_path)
 
     @property
     def store(self) -> SealedStoreView:
@@ -122,7 +113,7 @@ class CatalogEntry:
     def plan_key(self, query_text: str, params: Optional[Dict[str, Any]],
                  mode: str) -> Tuple[Any, ...]:
         return (
-            hashlib.sha256(query_text.encode("utf-8")).hexdigest(),
+            obsledger.digest_text(query_text),
             obsledger.canonical_json(params or {}),
             mode,
         )
@@ -149,7 +140,7 @@ class CatalogEntry:
             program, registry=self.store.registry, functions=self.functions,
         )
         self._plans[key] = compiled
-        if len(self._plans) > self._plan_cache_size:
+        if len(self._plans) > PLAN_CACHE_SIZE:
             self._plans.popitem(last=False)
         self.plan_misses += 1
         return compiled, "miss"
@@ -161,7 +152,7 @@ class CatalogEntry:
     # ------------------------------------------------------------------
     # freshness
     # ------------------------------------------------------------------
-    def ensure_fresh(self, verify: bool = True) -> bool:
+    def ensure_fresh(self) -> bool:
         """Reopen the store if its manifest changed on disk.
 
         One ``stat`` on the fast path. Returns ``True`` when the entry
@@ -176,15 +167,14 @@ class CatalogEntry:
                 self.directory, [f"{MANIFEST_FILENAME} disappeared"])
         if mtime_ns == self._manifest_mtime_ns:
             return False
-        sha = _digest_file(self._manifest_path)
+        sha = obsledger.digest_file(self._manifest_path)
         if sha == self._manifest_sha:
             self._manifest_mtime_ns = mtime_ns
             return False
         with self.eval_lock:
-            if verify:
-                problems, _details = obsledger.verify_store(self.directory)
-                if problems:
-                    raise AdmissionError(self.directory, problems)
+            problems, _details = obsledger.verify_store(self.directory)
+            if problems:
+                raise AdmissionError(self.directory, problems)
             spill = SpillManager.open(self.directory)
             spill.view()  # the new session, built before any request
             old, self.spill = self.spill, spill
@@ -225,12 +215,8 @@ class RunCatalog:
     store directory — re-registering a path returns the existing entry.
     """
 
-    def __init__(self, data_dir: Optional[str] = None, *,
-                 verify: bool = True,
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
+    def __init__(self, data_dir: Optional[str] = None) -> None:
         self._data_dir = data_dir
-        self.verify = verify
-        self._plan_cache_size = plan_cache_size
         self._lock = threading.Lock()
         self._by_id: Dict[str, CatalogEntry] = {}
         self._by_path: Dict[str, CatalogEntry] = {}
@@ -248,10 +234,9 @@ class RunCatalog:
             existing = self._by_path.get(directory)
             if existing is not None:
                 return existing, False
-            if self.verify:
-                problems, _details = obsledger.verify_store(directory)
-                if problems:
-                    raise AdmissionError(directory, problems)
+            problems, _details = obsledger.verify_store(directory)
+            if problems:
+                raise AdmissionError(directory, problems)
             try:
                 spill = SpillManager.open(directory)
             except ProvenanceError as exc:
@@ -268,10 +253,7 @@ class RunCatalog:
                 self._by_path[directory] = entry
                 return entry, False
             store = spill.view()
-            entry = CatalogEntry(
-                run_id, directory, spill, manifest,
-                plan_cache_size=self._plan_cache_size,
-            )
+            entry = CatalogEntry(run_id, directory, spill, manifest)
             self._by_id[run_id] = entry
             self._by_path[directory] = entry
             logger.info("admitted %s as %s (%d layers, %d rows)",

@@ -13,12 +13,10 @@ from repro.pql.serialize import (
     canonical_json,
     decode_cursor,
     encode_cursor,
-    flatten_result,
     jsonable_row,
     jsonable_value,
     ordered_rows,
     paginate,
-    result_digest,
     result_to_dict,
     row_sort_key,
 )
@@ -33,6 +31,14 @@ def capture():
         web_graph(50, avg_degree=4, target_diameter=7, seed=23), seed=23
     )
     return Ariadne(graph, SSSP(source=0)).capture()
+
+
+def flatten(result):
+    """The flat ``[relation, row]`` sequence a cursor indexes into, as it
+    was first defined: ``result_to_dict``'s rows, relations in order."""
+    return [[relation, row]
+            for relation, body in result_to_dict(result)["relations"].items()
+            for row in body["rows"]]
 
 
 def lineage_params(store):
@@ -105,8 +111,9 @@ class TestJsonShape:
         assert "wall_seconds" not in text
 
     def test_digest_tracks_content(self, result):
-        assert result_digest(result) == result_digest(result)
-        assert len(result_digest(result)) == 16
+        """A cursor carries the ledger's digest of the result it pages."""
+        cursor = paginate(result, 1)["next_cursor"]
+        assert decode_cursor(cursor) == (1, digest_query_result(result))
 
 
 class TestCursors:
@@ -116,7 +123,8 @@ class TestCursors:
 
     @pytest.mark.parametrize("garbage", [
         "", "!!!", "aGVsbG8=",  # valid base64, not JSON-cursor shaped
-        encode_cursor(0, "d")[:-4] + "AAAA",
+        # a version-1 cursor whose tail was cut off
+        "eyJkaWdlc3QiOiJkIiwib2Zmc2V0IjowLCJ2IjoxAAAA",
     ])
     def test_garbage_rejected(self, garbage):
         with pytest.raises(ValueError):
@@ -124,29 +132,33 @@ class TestCursors:
 
     def test_negative_offset_rejected(self):
         import base64
-        payload = canonical_json({"v": 1, "offset": -1, "digest": "d"})
+        payload = canonical_json({"v": 2, "offset": -1, "digest": "d"})
         cursor = base64.urlsafe_b64encode(payload.encode()).decode()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad fields"):
+            decode_cursor(cursor)
+
+    def test_version_1_cursor_refused_by_name(self):
+        import base64
+        payload = canonical_json({"v": 1, "offset": 2, "digest": "d" * 16})
+        cursor = base64.urlsafe_b64encode(payload.encode()).decode()
+        with pytest.raises(ValueError, match="cursor version 1"):
             decode_cursor(cursor)
 
 
 class TestPaginate:
     def test_walk_covers_all_rows_in_order(self, result):
-        flat = flatten_result(result)
+        flat = flatten(result)
         assert flat, "fixture query should produce rows"
         seen = []
         cursor = None
         while True:
             page = paginate(result, 3, cursor)
             assert page["total_rows"] == len(flat)
-            seen.extend((rel, tuple(map(tuple_safe, row)))
-                        for rel, row in page["rows"])
+            seen.extend(page["rows"])
             if page["next_cursor"] is None:
                 break
             cursor = page["next_cursor"]
-        assert len(seen) == len(flat)
-        assert [list(row) for _rel, row in flat] == \
-            [[unwrap(v) for v in row] for _rel, row in seen]
+        assert seen == flat
 
     def test_stale_cursor_raises(self, result, capture):
         cursor = paginate(result, 2)["next_cursor"]
@@ -159,9 +171,7 @@ class TestPaginate:
 
     def test_result_holding_infinity_pages(self, result, capture):
         """SSSP stores hold inf for unreached vertices; the cursor digest
-        must take it, and finite-only results keep their digest bytes."""
-        import hashlib
-
+        must take it."""
         unreached = run_layered(
             capture.store, Q.BACKWARD_LINEAGE_FULL_QUERY,
             params={"alpha": 1, "sigma": 0},
@@ -174,27 +184,16 @@ class TestPaginate:
         assert last["next_cursor"] is None
         with pytest.raises(ValueError, match="stale"):
             paginate(result, 1, first["next_cursor"])
-        strict = canonical_json(result_to_dict(result))  # raises on inf
-        assert result_digest(result) == hashlib.sha256(
-            strict.encode("utf-8")).hexdigest()[:16]
 
     def test_nonpositive_limit_raises(self, result):
         with pytest.raises(ValueError, match="limit"):
             paginate(result, 0)
 
     def test_last_page_has_no_cursor(self, result):
-        total = len(flatten_result(result))
+        total = len(flatten(result))
         page = paginate(result, total)
         assert page["next_cursor"] is None
         assert len(page["rows"]) == total
-
-
-def tuple_safe(value):
-    return tuple(value) if isinstance(value, list) else value
-
-
-def unwrap(value):
-    return list(value) if isinstance(value, tuple) else value
 
 
 def _handmade_result(relations):
@@ -257,10 +256,56 @@ class TestCanonicalView:
             result_to_dict(res)
             paginate(res, 3)
             paginate(res, 3, paginate(res, 3)["next_cursor"])
-            flatten_result(res)
-            result_digest(res)
             digest_query_result(res)
         assert sorted(reads) == sorted(MIXED)
+
+
+class TestPagesOfTheCanonicalView:
+    """Pages are sliced from the canonical view: every page, at every
+    limit, holds the rows the whole-result flatten holds at its offsets."""
+
+    @pytest.mark.parametrize("limit", [1, 2, 3, 5, 16, 100])
+    def test_walk_equals_flatten_on_mixed_rows(self, limit):
+        res = _handmade_result(MIXED)
+        flat = flatten(res)
+        seen, cursor = [], None
+        while True:
+            page = paginate(res, limit, cursor)
+            assert page["total_rows"] == len(flat)
+            assert page["rows"] == flat[page["offset"]:page["offset"] + limit]
+            assert canonical_json(page["rows"], allow_nan=True) == \
+                canonical_json(flat[page["offset"]:page["offset"] + limit],
+                               allow_nan=True)
+            seen.extend(page["rows"])
+            cursor = page["next_cursor"]
+            if cursor is None:
+                break
+        assert seen == flat
+
+    def test_cursor_token_is_the_ledger_digest(self):
+        res = _handmade_result(MIXED)
+        digest = digest_query_result(res)
+        cursor = paginate(res, 2)["next_cursor"]
+        assert decode_cursor(cursor) == (2, digest)
+        assert paginate(res, 2, digest=digest) == paginate(res, 2)
+        with pytest.raises(ValueError, match="stale"):
+            paginate(_handmade_result({"names": MIXED["names"]}), 2, cursor)
+
+    def test_only_page_rows_are_made_json_safe(self, monkeypatch):
+        from repro.pql import serialize
+
+        res = _handmade_result(MIXED)
+        converted = []
+        real = serialize.jsonable_row
+
+        def counting(row):
+            converted.append(row)
+            return real(row)
+
+        monkeypatch.setattr(serialize, "jsonable_row", counting)
+        page = paginate(res, 3, paginate(res, 3)["next_cursor"])
+        assert len(page["rows"]) == 3
+        assert len(converted) == 6  # three rows per page, two pages
 
 
 class TestJsonableRowFastPath:

@@ -25,7 +25,7 @@ from repro.errors import BudgetExceededError
 from repro.graph.generators import web_graph, with_random_weights
 from repro.obs import ledger as obsledger
 from repro.obs.sinks import InMemorySink
-from repro.obs.trace import Tracer, thread_tracing
+from repro.obs.trace import Tracer, tracing
 from repro.pql import budget as budget_mod
 from repro.pql import vectorized as vec_mod
 from repro.pql.analysis import compile_query
@@ -368,7 +368,7 @@ class TestReadSession:
         assert any(dictionaries.values()), \
             "head materialization must decode the dictionary"
         sink = InMemorySink()
-        with thread_tracing(Tracer(sink)):
+        with tracing(Tracer(sink)):
             second = run_layered_from_spill(spill, src, wgraph)
         assert [e for e in sink.events
                 if e.get("name") in ("slab-decode", "store-open")] == []

@@ -569,7 +569,7 @@ class TestRetiredFormats:
         after a migration attempt, and admits a migrated raw store."""
         from repro.serve.catalog import AdmissionError, RunCatalog
 
-        catalog = RunCatalog(verify=True)
+        catalog = RunCatalog()
         directory = retired("legacy")
         with pytest.raises(AdmissionError, match="cannot read"):
             catalog.register_path(directory)

@@ -44,10 +44,11 @@ class TestAdmission:
         with pytest.raises(AdmissionError):
             catalog.register_path(str(empty))
 
-    def test_verify_can_be_disabled(self, sssp_store, tmp_path):
-        """A store whose manifest digests no longer match is rejected
-        with verification on but admitted with it off (the slabs
-        themselves are still readable)."""
+    def test_verify_can_be_disabled(self, catalog, sssp_store, tmp_path):
+        """A store whose manifest digests no longer match its slabs is
+        rejected, though the slabs themselves are still readable:
+        admission always verifies, and there is no switch to turn it
+        off."""
         import json
         drifted = str(tmp_path / "drifted")
         shutil.copytree(sssp_store, drifted)
@@ -58,10 +59,12 @@ class TestAdmission:
             slab["sha256"] = "0" * 64
         with open(manifest_path, "w") as fh:
             json.dump(manifest, fh)
-        with pytest.raises(AdmissionError):
-            RunCatalog(verify=True).register_path(drifted)
-        entry, created = RunCatalog(verify=False).register_path(drifted)
-        assert created and entry.store.num_rows > 0
+        with pytest.raises(AdmissionError) as excinfo:
+            catalog.register_path(drifted)
+        assert excinfo.value.problems
+        assert len(catalog) == 0
+        with pytest.raises(TypeError):
+            RunCatalog(verify=False)
 
 
 class TestOneHandlePerStore:
@@ -125,9 +128,11 @@ class TestPlanCache:
         assert entry.plan_misses == len(variants)
         assert entry.plan_cache_len == len(variants)
 
-    def test_lru_eviction(self, catalog, sssp_store):
+    def test_lru_eviction(self, catalog, sssp_store, monkeypatch):
+        from repro.serve import catalog as catalog_module
+
         entry, _ = catalog.register_path(sssp_store)
-        entry._plan_cache_size = 2  # noqa: SLF001 - exercising the bound
+        monkeypatch.setattr(catalog_module, "PLAN_CACHE_SIZE", 2)
         with entry.eval_lock:
             for sigma in (0, 1, 2):
                 entry.prepare(Q.BACKWARD_LINEAGE_FULL_QUERY,

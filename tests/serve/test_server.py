@@ -428,6 +428,21 @@ class TestPagination:
         assert status == 409
         assert doc["error"] == "bad_cursor"
 
+    def test_version_1_cursor_is_400(self, server, catalog, sssp_store):
+        """A cursor in the retired version-1 format (a 16-hex digest of
+        the serialized result) is refused by name, not read as stale."""
+        import base64
+
+        run_id = run_id_for(catalog, sssp_store)
+        payload = canonical_json({"v": 1, "offset": 2, "digest": "0" * 16})
+        cursor = base64.urlsafe_b64encode(payload.encode()).decode()
+        body = dict(self._body(catalog, run_id), limit=2, cursor=cursor)
+        status, doc = server.request(
+            "POST", f"/runs/{run_id}/query", body=body)
+        assert status == 400
+        assert doc["error"] == "bad_cursor"
+        assert "cursor version 1" in doc["message"]
+
     def test_garbage_cursor_is_400(self, server, catalog, sssp_store):
         run_id = run_id_for(catalog, sssp_store)
         body = dict(self._body(catalog, run_id), limit=2, cursor="!!!")
@@ -435,6 +450,112 @@ class TestPagination:
             "POST", f"/runs/{run_id}/query", body=body)
         assert status == 400
         assert doc["error"] == "bad_cursor"
+
+
+class TestTracedServing:
+    def test_evaluations_trace_under_their_serve_spans(
+            self, catalog, sssp_store, pagerank_store, serve_graph,
+            tmp_path):
+        """Paged walks over two stores run while a third store registers,
+        all traced into one process-wide tracer: the trace validates,
+        every parent link names a span in it, and each ``query-eval`` span
+        reaches a ``serve-eval`` span whose ``run`` is the store it read —
+        each evaluation's ``query-eval`` spans are exactly those a direct
+        evaluation of that run's query records."""
+        from repro import PageRank
+        from repro.core import queries as Q
+        from repro.obs.sinks import InMemorySink, meta_event, validate_events
+        from repro.obs.trace import Tracer, tracing
+        from repro.runtime.offline import run_layered
+        from tests.serve.conftest import seal_capture
+
+        third = seal_capture(serve_graph, PageRank(num_supersteps=4),
+                             str(tmp_path / "third"))
+        runs = [catalog.register_path(directory)[0].run_id
+                for directory in (sssp_store, pagerank_store)]
+        params = {run: lineage_params(catalog.get(run).store)
+                  for run in runs}
+        served = {run: 0 for run in runs}
+        errors = []
+        sink = InMemorySink()
+        sink.emit(meta_event())
+        tracer = Tracer(sink)
+
+        def walk(srv, run):
+            try:
+                for _ in range(2):
+                    cursor = None
+                    while True:
+                        body = {"query": "query10", "params": params[run],
+                                "limit": 3}
+                        if cursor:
+                            body["cursor"] = cursor
+                        status, doc = srv.request(
+                            "POST", f"/runs/{run}/query", body=body)
+                        assert status == 200, doc
+                        served[run] += 1
+                        cursor = doc["page"]["next_cursor"]
+                        if cursor is None:
+                            break
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def register(srv):
+            try:
+                status, doc = srv.request("POST", "/runs",
+                                          body={"path": third})
+                assert status == 201, doc
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        with tracing(tracer):
+            with ServerThread(catalog=catalog, record_queries=False) as srv:
+                threads = [threading.Thread(target=walk, args=(srv, run))
+                           for run in runs]
+                threads.append(threading.Thread(target=register,
+                                                args=(srv,)))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            tracer.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(catalog) == 3
+
+        assert validate_events(sink.events) == []
+        spans = {e["id"]: e for e in sink.events if e["type"] == "span"}
+        for span in spans.values():
+            assert span["parent"] is None or span["parent"] in spans, span
+        assert any(s["name"] == "store-open" for s in spans.values())
+        evals = [s for s in spans.values() if s["name"] == "serve-eval"]
+        assert sorted(s["attrs"]["run"] for s in evals) == sorted(
+            run for run, count in served.items() for _ in range(count))
+
+        def signature(span):
+            attrs = span["attrs"]
+            return attrs["mode"], attrs.get("layer", -1), attrs["sites"]
+
+        under = {s["id"]: [] for s in evals}
+        for span in spans.values():
+            if span["cat"] != "query-eval":
+                continue
+            owner = spans[span["parent"]]
+            while owner["cat"] != "serve":
+                owner = spans[owner["parent"]]
+            assert owner["name"] == "serve-eval"
+            under[owner["id"]].append(signature(span))
+        expected = {}
+        for run in runs:
+            direct = InMemorySink()
+            with tracing(Tracer(direct)):
+                run_layered(catalog.get(run).store,
+                            Q.NAMED_QUERIES["query10"], params=params[run])
+            expected[run] = sorted(signature(e) for e in direct.events
+                                   if e["cat"] == "query-eval")
+        assert expected[runs[0]] != expected[runs[1]]
+        for span in evals:
+            assert sorted(under[span["id"]]) == expected[span["attrs"]["run"]]
 
 
 class TestLineage:
@@ -592,6 +713,13 @@ class TestLedgerRecording:
 
 
 class TestServeCLI:
+    def test_serve_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        text = capsys.readouterr().out
+        assert "--no-query-ledger" in text
+        assert "--eval-workers" not in text and "--no-verify" not in text
+
     def test_repro_serve_subprocess(self, sssp_store, tmp_path):
         """`repro serve` comes up, writes the ready file, and answers."""
         import http.client

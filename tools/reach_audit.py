@@ -120,7 +120,6 @@ CLI_STEPS: List[List[str]] = [
     ["audit", "verify", "--store", "{w}/store"],
     ["audit", "diff", "--store", "{w}/store", "latest:capture",
      "latest:query"],
-    ["compare", "--store", "{w}/store", "latest:query", "latest:query"],
     ["store", "migrate", "{w}/store"],
 ]
 
